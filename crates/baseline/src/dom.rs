@@ -288,7 +288,10 @@ impl DomEngine {
                         .is_some_and(|name| name.starts_with(&format!("{prefix}:")))
             }
             NodeTest::Text => kind.is_text(),
-            NodeTest::Node => !matches!(kind, NodeKind::Document),
+            // XPath 1.0 §2.3: true for any node of any type whatsoever —
+            // the root node included, or `//x` (which starts with
+            // `/descendant-or-self::node()`) loses the root element.
+            NodeTest::Node => true,
             NodeTest::Comment => matches!(kind, NodeKind::Comment { .. }),
             NodeTest::Pi(target) => match kind {
                 NodeKind::ProcessingInstruction { target: t, .. } => {
@@ -748,6 +751,19 @@ mod tests {
                 .unwrap(),
             1
         );
+    }
+
+    #[test]
+    fn node_test_matches_the_root_node() {
+        // `//a` is `/descendant-or-self::node()/child::a`: the root
+        // element is a child of the document node only.
+        let e = DomEngine::from_xml("<a><b/></a>").unwrap();
+        assert_eq!(e.count("//a").unwrap(), 1);
+        assert_eq!(e.count("//*").unwrap(), 2);
+        assert_eq!(e.count("//node()").unwrap(), 2);
+        assert_eq!(e.count("/descendant-or-self::node()").unwrap(), 3);
+        assert_eq!(e.count("//b/ancestor::node()").unwrap(), 2);
+        assert_eq!(engine().count("//site").unwrap(), 1);
     }
 
     #[test]

@@ -243,8 +243,6 @@ fn main() {
     let mut store = MassStore::open_memory();
     store.load_xml("auction", &xml).expect("load xmark");
     let mut base = Engine::new(store);
-    // Compile-time worker view: the optimizer's degree is capped by the
-    // pool width at execution, so record the widest configuration.
     base.options_mut().parallel_workers = max_workers;
     let engine = Arc::new(SharedEngine::new(base));
 
@@ -285,7 +283,7 @@ fn main() {
             let rows = guard.execute_plan(&plan, DocId(0)).expect(name).len();
             assert!(rows > 0, "{name} ({xpath}) returned no rows");
             let par = match plan.parallel() {
-                Some(c) => format!("parallel degree {} (~{} rows)", c.degree, c.estimated),
+                Some(c) => format!("parallel-eligible (COUNT {})", c.estimated),
                 None => "serial".to_string(),
             };
             eprintln!("  {name}: {rows} row(s), {par}");

@@ -36,6 +36,12 @@ pub const SCAN_QUERIES: &[(&str, &str)] = &[
     ("S5", "//person//*"),
 ];
 
+/// Whole-document queries, for the differential suites only (no timed
+/// mix includes them). Each starts at the document node, which the DOM
+/// oracle's `node()` test used to drop: `//*` came out one short and
+/// `//site` empty, so no suite could carry them.
+pub const ROOT_QUERIES: &[(&str, &str)] = &[("R1", "//*"), ("R2", "//site"), ("R3", "//node()")];
+
 /// Generates an XMark document of roughly `megabytes` MB (streamed —
 /// no DOM arena is materialized).
 pub fn document(megabytes: f64) -> String {

@@ -4,13 +4,17 @@
 //! `vamana-baseline` DOM engine.
 
 use vamana_baseline::XPathEngine;
-use vamana_bench::{VamanaBench, QUERIES, SCAN_QUERIES};
+use vamana_bench::{VamanaBench, QUERIES, ROOT_QUERIES, SCAN_QUERIES};
 use vamana_core::exec::BATCH_SIZE;
 use vamana_core::{DocId, Engine, NodeEntry};
 use vamana_xmark::scale::config_for_megabytes;
 
 fn all_queries() -> impl Iterator<Item = (&'static str, &'static str)> {
-    QUERIES.iter().chain(SCAN_QUERIES).copied()
+    QUERIES
+        .iter()
+        .chain(SCAN_QUERIES)
+        .chain(ROOT_QUERIES)
+        .copied()
 }
 
 fn drain_stream(engine: &Engine, xpath: &str, batched: bool) -> Vec<NodeEntry> {

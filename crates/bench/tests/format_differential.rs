@@ -7,12 +7,16 @@
 //! across stores.
 
 use vamana_baseline::XPathEngine as _;
-use vamana_bench::{QUERIES, SCAN_QUERIES};
+use vamana_bench::{QUERIES, ROOT_QUERIES, SCAN_QUERIES};
 use vamana_core::{DocId, Engine, MassStore, NodeEntry};
 use vamana_mass::StoreFormat;
 
 fn all_queries() -> impl Iterator<Item = (&'static str, &'static str)> {
-    QUERIES.iter().chain(SCAN_QUERIES).copied()
+    QUERIES
+        .iter()
+        .chain(SCAN_QUERIES)
+        .chain(ROOT_QUERIES)
+        .copied()
 }
 
 fn engine_with_format(xml: &str, format: StoreFormat) -> Engine {
@@ -39,8 +43,7 @@ const MODES: [ModeSetup; 4] = [
         o.batched = true;
         o.parallel = true;
         o.parallel_workers = 2;
-        o.parallel_threshold = 32;
-        o.parallel_min_morsel = 16;
+        o.parallel_force = true;
     }),
     ("fused", |e| {
         let o = e.options_mut();

@@ -75,8 +75,7 @@ fn fusion_under_parallel_scans_is_order_preserving() {
     {
         let options = subject.options_mut();
         options.parallel = true;
-        options.parallel_threshold = 1;
-        options.parallel_min_morsel = 1;
+        options.parallel_force = true;
     }
     for (name, xpath) in SCAN_QUERIES {
         let reference = plain.engine_mut().query(xpath).unwrap();

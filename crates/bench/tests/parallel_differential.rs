@@ -2,27 +2,29 @@
 //! XMark query suites: parallel must be byte-identical to serial-batched
 //! and scalar execution, and all three must agree with the DOM oracle.
 //!
-//! Thresholds are lowered so every scan query fans out even on the small
-//! test document, and a 2-worker pool runs with more morsels than
-//! workers, forcing the stealing path.
+//! The fan-out is forced, so every eligible scan runs parallel even on
+//! the small test document, with at least two morsels per thread: which
+//! thread scans which morsel is a race, and the order must not be.
 
 use vamana_baseline::XPathEngine;
-use vamana_bench::{VamanaBench, QUERIES, SCAN_QUERIES};
+use vamana_bench::{VamanaBench, QUERIES, ROOT_QUERIES, SCAN_QUERIES};
 use vamana_core::exec::BATCH_SIZE;
 use vamana_core::{DocId, Engine, NodeEntry};
 use vamana_xmark::scale::config_for_megabytes;
 
 fn all_queries() -> impl Iterator<Item = (&'static str, &'static str)> {
-    QUERIES.iter().chain(SCAN_QUERIES).copied()
+    QUERIES
+        .iter()
+        .chain(SCAN_QUERIES)
+        .chain(ROOT_QUERIES)
+        .copied()
 }
 
-/// Force the parallel decision on a small document: low threshold, tiny
-/// morsels, a fixed pool width.
+/// Force the parallel decision on a small document, at a fixed width.
 fn force_parallel(engine: &mut Engine, workers: usize) {
     let opts = engine.options_mut();
     opts.parallel_workers = workers;
-    opts.parallel_threshold = 32;
-    opts.parallel_min_morsel = 16;
+    opts.parallel_force = true;
 }
 
 fn set_mode(engine: &mut Engine, parallel: bool, batched: bool) {
@@ -62,8 +64,8 @@ fn parallel_results_equal_batched_and_scalar() {
 fn parallel_streams_equal_serial_streams() {
     let xml = vamana_xmark::generate_string(&config_for_megabytes(0.4));
     let mut bench = VamanaBench::optimized(&xml);
-    // 2-worker pool with degree-capped fan-out: every scan query makes
-    // more morsels than workers, so some are stolen or helped inline.
+    // Two threads, four morsels or more a scan: the caller scans some
+    // straight into its batch and drains the rest from the worker.
     force_parallel(bench.engine_mut(), 2);
     for (name, xpath) in all_queries() {
         set_mode(bench.engine_mut(), false, true);

@@ -780,10 +780,20 @@ mod tests {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
+    /// A fresh directory per call: tests run on parallel threads of one
+    /// process, and one shared `t.xml` was rewritten under a sibling's
+    /// `.load`.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("vamana-cli-{}-{n}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     fn loaded() -> Session {
         let mut s = Session::new();
-        let dir = std::env::temp_dir().join(format!("vamana-cli-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("load");
         let f = dir.join("t.xml");
         std::fs::write(
             &f,
@@ -791,6 +801,7 @@ mod tests {
         )
         .unwrap();
         let out = s.execute(&format!(".load {}", f.display())).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         assert!(out.contains("loaded"), "{out}");
         s
     }
@@ -950,8 +961,7 @@ mod tests {
     #[test]
     fn save_and_open_round_trip() {
         let mut s = loaded();
-        let dir = std::env::temp_dir().join(format!("vamana-cli-save-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("save");
         let f = dir.join("session.mass");
         let out = s.execute(&format!(".save {}", f.display())).unwrap();
         assert!(out.contains("saved"), "{out}");
@@ -993,8 +1003,7 @@ mod tests {
     #[test]
     fn saved_store_recovers_updates_from_the_wal() {
         let mut s = loaded();
-        let dir = std::env::temp_dir().join(format!("vamana-cli-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("wal");
         let f = dir.join("durable.mass");
         let out = s.execute(&format!(".save {}", f.display())).unwrap();
         assert!(out.contains("saved"), "{out}");
@@ -1023,8 +1032,7 @@ mod tests {
         assert!(out.contains("in-memory store"), "{out}");
 
         let mut s = loaded();
-        let dir = std::env::temp_dir().join(format!("vamana-cli-walcmd-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("walcmd");
         let f = dir.join("walcmd.mass");
         s.execute(&format!(".save {}", f.display())).unwrap();
         let out = s

@@ -21,6 +21,14 @@ use std::collections::HashMap;
 use vamana_flex::{Axis, KeyRange};
 use vamana_mass::MassStore;
 
+/// The serial cost (Table I units: one unit is one tuple through the
+/// serial pipeline) from which a morsel-parallel scan is faster than the
+/// same scan on one thread. Measured, not tuned: a fan-out costs ≈ 750
+/// units per morsel handed over plus ≈ 400 per 1024-row chunk that
+/// crosses a queue, which two threads win back from ≈ 10 k units up — see
+/// EXPERIMENTS.md, "Hand-off calibration".
+pub const PARALLEL_BREAK_EVEN: u64 = 10_000;
+
 /// Per-operator cost figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpCost {

@@ -7,14 +7,14 @@
 
 use crate::cost::estimate;
 use crate::error::{EngineError, Result};
-use crate::exec::parallel::{ParallelHooks, ParallelScanStats, ScanPool};
+use crate::exec::parallel::{host_cpus, ParallelHooks, ParallelScanStats, PoolCell};
 use crate::exec::{self, value::Value, Env};
 use crate::explain::Analysis;
 use crate::opt::{self, OptEvent, OptimizeOutcome, OptimizerOptions};
 use crate::plan::{builder::build_plan, display, Operator, QueryPlan};
 use crate::shared::QueryProfile;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vamana_flex::KeyRange;
 use vamana_mass::{DocId, MassError, MassStore, NodeEntry, RecordKind, WalStats};
@@ -36,20 +36,22 @@ pub struct EngineOptions {
     /// Produces the identical tuple sequence; `false` is the scalar
     /// baseline kept for benchmarking and differential testing.
     pub batched: bool,
-    /// Morsel-parallel scans: plans whose output step the optimizer
-    /// marked parallel-worthy fan out over the engine's shared scan
-    /// pool (requires `batched`). Identical output either way; `false`
-    /// keeps serial-batched as the differential oracle and baseline.
+    /// Morsel-parallel scans: a plan whose output step is a splittable
+    /// page scan is sized when it runs — from the context count and page
+    /// span of that run — and fans out over the engine's scan pool only
+    /// from the measured break-even up (`cost::PARALLEL_BREAK_EVEN`;
+    /// requires `batched`). Identical output either way; `false` keeps
+    /// every scan on the calling thread.
     pub parallel: bool,
-    /// Scan-pool width. `0` means one worker per available core.
+    /// Threads one scan may use, the calling thread included (the pool
+    /// runs one fewer). `0` means one per available core; `1` is serial.
+    /// Unless forced, a scan never uses more threads than the host has
+    /// cores, whatever this says.
     pub parallel_workers: usize,
-    /// Minimum estimated `COUNT` of the output step before the optimizer
-    /// considers fanning out — below this, thread hand-off costs more
-    /// than the scan.
-    pub parallel_threshold: u64,
-    /// Smallest worthwhile per-worker slice of the estimate; the degree
-    /// is capped at `count / parallel_min_morsel`.
-    pub parallel_min_morsel: u64,
+    /// Fan every eligible scan out as wide as `parallel_workers` allows
+    /// regardless of its size or the document's — for differential testing
+    /// and for measuring the parallel path itself.
+    pub parallel_force: bool,
     /// How long a writer waits at the epoch gate for in-flight readers
     /// (parallel morsel workers, open streams) to drop their store
     /// handles before giving up with
@@ -92,8 +94,7 @@ impl Default for EngineOptions {
             batched: true,
             parallel: true,
             parallel_workers: 0,
-            parallel_threshold: 4096,
-            parallel_min_morsel: 1024,
+            parallel_force: false,
             writer_drain_timeout: Duration::from_secs(2),
             views: false,
             view_budget_bytes: 64 << 20,
@@ -326,9 +327,10 @@ pub struct Engine {
     /// which keeps [`Engine::store_mut`] available between queries.
     store: Arc<MassStore>,
     options: EngineOptions,
-    /// Lazily created engine-level worker pool, reused across queries and
-    /// rebuilt only when the configured width changes.
-    scan_pool: Mutex<Option<Arc<ScanPool>>>,
+    /// Engine-level worker pool, created when a scan first fans out,
+    /// reused across queries and rebuilt only when the configured width
+    /// changes.
+    scan_pool: PoolCell,
     /// Cumulative microseconds writers spent at the epoch gate waiting
     /// for reader-held store clones to drain.
     writer_wait_us: AtomicU64,
@@ -351,7 +353,7 @@ impl Engine {
         Engine {
             store: Arc::new(store),
             options,
-            scan_pool: Mutex::new(None),
+            scan_pool: PoolCell::default(),
             writer_wait_us: AtomicU64::new(0),
             views: crate::views::ViewCache::new(),
             fused_chains: AtomicU64::new(0),
@@ -422,58 +424,37 @@ impl Engine {
         Ok(())
     }
 
-    /// The scan-pool width this engine resolves to: the configured
-    /// [`EngineOptions::parallel_workers`], or one per available core.
+    /// Threads one scan may use on this engine, the calling thread
+    /// included: the configured [`EngineOptions::parallel_workers`], or
+    /// one per available core.
     pub fn effective_workers(&self) -> usize {
         if self.options.parallel_workers > 0 {
             self.options.parallel_workers
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
+            host_cpus()
         }
     }
 
-    /// Cumulative parallel-scan counters (all zero until the first
-    /// parallel query creates the pool).
+    /// Cumulative parallel-scan counters (all zero until the first scan
+    /// that fans out creates the pool).
     pub fn parallel_stats(&self) -> ParallelScanStats {
-        let guard = self.scan_pool.lock().unwrap_or_else(|e| e.into_inner());
-        match guard.as_ref() {
-            Some(pool) => pool.stats(),
-            None => ParallelScanStats::default(),
-        }
+        self.scan_pool.stats()
     }
 
-    /// The shared scan pool, created on first use and recreated when the
-    /// configured width changes.
-    fn scan_pool(&self) -> Arc<ScanPool> {
-        let width = self.effective_workers().max(1);
-        let mut guard = self.scan_pool.lock().unwrap_or_else(|e| e.into_inner());
-        match guard.as_ref() {
-            Some(pool) if pool.width() == width => Arc::clone(pool),
-            _ => {
-                let pool = Arc::new(ScanPool::new(width));
-                *guard = Some(Arc::clone(&pool));
-                pool
-            }
-        }
-    }
-
-    /// Execution-time gate for the optimizer's parallel choice: only when
-    /// parallel + batched execution are enabled and the plan carries a
-    /// degree ≥ 2 does a query fan out.
-    pub(crate) fn parallel_hooks(&self, plan: &QueryPlan) -> Option<ParallelHooks> {
-        if !self.options.parallel || !self.options.batched {
+    /// What the executor needs to price and run a parallel scan: only
+    /// for plans the optimizer found eligible, with parallel + batched
+    /// execution enabled and a second thread to give.
+    pub(crate) fn parallel_hooks(&self, plan: &QueryPlan) -> Option<ParallelHooks<'_>> {
+        let width = self.effective_workers();
+        if !self.options.parallel || !self.options.batched || width < 2 {
             return None;
         }
-        let choice = plan.parallel()?;
-        if choice.degree < 2 {
-            return None;
-        }
+        plan.parallel()?;
         Some(ParallelHooks {
-            store: Arc::clone(&self.store),
-            pool: self.scan_pool(),
-            choice,
+            store: &self.store,
+            pool: &self.scan_pool,
+            width,
+            force: self.options.parallel_force,
         })
     }
 
@@ -589,8 +570,8 @@ impl Engine {
         build_plan(&expr)
     }
 
-    /// Optimizes a plan for `doc` and reports the outcome. The parallel
-    /// decision is always recorded on the resulting plan (even when
+    /// Optimizes a plan for `doc` and reports the outcome. Parallel
+    /// eligibility is always recorded on the resulting plan (even when
     /// `options.parallel` is off) so precompiled/cached plans carry it;
     /// execution gates on the option separately.
     pub fn optimize_plan(&self, plan: QueryPlan, doc: DocId) -> Result<OptimizeOutcome> {
@@ -620,14 +601,19 @@ impl Engine {
                 self.apply_fuse(&mut outcome, probe, &scope)?;
             }
         }
-        outcome.plan.set_parallel(opt::parallel::decide(
+        let choice = opt::parallel::decide(
             &outcome.plan,
             self.store(),
             &scope,
-            self.effective_workers(),
-            self.options.parallel_threshold,
-            self.options.parallel_min_morsel,
-        ));
+            self.options.parallel_force,
+        );
+        if self.options.parallel {
+            outcome.opt_trace.events.push(OptEvent::Parallel {
+                estimated: choice.ok().map(|c| c.estimated),
+                reason: choice.err().unwrap_or("priced when the plan runs"),
+            });
+        }
+        outcome.plan.set_parallel(choice.ok());
         Ok(outcome)
     }
 
@@ -1082,6 +1068,10 @@ impl Engine {
         )?;
         let elapsed = start.elapsed();
         let actuals = stats.snapshot();
+        let mut opt_trace = opt_trace;
+        if let Some(verdict) = stats.parallel() {
+            opt_trace.events.push(OptEvent::ParallelRun(verdict));
+        }
         let buffer_after = self.store().buffer_pool().stats();
         let par = self.parallel_stats();
         let (fused_chains, fused_steps) = crate::plan::fused_in_plan(&plan);
@@ -1593,8 +1583,7 @@ mod tests {
         let doc = DocId(0);
         let want = e.query_doc(doc, "//person//*").unwrap();
         e.options_mut().parallel = true;
-        e.options_mut().parallel_threshold = 1;
-        e.options_mut().parallel_min_morsel = 1;
+        e.options_mut().parallel_force = true;
         e.options_mut().fuse = true;
         e.options_mut().fuse_force = true;
         let got = e.query_doc(doc, "//person//*").unwrap();

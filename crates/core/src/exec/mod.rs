@@ -131,12 +131,12 @@ pub fn run_from_mode(
 }
 
 /// [`run_from_mode`] with an optional parallel-scan hookup. When `par`
-/// is provided (engine gating: `EngineOptions.parallel`, a plan-recorded
-/// [`crate::plan::ParallelChoice`], batched mode, top-level run), the
-/// plan's output step fans out over the engine's scan pool; any shape
-/// that does not qualify at runtime falls back to the serial pipeline.
-/// Output is identical in all cases — parallelism only reorders *work*,
-/// never tuples.
+/// is provided (engine gating: `EngineOptions.parallel`, a plan the
+/// optimizer found eligible, batched mode, top-level run), the plan's
+/// output step is sized at this point and fans out over the engine's
+/// scan pool if it is above the break-even; otherwise it runs serially. Output is
+/// identical in all cases — parallelism only reorders *work*, never
+/// tuples.
 pub fn run_plan(
     env: Env<'_, '_>,
     outer: Option<&NodeEntry>,
@@ -207,9 +207,9 @@ pub enum OpIter<'s> {
     /// Value semi-join (algebra completeness): yields left tuples whose
     /// string value matches some right tuple under the condition.
     Join(std::vec::IntoIter<NodeEntry>),
-    /// Morsel-parallel scan with ordered merge (borrows nothing: workers
-    /// hold `Arc` clones of the store).
-    Parallel(Box<parallel::ParallelIter>),
+    /// Morsel-parallel scan with ordered merge: the calling thread scans
+    /// through this borrow, pool workers through `Arc` clones of the store.
+    Parallel(Box<parallel::ParallelIter<'s>>),
     /// Scan over a materialized view's cached result set (already in
     /// document order, deduplicated). Carries its plan [`OpId`] and a
     /// cursor position into the shared entry vector.
@@ -238,21 +238,16 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
                 Some(c) => build_iter(env, *c, outer)?,
                 None => OpIter::Anchor(Some(anchor_for(env, *source, outer))),
             };
-            Ok(OpIter::Step(Box::new(StepIter {
-                op: id,
-                axis: *axis,
+            Ok(OpIter::Step(Box::new(StepIter::new(
+                id,
+                *axis,
                 // Resolve the node test once — an unknown name means the
                 // step is provably empty for every context.
-                filter: env.node_filter(*axis, test),
-                predicates: predicates.clone(),
-                context: ctx_iter,
-                state: OpState::Initial,
-                stream: None,
-                current_ctx: None,
-                buffer: Vec::new(),
-                buffer_pos: 0,
-                outer: outer.cloned(),
-            })))
+                env.node_filter(*axis, test),
+                predicates.clone(),
+                ctx_iter,
+                outer.cloned(),
+            ))))
         }
         Operator::RangeStep {
             context, source, ..
@@ -506,6 +501,30 @@ pub struct StepIter<'s> {
 }
 
 impl<'s> StepIter<'s> {
+    /// A step cursor in its initial state over the `context` cursor.
+    fn new(
+        op: OpId,
+        axis: Axis,
+        filter: Option<NodeFilter>,
+        predicates: Vec<OpId>,
+        context: OpIter<'s>,
+        outer: Option<NodeEntry>,
+    ) -> Self {
+        StepIter {
+            op,
+            axis,
+            filter,
+            predicates,
+            context,
+            state: OpState::Initial,
+            stream: None,
+            current_ctx: None,
+            buffer: Vec::new(),
+            buffer_pos: 0,
+            outer,
+        }
+    }
+
     /// `GetNextContext()` — Algorithm 2.
     fn advance_context(&mut self, env: Env<'_, 's>) -> Result<bool> {
         match self.context.next(env)? {

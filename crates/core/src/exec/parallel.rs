@@ -1,64 +1,83 @@
 //! Morsel-driven intra-query parallel scans (the `ParallelScan`
 //! operator).
 //!
-//! The serial pipeline's unit of work is a page-pinned batch; this
-//! module distributes those batches across cores without giving up the
-//! strict document order the rest of the engine relies on:
+//! A plan whose output step the optimizer found splittable
+//! ([`crate::opt::parallel::decide`]) reaches `build_parallel`, which
+//! materialises the context list, holds the page span it now knows
+//! against the break-even ([`crate::opt::parallel::price`]) and either
+//! hands the contexts to an ordinary serial step or cuts the scan into
+//! *morsels*: disjoint page runs of one descendant range
+//! (`MassStore::partition_range`), or contiguous slices of the context
+//! list. Concatenating morsel outputs in morsel order is the serial tuple
+//! sequence.
 //!
-//! 1. The optimizer marks a plan parallel-worthy
-//!    ([`crate::opt::parallel::decide`]) and records the degree.
-//! 2. At execution time `build_parallel` derives *morsels* from the
-//!    live store: for a single-context descendant scan, disjoint
-//!    page-run key ranges from `MassStore::partition_range`; for a
-//!    multi-context step, contiguous chunks of the context list. Either
-//!    way, concatenating the morsel outputs in morsel order reproduces
-//!    the serial tuple sequence exactly.
-//! 3. Morsel tasks go to a [`ScanPool`] — an engine-level, work-stealing
-//!    worker pool reused across queries (workers pop their own deque
-//!    front, steal others' backs; no per-query thread spawn).
-//! 4. Each worker drives the existing `next_batch` machinery over its
-//!    morsel and pushes batches into a bounded per-morsel queue; the
-//!    consumer ([`ParallelIter`]) drains queues strictly in morsel
-//!    order, re-emitting document order downstream. While its in-order
-//!    morsel has nothing ready the consumer *helps* — it steals and runs
-//!    queued tasks inline — which both keeps cores busy and guarantees
-//!    progress even on a saturated pool.
+//! Morsels are claimed in order, one at a time, by whichever thread is
+//! free — the calling thread included, which is one of the scan's
+//! `degree` threads, not an extra one:
 //!
-//! Failure handling: a worker error (or panic) marks its morsel queue
-//! failed and the consumer surfaces it as an [`EngineError`]; dropping a
-//! `ParallelIter` mid-stream cancels outstanding tasks and waits for
-//! in-flight ones, so workers never outlive the store borrow their
-//! `Arc<MassStore>` clones pin.
+//! * The **caller** ([`ParallelIter`]) claims the morsel it needs next
+//!   and scans it straight into its output batch; nothing is queued.
+//!   When that morsel is already being scanned by a worker it drains
+//!   what the worker has produced, and when there is nothing to drain it
+//!   scans the *earliest* unclaimed morsel into that morsel's queue, a
+//!   chunk at a time, rather than wait.
+//! * A **worker** is a thread of the engine's [`ScanPool`] holding a
+//!   ticket for this scan: it claims morsels until none is claimable,
+//!   pushing each one's output as chunks of [`CHUNK_ROWS`] rows that the
+//!   caller takes by move. Claims stop `2 * degree` morsels ahead of the
+//!   caller; a ticket that finds nothing claimable is dropped and the
+//!   caller issues another when it catches up.
+//!
+//! **Back-pressure.** A morsel of a context list is as large as its
+//! contexts' subtrees, so the claim window alone bounds nothing. The
+//! scan's queues together hold at most `MorselSet::cap` chunks — what a
+//! window of range morsels amounts to: a worker about to push past that
+//! parks until the caller has taken a chunk (the one scanning the morsel
+//! the caller is waiting on may always push into its empty queue), and
+//! the caller stops scanning ahead. A consumer that stalls therefore
+//! holds `cap` chunks plus the one in each worker's hands, and those
+//! workers; other scans go on without them, on their own callers.
+//!
+//! Every wait is on a condvar guarded by the state it waits for, so there
+//! is no polling. Dropping a `ParallelIter` cancels the scan and waits
+//! for the (at most `degree - 1`) workers inside a morsel to notice,
+//! which they do between chunks, between contexts and when parked; after
+//! that no thread holds a clone of the store. A worker error or panic
+//! fails the scan and the caller reports it.
 
 use crate::error::{EngineError, Result};
-use crate::exec::{build_iter, Env, OpIter, BATCH_SIZE};
-use crate::plan::{Operator, ParallelChoice};
+use crate::exec::{build_iter, Env, OpIter, StepIter, BATCH_SIZE};
+use crate::opt::parallel::price;
+use crate::plan::{OpId, Operator};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use vamana_flex::{Axis, KeyRange};
-use vamana_mass::axes::{axis_stream, range_scan_stream};
+use vamana_mass::axes::{axis_stream, range_scan_stream, AxisStream};
 use vamana_mass::{MassStore, NodeEntry, NodeFilter, RecordKind};
 
-/// Morsels per degree of parallelism. More morsels than workers is
-/// deliberate: it gives the stealing machinery slack to rebalance when
-/// morsels turn out skewed (and is what the forced-stealing differential
-/// tests exercise).
-const MORSELS_PER_WORKER: usize = 2;
+/// Rows per chunk a worker hands to the caller. Every chunk but a
+/// morsel's last is full, whatever the number of contexts behind it.
+pub const CHUNK_ROWS: usize = 4 * BATCH_SIZE;
 
-/// Bound on batches buffered per morsel queue before its producer
-/// blocks. Caps memory at roughly `morsels * QUEUE_CAP * BATCH_SIZE`
-/// entries per query while letting out-of-order morsels run ahead.
-const QUEUE_CAP: usize = 8;
+/// The work of one morsel in Table I units (tuples walked plus contexts
+/// opened). Small enough that threads finish within a morsel of each
+/// other and that the `2 * degree` morsels of buffered output stay
+/// a few megabytes; large enough that the per-morsel hand-off (≈ 750
+/// units, EXPERIMENTS.md "Hand-off calibration") is under a tenth of it.
+pub const MORSEL_TUPLES: u64 = 16 * 1024;
 
-/// How long blocked parties sleep between re-checks. Purely a liveness
-/// backstop — every state change also signals the relevant condvar.
-const WAIT_TICK: Duration = Duration::from_millis(5);
+/// Logical CPUs of the host (read once: the standard library re-reads
+/// the cgroup files on every call).
+pub fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A worker panic is reported through its morsel queue; the shared
-    // state itself stays consistent, so poisoning is ignored.
+    // Every update under these mutexes is a single push, pop or counter
+    // step, so the data is valid at every point a panic could unwind
+    // from; a worker panic is reported through `SetState::failed`.
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -66,78 +85,60 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `QueryProfile`, CLI `.stats`, and server `STATS`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelScanStats {
-    /// Pool width (worker threads) — a gauge, not a counter.
+    /// Threads one scan may use, the calling thread included — a gauge,
+    /// not a counter. The pool itself runs one thread fewer.
     pub workers: u64,
-    /// Morsel tasks submitted.
+    /// Morsels of scans that fanned out (whoever ran them).
     pub morsels: u64,
-    /// Batches produced by morsel tasks.
+    /// Chunks that crossed a morsel queue.
     pub worker_batches: u64,
-    /// Times the consumer wanted its in-order morsel's output and had to
-    /// wait (or help) because none was ready.
+    /// Times the caller found its in-order morsel claimed by another
+    /// thread with nothing ready to drain.
     pub merge_stalls: u64,
 }
 
-type Task = Box<dyn FnOnce(bool) + Send + 'static>;
-
-struct PoolState {
-    /// One deque per worker; tasks are submitted round-robin.
-    queues: Vec<VecDeque<Task>>,
+struct PoolQueue {
+    tickets: VecDeque<Arc<MorselSet>>,
     shutdown: bool,
 }
 
-/// State shared with worker threads. Split from [`ScanPool`] so workers
-/// hold no `Arc<ScanPool>` — otherwise the pool's drop (which joins the
-/// workers) could never run.
+/// State shared with the pool's threads. Split from [`ScanPool`] so they
+/// hold no `Arc<ScanPool>` — otherwise the pool's drop (which joins
+/// them) could never run.
 struct PoolShared {
-    state: Mutex<PoolState>,
+    queue: Mutex<PoolQueue>,
     wake: Condvar,
-    next: AtomicUsize,
     morsels: AtomicU64,
-    batches: AtomicU64,
+    chunks: AtomicU64,
     stalls: AtomicU64,
 }
 
 impl PoolShared {
-    /// Pops from `me`'s own deque front, else steals another deque's
-    /// back.
-    fn take(state: &mut PoolState, me: usize) -> Option<Task> {
-        if let Some(t) = state.queues[me].pop_front() {
-            return Some(t);
-        }
-        let k = state.queues.len();
-        for off in 1..k {
-            if let Some(t) = state.queues[(me + off) % k].pop_back() {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn worker_loop(&self, me: usize) {
+    fn worker_loop(&self) {
         loop {
-            let task = {
-                let mut st = lock(&self.state);
+            let set = {
+                let mut q = lock(&self.queue);
                 loop {
-                    if st.shutdown {
+                    if q.shutdown {
                         return;
                     }
-                    if let Some(t) = Self::take(&mut st, me) {
-                        break t;
+                    if let Some(set) = q.tickets.pop_front() {
+                        break set;
                     }
-                    st = self.wake.wait(st).unwrap_or_else(|p| p.into_inner());
+                    q = self.wake.wait(q).unwrap_or_else(|p| p.into_inner());
                 }
             };
-            // Task panics are reported through the morsel queue (see
-            // `MorselTask::run`); the worker itself must survive.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(false)));
+            // A panic inside a morsel fails that scan (`Running::drop`);
+            // the thread itself must survive for the next one.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| set.work(self)));
         }
     }
 }
 
-/// A shared, engine-level worker pool for morsel scans: work-stealing
-/// deques, reused across queries. Created lazily by the engine at the
-/// first parallel query and replaced only when the configured width
-/// changes; dropping it shuts the workers down and joins them.
+/// The engine's worker threads for morsel scans, shared by all queries.
+/// A pool of width `w` lets one scan use `w` threads and therefore runs
+/// `w - 1` of its own: the calling thread is the other one. Created at
+/// the first scan that fans out; dropping it joins the threads.
 pub struct ScanPool {
     shared: Arc<PoolShared>,
     width: usize,
@@ -145,37 +146,36 @@ pub struct ScanPool {
 }
 
 impl ScanPool {
-    /// Starts `width` worker threads (at least one).
+    /// Starts `width - 1` threads. A thread the host refuses to start is
+    /// done without: the calling thread can run every morsel itself.
     pub fn new(width: usize) -> Self {
-        let width = width.max(1);
         let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                queues: (0..width).map(|_| VecDeque::new()).collect(),
+            queue: Mutex::new(PoolQueue {
+                tickets: VecDeque::new(),
                 shutdown: false,
             }),
             wake: Condvar::new(),
-            next: AtomicUsize::new(0),
             morsels: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
+            chunks: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
         });
-        let handles = (0..width)
-            .map(|me| {
+        let handles = (1..width)
+            .filter_map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("vamana-scan-{me}"))
-                    .spawn(move || shared.worker_loop(me))
-                    .expect("spawn scan worker")
+                    .name(format!("vamana-scan-{i}"))
+                    .spawn(move || shared.worker_loop())
+                    .ok()
             })
             .collect();
         ScanPool {
             shared,
-            width,
+            width: width.max(1),
             handles,
         }
     }
 
-    /// Number of worker threads.
+    /// Threads one scan may use, the calling thread included.
     pub fn width(&self) -> usize {
         self.width
     }
@@ -185,43 +185,21 @@ impl ScanPool {
         ParallelScanStats {
             workers: self.width as u64,
             morsels: self.shared.morsels.load(Ordering::Relaxed),
-            worker_batches: self.shared.batches.load(Ordering::Relaxed),
+            worker_batches: self.shared.chunks.load(Ordering::Relaxed),
             merge_stalls: self.shared.stalls.load(Ordering::Relaxed),
         }
     }
 
-    /// Enqueues one morsel task, round-robin across worker deques.
-    fn submit(&self, task: Task) {
-        {
-            let mut st = lock(&self.shared.state);
-            let w = self.shared.next.fetch_add(1, Ordering::Relaxed) % st.queues.len();
-            st.queues[w].push_back(task);
-        }
-        self.shared.morsels.fetch_add(1, Ordering::Relaxed);
-        self.shared.wake.notify_all();
-    }
-
-    /// Steals one queued task and runs it on the calling thread (the
-    /// consumer "helping" while its in-order morsel is not ready).
-    /// Returns `false` when no task was queued.
-    fn help(&self) -> bool {
-        let task = {
-            let mut st = lock(&self.shared.state);
-            PoolShared::take(&mut st, 0)
-        };
-        match task {
-            Some(t) => {
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t(true)));
-                true
-            }
-            None => false,
-        }
+    /// Queues one ticket for `set` and wakes one thread for it.
+    fn submit(&self, set: &Arc<MorselSet>) {
+        lock(&self.shared.queue).tickets.push_back(Arc::clone(set));
+        self.shared.wake.notify_one();
     }
 }
 
 impl Drop for ScanPool {
     fn drop(&mut self) {
-        lock(&self.shared.state).shutdown = true;
+        lock(&self.shared.queue).shutdown = true;
         self.shared.wake.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -229,245 +207,454 @@ impl Drop for ScanPool {
     }
 }
 
-struct QueueState {
-    batches: VecDeque<Vec<NodeEntry>>,
-    finished: bool,
+/// The engine's lazily created [`ScanPool`]: nothing is spawned until a
+/// scan fans out, and then only as wide as that scan may run; the pool
+/// is replaced when a later scan may run wider.
+#[derive(Default)]
+pub struct PoolCell(Mutex<Option<Arc<ScanPool>>>);
+
+impl PoolCell {
+    /// The pool's counters; all zero while no scan has fanned out.
+    pub fn stats(&self) -> ParallelScanStats {
+        lock(&self.0)
+            .as_ref()
+            .map_or_else(ParallelScanStats::default, |pool| pool.stats())
+    }
+
+    fn get(&self, width: usize) -> Arc<ScanPool> {
+        let mut cell = lock(&self.0);
+        match cell.as_ref() {
+            Some(pool) if pool.width() >= width => Arc::clone(pool),
+            _ => {
+                let pool = Arc::new(ScanPool::new(width));
+                *cell = Some(Arc::clone(&pool));
+                pool
+            }
+        }
+    }
+}
+
+/// What the morsels of one scan are cut from.
+enum Work {
+    /// Disjoint page runs of one descendant(-or-self) range.
+    Ranges(Vec<KeyRange>),
+    /// The context list; morsel `i` is `ctxs[i * per..(i + 1) * per]`
+    /// and runs the full axis stream of each context, in order.
+    Contexts { ctxs: Vec<NodeEntry>, per: usize },
+}
+
+/// The immutable description of one parallel scan.
+struct Job {
+    axis: Axis,
+    filter: NodeFilter,
+    work: Work,
+}
+
+impl Job {
+    fn morsels(&self) -> usize {
+        match &self.work {
+            Work::Ranges(ranges) => ranges.len(),
+            Work::Contexts { ctxs, per } => ctxs.len().div_ceil(*per),
+        }
+    }
+}
+
+/// A scan over one morsel: the serial pipeline's own streams, so a
+/// morsel's output is exactly the serial output over its slice.
+struct MorselCursor<'s> {
+    store: &'s MassStore,
+    /// Contexts of the morsel still to open (empty for a range morsel).
+    rest: std::ops::Range<usize>,
+    stream: Option<AxisStream<'s>>,
+}
+
+impl<'s> MorselCursor<'s> {
+    fn open(store: &'s MassStore, job: &Job, index: usize) -> Self {
+        let (rest, stream) = match &job.work {
+            Work::Ranges(ranges) => (
+                0..0,
+                Some(range_scan_stream(store, ranges[index].clone(), job.filter)),
+            ),
+            Work::Contexts { ctxs, per } => {
+                (index * per..((index + 1) * per).min(ctxs.len()), None)
+            }
+        };
+        MorselCursor {
+            store,
+            rest,
+            stream,
+        }
+    }
+
+    /// Appends up to `max` rows to `out`, coalescing across contexts; a
+    /// short count means the morsel is exhausted (or `stop` was raised,
+    /// after which nobody reads the output).
+    fn next_batch(
+        &mut self,
+        job: &Job,
+        stop: &AtomicBool,
+        out: &mut Vec<NodeEntry>,
+        max: usize,
+    ) -> vamana_mass::Result<usize> {
+        let start = out.len();
+        loop {
+            let want = max - (out.len() - start);
+            if want == 0 {
+                break;
+            }
+            if let Some(stream) = &mut self.stream {
+                if stream.next_batch(out, want)? >= want {
+                    break;
+                }
+                self.stream = None;
+            }
+            let (Work::Contexts { ctxs, .. }, Some(k)) = (&job.work, self.rest.next()) else {
+                break;
+            };
+            if stop.load(Ordering::Relaxed) {
+                break;
+            }
+            let ctx = &ctxs[k];
+            self.stream = Some(axis_stream(
+                self.store, &ctx.key, ctx.kind, job.axis, job.filter,
+            )?);
+        }
+        Ok(out.len() - start)
+    }
+}
+
+/// The output of one morsel scanned by a thread other than the one that
+/// consumes it.
+#[derive(Default)]
+struct Slot {
+    chunks: VecDeque<Vec<NodeEntry>>,
+    done: bool,
+}
+
+struct SetState {
+    /// The store, cloned by each worker for the length of one morsel;
+    /// `None` once the scan is over or cancelled, so a ticket still
+    /// queued in the pool pins nothing.
+    store: Option<Arc<MassStore>>,
+    /// Morsels `next..` are unclaimed.
+    next: usize,
+    /// The morsel the caller is consuming.
+    current: usize,
+    /// Tickets queued in the pool or held by a worker.
+    tickets: usize,
+    /// Workers inside a morsel, i.e. holding a store clone.
+    running: usize,
+    /// The caller is parked on `ready` (a signal nobody waits for is
+    /// still a system call, and there is one candidate per chunk).
+    waiting: bool,
+    /// Chunks sitting in `slots`, all morsels together.
+    queued: usize,
+    /// Workers parked on `space`.
+    parked: usize,
+    slots: Vec<Slot>,
     failed: Option<String>,
 }
 
-struct MorselQueue {
-    state: Mutex<QueueState>,
-    /// Signalled on push/finish (consumer waits here).
-    nonempty: Condvar,
-    /// Signalled on pop/cancel (blocked producer waits here).
-    nonfull: Condvar,
+impl SetState {
+    /// Parks the caller until a worker signals progress.
+    fn wait<'a>(mut st: MutexGuard<'a, Self>, ready: &Condvar) -> MutexGuard<'a, Self> {
+        st.waiting = true;
+        let mut st = ready.wait(st).unwrap_or_else(|p| p.into_inner());
+        st.waiting = false;
+        st
+    }
+
+    /// Takes the next chunk of morsel `index`, if one is queued.
+    fn pop(&mut self, index: usize) -> Option<Vec<NodeEntry>> {
+        let chunk = self.slots[index].chunks.pop_front()?;
+        self.queued -= 1;
+        Some(chunk)
+    }
 }
 
-/// Per-query rendezvous between morsel tasks and the consuming
-/// [`ParallelIter`]: one bounded queue per morsel plus cancellation and
-/// an in-flight task count.
+/// The rendezvous of one parallel scan: what to scan, who has claimed
+/// what, and the per-morsel queues.
 struct MorselSet {
-    queues: Vec<MorselQueue>,
+    job: Job,
+    /// Threads the scan runs on, caller included.
+    degree: usize,
+    state: Mutex<SetState>,
+    /// Signalled, when the caller is parked, on a pushed chunk and on a
+    /// worker leaving a morsel.
+    ready: Condvar,
+    /// Signalled, when a worker is parked, on a taken chunk, on the
+    /// caller moving to the next morsel and on cancellation.
+    space: Condvar,
     cancelled: AtomicBool,
-    inflight: AtomicUsize,
 }
 
 impl MorselSet {
-    fn new(n: usize) -> Self {
-        MorselSet {
-            queues: (0..n)
-                .map(|_| MorselQueue {
-                    state: Mutex::new(QueueState {
-                        batches: VecDeque::new(),
-                        finished: false,
-                        failed: None,
-                    }),
-                    nonempty: Condvar::new(),
-                    nonfull: Condvar::new(),
-                })
-                .collect(),
-            cancelled: AtomicBool::new(false),
-            inflight: AtomicUsize::new(0),
+    /// How many morsels past the caller's may be claimed. Two per thread
+    /// keeps every thread busy while the caller drains.
+    fn window(&self) -> usize {
+        2 * self.degree
+    }
+
+    /// How many chunks the scan's queues may hold: the output of a
+    /// window of [`MORSEL_TUPLES`]-sized morsels, which is all that range
+    /// morsels ever queue — the cap only binds on fat contexts.
+    fn cap(&self) -> usize {
+        self.window() * MORSEL_TUPLES as usize / CHUNK_ROWS
+    }
+
+    /// Wakes the parked workers, whose conditions differ (one of them may
+    /// be scanning the morsel the caller has just reached).
+    fn wake_parked(&self, st: &SetState) {
+        if st.parked > 0 {
+            self.space.notify_all();
         }
     }
 
-    fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
+    /// The next morsel a thread may claim, if any.
+    fn claimable(&self, st: &SetState) -> Option<usize> {
+        (!self.cancelled.load(Ordering::Relaxed)
+            && st.next < st.slots.len()
+            && st.next < st.current + self.window())
+        .then_some(st.next)
     }
 
-    /// Appends a batch to morsel `i`'s queue, blocking while it is full
-    /// — unless `unbounded` (tasks run inline on the consumer thread
-    /// must not block on a queue only they can drain). Returns `false`
-    /// when the query was cancelled.
-    fn push(&self, i: usize, batch: Vec<NodeEntry>, pool: &PoolShared, unbounded: bool) -> bool {
-        let q = &self.queues[i];
-        let mut st = lock(&q.state);
-        while !unbounded && st.batches.len() >= QUEUE_CAP {
-            if self.is_cancelled() {
-                return false;
-            }
-            st = q
-                .nonfull
-                .wait_timeout(st, WAIT_TICK)
-                .unwrap_or_else(|p| p.into_inner())
-                .0;
-        }
-        if self.is_cancelled() {
-            return false;
-        }
-        st.batches.push_back(batch);
-        drop(st);
-        q.nonempty.notify_all();
-        pool.batches.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Marks morsel `i` complete, recording a failure message if any.
-    fn finish(&self, i: usize, failed: Option<String>) {
-        let q = &self.queues[i];
-        let mut st = lock(&q.state);
-        st.finished = true;
-        if st.failed.is_none() {
-            st.failed = failed;
-        }
-        drop(st);
-        q.nonempty.notify_all();
-    }
-
-    fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-        for q in &self.queues {
-            q.nonfull.notify_all();
-            q.nonempty.notify_all();
-        }
-    }
-}
-
-/// The work of one morsel.
-enum MorselWork {
-    /// One disjoint page-run sub-range of a descendant(-or-self) scan.
-    Range(KeyRange),
-    /// A contiguous chunk of the context list; the task runs the full
-    /// per-context axis stream for each, in order.
-    Contexts(Vec<NodeEntry>),
-}
-
-/// Everything a morsel task owns. `Arc<MassStore>` (not a borrow) makes
-/// the task `'static` for the pool; [`ParallelIter`]'s drop keeps the
-/// clone transient by joining outstanding tasks before the query ends.
-struct MorselTask {
-    set: Arc<MorselSet>,
-    pool: Arc<PoolShared>,
-    store: Arc<MassStore>,
-    index: usize,
-    work: MorselWork,
-    axis: Axis,
-    filter: NodeFilter,
-}
-
-impl MorselTask {
-    /// Runs the morsel to completion (or cancellation), then marks its
-    /// queue finished — also on error or panic — and decrements the
-    /// in-flight count last.
-    fn run(self, unbounded: bool) {
-        struct Guard {
-            set: Arc<MorselSet>,
-            index: usize,
-            clean: bool,
-        }
-        impl Drop for Guard {
+    /// A pool thread's ticket: claim and scan morsels until none is
+    /// claimable.
+    fn work(&self, pool: &PoolShared) {
+        struct Ticket<'a>(&'a MorselSet);
+        impl Drop for Ticket<'_> {
             fn drop(&mut self) {
-                if !self.clean {
-                    self.set
-                        .finish(self.index, Some("scan worker panicked".into()));
-                }
-                self.set.inflight.fetch_sub(1, Ordering::AcqRel);
-                // Wake a consumer possibly waiting for in-flight tasks
-                // to drain (ParallelIter::drop waits on the queues).
-                self.set.queues[self.index].nonempty.notify_all();
+                lock(&self.0.state).tickets -= 1;
             }
         }
-        let mut guard = Guard {
-            set: Arc::clone(&self.set),
-            index: self.index,
-            clean: false,
-        };
-        let index = self.index;
-        let set = Arc::clone(&self.set);
-        let outcome = self.scan(unbounded);
-        set.finish(index, outcome.err().map(|e| e.to_string()));
-        guard.clean = true;
+        let _ticket = Ticket(self);
+        loop {
+            let claim = {
+                let mut st = lock(&self.state);
+                let claim = self.claimable(&st).zip(st.store.clone());
+                if claim.is_some() {
+                    st.next += 1;
+                    st.running += 1;
+                }
+                claim
+            };
+            let Some((index, store)) = claim else {
+                return;
+            };
+            let mut running = Running {
+                set: self,
+                index,
+                store: Some(store),
+                failure: Some("scan worker panicked".into()),
+            };
+            let store = running.store.as_deref().expect("set above");
+            running.failure = self.scan(index, store, pool).err().map(|e| e.to_string());
+        }
     }
 
-    /// Drives the existing batched scan machinery over this morsel.
-    fn scan(self, unbounded: bool) -> vamana_mass::Result<()> {
-        match &self.work {
-            MorselWork::Range(range) => {
-                let mut stream = range_scan_stream(&self.store, range.clone(), self.filter);
-                loop {
-                    if self.set.is_cancelled() {
-                        return Ok(());
-                    }
-                    let mut batch = Vec::with_capacity(BATCH_SIZE);
-                    let n = stream.next_batch(&mut batch, BATCH_SIZE)?;
-                    if n > 0 && !self.set.push(self.index, batch, &self.pool, unbounded) {
-                        return Ok(());
-                    }
-                    if n < BATCH_SIZE {
-                        return Ok(());
-                    }
-                }
+    /// A worker's scan of morsel `index` into its slot, chunk by chunk.
+    fn scan(&self, index: usize, store: &MassStore, pool: &PoolShared) -> vamana_mass::Result<()> {
+        let mut cursor = MorselCursor::open(store, &self.job, index);
+        while self.scan_chunk(index, &mut cursor, pool, true)? {}
+        Ok(())
+    }
+
+    /// Scans one more chunk of morsel `index` into its slot; `false` once
+    /// the morsel is exhausted or the scan cancelled. With `park` (a
+    /// worker) full queues are waited out; the caller looks at
+    /// [`MorselSet::cap`] before it calls.
+    fn scan_chunk(
+        &self,
+        index: usize,
+        cursor: &mut MorselCursor<'_>,
+        pool: &PoolShared,
+        park: bool,
+    ) -> vamana_mass::Result<bool> {
+        let mut chunk = Vec::with_capacity(CHUNK_ROWS);
+        let n = cursor.next_batch(&self.job, &self.cancelled, &mut chunk, CHUNK_ROWS)?;
+        if n > 0 {
+            let mut st = lock(&self.state);
+            // Full: wait for the caller to take a chunk — unless it is
+            // waiting for this very morsel and has nothing to take.
+            while park
+                && st.queued >= self.cap()
+                && !(index == st.current && st.slots[index].chunks.is_empty())
+                && !self.cancelled.load(Ordering::Relaxed)
+            {
+                st.parked += 1;
+                st = self.space.wait(st).unwrap_or_else(|p| p.into_inner());
+                st.parked -= 1;
             }
-            MorselWork::Contexts(ctxs) => {
-                for ctx in ctxs {
-                    let mut stream =
-                        axis_stream(&self.store, &ctx.key, ctx.kind, self.axis, self.filter)?;
-                    loop {
-                        if self.set.is_cancelled() {
-                            return Ok(());
-                        }
-                        let mut batch = Vec::with_capacity(BATCH_SIZE);
-                        let n = stream.next_batch(&mut batch, BATCH_SIZE)?;
-                        if n > 0 && !self.set.push(self.index, batch, &self.pool, unbounded) {
-                            return Ok(());
-                        }
-                        if n < BATCH_SIZE {
-                            break;
-                        }
-                    }
-                }
-                Ok(())
+            if self.cancelled.load(Ordering::Relaxed) {
+                return Ok(false);
             }
+            st.slots[index].chunks.push_back(chunk);
+            st.queued += 1;
+            let wake = st.waiting;
+            drop(st);
+            if wake {
+                self.ready.notify_one();
+            }
+            pool.chunks.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(n == CHUNK_ROWS && !self.cancelled.load(Ordering::Relaxed))
+    }
+
+    /// Completes morsel `index`; `worker` when a pool thread ran it (and
+    /// has dropped its store clone).
+    fn finish(&self, index: usize, failure: Option<String>, worker: bool) {
+        let mut st = lock(&self.state);
+        if let Some(slot) = st.slots.get_mut(index) {
+            slot.done = true;
+        }
+        if st.failed.is_none() {
+            st.failed = failure;
+        }
+        if worker {
+            st.running -= 1;
+        }
+        let wake = st.waiting;
+        drop(st);
+        if wake {
+            self.ready.notify_one();
         }
     }
 }
 
-/// What the engine hands the executor to enable a parallel scan: the
-/// store pinned for worker threads, the shared pool, and the plan's
-/// recorded choice.
-pub struct ParallelHooks {
-    /// The store, pinned so worker tasks are `'static`.
-    pub store: Arc<MassStore>,
-    /// The engine's shared scan pool.
-    pub pool: Arc<ScanPool>,
-    /// The optimizer's decision carried by the plan.
-    pub choice: ParallelChoice,
+/// A worker inside a morsel. Dropping it — normally or by unwinding —
+/// releases the store clone *first*, then completes the morsel, so the
+/// caller never sees a finished scan whose workers still pin the store.
+struct Running<'a> {
+    set: &'a MorselSet,
+    index: usize,
+    store: Option<Arc<MassStore>>,
+    failure: Option<String>,
 }
 
-/// The ordered-merge consumer: an [`OpIter`] variant with no borrow of
-/// the store (workers own `Arc` clones). Drains morsel queues strictly
-/// in morsel order, which *is* document/pipeline order by construction.
-pub struct ParallelIter {
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        self.store = None;
+        self.set.finish(self.index, self.failure.take(), true);
+    }
+}
+
+/// What the engine hands the executor for a parallel-eligible plan.
+pub struct ParallelHooks<'e> {
+    /// The store, as workers will clone it.
+    pub store: &'e Arc<MassStore>,
+    /// The engine's scan pool, created when a scan first fans out.
+    pub pool: &'e PoolCell,
+    /// Threads one scan may use, the calling thread included.
+    pub width: usize,
+    /// Fan out as wide as `width` allows whatever the scan's size.
+    pub force: bool,
+}
+
+/// The ordered-merge consumer and first of the scan's threads. Emits
+/// morsel outputs strictly in morsel order, which *is* pipeline order by
+/// construction.
+pub struct ParallelIter<'s> {
     /// The plan operator the parallel scan replaces (the top step) —
     /// analyze runs attribute merged rows to it at the dispatch site.
-    pub(crate) op: crate::plan::OpId,
-    set: Arc<MorselSet>,
+    pub(crate) op: OpId,
+    store: &'s MassStore,
+    set: ScanHandle,
     pool: Arc<ScanPool>,
+    /// The morsel being emitted.
     current: usize,
-    buffer: Vec<NodeEntry>,
-    buffer_pos: usize,
+    /// `current` claimed by this thread: scanned straight into `out`.
+    own: Option<MorselCursor<'s>>,
+    /// A later morsel this thread is scanning into its slot while a
+    /// worker holds `current`.
+    ahead: Option<(usize, MorselCursor<'s>)>,
+    /// Rest of a chunk larger than the caller's batch.
+    buffer: std::vec::IntoIter<NodeEntry>,
 }
 
-impl ParallelIter {
+enum Acquired<'s> {
+    Chunk(Vec<NodeEntry>),
+    Own(MorselCursor<'s>),
+    Finished,
+}
+
+impl<'s> ParallelIter<'s> {
+    /// Fans `job` out over `degree` threads: this one, and a ticket in
+    /// `pool` for each of the others. `shared` is `store` as the workers
+    /// will clone it.
+    fn start(
+        op: OpId,
+        store: &'s MassStore,
+        shared: &Arc<MassStore>,
+        pool: Arc<ScanPool>,
+        job: Job,
+        degree: usize,
+    ) -> Self {
+        let morsels = job.morsels();
+        let degree = degree.min(morsels);
+        pool.shared
+            .morsels
+            .fetch_add(morsels as u64, Ordering::Relaxed);
+        // Morsel 0 is the caller's: claimed here, before any worker wakes.
+        let tickets = degree - 1;
+        let own = MorselCursor::open(store, &job, 0);
+        let set = Arc::new(MorselSet {
+            job,
+            degree,
+            state: Mutex::new(SetState {
+                store: Some(Arc::clone(shared)),
+                next: 1,
+                current: 0,
+                tickets,
+                running: 0,
+                waiting: false,
+                queued: 0,
+                parked: 0,
+                slots: (0..morsels).map(|_| Slot::default()).collect(),
+                failed: None,
+            }),
+            ready: Condvar::new(),
+            space: Condvar::new(),
+            cancelled: AtomicBool::new(false),
+        });
+        for _ in 0..tickets {
+            pool.submit(&set);
+        }
+        ParallelIter {
+            op,
+            store,
+            set: ScanHandle(set),
+            pool,
+            current: 0,
+            own: Some(own),
+            ahead: None,
+            buffer: Vec::new().into_iter(),
+        }
+    }
+
     /// Batched pull with the usual short-count-means-exhausted contract.
     pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
         let start = out.len();
-        while out.len() - start < max {
-            if self.buffer_pos < self.buffer.len() {
-                let take = (self.buffer.len() - self.buffer_pos).min(max - (out.len() - start));
-                out.extend_from_slice(&self.buffer[self.buffer_pos..self.buffer_pos + take]);
-                self.buffer_pos += take;
-                continue;
-            }
-            if self.current >= self.set.queues.len() {
+        loop {
+            let want = max - (out.len() - start);
+            if want == 0 {
                 break;
             }
-            match self.pull_current()? {
-                Some(batch) => {
-                    self.buffer = batch;
-                    self.buffer_pos = 0;
+            if self.buffer.len() > 0 {
+                out.extend(self.buffer.by_ref().take(want));
+            } else if let Some(cursor) = &mut self.own {
+                if cursor.next_batch(&self.set.job, &self.set.cancelled, out, want)? < want {
+                    self.own = None;
+                    self.advance();
                 }
-                None => self.current += 1,
+            } else if self.current >= self.set.job.morsels() {
+                break;
+            } else {
+                match self.acquire()? {
+                    Acquired::Chunk(mut chunk) if chunk.len() <= want => out.append(&mut chunk),
+                    Acquired::Chunk(chunk) => self.buffer = chunk.into_iter(),
+                    Acquired::Own(cursor) => self.own = Some(cursor),
+                    Acquired::Finished => self.advance(),
+                }
             }
         }
         Ok(out.len() - start)
@@ -478,76 +665,150 @@ impl ParallelIter {
     #[allow(clippy::should_implement_trait)] // fallible, like QueryStream::next
     pub fn next(&mut self) -> Result<Option<NodeEntry>> {
         let mut one = Vec::with_capacity(1);
-        if self.next_batch(&mut one, 1)? == 0 {
-            return Ok(None);
-        }
+        self.next_batch(&mut one, 1)?;
         Ok(one.pop())
     }
 
-    /// Next batch of the in-order morsel, or `None` when that morsel is
-    /// finished. Helps drain the pool instead of sleeping whenever the
-    /// morsel has nothing ready — the deadlock-freedom argument: the
-    /// consumer can always run the very task it is waiting on.
-    fn pull_current(&mut self) -> Result<Option<Vec<NodeEntry>>> {
+    /// The next piece of the in-order morsel. Never waits while there is
+    /// a morsel this thread could be scanning: an unclaimed in-order
+    /// morsel becomes its own, and while a worker holds the in-order
+    /// morsel the earliest unclaimed one is scanned into its slot — a
+    /// chunk at a time, looking for in-order output in between, and only
+    /// while the queues have room.
+    fn acquire(&mut self) -> Result<Acquired<'s>> {
+        let set = &**self.set;
         let mut stalled = false;
+        let mut st = lock(&set.state);
         loop {
-            {
-                let q = &self.set.queues[self.current];
-                let mut st = lock(&q.state);
-                if let Some(batch) = st.batches.pop_front() {
-                    drop(st);
-                    q.nonfull.notify_all();
-                    return Ok(Some(batch));
-                }
-                if st.finished {
-                    if let Some(msg) = st.failed.take() {
-                        return Err(EngineError::Unsupported(format!(
-                            "parallel scan failed: {msg}"
-                        )));
-                    }
-                    return Ok(None);
-                }
+            if let Some(msg) = st.failed.take() {
+                return Err(EngineError::Unsupported(format!(
+                    "parallel scan failed: {msg}"
+                )));
+            }
+            if let Some(chunk) = st.pop(self.current) {
+                set.wake_parked(&st);
+                return Ok(Acquired::Chunk(chunk));
+            }
+            if st.slots[self.current].done {
+                return Ok(Acquired::Finished);
+            }
+            // Caught up with the morsel this thread was scanning ahead:
+            // the rest of it goes straight to the output.
+            if let Some((_, cursor)) = self.ahead.take_if(|(index, _)| *index == self.current) {
+                return Ok(Acquired::Own(cursor));
+            }
+            if st.next == self.current {
+                st.next += 1;
+                drop(st);
+                return Ok(Acquired::Own(MorselCursor::open(
+                    self.store,
+                    &set.job,
+                    self.current,
+                )));
             }
             if !stalled {
                 stalled = true;
                 self.pool.shared.stalls.fetch_add(1, Ordering::Relaxed);
             }
-            if !self.pool.help() {
-                let q = &self.set.queues[self.current];
-                let st = lock(&q.state);
-                if st.batches.is_empty() && !st.finished {
-                    let _unused = q
-                        .nonempty
-                        .wait_timeout(st, WAIT_TICK)
-                        .unwrap_or_else(|p| p.into_inner());
+            let room = st.queued < set.cap();
+            if room && self.ahead.is_none() {
+                if let Some(index) = set.claimable(&st) {
+                    st.next += 1;
+                    self.ahead = Some((index, MorselCursor::open(self.store, &set.job, index)));
                 }
             }
-        }
-    }
-}
-
-impl Drop for ParallelIter {
-    fn drop(&mut self) {
-        // Cancel and reap: queued tasks run inline (and exit on the
-        // cancel flag), blocked producers wake via the cancel broadcast.
-        // After this loop no task holds a store Arc, so the engine's
-        // `store_mut` regains exclusive access.
-        self.set.cancel();
-        while self.set.inflight.load(Ordering::Acquire) > 0 {
-            if !self.pool.help() {
-                std::thread::sleep(WAIT_TICK);
+            match &mut self.ahead {
+                Some((index, cursor)) if room => {
+                    drop(st);
+                    let index = *index;
+                    let outcome = set.scan_chunk(index, cursor, &self.pool.shared, false);
+                    if !matches!(outcome, Ok(true)) {
+                        self.ahead = None;
+                        set.finish(index, None, false);
+                    }
+                    outcome?;
+                    st = lock(&set.state);
+                }
+                _ => st = SetState::wait(st, &set.ready),
             }
         }
     }
+
+    /// Moves on to the next morsel, re-issuing a ticket if the window had
+    /// run out under the workers.
+    fn advance(&mut self) {
+        self.current += 1;
+        let set = &**self.set;
+        let mut st = lock(&set.state);
+        st.current = self.current;
+        if self.current >= st.slots.len() {
+            st.store = None;
+        }
+        let reissue = st.tickets + 1 < set.degree && set.claimable(&st).is_some();
+        if reissue {
+            st.tickets += 1;
+        }
+        set.wake_parked(&st);
+        drop(st);
+        if reissue {
+            self.pool.submit(&self.set);
+        }
+    }
 }
 
-/// Builds the parallel scan for the plan's top step, or returns `None`
-/// when the runtime shape does not qualify (the executor then falls back
-/// to the serial pipeline — same output, just undistributed).
+/// The caller's handle on its scan. Dropping it cancels the scan and
+/// waits for the workers inside a morsel to leave it (each looks at the
+/// flag between chunks, between contexts and when parked); after that no
+/// thread holds a store clone, so the engine's `store_mut` has exclusive access again.
+/// A type of its own, without the store lifetime: with the `Drop` on
+/// [`ParallelIter`] itself every stream would keep its engine borrowed
+/// until it goes out of scope.
+struct ScanHandle(Arc<MorselSet>);
+
+impl std::ops::Deref for ScanHandle {
+    type Target = Arc<MorselSet>;
+    fn deref(&self) -> &Arc<MorselSet> {
+        &self.0
+    }
+}
+
+impl Drop for ScanHandle {
+    fn drop(&mut self) {
+        self.cancelled.store(true, Ordering::Relaxed);
+        let mut st = lock(&self.state);
+        st.store = None;
+        self.wake_parked(&st);
+        while st.running > 0 {
+            st = SetState::wait(st, &self.ready);
+        }
+        // A ticket still queued keeps the set alive; not its rows.
+        st.slots = Vec::new();
+    }
+}
+
+/// The smallest key range holding every context's subtree: an upper
+/// bound on what a context-list scan walks, tight when the contexts are
+/// neighbours (one section's items), the whole document for `/site/*/*`.
+fn envelope(contexts: &[NodeEntry]) -> KeyRange {
+    let keys = || contexts.iter().map(|c| &c.key);
+    match (keys().min(), keys().max()) {
+        (Some(lo), Some(hi)) => KeyRange {
+            lo: lo.as_flat().to_vec(),
+            hi: hi.subtree_upper(),
+        },
+        _ => KeyRange::empty(),
+    }
+}
+
+/// Builds the cursor for the plan's parallel-eligible top step: a
+/// [`ParallelIter`] when the scan is above the break-even (or forced), the
+/// serial step over the same contexts when it is not. `None` means the
+/// step was not looked at (one thread, or not the shape the optimizer
+/// promised) and the caller builds the ordinary pipeline.
 pub(crate) fn build_parallel<'s>(
     env: Env<'_, 's>,
-    top: crate::plan::OpId,
-    hooks: &ParallelHooks,
+    top: OpId,
+    hooks: &ParallelHooks<'_>,
 ) -> Result<Option<OpIter<'s>>> {
     let Operator::Step {
         axis,
@@ -559,17 +820,15 @@ pub(crate) fn build_parallel<'s>(
     else {
         return Ok(None);
     };
-    if !predicates.is_empty() {
-        return Ok(None);
-    }
-    let Some(filter) = env.node_filter(*axis, test) else {
-        // Unknown name: provably empty, no point spinning up workers.
-        return Ok(Some(OpIter::Anchor(None)));
+    let max_degree = if hooks.force {
+        hooks.width
+    } else {
+        hooks.width.min(host_cpus())
     };
-    let degree = (hooks.choice.degree as usize)
-        .min(hooks.pool.width())
-        .max(1);
-    if degree < 2 {
+    let Some(filter) = env.node_filter(*axis, test) else {
+        return Ok(None);
+    };
+    if !predicates.is_empty() || max_degree < 2 {
         return Ok(None);
     }
     // The context stream (everything below the top step) runs serially —
@@ -578,68 +837,344 @@ pub(crate) fn build_parallel<'s>(
     match context {
         Some(c) => {
             let mut it = build_iter(env, *c, None)?;
-            while let Some(t) = it.next(env)? {
-                contexts.push(t);
-            }
+            while it.next_batch(env, &mut contexts, BATCH_SIZE)? > 0 {}
         }
         None => contexts.push(env.root_ctx.clone()),
     }
-    let target = degree * MORSELS_PER_WORKER;
-    let work: Vec<MorselWork> = if contexts.is_empty() {
-        return Ok(Some(OpIter::Anchor(None)));
-    } else if contexts.len() == 1 {
-        // Single context: split the axis key range itself into disjoint
-        // page runs. Only descendant(-or-self) maps to one contiguous
-        // range; anything else falls back to serial.
-        let ctx = &contexts[0];
-        if ctx.kind == RecordKind::Attribute {
-            return Ok(None);
-        }
-        let range = match axis {
-            Axis::Descendant => KeyRange::descendants(&ctx.key),
-            Axis::DescendantOrSelf => KeyRange::subtree(&ctx.key),
-            _ => return Ok(None),
-        };
-        let morsels = hooks.store.partition_range(&range, target);
-        if morsels.len() < 2 {
-            return Ok(None);
-        }
-        morsels.into_iter().map(MorselWork::Range).collect()
-    } else {
-        // Many contexts: contiguous context chunks preserve pipeline
-        // order under concatenation.
-        let chunks = target.min(contexts.len());
-        let per = contexts.len().div_ceil(chunks);
-        let mut work = Vec::with_capacity(chunks);
-        let mut rest = contexts;
-        while !rest.is_empty() {
-            let tail = rest.split_off(per.min(rest.len()));
-            work.push(MorselWork::Contexts(std::mem::replace(&mut rest, tail)));
-        }
-        work
+    // One context: only descendant(-or-self) is one contiguous key
+    // range, cut into page runs. Several: cut the list itself.
+    let range = match (contexts.as_slice(), axis) {
+        ([ctx], _) if ctx.kind == RecordKind::Attribute => None,
+        ([ctx], Axis::Descendant) => Some(KeyRange::descendants(&ctx.key)),
+        ([ctx], Axis::DescendantOrSelf) => Some(KeyRange::subtree(&ctx.key)),
+        _ => None,
     };
-    let set = Arc::new(MorselSet::new(work.len()));
-    for (index, w) in work.into_iter().enumerate() {
-        set.inflight.fetch_add(1, Ordering::AcqRel);
-        let task = MorselTask {
-            set: Arc::clone(&set),
-            pool: Arc::clone(&hooks.pool.shared),
-            store: Arc::clone(&hooks.store),
-            index,
-            work: w,
-            axis: *axis,
-            filter,
-        };
-        hooks
-            .pool
-            .submit(Box::new(move |unbounded| task.run(unbounded)));
+    let (pages, max_morsels) = match &range {
+        Some(range) => {
+            let pages = hooks.store.page_span(range);
+            (pages, pages)
+        }
+        None if contexts.len() > 1 => (hooks.store.page_span(&envelope(&contexts)), contexts.len()),
+        None => (0, 1),
+    };
+    let tuples = (pages as f64 * hooks.store.tuples_per_page()) as u64;
+    let verdict = price(
+        contexts.len() as u64,
+        pages as u64,
+        tuples,
+        max_degree,
+        max_morsels,
+        hooks.force,
+    );
+    if let Some(stats) = env.stats {
+        stats.set_parallel(verdict);
     }
-    Ok(Some(OpIter::Parallel(Box::new(ParallelIter {
-        op: top,
-        set,
-        pool: Arc::clone(&hooks.pool),
-        current: 0,
-        buffer: Vec::new(),
-        buffer_pos: 0,
-    }))))
+    let morsels = verdict.morsels as usize;
+    let work = match range {
+        _ if verdict.degree < 2 => None,
+        Some(range) => {
+            let ranges = hooks.store.partition_range(&range, morsels);
+            (ranges.len() >= 2).then_some(Work::Ranges(ranges))
+        }
+        None => Some(Work::Contexts {
+            per: contexts.len().div_ceil(morsels),
+            ctxs: std::mem::take(&mut contexts),
+        }),
+    };
+    let Some(work) = work else {
+        // Stays on one thread: the ordinary step, over the context list
+        // already in hand.
+        return Ok(Some(OpIter::Step(Box::new(StepIter::new(
+            top,
+            *axis,
+            Some(filter),
+            Vec::new(),
+            OpIter::Join(contexts.into_iter()),
+            None,
+        )))));
+    };
+    let job = Job {
+        axis: *axis,
+        filter,
+        work,
+    };
+    let pool = hooks.pool.get(max_degree);
+    Ok(Some(OpIter::Parallel(Box::new(ParallelIter::start(
+        top,
+        env.store,
+        hooks.store,
+        pool,
+        job,
+        verdict.degree as usize,
+    )))))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DocId, Engine};
+
+    /// 3000 items of two children each: 6000 rows, six chunks' worth.
+    fn engine() -> Engine {
+        let mut xml = String::from("<r>");
+        for i in 0..3000 {
+            xml.push_str(&format!("<item><a>{i}</a><b/></item>"));
+        }
+        xml.push_str("</r>");
+        let mut store = MassStore::open_memory();
+        store.load_xml("doc", &xml).unwrap();
+        let mut engine = Engine::new(store);
+        engine.options_mut().parallel = false;
+        engine
+    }
+
+    /// `//item/*` as a contexts job of `per` contexts a morsel.
+    fn job(engine: &Engine, per: usize) -> Job {
+        Job {
+            axis: Axis::Child,
+            filter: NodeFilter::any_element(),
+            work: Work::Contexts {
+                ctxs: engine.query_doc(DocId(0), "//item").unwrap(),
+                per,
+            },
+        }
+    }
+
+    /// A scan of `job` at degree 2 on a pool that runs no thread, so the
+    /// test decides who scans what: the ticket `start` queued is never
+    /// picked up, and `set.work` on the test thread stands in for it.
+    fn start(engine: &Engine, job: Job) -> ParallelIter<'_> {
+        let pool = Arc::new(ScanPool::new(1));
+        let shared = engine.store_handle();
+        ParallelIter::start(OpId(0), engine.store(), &shared, pool, job, 2)
+    }
+
+    #[test]
+    fn worker_chunks_are_full_whatever_the_contexts_behind_them() {
+        let engine = engine();
+        let serial = engine.query_doc(DocId(0), "//item/*").unwrap();
+        // 700 contexts = 1400 rows a morsel: every morsel crosses a chunk
+        // boundary in the middle of the context list.
+        let iter = start(&engine, job(&engine, 700));
+        iter.set.work(&iter.pool.shared);
+        let st = lock(&iter.set.state);
+        // The window (2 x degree) stopped the worker after morsels 1..=3.
+        assert_eq!((st.next, st.tickets, st.running), (4, 0, 0));
+        let mut rows = Vec::new();
+        for slot in &st.slots[1..4] {
+            assert!(slot.done);
+            let sizes: Vec<usize> = slot.chunks.iter().map(Vec::len).collect();
+            assert_eq!(sizes, [CHUNK_ROWS, 1400 - CHUNK_ROWS]);
+            rows.extend(slot.chunks.iter().flatten().cloned());
+        }
+        assert_eq!(rows, serial[1400..5600]);
+        assert_eq!(iter.pool.stats().worker_batches, 6);
+    }
+
+    #[test]
+    fn caller_interleaves_own_morsels_and_worker_chunks_in_order() {
+        let engine = engine();
+        let serial = engine.query_doc(DocId(0), "//item/*").unwrap();
+        for max in [1, 100, BATCH_SIZE, CHUNK_ROWS, 5000] {
+            // Ten morsels of 600 rows; the stand-in worker takes 1..=3.
+            let mut iter = start(&engine, job(&engine, 300));
+            iter.set.work(&iter.pool.shared);
+            let mut out = Vec::new();
+            loop {
+                let n = iter.next_batch(&mut out, max).unwrap();
+                assert!(n <= max);
+                if n < max {
+                    break;
+                }
+            }
+            assert_eq!(out, serial, "max {max}");
+            let st = lock(&iter.set.state);
+            // The caller re-issued the ticket once it had caught up, and
+            // let go of the store when it emitted the last morsel.
+            assert_eq!((st.next, st.current, st.tickets), (10, 10, 1));
+            assert!(st.store.is_none());
+            drop(st);
+            assert_eq!(iter.next_batch(&mut out, max).unwrap(), 0);
+        }
+    }
+
+    #[test]
+    fn helping_takes_the_earliest_unclaimed_morsels() {
+        let engine = engine();
+        let serial = engine.query_doc(DocId(0), "//item/*").unwrap();
+        let mut iter = start(&engine, job(&engine, 300));
+        // A worker has claimed morsel 1 and is slow about it.
+        {
+            let mut st = lock(&iter.set.state);
+            st.next = 2;
+            st.running = 1;
+        }
+        let set = Arc::clone(&iter.set);
+        let pool = Arc::clone(&iter.pool);
+        let store = engine.store_handle();
+        let mut out = Vec::new();
+        let seen = std::thread::scope(|s| {
+            let worker = s.spawn(move || {
+                // Hold morsel 1 back until the caller has nothing left
+                // to do but wait for it.
+                let seen = loop {
+                    let st = lock(&set.state);
+                    if st.waiting {
+                        let done: Vec<bool> = st.slots.iter().map(|s| s.done).collect();
+                        break (st.next, done);
+                    }
+                    drop(st);
+                    std::thread::yield_now();
+                };
+                let outcome = set.scan(1, &store, &pool.shared);
+                drop(store);
+                set.finish(1, outcome.err().map(|e| e.to_string()), true);
+                seen
+            });
+            while iter.next_batch(&mut out, BATCH_SIZE).unwrap() == BATCH_SIZE {}
+            worker.join().unwrap()
+        });
+        // The caller emitted morsel 0 itself, found 1 taken with nothing
+        // to drain, and scanned 2, 3 and 4 — the earliest unclaimed, as
+        // far as the window reaches — into their slots before it parked.
+        let (next, done) = seen;
+        assert_eq!(next, 5);
+        assert_eq!(
+            done,
+            [false, false, true, true, true, false, false, false, false, false]
+        );
+        assert_eq!(out, serial);
+        assert!(iter.pool.stats().merge_stalls >= 1);
+    }
+
+    /// Six sections of 22 000 leaves, one context-list morsel each:
+    /// 22 chunks a morsel, so three of them overflow a 64-chunk cap.
+    fn fat_engine() -> Engine {
+        let mut xml = String::from("<r>");
+        for _ in 0..6 {
+            xml.push_str("<s>");
+            xml.push_str(&"<e/>".repeat(22_000));
+            xml.push_str("</s>");
+        }
+        xml.push_str("</r>");
+        let mut store = MassStore::open_memory();
+        store.load_xml("doc", &xml).unwrap();
+        let mut engine = Engine::new(store);
+        engine.options_mut().parallel = false;
+        engine
+    }
+
+    fn fat_job(engine: &Engine) -> Job {
+        Job {
+            axis: Axis::Child,
+            filter: NodeFilter::any_element(),
+            work: Work::Contexts {
+                ctxs: engine.query_doc(DocId(0), "/r/s").unwrap(),
+                per: 1,
+            },
+        }
+    }
+
+    /// Spins until `ready` says so of the scan's state, and returns what
+    /// it made of it.
+    fn when<T>(set: &MorselSet, ready: impl Fn(&SetState) -> Option<T>) -> T {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            if let Some(seen) = ready(&lock(&set.state)) {
+                return seen;
+            }
+            assert!(std::time::Instant::now() < deadline, "scan never got there");
+            std::thread::yield_now();
+        }
+    }
+
+    fn buffered_rows(st: &SetState) -> usize {
+        st.slots.iter().flat_map(|s| &s.chunks).map(Vec::len).sum()
+    }
+
+    #[test]
+    fn a_stalled_consumer_parks_the_worker_at_the_cap() {
+        let engine = fat_engine();
+        let serial = engine.query_doc(DocId(0), "/r/s/*").unwrap();
+        // A real pool thread this time; the caller pulls nothing.
+        let pool = Arc::new(ScanPool::new(2));
+        let shared = engine.store_handle();
+        let mut iter =
+            ParallelIter::start(OpId(0), engine.store(), &shared, pool, fat_job(&engine), 2);
+        let cap = iter.set.cap();
+        assert_eq!(cap, 64);
+        // The window lets the worker claim morsels 1..=3, 66 chunks; it
+        // parks with the 65th in its hands: two morsels and 20 chunks.
+        let seen = when(&iter.set, |st| {
+            (st.parked == 1).then(|| (st.queued, buffered_rows(st), st.next))
+        });
+        assert_eq!(seen, (cap, 2 * 22_000 + 20 * CHUNK_ROWS, 4));
+        // Taking chunks lets it go on, and nothing is lost or reordered.
+        let mut out = Vec::new();
+        while iter.next_batch(&mut out, BATCH_SIZE).unwrap() == BATCH_SIZE {}
+        assert_eq!(out, serial);
+        let st = lock(&iter.set.state);
+        assert_eq!((st.parked, st.queued, st.running), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_parked_worker_leaves_when_the_scan_is_dropped() {
+        let engine = fat_engine();
+        let pool = Arc::new(ScanPool::new(2));
+        let shared = engine.store_handle();
+        let iter = ParallelIter::start(OpId(0), engine.store(), &shared, pool, fat_job(&engine), 2);
+        when(&iter.set, |st| (st.parked == 1).then_some(()));
+        drop(iter);
+        assert_eq!(Arc::strong_count(&shared), 2, "engine + this handle");
+    }
+
+    #[test]
+    fn the_caller_stops_scanning_ahead_at_the_cap() {
+        let engine = fat_engine();
+        let serial = engine.query_doc(DocId(0), "/r/s/*").unwrap();
+        let mut iter = start(&engine, fat_job(&engine));
+        // A worker has claimed morsel 1 and is slow about it.
+        {
+            let mut st = lock(&iter.set.state);
+            st.next = 2;
+            st.running = 1;
+        }
+        let set = Arc::clone(&iter.set);
+        let pool = Arc::clone(&iter.pool);
+        let store = engine.store_handle();
+        let mut out = Vec::new();
+        let seen = std::thread::scope(|s| {
+            let worker = s.spawn(move || {
+                let seen = when(&set, |st| {
+                    st.waiting.then(|| (st.queued, buffered_rows(st), st.next))
+                });
+                let outcome = set.scan(1, &store, &pool.shared);
+                drop(store);
+                set.finish(1, outcome.err().map(|e| e.to_string()), true);
+                seen
+            });
+            while iter.next_batch(&mut out, BATCH_SIZE).unwrap() == BATCH_SIZE {}
+            worker.join().unwrap()
+        });
+        // Morsels 2 and 3 whole (44 chunks) and 20 chunks of morsel 4;
+        // the caller scans the rest of 4 when it gets there.
+        assert_eq!(seen, (64, 2 * 22_000 + 20 * CHUNK_ROWS, 5));
+        assert_eq!(out, serial);
+    }
+
+    #[test]
+    fn a_failed_morsel_fails_the_scan() {
+        let engine = engine();
+        let mut iter = start(&engine, job(&engine, 300));
+        lock(&iter.set.state).next = 2;
+        iter.set.finish(1, Some("disk on fire".into()), false);
+        let mut out = Vec::new();
+        let err = loop {
+            match iter.next_batch(&mut out, BATCH_SIZE) {
+                Ok(n) => assert!(n > 0, "scan ended without reporting the failure"),
+                Err(e) => break e,
+            }
+        };
+        assert!(err.to_string().contains("disk on fire"), "{err}");
+    }
 }

@@ -22,8 +22,10 @@
 //! aggregate correctly without synchronization beyond the store's own;
 //! a finished run is read through [`ExecStats::snapshot`].
 
+use crate::opt::parallel::ParallelVerdict;
 use crate::plan::OpId;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Live counters for one operator (all relaxed atomics).
 #[derive(Debug, Default)]
@@ -60,6 +62,9 @@ impl OpActuals {
 #[derive(Debug, Default)]
 pub struct ExecStats {
     ops: Vec<OpActuals>,
+    /// What the parallel gate did with this run's output step, if the
+    /// plan was eligible and the executor got as far as pricing it.
+    parallel: OnceLock<ParallelVerdict>,
 }
 
 impl ExecStats {
@@ -67,7 +72,19 @@ impl ExecStats {
     pub fn new(len: usize) -> Self {
         ExecStats {
             ops: (0..len).map(|_| OpActuals::default()).collect(),
+            parallel: OnceLock::new(),
         }
+    }
+
+    /// Records the run-time verdict of the parallel gate (first one wins;
+    /// a plan has one output step).
+    pub fn set_parallel(&self, verdict: ParallelVerdict) {
+        let _ = self.parallel.set(verdict);
+    }
+
+    /// The parallel gate's run-time verdict, if it priced this run.
+    pub fn parallel(&self) -> Option<ParallelVerdict> {
+        self.parallel.get().copied()
     }
 
     /// Number of operator slots.

@@ -358,6 +358,32 @@ impl Analysis {
                         escape_json(reason)
                     );
                 }
+                OptEvent::Parallel { estimated, reason } => {
+                    let _ = write!(
+                        s,
+                        "{{\"event\":\"parallel\",\"estimated\":{},\"eligible\":{},\
+                         \"reason\":\"{}\"}}",
+                        estimated.map_or("null".to_string(), |v| v.to_string()),
+                        estimated.is_some(),
+                        escape_json(reason)
+                    );
+                }
+                OptEvent::ParallelRun(v) => {
+                    let _ = write!(
+                        s,
+                        "{{\"event\":\"parallel-run\",\"contexts\":{},\"pages\":{},\
+                         \"serial_cost\":{},\"break_even\":{},\"degree\":{},\
+                         \"morsels\":{},\"fanned_out\":{},\"reason\":\"{}\"}}",
+                        v.contexts,
+                        v.pages,
+                        v.serial_cost,
+                        v.break_even,
+                        v.degree,
+                        v.morsels,
+                        v.degree > 1,
+                        escape_json(v.reason)
+                    );
+                }
             }
         }
         s.push_str("]}");

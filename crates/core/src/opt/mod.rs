@@ -95,6 +95,20 @@ pub enum OptEvent {
         /// Why the candidate was kept or rejected.
         reason: &'static str,
     },
+    /// The parallel gate looked at the output step at plan time (see
+    /// [`parallel::decide`]): eligible with the index estimate, or
+    /// rejected with the reason it can never fan out.
+    Parallel {
+        /// The output step's `COUNT` in the document when it is eligible
+        /// — the executor may price a fan-out at run time; `None` when
+        /// it was rejected.
+        estimated: Option<u64>,
+        /// Why.
+        reason: &'static str,
+    },
+    /// What the parallel gate did when an eligible plan ran (`ANALYZE`
+    /// only — appended after execution).
+    ParallelRun(parallel::ParallelVerdict),
 }
 
 /// The ordered log of optimizer passes — clean-up, cost gathering, and
@@ -189,6 +203,17 @@ impl OptTrace {
                             "✗ rejected"
                         }
                     );
+                }
+                OptEvent::Parallel { estimated, reason } => {
+                    let _ = match estimated {
+                        Some(count) => {
+                            writeln!(out, "parallel: COUNT {count} ✓ eligible ({reason})")
+                        }
+                        None => writeln!(out, "parallel: ✗ rejected ({reason})"),
+                    };
+                }
+                OptEvent::ParallelRun(verdict) => {
+                    let _ = writeln!(out, "{}", verdict.render());
                 }
             }
         }

@@ -424,18 +424,16 @@ pub fn fused_in_plan(plan: &QueryPlan) -> (u64, u64) {
     (chains, steps)
 }
 
-/// The optimizer's parallel-scan decision, carried by the plan so cached
-/// (pre-compiled) plans replay the same choice without re-consulting the
-/// index. Both fields come from index statistics at plan time; the
-/// executor re-derives the actual morsel boundaries from the *live*
-/// index when the plan runs, so a stale estimate can only mis-size the
-/// fan-out, never produce wrong results.
+/// Plan-time eligibility for a morsel-parallel scan, carried by the plan
+/// so cached (pre-compiled) plans keep it: the output step is a shape
+/// the executor can split, and the index put this `COUNT` on it. Whether
+/// and how wide a run actually fans out is priced when the plan
+/// executes ([`crate::opt::parallel::price`]), from the context list and
+/// page span of that run — a stale estimate cannot mis-size anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelChoice {
-    /// Fan-out the executor should use (always >= 2; a degree of 1 is
-    /// expressed by omitting the choice).
-    pub degree: u32,
-    /// The index-derived `COUNT` estimate that cleared the threshold.
+    /// The index-derived `COUNT` of the output step's node test in the
+    /// document, at plan time.
     pub estimated: u64,
 }
 
@@ -483,12 +481,13 @@ impl QueryPlan {
         self.estimates = estimates;
     }
 
-    /// The optimizer's parallel-scan choice, if it decided to fan out.
+    /// The optimizer's parallel-scan eligibility, if the output step has
+    /// a splittable shape.
     pub fn parallel(&self) -> Option<ParallelChoice> {
         self.parallel
     }
 
-    /// Records (or clears) the parallel-scan choice.
+    /// Records (or clears) the parallel-scan eligibility.
     pub fn set_parallel(&mut self, choice: Option<ParallelChoice>) {
         self.parallel = choice;
     }

@@ -4,7 +4,7 @@
 
 use vamana_core::{DocId, Engine, EngineOptions, MassStore};
 
-/// ~3600 elements so scan queries clear the lowered parallel thresholds.
+/// ~3600 elements; `engine` forces every eligible scan out.
 fn big_doc() -> String {
     let mut xml = String::from("<site>");
     for s in 0..12 {
@@ -28,8 +28,7 @@ fn engine(workers: usize) -> Engine {
         store,
         EngineOptions {
             parallel_workers: workers,
-            parallel_threshold: 64,
-            parallel_min_morsel: 16,
+            parallel_force: true,
             ..Default::default()
         },
     )
@@ -97,6 +96,36 @@ fn render_is_identical_across_modes() {
     }
 }
 
+/// The parallel gate leaves a line in the trace at plan time (eligible,
+/// or why not) and, for an eligible plan, one more when it has run: what
+/// the executor saw and priced. `render()` stays mode stable — neither
+/// line is part of it.
+#[test]
+fn parallel_gate_is_traced_at_plan_time_and_at_run_time() {
+    let e = engine(4);
+    let named = e.analyze_doc(DocId(0), "//section/item").unwrap();
+    let trace = named.opt_trace.render();
+    assert!(
+        trace.contains("parallel: ✗ rejected (name and kind tests stream from the index)"),
+        "{trace}"
+    );
+    assert!(!trace.contains("parallel at run time"), "{trace}");
+
+    let scan = e.analyze_doc(DocId(0), "//item/*").unwrap();
+    let trace = scan.opt_trace.render();
+    assert!(trace.contains("parallel: COUNT 3613 ✓ eligible"), "{trace}");
+    assert!(
+        trace.contains("parallel at run time: contexts=1200 pages="),
+        "{trace}"
+    );
+    assert!(trace.contains("degree=4 morsels=8 ✓ fanned out (forced)"));
+    let json = scan.render_json();
+    assert!(json.contains("{\"event\":\"parallel\",\"estimated\":3613,\"eligible\":true"));
+    assert!(json.contains("\"event\":\"parallel-run\",\"contexts\":1200,"));
+    assert!(json.contains("\"degree\":4,\"morsels\":8,\"fanned_out\":true"));
+    assert!(!scan.render().contains("parallel"));
+}
+
 /// Repeated ANALYZE of the same query yields identical actuals, and
 /// stats-disabled runs in between record nowhere (each analysis carries
 /// its own counter tree; the plain query path has none at all).
@@ -129,7 +158,7 @@ fn profile_counters_reset_between_queries() {
     e.options_mut().parallel = true;
     let (_, big) = e.query_doc_profiled(DocId(0), "/site//*").unwrap();
     assert!(big.morsels > 0, "big scan should fan out");
-    // `//section` matches 12 nodes — far below the parallel threshold.
+    // `//section` is a name test: answered from the index, never split.
     let (rows, small) = e.query_doc_profiled(DocId(0), "//section").unwrap();
     assert_eq!(rows.len(), 12);
     assert_eq!(small.morsels, 0, "morsels leaked into the serial query");

@@ -8,7 +8,9 @@
 //! exactly what the plain pipeline returns — batched and scalar, with
 //! and without the cost gate. The generators are shared in spirit with
 //! `views_prop.rs`: same alphabet, same document tape, so fused scans
-//! see deep recursion, repeated names, and empty matches.
+//! see deep recursion, repeated names, and empty matches. A second
+//! property runs the same generator against forced morsel-parallel
+//! scans (`vamana_core::exec::parallel`).
 
 use proptest::prelude::*;
 use vamana_core::{DocId, Engine, EngineOptions, MassStore};
@@ -146,7 +148,58 @@ proptest! {
     }
 }
 
-/// The property above is vacuous if the generator never produces a
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Morsel-parallel scans are as invisible as fusion, on the same
+    /// generator: the chain's last step is made a predicate-free `*` or
+    /// `node()` (what the parallel gate accepts) and the generated
+    /// fragment repeated until the output is several hand-off chunks
+    /// long, so context-list morsels coalesce rows across contexts and
+    /// chunk boundaries. The *pipeline-order* tuple sequence of a forced
+    /// fan-out, duplicates included, must be the serial one.
+    #[test]
+    fn forced_parallel_streams_match_the_serial_pipeline(
+        steps in steps_strategy(),
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 8..60),
+        any_node in any::<bool>(),
+        workers in 2usize..5,
+    ) {
+        let mut steps = steps;
+        let last = steps.last_mut().expect("at least two steps");
+        last.1 = if any_node { "node()" } else { "*" }.to_string();
+        last.2 = None;
+        let xpath = render(&steps);
+        let xml = format!("<a>{}</a>", build_doc(&ops).repeat(400));
+        let drain = |engine: &Engine| {
+            let mut stream = engine.stream(DocId(0), &xpath).unwrap();
+            let mut out = Vec::new();
+            while stream.next_batch(&mut out, 100).unwrap() > 0 {}
+            out
+        };
+        let expected = drain(&engine_for(&xml, EngineOptions {
+            parallel: false,
+            ..EngineOptions::default()
+        }));
+        let subject = engine_for(&xml, EngineOptions {
+            parallel_workers: workers,
+            parallel_force: true,
+            ..EngineOptions::default()
+        });
+        for round in 0..2 {
+            prop_assert_eq!(
+                &drain(&subject),
+                &expected,
+                "parallel changed {} ({} threads, round {})",
+                xpath,
+                workers,
+                round
+            );
+        }
+    }
+}
+
+/// The fusion property is vacuous if the generator never produces a
 /// fusable chain: check that a healthy share of deterministic samples
 /// actually executes a fused operator under forced fusion.
 #[test]

@@ -1,20 +1,26 @@
-//! Differential correctness of morsel-parallel scans.
+//! Differential correctness of morsel-parallel scans, and the behaviour
+//! of the hand-off and the run-time gate.
 //!
 //! The parallel pipeline must be observably identical to serial-batched
 //! execution (which is itself identical to scalar): same nodes, same
-//! order, for both morsel shapes (key-range splits of one descendant
-//! scan and context-chunk splits of a multi-context step), with more
-//! morsels than workers so work stealing is exercised.
+//! order, for both morsel shapes (page runs of one descendant scan and
+//! slices of a context list). Which thread scans a morsel is a race by
+//! design — the caller takes whatever is unclaimed — so tests that need
+//! a worker's output open a stream and hold off pulling until a worker
+//! has pushed a chunk (`stream_after_worker_output`).
 
-use vamana_core::{DocId, Engine, EngineOptions, MassStore, NodeEntry};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use vamana_core::exec::parallel::host_cpus;
+use vamana_core::exec::BATCH_SIZE;
+use vamana_core::{DocId, Engine, EngineOptions, MassStore, NodeEntry, QueryStream, UpdateOp};
 
-/// Document big enough that every scan query clears the lowered
-/// thresholds: ~3600 elements across repeated sections.
-fn big_doc() -> String {
+/// `sections` × `items` items of two children each under one root.
+fn doc(sections: usize, items: usize) -> String {
     let mut xml = String::from("<site>");
-    for s in 0..12 {
+    for s in 0..sections {
         xml.push_str(&format!("<section id='s{s}'>"));
-        for i in 0..100 {
+        for i in 0..items {
             xml.push_str(&format!(
                 "<item><name>n{s}_{i}</name><price>{}</price></item>",
                 i % 17
@@ -26,15 +32,19 @@ fn big_doc() -> String {
     xml
 }
 
-fn engine(workers: usize) -> Engine {
+fn engine_over(xml: &str, options: EngineOptions) -> Engine {
     let mut store = MassStore::open_memory();
-    store.load_xml("doc", &big_doc()).unwrap();
-    Engine::with_options(
-        store,
+    store.load_xml("doc", xml).unwrap();
+    Engine::with_options(store, options)
+}
+
+/// ~3600 elements, every eligible scan forced out over `workers` threads.
+fn engine(workers: usize) -> Engine {
+    engine_over(
+        &doc(12, 100),
         EngineOptions {
             parallel_workers: workers,
-            parallel_threshold: 64,
-            parallel_min_morsel: 16,
+            parallel_force: true,
             ..Default::default()
         },
     )
@@ -44,7 +54,7 @@ const QUERIES: &[&str] = &[
     "//*",                    // range morsels: whole-document descendant scan
     "/site//*",               // range morsels under an element subtree
     "//node()",               // AnyNode test through the same scan
-    "//item/*",               // context chunks: thousands of item contexts
+    "//item/*",               // context slices: thousands of item contexts
     "//section/item",         // named test: must stay serial, still correct
     "//item[price='3']/name", // predicates below the output step
 ];
@@ -60,6 +70,30 @@ fn run_modes(e: &mut Engine, xpath: &str) -> (Vec<NodeEntry>, Vec<NodeEntry>, Ve
     e.options_mut().batched = true;
     e.options_mut().parallel = true;
     (parallel, batched, scalar)
+}
+
+/// Opens a stream and returns once a pool worker has pushed a chunk of
+/// it (the caller has claimed only morsel 0 and pulls nothing, so the
+/// workers run ahead to the claim window).
+fn stream_after_worker_output<'e>(e: &'e Engine, xpath: &str) -> QueryStream<'e> {
+    let before = e.parallel_stats();
+    let stream = e.stream(DocId(0), xpath).unwrap();
+    assert!(
+        e.parallel_stats().morsels > before.morsels,
+        "{xpath} did not fan out"
+    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while e.parallel_stats().worker_batches == before.worker_batches {
+        assert!(Instant::now() < deadline, "{xpath}: no worker output");
+        std::thread::yield_now();
+    }
+    stream
+}
+
+fn drain(mut stream: QueryStream<'_>) -> Vec<NodeEntry> {
+    let mut out = Vec::new();
+    while stream.next_batch(&mut out, BATCH_SIZE).unwrap() > 0 {}
+    out
 }
 
 #[test]
@@ -81,10 +115,11 @@ fn parallel_equals_batched_equals_scalar() {
 #[test]
 fn parallel_streams_preserve_document_order() {
     // The ordered merge must re-emit strict document order tuple by
-    // tuple, not just after set-semantics sorting.
+    // tuple, not just after set-semantics sorting — with the workers'
+    // chunks in the sequence, not only the caller's own morsels.
     let e = engine(4);
     for xpath in ["//*", "/site//*", "//item/*"] {
-        let mut stream = e.stream(DocId(0), xpath).unwrap();
+        let mut stream = stream_after_worker_output(&e, xpath);
         let mut out = Vec::new();
         while let Some(t) = stream.next().unwrap() {
             out.push(t);
@@ -98,23 +133,97 @@ fn parallel_streams_preserve_document_order() {
 }
 
 #[test]
-fn two_worker_pool_steals_excess_morsels() {
-    // Degree is capped at pool width, but each scan produces more
-    // morsels than workers (MORSELS_PER_WORKER > 1), so some morsels
-    // are necessarily stolen or helped. The counters prove the pool ran.
+fn two_threads_cut_more_morsels_than_threads() {
+    // Two morsels per thread at least, so a thread that starts late
+    // leaves the other something to take.
     let e = engine(2);
     let before = e.parallel_stats();
     assert_eq!(before.morsels, 0, "pool must start idle");
-    let rows = e.query("//*").unwrap();
+    let rows = drain(stream_after_worker_output(&e, "//*"));
     assert!(rows.len() > 3000);
     let after = e.parallel_stats();
     assert!(
         after.morsels > 2,
-        "expected more morsels than the 2 workers, got {}",
+        "expected more morsels than the 2 threads, got {}",
         after.morsels
     );
-    assert!(after.worker_batches > 0, "workers produced no batches");
     assert_eq!(after.workers, 2);
+}
+
+#[test]
+fn contexts_are_coalesced_into_full_chunks() {
+    // 4800 item contexts of two rows each: a batch per context (what the
+    // hand-off used to do) is thousands of batches; coalesced, a morsel
+    // of 1200 contexts crosses two chunk boundaries and hands over three.
+    let e = engine_over(
+        &doc(12, 400),
+        EngineOptions {
+            parallel_workers: 2,
+            parallel_force: true,
+            ..Default::default()
+        },
+    );
+    let before = e.parallel_stats();
+    let rows = drain(stream_after_worker_output(&e, "//item/*"));
+    assert_eq!(rows.len(), 9600);
+    let after = e.parallel_stats();
+    let morsels = after.morsels - before.morsels;
+    let batches = after.worker_batches - before.worker_batches;
+    assert!(batches > 0);
+    assert!(
+        batches <= rows.len() as u64 / BATCH_SIZE as u64 + morsels,
+        "{batches} batches for {} rows in {morsels} morsels",
+        rows.len()
+    );
+    let mut serial = e;
+    serial.options_mut().parallel = false;
+    assert_eq!(rows, serial.query("//item/*").unwrap());
+}
+
+#[test]
+fn small_subtree_stays_serial_where_the_whole_document_fans_out() {
+    if host_cpus() < 2 {
+        eprintln!("skipped: one CPU, the gate never fans out");
+        return;
+    }
+    // Default options: the gate sizes each run. Same plan shape, same
+    // plan-time COUNT (the whole document's); what differs is the page
+    // span the executor sees once it holds the context.
+    let e = engine_over(&doc(40, 400), EngineOptions::default());
+    let whole = e.analyze_doc(DocId(0), "/site//*").unwrap();
+    assert!(whole.profile.morsels > 0, "{}", whole.opt_trace.render());
+    assert!(whole.opt_trace.render().contains("✓ fanned out"));
+    let small = e
+        .analyze_doc(DocId(0), "/site/section[@id='s7']//*")
+        .unwrap();
+    assert_eq!(small.rows, 1200);
+    assert_eq!(small.profile.morsels, 0, "{}", small.opt_trace.render());
+    let trace = small.opt_trace.render();
+    assert!(trace.contains("✓ eligible"), "{trace}");
+    assert!(trace.contains("✗ declined at run time"), "{trace}");
+    assert!(trace.contains("below break-even"), "{trace}");
+    assert!(small.render_json().contains("\"fanned_out\":false"));
+    // Context lists likewise, by the pages from their first context's
+    // subtree to their last's.
+    let whole = e.analyze_doc(DocId(0), "//item/*").unwrap();
+    assert!(whole.profile.morsels > 0, "{}", whole.opt_trace.render());
+    let small = e
+        .analyze_doc(DocId(0), "/site/section[@id='s7']/item/*")
+        .unwrap();
+    assert_eq!(small.rows, 800);
+    let trace = small.opt_trace.render();
+    assert!(trace.contains("contexts=400 "), "{trace}");
+    assert!(trace.contains("✗ declined at run time"), "{trace}");
+}
+
+#[test]
+fn one_worker_means_serial_and_no_pool() {
+    let e = engine(1);
+    for xpath in ["//*", "//item/*"] {
+        assert!(!e.query(xpath).unwrap().is_empty());
+    }
+    // No pool was ever created, let alone a thread.
+    assert_eq!(e.parallel_stats(), Default::default());
 }
 
 #[test]
@@ -123,7 +232,15 @@ fn profile_reports_parallel_counters() {
     let (rows, profile) = e.query_doc_profiled(DocId(0), "//*").unwrap();
     assert_eq!(profile.rows, rows.len() as u64);
     assert!(profile.morsels > 0, "parallel query reported no morsels");
-    assert!(profile.worker_batches > 0);
+    // Whether a worker got to a morsel before the caller had scanned
+    // them all is a race; over enough runs one does.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut profile = profile;
+    while profile.worker_batches == 0 {
+        assert!(Instant::now() < deadline, "no run reported a worker batch");
+        profile = e.query_doc_profiled(DocId(0), "//*").unwrap().1;
+    }
+    assert!(profile.worker_batches <= rows.len() as u64);
     // A serial query on the same engine reports zero parallel work.
     let (_, serial) = e.query_doc_profiled(DocId(0), "//section/item").unwrap();
     assert_eq!(serial.morsels, 0);
@@ -131,32 +248,44 @@ fn profile_reports_parallel_counters() {
 }
 
 #[test]
-fn dropped_stream_cancels_and_releases_the_store() {
-    // Abandoning a parallel stream mid-scan must reap every worker-held
-    // store handle so `store_mut` (loads) works immediately afterwards.
+fn dropped_stream_releases_the_store_at_once() {
+    // Abandoning a parallel stream mid-scan, with workers inside their
+    // morsels, must leave no store clone behind: the drop itself waits
+    // for them (on a condvar), so the writer that follows does not.
     let mut e = engine(4);
     {
-        let mut stream = e.stream(DocId(0), "//*").unwrap();
-        for _ in 0..3 {
-            assert!(stream.next().unwrap().is_some());
-        }
+        let mut stream = stream_after_worker_output(&e, "//*");
+        assert!(stream.next().unwrap().is_some());
         // Drop with thousands of tuples unconsumed.
     }
+    let handle = e.store_handle();
+    assert_eq!(Arc::strong_count(&handle), 2, "engine + this handle");
+    drop(handle);
+    let outcome = e
+        .apply_update(
+            DocId(0),
+            &UpdateOp::Insert {
+                target: "/site".into(),
+                fragment: "<extra/>".into(),
+            },
+        )
+        .unwrap();
+    // The epoch gate polls in 1 ms steps when it has to wait at all.
+    assert!(outcome.profile.writer_wait < Duration::from_millis(1));
     let doc2 = e.load_xml("second", "<r><x>1</x></r>").unwrap();
     assert_eq!(e.query_doc(doc2, "//x").unwrap().len(), 1);
 }
 
 #[test]
 fn disabling_parallel_keeps_the_plan_annotation() {
-    // The optimizer records the choice even when execution is gated off,
-    // so cached plans replay it once the option is re-enabled.
+    // The optimizer records eligibility even when execution is gated
+    // off, so cached plans fan out once the option is re-enabled.
     let mut e = engine(4);
     e.options_mut().parallel = false;
     let plan = e.compile("//*").unwrap();
     let outcome = e.optimize_plan(plan, DocId(0)).unwrap();
     let choice = outcome.plan.parallel().expect("choice must be recorded");
-    assert!(choice.degree >= 2);
-    assert!(choice.estimated > 64);
+    assert!(choice.estimated > 3000);
     // Executing under the gate stays serial...
     let before = e.parallel_stats();
     let serial_rows = e.execute_plan(&outcome.plan, DocId(0)).unwrap();

@@ -26,8 +26,7 @@ fn shared_engine() -> Arc<SharedEngine> {
         store,
         EngineOptions {
             parallel_workers: 4,
-            parallel_threshold: 64,
-            parallel_min_morsel: 16,
+            parallel_force: true,
             ..Default::default()
         },
     );

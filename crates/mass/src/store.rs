@@ -487,6 +487,31 @@ impl MassStore {
 
     // ---- morsel partitioning (parallel scans) -----------------------------
 
+    /// Positions `[start, end)` in the sparse index of the pages a scan
+    /// of `range` pins; empty for an empty range or store.
+    fn page_run(&self, range: &KeyRange) -> (usize, usize) {
+        if range.is_empty() || self.index.is_empty() {
+            return (0, 0);
+        }
+        let start = self.page_pos_for(&range.lo).unwrap_or(0);
+        let end = match &range.hi {
+            Some(hi) => self
+                .index
+                .partition_point(|(first, _)| first.as_slice() < hi.as_slice()),
+            None => self.index.len(),
+        };
+        (start, end.max(start))
+    }
+
+    /// How many pages a scan of `range` pins — two binary searches of the
+    /// sparse index, no page touched. Multiplied by
+    /// [`MassStore::tuples_per_page`] it is the scan's tuple volume, which
+    /// is what the executor prices a parallel scan with at run time.
+    pub fn page_span(&self, range: &KeyRange) -> usize {
+        let (start, end) = self.page_run(range);
+        end - start
+    }
+
     /// Splits `range` into at most `n` disjoint sub-ranges whose
     /// concatenation covers it exactly, with every interior boundary on
     /// a *page* boundary (the first key of some page in the sparse
@@ -511,19 +536,8 @@ impl MassStore {
     /// read view (same [`MassStore::generation`]) get morsels that
     /// exactly tile the serial scan.
     pub fn partition_range(&self, range: &KeyRange, n: usize) -> Vec<KeyRange> {
-        if n <= 1 || range.is_empty() || self.index.is_empty() {
-            return vec![range.clone()];
-        }
-        // Pages overlapping the range: positions [start, end) in the
-        // sparse index.
-        let start = self.page_pos_for(&range.lo).unwrap_or(0);
-        let end = match &range.hi {
-            Some(hi) => self
-                .index
-                .partition_point(|(first, _)| first.as_slice() < hi.as_slice()),
-            None => self.index.len(),
-        };
-        if end <= start + 1 {
+        let (start, end) = self.page_run(range);
+        if n <= 1 || end <= start + 1 {
             return vec![range.clone()];
         }
         let pages = end - start;
@@ -1479,5 +1493,21 @@ mod tests {
             small.partition_range(&KeyRange::empty(), 4),
             vec![KeyRange::empty()]
         );
+        assert_eq!(empty.page_span(&all), 0);
+        assert_eq!(small.page_span(&all), 1);
+        assert_eq!(small.page_span(&KeyRange::empty()), 0);
+    }
+
+    #[test]
+    fn page_span_counts_the_pages_a_range_scan_pins() {
+        let store = multi_page_store();
+        let doc_key = store.documents()[0].doc_key.clone();
+        let whole = KeyRange::subtree(&doc_key);
+        assert_eq!(store.page_span(&whole), store.index.len());
+        // The spans of a partition add up to the whole (boundaries are
+        // page firsts, so no page is counted twice).
+        let parts = store.partition_range(&whole, 4);
+        let sum: usize = parts.iter().map(|p| store.page_span(p)).sum();
+        assert_eq!(sum, store.index.len());
     }
 }

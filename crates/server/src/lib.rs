@@ -116,9 +116,10 @@ pub struct ServerConfig {
     pub default_limit: usize,
     /// Characters of string-value shown per row.
     pub value_width: usize,
-    /// Width of the engine's intra-query scan pool, applied to the
+    /// Threads one query's scan may use, the worker running the query
+    /// included (`EngineOptions::parallel_workers`), applied to the
     /// engine at bind time. `0` leaves the engine's own setting (one
-    /// scan worker per core by default) untouched.
+    /// per core by default) untouched; `1` keeps every scan serial.
     pub scan_workers: usize,
     /// Committed WAL frames retained for replication catch-up on durable
     /// stores. A follower whose resume LSN has aged out of this window
