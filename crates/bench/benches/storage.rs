@@ -69,7 +69,7 @@ fn bench_primitives(c: &mut Criterion) {
 
     group.bench_function("descendant_stream_person", |b| {
         b.iter(|| {
-            let mut s = axis_stream(
+            let s = axis_stream(
                 &store,
                 &doc_key,
                 RecordKind::Document,
@@ -77,17 +77,13 @@ fn bench_primitives(c: &mut Criterion) {
                 NodeFilter::element(person),
             )
             .expect("stream");
-            let mut n = 0;
-            while s.next().expect("io").is_some() {
-                n += 1;
-            }
-            n
+            s.collect().expect("io").len()
         })
     });
 
     group.bench_function("child_stream_jumps", |b| {
         b.iter(|| {
-            let mut s = axis_stream(
+            let s = axis_stream(
                 &store,
                 &mid,
                 RecordKind::Element,
@@ -95,11 +91,7 @@ fn bench_primitives(c: &mut Criterion) {
                 NodeFilter::any(),
             )
             .expect("stream");
-            let mut n = 0;
-            while s.next().expect("io").is_some() {
-                n += 1;
-            }
-            n
+            s.collect().expect("io").len()
         })
     });
 
@@ -107,7 +99,7 @@ fn bench_primitives(c: &mut Criterion) {
 
     group.bench_function("parent_lookup", |b| {
         b.iter(|| {
-            let mut s = axis_stream(
+            let s = axis_stream(
                 &store,
                 &mid,
                 RecordKind::Element,
@@ -115,7 +107,7 @@ fn bench_primitives(c: &mut Criterion) {
                 NodeFilter::any_element(),
             )
             .expect("stream");
-            s.next().expect("io").is_some()
+            !s.collect().expect("io").is_empty()
         })
     });
 

@@ -155,11 +155,7 @@ fn run_suite(engine: &Engine) -> Phase {
 fn measure_phase(path: &std::path::Path, pool: usize, warm: bool) -> Phase {
     let store = MassStore::open_file(path, pool).expect("reopen store");
     let mut engine = Engine::new(store);
-    {
-        let opts = engine.options_mut();
-        opts.optimize = true;
-        opts.batched = true;
-    }
+    engine.options_mut().optimize = true;
     if warm {
         run_suite(&engine);
     }

@@ -1,26 +1,22 @@
-//! Throughput benchmark: scalar vs batched vs morsel-parallel execution,
-//! queries/sec per worker count, against one shared engine.
+//! Throughput benchmarks against one shared engine or a small cluster,
+//! one mode per invocation.
 //!
 //! ```sh
 //! cargo run --release -p vamana-bench --bin throughput \
-//!     [-- <mb> [workers...] [--window-ms N] [--out PATH] [--analyze] [--mixed PCT]]
+//!     -- [<mb> [workers...]] [--window-ms N] [--out PATH] <mode>
 //! ```
 //!
-//! `--analyze` skips the measurement windows: it loads the document,
-//! runs `EXPLAIN ANALYZE` on one representative query per suite, dumps
-//! the per-operator estimated-vs-actual trees to stdout, and exits.
-//!
-//! `--views on|off|both` runs the semantic-cache benchmark instead:
+//! `--views on|off|both` runs the semantic-cache benchmark:
 //! driver threads replay a Zipfian repeated-traffic mix over the scan
 //! suite, with the view cache enabled and/or disabled, and the report
 //! (`BENCH_7.json`) compares throughput across the two configurations.
 //!
-//! `--fused on|off|both` runs the fusion benchmark instead: driver
+//! `--fused on|off|both` runs the fusion benchmark: driver
 //! threads replay the structural scan suite per query with whole-query
 //! fusion forced and/or disabled, and the report (`BENCH_8.json`)
 //! compares per-query throughput across the two configurations.
 //!
-//! `--router SxR` runs the sharded front-tier benchmark instead: it
+//! `--router SxR` runs the sharded front-tier benchmark: it
 //! stands up `S` shards × `R` streaming replicas behind a
 //! `vamana-router` front tier, compares aggregate QPS against one
 //! single-node server holding every document (both scatter-gather and
@@ -28,43 +24,22 @@
 //! connection scaling — hundreds of idle connections plus ≥64 active
 //! clients, with process thread counts recorded (`BENCH_9.json`).
 //!
-//! `--mixed PCT` runs the read/write benchmark instead: reader threads
+//! `--replicas N` runs the replicated-read benchmark (`BENCH_6.json`).
+//!
+//! `--mixed PCT` runs the read/write benchmark: reader threads
 //! measure per-query latency in two windows — alone, then sharing the
 //! engine with one writer duty-cycled to `PCT`% of operations — and the
 //! report (`BENCH_5.json`) compares reader p50/p99 across the two plus
 //! the writer's time at the epoch gate.
 //!
-//! Two query suites run in three execution modes over the same build and
-//! the same loaded document:
-//!
-//! - `scan`: structural XMark scans ([`SCAN_QUERIES`]) — wildcard and
-//!   kind tests whose steps walk clustered MASS pages; these are the
-//!   shapes the batched pipeline amortizes page pins on and the parallel
-//!   scan splits into morsels.
-//! - `eval`: the paper's evaluation mix (Q1–Q5), mostly index-only; it
-//!   bounds how much batching/parallelism can help non-scan work (named
-//!   steps never fan out).
-//!
-//! Modes differ in where the configured worker count `w` goes:
-//!
-//! - `scalar` / `batched`: `w` *driver* threads (inter-query
-//!   concurrency), each draining serial streams.
-//! - `parallel`: **one** driver thread over a `w`-wide scan pool
-//!   (intra-query parallelism) — so `parallel` at `w` vs `batched` at 1
-//!   isolates what morsel-parallel scans buy a single query stream.
-//!
-//! Plans are compiled and optimized once per query before measurement
-//! (the optimizer records the parallel fan-out choice on the plan, as the
-//! serving layer's plan cache would); each run drains the result stream,
-//! so the measured work is executor cost, not parsing or optimization.
-//! Results go to stdout as a table and to `BENCH_3.json` (override with
-//! `--out`) as machine-readable JSON.
+//! The serial-vs-parallel scan comparison is `trajectory`'s `embed_scan`
+//! workload and the `parallel_probe` example.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vamana_bench::{QUERIES, SCAN_QUERIES};
+use vamana_bench::SCAN_QUERIES;
 use vamana_core::exec::BATCH_SIZE;
 use vamana_core::plan::QueryPlan;
 use vamana_core::{DocId, Engine, SharedEngine};
@@ -75,9 +50,7 @@ struct Args {
     workers: Vec<usize>,
     window: Duration,
     out: Option<String>,
-    analyze: bool,
-    /// `Some(write_pct)`: run the mixed read/write benchmark instead of
-    /// the execution-mode comparison.
+    /// `Some(write_pct)`: run the mixed read/write benchmark.
     mixed: Option<u32>,
     /// `Some(n)`: run the replicated-read benchmark instead — aggregate
     /// read QPS over a primary plus 0..=n replicas, and a lag-convergence
@@ -105,7 +78,6 @@ fn parse_args() -> Args {
         workers: Vec::new(),
         window: Duration::from_secs(2),
         out: None,
-        analyze: false,
         mixed: None,
         replicas: None,
         views: None,
@@ -125,9 +97,6 @@ fn parse_args() -> Args {
             }
             "--out" => {
                 args.out = Some(it.next().expect("--out needs a path"));
-            }
-            "--analyze" => {
-                args.analyze = true;
             }
             "--mixed" => {
                 let pct: u32 = it
@@ -188,177 +157,25 @@ fn parse_args() -> Args {
     args
 }
 
-/// One suite in one mode at one worker count.
-struct Sample {
-    suite: &'static str,
-    mode: &'static str,
-    /// The configured concurrency knob: driver threads for
-    /// `scalar`/`batched`, scan-pool width for `parallel`.
-    workers: usize,
-    /// Driver threads actually issuing queries.
-    drivers: usize,
-    queries: u64,
-    rows: u64,
-    elapsed: Duration,
-}
-
-impl Sample {
-    fn qps(&self) -> f64 {
-        self.queries as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// `(driver threads, batched, parallel)` per mode at worker count `w`.
-fn mode_setup(mode: &str, w: usize) -> (usize, bool, bool) {
-    match mode {
-        "scalar" => (w, false, false),
-        "batched" => (w, true, false),
-        "parallel" => (1, true, true),
-        other => unreachable!("unknown mode {other}"),
-    }
-}
-
 fn main() {
     let args = parse_args();
     if let Some((shards, replicas)) = args.router {
         run_router(&args, shards, replicas);
-        return;
-    }
-    if let Some(n) = args.replicas {
+    } else if let Some(n) = args.replicas {
         run_replicas(&args, n);
-        return;
-    }
-    if let Some(which) = args.views.clone() {
+    } else if let Some(which) = args.views.clone() {
         run_views(&args, &which);
-        return;
-    }
-    if let Some(which) = args.fused.clone() {
+    } else if let Some(which) = args.fused.clone() {
         run_fused(&args, &which);
-        return;
+    } else if let Some(write_pct) = args.mixed {
+        run_mixed(&args, write_pct);
+    } else {
+        eprintln!(
+            "usage: throughput [<mb> [workers...]] [--window-ms N] [--out PATH] \
+             (--mixed PCT | --views on|off|both | --fused on|off|both | --replicas N | --router SxR)"
+        );
+        std::process::exit(2);
     }
-    let max_workers = args.workers.iter().copied().max().unwrap_or(1);
-
-    eprintln!("generating ~{} MB of XMark data…", args.megabytes);
-    let xml = vamana_bench::document(args.megabytes);
-    let mut store = MassStore::open_memory();
-    store.load_xml("auction", &xml).expect("load xmark");
-    let mut base = Engine::new(store);
-    base.options_mut().parallel_workers = max_workers;
-    let engine = Arc::new(SharedEngine::new(base));
-
-    let suites: [(&str, &[(&str, &str)]); 2] = [("scan", SCAN_QUERIES), ("eval", QUERIES)];
-
-    if let Some(write_pct) = args.mixed {
-        run_mixed(&args, &engine, max_workers, write_pct);
-        return;
-    }
-
-    if args.analyze {
-        // EXPLAIN ANALYZE one representative query per suite and exit —
-        // a quick look at how the cost model tracks reality at this
-        // document scale, without running the measurement windows.
-        let guard = engine.read();
-        for (suite, queries) in suites {
-            let (name, xpath) = queries[0];
-            let analysis = guard.analyze_doc(DocId(0), xpath).expect(name);
-            println!("=== {suite} / {name}: {xpath}");
-            print!("{}", analysis.render());
-            println!("optimizer trace:");
-            print!("{}", analysis.opt_trace.render());
-            println!();
-        }
-        return;
-    }
-
-    // Compile every plan once and warm the buffer pool; a query that
-    // matches nothing means the generator or planner is broken, so fail
-    // loudly (the CI smoke job relies on this).
-    let mut plans: Vec<(&str, Vec<QueryPlan>)> = Vec::new();
-    for (suite, queries) in suites {
-        let mut compiled = Vec::new();
-        for (name, xpath) in queries {
-            let guard = engine.read();
-            let plan = guard.compile(xpath).expect(name);
-            let plan = guard.optimize_plan(plan, DocId(0)).expect(name).plan;
-            let rows = guard.execute_plan(&plan, DocId(0)).expect(name).len();
-            assert!(rows > 0, "{name} ({xpath}) returned no rows");
-            let par = match plan.parallel() {
-                Some(c) => format!("parallel-eligible (COUNT {})", c.estimated),
-                None => "serial".to_string(),
-            };
-            eprintln!("  {name}: {rows} row(s), {par}");
-            compiled.push(plan);
-        }
-        plans.push((suite, compiled));
-    }
-
-    println!(
-        "{:>6} {:>9} {:>8} {:>8} {:>12} {:>14} {:>12}",
-        "suite", "mode", "workers", "drivers", "queries", "queries/sec", "speedup"
-    );
-    let mut samples: Vec<Sample> = Vec::new();
-    for (suite, compiled) in &plans {
-        for &workers in &args.workers {
-            for mode in ["scalar", "batched", "parallel"] {
-                let (drivers, batched, parallel) = mode_setup(mode, workers);
-                {
-                    let mut guard = engine.write();
-                    let opts = guard.options_mut();
-                    opts.batched = batched;
-                    opts.parallel = parallel;
-                    opts.parallel_workers = if parallel { workers } else { max_workers };
-                }
-                let sample = run_window(
-                    &engine,
-                    compiled,
-                    suite,
-                    mode,
-                    workers,
-                    drivers,
-                    batched,
-                    args.window,
-                );
-                let speedup = match mode {
-                    // batched vs scalar at the same driver count.
-                    "batched" => samples
-                        .iter()
-                        .rfind(|s| s.suite == *suite && s.mode == "scalar" && s.workers == workers)
-                        .map(|s| format!("{:.2}x", sample.qps() / s.qps()))
-                        .unwrap_or_default(),
-                    // parallel (one driver, w-wide pool) vs one serial-
-                    // batched driver.
-                    "parallel" => samples
-                        .iter()
-                        .find(|s| s.suite == *suite && s.mode == "batched" && s.drivers == 1)
-                        .map(|s| format!("{:.2}x", sample.qps() / s.qps()))
-                        .unwrap_or_default(),
-                    _ => "-".to_string(),
-                };
-                println!(
-                    "{:>6} {:>9} {:>8} {:>8} {:>12} {:>14.1} {:>12}",
-                    suite,
-                    mode,
-                    workers,
-                    drivers,
-                    sample.queries,
-                    sample.qps(),
-                    speedup
-                );
-                samples.push(sample);
-            }
-        }
-    }
-    {
-        let mut guard = engine.write();
-        let opts = guard.options_mut();
-        opts.batched = true;
-        opts.parallel = true;
-    }
-
-    let json = render_json(&args, &suites, &samples);
-    let out = args.out.as_deref().unwrap_or("BENCH_3.json");
-    std::fs::write(out, &json).expect("write json");
-    eprintln!("wrote {out}");
 }
 
 /// Reader latencies and counts from one mixed-mode measurement window.
@@ -395,15 +212,17 @@ impl MixedPhase {
 /// pairs, duty-cycled so writes stay at `write_pct`% of completed
 /// operations. The report compares reader p50/p99 across phases and
 /// records how long the writer spent at the epoch gate.
-fn run_mixed(args: &Args, engine: &Arc<SharedEngine>, readers: usize, write_pct: u32) {
-    // Mixed mode measures the serving configuration: batched execution,
-    // serial per query (inter-query concurrency comes from the readers).
-    {
-        let mut guard = engine.write();
-        let opts = guard.options_mut();
-        opts.batched = true;
-        opts.parallel = false;
-    }
+fn run_mixed(args: &Args, write_pct: u32) {
+    let readers = args.workers.iter().copied().max().unwrap_or(1);
+    eprintln!("generating ~{} MB of XMark data…", args.megabytes);
+    let xml = vamana_bench::document(args.megabytes);
+    let mut store = MassStore::open_memory();
+    store.load_xml("auction", &xml).expect("load xmark");
+    let mut base = Engine::new(store);
+    // Mixed mode measures the serving configuration with every query
+    // serial (inter-query concurrency comes from the readers).
+    base.options_mut().parallel = false;
+    let engine = &Arc::new(SharedEngine::new(base));
     let plans: Vec<QueryPlan> = SCAN_QUERIES
         .iter()
         .map(|(name, xpath)| {
@@ -723,11 +542,7 @@ fn run_views_phase(
     let mut store = MassStore::open_memory();
     store.load_xml("auction", xml).expect("load xmark");
     let mut base = Engine::new(store);
-    {
-        let opts = base.options_mut();
-        opts.batched = true;
-        opts.views = enabled;
-    }
+    base.options_mut().views = enabled;
     let engine = Arc::new(SharedEngine::new(base));
 
     // Two full passes cross the default admission threshold, so every
@@ -842,7 +657,7 @@ fn run_fused(args: &Args, which: &str) {
         "off" => &[false],
         _ => &[false, true],
     };
-    eprintln!("fusion benchmark: {drivers} driver(s), batched execution");
+    eprintln!("fusion benchmark: {drivers} driver(s)");
 
     println!(
         "{:>6} {:>6} {:>8} {:>12} {:>14} {:>8} {:>12}",
@@ -855,7 +670,6 @@ fn run_fused(args: &Args, which: &str) {
         let mut base = Engine::new(store);
         {
             let opts = base.options_mut();
-            opts.batched = true;
             opts.fuse = enabled;
             opts.fuse_force = enabled;
         }
@@ -874,23 +688,14 @@ fn run_fused(args: &Args, which: &str) {
             };
             let chains_before = engine.read().fused_stats().0;
             let sample = {
-                let s = run_window(
-                    &engine,
-                    std::slice::from_ref(&plan),
-                    "scan",
-                    "batched",
-                    drivers,
-                    drivers,
-                    true,
-                    args.window,
-                );
+                let (queries, rows, elapsed) = run_window(&engine, &plan, drivers, args.window);
                 FusedSample {
                     name,
                     xpath,
                     enabled,
-                    queries: s.queries,
-                    rows: s.rows,
-                    elapsed: s.elapsed,
+                    queries,
+                    rows,
+                    elapsed,
                     fused_chains: engine.read().fused_stats().0 - chains_before,
                 }
             };
@@ -975,158 +780,48 @@ fn run_fused(args: &Args, which: &str) {
     eprintln!("wrote {path}");
 }
 
-/// Runs the suite's query mix from `drivers` threads for `window`.
-#[allow(clippy::too_many_arguments)]
+/// Runs `plan` from `drivers` threads for `window`, draining each
+/// stream; returns `(queries, rows, elapsed)`.
 fn run_window(
     engine: &Arc<SharedEngine>,
-    plans: &[QueryPlan],
-    suite: &'static str,
-    mode: &'static str,
-    workers: usize,
+    plan: &QueryPlan,
     drivers: usize,
-    batched: bool,
     window: Duration,
-) -> Sample {
-    let stop = Arc::new(AtomicBool::new(false));
-    let queries = Arc::new(AtomicU64::new(0));
-    let rows = Arc::new(AtomicU64::new(0));
+) -> (u64, u64, Duration) {
+    let stop = AtomicBool::new(false);
+    let queries = AtomicU64::new(0);
+    let rows = AtomicU64::new(0);
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for t in 0..drivers.max(1) {
-            let engine = Arc::clone(engine);
-            let stop = Arc::clone(&stop);
-            let queries = Arc::clone(&queries);
-            let rows = Arc::clone(&rows);
-            scope.spawn(move || {
+        for _ in 0..drivers.max(1) {
+            scope.spawn(|| {
                 let mut buf = Vec::with_capacity(BATCH_SIZE);
-                let mut i = t; // offset so drivers interleave the mix
                 while !stop.load(Ordering::Relaxed) {
-                    let plan = &plans[i % plans.len()];
                     let guard = engine.read();
                     let mut stream = guard.stream_plan(plan.clone(), DocId(0)).expect("stream");
                     let mut n = 0u64;
-                    if batched {
-                        loop {
-                            buf.clear();
-                            let k = stream.next_batch(&mut buf, BATCH_SIZE).expect("batch");
-                            if k == 0 {
-                                break;
-                            }
-                            n += k as u64;
-                        }
-                    } else {
-                        while stream.next().expect("next").is_some() {
-                            n += 1;
+                    loop {
+                        buf.clear();
+                        let k = stream.next_batch(&mut buf, BATCH_SIZE).expect("batch");
+                        n += k as u64;
+                        if k < BATCH_SIZE {
+                            break;
                         }
                     }
                     assert!(n > 0, "query produced no rows mid-bench");
                     queries.fetch_add(1, Ordering::Relaxed);
                     rows.fetch_add(n, Ordering::Relaxed);
-                    i += 1;
                 }
             });
         }
         std::thread::sleep(window);
         stop.store(true, Ordering::Relaxed);
     });
-    Sample {
-        suite,
-        mode,
-        workers,
-        drivers,
-        queries: queries.load(Ordering::Relaxed),
-        rows: rows.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Hand-rolled JSON (the workspace deliberately has no serde): uniform
-/// per-result metadata plus per-suite speedup summaries keyed by the
-/// worker count.
-fn render_json(args: &Args, suites: &[(&str, &[(&str, &str)]); 2], samples: &[Sample]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"throughput_scalar_batched_parallel\",\n");
-    // Intra-query speedup is bounded by physical cores: on a 1-CPU host
-    // the parallel mode can only show overhead, so record the hardware.
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    ));
-    out.push_str(&format!("  \"doc_megabytes\": {},\n", args.megabytes));
-    out.push_str(&format!("  \"window_ms\": {},\n", args.window.as_millis()));
-    out.push_str(&format!("  \"batch_size\": {BATCH_SIZE},\n"));
-    out.push_str("  \"suites\": {\n");
-    for (i, (suite, queries)) in suites.iter().enumerate() {
-        let names: Vec<String> = queries
-            .iter()
-            .map(|(n, q)| format!("{{\"name\": \"{n}\", \"xpath\": \"{q}\"}}"))
-            .collect();
-        out.push_str(&format!("    \"{suite}\": [{}]", names.join(", ")));
-        out.push_str(if i + 1 < suites.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"results\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"suite\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"drivers\": {}, \"queries\": {}, \"rows\": {}, \"elapsed_ms\": {:.1}, \"qps\": {:.1}}}{}\n",
-            s.suite,
-            s.mode,
-            s.workers,
-            s.drivers,
-            s.queries,
-            s.rows,
-            s.elapsed.as_secs_f64() * 1e3,
-            s.qps(),
-            if i + 1 < samples.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    let suite_names: Vec<&str> = suites.iter().map(|(s, _)| *s).collect();
-    let find = |suite: &str, mode: &str, workers: usize| {
-        samples
-            .iter()
-            .find(|s| s.suite == suite && s.mode == mode && s.workers == workers)
-    };
-    out.push_str("  \"speedup_batched_over_scalar\": {\n");
-    for (i, suite) in suite_names.iter().enumerate() {
-        let mut pairs = Vec::new();
-        for &w in &args.workers {
-            if let (Some(b), Some(s)) = (find(suite, "batched", w), find(suite, "scalar", w)) {
-                pairs.push(format!("\"{w}\": {:.2}", b.qps() / s.qps()));
-            }
-        }
-        out.push_str(&format!("    \"{suite}\": {{{}}}", pairs.join(", ")));
-        out.push_str(if i + 1 < suite_names.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  },\n");
-    // parallel at pool width w (one driver) vs one serial-batched driver:
-    // the intra-query speedup of morsel-parallel scans.
-    out.push_str("  \"speedup_parallel_over_batched\": {\n");
-    for (i, suite) in suite_names.iter().enumerate() {
-        let baseline = samples
-            .iter()
-            .find(|s| s.suite == *suite && s.mode == "batched" && s.drivers == 1);
-        let mut pairs = Vec::new();
-        for &w in &args.workers {
-            if let (Some(p), Some(b)) = (find(suite, "parallel", w), baseline) {
-                pairs.push(format!("\"{w}\": {:.2}", p.qps() / b.qps()));
-            }
-        }
-        out.push_str(&format!("    \"{suite}\": {{{}}}", pairs.join(", ")));
-        out.push_str(if i + 1 < suite_names.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  }\n}\n");
-    out
+    (
+        queries.load(Ordering::Relaxed),
+        rows.load(Ordering::Relaxed),
+        start.elapsed(),
+    )
 }
 
 // ---------------------------------------------------------------------

@@ -21,12 +21,12 @@ pub const QUERIES: &[(&str, &str)] = &[
     ("Q5", "//province[text()='Vermont']/ancestor::person"),
 ];
 
-/// Structural scan queries for the batched-execution benchmark.
+/// Structural scan queries.
 ///
 /// Unlike Q1–Q5, whose named steps are answered mostly from the name
 /// index (index-only `NameList` streams), these use wildcard and kind
-/// tests so every step walks clustered MASS pages — the path the
-/// batched pipeline amortizes page pins on. Modeled on XMark Q1/Q6:
+/// tests so every step walks clustered MASS pages — the path that
+/// amortizes page pins and that parallel scans split. Modeled on XMark Q1/Q6:
 /// child/descendant chains over the region and person subtrees.
 pub const SCAN_QUERIES: &[(&str, &str)] = &[
     ("S1", "/site/regions//*"),
@@ -41,6 +41,29 @@ pub const SCAN_QUERIES: &[(&str, &str)] = &[
 /// oracle's `node()` test used to drop: `//*` came out one short and
 /// `//site` empty, so no suite could carry them.
 pub const ROOT_QUERIES: &[(&str, &str)] = &[("R1", "//*"), ("R2", "//site"), ("R3", "//node()")];
+
+/// Pull sizes the differential suites drain streams under: the
+/// tuple-at-a-time `max = 1`, sizes that cut pages and context groups,
+/// one full batch, and drain-all.
+pub const PULL_SIZES: [usize; 6] = [1, 2, 3, 7, 256, usize::MAX];
+
+/// The pipeline-order tuple sequence of `xpath` on document 0, pulled
+/// `max` tuples at a time; checks that the exhausted stream stays so.
+pub fn drain_stream(engine: &Engine, xpath: &str, max: usize) -> Vec<vamana_core::NodeEntry> {
+    let mut stream = engine.stream(vamana_core::DocId(0), xpath).expect(xpath);
+    let mut out = Vec::new();
+    while stream.next_batch(&mut out, max).expect(xpath) == max {}
+    assert_eq!(stream.next_batch(&mut out, max).expect(xpath), 0, "{xpath}");
+    out
+}
+
+/// [`drain_stream`] as a node-set: document order, duplicates removed.
+pub fn drain_stream_set(engine: &Engine, xpath: &str, max: usize) -> Vec<vamana_core::NodeEntry> {
+    let mut out = drain_stream(engine, xpath, max);
+    out.sort_by(|a, b| a.key.cmp(&b.key));
+    out.dedup_by(|a, b| a.key == b.key);
+    out
+}
 
 /// Generates an XMark document of roughly `megabytes` MB (streamed —
 /// no DOM arena is materialized).

@@ -134,17 +134,121 @@ fn assert_actuals_match_oracle(engine: &Engine, dom: &DomEngine, name: &str, xpa
     assert_eq!(root, oracle.len() as u64, "{name}: root actuals");
 }
 
-/// Every XMark suite query's per-operator actuals match the DOM oracle,
-/// in both scalar and batched execution.
+/// Every XMark suite query's per-operator actuals match the DOM oracle.
 #[test]
 fn analyze_actuals_match_dom_oracle_per_operator() {
     let xml = vamana_xmark::generate_string(&config_for_megabytes(0.4));
     let dom = DomEngine::from_xml(&xml).unwrap();
-    let mut engine = vamana_engine(&xml, false); // default plans mirror the path
-    for batched in [false, true] {
-        engine.options_mut().batched = batched;
-        for (name, xpath) in QUERIES.iter().chain(SCAN_QUERIES) {
-            assert_actuals_match_oracle(&engine, &dom, name, xpath);
+    let engine = vamana_engine(&xml, false); // default plans mirror the path
+    for (name, xpath) in QUERIES.iter().chain(SCAN_QUERIES) {
+        assert_actuals_match_oracle(&engine, &dom, name, xpath);
+    }
+}
+
+/// The `Exists` operators reachable from predicate root `id` without
+/// passing through a path (those are tested per tuple of that path).
+fn exists_under(plan: &vamana_core::QueryPlan, id: OpId, out: &mut Vec<OpId>) {
+    match plan.op(id) {
+        Operator::Exists { path } => out.push(*path),
+        Operator::Binary { .. }
+        | Operator::Arith { .. }
+        | Operator::Function { .. }
+        | Operator::Neg { .. } => {
+            for child in plan.children_of(id) {
+                exists_under(plan, child, out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// One existence path of an analyzed plan: what its predicate tested and
+/// kept, and the rows each step of the path produced, output step first.
+struct ExistencePath {
+    tested: u64,
+    kept: u64,
+    /// The predicate is the bare existence test (no `and`/`or`/`not`).
+    bare: bool,
+    rows: Vec<u64>,
+}
+
+/// An existence test is a `max = 1` pull: every step of an `Exists`
+/// path, the leaf included, produces at most one tuple per tuple its
+/// predicate tested, and the output step of a bare existence predicate
+/// exactly one per tuple kept.
+fn existence_paths(engine: &Engine, xpath: &str) -> Vec<ExistencePath> {
+    let analysis = engine.analyze_doc(DocId(0), xpath).expect(xpath);
+    let plan = &analysis.plan;
+    let mut found = Vec::new();
+    for op in plan.live_ops() {
+        let predicates = match plan.op(op) {
+            Operator::Step { predicates, .. } | Operator::Filter { predicates, .. } => predicates,
+            _ => continue,
+        };
+        for pred in predicates {
+            let actual = analysis.actuals.op(*pred).expect("predicate actuals");
+            let mut paths = Vec::new();
+            exists_under(plan, *pred, &mut paths);
+            for path in paths {
+                let mut rows = Vec::new();
+                let mut cur = Some(path);
+                while let Some(id) = cur {
+                    rows.push(analysis.actuals.op(id).expect("step actuals").rows);
+                    cur = match plan.op(id) {
+                        Operator::Step { context, .. }
+                        | Operator::ValueStep { context, .. }
+                        | Operator::RangeStep { context, .. } => *context,
+                        _ => None,
+                    };
+                }
+                let found_path = ExistencePath {
+                    tested: actual.invocations,
+                    kept: actual.rows,
+                    bare: matches!(plan.op(*pred), Operator::Exists { .. }),
+                    rows,
+                };
+                assert!(
+                    found_path.rows.iter().all(|r| *r <= found_path.tested),
+                    "{xpath}: an existence path produced {:?} tuple(s) for {} test(s)\n{}",
+                    found_path.rows,
+                    found_path.tested,
+                    analysis.render()
+                );
+                found.push(found_path);
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn existence_tests_pull_at_most_one_tuple_per_tested_tuple() {
+    let xml = vamana_xmark::generate_string(&config_for_megabytes(0.4));
+    for optimize in [false, true] {
+        let engine = vamana_engine(&xml, optimize);
+        // Two-step paths run as cursors (a one-step path is answered by
+        // the index-only probe). A watcher watches several auctions and
+        // an auction has several bidders, each with an increase: pulling
+        // more than the first hit would show in either step.
+        for xpath in [
+            "//person[watches/watch]",
+            "//item[mailbox/mail]",
+            "//open_auction[bidder/increase]",
+        ] {
+            let paths = existence_paths(&engine, xpath);
+            assert_eq!(paths.len(), 1, "{xpath} (optimize={optimize})");
+            let path = &paths[0];
+            assert!(
+                path.bare && path.kept > 1 && path.rows.len() == 2,
+                "{xpath}"
+            );
+            assert_eq!(path.rows[0], path.kept, "{xpath}: one hit per kept tuple");
+            if xpath.contains("bidder") {
+                assert_eq!(path.rows[1], path.kept, "{xpath}: first bidder decides");
+            }
+        }
+        for (_, xpath) in QUERIES {
+            existence_paths(&engine, xpath);
         }
     }
 }

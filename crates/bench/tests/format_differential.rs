@@ -1,13 +1,13 @@
 //! Differential correctness of the compressed (v2) page tier over the
 //! full XMark query suite: a v2-format store must return byte-identical
 //! results to a v1 store for every query, in every execution mode
-//! (scalar, batched, morsel-parallel, fused), and both must agree with
-//! the `vamana-baseline` DOM engine. FLEX keys are deterministic for a
+//! (serial, morsel-parallel, fused) and under every pull size, and both
+//! must agree with the `vamana-baseline` DOM engine. FLEX keys are deterministic for a
 //! given load order, so whole [`NodeEntry`] sequences are comparable
 //! across stores.
 
 use vamana_baseline::XPathEngine as _;
-use vamana_bench::{QUERIES, ROOT_QUERIES, SCAN_QUERIES};
+use vamana_bench::{drain_stream_set, PULL_SIZES, QUERIES, ROOT_QUERIES, SCAN_QUERIES};
 use vamana_core::{DocId, Engine, MassStore, NodeEntry};
 use vamana_mass::StoreFormat;
 
@@ -31,23 +31,18 @@ fn engine_with_format(xml: &str, format: StoreFormat) -> Engine {
 /// (mode label, configure closure) for every execution mode.
 type ModeSetup = (&'static str, fn(&mut Engine));
 
-const MODES: [ModeSetup; 4] = [
-    ("scalar", |e| {
-        e.options_mut().batched = false;
-    }),
-    ("batched", |e| {
-        e.options_mut().batched = true;
+const MODES: [ModeSetup; 3] = [
+    ("serial", |e| {
+        e.options_mut().parallel = false;
     }),
     ("parallel", |e| {
         let o = e.options_mut();
-        o.batched = true;
         o.parallel = true;
         o.parallel_workers = 2;
         o.parallel_force = true;
     }),
     ("fused", |e| {
         let o = e.options_mut();
-        o.batched = true;
         o.fuse = true;
         o.fuse_force = true;
     }),
@@ -87,6 +82,12 @@ fn v2_results_equal_v1_in_every_mode_and_match_oracle() {
                 oracle,
                 "{name} ({mode}): v2 disagrees with DOM oracle"
             );
+            // The same result as a stream over compressed pages, pulled
+            // from one tuple at a time to all at once.
+            for max in PULL_SIZES {
+                let streamed = drain_stream_set(&v2, xpath, max);
+                assert_eq!(streamed, r2, "{name} ({mode}): v2 pulled by {max}");
+            }
         }
     }
 }

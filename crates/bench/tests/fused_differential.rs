@@ -1,13 +1,13 @@
 //! Differential correctness of whole-query fusion over the full XMark
 //! query suite: with fusion *forced* (every extractable candidate
 //! accepted, bypassing the cost gate so the fused executor is actually
-//! exercised), every query — batched and scalar — must be
+//! exercised), every query — under every pull size — must be
 //! byte-identical to a plain engine and agree with the DOM oracle.
 //! Queries outside the fusable fragment (reverse axes, sibling axes,
 //! value predicates) must pass through untouched.
 
 use vamana_baseline::XPathEngine;
-use vamana_bench::{VamanaBench, QUERIES, SCAN_QUERIES};
+use vamana_bench::{drain_stream_set, VamanaBench, PULL_SIZES, QUERIES, SCAN_QUERIES};
 use vamana_core::{DocId, Engine, MassStore, NodeEntry};
 use vamana_xmark::scale::config_for_megabytes;
 
@@ -39,22 +39,24 @@ fn identities(engine: &Engine, result: &[NodeEntry]) -> Vec<vamana_baseline::Nod
 fn fused_results_equal_unfused_and_oracle() {
     let xml = vamana_xmark::generate_string(&config_for_megabytes(0.4));
     let dom = vamana_baseline::dom::DomEngine::from_xml(&xml).unwrap();
-    let mut unfused = VamanaBench::optimized(&xml);
-    let mut subject = fused_engine(&xml);
+    let unfused = VamanaBench::optimized(&xml);
+    let subject = fused_engine(&xml);
     for (name, xpath) in all_queries() {
         let oracle = dom.identities(xpath).unwrap();
         assert!(!oracle.is_empty(), "{name}: oracle returned nothing");
-        for batched in [false, true] {
-            unfused.engine_mut().options_mut().batched = batched;
-            subject.options_mut().batched = batched;
-            let reference = unfused.engine().query(xpath).unwrap();
-            assert_eq!(
-                identities(unfused.engine(), &reference),
-                oracle,
-                "{name}: unfused engine disagrees with DOM oracle"
-            );
-            let got = subject.query_doc(DocId(0), xpath).unwrap();
-            assert_eq!(got, reference, "{name} (batched={batched}): fused != plain");
+        let reference = unfused.engine().query(xpath).unwrap();
+        assert_eq!(
+            identities(unfused.engine(), &reference),
+            oracle,
+            "{name}: unfused engine disagrees with DOM oracle"
+        );
+        let got = subject.query_doc(DocId(0), xpath).unwrap();
+        assert_eq!(got, reference, "{name}: fused != plain");
+        // A fused scan emits each node once, in document order: its
+        // stream is the result itself, whatever the pull size.
+        for max in PULL_SIZES {
+            let streamed = drain_stream_set(&subject, xpath, max);
+            assert_eq!(streamed, reference, "{name}: fused pulled by {max}");
         }
     }
     // The suite must actually exercise fused operators, not pass

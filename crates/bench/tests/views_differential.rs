@@ -1,12 +1,12 @@
 //! Differential correctness of the semantic cache over the full XMark
 //! query suite: with views enabled, every run of every query — cold
-//! (materializing), warm (answered from a view), batched and scalar —
+//! (materializing), warm (answered from a view), under every pull size —
 //! must be byte-identical to a view-less engine and to the DOM oracle.
 //! Queries outside the containment fragment (reverse axes, positional
 //! predicates) must pass untouched.
 
 use vamana_baseline::XPathEngine;
-use vamana_bench::{VamanaBench, QUERIES, SCAN_QUERIES};
+use vamana_bench::{drain_stream_set, VamanaBench, PULL_SIZES, QUERIES, SCAN_QUERIES};
 use vamana_core::{DocId, Engine, MassStore, NodeEntry};
 use vamana_xmark::scale::config_for_megabytes;
 
@@ -37,36 +37,43 @@ fn identities(engine: &Engine, result: &[NodeEntry]) -> Vec<vamana_baseline::Nod
         .collect()
 }
 
+/// The node-set `xpath` streams to on `engine`, once per pull size.
+fn streamed_sets(engine: &Engine, xpath: &str) -> Vec<Vec<NodeEntry>> {
+    PULL_SIZES
+        .iter()
+        .map(|&max| drain_stream_set(engine, xpath, max))
+        .collect()
+}
+
 /// Cold, warm and hot runs all equal the uncached answer and the DOM
-/// oracle, in both execution modes, for every query of the suite.
+/// oracle for every query of the suite, and so does the warm plan as a
+/// stream under every pull size.
 #[test]
 fn cached_results_equal_uncached_and_oracle() {
     let xml = vamana_xmark::generate_string(&config_for_megabytes(0.4));
     let dom = vamana_baseline::dom::DomEngine::from_xml(&xml).unwrap();
-    let mut uncached = VamanaBench::optimized(&xml);
-    let mut subject = views_engine(&xml, false);
+    let uncached = VamanaBench::optimized(&xml);
+    let subject = views_engine(&xml, false);
     for (name, xpath) in all_queries() {
         let oracle = dom.identities(xpath).unwrap();
         assert!(!oracle.is_empty(), "{name}: oracle returned nothing");
-        for batched in [false, true] {
-            uncached.engine_mut().options_mut().batched = batched;
-            subject.options_mut().batched = batched;
-            let reference = uncached.engine().query(xpath).unwrap();
-            assert_eq!(
-                identities(uncached.engine(), &reference),
-                oracle,
-                "{name}: uncached engine disagrees with DOM oracle"
-            );
-            // Run 1 materializes, runs 2-3 may be view-answered; all
-            // three must be byte-identical to the uncached result.
-            for run in 0..3 {
-                let got = subject.query_doc(DocId(0), xpath).unwrap();
-                assert_eq!(
-                    got, reference,
-                    "{name} run {run} (batched={batched}): cached != uncached"
-                );
-            }
+        let reference = uncached.engine().query(xpath).unwrap();
+        assert_eq!(
+            identities(uncached.engine(), &reference),
+            oracle,
+            "{name}: uncached engine disagrees with DOM oracle"
+        );
+        // Run 1 materializes, runs 2-3 may be view-answered; all
+        // three must be byte-identical to the uncached result.
+        for run in 0..3 {
+            let got = subject.query_doc(DocId(0), xpath).unwrap();
+            assert_eq!(got, reference, "{name} run {run}: cached != uncached");
         }
+        assert_eq!(
+            streamed_sets(&subject, xpath),
+            vec![reference; PULL_SIZES.len()],
+            "{name}: warm stream != uncached"
+        );
     }
     // The suite must actually exercise the cache, not pass vacuously.
     let stats = subject.views().stats();
@@ -82,7 +89,7 @@ fn cached_results_equal_uncached_and_oracle() {
 fn compensated_rewrites_agree_with_oracle() {
     let xml = vamana_xmark::generate_string(&config_for_megabytes(0.4));
     let dom = vamana_baseline::dom::DomEngine::from_xml(&xml).unwrap();
-    let mut subject = views_engine(&xml, true);
+    let subject = views_engine(&xml, true);
     let doc = DocId(0);
     for view in ["//person", "//item", "//person/address"] {
         subject.query_doc(doc, view).unwrap(); // materialize
@@ -93,16 +100,15 @@ fn compensated_rewrites_agree_with_oracle() {
         ("exact view", "//person/address"),
         ("item pred", "//item[mailbox]"),
     ] {
-        for batched in [false, true] {
-            subject.options_mut().batched = batched;
-            let result = subject.query_doc(doc, xpath).unwrap();
-            let got = identities(&subject, &result);
-            let oracle = dom.identities(xpath).unwrap();
-            assert_eq!(
-                got, oracle,
-                "{name} (batched={batched}): rewrite disagrees with oracle"
-            );
-        }
+        let result = subject.query_doc(doc, xpath).unwrap();
+        let got = identities(&subject, &result);
+        let oracle = dom.identities(xpath).unwrap();
+        assert_eq!(got, oracle, "{name}: rewrite disagrees with oracle");
+        assert_eq!(
+            streamed_sets(&subject, xpath),
+            vec![result; PULL_SIZES.len()],
+            "{name}: rewritten stream != rewritten result"
+        );
     }
     let stats = subject.views().stats();
     assert!(stats.hits >= 1, "no rewrite was ever applied: {stats:?}");

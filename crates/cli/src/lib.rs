@@ -824,6 +824,24 @@ mod tests {
     }
 
     #[test]
+    fn a_query_too_deep_to_run_is_an_error_and_the_session_goes_on() {
+        let mut s = loaded();
+        for deep in [
+            format!("{}1{}", "(".repeat(10_000), ")".repeat(10_000)),
+            format!("{}a", "a/".repeat(10_000)),
+            format!(".explain {}1", "1+".repeat(10_000)),
+            format!(".xquery {}", "<a>".repeat(10_000)),
+        ] {
+            let out = s.execute(&deep).unwrap();
+            assert!(
+                out.starts_with("error:") && out.contains("levels deep"),
+                "{out}"
+            );
+        }
+        assert!(s.execute("count(//person)").unwrap().starts_with('1'));
+    }
+
+    #[test]
     fn limit_caps_rows_and_is_adjustable() {
         let mut s = Session::new();
         s.engine()

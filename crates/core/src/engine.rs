@@ -31,17 +31,12 @@ pub struct EngineOptions {
     pub set_semantics: bool,
     /// Optimizer iteration bound.
     pub max_opt_iterations: usize,
-    /// Batched (vectorized) execution: pull [`exec::BATCH_SIZE`]-tuple
-    /// batches through the pipeline instead of one tuple at a time.
-    /// Produces the identical tuple sequence; `false` is the scalar
-    /// baseline kept for benchmarking and differential testing.
-    pub batched: bool,
     /// Morsel-parallel scans: a plan whose output step is a splittable
     /// page scan is sized when it runs — from the context count and page
     /// span of that run — and fans out over the engine's scan pool only
-    /// from the measured break-even up (`cost::PARALLEL_BREAK_EVEN`;
-    /// requires `batched`). Identical output either way; `false` keeps
-    /// every scan on the calling thread.
+    /// from the measured break-even up (`cost::PARALLEL_BREAK_EVEN`).
+    /// Identical output either way; `false` keeps every scan on the
+    /// calling thread.
     pub parallel: bool,
     /// Threads one scan may use, the calling thread included (the pool
     /// runs one fewer). `0` means one per available core; `1` is serial.
@@ -91,7 +86,6 @@ impl Default for EngineOptions {
             optimize: true,
             set_semantics: true,
             max_opt_iterations: 8,
-            batched: true,
             parallel: true,
             parallel_workers: 0,
             parallel_force: false,
@@ -170,17 +164,15 @@ pub struct Explain {
 }
 
 /// A streaming query cursor: owns its plan and pulls tuples through the
-/// pipelined executor one at a time (see [`Engine::stream`]).
+/// pipelined executor on demand (see [`Engine::stream`]).
 pub struct QueryStream<'s> {
     store: &'s MassStore,
     plan: Box<QueryPlan>,
     root_ctx: NodeEntry,
     iter: exec::OpIter<'s>,
     done: bool,
-    /// Batched mode: `next` refills from `pending`, which holds the
-    /// remainder of the last batch *in reverse* so each pull is an O(1)
-    /// pop without cloning.
-    batched: bool,
+    /// `next` pops from `pending`, which holds the remainder of its last
+    /// pull *in reverse* so each pop is O(1) without cloning.
     pending: Vec<NodeEntry>,
 }
 
@@ -207,13 +199,11 @@ impl<'s> QueryStream<'s> {
                     root_ctx: &root_ctx,
                     stats: None,
                 };
-                let mut iter = None;
-                if engine.options().batched {
-                    if let Some(hooks) = engine.parallel_hooks(&plan) {
-                        iter = exec::parallel::build_parallel(env, top, &hooks)?;
-                    }
-                }
-                match iter {
+                let parallel = match engine.parallel_hooks(&plan) {
+                    Some(hooks) => exec::parallel::build_parallel(env, top, &hooks)?,
+                    None => None,
+                };
+                match parallel {
                     Some(it) => it,
                     None => exec::build_iter(env, top, None)?,
                 }
@@ -226,48 +216,22 @@ impl<'s> QueryStream<'s> {
             root_ctx,
             iter,
             done: false,
-            batched: engine.options().batched,
             pending: Vec::new(),
         })
     }
 
-    /// Pulls the next tuple in pipeline order, or `None` when exhausted.
-    ///
-    /// In batched mode this refills an internal batch every
-    /// [`exec::BATCH_SIZE`] pulls; the observable tuple sequence is
-    /// identical to scalar mode.
+    /// Pulls the next tuple in pipeline order, or `None` when exhausted:
+    /// a pop over an internal [`exec::BATCH_SIZE`]-tuple pull (use
+    /// `next_batch(out, 1)` to make the pipeline produce one tuple only).
     #[allow(clippy::should_implement_trait)] // fallible
     pub fn next(&mut self) -> Result<Option<NodeEntry>> {
-        if let Some(t) = self.pending.pop() {
-            return Ok(Some(t));
+        if self.pending.is_empty() {
+            let mut batch = std::mem::take(&mut self.pending);
+            self.next_batch(&mut batch, exec::BATCH_SIZE)?;
+            batch.reverse();
+            self.pending = batch;
         }
-        if self.done {
-            return Ok(None);
-        }
-        let env = Env {
-            plan: &self.plan,
-            store: self.store,
-            root_ctx: &self.root_ctx,
-            stats: None,
-        };
-        if self.batched {
-            if self
-                .iter
-                .next_batch(env, &mut self.pending, exec::BATCH_SIZE)?
-                == 0
-            {
-                self.done = true;
-                return Ok(None);
-            }
-            self.pending.reverse();
-            Ok(self.pending.pop())
-        } else {
-            let item = self.iter.next(env)?;
-            if item.is_none() {
-                self.done = true;
-            }
-            Ok(item)
-        }
+        Ok(self.pending.pop())
     }
 
     /// Pulls up to `max` tuples into `out`, returning how many were
@@ -276,7 +240,7 @@ impl<'s> QueryStream<'s> {
     /// whole batches into its result buffer without per-tuple dispatch.
     pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
         let start = out.len();
-        // Leftovers from interleaved scalar pulls come first (reversed).
+        // Leftovers of a `next` pull come first (reversed).
         while out.len() - start < max {
             match self.pending.pop() {
                 Some(t) => out.push(t),
@@ -293,22 +257,7 @@ impl<'s> QueryStream<'s> {
             stats: None,
         };
         let budget = max - (out.len() - start);
-        let produced = if self.batched {
-            self.iter.next_batch(env, out, budget)?
-        } else {
-            let mut n = 0;
-            while n < budget {
-                match self.iter.next(env)? {
-                    Some(t) => {
-                        out.push(t);
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
-            n
-        };
-        if produced == 0 {
+        if self.iter.next_batch(env, out, budget)? < budget {
             self.done = true;
         }
         Ok(out.len() - start)
@@ -442,11 +391,11 @@ impl Engine {
     }
 
     /// What the executor needs to price and run a parallel scan: only
-    /// for plans the optimizer found eligible, with parallel + batched
-    /// execution enabled and a second thread to give.
+    /// for plans the optimizer found eligible, with parallel execution
+    /// enabled and a second thread to give.
     pub(crate) fn parallel_hooks(&self, plan: &QueryPlan) -> Option<ParallelHooks<'_>> {
         let width = self.effective_workers();
-        if !self.options.parallel || !self.options.batched || width < 2 {
+        if !self.options.parallel || width < 2 {
             return None;
         }
         plan.parallel()?;
@@ -870,13 +819,7 @@ impl Engine {
             stats: None,
         };
         let hooks = self.parallel_hooks(plan);
-        exec::run_plan(
-            env,
-            None,
-            self.options.set_semantics,
-            self.options.batched,
-            hooks.as_ref(),
-        )
+        exec::run_plan(env, None, self.options.set_semantics, hooks.as_ref())
     }
 
     /// Compiles, (optionally) optimizes, and executes `xpath` on `doc`.
@@ -915,12 +858,7 @@ impl Engine {
             root_ctx: &root_ctx,
             stats: None,
         };
-        exec::run_from_mode(
-            env,
-            Some(ctx),
-            self.options.set_semantics,
-            self.options.batched,
-        )
+        exec::run_plan(env, Some(ctx), self.options.set_semantics, None)
     }
 
     /// Runs `xpath` against every loaded document, concatenating results
@@ -1015,10 +953,9 @@ impl Engine {
     /// returning an [`Analysis`] holding the estimate-stamped plan, the
     /// optimizer's pass log, and the recorded actuals.
     ///
-    /// Execution follows the engine's configured mode (scalar, batched,
-    /// or parallel) exactly as [`Engine::query_doc`] would — the actual
-    /// row counts are identical in every mode; only batch/timing counters
-    /// differ.
+    /// Execution is exactly what [`Engine::query_doc`] would do, a
+    /// parallel fan-out included — the actual row counts are the same
+    /// either way; only pull counts and timings differ.
     pub fn analyze_doc(&self, doc: DocId, xpath: &str) -> Result<Analysis> {
         let buffer_before = self.store().buffer_pool().stats();
         let par_before = self.parallel_stats();
@@ -1059,13 +996,7 @@ impl Engine {
             stats: Some(&stats),
         };
         let hooks = self.parallel_hooks(&plan);
-        let out = exec::run_plan(
-            env,
-            None,
-            self.options.set_semantics,
-            self.options.batched,
-            hooks.as_ref(),
-        )?;
+        let out = exec::run_plan(env, None, self.options.set_semantics, hooks.as_ref())?;
         let elapsed = start.elapsed();
         let actuals = stats.snapshot();
         let mut opt_trace = opt_trace;
@@ -1563,9 +1494,12 @@ mod tests {
         assert_eq!(a.view(), Some("//person"), "{}", a.render());
         assert!(a.profile.fused_chains >= 1, "{}", a.render());
         assert_eq!(e.query_doc(doc, "//person/*//*").unwrap(), want);
-        // Scalar (unbatched) fused execution is the differential oracle.
-        e.options_mut().batched = false;
-        assert_eq!(e.query_doc(doc, "//person/*//*").unwrap(), want);
+        // The fused scan over the view's contexts, pulled one tuple at a
+        // time, is the same sequence.
+        let mut stream = e.stream(doc, "//person/*//*").unwrap();
+        let mut one_by_one = Vec::new();
+        while stream.next_batch(&mut one_by_one, 1).unwrap() == 1 {}
+        assert_eq!(one_by_one, want);
     }
 
     #[test]

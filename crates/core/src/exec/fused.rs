@@ -174,9 +174,6 @@ pub struct FusedIter<'s> {
     /// result, sorted and deduplicated, served in chunks.
     materialized: Option<Vec<NodeEntry>>,
     mat_pos: usize,
-    /// Scalar-`next` staging buffer.
-    scratch: Vec<NodeEntry>,
-    scratch_pos: usize,
 }
 
 impl<'s> FusedIter<'s> {
@@ -245,8 +242,6 @@ impl<'s> FusedIter<'s> {
             },
             materialized: None,
             mat_pos: 0,
-            scratch: Vec::new(),
-            scratch_pos: 0,
         })
     }
 
@@ -260,9 +255,7 @@ impl<'s> FusedIter<'s> {
         }
         match self.context.take() {
             Some(mut ctx) => {
-                while let Some(t) = ctx.next(env)? {
-                    self.contexts.push(t);
-                }
+                ctx.next_batch(env, &mut self.contexts, usize::MAX)?;
                 self.contexts.sort_by(|a, b| a.key.cmp(&b.key));
                 self.contexts.dedup_by(|a, b| a.key == b.key);
             }
@@ -283,13 +276,7 @@ impl<'s> FusedIter<'s> {
             .any(|w| w[0].key.is_ancestor_of(&w[1].key));
         if nested {
             let mut all = Vec::new();
-            loop {
-                let before = all.len();
-                self.fill_streaming(env, &mut all, usize::MAX)?;
-                if all.len() == before {
-                    break;
-                }
-            }
+            self.fill_streaming(env, &mut all, usize::MAX)?;
             all.sort_by(|a, b| a.key.cmp(&b.key));
             all.dedup_by(|a, b| a.key == b.key);
             self.materialized = Some(all);
@@ -409,7 +396,7 @@ impl<'s> FusedIter<'s> {
             return Ok(0);
         }
         if let Some(all) = &self.materialized {
-            let end = (self.mat_pos + max).min(all.len());
+            let end = self.mat_pos.saturating_add(max).min(all.len());
             let n = end - self.mat_pos;
             out.extend_from_slice(&all[self.mat_pos..end]);
             self.mat_pos = end;
@@ -425,7 +412,7 @@ impl<'s> FusedIter<'s> {
         Ok(n)
     }
 
-    /// Batched pull with the standard analyze instrumentation (pool
+    /// The pull, with the standard analyze instrumentation (pool
     /// probe/pin deltas credit the scan's page traffic to this operator).
     pub fn next_batch(
         &mut self,
@@ -441,35 +428,10 @@ impl<'s> FusedIter<'s> {
         let got = self.next_batch_inner(env, out, max)?;
         let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
         stats.add_invocation(self.op);
-        stats.add_batch(self.op);
         stats.add_rows(self.op, got as u64);
         stats.add_nanos(self.op, t0.elapsed().as_nanos() as u64);
         stats.add_probe_pins(self.op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
         Ok(got)
-    }
-
-    /// Scalar pull: staged through an internal batch so the scan still
-    /// amortizes page pins; the tuple sequence is identical to the
-    /// batched one.
-    pub fn next(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        if self.scratch_pos >= self.scratch.len() {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            scratch.clear();
-            self.scratch_pos = 0;
-            self.next_batch_inner(env, &mut scratch, super::BATCH_SIZE)?;
-            self.scratch = scratch;
-        }
-        let t = self.scratch.get(self.scratch_pos).cloned();
-        if t.is_some() {
-            self.scratch_pos += 1;
-        }
-        if let Some(stats) = env.stats {
-            stats.add_invocation(self.op);
-            if t.is_some() {
-                stats.add_rows(self.op, 1);
-            }
-        }
-        Ok(t)
     }
 }
 

@@ -2,9 +2,14 @@
 //!
 //! Execution is pull-based along the context path: each operator is a
 //! cursor in one of the paper's three states — INITIAL, FETCHING,
-//! OUT_OF_TUPLES (Algorithm 1/2). Tuples are FLEX-keyed [`NodeEntry`]s;
-//! node values are fetched lazily only when a predicate or the caller
-//! actually needs them.
+//! OUT_OF_TUPLES (Algorithm 1/2). There is one pull,
+//! `next_batch(env, out, max)`: append up to `max` tuples to `out`; a
+//! short count means the cursor is exhausted, and it stays exhausted.
+//! The paper's tuple-at-a-time `next()` is the `max = 1` case, and a
+//! cursor never asks its context for more tuples than it was asked for
+//! itself, so a one-row pull does one row's work all the way down.
+//! Tuples are FLEX-keyed [`NodeEntry`]s; node values are fetched lazily
+//! only when a predicate or the caller actually needs them.
 //!
 //! Predicate trees re-run per tuple with dynamically set context
 //! (paper §V-B): leaf steps with [`ContextSource::OuterTuple`] anchor at
@@ -18,15 +23,14 @@ pub mod value;
 use crate::error::{EngineError, Result};
 use crate::plan::{ArithOp, BinOp, ContextSource, OpId, Operator, QueryPlan, TestSpec};
 use stats::ExecStats;
-use std::collections::HashSet;
 use value::Value;
 use vamana_flex::{Axis, FlexKey, KeyRange};
 use vamana_mass::axes::{axis_stream, AxisStream, KindFilter, NodeFilter};
 use vamana_mass::{MassStore, NodeEntry, RecordKind};
 
-/// Tuples per batch in the batched pipeline. Large enough to amortize
-/// per-batch dispatch to noise, small enough that a batch of entries
-/// (key bytes included) stays within L1/L2 cache.
+/// Tuples per pull when the caller wants everything. Large enough to
+/// amortize per-pull dispatch to noise, small enough that a batch of
+/// entries (key bytes included) stays within L1/L2 cache.
 pub const BATCH_SIZE: usize = 256;
 
 /// The paper's operator states (§VII).
@@ -101,47 +105,21 @@ impl<'p, 's> Env<'p, 's> {
 /// Under `set_semantics` (XPath node-set semantics) the result is sorted
 /// into document order with duplicates removed; otherwise tuples are
 /// returned in pipeline order, duplicates included.
-pub fn run(env: Env<'_, '_>, set_semantics: bool) -> Result<Vec<NodeEntry>> {
-    run_from(env, None, set_semantics)
-}
-
-/// Like [`run`], but leaf operators with [`ContextSource::OuterTuple`]
-/// anchor at `outer` — the paper's §VII hook for XQuery: "the context
-/// node could be provided from another XPath expression".
-pub fn run_from(
-    env: Env<'_, '_>,
-    outer: Option<&NodeEntry>,
-    set_semantics: bool,
-) -> Result<Vec<NodeEntry>> {
-    run_from_mode(env, outer, set_semantics, true)
-}
-
-/// [`run_from`] with an explicit execution mode: `batched` pulls
-/// [`BATCH_SIZE`]-tuple batches through the pipeline, `!batched` pulls
-/// one tuple at a time. Both produce the identical tuple sequence; the
-/// scalar mode exists as the measured baseline and differential oracle
-/// for the batched one.
-pub fn run_from_mode(
-    env: Env<'_, '_>,
-    outer: Option<&NodeEntry>,
-    set_semantics: bool,
-    batched: bool,
-) -> Result<Vec<NodeEntry>> {
-    run_plan(env, outer, set_semantics, batched, None)
-}
-
-/// [`run_from_mode`] with an optional parallel-scan hookup. When `par`
-/// is provided (engine gating: `EngineOptions.parallel`, a plan the
-/// optimizer found eligible, batched mode, top-level run), the plan's
-/// output step is sized at this point and fans out over the engine's
-/// scan pool if it is above the break-even; otherwise it runs serially. Output is
+///
+/// Leaf operators with [`ContextSource::OuterTuple`] anchor at `outer` —
+/// the paper's §VII hook for XQuery: "the context node could be provided
+/// from another XPath expression".
+///
+/// When `par` is provided (engine gating: `EngineOptions.parallel`, a
+/// plan the optimizer found eligible, top-level run), the plan's output
+/// step is sized at this point and fans out over the engine's scan pool
+/// if it is above the break-even; otherwise it runs serially. Output is
 /// identical in all cases — parallelism only reorders *work*, never
 /// tuples.
 pub fn run_plan(
     env: Env<'_, '_>,
     outer: Option<&NodeEntry>,
     set_semantics: bool,
-    batched: bool,
     par: Option<&parallel::ParallelHooks>,
 ) -> Result<Vec<NodeEntry>> {
     let top = match env.plan.op(env.plan.root()) {
@@ -153,22 +131,14 @@ pub fn run_plan(
     };
     let started = env.stats.map(|_| std::time::Instant::now());
     let mut iter = match par {
-        Some(hooks) if outer.is_none() && batched => {
-            match parallel::build_parallel(env, top, hooks)? {
-                Some(it) => it,
-                None => build_iter(env, top, outer)?,
-            }
-        }
+        Some(hooks) if outer.is_none() => match parallel::build_parallel(env, top, hooks)? {
+            Some(it) => it,
+            None => build_iter(env, top, outer)?,
+        },
         _ => build_iter(env, top, outer)?,
     };
     let mut out = Vec::new();
-    if batched {
-        while iter.next_batch(env, &mut out, BATCH_SIZE)? > 0 {}
-    } else {
-        while let Some(t) = iter.next(env)? {
-            out.push(t);
-        }
-    }
+    while iter.next_batch(env, &mut out, BATCH_SIZE)? == BATCH_SIZE {}
     if set_semantics {
         out.sort_by(|a, b| a.key.cmp(&b.key));
         out.dedup_by(|a, b| a.key == b.key);
@@ -246,25 +216,12 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
                 env.node_filter(*axis, test),
                 predicates.clone(),
                 ctx_iter,
-                outer.cloned(),
             ))))
         }
         Operator::RangeStep {
             context, source, ..
-        } => {
-            let ctx_iter = match context {
-                Some(c) => build_iter(env, *c, outer)?,
-                None => OpIter::Anchor(Some(anchor_for(env, *source, outer))),
-            };
-            Ok(OpIter::ValueStep(Box::new(ValueStepIter {
-                op: id,
-                context: Box::new(ctx_iter),
-                state: OpState::Initial,
-                buffer: Vec::new(),
-                buffer_pos: 0,
-            })))
         }
-        Operator::ValueStep {
+        | Operator::ValueStep {
             context, source, ..
         } => {
             let ctx_iter = match context {
@@ -273,8 +230,9 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
             };
             Ok(OpIter::ValueStep(Box::new(ValueStepIter {
                 op: id,
-                context: Box::new(ctx_iter),
+                context: ctx_iter,
                 state: OpState::Initial,
+                ctx: Vec::new(),
                 buffer: Vec::new(),
                 buffer_pos: 0,
             })))
@@ -287,17 +245,9 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
         Operator::Filter { input, predicates } => {
             // Whole-node-set positional filtering: materialize the input
             // in document order (deduplicated), then filter.
-            let mut iter = build_iter(env, *input, outer)?;
-            let mut group = Vec::new();
-            let mut seen = HashSet::new();
-            while let Some(t) = iter.next(env)? {
-                if seen.insert(t.key.clone()) {
-                    group.push(t);
-                }
-            }
-            group.sort_by(|a, b| a.key.cmp(&b.key));
+            let mut group = drain_set(env, build_iter(env, *input, outer)?)?;
             for pred in predicates {
-                group = apply_predicate(env, *pred, group, false, outer)?;
+                group = apply_predicate(env, *pred, group, false)?;
             }
             if let Some(stats) = env.stats {
                 stats.add_invocation(id);
@@ -306,14 +256,13 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
             Ok(OpIter::Join(group.into_iter()))
         }
         Operator::Join { op, left, right } => {
-            let mut l_iter = build_iter(env, *left, outer)?;
-            let mut r_iter = build_iter(env, *right, outer)?;
+            let lefts = drain(env, build_iter(env, *left, outer)?)?;
             let mut rights = Vec::new();
-            while let Some(t) = r_iter.next(env)? {
+            for t in drain(env, build_iter(env, *right, outer)?)? {
                 rights.push(value::node_string_value(env.store, &t)?);
             }
             let mut out = Vec::new();
-            while let Some(t) = l_iter.next(env)? {
+            for t in lefts {
                 let lv = value::node_string_value(env.store, &t)?;
                 let hit = rights.iter().any(|rv| {
                     let l = Value::Str(lv.clone());
@@ -344,6 +293,21 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
     }
 }
 
+/// Everything `iter` has left, in pipeline order.
+fn drain<'s>(env: Env<'_, 's>, mut iter: OpIter<'s>) -> Result<Vec<NodeEntry>> {
+    let mut nodes = Vec::new();
+    iter.next_batch(env, &mut nodes, usize::MAX)?;
+    Ok(nodes)
+}
+
+/// Drains `iter` into a node-set: document order, duplicates removed.
+fn drain_set<'s>(env: Env<'_, 's>, iter: OpIter<'s>) -> Result<Vec<NodeEntry>> {
+    let mut nodes = drain(env, iter)?;
+    nodes.sort_by(|a, b| a.key.cmp(&b.key));
+    nodes.dedup_by(|a, b| a.key == b.key);
+    Ok(nodes)
+}
+
 fn anchor_for(env: Env<'_, '_>, source: ContextSource, outer: Option<&NodeEntry>) -> NodeEntry {
     match (source, outer) {
         (ContextSource::OuterTuple, Some(t)) => t.clone(),
@@ -352,56 +316,8 @@ fn anchor_for(env: Env<'_, '_>, source: ContextSource, outer: Option<&NodeEntry>
 }
 
 impl<'s> OpIter<'s> {
-    /// Pulls the next tuple.
-    pub fn next(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        match self {
-            OpIter::Anchor(item) => Ok(item.take()),
-            OpIter::Step(s) => s.next(env),
-            OpIter::ValueStep(s) => s.next(env),
-            OpIter::Fused(f) => f.next(env),
-            OpIter::Union(id, l, r) => {
-                let t = match l.next(env)? {
-                    Some(t) => Some(t),
-                    None => r.next(env)?,
-                };
-                if let Some(stats) = env.stats {
-                    stats.add_invocation(*id);
-                    if t.is_some() {
-                        stats.add_rows(*id, 1);
-                    }
-                }
-                Ok(t)
-            }
-            OpIter::Join(items) => Ok(items.next()),
-            OpIter::Parallel(p) => {
-                let t = p.next()?;
-                if let Some(stats) = env.stats {
-                    stats.add_invocation(p.op);
-                    if t.is_some() {
-                        stats.add_rows(p.op, 1);
-                    }
-                }
-                Ok(t)
-            }
-            OpIter::View { op, entries, pos } => {
-                let t = entries.get(*pos).cloned();
-                if t.is_some() {
-                    *pos += 1;
-                }
-                if let Some(stats) = env.stats {
-                    stats.add_invocation(*op);
-                    if t.is_some() {
-                        stats.add_rows(*op, 1);
-                    }
-                }
-                Ok(t)
-            }
-        }
-    }
-
     /// Pulls up to `max` tuples into `out`, returning how many were
-    /// appended — the same tuple sequence [`OpIter::next`] would produce,
-    /// chunked. A short (or zero) count means the operator is exhausted.
+    /// appended. A short (or zero) count means the operator is exhausted.
     pub fn next_batch(
         &mut self,
         env: Env<'_, 's>,
@@ -430,7 +346,6 @@ impl<'s> OpIter<'s> {
                 }
                 if let Some(stats) = env.stats {
                     stats.add_invocation(*id);
-                    stats.add_batch(*id);
                     stats.add_rows(*id, n as u64);
                 }
                 Ok(n)
@@ -452,7 +367,6 @@ impl<'s> OpIter<'s> {
                     let n = p.next_batch(out, max)?;
                     let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
                     stats.add_invocation(p.op);
-                    stats.add_batch(p.op);
                     stats.add_rows(p.op, n as u64);
                     stats.add_nanos(p.op, t0.elapsed().as_nanos() as u64);
                     stats.add_probe_pins(p.op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
@@ -461,13 +375,12 @@ impl<'s> OpIter<'s> {
             },
             OpIter::View { op, entries, pos } => {
                 let t0 = env.stats.map(|_| std::time::Instant::now());
-                let end = (*pos + max).min(entries.len());
+                let end = pos.saturating_add(max).min(entries.len());
                 let n = end - *pos;
                 out.extend_from_slice(&entries[*pos..end]);
                 *pos = end;
                 if let Some(stats) = env.stats {
                     stats.add_invocation(*op);
-                    stats.add_batch(*op);
                     stats.add_rows(*op, n as u64);
                     if let Some(t0) = t0 {
                         stats.add_nanos(*op, t0.elapsed().as_nanos() as u64);
@@ -491,13 +404,15 @@ pub struct StepIter<'s> {
     context: OpIter<'s>,
     /// Paper state machine.
     state: OpState,
-    /// Lazy axis stream (fast path: no predicates).
+    /// Context tuples pulled but not yet opened (reused between pulls);
+    /// `contexts[ctx_pos - 1]` is the current one.
+    contexts: Vec<NodeEntry>,
+    ctx_pos: usize,
+    /// Lazy axis stream of the current context (no predicates).
     stream: Option<AxisStream<'s>>,
-    current_ctx: Option<NodeEntry>,
-    /// Filtered group (predicate path).
+    /// Filtered group of the current context (predicate path).
     buffer: Vec<NodeEntry>,
     buffer_pos: usize,
-    outer: Option<NodeEntry>,
 }
 
 impl<'s> StepIter<'s> {
@@ -508,7 +423,6 @@ impl<'s> StepIter<'s> {
         filter: Option<NodeFilter>,
         predicates: Vec<OpId>,
         context: OpIter<'s>,
-        outer: Option<NodeEntry>,
     ) -> Self {
         StepIter {
             op,
@@ -517,38 +431,38 @@ impl<'s> StepIter<'s> {
             predicates,
             context,
             state: OpState::Initial,
+            contexts: Vec::new(),
+            ctx_pos: 0,
             stream: None,
-            current_ctx: None,
             buffer: Vec::new(),
             buffer_pos: 0,
-            outer,
         }
     }
 
-    /// `GetNextContext()` — Algorithm 2.
-    fn advance_context(&mut self, env: Env<'_, 's>) -> Result<bool> {
-        match self.context.next(env)? {
-            Some(ctx) => {
-                self.current_ctx = Some(ctx);
-                self.state = OpState::Fetching;
-                Ok(true)
-            }
-            None => {
+    /// `GetNextContext()` — Algorithm 2: moves to the next context tuple
+    /// and opens its axis stream (or filtered group). When the pulled
+    /// contexts are used up it pulls at most `budget` more — the rows
+    /// this step still owes its caller — so a one-row pull never makes
+    /// the context path produce more than one tuple.
+    fn next_context(&mut self, env: Env<'_, 's>, budget: usize) -> Result<bool> {
+        if self.ctx_pos == self.contexts.len() {
+            self.contexts.clear();
+            self.ctx_pos = 0;
+            self.context
+                .next_batch(env, &mut self.contexts, budget.min(BATCH_SIZE))?;
+            if self.contexts.is_empty() {
                 self.state = OpState::OutOfTuples;
-                Ok(false)
+                return Ok(false);
             }
         }
-    }
-
-    fn open_stream(&mut self, env: Env<'_, 's>) -> Result<bool> {
-        let Some(ctx) = self.current_ctx.clone() else {
-            return Ok(false);
-        };
+        let ctx = &self.contexts[self.ctx_pos];
+        self.ctx_pos += 1;
+        self.state = OpState::Fetching;
+        self.stream = None;
+        self.buffer.clear();
+        self.buffer_pos = 0;
+        // Unknown name: provably empty for every context.
         let Some(filter) = self.filter else {
-            // Unknown name: provably empty for this context.
-            self.stream = None;
-            self.buffer.clear();
-            self.buffer_pos = 0;
             return Ok(true);
         };
         let stream = axis_stream(env.store, &ctx.key, ctx.kind, self.axis, filter)?;
@@ -559,70 +473,19 @@ impl<'s> StepIter<'s> {
             // then filter through each predicate in order.
             let mut group = stream.collect()?;
             for pred in &self.predicates {
-                group = apply_predicate(
-                    env,
-                    *pred,
-                    group,
-                    self.axis.is_reverse(),
-                    self.outer.as_ref(),
-                )?;
+                group = apply_predicate(env, *pred, group, self.axis.is_reverse())?;
             }
             self.buffer = group;
-            self.buffer_pos = 0;
-            self.stream = None;
         }
         Ok(true)
     }
 
-    fn next(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        let t = self.next_inner(env)?;
-        if let Some(stats) = env.stats {
-            stats.add_invocation(self.op);
-            if t.is_some() {
-                stats.add_rows(self.op, 1);
-            }
-        }
-        Ok(t)
-    }
-
-    fn next_inner(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        loop {
-            match self.state {
-                OpState::OutOfTuples => return Ok(None),
-                OpState::Initial => {
-                    if !self.advance_context(env)? {
-                        return Ok(None);
-                    }
-                    self.open_stream(env)?;
-                }
-                OpState::Fetching => {
-                    if let Some(stream) = &mut self.stream {
-                        if let Some(t) = stream.next()? {
-                            return Ok(Some(t));
-                        }
-                    } else if self.buffer_pos < self.buffer.len() {
-                        let t = self.buffer[self.buffer_pos].clone();
-                        self.buffer_pos += 1;
-                        return Ok(Some(t));
-                    }
-                    // Current context exhausted: pull the next one.
-                    if !self.advance_context(env)? {
-                        return Ok(None);
-                    }
-                    self.open_stream(env)?;
-                }
-            }
-        }
-    }
-
-    /// Batched pull — the paper's INITIAL/FETCHING/OUT_OF_TUPLES machine
-    /// advanced at batch granularity. The fast (no-predicate) path fills
-    /// the batch straight from the axis stream, so page pinning and
-    /// record decoding are amortized in `vamana-mass`; the predicate path
-    /// stays scalar-materialized per context (position()/last() need the
-    /// whole group) and only the copy-out is chunked. Contexts are still
-    /// pulled one at a time, so the tuple sequence is byte-identical to
-    /// [`StepIter::next`]'s. One batch may span several contexts.
+    /// The paper's INITIAL/FETCHING/OUT_OF_TUPLES machine advanced under
+    /// a row budget. Without predicates the rows come straight from the
+    /// axis stream, so page pinning and record decoding are amortized in
+    /// `vamana-mass`; with predicates the group is materialized per
+    /// context (position()/last() need the whole group) and copied out in
+    /// chunks. One pull may span several contexts.
     fn next_batch(
         &mut self,
         env: Env<'_, 's>,
@@ -632,14 +495,13 @@ impl<'s> StepIter<'s> {
         let Some(stats) = env.stats else {
             return self.next_batch_inner(env, out, max);
         };
-        // Inclusive attribution at batch granularity: the pool delta and
-        // the clock cover child context pulls made during this batch.
+        // Inclusive attribution per pull: the pool delta and the clock
+        // cover the context pulls made during it.
         let (p0, pin0) = env.store.buffer_pool().probe_pin_counts();
         let t0 = std::time::Instant::now();
         let got = self.next_batch_inner(env, out, max)?;
         let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
         stats.add_invocation(self.op);
-        stats.add_batch(self.op);
         stats.add_rows(self.op, got as u64);
         stats.add_nanos(self.op, t0.elapsed().as_nanos() as u64);
         stats.add_probe_pins(self.op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
@@ -654,88 +516,44 @@ impl<'s> StepIter<'s> {
     ) -> Result<usize> {
         let start = out.len();
         loop {
-            let produced = out.len() - start;
-            if produced >= max {
-                return Ok(produced);
+            let want = max - (out.len() - start);
+            if want == 0 || self.state == OpState::OutOfTuples {
+                return Ok(out.len() - start);
             }
-            match self.state {
-                OpState::OutOfTuples => return Ok(produced),
-                OpState::Initial => {
-                    if !self.advance_context(env)? {
-                        return Ok(produced);
-                    }
-                    self.open_stream(env)?;
+            if let Some(stream) = &mut self.stream {
+                // A full count may leave more behind; a short one cannot
+                // (the `next_batch` contract), so the context is
+                // exhausted without another probe.
+                if stream.next_batch(out, want)? >= want {
+                    continue;
                 }
-                OpState::Fetching => {
-                    if let Some(stream) = &mut self.stream {
-                        let want = max - produced;
-                        let got = stream.next_batch(out, want)?;
-                        // A full batch may leave more behind; a short one
-                        // cannot (the `next_batch` contract), so the
-                        // context is exhausted without another probe.
-                        if got >= want {
-                            continue;
-                        }
-                    } else if self.buffer_pos < self.buffer.len() {
-                        let take = (self.buffer.len() - self.buffer_pos).min(max - produced);
-                        out.extend_from_slice(
-                            &self.buffer[self.buffer_pos..self.buffer_pos + take],
-                        );
-                        self.buffer_pos += take;
-                        continue;
-                    }
-                    // Current context exhausted: pull the next one.
-                    if !self.advance_context(env)? {
-                        return Ok(out.len() - start);
-                    }
-                    self.open_stream(env)?;
-                }
+            } else if self.buffer_pos < self.buffer.len() {
+                let take = (self.buffer.len() - self.buffer_pos).min(want);
+                out.extend_from_slice(&self.buffer[self.buffer_pos..self.buffer_pos + take]);
+                self.buffer_pos += take;
+                continue;
             }
+            // INITIAL, or the current context is exhausted.
+            self.next_context(env, want)?;
         }
     }
 }
 
-/// Cursor for the value-index step (`φ value::'v'`).
+/// Cursor for the value-index steps (`φ value::'v'` and its numeric
+/// range form).
 pub struct ValueStepIter<'s> {
     op: OpId,
-    context: Box<OpIter<'s>>,
+    context: OpIter<'s>,
     state: OpState,
+    /// The current context tuple (a reused one-slot pull buffer).
+    ctx: Vec<NodeEntry>,
     buffer: Vec<NodeEntry>,
     buffer_pos: usize,
 }
 
 impl<'s> ValueStepIter<'s> {
-    fn next(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        let t = self.next_inner(env)?;
-        if let Some(stats) = env.stats {
-            stats.add_invocation(self.op);
-            if t.is_some() {
-                stats.add_rows(self.op, 1);
-            }
-        }
-        Ok(t)
-    }
-
-    fn next_inner(&mut self, env: Env<'_, 's>) -> Result<Option<NodeEntry>> {
-        loop {
-            match self.state {
-                OpState::OutOfTuples => return Ok(None),
-                OpState::Initial | OpState::Fetching => {
-                    if self.buffer_pos < self.buffer.len() {
-                        let t = self.buffer[self.buffer_pos].clone();
-                        self.buffer_pos += 1;
-                        return Ok(Some(t));
-                    }
-                    if !self.refill(env)? {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batched pull: drains the current buffer in chunks and refills from
-    /// the next context when it runs dry. Short count means exhausted.
+    /// Drains the current context's value-index hits in chunks and
+    /// refills from the next context when they run dry.
     fn next_batch(
         &mut self,
         env: Env<'_, 's>,
@@ -750,7 +568,6 @@ impl<'s> ValueStepIter<'s> {
         let got = self.next_batch_inner(env, out, max)?;
         let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
         stats.add_invocation(self.op);
-        stats.add_batch(self.op);
         stats.add_rows(self.op, got as u64);
         stats.add_nanos(self.op, t0.elapsed().as_nanos() as u64);
         stats.add_probe_pins(self.op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
@@ -775,20 +592,20 @@ impl<'s> ValueStepIter<'s> {
                 self.buffer_pos += take;
                 continue;
             }
-            if !self.refill(env)? {
-                return Ok(out.len() - start);
-            }
+            self.refill(env)?;
         }
     }
 
     /// Pulls the next context tuple and rebuilds the value-index buffer
-    /// for it. Returns `false` (and flips to OUT_OF_TUPLES) when the
-    /// context stream is exhausted.
-    fn refill(&mut self, env: Env<'_, 's>) -> Result<bool> {
-        let Some(ctx) = self.context.next(env)? else {
+    /// for it; flips to OUT_OF_TUPLES when the context stream is
+    /// exhausted.
+    fn refill(&mut self, env: Env<'_, 's>) -> Result<()> {
+        self.ctx.clear();
+        if self.context.next_batch(env, &mut self.ctx, 1)? == 0 {
             self.state = OpState::OutOfTuples;
-            return Ok(false);
-        };
+            return Ok(());
+        }
+        let ctx = &self.ctx[0];
         self.state = OpState::Fetching;
         enum Source {
             Eq(Box<str>, Option<bool>),
@@ -851,7 +668,7 @@ impl<'s> ValueStepIter<'s> {
         }
         self.buffer = buffer;
         self.buffer_pos = 0;
-        Ok(true)
+        Ok(())
     }
 }
 
@@ -878,7 +695,6 @@ pub fn apply_predicate(
     pred: OpId,
     group: Vec<NodeEntry>,
     reverse: bool,
-    _outer: Option<&NodeEntry>,
 ) -> Result<Vec<NodeEntry>> {
     let size = group.len();
     let mut out = Vec::with_capacity(size);
@@ -973,8 +789,11 @@ pub fn eval_expr(
             if let Some(answer) = exists_fast_path(env, *path, ctx) {
                 return Ok(Value::Bool(answer));
             }
-            let mut iter = build_iter(env, *path, Some(ctx))?;
-            Ok(Value::Bool(iter.next(env)?.is_some()))
+            // One tuple decides it: a `max = 1` pull stops the whole
+            // path at its first hit.
+            let mut hit = Vec::new();
+            let found = build_iter(env, *path, Some(ctx))?.next_batch(env, &mut hit, 1)?;
+            Ok(Value::Bool(found == 1))
         }
         Operator::Binary { op, left, right } => match op {
             BinOp::And => {
@@ -1033,16 +852,8 @@ pub fn eval_expr(
         | Operator::FusedScan { .. } => {
             // A path in expression position: collect its node-set,
             // deduplicated in document order.
-            let mut iter = build_iter(env, id, Some(ctx))?;
-            let mut nodes = Vec::new();
-            let mut seen = HashSet::new();
-            while let Some(t) = iter.next(env)? {
-                if seen.insert(t.key.clone()) {
-                    nodes.push(t);
-                }
-            }
-            nodes.sort_by(|a, b| a.key.cmp(&b.key));
-            Ok(Value::Nodes(nodes))
+            let iter = build_iter(env, id, Some(ctx))?;
+            Ok(Value::Nodes(drain_set(env, iter)?))
         }
         Operator::Root { .. } => Err(EngineError::Unsupported(
             "nested root operator in expression".into(),

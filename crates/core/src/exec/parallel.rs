@@ -631,7 +631,7 @@ impl<'s> ParallelIter<'s> {
         }
     }
 
-    /// Batched pull with the usual short-count-means-exhausted contract.
+    /// The pull, with the usual short-count-means-exhausted contract.
     pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
         let start = out.len();
         loop {
@@ -658,15 +658,6 @@ impl<'s> ParallelIter<'s> {
             }
         }
         Ok(out.len() - start)
-    }
-
-    /// Scalar pull (used only when a caller mixes modes; the engine
-    /// engages parallel scans in batched mode).
-    #[allow(clippy::should_implement_trait)] // fallible, like QueryStream::next
-    pub fn next(&mut self) -> Result<Option<NodeEntry>> {
-        let mut one = Vec::with_capacity(1);
-        self.next_batch(&mut one, 1)?;
-        Ok(one.pop())
     }
 
     /// The next piece of the in-order morsel. Never waits while there is
@@ -837,7 +828,7 @@ pub(crate) fn build_parallel<'s>(
     match context {
         Some(c) => {
             let mut it = build_iter(env, *c, None)?;
-            while it.next_batch(env, &mut contexts, BATCH_SIZE)? > 0 {}
+            it.next_batch(env, &mut contexts, usize::MAX)?;
         }
         None => contexts.push(env.root_ctx.clone()),
     }
@@ -890,7 +881,6 @@ pub(crate) fn build_parallel<'s>(
             Some(filter),
             Vec::new(),
             OpIter::Join(contexts.into_iter()),
-            None,
         )))));
     };
     let job = Job {

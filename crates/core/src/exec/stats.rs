@@ -6,17 +6,18 @@
 //! zero-cost-when-disabled contract) and `Some` only under
 //! `Engine::analyze`, where cursors record what they actually did:
 //!
-//! - `rows` — tuples produced by the operator. Identical across the
-//!   scalar, batched, and parallel pipelines (they produce the same
+//! - `rows` — tuples produced by the operator. The same whether or not
+//!   the output step fanned out (a parallel scan produces the serial
 //!   tuple sequence), which is what the DOM-oracle tests pin down.
-//! - `invocations` — cursor pulls (`next` calls / `next_batch` calls;
-//!   for predicate operators, context tuples tested).
-//! - `batches` — `next_batch` calls that reached the operator. Mode
-//!   dependent by nature (scalar mode reports 0).
-//! - `nanos` — inclusive wall time attributed at batch granularity
-//!   (a batched pull's clock includes the child pulls it triggers).
+//! - `invocations` — cursor pulls (`next_batch` calls; for predicate
+//!   operators, context tuples tested).
+//! - `nanos` — inclusive wall time per pull (a pull's clock includes
+//!   the context pulls it triggers).
 //! - `probes` / `pins` — buffer-pool page requests and batched page
-//!   pins, attributed inclusively per batch from pool counter deltas.
+//!   pins, attributed inclusively per pull from pool counter deltas.
+//!
+//! Every step cursor records all of them on every pull, context
+//! operators and predicate paths included.
 //!
 //! Counters are relaxed atomics so morsel workers on the parallel path
 //! aggregate correctly without synchronization beyond the store's own;
@@ -32,11 +33,9 @@ use std::sync::OnceLock;
 pub struct OpActuals {
     /// Cursor pulls (or, for predicates, context tuples tested).
     pub invocations: AtomicU64,
-    /// Tuples produced — the mode-independent actual cardinality.
+    /// Tuples produced — the actual cardinality.
     pub rows: AtomicU64,
-    /// Batched pulls that reached this operator.
-    pub batches: AtomicU64,
-    /// Inclusive wall time, nanoseconds, batch granularity.
+    /// Inclusive wall time, nanoseconds.
     pub nanos: AtomicU64,
     /// Buffer-pool page requests attributed to this operator (inclusive).
     pub probes: AtomicU64,
@@ -49,7 +48,6 @@ impl OpActuals {
         OpActualsSnapshot {
             invocations: self.invocations.load(Ordering::Relaxed),
             rows: self.rows.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
             nanos: self.nanos.load(Ordering::Relaxed),
             probes: self.probes.load(Ordering::Relaxed),
             pins: self.pins.load(Ordering::Relaxed),
@@ -119,14 +117,6 @@ impl ExecStats {
         }
     }
 
-    /// Counts one batched pull of `id`.
-    #[inline]
-    pub fn add_batch(&self, id: OpId) {
-        if let Some(op) = self.op(id) {
-            op.batches.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Adds inclusive wall time to `id`.
     #[inline]
     pub fn add_nanos(&self, id: OpId, n: u64) {
@@ -167,10 +157,8 @@ impl ExecStats {
 pub struct OpActualsSnapshot {
     /// Cursor pulls (or context tuples tested for predicates).
     pub invocations: u64,
-    /// Tuples produced — mode independent.
+    /// Tuples produced.
     pub rows: u64,
-    /// Batched pulls.
-    pub batches: u64,
     /// Inclusive wall time in nanoseconds.
     pub nanos: u64,
     /// Inclusive buffer-pool page requests.
@@ -215,14 +203,14 @@ mod tests {
         let id = OpId(1);
         stats.add_rows(id, 4);
         stats.add_rows(id, 6);
-        stats.add_batch(id);
+        stats.add_invocation(id);
         stats.add_nanos(id, 100);
         stats.add_probe_pins(id, 3, 1);
         stats.add_predicate(OpId(2), 10, 7);
         let snap = stats.snapshot();
         let op = snap.op(id).unwrap();
         assert_eq!(op.rows, 10);
-        assert_eq!(op.batches, 1);
+        assert_eq!(op.invocations, 1);
         assert_eq!(op.nanos, 100);
         assert_eq!(op.probes, 3);
         assert_eq!(op.pins, 1);

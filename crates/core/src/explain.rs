@@ -15,11 +15,11 @@
 //! sides zero is a perfect prediction (1.0); exactly one side zero is an
 //! unbounded miss (∞).
 //!
-//! [`Analysis::render`] is deliberately **mode stable**: it prints only
-//! quantities that are identical across the scalar, batched, and
-//! parallel pipelines (estimates, actual rows, q-errors) — never batch
-//! counts or timings, which vary run to run. The golden-file tests pin
-//! this down. Timings and buffer traffic appear in
+//! [`Analysis::render`] is deliberately **run stable**: it prints only
+//! quantities that are identical from run to run and between a serial
+//! and a fanned-out scan (estimates, actual rows, q-errors) — never pull
+//! counts or timings. The golden-file tests pin this down. Timings and
+//! buffer traffic appear in
 //! [`Analysis::render_json`] and the [`crate::QueryProfile`].
 
 use crate::cost::EstimateCard;
@@ -141,9 +141,9 @@ impl Analysis {
         out
     }
 
-    /// Renders the annotated tree plus the misestimation summary. Mode
-    /// stable: identical output whether the run was scalar, batched, or
-    /// parallel (see the module docs).
+    /// Renders the annotated tree plus the misestimation summary. Run
+    /// stable: identical output whether or not the scan fanned out (see
+    /// the module docs).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -196,7 +196,7 @@ impl Analysis {
 
     /// Renders the full analysis as a single JSON object — the `--json`
     /// rendering shared by the CLI and the server's `ANALYZE` verb. This
-    /// form *does* include mode-dependent counters (batches, timings,
+    /// form *does* include the run-dependent counters (pulls, timings,
     /// probes/pins) alongside the stable ones.
     pub fn render_json(&self) -> String {
         let mut s = String::from("{");
@@ -253,9 +253,9 @@ impl Analysis {
             if let Some(act) = self.actuals.op(op) {
                 let _ = write!(
                     s,
-                    ",\"act\":{{\"rows\":{},\"invocations\":{},\"batches\":{},\
+                    ",\"act\":{{\"rows\":{},\"invocations\":{},\
                      \"nanos\":{},\"probes\":{},\"pins\":{}}}",
-                    act.rows, act.invocations, act.batches, act.nanos, act.probes, act.pins
+                    act.rows, act.invocations, act.nanos, act.probes, act.pins
                 );
                 if let Some(card) = self.plan.estimate(op) {
                     let q = qerror(card.output, act.rows);

@@ -1,4 +1,4 @@
-//! `EXPLAIN ANALYZE` rendering: golden output, mode stability, and
+//! `EXPLAIN ANALYZE` rendering: golden output, run stability, and
 //! instrumentation hygiene (no drift when disabled, no profile
 //! carry-over between queries).
 
@@ -63,34 +63,26 @@ misestimations: none above ×1.05
     assert_eq!(analysis.render(), expected);
 }
 
-/// `Analysis::render` is mode stable: scalar, batched, and parallel runs
-/// produce byte-identical text (actual rows are pipeline-invariant; the
-/// varying counters are confined to the JSON/profile surfaces).
+/// `Analysis::render` is run stable: serial and fanned-out runs produce
+/// byte-identical text (actual rows are the same either way; the varying
+/// counters are confined to the JSON/profile surfaces).
 #[test]
-fn render_is_identical_across_modes() {
+fn render_is_identical_serial_and_parallel() {
     let mut e = engine(4);
     for xpath in ["/site//*", "//item/*", "//item[price='3']/name"] {
-        e.options_mut().batched = false;
         e.options_mut().parallel = false;
-        let scalar = e.analyze_doc(DocId(0), xpath).unwrap();
-        e.options_mut().batched = true;
-        let batched = e.analyze_doc(DocId(0), xpath).unwrap();
+        let serial = e.analyze_doc(DocId(0), xpath).unwrap();
         e.options_mut().parallel = true;
         let parallel = e.analyze_doc(DocId(0), xpath).unwrap();
         assert_eq!(
-            scalar.render(),
-            batched.render(),
-            "{xpath}: scalar vs batched"
-        );
-        assert_eq!(
-            batched.render(),
+            serial.render(),
             parallel.render(),
-            "{xpath}: batched vs parallel"
+            "{xpath}: serial vs parallel"
         );
         if xpath == "/site//*" {
             assert!(
                 parallel.profile.morsels > 0,
-                "{xpath}: parallel mode did not engage, mode stability untested"
+                "{xpath}: the scan did not fan out, stability untested"
             );
         }
     }
@@ -98,7 +90,7 @@ fn render_is_identical_across_modes() {
 
 /// The parallel gate leaves a line in the trace at plan time (eligible,
 /// or why not) and, for an eligible plan, one more when it has run: what
-/// the executor saw and priced. `render()` stays mode stable — neither
+/// the executor saw and priced. `render()` stays run stable — neither
 /// line is part of it.
 #[test]
 fn parallel_gate_is_traced_at_plan_time_and_at_run_time() {
@@ -138,10 +130,10 @@ fn repeated_analyze_has_no_counter_drift() {
     }
     let second = e.analyze_doc(DocId(0), "//item/name").unwrap();
     // Everything but wall time is deterministic run to run.
-    let stable = |a: &vamana_core::ExecStatsSnapshot| -> Vec<(u64, u64, u64, u64, u64)> {
+    let stable = |a: &vamana_core::ExecStatsSnapshot| -> Vec<(u64, u64, u64, u64)> {
         a.ops
             .iter()
-            .map(|o| (o.invocations, o.rows, o.batches, o.probes, o.pins))
+            .map(|o| (o.invocations, o.rows, o.probes, o.pins))
             .collect()
     };
     assert_eq!(stable(&first.actuals), stable(&second.actuals));
@@ -153,9 +145,7 @@ fn repeated_analyze_has_no_counter_drift() {
 /// batch-pin counts into the second profile.
 #[test]
 fn profile_counters_reset_between_queries() {
-    let mut e = engine(4);
-    e.options_mut().batched = true;
-    e.options_mut().parallel = true;
+    let e = engine(4);
     let (_, big) = e.query_doc_profiled(DocId(0), "/site//*").unwrap();
     assert!(big.morsels > 0, "big scan should fan out");
     // `//section` is a name test: answered from the index, never split.

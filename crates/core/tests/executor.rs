@@ -168,17 +168,18 @@ fn operator_states_drive_a_manual_pull() {
         Operator::Root { child } => child.unwrap(),
         _ => unreachable!(),
     };
+    // `max = 1` is the paper's tuple-at-a-time `next()`.
     let mut iter = exec::build_iter(env, top, None).unwrap();
-    let mut n = 0;
-    while iter.next(env).unwrap().is_some() {
-        n += 1;
-    }
-    assert_eq!(n, 3);
-    assert!(
-        iter.next(env).unwrap().is_none(),
+    let mut out = Vec::new();
+    while iter.next_batch(env, &mut out, 1).unwrap() == 1 {}
+    assert_eq!(out.len(), 3);
+    assert_eq!(
+        iter.next_batch(env, &mut out, 1).unwrap(),
+        0,
         "exhausted iterator must stay exhausted"
     );
-    assert!(iter.next(env).unwrap().is_none());
+    assert_eq!(iter.next_batch(env, &mut out, 1).unwrap(), 0);
+    assert_eq!(out.len(), 3);
 }
 
 #[test]
@@ -200,5 +201,48 @@ fn range_rewrite_executes_correctly_end_to_end() {
         !ex.applied.contains(&"range-index-step"),
         "{:?}",
         ex.applied
+    );
+}
+
+#[test]
+fn the_deepest_trees_the_parser_accepts_execute() {
+    // Plan build, the optimizer rules, `eval_expr` and the cursors
+    // recurse once per level of the expression tree; at the parser's
+    // budget all of them fit the 2 MB stack of a test (or server worker)
+    // thread.
+    use vamana_xpath::parser::MAX_DEPTH;
+    let e = engine();
+    // Nested predicates: two levels each (the predicate and its step).
+    let levels = MAX_DEPTH / 2 - 3;
+    let nested = |n: usize| format!("//person{}[name]{}", "[self::*".repeat(n), "]".repeat(n));
+    assert_eq!(
+        values(&e, &format!("{}/name", nested(levels))),
+        ["Ann", "Bob", "Cyd"]
+    );
+    assert!(e.query(&nested(levels + 3)).is_err());
+    let calls = format!(
+        "//person[{}name{}]/name",
+        "not(not(".repeat(MAX_DEPTH / 2 - 4),
+        "))".repeat(MAX_DEPTH / 2 - 4)
+    );
+    assert_eq!(values(&e, &calls), ["Ann", "Bob", "Cyd"]);
+    // A path as long as allowed, and an operator chain likewise.
+    let path = format!("//person/{}name", "self::*/".repeat(MAX_DEPTH - 5));
+    assert_eq!(values(&e, &path), ["Ann", "Bob", "Cyd"]);
+    assert!(e
+        .query(&format!("//person/{}name", "self::*/".repeat(MAX_DEPTH)))
+        .is_err());
+    let sum = vec!["1"; MAX_DEPTH].join(" + ");
+    assert_eq!(
+        e.evaluate(DocId(0), &sum)
+            .unwrap()
+            .number(e.store())
+            .unwrap(),
+        MAX_DEPTH as f64
+    );
+    let alternatives = vec!["age = 17"; 40].join(" or ");
+    assert_eq!(
+        values(&e, &format!("//person[{alternatives}]/name")),
+        ["Bob"]
     );
 }

@@ -5,14 +5,15 @@
 //! child/descendant chains with existential predicates over arbitrary
 //! generated documents, an engine with fusion *forced* (every
 //! extractable candidate accepted, bypassing the cost race) must return
-//! exactly what the plain pipeline returns — batched and scalar, with
-//! and without the cost gate. The generators are shared in spirit with
+//! exactly what the plain pipeline returns — with and without the cost
+//! gate, and whatever the pull size. The generators are shared in spirit with
 //! `views_prop.rs`: same alphabet, same document tape, so fused scans
 //! see deep recursion, repeated names, and empty matches. A second
 //! property runs the same generator against forced morsel-parallel
 //! scans (`vamana_core::exec::parallel`).
 
 use proptest::prelude::*;
+use vamana_core::exec::BATCH_SIZE;
 use vamana_core::{DocId, Engine, EngineOptions, MassStore};
 
 const NAMES: [&str; 4] = ["a", "b", "c", "d"];
@@ -111,9 +112,10 @@ fn engine_for(xml: &str, options: EngineOptions) -> Engine {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Forced fusion is invisible: batched-fused, scalar-fused, and
-    /// cost-gated-fused runs all equal the plain scalar pipeline on
-    /// random forward chains over random documents.
+    /// Forced fusion is invisible: forced and cost-gated fused runs equal
+    /// the plain pipeline on random forward chains over random
+    /// documents, and a forced-fused stream is the same sequence under
+    /// every pull size.
     #[test]
     fn fused_execution_matches_the_plain_pipeline(
         steps in steps_strategy(),
@@ -122,28 +124,34 @@ proptest! {
         let xpath = render(&steps);
         let xml = build_doc(&ops);
         let doc = DocId(0);
-        // Oracle: scalar pipeline, nothing fused.
-        let oracle = engine_for(&xml, EngineOptions {
-            batched: false,
-            ..EngineOptions::default()
-        });
+        // Oracle: the plain pipeline, nothing fused.
+        let oracle = engine_for(&xml, EngineOptions::default());
         let expected = oracle.query_doc(doc, &xpath).unwrap();
-        for (batched, force) in [(true, true), (false, true), (true, false)] {
+        for force in [true, false] {
             let subject = engine_for(&xml, EngineOptions {
-                batched,
                 fuse: true,
                 fuse_force: force,
                 ..EngineOptions::default()
             });
             let got = subject.query_doc(doc, &xpath).unwrap();
-            prop_assert_eq!(
-                &got,
-                &expected,
-                "fusion changed {} (batched={}, forced={})",
-                xpath,
-                batched,
-                force
-            );
+            prop_assert_eq!(&got, &expected, "fusion changed {} (forced={})", &xpath, force);
+            if !force {
+                continue;
+            }
+            let drain = |max: usize| {
+                let mut stream = subject.stream(doc, &xpath).unwrap();
+                let mut out = Vec::new();
+                while stream.next_batch(&mut out, max).unwrap() == max {}
+                out
+            };
+            let reference = drain(usize::MAX);
+            for max in [1, 2, 3, 7, BATCH_SIZE] {
+                prop_assert_eq!(&drain(max), &reference, "{} pulled by {}", &xpath, max);
+            }
+            let mut set = reference;
+            set.sort_by(|a, b| a.key.cmp(&b.key));
+            set.dedup_by(|a, b| a.key == b.key);
+            prop_assert_eq!(&set, &expected, "fused stream of {}", &xpath);
         }
     }
 }

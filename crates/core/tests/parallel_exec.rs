@@ -1,9 +1,8 @@
 //! Differential correctness of morsel-parallel scans, and the behaviour
 //! of the hand-off and the run-time gate.
 //!
-//! The parallel pipeline must be observably identical to serial-batched
-//! execution (which is itself identical to scalar): same nodes, same
-//! order, for both morsel shapes (page runs of one descendant scan and
+//! A fanned-out scan must be observably identical to the serial one,
+//! under every pull size: same nodes, same order, for both morsel shapes (page runs of one descendant scan and
 //! slices of a context list). Which thread scans a morsel is a race by
 //! design — the caller takes whatever is unclaimed — so tests that need
 //! a worker's output open a stream and hold off pulling until a worker
@@ -50,27 +49,15 @@ fn engine(workers: usize) -> Engine {
     )
 }
 
-const QUERIES: &[&str] = &[
-    "//*",                    // range morsels: whole-document descendant scan
-    "/site//*",               // range morsels under an element subtree
-    "//node()",               // AnyNode test through the same scan
-    "//item/*",               // context slices: thousands of item contexts
-    "//section/item",         // named test: must stay serial, still correct
-    "//item[price='3']/name", // predicates below the output step
+/// Queries over `doc(12, 100)` with the row count its construction gives.
+const QUERIES: &[(&str, usize)] = &[
+    ("//*", 3613),                  // range morsels: whole-document descendant scan
+    ("/site//*", 3612),             // range morsels under an element subtree
+    ("//node()", 6013),             // AnyNode test through the same scan
+    ("//item/*", 2400),             // context slices: thousands of item contexts
+    ("//section/item", 1200),       // named test: must stay serial, still correct
+    ("//item[price='3']/name", 72), // predicates below the output step
 ];
-
-fn run_modes(e: &mut Engine, xpath: &str) -> (Vec<NodeEntry>, Vec<NodeEntry>, Vec<NodeEntry>) {
-    e.options_mut().parallel = true;
-    e.options_mut().batched = true;
-    let parallel = e.query(xpath).unwrap();
-    e.options_mut().parallel = false;
-    let batched = e.query(xpath).unwrap();
-    e.options_mut().batched = false;
-    let scalar = e.query(xpath).unwrap();
-    e.options_mut().batched = true;
-    e.options_mut().parallel = true;
-    (parallel, batched, scalar)
-}
 
 /// Opens a stream and returns once a pool worker has pushed a chunk of
 /// it (the caller has claimed only morsel 0 and pulls nothing, so the
@@ -97,17 +84,23 @@ fn drain(mut stream: QueryStream<'_>) -> Vec<NodeEntry> {
 }
 
 #[test]
-fn parallel_equals_batched_equals_scalar() {
+fn parallel_equals_serial_under_every_pull_size() {
     for workers in [2, 4] {
         let mut e = engine(workers);
-        for xpath in QUERIES {
-            let (parallel, batched, scalar) = run_modes(&mut e, xpath);
-            assert!(!parallel.is_empty(), "{xpath} returned nothing");
-            assert_eq!(
-                parallel, batched,
-                "{xpath} ({workers}w): parallel != batched"
-            );
-            assert_eq!(batched, scalar, "{xpath} ({workers}w): batched != scalar");
+        for &(xpath, rows) in QUERIES {
+            e.options_mut().parallel = false;
+            let serial = e.query(xpath).unwrap();
+            e.options_mut().parallel = true;
+            assert_eq!(serial.len(), rows, "{xpath}");
+            assert!(serial.windows(2).all(|w| w[0].key < w[1].key), "{xpath}");
+            assert_eq!(e.query(xpath).unwrap(), serial, "{xpath} ({workers}w)");
+            for max in [1, 2, 3, 7, BATCH_SIZE, usize::MAX] {
+                let mut stream = e.stream(DocId(0), xpath).unwrap();
+                let mut out = Vec::new();
+                while stream.next_batch(&mut out, max).unwrap() == max {}
+                assert_eq!(stream.next_batch(&mut out, max).unwrap(), 0);
+                assert_eq!(out, serial, "{xpath} ({workers}w) pulled by {max}");
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! one [`SharedEngine`] while a writer interleaves document loads.
 //!
 //! Every query thread holds a read lock, so each query sees a stable
-//! store; inside that guard, parallel and serial-batched execution of
+//! store; inside that guard, parallel and serial execution of
 //! the same query must agree exactly. The writer takes the write lock
 //! between loads, exercising pool reuse across store generations.
 

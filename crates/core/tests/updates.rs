@@ -187,7 +187,6 @@ fn concurrent_parallel_readers_see_consistent_results_across_update() {
     store.load_xml("big", &xml).unwrap();
     let options = EngineOptions {
         parallel: true,
-        batched: true,
         parallel_workers: 4,
         ..EngineOptions::default()
     };

@@ -210,30 +210,41 @@ enum Inner<'a> {
     },
 }
 
-/// Lazy stream of nodes along an axis. Pull with [`AxisStream::next`].
+/// Lazy stream of nodes along an axis. Pull with
+/// [`AxisStream::next_batch`].
 pub struct AxisStream<'a> {
     inner: Inner<'a>,
 }
 
 impl<'a> AxisStream<'a> {
-    /// Pulls the next matching node in document order.
-    #[allow(clippy::should_implement_trait)] // fallible, so not Iterator
-    pub fn next(&mut self) -> Result<Option<NodeEntry>> {
+    /// Pulls up to `max` matching nodes, in document order, into `out`,
+    /// returning how many were appended. A short (or zero) count means
+    /// the stream is exhausted — callers may treat it as end-of-stream
+    /// without another call, and further calls keep returning zero.
+    ///
+    /// Clustered scans decode whole pinned pages in one pass
+    /// ([`MassCursor::next_batch`]); sibling-jump scans resolve in-page
+    /// jumps by binary search over the pinned records
+    /// (`MassCursor::next_batch_jump`); name-index iteration fills the
+    /// batch in a tight loop over the borrowed key slice; the
+    /// pre-computed-key modes resolve one key per iteration.
+    pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
+        let start = out.len();
         match &mut self.inner {
-            Inner::Empty => Ok(None),
+            Inner::Empty => {}
             Inner::Keys {
                 store,
                 keys,
                 filter,
             } => {
-                for key in keys.by_ref() {
+                while out.len() - start < max {
+                    let Some(key) = keys.next() else { break };
                     if let Some(entry) = store.get_entry(&key)? {
                         if filter.matches_entry(&entry) {
-                            return Ok(Some(entry));
+                            out.push(entry);
                         }
                     }
                 }
-                Ok(None)
             }
             Inner::KeysIndexOnly {
                 keys,
@@ -241,132 +252,16 @@ impl<'a> AxisStream<'a> {
                 kind,
                 name,
             } => {
-                for key in keys.by_ref() {
+                while out.len() - start < max {
+                    let Some(key) = keys.next() else { break };
                     if list.contains(key.as_flat()) {
-                        return Ok(Some(NodeEntry {
+                        out.push(NodeEntry {
                             key,
                             kind: *kind,
                             name: Some(*name),
-                        }));
+                        });
                     }
                 }
-                Ok(None)
-            }
-            Inner::NameList {
-                keys,
-                pos,
-                kind,
-                name,
-                verify,
-            } => {
-                while *pos < keys.len() {
-                    let flat = &keys[*pos];
-                    *pos += 1;
-                    let key = FlexKey::from_flat(flat.clone());
-                    if verify.ok(&key) {
-                        return Ok(Some(NodeEntry {
-                            key,
-                            kind: *kind,
-                            name: *name,
-                        }));
-                    }
-                }
-                Ok(None)
-            }
-            Inner::Scan {
-                cursor,
-                filter,
-                skip_attrs,
-                not_ancestor_of,
-            } => {
-                while let Some(entry) = cursor.next_entry()? {
-                    if *skip_attrs && entry.kind == RecordKind::Attribute {
-                        continue;
-                    }
-                    if let Some(ctx) = not_ancestor_of {
-                        if entry.key.is_ancestor_of(ctx) {
-                            continue;
-                        }
-                    }
-                    if filter.matches_entry(&entry) {
-                        return Ok(Some(entry));
-                    }
-                }
-                Ok(None)
-            }
-            Inner::JumpScan {
-                cursor,
-                filter,
-                skip_attrs,
-            } => {
-                loop {
-                    let Some(entry) = cursor.next_entry()? else {
-                        return Ok(None);
-                    };
-                    // Jump past this node's subtree so only siblings at
-                    // the scan level are visited.
-                    if let Some(upper) = entry.key.subtree_upper() {
-                        cursor.seek(&upper);
-                    }
-                    if *skip_attrs && entry.kind == RecordKind::Attribute {
-                        continue;
-                    }
-                    if filter.matches_entry(&entry) {
-                        return Ok(Some(entry));
-                    }
-                }
-            }
-            Inner::AttrScan { cursor, filter } => {
-                while let Some(entry) = cursor.next_entry()? {
-                    if entry.kind != RecordKind::Attribute {
-                        return Ok(None);
-                    }
-                    if filter.matches_entry(&entry) {
-                        return Ok(Some(entry));
-                    }
-                }
-                Ok(None)
-            }
-            Inner::Materialized { items } => Ok(items.next()),
-        }
-    }
-
-    /// Pulls up to `max` matching nodes into `out`, returning how many
-    /// were appended. A short (or zero) count means the stream is
-    /// exhausted — callers may treat it as end-of-stream without another
-    /// call.
-    ///
-    /// Clustered scans decode whole pinned pages in one pass
-    /// ([`MassCursor::next_batch`]); sibling-jump scans resolve in-page
-    /// jumps by binary search over the pinned records
-    /// (`MassCursor::next_batch_jump`); name-index iteration fills the
-    /// batch in a tight loop over the borrowed key slice. Point-lookup
-    /// modes fall back to the scalar pull per entry — they still amortize
-    /// the caller's per-tuple dispatch.
-    pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
-        let start = out.len();
-        match &mut self.inner {
-            Inner::Empty => {}
-            Inner::Scan {
-                cursor,
-                filter,
-                skip_attrs,
-                not_ancestor_of,
-            } => {
-                cursor.next_batch_filtered(
-                    filter,
-                    *skip_attrs,
-                    not_ancestor_of.as_ref(),
-                    out,
-                    max,
-                )?;
-            }
-            Inner::JumpScan {
-                cursor,
-                filter,
-                skip_attrs,
-            } => {
-                cursor.next_batch_jump(filter, *skip_attrs, out, max)?;
             }
             Inner::NameList {
                 keys,
@@ -388,36 +283,56 @@ impl<'a> AxisStream<'a> {
                     }
                 }
             }
-            Inner::Materialized { items } => {
-                out.extend(items.by_ref().take(max));
+            Inner::Scan {
+                cursor,
+                filter,
+                skip_attrs,
+                not_ancestor_of,
+            } => {
+                cursor.next_batch_filtered(
+                    filter,
+                    *skip_attrs,
+                    not_ancestor_of.as_ref(),
+                    out,
+                    max,
+                )?;
             }
-            // Keys / KeysIndexOnly / AttrScan: scalar pulls.
-            // When the scalar pull reports exhaustion the stream flips to
-            // `Empty`, so the short-count contract above holds even for
-            // modes whose scalar `next` is not idempotent at end-of-stream
-            // (AttrScan stops at the first non-attribute record).
-            _ => {
+            Inner::JumpScan {
+                cursor,
+                filter,
+                skip_attrs,
+            } => {
+                cursor.next_batch_jump(filter, *skip_attrs, out, max)?;
+            }
+            Inner::AttrScan { cursor, filter } => {
+                // One record per iteration: the first non-attribute ends
+                // the stream and must not reach `out`. The stream then
+                // flips to `Empty`, because the cursor itself would go on
+                // into the element's children on the next call.
                 while out.len() - start < max {
-                    match self.next()? {
-                        Some(e) => out.push(e),
-                        None => {
-                            self.inner = Inner::Empty;
-                            break;
-                        }
+                    let at = out.len();
+                    if cursor.next_batch(out, 1)? == 0 || out[at].kind != RecordKind::Attribute {
+                        out.truncate(at);
+                        self.inner = Inner::Empty;
+                        break;
+                    }
+                    if !filter.matches_entry(&out[at]) {
+                        out.truncate(at);
                     }
                 }
+            }
+            Inner::Materialized { items } => {
+                out.extend(items.by_ref().take(max));
             }
         }
         Ok(out.len() - start)
     }
 
-    /// Drains the stream into a vector (tests, reverse-axis
+    /// Drains the stream into a vector (tests, predicate-group
     /// materialization in the executor).
     pub fn collect(mut self) -> Result<Vec<NodeEntry>> {
         let mut out = Vec::new();
-        while let Some(e) = self.next()? {
-            out.push(e);
-        }
+        self.next_batch(&mut out, usize::MAX)?;
         Ok(out)
     }
 
@@ -668,6 +583,13 @@ fn namespace_stream<'a>(
     ctx: &FlexKey,
     filter: NodeFilter,
 ) -> Result<AxisStream<'a>> {
+    // As on the attribute axis, an explicit kind test matches nothing.
+    if matches!(
+        filter.kind,
+        KindFilter::Text | KindFilter::Comment | KindFilter::Pi
+    ) {
+        return Ok(AxisStream::empty());
+    }
     let mut seen: Vec<NameId> = Vec::new();
     let mut items: Vec<NodeEntry> = Vec::new();
     let mut cur = Some(ctx.clone());
@@ -675,7 +597,7 @@ fn namespace_stream<'a>(
         if key.is_root() {
             break;
         }
-        let mut attrs = attribute_stream(
+        let attrs = attribute_stream(
             store,
             &key,
             NodeFilter {
@@ -683,7 +605,7 @@ fn namespace_stream<'a>(
                 name: None,
             },
         );
-        while let Some(a) = attrs.next()? {
+        for a in attrs.collect()? {
             let Some(name_id) = a.name else { continue };
             let name = store.names().resolve(name_id);
             if (name == "xmlns" || name.starts_with("xmlns:")) && !seen.contains(&name_id) {

@@ -41,7 +41,7 @@ pub struct BufferStats {
     pub batch_pins: u64,
     /// Per-record pool entries a batched scan avoided: records decoded
     /// beyond the first under a single pin. `pins_saved / batch_pins` is
-    /// the average amortization factor of the batched pipeline.
+    /// the average amortization factor.
     pub pins_saved: u64,
     /// Misses that decoded an uncompressed (v1) page image.
     pub decodes_v1: u64,

@@ -109,33 +109,16 @@ impl<'a> MassCursor<'a> {
         Ok(Some(rec))
     }
 
-    /// Like [`MassCursor::next`], but returns a lightweight
-    /// [`crate::axes::NodeEntry`] without cloning the record's value —
-    /// the hot path for axis scans, which never look at values.
-    pub fn next_entry(&mut self) -> Result<Option<crate::axes::NodeEntry>> {
-        if !self.position()? {
-            return Ok(None);
-        }
-        let rec = &self.page.as_ref().expect("positioned").records()[self.rec_pos];
-        let entry = crate::axes::NodeEntry {
-            key: rec.key.clone(),
-            kind: rec.kind,
-            name: rec.name,
-        };
-        self.rec_pos += 1;
-        Ok(Some(entry))
-    }
-
-    /// Pulls up to `max` records as [`crate::axes::NodeEntry`]s into
-    /// `out`, pinning each page once and decoding every qualifying record
-    /// on it in one pass. Returns the number of entries appended; a short
-    /// (or zero) count means the range is exhausted.
+    /// Pulls up to `max` records as [`crate::axes::NodeEntry`]s (no
+    /// value is cloned — axis scans never look at values) into `out`,
+    /// pinning each page once and decoding every qualifying record on it
+    /// in one pass. Returns the number of entries appended; a short (or
+    /// zero) count means the range is exhausted.
     ///
-    /// This is the batched hot path: the per-record work shrinks to a key
-    /// clone and a push, while page lookup, shard locking, and the upper
-    /// bound comparison are amortized across the whole page (the bound is
-    /// resolved once per page by binary search instead of once per
-    /// record).
+    /// The per-record work is a key clone and a push; page lookup, shard
+    /// locking, and the upper bound comparison are amortized across the
+    /// whole page (the bound is resolved once per page by binary search
+    /// instead of once per record).
     pub fn next_batch(
         &mut self,
         out: &mut Vec<crate::axes::NodeEntry>,
@@ -185,16 +168,15 @@ impl<'a> MassCursor<'a> {
         })
     }
 
-    /// Batched sibling-jump scan: like [`MassCursor::next_batch_filtered`]
-    /// but after visiting a record it skips the record's whole subtree
-    /// (the MASS sibling jump), so only nodes at the scan level are
-    /// visited — the batched backing of the `JumpScan` axis mode.
+    /// Sibling-jump scan: like [`MassCursor::next_batch_filtered`] but
+    /// after visiting a record it skips the record's whole subtree (the
+    /// MASS sibling jump), so only nodes at the scan level are visited —
+    /// the backing of the `JumpScan` axis mode.
     ///
-    /// The win over repeated scalar jumps is that a jump whose target
-    /// lands on the *same* page is resolved by binary search over the
-    /// already-pinned records; only jumps that leave the page pay for a
-    /// buffer-pool lookup. Sibling runs cluster on few pages, so most
-    /// jumps stay in-page.
+    /// A jump whose target lands on the *same* page is resolved by binary
+    /// search over the already-pinned records; only jumps that leave the
+    /// page pay for a buffer-pool lookup. Sibling runs cluster on few
+    /// pages, so most jumps stay in-page.
     pub(crate) fn next_batch_jump(
         &mut self,
         filter: &crate::axes::NodeFilter,
@@ -279,7 +261,7 @@ impl<'a> MassCursor<'a> {
         Ok(out.len() - start)
     }
 
-    /// Shared batched scan: walks whole pinned pages, appending entries
+    /// Shared scan: walks whole pinned pages, appending entries
     /// for records that pass `keep`, until `max` entries were produced or
     /// the range is exhausted.
     fn batch_scan(

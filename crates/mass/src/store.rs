@@ -1416,11 +1416,9 @@ mod tests {
     /// Flat keys of every record a cursor yields over `range`.
     fn scan_keys(store: &MassStore, range: &KeyRange) -> Vec<Vec<u8>> {
         let mut cur = crate::cursor::MassCursor::new(store, range.clone());
-        let mut keys = Vec::new();
-        while let Some(e) = cur.next_entry().unwrap() {
-            keys.push(e.key.as_flat().to_vec());
-        }
-        keys
+        let mut entries = Vec::new();
+        cur.next_batch(&mut entries, usize::MAX).unwrap();
+        entries.iter().map(|e| e.key.as_flat().to_vec()).collect()
     }
 
     #[test]

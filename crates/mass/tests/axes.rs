@@ -1,5 +1,6 @@
-//! Exhaustive tests of all 13 XPath axes evaluated through MASS,
-//! cross-checked against an independent DOM-based oracle.
+//! Exhaustive tests of all 13 XPath axes evaluated through MASS:
+//! hand-written expectations, then every axis from every element
+//! against the axis computed on the parsed `vamana-xml` document.
 
 use vamana_flex::{Axis, FlexKey, KeyRange};
 use vamana_mass::axes::{axis_stream, NodeFilter};
@@ -411,49 +412,249 @@ fn every_axis_runs_from_every_element() {
     }
 }
 
-// ---- batched (vectorized) evaluation ----------------------------------
+// ---- every axis against the `vamana-xml` model, under every pull size ----
 
-/// Drains `stream` through `next_batch` pulls of `max` entries each.
-fn drain_batched(
-    mut stream: vamana_mass::axes::AxisStream<'_>,
-    max: usize,
-) -> Vec<vamana_mass::NodeEntry> {
+/// Pull sizes every stream is drained under: tuple-at-a-time, sizes that
+/// cut pages and sibling runs, a full batch, and drain-all.
+const PULLS: [usize; 6] = [1, 2, 3, 7, 256, usize::MAX];
+
+/// Drains `stream` through `next_batch` pulls of `max` entries each,
+/// then checks that the exhausted stream stays exhausted (an attribute
+/// scan must not wander on into the element's children).
+fn drain(mut stream: vamana_mass::axes::AxisStream<'_>, max: usize) -> Vec<vamana_mass::NodeEntry> {
     let mut out = Vec::new();
-    while stream.next_batch(&mut out, max).unwrap() > 0 {}
+    loop {
+        let n = stream.next_batch(&mut out, max).unwrap();
+        assert!(n <= max, "over-filled pull: {n} > {max}");
+        if n < max {
+            break;
+        }
+    }
+    let len = out.len();
+    for _ in 0..2 {
+        assert_eq!(stream.next_batch(&mut out, max).unwrap(), 0);
+    }
+    assert_eq!(out.len(), len);
     out
 }
 
+/// The node tests the oracle understands, as XPath spells them.
+#[derive(Debug, Clone, Copy)]
+enum Test {
+    /// `node()`
+    Node,
+    /// `*`
+    Star,
+    /// `text()`
+    Text,
+    /// A name test.
+    Named(&'static str),
+}
+
+/// The DOM side: the parsed document and its nodes in document order
+/// (attributes directly after their element), which is the order of the
+/// store's records — so the `i`-th node *is* the `i`-th stored key.
+struct Model {
+    doc: vamana_xml::Document,
+    order: Vec<vamana_xml::NodeId>,
+    keys: Vec<FlexKey>,
+}
+
+impl Model {
+    fn new(xml: &str, store: &MassStore) -> Self {
+        fn walk(
+            doc: &vamana_xml::Document,
+            id: vamana_xml::NodeId,
+            out: &mut Vec<vamana_xml::NodeId>,
+        ) {
+            out.push(id);
+            out.extend(doc.attributes(id));
+            for c in doc.children(id) {
+                walk(doc, c, out);
+            }
+        }
+        let doc = vamana_xml::parse(xml).unwrap();
+        let mut order = Vec::new();
+        walk(&doc, vamana_xml::Document::ROOT, &mut order);
+        let doc_key = store.documents()[0].doc_key.clone();
+        let mut records = Vec::new();
+        vamana_mass::cursor::MassCursor::new(store, KeyRange::subtree(&doc_key))
+            .next_batch(&mut records, usize::MAX)
+            .unwrap();
+        assert_eq!(records.len(), order.len(), "one record per model node");
+        let keys = records.into_iter().map(|e| e.key).collect();
+        Model { doc, order, keys }
+    }
+
+    fn pos(&self, id: vamana_xml::NodeId) -> usize {
+        self.order.iter().position(|n| *n == id).unwrap()
+    }
+
+    fn is_ancestor(&self, anc: vamana_xml::NodeId, mut id: vamana_xml::NodeId) -> bool {
+        while let Some(p) = self.doc.parent(id) {
+            if p == anc {
+                return true;
+            }
+            id = p;
+        }
+        false
+    }
+
+    /// The nodes on `axis` from element `ctx`, in document order, before
+    /// the node test.
+    fn axis(&self, ctx: vamana_xml::NodeId, axis: Axis) -> Vec<vamana_xml::NodeId> {
+        let doc = &self.doc;
+        let ancestors = || {
+            let mut up = Vec::new();
+            let mut cur = ctx;
+            while let Some(p) = doc.parent(cur) {
+                up.push(p);
+                cur = p;
+            }
+            up.reverse();
+            up
+        };
+        let siblings = |after: bool| -> Vec<_> {
+            let parent = doc.parent(ctx).unwrap();
+            let at = self.pos(ctx);
+            doc.children(parent)
+                .filter(|c| *c != ctx && (self.pos(*c) > at) == after)
+                .collect()
+        };
+        let in_document_order = |keep: &dyn Fn(vamana_xml::NodeId) -> bool| -> Vec<_> {
+            self.order
+                .iter()
+                .copied()
+                .filter(|n| !doc.kind(*n).is_attribute() && keep(*n))
+                .collect()
+        };
+        match axis {
+            Axis::SelfAxis => vec![ctx],
+            Axis::Child => doc.children(ctx).collect(),
+            Axis::Descendant => doc.descendants(ctx).collect(),
+            Axis::DescendantOrSelf => std::iter::once(ctx).chain(doc.descendants(ctx)).collect(),
+            Axis::Parent => doc.parent(ctx).into_iter().collect(),
+            Axis::Ancestor => ancestors(),
+            Axis::AncestorOrSelf => ancestors().into_iter().chain([ctx]).collect(),
+            Axis::Following => {
+                in_document_order(&|n| self.pos(n) > self.pos(ctx) && !self.is_ancestor(ctx, n))
+            }
+            Axis::Preceding => {
+                in_document_order(&|n| self.pos(n) < self.pos(ctx) && !self.is_ancestor(n, ctx))
+            }
+            Axis::FollowingSibling => siblings(true),
+            Axis::PrecedingSibling => siblings(false),
+            Axis::Attribute => doc.attributes(ctx).collect(),
+            Axis::Namespace => {
+                // In-scope declarations, the nearest of each prefix.
+                let mut seen = Vec::new();
+                let mut decls = Vec::new();
+                for e in ancestors().into_iter().chain([ctx]).rev() {
+                    for a in doc.attributes(e) {
+                        let name = doc.name(a).unwrap();
+                        if (name == "xmlns" || name.starts_with("xmlns:")) && !seen.contains(&name)
+                        {
+                            seen.push(name);
+                            decls.push(a);
+                        }
+                    }
+                }
+                decls.sort_by_key(|a| self.pos(*a));
+                decls
+            }
+        }
+    }
+
+    /// XPath node-test semantics: `*` and name tests select the axis's
+    /// principal node kind; no test selects the document node.
+    fn passes(&self, id: vamana_xml::NodeId, axis: Axis, test: Test) -> bool {
+        use vamana_xml::NodeKind;
+        let kind = self.doc.kind(id);
+        // Namespace nodes are modelled as the declaring attributes.
+        let principal = if matches!(axis, Axis::Attribute | Axis::Namespace) {
+            kind.is_attribute()
+        } else {
+            kind.is_element()
+        };
+        match test {
+            Test::Node => !matches!(kind, NodeKind::Document),
+            Test::Star => principal,
+            Test::Text => kind.is_text(),
+            Test::Named(name) => principal && self.doc.name(id) == Some(name),
+        }
+    }
+
+    /// What `axis::test` from `ctx` must produce: keys in document order.
+    fn expected(&self, ctx: vamana_xml::NodeId, axis: Axis, test: Test) -> Vec<FlexKey> {
+        self.axis(ctx, axis)
+            .into_iter()
+            .filter(|n| self.passes(*n, axis, test))
+            .map(|n| self.keys[self.pos(n)].clone())
+            .collect()
+    }
+}
+
+/// The store-side filter for `test` on `axis`; `None` when the name does
+/// not occur in the store (the step is then provably empty).
+fn node_filter(store: &MassStore, axis: Axis, test: Test) -> Option<NodeFilter> {
+    let attribute = axis.principal_is_attribute();
+    Some(match test {
+        Test::Node => NodeFilter::any(),
+        Test::Text => NodeFilter::text(),
+        Test::Star if attribute => NodeFilter {
+            kind: vamana_mass::KindFilter::Attribute,
+            name: None,
+        },
+        Test::Star => NodeFilter::any_element(),
+        Test::Named(name) if attribute => NodeFilter::attribute(store.name_id(name)?),
+        Test::Named(name) => NodeFilter::element(store.name_id(name)?),
+    })
+}
+
 #[test]
-fn batched_streams_match_scalar_on_every_axis() {
-    // The batched pull must produce the byte-identical entry sequence as
-    // the scalar pull, for every axis, from every element, including
-    // batch sizes that force mid-page and mid-stream boundaries.
+fn every_axis_matches_the_dom_under_every_pull_size() {
+    // From every element, every axis, under node tests that take every
+    // stream shape (clustered scan, sibling jump, name-index slice,
+    // key list, attribute scan): the stream is the axis computed on the
+    // parsed document, whatever the pull size.
     let f = Fixture::new();
-    let ctxs = ["site", "people", "person", "watches", "open_auction"];
-    for name in ctxs {
-        let ctx = f.elem(name, 0);
+    let model = Model::new(DOC, &f.store);
+    let tests = [
+        Test::Node,
+        Test::Star,
+        Test::Text,
+        Test::Named("person"),
+        Test::Named("name"),
+        Test::Named("id"),
+        Test::Named("xmlns:x"),
+    ];
+    let elements: Vec<_> = model
+        .order
+        .iter()
+        .copied()
+        .filter(|n| model.doc.kind(*n).is_element())
+        .collect();
+    assert!(elements.len() >= 15);
+    let mut non_empty = 0;
+    for ctx in elements {
+        let key = &model.keys[model.pos(ctx)];
         for axis in Axis::ALL {
-            for filter in [
-                NodeFilter::any(),
-                NodeFilter::any_element(),
-                NodeFilter::text(),
-            ] {
-                let scalar = axis_stream(&f.store, &ctx, RecordKind::Element, axis, filter)
-                    .unwrap()
-                    .collect()
-                    .unwrap();
-                for max in [1, 2, 3, 1024] {
+            for test in tests {
+                let expected = model.expected(ctx, axis, test);
+                non_empty += usize::from(!expected.is_empty());
+                let Some(filter) = node_filter(&f.store, axis, test) else {
+                    panic!("{test:?} names nothing in the fixture");
+                };
+                for max in PULLS {
                     let stream =
-                        axis_stream(&f.store, &ctx, RecordKind::Element, axis, filter).unwrap();
-                    let batched = drain_batched(stream, max);
-                    assert_eq!(
-                        batched, scalar,
-                        "axis {axis} filter {filter:?} max {max} from {name}"
-                    );
+                        axis_stream(&f.store, key, RecordKind::Element, axis, filter).unwrap();
+                    let got: Vec<FlexKey> = drain(stream, max).into_iter().map(|e| e.key).collect();
+                    assert_eq!(got, expected, "{axis}::{test:?} from {key} pulled by {max}");
                 }
             }
         }
     }
+    assert!(non_empty > 300, "only {non_empty} non-empty cases");
 }
 
 #[test]
@@ -483,10 +684,10 @@ fn cursor_batch_on_empty_store_and_empty_range() {
 }
 
 #[test]
-fn batched_scan_crosses_pages_emptied_by_deletes() {
+fn scan_crosses_pages_emptied_by_deletes() {
     // Build a store large enough for several pages, carve a hole in the
-    // middle with a subtree delete, and check the batched scan agrees
-    // with the scalar scan across the gap.
+    // middle with a subtree delete, and check the scan steps over the
+    // gap: what is left is what was there minus the deleted subtree.
     let mut xml = String::from("<r>");
     for part in 0..3 {
         xml.push_str(&format!("<part id='g{part}'>"));
@@ -503,6 +704,26 @@ fn batched_scan_crosses_pages_emptied_by_deletes() {
         "fixture must span multiple pages, got {}",
         store.stats().pages
     );
+    let root = {
+        let id = store.name_id("r").unwrap();
+        let flat = store.name_index().elements(id).iter().next().unwrap();
+        FlexKey::from_flat(flat.to_vec())
+    };
+    let descendants = |store: &MassStore, max: usize| {
+        let stream = axis_stream(
+            store,
+            &root,
+            RecordKind::Element,
+            Axis::Descendant,
+            NodeFilter::any(),
+        )
+        .unwrap();
+        drain(stream, max)
+    };
+    let before = descendants(&store, usize::MAX);
+    // Three parts of 800 elements with one text each (attributes are
+    // not on the descendant axis).
+    assert_eq!(before.len(), 3 * (1 + 2 * 800));
     let part1 = {
         let id = store.name_id("part").unwrap();
         let flat = store.name_index().elements(id).iter().nth(1).unwrap();
@@ -510,31 +731,13 @@ fn batched_scan_crosses_pages_emptied_by_deletes() {
     };
     let deleted = store.delete_subtree(&part1).unwrap();
     assert!(deleted > 800, "subtree delete must remove the middle part");
-    let root = {
-        let id = store.name_id("r").unwrap();
-        let flat = store.name_index().elements(id).iter().next().unwrap();
-        FlexKey::from_flat(flat.to_vec())
-    };
-    let scalar = axis_stream(
-        &store,
-        &root,
-        RecordKind::Element,
-        Axis::Descendant,
-        NodeFilter::any(),
-    )
-    .unwrap()
-    .collect()
-    .unwrap();
-    for max in [7, 256] {
-        let stream = axis_stream(
-            &store,
-            &root,
-            RecordKind::Element,
-            Axis::Descendant,
-            NodeFilter::any(),
-        )
-        .unwrap();
-        assert_eq!(drain_batched(stream, max), scalar, "max {max}");
+    let expected: Vec<_> = before
+        .into_iter()
+        .filter(|e| e.key != part1 && !part1.is_ancestor_of(&e.key))
+        .collect();
+    assert_eq!(expected.len(), 2 * (1 + 2 * 800));
+    for max in PULLS {
+        assert_eq!(descendants(&store, max), expected, "max {max}");
     }
 }
 
@@ -561,7 +764,7 @@ fn batch_counters_account_for_amortized_pins() {
         NodeFilter::any(),
     )
     .unwrap();
-    let entries = drain_batched(stream, 256);
+    let entries = drain(stream, 256);
     let stats = store.buffer_pool().stats();
     assert!(!entries.is_empty());
     assert!(stats.batch_pins > 0, "batched scan must record its pins");

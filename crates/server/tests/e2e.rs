@@ -466,3 +466,33 @@ fn many_idle_connections_do_not_occupy_threads() {
     }
     handle.stop();
 }
+
+#[test]
+fn queries_too_deep_to_run_are_errors_not_aborts() {
+    // 8 KB lines that used to overflow a worker's stack and abort the
+    // whole process: nesting, and chains as deep as they are long.
+    let handle = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(&handle);
+    let lines = [
+        format!("EVAL {}1{}", "(".repeat(4090), ")".repeat(4090)),
+        format!("EVAL {}1", "-".repeat(8000)),
+        format!("EVAL {}1", "1+".repeat(4000)),
+        format!("QUERY //person{}", "[name".repeat(1600) + &"]".repeat(1600)),
+        format!("QUERY {}a", "a/".repeat(4000)),
+        format!("QUERY {}//a", "//a|".repeat(2000)),
+        format!("ANALYZE {}a", "a/".repeat(4000)),
+    ];
+    for line in &lines {
+        let reply = client.round_trip(line);
+        assert!(
+            reply[0].starts_with("ERR ") && reply[0].contains("levels deep"),
+            "{}… → {reply:?}",
+            &line[..24]
+        );
+        // The connection and the process survive.
+        assert_eq!(client.round_trip("PING"), vec!["OK pong"]);
+    }
+    let response = client.round_trip("QUERY //province");
+    assert!(response.last().unwrap().starts_with("OK "), "{response:?}");
+    handle.stop();
+}

@@ -22,6 +22,21 @@ use crate::error::ParseError;
 use crate::lexer::{tokenize, Token, TokenKind};
 use vamana_flex::Axis;
 
+/// How deep the parsed expression tree may be: every parenthesis,
+/// predicate, function argument and unary minus goes one level down,
+/// and so does every further operand of an operator chain (`a or b or
+/// c` is a left-deep tree) and every step of a path (a step's context
+/// is the step before it). The parser, the plan builder, the optimizer
+/// rules and the executor all recurse once per level, so this bounds
+/// their stack use on any input. Measured on a 2 MB thread stack, whole
+/// pipeline: a release build first overflows past 400 nested
+/// parentheses or predicates (800 levels by this count) and 1600 steps;
+/// a debug build between 128 and 192 levels. Within one scope the count
+/// is a running one — links and steps of sibling operands add up, so
+/// `@a = 1 or @a = 2 or …` fits about forty alternatives; the paper's
+/// and XMark's queries are under twenty deep by this count.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses an XPath 1.0 expression.
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
     let tokens = tokenize(input)?;
@@ -29,6 +44,8 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
         tokens,
         pos: 0,
         len: input.len(),
+        depth: 0,
+        below: 0,
     };
     let expr = p.expr()?;
     if let Some(t) = p.peek() {
@@ -44,6 +61,13 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     len: usize,
+    /// Levels above the parse position: the enclosing scopes (see
+    /// [`Parser::nested`]) and the chain links of the current one.
+    depth: usize,
+    /// Height of the tallest finished sub-expression of the current
+    /// scope — a later chain link goes on top of it. `depth + below`
+    /// never exceeds [`MAX_DEPTH`].
+    below: usize,
 }
 
 impl Parser {
@@ -90,13 +114,46 @@ impl Parser {
 
     // ---- expression precedence chain ----------------------------------
 
+    /// One level down within the current scope: a further operand of an
+    /// operator chain, or a further step of a path.
+    fn link(&mut self) -> Result<(), ParseError> {
+        if self.depth + self.below >= MAX_DEPTH {
+            return Err(ParseError::new(
+                format!("expression is more than {MAX_DEPTH} levels deep"),
+                self.offset(),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` in a scope of its own, one level down; the height the
+    /// scope reached counts against whatever this scope still stacks on
+    /// top of it.
+    fn nested(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        let (depth, below) = (self.depth, self.below);
+        self.below = 0;
+        self.link()?;
+        let expr = f(self)?;
+        let height = self.depth - depth + self.below;
+        self.depth = depth;
+        self.below = below.max(height);
+        Ok(expr)
+    }
+
+    /// Every nested expression (parenthesized, predicate, argument)
+    /// enters here.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
         let mut left = self.and_expr()?;
         while self.eat(&TokenKind::Or) {
+            self.link()?;
             let right = self.and_expr()?;
             left = Expr::Or(Box::new(left), Box::new(right));
         }
@@ -106,6 +163,7 @@ impl Parser {
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
         let mut left = self.eq_expr()?;
         while self.eat(&TokenKind::And) {
+            self.link()?;
             let right = self.eq_expr()?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
@@ -121,6 +179,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.link()?;
             let right = self.rel_expr()?;
             left = Expr::Equality(op, Box::new(left), Box::new(right));
         }
@@ -138,6 +197,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.link()?;
             let right = self.add_expr()?;
             left = Expr::Relational(op, Box::new(left), Box::new(right));
         }
@@ -153,6 +213,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.link()?;
             let right = self.mul_expr()?;
             left = Expr::Arithmetic(op, Box::new(left), Box::new(right));
         }
@@ -169,6 +230,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.link()?;
             let right = self.unary_expr()?;
             left = Expr::Arithmetic(op, Box::new(left), Box::new(right));
         }
@@ -177,7 +239,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&TokenKind::Minus) {
-            let inner = self.unary_expr()?;
+            let inner = self.nested(Self::unary_expr)?;
             return Ok(Expr::Neg(Box::new(inner)));
         }
         self.union_expr()
@@ -186,6 +248,7 @@ impl Parser {
     fn union_expr(&mut self) -> Result<Expr, ParseError> {
         let mut left = self.path_expr()?;
         while self.eat(&TokenKind::Pipe) {
+            self.link()?;
             let right = self.path_expr()?;
             left = Expr::Union(Box::new(left), Box::new(right));
         }
@@ -333,6 +396,7 @@ impl Parser {
             steps.push(Step::new(Axis::DescendantOrSelf, NodeTest::Node));
         }
         loop {
+            self.link()?;
             steps.push(self.step()?);
             if self.eat(&TokenKind::Slash) {
                 continue;
@@ -649,5 +713,44 @@ mod tests {
             parse("//person/address").unwrap(),
             parse("  // person / address  ").unwrap()
         );
+    }
+
+    #[test]
+    fn tree_depth_is_bounded() {
+        let too_deep = |q: &str| {
+            let err = parse(q).unwrap_err().to_string();
+            assert!(err.contains("more than 128 levels deep"), "{err}");
+        };
+        // The whole expression is level 1; each `(`, `[`, argument list
+        // or unary minus goes one level down, a path step one more.
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(parse(&parens(MAX_DEPTH - 1)).unwrap(), Expr::Number(1.0));
+        too_deep(&parens(MAX_DEPTH));
+        let minuses = |n: usize| format!("{}1", "-".repeat(n));
+        assert!(parse(&minuses(MAX_DEPTH - 1)).is_ok());
+        too_deep(&minuses(MAX_DEPTH));
+        let preds = |n: usize| format!("{}a{}", "a[".repeat(n), "]".repeat(n));
+        assert!(parse(&preds(MAX_DEPTH / 2 - 1)).is_ok());
+        too_deep(&preds(MAX_DEPTH / 2));
+        // Chains and paths are as deep as they are long.
+        let sum = |n: usize| vec!["1"; n].join(" + ");
+        assert!(parse(&sum(MAX_DEPTH)).is_ok());
+        too_deep(&sum(MAX_DEPTH + 1));
+        let path = |n: usize| vec!["a"; n].join("/");
+        assert!(parse(&path(MAX_DEPTH - 1)).is_ok());
+        too_deep(&path(MAX_DEPTH));
+        let union = |n: usize| vec!["a"; n].join(" | ");
+        assert!(parse(&union(MAX_DEPTH / 2)).is_ok());
+        too_deep(&union(MAX_DEPTH));
+        // A chain on top of a deep operand adds to it...
+        too_deep(&format!("{} + {}", parens(MAX_DEPTH - 10), sum(20)));
+        // ...but siblings do not add up: depth, not size.
+        let wide = vec![parens(MAX_DEPTH / 2); 3].join(" , ");
+        assert!(parse(&format!("concat({wide})")).is_ok());
+        // What used to overflow the stack is an error like any other.
+        too_deep(&parens(10_000));
+        too_deep(&minuses(10_000));
+        too_deep(&path(10_000));
+        too_deep(&sum(10_000));
     }
 }

@@ -9,19 +9,36 @@
 
 use crate::ast::{Clause, Content, Flwor, XqExpr};
 use crate::{Result, XQueryError};
+use vamana_xpath::parser::MAX_DEPTH;
 
 /// Parses an XQuery-lite expression: a FLWOR, an element constructor, or
 /// a plain XPath expression.
 pub fn parse_xquery(input: &str) -> Result<XqExpr> {
+    parse_at(input, 0)
+}
+
+/// One FLWOR or constructor level below `depth`. The parser and the
+/// evaluator recurse once per level, so nesting has the XPath parser's
+/// budget (each embedded XPath fragment has its own on top).
+fn descend(depth: usize) -> Result<usize> {
+    if depth == MAX_DEPTH {
+        return Err(XQueryError::Parse(format!(
+            "expression is more than {MAX_DEPTH} levels deep"
+        )));
+    }
+    Ok(depth + 1)
+}
+
+fn parse_at(input: &str, depth: usize) -> Result<XqExpr> {
     let trimmed = input.trim();
     if trimmed.is_empty() {
         return Err(XQueryError::Parse("empty expression".into()));
     }
     if starts_with_keyword(trimmed, "for") || starts_with_keyword(trimmed, "let") {
-        return parse_flwor(trimmed);
+        return parse_flwor(trimmed, depth);
     }
     if trimmed.starts_with('<') {
-        let (ctor, rest) = parse_ctor(trimmed)?;
+        let (ctor, rest) = parse_ctor(trimmed, depth)?;
         if !rest.trim().is_empty() {
             return Err(XQueryError::Parse(format!(
                 "unexpected trailing content after constructor: `{}`",
@@ -83,7 +100,8 @@ fn split_at_keyword<'a>(s: &'a str, stops: &[&str]) -> (&'a str, &'a str) {
 
 const CLAUSE_STOPS: &[&str] = &["for", "let", "where", "order", "return"];
 
-fn parse_flwor(input: &str) -> Result<XqExpr> {
+fn parse_flwor(input: &str, depth: usize) -> Result<XqExpr> {
+    let depth = descend(depth)?;
     let mut clauses = Vec::new();
     let mut rest = input;
 
@@ -166,7 +184,7 @@ fn parse_flwor(input: &str) -> Result<XqExpr> {
         )));
     }
     let ret_src = rest[6..].trim();
-    let ret = parse_return(ret_src)?;
+    let ret = parse_return(ret_src, depth)?;
 
     Ok(XqExpr::Flwor(Box::new(Flwor {
         clauses,
@@ -232,9 +250,9 @@ fn expect_symbol<'a>(s: &'a str, sym: &str) -> Result<&'a str> {
         .ok_or_else(|| XQueryError::Parse(format!("expected `{sym}`")))
 }
 
-fn parse_return(s: &str) -> Result<XqExpr> {
+fn parse_return(s: &str, depth: usize) -> Result<XqExpr> {
     if s.starts_with('<') {
-        let (ctor, rest) = parse_ctor(s)?;
+        let (ctor, rest) = parse_ctor(s, depth)?;
         if !rest.trim().is_empty() {
             return Err(XQueryError::Parse(format!(
                 "unexpected content after return constructor: `{}`",
@@ -243,14 +261,15 @@ fn parse_return(s: &str) -> Result<XqExpr> {
         }
         Ok(ctor)
     } else if starts_with_keyword(s, "for") || starts_with_keyword(s, "let") {
-        parse_flwor(s)
+        parse_flwor(s, depth)
     } else {
         Ok(XqExpr::XPath(vamana_xpath::parse(s)?))
     }
 }
 
 /// Parses one element constructor, returning it and the remaining input.
-fn parse_ctor(s: &str) -> Result<(XqExpr, &str)> {
+fn parse_ctor(s: &str, depth: usize) -> Result<(XqExpr, &str)> {
+    let depth = descend(depth)?;
     let inner = s
         .strip_prefix('<')
         .ok_or_else(|| XQueryError::Parse("expected `<`".into()))?;
@@ -326,7 +345,7 @@ fn parse_ctor(s: &str) -> Result<(XqExpr, &str)> {
             ));
         }
         if rest.starts_with('<') {
-            let (child, r) = parse_ctor(rest)?;
+            let (child, r) = parse_ctor(rest, depth)?;
             children.push(Content::Embed(child));
             rest = r;
             continue;
@@ -334,7 +353,7 @@ fn parse_ctor(s: &str) -> Result<(XqExpr, &str)> {
         if rest.starts_with('{') {
             let end = matching_brace(rest)
                 .ok_or_else(|| XQueryError::Parse("unterminated `{`".into()))?;
-            let inner_expr = parse_xquery(&rest[1..end])?;
+            let inner_expr = parse_at(&rest[1..end], depth)?;
             children.push(Content::Embed(inner_expr));
             rest = &rest[end + 1..];
             continue;
@@ -464,6 +483,19 @@ mod tests {
         assert!(parse_xquery("for p in //x return $p").is_err()); // missing $
         assert!(parse_xquery("for $p in //person return <a>{").is_err());
         assert!(parse_xquery("for $p in //person return <a></b>").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ctors = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(parse_xquery(&ctors(MAX_DEPTH)).is_ok());
+        assert!(parse_xquery(&ctors(MAX_DEPTH + 1)).is_err());
+        assert!(parse_xquery(&ctors(10_000)).is_err());
+        let flwors = "for $a in //x return ".repeat(10_000) + "$a";
+        assert!(parse_xquery(&flwors).is_err());
+        // The embedded XPath fragments carry the XPath parser's budget.
+        let deep = format!("<a>{{ {}1{} }}</a>", "(".repeat(10_000), ")".repeat(10_000));
+        assert!(parse_xquery(&deep).is_err());
     }
 
     #[test]
