@@ -51,7 +51,6 @@ fn bench_rule_ablation(c: &mut Criterion) {
         let plan = engine.compile(query).expect("compile");
         let options = OptimizerOptions {
             disabled_rules: disabled.iter().map(|s| s.to_string()).collect(),
-            ..Default::default()
         };
         let outcome = optimize(plan, engine.store(), &scope, &options).expect("optimize");
         group.bench_with_input(

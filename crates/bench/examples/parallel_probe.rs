@@ -48,7 +48,7 @@ enum Mode {
 
 fn set(engine: &mut Engine, mode: Mode) {
     let o = engine.options_mut();
-    o.parallel = !matches!(mode, Mode::Serial);
+    o.parallel_workers = if matches!(mode, Mode::Serial) { 1 } else { 0 };
     o.parallel_force = matches!(mode, Mode::Forced);
 }
 

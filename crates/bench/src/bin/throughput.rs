@@ -6,11 +6,6 @@
 //!     -- [<mb> [workers...]] [--window-ms N] [--out PATH] <mode>
 //! ```
 //!
-//! `--views on|off|both` runs the semantic-cache benchmark:
-//! driver threads replay a Zipfian repeated-traffic mix over the scan
-//! suite, with the view cache enabled and/or disabled, and the report
-//! (`BENCH_7.json`) compares throughput across the two configurations.
-//!
 //! `--fused on|off|both` runs the fusion benchmark: driver
 //! threads replay the structural scan suite per query with whole-query
 //! fusion forced and/or disabled, and the report (`BENCH_8.json`)
@@ -19,21 +14,14 @@
 //! `--router SxR` runs the sharded front-tier benchmark: it
 //! stands up `S` shards × `R` streaming replicas behind a
 //! `vamana-router` front tier, compares aggregate QPS against one
-//! single-node server holding every document (both scatter-gather and
-//! doc-targeted traffic), then measures event-core vs. threaded-core
-//! connection scaling — hundreds of idle connections plus ≥64 active
-//! clients, with process thread counts recorded (`BENCH_9.json`).
+//! single-node server holding every document, with scatter-gather and
+//! with doc-targeted traffic (`BENCH_9.json`).
 //!
 //! `--replicas N` runs the replicated-read benchmark (`BENCH_6.json`).
 //!
-//! `--mixed PCT` runs the read/write benchmark: reader threads
-//! measure per-query latency in two windows — alone, then sharing the
-//! engine with one writer duty-cycled to `PCT`% of operations — and the
-//! report (`BENCH_5.json`) compares reader p50/p99 across the two plus
-//! the writer's time at the epoch gate.
-//!
-//! The serial-vs-parallel scan comparison is `trajectory`'s `embed_scan`
-//! workload and the `parallel_probe` example.
+//! Reads beside a writer are `trajectory`'s `serve_write` workload; the
+//! serial-vs-parallel scan comparison is its `embed_scan` workload and
+//! the `parallel_probe` example.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,16 +38,10 @@ struct Args {
     workers: Vec<usize>,
     window: Duration,
     out: Option<String>,
-    /// `Some(write_pct)`: run the mixed read/write benchmark.
-    mixed: Option<u32>,
     /// `Some(n)`: run the replicated-read benchmark instead — aggregate
     /// read QPS over a primary plus 0..=n replicas, and a lag-convergence
     /// histogram (`BENCH_6.json`).
     replicas: Option<usize>,
-    /// `Some("on"|"off"|"both")`: run the semantic-cache benchmark
-    /// instead — Zipfian repeated traffic over the scan suite with the
-    /// view cache enabled and/or disabled (`BENCH_7.json`).
-    views: Option<String>,
     /// `Some("on"|"off"|"both")`: run the fusion benchmark instead —
     /// per-query scan-suite throughput with whole-query fusion forced
     /// and/or disabled (`BENCH_8.json`).
@@ -67,8 +49,7 @@ struct Args {
     /// `Some((shards, replicas_per_shard))`: run the sharded front-tier
     /// benchmark instead — aggregate QPS through a router over
     /// `shards`×`replicas` backends vs. one single-node server holding
-    /// every document, plus the event-core vs. threaded-core connection
-    /// scaling comparison (`BENCH_9.json`).
+    /// every document (`BENCH_9.json`).
     router: Option<(usize, usize)>,
 }
 
@@ -78,9 +59,7 @@ fn parse_args() -> Args {
         workers: Vec::new(),
         window: Duration::from_secs(2),
         out: None,
-        mixed: None,
         replicas: None,
-        views: None,
         fused: None,
         router: None,
     };
@@ -98,28 +77,12 @@ fn parse_args() -> Args {
             "--out" => {
                 args.out = Some(it.next().expect("--out needs a path"));
             }
-            "--mixed" => {
-                let pct: u32 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--mixed needs a write percentage (e.g. 5)");
-                assert!(pct > 0 && pct < 100, "--mixed percentage must be in 1..=99");
-                args.mixed = Some(pct);
-            }
             "--replicas" => {
                 let n: usize = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--replicas needs a follower count (e.g. 2)");
                 args.replicas = Some(n);
-            }
-            "--views" => {
-                let which = it.next().expect("--views takes on|off|both");
-                assert!(
-                    matches!(which.as_str(), "on" | "off" | "both"),
-                    "--views takes on|off|both, got {which}"
-                );
-                args.views = Some(which);
             }
             "--fused" => {
                 let which = it.next().expect("--fused takes on|off|both");
@@ -163,458 +126,14 @@ fn main() {
         run_router(&args, shards, replicas);
     } else if let Some(n) = args.replicas {
         run_replicas(&args, n);
-    } else if let Some(which) = args.views.clone() {
-        run_views(&args, &which);
     } else if let Some(which) = args.fused.clone() {
         run_fused(&args, &which);
-    } else if let Some(write_pct) = args.mixed {
-        run_mixed(&args, write_pct);
     } else {
         eprintln!(
             "usage: throughput [<mb> [workers...]] [--window-ms N] [--out PATH] \
-             (--mixed PCT | --views on|off|both | --fused on|off|both | --replicas N | --router SxR)"
+             (--fused on|off|both | --replicas N | --router SxR)"
         );
         std::process::exit(2);
-    }
-}
-
-/// Reader latencies and counts from one mixed-mode measurement window.
-struct MixedPhase {
-    reads: u64,
-    writes: u64,
-    /// Sorted per-query reader latencies, microseconds.
-    latencies_us: Vec<u64>,
-    elapsed: Duration,
-    writer_wait_us: u64,
-}
-
-impl MixedPhase {
-    fn quantile_us(&self, q: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let rank = ((q * self.latencies_us.len() as f64).ceil() as usize)
-            .clamp(1, self.latencies_us.len());
-        self.latencies_us[rank - 1]
-    }
-
-    fn qps(&self) -> f64 {
-        self.reads as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// The 95/5 (configurable) read/write benchmark: reader tail latency
-/// with and without a concurrent writer against the same engine.
-///
-/// Phase 1 runs `readers` threads over the scan suite and records
-/// per-query latency — the no-writer baseline. Phase 2 repeats the
-/// window with one writer thread issuing `apply_update` insert/delete
-/// pairs, duty-cycled so writes stay at `write_pct`% of completed
-/// operations. The report compares reader p50/p99 across phases and
-/// records how long the writer spent at the epoch gate.
-fn run_mixed(args: &Args, write_pct: u32) {
-    let readers = args.workers.iter().copied().max().unwrap_or(1);
-    eprintln!("generating ~{} MB of XMark data…", args.megabytes);
-    let xml = vamana_bench::document(args.megabytes);
-    let mut store = MassStore::open_memory();
-    store.load_xml("auction", &xml).expect("load xmark");
-    let mut base = Engine::new(store);
-    // Mixed mode measures the serving configuration with every query
-    // serial (inter-query concurrency comes from the readers).
-    base.options_mut().parallel = false;
-    let engine = &Arc::new(SharedEngine::new(base));
-    let plans: Vec<QueryPlan> = SCAN_QUERIES
-        .iter()
-        .map(|(name, xpath)| {
-            let guard = engine.read();
-            let plan = guard.compile(xpath).expect(name);
-            guard.optimize_plan(plan, DocId(0)).expect(name).plan
-        })
-        .collect();
-
-    eprintln!("mixed mode: {readers} reader(s), write duty {write_pct}%");
-    let baseline = run_mixed_window(engine, &plans, readers, None, args.window);
-    let mixed = run_mixed_window(engine, &plans, readers, Some(write_pct), args.window);
-
-    println!(
-        "{:>10} {:>9} {:>9} {:>11} {:>11} {:>13} {:>16}",
-        "phase", "reads", "writes", "p50_us", "p99_us", "reads/sec", "writer_wait_us"
-    );
-    for (phase, s) in [("baseline", &baseline), ("mixed", &mixed)] {
-        println!(
-            "{:>10} {:>9} {:>9} {:>11} {:>11} {:>13.1} {:>16}",
-            phase,
-            s.reads,
-            s.writes,
-            s.quantile_us(0.50),
-            s.quantile_us(0.99),
-            s.qps(),
-            s.writer_wait_us
-        );
-    }
-
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"throughput_mixed_read_write\",\n");
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    ));
-    out.push_str(&format!("  \"doc_megabytes\": {},\n", args.megabytes));
-    out.push_str(&format!("  \"window_ms\": {},\n", args.window.as_millis()));
-    out.push_str(&format!("  \"readers\": {readers},\n"));
-    out.push_str(&format!("  \"write_pct\": {write_pct},\n"));
-    out.push_str("  \"results\": {\n");
-    for (i, (phase, s)) in [("baseline", &baseline), ("mixed", &mixed)]
-        .iter()
-        .enumerate()
-    {
-        out.push_str(&format!(
-            "    \"{phase}\": {{\"reads\": {}, \"writes\": {}, \"reader_p50_us\": {}, \"reader_p99_us\": {}, \"reads_per_sec\": {:.1}, \"writer_wait_us\": {}}}{}\n",
-            s.reads,
-            s.writes,
-            s.quantile_us(0.50),
-            s.quantile_us(0.99),
-            s.qps(),
-            s.writer_wait_us,
-            if i == 0 { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-    let ratio = mixed.quantile_us(0.99).max(1) as f64 / baseline.quantile_us(0.99).max(1) as f64;
-    out.push_str(&format!(
-        "  \"p99_ratio_mixed_over_baseline\": {ratio:.2}\n"
-    ));
-    out.push_str("}\n");
-    let path = args.out.as_deref().unwrap_or("BENCH_5.json");
-    std::fs::write(path, &out).expect("write json");
-    eprintln!("wrote {path}");
-}
-
-/// One mixed-mode window: `readers` query threads, plus one writer
-/// thread when `write_pct` is set.
-fn run_mixed_window(
-    engine: &Arc<SharedEngine>,
-    plans: &[QueryPlan],
-    readers: usize,
-    write_pct: Option<u32>,
-    window: Duration,
-) -> MixedPhase {
-    let stop = Arc::new(AtomicBool::new(false));
-    let reads = Arc::new(AtomicU64::new(0));
-    let writes = Arc::new(AtomicU64::new(0));
-    let wait_before = engine.read().writer_wait_total();
-    let start = Instant::now();
-    let mut latencies: Vec<u64> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..readers.max(1) {
-            let engine = Arc::clone(engine);
-            let stop = Arc::clone(&stop);
-            let reads = Arc::clone(&reads);
-            handles.push(scope.spawn(move || {
-                let mut buf = Vec::with_capacity(BATCH_SIZE);
-                let mut lats = Vec::new();
-                let mut i = t;
-                while !stop.load(Ordering::Relaxed) {
-                    let plan = &plans[i % plans.len()];
-                    let t0 = Instant::now();
-                    let guard = engine.read();
-                    let mut stream = guard.stream_plan(plan.clone(), DocId(0)).expect("stream");
-                    loop {
-                        buf.clear();
-                        if stream.next_batch(&mut buf, BATCH_SIZE).expect("batch") == 0 {
-                            break;
-                        }
-                    }
-                    drop(guard);
-                    lats.push(t0.elapsed().as_micros() as u64);
-                    reads.fetch_add(1, Ordering::Relaxed);
-                    i += 1;
-                }
-                lats
-            }));
-        }
-        if let Some(pct) = write_pct {
-            let engine = Arc::clone(engine);
-            let stop = Arc::clone(&stop);
-            let reads = Arc::clone(&reads);
-            let writes = Arc::clone(&writes);
-            scope.spawn(move || {
-                use vamana_core::UpdateOp;
-                let insert = UpdateOp::Insert {
-                    target: "/site".to_string(),
-                    fragment: "<benchrow>w</benchrow>".to_string(),
-                };
-                let delete = UpdateOp::Delete {
-                    target: "//benchrow".to_string(),
-                };
-                let mut inserted = false;
-                while !stop.load(Ordering::Relaxed) {
-                    // Duty cycle: hold writes at `pct`% of completed ops.
-                    let r = reads.load(Ordering::Relaxed);
-                    let w = writes.load(Ordering::Relaxed);
-                    let target = (r + w) * pct as u64 / 100;
-                    if w >= target {
-                        std::thread::sleep(Duration::from_micros(200));
-                        continue;
-                    }
-                    let op = if inserted { &delete } else { &insert };
-                    engine.write().apply_update(DocId(0), op).expect("update");
-                    inserted = !inserted;
-                    writes.fetch_add(1, Ordering::Relaxed);
-                }
-                // Leave the document as found.
-                if inserted {
-                    engine
-                        .write()
-                        .apply_update(DocId(0), &delete)
-                        .expect("cleanup");
-                }
-            });
-        }
-        std::thread::sleep(window);
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            latencies.extend(h.join().expect("reader"));
-        }
-    });
-    latencies.sort_unstable();
-    let wait_after = engine.read().writer_wait_total();
-    MixedPhase {
-        reads: reads.load(Ordering::Relaxed),
-        writes: writes.load(Ordering::Relaxed),
-        latencies_us: latencies,
-        elapsed: start.elapsed(),
-        writer_wait_us: wait_after.saturating_sub(wait_before).as_micros() as u64,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Semantic-cache throughput: `--views on|off|both`.
-// ---------------------------------------------------------------------
-
-/// Zipf skew of the repeated-traffic mix: with s = 1.1 over the five
-/// scan queries, the head query draws ~40% of the traffic — the shape a
-/// semantic cache exists for.
-const ZIPF_S: f64 = 1.1;
-
-/// One measurement window of the views benchmark.
-struct ViewsSample {
-    enabled: bool,
-    queries: u64,
-    rows: u64,
-    elapsed: Duration,
-    view_hits: u64,
-    view_misses: u64,
-    view_views: u64,
-}
-
-impl ViewsSample {
-    fn qps(&self) -> f64 {
-        self.queries as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// xorshift64*: deterministic per-thread traffic, no external RNG crate.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-}
-
-/// `--views on|off|both`: repeated-traffic throughput with the semantic
-/// cache enabled and/or disabled. Driver threads replay a Zipfian mix
-/// over the scan suite against one shared engine; with views on, the
-/// warmup passes admit every hot query into the cache, so the once-
-/// compiled plans (the serving layer's plan cache) execute `ViewScan`
-/// over materialized results instead of walking clustered pages.
-/// Results go to `BENCH_7.json` (override with `--out`).
-fn run_views(args: &Args, which: &str) {
-    let drivers = args.workers.first().copied().unwrap_or(4);
-    eprintln!("generating ~{} MB of XMark data…", args.megabytes);
-    let xml = vamana_bench::document(args.megabytes);
-
-    // Cumulative Zipf distribution over the suite, head query first.
-    let weights: Vec<f64> = (0..SCAN_QUERIES.len())
-        .map(|i| 1.0 / ((i + 1) as f64).powf(ZIPF_S))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut acc = 0.0;
-    let cdf: Vec<f64> = weights
-        .iter()
-        .map(|w| {
-            acc += w / total;
-            acc
-        })
-        .collect();
-
-    let phases: &[bool] = match which {
-        "on" => &[true],
-        "off" => &[false],
-        _ => &[false, true],
-    };
-    eprintln!("views benchmark: {drivers} driver(s), zipf s={ZIPF_S}");
-
-    println!(
-        "{:>6} {:>8} {:>12} {:>14} {:>10} {:>12}",
-        "views", "drivers", "queries", "queries/sec", "hits", "speedup"
-    );
-    let mut samples: Vec<ViewsSample> = Vec::new();
-    for &enabled in phases {
-        let sample = run_views_phase(&xml, enabled, drivers, &cdf, args.window);
-        let speedup = samples
-            .iter()
-            .find(|s| !s.enabled)
-            .filter(|_| enabled)
-            .map(|off| format!("{:.2}x", sample.qps() / off.qps()))
-            .unwrap_or_else(|| "-".to_string());
-        println!(
-            "{:>6} {:>8} {:>12} {:>14.1} {:>10} {:>12}",
-            if enabled { "on" } else { "off" },
-            drivers,
-            sample.queries,
-            sample.qps(),
-            sample.view_hits,
-            speedup
-        );
-        samples.push(sample);
-    }
-
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"throughput_semantic_views\",\n");
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    ));
-    out.push_str(&format!("  \"doc_megabytes\": {},\n", args.megabytes));
-    out.push_str(&format!("  \"window_ms\": {},\n", args.window.as_millis()));
-    out.push_str(&format!("  \"drivers\": {drivers},\n"));
-    out.push_str(&format!("  \"zipf_s\": {ZIPF_S},\n"));
-    out.push_str("  \"results\": {\n");
-    for (i, s) in samples.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"views_{}\": {{\"queries\": {}, \"rows\": {}, \"qps\": {:.1}, \"view_hits\": {}, \"view_misses\": {}, \"view_views\": {}}}{}\n",
-            if s.enabled { "on" } else { "off" },
-            s.queries,
-            s.rows,
-            s.qps(),
-            s.view_hits,
-            s.view_misses,
-            s.view_views,
-            if i + 1 < samples.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }");
-    if let (Some(on), Some(off)) = (
-        samples.iter().find(|s| s.enabled),
-        samples.iter().find(|s| !s.enabled),
-    ) {
-        out.push_str(&format!(
-            ",\n  \"speedup_views_on_over_off\": {:.2}\n",
-            on.qps() / off.qps()
-        ));
-    } else {
-        out.push('\n');
-    }
-    out.push_str("}\n");
-    let path = args.out.as_deref().unwrap_or("BENCH_7.json");
-    std::fs::write(path, &out).expect("write json");
-    eprintln!("wrote {path}");
-}
-
-/// One phase of the views benchmark: fresh engine, two warmup passes
-/// (admission threshold for views-on, buffer-pool warmth for both),
-/// plans compiled once, then `drivers` threads replaying Zipfian traffic.
-fn run_views_phase(
-    xml: &str,
-    enabled: bool,
-    drivers: usize,
-    cdf: &[f64],
-    window: Duration,
-) -> ViewsSample {
-    let mut store = MassStore::open_memory();
-    store.load_xml("auction", xml).expect("load xmark");
-    let mut base = Engine::new(store);
-    base.options_mut().views = enabled;
-    let engine = Arc::new(SharedEngine::new(base));
-
-    // Two full passes cross the default admission threshold, so every
-    // scan query has a materialized view before plans are compiled.
-    for _ in 0..2 {
-        for (name, xpath) in SCAN_QUERIES {
-            let guard = engine.read();
-            let rows = guard.query_doc(DocId(0), xpath).expect(name).len();
-            assert!(rows > 0, "{name} ({xpath}) returned no rows");
-        }
-    }
-    // Compile once per query, as the serving layer's plan cache would;
-    // with views on the optimizer folds each query onto its view.
-    let plans: Vec<QueryPlan> = SCAN_QUERIES
-        .iter()
-        .map(|(name, xpath)| {
-            let guard = engine.read();
-            let plan = guard.compile(xpath).expect(name);
-            guard.optimize_plan(plan, DocId(0)).expect(name).plan
-        })
-        .collect();
-    let before = engine.read().views().stats();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let queries = Arc::new(AtomicU64::new(0));
-    let rows = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..drivers.max(1) {
-            let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            let queries = Arc::clone(&queries);
-            let rows = Arc::clone(&rows);
-            let plans = &plans;
-            scope.spawn(move || {
-                let mut buf = Vec::with_capacity(BATCH_SIZE);
-                let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ ((t as u64 + 1) << 17);
-                while !stop.load(Ordering::Relaxed) {
-                    let u = (xorshift(&mut rng) >> 11) as f64 / (1u64 << 53) as f64;
-                    let idx = cdf.iter().position(|&c| u < c).unwrap_or(cdf.len() - 1);
-                    let guard = engine.read();
-                    let mut stream = guard
-                        .stream_plan(plans[idx].clone(), DocId(0))
-                        .expect("stream");
-                    let mut n = 0u64;
-                    loop {
-                        buf.clear();
-                        let k = stream.next_batch(&mut buf, BATCH_SIZE).expect("batch");
-                        if k == 0 {
-                            break;
-                        }
-                        n += k as u64;
-                    }
-                    drop(guard);
-                    assert!(n > 0, "query produced no rows mid-bench");
-                    queries.fetch_add(1, Ordering::Relaxed);
-                    rows.fetch_add(n, Ordering::Relaxed);
-                }
-            });
-        }
-        std::thread::sleep(window);
-        stop.store(true, Ordering::Relaxed);
-    });
-    let after = engine.read().views().stats();
-    ViewsSample {
-        enabled,
-        queries: queries.load(Ordering::Relaxed),
-        rows: rows.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-        view_hits: after.hits - before.hits,
-        view_misses: after.misses - before.misses,
-        view_views: after.views,
     }
 }
 
@@ -1071,13 +590,6 @@ fn run_replicas(args: &Args, max_replicas: usize) {
 /// constant across both tiers so the QPS delta isolates the topology.
 const ROUTER_READERS: usize = 8;
 
-/// Idle connections opened in the connection-scaling phase — far more
-/// than the threaded core can hold without one OS thread apiece.
-const IDLE_CONNS: usize = 256;
-
-/// Active clients during the connection-scaling measurement window.
-const ACTIVE_CLIENTS: usize = 64;
-
 /// One measurement window of the router benchmark.
 struct RouterWindow {
     tier: &'static str,
@@ -1090,37 +602,6 @@ impl RouterWindow {
     fn qps(&self) -> f64 {
         self.reads as f64 / self.elapsed.as_secs_f64()
     }
-}
-
-/// One core's connection-scaling result.
-struct ScalingSample {
-    core: &'static str,
-    threads_before: u64,
-    threads_after: u64,
-    reads: u64,
-    elapsed: Duration,
-}
-
-impl ScalingSample {
-    fn qps(&self) -> f64 {
-        self.reads as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// `Threads:` from `/proc/self/status` — every in-process server's
-/// connection and worker threads land in this count, so the delta
-/// across "open N idle connections" is exactly what the core spent.
-fn process_threads() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find(|l| l.starts_with("Threads:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
 }
 
 /// Runs `readers` client threads against `addr` replaying `queries`
@@ -1167,18 +648,13 @@ fn wire_window(
 /// scatter-gather traffic (`QUERY` with no `DOC`, fanned across every
 /// shard and merged) and once with doc-targeted traffic (`QUERY DOC`,
 /// routed to the owner and load-balanced over its fresh replicas).
-///
-/// A second phase measures what the event core is for: each core
-/// accepts [`IDLE_CONNS`] idle connections (recording the process
-/// thread-count delta — one thread apiece for the threaded core, none
-/// for the event core), then serves [`ACTIVE_CLIENTS`] concurrent
-/// query streams. Results go to `BENCH_9.json` (override with `--out`).
+/// Results go to `BENCH_9.json` (override with `--out`).
 fn run_router(args: &Args, shards: usize, replicas: usize) {
     use vamana_mass::FsyncPolicy;
     use vamana_replica::{Replica, ReplicaConfig};
     use vamana_router::{Router, RouterConfig};
     use vamana_server::testkit::{lag_value, Client};
-    use vamana_server::{CoreMode, Server, ServerConfig};
+    use vamana_server::{Server, ServerConfig};
 
     eprintln!("generating ~{} MB of XMark data…", args.megabytes);
     let xml = vamana_bench::document(args.megabytes);
@@ -1340,63 +816,6 @@ fn run_router(args: &Args, shards: usize, replicas: usize) {
     }
     single.stop();
 
-    // Connection scaling: the same protocol served by each core. Idle
-    // connections are opened (and proven live with a PING) before the
-    // thread count is sampled; the active window then runs with all of
-    // them still parked.
-    let light = format!("QUERY {}", SCAN_QUERIES[0].1);
-    println!(
-        "{:>10} {:>10} {:>14} {:>13} {:>10} {:>13}",
-        "core", "idle_conns", "threads_before", "threads_after", "active", "reads/sec"
-    );
-    let mut scaling: Vec<ScalingSample> = Vec::new();
-    for (core_name, core) in [("event", CoreMode::Event), ("threaded", CoreMode::Threaded)] {
-        let mut store = MassStore::open_memory();
-        store.load_xml("auction", &xml).expect("load scaling");
-        let config = ServerConfig {
-            core,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", Engine::new(store), config)
-            .expect("bind scaling")
-            .spawn()
-            .expect("spawn scaling");
-        let threads_before = process_threads();
-        let _idle: Vec<Client> = (0..IDLE_CONNS)
-            .map(|_| {
-                let mut client = Client::connect(&server);
-                let reply = client.round_trip("PING");
-                assert!(reply[0].starts_with("OK"), "{reply:?}");
-                client
-            })
-            .collect();
-        let threads_after = process_threads();
-        let (reads, elapsed) = wire_window(
-            server.addr(),
-            std::slice::from_ref(&light),
-            ACTIVE_CLIENTS,
-            args.window,
-        );
-        let sample = ScalingSample {
-            core: core_name,
-            threads_before,
-            threads_after,
-            reads,
-            elapsed,
-        };
-        println!(
-            "{:>10} {:>10} {:>14} {:>13} {:>10} {:>13.1}",
-            sample.core,
-            IDLE_CONNS,
-            sample.threads_before,
-            sample.threads_after,
-            ACTIVE_CLIENTS,
-            sample.qps()
-        );
-        scaling.push(sample);
-        drop(_idle);
-        server.stop();
-    }
     let _ = std::fs::remove_dir_all(&dir);
 
     let find = |tier: &str, traffic: &str| {
@@ -1438,27 +857,10 @@ fn run_router(args: &Args, shards: usize, replicas: usize) {
         find("router", "scatter").qps() / find("single_node", "scatter").qps()
     ));
     out.push_str(&format!(
-        "  \"targeted_ratio_router_over_single\": {:.2},\n",
+        "  \"targeted_ratio_router_over_single\": {:.2}\n",
         find("router", "targeted").qps() / find("single_node", "targeted").qps()
     ));
-    out.push_str("  \"connection_scaling\": {\n");
-    out.push_str(&format!(
-        "    \"idle_connections\": {IDLE_CONNS},\n    \"active_clients\": {ACTIVE_CLIENTS},\n"
-    ));
-    out.push_str("    \"cores\": {\n");
-    for (i, s) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "      \"{}\": {{\"threads_before\": {}, \"threads_after\": {}, \"threads_added\": {}, \"reads\": {}, \"qps_at_active_clients\": {:.1}}}{}\n",
-            s.core,
-            s.threads_before,
-            s.threads_after,
-            s.threads_after.saturating_sub(s.threads_before),
-            s.reads,
-            s.qps(),
-            if i + 1 < scaling.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    }\n  }\n}\n");
+    out.push_str("}\n");
     let path = args.out.as_deref().unwrap_or("BENCH_9.json");
     std::fs::write(path, &out).expect("write json");
     eprintln!("wrote {path}");

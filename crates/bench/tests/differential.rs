@@ -73,7 +73,7 @@ fn a_one_tuple_pull_touches_a_constant_number_of_pages() {
     // An eligible plan sizes its whole context list for the parallel
     // gate when the stream opens; the pull protocol is what is under
     // test here.
-    bench.engine_mut().options_mut().parallel = false;
+    bench.engine_mut().options_mut().parallel_workers = 1;
     let engine = bench.engine();
     let probes = || engine.store().buffer_pool().probe_pin_counts().0;
     for xpath in [

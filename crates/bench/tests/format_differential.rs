@@ -24,7 +24,9 @@ fn engine_with_format(xml: &str, format: StoreFormat) -> Engine {
     store.set_format(format).expect("fresh store");
     store.load_xml("auction.xml", xml).expect("load");
     let mut engine = Engine::new(store);
-    engine.options_mut().optimize = true;
+    // Every mode must read the pages again, not a view of the last mode's
+    // result.
+    engine.options_mut().view_admit_after = u32::MAX;
     engine
 }
 
@@ -33,11 +35,10 @@ type ModeSetup = (&'static str, fn(&mut Engine));
 
 const MODES: [ModeSetup; 3] = [
     ("serial", |e| {
-        e.options_mut().parallel = false;
+        e.options_mut().parallel_workers = 1;
     }),
     ("parallel", |e| {
         let o = e.options_mut();
-        o.parallel = true;
         o.parallel_workers = 2;
         o.parallel_force = true;
     }),

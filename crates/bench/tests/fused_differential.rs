@@ -74,11 +74,7 @@ fn fusion_under_parallel_scans_is_order_preserving() {
     let xml = vamana_xmark::generate_string(&config_for_megabytes(0.4));
     let mut plain = VamanaBench::optimized(&xml);
     let mut subject = fused_engine(&xml);
-    {
-        let options = subject.options_mut();
-        options.parallel = true;
-        options.parallel_force = true;
-    }
+    subject.options_mut().parallel_force = true;
     for (name, xpath) in SCAN_QUERIES {
         let reference = plain.engine_mut().query(xpath).unwrap();
         let got = subject.query_doc(DocId(0), xpath).unwrap();

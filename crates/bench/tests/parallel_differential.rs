@@ -41,14 +41,14 @@ fn parallel_results_equal_serial_and_dom_baseline() {
         for (name, xpath) in all_queries() {
             let oracle = dom.identities(xpath).unwrap();
             assert!(!oracle.is_empty(), "{name}: oracle returned nothing");
-            bench.engine_mut().options_mut().parallel = false;
+            bench.engine_mut().options_mut().parallel_workers = 1;
             let serial = bench.engine().query(xpath).unwrap();
             assert_eq!(
                 bench.identities(xpath).unwrap(),
                 oracle,
                 "{name}: serial != DOM oracle"
             );
-            bench.engine_mut().options_mut().parallel = true;
+            bench.engine_mut().options_mut().parallel_workers = workers;
             let parallel = bench.engine().query(xpath).unwrap();
             assert_eq!(parallel, serial, "{name} ({workers}w): parallel != serial");
             assert_eq!(
@@ -72,9 +72,9 @@ fn parallel_streams_equal_serial_streams() {
     // straight into its batch and drains the rest from the worker.
     force_parallel(bench.engine_mut(), 2);
     for (name, xpath) in all_queries() {
-        bench.engine_mut().options_mut().parallel = false;
+        bench.engine_mut().options_mut().parallel_workers = 1;
         let serial = drain_stream(bench.engine(), xpath, BATCH_SIZE);
-        bench.engine_mut().options_mut().parallel = true;
+        bench.engine_mut().options_mut().parallel_workers = 2;
         for max in PULL_SIZES {
             assert_eq!(
                 drain_stream(bench.engine(), xpath, max),

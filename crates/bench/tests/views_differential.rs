@@ -1,27 +1,30 @@
 //! Differential correctness of the semantic cache over the full XMark
-//! query suite: with views enabled, every run of every query — cold
-//! (materializing), warm (answered from a view), under every pull size —
-//! must be byte-identical to a view-less engine and to the DOM oracle.
+//! query suite: every run of every query — cold (materializing), warm
+//! (answered from a view), under every pull size — must be byte-identical
+//! to an engine that never admits a view and to the DOM oracle.
 //! Queries outside the containment fragment (reverse axes, positional
 //! predicates) must pass untouched.
 
 use vamana_baseline::XPathEngine;
 use vamana_bench::{drain_stream_set, VamanaBench, PULL_SIZES, QUERIES, SCAN_QUERIES};
-use vamana_core::{DocId, Engine, MassStore, NodeEntry};
+use vamana_core::{DocId, Engine, MassStore, NodeEntry, UpdateOp};
 use vamana_xmark::scale::config_for_megabytes;
 
 fn all_queries() -> impl Iterator<Item = (&'static str, &'static str)> {
     QUERIES.iter().chain(SCAN_QUERIES).copied()
 }
 
-/// A views-enabled engine with immediate admission so the second run of
-/// any cacheable query is answered from a materialized view.
-fn views_engine(xml: &str, greedy: bool) -> Engine {
+fn default_engine(xml: &str) -> Engine {
     let mut store = MassStore::open_memory();
     store.load_xml("auction.xml", xml).expect("load");
-    let mut engine = Engine::new(store);
+    Engine::new(store)
+}
+
+/// An engine with immediate admission so the second run of any cacheable
+/// query is answered from a materialized view.
+fn views_engine(xml: &str, greedy: bool) -> Engine {
+    let mut engine = default_engine(xml);
     let options = engine.options_mut();
-    options.views = true;
     options.view_admit_after = 1;
     options.view_greedy = greedy;
     engine
@@ -43,6 +46,59 @@ fn streamed_sets(engine: &Engine, xpath: &str) -> Vec<Vec<NodeEntry>> {
         .iter()
         .map(|&max| drain_stream_set(engine, xpath, max))
         .collect()
+}
+
+/// No switch: an engine as `Engine::new` makes it materializes a fragment
+/// query it keeps seeing, answers the next run from the view — the same
+/// rows the DOM oracle gives — and a write to the document drops the view.
+#[test]
+fn default_engine_answers_a_repeated_fragment_query_from_a_view() {
+    let xml = vamana_xmark::generate_string(&config_for_megabytes(0.4));
+    let oracle = vamana_baseline::dom::DomEngine::from_xml(&xml)
+        .unwrap()
+        .identities("//person/address")
+        .unwrap();
+    let mut engine = default_engine(&xml);
+    let doc = DocId(0);
+    let explain = |engine: &Engine| engine.explain(doc, "//person/address").unwrap();
+    for run in 0..3 {
+        if run < 2 {
+            let plan = explain(&engine).optimized_plan;
+            assert!(!plan.contains("ViewScan"), "run {run}: {plan}");
+        }
+        let got = engine.query_doc(doc, "//person/address").unwrap();
+        assert_eq!(identities(&engine, &got), oracle, "run {run}");
+    }
+    let ex = explain(&engine);
+    assert!(
+        ex.optimized_plan.contains("ViewScan"),
+        "{}",
+        ex.optimized_plan
+    );
+    assert!(
+        ex.opt_trace.render().contains("✓ applied (equivalent"),
+        "{}",
+        ex.opt_trace.render()
+    );
+    assert!(engine.views().stats().hits >= 1);
+
+    engine
+        .apply_update(
+            doc,
+            &UpdateOp::Delete {
+                target: "//person[address][1]".into(),
+            },
+        )
+        .unwrap();
+    assert_eq!(engine.views().stats().views, 0);
+    let plan = explain(&engine).optimized_plan;
+    assert!(!plan.contains("ViewScan"), "after the write: {plan}");
+    let after = engine.query_doc(doc, "//person/address").unwrap().len();
+    assert_eq!(
+        after,
+        oracle.len() - 1,
+        "one person with an address is gone"
+    );
 }
 
 /// Cold, warm and hot runs all equal the uncached answer and the DOM

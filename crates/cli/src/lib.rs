@@ -421,30 +421,16 @@ impl Session {
 
     fn cmd_views(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
         match arg {
-            "on" => {
-                self.engine.write().options_mut().views = true;
-                Ok("views on (semantic result caching)".to_string())
-            }
-            "off" => {
-                self.engine.write().options_mut().views = false;
-                Ok("views off".to_string())
-            }
             "clear" => {
                 self.engine.read().views().clear();
                 Ok("view cache cleared".to_string())
             }
             "" => {
                 let engine = self.engine.read();
-                let enabled = engine.options().views;
                 let stats = engine.views().stats();
                 let mut out = format!(
-                    "views {} — {} materialized, {} bytes, hits {}, misses {}, evictions {}",
-                    if enabled { "on" } else { "off" },
-                    stats.views,
-                    stats.bytes,
-                    stats.hits,
-                    stats.misses,
-                    stats.evictions
+                    "views — {} materialized, {} bytes, hits {}, misses {}, evictions {}",
+                    stats.views, stats.bytes, stats.hits, stats.misses, stats.evictions
                 );
                 for v in engine.views().list() {
                     out.push_str(&format!(
@@ -454,7 +440,7 @@ impl Session {
                 }
                 Ok(out)
             }
-            other => Err(format!("usage: .views [on|off|clear], got `{other}`").into()),
+            other => Err(format!("usage: .views [clear], got `{other}`").into()),
         }
     }
 
@@ -748,9 +734,8 @@ commands:
   .serve <port|stop>  share this session's store over TCP
   .xquery <flwor>     run an XQuery-lite FLWOR expression
   .optimizer [on|off] toggle the cost-driven optimizer
-  .views [on|off|clear]
-                      semantic result caching: materialize hot query
-                      results and answer contained queries from them
+  .views [clear]      materialized views: hot query results the optimizer
+                      answers contained queries from when that is cheaper
   .fuse [on|off]      whole-query fusion: collapse step chains into
                       single page-pinned scans when the model agrees
   .stats              storage and buffer-pool statistics
@@ -941,10 +926,9 @@ mod tests {
     }
 
     #[test]
-    fn views_toggle_materialize_and_clear() {
+    fn views_materialize_list_and_clear() {
         let mut s = loaded();
-        assert!(s.execute(".views").unwrap().contains("views off"));
-        assert!(s.execute(".views on").unwrap().contains("views on"));
+        assert!(s.execute(".views").unwrap().contains("0 materialized"));
         // Second sighting crosses the default admission threshold.
         s.execute("//name").unwrap();
         s.execute("//name").unwrap();
@@ -954,7 +938,7 @@ mod tests {
         assert!(s.execute(".views clear").unwrap().contains("cleared"));
         assert!(s.execute(".views").unwrap().contains("0 materialized"));
         assert!(s.execute(".views frob").unwrap().contains("error"));
-        assert!(s.execute(".views off").unwrap().contains("views off"));
+        assert!(s.execute(".views on").unwrap().contains("error"));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::explain::Analysis;
 use crate::opt::{self, OptEvent, OptimizeOutcome, OptimizerOptions};
 use crate::plan::{builder::build_plan, display, Operator, QueryPlan};
 use crate::shared::QueryProfile;
+use crate::views::{self, Pattern, ViewCandidate, ViewKey};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,49 +21,38 @@ use vamana_flex::KeyRange;
 use vamana_mass::{DocId, MassError, MassStore, NodeEntry, RecordKind, WalStats};
 use vamana_xpath::{parse, Expr};
 
-/// Engine configuration.
+/// How long a writer waits at the epoch gate for in-flight readers
+/// (parallel morsel workers, open streams) to drop their store handles
+/// before giving up with [`MassError::WriterConflict`].
+const WRITER_DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Engine configuration. Every read-path feature engages through its cost
+/// gate; what is configurable is the paper's optimizer switch, two
+/// resource bounds, the one gate not yet trusted to decide alone
+/// (`fuse`), and three overrides that let tests drive a path the gate
+/// would decline.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Run the cost-driven optimizer (`false` = execute default plans,
-    /// the paper's "VQP" configuration; `true` = "VQP-OPT").
+    /// the paper's "VQP" configuration; `true` = "VQP-OPT"). Views and
+    /// fusion are optimizer stages: default plans use neither.
     pub optimize: bool,
-    /// XPath node-set semantics: results sorted in document order with
-    /// duplicates removed.
-    pub set_semantics: bool,
-    /// Optimizer iteration bound.
-    pub max_opt_iterations: usize,
-    /// Morsel-parallel scans: a plan whose output step is a splittable
-    /// page scan is sized when it runs — from the context count and page
-    /// span of that run — and fans out over the engine's scan pool only
-    /// from the measured break-even up (`cost::PARALLEL_BREAK_EVEN`).
-    /// Identical output either way; `false` keeps every scan on the
-    /// calling thread.
-    pub parallel: bool,
     /// Threads one scan may use, the calling thread included (the pool
-    /// runs one fewer). `0` means one per available core; `1` is serial.
-    /// Unless forced, a scan never uses more threads than the host has
-    /// cores, whatever this says.
+    /// runs one fewer). `0` means one per available core; `1` keeps every
+    /// scan on the calling thread. A plan whose output step is a
+    /// splittable page scan is sized when it runs — from the context
+    /// count and page span of that run — and fans out only from the
+    /// measured break-even up (`cost::PARALLEL_BREAK_EVEN`), never wider
+    /// than the host has cores unless forced. Identical output either way.
     pub parallel_workers: usize,
     /// Fan every eligible scan out as wide as `parallel_workers` allows
     /// regardless of its size or the document's — for differential testing
     /// and for measuring the parallel path itself.
     pub parallel_force: bool,
-    /// How long a writer waits at the epoch gate for in-flight readers
-    /// (parallel morsel workers, open streams) to drop their store
-    /// handles before giving up with
-    /// [`vamana_mass::MassError::WriterConflict`].
-    pub writer_drain_timeout: Duration,
-    /// Semantic result caching ([`crate::views`]): materialize the
-    /// results of hot fragment queries and answer later queries from
-    /// them when containment holds and the cost model agrees. Off by
-    /// default; requires `set_semantics` (views hold set-semantics
-    /// results).
-    pub views: bool,
-    /// Byte budget for materialized views; least-recently-used views are
-    /// evicted past it.
-    pub view_budget_bytes: u64,
     /// How many times a fragment query must be seen before its result is
-    /// materialized.
+    /// materialized as a view ([`crate::views`]). Views need no switch:
+    /// a rewrite onto one is kept only when re-estimation beats the
+    /// optimized plan, and any write to the document drops its views.
     pub view_admit_after: u32,
     /// Accept every *sound* view rewrite regardless of estimated cost —
     /// for differential testing and diagnostics, where the goal is to
@@ -70,9 +60,10 @@ pub struct EngineOptions {
     pub view_greedy: bool,
     /// Whole-query fusion ([`crate::opt::fuse`]): collapse the
     /// scan-bound suffix of a step chain into a single page-pinned
-    /// [`Operator::FusedScan`] when the cost model agrees. Off by
-    /// default; requires `set_semantics` (a fused scan emits each
-    /// matching node exactly once).
+    /// [`Operator::FusedScan`] when the cost model agrees. The one
+    /// opt-in left: its gate compares two whole-document upper bounds
+    /// and a fused scan is never parallel-eligible (DESIGN.md, "Why
+    /// `fuse` is still opt-in").
     pub fuse: bool,
     /// Accept every extractable fusion candidate regardless of
     /// estimated cost — for differential testing and benchmarking the
@@ -84,14 +75,8 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             optimize: true,
-            set_semantics: true,
-            max_opt_iterations: 8,
-            parallel: true,
             parallel_workers: 0,
             parallel_force: false,
-            writer_drain_timeout: Duration::from_secs(2),
-            views: false,
-            view_budget_bytes: 64 << 20,
             view_admit_after: 2,
             view_greedy: false,
             fuse: false,
@@ -177,15 +162,9 @@ pub struct QueryStream<'s> {
 }
 
 impl<'s> QueryStream<'s> {
-    fn new(engine: &'s Engine, plan: QueryPlan, root_ctx: NodeEntry) -> Result<Self> {
-        if engine.options().views {
-            if crate::views::plan_view(&plan).is_some() {
-                engine.views().record_hit();
-            } else {
-                engine.views().record_miss();
-            }
-        }
-        engine.record_fused(&plan);
+    fn new(engine: &'s Engine, plan: QueryPlan, doc: DocId) -> Result<Self> {
+        engine.begin_run(&plan, doc)?;
+        let root_ctx = engine.doc_entry(doc)?;
         let plan = Box::new(plan);
         let top = match plan.op(plan.root()) {
             Operator::Root { child } => *child,
@@ -283,7 +262,7 @@ pub struct Engine {
     /// Cumulative microseconds writers spent at the epoch gate waiting
     /// for reader-held store clones to drain.
     writer_wait_us: AtomicU64,
-    /// Materialized-view cache (consulted only when `options.views`).
+    /// Materialized-view cache.
     views: crate::views::ViewCache,
     /// Cumulative count of queries executed through a fused chain.
     fused_chains: AtomicU64,
@@ -330,13 +309,13 @@ impl Engine {
     /// Mutable store access (loading documents, updates), behind the
     /// *epoch gate*: store clones held by in-flight parallel scans or
     /// open streams are normally reaped before their query returns, but
-    /// a writer arriving while one is still alive waits (bounded by
-    /// [`EngineOptions::writer_drain_timeout`]) for the readers to
-    /// drain instead of panicking. On timeout the caller gets
+    /// a writer arriving while one is still alive waits (two seconds at
+    /// most) for the readers to drain instead of panicking. On timeout
+    /// the caller gets
     /// [`MassError::WriterConflict`] and the store is untouched.
     pub fn store_mut(&mut self) -> Result<&mut MassStore> {
         let start = Instant::now();
-        let deadline = start + self.options.writer_drain_timeout;
+        let deadline = start + WRITER_DRAIN_TIMEOUT;
         loop {
             if Arc::get_mut(&mut self.store).is_some() {
                 break;
@@ -391,11 +370,11 @@ impl Engine {
     }
 
     /// What the executor needs to price and run a parallel scan: only
-    /// for plans the optimizer found eligible, with parallel execution
-    /// enabled and a second thread to give.
+    /// for plans the optimizer found eligible, with a second thread to
+    /// give.
     pub(crate) fn parallel_hooks(&self, plan: &QueryPlan) -> Option<ParallelHooks<'_>> {
         let width = self.effective_workers();
-        if !self.options.parallel || width < 2 {
+        if width < 2 {
             return None;
         }
         plan.parallel()?;
@@ -434,7 +413,9 @@ impl Engine {
         let target = match op {
             UpdateOp::Insert { target, .. } | UpdateOp::Delete { target } => target,
         };
-        let matched = self.query_doc(doc, target)?;
+        // Not `query_doc`: the write below drops the document's views, so
+        // its own target is not worth counting toward one.
+        let matched = self.execute_plan(&self.prepare(doc, target)?, doc)?;
         if let UpdateOp::Insert { .. } = op {
             if let Some(first) = matched.first() {
                 if !matches!(first.kind, RecordKind::Element | RecordKind::Document) {
@@ -519,36 +500,43 @@ impl Engine {
         build_plan(&expr)
     }
 
-    /// Optimizes a plan for `doc` and reports the outcome. Parallel
-    /// eligibility is always recorded on the resulting plan (even when
-    /// `options.parallel` is off) so precompiled/cached plans carry it;
-    /// execution gates on the option separately.
-    pub fn optimize_plan(&self, plan: QueryPlan, doc: DocId) -> Result<OptimizeOutcome> {
+    /// Optimizes a plan for `doc` and reports the outcome: the rule
+    /// library, then the view stage, then (with `options.fuse`) the fusion
+    /// stage, each kept only when re-estimation says it pays. Parallel
+    /// eligibility and the query's view-cache identity are recorded on the
+    /// resulting plan so precompiled/cached plans carry them.
+    pub fn optimize_plan(&self, mut plan: QueryPlan, doc: DocId) -> Result<OptimizeOutcome> {
         let scope = self.doc_scope(doc)?;
-        let opts = OptimizerOptions {
-            max_iterations: self.options.max_opt_iterations,
-            set_semantics: self.options.set_semantics,
-            disabled_rules: Vec::new(),
-        };
-        // The view/fusion probe is the *cleaned compiled* plan:
+        // The view and fusion stages read the *cleaned compiled* plan:
         // optimizer rules (child push-down, parent inversion) introduce
-        // reverse-axis predicates that fall outside both the
-        // containment fragment and the fusable fragment, so pattern
-        // extraction must see the plan before they run.
-        let probe =
-            ((self.options.views || self.options.fuse) && self.options.set_semantics).then(|| {
-                let mut p = plan.clone();
-                opt::cleanup::cleanup(&mut p);
-                p
-            });
-        let mut outcome = opt::optimize(plan, self.store(), &scope, &opts)?;
-        if let Some(probe) = &probe {
-            if self.options.views {
-                self.apply_view_rewrite(&mut outcome, probe, doc, &scope)?;
-            }
-            if self.options.fuse {
-                self.apply_fuse(&mut outcome, probe, &scope)?;
-            }
+        // reverse-axis predicates that fall outside both the containment
+        // fragment and the fusable fragment. So the pattern is extracted
+        // here, once, before they run — and the plan itself is kept only
+        // when a stage can use it.
+        opt::cleanup::cleanup(&mut plan);
+        let view_key = views::extract(&plan).map(|pattern| {
+            Arc::new(ViewKey {
+                key: pattern.key(),
+                pattern,
+            })
+        });
+        let candidates = match &view_key {
+            Some(_) => self.views.candidates(doc.0, self.store.doc_generation(doc)),
+            None => Vec::new(),
+        };
+        let probe = (self.options.fuse || !candidates.is_empty()).then(|| plan.clone());
+        let mut outcome = opt::optimize(plan, self.store(), &scope, &OptimizerOptions::default())?;
+        let pattern = view_key.as_deref().map(|k| &k.pattern);
+        self.apply_view_rewrite(
+            &mut outcome,
+            probe.as_ref(),
+            pattern,
+            &candidates,
+            doc,
+            &scope,
+        )?;
+        if let (true, Some(probe)) = (self.options.fuse, &probe) {
+            self.apply_fuse(&mut outcome, probe, &scope)?;
         }
         let choice = opt::parallel::decide(
             &outcome.plan,
@@ -556,13 +544,12 @@ impl Engine {
             &scope,
             self.options.parallel_force,
         );
-        if self.options.parallel {
-            outcome.opt_trace.events.push(OptEvent::Parallel {
-                estimated: choice.ok().map(|c| c.estimated),
-                reason: choice.err().unwrap_or("priced when the plan runs"),
-            });
-        }
+        outcome.opt_trace.events.push(OptEvent::Parallel {
+            estimated: choice.ok().map(|c| c.estimated),
+            reason: choice.err().unwrap_or("priced when the plan runs"),
+        });
         outcome.plan.set_parallel(choice.ok());
+        outcome.plan.set_view_key(view_key);
         Ok(outcome)
     }
 
@@ -574,45 +561,40 @@ impl Engine {
     /// compensation when the containment is strict) and is kept only
     /// when re-estimation beats the optimizer's plan — unless
     /// `view_greedy`. Every considered rewrite lands in the optimizer
-    /// trace, accepted or rejected.
+    /// trace, accepted or rejected; so does the reason when there was
+    /// nothing to consider (`pattern` is `None` for a query outside the
+    /// containment fragment, `candidates` the document's valid views).
     fn apply_view_rewrite(
         &self,
         outcome: &mut OptimizeOutcome,
-        probe: &QueryPlan,
+        probe: Option<&QueryPlan>,
+        pattern: Option<&Pattern>,
+        candidates: &[ViewCandidate],
         doc: DocId,
         scope: &KeyRange,
     ) -> Result<()> {
         let base_total = outcome.costs.total();
         let trace = &mut outcome.opt_trace.events;
-        let Some(pattern) = crate::views::extract(probe) else {
+        let (Some(probe), Some(pattern), false) = (probe, pattern, candidates.is_empty()) else {
             trace.push(OptEvent::ViewRewrite {
                 view: "-".to_string(),
                 total_before: base_total,
                 total_after: None,
                 applied: false,
-                reason: "query outside the containment fragment",
+                reason: match pattern {
+                    None => "query outside the containment fragment",
+                    Some(_) => "no valid views for this document",
+                },
             });
             return Ok(());
         };
-        let generation = self.store.doc_generation(doc);
-        let candidates = self.views.candidates(doc.0, generation);
-        if candidates.is_empty() {
-            trace.push(OptEvent::ViewRewrite {
-                view: "-".to_string(),
-                total_before: base_total,
-                total_after: None,
-                applied: false,
-                reason: "no valid views for this document",
-            });
-            return Ok(());
-        }
         // (plan, costs, total, trace index, view key)
         let mut best: Option<(QueryPlan, crate::cost::PlanCosts, u64, usize, String)> = None;
         for j in (1..=pattern.spine.len()).rev() {
             let prefix = pattern.prefix(j);
             let full = j == pattern.spine.len();
-            for cand in &candidates {
-                if !crate::views::contains(&cand.pattern, &prefix) {
+            for cand in candidates {
+                if !views::contains(&cand.pattern, &prefix) {
                     if full {
                         trace.push(OptEvent::ViewRewrite {
                             view: cand.xpath.clone(),
@@ -624,7 +606,7 @@ impl Engine {
                     }
                     continue;
                 }
-                let equivalent = crate::views::contains(&prefix, &cand.pattern);
+                let equivalent = views::contains(&prefix, &cand.pattern);
                 if !equivalent && !prefix.descendant_rooted() {
                     trace.push(OptEvent::ViewRewrite {
                         view: cand.xpath.clone(),
@@ -635,13 +617,7 @@ impl Engine {
                     });
                     continue;
                 }
-                let rewritten = crate::views::rewrite_with_view(
-                    probe,
-                    j,
-                    equivalent,
-                    &cand.xpath,
-                    &cand.entries,
-                );
+                let rewritten = views::rewrite_with_view(probe, j, equivalent, cand);
                 let costs = estimate(&rewritten, self.store(), scope)?;
                 let total = costs.total();
                 let accept = self.options.view_greedy || total < base_total;
@@ -697,7 +673,7 @@ impl Engine {
         scope: &KeyRange,
     ) -> Result<()> {
         let base_total = outcome.costs.total();
-        let base = if crate::views::plan_view(&outcome.plan).is_some() {
+        let base = if views::plan_view(&outcome.plan).is_some() {
             &outcome.plan
         } else {
             probe
@@ -761,30 +737,31 @@ impl Engine {
         }
     }
 
-    /// Records a set-semantics query result with the view cache:
-    /// admission counting for fragment queries and materialization once
-    /// the frequency threshold is met. Returns `true` when this call
-    /// *newly* materialized a view — callers holding compiled-plan
-    /// caches should drop their entry for `xpath` so the next
-    /// compilation sees the view.
-    pub fn observe_result(&self, doc: DocId, xpath: &str, entries: &[NodeEntry]) -> bool {
-        if !self.options.views || !self.options.set_semantics {
-            return false;
-        }
-        let Ok(compiled) = self.compile(xpath) else {
+    /// Records a query result with the view cache: admission counting
+    /// for fragment queries and materialization once the frequency
+    /// threshold is met. `plan` is the optimized plan that produced
+    /// `entries`; its [`QueryPlan::view_key`] is the query's identity in
+    /// the cache, so a query outside the containment fragment costs one
+    /// `Option` check here. Returns `true` when this call *newly*
+    /// materialized a view — callers holding compiled-plan caches should
+    /// drop their entry for `xpath` so the next compilation sees the view.
+    pub fn observe_result(
+        &self,
+        doc: DocId,
+        xpath: &str,
+        plan: &QueryPlan,
+        entries: &[NodeEntry],
+    ) -> bool {
+        let Some(view_key) = plan.view_key() else {
             return false;
         };
-        let mut compiled = compiled;
-        opt::cleanup::cleanup(&mut compiled);
-        let Some(pattern) = crate::views::extract(&compiled) else {
-            return false;
-        };
-        let key = pattern.key();
         let generation = self.store.doc_generation(doc);
-        if !self
-            .views
-            .observe(doc.0, generation, &key, self.options.view_admit_after)
-        {
+        if !self.views.observe(
+            doc.0,
+            generation,
+            &view_key.key,
+            self.options.view_admit_after,
+        ) {
             return false;
         }
         let mut sorted = entries.to_vec();
@@ -793,24 +770,34 @@ impl Engine {
         self.views.admit(
             doc.0,
             generation,
-            key,
+            view_key.key.clone(),
             xpath.to_string(),
-            pattern,
+            view_key.pattern.clone(),
             Arc::new(sorted),
-            self.options.view_budget_bytes,
+            views::VIEW_BUDGET_BYTES,
         )
+    }
+
+    /// The gate every run of a prepared plan passes: a plan reading a
+    /// view materialized at another generation of `doc` would return the
+    /// pre-write node set, so it is refused ([`EngineError::StalePlan`]);
+    /// any other run counts as a view hit or miss and toward the fused
+    /// counters.
+    fn begin_run(&self, plan: &QueryPlan, doc: DocId) -> Result<()> {
+        match views::plan_view_scan(plan) {
+            Some((_, generation)) if generation != self.store.doc_generation(doc) => {
+                return Err(EngineError::StalePlan);
+            }
+            Some(_) => self.views.record_hit(),
+            None => self.views.record_miss(),
+        }
+        self.record_fused(plan);
+        Ok(())
     }
 
     /// Executes a plan against `doc`.
     pub fn execute_plan(&self, plan: &QueryPlan, doc: DocId) -> Result<Vec<NodeEntry>> {
-        if self.options.views {
-            if crate::views::plan_view(plan).is_some() {
-                self.views.record_hit();
-            } else {
-                self.views.record_miss();
-            }
-        }
-        self.record_fused(plan);
+        self.begin_run(plan, doc)?;
         let root_ctx = self.doc_entry(doc)?;
         let env = Env {
             plan,
@@ -819,19 +806,25 @@ impl Engine {
             stats: None,
         };
         let hooks = self.parallel_hooks(plan);
-        exec::run_plan(env, None, self.options.set_semantics, hooks.as_ref())
+        exec::run_plan(env, None, hooks.as_ref())
+    }
+
+    /// Compiles `xpath` and, with `options.optimize`, optimizes it for
+    /// `doc`.
+    fn prepare(&self, doc: DocId, xpath: &str) -> Result<QueryPlan> {
+        let plan = self.compile(xpath)?;
+        if self.options.optimize {
+            Ok(self.optimize_plan(plan, doc)?.plan)
+        } else {
+            Ok(plan)
+        }
     }
 
     /// Compiles, (optionally) optimizes, and executes `xpath` on `doc`.
     pub fn query_doc(&self, doc: DocId, xpath: &str) -> Result<Vec<NodeEntry>> {
-        let plan = self.compile(xpath)?;
-        let plan = if self.options.optimize {
-            self.optimize_plan(plan, doc)?.plan
-        } else {
-            plan
-        };
+        let plan = self.prepare(doc, xpath)?;
         let out = self.execute_plan(&plan, doc)?;
-        self.observe_result(doc, xpath, &out);
+        self.observe_result(doc, xpath, &plan, &out);
         Ok(out)
     }
 
@@ -858,7 +851,7 @@ impl Engine {
             root_ctx: &root_ctx,
             stats: None,
         };
-        exec::run_plan(env, Some(ctx), self.options.set_semantics, None)
+        exec::run_plan(env, Some(ctx), None)
     }
 
     /// Runs `xpath` against every loaded document, concatenating results
@@ -880,14 +873,7 @@ impl Engine {
     /// model as a public API). Tuples arrive in pipeline order; duplicate
     /// elimination and document-order sorting are the caller's choice.
     pub fn stream<'a>(&'a self, doc: DocId, xpath: &str) -> Result<QueryStream<'a>> {
-        let plan = self.compile(xpath)?;
-        let plan = if self.options.optimize {
-            self.optimize_plan(plan, doc)?.plan
-        } else {
-            plan
-        };
-        let root_ctx = self.doc_entry(doc)?;
-        QueryStream::new(self, plan, root_ctx)
+        QueryStream::new(self, self.prepare(doc, xpath)?, doc)
     }
 
     /// Opens a streaming cursor over an already-compiled (and possibly
@@ -895,8 +881,7 @@ impl Engine {
     /// hits through this, pulling tuples so it can enforce per-query
     /// deadlines between pulls.
     pub fn stream_plan(&self, plan: QueryPlan, doc: DocId) -> Result<QueryStream<'_>> {
-        let root_ctx = self.doc_entry(doc)?;
-        QueryStream::new(self, plan, root_ctx)
+        QueryStream::new(self, plan, doc)
     }
 
     /// Resolves the string values of a result set (element string-value,
@@ -996,7 +981,7 @@ impl Engine {
             stats: Some(&stats),
         };
         let hooks = self.parallel_hooks(&plan);
-        let out = exec::run_plan(env, None, self.options.set_semantics, hooks.as_ref())?;
+        let out = exec::run_plan(env, None, hooks.as_ref())?;
         let elapsed = start.elapsed();
         let actuals = stats.snapshot();
         let mut opt_trace = opt_trace;
@@ -1271,7 +1256,6 @@ mod tests {
     #[test]
     fn views_answer_repeated_queries_from_cache() {
         let mut e = engine();
-        e.options_mut().views = true;
         e.options_mut().view_admit_after = 2;
         let doc = DocId(0);
         let cold = e.query_doc(doc, "//name").unwrap();
@@ -1290,7 +1274,6 @@ mod tests {
     #[test]
     fn strict_containment_rewrites_match_direct_evaluation() {
         let mut e = engine();
-        e.options_mut().views = true;
         e.options_mut().view_admit_after = 1;
         e.options_mut().view_greedy = true;
         let doc = DocId(0);
@@ -1309,7 +1292,7 @@ mod tests {
             // `//person` — any view is fine, correctness is the point.
             let outcome = e.optimize_plan(e.compile(q).unwrap(), doc).unwrap();
             assert!(
-                crate::views::plan_view(&outcome.plan).is_some(),
+                views::plan_view(&outcome.plan).is_some(),
                 "no view rewrite for {q}"
             );
             assert_eq!(
@@ -1323,7 +1306,6 @@ mod tests {
     #[test]
     fn update_invalidates_views() {
         let mut e = engine();
-        e.options_mut().views = true;
         e.options_mut().view_admit_after = 1;
         let doc = DocId(0);
         assert_eq!(e.query_doc(doc, "//name").unwrap().len(), 3);
@@ -1345,7 +1327,6 @@ mod tests {
     #[test]
     fn analyze_marks_view_answered_queries() {
         let mut e = engine();
-        e.options_mut().views = true;
         e.options_mut().view_admit_after = 1;
         let doc = DocId(0);
         e.query_doc(doc, "//name").unwrap();
@@ -1368,7 +1349,6 @@ mod tests {
     #[test]
     fn view_trace_records_rejections() {
         let mut e = engine();
-        e.options_mut().views = true;
         e.options_mut().view_admit_after = 1;
         let doc = DocId(0);
         e.query_doc(doc, "//watch").unwrap();
@@ -1437,7 +1417,6 @@ mod tests {
 
     #[test]
     fn forced_fusion_matches_unfused_results() {
-        let mut e = engine();
         let doc = DocId(0);
         let queries = [
             "/site/*//*",
@@ -1446,10 +1425,13 @@ mod tests {
             "//person[watches/watch]/name",
             "/site/people/person//*",
         ];
+        // A second engine, so that the subject sees each query once and
+        // materializes no view that would answer in the fused plan's place.
         let plain: Vec<_> = queries
             .iter()
-            .map(|q| e.query_doc(doc, q).unwrap())
+            .map(|q| engine().query_doc(doc, q).unwrap())
             .collect();
+        let mut e = engine();
         e.options_mut().fuse = true;
         e.options_mut().fuse_force = true;
         for (q, want) in queries.iter().zip(&plain) {
@@ -1480,7 +1462,6 @@ mod tests {
         let doc = DocId(0);
         let want = plain.query_doc(doc, "//person/*//*").unwrap();
         let mut e = engine();
-        e.options_mut().views = true;
         e.options_mut().view_admit_after = 1;
         e.options_mut().view_greedy = true;
         e.options_mut().fuse = true;
@@ -1516,7 +1497,6 @@ mod tests {
         let mut e = Engine::new(store);
         let doc = DocId(0);
         let want = e.query_doc(doc, "//person//*").unwrap();
-        e.options_mut().parallel = true;
         e.options_mut().parallel_force = true;
         e.options_mut().fuse = true;
         e.options_mut().fuse_force = true;

@@ -100,17 +100,14 @@ impl<'p, 's> Env<'p, 's> {
     }
 }
 
-/// Runs `plan` to completion, returning the result node-set.
-///
-/// Under `set_semantics` (XPath node-set semantics) the result is sorted
-/// into document order with duplicates removed; otherwise tuples are
-/// returned in pipeline order, duplicates included.
+/// Runs `plan` to completion, returning the result node-set: sorted into
+/// document order with duplicates removed (XPath node-set semantics).
 ///
 /// Leaf operators with [`ContextSource::OuterTuple`] anchor at `outer` —
 /// the paper's §VII hook for XQuery: "the context node could be provided
 /// from another XPath expression".
 ///
-/// When `par` is provided (engine gating: `EngineOptions.parallel`, a
+/// When `par` is provided (engine gating: a second thread to give, a
 /// plan the optimizer found eligible, top-level run), the plan's output
 /// step is sized at this point and fans out over the engine's scan pool
 /// if it is above the break-even; otherwise it runs serially. Output is
@@ -119,7 +116,6 @@ impl<'p, 's> Env<'p, 's> {
 pub fn run_plan(
     env: Env<'_, '_>,
     outer: Option<&NodeEntry>,
-    set_semantics: bool,
     par: Option<&parallel::ParallelHooks>,
 ) -> Result<Vec<NodeEntry>> {
     let top = match env.plan.op(env.plan.root()) {
@@ -139,10 +135,8 @@ pub fn run_plan(
     };
     let mut out = Vec::new();
     while iter.next_batch(env, &mut out, BATCH_SIZE)? == BATCH_SIZE {}
-    if set_semantics {
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        out.dedup_by(|a, b| a.key == b.key);
-    }
+    out.sort_by(|a, b| a.key.cmp(&b.key));
+    out.dedup_by(|a, b| a.key == b.key);
     if let Some(stats) = env.stats {
         // The root operator's actuals are the run's: post-dedup output
         // cardinality and the whole run's wall time. Guarded so a plan

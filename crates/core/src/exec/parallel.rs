@@ -914,7 +914,7 @@ mod tests {
         let mut store = MassStore::open_memory();
         store.load_xml("doc", &xml).unwrap();
         let mut engine = Engine::new(store);
-        engine.options_mut().parallel = false;
+        engine.options_mut().parallel_workers = 1;
         engine
     }
 
@@ -1050,7 +1050,7 @@ mod tests {
         let mut store = MassStore::open_memory();
         store.load_xml("doc", &xml).unwrap();
         let mut engine = Engine::new(store);
-        engine.options_mut().parallel = false;
+        engine.options_mut().parallel_workers = 1;
         engine
     }
 

@@ -16,7 +16,7 @@ pub mod rules;
 use crate::cost::{estimate, PlanCosts};
 use crate::error::Result;
 use crate::plan::{OpId, QueryPlan};
-use rules::{RuleCtx, LIBRARY};
+use rules::LIBRARY;
 use std::fmt::Write as _;
 use vamana_flex::KeyRange;
 use vamana_mass::MassStore;
@@ -221,25 +221,15 @@ impl OptTrace {
     }
 }
 
+/// Upper bound on clean-up/cost/rewrite iterations: rewrites are accepted
+/// on cost ties too, so the fixpoint is bounded rather than trusted.
+const MAX_ITERATIONS: usize = 8;
+
 /// Optimizer configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OptimizerOptions {
-    /// Upper bound on clean-up/cost/rewrite iterations.
-    pub max_iterations: usize,
-    /// Node-set (duplicate-free) semantics — enables the ancestor fold.
-    pub set_semantics: bool,
     /// Rule names to skip (ablation experiments).
     pub disabled_rules: Vec<String>,
-}
-
-impl Default for OptimizerOptions {
-    fn default() -> Self {
-        OptimizerOptions {
-            max_iterations: 8,
-            set_semantics: true,
-            disabled_rules: Vec::new(),
-        }
-    }
 }
 
 /// What the optimizer did to a plan.
@@ -272,9 +262,6 @@ pub fn optimize(
     scope: &KeyRange,
     options: &OptimizerOptions,
 ) -> Result<OptimizeOutcome> {
-    let rule_ctx = RuleCtx {
-        set_semantics: options.set_semantics,
-    };
     let mut opt_trace = OptTrace::default();
     cleanup::cleanup(&mut plan);
     opt_trace.events.push(OptEvent::Cleanup);
@@ -287,7 +274,7 @@ pub fn optimize(
     let mut trace: Vec<(&'static str, QueryPlan)> = Vec::new();
     let mut iterations = 0;
 
-    'outer: while iterations < options.max_iterations {
+    'outer: while iterations < MAX_ITERATIONS {
         iterations += 1;
         // Phase: re-writing, most selective operator first.
         for (op, _delta) in costs.ordered.clone() {
@@ -295,7 +282,7 @@ pub fn optimize(
                 if options.disabled_rules.iter().any(|d| d == rule.name) {
                     continue;
                 }
-                let Some((mut candidate, replacement)) = (rule.apply)(&plan, op, &rule_ctx) else {
+                let Some((mut candidate, replacement)) = (rule.apply)(&plan, op) else {
                     continue;
                 };
                 cleanup::cleanup(&mut candidate);
@@ -482,24 +469,11 @@ mod tests {
     fn optimizer_terminates_on_fixpoints() {
         let s = store();
         let out = optimize_query(&s, "//name");
-        assert!(out.iterations <= 8);
+        assert!(out.iterations <= MAX_ITERATIONS);
         assert!(
             out.applied.is_empty(),
             "no rule should fire on //name: {:?}",
             out.applied
         );
-    }
-
-    #[test]
-    fn disabled_set_semantics_blocks_fold() {
-        let s = store();
-        let plan = build_plan(&parse("//watches/watch/ancestor::person").unwrap()).unwrap();
-        let scope = KeyRange::subtree(&s.documents()[0].doc_key);
-        let opts = OptimizerOptions {
-            set_semantics: false,
-            ..Default::default()
-        };
-        let out = optimize(plan, &s, &scope, &opts).unwrap();
-        assert!(!out.applied.contains(&"ancestor-context-fold"));
     }
 }

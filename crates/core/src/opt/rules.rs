@@ -19,15 +19,7 @@ pub struct Rule {
     /// Rule name (reported in [`crate::opt::OptimizeOutcome::applied`]).
     pub name: &'static str,
     /// Attempts the rewrite on operator `target`.
-    pub apply: fn(&QueryPlan, OpId, &RuleCtx) -> Option<(QueryPlan, OpId)>,
-}
-
-/// Context flags the rules may consult.
-#[derive(Debug, Clone, Copy)]
-pub struct RuleCtx {
-    /// Whether the engine runs under node-set (duplicate-free) semantics;
-    /// required by the ancestor-fold rule.
-    pub set_semantics: bool,
+    pub apply: fn(&QueryPlan, OpId) -> Option<(QueryPlan, OpId)>,
 }
 
 /// The rule library, in the order rules are tried per operator.
@@ -66,7 +58,7 @@ pub const LIBRARY: &[Rule] = &[
 ///
 /// Sound because `{parent(x) : x ∈ descendant(C), x ~ S}` is exactly the
 /// descendant-or-self nodes of `C` with a child matching `S`.
-fn parent_inversion(plan: &QueryPlan, target: OpId, _ctx: &RuleCtx) -> Option<(QueryPlan, OpId)> {
+fn parent_inversion(plan: &QueryPlan, target: OpId) -> Option<(QueryPlan, OpId)> {
     let Operator::Step {
         axis: Axis::Parent,
         test: parent_test,
@@ -132,7 +124,7 @@ fn parent_inversion(plan: &QueryPlan, target: OpId, _ctx: &RuleCtx) -> Option<(Q
 ///
 /// Requires the inner step to be the context-path leaf so that the
 /// context node (a document node) can never itself satisfy `S`.
-fn child_pushdown(plan: &QueryPlan, target: OpId, _ctx: &RuleCtx) -> Option<(QueryPlan, OpId)> {
+fn child_pushdown(plan: &QueryPlan, target: OpId) -> Option<(QueryPlan, OpId)> {
     let Operator::Step {
         axis: Axis::Child,
         test: child_test,
@@ -191,7 +183,7 @@ fn child_pushdown(plan: &QueryPlan, target: OpId, _ctx: &RuleCtx) -> Option<(Que
 ///
 /// The value index returns the text nodes with value `v` directly; one
 /// `parent` lookup recovers the candidate elements.
-fn value_index_step(plan: &QueryPlan, target: OpId, _ctx: &RuleCtx) -> Option<(QueryPlan, OpId)> {
+fn value_index_step(plan: &QueryPlan, target: OpId) -> Option<(QueryPlan, OpId)> {
     let Operator::Step {
         axis: Axis::Descendant | Axis::DescendantOrSelf,
         test: elem_test @ TestSpec::Named(_),
@@ -274,7 +266,7 @@ fn value_index_step(plan: &QueryPlan, target: OpId, _ctx: &RuleCtx) -> Option<(Q
 /// *element* path like `[price > n]` are not rewritten: their operand is
 /// the element's whole string-value, which a single text node may not
 /// equal in mixed content.)
-fn range_index_step(plan: &QueryPlan, target: OpId, _ctx: &RuleCtx) -> Option<(QueryPlan, OpId)> {
+fn range_index_step(plan: &QueryPlan, target: OpId) -> Option<(QueryPlan, OpId)> {
     let Operator::Step {
         axis: Axis::Descendant | Axis::DescendantOrSelf,
         test: elem_test @ TestSpec::Named(_),
@@ -345,18 +337,11 @@ fn range_index_step(plan: &QueryPlan, target: OpId, _ctx: &RuleCtx) -> Option<(Q
 /// `A / child::S[preds] / ancestor::T` ⇒ `A[ exists(child::S[preds]) ] /
 /// ancestor::T`
 ///
-/// Valid under set semantics when `T` and `S` are distinct names (the
-/// two context sets then reach identical `T` ancestors), and it
+/// Valid because results are node sets, when `T` and `S` are distinct
+/// names (the two context sets then reach identical `T` ancestors), and it
 /// eliminates the duplicate ancestor chains the paper's Q2 discussion
 /// describes.
-fn ancestor_context_fold(
-    plan: &QueryPlan,
-    target: OpId,
-    ctx: &RuleCtx,
-) -> Option<(QueryPlan, OpId)> {
-    if !ctx.set_semantics {
-        return None;
-    }
+fn ancestor_context_fold(plan: &QueryPlan, target: OpId) -> Option<(QueryPlan, OpId)> {
     let Operator::Step {
         axis: axis @ (Axis::Ancestor | Axis::AncestorOrSelf),
         test: anc_test @ TestSpec::Named(_),
@@ -406,7 +391,7 @@ fn ancestor_context_fold(
 /// **Predicate reordering** — under `and`, evaluate the more selective
 /// side first so the short-circuit saves the expensive side. The cost
 /// check in the driver confirms the benefit.
-fn predicate_reorder(plan: &QueryPlan, target: OpId, _ctx: &RuleCtx) -> Option<(QueryPlan, OpId)> {
+fn predicate_reorder(plan: &QueryPlan, target: OpId) -> Option<(QueryPlan, OpId)> {
     let Operator::Binary {
         op: crate::plan::BinOp::And,
         left,
@@ -448,17 +433,13 @@ mod tests {
         p
     }
 
-    const CTX: RuleCtx = RuleCtx {
-        set_semantics: true,
-    };
-
     #[test]
     fn parent_inversion_matches_fig8() {
         let plan = cleaned("descendant::name/parent::*/self::person/address");
         // After cleanup: descendant::name / parent::person / child::address.
         let path = plan.context_path();
         let parent_step = path[1];
-        let (rewritten, _) = parent_inversion(&plan, parent_step, &CTX).expect("rule should fire");
+        let (rewritten, _) = parent_inversion(&plan, parent_step).expect("rule should fire");
         // New context path: descendant-or-self::person[exists child::name] / address.
         let new_path = rewritten.context_path();
         assert_eq!(new_path.len(), 2);
@@ -484,7 +465,7 @@ mod tests {
     fn child_pushdown_matches_q1() {
         let plan = cleaned("//person/address");
         let addr = plan.context_path()[0];
-        let (rewritten, _) = child_pushdown(&plan, addr, &CTX).expect("rule should fire");
+        let (rewritten, _) = child_pushdown(&plan, addr).expect("rule should fire");
         let path = rewritten.context_path();
         assert_eq!(path.len(), 1);
         match rewritten.op(path[0]) {
@@ -515,7 +496,7 @@ mod tests {
     fn value_index_step_matches_fig9() {
         let plan = cleaned("//name[text() = 'Yung Flach']");
         let name_step = plan.context_path()[0];
-        let (rewritten, _) = value_index_step(&plan, name_step, &CTX).expect("rule should fire");
+        let (rewritten, _) = value_index_step(&plan, name_step).expect("rule should fire");
         let path = rewritten.context_path();
         assert_eq!(path.len(), 2);
         assert!(matches!(
@@ -542,7 +523,7 @@ mod tests {
     fn ancestor_fold_matches_q2() {
         let plan = cleaned("//watches/watch/ancestor::person");
         let anc = plan.context_path()[0];
-        let (rewritten, _) = ancestor_context_fold(&plan, anc, &CTX).expect("rule should fire");
+        let (rewritten, _) = ancestor_context_fold(&plan, anc).expect("rule should fire");
         let path = rewritten.context_path();
         // ancestor::person / descendant::watches[exists child::watch]
         assert_eq!(path.len(), 2);
@@ -560,29 +541,23 @@ mod tests {
     }
 
     #[test]
-    fn ancestor_fold_requires_set_semantics_and_distinct_names() {
-        let plan = cleaned("//watches/watch/ancestor::person");
-        let anc = plan.context_path()[0];
-        let bag = RuleCtx {
-            set_semantics: false,
-        };
-        assert!(ancestor_context_fold(&plan, anc, &bag).is_none());
+    fn ancestor_fold_requires_distinct_names() {
         // Same names: //a/a/ancestor::a must not fold.
         let plan = cleaned("//a/a/ancestor::a");
         let anc = plan.context_path()[0];
-        assert!(ancestor_context_fold(&plan, anc, &CTX).is_none());
+        assert!(ancestor_context_fold(&plan, anc).is_none());
     }
 
     #[test]
     fn rules_do_not_fire_on_wrong_shapes() {
         let plan = cleaned("//person/address");
         for id in plan.live_ops() {
-            assert!(parent_inversion(&plan, id, &CTX).is_none());
-            assert!(value_index_step(&plan, id, &CTX).is_none());
+            assert!(parent_inversion(&plan, id).is_none());
+            assert!(value_index_step(&plan, id).is_none());
         }
         let plan = cleaned("//name[text() != 'x']"); // != is not indexable
         for id in plan.live_ops() {
-            assert!(value_index_step(&plan, id, &CTX).is_none());
+            assert!(value_index_step(&plan, id).is_none());
         }
     }
 
@@ -594,13 +569,13 @@ mod tests {
             panic!()
         };
         let and_op = predicates[0];
-        let (rewritten, _) = predicate_reorder(&plan, and_op, &CTX).expect("should swap");
+        let (rewritten, _) = predicate_reorder(&plan, and_op).expect("should swap");
         let Operator::Binary { left, .. } = rewritten.op(and_op) else {
             panic!()
         };
         assert!(matches!(rewritten.op(*left), Operator::Binary { .. }));
         // Already-ordered plans are left alone.
-        assert!(predicate_reorder(&rewritten, and_op, &CTX).is_none());
+        assert!(predicate_reorder(&rewritten, and_op).is_none());
     }
 }
 
@@ -617,15 +592,11 @@ mod range_tests {
         p
     }
 
-    const CTX: RuleCtx = RuleCtx {
-        set_semantics: true,
-    };
-
     #[test]
     fn range_rewrite_fires_on_text_comparison() {
         let plan = cleaned("//price[text() > 450]");
         let price = plan.context_path()[0];
-        let (rewritten, _) = range_index_step(&plan, price, &CTX).expect("rule fires");
+        let (rewritten, _) = range_index_step(&plan, price).expect("rule fires");
         let path = rewritten.context_path();
         assert_eq!(path.len(), 2);
         assert!(matches!(
@@ -649,7 +620,7 @@ mod range_tests {
     fn range_rewrite_flips_reversed_operands() {
         let plan = cleaned("//price[100 >= text()]");
         let price = plan.context_path()[0];
-        let (rewritten, _) = range_index_step(&plan, price, &CTX).expect("rule fires");
+        let (rewritten, _) = range_index_step(&plan, price).expect("rule fires");
         let path = rewritten.context_path();
         // 100 >= text()  ⇔  text() <= 100
         assert!(matches!(
@@ -662,7 +633,7 @@ mod range_tests {
     fn range_rewrite_fires_on_attribute_comparison() {
         let plan = cleaned("//item[@quantity >= 3]");
         let item = plan.context_path()[0];
-        let (rewritten, _) = range_index_step(&plan, item, &CTX).expect("rule fires");
+        let (rewritten, _) = range_index_step(&plan, item).expect("rule fires");
         let path = rewritten.context_path();
         assert!(matches!(
             rewritten.op(path[1]),
@@ -677,13 +648,13 @@ mod range_tests {
         // rewritable per node.
         let plan = cleaned("//closed_auction[price > 450]");
         let ca = plan.context_path()[0];
-        assert!(range_index_step(&plan, ca, &CTX).is_none());
+        assert!(range_index_step(&plan, ca).is_none());
     }
 
     #[test]
     fn range_rewrite_skips_equality() {
         let plan = cleaned("//price[text() = 450]");
         let price = plan.context_path()[0];
-        assert!(range_index_step(&plan, price, &CTX).is_none());
+        assert!(range_index_step(&plan, price).is_none());
     }
 }

@@ -50,7 +50,7 @@ pub(crate) fn op_symbol(plan: &QueryPlan, id: OpId) -> String {
             }
         }
         Operator::Join { op, .. } => format!("J{} {}", id.0, op.label()),
-        Operator::ViewScan { view, entries } => {
+        Operator::ViewScan { view, entries, .. } => {
             format!("ViewScan{}(view={view} rows={})", id.0, entries.len())
         }
         Operator::FusedScan { spine, .. } => {

@@ -320,12 +320,14 @@ pub enum Operator {
     /// from memory. Created only by the view-rewrite pass in
     /// [`crate::views`] — the XPath compiler never emits it. The entries
     /// are shared with the [`crate::views::ViewCache`] entry, so a plan
-    /// holding a `ViewScan` pins the snapshot it was planned against;
-    /// staleness is impossible because rewrites only consult views whose
-    /// generation matches the document's current generation.
+    /// holding a `ViewScan` pins the snapshot it was planned against:
+    /// the engine refuses to run it once the document has moved past
+    /// `generation` ([`crate::EngineError::StalePlan`]).
     ViewScan {
         /// The source view's XPath text (for EXPLAIN / tracing).
         view: Box<str>,
+        /// The document generation the view was materialized at.
+        generation: u64,
         /// The materialized result set, in document order.
         entries: std::sync::Arc<Vec<vamana_mass::NodeEntry>>,
     },
@@ -443,6 +445,10 @@ pub struct QueryPlan {
     ops: Vec<Operator>,
     root: OpId,
     parallel: Option<ParallelChoice>,
+    /// The query's identity in the view cache, stamped by the optimizer
+    /// when the query lies in the containment fragment — what
+    /// [`crate::Engine::observe_result`] counts and admits a result under.
+    view_key: Option<std::sync::Arc<crate::views::ViewKey>>,
     /// Per-operator [`EstimateCard`]s stamped at optimization time,
     /// indexed by arena position. Empty until
     /// [`QueryPlan::set_estimates`] runs (e.g. on plans that never went
@@ -457,6 +463,7 @@ impl QueryPlan {
             ops,
             root,
             parallel: None,
+            view_key: None,
             estimates: Vec::new(),
         }
     }
@@ -490,6 +497,17 @@ impl QueryPlan {
     /// Records (or clears) the parallel-scan eligibility.
     pub fn set_parallel(&mut self, choice: Option<ParallelChoice>) {
         self.parallel = choice;
+    }
+
+    /// The query's view-cache identity; `None` for a query outside the
+    /// containment fragment (or a plan that was never optimized).
+    pub fn view_key(&self) -> Option<&crate::views::ViewKey> {
+        self.view_key.as_deref()
+    }
+
+    /// Records the view-cache identity.
+    pub fn set_view_key(&mut self, key: Option<std::sync::Arc<crate::views::ViewKey>>) {
+        self.view_key = key;
     }
 
     /// The root operator id.

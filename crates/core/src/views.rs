@@ -194,6 +194,18 @@ impl Pattern {
     }
 }
 
+/// A fragment query's identity in the view cache: its tree pattern and the
+/// pattern's canonical [`Pattern::key`]. The optimizer derives it once and
+/// stamps it on the plan ([`QueryPlan::view_key`]), so observing the
+/// plan's result never goes back to the query text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ViewKey {
+    /// [`Pattern::key`] of `pattern`.
+    pub key: String,
+    /// The query's tree pattern.
+    pub pattern: Pattern,
+}
+
 fn pat_edge(axis: Axis) -> Option<PatEdge> {
     match axis {
         Axis::Child => Some(PatEdge::Child),
@@ -369,20 +381,29 @@ fn subsumes(sup: &PatTest, sub: &PatTest) -> bool {
     }
 }
 
-/// The view a plan reads from, if its live operators include a
-/// [`Operator::ViewScan`].
-pub fn plan_view(plan: &QueryPlan) -> Option<&str> {
-    plan.live_ops()
+/// The view a plan reads from and the document generation it was
+/// materialized at, if the plan holds a [`Operator::ViewScan`]. The
+/// rewrite replaces spine steps, so one only ever sits on the context
+/// path — which is all this walks, once per run of every plan.
+pub(crate) fn plan_view_scan(plan: &QueryPlan) -> Option<(&str, u64)> {
+    plan.context_path()
         .into_iter()
         .find_map(|id| match plan.op(id) {
-            Operator::ViewScan { view, .. } => Some(&**view),
+            Operator::ViewScan {
+                view, generation, ..
+            } => Some((&**view, *generation)),
             _ => None,
         })
 }
 
+/// The view a plan reads from, if any.
+pub fn plan_view(plan: &QueryPlan) -> Option<&str> {
+    plan_view_scan(plan).map(|(view, _)| view)
+}
+
 /// Builds the rewritten plan: a clone of the cleaned `probe` plan whose
 /// first `j` spine steps are replaced by a [`Operator::ViewScan`] over
-/// `entries`, plus compensation when the containment is strict (see the
+/// `view`, plus compensation when the containment is strict (see the
 /// module docs for the soundness argument). Callers guarantee
 /// `contains(view, prefix_j)` and, for `equivalent == false`, that the
 /// prefix is `//`-rooted.
@@ -390,18 +411,19 @@ pub(crate) fn rewrite_with_view(
     probe: &QueryPlan,
     j: usize,
     equivalent: bool,
-    view_xpath: &str,
-    entries: &Arc<Vec<NodeEntry>>,
+    view: &ViewCandidate,
 ) -> QueryPlan {
     let mut plan = probe.clone();
     let path = plan.context_path();
     let m = path.len();
     let covered_top = path[m - j];
+    let scan = Operator::ViewScan {
+        view: view.xpath.as_str().into(),
+        generation: view.generation,
+        entries: Arc::clone(&view.entries),
+    };
     if equivalent {
-        *plan.op_mut(covered_top) = Operator::ViewScan {
-            view: view_xpath.into(),
-            entries: Arc::clone(entries),
-        };
+        *plan.op_mut(covered_top) = scan;
         return plan;
     }
     // Covered spine steps, root side first.
@@ -442,10 +464,7 @@ pub(crate) fn rewrite_with_view(
         });
         inner_exists = Some(plan.push(Operator::Exists { path: step }));
     }
-    let view_op = plan.push(Operator::ViewScan {
-        view: view_xpath.into(),
-        entries: Arc::clone(entries),
-    });
+    let view_op = plan.push(scan);
     let mut preds = covered[j - 1].2.clone();
     if let Some(e) = inner_exists {
         preds.push(e);
@@ -475,7 +494,7 @@ pub fn pattern_for(xpath: &str) -> Option<Pattern> {
 pub struct ViewStatsSnapshot {
     /// Queries answered through a `ViewScan`.
     pub hits: u64,
-    /// Queries executed without one (views enabled).
+    /// Queries executed without one.
     pub misses: u64,
     /// Entries dropped: stale generations, budget evictions, clears.
     pub evictions: u64,
@@ -508,6 +527,7 @@ pub(crate) struct ViewCandidate {
     pub key: String,
     pub xpath: String,
     pub pattern: Pattern,
+    pub generation: u64,
     pub entries: Arc<Vec<NodeEntry>>,
 }
 
@@ -529,6 +549,10 @@ struct ViewInner {
     clock: u64,
     bytes: u64,
 }
+
+/// Byte budget for materialized views; least-recently-used views are
+/// evicted past it.
+pub const VIEW_BUDGET_BYTES: u64 = 64 << 20;
 
 /// Cap on distinct queries tracked for admission before the counters are
 /// reset wholesale — bounds memory under adversarial unique-query floods.
@@ -598,6 +622,7 @@ impl ViewCache {
                 key: key.clone(),
                 xpath: e.xpath.clone(),
                 pattern: e.pattern.clone(),
+                generation,
                 entries: Arc::clone(&e.entries),
             })
             .collect()
@@ -693,7 +718,7 @@ impl ViewCache {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a query executed without one (views enabled).
+    /// Counts a query executed without one.
     pub fn record_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }

@@ -186,7 +186,7 @@ proptest! {
             out
         };
         let expected = drain(&engine_for(&xml, EngineOptions {
-            parallel: false,
+            parallel_workers: 1,
             ..EngineOptions::default()
         }));
         let subject = engine_for(&xml, EngineOptions {

@@ -38,12 +38,15 @@ fn engine_over(xml: &str, options: EngineOptions) -> Engine {
 }
 
 /// ~3600 elements, every eligible scan forced out over `workers` threads.
+/// No view is ever admitted: a repeated query must reach the scan again,
+/// not a materialized copy of its result.
 fn engine(workers: usize) -> Engine {
     engine_over(
         &doc(12, 100),
         EngineOptions {
             parallel_workers: workers,
             parallel_force: true,
+            view_admit_after: u32::MAX,
             ..Default::default()
         },
     )
@@ -88,9 +91,9 @@ fn parallel_equals_serial_under_every_pull_size() {
     for workers in [2, 4] {
         let mut e = engine(workers);
         for &(xpath, rows) in QUERIES {
-            e.options_mut().parallel = false;
+            e.options_mut().parallel_workers = 1;
             let serial = e.query(xpath).unwrap();
-            e.options_mut().parallel = true;
+            e.options_mut().parallel_workers = workers;
             assert_eq!(serial.len(), rows, "{xpath}");
             assert!(serial.windows(2).all(|w| w[0].key < w[1].key), "{xpath}");
             assert_eq!(e.query(xpath).unwrap(), serial, "{xpath} ({workers}w)");
@@ -169,7 +172,7 @@ fn contexts_are_coalesced_into_full_chunks() {
         rows.len()
     );
     let mut serial = e;
-    serial.options_mut().parallel = false;
+    serial.options_mut().parallel_workers = 1;
     assert_eq!(rows, serial.query("//item/*").unwrap());
 }
 
@@ -270,21 +273,21 @@ fn dropped_stream_releases_the_store_at_once() {
 }
 
 #[test]
-fn disabling_parallel_keeps_the_plan_annotation() {
-    // The optimizer records eligibility even when execution is gated
-    // off, so cached plans fan out once the option is re-enabled.
+fn a_serial_engine_keeps_the_plan_annotation() {
+    // The optimizer records eligibility even on an engine with one scan
+    // thread, so cached plans fan out once it is given more.
     let mut e = engine(4);
-    e.options_mut().parallel = false;
+    e.options_mut().parallel_workers = 1;
     let plan = e.compile("//*").unwrap();
     let outcome = e.optimize_plan(plan, DocId(0)).unwrap();
     let choice = outcome.plan.parallel().expect("choice must be recorded");
     assert!(choice.estimated > 3000);
-    // Executing under the gate stays serial...
+    // Executing on one thread stays serial...
     let before = e.parallel_stats();
     let serial_rows = e.execute_plan(&outcome.plan, DocId(0)).unwrap();
     assert_eq!(e.parallel_stats().morsels, before.morsels);
-    // ...and re-enabling fans the *same* plan out with equal results.
-    e.options_mut().parallel = true;
+    // ...and a wider engine fans the *same* plan out with equal results.
+    e.options_mut().parallel_workers = 4;
     let parallel_rows = e.execute_plan(&outcome.plan, DocId(0)).unwrap();
     assert!(e.parallel_stats().morsels > before.morsels);
     assert_eq!(parallel_rows, serial_rows);

@@ -27,6 +27,8 @@ fn shared_engine() -> Arc<SharedEngine> {
         EngineOptions {
             parallel_workers: 4,
             parallel_force: true,
+            // Every round must scan, not read a view of an earlier round.
+            view_admit_after: u32::MAX,
             ..Default::default()
         },
     );

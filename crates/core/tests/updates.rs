@@ -139,11 +139,7 @@ fn writer_waits_for_pinned_reader_then_succeeds() {
 fn held_reader_past_deadline_degrades_to_writer_conflict() {
     let mut store = MassStore::open_memory();
     store.load_xml("d", "<r><a/></r>").unwrap();
-    let options = EngineOptions {
-        writer_drain_timeout: Duration::from_millis(50),
-        ..EngineOptions::default()
-    };
-    let mut engine = Engine::with_options(store, options);
+    let mut engine = Engine::new(store);
     let _pin = engine.store_handle();
     let err = engine
         .apply_update(
@@ -186,7 +182,6 @@ fn concurrent_parallel_readers_see_consistent_results_across_update() {
     let mut store = MassStore::open_memory();
     store.load_xml("big", &xml).unwrap();
     let options = EngineOptions {
-        parallel: true,
         parallel_workers: 4,
         ..EngineOptions::default()
     };
@@ -221,6 +216,48 @@ fn concurrent_parallel_readers_see_consistent_results_across_update() {
         });
     });
     assert_eq!(shared.read().query("//item").unwrap().len(), before + 1);
+}
+
+/// A plan prepared while a view was valid holds that view's rows. Run
+/// after a write it must say so — never hand back the pre-write node set —
+/// and a fresh optimize answers from the document again.
+#[test]
+fn a_prepared_view_plan_is_refused_after_a_write() {
+    let mut engine = seeded_engine();
+    engine.options_mut().view_admit_after = 1;
+    let doc = DocId(0);
+    let q = "//person/name";
+    assert_eq!(engine.query_doc(doc, q).unwrap().len(), 2); // admits the view
+    let prepare = |engine: &Engine| {
+        engine
+            .optimize_plan(engine.compile(q).unwrap(), doc)
+            .unwrap()
+            .plan
+    };
+    let prepared = prepare(&engine);
+    assert_eq!(vamana_core::plan_view(&prepared), Some(q));
+    assert_eq!(engine.execute_plan(&prepared, doc).unwrap().len(), 2);
+
+    engine
+        .apply_update(
+            doc,
+            &UpdateOp::Insert {
+                target: "//people".into(),
+                fragment: "<person id=\"p9\"><name>Zed</name></person>".into(),
+            },
+        )
+        .unwrap();
+    assert!(matches!(
+        engine.execute_plan(&prepared, doc),
+        Err(EngineError::StalePlan)
+    ));
+    assert!(matches!(
+        engine.stream_plan(prepared, doc).err(),
+        Some(EngineError::StalePlan)
+    ));
+    let fresh = prepare(&engine);
+    assert_eq!(vamana_core::plan_view(&fresh), None);
+    assert_eq!(engine.execute_plan(&fresh, doc).unwrap().len(), 3);
 }
 
 #[test]

@@ -192,7 +192,7 @@ fn spawn_follower_process(primary: SocketAddr, data: &Path) -> FollowerProc {
 }
 
 /// Like [`spawn_follower_process`], with extra environment variables for
-/// the child (e.g. `VAMANA_VIEWS=1` to enable the semantic cache).
+/// the child (e.g. `VAMANA_FORMAT=v2` for a compressed replica).
 fn spawn_follower_with_env(primary: SocketAddr, data: &Path, env: &[(&str, &str)]) -> FollowerProc {
     let port_file = data.with_extension("port");
     let _ = std::fs::remove_file(&port_file);
@@ -355,8 +355,8 @@ fn replayed_writes_invalidate_follower_views() {
     let mut primary = Client::connect(&handle);
     let data = dir.join("follower.mass");
 
-    // A real follower process with the semantic cache enabled.
-    let mut proc1 = spawn_follower_with_env(handle.addr(), &data, &[("VAMANA_VIEWS", "1")]);
+    // A real follower process, as it comes: followers cache too.
+    let mut proc1 = spawn_follower_process(handle.addr(), &data);
     let mut follower = Client::connect_retry(proc1.addr, DEADLINE);
     wait_applied(&mut follower, primary_last_lsn(&mut primary));
     follower.round_trip("LIMIT 0");

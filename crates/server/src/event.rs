@@ -1,10 +1,10 @@
 //! The nonblocking server core: one event-loop thread multiplexing
 //! every client connection over [`crate::poll::Poller`].
 //!
-//! The thread-per-connection core (PR 1) burns one OS thread per
-//! socket, busy or idle — at hundreds of clients the scheduler, stacks,
-//! and context switches become the ceiling, not the engine. This core
-//! keeps exactly one thread for *all* connection I/O:
+//! A thread per connection burns one OS thread per socket, busy or
+//! idle — at hundreds of clients the scheduler, stacks, and context
+//! switches become the ceiling, not the engine. This core keeps exactly
+//! one thread for *all* connection I/O:
 //!
 //! - The listener and every connection socket are nonblocking and
 //!   registered with a level-triggered poller; an idle connection costs
@@ -14,8 +14,8 @@
 //!   written back-to-back without waiting for the client to read the
 //!   previous one. Per-connection *execution* order is preserved (the
 //!   next request dispatches when the previous one completes), so the
-//!   protocol semantics are identical to the threaded core — like Redis
-//!   pipelining, the win is removing round-trip gaps, not reordering.
+//!   protocol reads as one request at a time — like Redis pipelining,
+//!   the win is removing round-trip gaps, not reordering.
 //! - Heavy work never runs on the loop. A [`LineService`] either
 //!   answers a line inline (cheap protocol verbs) or dispatches it to a
 //!   worker pool and later delivers bytes through [`Completions`],
@@ -125,10 +125,27 @@ impl Completions {
 /// socket until the request completes (backpressure, not an error).
 const RBUF_SOFT_CAP: usize = 1 << 20;
 
-/// Hard cap on a single request line; a client exceeding it is
-/// protocol-broken and gets closed. Generous because `LOADXML` carries
-/// whole documents inline.
-const MAX_LINE: usize = 256 << 20;
+/// Hard cap on a request line that carries a document inline.
+const MAX_DOCUMENT_LINE: usize = 256 << 20;
+
+/// Hard cap on every other request line: an XPath expression, a path, a
+/// few operands.
+const MAX_LINE: usize = 64 << 10;
+
+/// The verbs whose line carries a document inline, on the server and on
+/// the router that forwards them.
+const DOCUMENT_VERBS: [&[u8]; 2] = [b"LOADXML ", b"INSERT "];
+
+/// How long the line that starts with `head` may grow, decided from its
+/// verb. A client exceeding the cap gets `ERR line too long` and is
+/// closed, so an unterminated line is never buffered past it.
+fn line_cap(head: &[u8]) -> usize {
+    if DOCUMENT_VERBS.iter().any(|verb| head.starts_with(verb)) {
+        MAX_DOCUMENT_LINE
+    } else {
+        MAX_LINE
+    }
+}
 
 const LISTENER_TOKEN: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -323,13 +340,20 @@ fn done_flushing(conn: &Conn) -> bool {
     conn.close_after_flush && conn.in_flight.is_none() && conn.wpos >= conn.wbuf.len()
 }
 
-/// Reads whatever the socket has, then parses. False = drop connection.
+/// Reads what the socket has, then parses. False = drop connection.
 fn read_and_parse<S: LineService>(conn: &mut Conn, token: ConnId, service: &Arc<S>) -> bool {
     let mut buf = [0u8; 16384];
     loop {
-        // Honor backpressure mid-read: stop pulling bytes once the
-        // unparsed backlog passes the cap with a request in flight.
-        if conn.in_flight.is_some() && conn.rbuf.len() - conn.rpos > RBUF_SOFT_CAP {
+        // Stop pulling bytes once the unparsed backlog passes what the
+        // connection may hold before the parser has looked at it: the
+        // backpressure cap with a request in flight, else the cap of the
+        // line the backlog starts with.
+        let unparsed = &conn.rbuf[conn.rpos..];
+        let budget = match conn.in_flight {
+            Some(_) => RBUF_SOFT_CAP,
+            None => line_cap(unparsed),
+        };
+        if unparsed.len() > budget {
             break;
         }
         match conn.stream.read(&mut buf) {
@@ -344,9 +368,6 @@ fn read_and_parse<S: LineService>(conn: &mut Conn, token: ConnId, service: &Arc<
             Err(_) => return false,
         }
     }
-    if conn.rbuf.len() - conn.rpos > MAX_LINE {
-        return false;
-    }
     parse_lines(conn, token, service) && flush(conn)
 }
 
@@ -354,7 +375,15 @@ fn read_and_parse<S: LineService>(conn: &mut Conn, token: ConnId, service: &Arc<
 /// begins closing/handoff, or the buffer runs out. False = drop.
 fn parse_lines<S: LineService>(conn: &mut Conn, token: ConnId, service: &Arc<S>) -> bool {
     while conn.in_flight.is_none() && conn.handoff.is_none() && !conn.close_after_flush {
-        let Some(nl) = conn.rbuf[conn.rpos..].iter().position(|&b| b == b'\n') else {
+        let unparsed = &conn.rbuf[conn.rpos..];
+        let nl = unparsed.iter().position(|&b| b == b'\n');
+        if nl.unwrap_or(unparsed.len()) > line_cap(unparsed) {
+            conn.wbuf.extend_from_slice(b"ERR line too long\n");
+            conn.close_after_flush = true;
+            conn.rpos = conn.rbuf.len();
+            break;
+        }
+        let Some(nl) = nl else {
             break;
         };
         let end = conn.rpos + nl;
@@ -500,6 +529,35 @@ mod tests {
         let n = s.read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"OK hello\n");
         drop(idle);
+        stop_loop(addr, &stop);
+    }
+
+    /// Writes `line` and returns everything the server said before it
+    /// closed. The server may close (and reset) mid-write; what it had
+    /// already replied is still readable.
+    fn send_and_drain(addr: std::net::SocketAddr, line: &[u8]) -> String {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let _ = s.write_all(line);
+        let mut all = Vec::new();
+        let _ = s.read_to_end(&mut all);
+        String::from_utf8(all).unwrap()
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_unless_its_verb_carries_a_document() {
+        let (addr, stop) = start_echo();
+        // Unterminated, and then terminated: neither is buffered past the cap.
+        let long = [b"ECHO ".as_slice(), &vec![b'a'; 1 << 20]].concat();
+        assert_eq!(send_and_drain(addr, &long), "ERR line too long\n");
+        let long = [long.as_slice(), b"\nBYE\n"].concat();
+        assert_eq!(send_and_drain(addr, &long), "ERR line too long\n");
+        // At the cap a line still goes through...
+        let fits = [b"ECHO ".as_slice(), &vec![b'a'; MAX_LINE - 5], b"\nBYE\n"].concat();
+        let reply = send_and_drain(addr, &fits);
+        assert!(reply.starts_with("OK aaaa") && reply.ends_with("a\nOK bye\n"));
+        // ...and a document verb may run far past it.
+        let doc = [b"LOADXML d ".as_slice(), &vec![b'a'; 1 << 20], b"\nBYE\n"].concat();
+        assert_eq!(send_and_drain(addr, &doc), "ERR proto\nOK bye\n");
         stop_loop(addr, &stop);
     }
 }

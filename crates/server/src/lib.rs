@@ -1,10 +1,9 @@
 //! # vamana-server
 //!
 //! A concurrent query service over one shared VAMANA engine: a TCP
-//! line protocol multiplexed by a nonblocking event core (or a
-//! thread-per-connection core, see [`CoreMode`]), executed by a worker
-//! thread pool, with a compiled-plan cache, bounded-queue admission
-//! control, per-query deadlines, and a metrics registry.
+//! line protocol multiplexed by a nonblocking event core, executed by a
+//! worker thread pool, with a compiled-plan cache, bounded-queue
+//! admission control, per-query deadlines, and a metrics registry.
 //!
 //! ## Protocol
 //!
@@ -42,16 +41,10 @@
 //!
 //! ## Threading model
 //!
-//! Two connection cores share everything below the parser:
-//!
-//! - [`CoreMode::Event`] (default): one event-loop thread owns every
-//!   connection socket nonblockingly (see [`event`]); requests are
-//!   parsed pipelined and idle connections cost no threads.
-//! - [`CoreMode::Threaded`]: one (detached) thread per connection, kept
-//!   as the pre-PR-9 baseline for comparison benchmarks.
-//!
-//! Under either core, a fixed worker pool executes jobs against the
-//! shared engine. The queue between parser and workers is bounded:
+//! One event-loop thread owns every connection socket nonblockingly (see
+//! [`event`]); requests are parsed pipelined and idle connections cost no
+//! threads. A fixed worker pool executes jobs against the shared engine.
+//! The queue between parser and workers is bounded:
 //! a full queue rejects at admission with `ERR busy` rather than
 //! queueing unboundedly, and every job carries a deadline checked when
 //! dequeued and between result batches. Control-plane verbs (`STATS`,
@@ -62,10 +55,8 @@
 #![deny(missing_docs)]
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -87,19 +78,6 @@ pub use render::{render_rows, RenderOptions, Rendered};
 use event::{Completions, ConnId, Dispatch, LineService};
 use metrics::ActiveGuard;
 use pool::WorkerPool;
-
-/// Which connection core the server runs (the worker pool underneath is
-/// the same either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreMode {
-    /// Nonblocking event loop: one thread for all connection I/O,
-    /// pipelined request parsing, idle connections cost no threads.
-    /// Requires epoll (Linux).
-    Event,
-    /// One thread per connection — the PR 1 design, kept for baseline
-    /// benchmarks and as a portability fallback.
-    Threaded,
-}
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -133,8 +111,6 @@ pub struct ServerConfig {
     /// return a redirect error naming the primary, and `LAG`/`STATS`
     /// report the sync status the replica runtime keeps here.
     pub replica: Option<ReplicaRole>,
-    /// Connection core; see [`CoreMode`].
-    pub core: CoreMode,
 }
 
 impl Default for ServerConfig {
@@ -150,7 +126,6 @@ impl Default for ServerConfig {
             repl_retain: vamana_mass::DEFAULT_RETAIN_FRAMES,
             feed_heartbeat: Duration::from_millis(200),
             replica: None,
-            core: CoreMode::Event,
         }
     }
 }
@@ -208,7 +183,7 @@ impl std::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// State shared by the accept thread, connection threads, and workers.
+/// State shared by the event loop and the workers.
 pub struct Shared {
     engine: Arc<SharedEngine>,
     cache: PlanCache,
@@ -300,31 +275,18 @@ impl Request {
     }
 }
 
-/// Where a job's response goes.
-pub(crate) enum ReplyTo {
-    /// Threaded core: the connection thread blocks on this channel.
-    Sync(SyncSender<Result<Outcome, ServerError>>),
-    /// Event core: serialized bytes are delivered to the loop.
-    Event {
-        completions: Completions,
-        conn: ConnId,
-        seq: u64,
-    },
+/// Where a job's response goes: back into the event loop, as serialized
+/// bytes for line `seq` of connection `conn`.
+pub(crate) struct ReplyTo {
+    completions: Completions,
+    conn: ConnId,
+    seq: u64,
 }
 
 impl ReplyTo {
     fn deliver(self, result: Result<Outcome, ServerError>) {
-        match self {
-            // A send error means the client hung up; nothing to do.
-            ReplyTo::Sync(tx) => {
-                let _ = tx.send(result);
-            }
-            ReplyTo::Event {
-                completions,
-                conn,
-                seq,
-            } => completions.complete(conn, seq, reply_bytes(&result)),
-        }
+        self.completions
+            .complete(self.conn, self.seq, reply_bytes(&result));
     }
 }
 
@@ -578,7 +540,7 @@ fn run_query(
         // Feed this document's result to the view cache. A fresh
         // admission supersedes the compiled plan cached above — drop it
         // so the next compilation goes through the view-rewrite pass.
-        if engine.observe_result(doc, xpath, &all[doc_start..]) {
+        if engine.observe_result(doc, xpath, &plan, &all[doc_start..]) {
             shared.cache.remove(xpath, doc);
         }
     }
@@ -923,26 +885,6 @@ impl Server {
             if config.scan_workers > 0 {
                 guard.options_mut().parallel_workers = config.scan_workers;
             }
-            // Semantic result caching is opt-in per process: the
-            // VAMANA_VIEWS environment variable enables it on servers
-            // whose embedder did not set `EngineOptions::views` itself
-            // (the replica e2e suite turns it on for spawned followers
-            // this way).
-            if matches!(
-                std::env::var("VAMANA_VIEWS").ok().as_deref(),
-                Some("1") | Some("on") | Some("true")
-            ) {
-                guard.options_mut().views = true;
-            }
-            // Whole-query fusion gets the same opt-in: VAMANA_FUSE
-            // enables the cost-gated fusion pass on servers whose
-            // embedder left `EngineOptions::fuse` at its default.
-            if matches!(
-                std::env::var("VAMANA_FUSE").ok().as_deref(),
-                Some("1") | Some("on") | Some("true")
-            ) {
-                guard.options_mut().fuse = true;
-            }
             // Durable stores get a replication ring at bind time so the
             // `REPLICATE` feed can serve committed frames; checkpoints
             // truncate only the file log, never this ring.
@@ -992,17 +934,9 @@ impl Server {
     }
 
     /// Serves until [`ServerHandle::stop`] flips the stop flag (or
-    /// forever when run directly), on the configured [`CoreMode`].
-    pub fn run(self) -> std::io::Result<()> {
-        match self.shared.config.core {
-            CoreMode::Event => self.run_event(),
-            CoreMode::Threaded => self.run_threaded(),
-        }
-    }
-
-    /// The nonblocking core: one event-loop thread for every
+    /// forever when run directly): one event-loop thread for every
     /// connection (see [`event`]).
-    fn run_event(self) -> std::io::Result<()> {
+    pub fn run(self) -> std::io::Result<()> {
         let completions = Completions::new()?;
         let service = Arc::new(EventService {
             shared: Arc::clone(&self.shared),
@@ -1014,30 +948,6 @@ impl Server {
         event::run_event_loop(self.listener, service, completions, move || {
             shared.stopping.load(Ordering::SeqCst)
         })
-    }
-
-    /// The PR 1 core: accepted connections get their own thread; the
-    /// accept loop itself never does protocol work.
-    fn run_threaded(self) -> std::io::Result<()> {
-        for stream in self.listener.incoming() {
-            if self.shared.stopping.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            self.shared
-                .metrics
-                .connections
-                .fetch_add(1, Ordering::Relaxed);
-            let shared = Arc::clone(&self.shared);
-            let pool = Arc::clone(&self.pool);
-            std::thread::spawn(move || {
-                let _ = serve_connection(stream, &shared, &pool);
-            });
-        }
-        Ok(())
     }
 
     /// Runs the connection core on a background thread, returning a
@@ -1086,8 +996,7 @@ impl ServerHandle {
             return;
         };
         self.shared.stopping.store(true, Ordering::SeqCst);
-        // Wake the core with a no-op connection (works for both the
-        // blocking accept loop and the poller).
+        // Wake the poller with a no-op connection.
         let _ = TcpStream::connect(self.addr);
         let _ = thread.join();
     }
@@ -1115,8 +1024,7 @@ enum Parsed {
     Feed(u64),
 }
 
-/// Parses one request line into a [`Parsed`] action. Shared verbatim by
-/// both connection cores so the grammar cannot drift between them.
+/// Parses one request line into a [`Parsed`] action.
 fn parse_line(config: &ServerConfig, request: &str) -> Parsed {
     let (verb, rest) = match request.split_once(' ') {
         Some((v, r)) => (v, r.trim()),
@@ -1236,7 +1144,7 @@ impl EventService {
         let job = Job {
             limit: self.limit_for(conn),
             deadline: Instant::now() + self.shared.config.query_timeout,
-            reply: ReplyTo::Event {
+            reply: ReplyTo {
                 completions: self.completions.clone(),
                 conn,
                 seq,
@@ -1299,78 +1207,7 @@ impl LineService for EventService {
     }
 }
 
-/// Parses and answers requests from one client until QUIT/EOF
-/// (threaded core).
-fn serve_connection(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    pool: &Arc<WorkerPool<Job>>,
-) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut limit = shared.config.default_limit;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(()); // EOF
-        }
-        let request = line.trim_end_matches(['\n', '\r']);
-        if request.is_empty() {
-            continue;
-        }
-        match parse_line(&shared.config, request) {
-            Parsed::Inline(reply) => writeln!(writer, "{reply}")?,
-            Parsed::Limit(n) => {
-                limit = n;
-                writeln!(writer, "OK limit {n}")?;
-            }
-            Parsed::Quit => {
-                writeln!(writer, "OK bye")?;
-                return Ok(());
-            }
-            Parsed::Feed(from) => {
-                // The connection becomes a one-way frame feed; it never
-                // returns to the line protocol.
-                return feed::serve_feed(writer, shared, from);
-            }
-            Parsed::Job(request) | Parsed::Control(request) => {
-                let control = request.is_control();
-                let (tx, rx) = std::sync::mpsc::sync_channel(1);
-                let job = Job {
-                    request,
-                    limit,
-                    deadline: Instant::now() + shared.config.query_timeout,
-                    reply: ReplyTo::Sync(tx),
-                };
-                let submitted = if control {
-                    pool.submit(job)
-                } else {
-                    pool.try_submit(job)
-                };
-                if submitted.is_err() {
-                    shared
-                        .metrics
-                        .busy_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    writeln!(writer, "ERR {}", ServerError::Busy)?;
-                    writer.flush()?;
-                    continue;
-                }
-                let result = match rx.recv() {
-                    Ok(result) => result,
-                    // Worker pool shut down before replying.
-                    Err(_) => Err(ServerError::Query("busy server shutting down".into())),
-                };
-                writer.write_all(&reply_bytes(&result))?;
-            }
-        }
-        writer.flush()?;
-    }
-}
-
-/// Serializes a job result into protocol bytes — the single rendering
-/// path both cores share.
+/// Serializes a job result into protocol bytes.
 fn reply_bytes(result: &Result<Outcome, ServerError>) -> Vec<u8> {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -1666,7 +1503,6 @@ mod tests {
         assert!(c.workers >= 1);
         assert!(c.queue_depth >= c.workers);
         assert!(c.query_timeout > Duration::ZERO);
-        assert_eq!(c.core, CoreMode::Event);
     }
 
     #[test]

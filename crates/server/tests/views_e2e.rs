@@ -1,29 +1,25 @@
-//! End-to-end semantic-cache tests: a real TCP server with views
-//! enabled, repeated queries admitted into the view cache, byte-equal
-//! responses cached vs uncached, `STATS` view counters, the `CACHE`
-//! verb, and invalidation through the write path.
+//! End-to-end semantic-cache tests: a real TCP server as it comes —
+//! `Engine::new`, `ServerConfig::default()` — with repeated queries
+//! admitted into the view cache, responses byte-equal before and after
+//! admission and equal to the DOM oracle, `STATS` view counters, the
+//! `CACHE` verb, and invalidation through the write path.
 
-use vamana_core::{Engine, EngineOptions};
+use vamana_baseline::dom::DomEngine;
+use vamana_baseline::XPathEngine;
+use vamana_core::Engine;
 use vamana_mass::MassStore;
 use vamana_server::testkit::{stat_value, view_count, Client};
 use vamana_server::{Server, ServerConfig, ServerHandle};
 use vamana_xmark::{generate_string, XmarkConfig};
 
-fn views_engine() -> Engine {
-    let xml = generate_string(&XmarkConfig::with_scale(0.003));
-    let mut store = MassStore::open_memory();
-    store.load_xml("auction", &xml).expect("load xmark");
-    let mut engine = Engine::new(store);
-    *engine.options_mut() = EngineOptions {
-        views: true,
-        view_admit_after: 2,
-        ..EngineOptions::default()
-    };
-    engine
+fn xmark() -> String {
+    generate_string(&XmarkConfig::with_scale(0.003))
 }
 
 fn spawn_views_server() -> ServerHandle {
-    Server::bind("127.0.0.1:0", views_engine(), ServerConfig::default())
+    let mut store = MassStore::open_memory();
+    store.load_xml("auction", &xmark()).expect("load xmark");
+    Server::bind("127.0.0.1:0", Engine::new(store), ServerConfig::default())
         .expect("bind")
         .spawn()
         .expect("spawn")
@@ -49,9 +45,18 @@ fn repeated_queries_are_answered_from_a_view() {
     let stats = client.round_trip("STATS");
     assert!(stat_value(&stats, "view_hits") >= 1, "{stats:?}");
 
-    // Cached answers must be byte-identical to the uncached ones.
+    // Answers from the view must be byte-identical to the ones computed
+    // before anything was admitted, and those to the DOM oracle's.
     assert_eq!(rows(&cold), rows(&warm));
     assert_eq!(rows(&cold), rows(&hot));
+    let oracle: Vec<String> = DomEngine::from_xml(&xmark())
+        .unwrap()
+        .identities("//person/name")
+        .unwrap()
+        .into_iter()
+        .map(|n| format!("ROW <{}> {}", n.name, n.value))
+        .collect();
+    assert_eq!(rows(&hot), oracle.iter().collect::<Vec<_>>());
 
     // The CACHE verb lists the materialized view.
     let listing = client.round_trip("CACHE");
