@@ -36,7 +36,7 @@ fn bench_primitives(c: &mut Criterion) {
         .name_index()
         .elements(person)
         .iter()
-        .map(|k| FlexKey::from_flat(k.to_vec()))
+        .map(FlexKey::from_flat_slice)
         .collect();
     let mid = person_keys[person_keys.len() / 2].clone();
     let doc_key = store.documents()[0].doc_key.clone();

@@ -446,13 +446,10 @@ impl<'a> Estimator<'a> {
         // Same envelope rule as the executor: the widest subtree belongs
         // to the first ancestor-or-self of the last match, since matches
         // can nest (see `crate::exec::fused`).
-        let outer = keys
-            .iter()
-            .find(|k| last.starts_with(&k[..]))
-            .unwrap_or(last);
+        let outer = keys.iter().find(|k| last.starts_with(k)).unwrap_or(last);
         let envelope = KeyRange {
-            lo: first.clone(),
-            hi: vamana_flex::FlexKey::from_flat(outer.clone()).subtree_upper(),
+            lo: first.to_vec(),
+            hi: vamana_flex::FlexKey::from_flat_slice(outer).subtree_upper(),
         };
         Some(envelope.intersect(self.scope))
     }

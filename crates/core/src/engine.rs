@@ -148,11 +148,12 @@ pub struct Explain {
     pub opt_trace: crate::opt::OptTrace,
 }
 
-/// A streaming query cursor: owns its plan and pulls tuples through the
-/// pipelined executor on demand (see [`Engine::stream`]).
+/// A streaming query cursor: holds its plan (shared with whoever cached
+/// it) and pulls tuples through the pipelined executor on demand (see
+/// [`Engine::stream`]).
 pub struct QueryStream<'s> {
     store: &'s MassStore,
-    plan: Box<QueryPlan>,
+    plan: Arc<QueryPlan>,
     root_ctx: NodeEntry,
     iter: exec::OpIter<'s>,
     done: bool,
@@ -162,10 +163,9 @@ pub struct QueryStream<'s> {
 }
 
 impl<'s> QueryStream<'s> {
-    fn new(engine: &'s Engine, plan: QueryPlan, doc: DocId) -> Result<Self> {
+    fn new(engine: &'s Engine, plan: Arc<QueryPlan>, doc: DocId) -> Result<Self> {
         engine.begin_run(&plan, doc)?;
         let root_ctx = engine.doc_entry(doc)?;
-        let plan = Box::new(plan);
         let top = match plan.op(plan.root()) {
             Operator::Root { child } => *child,
             _ => Some(plan.root()),
@@ -873,15 +873,20 @@ impl Engine {
     /// model as a public API). Tuples arrive in pipeline order; duplicate
     /// elimination and document-order sorting are the caller's choice.
     pub fn stream<'a>(&'a self, doc: DocId, xpath: &str) -> Result<QueryStream<'a>> {
-        QueryStream::new(self, self.prepare(doc, xpath)?, doc)
+        QueryStream::new(self, Arc::new(self.prepare(doc, xpath)?), doc)
     }
 
     /// Opens a streaming cursor over an already-compiled (and possibly
     /// cached) `plan` on `doc`. The serving layer executes plan-cache
     /// hits through this, pulling tuples so it can enforce per-query
-    /// deadlines between pulls.
-    pub fn stream_plan(&self, plan: QueryPlan, doc: DocId) -> Result<QueryStream<'_>> {
-        QueryStream::new(self, plan, doc)
+    /// deadlines between pulls — a cached `Arc<QueryPlan>` is shared, not
+    /// copied.
+    pub fn stream_plan(
+        &self,
+        plan: impl Into<Arc<QueryPlan>>,
+        doc: DocId,
+    ) -> Result<QueryStream<'_>> {
+        QueryStream::new(self, plan.into(), doc)
     }
 
     /// Resolves the string values of a result set (element string-value,
@@ -1096,7 +1101,7 @@ impl Engine {
                     root_ctx: &root_ctx,
                     stats: None,
                 };
-                exec::eval_expr(env, expr_id, &root_ctx, 1, 1)
+                exec::eval_expr(env, expr_id, &root_ctx, 1, 1, &mut exec::Probes::default())
             }
         }
     }

@@ -54,7 +54,7 @@ struct PredNode {
 }
 
 /// Number of terminator bytes in a flat key = the key's level.
-fn flat_level(flat: &[u8]) -> usize {
+pub(super) fn flat_level(flat: &[u8]) -> usize {
     flat.iter().filter(|&&b| b == 0).count()
 }
 
@@ -75,7 +75,7 @@ fn verify_pred(store: &MassStore, base: &FlexKey, node: &PredNode) -> bool {
                 }
             }
             node.children.is_empty() || {
-                let key = FlexKey::from_flat(flat.to_vec());
+                let key = FlexKey::from_flat_slice(flat);
                 node.children.iter().all(|c| verify_pred(store, &key, c))
             }
         })
@@ -332,7 +332,7 @@ impl<'s> FusedIter<'s> {
             // prefixes of their descendants'.
             let outer = keys
                 .iter()
-                .find(|k| deepest_last.starts_with(&k[..]))
+                .find(|k| deepest_last.starts_with(k))
                 .unwrap_or(deepest_last);
             (first, outer)
         } else {
@@ -340,12 +340,12 @@ impl<'s> FusedIter<'s> {
             // so subtrees are disjoint and the last one ends the range.
             let want = anchor.key.level() + 1;
             let first = keys.iter().find(|k| flat_level(k) == want)?;
-            let last = keys.iter().rev().find(|k| flat_level(k) == want)?;
+            let last = keys.iter().rfind(|k| flat_level(k) == want)?;
             (first, last)
         };
         let envelope = KeyRange {
-            lo: first.clone(),
-            hi: FlexKey::from_flat(last.clone()).subtree_upper(),
+            lo: first.to_vec(),
+            hi: FlexKey::from_flat_slice(last).subtree_upper(),
         };
         Some(envelope.intersect(base))
     }

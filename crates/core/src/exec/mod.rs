@@ -25,8 +25,9 @@ use crate::plan::{ArithOp, BinOp, ContextSource, OpId, Operator, QueryPlan, Test
 use stats::ExecStats;
 use value::Value;
 use vamana_flex::{Axis, FlexKey, KeyRange};
-use vamana_mass::axes::{axis_stream, AxisStream, KindFilter, NodeFilter};
-use vamana_mass::{MassStore, NodeEntry, RecordKind};
+use vamana_mass::axes::{axis_stream_from, AxisStream, KindFilter, NodeFilter};
+use vamana_mass::name_index::NO_FINGER;
+use vamana_mass::{MassStore, NameId, NodeEntry, RecordKind};
 
 /// Tuples per pull when the caller wants everything. Large enough to
 /// amortize per-pull dispatch to noise, small enough that a batch of
@@ -240,8 +241,9 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
             // Whole-node-set positional filtering: materialize the input
             // in document order (deduplicated), then filter.
             let mut group = drain_set(env, build_iter(env, *input, outer)?)?;
+            let mut probes = Probes::default();
             for pred in predicates {
-                group = apply_predicate(env, *pred, group, false)?;
+                group = apply_predicate(env, *pred, group, false, &mut probes)?;
             }
             if let Some(stats) = env.stats {
                 stats.add_invocation(id);
@@ -404,9 +406,14 @@ pub struct StepIter<'s> {
     ctx_pos: usize,
     /// Lazy axis stream of the current context (no predicates).
     stream: Option<AxisStream<'s>>,
+    /// Where the last context's stream began in the posting list of this
+    /// step's node test — the hint the next context's probe starts from.
+    finger: usize,
     /// Filtered group of the current context (predicate path).
     buffer: Vec<NodeEntry>,
     buffer_pos: usize,
+    /// Probe state of this step's exist-predicates.
+    probes: Probes,
 }
 
 impl<'s> StepIter<'s> {
@@ -428,8 +435,10 @@ impl<'s> StepIter<'s> {
             contexts: Vec::new(),
             ctx_pos: 0,
             stream: None,
+            finger: NO_FINGER,
             buffer: Vec::new(),
             buffer_pos: 0,
+            probes: Probes::default(),
         }
     }
 
@@ -459,7 +468,14 @@ impl<'s> StepIter<'s> {
         let Some(filter) = self.filter else {
             return Ok(true);
         };
-        let stream = axis_stream(env.store, &ctx.key, ctx.kind, self.axis, filter)?;
+        let stream = axis_stream_from(
+            env.store,
+            &ctx.key,
+            ctx.kind,
+            self.axis,
+            filter,
+            &mut self.finger,
+        )?;
         if self.predicates.is_empty() {
             self.stream = Some(stream);
         } else {
@@ -467,7 +483,8 @@ impl<'s> StepIter<'s> {
             // then filter through each predicate in order.
             let mut group = stream.collect()?;
             for pred in &self.predicates {
-                group = apply_predicate(env, *pred, group, self.axis.is_reverse())?;
+                let reverse = self.axis.is_reverse();
+                group = apply_predicate(env, *pred, group, reverse, &mut self.probes)?;
             }
             self.buffer = group;
         }
@@ -670,7 +687,7 @@ impl<'s> ValueStepIter<'s> {
 /// pages: attribute keys are recognizable from their reserved label range
 /// (first byte of the last label `< 0x40`).
 fn entry_from_value_key(flat: &[u8]) -> NodeEntry {
-    let key = FlexKey::from_flat(flat.to_vec());
+    let key = FlexKey::from_flat_slice(flat);
     let kind = match key.last_label().and_then(|l| l.first()) {
         Some(&b) if b < 0x40 => RecordKind::Attribute,
         _ => RecordKind::Text,
@@ -682,6 +699,59 @@ fn entry_from_value_key(flat: &[u8]) -> NodeEntry {
     }
 }
 
+/// What a cursor keeps between the tuples it tests against its
+/// exist-predicates: per index-answerable predicate path, the name test
+/// resolved once and a finger into that name's posting list. The tuples
+/// a step tests arrive mostly in document order, so each probe starts
+/// where the last one landed ([`SortedKeys::lower_bound_from`]: any
+/// finger is correct, a near one is fast). The state belongs to the
+/// cursor — every morsel worker and every nested path has its own —
+/// never to the shared index.
+///
+/// [`SortedKeys::lower_bound_from`]: vamana_mass::name_index::SortedKeys::lower_bound_from
+#[derive(Default)]
+pub struct Probes(Vec<(OpId, Probe)>);
+
+struct Probe {
+    /// The path's name test; `None` when the store has no such name.
+    name: Option<NameId>,
+    finger: usize,
+}
+
+impl Probes {
+    /// The state of predicate path `path`, made on first use.
+    fn of(&mut self, store: &MassStore, path: OpId, name: &str) -> &mut Probe {
+        let at = match self.0.iter().position(|(id, _)| *id == path) {
+            Some(at) => at,
+            None => {
+                let probe = Probe {
+                    name: store.name_id(name),
+                    finger: NO_FINGER,
+                };
+                self.0.push((path, probe));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[at].1
+    }
+}
+
+/// Whether `tuple`, at `position` of a group of `size`, passes predicate
+/// `pred`: a number selects by position, anything else by its boolean.
+fn keeps(
+    env: Env<'_, '_>,
+    pred: OpId,
+    tuple: &NodeEntry,
+    position: usize,
+    size: usize,
+    probes: &mut Probes,
+) -> Result<bool> {
+    Ok(match eval_expr(env, pred, tuple, position, size, probes)? {
+        Value::Num(n) => position as f64 == n,
+        other => other.boolean(),
+    })
+}
+
 /// Applies one predicate to a materialized group with XPath position
 /// semantics (reverse axes count from the end).
 pub fn apply_predicate(
@@ -689,17 +759,13 @@ pub fn apply_predicate(
     pred: OpId,
     group: Vec<NodeEntry>,
     reverse: bool,
+    probes: &mut Probes,
 ) -> Result<Vec<NodeEntry>> {
     let size = group.len();
     let mut out = Vec::with_capacity(size);
     for (i, tuple) in group.into_iter().enumerate() {
         let position = if reverse { size - i } else { i + 1 };
-        let v = eval_expr(env, pred, &tuple, position, size)?;
-        let keep = match v {
-            Value::Num(n) => position as f64 == n,
-            other => other.boolean(),
-        };
-        if keep {
+        if keeps(env, pred, &tuple, position, size, probes)? {
             out.push(tuple);
         }
     }
@@ -710,64 +776,79 @@ pub fn apply_predicate(
 }
 
 /// Index-only evaluation of the exist-predicates the optimizer generates
-/// (`[parent::S]`, `[child::S]`, `[attribute::S]` with a bare name test):
-/// the answer comes from FLEX key arithmetic plus a name-index binary
-/// search — no data page is touched. Returns `None` when the predicate
-/// shape is more general and the cursor machinery must run.
-fn exists_fast_path(env: Env<'_, '_>, path: OpId, ctx: &NodeEntry) -> Option<bool> {
+/// (`[parent::S]`, `[child::S]`, `[attribute::S]` with a name test): the
+/// answer comes from FLEX key arithmetic plus a finger probe of the name
+/// index — no data page is touched. A parent is one node at most, so
+/// `[parent::S[p]]` tests `p` on it in place, as position 1 of 1. Returns
+/// `None` when the predicate shape is more general and the cursor
+/// machinery must run.
+fn exists_fast_path(
+    env: Env<'_, '_>,
+    path: OpId,
+    ctx: &NodeEntry,
+    probes: &mut Probes,
+) -> Result<Option<bool>> {
     let Operator::Step {
-        axis,
+        axis: axis @ (Axis::Parent | Axis::Child | Axis::Attribute),
         test: TestSpec::Named(name),
         context: None,
         source: ContextSource::OuterTuple,
         predicates,
     } = env.plan.op(path)
     else {
-        return None;
+        return Ok(None);
     };
-    if !predicates.is_empty() {
-        return None;
+    if !predicates.is_empty() && *axis != Axis::Parent {
+        return Ok(None);
     }
-    let Some(name_id) = env.store.name_id(name) else {
-        return Some(false);
+    let probe = probes.of(env.store, path, name);
+    let Some(name) = probe.name else {
+        return Ok(Some(false));
     };
-    match axis {
-        Axis::Parent => {
-            let parent = ctx.key.parent()?;
-            if parent.is_root() {
-                return Some(false);
+    let index = env.store.name_index();
+    if *axis == Axis::Parent {
+        // The document node has no parent; its own (empty) key is in no list.
+        let parent = ctx.key.parent().unwrap_or_default();
+        let list = index.elements(name);
+        probe.finger = list.lower_bound_from(probe.finger, parent.as_flat());
+        let mut found = probe.finger < list.len() && list.get(probe.finger) == parent.as_flat();
+        if predicates.is_empty() {
+            return Ok(Some(found));
+        }
+        let node = NodeEntry {
+            key: parent,
+            kind: RecordKind::Element,
+            name: Some(name),
+        };
+        for pred in predicates {
+            let tested = u64::from(found);
+            found = found && keeps(env, *pred, &node, 1, 1, probes)?;
+            if let Some(stats) = env.stats {
+                stats.add_predicate(*pred, tested, u64::from(found));
             }
-            Some(
-                env.store
-                    .name_index()
-                    .elements(name_id)
-                    .contains(parent.as_flat()),
-            )
         }
-        Axis::Child => {
-            let want_level = ctx.key.level() + 1;
-            let range = KeyRange::descendants(&ctx.key);
-            Some(
-                env.store
-                    .name_index()
-                    .elements(name_id)
-                    .iter_in(&range)
-                    .any(|flat| flat.iter().filter(|&&b| b == 0).count() == want_level),
-            )
+        // The actuals the step's own cursor would have reported.
+        if let Some(stats) = env.stats {
+            stats.add_invocation(path);
+            stats.add_rows(path, u64::from(found));
         }
-        Axis::Attribute => {
-            let want_level = ctx.key.level() + 1;
-            let range = KeyRange::descendants(&ctx.key);
-            Some(
-                env.store
-                    .name_index()
-                    .attributes(name_id)
-                    .iter_in(&range)
-                    .any(|flat| flat.iter().filter(|&&b| b == 0).count() == want_level),
-            )
-        }
-        _ => None,
+        return Ok(Some(found));
     }
+    let list = match axis {
+        Axis::Child => index.elements(name),
+        _ => index.attributes(name),
+    };
+    // Descendants follow the context in the list for as long as they
+    // carry its key as a prefix; a child is one level down.
+    let flat = ctx.key.as_flat();
+    probe.finger = list.lower_bound_from(probe.finger, flat);
+    let want_level = ctx.key.level() + 1;
+    Ok(Some(
+        list.iter_from(probe.finger)
+            .skip_while(|k| *k == flat)
+            .take_while(|k| k.starts_with(flat))
+            .any(|k| fused::flat_level(k) == want_level),
+    ))
 }
 
 /// Evaluates an expression operator against a context tuple.
@@ -777,10 +858,11 @@ pub fn eval_expr(
     ctx: &NodeEntry,
     position: usize,
     size: usize,
+    probes: &mut Probes,
 ) -> Result<Value> {
     match env.plan.op(id) {
         Operator::Exists { path } => {
-            if let Some(answer) = exists_fast_path(env, *path, ctx) {
+            if let Some(answer) = exists_fast_path(env, *path, ctx, probes)? {
                 return Ok(Value::Bool(answer));
             }
             // One tuple decides it: a `max = 1` pull stops the whole
@@ -791,32 +873,32 @@ pub fn eval_expr(
         }
         Operator::Binary { op, left, right } => match op {
             BinOp::And => {
-                let l = eval_expr(env, *left, ctx, position, size)?;
+                let l = eval_expr(env, *left, ctx, position, size, probes)?;
                 if !l.boolean() {
                     return Ok(Value::Bool(false));
                 }
-                let r = eval_expr(env, *right, ctx, position, size)?;
+                let r = eval_expr(env, *right, ctx, position, size, probes)?;
                 Ok(Value::Bool(r.boolean()))
             }
             BinOp::Or => {
-                let l = eval_expr(env, *left, ctx, position, size)?;
+                let l = eval_expr(env, *left, ctx, position, size, probes)?;
                 if l.boolean() {
                     return Ok(Value::Bool(true));
                 }
-                let r = eval_expr(env, *right, ctx, position, size)?;
+                let r = eval_expr(env, *right, ctx, position, size, probes)?;
                 Ok(Value::Bool(r.boolean()))
             }
             cmp => {
-                let l = eval_expr(env, *left, ctx, position, size)?;
-                let r = eval_expr(env, *right, ctx, position, size)?;
+                let l = eval_expr(env, *left, ctx, position, size, probes)?;
+                let r = eval_expr(env, *right, ctx, position, size, probes)?;
                 Ok(Value::Bool(value::compare(env.store, *cmp, &l, &r)?))
             }
         },
         Operator::Literal { value } => Ok(Value::Str(value.to_string())),
         Operator::Number { value } => Ok(Value::Num(*value)),
         Operator::Arith { op, left, right } => {
-            let l = eval_expr(env, *left, ctx, position, size)?.number(env.store)?;
-            let r = eval_expr(env, *right, ctx, position, size)?.number(env.store)?;
+            let l = eval_expr(env, *left, ctx, position, size, probes)?.number(env.store)?;
+            let r = eval_expr(env, *right, ctx, position, size, probes)?.number(env.store)?;
             Ok(Value::Num(match op {
                 ArithOp::Add => l + r,
                 ArithOp::Sub => l - r,
@@ -826,13 +908,13 @@ pub fn eval_expr(
             }))
         }
         Operator::Neg { child } => {
-            let v = eval_expr(env, *child, ctx, position, size)?.number(env.store)?;
+            let v = eval_expr(env, *child, ctx, position, size, probes)?.number(env.store)?;
             Ok(Value::Num(-v))
         }
         Operator::Function { name, args } => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval_expr(env, *a, ctx, position, size)?);
+                vals.push(eval_expr(env, *a, ctx, position, size, probes)?);
             }
             value::call_function(env.store, name, &vals, ctx, position, size)
         }

@@ -53,7 +53,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use vamana_flex::{Axis, KeyRange};
-use vamana_mass::axes::{axis_stream, range_scan_stream, AxisStream};
+use vamana_mass::axes::{axis_stream_from, range_scan_stream, AxisStream};
 use vamana_mass::{MassStore, NodeEntry, NodeFilter, RecordKind};
 
 /// Rows per chunk a worker hands to the caller. Every chunk but a
@@ -266,6 +266,9 @@ struct MorselCursor<'s> {
     /// Contexts of the morsel still to open (empty for a range morsel).
     rest: std::ops::Range<usize>,
     stream: Option<AxisStream<'s>>,
+    /// This morsel's own finger into the posting list of the job's node
+    /// test (see [`axis_stream_from`]).
+    finger: usize,
 }
 
 impl<'s> MorselCursor<'s> {
@@ -283,6 +286,7 @@ impl<'s> MorselCursor<'s> {
             store,
             rest,
             stream,
+            finger: vamana_mass::name_index::NO_FINGER,
         }
     }
 
@@ -315,8 +319,13 @@ impl<'s> MorselCursor<'s> {
                 break;
             }
             let ctx = &ctxs[k];
-            self.stream = Some(axis_stream(
-                self.store, &ctx.key, ctx.kind, job.axis, job.filter,
+            self.stream = Some(axis_stream_from(
+                self.store,
+                &ctx.key,
+                ctx.kind,
+                job.axis,
+                job.filter,
+                &mut self.finger,
             )?);
         }
         Ok(out.len() - start)

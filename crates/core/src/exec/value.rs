@@ -409,7 +409,7 @@ mod tests {
             .elements(id)
             .iter()
             .map(|k| NodeEntry {
-                key: vamana_flex::FlexKey::from_flat(k.to_vec()),
+                key: vamana_flex::FlexKey::from_flat_slice(k),
                 kind: RecordKind::Element,
                 name: Some(id),
             })

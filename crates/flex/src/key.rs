@@ -58,7 +58,15 @@ impl std::hash::Hash for FlexKey {
 }
 
 impl FlexKey {
-    fn from_slice(flat: &[u8]) -> Self {
+    /// Rebuilds a key from a borrowed flat encoding (an index posting, a
+    /// page image): keys up to 23 bytes are copied inline and allocate
+    /// nothing. Well-formedness is the caller's, as for
+    /// [`FlexKey::from_flat`].
+    pub fn from_flat_slice(flat: &[u8]) -> Self {
+        debug_assert!(
+            flat.is_empty() || flat.last() == Some(&0),
+            "flat key must end in terminator"
+        );
         if flat.len() <= 23 {
             let mut buf = [0u8; 23];
             buf[..flat.len()].copy_from_slice(flat);
@@ -95,7 +103,7 @@ impl FlexKey {
             "flat key must end in terminator"
         );
         if flat.len() <= 23 {
-            Self::from_slice(&flat)
+            Self::from_flat_slice(&flat)
         } else {
             FlexKey {
                 repr: Repr::Heap(flat),
@@ -187,7 +195,7 @@ impl FlexKey {
             .rposition(|&b| b == 0)
             .map(|p| p + 1)
             .unwrap_or(0);
-        Some(Self::from_slice(&flat[..cut]))
+        Some(Self::from_flat_slice(&flat[..cut]))
     }
 
     /// The last label of the key (its position among siblings), or `None`

@@ -14,6 +14,7 @@
 
 use crate::cursor::MassCursor;
 use crate::error::Result;
+use crate::name_index::{KeyIter, SortedKeys, NO_FINGER};
 use crate::names::NameId;
 use crate::record::{NodeRecord, RecordKind};
 use crate::store::MassStore;
@@ -168,19 +169,10 @@ enum Inner<'a> {
         keys: std::vec::IntoIter<FlexKey>,
         filter: NodeFilter,
     },
-    /// Pre-computed keys verified by name-index membership — one binary
-    /// search per key, no data page touched (index-only reverse axes).
-    KeysIndexOnly {
-        keys: std::vec::IntoIter<FlexKey>,
-        list: &'a crate::name_index::SortedKeys,
-        kind: RecordKind,
-        name: NameId,
-    },
     /// Name-index iteration with structural verification (index-only).
-    /// Borrows the index's key slice directly — no copies.
+    /// Borrows the index's key run directly — no copies.
     NameList {
-        keys: &'a [Vec<u8>],
-        pos: usize,
+        keys: KeyIter<'a>,
         kind: RecordKind,
         name: Option<NameId>,
         verify: StructVerify,
@@ -204,7 +196,9 @@ enum Inner<'a> {
         cursor: MassCursor<'a>,
         filter: NodeFilter,
     },
-    /// Fully materialized (namespace axis).
+    /// Fully materialized: the namespace axis, and the reverse axes under
+    /// a name test, whose few candidates are settled against the name
+    /// index when the stream is opened.
     Materialized {
         items: std::vec::IntoIter<NodeEntry>,
     },
@@ -226,8 +220,8 @@ impl<'a> AxisStream<'a> {
     /// ([`MassCursor::next_batch`]); sibling-jump scans resolve in-page
     /// jumps by binary search over the pinned records
     /// (`MassCursor::next_batch_jump`); name-index iteration fills the
-    /// batch in a tight loop over the borrowed key slice; the
-    /// pre-computed-key modes resolve one key per iteration.
+    /// batch in a tight loop over the borrowed key run; the
+    /// pre-computed-key mode resolves one key per iteration.
     pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
         let start = out.len();
         match &mut self.inner {
@@ -246,34 +240,15 @@ impl<'a> AxisStream<'a> {
                     }
                 }
             }
-            Inner::KeysIndexOnly {
-                keys,
-                list,
-                kind,
-                name,
-            } => {
-                while out.len() - start < max {
-                    let Some(key) = keys.next() else { break };
-                    if list.contains(key.as_flat()) {
-                        out.push(NodeEntry {
-                            key,
-                            kind: *kind,
-                            name: Some(*name),
-                        });
-                    }
-                }
-            }
             Inner::NameList {
                 keys,
-                pos,
                 kind,
                 name,
                 verify,
             } => {
-                while *pos < keys.len() && out.len() - start < max {
-                    let flat = &keys[*pos];
-                    *pos += 1;
-                    let key = FlexKey::from_flat(flat.clone());
+                while out.len() - start < max {
+                    let Some(flat) = keys.next() else { break };
+                    let key = FlexKey::from_flat_slice(flat);
                     if verify.ok(&key) {
                         out.push(NodeEntry {
                             key,
@@ -357,66 +332,71 @@ pub fn axis_stream<'a>(
     axis: Axis,
     filter: NodeFilter,
 ) -> Result<AxisStream<'a>> {
+    let mut finger = NO_FINGER;
+    axis_stream_from(store, ctx, ctx_kind, axis, filter, &mut finger)
+}
+
+/// [`axis_stream`] for a cursor that opens one stream per context tuple
+/// with the same `axis` and `filter`, and so probes the same posting
+/// list every time.
+///
+/// `finger` is that cursor's own position in the list: each index probe
+/// starts from it ([`SortedKeys::lower_bound_from`]) and leaves it where
+/// the probe landed, so contexts that arrive in document order walk the
+/// list like a merge join instead of searching it from the top once per
+/// context. Any value is correct — the stream is the one [`axis_stream`]
+/// returns — and a cursor starts with [`NO_FINGER`]. Streams that read no
+/// posting list leave it alone.
+pub fn axis_stream_from<'a>(
+    store: &'a MassStore,
+    ctx: &FlexKey,
+    ctx_kind: RecordKind,
+    axis: Axis,
+    filter: NodeFilter,
+    finger: &mut usize,
+) -> Result<AxisStream<'a>> {
     let is_attr_ctx = ctx_kind == RecordKind::Attribute;
+    let ranged = |range, level, not_ancestor_of, jump, finger| {
+        ranged_stream(store, range, filter, level, not_ancestor_of, jump, finger)
+    };
     let stream = match axis {
-        Axis::SelfAxis => keys_stream(store, vec![ctx.clone()], filter),
-        Axis::Parent => match ctx.parent() {
-            Some(p) if !p.is_root() => keys_stream(store, vec![p], filter),
-            _ => AxisStream::empty(),
-        },
-        Axis::Ancestor | Axis::AncestorOrSelf => {
-            let mut keys = Vec::new();
-            if axis == Axis::AncestorOrSelf {
-                keys.push(ctx.clone());
-            }
-            let mut cur = ctx.clone();
-            while let Some(p) = cur.parent() {
-                if p.is_root() {
-                    break;
-                }
-                keys.push(p.clone());
-                cur = p;
-            }
-            keys.reverse(); // document order: outermost first
-            keys_stream(store, keys, filter)
+        Axis::SelfAxis | Axis::Parent | Axis::Ancestor | Axis::AncestorOrSelf => {
+            upward_stream(store, ctx, axis, filter, finger)
         }
         Axis::Child if is_attr_ctx => AxisStream::empty(),
-        Axis::Child => ranged_stream(
-            store,
+        Axis::Child => ranged(
             KeyRange::descendants(ctx),
-            filter,
             Some(ctx.level() + 1),
             None,
             true,
+            finger,
         ),
         Axis::Descendant if is_attr_ctx => AxisStream::empty(),
-        Axis::Descendant => {
-            ranged_stream(store, KeyRange::descendants(ctx), filter, None, None, false)
+        Axis::Descendant => ranged(KeyRange::descendants(ctx), None, None, false, finger),
+        Axis::DescendantOrSelf if is_attr_ctx => {
+            upward_stream(store, ctx, Axis::SelfAxis, filter, finger)
         }
-        Axis::DescendantOrSelf if is_attr_ctx => keys_stream(store, vec![ctx.clone()], filter),
-        Axis::DescendantOrSelf => {
-            ranged_stream(store, KeyRange::subtree(ctx), filter, None, None, false)
-        }
+        Axis::DescendantOrSelf => ranged(KeyRange::subtree(ctx), None, None, false, finger),
         Axis::Following => {
             // Bounded by the end of the containing document.
             let doc_range = document_range(ctx);
             let range = KeyRange::following(ctx).intersect(&doc_range);
-            ranged_stream(store, range, filter, None, None, false)
+            ranged(range, None, None, false, finger)
         }
         Axis::Preceding => {
             let doc_range = document_range(ctx);
             let range = KeyRange::before(ctx).intersect(&doc_range);
-            ranged_stream(store, range, filter, None, Some(ctx.clone()), false)
+            ranged(range, None, Some(ctx.clone()), false, finger)
         }
         Axis::FollowingSibling if is_attr_ctx => AxisStream::empty(),
         Axis::FollowingSibling => {
             let range = KeyRange::following_siblings(ctx);
-            ranged_stream(store, range, filter, Some(ctx.level()), None, true)
+            ranged(range, Some(ctx.level()), None, true, finger)
         }
         Axis::PrecedingSibling if is_attr_ctx => AxisStream::empty(),
         Axis::PrecedingSibling => {
             let range = KeyRange::preceding_siblings(ctx);
-            ranged_stream(store, range, filter, Some(ctx.level()), None, true)
+            ranged(range, Some(ctx.level()), None, true, finger)
         }
         Axis::Attribute if is_attr_ctx => AxisStream::empty(),
         Axis::Attribute => attribute_stream(store, ctx, filter),
@@ -435,7 +415,8 @@ pub fn axis_stream<'a>(
 /// sequence `axis_stream` produces over the whole range — the contract
 /// the ordered merge in `vamana-core` relies on.
 pub fn range_scan_stream(store: &MassStore, range: KeyRange, filter: NodeFilter) -> AxisStream<'_> {
-    ranged_stream(store, range, filter, None, None, false)
+    let mut finger = NO_FINGER;
+    ranged_stream(store, range, filter, None, None, false, &mut finger)
 }
 
 /// The subtree range of the document containing `key` (or all documents
@@ -447,37 +428,86 @@ fn document_range(key: &FlexKey) -> KeyRange {
     }
 }
 
-fn keys_stream(store: &MassStore, keys: Vec<FlexKey>, filter: NodeFilter) -> AxisStream<'_> {
-    // Named element/attribute tests verify by name-index membership —
-    // pure key arithmetic plus binary searches, no page access.
-    if let Some(name) = filter.name {
-        let (list, kind) = match filter.kind {
-            KindFilter::Element => (store.name_index().elements(name), RecordKind::Element),
-            KindFilter::Attribute => (store.name_index().attributes(name), RecordKind::Attribute),
-            _ => {
-                return AxisStream {
-                    inner: Inner::Keys {
-                        store,
-                        keys: keys.into_iter(),
-                        filter,
-                    },
-                }
-            }
-        };
+/// The posting list that holds exactly the nodes passing `filter`, and
+/// their kind — `None` for tests no single list answers (`*`, `node()`,
+/// processing instructions).
+fn posting_list(store: &MassStore, filter: NodeFilter) -> Option<(&SortedKeys, RecordKind)> {
+    let index = store.name_index();
+    match (filter.kind, filter.name) {
+        (KindFilter::Element, Some(name)) => Some((index.elements(name), RecordKind::Element)),
+        (KindFilter::Attribute, Some(name)) => {
+            Some((index.attributes(name), RecordKind::Attribute))
+        }
+        (KindFilter::Text, None) => Some((index.text(), RecordKind::Text)),
+        (KindFilter::Comment, None) => Some((index.comments(), RecordKind::Comment)),
+        _ => None,
+    }
+}
+
+/// The flat keys of `flat`'s ancestors-or-self below the document node,
+/// outermost first: its prefixes that end on a label terminator.
+fn ancestors_or_self(flat: &[u8]) -> impl Iterator<Item = &[u8]> {
+    flat.iter()
+        .enumerate()
+        .filter(|(_, &b)| b == 0)
+        .map(move |(at, _)| &flat[..=at])
+}
+
+/// The self, parent and ancestor axes: the candidates are prefixes of the
+/// context's own key.
+///
+/// When a posting list answers the node test they are settled against it
+/// here — key arithmetic plus one finger probe each, no page access. The
+/// candidates ascend, and the next context's chain parts from this one
+/// near its inner end, so the probes move a local finger forward and the
+/// cursor's is left where the innermost candidate landed; the outer
+/// ones, usually above every posting, cost one comparison each.
+fn upward_stream<'a>(
+    store: &'a MassStore,
+    ctx: &FlexKey,
+    axis: Axis,
+    filter: NodeFilter,
+    finger: &mut usize,
+) -> AxisStream<'a> {
+    let level = ctx.level();
+    let up = |n: usize| level.saturating_sub(n);
+    let wanted = match axis {
+        Axis::SelfAxis => up(1)..level,
+        Axis::Parent => up(2)..up(1),
+        Axis::Ancestor => 0..up(1),
+        _ => 0..level,
+    };
+    let candidates = ancestors_or_self(ctx.as_flat())
+        .take(wanted.end)
+        .skip(wanted.start);
+    let Some((list, kind)) = posting_list(store, filter) else {
         return AxisStream {
-            inner: Inner::KeysIndexOnly {
-                keys: keys.into_iter(),
-                list,
-                kind,
-                name,
+            inner: Inner::Keys {
+                store,
+                keys: candidates
+                    .map(FlexKey::from_flat_slice)
+                    .collect::<Vec<_>>()
+                    .into_iter(),
+                filter,
             },
         };
+    };
+    let mut items = Vec::new();
+    let mut from = *finger;
+    for flat in candidates {
+        *finger = list.lower_bound_from(from, flat);
+        from = from.max(*finger);
+        if *finger < list.len() && list.get(*finger) == flat {
+            items.push(NodeEntry {
+                key: FlexKey::from_flat_slice(flat),
+                kind,
+                name: filter.name,
+            });
+        }
     }
     AxisStream {
-        inner: Inner::Keys {
-            store,
-            keys: keys.into_iter(),
-            filter,
+        inner: Inner::Materialized {
+            items: items.into_iter(),
         },
     }
 }
@@ -494,41 +524,25 @@ fn ranged_stream<'a>(
     level: Option<usize>,
     not_ancestor_of: Option<FlexKey>,
     jump: bool,
+    finger: &mut usize,
 ) -> AxisStream<'a> {
     if range.is_empty() {
         return AxisStream::empty();
     }
     // Name-driven (index-only) path.
-    let list = match (filter.kind, filter.name) {
-        (KindFilter::Element, Some(name)) => Some((
-            store.name_index().elements(name),
-            RecordKind::Element,
-            Some(name),
-        )),
-        (KindFilter::Attribute, Some(name)) => Some((
-            store.name_index().attributes(name),
-            RecordKind::Attribute,
-            Some(name),
-        )),
-        (KindFilter::Text, None) => Some((store.name_index().text(), RecordKind::Text, None)),
-        (KindFilter::Comment, None) => {
-            Some((store.name_index().comments(), RecordKind::Comment, None))
-        }
-        _ => None,
-    };
-    if let Some((list, kind, name)) = list {
-        let keys = list.slice_in(&range);
-        let verify = match (&level, &not_ancestor_of) {
-            (Some(l), _) => StructVerify::Level(*l),
-            (None, Some(ctx)) => StructVerify::NotAncestorOf(ctx.clone()),
+    if let Some((list, kind)) = posting_list(store, filter) {
+        let keys = list.slice_in_from(*finger, &range);
+        *finger = keys.start();
+        let verify = match (level, not_ancestor_of) {
+            (Some(l), _) => StructVerify::Level(l),
+            (None, Some(ctx)) => StructVerify::NotAncestorOf(ctx),
             (None, None) => StructVerify::None,
         };
         return AxisStream {
             inner: Inner::NameList {
-                keys,
-                pos: 0,
+                keys: keys.iter(),
                 kind,
-                name,
+                name: filter.name,
                 verify,
             },
         };

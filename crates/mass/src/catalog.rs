@@ -147,7 +147,7 @@ impl MassStore {
         let doc_count = r.u32()?;
         for _ in 0..doc_count {
             let name = r.string()?;
-            let key = FlexKey::from_flat(r.bytes()?.to_vec());
+            let key = FlexKey::from_flat_slice(r.bytes()?);
             self.docs.push(DocInfo {
                 name: name.into(),
                 doc_key: key,
@@ -274,7 +274,7 @@ impl MassStore {
             drop(page);
             for rec in &records {
                 let value = self.resolve_value(rec)?;
-                self.index_record(rec, value.as_deref(), true);
+                self.index_record(rec, value.as_deref(), true)?;
             }
         }
         Ok(())
@@ -329,7 +329,7 @@ mod tests {
             s.load_xml("a", "<r><a/><b/></r>").unwrap();
             let a = {
                 let id = s.name_id("a").unwrap();
-                FlexKey::from_flat(s.name_index().elements(id).iter().next().unwrap().to_vec())
+                FlexKey::from_flat_slice(s.name_index().elements(id).iter().next().unwrap())
             };
             s.insert_element_after(&a, "mid").unwrap();
             s.checkpoint().unwrap();
@@ -421,7 +421,7 @@ mod free_list_tests {
         // growing the backing store.
         let b_root = {
             let id = s.name_id("b").unwrap();
-            FlexKey::from_flat(s.name_index().elements(id).iter().next().unwrap().to_vec())
+            FlexKey::from_flat_slice(s.name_index().elements(id).iter().next().unwrap())
         };
         for i in 0..2000 {
             let e = s.append_element(&b_root, "y").unwrap();

@@ -130,14 +130,8 @@ mod tests {
     fn element_subtree_exports_as_root() {
         let s = store();
         let person = s.name_id("person").unwrap();
-        let first = FlexKey::from_flat(
-            s.name_index()
-                .elements(person)
-                .iter()
-                .next()
-                .unwrap()
-                .to_vec(),
-        );
+        let first =
+            FlexKey::from_flat_slice(s.name_index().elements(person).iter().next().unwrap());
         let xml = export_subtree_xml(&s, &first).unwrap();
         assert_eq!(
             xml,
@@ -149,14 +143,7 @@ mod tests {
     fn text_nodes_export_standalone_parents() {
         let s = store();
         let name = s.name_id("name").unwrap();
-        let second = FlexKey::from_flat(
-            s.name_index()
-                .elements(name)
-                .iter()
-                .nth(1)
-                .unwrap()
-                .to_vec(),
-        );
+        let second = FlexKey::from_flat_slice(s.name_index().elements(name).iter().nth(1).unwrap());
         assert_eq!(export_subtree_xml(&s, &second).unwrap(), "<name>Ann</name>");
     }
 
@@ -171,14 +158,8 @@ mod tests {
     fn export_after_update_reflects_changes() {
         let mut s = store();
         let person = s.name_id("person").unwrap();
-        let first = FlexKey::from_flat(
-            s.name_index()
-                .elements(person)
-                .iter()
-                .next()
-                .unwrap()
-                .to_vec(),
-        );
+        let first =
+            FlexKey::from_flat_slice(s.name_index().elements(person).iter().next().unwrap());
         let e = s.append_element(&first, "phone").unwrap();
         s.append_text(&e, "555").unwrap();
         let xml = export_subtree_xml(&s, &first).unwrap();

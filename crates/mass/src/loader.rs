@@ -239,7 +239,7 @@ impl<'a> PageSink<'a> {
             }
             self.write_page()?;
         }
-        self.store.index_record(&rec, value.as_deref(), true);
+        self.store.index_record(&rec, value.as_deref(), true)?;
         self.page.append(rec)?;
         Ok(())
     }
@@ -364,7 +364,7 @@ mod tests {
         let s = store_with(PERSON);
         let name = s.name_id("name").unwrap();
         for flat in s.name_index().elements(name).iter() {
-            let key = vamana_flex::FlexKey::from_flat(flat.to_vec());
+            let key = vamana_flex::FlexKey::from_flat_slice(flat);
             let rec = s.get(&key).unwrap().unwrap();
             assert_eq!(rec.kind, RecordKind::Element);
             assert_eq!(rec.name, Some(name));
@@ -457,16 +457,12 @@ mod tests {
         let mut s = store_with("<r><a/><b/></r>");
         let a_key = {
             let a = s.name_id("a").unwrap();
-            vamana_flex::FlexKey::from_flat(
-                s.name_index().elements(a).iter().next().unwrap().to_vec(),
-            )
+            vamana_flex::FlexKey::from_flat_slice(s.name_index().elements(a).iter().next().unwrap())
         };
         let mid = s.insert_element_after(&a_key, "m").unwrap();
         let b_key = {
             let b = s.name_id("b").unwrap();
-            vamana_flex::FlexKey::from_flat(
-                s.name_index().elements(b).iter().next().unwrap().to_vec(),
-            )
+            vamana_flex::FlexKey::from_flat_slice(s.name_index().elements(b).iter().next().unwrap())
         };
         assert!(a_key < mid && mid < b_key);
         // Cursor sees a, m, b in order.
@@ -488,9 +484,7 @@ mod tests {
         let mut s = store_with(&xml);
         let r_key = {
             let r = s.name_id("r").unwrap();
-            vamana_flex::FlexKey::from_flat(
-                s.name_index().elements(r).iter().next().unwrap().to_vec(),
-            )
+            vamana_flex::FlexKey::from_flat_slice(s.name_index().elements(r).iter().next().unwrap())
         };
         let pages_before = s.stats().pages;
         for _ in 0..500 {
@@ -549,7 +543,7 @@ mod fragment_tests {
 
     fn key_of(s: &MassStore, name: &str, i: usize) -> FlexKey {
         let id = s.name_id(name).unwrap();
-        FlexKey::from_flat(s.name_index().elements(id).iter().nth(i).unwrap().to_vec())
+        FlexKey::from_flat_slice(s.name_index().elements(id).iter().nth(i).unwrap())
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl NodeRecord {
         if !FlexKey::is_valid_flat(&buf[2..2 + key_len]) {
             return Err(MassError::CorruptRecord("malformed flat key".into()));
         }
-        let key = FlexKey::from_flat(buf[2..2 + key_len].to_vec());
+        let key = FlexKey::from_flat_slice(&buf[2..2 + key_len]);
         let mut at = 2 + key_len;
         need(1 + 4 + 1 + 4, at)?;
         let kind = RecordKind::from_u8(buf[at])?;

@@ -316,14 +316,8 @@ mod tests {
         assert!(after_load.retained >= 2, "load + commit frames retained");
         let root = {
             let id = primary.name_id("r").unwrap();
-            vamana_flex::FlexKey::from_flat(
-                primary
-                    .name_index()
-                    .elements(id)
-                    .iter()
-                    .next()
-                    .unwrap()
-                    .to_vec(),
+            vamana_flex::FlexKey::from_flat_slice(
+                primary.name_index().elements(id).iter().next().unwrap(),
             )
         };
         primary.append_element(&root, "b").unwrap();
@@ -341,28 +335,16 @@ mod tests {
         primary.load_xml("d", "<r><a>1</a></r>").unwrap();
         let root = {
             let id = primary.name_id("r").unwrap();
-            vamana_flex::FlexKey::from_flat(
-                primary
-                    .name_index()
-                    .elements(id)
-                    .iter()
-                    .next()
-                    .unwrap()
-                    .to_vec(),
+            vamana_flex::FlexKey::from_flat_slice(
+                primary.name_index().elements(id).iter().next().unwrap(),
             )
         };
         let e = primary.append_element(&root, "b").unwrap();
         primary.append_text(&e, "two").unwrap();
         let a = {
             let id = primary.name_id("a").unwrap();
-            vamana_flex::FlexKey::from_flat(
-                primary
-                    .name_index()
-                    .elements(id)
-                    .iter()
-                    .next()
-                    .unwrap()
-                    .to_vec(),
+            vamana_flex::FlexKey::from_flat_slice(
+                primary.name_index().elements(id).iter().next().unwrap(),
             )
         };
         primary.delete_subtree(&a).unwrap();

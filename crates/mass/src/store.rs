@@ -14,7 +14,7 @@
 use crate::buffer::BufferPool;
 use crate::compress::{StoreFormat, ValueDict};
 use crate::error::{MassError, Result};
-use crate::name_index::NameIndex;
+use crate::name_index::{NameIndex, SortedKeys};
 use crate::names::{NameId, NameTable};
 use crate::page::Page;
 use crate::pager::{FilePager, MemoryPager, PageStore};
@@ -683,72 +683,51 @@ impl MassStore {
         len as u64
     }
 
-    /// Registers a freshly created record in the secondary indexes.
-    pub(crate) fn index_record(&mut self, rec: &NodeRecord, value: Option<&str>, ordered: bool) {
-        self.logical_bytes += self.v1_logical_len(rec);
-        let flat = rec.key.as_flat().to_vec();
+    /// Registers a freshly created record in the secondary indexes. An
+    /// error means a posting list is full (4 GiB of key bytes).
+    pub(crate) fn index_record(
+        &mut self,
+        rec: &NodeRecord,
+        value: Option<&str>,
+        ordered: bool,
+    ) -> Result<()> {
+        let flat = rec.key.as_flat();
+        let add = |list: &mut SortedKeys| {
+            if ordered {
+                list.push_ordered(flat)
+            } else {
+                list.insert(flat)
+            }
+        };
         match rec.kind {
             RecordKind::Element => {
-                let name = rec.name.expect("element has a name");
-                let list = self.name_index.elements_mut(name);
-                if ordered {
-                    list.push_ordered(flat.clone());
-                    self.name_index.all_elements_mut().push_ordered(flat);
-                } else {
-                    list.insert(flat.clone());
-                    self.name_index.all_elements_mut().insert(flat);
-                }
+                // The all-elements list is a superset of every name's: if
+                // it has room, so has the name's.
+                add(self.name_index.all_elements_mut())?;
+                add(self
+                    .name_index
+                    .elements_mut(rec.name.expect("element has a name")))?;
             }
             RecordKind::Attribute => {
-                let name = rec.name.expect("attribute has a name");
-                let list = self.name_index.attributes_mut(name);
-                if ordered {
-                    list.push_ordered(flat.clone());
-                } else {
-                    list.insert(flat.clone());
-                }
-                if let Some(v) = value {
-                    if ordered {
-                        self.value_index.insert_ordered(v, flat);
-                    } else {
-                        self.value_index.insert(v, flat);
-                    }
-                }
+                add(self
+                    .name_index
+                    .attributes_mut(rec.name.expect("attribute has a name")))?;
             }
-            RecordKind::Text => {
-                let list = self.name_index.text_mut();
-                if ordered {
-                    list.push_ordered(flat.clone());
-                } else {
-                    list.insert(flat.clone());
-                }
-                if let Some(v) = value {
-                    if ordered {
-                        self.value_index.insert_ordered(v, flat);
-                    } else {
-                        self.value_index.insert(v, flat);
-                    }
-                }
-            }
-            RecordKind::Comment => {
-                let list = self.name_index.comments_mut();
-                if ordered {
-                    list.push_ordered(flat);
-                } else {
-                    list.insert(flat);
-                }
-            }
-            RecordKind::Pi => {
-                let list = self.name_index.pis_mut();
-                if ordered {
-                    list.push_ordered(flat);
-                } else {
-                    list.insert(flat);
-                }
-            }
+            RecordKind::Text => add(self.name_index.text_mut())?,
+            RecordKind::Comment => add(self.name_index.comments_mut())?,
+            RecordKind::Pi => add(self.name_index.pis_mut())?,
             RecordKind::Document => {}
         }
+        if let (RecordKind::Attribute | RecordKind::Text, Some(v)) = (rec.kind, value) {
+            if ordered {
+                self.value_index.insert_ordered(v, flat)?;
+            } else {
+                self.value_index.insert(v, flat)?;
+            }
+        }
+        self.logical_bytes += self.v1_logical_len(rec);
         self.tuples += 1;
+        Ok(())
     }
 
     /// Removes a record from the secondary indexes.
@@ -1001,7 +980,7 @@ impl MassStore {
                 }
                 let rec = NodeRecord::element(key.clone(), name_id);
                 self.insert_record(rec.clone())?;
-                self.index_record(&rec, None, false);
+                self.index_record(&rec, None, false)?;
             }
             WalRecord::InsertText { key, value } => {
                 if replay && self.contains(key)? {
@@ -1015,7 +994,7 @@ impl MassStore {
                     value: vref,
                 };
                 self.insert_record(rec.clone())?;
-                self.index_record(&rec, Some(value), false);
+                self.index_record(&rec, Some(value), false)?;
             }
             WalRecord::InsertAttribute { key, name, value } => {
                 let name_id = self.intern(name);
@@ -1030,7 +1009,7 @@ impl MassStore {
                     value: vref,
                 };
                 self.insert_record(rec.clone())?;
-                self.index_record(&rec, Some(value), false);
+                self.index_record(&rec, Some(value), false)?;
             }
             WalRecord::DeleteSubtree { key } => {
                 self.delete_subtree_unlogged(key)?;

@@ -10,6 +10,7 @@
 //!   keys of matching text/attribute nodes directly, without touching the
 //!   clustered data pages.
 
+use crate::error::Result;
 use crate::name_index::SortedKeys;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -61,28 +62,27 @@ impl ValueIndex {
 
     /// Indexes `value` at `flat` (bulk load: keys arrive in document
     /// order per distinct value).
-    pub fn insert_ordered(&mut self, value: &str, flat: Vec<u8>) {
+    pub fn insert_ordered(&mut self, value: &str, flat: &[u8]) -> Result<()> {
         self.exact
             .entry(value.into())
             .or_default()
-            .push_ordered(flat.clone());
+            .push_ordered(flat)?;
         if let Ok(n) = value.trim().parse::<f64>() {
             self.numeric
                 .entry(OrdF64(n))
                 .or_default()
-                .push_ordered(flat);
+                .push_ordered(flat)?;
         }
+        Ok(())
     }
 
     /// Indexes `value` at `flat` at an arbitrary position (update path).
-    pub fn insert(&mut self, value: &str, flat: Vec<u8>) {
-        self.exact
-            .entry(value.into())
-            .or_default()
-            .insert(flat.clone());
+    pub fn insert(&mut self, value: &str, flat: &[u8]) -> Result<()> {
+        self.exact.entry(value.into()).or_default().insert(flat)?;
         if let Ok(n) = value.trim().parse::<f64>() {
-            self.numeric.entry(OrdF64(n)).or_default().insert(flat);
+            self.numeric.entry(OrdF64(n)).or_default().insert(flat)?;
         }
+        Ok(())
     }
 
     /// Removes the entry for `value` at `flat`.
@@ -175,11 +175,11 @@ mod tests {
 
     fn sample() -> ValueIndex {
         let mut v = ValueIndex::new();
-        v.insert_ordered("Vermont", flat(&[0, 1]));
-        v.insert_ordered("12", flat(&[0, 2]));
-        v.insert_ordered("Vermont", flat(&[0, 3]));
-        v.insert_ordered("42.5", flat(&[0, 4]));
-        v.insert_ordered("7", flat(&[1, 0]));
+        v.insert_ordered("Vermont", &flat(&[0, 1])).unwrap();
+        v.insert_ordered("12", &flat(&[0, 2])).unwrap();
+        v.insert_ordered("Vermont", &flat(&[0, 3])).unwrap();
+        v.insert_ordered("42.5", &flat(&[0, 4])).unwrap();
+        v.insert_ordered("7", &flat(&[1, 0])).unwrap();
         v
     }
 
@@ -241,9 +241,9 @@ mod tests {
     #[test]
     fn insert_unordered_then_query() {
         let mut v = ValueIndex::new();
-        v.insert("x", flat(&[5]));
-        v.insert("x", flat(&[1]));
-        v.insert("x", flat(&[3]));
+        v.insert("x", &flat(&[5])).unwrap();
+        v.insert("x", &flat(&[1])).unwrap();
+        v.insert("x", &flat(&[3])).unwrap();
         let keys = v.keys_eq("x", &KeyRange::all());
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
     }
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn whitespace_tolerant_numeric_parse() {
         let mut v = ValueIndex::new();
-        v.insert_ordered(" 19 ", flat(&[0]));
+        v.insert_ordered(" 19 ", &flat(&[0])).unwrap();
         assert_eq!(v.numeric_count_in(RangeOp::Ge, 19.0, &KeyRange::all()), 1);
     }
 }

@@ -3,7 +3,7 @@
 //! against the axis computed on the parsed `vamana-xml` document.
 
 use vamana_flex::{Axis, FlexKey, KeyRange};
-use vamana_mass::axes::{axis_stream, NodeFilter};
+use vamana_mass::axes::{axis_stream, axis_stream_from, NodeFilter};
 use vamana_mass::{MassStore, RecordKind};
 
 const DOC: &str = r#"<site xmlns:x="urn:x">
@@ -44,7 +44,7 @@ impl Fixture {
             .iter()
             .nth(i)
             .unwrap_or_else(|| panic!("no element {name}[{i}]"));
-        FlexKey::from_flat(flat.to_vec())
+        FlexKey::from_flat_slice(flat)
     }
 
     /// Names of the elements reached by `axis` from `ctx` with test `*`.
@@ -393,7 +393,7 @@ fn every_axis_runs_from_every_element() {
         ] {
             if let Some(id) = f.store.name_id(name) {
                 for flat in f.store.name_index().elements(id).iter() {
-                    keys.push(FlexKey::from_flat(flat.to_vec()));
+                    keys.push(FlexKey::from_flat_slice(flat));
                 }
             }
         }
@@ -658,6 +658,62 @@ fn every_axis_matches_the_dom_under_every_pull_size() {
 }
 
 #[test]
+fn a_finger_carried_across_contexts_never_changes_a_stream() {
+    // One finger per (axis, test) cursor, as a step cursor keeps it,
+    // carried over contexts in document order (the fast case), in
+    // reverse, and jumping about with repeats — plus fingers no probe
+    // ever left behind. Every stream is still the DOM's.
+    let f = Fixture::new();
+    let model = Model::new(DOC, &f.store);
+    let tests = [
+        Test::Text,
+        Test::Named("person"),
+        Test::Named("name"),
+        Test::Named("watch"),
+        Test::Named("id"),
+    ];
+    let elements: Vec<_> = model
+        .order
+        .iter()
+        .copied()
+        .filter(|n| model.doc.kind(*n).is_element())
+        .collect();
+    let n = elements.len();
+    let orders: [Vec<usize>; 3] = [
+        (0..n).collect(),
+        (0..n).rev().collect(),
+        (0..3 * n).map(|i| (i * 7 + i / 3) % n).collect(),
+    ];
+    for axis in Axis::ALL {
+        for test in tests {
+            let filter = node_filter(&f.store, axis, test).expect("name in fixture");
+            for (order, start) in orders.iter().zip([0, 5, usize::MAX]) {
+                let mut finger = start;
+                for &at in order {
+                    let ctx = elements[at];
+                    let key = &model.keys[model.pos(ctx)];
+                    let stream = axis_stream_from(
+                        &f.store,
+                        key,
+                        RecordKind::Element,
+                        axis,
+                        filter,
+                        &mut finger,
+                    )
+                    .unwrap();
+                    let got: Vec<FlexKey> = drain(stream, 3).into_iter().map(|e| e.key).collect();
+                    assert_eq!(
+                        got,
+                        model.expected(ctx, axis, test),
+                        "{axis}::{test:?} from {key}, finger started at {start}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn cursor_batch_on_empty_store_and_empty_range() {
     use vamana_mass::cursor::MassCursor;
     // Empty store: no pages at all.
@@ -707,7 +763,7 @@ fn scan_crosses_pages_emptied_by_deletes() {
     let root = {
         let id = store.name_id("r").unwrap();
         let flat = store.name_index().elements(id).iter().next().unwrap();
-        FlexKey::from_flat(flat.to_vec())
+        FlexKey::from_flat_slice(flat)
     };
     let descendants = |store: &MassStore, max: usize| {
         let stream = axis_stream(
@@ -727,7 +783,7 @@ fn scan_crosses_pages_emptied_by_deletes() {
     let part1 = {
         let id = store.name_id("part").unwrap();
         let flat = store.name_index().elements(id).iter().nth(1).unwrap();
-        FlexKey::from_flat(flat.to_vec())
+        FlexKey::from_flat_slice(flat)
     };
     let deleted = store.delete_subtree(&part1).unwrap();
     assert!(deleted > 800, "subtree delete must remove the middle part");
@@ -754,7 +810,7 @@ fn batch_counters_account_for_amortized_pins() {
     let root = {
         let id = store.name_id("r").unwrap();
         let flat = store.name_index().elements(id).iter().next().unwrap();
-        FlexKey::from_flat(flat.to_vec())
+        FlexKey::from_flat_slice(flat)
     };
     let stream = axis_stream(
         &store,

@@ -23,8 +23,16 @@ struct Entry {
 
 #[derive(Default)]
 struct Inner {
-    map: HashMap<(String, u32), Entry>,
+    /// Document id → expression text → entry: both levels are probed
+    /// with borrowed keys, so a lookup allocates nothing.
+    docs: HashMap<u32, HashMap<String, Entry>>,
     clock: u64,
+}
+
+impl Inner {
+    fn len(&self) -> usize {
+        self.docs.values().map(HashMap::len).sum()
+    }
 }
 
 /// Bounded LRU cache of optimized plans with hit/miss counters.
@@ -56,26 +64,28 @@ impl PlanCache {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        match inner.map.get_mut(&(xpath.to_string(), doc.0)) {
-            Some(entry) if entry.generation == generation => {
-                entry.stamp = clock;
-                let plan = Arc::clone(&entry.plan);
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(plan)
-            }
-            Some(_) => {
-                inner.map.remove(&(xpath.to_string(), doc.0));
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = inner
+            .docs
+            .get_mut(&doc.0)
+            .and_then(|plans| match plans.get_mut(xpath) {
+                Some(entry) if entry.generation == generation => {
+                    entry.stamp = clock;
+                    Some(Arc::clone(&entry.plan))
+                }
+                Some(_) => {
+                    plans.remove(xpath);
+                    None
+                }
+                None => None,
+            });
+        drop(inner);
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Stores the plan compiled for `(xpath, doc)` at `generation`,
@@ -84,25 +94,24 @@ impl PlanCache {
         let mut inner = self.lock();
         inner.clock += 1;
         let stamp = inner.clock;
-        inner.map.insert(
-            (xpath.to_string(), doc.0),
+        inner.docs.entry(doc.0).or_default().insert(
+            xpath.to_string(),
             Entry {
                 generation,
                 plan,
                 stamp,
             },
         );
-        while inner.map.len() > self.capacity {
+        while inner.len() > self.capacity {
             let victim = inner
-                .map
+                .docs
                 .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    inner.map.remove(&k);
-                }
-                None => break,
+                .flat_map(|(doc, plans)| plans.iter().map(move |(xpath, e)| (e.stamp, *doc, xpath)))
+                .min_by_key(|(stamp, ..)| *stamp)
+                .map(|(_, doc, xpath)| (doc, xpath.clone()));
+            let Some((doc, xpath)) = victim else { break };
+            if let Some(plans) = inner.docs.get_mut(&doc) {
+                plans.remove(&xpath);
             }
         }
     }
@@ -112,7 +121,9 @@ impl PlanCache {
     /// materialized view supersedes the plan optimized before it
     /// existed).
     pub fn remove(&self, xpath: &str, doc: DocId) {
-        self.lock().map.remove(&(xpath.to_string(), doc.0));
+        if let Some(plans) = self.lock().docs.get_mut(&doc.0) {
+            plans.remove(xpath);
+        }
     }
 
     /// Drops every entry for `doc` not compiled at `generation`. The
@@ -121,21 +132,21 @@ impl PlanCache {
     /// workload leaves one dead entry behind per (xpath, write)
     /// until LRU pressure finds them.
     pub fn purge_doc(&self, doc: DocId, generation: u64) {
-        self.lock()
-            .map
-            .retain(|(_, d), e| *d != doc.0 || e.generation == generation);
+        if let Some(plans) = self.lock().docs.get_mut(&doc.0) {
+            plans.retain(|_, e| e.generation == generation);
+        }
     }
 
     /// Drops every entry. Loads already invalidate via the generation
     /// check; this additionally releases the memory of plans that will
     /// never validate again.
     pub fn clear(&self) {
-        self.lock().map.clear();
+        self.lock().docs.clear();
     }
 
     /// Current number of cached plans.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.lock().len()
     }
 
     /// Whether the cache is empty.

@@ -523,7 +523,7 @@ fn run_query(
             }
         };
         let mut stream = engine
-            .stream_plan((*plan).clone(), doc)
+            .stream_plan(Arc::clone(&plan), doc)
             .map_err(query_err)?;
         // Batches land straight in the result buffer — no per-tuple
         // dispatch between the executor and the render path. The

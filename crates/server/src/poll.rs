@@ -198,13 +198,22 @@ impl Waker {
         let _ = (&self.writer).write(&[1u8]);
     }
 
-    /// Drains pending wake bytes; called by the loop on [`WAKER_TOKEN`]
-    /// readiness.
+    /// Drains pending wake bytes; called by the loop before it takes what
+    /// the wakers queued.
+    ///
+    /// The flag is cleared *after* the bytes are read. Cleared first, a
+    /// [`Waker::wake`] landing between the two would set the flag and
+    /// write a byte this very drain then swallows: flag set, nothing to
+    /// read, and every later wake is skipped as "already pending" until
+    /// some other descriptor happens to wake the loop. This way round a
+    /// wake either sees the flag still set (its work was queued before the
+    /// flag clears, so the take that follows finds it) or writes a byte
+    /// that outlives the drain.
     pub fn drain(&self) {
-        self.pending.store(false, Ordering::Release);
         use std::io::Read;
         let mut buf = [0u8; 64];
         while matches!((&self.reader).read(&mut buf), Ok(n) if n > 0) {}
+        self.pending.store(false, Ordering::Release);
     }
 }
 
@@ -251,5 +260,52 @@ mod tests {
         waker.drain();
         poller.wait(&mut events, 10).unwrap();
         assert!(events.is_empty(), "drained waker still ready");
+    }
+
+    /// Two closed-loop producers (queue one item, wake, wait for it to be
+    /// taken — a connection with one request in flight) against one loop
+    /// doing wait / drain / take. A wake that a concurrent drain swallows
+    /// leaves both producers waiting on a loop that sleeps: the wait times
+    /// out with work still queued.
+    #[test]
+    fn a_wake_racing_a_drain_is_never_lost() {
+        use std::sync::atomic::AtomicU64;
+        use std::sync::Arc;
+        const ROUNDS: u64 = 50_000;
+        let poller = Poller::new().unwrap();
+        let waker = Arc::new(Waker::new().unwrap());
+        poller.register(waker.fd(), READABLE, WAKER_TOKEN).unwrap();
+        let queued: Arc<[AtomicU64; 2]> = Arc::default();
+        let taken: Arc<[AtomicU64; 2]> = Arc::default();
+        let producers: Vec<_> = (0..2)
+            .map(|p| {
+                let (waker, queued, taken) = (waker.clone(), queued.clone(), taken.clone());
+                std::thread::spawn(move || {
+                    for round in 1..=ROUNDS {
+                        queued[p].store(round, Ordering::Release);
+                        waker.wake();
+                        while taken[p].load(Ordering::Acquire) < round {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut events = Vec::new();
+        while taken.iter().any(|t| t.load(Ordering::Relaxed) < ROUNDS) {
+            poller.wait(&mut events, 2000).unwrap();
+            let woken = !events.is_empty();
+            waker.drain();
+            for p in 0..2 {
+                taken[p].store(queued[p].load(Ordering::Acquire), Ordering::Release);
+            }
+            assert!(
+                woken || taken.iter().all(|t| t.load(Ordering::Relaxed) == ROUNDS),
+                "the loop slept through a wake"
+            );
+        }
+        for producer in producers {
+            producer.join().unwrap();
+        }
     }
 }

@@ -73,7 +73,7 @@ fn fig7_walkthrough_relationships_hold() {
         let name_id = s.name_id("name").unwrap();
         let mut found = None;
         for flat in s.name_index().elements(name_id).iter().take(200) {
-            let key = vamana::flex::FlexKey::from_flat(flat.to_vec());
+            let key = vamana::flex::FlexKey::from_flat_slice(flat);
             let v = s.string_value(&key).unwrap();
             if !v.is_empty() && s.text_count(&v) == 1 {
                 found = Some(v);
@@ -129,13 +129,8 @@ fn scope_controls_count_granularity() {
 
     // A specific point: one person's subtree within document b.
     let person = s.name_id("person").unwrap();
-    let some_person = vamana::flex::FlexKey::from_flat(
-        s.name_index()
-            .elements(person)
-            .iter()
-            .nth(1)
-            .unwrap()
-            .to_vec(),
+    let some_person = vamana::flex::FlexKey::from_flat_slice(
+        s.name_index().elements(person).iter().nth(1).unwrap(),
     );
     let point = s.count_elements_in(name, &KeyRange::subtree(&some_person));
     assert!(point >= 1 && point < doc_b);
