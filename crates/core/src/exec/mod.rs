@@ -827,11 +827,6 @@ fn exists_fast_path(
                 stats.add_predicate(*pred, tested, u64::from(found));
             }
         }
-        // The actuals the step's own cursor would have reported.
-        if let Some(stats) = env.stats {
-            stats.add_invocation(path);
-            stats.add_rows(path, u64::from(found));
-        }
         return Ok(Some(found));
     }
     let list = match axis {
@@ -863,6 +858,12 @@ pub fn eval_expr(
     match env.plan.op(id) {
         Operator::Exists { path } => {
             if let Some(answer) = exists_fast_path(env, *path, ctx, probes)? {
+                // The actuals the step's own cursor would have reported:
+                // one pull that stopped at its first hit.
+                if let Some(stats) = env.stats {
+                    stats.add_invocation(*path);
+                    stats.add_rows(*path, u64::from(answer));
+                }
                 return Ok(Value::Bool(answer));
             }
             // One tuple decides it: a `max = 1` pull stops the whole

@@ -63,6 +63,32 @@ R0  [IN=2 OUT=2 δ=1.000] est=2 act=2 (err ×1.0)
 misestimations: none above ×1.05
 ";
     assert_eq!(analysis.render(), expected);
+
+    // An exist-predicate answered by the index-only probe reports the
+    // actuals its step's cursor would have: one hit per tuple kept.
+    for (xpath, step, tested) in [
+        ("//person[name]", "descendant::person", "child::name"),
+        ("//person[@id]", "descendant::person", "attribute::id"),
+        (
+            "//name[parent::person]",
+            "descendant::name",
+            "parent::person",
+        ),
+    ] {
+        let card = "[COUNT=2 IN=2 OUT=2 δ=1.000] est=2 act=2 (err ×1.0)";
+        let expected = format!(
+            "\
+optimized plan (Σ tuple volume 16, 0 rules applied), 2 rows:
+R0  [IN=2 OUT=2 δ=1.000] est=2 act=2 (err ×1.0)
+  └─ φ4 {step}  {card}
+    ⟨pred⟩ ξ3  [IN=2 OUT=2 δ=1.000] est=2 act=2 (err ×1.0)
+      └─ φ2 {tested}  {card}
+misestimations: none above ×1.05
+"
+        );
+        let analysis = engine.analyze_doc(DocId(0), xpath).unwrap();
+        assert_eq!(analysis.render(), expected, "{xpath}");
+    }
 }
 
 /// `Analysis::render` is run stable: serial and fanned-out runs produce

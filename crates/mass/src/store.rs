@@ -133,13 +133,6 @@ impl MassStore {
         }
     }
 
-    /// An empty in-memory store writing compressed (v2) pages.
-    pub fn open_memory_v2() -> Self {
-        let mut s = Self::open_memory();
-        s.format = StoreFormat::V2;
-        s
-    }
-
     /// Format new pages are written in.
     pub fn format(&self) -> StoreFormat {
         self.format

@@ -34,17 +34,27 @@ fn fingerprint(store: &MassStore) -> (String, u64, u32) {
 
 #[test]
 fn v2_store_answers_exactly_like_v1() {
-    let xml = synthetic_doc(400);
-    let mut v1 = MassStore::open_memory();
-    let mut v2 = MassStore::open_memory_v2();
+    // 85 v1 pages and 19 v2 under the smallest pool there is (8 pages,
+    // one per shard): the export below is a cold scan of either.
+    let xml = synthetic_doc(2000);
+    let mut v1 = MassStore::open_memory_with_capacity(8);
+    let mut v2 = MassStore::open_memory_with_capacity(8);
+    v2.set_format(StoreFormat::V2).unwrap();
     v1.load_xml("auction", &xml).unwrap();
     v2.load_xml("auction", &xml).unwrap();
 
+    let loaded = [v1.stats().buffer.misses, v2.stats().buffer.misses];
     let (x1, t1, p1) = fingerprint(&v1);
     let (x2, t2, p2) = fingerprint(&v2);
     assert_eq!(x1, x2, "exported XML must be byte-identical");
     assert_eq!(t1, t2);
     assert!(p2 < p1, "v2 should use fewer pages than v1 ({p2} vs {p1})");
+    let m1 = v1.stats().buffer.misses - loaded[0];
+    let m2 = v2.stats().buffer.misses - loaded[1];
+    assert!(
+        m2 < m1,
+        "the same scan should miss less on v2 ({m2} vs {m1})"
+    );
 
     // Secondary indexes see through the dictionary.
     let item = v1.name_id("item").unwrap();
@@ -53,7 +63,7 @@ fn v2_store_answers_exactly_like_v1() {
         v1.text_count("United States"),
         v2.text_count("United States")
     );
-    assert_eq!(v2.text_count("United States"), 400);
+    assert_eq!(v2.text_count("United States"), 2000);
 
     let s2 = v2.stats();
     assert_eq!(s2.format, StoreFormat::V2);
@@ -78,7 +88,8 @@ fn v2_store_answers_exactly_like_v1() {
 fn v2_updates_track_v1_updates() {
     let xml = synthetic_doc(120);
     let mut v1 = MassStore::open_memory();
-    let mut v2 = MassStore::open_memory_v2();
+    let mut v2 = MassStore::open_memory();
+    v2.set_format(StoreFormat::V2).unwrap();
     v1.load_xml("auction", &xml).unwrap();
     v2.load_xml("auction", &xml).unwrap();
 
