@@ -1,12 +1,15 @@
 //! MASS micro-benchmarks: the index primitives the paper's cost model
 //! and index-only plans rely on — loading, point lookups, index-level
-//! counting (vs scanning), axis streams, and value-index lookups.
+//! counting (vs scanning), axis streams, value-index lookups, and the
+//! page decode a buffer-pool miss pays.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use vamana_bench::document;
 use vamana_flex::{Axis, FlexKey, KeyRange};
 use vamana_mass::axes::{axis_stream, NodeFilter};
-use vamana_mass::{MassCursor, MassStore, RecordKind};
+use vamana_mass::page::Page;
+use vamana_mass::pager::PageStore;
+use vamana_mass::{MassCursor, MassStore, RecordKind, SharedPager, StoreFormat};
 
 fn store_1mb() -> MassStore {
     let xml = document(1.0);
@@ -114,5 +117,35 @@ fn bench_primitives(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_load, bench_primitives);
+/// The kernel of a buffer-pool miss: build the read form of every page
+/// image of the 1 MB store and drop it again, per format. The image copy
+/// stands in for the `Vec` the pager's `read_page` hands over.
+fn bench_page_decode(c: &mut Criterion) {
+    let xml = document(1.0);
+    let mut group = c.benchmark_group("page_decode");
+    for format in [StoreFormat::V1, StoreFormat::V2] {
+        let mut pager = SharedPager::new();
+        let mut store = MassStore::with_pager(Box::new(pager.clone()), 64);
+        store.set_format(format).expect("format");
+        store.load_xml("auction.xml", &xml).expect("load");
+        let images: Vec<Vec<u8>> = (0..pager.page_count())
+            .map(|id| pager.read_page(id).expect("page"))
+            .collect();
+        group.throughput(Throughput::Elements(store.stats().tuples));
+        group.bench_function(
+            format!("{} ({} pages)", format.as_str(), images.len()),
+            |b| {
+                b.iter(|| {
+                    images
+                        .iter()
+                        .map(|image| Page::decode(image.clone(), 0).expect("decode").len())
+                        .sum::<usize>()
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_load, bench_primitives, bench_page_decode);
 criterion_main!(benches);

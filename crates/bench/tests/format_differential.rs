@@ -5,11 +5,20 @@
 //! must agree with the `vamana-baseline` DOM engine. FLEX keys are deterministic for a
 //! given load order, so whole [`NodeEntry`] sequences are comparable
 //! across stores.
+//!
+//! Below the queries, the same fixture pins the page layer itself: the
+//! read form of every page image equals what the record-level codecs
+//! decode from it, and re-encodes to the image byte for byte. And the
+//! `cold_scan` fixture of the trajectory benchmark (scale 0.21, on disk,
+//! v2, a 32-page pool) answers the three whole-document scans like the
+//! oracle.
 
 use vamana_baseline::XPathEngine as _;
 use vamana_bench::{drain_stream_set, PULL_SIZES, QUERIES, ROOT_QUERIES, SCAN_QUERIES};
 use vamana_core::{DocId, Engine, MassStore, NodeEntry};
-use vamana_mass::StoreFormat;
+use vamana_mass::page::{Page, PAGE_HEADER};
+use vamana_mass::pager::PageStore as _;
+use vamana_mass::{NodeRecord, SharedPager, StoreFormat};
 
 fn all_queries() -> impl Iterator<Item = (&'static str, &'static str)> {
     QUERIES
@@ -112,4 +121,109 @@ fn v2_evaluate_matches_v1() {
         let b = format!("{:?}", v2.evaluate(DocId(0), xpath).unwrap());
         assert_eq!(a, b, "{xpath}: v2 evaluate != v1");
     }
+}
+
+/// The records of a page image as the record-level codecs
+/// (`NodeRecord::decode`, `v2_decode_record`) read them one by one — the
+/// decoders every page went through before pages kept their image.
+fn reference_records(image: &[u8]) -> Vec<NodeRecord> {
+    let count = u16::from_le_bytes([image[2], image[3]]);
+    let mut records: Vec<NodeRecord> = Vec::new();
+    let mut at = PAGE_HEADER;
+    for _ in 0..count {
+        let (rec, used) = match &image[..2] {
+            b"AM" => NodeRecord::decode(&image[at..]),
+            b"CM" => {
+                let prev = records.last().map(|r| r.key.as_flat());
+                vamana_mass::compress::v2_decode_record(&image[at..], prev)
+            }
+            magic => panic!("unexpected magic {magic:?}"),
+        }
+        .expect("reference decode");
+        at += used;
+        records.push(rec);
+    }
+    records
+}
+
+#[test]
+fn every_page_reads_like_the_record_codecs_and_re_encodes_byte_for_byte() {
+    let xml = vamana_bench::document(0.4);
+    for format in [StoreFormat::V1, StoreFormat::V2] {
+        let mut pager = SharedPager::new();
+        let mut store = MassStore::with_pager(Box::new(pager.clone()), 64);
+        store.set_format(format).expect("fresh store");
+        store.load_xml("auction.xml", &xml).expect("load");
+        let mut tuples = 0;
+        for id in 0..pager.page_count() {
+            let image = pager.read_page(id).expect("page");
+            let page = Page::decode(image.clone(), id).expect("decode");
+            assert_eq!(page.format(), format, "page {id}");
+            let reference = reference_records(&image);
+            assert_eq!(page.to_records().expect("records"), reference, "page {id}");
+            for (i, rec) in reference.iter().enumerate() {
+                assert_eq!(page.key(i), rec.key.as_flat(), "page {id} key {i}");
+                assert_eq!((page.kind(i), page.name(i)), (rec.kind, rec.name));
+                assert_eq!(page.value(i).expect("value"), rec.value.view());
+                assert_eq!(page.find(rec.key.as_flat()), Ok(i));
+            }
+            let again = page
+                .to_buf()
+                .expect("edit buffer")
+                .encode()
+                .expect("encode");
+            assert!(
+                again == image,
+                "{format:?} page {id} re-encodes differently"
+            );
+            tuples += page.len() as u64;
+        }
+        assert_eq!(
+            tuples,
+            store.stats().tuples,
+            "{format:?}: every record seen"
+        );
+    }
+}
+
+/// `//*`, `//text()` and `//@*` on the `cold_scan` fixture, prepared and
+/// executed the way that workload runs its scans, against the DOM oracle:
+/// row counts, names and string-values, in memory (v1, v2) and on disk
+/// under a pool nine times smaller than the data.
+#[test]
+fn whole_document_scans_on_the_cold_scan_fixture_match_the_oracle() {
+    let mut buf = Vec::new();
+    vamana_xmark::generate_to(&vamana_xmark::XmarkConfig::with_scale(0.21), &mut buf).unwrap();
+    let xml = String::from_utf8(buf).unwrap();
+    let dom = vamana_baseline::dom::DomEngine::from_xml(&xml).unwrap();
+    let dir = std::env::temp_dir().join(format!("vamana-cold-fixture-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut disk = MassStore::create_file(dir.join("store.mass"), 32).expect("create");
+    disk.set_format(StoreFormat::V2).expect("fresh store");
+    disk.load_xml("auction.xml", &xml).expect("load");
+    let engines = [
+        ("mem-v1", engine_with_format(&xml, StoreFormat::V1)),
+        ("mem-v2", engine_with_format(&xml, StoreFormat::V2)),
+        ("disk-v2", Engine::new(disk)),
+    ];
+    for (xpath, rows) in [("//*", 126_410), ("//text()", 66_549), ("//@*", 42_560)] {
+        let oracle = dom.identities(xpath).unwrap();
+        assert_eq!(oracle.len(), rows, "{xpath}: oracle row count");
+        for (label, engine) in &engines {
+            let plan = engine
+                .optimize_plan(engine.compile(xpath).unwrap(), DocId(0))
+                .unwrap()
+                .plan;
+            let result = engine.execute_plan(&plan, DocId(0)).unwrap();
+            assert_eq!(result.len(), rows, "{xpath} on {label}: row count");
+            assert!(
+                identities(engine, &result) == oracle,
+                "{xpath} on {label}: names or string-values differ from the oracle"
+            );
+        }
+    }
+    let misses = engines[2].1.store().stats().buffer.misses;
+    assert!(misses > 1_000, "the disk store ran cold ({misses} misses)");
+    drop(engines);
+    std::fs::remove_dir_all(&dir).ok();
 }

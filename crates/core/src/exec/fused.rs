@@ -27,9 +27,10 @@
 use super::{anchor_for, build_iter, Env, OpIter, OpState};
 use crate::error::{EngineError, Result};
 use crate::plan::{ContextSource, FusedNode, OpId, Operator, TestSpec};
-use vamana_flex::{Axis, FlexKey, KeyRange};
+use vamana_flex::{flat_is_ancestor, Axis, FlexKey, KeyRange};
 use vamana_mass::axes::NodeFilter;
-use vamana_mass::{MassCursor, MassStore, NodeEntry, NodeRecord, RecordKind};
+use vamana_mass::page::RecordView;
+use vamana_mass::{MassCursor, MassStore, NodeEntry, RecordKind};
 
 /// One resolved spine level of the fused chain.
 struct LevelSpec {
@@ -83,6 +84,7 @@ fn verify_pred(store: &MassStore, base: &FlexKey, node: &PredNode) -> bool {
 
 /// One ancestor on the automaton's stack.
 struct StackEntry {
+    /// Flat key, copied off the page (inline up to 23 bytes).
     key: FlexKey,
     /// Spine levels this element matched.
     mask: u32,
@@ -104,12 +106,12 @@ impl Matcher {
 
     /// Feeds one record in document order; returns whether it matched
     /// the full spine (and thus is an output tuple).
-    fn feed(&mut self, store: &MassStore, levels: &[LevelSpec], rec: &NodeRecord) -> bool {
+    fn feed(&mut self, store: &MassStore, levels: &[LevelSpec], rec: RecordView<'_>) -> bool {
         if rec.kind == RecordKind::Attribute {
             return false;
         }
         while let Some(top) = self.stack.last() {
-            if top.key.is_ancestor_of(&rec.key) {
+            if flat_is_ancestor(top.key.as_flat(), rec.key) {
                 break;
             }
             self.stack.pop();
@@ -118,7 +120,7 @@ impl Matcher {
             Some(top) => (top.cum, top.mask, top.key.level()),
             None => (0, 0, self.anchor_level),
         };
-        let rec_level = rec.key.level();
+        let rec_level = flat_level(rec.key);
         let mut mask = 0u32;
         for (l, level) in levels.iter().enumerate() {
             let reachable = if l == 0 {
@@ -137,8 +139,11 @@ impl Matcher {
             if !reachable || !level.filter.matches_parts(rec.kind, rec.name) {
                 continue;
             }
-            if !level.preds.iter().all(|p| verify_pred(store, &rec.key, p)) {
-                continue;
+            if !level.preds.is_empty() {
+                let key = FlexKey::from_flat_slice(rec.key);
+                if !level.preds.iter().all(|p| verify_pred(store, &key, p)) {
+                    continue;
+                }
             }
             mask |= 1 << l;
         }
@@ -146,7 +151,7 @@ impl Matcher {
         // Only elements can have children, so only they go on the stack.
         if rec.kind == RecordKind::Element {
             self.stack.push(StackEntry {
-                key: rec.key.clone(),
+                key: FlexKey::from_flat_slice(rec.key),
                 mask,
                 cum: cum | mask,
             });

@@ -49,7 +49,7 @@ pub struct QueryProfile {
     /// Location steps those fused operators collapsed.
     pub fused_steps: u64,
     /// Uncompressed (v1) page decodes during the query — data-page
-    /// reads that missed the decoded-page cache.
+    /// reads that missed the buffer pool.
     pub decodes_v1: u64,
     /// Front-coded (v2) page decodes during the query. Together with
     /// `decodes_v1` this is the storage tier's share of the misses.

@@ -62,6 +62,7 @@ impl FlexKey {
     /// page image): keys up to 23 bytes are copied inline and allocate
     /// nothing. Well-formedness is the caller's, as for
     /// [`FlexKey::from_flat`].
+    #[inline] // once per tuple a scan produces, from another crate
     pub fn from_flat_slice(flat: &[u8]) -> Self {
         debug_assert!(
             flat.is_empty() || flat.last() == Some(&0),
@@ -114,18 +115,25 @@ impl FlexKey {
     /// True when `flat` is a well-formed flat key: a sequence of
     /// non-empty labels over `1..=255`, each terminated by `0x00`.
     pub fn is_valid_flat(flat: &[u8]) -> bool {
-        let mut label_len = 0usize;
-        for &b in flat {
+        Self::is_valid_flat_tail(false, flat)
+    }
+
+    /// True when `tail` completes a well-formed flat key, given whether
+    /// the (already validated) bytes before it stop inside a label. A
+    /// front-coded key shares its head with a key that was checked when
+    /// it was rebuilt, so only its suffix needs this walk.
+    pub fn is_valid_flat_tail(mut in_label: bool, tail: &[u8]) -> bool {
+        for &b in tail {
             if b == 0 {
-                if label_len == 0 {
+                if !in_label {
                     return false; // empty label
                 }
-                label_len = 0;
+                in_label = false;
             } else {
-                label_len += 1;
+                in_label = true;
             }
         }
-        label_len == 0 // must end on a terminator (or be empty)
+        !in_label // must end on a terminator (or be empty)
     }
 
     /// The flat encoding (label bytes with `0x00` terminators).
@@ -224,8 +232,7 @@ impl FlexKey {
 
     /// True if `self` is a strict ancestor of `other`.
     pub fn is_ancestor_of(&self, other: &FlexKey) -> bool {
-        let (a, b) = (self.as_flat(), other.as_flat());
-        b.len() > a.len() && b.starts_with(a)
+        flat_is_ancestor(self.as_flat(), other.as_flat())
     }
 
     /// True if `self` is `other` or an ancestor of it.
@@ -279,6 +286,14 @@ impl FlexKey {
         )?;
         Ok(parent.child(&label))
     }
+}
+
+/// [`FlexKey::is_ancestor_of`] on flat encodings, for keys read in place
+/// (a page, an index posting): a descendant's key strictly extends its
+/// ancestor's.
+#[inline]
+pub fn flat_is_ancestor(ancestor: &[u8], descendant: &[u8]) -> bool {
+    descendant.len() > ancestor.len() && descendant.starts_with(ancestor)
 }
 
 fn bytecount_zero(bytes: &[u8]) -> usize {

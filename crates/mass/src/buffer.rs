@@ -1,4 +1,5 @@
-//! Buffer pool: a sharded LRU cache of decoded pages over a [`PageStore`].
+//! Buffer pool: a sharded LRU cache of pages — each its disk image plus a
+//! slot table, see [`crate::page`] — over a [`PageStore`].
 //!
 //! The pool is the unit of "I/O" in experiments: hits and misses are
 //! counted so benchmarks can report how much of a document a query plan
@@ -16,7 +17,7 @@
 
 use crate::compress::StoreFormat;
 use crate::error::Result;
-use crate::page::Page;
+use crate::page::{Page, PageBuf};
 use crate::pager::PageStore;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -39,7 +40,7 @@ pub struct BufferStats {
     /// Pages pinned once by a batched scan (see
     /// [`crate::cursor::MassCursor::next_batch`]).
     pub batch_pins: u64,
-    /// Per-record pool entries a batched scan avoided: records decoded
+    /// Per-record pool entries a batched scan avoided: records visited
     /// beyond the first under a single pin. `pins_saved / batch_pins` is
     /// the average amortization factor.
     pub pins_saved: u64,
@@ -120,6 +121,13 @@ impl BufferPool {
     }
 
     /// Fetches page `id`, reading it from the store on a miss.
+    ///
+    /// A miss is lock → read → decode → lock: the shard lock is dropped
+    /// for the read and the decode and taken again to install the page
+    /// and count the decode. Two readers racing on the same cold page may
+    /// therefore both read and decode it; the second install wins, which
+    /// is correct (pages are immutable snapshots) and keeps the counters
+    /// honest about actual store reads.
     pub fn get(&self, id: u32) -> Result<Arc<Page>> {
         {
             let mut shard = lock(self.shard(id));
@@ -133,25 +141,20 @@ impl BufferPool {
             }
             shard.stats.misses += 1;
         }
-        // Read outside the shard lock; re-acquire to install. Two racing
-        // readers may both miss and read — the second install wins, which
-        // is correct (pages are immutable snapshots) and keeps counters
-        // honest about actual store reads.
         let image = lock(&self.store).read_page(id)?;
-        let page = Arc::new(Page::decode(&image, id)?);
-        {
-            let mut shard = lock(self.shard(id));
-            match page.format() {
-                StoreFormat::V1 => shard.stats.decodes_v1 += 1,
-                StoreFormat::V2 => shard.stats.decodes_v2 += 1,
-            }
-        }
-        self.install(id, page.clone());
+        let page = Arc::new(Page::decode(image, id)?);
+        self.install(id, page.clone(), |stats| match page.format() {
+            StoreFormat::V1 => stats.decodes_v1 += 1,
+            StoreFormat::V2 => stats.decodes_v2 += 1,
+        });
         Ok(page)
     }
 
-    fn install(&self, id: u32, page: Arc<Page>) {
+    /// Caches `page` as the current image of `id`, evicting down to the
+    /// shard's capacity; `count` updates the counters under the same lock.
+    fn install(&self, id: u32, page: Arc<Page>, count: impl FnOnce(&mut BufferStats)) {
         let mut shard = lock(self.shard(id));
+        count(&mut shard.stats);
         shard.clock += 1;
         let stamp = shard.clock;
         shard.cache.insert(id, (page, stamp));
@@ -181,24 +184,24 @@ impl BufferPool {
         shard.stats.pins_saved += scanned.saturating_sub(1);
     }
 
-    /// Writes `page` through to the store and refreshes the cache,
-    /// returning the format actually written (a v2 page whose compressed
-    /// image does not fit falls back to v1 — the overflow rule).
-    pub fn put(&self, id: u32, page: Page) -> Result<StoreFormat> {
+    /// Encodes `page`, writes the image through to the store and caches
+    /// the read form built from that same image, returning the format
+    /// actually written (a v2 page whose compressed image does not fit
+    /// falls back to v1 — the overflow rule).
+    pub fn put(&self, id: u32, page: &PageBuf) -> Result<StoreFormat> {
         let (image, written) = page.encode_with_format()?;
         lock(&self.store).write_page(id, &image)?;
-        {
-            let mut shard = lock(self.shard(id));
-            shard.stats.writes += 1;
+        let cached = Arc::new(Page::decode(image, id)?);
+        self.install(id, cached, |stats| {
+            stats.writes += 1;
             match written {
-                StoreFormat::V1 => shard.stats.writes_v1 += 1,
-                StoreFormat::V2 => shard.stats.writes_v2 += 1,
+                StoreFormat::V1 => stats.writes_v1 += 1,
+                StoreFormat::V2 => stats.writes_v2 += 1,
             }
             if written != page.format() {
-                shard.stats.format_fallbacks += 1;
+                stats.format_fallbacks += 1;
             }
-        }
-        self.install(id, Arc::new(page));
+        });
         Ok(written)
     }
 
@@ -299,8 +302,8 @@ mod tests {
     use crate::record::NodeRecord;
     use vamana_flex::{seq_label, FlexKey};
 
-    fn page_with(i: u64) -> Page {
-        let mut p = Page::new();
+    fn page_with(i: u64) -> PageBuf {
+        let mut p = PageBuf::new(StoreFormat::V1);
         p.append(NodeRecord::element(
             FlexKey::root().child(&seq_label(i)),
             NameId(i as u32),
@@ -313,7 +316,7 @@ mod tests {
         let pool = BufferPool::new(Box::new(MemoryPager::new()), capacity);
         for i in 0..pages {
             let id = pool.allocate().unwrap();
-            pool.put(id, page_with(i as u64)).unwrap();
+            pool.put(id, &page_with(i as u64)).unwrap();
         }
         pool.reset_stats();
         pool
@@ -350,7 +353,7 @@ mod tests {
         // Allocate enough backing pages to cover the ids used.
         for i in 0..=(2 * SHARDS as u32) {
             let id = pool.allocate().unwrap();
-            pool.put(id, page_with(i as u64)).unwrap();
+            pool.put(id, &page_with(i as u64)).unwrap();
         }
         pool.clear_cache();
         pool.reset_stats();
@@ -365,10 +368,10 @@ mod tests {
     #[test]
     fn put_writes_through() {
         let pool = pool(2, 1);
-        pool.put(0, page_with(42)).unwrap();
+        pool.put(0, &page_with(42)).unwrap();
         pool.clear_cache();
         let p = pool.get(0).unwrap();
-        assert_eq!(p.records()[0].name, Some(NameId(42)));
+        assert_eq!(p.name(0), Some(NameId(42)));
     }
 
     #[test]
@@ -384,7 +387,7 @@ mod tests {
         // Three pages in one shard with room for one.
         for i in 0..=(2 * SHARDS as u32) {
             let id = pool.allocate().unwrap();
-            pool.put(id, page_with(i as u64)).unwrap();
+            pool.put(id, &page_with(i as u64)).unwrap();
         }
         pool.clear_cache();
         pool.reset_stats();

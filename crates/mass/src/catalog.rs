@@ -206,17 +206,13 @@ impl MassStore {
         let mut pos = 0;
         while pos < self.index.len() {
             let page_id = self.index[pos].1;
-            let has_orphans = self
-                .pool
-                .get(page_id)?
-                .records()
-                .iter()
-                .any(|rec| self.document_of(&rec.key).is_none());
-            if !has_orphans {
+            let page = self.pool.get(page_id)?;
+            let orphan = |flat: &[u8]| self.document_of(&FlexKey::from_flat_slice(flat)).is_none();
+            if !(0..page.len()).any(|i| orphan(page.key(i))) {
                 pos += 1;
                 continue;
             }
-            let mut page = (*self.pool.get(page_id)?).clone();
+            let mut page = page.to_buf()?;
             let mut i = 0;
             while i < page.len() {
                 if self.document_of(&page.records()[i].key).is_none() {
@@ -228,7 +224,7 @@ impl MassStore {
             if page.is_empty() {
                 self.index.remove(pos);
                 self.release_page(page_id);
-                self.pool.put(page_id, page)?;
+                self.pool.put(page_id, &page)?;
             } else {
                 self.index[pos].0 = page.first_key().expect("non-empty").to_vec();
                 // Trimming can overflow a v2 page (a survivor's
@@ -257,21 +253,18 @@ impl MassStore {
             if !overlaps {
                 continue;
             }
-            let mut page = (*self.pool.get(page_id)?).clone();
+            let mut page = self.pool.get(page_id)?.to_buf()?;
             while page.last_key().is_some_and(|k| k >= next_first.as_slice()) {
                 // Tail removals never lengthen anything (no successor),
                 // so the page cannot overflow here.
                 page.remove(page.len() - 1);
             }
-            self.put_data_page(page_id, page)?;
+            self.put_data_page(page_id, &page)?;
         }
 
         for pos in 0..self.index.len() {
-            let page = self.pool.get(self.index[pos].1)?;
-            // Clone the records out so the page borrow ends before the
-            // mutable index updates.
-            let records: Vec<_> = page.records().to_vec();
-            drop(page);
+            // Owned records: `index_record` takes them, as from the loader.
+            let records = self.pool.get(self.index[pos].1)?.to_records()?;
             for rec in &records {
                 let value = self.resolve_value(rec)?;
                 self.index_record(rec, value.as_deref(), true)?;

@@ -172,10 +172,10 @@ impl ValueDict {
 
 // ---- the v2 record codec -------------------------------------------------
 
-const KIND_MASK: u8 = 0x07;
-const TAG_SHIFT: u8 = 3;
-const TAG_MASK: u8 = 0x03;
-const HAS_NAME: u8 = 0x20;
+pub(crate) const KIND_MASK: u8 = 0x07;
+pub(crate) const TAG_SHIFT: u8 = 3;
+pub(crate) const TAG_MASK: u8 = 0x03;
+pub(crate) const HAS_NAME: u8 = 0x20;
 
 fn kind_from_u8(b: u8) -> Result<RecordKind> {
     Ok(match b {
@@ -246,6 +246,10 @@ pub fn v2_encode_record(rec: &NodeRecord, prev: Option<&[u8]>, out: &mut Vec<u8>
 
 /// Decodes one v2 record from `buf` given the predecessor's flat key,
 /// returning the record and bytes consumed.
+///
+/// Not on the read path ([`crate::page::Page::decode`] rebuilds a page's
+/// keys into one arena without a record per node); kept as the
+/// record-level codec and the reference that decode is tested against.
 pub fn v2_decode_record(buf: &[u8], prev: Option<&[u8]>) -> Result<(NodeRecord, usize)> {
     let truncated = || MassError::CorruptRecord("v2 record truncated".into());
     let (lcp, n) = read_varint(buf)?;

@@ -7,12 +7,13 @@
 //! subtrees by seeking their `subtree_upper` bound instead of reading
 //! through them.
 
+use crate::axes::NodeEntry;
 use crate::error::Result;
-use crate::page::Page;
-use crate::record::NodeRecord;
+use crate::page::{Page, RecordView};
+use crate::record::{NodeRecord, RecordKind};
 use crate::store::MassStore;
 use std::sync::Arc;
-use vamana_flex::KeyRange;
+use vamana_flex::{flat_is_ancestor, FlexKey, KeyRange};
 
 /// Document-order record cursor bounded by a key range.
 pub struct MassCursor<'a> {
@@ -22,9 +23,20 @@ pub struct MassCursor<'a> {
     page_pos: usize,
     rec_pos: usize,
     page: Option<Arc<Page>>,
-    /// Set by `seek`; resolved to `rec_pos` when the page is loaded.
-    pending_seek: Option<Vec<u8>>,
+    /// The last `seek` target, in a buffer every seek reuses.
+    target: Vec<u8>,
+    /// Set by `seek`; the target is resolved to `rec_pos` when the page
+    /// is loaded.
+    seeking: bool,
     done: bool,
+}
+
+fn entry(rec: RecordView<'_>) -> NodeEntry {
+    NodeEntry {
+        key: FlexKey::from_flat_slice(rec.key),
+        kind: rec.kind,
+        name: rec.name,
+    }
 }
 
 impl<'a> MassCursor<'a> {
@@ -32,14 +44,15 @@ impl<'a> MassCursor<'a> {
     pub fn new(store: &'a MassStore, range: KeyRange) -> Self {
         let mut c = MassCursor {
             store,
-            hi: range.hi.clone(),
+            hi: range.hi,
             page_pos: 0,
             rec_pos: 0,
             page: None,
-            pending_seek: None,
+            target: range.lo,
+            seeking: false,
             done: false,
         };
-        c.seek(&range.lo);
+        c.seek_target();
         c
     }
 
@@ -47,18 +60,24 @@ impl<'a> MassCursor<'a> {
     /// (which may be before or after the current position). The upper
     /// bound is unchanged.
     pub fn seek(&mut self, flat: &[u8]) {
+        self.target.clear();
+        self.target.extend_from_slice(flat);
+        self.seek_target();
+    }
+
+    /// [`MassCursor::seek`] to the key already in `self.target`.
+    fn seek_target(&mut self) {
         self.page = None;
-        self.done = false;
-        if self.store.index.is_empty() {
-            self.done = true;
+        self.done = self.store.index.is_empty();
+        if self.done {
             return;
         }
         let pos = self
             .store
             .index
-            .partition_point(|(first, _)| first.as_slice() <= flat);
+            .partition_point(|(first, _)| first.as_slice() <= self.target.as_slice());
         self.page_pos = pos.saturating_sub(1);
-        self.pending_seek = Some(flat.to_vec());
+        self.seeking = true;
     }
 
     /// Loads pages until the cursor rests on an in-range record.
@@ -74,11 +93,12 @@ impl<'a> MassCursor<'a> {
                     return Ok(false);
                 }
                 let page = self.store.pool.get(self.store.index[self.page_pos].1)?;
-                self.rec_pos = match self.pending_seek.take() {
-                    Some(target) => match page.find(&target) {
+                self.rec_pos = if std::mem::take(&mut self.seeking) {
+                    match page.find(&self.target) {
                         Ok(i) | Err(i) => i,
-                    },
-                    None => 0,
+                    }
+                } else {
+                    0
                 };
                 self.page = Some(page);
             }
@@ -89,7 +109,7 @@ impl<'a> MassCursor<'a> {
                 continue;
             }
             if let Some(hi) = &self.hi {
-                if page.records()[self.rec_pos].key.as_flat() >= hi.as_slice() {
+                if page.key(self.rec_pos) >= hi.as_slice() {
                     self.done = true;
                     return Ok(false);
                 }
@@ -98,32 +118,40 @@ impl<'a> MassCursor<'a> {
         }
     }
 
-    /// Pulls the next record, or `None` when the range is exhausted.
-    #[allow(clippy::should_implement_trait)] // fallible, so not Iterator
-    pub fn next(&mut self) -> Result<Option<NodeRecord>> {
+    /// Steps to the next record and lends it in place — the page it lies
+    /// on and its index there — or `None` when the range is exhausted.
+    /// Nothing is copied: callers read what they need through the page's
+    /// accessors.
+    pub fn next_in_place(&mut self) -> Result<Option<(&Page, usize)>> {
         if !self.position()? {
             return Ok(None);
         }
-        let rec = self.page.as_ref().expect("positioned").records()[self.rec_pos].clone();
+        let i = self.rec_pos;
         self.rec_pos += 1;
-        Ok(Some(rec))
+        Ok(Some((self.page.as_deref().expect("positioned"), i)))
     }
 
-    /// Pulls up to `max` records as [`crate::axes::NodeEntry`]s (no
-    /// value is cloned — axis scans never look at values) into `out`,
-    /// pinning each page once and decoding every qualifying record on it
+    /// Pulls the next record as an owned [`NodeRecord`], or `None` when
+    /// the range is exhausted.
+    #[allow(clippy::should_implement_trait)] // fallible, so not Iterator
+    pub fn next(&mut self) -> Result<Option<NodeRecord>> {
+        match self.next_in_place()? {
+            Some((page, i)) => page.record(i).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Pulls up to `max` records as [`crate::axes::NodeEntry`]s (values
+    /// are not looked at — axis scans never need them) into `out`,
+    /// pinning each page once and walking every qualifying slot on it
     /// in one pass. Returns the number of entries appended; a short (or
     /// zero) count means the range is exhausted.
     ///
-    /// The per-record work is a key clone and a push; page lookup, shard
+    /// The per-record work is a key copy and a push; page lookup, shard
     /// locking, and the upper bound comparison are amortized across the
     /// whole page (the bound is resolved once per page by binary search
     /// instead of once per record).
-    pub fn next_batch(
-        &mut self,
-        out: &mut Vec<crate::axes::NodeEntry>,
-        max: usize,
-    ) -> Result<usize> {
+    pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
         self.batch_scan(out, max, |_| true)
     }
 
@@ -137,8 +165,8 @@ impl<'a> MassCursor<'a> {
     /// location step.
     pub fn next_batch_where(
         &mut self,
-        keep: impl FnMut(&NodeRecord) -> bool,
-        out: &mut Vec<crate::axes::NodeEntry>,
+        keep: impl FnMut(RecordView<'_>) -> bool,
+        out: &mut Vec<NodeEntry>,
         max: usize,
     ) -> Result<usize> {
         self.batch_scan(out, max, keep)
@@ -151,21 +179,29 @@ impl<'a> MassCursor<'a> {
         &mut self,
         filter: &crate::axes::NodeFilter,
         skip_attrs: bool,
-        not_ancestor_of: Option<&vamana_flex::FlexKey>,
-        out: &mut Vec<crate::axes::NodeEntry>,
+        not_ancestor_of: Option<&FlexKey>,
+        out: &mut Vec<NodeEntry>,
         max: usize,
     ) -> Result<usize> {
+        let ctx = not_ancestor_of.map(FlexKey::as_flat);
         self.batch_scan(out, max, |rec| {
-            if skip_attrs && rec.kind == crate::record::RecordKind::Attribute {
+            if skip_attrs && rec.kind == RecordKind::Attribute {
                 return false;
             }
-            if let Some(ctx) = not_ancestor_of {
-                if rec.key.is_ancestor_of(ctx) {
-                    return false;
-                }
+            if ctx.is_some_and(|ctx| flat_is_ancestor(rec.key, ctx)) {
+                return false;
             }
             filter.matches_parts(rec.kind, rec.name)
         })
+    }
+
+    /// Index one past the last record of `page`, from `self.rec_pos` on,
+    /// that lies below the cursor's upper bound.
+    fn page_end(&self, page: &Page) -> usize {
+        match &self.hi {
+            Some(hi) => page.partition_point(self.rec_pos..page.len(), |k| k < hi.as_slice()),
+            None => page.len(),
+        }
     }
 
     /// Sibling-jump scan: like [`MassCursor::next_batch_filtered`] but
@@ -174,14 +210,14 @@ impl<'a> MassCursor<'a> {
     /// the backing of the `JumpScan` axis mode.
     ///
     /// A jump whose target lands on the *same* page is resolved by binary
-    /// search over the already-pinned records; only jumps that leave the
+    /// search over the already-pinned slots; only jumps that leave the
     /// page pay for a buffer-pool lookup. Sibling runs cluster on few
     /// pages, so most jumps stay in-page.
     pub(crate) fn next_batch_jump(
         &mut self,
         filter: &crate::axes::NodeFilter,
         skip_attrs: bool,
-        out: &mut Vec<crate::axes::NodeEntry>,
+        out: &mut Vec<NodeEntry>,
         max: usize,
     ) -> Result<usize> {
         let start = out.len();
@@ -191,50 +227,39 @@ impl<'a> MassCursor<'a> {
             }
             let page_id = self.store.index[self.page_pos].1;
             let page = self.page.clone().expect("positioned");
-            let records = page.records();
-            let end = match &self.hi {
-                Some(hi) => {
-                    self.rec_pos
-                        + records[self.rec_pos..]
-                            .partition_point(|r| r.key.as_flat() < hi.as_slice())
-                }
-                None => records.len(),
-            };
+            let end = self.page_end(&page);
             let mut i = self.rec_pos;
             let mut visited = 0u64;
             let mut sought = false;
             while i < end && out.len() - start < max {
-                let rec = &records[i];
+                let rec = page.view(i);
                 visited += 1;
-                if (!skip_attrs || rec.kind != crate::record::RecordKind::Attribute)
+                if (!skip_attrs || rec.kind != RecordKind::Attribute)
                     && filter.matches_parts(rec.kind, rec.name)
                 {
-                    out.push(crate::axes::NodeEntry {
-                        key: rec.key.clone(),
-                        kind: rec.kind,
-                        name: rec.name,
-                    });
+                    out.push(entry(rec));
                 }
                 // Jump past this record's subtree to its next sibling.
                 // A descendant's flat key extends its ancestor's, so the
                 // subtree is exactly the run of records whose keys start
                 // with this one — partitioned without materializing the
                 // `subtree_upper` bound.
-                let flat = rec.key.as_flat();
+                let flat = rec.key;
                 if flat.is_empty() {
                     i += 1;
                 } else {
-                    let target = i
-                        + 1
-                        + records[i + 1..end]
-                            .partition_point(|r| r.key.as_flat().starts_with(flat));
-                    if target >= end && end == records.len() {
+                    let target = page.partition_point(i + 1..end, |k| k.starts_with(flat));
+                    if target >= end && end == page.len() {
                         // The subtree may continue past this page: fall
-                        // back to a full seek (upper bound is preserved
-                        // by `seek`), allocating the bound only here.
-                        let upper = rec.key.subtree_upper().expect("non-root");
+                        // back to a full seek of its `subtree_upper`
+                        // (the key with its final terminator bumped),
+                        // built in the cursor's own buffer. `seek`
+                        // preserves the upper bound.
                         self.rec_pos = i + 1;
-                        self.seek(&upper);
+                        self.target.clear();
+                        self.target.extend_from_slice(flat);
+                        *self.target.last_mut().expect("non-root") = 1;
+                        self.seek_target();
                         sought = true;
                         break;
                     }
@@ -249,7 +274,7 @@ impl<'a> MassCursor<'a> {
             }
             self.rec_pos = i;
             if i >= end {
-                if end < records.len() {
+                if end < page.len() {
                     // The upper bound falls inside this page.
                     self.done = true;
                     break;
@@ -266,9 +291,9 @@ impl<'a> MassCursor<'a> {
     /// the range is exhausted.
     fn batch_scan(
         &mut self,
-        out: &mut Vec<crate::axes::NodeEntry>,
+        out: &mut Vec<NodeEntry>,
         max: usize,
-        mut keep: impl FnMut(&NodeRecord) -> bool,
+        mut keep: impl FnMut(RecordView<'_>) -> bool,
     ) -> Result<usize> {
         let start = out.len();
         while out.len() - start < max {
@@ -277,27 +302,17 @@ impl<'a> MassCursor<'a> {
             }
             let page_id = self.store.index[self.page_pos].1;
             let page = self.page.clone().expect("positioned");
-            let records = page.records();
             // Resolve the upper bound once for the whole page instead of
             // comparing keys record by record.
-            let end = match &self.hi {
-                Some(hi) => {
-                    self.rec_pos
-                        + records[self.rec_pos..]
-                            .partition_point(|r| r.key.as_flat() < hi.as_slice())
-                }
-                None => records.len(),
-            };
+            let end = self.page_end(&page);
             let mut i = self.rec_pos;
-            while i < end && out.len() - start < max {
-                let rec = &records[i];
+            for rec in page.views(i..end) {
+                if out.len() - start >= max {
+                    break;
+                }
                 i += 1;
                 if keep(rec) {
-                    out.push(crate::axes::NodeEntry {
-                        key: rec.key.clone(),
-                        kind: rec.kind,
-                        name: rec.name,
-                    });
+                    out.push(entry(rec));
                 }
             }
             let scanned = (i - self.rec_pos) as u64;
@@ -306,7 +321,7 @@ impl<'a> MassCursor<'a> {
                 self.store.pool.note_batch(page_id, scanned);
             }
             if i >= end {
-                if end < records.len() {
+                if end < page.len() {
                     // The upper bound falls inside this page.
                     self.done = true;
                     break;
@@ -324,12 +339,8 @@ impl<'a> MassCursor<'a> {
         if !self.position()? {
             return Ok(None);
         }
-        Ok(Some(
-            self.page.as_ref().expect("positioned").records()[self.rec_pos]
-                .key
-                .as_flat()
-                .to_vec(),
-        ))
+        let page = self.page.as_ref().expect("positioned");
+        Ok(Some(page.key(self.rec_pos).to_vec()))
     }
 }
 

@@ -9,7 +9,7 @@ use crate::cursor::MassCursor;
 use crate::error::{MassError, Result};
 use crate::record::RecordKind;
 use crate::store::MassStore;
-use vamana_flex::{FlexKey, KeyRange};
+use vamana_flex::{flat_is_ancestor, FlexKey, KeyRange};
 use vamana_xml::{Document, NodeId};
 
 /// Rebuilds the subtree rooted at `key` as a fresh XML document.
@@ -41,9 +41,10 @@ pub fn export_subtree(store: &MassStore, key: &FlexKey) -> Result<Document> {
     }
 
     let mut cursor = MassCursor::new(store, KeyRange::descendants(key));
-    while let Some(rec) = cursor.next()? {
+    while let Some((page, i)) = cursor.next_in_place()? {
+        let rec = page.view(i);
         while let Some((top_key, _)) = stack.last() {
-            if top_key.is_ancestor_of(&rec.key) {
+            if flat_is_ancestor(top_key.as_flat(), rec.key) {
                 break;
             }
             stack.pop();
@@ -51,44 +52,29 @@ pub fn export_subtree(store: &MassStore, key: &FlexKey) -> Result<Document> {
         let (_, parent) = *stack
             .last()
             .ok_or_else(|| MassError::CorruptRecord("record outside exported subtree".into()))?;
+        let name = |what: &str| {
+            rec.name
+                .map(|id| store.names().resolve(id))
+                .ok_or_else(|| MassError::CorruptRecord(format!("{what} without name")))
+        };
+        let mut value = String::new();
+        store.append_value(page.value(i)?, &mut value)?;
         match rec.kind {
             RecordKind::Element => {
-                let name = store.names().resolve(
-                    rec.name
-                        .ok_or_else(|| MassError::CorruptRecord("element without name".into()))?,
-                );
-                let id = doc.push_element(parent, name);
-                stack.push((rec.key.clone(), id));
+                let id = doc.push_element(parent, name("element")?);
+                stack.push((FlexKey::from_flat_slice(rec.key), id));
             }
             RecordKind::Attribute => {
-                let name =
-                    store
-                        .names()
-                        .resolve(rec.name.ok_or_else(|| {
-                            MassError::CorruptRecord("attribute without name".into())
-                        })?)
-                        .to_string();
-                let value = store.resolve_value(&rec)?.unwrap_or_default();
-                doc.push_attribute(parent, &name, &value);
+                doc.push_attribute(parent, name("attribute")?, &value);
             }
             RecordKind::Text => {
-                let value = store.resolve_value(&rec)?.unwrap_or_default();
                 doc.push_text(parent, &value);
             }
             RecordKind::Comment => {
-                let value = store.resolve_value(&rec)?.unwrap_or_default();
                 doc.push_comment(parent, &value);
             }
             RecordKind::Pi => {
-                let target = store
-                    .names()
-                    .resolve(
-                        rec.name
-                            .ok_or_else(|| MassError::CorruptRecord("PI without target".into()))?,
-                    )
-                    .to_string();
-                let data = store.resolve_value(&rec)?.unwrap_or_default();
-                doc.push_pi(parent, &target, &data);
+                doc.push_pi(parent, name("PI")?, &value);
             }
             RecordKind::Document => {
                 return Err(MassError::CorruptRecord("nested document record".into()))

@@ -72,7 +72,7 @@ pub use cursor::MassCursor;
 pub use error::{MassError, Result};
 pub use fault::{FaultClock, FaultPager, FaultWalBackend, SharedPager};
 pub use names::{NameId, NameTable};
-pub use record::{NodeRecord, RecordKind, ValueRef};
+pub use record::{NodeRecord, RecordKind, ValueRef, ValueView};
 pub use repl::{ReplLogStats, ReplicationLog, DEFAULT_RETAIN_FRAMES};
 pub use stats::StoreStats;
 pub use store::{DocId, DocInfo, MassStore};

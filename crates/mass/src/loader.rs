@@ -6,7 +6,7 @@
 //! sorted inserts).
 
 use crate::error::{MassError, Result};
-use crate::page::Page;
+use crate::page::PageBuf;
 use crate::record::{NodeRecord, RecordKind};
 use crate::store::{DocId, DocInfo, MassStore};
 use vamana_flex::KeyGenerator;
@@ -220,12 +220,12 @@ fn for_each_value<'d>(doc: &'d Document, f: &mut dyn FnMut(&'d str)) {
 /// the store's format, so a v2 store bulk-loads compressed pages.
 struct PageSink<'a> {
     store: &'a mut MassStore,
-    page: Page,
+    page: PageBuf,
 }
 
 impl<'a> PageSink<'a> {
     fn new(store: &'a mut MassStore) -> Self {
-        let page = Page::new_with_format(store.format);
+        let page = PageBuf::new(store.format);
         PageSink { store, page }
     }
 
@@ -251,8 +251,8 @@ impl<'a> PageSink<'a> {
             .expect("write_page on empty page")
             .to_vec();
         let id = self.store.allocate_page()?;
-        let page = std::mem::replace(&mut self.page, Page::new_with_format(self.store.format));
-        self.store.put_data_page(id, page)?;
+        self.store.put_data_page(id, &self.page)?;
+        self.page = PageBuf::new(self.store.format);
         self.store.index.push((first, id));
         Ok(())
     }

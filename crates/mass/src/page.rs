@@ -1,22 +1,42 @@
 //! Slotted pages of the clustered MASS index.
 //!
-//! Records are clustered in document order (FLEX-key order). A page is
-//! decoded into a `Vec<NodeRecord>` when it enters the buffer pool and
-//! re-encoded on write-out. Two on-disk images exist, self-described by
-//! the header magic:
+//! Records are clustered in document order (FLEX-key order). Two on-disk
+//! images exist, self-described by the header magic:
 //!
 //! * **v1** (`"MA"`): records back to back in their fixed-field encoding;
 //! * **v2** (`"MC"`): records front-coded against their on-page
 //!   predecessor with varint fields (see [`crate::compress`]).
 //!
-//! Both share the `[magic u16][count u16][reserved u32]` header. A page
-//! carries its format through decode/encode, so a store may hold a mix;
-//! size accounting (`encoded_size`, `fits_*`) is exact per format, which
-//! is what lets v2 pages pack several× more records into `PAGE_SIZE`.
+//! Both share the `[magic u16][count u16][reserved u32]` header, and a
+//! store may hold a mix. In memory a page has two forms:
+//!
+//! * [`Page`], what the buffer pool caches and every reader walks: the
+//!   disk image it was read from plus a *slot table* built over it in one
+//!   pass — per record where its key lies and how long it is, its kind,
+//!   its name id, and its value's tag with an offset and length (or the
+//!   dictionary id). V1 keys and all inline values are read in place from
+//!   the image; v2 keys, which exist on disk only as suffixes, are rebuilt
+//!   back to back into one key arena per page. Decoding allocates the
+//!   slot table and (v2) the arena, nothing per record, and eviction
+//!   frees as little. Readers use the borrowing accessors ([`Page::key`],
+//!   [`Page::kind`], [`Page::name`], [`Page::value`], [`Page::find`],
+//!   [`RecordView`]).
+//! * [`PageBuf`], the edit buffer of the loader and the update path: a
+//!   `Vec<NodeRecord>` with size accounting (`encoded_size`, `fits_record`)
+//!   that is exact per format, which is what lets v2 pages pack several×
+//!   more records into `PAGE_SIZE`. An update is [`Page::to_buf`] → mutate
+//!   → [`crate::buffer::BufferPool::put`], which encodes the buffer and
+//!   caches the [`Page`] decoded from that image.
 
-use crate::compress::{v2_decode_record, v2_encode_record, v2_record_len, StoreFormat};
+use crate::compress::{
+    read_varint, v2_encode_record, v2_record_len, StoreFormat, HAS_NAME, KIND_MASK, TAG_MASK,
+    TAG_SHIFT,
+};
 use crate::error::{MassError, Result};
-use crate::record::NodeRecord;
+use crate::names::NameId;
+use crate::record::{NodeRecord, RecordKind, ValueView};
+use std::ops::Range;
+use vamana_flex::FlexKey;
 
 /// Fixed page size in bytes, disk image and capacity accounting.
 pub const PAGE_SIZE: usize = 8192;
@@ -28,25 +48,447 @@ pub const PAGE_CAPACITY: usize = PAGE_SIZE - PAGE_HEADER;
 const MAGIC: u16 = 0x4D41; // "MA"
 const MAGIC_V2: u16 = 0x4D43; // "MC"
 
-/// A decoded page: records sorted by key.
-#[derive(Debug, Clone, Default)]
+/// The smallest record either format can hold (v2: two key varints and
+/// the meta byte); bounds the header's `count` before anything is
+/// allocated for it.
+const MIN_RECORD: usize = 3;
+
+// Value tags, the same numbers in both formats.
+const TAG_NONE: u8 = 0;
+const TAG_INLINE: u8 = 1;
+const TAG_OVERFLOW: u8 = 2;
+const TAG_DICT: u8 = 3;
+
+/// Where one record lies in its page.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Key bytes: offset into the image (v1) or the key arena (v2).
+    key_off: u32,
+    /// Raw name id, [`NameId::NONE_RAW`] for none.
+    name: u32,
+    /// Inline and overflow values: image offset of the payload.
+    /// Dictionary values: the id itself.
+    val: u32,
+    key_len: u16,
+    /// Byte length of an inline value.
+    val_len: u16,
+    kind: RecordKind,
+    tag: u8,
+}
+
+impl Slot {
+    /// The key, given where this page's keys lie ([`Page::key_bytes`]).
+    #[inline]
+    fn key<'a>(&self, keys: &'a [u8]) -> &'a [u8] {
+        &keys[self.key_off as usize..][..usize::from(self.key_len)]
+    }
+
+    #[inline]
+    fn name(&self) -> Option<NameId> {
+        (self.name != NameId::NONE_RAW).then_some(NameId(self.name))
+    }
+
+    #[inline]
+    fn view<'a>(&self, keys: &'a [u8]) -> RecordView<'a> {
+        RecordView {
+            key: self.key(keys),
+            kind: self.kind,
+            name: self.name(),
+        }
+    }
+}
+
+/// What a scan sees of one record without touching its value: the flat
+/// key borrowed from the page, the kind and the name.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    /// Flat FLEX key.
+    pub key: &'a [u8],
+    /// Node kind.
+    pub kind: RecordKind,
+    /// Interned name for elements/attributes/PI targets.
+    pub name: Option<NameId>,
+}
+
+/// A page as the buffer pool caches it: its disk image plus a slot table
+/// (see the module docs). Immutable; records are sorted by key.
 pub struct Page {
+    image: Vec<u8>,
+    slots: Vec<Slot>,
+    /// V2 only: every key rebuilt from its front-coding, back to back.
+    keys: Vec<u8>,
+    encoded: usize,
+    format: StoreFormat,
+}
+
+impl std::fmt::Debug for Page {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Page")
+            .field("format", &self.format)
+            .field("records", &self.slots.len())
+            .field("encoded", &self.encoded)
+            .finish_non_exhaustive()
+    }
+}
+
+fn bad(what: &str) -> MassError {
+    MassError::CorruptRecord(what.into())
+}
+
+/// Builds the slot table of a v1 body, returning the offset it ends at.
+fn slots_v1(image: &[u8], count: usize, slots: &mut Vec<Slot>) -> Result<usize> {
+    let mut at = PAGE_HEADER;
+    let mut prev: &[u8] = &[];
+    for i in 0..count {
+        let head = image
+            .get(at..at + 2)
+            .ok_or_else(|| bad("record truncated"))?;
+        let key_len = usize::from(u16::from_le_bytes([head[0], head[1]]));
+        let key_off = at + 2;
+        // key + kind(1) + name(4) + value_tag(1) + value_len(4)
+        let val_off = key_off + key_len + 10;
+        let (key, fixed) = image
+            .get(key_off..val_off)
+            .ok_or_else(|| bad("record truncated"))?
+            .split_at(key_len);
+        if !FlexKey::is_valid_flat(key) {
+            return Err(bad("malformed flat key"));
+        }
+        if i > 0 && key <= prev {
+            return Err(bad("keys out of order"));
+        }
+        let kind = RecordKind::from_u8(fixed[0])?;
+        let name = u32::from_le_bytes(fixed[1..5].try_into().expect("4 bytes"));
+        let tag = fixed[5];
+        let val_len = u32::from_le_bytes(fixed[6..10].try_into().expect("4 bytes")) as usize;
+        let payload = val_off
+            .checked_add(val_len)
+            .and_then(|end| image.get(val_off..end))
+            .ok_or_else(|| bad("record truncated"))?;
+        let val = match (tag, val_len) {
+            (TAG_NONE, 0) => 0,
+            (TAG_INLINE, _) | (TAG_OVERFLOW, 12) => val_off as u32,
+            (TAG_DICT, 4) => u32::from_le_bytes(payload.try_into().expect("4 bytes")),
+            _ => return Err(bad("bad value tag or length")),
+        };
+        slots.push(Slot {
+            key_off: key_off as u32,
+            name,
+            val,
+            key_len: key_len as u16,
+            val_len: val_len as u16, // the payload lies inside the page
+            kind,
+            tag,
+        });
+        prev = key;
+        at = val_off + val_len;
+    }
+    Ok(at)
+}
+
+/// Builds the slot table of a v2 body and rebuilds its keys into `keys`,
+/// returning the offset the body ends at.
+fn slots_v2(
+    image: &[u8],
+    count: usize,
+    slots: &mut Vec<Slot>,
+    keys: &mut Vec<u8>,
+) -> Result<usize> {
+    let varint = |at: &mut usize| -> Result<u64> {
+        let (v, n) = read_varint(&image[*at..])?;
+        *at += n;
+        Ok(v)
+    };
+    // The `len` bytes at `at`, a length read from the image.
+    let take = |at: &mut usize, len: u64| -> Result<&[u8]> {
+        let bytes = usize::try_from(len)
+            .ok()
+            .and_then(|n| at.checked_add(n))
+            .and_then(|end| image.get(*at..end))
+            .ok_or_else(|| bad("v2 record truncated"))?;
+        *at += bytes.len();
+        Ok(bytes)
+    };
+    // `at` never passes the end of the image: every advance is either a
+    // varint read from it or a range `get` has just returned.
+    let mut at = PAGE_HEADER;
+    // A typical XMark key is 12–20 bytes; deeper documents grow the arena.
+    keys.reserve(count * 20);
+    let (mut prev_off, mut prev_len) = (0usize, 0usize);
+    for i in 0..count {
+        let lcp = varint(&mut at)?;
+        let suffix_len = varint(&mut at)?;
+        if lcp > prev_len as u64 {
+            return Err(bad("v2 shared prefix exceeds predecessor key"));
+        }
+        let lcp = lcp as usize;
+        let suffix = take(&mut at, suffix_len)?;
+        // The shared head was validated with the predecessor: only the
+        // suffix can break well-formedness or the order.
+        let in_label = lcp > 0 && keys[prev_off + lcp - 1] != 0;
+        if !FlexKey::is_valid_flat_tail(in_label, suffix) {
+            return Err(bad("malformed front-coded key"));
+        }
+        if i > 0 && suffix <= &keys[prev_off + lcp..prev_off + prev_len] {
+            return Err(bad("keys out of order"));
+        }
+        let key_off = keys.len();
+        keys.extend_from_within(prev_off..prev_off + lcp);
+        keys.extend_from_slice(suffix);
+        let key_len = lcp + suffix.len();
+        (prev_off, prev_len) = (key_off, key_len);
+
+        let meta = *image.get(at).ok_or_else(|| bad("v2 record truncated"))?;
+        at += 1;
+        let kind = RecordKind::from_u8(meta & KIND_MASK)?;
+        let name = if meta & HAS_NAME != 0 {
+            let raw = varint(&mut at)?;
+            if raw >= u64::from(NameId::NONE_RAW) {
+                return Err(bad("name id out of range"));
+            }
+            raw as u32
+        } else {
+            NameId::NONE_RAW
+        };
+        let tag = (meta >> TAG_SHIFT) & TAG_MASK;
+        let (mut val, mut val_len) = (at as u32, 0u16);
+        match tag {
+            TAG_NONE => {}
+            TAG_INLINE => {
+                let len = varint(&mut at)?;
+                val = at as u32;
+                val_len = take(&mut at, len)?.len() as u16;
+            }
+            TAG_OVERFLOW => {
+                varint(&mut at)?;
+                if varint(&mut at)? > u64::from(u32::MAX) {
+                    return Err(bad("overflow length too large"));
+                }
+            }
+            _ => {
+                let id = varint(&mut at)?;
+                val = u32::try_from(id).map_err(|_| bad("dict id too large"))?;
+            }
+        }
+        slots.push(Slot {
+            key_off: u32::try_from(key_off).map_err(|_| bad("key arena too large"))?,
+            name,
+            val,
+            // A key is no longer than the suffixes before it: it fits.
+            key_len: key_len as u16,
+            val_len,
+            kind,
+            tag,
+        });
+    }
+    Ok(at)
+}
+
+impl Page {
+    /// Builds the read form of a disk image, taking ownership of it; the
+    /// page remembers the image's format. Everything a reader will slice
+    /// is bounds-checked here and keys are checked to be well-formed and
+    /// strictly ascending; only the UTF-8 check of an inline value waits
+    /// for [`Page::value`], so a scan that never looks at values never
+    /// pays for it.
+    pub fn decode(image: Vec<u8>, page_id: u32) -> Result<Page> {
+        let corrupt = |reason: String| MassError::CorruptPage {
+            page: page_id,
+            reason,
+        };
+        if image.len() != PAGE_SIZE {
+            return Err(corrupt(format!("bad length {}", image.len())));
+        }
+        let format = match u16::from_le_bytes([image[0], image[1]]) {
+            MAGIC => StoreFormat::V1,
+            MAGIC_V2 => StoreFormat::V2,
+            // An all-zero header is a page that was allocated (backends
+            // zero-extend eagerly) but never written — e.g. a crash
+            // between a split's allocation and its first write-out.
+            // Decode it as empty so recovery can reclaim it.
+            _ if image[..PAGE_HEADER].iter().all(|&b| b == 0) => StoreFormat::V1,
+            _ => return Err(corrupt("bad magic".into())),
+        };
+        let count = usize::from(u16::from_le_bytes([image[2], image[3]]));
+        if count > PAGE_CAPACITY / MIN_RECORD {
+            return Err(corrupt(format!("record count {count} exceeds the page")));
+        }
+        let mut slots = Vec::with_capacity(count);
+        let mut keys = Vec::new();
+        let end = match format {
+            StoreFormat::V1 => slots_v1(&image, count, &mut slots),
+            StoreFormat::V2 => slots_v2(&image, count, &mut slots, &mut keys),
+        }
+        .map_err(|e| corrupt(e.to_string()))?;
+        Ok(Page {
+            image,
+            slots,
+            keys,
+            encoded: end - PAGE_HEADER,
+            format,
+        })
+    }
+
+    /// The format of the image this page was read from.
+    pub fn format(&self) -> StoreFormat {
+        self.format
+    }
+
+    /// Number of records on the page.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when the page holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Payload bytes the records occupy in the image.
+    pub fn encoded_size(&self) -> usize {
+        self.encoded
+    }
+
+    /// Where this format's keys lie.
+    #[inline]
+    fn key_bytes(&self) -> &[u8] {
+        match self.format {
+            StoreFormat::V1 => &self.image,
+            StoreFormat::V2 => &self.keys,
+        }
+    }
+
+    /// Flat key of record `i`.
+    #[inline]
+    pub fn key(&self, i: usize) -> &[u8] {
+        self.slots[i].key(self.key_bytes())
+    }
+
+    /// Kind of record `i`.
+    #[inline]
+    pub fn kind(&self, i: usize) -> RecordKind {
+        self.slots[i].kind
+    }
+
+    /// Name of record `i`.
+    #[inline]
+    pub fn name(&self, i: usize) -> Option<NameId> {
+        self.slots[i].name()
+    }
+
+    /// Key, kind and name of record `i`.
+    #[inline]
+    pub fn view(&self, i: usize) -> RecordView<'_> {
+        self.slots[i].view(self.key_bytes())
+    }
+
+    /// The views of records `range`, in key order.
+    pub fn views(&self, range: Range<usize>) -> impl Iterator<Item = RecordView<'_>> {
+        let keys = self.key_bytes();
+        self.slots[range].iter().map(move |s| s.view(keys))
+    }
+
+    /// Value of record `i`, an inline one borrowed from the image. The
+    /// only error is an inline value that is not UTF-8.
+    pub fn value(&self, i: usize) -> Result<ValueView<'_>> {
+        let s = &self.slots[i];
+        let at = s.val as usize;
+        Ok(match s.tag {
+            TAG_NONE => ValueView::None,
+            TAG_INLINE => ValueView::Inline(
+                std::str::from_utf8(&self.image[at..at + usize::from(s.val_len)])
+                    .map_err(|_| bad("non-UTF8 value"))?,
+            ),
+            TAG_OVERFLOW => {
+                let (offset, len) = match self.format {
+                    StoreFormat::V1 => (
+                        u64::from_le_bytes(self.image[at..at + 8].try_into().expect("8 bytes")),
+                        u32::from_le_bytes(
+                            self.image[at + 8..at + 12].try_into().expect("4 bytes"),
+                        ),
+                    ),
+                    StoreFormat::V2 => {
+                        let (offset, n) = read_varint(&self.image[at..])?;
+                        let (len, _) = read_varint(&self.image[at + n..])?;
+                        (offset, len as u32) // range-checked by `decode`
+                    }
+                };
+                ValueView::Overflow { offset, len }
+            }
+            _ => ValueView::Dict(s.val),
+        })
+    }
+
+    /// Record `i` as an owned [`NodeRecord`].
+    pub fn record(&self, i: usize) -> Result<NodeRecord> {
+        Ok(NodeRecord {
+            key: FlexKey::from_flat_slice(self.key(i)),
+            kind: self.kind(i),
+            name: self.name(i),
+            value: self.value(i)?.into_owned(),
+        })
+    }
+
+    /// Every record, owned, in key order.
+    pub fn to_records(&self) -> Result<Vec<NodeRecord>> {
+        (0..self.len()).map(|i| self.record(i)).collect()
+    }
+
+    /// The page as an edit buffer in the same format.
+    pub fn to_buf(&self) -> Result<PageBuf> {
+        Ok(PageBuf {
+            records: self.to_records()?,
+            encoded: self.encoded,
+            format: self.format,
+        })
+    }
+
+    /// First key on the page (flat encoding).
+    pub fn first_key(&self) -> Option<&[u8]> {
+        (!self.is_empty()).then(|| self.key(0))
+    }
+
+    /// Last key on the page (flat encoding).
+    pub fn last_key(&self) -> Option<&[u8]> {
+        self.len().checked_sub(1).map(|i| self.key(i))
+    }
+
+    /// Binary search for `flat`: `Ok(i)` if present at `i`, `Err(i)` for
+    /// the insertion point.
+    pub fn find(&self, flat: &[u8]) -> std::result::Result<usize, usize> {
+        let keys = self.key_bytes();
+        self.slots.binary_search_by(|s| s.key(keys).cmp(flat))
+    }
+
+    /// Index of the first record in `range` whose key fails `pred`
+    /// (`range.end` if none does); `pred` must hold for a prefix of the
+    /// range, as for `slice::partition_point`.
+    pub fn partition_point(
+        &self,
+        range: Range<usize>,
+        mut pred: impl FnMut(&[u8]) -> bool,
+    ) -> usize {
+        let keys = self.key_bytes();
+        range.start + self.slots[range].partition_point(|s| pred(s.key(keys)))
+    }
+}
+
+/// A page being built or edited: owned records sorted by key, with the
+/// payload size they will encode to.
+#[derive(Debug, Clone)]
+pub struct PageBuf {
     records: Vec<NodeRecord>,
     encoded: usize,
     format: StoreFormat,
 }
 
-impl Page {
-    /// An empty v1 page.
-    pub fn new() -> Self {
-        Page::default()
-    }
-
+impl PageBuf {
     /// An empty page in `format`.
-    pub fn new_with_format(format: StoreFormat) -> Self {
-        Page {
+    pub fn new(format: StoreFormat) -> Self {
+        PageBuf {
+            records: Vec::new(),
+            encoded: 0,
             format,
-            ..Page::default()
         }
     }
 
@@ -71,17 +513,11 @@ impl Page {
     }
 
     /// Payload bytes currently used. Exact for both formats; may
-    /// transiently exceed [`PAGE_CAPACITY`] after a [`Page::remove`] on a
-    /// v2 page (removing a record can lengthen its successor's
+    /// transiently exceed [`PAGE_CAPACITY`] after a [`PageBuf::remove`] on
+    /// a v2 page (removing a record can lengthen its successor's
     /// front-coding) — callers split before writing out.
     pub fn encoded_size(&self) -> usize {
         self.encoded
-    }
-
-    /// True if a record of `len` encoded bytes still fits. V1 accounting;
-    /// prefer [`Page::fits_record`], which is format-exact.
-    pub fn fits(&self, len: usize) -> bool {
-        self.encoded + len <= PAGE_CAPACITY
     }
 
     /// True when the page payload exceeds capacity (possible only after
@@ -189,7 +625,7 @@ impl Page {
 
     /// Removes the record at `idx`, returning it. On v2 pages the
     /// successor's front-coding can lengthen, so `encoded_size` may grow
-    /// past capacity — check [`Page::overflowed`] before write-out.
+    /// past capacity — check [`PageBuf::overflowed`] before write-out.
     pub fn remove(&mut self, idx: usize) -> NodeRecord {
         let prev_idx = idx.checked_sub(1);
         let own = self.cost_after(&self.records[idx], prev_idx) as isize;
@@ -227,7 +663,7 @@ impl Page {
 
     /// Splits the page in half (by payload bytes), returning the upper
     /// half as a new page in the same format.
-    pub fn split(&mut self) -> Page {
+    pub fn split(&mut self) -> PageBuf {
         let target = self.encoded / 2;
         let mut acc = 0usize;
         let mut cut = self.records.len();
@@ -239,7 +675,7 @@ impl Page {
             }
         }
         let upper_records: Vec<NodeRecord> = self.records.split_off(cut);
-        let mut upper = Page {
+        let mut upper = PageBuf {
             records: upper_records,
             encoded: 0,
             format: self.format,
@@ -298,59 +734,6 @@ impl Page {
     pub fn encode(&self) -> Result<Vec<u8>> {
         Ok(self.encode_with_format()?.0)
     }
-
-    /// Decodes a disk image; the page remembers the image's format.
-    pub fn decode(bytes: &[u8], page_id: u32) -> Result<Page> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(MassError::CorruptPage {
-                page: page_id,
-                reason: format!("bad length {}", bytes.len()),
-            });
-        }
-        let magic = u16::from_le_bytes([bytes[0], bytes[1]]);
-        let format = match magic {
-            MAGIC => StoreFormat::V1,
-            MAGIC_V2 => StoreFormat::V2,
-            _ => {
-                // An all-zero header is a page that was allocated (backends
-                // zero-extend eagerly) but never written — e.g. a crash
-                // between a split's allocation and its first write-out.
-                // Decode it as empty so recovery can reclaim it.
-                if bytes[..PAGE_HEADER].iter().all(|&b| b == 0) {
-                    return Ok(Page::default());
-                }
-                return Err(MassError::CorruptPage {
-                    page: page_id,
-                    reason: "bad magic".into(),
-                });
-            }
-        };
-        let count = u16::from_le_bytes([bytes[2], bytes[3]]) as usize;
-        let mut records: Vec<NodeRecord> = Vec::with_capacity(count);
-        let mut at = PAGE_HEADER;
-        let mut encoded = 0usize;
-        for _ in 0..count {
-            let (rec, used) = match format {
-                StoreFormat::V1 => NodeRecord::decode(&bytes[at..]),
-                StoreFormat::V2 => {
-                    let prev = records.last().map(|r: &NodeRecord| r.key.as_flat());
-                    v2_decode_record(&bytes[at..], prev)
-                }
-            }
-            .map_err(|e| MassError::CorruptPage {
-                page: page_id,
-                reason: e.to_string(),
-            })?;
-            at += used;
-            encoded += used;
-            records.push(rec);
-        }
-        Ok(Page {
-            records,
-            encoded,
-            format,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -374,30 +757,30 @@ mod tests {
 
     #[test]
     fn append_and_encode_round_trip() {
-        let mut p = Page::new();
+        let mut p = PageBuf::new(StoreFormat::V1);
         for i in 0..20 {
             p.append(rec(i)).unwrap();
         }
         let img = p.encode().unwrap();
         assert_eq!(img.len(), PAGE_SIZE);
-        let back = Page::decode(&img, 0).unwrap();
+        let back = Page::decode(img, 0).unwrap();
         assert_eq!(back.len(), 20);
-        assert_eq!(back.records(), p.records());
+        assert_eq!(back.to_records().unwrap(), p.records());
         assert_eq!(back.encoded_size(), p.encoded_size());
     }
 
     #[test]
     fn v2_round_trip_preserves_records_and_accounting() {
         for fmt in [StoreFormat::V1, StoreFormat::V2] {
-            let mut p = Page::new_with_format(fmt);
+            let mut p = PageBuf::new(fmt);
             for i in 0..40 {
                 p.append(deep_rec(&[0, 1, 2, i])).unwrap();
             }
             let (img, written) = p.encode_with_format().unwrap();
             assert_eq!(written, fmt);
-            let back = Page::decode(&img, 0).unwrap();
+            let back = Page::decode(img, 0).unwrap();
             assert_eq!(back.format(), fmt);
-            assert_eq!(back.records(), p.records());
+            assert_eq!(back.to_records().unwrap(), p.records());
             assert_eq!(back.encoded_size(), p.encoded_size());
         }
     }
@@ -405,7 +788,7 @@ mod tests {
     #[test]
     fn v2_packs_more_records_than_v1() {
         let fill = |fmt| {
-            let mut p = Page::new_with_format(fmt);
+            let mut p = PageBuf::new(fmt);
             let mut i = 0u64;
             loop {
                 let r = deep_rec(&[0, 1, 2, 3, i]);
@@ -427,7 +810,7 @@ mod tests {
 
     #[test]
     fn v2_insert_and_remove_keep_exact_accounting() {
-        let mut p = Page::new_with_format(StoreFormat::V2);
+        let mut p = PageBuf::new(StoreFormat::V2);
         for i in (0..60).step_by(2) {
             p.append(deep_rec(&[0, 1, i])).unwrap();
         }
@@ -439,14 +822,14 @@ mod tests {
         check.recompute();
         assert_eq!(p.encoded_size(), check.encoded_size());
         // And the image round-trips.
-        let back = Page::decode(&p.encode().unwrap(), 0).unwrap();
-        assert_eq!(back.records(), p.records());
+        let back = Page::decode(p.encode().unwrap(), 0).unwrap();
+        assert_eq!(back.to_records().unwrap(), p.records());
         assert_eq!(back.encoded_size(), p.encoded_size());
     }
 
     #[test]
     fn v2_split_recomputes_both_halves() {
-        let mut p = Page::new_with_format(StoreFormat::V2);
+        let mut p = PageBuf::new(StoreFormat::V2);
         for i in 0..300 {
             p.append(deep_rec(&[0, 1, 2, i])).unwrap();
         }
@@ -464,7 +847,7 @@ mod tests {
     #[test]
     fn dict_values_round_trip_in_both_formats() {
         for fmt in [StoreFormat::V1, StoreFormat::V2] {
-            let mut p = Page::new_with_format(fmt);
+            let mut p = PageBuf::new(fmt);
             p.append(NodeRecord {
                 key: FlexKey::root().child(&seq_label(0)),
                 kind: crate::record::RecordKind::Text,
@@ -472,14 +855,14 @@ mod tests {
                 value: ValueRef::Dict(12345),
             })
             .unwrap();
-            let back = Page::decode(&p.encode().unwrap(), 0).unwrap();
-            assert_eq!(back.records()[0].value, ValueRef::Dict(12345));
+            let back = Page::decode(p.encode().unwrap(), 0).unwrap();
+            assert_eq!(back.value(0).unwrap(), ValueView::Dict(12345));
         }
     }
 
     #[test]
     fn find_locates_keys() {
-        let mut p = Page::new();
+        let mut p = PageBuf::new(StoreFormat::V1);
         for i in (0..30).step_by(3) {
             p.append(rec(i)).unwrap();
         }
@@ -490,7 +873,7 @@ mod tests {
 
     #[test]
     fn insert_keeps_order() {
-        let mut p = Page::new();
+        let mut p = PageBuf::new(StoreFormat::V1);
         p.append(rec(0)).unwrap();
         p.append(rec(10)).unwrap();
         p.insert(rec(5)).unwrap();
@@ -500,14 +883,14 @@ mod tests {
 
     #[test]
     fn duplicate_insert_rejected() {
-        let mut p = Page::new();
+        let mut p = PageBuf::new(StoreFormat::V1);
         p.append(rec(1)).unwrap();
         assert!(p.insert(rec(1)).is_err());
     }
 
     #[test]
     fn remove_updates_size() {
-        let mut p = Page::new();
+        let mut p = PageBuf::new(StoreFormat::V1);
         p.append(rec(0)).unwrap();
         p.append(rec(1)).unwrap();
         let before = p.encoded_size();
@@ -519,7 +902,7 @@ mod tests {
     #[test]
     fn page_rejects_overflow() {
         for fmt in [StoreFormat::V1, StoreFormat::V2] {
-            let mut p = Page::new_with_format(fmt);
+            let mut p = PageBuf::new(fmt);
             let mut i = 0;
             loop {
                 let r = rec(i);
@@ -537,7 +920,7 @@ mod tests {
 
     #[test]
     fn split_halves_payload() {
-        let mut p = Page::new();
+        let mut p = PageBuf::new(StoreFormat::V1);
         for i in 0..200 {
             p.append(rec(i)).unwrap();
         }
@@ -557,15 +940,15 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Page::decode(&[0u8; 16], 0).is_err());
-        let mut img = Page::new().encode().unwrap();
+        assert!(Page::decode(vec![0u8; 16], 0).is_err());
+        let mut img = PageBuf::new(StoreFormat::V1).encode().unwrap();
         img[0] = 0xFF;
-        assert!(Page::decode(&img, 3).is_err());
+        assert!(Page::decode(img, 3).is_err());
     }
 
     #[test]
     fn empty_page_has_no_keys() {
-        let p = Page::new();
+        let p = PageBuf::new(StoreFormat::V1);
         assert_eq!(p.first_key(), None);
         assert_eq!(p.last_key(), None);
         assert!(p.is_empty());

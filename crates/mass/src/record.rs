@@ -24,7 +24,7 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
-    fn from_u8(b: u8) -> Result<Self> {
+    pub(crate) fn from_u8(b: u8) -> Result<Self> {
         Ok(match b {
             0 => RecordKind::Document,
             1 => RecordKind::Element,
@@ -55,7 +55,56 @@ pub enum ValueRef {
     Dict(u32),
 }
 
-/// One stored node.
+impl ValueRef {
+    /// The same reference with an inline value borrowed, not owned.
+    pub fn view(&self) -> ValueView<'_> {
+        match self {
+            ValueRef::None => ValueView::None,
+            ValueRef::Inline(s) => ValueView::Inline(s),
+            ValueRef::Overflow { offset, len } => ValueView::Overflow {
+                offset: *offset,
+                len: *len,
+            },
+            ValueRef::Dict(id) => ValueView::Dict(*id),
+        }
+    }
+}
+
+/// A [`ValueRef`] whose inline value is borrowed — from the page image
+/// it lies in ([`crate::page::Page::value`]) or from an owned record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueView<'a> {
+    /// No value (elements, documents).
+    None,
+    /// Short value, read in place.
+    Inline(&'a str),
+    /// Long value in the overflow blob heap: (offset, byte length).
+    Overflow {
+        /// Byte offset of the blob in the overflow heap.
+        offset: u64,
+        /// Byte length of the blob.
+        len: u32,
+    },
+    /// Hot value interned in the store's [`crate::compress::ValueDict`].
+    Dict(u32),
+}
+
+impl ValueView<'_> {
+    /// The owned form, copying an inline value.
+    pub fn into_owned(self) -> ValueRef {
+        match self {
+            ValueView::None => ValueRef::None,
+            ValueView::Inline(s) => ValueRef::Inline(s.into()),
+            ValueView::Overflow { offset, len } => ValueRef::Overflow { offset, len },
+            ValueView::Dict(id) => ValueRef::Dict(id),
+        }
+    }
+}
+
+/// One stored node, owned: what [`crate::MassStore::get`] returns and
+/// what the loader, the WAL and the update path build and edit. Scans
+/// read records in place through [`crate::page::Page`]'s accessors and
+/// never construct one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeRecord {
     /// Structural key; also the clustering key.
@@ -149,6 +198,11 @@ impl NodeRecord {
     }
 
     /// Decodes one record from `buf`, returning it and the bytes consumed.
+    ///
+    /// Not on the read path: pages build a slot table over their image
+    /// instead ([`crate::page::Page::decode`]). This stays as the
+    /// record-level codec and as the reference that decode is tested
+    /// against.
     pub fn decode(buf: &[u8]) -> Result<(NodeRecord, usize)> {
         let need = |n: usize, at: usize| -> Result<()> {
             if buf.len() < at + n {

@@ -16,9 +16,9 @@ use crate::compress::{StoreFormat, ValueDict};
 use crate::error::{MassError, Result};
 use crate::name_index::{NameIndex, SortedKeys};
 use crate::names::{NameId, NameTable};
-use crate::page::Page;
+use crate::page::PageBuf;
 use crate::pager::{FilePager, MemoryPager, PageStore};
-use crate::record::{NodeRecord, RecordKind, ValueRef};
+use crate::record::{NodeRecord, RecordKind, ValueRef, ValueView};
 use crate::stats::StoreStats;
 use crate::value_index::{RangeOp, ValueIndex};
 use crate::wal::{FileWalBackend, FsyncPolicy, Wal, WalBackend, WalRecord, WalStats};
@@ -353,7 +353,7 @@ impl MassStore {
         };
         let page = self.pool.get(self.index[pos].1)?;
         match page.find(flat) {
-            Ok(i) => Ok(Some(page.records()[i].clone())),
+            Ok(i) => page.record(i).map(Some),
             Err(_) => Ok(None),
         }
     }
@@ -364,7 +364,7 @@ impl MassStore {
     }
 
     /// Point lookup returning a lightweight entry (key/kind/name) without
-    /// cloning the record's value — the hot path for parent/ancestor
+    /// looking at the record's value — the hot path for parent/ancestor
     /// navigation, which never needs values.
     pub fn get_entry(&self, key: &FlexKey) -> Result<Option<crate::axes::NodeEntry>> {
         let flat = key.as_flat();
@@ -373,57 +373,73 @@ impl MassStore {
         };
         let page = self.pool.get(self.index[pos].1)?;
         match page.find(flat) {
-            Ok(i) => {
-                let rec = &page.records()[i];
-                Ok(Some(crate::axes::NodeEntry {
-                    key: rec.key.clone(),
-                    kind: rec.kind,
-                    name: rec.name,
-                }))
-            }
+            Ok(i) => Ok(Some(crate::axes::NodeEntry {
+                key: key.clone(),
+                kind: page.kind(i),
+                name: page.name(i),
+            })),
             Err(_) => Ok(None),
         }
     }
 
+    /// Appends a value to `out`, following overflow and dictionary
+    /// references (one lookup each; an inline value is copied straight
+    /// from where it lies). Returns `false` for [`ValueView::None`].
+    pub(crate) fn append_value(&self, value: ValueView<'_>, out: &mut String) -> Result<bool> {
+        match value {
+            ValueView::None => return Ok(false),
+            ValueView::Inline(s) => out.push_str(s),
+            ValueView::Overflow { offset, len } => {
+                let bytes = self.pool.read_blob(offset, len)?;
+                out.push_str(
+                    std::str::from_utf8(&bytes)
+                        .map_err(|_| MassError::CorruptRecord("non-UTF8 overflow value".into()))?,
+                );
+            }
+            ValueView::Dict(id) => out.push_str(
+                self.dict
+                    .resolve(id)
+                    .ok_or_else(|| MassError::CorruptRecord(format!("dangling dict id {id}")))?,
+            ),
+        }
+        Ok(true)
+    }
+
     /// Resolves a record's value, following overflow references.
     pub fn resolve_value(&self, rec: &NodeRecord) -> Result<Option<String>> {
-        match &rec.value {
-            ValueRef::None => Ok(None),
-            ValueRef::Inline(s) => Ok(Some(s.to_string())),
-            ValueRef::Overflow { offset, len } => {
-                let bytes = self.pool.read_blob(*offset, *len)?;
-                String::from_utf8(bytes)
-                    .map(Some)
-                    .map_err(|_| MassError::CorruptRecord("non-UTF8 overflow value".into()))
-            }
-            ValueRef::Dict(id) => match self.dict.resolve(*id) {
-                Some(s) => Ok(Some(s.to_string())),
-                None => Err(MassError::CorruptRecord(format!("dangling dict id {id}"))),
-            },
-        }
+        let mut out = String::new();
+        Ok(self
+            .append_value(rec.value.view(), &mut out)?
+            .then_some(out))
     }
 
     /// XPath string-value of the node at `key`: direct value for leaves,
-    /// concatenated descendant text for elements/documents.
+    /// concatenated descendant text for elements/documents. Values are
+    /// appended from the pages they lie on; no record is materialized.
     pub fn string_value(&self, key: &FlexKey) -> Result<String> {
-        let Some(rec) = self.get(key)? else {
-            return Ok(String::new());
+        let mut out = String::new();
+        let flat = key.as_flat();
+        let Some(pos) = self.page_pos_for(flat) else {
+            return Ok(out);
         };
-        match rec.kind {
+        let page = self.pool.get(self.index[pos].1)?;
+        let Ok(i) = page.find(flat) else {
+            return Ok(out);
+        };
+        match page.kind(i) {
             RecordKind::Element | RecordKind::Document => {
-                let mut out = String::new();
                 let mut cur = crate::cursor::MassCursor::new(self, KeyRange::descendants(key));
-                while let Some(r) = cur.next()? {
-                    if r.kind == RecordKind::Text {
-                        if let Some(v) = self.resolve_value(&r)? {
-                            out.push_str(&v);
-                        }
+                while let Some((page, i)) = cur.next_in_place()? {
+                    if page.kind(i) == RecordKind::Text {
+                        self.append_value(page.value(i)?, &mut out)?;
                     }
                 }
-                Ok(out)
             }
-            _ => Ok(self.resolve_value(&rec)?.unwrap_or_default()),
+            _ => {
+                self.append_value(page.value(i)?, &mut out)?;
+            }
         }
+        Ok(out)
     }
 
     // ---- counting (the cost-model API) -----------------------------------
@@ -770,7 +786,7 @@ impl MassStore {
 
     /// Writes a data page through the pool, tracking the on-disk format
     /// actually used (a v2 page can fall back to v1 — the overflow rule).
-    pub(crate) fn put_data_page(&mut self, id: u32, page: Page) -> Result<()> {
+    pub(crate) fn put_data_page(&mut self, id: u32, page: &PageBuf) -> Result<()> {
         let written = self.pool.put(id, page)?;
         self.page_formats.insert(id, written);
         Ok(())
@@ -789,14 +805,14 @@ impl MassStore {
     /// front-coding. Returns the number of index entries added, so
     /// callers iterating the index can skip the new pages (their records
     /// were already examined).
-    pub(crate) fn put_page_at(&mut self, pos: usize, page: Page) -> Result<usize> {
+    pub(crate) fn put_page_at(&mut self, pos: usize, page: PageBuf) -> Result<usize> {
         let page_id = self.index[pos].1;
         if !page.overflowed() {
-            self.put_data_page(page_id, page)?;
+            self.put_data_page(page_id, &page)?;
             return Ok(0);
         }
         let mut parts = vec![page];
-        while let Some(i) = parts.iter().position(Page::overflowed) {
+        while let Some(i) = parts.iter().position(PageBuf::overflowed) {
             let upper = parts[i].split();
             parts.insert(i + 1, upper);
         }
@@ -814,15 +830,15 @@ impl MassStore {
                 .ok_or_else(|| MassError::InvalidUpdate("split produced empty page".into()))?
                 .to_vec();
             let id = self.allocate_page()?;
-            self.put_data_page(id, part)?;
+            self.put_data_page(id, &part)?;
             entries.push((first, id));
         }
         if lower.is_empty() {
             // Cannot happen (split never empties the lower half), but
             // keep the index consistent if it ever did.
-            lower = Page::new_with_format(self.format);
+            lower = PageBuf::new(self.format);
         }
-        self.put_data_page(page_id, lower)?;
+        self.put_data_page(page_id, &lower)?;
         let added = entries.len();
         for (i, e) in entries.into_iter().enumerate() {
             self.index.insert(pos + 1 + i, e);
@@ -837,9 +853,9 @@ impl MassStore {
         let flat = rec.key.as_flat().to_vec();
         if self.index.is_empty() {
             let id = self.allocate_page()?;
-            let mut page = Page::new_with_format(self.format);
+            let mut page = PageBuf::new(self.format);
             page.append(rec)?;
-            self.put_data_page(id, page)?;
+            self.put_data_page(id, &page)?;
             self.index.push((flat, id));
             return Ok(());
         }
@@ -852,10 +868,10 @@ impl MassStore {
             }
         };
         let page_id = self.index[pos].1;
-        let mut page = (*self.pool.get(page_id)?).clone();
+        let mut page = self.pool.get(page_id)?.to_buf()?;
         if page.fits_record(&rec) {
             page.insert(rec)?;
-            self.put_data_page(page_id, page)?;
+            self.put_data_page(page_id, &page)?;
         } else {
             let mut upper = page.split();
             let upper_first = upper
@@ -872,8 +888,8 @@ impl MassStore {
             // crash between the two leaves duplicated records (the old
             // image plus the upper copy), which recovery repairs, rather
             // than losing the upper half outright.
-            self.put_data_page(new_id, upper)?;
-            self.put_data_page(page_id, page)?;
+            self.put_data_page(new_id, &upper)?;
+            self.put_data_page(page_id, &page)?;
             self.index.insert(pos + 1, (upper_first, new_id));
         }
         Ok(())
@@ -925,11 +941,8 @@ impl MassStore {
                 None => page.len(),
             };
             if idx > 0 {
-                let rec = &page.records()[idx - 1];
-                if rec.key.as_flat() >= range.lo.as_slice() {
-                    return Ok(Some(rec.key.clone()));
-                }
-                return Ok(None);
+                let last = page.key(idx - 1);
+                return Ok((last >= range.lo.as_slice()).then(|| FlexKey::from_flat_slice(last)));
             }
         }
         Ok(None)
@@ -955,7 +968,9 @@ impl MassStore {
                 hi: bound,
             },
         );
-        Ok(cursor.next()?.map(|r| r.key))
+        Ok(cursor
+            .next_in_place()?
+            .map(|(page, i)| FlexKey::from_flat_slice(page.key(i))))
     }
 
     /// Applies one logical WAL record to the store. On the live path
@@ -1287,7 +1302,7 @@ impl MassStore {
                 }
             }
             let page_id = self.index[pos].1;
-            let mut page = (*self.pool.get(page_id)?).clone();
+            let mut page = self.pool.get(page_id)?.to_buf()?;
             let mut i = 0;
             let mut touched = false;
             while i < page.len() {
@@ -1304,7 +1319,7 @@ impl MassStore {
             if touched {
                 if page.is_empty() {
                     dead_pages.push(pos);
-                    self.put_data_page(page_id, page)?;
+                    self.put_data_page(page_id, &page)?;
                 } else {
                     self.index[pos].0 = page.first_key().expect("non-empty").to_vec();
                     // Removing records can *grow* a v2 page (the

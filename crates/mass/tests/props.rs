@@ -97,7 +97,7 @@ proptest! {
         sorted.sort_by(|a, b| a.key.as_flat().cmp(b.key.as_flat()));
         sorted.dedup_by(|a, b| a.key.as_flat() == b.key.as_flat());
         for format in [vamana_mass::StoreFormat::V1, vamana_mass::StoreFormat::V2] {
-            let mut page = vamana_mass::page::Page::new_with_format(format);
+            let mut page = vamana_mass::page::PageBuf::new(format);
             let mut kept = Vec::new();
             for rec in &sorted {
                 if page.fits_record(rec) {
@@ -108,9 +108,9 @@ proptest! {
             let (bytes, written) = page.encode_with_format().unwrap();
             prop_assert_eq!(written, format, "no fallback expected for fitting pages");
             prop_assert!(bytes.len() <= vamana_mass::page::PAGE_SIZE);
-            let back = vamana_mass::page::Page::decode(&bytes, 0).unwrap();
+            let back = vamana_mass::page::Page::decode(bytes, 0).unwrap();
             prop_assert_eq!(back.format(), format);
-            prop_assert_eq!(back.records(), kept.as_slice());
+            prop_assert_eq!(back.to_records().unwrap(), kept);
         }
     }
 }

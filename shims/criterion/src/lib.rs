@@ -2,8 +2,9 @@
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! ships a minimal bench harness with criterion's surface: benchmark
-//! groups, `bench_function` / `bench_with_input`, `sample_size`, and the
-//! `criterion_group!` / `criterion_main!` macros. Measurement is plain
+//! groups, `bench_function` / `bench_with_input`, `sample_size`,
+//! `throughput` (elements only), and the `criterion_group!` /
+//! `criterion_main!` macros. Measurement is plain
 //! wall-clock timing — a warm-up pass, then `sample_size` timed samples;
 //! it reports min/mean per iteration to stdout with none of criterion's
 //! statistics, plots, or outlier analysis.
@@ -67,10 +68,18 @@ impl Bencher {
     }
 }
 
+/// How much work one iteration does, for per-unit reporting.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// One iteration processes this many elements.
+    Elements(u64),
+}
+
 /// A named group of benchmarks sharing a sample size.
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
     _criterion: &'a mut Criterion,
 }
 
@@ -81,6 +90,13 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Declares the work per iteration of the benchmarks that follow;
+    /// their report gains a per-element time.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     fn run(&mut self, id: String, f: impl FnOnce(&mut Bencher)) {
         let mut b = Bencher {
             samples: self.sample_size,
@@ -88,10 +104,22 @@ impl BenchmarkGroup<'_> {
             mean: Duration::ZERO,
         };
         f(&mut b);
+        let per_element = |t: Duration| match self.throughput {
+            Some(Throughput::Elements(n)) if n > 0 => {
+                format!(" ({:.1} ns/elem)", t.as_nanos() as f64 / n as f64)
+            }
+            _ => String::new(),
+        };
         match b.best {
             Some(best) => println!(
-                "{}/{}: best {:.2?}, mean {:.2?} over {} samples",
-                self.name, id, best, b.mean, b.samples
+                "{}/{}: best {:.2?}{}, mean {:.2?}{} over {} samples",
+                self.name,
+                id,
+                best,
+                per_element(best),
+                b.mean,
+                per_element(b.mean),
+                b.samples
             ),
             None => println!("{}/{}: no measurement (iter never called)", self.name, id),
         }
@@ -126,6 +154,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             sample_size: 20,
+            throughput: None,
             _criterion: self,
         }
     }
