@@ -47,21 +47,32 @@ pub const ROOT_QUERIES: &[(&str, &str)] = &[("R1", "//*"), ("R2", "//site"), ("R
 /// one full batch, and drain-all.
 pub const PULL_SIZES: [usize; 6] = [1, 2, 3, 7, 256, usize::MAX];
 
-/// The pipeline-order tuple sequence of `xpath` on document 0, pulled
-/// `max` tuples at a time; checks that the exhausted stream stays so.
-pub fn drain_stream(engine: &Engine, xpath: &str, max: usize) -> Vec<vamana_core::NodeEntry> {
+/// The tuple sequence of `xpath` on document 0, pulled `max` tuples at a
+/// time, and the stream it came from, exhausted (checked to stay so).
+fn drained<'e>(
+    engine: &'e Engine,
+    xpath: &str,
+    max: usize,
+) -> (Vec<vamana_core::NodeEntry>, vamana_core::QueryStream<'e>) {
     let mut stream = engine.stream(vamana_core::DocId(0), xpath).expect(xpath);
     let mut out = Vec::new();
     while stream.next_batch(&mut out, max).expect(xpath) == max {}
     assert_eq!(stream.next_batch(&mut out, max).expect(xpath), 0, "{xpath}");
-    out
+    (out, stream)
 }
 
-/// [`drain_stream`] as a node-set: document order, duplicates removed.
+/// The pipeline-order tuple sequence of `xpath` on document 0, pulled
+/// `max` tuples at a time.
+pub fn drain_stream(engine: &Engine, xpath: &str, max: usize) -> Vec<vamana_core::NodeEntry> {
+    drained(engine, xpath, max).0
+}
+
+/// [`drain_stream`] as a node-set: document order, duplicates removed —
+/// finished by the stream itself, which sorts only a sequence it does not
+/// know to be one already ([`vamana_core::QueryStream::finish`]).
 pub fn drain_stream_set(engine: &Engine, xpath: &str, max: usize) -> Vec<vamana_core::NodeEntry> {
-    let mut out = drain_stream(engine, xpath, max);
-    out.sort_by(|a, b| a.key.cmp(&b.key));
-    out.dedup_by(|a, b| a.key == b.key);
+    let (mut out, stream) = drained(engine, xpath, max);
+    stream.finish(&mut out);
     out
 }
 

@@ -151,6 +151,11 @@ pub struct Explain {
 /// A streaming query cursor: holds its plan (shared with whoever cached
 /// it) and pulls tuples through the pipelined executor on demand (see
 /// [`Engine::stream`]).
+///
+/// Tuples arrive in pipeline order. For most plans that *is* document
+/// order with no duplicates — ask [`QueryStream::in_document_order`] —
+/// and [`QueryStream::finish`] makes what was pulled a node-set either
+/// way, sorting only when it has to.
 pub struct QueryStream<'s> {
     store: &'s MassStore,
     plan: Arc<QueryPlan>,
@@ -166,11 +171,7 @@ impl<'s> QueryStream<'s> {
     fn new(engine: &'s Engine, plan: Arc<QueryPlan>, doc: DocId) -> Result<Self> {
         engine.begin_run(&plan, doc)?;
         let root_ctx = engine.doc_entry(doc)?;
-        let top = match plan.op(plan.root()) {
-            Operator::Root { child } => *child,
-            _ => Some(plan.root()),
-        };
-        let iter = match top {
+        let iter = match plan.top() {
             Some(top) => {
                 let env = Env {
                     plan: &plan,
@@ -240,6 +241,24 @@ impl<'s> QueryStream<'s> {
             self.done = true;
         }
         Ok(out.len() - start)
+    }
+
+    /// Whether everything pulled so far came in document order, each node
+    /// once: the plan emits that way ([`QueryPlan::emits_in_order`]) and
+    /// its output step has met no context that nests in the one before
+    /// ([`exec::OpIter::order_broken`]). It can turn `false` as the
+    /// stream is pulled and never turns back; what it says of an
+    /// exhausted stream is final.
+    pub fn in_document_order(&self) -> bool {
+        self.plan.emits_in_order() && !self.iter.order_broken()
+    }
+
+    /// Makes `out` — what the caller pulled from this stream — a
+    /// node-set: document order, duplicates removed
+    /// ([`exec::finish_node_set`]). A no-op when
+    /// [`QueryStream::in_document_order`].
+    pub fn finish(&self, out: &mut Vec<NodeEntry>) {
+        exec::finish_node_set(out, self.in_document_order());
     }
 
     /// The (possibly optimized) plan this stream executes.
@@ -742,7 +761,9 @@ impl Engine {
     /// threshold is met. `plan` is the optimized plan that produced
     /// `entries`; its [`QueryPlan::view_key`] is the query's identity in
     /// the cache, so a query outside the containment fragment costs one
-    /// `Option` check here. Returns `true` when this call *newly*
+    /// `Option` check here. `entries` is the finished result: a node-set,
+    /// as [`Engine::execute_plan`] returns and [`QueryStream::finish`]
+    /// leaves it. Returns `true` when this call *newly*
     /// materialized a view — callers holding compiled-plan caches should
     /// drop their entry for `xpath` so the next compilation sees the view.
     pub fn observe_result(
@@ -764,16 +785,15 @@ impl Engine {
         ) {
             return false;
         }
-        let mut sorted = entries.to_vec();
-        sorted.sort_by(|a, b| a.key.cmp(&b.key));
-        sorted.dedup_by(|a, b| a.key == b.key);
+        let mut set = entries.to_vec();
+        exec::finish_node_set(&mut set, true);
         self.views.admit(
             doc.0,
             generation,
             view_key.key.clone(),
             xpath.to_string(),
             view_key.pattern.clone(),
-            Arc::new(sorted),
+            Arc::new(set),
             views::VIEW_BUDGET_BYTES,
         )
     }
@@ -870,8 +890,9 @@ impl Engine {
     /// Opens a *streaming* cursor over `xpath` on `doc`: tuples are
     /// produced one `next()` at a time through the pipelined executor,
     /// without materializing the result set (the paper's §VII execution
-    /// model as a public API). Tuples arrive in pipeline order; duplicate
-    /// elimination and document-order sorting are the caller's choice.
+    /// model as a public API). Tuples arrive in pipeline order, which the
+    /// stream can tell from document order
+    /// ([`QueryStream::in_document_order`], [`QueryStream::finish`]).
     pub fn stream<'a>(&'a self, doc: DocId, xpath: &str) -> Result<QueryStream<'a>> {
         QueryStream::new(self, Arc::new(self.prepare(doc, xpath)?), doc)
     }
@@ -992,6 +1013,9 @@ impl Engine {
         let mut opt_trace = opt_trace;
         if let Some(verdict) = stats.parallel() {
             opt_trace.events.push(OptEvent::ParallelRun(verdict));
+        }
+        if let Some(verdict) = stats.order() {
+            opt_trace.events.push(OptEvent::OrderRun(verdict));
         }
         let buffer_after = self.store().buffer_pool().stats();
         let par = self.parallel_stats();
@@ -1196,7 +1220,8 @@ mod tests {
         while let Some(t) = stream.next().unwrap() {
             streamed.push(t);
         }
-        streamed.sort_by(|a, b| a.key.cmp(&b.key));
+        assert!(stream.in_document_order());
+        stream.finish(&mut streamed);
         assert_eq!(streamed, e.query("//person/name").unwrap());
         // Exhausted streams stay exhausted.
         assert!(stream.next().unwrap().is_none());

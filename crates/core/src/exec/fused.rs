@@ -24,7 +24,7 @@
 //! [`MassCursor::next_batch_where`], so every page the chain touches is
 //! pinned exactly once regardless of how many steps were collapsed.
 
-use super::{anchor_for, build_iter, Env, OpIter, OpState};
+use super::{anchor_for, build_iter, finish_node_set, Env, OpIter, OpState};
 use crate::error::{EngineError, Result};
 use crate::plan::{ContextSource, FusedNode, OpId, Operator, TestSpec};
 use vamana_flex::{flat_is_ancestor, Axis, FlexKey, KeyRange};
@@ -173,7 +173,11 @@ pub struct FusedIter<'s> {
     levels: Vec<LevelSpec>,
     contexts: Vec<NodeEntry>,
     ctx_pos: usize,
-    cursor: Option<MassCursor<'s>>,
+    /// The scan's one cursor, re-bound to each anchor's range in turn
+    /// (the anchors are sorted, so it moves forward only).
+    cursor: MassCursor<'s>,
+    /// `cursor` is inside an anchor's range.
+    scanning: bool,
     matcher: Matcher,
     /// Fallback for nested (overlapping) context anchors: the full
     /// result, sorted and deduplicated, served in chunks.
@@ -240,7 +244,8 @@ impl<'s> FusedIter<'s> {
             levels,
             contexts: Vec::new(),
             ctx_pos: 0,
-            cursor: None,
+            cursor: MassCursor::unbound(env.store),
+            scanning: false,
             matcher: Matcher {
                 anchor_level: 0,
                 stack: Vec::new(),
@@ -261,8 +266,7 @@ impl<'s> FusedIter<'s> {
         match self.context.take() {
             Some(mut ctx) => {
                 ctx.next_batch(env, &mut self.contexts, usize::MAX)?;
-                self.contexts.sort_by(|a, b| a.key.cmp(&b.key));
-                self.contexts.dedup_by(|a, b| a.key == b.key);
+                finish_node_set(&mut self.contexts, false);
             }
             None => self
                 .contexts
@@ -282,15 +286,14 @@ impl<'s> FusedIter<'s> {
         if nested {
             let mut all = Vec::new();
             self.fill_streaming(env, &mut all, usize::MAX)?;
-            all.sort_by(|a, b| a.key.cmp(&b.key));
-            all.dedup_by(|a, b| a.key == b.key);
+            finish_node_set(&mut all, false);
             self.materialized = Some(all);
         }
         Ok(())
     }
 
     /// Opens the scan for the next context anchor. Returns `false` when
-    /// every anchor is exhausted.
+    /// every anchor is exhausted (and lets go of the cursor's page).
     fn advance_context(&mut self, env: Env<'_, 's>) -> bool {
         while self.ctx_pos < self.contexts.len() {
             let anchor = &self.contexts[self.ctx_pos];
@@ -304,9 +307,11 @@ impl<'s> FusedIter<'s> {
                 continue;
             }
             self.matcher.reset(anchor.key.level());
-            self.cursor = Some(MassCursor::new(env.store, range));
+            self.cursor.rebound(&range);
+            self.scanning = true;
             return true;
         }
+        self.cursor.release();
         false
     }
 
@@ -370,21 +375,21 @@ impl<'s> FusedIter<'s> {
             if produced >= max {
                 return Ok(produced);
             }
-            let Some(cursor) = self.cursor.as_mut() else {
+            if !self.scanning {
                 if !self.advance_context(env) {
                     return Ok(out.len() - start);
                 }
                 continue;
-            };
+            }
             let want = max - produced;
             let store = env.store;
             let matcher = &mut self.matcher;
             let levels = &self.levels;
-            let got = cursor.next_batch_where(|rec| matcher.feed(store, levels, rec), out, want)?;
-            if got < want {
-                // Short count: this anchor's scan is exhausted.
-                self.cursor = None;
-            }
+            let got =
+                self.cursor
+                    .next_batch_where(|rec| matcher.feed(store, levels, rec), out, want)?;
+            // Short count: this anchor's scan is exhausted.
+            self.scanning = got >= want;
         }
     }
 

@@ -22,10 +22,10 @@ pub mod value;
 
 use crate::error::{EngineError, Result};
 use crate::plan::{ArithOp, BinOp, ContextSource, OpId, Operator, QueryPlan, TestSpec};
-use stats::ExecStats;
+use stats::{ExecStats, OrderVerdict};
 use value::Value;
 use vamana_flex::{Axis, FlexKey, KeyRange};
-use vamana_mass::axes::{axis_stream_from, AxisStream, KindFilter, NodeFilter};
+use vamana_mass::axes::{AxisStream, KindFilter, NodeFilter};
 use vamana_mass::name_index::NO_FINGER;
 use vamana_mass::{MassStore, NameId, NodeEntry, RecordKind};
 
@@ -101,8 +101,30 @@ impl<'p, 's> Env<'p, 's> {
     }
 }
 
-/// Runs `plan` to completion, returning the result node-set: sorted into
-/// document order with duplicates removed (XPath node-set semantics).
+/// Makes a tuple sequence a node-set — document order, each node once
+/// (XPath node-set semantics) — and is the one place that does.
+///
+/// `ordered` is the caller's knowledge that the sequence already is one
+/// ([`QueryPlan::emits_in_order`] and a witness that held, see
+/// [`OpIter::order_broken`]): nothing is done then, and a debug build
+/// checks the claim, so every debug test run proves it of every result
+/// it produces. Without it the sequence is sorted and deduplicated.
+pub fn finish_node_set(out: &mut Vec<NodeEntry>, ordered: bool) {
+    if ordered {
+        debug_assert!(
+            out.windows(2).all(|w| w[0].key < w[1].key),
+            "a sequence claimed to be in document order is not"
+        );
+    } else {
+        out.sort_by(|a, b| a.key.cmp(&b.key));
+        out.dedup_by(|a, b| a.key == b.key);
+    }
+}
+
+/// Runs `plan` to completion, returning the result node-set: document
+/// order, duplicates removed (XPath node-set semantics). A plan that
+/// emits in that order ([`QueryPlan::emits_in_order`]) is sorted only if
+/// its output step met contexts that nest ([`OpIter::order_broken`]).
 ///
 /// Leaf operators with [`ContextSource::OuterTuple`] anchor at `outer` —
 /// the paper's §VII hook for XQuery: "the context node could be provided
@@ -119,11 +141,7 @@ pub fn run_plan(
     outer: Option<&NodeEntry>,
     par: Option<&parallel::ParallelHooks>,
 ) -> Result<Vec<NodeEntry>> {
-    let top = match env.plan.op(env.plan.root()) {
-        Operator::Root { child } => *child,
-        _ => Some(env.plan.root()),
-    };
-    let Some(top) = top else {
+    let Some(top) = env.plan.top() else {
         return Ok(Vec::new());
     };
     let started = env.stats.map(|_| std::time::Instant::now());
@@ -136,9 +154,20 @@ pub fn run_plan(
     };
     let mut out = Vec::new();
     while iter.next_batch(env, &mut out, BATCH_SIZE)? == BATCH_SIZE {}
-    out.sort_by(|a, b| a.key.cmp(&b.key));
-    out.dedup_by(|a, b| a.key == b.key);
+    let by_construction = env.plan.emits_in_order();
+    let witness_tripped = by_construction && iter.order_broken();
+    let ordered = by_construction && !witness_tripped;
+    let pulled = out.len() as u64;
+    let sort_started = env.stats.map(|_| std::time::Instant::now());
+    finish_node_set(&mut out, ordered);
     if let Some(stats) = env.stats {
+        stats.set_order(OrderVerdict {
+            by_construction,
+            witness_tripped,
+            sorted_rows: if ordered { 0 } else { pulled },
+            duplicates: pulled - out.len() as u64,
+            sort_nanos: sort_started.map_or(0, |t| t.elapsed().as_nanos() as u64),
+        });
         // The root operator's actuals are the run's: post-dedup output
         // cardinality and the whole run's wall time. Guarded so a plan
         // whose root *is* the top step does not double-count.
@@ -169,8 +198,8 @@ pub enum OpIter<'s> {
     /// top under set semantics). Carries its plan [`OpId`] so analyze
     /// runs can attribute the merged output.
     Union(OpId, Box<OpIter<'s>>, Box<OpIter<'s>>),
-    /// Value semi-join (algebra completeness): yields left tuples whose
-    /// string value matches some right tuple under the condition.
+    /// Tuples already in hand: a value semi-join's or a filter's output,
+    /// or the context list the parallel gate sized and kept serial.
     Join(std::vec::IntoIter<NodeEntry>),
     /// Morsel-parallel scan with ordered merge: the calling thread scans
     /// through this borrow, pool workers through `Arc` clones of the store.
@@ -204,6 +233,7 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
                 None => OpIter::Anchor(Some(anchor_for(env, *source, outer))),
             };
             Ok(OpIter::Step(Box::new(StepIter::new(
+                env.store,
                 id,
                 *axis,
                 // Resolve the node test once — an unknown name means the
@@ -299,8 +329,7 @@ fn drain<'s>(env: Env<'_, 's>, mut iter: OpIter<'s>) -> Result<Vec<NodeEntry>> {
 /// Drains `iter` into a node-set: document order, duplicates removed.
 fn drain_set<'s>(env: Env<'_, 's>, iter: OpIter<'s>) -> Result<Vec<NodeEntry>> {
     let mut nodes = drain(env, iter)?;
-    nodes.sort_by(|a, b| a.key.cmp(&b.key));
-    nodes.dedup_by(|a, b| a.key == b.key);
+    finish_node_set(&mut nodes, false);
     Ok(nodes)
 }
 
@@ -312,6 +341,33 @@ fn anchor_for(env: Env<'_, '_>, source: ContextSource, outer: Option<&NodeEntry>
 }
 
 impl<'s> OpIter<'s> {
+    /// The run-time half of [`QueryPlan::emits_in_order`], asked of the
+    /// plan's output cursor once it is drained (or of what it has yielded
+    /// so far): whether that is *not* one strictly ascending sequence
+    /// after all.
+    ///
+    /// A downward step's output lies in its contexts' subtrees, so it
+    /// ascends exactly when the contexts arrive one whole subtree after
+    /// another — a fact about the data (`a` inside `a`) and about
+    /// whatever produced the contexts, which no plan shape settles. The
+    /// step's stream watches for it as it is re-opened
+    /// ([`AxisStream::nested`]); a fanned-out scan checked its context
+    /// list when it was cut. Nothing below the output step needs asking:
+    /// disorder there either shows in the contexts it hands up or does
+    /// not reach the output.
+    pub fn order_broken(&self) -> bool {
+        match self {
+            OpIter::Step(s) => s.stream.as_ref().is_some_and(AxisStream::nested),
+            OpIter::Parallel(p) => p.order_broken,
+            // One anchor; a set kept sorted; a scan that sorts its anchors
+            // (and settles nested ones itself); a leaf's index run.
+            OpIter::Anchor(_) | OpIter::View { .. } | OpIter::Fused(_) | OpIter::ValueStep(_) => {
+                false
+            }
+            OpIter::Union(..) | OpIter::Join(_) => true,
+        }
+    }
+
     /// Pulls up to `max` tuples into `out`, returning how many were
     /// appended. A short (or zero) count means the operator is exhausted.
     pub fn next_batch(
@@ -393,9 +449,6 @@ pub struct StepIter<'s> {
     /// The plan operator this cursor executes (analyze attribution).
     op: OpId,
     axis: Axis,
-    /// Node test resolved once at build time; `None` means the name does
-    /// not occur in the store, so the step is provably empty.
-    filter: Option<NodeFilter>,
     predicates: Vec<OpId>,
     context: OpIter<'s>,
     /// Paper state machine.
@@ -404,11 +457,14 @@ pub struct StepIter<'s> {
     /// `contexts[ctx_pos - 1]` is the current one.
     contexts: Vec<NodeEntry>,
     ctx_pos: usize,
-    /// Lazy axis stream of the current context (no predicates).
+    /// The step's axis stream, re-opened on one context after another: it
+    /// is the step's finger into the posting list of its node test and
+    /// into the clustered index, and the witness of its contexts' order
+    /// ([`AxisStream`]). `None` when the node test names nothing.
     stream: Option<AxisStream<'s>>,
-    /// Where the last context's stream began in the posting list of this
-    /// step's node test — the hint the next context's probe starts from.
-    finger: usize,
+    /// Rows of the current context come straight from `stream` (no
+    /// predicates), and it may have more.
+    streaming: bool,
     /// Filtered group of the current context (predicate path).
     buffer: Vec<NodeEntry>,
     buffer_pos: usize,
@@ -419,6 +475,7 @@ pub struct StepIter<'s> {
 impl<'s> StepIter<'s> {
     /// A step cursor in its initial state over the `context` cursor.
     fn new(
+        store: &'s MassStore,
         op: OpId,
         axis: Axis,
         filter: Option<NodeFilter>,
@@ -428,14 +485,13 @@ impl<'s> StepIter<'s> {
         StepIter {
             op,
             axis,
-            filter,
             predicates,
             context,
             state: OpState::Initial,
             contexts: Vec::new(),
             ctx_pos: 0,
-            stream: None,
-            finger: NO_FINGER,
+            stream: filter.map(|filter| AxisStream::new(store, axis, filter)),
+            streaming: false,
             buffer: Vec::new(),
             buffer_pos: 0,
             probes: Probes::default(),
@@ -455,33 +511,30 @@ impl<'s> StepIter<'s> {
                 .next_batch(env, &mut self.contexts, budget.min(BATCH_SIZE))?;
             if self.contexts.is_empty() {
                 self.state = OpState::OutOfTuples;
+                if let Some(stream) = &mut self.stream {
+                    stream.release();
+                }
                 return Ok(false);
             }
         }
         let ctx = &self.contexts[self.ctx_pos];
         self.ctx_pos += 1;
         self.state = OpState::Fetching;
-        self.stream = None;
+        self.streaming = false;
         self.buffer.clear();
         self.buffer_pos = 0;
         // Unknown name: provably empty for every context.
-        let Some(filter) = self.filter else {
+        let Some(stream) = &mut self.stream else {
             return Ok(true);
         };
-        let stream = axis_stream_from(
-            env.store,
-            &ctx.key,
-            ctx.kind,
-            self.axis,
-            filter,
-            &mut self.finger,
-        )?;
+        stream.open(&ctx.key, ctx.kind)?;
         if self.predicates.is_empty() {
-            self.stream = Some(stream);
+            self.streaming = true;
         } else {
             // Materialize the group so position()/last() are available,
             // then filter through each predicate in order.
-            let mut group = stream.collect()?;
+            let mut group = std::mem::take(&mut self.buffer);
+            stream.next_batch(&mut group, usize::MAX)?;
             for pred in &self.predicates {
                 let reverse = self.axis.is_reverse();
                 group = apply_predicate(env, *pred, group, reverse, &mut self.probes)?;
@@ -531,7 +584,7 @@ impl<'s> StepIter<'s> {
             if want == 0 || self.state == OpState::OutOfTuples {
                 return Ok(out.len() - start);
             }
-            if let Some(stream) = &mut self.stream {
+            if let (true, Some(stream)) = (self.streaming, &mut self.stream) {
                 // A full count may leave more behind; a short one cannot
                 // (the `next_batch` contract), so the context is
                 // exhausted without another probe.

@@ -53,7 +53,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use vamana_flex::{Axis, KeyRange};
-use vamana_mass::axes::{axis_stream_from, range_scan_stream, AxisStream};
+use vamana_mass::axes::{range_scan_stream, AxisStream};
 use vamana_mass::{MassStore, NodeEntry, NodeFilter, RecordKind};
 
 /// Rows per chunk a worker hands to the caller. Every chunk but a
@@ -259,34 +259,28 @@ impl Job {
     }
 }
 
-/// A scan over one morsel: the serial pipeline's own streams, so a
+/// A scan over one morsel: the serial pipeline's own stream, so a
 /// morsel's output is exactly the serial output over its slice.
 struct MorselCursor<'s> {
-    store: &'s MassStore,
     /// Contexts of the morsel still to open (empty for a range morsel).
     rest: std::ops::Range<usize>,
-    stream: Option<AxisStream<'s>>,
-    /// This morsel's own finger into the posting list of the job's node
-    /// test (see [`axis_stream_from`]).
-    finger: usize,
+    /// The morsel's stream: a range morsel's only one; for a context
+    /// morsel, re-opened on each context in turn, so that it is this
+    /// morsel's finger as a serial step's is that step's ([`AxisStream`]).
+    stream: AxisStream<'s>,
 }
 
 impl<'s> MorselCursor<'s> {
     fn open(store: &'s MassStore, job: &Job, index: usize) -> Self {
-        let (rest, stream) = match &job.work {
-            Work::Ranges(ranges) => (
-                0..0,
-                Some(range_scan_stream(store, ranges[index].clone(), job.filter)),
-            ),
-            Work::Contexts { ctxs, per } => {
-                (index * per..((index + 1) * per).min(ctxs.len()), None)
-            }
-        };
-        MorselCursor {
-            store,
-            rest,
-            stream,
-            finger: vamana_mass::name_index::NO_FINGER,
+        match &job.work {
+            Work::Ranges(ranges) => MorselCursor {
+                rest: 0..0,
+                stream: range_scan_stream(store, ranges[index].clone(), job.filter),
+            },
+            Work::Contexts { ctxs, per } => MorselCursor {
+                rest: index * per..((index + 1) * per).min(ctxs.len()),
+                stream: AxisStream::new(store, job.axis, job.filter),
+            },
         }
     }
 
@@ -303,30 +297,18 @@ impl<'s> MorselCursor<'s> {
         let start = out.len();
         loop {
             let want = max - (out.len() - start);
-            if want == 0 {
+            // A new stream is open on nothing and yields nothing.
+            if want == 0 || self.stream.next_batch(out, want)? >= want {
                 break;
             }
-            if let Some(stream) = &mut self.stream {
-                if stream.next_batch(out, want)? >= want {
-                    break;
-                }
-                self.stream = None;
-            }
             let (Work::Contexts { ctxs, .. }, Some(k)) = (&job.work, self.rest.next()) else {
+                self.stream.release();
                 break;
             };
             if stop.load(Ordering::Relaxed) {
                 break;
             }
-            let ctx = &ctxs[k];
-            self.stream = Some(axis_stream_from(
-                self.store,
-                &ctx.key,
-                ctx.kind,
-                job.axis,
-                job.filter,
-                &mut self.finger,
-            )?);
+            self.stream.open(&ctxs[k].key, ctxs[k].kind)?;
         }
         Ok(out.len() - start)
     }
@@ -578,11 +560,15 @@ pub struct ParallelIter<'s> {
     ahead: Option<(usize, MorselCursor<'s>)>,
     /// Rest of a chunk larger than the caller's batch.
     buffer: std::vec::IntoIter<NodeEntry>,
+    /// The scan's contexts did not arrive one whole subtree after
+    /// another, so the morsels' outputs, each ascending, do not ascend
+    /// end to end (see [`crate::exec::OpIter::order_broken`]).
+    pub(crate) order_broken: bool,
 }
 
 enum Acquired<'s> {
     Chunk(Vec<NodeEntry>),
-    Own(MorselCursor<'s>),
+    Own(Box<MorselCursor<'s>>),
     Finished,
 }
 
@@ -606,6 +592,10 @@ impl<'s> ParallelIter<'s> {
         // Morsel 0 is the caller's: claimed here, before any worker wakes.
         let tickets = degree - 1;
         let own = MorselCursor::open(store, &job, 0);
+        // Morsel order is context order: the merge ascends end to end
+        // when the contexts' subtrees do (page runs of one range always).
+        let order_broken =
+            matches!(&job.work, Work::Contexts { ctxs, .. } if !subtrees_ascend(ctxs));
         let set = Arc::new(MorselSet {
             job,
             degree,
@@ -637,6 +627,7 @@ impl<'s> ParallelIter<'s> {
             own: Some(own),
             ahead: None,
             buffer: Vec::new().into_iter(),
+            order_broken,
         }
     }
 
@@ -661,7 +652,7 @@ impl<'s> ParallelIter<'s> {
                 match self.acquire()? {
                     Acquired::Chunk(mut chunk) if chunk.len() <= want => out.append(&mut chunk),
                     Acquired::Chunk(chunk) => self.buffer = chunk.into_iter(),
-                    Acquired::Own(cursor) => self.own = Some(cursor),
+                    Acquired::Own(cursor) => self.own = Some(*cursor),
                     Acquired::Finished => self.advance(),
                 }
             }
@@ -695,16 +686,16 @@ impl<'s> ParallelIter<'s> {
             // Caught up with the morsel this thread was scanning ahead:
             // the rest of it goes straight to the output.
             if let Some((_, cursor)) = self.ahead.take_if(|(index, _)| *index == self.current) {
-                return Ok(Acquired::Own(cursor));
+                return Ok(Acquired::Own(Box::new(cursor)));
             }
             if st.next == self.current {
                 st.next += 1;
                 drop(st);
-                return Ok(Acquired::Own(MorselCursor::open(
+                return Ok(Acquired::Own(Box::new(MorselCursor::open(
                     self.store,
                     &set.job,
                     self.current,
-                )));
+                ))));
             }
             if !stalled {
                 stalled = true;
@@ -800,6 +791,18 @@ fn envelope(contexts: &[NodeEntry]) -> KeyRange {
     }
 }
 
+/// Whether `contexts` arrive one whole subtree after another — what a
+/// serial step's stream watches for context by context
+/// ([`AxisStream::nested`]), asked once of a list in hand. A descendant's
+/// flat key extends its ancestor's, so a context lies after the last
+/// one's subtree when it sorts after it without carrying it as a prefix.
+fn subtrees_ascend(contexts: &[NodeEntry]) -> bool {
+    contexts.windows(2).all(|w| {
+        let (last, next) = (w[0].key.as_flat(), w[1].key.as_flat());
+        last < next && !next.starts_with(last)
+    })
+}
+
 /// Builds the cursor for the plan's parallel-eligible top step: a
 /// [`ParallelIter`] when the scan is above the break-even (or forced), the
 /// serial step over the same contexts when it is not. `None` means the
@@ -885,6 +888,7 @@ pub(crate) fn build_parallel<'s>(
         // Stays on one thread: the ordinary step, over the context list
         // already in hand.
         return Ok(Some(OpIter::Step(Box::new(StepIter::new(
+            env.store,
             top,
             *axis,
             Some(filter),

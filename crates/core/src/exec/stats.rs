@@ -28,6 +28,50 @@ use crate::plan::OpId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+/// How one run's output became a node-set: what the plan promised, what
+/// the run saw, and what the sort — if there was one — cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OrderVerdict {
+    /// The plan emits in document order by construction
+    /// ([`crate::plan::QueryPlan::emits_in_order`]).
+    pub by_construction: bool,
+    /// The output step met a context inside or before the last one's
+    /// subtree, so this run's output was sorted after all
+    /// ([`super::OpIter::order_broken`]).
+    pub witness_tripped: bool,
+    /// Rows that went into the sort; 0 when none ran.
+    pub sorted_rows: u64,
+    /// Rows the sort's dedup removed.
+    pub duplicates: u64,
+    /// Wall time of sort and dedup (of the debug check, when none ran).
+    pub sort_nanos: u64,
+}
+
+impl OrderVerdict {
+    /// Whether the output was sorted.
+    pub fn sorted(&self) -> bool {
+        !self.by_construction || self.witness_tripped
+    }
+
+    /// One line for the optimizer trace.
+    pub fn render(&self) -> String {
+        if !self.sorted() {
+            return "order at run time: by construction, witness held — no sort".to_string();
+        }
+        format!(
+            "order at run time: sorted {} row(s), {} duplicate(s) dropped, in {:.1?} ({})",
+            self.sorted_rows,
+            self.duplicates,
+            std::time::Duration::from_nanos(self.sort_nanos),
+            if self.witness_tripped {
+                "witness tripped: the output step's contexts nest"
+            } else {
+                "the plan promises no order"
+            }
+        )
+    }
+}
+
 /// Live counters for one operator (all relaxed atomics).
 #[derive(Debug, Default)]
 pub struct OpActuals {
@@ -63,6 +107,8 @@ pub struct ExecStats {
     /// What the parallel gate did with this run's output step, if the
     /// plan was eligible and the executor got as far as pricing it.
     parallel: OnceLock<ParallelVerdict>,
+    /// How the run's output was finished.
+    order: OnceLock<OrderVerdict>,
 }
 
 impl ExecStats {
@@ -71,7 +117,18 @@ impl ExecStats {
         ExecStats {
             ops: (0..len).map(|_| OpActuals::default()).collect(),
             parallel: OnceLock::new(),
+            order: OnceLock::new(),
         }
+    }
+
+    /// Records how the run's output became a node-set.
+    pub fn set_order(&self, verdict: OrderVerdict) {
+        let _ = self.order.set(verdict);
+    }
+
+    /// How the run's output became a node-set, once it has.
+    pub fn order(&self) -> Option<OrderVerdict> {
+        self.order.get().copied()
     }
 
     /// Records the run-time verdict of the parallel gate (first one wins;

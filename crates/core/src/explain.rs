@@ -384,6 +384,20 @@ impl Analysis {
                         escape_json(v.reason)
                     );
                 }
+                OptEvent::OrderRun(v) => {
+                    let _ = write!(
+                        s,
+                        "{{\"event\":\"order-run\",\"by_construction\":{},\
+                         \"witness_tripped\":{},\"sorted\":{},\"sorted_rows\":{},\
+                         \"duplicates\":{},\"sort_nanos\":{}}}",
+                        v.by_construction,
+                        v.witness_tripped,
+                        v.sorted(),
+                        v.sorted_rows,
+                        v.duplicates,
+                        v.sort_nanos
+                    );
+                }
             }
         }
         s.push_str("]}");
@@ -450,6 +464,9 @@ fn render_node(
         actuals.and_then(|a| a.op(id)).map(|a| a.rows),
         out,
     );
+    if id == plan.root() {
+        out.push_str(display::order_note(plan));
+    }
     out.push('\n');
     match plan.op(id) {
         Operator::Step {

@@ -48,8 +48,9 @@ pub mod views;
 pub use cost::EstimateCard;
 pub use engine::{Engine, EngineOptions, Explain, QueryStream, UpdateOp, UpdateOutcome};
 pub use error::{EngineError, Result};
+pub use exec::finish_node_set;
 pub use exec::parallel::ParallelScanStats;
-pub use exec::stats::{ExecStats, ExecStatsSnapshot, OpActualsSnapshot};
+pub use exec::stats::{ExecStats, ExecStatsSnapshot, OpActualsSnapshot, OrderVerdict};
 pub use exec::value::Value;
 pub use explain::{qerror, Analysis, Misestimate};
 pub use opt::{OptEvent, OptTrace, OptimizeOutcome, OptimizerOptions, RuleDecision};

@@ -109,6 +109,10 @@ pub enum OptEvent {
     /// What the parallel gate did when an eligible plan ran (`ANALYZE`
     /// only — appended after execution).
     ParallelRun(parallel::ParallelVerdict),
+    /// How the run's output became a node-set (`ANALYZE` only — appended
+    /// after execution): by construction, or by a sort whose rows and
+    /// time are then this line's.
+    OrderRun(crate::exec::stats::OrderVerdict),
 }
 
 /// The ordered log of optimizer passes — clean-up, cost gathering, and
@@ -213,6 +217,9 @@ impl OptTrace {
                     };
                 }
                 OptEvent::ParallelRun(verdict) => {
+                    let _ = writeln!(out, "{}", verdict.render());
+                }
+                OptEvent::OrderRun(verdict) => {
                     let _ = writeln!(out, "{}", verdict.render());
                 }
             }

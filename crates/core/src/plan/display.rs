@@ -59,6 +59,16 @@ pub(crate) fn op_symbol(plan: &QueryPlan, id: OpId) -> String {
     }
 }
 
+/// What the root line says of the plan's output order
+/// ([`QueryPlan::emits_in_order`]).
+pub(crate) fn order_note(plan: &QueryPlan) -> &'static str {
+    if plan.emits_in_order() {
+        "  order: by construction"
+    } else {
+        "  order: sorted at root"
+    }
+}
+
 fn annotate(costs: Option<&PlanCosts>, id: OpId) -> String {
     let Some(costs) = costs else {
         return String::new();
@@ -100,6 +110,9 @@ fn render_node(
     }
     out.push_str(&op_symbol(plan, id));
     out.push_str(&annotate(costs, id));
+    if id == plan.root() {
+        out.push_str(order_note(plan));
+    }
     out.push('\n');
     match plan.op(id) {
         Operator::Step {

@@ -597,14 +597,53 @@ impl QueryPlan {
         }
     }
 
+    /// The plan's output operator — the top of the context path: the
+    /// root's child, or the root itself in a plan without a
+    /// [`Operator::Root`] (`None` for an empty plan).
+    pub fn top(&self) -> Option<OpId> {
+        match self.op(self.root) {
+            Operator::Root { child } => *child,
+            _ => Some(self.root),
+        }
+    }
+
+    /// Whether the plan emits a node-set as it runs — document order,
+    /// each node once — so that nothing need sort its output: the static
+    /// half of the order rule. It is a property of the output operator
+    /// alone:
+    ///
+    /// * a step on a *downward* axis (`self`, `child`, `attribute`,
+    ///   `descendant`, `descendant-or-self`, predicates or not) yields,
+    ///   per context, an ascending run inside that context's subtree; the
+    ///   runs follow each other in order whenever the contexts arrive one
+    ///   whole subtree after another. That is a fact about the data and
+    ///   about whatever produced the contexts, so the step witnesses it
+    ///   as it runs ([`crate::exec::OpIter::order_broken`]), and a plan
+    ///   whose witness trips is sorted after all;
+    /// * a view scan reads a set kept sorted, a fused scan sorts its
+    ///   anchors and emits each record once, a value or range step at
+    ///   the leaf reads one run of the value index;
+    /// * anything else — a reverse or sideways axis, a union, a join, a
+    ///   filter — promises nothing.
+    pub fn emits_in_order(&self) -> bool {
+        let Some(top) = self.top() else {
+            return true;
+        };
+        match self.op(top) {
+            Operator::Step { axis, .. } => axis.is_downward(),
+            Operator::ViewScan { .. } | Operator::FusedScan { .. } => true,
+            Operator::ValueStep { context, .. } | Operator::RangeStep { context, .. } => {
+                context.is_none()
+            }
+            _ => false,
+        }
+    }
+
     /// The context path of the plan: operator ids from the root's child
     /// down to the leaf, following context edges (paper §V-A).
     pub fn context_path(&self) -> Vec<OpId> {
         let mut out = Vec::new();
-        let mut cur = match self.op(self.root) {
-            Operator::Root { child } => *child,
-            _ => Some(self.root),
-        };
+        let mut cur = self.top();
         while let Some(id) = cur {
             out.push(id);
             cur = match self.op(id) {

@@ -57,7 +57,7 @@ fn golden_analyze_render() {
     let analysis = engine.analyze_doc(DocId(0), "//person/name").unwrap();
     let expected = "\
 optimized plan (Σ tuple volume 12, 0 rules applied), 2 rows:
-R0  [IN=2 OUT=2 δ=1.000] est=2 act=2 (err ×1.0)
+R0  [IN=2 OUT=2 δ=1.000] est=2 act=2 (err ×1.0)  order: by construction
   └─ φ3 child::name  [COUNT=2 IN=2 OUT=2 δ=1.000] est=2 act=2 (err ×1.0)
     └─ φ2 descendant::person  [COUNT=2 IN=2 OUT=2 δ=1.000] est=2 act=2 (err ×1.0)
 misestimations: none above ×1.05
@@ -79,7 +79,7 @@ misestimations: none above ×1.05
         let expected = format!(
             "\
 optimized plan (Σ tuple volume 16, 0 rules applied), 2 rows:
-R0  [IN=2 OUT=2 δ=1.000] est=2 act=2 (err ×1.0)
+R0  [IN=2 OUT=2 δ=1.000] est=2 act=2 (err ×1.0)  order: by construction
   └─ φ4 {step}  {card}
     ⟨pred⟩ ξ3  [IN=2 OUT=2 δ=1.000] est=2 act=2 (err ×1.0)
       └─ φ2 {tested}  {card}
@@ -182,4 +182,126 @@ fn profile_counters_reset_between_queries() {
     assert_eq!(small.morsels, 0, "morsels leaked into the serial query");
     assert_eq!(small.worker_batches, 0, "batches leaked");
     assert_eq!(small.merge_stalls, 0, "stalls leaked");
+}
+
+/// Where a request's time went covers the sort: EXPLAIN's root line says
+/// whether the plan emits in document order, and ANALYZE adds what the
+/// run did about it — nothing, or a sort whose rows, duplicates and time
+/// are a line of their own, in the text trace and in the JSON.
+#[test]
+fn order_is_on_the_root_line_and_the_sort_is_a_line_of_its_own() {
+    use vamana_core::OptEvent;
+    // `a` inside `a`: the contexts of `//a/b` and `//a//b` nest.
+    let mut store = MassStore::open_memory();
+    store
+        .load_xml(
+            "doc",
+            "<r><a><b/><a><b/><b/></a><b/></a><a><b/></a><c><b/></c></r>",
+        )
+        .unwrap();
+    let engine = Engine::with_options(
+        store,
+        EngineOptions {
+            view_admit_after: u32::MAX,
+            ..Default::default()
+        },
+    );
+    let order_of = |xpath: &str| {
+        let analysis = engine.analyze_doc(DocId(0), xpath).unwrap();
+        let verdict = analysis
+            .opt_trace
+            .events
+            .iter()
+            .find_map(|e| match e {
+                OptEvent::OrderRun(v) => Some(*v),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{xpath}: no order-run event"));
+        (analysis, verdict)
+    };
+
+    // In order by construction, and the witness holds: no sort.
+    let (analysis, verdict) = order_of("/r/a/b");
+    assert!(analysis
+        .render()
+        .lines()
+        .nth(1)
+        .unwrap()
+        .ends_with("order: by construction"));
+    assert!(verdict.by_construction && !verdict.witness_tripped && !verdict.sorted());
+    assert_eq!((verdict.sorted_rows, verdict.duplicates), (0, 0));
+    let trace = analysis.opt_trace.render();
+    assert!(
+        trace.contains("order at run time: by construction, witness held — no sort"),
+        "{trace}"
+    );
+    let json = analysis.render_json();
+    assert!(
+        json.contains(
+            "{\"event\":\"order-run\",\"by_construction\":true,\"witness_tripped\":false,\
+             \"sorted\":false,\"sorted_rows\":0,\"duplicates\":0,"
+        ),
+        "{json}"
+    );
+
+    // Same promise, but the contexts nest: the witness trips, the run
+    // sorts, and the duplicates it dropped are counted.
+    let (analysis, verdict) = order_of("//a//b");
+    assert!(analysis.render().contains("order: by construction"));
+    assert!(verdict.by_construction && verdict.witness_tripped && verdict.sorted());
+    assert_eq!(
+        (analysis.rows, verdict.sorted_rows, verdict.duplicates),
+        (5, 7, 2)
+    );
+    let trace = analysis.opt_trace.render();
+    assert!(
+        trace.contains("order at run time: sorted 7 row(s), 2 duplicate(s) dropped, in "),
+        "{trace}"
+    );
+    assert!(trace.contains("(witness tripped: the output step's contexts nest)"));
+    assert!(analysis.render_json().contains(
+        "\"witness_tripped\":true,\"sorted\":true,\"sorted_rows\":7,\"duplicates\":2,\"sort_nanos\":"
+    ));
+
+    // A union promises nothing: sorted at root, no witness asked.
+    let (analysis, verdict) = order_of("//a/b | //b");
+    assert!(analysis
+        .render()
+        .lines()
+        .nth(1)
+        .unwrap()
+        .ends_with("order: sorted at root"));
+    assert!(!verdict.by_construction && !verdict.witness_tripped && verdict.sorted());
+    assert_eq!(
+        (analysis.rows, verdict.sorted_rows, verdict.duplicates),
+        (6, 11, 5)
+    );
+    assert!(analysis
+        .opt_trace
+        .render()
+        .contains("(the plan promises no order)"));
+
+    // EXPLAIN says it of both plans, before anything runs.
+    let explain = engine
+        .explain(DocId(0), "//b/following-sibling::b")
+        .unwrap();
+    assert!(explain
+        .default_plan
+        .lines()
+        .next()
+        .unwrap()
+        .ends_with("order: sorted at root"));
+    assert!(explain
+        .optimized_plan
+        .lines()
+        .next()
+        .unwrap()
+        .ends_with("order: sorted at root"));
+    let explain = engine.explain(DocId(0), "//a/b").unwrap();
+    assert!(explain
+        .optimized_plan
+        .lines()
+        .next()
+        .unwrap()
+        .ends_with("order: by construction"));
 }

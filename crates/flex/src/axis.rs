@@ -68,6 +68,22 @@ impl Axis {
         )
     }
 
+    /// True for the axes that select inside the context node's own
+    /// subtree: `self`, `child`, `attribute`, `descendant` and
+    /// `descendant-or-self`. From contexts that follow each other one
+    /// whole subtree after another, what such an axis selects follows in
+    /// document order too.
+    pub fn is_downward(self) -> bool {
+        matches!(
+            self,
+            Axis::SelfAxis
+                | Axis::Child
+                | Axis::Attribute
+                | Axis::Descendant
+                | Axis::DescendantOrSelf
+        )
+    }
+
     /// The axis name as written in XPath.
     pub fn as_str(self) -> &'static str {
         match self {

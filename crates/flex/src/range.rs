@@ -70,6 +70,32 @@ impl KeyRange {
         }
     }
 
+    /// Makes `self` [`KeyRange::subtree`] of `ctx` in place, reusing both
+    /// bound buffers — a cursor opening one range per context tuple
+    /// allocates nothing after the first.
+    pub fn set_subtree(&mut self, ctx: &FlexKey) {
+        let flat = ctx.as_flat();
+        self.lo.clear();
+        self.lo.extend_from_slice(flat);
+        match flat.split_last() {
+            // The document node: every key is a descendant.
+            None => self.hi = None,
+            Some((_, stem)) => {
+                let hi = self.hi.get_or_insert_with(Vec::new);
+                hi.clear();
+                hi.extend_from_slice(stem);
+                hi.push(1);
+            }
+        }
+    }
+
+    /// Makes `self` [`KeyRange::descendants`] of `ctx` in place (see
+    /// [`KeyRange::set_subtree`]).
+    pub fn set_descendants(&mut self, ctx: &FlexKey) {
+        self.set_subtree(ctx);
+        self.lo.push(1);
+    }
+
     /// Everything after `ctx`'s subtree in document order — the
     /// `following` axis (descendants excluded by construction; ancestors
     /// sort before `ctx` so they are excluded too).
@@ -302,6 +328,18 @@ mod tests {
         assert!(r.contains(key(&[0]).as_flat()));
         assert!(r.contains(key(&[500, 3]).as_flat()));
         assert_eq!(r.hi, None);
+    }
+
+    #[test]
+    fn in_place_setters_equal_the_constructors() {
+        let mut r = KeyRange::all();
+        for path in [&[0u64, 1][..], &[], &[7], &[0, 1, 300, 2], &[]] {
+            let ctx = key(path);
+            r.set_subtree(&ctx);
+            assert_eq!(r, KeyRange::subtree(&ctx), "{path:?}");
+            r.set_descendants(&ctx);
+            assert_eq!(r, KeyRange::descendants(&ctx), "{path:?}");
+        }
     }
 
     #[test]

@@ -37,10 +37,12 @@ pub struct BufferStats {
     pub writes: u64,
     /// Pages evicted to make room.
     pub evictions: u64,
-    /// Pages pinned once by a batched scan (see
-    /// [`crate::cursor::MassCursor::next_batch`]).
+    /// Page pins under which a batched scan examined records (see
+    /// [`crate::cursor::MassCursor::next_batch`]). A cursor holds its pin
+    /// from one pull, and one context's range, to the next, so a page it
+    /// walks across many contexts is one pin.
     pub batch_pins: u64,
-    /// Per-record pool entries a batched scan avoided: records visited
+    /// Per-record pool entries a batched scan avoided: records examined
     /// beyond the first under a single pin. `pins_saved / batch_pins` is
     /// the average amortization factor.
     pub pins_saved: u64,
@@ -66,6 +68,16 @@ impl BufferStats {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+}
+
+/// Counts one page pin under which a scan examined `scanned` records
+/// ([`BufferStats::batch_pins`], [`BufferStats::pins_saved`]); a pin that
+/// examined nothing counts nothing.
+fn count_pin(stats: &mut BufferStats, scanned: u64) {
+    if scanned > 0 {
+        stats.batch_pins += 1;
+        stats.pins_saved += scanned - 1;
     }
 }
 
@@ -129,8 +141,18 @@ impl BufferPool {
     /// is correct (pages are immutable snapshots) and keeps the counters
     /// honest about actual store reads.
     pub fn get(&self, id: u32) -> Result<Arc<Page>> {
+        self.get_noting(id, 0)
+    }
+
+    /// [`BufferPool::get`] for a scan moving on to its next page: the
+    /// pin it is leaving, under which it examined `scanned` records, is
+    /// counted under the lock this request takes anyway — one shard lock
+    /// per page pinned, not two. (The shard is the new page's; counters
+    /// are only ever read summed.)
+    pub(crate) fn get_noting(&self, id: u32, scanned: u64) -> Result<Arc<Page>> {
         {
             let mut shard = lock(self.shard(id));
+            count_pin(&mut shard.stats, scanned);
             shard.clock += 1;
             let clock = shard.clock;
             if let Some((page, stamp)) = shard.cache.get_mut(&id) {
@@ -175,13 +197,10 @@ impl BufferPool {
         }
     }
 
-    /// Records one batched scan over page `id` that examined `scanned`
-    /// records under a single pin. Counted in the page's own shard so
-    /// concurrent batched scans do not serialize on one counter lock.
-    pub(crate) fn note_batch(&self, id: u32, scanned: u64) {
-        let mut shard = lock(self.shard(id));
-        shard.stats.batch_pins += 1;
-        shard.stats.pins_saved += scanned.saturating_sub(1);
+    /// Counts a scan's last pin, of page `id` — the one no later
+    /// [`BufferPool::get_noting`] carries.
+    pub(crate) fn note_pin(&self, id: u32, scanned: u64) {
+        count_pin(&mut lock(self.shard(id)).stats, scanned);
     }
 
     /// Encodes `page`, writes the image through to the store and caches

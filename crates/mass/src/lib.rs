@@ -63,9 +63,7 @@ pub mod store;
 pub mod value_index;
 pub mod wal;
 
-pub use axes::{
-    axis_stream, axis_stream_from, range_scan_stream, AxisStream, KindFilter, NodeEntry, NodeFilter,
-};
+pub use axes::{axis_stream, range_scan_stream, AxisStream, KindFilter, NodeEntry, NodeFilter};
 pub use buffer::{BufferPool, BufferStats};
 pub use compress::{StoreFormat, ValueDict};
 pub use cursor::MassCursor;

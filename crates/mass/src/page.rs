@@ -471,6 +471,39 @@ impl Page {
         let keys = self.key_bytes();
         range.start + self.slots[range].partition_point(|s| pred(s.key(keys)))
     }
+
+    /// Index of the first record with key `>= flat` (`len()` if none),
+    /// searched from a finger: `hint` is where the caller already stands.
+    /// The result is the same for every `hint`; the cost is logarithmic
+    /// in the distance from a hint at or before the answer
+    /// ([`Page::lower_bound_after`]) — a cursor re-bound to the next
+    /// context in document order lands a few records on. A key before
+    /// the hint costs a bisect of the records before it.
+    pub fn lower_bound_from(&self, hint: usize, flat: &[u8]) -> usize {
+        let from = hint.min(self.slots.len());
+        if from > 0 && self.key(from - 1) >= flat {
+            let keys = self.key_bytes();
+            return self.slots[..from - 1].partition_point(|s| s.key(keys) < flat);
+        }
+        self.lower_bound_after(from, flat)
+    }
+
+    /// [`Page::lower_bound_from`] for a caller that knows every record
+    /// before `from` sorts before `flat` (the end of a range, sought from
+    /// inside it): gallop forward, then bisect the last stride.
+    pub fn lower_bound_after(&self, from: usize, flat: &[u8]) -> usize {
+        let keys = self.key_bytes();
+        let before = |s: &Slot| s.key(keys) < flat;
+        let len = self.slots.len();
+        let mut lo = from.min(len);
+        let mut step = 1;
+        while lo + step <= len && before(&self.slots[lo + step - 1]) {
+            lo += step;
+            step *= 2;
+        }
+        let hi = (lo + step - 1).min(len);
+        lo + self.slots[lo..hi].partition_point(before)
+    }
 }
 
 /// A page being built or edited: owned records sorted by key, with the
@@ -869,6 +902,30 @@ mod tests {
         assert_eq!(p.find(rec(6).key.as_flat()), Ok(2));
         // Missing key yields the insertion point.
         assert!(p.find(rec(7).key.as_flat()).is_err());
+    }
+
+    #[test]
+    fn lower_bound_from_any_hint_is_the_plain_lower_bound() {
+        for fmt in [StoreFormat::V1, StoreFormat::V2] {
+            let mut p = PageBuf::new(fmt);
+            for i in (0..90).step_by(3) {
+                p.append(rec(i)).unwrap();
+            }
+            let page = Page::decode(p.encode().unwrap(), 0).unwrap();
+            for probe in 0..95 {
+                let flat = rec(probe).key;
+                let want = match page.find(flat.as_flat()) {
+                    Ok(i) | Err(i) => i,
+                };
+                for hint in (0..=page.len() + 2).chain([usize::MAX]) {
+                    assert_eq!(
+                        page.lower_bound_from(hint, flat.as_flat()),
+                        want,
+                        "{fmt:?}: key {probe} from hint {hint}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

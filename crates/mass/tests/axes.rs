@@ -3,7 +3,7 @@
 //! against the axis computed on the parsed `vamana-xml` document.
 
 use vamana_flex::{Axis, FlexKey, KeyRange};
-use vamana_mass::axes::{axis_stream, axis_stream_from, NodeFilter};
+use vamana_mass::axes::{axis_stream, AxisStream, NodeFilter};
 use vamana_mass::{MassStore, RecordKind};
 
 const DOC: &str = r#"<site xmlns:x="urn:x">
@@ -421,7 +421,13 @@ const PULLS: [usize; 6] = [1, 2, 3, 7, 256, usize::MAX];
 /// Drains `stream` through `next_batch` pulls of `max` entries each,
 /// then checks that the exhausted stream stays exhausted (an attribute
 /// scan must not wander on into the element's children).
-fn drain(mut stream: vamana_mass::axes::AxisStream<'_>, max: usize) -> Vec<vamana_mass::NodeEntry> {
+fn drain(mut stream: AxisStream<'_>, max: usize) -> Vec<vamana_mass::NodeEntry> {
+    drain_open(&mut stream, max)
+}
+
+/// [`drain`] of the context `stream` is open on; the stream lives on for
+/// the next one.
+fn drain_open(stream: &mut AxisStream<'_>, max: usize) -> Vec<vamana_mass::NodeEntry> {
     let mut out = Vec::new();
     loop {
         let n = stream.next_batch(&mut out, max).unwrap();
@@ -435,6 +441,9 @@ fn drain(mut stream: vamana_mass::axes::AxisStream<'_>, max: usize) -> Vec<vaman
         assert_eq!(stream.next_batch(&mut out, max).unwrap(), 0);
     }
     assert_eq!(out.len(), len);
+    // As an owner out of contexts would (most callers are: they pass the
+    // stream by value); the stream is as good as before for the next one.
+    stream.release();
     out
 }
 
@@ -658,14 +667,18 @@ fn every_axis_matches_the_dom_under_every_pull_size() {
 }
 
 #[test]
-fn a_finger_carried_across_contexts_never_changes_a_stream() {
-    // One finger per (axis, test) cursor, as a step cursor keeps it,
-    // carried over contexts in document order (the fast case), in
-    // reverse, and jumping about with repeats — plus fingers no probe
-    // ever left behind. Every stream is still the DOM's.
+fn a_stream_carried_across_contexts_is_the_stream_of_each() {
+    // One stream per (axis, test), as a step cursor keeps it, re-opened
+    // on contexts in document order (the fast case), in reverse, and
+    // jumping about with repeats — drained each time, or left a few
+    // entries in, so the next context finds the posting-list finger and
+    // the clustered cursor wherever the last one happened to stop. Every
+    // stream is still the DOM's.
     let f = Fixture::new();
     let model = Model::new(DOC, &f.store);
     let tests = [
+        Test::Node,
+        Test::Star,
         Test::Text,
         Test::Named("person"),
         Test::Named("name"),
@@ -687,29 +700,75 @@ fn a_finger_carried_across_contexts_never_changes_a_stream() {
     for axis in Axis::ALL {
         for test in tests {
             let filter = node_filter(&f.store, axis, test).expect("name in fixture");
-            for (order, start) in orders.iter().zip([0, 5, usize::MAX]) {
-                let mut finger = start;
-                for &at in order {
+            for (order, abandon) in orders.iter().zip([usize::MAX, 2, 3]) {
+                let mut stream = AxisStream::new(&f.store, axis, filter);
+                for (turn, &at) in order.iter().enumerate() {
                     let ctx = elements[at];
                     let key = &model.keys[model.pos(ctx)];
-                    let stream = axis_stream_from(
-                        &f.store,
-                        key,
-                        RecordKind::Element,
-                        axis,
-                        filter,
-                        &mut finger,
-                    )
-                    .unwrap();
-                    let got: Vec<FlexKey> = drain(stream, 3).into_iter().map(|e| e.key).collect();
-                    assert_eq!(
-                        got,
-                        model.expected(ctx, axis, test),
-                        "{axis}::{test:?} from {key}, finger started at {start}"
-                    );
+                    stream.open(key, RecordKind::Element).unwrap();
+                    let expected = model.expected(ctx, axis, test);
+                    if turn % abandon == 1 {
+                        // Walk away from this context after one entry.
+                        let mut first = Vec::new();
+                        stream.next_batch(&mut first, 1).unwrap();
+                        let first: Vec<_> = first.into_iter().map(|e| e.key).collect();
+                        assert_eq!(first, expected[..expected.len().min(1)]);
+                        continue;
+                    }
+                    let got: Vec<FlexKey> = drain_open(&mut stream, 3)
+                        .into_iter()
+                        .map(|e| e.key)
+                        .collect();
+                    assert_eq!(got, expected, "{axis}::{test:?} from {key}, turn {turn}");
                 }
+                // The elements of the fixture nest, so even their walk in
+                // document order trips the witness of a downward axis —
+                // bar the self axis, which only the other two walks do.
+                let trips = match axis {
+                    Axis::SelfAxis => abandon != usize::MAX,
+                    other => other.is_downward(),
+                };
+                assert_eq!(stream.nested(), trips, "{axis}::{test:?}");
             }
         }
+    }
+}
+
+#[test]
+fn the_nesting_witness_trips_exactly_when_a_context_starts_inside_the_last() {
+    let f = Fixture::new();
+    let person = [f.elem("person", 0), f.elem("person", 1)];
+    let people = f.elem("people", 0);
+    let watch = [f.elem("watch", 0), f.elem("watch", 1)];
+    let open = |contexts: &[&FlexKey], axis: Axis| {
+        let mut stream = AxisStream::new(&f.store, axis, NodeFilter::any());
+        for ctx in contexts {
+            stream.open(ctx, RecordKind::Element).unwrap();
+            drain_open(&mut stream, 7);
+        }
+        stream.nested()
+    };
+    for axis in [
+        Axis::SelfAxis,
+        Axis::Child,
+        Axis::Attribute,
+        Axis::Descendant,
+        Axis::DescendantOrSelf,
+    ] {
+        // Siblings, and cousins, in document order: disjoint subtrees.
+        assert!(!open(&[&person[0], &person[1]], axis), "{axis}");
+        assert!(!open(&[&person[0], &watch[0], &watch[1]], axis), "{axis}");
+        // A descendant after its ancestor — which the self axis, yielding
+        // nothing below its context, does not mind — a repeat, a step back.
+        let minds = axis != Axis::SelfAxis;
+        assert_eq!(open(&[&people, &person[0]], axis), minds, "{axis}");
+        assert_eq!(open(&[&person[1], &watch[0]], axis), minds, "{axis}");
+        assert!(open(&[&watch[0], &watch[0]], axis), "{axis}");
+        assert!(open(&[&person[1], &person[0]], axis), "{axis}");
+    }
+    // The axes that look elsewhere promise no order and say nothing.
+    for axis in [Axis::Parent, Axis::Following, Axis::PrecedingSibling] {
+        assert!(!open(&[&people, &person[0], &person[0]], axis), "{axis}");
     }
 }
 

@@ -528,8 +528,12 @@ fn run_query(
         // Batches land straight in the result buffer — no per-tuple
         // dispatch between the executor and the render path. The
         // deadline is checked once per batch (≤ BATCH_SIZE tuples).
-        let doc_start = all.len();
-        while stream.next_batch(&mut all, BATCH_SIZE).map_err(query_err)? > 0 {
+        let mut rows = Vec::new();
+        while stream
+            .next_batch(&mut rows, BATCH_SIZE)
+            .map_err(query_err)?
+            > 0
+        {
             if Instant::now() >= deadline {
                 return Err(ServerError::Timeout(shared.config.query_timeout));
             }
@@ -537,20 +541,24 @@ fn run_query(
         if Instant::now() >= deadline {
             return Err(ServerError::Timeout(shared.config.query_timeout));
         }
+        // XPath node-set semantics: document order, no duplicates — which
+        // the stream knows whether it delivered. Keys order by load
+        // ordinal across documents, so the per-document sets in load
+        // order are the global order, the one a front tier reproduces by
+        // concatenating per-document results.
+        stream.finish(&mut rows);
         // Feed this document's result to the view cache. A fresh
         // admission supersedes the compiled plan cached above — drop it
         // so the next compilation goes through the view-rewrite pass.
-        if engine.observe_result(doc, xpath, &plan, &all[doc_start..]) {
+        if engine.observe_result(doc, xpath, &plan, &rows) {
             shared.cache.remove(xpath, doc);
         }
+        if all.is_empty() {
+            all = rows;
+        } else {
+            all.append(&mut rows);
+        }
     }
-    // XPath node-set semantics across documents: document order, no
-    // duplicates (streams yield pipeline order within one document).
-    // Keys order by load ordinal across documents, so this is also the
-    // global order a front tier reproduces by concatenating per-document
-    // results in load order.
-    all.sort_by(|a, b| a.key.cmp(&b.key));
-    all.dedup_by(|a, b| a.key == b.key);
     let rendered = render_rows(
         &engine,
         &all,

@@ -274,8 +274,9 @@ impl<'a> XQueryEngine<'a> {
                         };
                         nodes.extend(self.engine.query_from(n, &rel_text)?);
                     }
-                    nodes.sort_by(|a, b| a.key.cmp(&b.key));
-                    nodes.dedup_by(|a, b| a.key == b.key);
+                    // One node-set per bound item, in binding order:
+                    // theirs is not document order.
+                    vamana_core::finish_node_set(&mut nodes, bound.len() <= 1);
                     return Ok(nodes.into_iter().map(Item::Node).collect());
                 }
                 // Variable-free filter: delegate to the engine.
