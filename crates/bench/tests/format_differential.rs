@@ -1,7 +1,7 @@
 //! Differential correctness of the compressed (v2) page tier over the
 //! full XMark query suite: a v2-format store must return byte-identical
 //! results to a v1 store for every query, in every execution mode
-//! (serial, morsel-parallel, fused) and under every pull size, and both
+//! (serial, morsel-parallel) and under every pull size, and both
 //! must agree with the `vamana-baseline` DOM engine. FLEX keys are deterministic for a
 //! given load order, so whole [`NodeEntry`] sequences are comparable
 //! across stores.
@@ -42,7 +42,7 @@ fn engine_with_format(xml: &str, format: StoreFormat) -> Engine {
 /// (mode label, configure closure) for every execution mode.
 type ModeSetup = (&'static str, fn(&mut Engine));
 
-const MODES: [ModeSetup; 3] = [
+const MODES: [ModeSetup; 2] = [
     ("serial", |e| {
         e.options_mut().parallel_workers = 1;
     }),
@@ -50,11 +50,6 @@ const MODES: [ModeSetup; 3] = [
         let o = e.options_mut();
         o.parallel_workers = 2;
         o.parallel_force = true;
-    }),
-    ("fused", |e| {
-        let o = e.options_mut();
-        o.fuse = true;
-        o.fuse_force = true;
     }),
 ];
 

@@ -4,7 +4,7 @@
 //! repeats nodes and `//a/b` comes out of order. A result is sorted only
 //! when the plan does not emit in order or its output step saw contexts
 //! nest; every result, sorted or not, must be the DOM oracle's — in all
-//! five configurations the differential suites span — and the witness
+//! four configurations the differential suites span — and the witness
 //! must trip exactly when the contexts nest.
 //!
 //! In a debug build `finish_node_set` also asserts strict ascent of every
@@ -40,10 +40,9 @@ fn document(groups: usize, recursive: bool) -> String {
     xml
 }
 
-/// The five configurations: default plans; optimized on one thread;
-/// optimized with every eligible scan fanned out; every fusable chain
-/// fused; every sound view rewrite taken (a query's second run reads the
-/// view its first one left).
+/// The four configurations: default plans; optimized on one thread;
+/// optimized with every eligible scan fanned out; every sound view
+/// rewrite taken (a query's second run reads the view its first one left).
 fn configurations(xml: &str) -> Vec<(&'static str, Engine)> {
     let base = EngineOptions {
         parallel_workers: 1,
@@ -64,14 +63,6 @@ fn configurations(xml: &str) -> Vec<(&'static str, Engine)> {
             EngineOptions {
                 parallel_workers: 2,
                 parallel_force: true,
-                ..base.clone()
-            },
-        ),
-        (
-            "fused",
-            EngineOptions {
-                fuse: true,
-                fuse_force: true,
                 ..base.clone()
             },
         ),
@@ -166,9 +157,6 @@ fn recursive_documents_agree_with_the_dom_in_every_configuration() {
             if label == "views" {
                 assert!(engine.views().stats().hits > 0, "no query read a view");
             }
-            if label == "fused" {
-                assert!(engine.fused_stats().0 > 0, "no chain ran fused");
-            }
             if label == "optimized, fanned out" {
                 assert!(engine.parallel_stats().morsels > 0, "no scan fanned out");
             }
@@ -239,8 +227,8 @@ fn the_witness_trips_exactly_when_the_output_steps_contexts_nest() {
 }
 
 /// Which benchmark requests sort (EXPERIMENTS.md, "Which requests
-/// sort"). Optimized, none whose output step is a downward step, a view,
-/// a fused scan or a merge of morsels: the scans S1–S5, the six regions
+/// sort"). Optimized, none whose output step is a downward step, a view
+/// or a merge of morsels: the scans S1–S5, the six regions
 /// and `/site/open_auctions//*`, Q1 and Q3, and the three lookups that
 /// end in a child step. All whose output step is a reverse axis do: Q2,
 /// Q4, Q5 and the province lookup. Default plans spell `//` as

@@ -109,7 +109,6 @@ impl Session {
                 "docs" => Ok(self.cmd_docs()),
                 "optimizer" => self.cmd_optimizer(arg),
                 "views" => self.cmd_views(arg),
-                "fuse" => self.cmd_fuse(arg),
                 "xquery" => self.cmd_xquery(arg),
                 "insert" => self.cmd_insert(arg),
                 "delete" => self.cmd_delete(arg),
@@ -350,9 +349,8 @@ impl Session {
         let engine = self.engine.read();
         let s = engine.store().stats();
         let p = engine.parallel_stats();
-        let (fused_chains, fused_steps) = engine.fused_stats();
         format!(
-            "documents: {}\ntuples:    {}\npages:     {} ({:.1} tuples/page)\nnames:     {}\nvalues:    {}\nstorage:   format {} / {} compressed + {} uncompressed pages / {} dict entries\n           {} bytes on disk ({:.2}x compression, {:.1} bytes/tuple)\ndecodes:   {} v1 / {} v2 / {} format fallbacks\nbuffer:    {} hits / {} misses / {} evictions ({:.1}% hit ratio)\nbatched:   {} batch pins / {} pins saved\nparallel:  {} workers / {} morsels / {} batches / {} merge stalls\nfused:     {} chain(s) / {} steps collapsed",
+            "documents: {}\ntuples:    {}\npages:     {} ({:.1} tuples/page)\nnames:     {}\nvalues:    {}\nstorage:   format {} / {} compressed + {} uncompressed pages / {} dict entries\n           {} bytes on disk ({:.2}x compression, {:.1} bytes/tuple)\ndecodes:   {} v1 / {} v2 / {} format fallbacks\nbuffer:    {} hits / {} misses / {} evictions ({:.1}% hit ratio)\nbatched:   {} batch pins / {} pins saved\nparallel:  {} workers / {} morsels / {} batches / {} merge stalls",
             s.documents,
             s.tuples,
             s.pages,
@@ -378,9 +376,7 @@ impl Session {
             p.workers,
             p.morsels,
             p.worker_batches,
-            p.merge_stalls,
-            fused_chains,
-            fused_steps
+            p.merge_stalls
         )
     }
 
@@ -441,31 +437,6 @@ impl Session {
                 Ok(out)
             }
             other => Err(format!("usage: .views [clear], got `{other}`").into()),
-        }
-    }
-
-    fn cmd_fuse(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
-        match arg {
-            "on" => {
-                self.engine.write().options_mut().fuse = true;
-                Ok("fuse on (whole-query step-chain fusion)".to_string())
-            }
-            "off" => {
-                self.engine.write().options_mut().fuse = false;
-                Ok("fuse off".to_string())
-            }
-            "" => {
-                let engine = self.engine.read();
-                let enabled = engine.options().fuse;
-                let (chains, steps) = engine.fused_stats();
-                Ok(format!(
-                    "fuse {} — {} chain(s) executed, {} steps collapsed",
-                    if enabled { "on" } else { "off" },
-                    chains,
-                    steps
-                ))
-            }
-            other => Err(format!("usage: .fuse [on|off], got `{other}`").into()),
         }
     }
 
@@ -736,8 +707,6 @@ commands:
   .optimizer [on|off] toggle the cost-driven optimizer
   .views [clear]      materialized views: hot query results the optimizer
                       answers contained queries from when that is cheaper
-  .fuse [on|off]      whole-query fusion: collapse step chains into
-                      single page-pinned scans when the model agrees
   .stats              storage and buffer-pool statistics
   .docs               list loaded documents
   .insert <doc> <xpath> <fragment>

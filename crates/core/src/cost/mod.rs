@@ -362,39 +362,6 @@ impl<'a> Estimator<'a> {
                 );
                 out
             }
-            Operator::FusedScan { spine, context } => {
-                let ctx_in = match context {
-                    Some(c) => self.est_nodeset(c, pred_input)?,
-                    None => 0,
-                };
-                // IN is the scan volume: every record inside the
-                // envelope of the head step's clustered keys passes
-                // through the path automaton exactly once.
-                let scan_scope = self.fused_scan_scope(&spine);
-                let volume = scan_scope
-                    .as_ref()
-                    .map(|s| count_nodetest(self.store, Axis::Descendant, &TestSpec::AnyNode, s))
-                    .unwrap_or(0);
-                // OUT is bounded by the output step's node-test count
-                // within the scanned envelope.
-                let out = match (&scan_scope, spine.last()) {
-                    (Some(s), Some(last)) => {
-                        count_nodetest(self.store, Axis::Descendant, &last.test, s)
-                    }
-                    _ => 0,
-                };
-                let out = out.min(volume);
-                self.costs.insert(
-                    id,
-                    OpCost {
-                        count: Some(volume),
-                        tc: None,
-                        input: volume + ctx_in,
-                        output: out,
-                    },
-                );
-                out
-            }
             Operator::ViewScan { entries, .. } => {
                 // A view scan receives nothing and emits exactly the
                 // materialized set — the count is known, not estimated.
@@ -428,30 +395,6 @@ impl<'a> Estimator<'a> {
             }
         };
         Ok(out)
-    }
-
-    /// The key range a fused chain will actually scan: when the head
-    /// step carries a name test, the scan narrows to the envelope
-    /// between the first matching clustered key and the end of the last
-    /// one's subtree — exactly what the executor does. `None` means the
-    /// chain is provably empty (unknown or absent head name).
-    fn fused_scan_scope(&self, spine: &[crate::plan::FusedNode]) -> Option<KeyRange> {
-        let head = spine.first()?;
-        let TestSpec::Named(name) = &head.test else {
-            return Some(self.scope.clone());
-        };
-        let id = self.store.name_id(name)?;
-        let keys = self.store.name_index().elements(id).slice_in(self.scope);
-        let (first, last) = (keys.first()?, keys.last()?);
-        // Same envelope rule as the executor: the widest subtree belongs
-        // to the first ancestor-or-self of the last match, since matches
-        // can nest (see `crate::exec::fused`).
-        let outer = keys.iter().find(|k| last.starts_with(k)).unwrap_or(last);
-        let envelope = KeyRange {
-            lo: first.to_vec(),
-            hi: vamana_flex::FlexKey::from_flat_slice(outer).subtree_upper(),
-        };
-        Some(envelope.intersect(self.scope))
     }
 
     /// Estimates how many of `input` tuples survive predicate `id`,

@@ -28,14 +28,13 @@ const WRITER_DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Engine configuration. Every read-path feature engages through its cost
 /// gate; what is configurable is the paper's optimizer switch, two
-/// resource bounds, the one gate not yet trusted to decide alone
-/// (`fuse`), and three overrides that let tests drive a path the gate
-/// would decline.
+/// resource bounds, and two overrides that let tests drive a path the
+/// gate would decline.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Run the cost-driven optimizer (`false` = execute default plans,
-    /// the paper's "VQP" configuration; `true` = "VQP-OPT"). Views and
-    /// fusion are optimizer stages: default plans use neither.
+    /// the paper's "VQP" configuration; `true` = "VQP-OPT"). Views are
+    /// an optimizer stage: default plans use none.
     pub optimize: bool,
     /// Threads one scan may use, the calling thread included (the pool
     /// runs one fewer). `0` means one per available core; `1` keeps every
@@ -58,17 +57,6 @@ pub struct EngineOptions {
     /// for differential testing and diagnostics, where the goal is to
     /// exercise the rewrite path, not to win the cost race.
     pub view_greedy: bool,
-    /// Whole-query fusion ([`crate::opt::fuse`]): collapse the
-    /// scan-bound suffix of a step chain into a single page-pinned
-    /// [`Operator::FusedScan`] when the cost model agrees. The one
-    /// opt-in left: its gate compares two whole-document upper bounds
-    /// and a fused scan is never parallel-eligible (DESIGN.md, "Why
-    /// `fuse` is still opt-in").
-    pub fuse: bool,
-    /// Accept every extractable fusion candidate regardless of
-    /// estimated cost — for differential testing and benchmarking the
-    /// fused execution path itself.
-    pub fuse_force: bool,
 }
 
 impl Default for EngineOptions {
@@ -79,8 +67,6 @@ impl Default for EngineOptions {
             parallel_force: false,
             view_admit_after: 2,
             view_greedy: false,
-            fuse: false,
-            fuse_force: false,
         }
     }
 }
@@ -283,10 +269,6 @@ pub struct Engine {
     writer_wait_us: AtomicU64,
     /// Materialized-view cache.
     views: crate::views::ViewCache,
-    /// Cumulative count of queries executed through a fused chain.
-    fused_chains: AtomicU64,
-    /// Cumulative count of location steps those chains collapsed.
-    fused_steps: AtomicU64,
 }
 
 impl Engine {
@@ -303,8 +285,6 @@ impl Engine {
             scan_pool: PoolCell::default(),
             writer_wait_us: AtomicU64::new(0),
             views: crate::views::ViewCache::new(),
-            fused_chains: AtomicU64::new(0),
-            fused_steps: AtomicU64::new(0),
         }
     }
 
@@ -520,18 +500,17 @@ impl Engine {
     }
 
     /// Optimizes a plan for `doc` and reports the outcome: the rule
-    /// library, then the view stage, then (with `options.fuse`) the fusion
-    /// stage, each kept only when re-estimation says it pays. Parallel
+    /// library, then the view stage, each kept only when re-estimation
+    /// says it pays. Parallel
     /// eligibility and the query's view-cache identity are recorded on the
     /// resulting plan so precompiled/cached plans carry them.
     pub fn optimize_plan(&self, mut plan: QueryPlan, doc: DocId) -> Result<OptimizeOutcome> {
         let scope = self.doc_scope(doc)?;
-        // The view and fusion stages read the *cleaned compiled* plan:
-        // optimizer rules (child push-down, parent inversion) introduce
-        // reverse-axis predicates that fall outside both the containment
-        // fragment and the fusable fragment. So the pattern is extracted
-        // here, once, before they run — and the plan itself is kept only
-        // when a stage can use it.
+        // The view stage reads the *cleaned compiled* plan: optimizer
+        // rules (child push-down, parent inversion) introduce reverse-axis
+        // predicates that fall outside the containment fragment. So the
+        // pattern is extracted here, once, before they run — and the plan
+        // itself is kept only when the document has a view to try.
         opt::cleanup::cleanup(&mut plan);
         let view_key = views::extract(&plan).map(|pattern| {
             Arc::new(ViewKey {
@@ -543,7 +522,7 @@ impl Engine {
             Some(_) => self.views.candidates(doc.0, self.store.doc_generation(doc)),
             None => Vec::new(),
         };
-        let probe = (self.options.fuse || !candidates.is_empty()).then(|| plan.clone());
+        let probe = (!candidates.is_empty()).then(|| plan.clone());
         let mut outcome = opt::optimize(plan, self.store(), &scope, &OptimizerOptions::default())?;
         let pattern = view_key.as_deref().map(|k| &k.pattern);
         self.apply_view_rewrite(
@@ -554,9 +533,6 @@ impl Engine {
             doc,
             &scope,
         )?;
-        if let (true, Some(probe)) = (self.options.fuse, &probe) {
-            self.apply_fuse(&mut outcome, probe, &scope)?;
-        }
         let choice = opt::parallel::decide(
             &outcome.plan,
             self.store(),
@@ -582,7 +558,8 @@ impl Engine {
     /// `view_greedy`. Every considered rewrite lands in the optimizer
     /// trace, accepted or rejected; so does the reason when there was
     /// nothing to consider (`pattern` is `None` for a query outside the
-    /// containment fragment, `candidates` the document's valid views).
+    /// containment fragment, `candidates` the document's valid views,
+    /// `probe` the cleaned compiled plan, kept exactly when there are any).
     fn apply_view_rewrite(
         &self,
         outcome: &mut OptimizeOutcome,
@@ -594,7 +571,7 @@ impl Engine {
     ) -> Result<()> {
         let base_total = outcome.costs.total();
         let trace = &mut outcome.opt_trace.events;
-        let (Some(probe), Some(pattern), false) = (probe, pattern, candidates.is_empty()) else {
+        let (Some(probe), Some(pattern)) = (probe, pattern) else {
             trace.push(OptEvent::ViewRewrite {
                 view: "-".to_string(),
                 total_before: base_total,
@@ -677,83 +654,13 @@ impl Engine {
         Ok(())
     }
 
-    /// The whole-query fusion stage: collapse the plan's scan-bound
-    /// step-chain suffix into a single page-pinned
-    /// [`Operator::FusedScan`]. When a view rewrite was applied, the
-    /// fused chain is the residual on top of the `ViewScan`; otherwise
-    /// candidates come from the cleaned pre-rewrite probe. The
-    /// candidate is kept only when re-estimation beats the current plan
-    /// — unless `fuse_force` — and the decision lands in the optimizer
-    /// trace either way.
-    fn apply_fuse(
-        &self,
-        outcome: &mut OptimizeOutcome,
-        probe: &QueryPlan,
-        scope: &KeyRange,
-    ) -> Result<()> {
-        let base_total = outcome.costs.total();
-        let base = if views::plan_view(&outcome.plan).is_some() {
-            &outcome.plan
-        } else {
-            probe
-        };
-        let cand = match opt::fuse::extract_candidate(base) {
-            Ok(c) => c,
-            Err(reason) => {
-                outcome.opt_trace.events.push(OptEvent::Fuse {
-                    label: "-".to_string(),
-                    steps: 0,
-                    total_before: base_total,
-                    total_after: None,
-                    applied: false,
-                    reason,
-                });
-                return Ok(());
-            }
-        };
-        let costs = estimate(&cand.plan, self.store(), scope)?;
-        let total = costs.total();
-        let accept = self.options.fuse_force || total < base_total;
-        outcome.opt_trace.events.push(OptEvent::Fuse {
-            label: cand.label,
-            steps: cand.steps,
-            total_before: base_total,
-            total_after: Some(total),
-            applied: accept,
-            reason: if self.options.fuse_force {
-                "forced"
-            } else if accept {
-                "fused scan beats the step pipeline"
-            } else {
-                "costlier than the step pipeline"
-            },
-        });
-        if accept {
-            let mut plan = cand.plan;
-            plan.set_estimates(costs.cards(plan.len(), self.store.tuples_per_page()));
-            outcome.plan = plan;
-            outcome.costs = costs;
-            outcome.final_cost = total;
-        }
-        Ok(())
-    }
-
-    /// Cumulative fused-execution counters: queries answered through a
-    /// fused chain, and the location steps those chains collapsed.
+    /// What is left of the fused-scan counters: the frozen `trajectory`
+    /// package reads them (`workloads.rs`, `Counters::read`) for its
+    /// `core.exec.fused_chains_per_op` metric, so the name stays and
+    /// answers zero. Goes when that package is next opened.
+    #[doc(hidden)]
     pub fn fused_stats(&self) -> (u64, u64) {
-        (
-            self.fused_chains.load(Ordering::Relaxed),
-            self.fused_steps.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Bumps the cumulative fused counters for one execution of `plan`.
-    pub(crate) fn record_fused(&self, plan: &QueryPlan) {
-        let (chains, steps) = crate::plan::fused_in_plan(plan);
-        if chains > 0 {
-            self.fused_chains.fetch_add(chains, Ordering::Relaxed);
-            self.fused_steps.fetch_add(steps, Ordering::Relaxed);
-        }
+        (0, 0)
     }
 
     /// Records a query result with the view cache: admission counting
@@ -801,8 +708,7 @@ impl Engine {
     /// The gate every run of a prepared plan passes: a plan reading a
     /// view materialized at another generation of `doc` would return the
     /// pre-write node set, so it is refused ([`EngineError::StalePlan`]);
-    /// any other run counts as a view hit or miss and toward the fused
-    /// counters.
+    /// any other run counts as a view hit or miss.
     fn begin_run(&self, plan: &QueryPlan, doc: DocId) -> Result<()> {
         match views::plan_view_scan(plan) {
             Some((_, generation)) if generation != self.store.doc_generation(doc) => {
@@ -811,7 +717,6 @@ impl Engine {
             Some(_) => self.views.record_hit(),
             None => self.views.record_miss(),
         }
-        self.record_fused(plan);
         Ok(())
     }
 
@@ -1019,7 +924,6 @@ impl Engine {
         }
         let buffer_after = self.store().buffer_pool().stats();
         let par = self.parallel_stats();
-        let (fused_chains, fused_steps) = crate::plan::fused_in_plan(&plan);
         let profile = QueryProfile {
             elapsed,
             buffer_hits: buffer_after.hits.saturating_sub(buffer_before.hits),
@@ -1033,8 +937,6 @@ impl Engine {
             morsels: par.morsels.saturating_sub(par_before.morsels),
             worker_batches: par.worker_batches.saturating_sub(par_before.worker_batches),
             merge_stalls: par.merge_stalls.saturating_sub(par_before.merge_stalls),
-            fused_chains,
-            fused_steps,
             decodes_v1: buffer_after
                 .decodes_v1
                 .saturating_sub(buffer_before.decodes_v1),
@@ -1406,133 +1308,6 @@ mod tests {
                 ..
             }
         )));
-    }
-
-    #[test]
-    fn fuse_trace_records_decisions() {
-        let mut e = engine();
-        e.options_mut().fuse = true;
-        let doc = DocId(0);
-        // `//person/address` resolves through the name index in two
-        // cheap probes; the fused scan must sweep the whole person
-        // envelope — the model prices both and declines.
-        let outcome = e
-            .optimize_plan(e.compile("//person/address").unwrap(), doc)
-            .unwrap();
-        assert!(
-            outcome.opt_trace.events.iter().any(|ev| matches!(
-                ev,
-                OptEvent::Fuse {
-                    applied: false,
-                    total_after: Some(_),
-                    ..
-                }
-            )),
-            "cost model should decline fusing an index-resolvable chain: {}",
-            outcome.opt_trace.render()
-        );
-        // Chains outside the fragment trace the extraction failure.
-        let outcome = e
-            .optimize_plan(e.compile("//person[1]/name").unwrap(), doc)
-            .unwrap();
-        assert!(outcome.opt_trace.events.iter().any(|ev| matches!(
-            ev,
-            OptEvent::Fuse {
-                applied: false,
-                total_after: None,
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn forced_fusion_matches_unfused_results() {
-        let doc = DocId(0);
-        let queries = [
-            "/site/*//*",
-            "//person/name",
-            "//people//*",
-            "//person[watches/watch]/name",
-            "/site/people/person//*",
-        ];
-        // A second engine, so that the subject sees each query once and
-        // materializes no view that would answer in the fused plan's place.
-        let plain: Vec<_> = queries
-            .iter()
-            .map(|q| engine().query_doc(doc, q).unwrap())
-            .collect();
-        let mut e = engine();
-        e.options_mut().fuse = true;
-        e.options_mut().fuse_force = true;
-        for (q, want) in queries.iter().zip(&plain) {
-            assert_eq!(
-                &e.query_doc(doc, q).unwrap(),
-                want,
-                "fusion changed semantics of {q}"
-            );
-        }
-        // The fused plan really ran fused operators, and the analysis
-        // surfaces them.
-        let a = e.analyze_doc(doc, "/site/*//*").unwrap();
-        assert!(a.profile.fused_chains >= 1, "{}", a.render());
-        assert!(a.render().contains("FusedScan"), "{}", a.render());
-        assert!(
-            a.render().contains("fused: 1 chain (2 steps collapsed)"),
-            "{}",
-            a.render()
-        );
-        assert!(a.render_json().contains("\"fused_chains\":1"));
-        let (chains, steps) = e.fused_stats();
-        assert!(chains >= 1 && steps >= 2);
-    }
-
-    #[test]
-    fn fusion_composes_with_view_rewrite() {
-        let plain = engine();
-        let doc = DocId(0);
-        let want = plain.query_doc(doc, "//person/*//*").unwrap();
-        let mut e = engine();
-        e.options_mut().view_admit_after = 1;
-        e.options_mut().view_greedy = true;
-        e.options_mut().fuse = true;
-        e.options_mut().fuse_force = true;
-        // Materialize `//person`, then answer a longer query from it:
-        // the residual chain past the view scan is scan-bound and fuses.
-        // (Analyze before re-querying — a second sighting would admit
-        // the long query's own result as an equivalent view.)
-        e.query_doc(doc, "//person").unwrap();
-        let a = e.analyze_doc(doc, "//person/*//*").unwrap();
-        assert_eq!(a.view(), Some("//person"), "{}", a.render());
-        assert!(a.profile.fused_chains >= 1, "{}", a.render());
-        assert_eq!(e.query_doc(doc, "//person/*//*").unwrap(), want);
-        // The fused scan over the view's contexts, pulled one tuple at a
-        // time, is the same sequence.
-        let mut stream = e.stream(doc, "//person/*//*").unwrap();
-        let mut one_by_one = Vec::new();
-        while stream.next_batch(&mut one_by_one, 1).unwrap() == 1 {}
-        assert_eq!(one_by_one, want);
-    }
-
-    #[test]
-    fn fusion_composes_with_parallel_scans_in_document_order() {
-        let mut xml = String::from("<site><people>");
-        for i in 0..4000 {
-            xml.push_str(&format!(
-                "<person id=\"p{i}\"><name>n{i}</name><watches><watch/></watches></person>"
-            ));
-        }
-        xml.push_str("</people></site>");
-        let mut store = MassStore::open_memory();
-        store.load_xml("big", &xml).unwrap();
-        let mut e = Engine::new(store);
-        let doc = DocId(0);
-        let want = e.query_doc(doc, "//person//*").unwrap();
-        e.options_mut().parallel_force = true;
-        e.options_mut().fuse = true;
-        e.options_mut().fuse_force = true;
-        let got = e.query_doc(doc, "//person//*").unwrap();
-        assert_eq!(got, want);
-        assert!(got.windows(2).all(|w| w[0].key < w[1].key));
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! (paper §V-B): leaf steps with [`ContextSource::OuterTuple`] anchor at
 //! the tuple under test; absolute paths anchor back at the query root.
 
-pub mod fused;
 pub mod parallel;
 pub mod stats;
 pub mod value;
@@ -191,9 +190,6 @@ pub enum OpIter<'s> {
     Step(Box<StepIter<'s>>),
     /// A value-index step.
     ValueStep(Box<ValueStepIter<'s>>),
-    /// A fused step chain: the whole chain evaluated per record inside
-    /// one page-pinned clustered scan.
-    Fused(Box<fused::FusedIter<'s>>),
     /// Set union: left stream then right stream (dedup happens at the
     /// top under set semantics). Carries its plan [`OpId`] so analyze
     /// runs can attribute the merged output.
@@ -310,9 +306,6 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
             entries: std::sync::Arc::clone(entries),
             pos: 0,
         }),
-        Operator::FusedScan { .. } => Ok(OpIter::Fused(Box::new(fused::FusedIter::build(
-            env, id, outer,
-        )?))),
         other => Err(EngineError::Unsupported(format!(
             "operator {other:?} cannot produce a node-set stream"
         ))),
@@ -359,11 +352,8 @@ impl<'s> OpIter<'s> {
         match self {
             OpIter::Step(s) => s.stream.as_ref().is_some_and(AxisStream::nested),
             OpIter::Parallel(p) => p.order_broken,
-            // One anchor; a set kept sorted; a scan that sorts its anchors
-            // (and settles nested ones itself); a leaf's index run.
-            OpIter::Anchor(_) | OpIter::View { .. } | OpIter::Fused(_) | OpIter::ValueStep(_) => {
-                false
-            }
+            // One anchor; a set kept sorted; a leaf's index run.
+            OpIter::Anchor(_) | OpIter::View { .. } | OpIter::ValueStep(_) => false,
             OpIter::Union(..) | OpIter::Join(_) => true,
         }
     }
@@ -388,7 +378,6 @@ impl<'s> OpIter<'s> {
             }
             OpIter::Step(s) => s.next_batch(env, out, max),
             OpIter::ValueStep(s) => s.next_batch(env, out, max),
-            OpIter::Fused(f) => f.next_batch(env, out, max),
             OpIter::Union(id, l, r) => {
                 // Left stream first; a short left batch means the left
                 // side is exhausted, so top up from the right.
@@ -895,7 +884,7 @@ fn exists_fast_path(
         list.iter_from(probe.finger)
             .skip_while(|k| *k == flat)
             .take_while(|k| k.starts_with(flat))
-            .any(|k| fused::flat_level(k) == want_level),
+            .any(|k| vamana_flex::flat_level(k) == want_level),
     ))
 }
 
@@ -978,8 +967,7 @@ pub fn eval_expr(
         | Operator::Union { .. }
         | Operator::Filter { .. }
         | Operator::Join { .. }
-        | Operator::ViewScan { .. }
-        | Operator::FusedScan { .. } => {
+        | Operator::ViewScan { .. } => {
             // A path in expression position: collect its node-set,
             // deduplicated in document order.
             let iter = build_iter(env, id, Some(ctx))?;

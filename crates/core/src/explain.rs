@@ -106,12 +106,6 @@ impl Analysis {
         crate::views::plan_view(&self.plan)
     }
 
-    /// Fused chains in the executed plan and the location steps they
-    /// collapsed — `(0, 0)` when nothing was fused.
-    pub fn fused(&self) -> (u64, u64) {
-        crate::plan::fused_in_plan(&self.plan)
-    }
-
     /// Misestimated operators, worst q-error first. Only operators with
     /// both an estimate and recorded actuals participate; pairs within
     /// `threshold` (e.g. `1.05` = 5 %) are not reported.
@@ -165,15 +159,6 @@ impl Analysis {
         if let Some(view) = self.view() {
             let _ = writeln!(out, "answered from view: {view}");
         }
-        // Likewise only fused plans gain a line.
-        let (fused_chains, fused_steps) = self.fused();
-        if fused_chains > 0 {
-            let _ = writeln!(
-                out,
-                "fused: {fused_chains} chain{} ({fused_steps} steps collapsed)",
-                if fused_chains == 1 { "" } else { "s" },
-            );
-        }
         out.push_str(&render_tree(&self.plan, Some(&self.actuals)));
         let worst = self.misestimates(1.05);
         if worst.is_empty() {
@@ -212,11 +197,6 @@ impl Analysis {
             }
             None => s.push_str("\"view\":null,"),
         }
-        let (fused_chains, fused_steps) = self.fused();
-        let _ = write!(
-            s,
-            "\"fused_chains\":{fused_chains},\"fused_steps\":{fused_steps},"
-        );
         s.push_str("\"applied\":[");
         for (i, rule) in self.applied.iter().enumerate() {
             if i > 0 {
@@ -315,34 +295,6 @@ impl Analysis {
                         s,
                         "{{\"event\":\"view-rewrite\",\"view\":\"{}\",\"total_before\":{},",
                         escape_json(view),
-                        total_before
-                    );
-                    match total_after {
-                        Some(v) => {
-                            let _ = write!(s, "\"total_after\":{v},");
-                        }
-                        None => s.push_str("\"total_after\":null,"),
-                    }
-                    let _ = write!(
-                        s,
-                        "\"applied\":{},\"reason\":\"{}\"}}",
-                        applied,
-                        escape_json(reason)
-                    );
-                }
-                OptEvent::Fuse {
-                    label,
-                    steps,
-                    total_before,
-                    total_after,
-                    applied,
-                    reason,
-                } => {
-                    let _ = write!(
-                        s,
-                        "{{\"event\":\"fuse\",\"label\":\"{}\",\"steps\":{},\"total_before\":{},",
-                        escape_json(label),
-                        steps,
                         total_before
                     );
                     match total_after {

@@ -107,9 +107,7 @@ pub(crate) fn replace_edges(plan: &mut QueryPlan, old: OpId, new: OpId) {
                     }
                 }
             }
-            Operator::ValueStep { context, .. }
-            | Operator::RangeStep { context, .. }
-            | Operator::FusedScan { context, .. } => {
+            Operator::ValueStep { context, .. } | Operator::RangeStep { context, .. } => {
                 if *context == Some(old) {
                     *context = Some(new);
                 }

@@ -9,7 +9,6 @@
 //! that the optimized plan is never slower than the default plan.
 
 pub mod cleanup;
-pub mod fuse;
 pub mod parallel;
 pub mod rules;
 
@@ -69,25 +68,6 @@ pub enum OptEvent {
         /// Plan-wide tuple volume of the rule-optimized base plan.
         total_before: u64,
         /// Tuple volume of the view-rewritten candidate (`None` when no
-        /// candidate plan was built).
-        total_after: Option<u64>,
-        /// Whether the candidate was kept.
-        applied: bool,
-        /// Why the candidate was kept or rejected.
-        reason: &'static str,
-    },
-    /// The fusion pass considered collapsing a step-chain suffix into a
-    /// single page-pinned [`crate::plan::Operator::FusedScan`]. Recorded
-    /// for accepted *and* rejected candidates, and once per query when
-    /// the plan has no fusable suffix at all.
-    Fuse {
-        /// Rendered chain label (`-` when no candidate applies).
-        label: String,
-        /// Steps collapsed into the fused operator (0 when none).
-        steps: usize,
-        /// Plan-wide tuple volume before fusion.
-        total_before: u64,
-        /// Tuple volume of the fused candidate (`None` when no
         /// candidate plan was built).
         total_after: Option<u64>,
         /// Whether the candidate was kept.
@@ -179,28 +159,6 @@ impl OptTrace {
                     let _ = writeln!(
                         out,
                         "view {view}: {after} {} ({reason})",
-                        if *applied {
-                            "✓ applied"
-                        } else {
-                            "✗ rejected"
-                        }
-                    );
-                }
-                OptEvent::Fuse {
-                    label,
-                    steps,
-                    total_before,
-                    total_after,
-                    applied,
-                    reason,
-                } => {
-                    let after = match total_after {
-                        Some(a) => format!("total {total_before}→{a}"),
-                        None => format!("total {total_before}"),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "fuse {label} ({steps} steps): {after} {} ({reason})",
                         if *applied {
                             "✓ applied"
                         } else {

@@ -53,9 +53,6 @@ pub(crate) fn op_symbol(plan: &QueryPlan, id: OpId) -> String {
         Operator::ViewScan { view, entries, .. } => {
             format!("ViewScan{}(view={view} rows={})", id.0, entries.len())
         }
-        Operator::FusedScan { spine, .. } => {
-            format!("FusedScan{}[{}]", id.0, crate::plan::fused_label(spine))
-        }
     }
 }
 

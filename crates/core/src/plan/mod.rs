@@ -129,16 +129,6 @@ pub enum RangeCmp {
 }
 
 impl RangeCmp {
-    /// The equivalent [`BinOp`].
-    pub fn as_binop(self) -> BinOp {
-        match self {
-            RangeCmp::Lt => BinOp::Lt,
-            RangeCmp::Le => BinOp::Le,
-            RangeCmp::Gt => BinOp::Gt,
-            RangeCmp::Ge => BinOp::Ge,
-        }
-    }
-
     /// From a comparison [`BinOp`], if it is one.
     pub fn from_binop(op: BinOp) -> Option<RangeCmp> {
         Some(match op {
@@ -331,99 +321,6 @@ pub enum Operator {
         /// The materialized result set, in document order.
         entries: std::sync::Arc<Vec<vamana_mass::NodeEntry>>,
     },
-    /// A whole step chain collapsed into one operator: evaluates a
-    /// forward child/descendant location-step pipeline (with existential
-    /// structural predicates) in a single page-pinned scan, matching the
-    /// combined condition per record via FLEX flat-key containment
-    /// instead of materializing per-step node sets. Created only by the
-    /// fusion pass (`opt/fuse.rs`) — the XPath compiler never emits it.
-    /// With no `context` the chain is anchored at the query root; with a
-    /// context edge (e.g. the residual above a [`Operator::ViewScan`])
-    /// the chain is evaluated below every context tuple.
-    FusedScan {
-        /// The collapsed spine, outermost step first; the last spine
-        /// node produces the output tuples.
-        spine: Vec<FusedNode>,
-        /// Context child, or the query root when `None`.
-        context: Option<OpId>,
-    },
-}
-
-/// One collapsed location step inside an [`Operator::FusedScan`] — a
-/// node of the fused path tree. Spine nodes chain through the
-/// operator's `spine` vector; predicate branches hang off each node's
-/// `predicates` and are matched existentially (a chain predicate
-/// `[b/c]` is held as nested branches `b[c]`, which is existentially
-/// equivalent).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedNode {
-    /// `true` for a `descendant::` edge from the previous spine node
-    /// (or the scan anchor), `false` for `child::`.
-    pub descendant: bool,
-    /// The node test.
-    pub test: TestSpec,
-    /// Existential predicate branches rooted at this node.
-    pub predicates: Vec<FusedNode>,
-}
-
-impl FusedNode {
-    /// Number of collapsed location steps in this node's subtree —
-    /// itself plus every predicate node (observability counters).
-    pub fn steps(&self) -> usize {
-        1 + self.predicates.iter().map(FusedNode::steps).sum::<usize>()
-    }
-
-    fn render_pred(&self, out: &mut String) {
-        if self.descendant {
-            out.push_str(".//");
-        }
-        out.push_str(&self.test.to_string());
-        for p in &self.predicates {
-            out.push('[');
-            p.render_pred(out);
-            out.push(']');
-        }
-    }
-}
-
-/// Human-readable label for a fused spine, e.g. `a/b[c]//d` (the
-/// leading slash of a child-edged first step is dropped).
-pub fn fused_label(spine: &[FusedNode]) -> String {
-    let mut out = String::new();
-    for (i, node) in spine.iter().enumerate() {
-        if node.descendant {
-            out.push_str("//");
-        } else if i > 0 {
-            out.push('/');
-        }
-        out.push_str(&node.test.to_string());
-        for p in &node.predicates {
-            out.push('[');
-            p.render_pred(&mut out);
-            out.push(']');
-        }
-    }
-    out
-}
-
-/// Total number of location steps collapsed into `spine` (spine nodes
-/// plus every predicate node).
-pub fn fused_steps(spine: &[FusedNode]) -> usize {
-    spine.iter().map(FusedNode::steps).sum()
-}
-
-/// Fused chains among `plan`'s live operators and the location steps
-/// they collapsed — the per-query observability counters.
-pub fn fused_in_plan(plan: &QueryPlan) -> (u64, u64) {
-    let mut chains = 0u64;
-    let mut steps = 0u64;
-    for id in plan.live_ops() {
-        if let Operator::FusedScan { spine, .. } = plan.op(id) {
-            chains += 1;
-            steps += fused_steps(spine) as u64;
-        }
-    }
-    (chains, steps)
 }
 
 /// Plan-time eligibility for a morsel-parallel scan, carried by the plan
@@ -473,11 +370,6 @@ impl QueryPlan {
     /// back as `None`).
     pub fn estimate(&self, id: OpId) -> Option<crate::cost::EstimateCard> {
         self.estimates.get(id.index()).copied().flatten()
-    }
-
-    /// True once [`QueryPlan::set_estimates`] has stamped the plan.
-    pub fn has_estimates(&self) -> bool {
-        !self.estimates.is_empty()
     }
 
     /// Stamps the per-operator estimates (see
@@ -578,9 +470,9 @@ impl QueryPlan {
                 .copied()
                 .chain(predicates.iter().copied())
                 .collect(),
-            Operator::ValueStep { context, .. }
-            | Operator::RangeStep { context, .. }
-            | Operator::FusedScan { context, .. } => context.iter().copied().collect(),
+            Operator::ValueStep { context, .. } | Operator::RangeStep { context, .. } => {
+                context.iter().copied().collect()
+            }
             Operator::Literal { .. } | Operator::Number { .. } | Operator::ViewScan { .. } => {
                 Vec::new()
             }
@@ -620,8 +512,7 @@ impl QueryPlan {
     ///   about whatever produced the contexts, so the step witnesses it
     ///   as it runs ([`crate::exec::OpIter::order_broken`]), and a plan
     ///   whose witness trips is sorted after all;
-    /// * a view scan reads a set kept sorted, a fused scan sorts its
-    ///   anchors and emits each record once, a value or range step at
+    /// * a view scan reads a set kept sorted, a value or range step at
     ///   the leaf reads one run of the value index;
     /// * anything else — a reverse or sideways axis, a union, a join, a
     ///   filter — promises nothing.
@@ -631,7 +522,7 @@ impl QueryPlan {
         };
         match self.op(top) {
             Operator::Step { axis, .. } => axis.is_downward(),
-            Operator::ViewScan { .. } | Operator::FusedScan { .. } => true,
+            Operator::ViewScan { .. } => true,
             Operator::ValueStep { context, .. } | Operator::RangeStep { context, .. } => {
                 context.is_none()
             }
@@ -649,8 +540,7 @@ impl QueryPlan {
             cur = match self.op(id) {
                 Operator::Step { context, .. }
                 | Operator::ValueStep { context, .. }
-                | Operator::RangeStep { context, .. }
-                | Operator::FusedScan { context, .. } => *context,
+                | Operator::RangeStep { context, .. } => *context,
                 _ => None,
             };
         }

@@ -43,11 +43,6 @@ pub struct QueryProfile {
     /// Times the ordered-merge consumer had to wait for the in-order
     /// morsel to produce a batch.
     pub merge_stalls: u64,
-    /// Fused step-chain operators executed by the query (zero when the
-    /// plan ran unfused).
-    pub fused_chains: u64,
-    /// Location steps those fused operators collapsed.
-    pub fused_steps: u64,
     /// Uncompressed (v1) page decodes during the query — data-page
     /// reads that missed the buffer pool.
     pub decodes_v1: u64,
@@ -96,13 +91,11 @@ impl Engine {
     ) -> Result<(Vec<NodeEntry>, QueryProfile)> {
         let before = self.store().buffer_pool().stats();
         let par_before = self.parallel_stats();
-        let fused_before = self.fused_stats();
         let start = Instant::now();
         let rows = self.query_doc(doc, xpath)?;
         let elapsed = start.elapsed();
         let d = delta(before, self.store().buffer_pool().stats());
         let par = self.parallel_stats();
-        let fused = self.fused_stats();
         let profile = QueryProfile {
             elapsed,
             buffer_hits: d.hits,
@@ -112,45 +105,6 @@ impl Engine {
             morsels: par.morsels.saturating_sub(par_before.morsels),
             worker_batches: par.worker_batches.saturating_sub(par_before.worker_batches),
             merge_stalls: par.merge_stalls.saturating_sub(par_before.merge_stalls),
-            fused_chains: fused.0.saturating_sub(fused_before.0),
-            fused_steps: fused.1.saturating_sub(fused_before.1),
-            decodes_v1: d.decodes_v1,
-            decodes_v2: d.decodes_v2,
-            rows: rows.len() as u64,
-            writer_wait: Duration::ZERO,
-            operators: None,
-        };
-        Ok((rows, profile))
-    }
-
-    /// [`Engine::execute_plan`] plus a [`QueryProfile`] of the run — the
-    /// serving layer uses this to execute cached plans while still
-    /// reporting per-query buffer traffic.
-    pub fn execute_plan_profiled(
-        &self,
-        plan: &crate::plan::QueryPlan,
-        doc: DocId,
-    ) -> Result<(Vec<NodeEntry>, QueryProfile)> {
-        let before = self.store().buffer_pool().stats();
-        let par_before = self.parallel_stats();
-        let fused_before = self.fused_stats();
-        let start = Instant::now();
-        let rows = self.execute_plan(plan, doc)?;
-        let elapsed = start.elapsed();
-        let d = delta(before, self.store().buffer_pool().stats());
-        let par = self.parallel_stats();
-        let fused = self.fused_stats();
-        let profile = QueryProfile {
-            elapsed,
-            buffer_hits: d.hits,
-            buffer_misses: d.misses,
-            batch_pins: d.batch_pins,
-            pins_saved: d.pins_saved,
-            morsels: par.morsels.saturating_sub(par_before.morsels),
-            worker_batches: par.worker_batches.saturating_sub(par_before.worker_batches),
-            merge_stalls: par.merge_stalls.saturating_sub(par_before.merge_stalls),
-            fused_chains: fused.0.saturating_sub(fused_before.0),
-            fused_steps: fused.1.saturating_sub(fused_before.1),
             decodes_v1: d.decodes_v1,
             decodes_v2: d.decodes_v2,
             rows: rows.len() as u64,

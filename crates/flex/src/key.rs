@@ -156,7 +156,7 @@ impl FlexKey {
     /// Number of levels (labels). The document node has level 0, the root
     /// element level 1.
     pub fn level(&self) -> usize {
-        bytecount_zero(self.as_flat())
+        flat_level(self.as_flat())
     }
 
     /// True for the document node.
@@ -296,8 +296,11 @@ pub fn flat_is_ancestor(ancestor: &[u8], descendant: &[u8]) -> bool {
     descendant.len() > ancestor.len() && descendant.starts_with(ancestor)
 }
 
-fn bytecount_zero(bytes: &[u8]) -> usize {
-    bytes.iter().filter(|&&b| b == 0).count()
+/// [`FlexKey::level`] on a flat encoding: every label ends in one zero
+/// byte and holds no other.
+#[inline]
+pub fn flat_level(flat: &[u8]) -> usize {
+    flat.iter().filter(|&&b| b == 0).count()
 }
 
 struct LabelIter<'a> {
@@ -531,6 +534,7 @@ mod tests {
             prop_assert_eq!(c.parent().unwrap(), k.clone());
             prop_assert!(k.is_parent_of(&c));
             prop_assert_eq!(c.level(), k.level() + 1);
+            prop_assert_eq!(flat_level(k.as_flat()), k.level());
         }
 
         #[test]

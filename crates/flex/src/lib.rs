@@ -60,5 +60,5 @@ pub mod range;
 pub use axis::Axis;
 pub use component::{attr_label, label_between, seq_label, LabelError};
 pub use generate::KeyGenerator;
-pub use key::{flat_is_ancestor, FlexKey};
+pub use key::{flat_is_ancestor, flat_level, FlexKey};
 pub use range::KeyRange;

@@ -129,17 +129,6 @@ pub struct NodeEntry {
     pub name: Option<NameId>,
 }
 
-impl NodeEntry {
-    /// Builds an entry from a stored record.
-    pub fn from_record(rec: &NodeRecord) -> Self {
-        NodeEntry {
-            key: rec.key.clone(),
-            kind: rec.kind,
-            name: rec.name,
-        }
-    }
-}
-
 /// Structural verification applied to name-index candidates.
 #[derive(Debug, Clone)]
 enum StructVerify {

@@ -259,23 +259,6 @@ impl<'a> MassCursor<'a> {
         self.batch_scan(out, max, |_| true)
     }
 
-    /// Like [`MassCursor::next_batch`], but with a caller-supplied
-    /// stateful predicate deciding which records materialize an entry.
-    ///
-    /// This is the entry point for whole-query fused scans in
-    /// `vamana-core`: the closure threads a path-matching automaton over
-    /// the records of every pinned page, so an entire step chain is
-    /// evaluated under one page pin per page instead of one scan per
-    /// location step.
-    pub fn next_batch_where(
-        &mut self,
-        keep: impl FnMut(RecordView<'_>) -> bool,
-        out: &mut Vec<NodeEntry>,
-        max: usize,
-    ) -> Result<usize> {
-        self.batch_scan(out, max, keep)
-    }
-
     /// Like [`MassCursor::next_batch`], but applies the axis-level record
     /// checks inline before materializing an entry — the backing of
     /// [`crate::axes::AxisStream::next_batch`] for clustered scans.
@@ -437,15 +420,6 @@ impl<'a> MassCursor<'a> {
             }
         }
         Ok(out.len() - start)
-    }
-
-    /// Key of the record `next` would return, without consuming it.
-    pub fn peek_key(&mut self) -> Result<Option<Vec<u8>>> {
-        if !self.position()? {
-            return Ok(None);
-        }
-        let page = self.page.as_ref().expect("positioned");
-        Ok(Some(page.key(self.rec_pos).to_vec()))
     }
 }
 

@@ -1389,9 +1389,6 @@ fn render_stats(shared: &Shared) -> Vec<String> {
     out.push(format!("STAT pool_par_morsels {}", par.morsels));
     out.push(format!("STAT pool_par_batches {}", par.worker_batches));
     out.push(format!("STAT pool_par_merge_stalls {}", par.merge_stalls));
-    let (fused_chains, fused_steps) = engine.fused_stats();
-    out.push(format!("STAT fused_chains {fused_chains}"));
-    out.push(format!("STAT fused_steps {fused_steps}"));
     let wal = engine.store().wal_stats();
     out.push(format!(
         "STAT store_durable {}",

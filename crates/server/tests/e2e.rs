@@ -282,51 +282,6 @@ fn explain_and_analyze_report_plans_over_the_wire() {
 }
 
 #[test]
-fn fused_queries_report_counters_and_plans_over_the_wire() {
-    let mut engine = xmark_engine();
-    engine.options_mut().fuse = true;
-    let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default())
-        .expect("bind")
-        .spawn()
-        .expect("spawn");
-    let mut client = Client::connect(&handle);
-    client.round_trip("LIMIT 0");
-
-    // A scan-bound chain the cost model accepts runs fused and bumps
-    // the counters; rows must match an unfused engine exactly.
-    let fused_rows: Vec<String> = client
-        .round_trip("QUERY //person//*")
-        .into_iter()
-        .filter(|l| l.starts_with("ROW "))
-        .collect();
-    let plain = xmark_engine();
-    assert_eq!(
-        fused_rows.len(),
-        plain.query("//person//*").expect("direct query").len(),
-        "fused row count diverges from the unfused engine"
-    );
-    let stats = client.round_trip("STATS");
-    let chains = stat_value(&stats, "fused_chains");
-    let steps = stat_value(&stats, "fused_steps");
-    assert!(chains >= 1, "{stats:?}");
-    assert!(steps >= 2, "{stats:?}");
-
-    // ANALYZE renders the fused operator and the fusion summary line.
-    let response = client.round_trip("ANALYZE //person//*");
-    let text = response.join("\n");
-    assert!(text.contains("FusedScan"), "{text}");
-    assert!(text.contains("fused: 1 chain"), "{text}");
-
-    // A candidate the model declines executes as a plain step pipeline
-    // and leaves the execution counters untouched.
-    client.round_trip("QUERY //person/address");
-    let stats = client.round_trip("STATS");
-    assert_eq!(stat_value(&stats, "fused_chains"), chains, "{stats:?}");
-    assert_eq!(stat_value(&stats, "fused_steps"), steps, "{stats:?}");
-    handle.stop();
-}
-
-#[test]
 fn doc_scoped_verbs_and_docs_listing() {
     let handle = spawn_server(ServerConfig::default());
     let mut client = Client::connect(&handle);
