@@ -41,7 +41,13 @@ fn bench_queries(c: &mut Criterion) {
 ///   scan of a few records);
 /// * `child_jump_offpage`: `child::*` from elements whose subtree crosses
 ///   a page boundary, so that a jump — or the run of children — runs off
-///   the pinned page onto the next.
+///   the pinned page onto the next;
+/// * `descendant_nested`: `descendant::*` from each of the first 200
+///   `person`s and then its first element child, which nests in the
+///   person's range, behind the cursor; the next person lies past where
+///   the child's range ended. No context's record is where the last range
+///   ended, so every open falls back to the re-seek: this pins what the
+///   sweep's entry check costs that path.
 fn bench_step_open(c: &mut Criterion) {
     let xml = document(1.0);
     let mut store = MassStore::open_memory();
@@ -64,10 +70,20 @@ fn bench_step_open(c: &mut Criterion) {
             crossing.push(key);
         }
     }
+    let all = store.name_index().all_elements();
+    let nested: Vec<FlexKey> = elements("person")[..200]
+        .iter()
+        .flat_map(|person| {
+            // The element right after a person is its first child.
+            let child = all.get(all.lower_bound(person.as_flat()) + 1);
+            [person.clone(), FlexKey::from_flat_slice(child)]
+        })
+        .collect();
     let cases = [
         ("child_wildcard", Axis::Child, elements("item")),
         ("descendant_wildcard", Axis::Descendant, elements("person")),
         ("child_jump_offpage", Axis::Child, crossing),
+        ("descendant_nested", Axis::Descendant, nested),
     ];
     let mut group = c.benchmark_group("step_open");
     group.sample_size(30);

@@ -9,8 +9,8 @@
 //!   from the key alone — *no data page is touched*. This is the
 //!   index-only execution the paper contrasts with join-based engines.
 //! * **Clustered scan** (wildcard/kind tests): scan the clustered index
-//!   inside the axis range, using sibling jumps (`seek(subtree_upper)`)
-//!   for `child` and the sibling axes so whole subtrees are skipped.
+//!   inside the axis range, using sibling jumps for `child` and the
+//!   sibling axes so whole subtrees are skipped.
 
 use crate::cursor::MassCursor;
 use crate::error::Result;
@@ -186,9 +186,12 @@ enum Inner<'a> {
 /// — see [`MassCursor::rebound`]) and the two range buffers from context
 /// to context. Contexts that arrive in document order therefore walk
 /// list and pages like a merge join instead of searching both from the
-/// top once per context. Any position is correct — an opened stream
-/// yields what [`axis_stream`] yields for that context — and a near one
-/// is fast.
+/// top once per context. A clustered `child`, `descendant` or
+/// `descendant-or-self` scan goes further: a context whose record is the
+/// one its last context's subtree ended on — a next sibling — is not
+/// re-bound at all, so a run of siblings is one forward sweep over their
+/// subtrees. Any position is correct — an opened stream yields what
+/// [`axis_stream`] yields for that context — and a near one is fast.
 pub struct AxisStream<'a> {
     store: &'a MassStore,
     axis: Axis,
@@ -200,7 +203,8 @@ pub struct AxisStream<'a> {
     /// The axis range of the context the stream is open on — on a
     /// downward axis, until the next one is opened, the range its start
     /// is held against. A new stream's ends at the empty key, which
-    /// nothing starts before.
+    /// nothing starts before. After a sweep only its end is kept: the
+    /// cursor holds the range.
     range: KeyRange,
     /// A context began before the end of the range then in `range`
     /// ([`AxisStream::nested`]).
@@ -258,6 +262,27 @@ impl<'a> AxisStream<'a> {
             let flat = ctx.as_flat();
             if self.range.hi.as_deref().is_none_or(|end| flat < end) {
                 self.nested = true;
+            }
+            // A clustered child or descendant scan sweeps on to a context
+            // whose record ends the last one's subtree — its next sibling
+            // — and the stream keeps only the new range's end.
+            if self.list.is_none()
+                && !attr_ctx
+                && matches!(
+                    self.axis,
+                    Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
+                )
+                && self.cursor.sweep(flat, self.axis != Axis::DescendantOrSelf)
+            {
+                self.range.hi.clone_from(self.cursor.end());
+                self.inner = if self.axis == Axis::Child {
+                    Inner::JumpScan
+                } else {
+                    Inner::Scan {
+                        not_ancestor_of: None,
+                    }
+                };
+                return Ok(());
             }
             match self.axis {
                 Axis::DescendantOrSelf => self.range.set_subtree(ctx),
@@ -340,8 +365,8 @@ impl<'a> AxisStream<'a> {
     /// without another call, and further calls keep returning zero.
     ///
     /// Clustered scans decode whole pinned pages in one pass
-    /// ([`MassCursor::next_batch`]); sibling-jump scans resolve in-page
-    /// jumps by binary search over the pinned records
+    /// ([`MassCursor::next_batch`]); sibling-jump scans read in-page
+    /// jumps off the pinned records' shared-prefix lengths
     /// (`MassCursor::next_batch_jump`); name-index iteration fills the
     /// batch in a tight loop over the borrowed key run; the
     /// pre-computed-key mode resolves one key per iteration.

@@ -189,7 +189,8 @@ fn kind_from_u8(b: u8) -> Result<RecordKind> {
     })
 }
 
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+/// Length of the longest common prefix of `a` and `b`.
+pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 

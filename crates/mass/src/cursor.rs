@@ -1,11 +1,13 @@
 //! Forward cursor over the clustered index.
 //!
 //! A [`MassCursor`] iterates records in document order within a
-//! [`KeyRange`], crossing page boundaries through the buffer pool. Its
-//! [`MassCursor::seek`] method is the primitive behind MASS's
-//! sibling-jump evaluation: a child/sibling scan leaps over whole
-//! subtrees by seeking their `subtree_upper` bound instead of reading
-//! through them.
+//! [`KeyRange`], crossing page boundaries through the buffer pool. A
+//! subtree ends on the pinned page at the first record that shares less
+//! than the subtree key's length with its predecessor (`Page::shared`),
+//! so neither a child/sibling scan's leap over a whole subtree (MASS's
+//! sibling jump) nor the end of a subtree range — every downward axis
+//! range is one — compares keys; only a jump that runs off the page
+//! [`MassCursor::seek`]s its `subtree_upper` bound.
 //!
 //! A cursor is also a *finger*: it keeps its place — sparse-index
 //! position, pinned page, record slot — when its range runs out, and
@@ -13,9 +15,12 @@
 //! one range per context tuple, in document order, finds the next range
 //! on the page it already holds (a gallop of a few slots from where it
 //! stands) or on the page after; only a range further off pays for the
-//! bisect of the sparse index and a buffer-pool request. Where the
-//! cursor stood never changes what it yields, only what finding it
-//! costs.
+//! bisect of the sparse index and a buffer-pool request. Contexts that
+//! follow one another — siblings — are a single forward *sweep*
+//! (`MassCursor::sweep`): the next context's record is the one the last
+//! subtree ended on, so its range starts one slot on, without a search.
+//! Where the cursor stood never changes what it yields, only what finding
+//! it costs.
 
 use crate::axes::NodeEntry;
 use crate::error::Result;
@@ -29,6 +34,13 @@ use vamana_flex::{flat_is_ancestor, FlexKey, KeyRange};
 pub struct MassCursor<'a> {
     store: &'a MassStore,
     hi: Option<Vec<u8>>,
+    /// On a subtree range, the length of the key every record in it
+    /// starts with ([`MassCursor::admits`]); 0 on other ranges.
+    under: usize,
+    /// The record before `rec_pos` on the pinned page starts with that
+    /// key: the next record's shared-prefix length says whether it does
+    /// too.
+    anchored: bool,
     /// Position in the store's sparse index.
     page_pos: usize,
     rec_pos: usize,
@@ -65,6 +77,8 @@ impl<'a> MassCursor<'a> {
         MassCursor {
             store,
             hi: None,
+            under: 0,
+            anchored: false,
             page_pos: 0,
             rec_pos: 0,
             page: None,
@@ -90,7 +104,43 @@ impl<'a> MassCursor<'a> {
     pub fn rebound(&mut self, range: &KeyRange) {
         self.target.clone_from(&range.lo);
         self.hi.clone_from(&range.hi);
+        self.under = subtree_prefix(range);
         self.reseek();
+    }
+
+    /// [`MassCursor::rebound`] to the subtree of `ctx` — its descendants
+    /// if `past` — without a search, when `ctx`'s record is where the last
+    /// subtree range ends on the pinned page (as its key's next sibling
+    /// is); the rest of that range, if the cursor was left inside it, is
+    /// stepped over by shared-prefix lengths. Returns `false`, changing
+    /// nothing, when `ctx` is not there (or is the document node).
+    pub(crate) fn sweep(&mut self, ctx: &[u8], past: bool) -> bool {
+        let Some(page) = &self.page else {
+            return false;
+        };
+        let mut at = self.rec_pos;
+        if self.anchored && self.under > 0 {
+            at = page.run_end(at, self.under);
+        }
+        if ctx.is_empty() || at >= page.len() || page.key(at) != ctx {
+            return false;
+        }
+        self.rec_pos = at + usize::from(past);
+        // `FlexKey::subtree_upper`, in place.
+        let hi = self.hi.get_or_insert_with(Vec::new);
+        hi.clear();
+        hi.extend_from_slice(ctx);
+        *hi.last_mut().expect("not the document node") = 1;
+        self.under = ctx.len();
+        // The record before a descendants range is `ctx` itself.
+        self.anchored = past;
+        self.done = false;
+        true
+    }
+
+    /// The range's upper bound (`None`: the end of the index).
+    pub(crate) fn end(&self) -> &Option<Vec<u8>> {
+        &self.hi
     }
 
     /// Repositions the cursor at the first record with key `>= flat`
@@ -108,6 +158,7 @@ impl<'a> MassCursor<'a> {
     fn reseek(&mut self) {
         let index = &self.store.index;
         self.seeking = false;
+        self.anchored = false;
         self.done = index.is_empty();
         if self.done {
             return;
@@ -174,8 +225,8 @@ impl<'a> MassCursor<'a> {
     }
 
     /// Loads pages until the cursor rests on a record — whether below the
-    /// upper bound is the caller's to find out ([`MassCursor::position`],
-    /// [`MassCursor::page_end`]). Returns `false` at the end of the index.
+    /// upper bound is the caller's to find out. Returns `false` at the end
+    /// of the index.
     fn load(&mut self) -> Result<bool> {
         loop {
             if self.done {
@@ -189,6 +240,7 @@ impl<'a> MassCursor<'a> {
                 let left = std::mem::take(&mut self.scanned);
                 let page = self.store.pool.get_noting(id, left)?;
                 self.page_id = id;
+                self.anchored = false;
                 self.rec_pos = if std::mem::take(&mut self.seeking) {
                     match page.find(&self.target) {
                         Ok(i) | Err(i) => i,
@@ -252,9 +304,8 @@ impl<'a> MassCursor<'a> {
     /// zero) count means the range is exhausted.
     ///
     /// The per-record work is a key copy and a push; page lookup, shard
-    /// locking, and the upper bound comparison are amortized across the
-    /// whole page (the bound is resolved once per page by binary search
-    /// instead of once per record).
+    /// locking, and the upper bound are amortized across the whole page
+    /// (only the page the bound falls on is searched for it, once).
     pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
         self.batch_scan(out, max, |_| true)
     }
@@ -282,30 +333,18 @@ impl<'a> MassCursor<'a> {
         })
     }
 
-    /// Index one past the last record of `page`, from `self.rec_pos` on,
-    /// that lies below the cursor's upper bound (`rec_pos` itself when
-    /// none does): the page's length when its last key does, else a
-    /// gallop from `rec_pos` — a context's range ends a few records on,
-    /// and everything before `rec_pos` is below the bound or the range.
-    fn page_end(&self, page: &Page) -> usize {
-        match &self.hi {
-            Some(hi) if page.last_key().is_some_and(|last| last >= hi.as_slice()) => {
-                page.lower_bound_after(self.rec_pos, hi)
-            }
-            _ => page.len(),
-        }
-    }
-
     /// Sibling-jump scan: like [`MassCursor::next_batch_filtered`] but
     /// after visiting a record it skips the record's whole subtree (the
     /// MASS sibling jump), so only nodes at the scan level are visited —
     /// the backing of the `JumpScan` axis mode.
     ///
-    /// A jump whose target lands on the *same* page is resolved by binary
-    /// search over the already-pinned slots; one that leaves the page
-    /// looks at the sparse index first, and steps to the next page when
-    /// the subtree ends there. Sibling runs cluster on few pages, so most
-    /// jumps stay in-page and most others are that step.
+    /// A jump that lands on the *same* page reads its target off the
+    /// shared-prefix lengths of the slots after the record
+    /// (`Page::subtree_end`: past a leaf, one look); one that leaves the
+    /// page seeks the subtree's `subtree_upper`, which looks at the sparse
+    /// index first and steps to the next page when the subtree ends there.
+    /// Sibling runs cluster on few pages, so most jumps stay in-page and
+    /// most others are that step.
     pub(crate) fn next_batch_jump(
         &mut self,
         filter: &crate::axes::NodeFilter,
@@ -321,10 +360,15 @@ impl<'a> MassCursor<'a> {
             // Taken out for the walk (no reference count traffic) and put
             // back below unless the walk used the page up.
             let page = self.page.take().expect("loaded");
-            let end = self.page_end(&page);
+            let bounded = self.falls_on(&page);
             let mut i = self.rec_pos;
             let mut off_page = false;
-            while i < end && out.len() - start < max {
+            let mut ended = false;
+            while i < page.len() && out.len() - start < max {
+                if bounded && !self.admits(&page, i, i > self.rec_pos || self.anchored) {
+                    ended = true;
+                    break;
+                }
                 let rec = page.view(i);
                 self.scanned += 1;
                 if (!skip_attrs || rec.kind != RecordKind::Attribute)
@@ -333,44 +377,31 @@ impl<'a> MassCursor<'a> {
                     out.push(entry(rec));
                 }
                 // Jump past this record's subtree to its next sibling.
-                // A descendant's flat key extends its ancestor's, so the
-                // subtree is exactly the run of records whose keys start
-                // with this one — partitioned without materializing the
-                // `subtree_upper` bound.
-                let flat = rec.key;
-                if flat.is_empty() {
+                if rec.key.is_empty() {
                     i += 1;
-                } else {
-                    let target = page.partition_point(i + 1..end, |k| k.starts_with(flat));
-                    if target >= end && end == page.len() {
-                        // The subtree may continue past this page: seek
-                        // its `subtree_upper` (the key with its final
-                        // terminator bumped), built in the cursor's own
-                        // buffer. A seek preserves the upper bound.
-                        self.target.clear();
-                        self.target.extend_from_slice(flat);
-                        *self.target.last_mut().expect("non-root") = 1;
-                        off_page = true;
-                        break;
-                    }
-                    i = target;
+                    continue;
                 }
+                let next = page.subtree_end(i);
+                if next == page.len() {
+                    // The subtree may continue past this page: seek its
+                    // `subtree_upper` (the key with its final terminator
+                    // bumped), built in the cursor's own buffer. A seek
+                    // preserves the upper bound.
+                    self.target.clear();
+                    self.target.extend_from_slice(rec.key);
+                    *self.target.last_mut().expect("non-root") = 1;
+                    off_page = true;
+                    break;
+                }
+                i = next;
             }
+            self.anchored |= i > self.rec_pos;
             self.rec_pos = i;
             if off_page {
                 self.page = Some(page);
                 self.reseek();
-            } else if i < end {
-                self.page = Some(page);
-            } else if end < page.len() {
-                // The upper bound falls inside this page, which the next
-                // range most likely starts on.
-                self.page = Some(page);
-                self.done = true;
+            } else if !self.keep_or_pass(page, ended) {
                 break;
-            } else {
-                // Page fully consumed: unpin and move on.
-                self.page_pos += 1;
             }
         }
         Ok(out.len() - start)
@@ -391,9 +422,7 @@ impl<'a> MassCursor<'a> {
                 break;
             }
             let page = self.page.take().expect("loaded");
-            // Resolve the upper bound once for the whole page instead of
-            // comparing keys record by record.
-            let end = self.page_end(&page);
+            let end = self.walk_end(&page);
             let mut i = self.rec_pos;
             for rec in page.views(i..end) {
                 if out.len() - start >= max {
@@ -405,21 +434,81 @@ impl<'a> MassCursor<'a> {
                 }
             }
             self.scanned += (i - self.rec_pos) as u64;
+            self.anchored |= i > self.rec_pos;
             self.rec_pos = i;
-            if i < end {
-                self.page = Some(page);
-            } else if end < page.len() {
-                // The upper bound falls inside this page, which the next
-                // range most likely starts on.
-                self.page = Some(page);
-                self.done = true;
+            let ended = i == end && end < page.len();
+            if !self.keep_or_pass(page, ended) {
                 break;
-            } else {
-                // Page fully consumed: unpin and move on.
-                self.page_pos += 1;
             }
         }
         Ok(out.len() - start)
+    }
+
+    /// Whether the upper bound falls on `page` (its last key reaches it):
+    /// only then are the records walked held against it.
+    fn falls_on(&self, page: &Page) -> bool {
+        let hi = self.hi.as_deref();
+        hi.is_some_and(|hi| page.last_key().is_some_and(|last| last >= hi))
+    }
+
+    /// Whether record `i` of `page` lies below the upper bound. When record
+    /// `i - 1` does (`after_in`) and the range is a subtree, no key is
+    /// compared: record `i` is in it exactly when it shares the subtree
+    /// key's length with its predecessor (`Page::shared`) — the first
+    /// record the subtree's key is not a prefix of ends the range.
+    fn admits(&self, page: &Page, i: usize, after_in: bool) -> bool {
+        if after_in && self.under > 0 {
+            page.shared(i) >= self.under
+        } else {
+            self.hi.as_deref().is_none_or(|hi| page.key(i) < hi)
+        }
+    }
+
+    /// The first record of `page` from `rec_pos` on that the upper bound
+    /// does not admit (`len()` if it does not fall on the page): on a
+    /// subtree range read off the shared-prefix lengths, on others
+    /// galloped for.
+    fn walk_end(&self, page: &Page) -> usize {
+        let from = self.rec_pos;
+        match self.hi.as_deref() {
+            Some(hi) if self.falls_on(page) => {
+                if self.under == 0 {
+                    page.lower_bound_after(from, hi)
+                } else if self.anchored || self.admits(page, from, false) {
+                    page.run_end(from + usize::from(!self.anchored), self.under)
+                } else {
+                    from
+                }
+            }
+            _ => page.len(),
+        }
+    }
+
+    /// After a walk of `page` stopped at `rec_pos`: keeps it pinned when
+    /// the walk stopped on it — at the upper bound (`ended`; the range is
+    /// exhausted, and the next range most likely starts on this page) or
+    /// at the pull's end — and otherwise unpins it and moves on. Returns
+    /// `false` when the range is exhausted.
+    fn keep_or_pass(&mut self, page: Arc<Page>, ended: bool) -> bool {
+        if ended || self.rec_pos < page.len() {
+            self.page = Some(page);
+        } else {
+            self.page_pos += 1;
+        }
+        self.done = ended;
+        !ended
+    }
+}
+
+/// The length of the key every record of `range` starts with, if it is a
+/// subtree range — it ends at a key's `subtree_upper` and starts at or
+/// under that key — else 0.
+fn subtree_prefix(range: &KeyRange) -> usize {
+    match range.hi.as_deref().and_then(<[u8]>::split_last) {
+        Some((&1, stem)) if range.lo.starts_with(stem) && range.lo.get(stem.len()) == Some(&0) => {
+            stem.len() + 1
+        }
+        _ => 0,
     }
 }
 

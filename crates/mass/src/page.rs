@@ -12,9 +12,9 @@
 //!
 //! * [`Page`], what the buffer pool caches and every reader walks: the
 //!   disk image it was read from plus a *slot table* built over it in one
-//!   pass — per record where its key lies and how long it is, its kind,
-//!   its name id, and its value's tag with an offset and length (or the
-//!   dictionary id). V1 keys and all inline values are read in place from
+//!   pass — per record where its key lies, how long it is and how much of
+//!   it the record before shares, its kind, its name id, and its value's
+//!   tag with an offset and length (or the dictionary id). V1 keys and all inline values are read in place from
 //!   the image; v2 keys, which exist on disk only as suffixes, are rebuilt
 //!   back to back into one key arena per page. Decoding allocates the
 //!   slot table and (v2) the arena, nothing per record, and eviction
@@ -29,8 +29,8 @@
 //!   caches the [`Page`] decoded from that image.
 
 use crate::compress::{
-    read_varint, v2_encode_record, v2_record_len, StoreFormat, HAS_NAME, KIND_MASK, TAG_MASK,
-    TAG_SHIFT,
+    common_prefix, read_varint, v2_encode_record, v2_record_len, StoreFormat, HAS_NAME, KIND_MASK,
+    TAG_MASK, TAG_SHIFT,
 };
 use crate::error::{MassError, Result};
 use crate::names::NameId;
@@ -72,6 +72,10 @@ struct Slot {
     key_len: u16,
     /// Byte length of an inline value.
     val_len: u16,
+    /// Bytes the key shares with its predecessor on the page (0 for the
+    /// first record; see `Page::shared`). V2 images carry it, v1
+    /// decoding works it out.
+    shared: u16,
     kind: RecordKind,
     tag: u8,
 }
@@ -154,7 +158,9 @@ fn slots_v1(image: &[u8], count: usize, slots: &mut Vec<Slot>) -> Result<usize> 
         if !FlexKey::is_valid_flat(key) {
             return Err(bad("malformed flat key"));
         }
-        if i > 0 && key <= prev {
+        let shared = common_prefix(prev, key);
+        // Past the shared head, the key must go on and differ upward.
+        if i > 0 && key.get(shared) <= prev.get(shared) {
             return Err(bad("keys out of order"));
         }
         let kind = RecordKind::from_u8(fixed[0])?;
@@ -177,6 +183,7 @@ fn slots_v1(image: &[u8], count: usize, slots: &mut Vec<Slot>) -> Result<usize> 
             val,
             key_len: key_len as u16,
             val_len: val_len as u16, // the payload lies inside the page
+            shared: shared as u16,
             kind,
             tag,
         });
@@ -229,8 +236,11 @@ fn slots_v2(
         if !FlexKey::is_valid_flat_tail(in_label, suffix) {
             return Err(bad("malformed front-coded key"));
         }
-        if i > 0 && suffix <= &keys[prev_off + lcp..prev_off + prev_len] {
-            return Err(bad("keys out of order"));
+        // The suffix must differ upward from where it parts from the
+        // predecessor, at its first byte: a shared head the encoder could
+        // have made longer is refused, so `shared` is exact.
+        if i > 0 && suffix.first() <= keys[prev_off..prev_off + prev_len].get(lcp) {
+            return Err(bad("keys out of order or front-coding not maximal"));
         }
         let key_off = keys.len();
         keys.extend_from_within(prev_off..prev_off + lcp);
@@ -277,6 +287,7 @@ fn slots_v2(
             // A key is no longer than the suffixes before it: it fits.
             key_len: key_len as u16,
             val_len,
+            shared: lcp as u16,
             kind,
             tag,
         });
@@ -460,16 +471,30 @@ impl Page {
         self.slots.binary_search_by(|s| s.key(keys).cmp(flat))
     }
 
-    /// Index of the first record in `range` whose key fails `pred`
-    /// (`range.end` if none does); `pred` must hold for a prefix of the
-    /// range, as for `slice::partition_point`.
-    pub fn partition_point(
-        &self,
-        range: Range<usize>,
-        mut pred: impl FnMut(&[u8]) -> bool,
-    ) -> usize {
-        let keys = self.key_bytes();
-        range.start + self.slots[range].partition_point(|s| pred(s.key(keys)))
+    /// Index one past the subtree of record `i` on this page: the first
+    /// record after it whose key does not extend record `i`'s (`len()` if
+    /// the subtree runs to the page's end). Read off the shared-prefix
+    /// lengths alone — no key is compared — so a leaf costs one look.
+    pub(crate) fn subtree_end(&self, i: usize) -> usize {
+        self.run_end(i + 1, usize::from(self.slots[i].key_len))
+    }
+
+    /// The first record from `from` on that shares fewer than `prefix`
+    /// bytes with its predecessor (`len()` if none does): if the record
+    /// before `from` starts with a key `prefix` bytes long, where that
+    /// key's subtree ends on this page.
+    pub(crate) fn run_end(&self, from: usize, prefix: usize) -> usize {
+        let run = self.slots[from..].iter();
+        from + run.take_while(|s| usize::from(s.shared) >= prefix).count()
+    }
+
+    /// Bytes the key of record `i` shares with the key before it on the
+    /// page (0 for the first record). When the key before starts with
+    /// some key `k` — is `k`, or lies in its subtree — record `i` lies in
+    /// `k`'s subtree exactly when this reaches `k`'s length.
+    #[inline]
+    pub(crate) fn shared(&self, i: usize) -> usize {
+        usize::from(self.slots[i].shared)
     }
 
     /// Index of the first record with key `>= flat` (`len()` if none),
@@ -926,6 +951,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn shared_lengths_end_subtrees_in_both_formats() {
+        let mut paths = Vec::new();
+        for a in 0..4 {
+            paths.push(vec![a]);
+            for b in 0..3 {
+                paths.push(vec![a, b]);
+                paths.extend((0..2).map(|c| vec![a, b, c]));
+            }
+        }
+        for fmt in [StoreFormat::V1, StoreFormat::V2] {
+            let mut p = PageBuf::new(fmt);
+            for path in &paths {
+                p.append(deep_rec(path)).unwrap();
+            }
+            let page = Page::decode(p.encode().unwrap(), 0).unwrap();
+            for i in 0..page.len() {
+                let before = i.checked_sub(1).map_or(&[][..], |j| page.key(j));
+                assert_eq!(page.shared(i), common_prefix(before, page.key(i)));
+                let end = (i + 1..page.len())
+                    .find(|&j| !page.key(j).starts_with(page.key(i)))
+                    .unwrap_or(page.len());
+                assert_eq!(page.subtree_end(i), end, "{fmt:?}: record {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn v2_refuses_a_shared_prefix_it_could_have_made_longer() {
+        // Two keys that share their first label, the second front-coded
+        // as if they shared nothing.
+        let mut image = MAGIC_V2.to_le_bytes().to_vec();
+        image.extend_from_slice(&2u16.to_le_bytes());
+        image.extend_from_slice(&[0u8; 4]);
+        v2_encode_record(&deep_rec(&[0, 1]), None, &mut image);
+        v2_encode_record(&deep_rec(&[0, 2]), None, &mut image);
+        image.resize(PAGE_SIZE, 0);
+        assert!(Page::decode(image, 0).is_err());
     }
 
     #[test]

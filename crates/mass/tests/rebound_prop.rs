@@ -1,11 +1,12 @@
 //! A cursor that keeps its place is a cursor that starts over: for
-//! random context sequences — ascending, shuffled, nested, repeated — a
-//! stream re-opened on each context ([`AxisStream::open`]) and a cursor
-//! re-bound to each range ([`MassCursor::rebound`]) yield exactly what a
-//! new stream and a new cursor yield, and never ask the buffer pool for
-//! more pages. On both page formats, under a pool of eight pages over a
-//! document of dozens (v1: ~75, v2: ~24), so that pins are evicted under
-//! the cursor.
+//! random context sequences — ascending, shuffled, nested, repeated, and
+//! the runs a stream sweeps through (siblings, empty subtrees, a step up
+//! a level, a context left part-way) — a stream re-opened on each context
+//! ([`AxisStream::open`]) and a cursor re-bound to each range
+//! ([`MassCursor::rebound`]) yield exactly what a new stream and a new
+//! cursor yield, and never ask the buffer pool for more pages. On both
+//! page formats, under a pool of eight pages over a document of dozens
+//! (v1: ~75, v2: ~24), so that pins are evicted under the cursor.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -33,7 +34,14 @@ struct Fixture {
     store: MassStore,
     /// Every element key, in document order.
     elements: Vec<FlexKey>,
+    /// Indices in `elements` of those with nothing below them (`<b/>`).
+    leaves: Vec<usize>,
 }
+
+/// The longest sibling run a case opens: a run of the root's children
+/// this long covers ~900 records, more than a v1 page and most of a v2
+/// one.
+const RUN: usize = 64;
 
 fn fixture(format: StoreFormat) -> &'static Fixture {
     static FIXTURES: [OnceLock<Fixture>; 2] = [OnceLock::new(), OnceLock::new()];
@@ -42,14 +50,45 @@ fn fixture(format: StoreFormat) -> &'static Fixture {
         store.set_format(format).unwrap();
         store.load_xml("doc", &document()).unwrap();
         assert!(store.stats().pages >= 20, "{} pages", store.stats().pages);
-        let elements = store
+        let elements: Vec<FlexKey> = store
             .name_index()
             .all_elements()
             .iter()
             .map(FlexKey::from_flat_slice)
             .collect();
-        Fixture { store, elements }
+        let leaves = (0..elements.len())
+            .filter(|&i| {
+                let below = axis_stream(
+                    &store,
+                    &elements[i],
+                    RecordKind::Element,
+                    Axis::Descendant,
+                    NodeFilter::any(),
+                );
+                below.unwrap().collect().unwrap().is_empty()
+            })
+            .collect();
+        Fixture {
+            store,
+            elements,
+            leaves,
+        }
     })
+}
+
+/// Element `first` and the siblings after it, in document order: at most
+/// [`RUN`] of them.
+fn siblings_from(f: &Fixture, first: usize) -> Vec<usize> {
+    let parent = f.elements[first].parent();
+    (first..f.elements.len())
+        .take_while(|&i| {
+            parent
+                .as_ref()
+                .is_some_and(|p| p.is_ancestor_of(&f.elements[i]))
+        })
+        .filter(|&i| f.elements[i].parent() == parent)
+        .take(RUN)
+        .collect()
 }
 
 /// The context sequence of a case: `picks` resolved against the element
@@ -80,7 +119,50 @@ fn contexts(f: &Fixture, picks: &[usize], shape: u8) -> Vec<FlexKey> {
             return nested;
         }
         // Repeated: each pick three times running.
-        _ => at = at.iter().flat_map(|&i| [i, i, i]).collect(),
+        3 => at = at.iter().flat_map(|&i| [i, i, i]).collect(),
+        // Sibling runs: the first pick and the siblings after it — or,
+        // for odd draws, its top-level ancestor and the root's children
+        // after that, a run across pages (shape 7 leaves every other
+        // context part-way).
+        4 | 7 => {
+            let mut first = at[0];
+            if picks.len() % 2 == 1 {
+                let key = &f.elements[first];
+                let top = key.ancestor(key.level().saturating_sub(2));
+                let top = top.expect("an element's ancestor");
+                first = f.elements.binary_search(&top).expect("an element");
+            }
+            at = siblings_from(f, first);
+        }
+        // Empty subtrees: all the children of a leaf's parent, so that the
+        // sweep must stop at the sibling after the leaf, not swallow it.
+        5 => {
+            let leaf = f.leaves[picks[0] % f.leaves.len()];
+            let parent = f.elements[leaf].parent().expect("an element");
+            let first = (0..=leaf)
+                .rev()
+                .find(|&i| !parent.is_ancestor_of(&f.elements[i]))
+                .map_or(0, |i| i + 1);
+            at = siblings_from(f, first);
+        }
+        // A step up a level: each pick, then the first element after its
+        // parent's subtree — the parent's next sibling, or an ancestor's.
+        _ => {
+            at.sort_unstable();
+            at.dedup();
+            at = at
+                .into_iter()
+                .flat_map(|i| {
+                    let parent = f.elements[i].parent();
+                    let next = (i..f.elements.len()).find(|&j| {
+                        parent
+                            .as_ref()
+                            .is_some_and(|p| !p.is_ancestor_of(&f.elements[j]))
+                    });
+                    std::iter::once(i).chain(next)
+                })
+                .collect();
+        }
     }
     at.into_iter().map(|i| f.elements[i].clone()).collect()
 }
@@ -141,7 +223,7 @@ proptest! {
     #[test]
     fn a_reopened_stream_is_a_new_stream(
         picks in proptest::collection::vec(0usize..1_000_000, 1..24),
-        shape in 0u8..4,
+        shape in 0u8..8,
         axis in 0usize..FORWARD.len(),
         test in 0u8..4,
         max in prop_oneof![Just(1usize), Just(3), Just(64), Just(usize::MAX)],
@@ -158,6 +240,7 @@ proptest! {
                 contexts.truncate(3);
             }
             let filter = filter_for(store, axis, test);
+            let abandon = if shape == 7 { 2 } else { abandon };
             let before = probes(store);
             let fresh: Vec<Vec<NodeEntry>> = contexts
                 .iter()

@@ -57,7 +57,7 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use vamana_core::{exec::BATCH_SIZE, DocId, Engine, SharedEngine, UpdateOp, Value};
@@ -213,6 +213,18 @@ impl Shared {
     /// The plan cache.
     pub fn cache(&self) -> &PlanCache {
         &self.cache
+    }
+
+    /// Read access to the engine for a request, the wait for it added to
+    /// `reader_wait_us`.
+    fn read_engine(&self) -> RwLockReadGuard<'_, Engine> {
+        let asked = Instant::now();
+        let engine = self.engine.read();
+        let waited = asked.elapsed().as_micros() as u64;
+        self.metrics
+            .reader_wait_us
+            .fetch_add(waited, Ordering::Relaxed);
+        engine
     }
 }
 
@@ -483,7 +495,7 @@ fn run_query(
     limit: usize,
     deadline: Instant,
 ) -> Result<Outcome, ServerError> {
-    let engine = shared.engine.read();
+    let engine = shared.read_engine();
     if engine.store().documents().is_empty() {
         return Err(ServerError::Query(
             "no documents loaded (use LOADXML or LOAD)".into(),
@@ -605,7 +617,7 @@ fn run_eval(
     doc: Option<&str>,
     limit: usize,
 ) -> Result<Outcome, ServerError> {
-    let engine = shared.engine.read();
+    let engine = shared.read_engine();
     let doc = resolve_read_doc(&engine, doc)?;
     let start = Instant::now();
     let before = engine.store().buffer_pool().stats();
@@ -653,7 +665,7 @@ fn run_explain(
     json: bool,
     doc: Option<&str>,
 ) -> Result<Outcome, ServerError> {
-    let engine = shared.engine.read();
+    let engine = shared.read_engine();
     let doc = resolve_read_doc(&engine, doc)?;
     let start = Instant::now();
     let ex = engine.explain(doc, xpath).map_err(query_err)?;
@@ -686,7 +698,7 @@ fn run_analyze(
     json: bool,
     doc: Option<&str>,
 ) -> Result<Outcome, ServerError> {
-    let engine = shared.engine.read();
+    let engine = shared.read_engine();
     let doc = resolve_read_doc(&engine, doc)?;
     let analysis = engine.analyze_doc(doc, xpath).map_err(query_err)?;
     let elapsed = analysis.profile.elapsed;

@@ -83,6 +83,9 @@ pub struct Metrics {
     /// Cumulative microseconds update workers spent parked at the
     /// engine's epoch gate waiting for in-flight readers to drain.
     pub writer_wait_us: AtomicU64,
+    /// Cumulative microseconds read requests (`QUERY`, `EVAL`, `EXPLAIN`,
+    /// `ANALYZE`) waited for the engine's read lock — behind a writer.
+    pub reader_wait_us: AtomicU64,
     /// Workers currently executing a job (gauge).
     pub active_workers: AtomicU64,
     /// Connections accepted over the server's lifetime.
@@ -108,6 +111,7 @@ impl Metrics {
         out.push(format!("STAT updates_total {}", c(&self.updates)));
         out.push(format!("STAT checkpoints_total {}", c(&self.checkpoints)));
         out.push(format!("STAT writer_wait_us {}", c(&self.writer_wait_us)));
+        out.push(format!("STAT reader_wait_us {}", c(&self.reader_wait_us)));
         out.push(format!("STAT active_workers {}", c(&self.active_workers)));
         out.push(format!("STAT connections_total {}", c(&self.connections)));
         out.push(format!(

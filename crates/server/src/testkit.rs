@@ -57,8 +57,10 @@ impl Client {
 
     /// Sends `request` and returns every response line, terminator last.
     pub fn round_trip(&mut self, request: &str) -> Vec<String> {
-        writeln!(self.writer, "{request}").expect("send");
-        self.writer.flush().expect("flush");
+        // One write: the request and its newline as two segments would
+        // hold the newline back until the server's delayed ACK (Nagle).
+        let line = format!("{request}\n");
+        self.writer.write_all(line.as_bytes()).expect("send");
         let mut lines = Vec::new();
         loop {
             let mut line = String::new();

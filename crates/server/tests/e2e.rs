@@ -480,3 +480,32 @@ fn over_long_lines_are_refused_but_documents_still_load() {
     assert_eq!(count[0], format!("VAL {}", xml.matches("<row>").count()));
     handle.stop();
 }
+
+#[test]
+fn a_query_behind_a_writer_counts_its_wait() {
+    let handle = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(&handle);
+    let before = stat_value(&client.round_trip("STATS"), "reader_wait_us");
+    let shared = handle.shared();
+    let (held, holding) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let _engine = shared.engine().write();
+            held.send(()).expect("the test waits for this");
+            std::thread::sleep(Duration::from_millis(50));
+        });
+        // The query is sent only once the writer holds the engine.
+        holding.recv().expect("the writer took the engine");
+        let reply = client.round_trip("QUERY //person/name");
+        assert!(
+            reply.last().is_some_and(|ok| ok.starts_with("OK")),
+            "{reply:?}"
+        );
+    });
+    let after = stat_value(&client.round_trip("STATS"), "reader_wait_us");
+    assert!(
+        after - before >= 40_000,
+        "reader_wait_us {before} -> {after}"
+    );
+    handle.stop();
+}
