@@ -97,7 +97,7 @@ pub fn vamana_engine(xml: &str, optimize: bool) -> Engine {
     options.optimize = optimize;
     // The paper's configurations have no result cache: a repeated run
     // times (and the differential suites compare against) the plan, never
-    // a materialized view of its last result.
+    // the result memo's copy of its last answer.
     options.view_admit_after = u32::MAX;
     engine
 }

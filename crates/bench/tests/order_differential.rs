@@ -4,7 +4,7 @@
 //! repeats nodes and `//a/b` comes out of order. A result is sorted only
 //! when the plan does not emit in order or its output step saw contexts
 //! nest; every result, sorted or not, must be the DOM oracle's — in all
-//! four configurations the differential suites span — and the witness
+//! three configurations the differential suites span — and the witness
 //! must trip exactly when the contexts nest.
 //!
 //! In a debug build `finish_node_set` also asserts strict ascent of every
@@ -40,9 +40,8 @@ fn document(groups: usize, recursive: bool) -> String {
     xml
 }
 
-/// The four configurations: default plans; optimized on one thread;
-/// optimized with every eligible scan fanned out; every sound view
-/// rewrite taken (a query's second run reads the view its first one left).
+/// The three configurations: default plans; optimized on one thread;
+/// optimized with every eligible scan fanned out.
 fn configurations(xml: &str) -> Vec<(&'static str, Engine)> {
     let base = EngineOptions {
         parallel_workers: 1,
@@ -63,14 +62,6 @@ fn configurations(xml: &str) -> Vec<(&'static str, Engine)> {
             EngineOptions {
                 parallel_workers: 2,
                 parallel_force: true,
-                ..base.clone()
-            },
-        ),
-        (
-            "views",
-            EngineOptions {
-                view_admit_after: 1,
-                view_greedy: true,
                 ..base
             },
         ),
@@ -135,16 +126,12 @@ fn recursive_documents_agree_with_the_dom_in_every_configuration() {
                 let what = format!("{xpath} ({label}, recursive: {recursive})");
                 let oracle = dom.identities(xpath).expect(xpath);
                 assert!(!oracle.is_empty(), "{what}: oracle returned nothing");
-                // Twice: under "views" the second run reads the first's
-                // result back as a view.
-                for run in 0..2 {
-                    let rows = engine.query_doc(DocId(0), xpath).expect(xpath);
-                    assert!(
-                        rows.windows(2).all(|w| w[0].key < w[1].key),
-                        "{what}: run {run} is not a node-set"
-                    );
-                    assert_eq!(identities(&engine, &rows), oracle, "{what}: run {run}");
-                }
+                let rows = engine.query_doc(DocId(0), xpath).expect(xpath);
+                assert!(
+                    rows.windows(2).all(|w| w[0].key < w[1].key),
+                    "{what}: not a node-set"
+                );
+                assert_eq!(identities(&engine, &rows), oracle, "{what}");
                 let reference = engine.query_doc(DocId(0), xpath).expect(xpath);
                 for max in PULL_SIZES {
                     assert_eq!(
@@ -153,9 +140,6 @@ fn recursive_documents_agree_with_the_dom_in_every_configuration() {
                         "{what}: streamed by {max}"
                     );
                 }
-            }
-            if label == "views" {
-                assert!(engine.views().stats().hits > 0, "no query read a view");
             }
             if label == "optimized, fanned out" {
                 assert!(engine.parallel_stats().morsels > 0, "no scan fanned out");
@@ -227,8 +211,8 @@ fn the_witness_trips_exactly_when_the_output_steps_contexts_nest() {
 }
 
 /// Which benchmark requests sort (EXPERIMENTS.md, "Which requests
-/// sort"). Optimized, none whose output step is a downward step, a view
-/// or a merge of morsels: the scans S1–S5, the six regions
+/// sort"). Optimized, none whose output step is a downward step or a
+/// merge of morsels: the scans S1–S5, the six regions
 /// and `/site/open_auctions//*`, Q1 and Q3, and the three lookups that
 /// end in a child step. All whose output step is a reverse axis do: Q2,
 /// Q4, Q5 and the province lookup. Default plans spell `//` as
@@ -288,21 +272,15 @@ fn which_benchmark_requests_sort() {
             continue;
         }
         for xpath in &in_order {
-            // Twice, for the view of the first run to answer the second.
-            for _ in 0..2 {
-                assert!(streams_in_order(&engine, xpath), "{xpath} ({label}) sorts");
-                engine.query_doc(DocId(0), xpath).unwrap();
-            }
+            assert!(streams_in_order(&engine, xpath), "{xpath} ({label}) sorts");
         }
         for xpath in sorted {
             let plan = engine
                 .optimize_plan(engine.compile(xpath).unwrap(), DocId(0))
                 .unwrap()
                 .plan;
-            assert!(vamana_core::plan_view(&plan).is_none(), "{xpath} ({label})");
             assert!(!plan.emits_in_order(), "{xpath} ({label}) does not sort");
             assert!(!streams_in_order(&engine, xpath), "{xpath} ({label})");
-            engine.query_doc(DocId(0), xpath).unwrap();
         }
     }
 }

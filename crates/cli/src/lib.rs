@@ -705,8 +705,7 @@ commands:
   .serve <port|stop>  share this session's store over TCP
   .xquery <flwor>     run an XQuery-lite FLWOR expression
   .optimizer [on|off] toggle the cost-driven optimizer
-  .views [clear]      materialized views: hot query results the optimizer
-                      answers contained queries from when that is cheaper
+  .views [clear]      the result memo: answers kept for repeated queries
   .stats              storage and buffer-pool statistics
   .docs               list loaded documents
   .insert <doc> <xpath> <fragment>

@@ -362,21 +362,6 @@ impl<'a> Estimator<'a> {
                 );
                 out
             }
-            Operator::ViewScan { entries, .. } => {
-                // A view scan receives nothing and emits exactly the
-                // materialized set — the count is known, not estimated.
-                let n = entries.len() as u64;
-                self.costs.insert(
-                    id,
-                    OpCost {
-                        count: Some(n),
-                        tc: None,
-                        input: 0,
-                        output: n,
-                    },
-                );
-                n
-            }
             other => {
                 // Expression operators used as node-set producers
                 // (shouldn't happen from the builder); treat opaque.

@@ -13,7 +13,7 @@ use crate::explain::Analysis;
 use crate::opt::{self, OptEvent, OptimizeOutcome, OptimizerOptions};
 use crate::plan::{builder::build_plan, display, Operator, QueryPlan};
 use crate::shared::QueryProfile;
-use crate::views::{self, Pattern, ViewCandidate, ViewKey};
+use crate::views;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,13 +28,13 @@ const WRITER_DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Engine configuration. Every read-path feature engages through its cost
 /// gate; what is configurable is the paper's optimizer switch, two
-/// resource bounds, and two overrides that let tests drive a path the
+/// resource bounds, and one override that lets tests drive a path the
 /// gate would decline.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Run the cost-driven optimizer (`false` = execute default plans,
-    /// the paper's "VQP" configuration; `true` = "VQP-OPT"). Views are
-    /// an optimizer stage: default plans use none.
+    /// the paper's "VQP" configuration; `true` = "VQP-OPT"). The result
+    /// memo keeps only answers of optimized plans.
     pub optimize: bool,
     /// Threads one scan may use, the calling thread included (the pool
     /// runs one fewer). `0` means one per available core; `1` keeps every
@@ -48,15 +48,10 @@ pub struct EngineOptions {
     /// regardless of its size or the document's — for differential testing
     /// and for measuring the parallel path itself.
     pub parallel_force: bool,
-    /// How many times a fragment query must be seen before its result is
-    /// materialized as a view ([`crate::views`]). Views need no switch:
-    /// a rewrite onto one is kept only when re-estimation beats the
-    /// optimized plan, and any write to the document drops its views.
+    /// How many times a fragment query's answer must be computed before
+    /// the result memo keeps it ([`crate::views`]); `u32::MAX` keeps
+    /// none. Any write to the document drops what was kept.
     pub view_admit_after: u32,
-    /// Accept every *sound* view rewrite regardless of estimated cost —
-    /// for differential testing and diagnostics, where the goal is to
-    /// exercise the rewrite path, not to win the cost race.
-    pub view_greedy: bool,
 }
 
 impl Default for EngineOptions {
@@ -66,7 +61,6 @@ impl Default for EngineOptions {
             parallel_workers: 0,
             parallel_force: false,
             view_admit_after: 2,
-            view_greedy: false,
         }
     }
 }
@@ -155,7 +149,6 @@ pub struct QueryStream<'s> {
 
 impl<'s> QueryStream<'s> {
     fn new(engine: &'s Engine, plan: Arc<QueryPlan>, doc: DocId) -> Result<Self> {
-        engine.begin_run(&plan, doc)?;
         let root_ctx = engine.doc_entry(doc)?;
         let iter = match plan.top() {
             Some(top) => {
@@ -267,8 +260,8 @@ pub struct Engine {
     /// Cumulative microseconds writers spent at the epoch gate waiting
     /// for reader-held store clones to drain.
     writer_wait_us: AtomicU64,
-    /// Materialized-view cache.
-    views: crate::views::ViewCache,
+    /// The result memo.
+    views: views::ViewCache,
 }
 
 impl Engine {
@@ -284,12 +277,12 @@ impl Engine {
             options,
             scan_pool: PoolCell::default(),
             writer_wait_us: AtomicU64::new(0),
-            views: crate::views::ViewCache::new(),
+            views: views::ViewCache::new(),
         }
     }
 
-    /// The materialized-view cache (counters, listing, manual clears).
-    pub fn views(&self) -> &crate::views::ViewCache {
+    /// The result memo (counters, listing, manual clears).
+    pub fn views(&self) -> &views::ViewCache {
         &self.views
     }
 
@@ -345,8 +338,8 @@ impl Engine {
     pub fn replace_store(&mut self, store: MassStore) -> Result<()> {
         self.store_mut()?;
         self.store = Arc::new(store);
-        // The new store's generations restart at zero; every resident
-        // view is untrusted.
+        // The new store's generations restart at zero; no kept answer
+        // can be trusted.
         self.views.clear();
         Ok(())
     }
@@ -412,8 +405,8 @@ impl Engine {
         let target = match op {
             UpdateOp::Insert { target, .. } | UpdateOp::Delete { target } => target,
         };
-        // Not `query_doc`: the write below drops the document's views, so
-        // its own target is not worth counting toward one.
+        // Not `query_doc`: the write below drops the document's memo, so
+        // its own target is not worth counting toward it.
         let matched = self.execute_plan(&self.prepare(doc, target)?, doc)?;
         if let UpdateOp::Insert { .. } = op {
             if let Some(first) = matched.first() {
@@ -448,7 +441,7 @@ impl Engine {
         let doc_generation = store.doc_generation(doc);
         // Eager invalidation on the primary's write path; replica replay
         // bumps generations without coming through here and is covered by
-        // the lazy generation check in `ViewCache::candidates`.
+        // the memo's generation check.
         self.views.invalidate_doc(doc.0);
         let buffer_after = self.store().buffer_pool().stats();
         let profile = QueryProfile {
@@ -500,39 +493,18 @@ impl Engine {
     }
 
     /// Optimizes a plan for `doc` and reports the outcome: the rule
-    /// library, then the view stage, each kept only when re-estimation
-    /// says it pays. Parallel
-    /// eligibility and the query's view-cache identity are recorded on the
-    /// resulting plan so precompiled/cached plans carry them.
+    /// library, each rewrite kept only when re-estimation says it pays.
+    /// Parallel eligibility and whether the result memo may keep the
+    /// query's answers are recorded on the resulting plan so
+    /// precompiled/cached plans carry them.
     pub fn optimize_plan(&self, mut plan: QueryPlan, doc: DocId) -> Result<OptimizeOutcome> {
         let scope = self.doc_scope(doc)?;
-        // The view stage reads the *cleaned compiled* plan: optimizer
-        // rules (child push-down, parent inversion) introduce reverse-axis
-        // predicates that fall outside the containment fragment. So the
-        // pattern is extracted here, once, before they run — and the plan
-        // itself is kept only when the document has a view to try.
+        // The memo's fragment test reads the *cleaned compiled* plan:
+        // optimizer rules (child push-down, parent inversion) introduce
+        // reverse-axis predicates that fall outside it.
         opt::cleanup::cleanup(&mut plan);
-        let view_key = views::extract(&plan).map(|pattern| {
-            Arc::new(ViewKey {
-                key: pattern.key(),
-                pattern,
-            })
-        });
-        let candidates = match &view_key {
-            Some(_) => self.views.candidates(doc.0, self.store.doc_generation(doc)),
-            None => Vec::new(),
-        };
-        let probe = (!candidates.is_empty()).then(|| plan.clone());
+        let memoizable = views::in_fragment(&plan);
         let mut outcome = opt::optimize(plan, self.store(), &scope, &OptimizerOptions::default())?;
-        let pattern = view_key.as_deref().map(|k| &k.pattern);
-        self.apply_view_rewrite(
-            &mut outcome,
-            probe.as_ref(),
-            pattern,
-            &candidates,
-            doc,
-            &scope,
-        )?;
         let choice = opt::parallel::decide(
             &outcome.plan,
             self.store(),
@@ -544,114 +516,8 @@ impl Engine {
             reason: choice.err().unwrap_or("priced when the plan runs"),
         });
         outcome.plan.set_parallel(choice.ok());
-        outcome.plan.set_view_key(view_key);
+        outcome.plan.set_memoizable(memoizable);
         Ok(outcome)
-    }
-
-    /// The semantic-cache rewrite stage: try to answer the query from a
-    /// materialized view. For each spine prefix of the query's tree
-    /// pattern (longest first) and each valid view of `doc`, a
-    /// homomorphism check decides containment; a sound rewrite replaces
-    /// the covered steps with a [`Operator::ViewScan`] (plus
-    /// compensation when the containment is strict) and is kept only
-    /// when re-estimation beats the optimizer's plan — unless
-    /// `view_greedy`. Every considered rewrite lands in the optimizer
-    /// trace, accepted or rejected; so does the reason when there was
-    /// nothing to consider (`pattern` is `None` for a query outside the
-    /// containment fragment, `candidates` the document's valid views,
-    /// `probe` the cleaned compiled plan, kept exactly when there are any).
-    fn apply_view_rewrite(
-        &self,
-        outcome: &mut OptimizeOutcome,
-        probe: Option<&QueryPlan>,
-        pattern: Option<&Pattern>,
-        candidates: &[ViewCandidate],
-        doc: DocId,
-        scope: &KeyRange,
-    ) -> Result<()> {
-        let base_total = outcome.costs.total();
-        let trace = &mut outcome.opt_trace.events;
-        let (Some(probe), Some(pattern)) = (probe, pattern) else {
-            trace.push(OptEvent::ViewRewrite {
-                view: "-".to_string(),
-                total_before: base_total,
-                total_after: None,
-                applied: false,
-                reason: match pattern {
-                    None => "query outside the containment fragment",
-                    Some(_) => "no valid views for this document",
-                },
-            });
-            return Ok(());
-        };
-        // (plan, costs, total, trace index, view key)
-        let mut best: Option<(QueryPlan, crate::cost::PlanCosts, u64, usize, String)> = None;
-        for j in (1..=pattern.spine.len()).rev() {
-            let prefix = pattern.prefix(j);
-            let full = j == pattern.spine.len();
-            for cand in candidates {
-                if !views::contains(&cand.pattern, &prefix) {
-                    if full {
-                        trace.push(OptEvent::ViewRewrite {
-                            view: cand.xpath.clone(),
-                            total_before: base_total,
-                            total_after: None,
-                            applied: false,
-                            reason: "containment not proven",
-                        });
-                    }
-                    continue;
-                }
-                let equivalent = views::contains(&prefix, &cand.pattern);
-                if !equivalent && !prefix.descendant_rooted() {
-                    trace.push(OptEvent::ViewRewrite {
-                        view: cand.xpath.clone(),
-                        total_before: base_total,
-                        total_after: None,
-                        applied: false,
-                        reason: "absolute prefix requires an exact view",
-                    });
-                    continue;
-                }
-                let rewritten = views::rewrite_with_view(probe, j, equivalent, cand);
-                let costs = estimate(&rewritten, self.store(), scope)?;
-                let total = costs.total();
-                let accept = self.options.view_greedy || total < base_total;
-                trace.push(OptEvent::ViewRewrite {
-                    view: cand.xpath.clone(),
-                    total_before: base_total,
-                    total_after: Some(total),
-                    applied: false,
-                    reason: if accept {
-                        if equivalent {
-                            "equivalent — answered from view"
-                        } else {
-                            "contained — view scan + compensation"
-                        }
-                    } else {
-                        "costlier than the optimized plan"
-                    },
-                });
-                if accept && best.as_ref().is_none_or(|(_, _, t, _, _)| total < *t) {
-                    let idx = trace.len() - 1;
-                    best = Some((rewritten, costs, total, idx, cand.key.clone()));
-                }
-            }
-            if best.is_some() {
-                break; // longest covered prefix wins
-            }
-        }
-        if let Some((mut plan, costs, total, idx, key)) = best {
-            if let OptEvent::ViewRewrite { applied, .. } = &mut outcome.opt_trace.events[idx] {
-                *applied = true;
-            }
-            plan.set_estimates(costs.cards(plan.len(), self.store.tuples_per_page()));
-            self.views.touch(doc.0, &key);
-            outcome.plan = plan;
-            outcome.costs = costs;
-            outcome.final_cost = total;
-        }
-        Ok(())
     }
 
     /// What is left of the fused-scan counters: the frozen `trajectory`
@@ -663,16 +529,22 @@ impl Engine {
         (0, 0)
     }
 
-    /// Records a query result with the view cache: admission counting
-    /// for fragment queries and materialization once the frequency
-    /// threshold is met. `plan` is the optimized plan that produced
-    /// `entries`; its [`QueryPlan::view_key`] is the query's identity in
-    /// the cache, so a query outside the containment fragment costs one
-    /// `Option` check here. `entries` is the finished result: a node-set,
-    /// as [`Engine::execute_plan`] returns and [`QueryStream::finish`]
-    /// leaves it. Returns `true` when this call *newly*
-    /// materialized a view — callers holding compiled-plan caches should
-    /// drop their entry for `xpath` so the next compilation sees the view.
+    /// The answer the result memo kept for `xpath` on `doc` at the
+    /// document's current generation, if any — what [`Engine::query_doc`]
+    /// returns before compiling anything. Counted as a memo hit or miss.
+    pub fn recall(&self, doc: DocId, xpath: &str) -> Option<Arc<Vec<NodeEntry>>> {
+        self.views
+            .lookup(doc.0, xpath, self.store.doc_generation(doc))
+    }
+
+    /// Records a computed answer with the result memo, which keeps it
+    /// once a query in its fragment has been answered
+    /// [`EngineOptions::view_admit_after`] times. `plan` is the optimized
+    /// plan that produced `entries`, which records whether the query lies
+    /// in that fragment (one flag check here when not); `entries` is the
+    /// finished result, a node-set, as [`Engine::execute_plan`] returns
+    /// and [`QueryStream::finish`] leaves it. Returns `true` when this
+    /// call kept it.
     pub fn observe_result(
         &self,
         doc: DocId,
@@ -680,49 +552,18 @@ impl Engine {
         plan: &QueryPlan,
         entries: &[NodeEntry],
     ) -> bool {
-        let Some(view_key) = plan.view_key() else {
-            return false;
-        };
-        let generation = self.store.doc_generation(doc);
-        if !self.views.observe(
-            doc.0,
-            generation,
-            &view_key.key,
-            self.options.view_admit_after,
-        ) {
-            return false;
-        }
-        let mut set = entries.to_vec();
-        exec::finish_node_set(&mut set, true);
-        self.views.admit(
-            doc.0,
-            generation,
-            view_key.key.clone(),
-            xpath.to_string(),
-            view_key.pattern.clone(),
-            Arc::new(set),
-            views::VIEW_BUDGET_BYTES,
-        )
-    }
-
-    /// The gate every run of a prepared plan passes: a plan reading a
-    /// view materialized at another generation of `doc` would return the
-    /// pre-write node set, so it is refused ([`EngineError::StalePlan`]);
-    /// any other run counts as a view hit or miss.
-    fn begin_run(&self, plan: &QueryPlan, doc: DocId) -> Result<()> {
-        match views::plan_view_scan(plan) {
-            Some((_, generation)) if generation != self.store.doc_generation(doc) => {
-                return Err(EngineError::StalePlan);
-            }
-            Some(_) => self.views.record_hit(),
-            None => self.views.record_miss(),
-        }
-        Ok(())
+        plan.memoizable()
+            && self.views.observe(
+                doc.0,
+                xpath,
+                self.store.doc_generation(doc),
+                self.options.view_admit_after,
+                entries,
+            )
     }
 
     /// Executes a plan against `doc`.
     pub fn execute_plan(&self, plan: &QueryPlan, doc: DocId) -> Result<Vec<NodeEntry>> {
-        self.begin_run(plan, doc)?;
         let root_ctx = self.doc_entry(doc)?;
         let env = Env {
             plan,
@@ -745,8 +586,12 @@ impl Engine {
         }
     }
 
-    /// Compiles, (optionally) optimizes, and executes `xpath` on `doc`.
+    /// Compiles, (optionally) optimizes, and executes `xpath` on `doc` —
+    /// or returns the answer the result memo kept for it.
     pub fn query_doc(&self, doc: DocId, xpath: &str) -> Result<Vec<NodeEntry>> {
+        if let Some(kept) = self.recall(doc, xpath) {
+            return Ok(kept.to_vec());
+        }
         let plan = self.prepare(doc, xpath)?;
         let out = self.execute_plan(&plan, doc)?;
         self.observe_result(doc, xpath, &plan, &out);
@@ -1186,53 +1031,34 @@ mod tests {
     }
 
     #[test]
-    fn views_answer_repeated_queries_from_cache() {
-        let mut e = engine();
-        e.options_mut().view_admit_after = 2;
+    fn repeated_queries_are_answered_from_the_memo() {
+        let e = engine();
         let doc = DocId(0);
         let cold = e.query_doc(doc, "//name").unwrap();
-        let warm = e.query_doc(doc, "//name").unwrap(); // second sighting admits
+        assert!(e.recall(doc, "//name").is_none());
+        let warm = e.query_doc(doc, "//name").unwrap(); // second answer is kept
         assert_eq!(e.views().stats().views, 1);
         let hot = e.query_doc(doc, "//name").unwrap();
         assert_eq!(cold, warm);
         assert_eq!(cold, hot);
         let stats = e.views().stats();
-        assert!(stats.hits >= 1, "{stats:?}");
-        assert!(stats.misses >= 2, "{stats:?}");
-        let outcome = e.optimize_plan(e.compile("//name").unwrap(), doc).unwrap();
-        assert_eq!(crate::views::plan_view(&outcome.plan), Some("//name"));
+        assert_eq!((stats.hits, stats.misses), (1, 3), "{stats:?}");
     }
 
     #[test]
-    fn strict_containment_rewrites_match_direct_evaluation() {
-        let mut e = engine();
-        e.options_mut().view_admit_after = 1;
-        e.options_mut().view_greedy = true;
+    fn only_fragment_queries_are_kept() {
+        let e = engine();
         let doc = DocId(0);
-        // Materialize `//person`, then answer narrower queries from it.
-        assert_eq!(e.query_doc(doc, "//person").unwrap().len(), 3);
-        let direct = engine();
-        for q in [
-            "//person",
-            "//person[address]",
-            "//person[watches]",
-            "//person[address/province]",
-            "//person/name",
-        ] {
-            // Earlier queries in the loop self-materialize (admit_after
-            // is 1), so a later query may pick a tighter view than
-            // `//person` — any view is fine, correctness is the point.
-            let outcome = e.optimize_plan(e.compile(q).unwrap(), doc).unwrap();
-            assert!(
-                views::plan_view(&outcome.plan).is_some(),
-                "no view rewrite for {q}"
-            );
-            assert_eq!(
-                e.query_doc(doc, q).unwrap(),
-                direct.query_doc(doc, q).unwrap(),
-                "view rewrite changed semantics of {q}"
-            );
+        for q in ["//person[@id='p1']/name", "//name/parent::person"] {
+            let plan = e.optimize_plan(e.compile(q).unwrap(), doc).unwrap().plan;
+            assert!(!plan.memoizable(), "{q}");
+            for _ in 0..3 {
+                e.query_doc(doc, q).unwrap();
+            }
         }
+        assert_eq!(e.views().stats().views, 0);
+        let plan = e.optimize_plan(e.compile("//person/address").unwrap(), doc);
+        assert!(plan.unwrap().plan.memoizable());
     }
 
     #[test]
@@ -1257,57 +1083,17 @@ mod tests {
     }
 
     #[test]
-    fn analyze_marks_view_answered_queries() {
+    fn analyze_runs_the_plan_when_the_memo_holds_the_answer() {
         let mut e = engine();
         e.options_mut().view_admit_after = 1;
         let doc = DocId(0);
         e.query_doc(doc, "//name").unwrap();
+        assert_eq!(e.views().stats().views, 1);
         let a = e.analyze_doc(doc, "//name").unwrap();
-        assert_eq!(a.view(), Some("//name"));
         assert_eq!(a.rows, 3);
-        assert!(
-            a.render().contains("answered from view: //name"),
-            "{}",
-            a.render()
-        );
-        assert!(a.render_json().contains("\"view\":\"//name\""));
-        assert!(a
-            .opt_trace
-            .events
-            .iter()
-            .any(|ev| matches!(ev, OptEvent::ViewRewrite { applied: true, .. })));
-    }
-
-    #[test]
-    fn view_trace_records_rejections() {
-        let mut e = engine();
-        e.options_mut().view_admit_after = 1;
-        let doc = DocId(0);
-        e.query_doc(doc, "//watch").unwrap();
-        // A fragment query no resident view contains.
-        let outcome = e
-            .optimize_plan(e.compile("//address").unwrap(), doc)
-            .unwrap();
-        assert!(outcome.opt_trace.events.iter().any(|ev| matches!(
-            ev,
-            OptEvent::ViewRewrite {
-                applied: false,
-                reason: "containment not proven",
-                ..
-            }
-        )));
-        // A query outside the decidable fragment is never rewritten.
-        let outcome = e
-            .optimize_plan(e.compile("//person[1]").unwrap(), doc)
-            .unwrap();
-        assert!(outcome.opt_trace.events.iter().any(|ev| matches!(
-            ev,
-            OptEvent::ViewRewrite {
-                applied: false,
-                reason: "query outside the containment fragment",
-                ..
-            }
-        )));
+        let top = a.plan.top().unwrap();
+        assert_eq!(a.actuals.op(top).map(|act| act.rows), Some(3));
+        assert_eq!(e.views().stats().hits, 0);
     }
 
     #[test]

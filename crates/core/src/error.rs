@@ -16,10 +16,6 @@ pub enum EngineError {
     BadFunctionCall { name: String, reason: String },
     /// The store has no documents to query.
     NoDocuments,
-    /// A prepared plan reads a materialized view of an earlier generation
-    /// of its document: the document was written to after
-    /// [`crate::Engine::optimize_plan`] produced the plan. Optimize again.
-    StalePlan,
 }
 
 impl fmt::Display for EngineError {
@@ -32,10 +28,6 @@ impl fmt::Display for EngineError {
                 write!(f, "bad call to {name}(): {reason}")
             }
             EngineError::NoDocuments => write!(f, "no documents loaded"),
-            EngineError::StalePlan => write!(
-                f,
-                "stale plan: the document changed after the plan was optimized; optimize it again"
-            ),
         }
     }
 }

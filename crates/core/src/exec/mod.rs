@@ -200,17 +200,6 @@ pub enum OpIter<'s> {
     /// Morsel-parallel scan with ordered merge: the calling thread scans
     /// through this borrow, pool workers through `Arc` clones of the store.
     Parallel(Box<parallel::ParallelIter<'s>>),
-    /// Scan over a materialized view's cached result set (already in
-    /// document order, deduplicated). Carries its plan [`OpId`] and a
-    /// cursor position into the shared entry vector.
-    View {
-        /// The `ViewScan` operator this cursor executes.
-        op: OpId,
-        /// The view's materialized entries.
-        entries: std::sync::Arc<Vec<NodeEntry>>,
-        /// Next entry to yield.
-        pos: usize,
-    },
 }
 
 /// Builds the cursor tree for a node-set operator. `outer` is the tuple
@@ -301,11 +290,6 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
             }
             Ok(OpIter::Join(out.into_iter()))
         }
-        Operator::ViewScan { entries, .. } => Ok(OpIter::View {
-            op: id,
-            entries: std::sync::Arc::clone(entries),
-            pos: 0,
-        }),
         other => Err(EngineError::Unsupported(format!(
             "operator {other:?} cannot produce a node-set stream"
         ))),
@@ -352,8 +336,8 @@ impl<'s> OpIter<'s> {
         match self {
             OpIter::Step(s) => s.stream.as_ref().is_some_and(AxisStream::nested),
             OpIter::Parallel(p) => p.order_broken,
-            // One anchor; a set kept sorted; a leaf's index run.
-            OpIter::Anchor(_) | OpIter::View { .. } | OpIter::ValueStep(_) => false,
+            // One anchor; a leaf's index run.
+            OpIter::Anchor(_) | OpIter::ValueStep(_) => false,
             OpIter::Union(..) | OpIter::Join(_) => true,
         }
     }
@@ -414,21 +398,6 @@ impl<'s> OpIter<'s> {
                     Ok(n)
                 }
             },
-            OpIter::View { op, entries, pos } => {
-                let t0 = env.stats.map(|_| std::time::Instant::now());
-                let end = pos.saturating_add(max).min(entries.len());
-                let n = end - *pos;
-                out.extend_from_slice(&entries[*pos..end]);
-                *pos = end;
-                if let Some(stats) = env.stats {
-                    stats.add_invocation(*op);
-                    stats.add_rows(*op, n as u64);
-                    if let Some(t0) = t0 {
-                        stats.add_nanos(*op, t0.elapsed().as_nanos() as u64);
-                    }
-                }
-                Ok(n)
-            }
         }
     }
 }
@@ -966,8 +935,7 @@ pub fn eval_expr(
         | Operator::RangeStep { .. }
         | Operator::Union { .. }
         | Operator::Filter { .. }
-        | Operator::Join { .. }
-        | Operator::ViewScan { .. } => {
+        | Operator::Join { .. } => {
             // A path in expression position: collect its node-set,
             // deduplicated in document order.
             let iter = build_iter(env, id, Some(ctx))?;

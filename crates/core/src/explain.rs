@@ -100,12 +100,6 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// The XPath of the materialized view that answered this query, when
-    /// the plan went through a semantic-cache rewrite.
-    pub fn view(&self) -> Option<&str> {
-        crate::views::plan_view(&self.plan)
-    }
-
     /// Misestimated operators, worst q-error first. Only operators with
     /// both an estimate and recorded actuals participate; pairs within
     /// `threshold` (e.g. `1.05` = 5 %) are not reported.
@@ -154,11 +148,6 @@ impl Analysis {
             self.rows,
             if self.rows == 1 { "" } else { "s" },
         );
-        // Only view-answered queries gain a line, so the golden files of
-        // plain runs are untouched.
-        if let Some(view) = self.view() {
-            let _ = writeln!(out, "answered from view: {view}");
-        }
         out.push_str(&render_tree(&self.plan, Some(&self.actuals)));
         let worst = self.misestimates(1.05);
         if worst.is_empty() {
@@ -191,12 +180,6 @@ impl Analysis {
         let _ = write!(s, "\"default_cost\":{},", self.default_cost);
         let _ = write!(s, "\"final_cost\":{},", self.final_cost);
         let _ = write!(s, "\"elapsed_us\":{},", self.profile.elapsed.as_micros());
-        match self.view() {
-            Some(view) => {
-                let _ = write!(s, "\"view\":\"{}\",", escape_json(view));
-            }
-            None => s.push_str("\"view\":null,"),
-        }
         s.push_str("\"applied\":[");
         for (i, rule) in self.applied.iter().enumerate() {
             if i > 0 {
@@ -282,32 +265,6 @@ impl Analysis {
                         s,
                         "\"total_before\":{},\"total_after\":{},\"applied\":{}}}",
                         d.total_before, d.total_after, d.applied
-                    );
-                }
-                OptEvent::ViewRewrite {
-                    view,
-                    total_before,
-                    total_after,
-                    applied,
-                    reason,
-                } => {
-                    let _ = write!(
-                        s,
-                        "{{\"event\":\"view-rewrite\",\"view\":\"{}\",\"total_before\":{},",
-                        escape_json(view),
-                        total_before
-                    );
-                    match total_after {
-                        Some(v) => {
-                            let _ = write!(s, "\"total_after\":{v},");
-                        }
-                        None => s.push_str("\"total_after\":null,"),
-                    }
-                    let _ = write!(
-                        s,
-                        "\"applied\":{},\"reason\":\"{}\"}}",
-                        applied,
-                        escape_json(reason)
                     );
                 }
                 OptEvent::Parallel { estimated, reason } => {

@@ -56,7 +56,7 @@ pub use explain::{qerror, Analysis, Misestimate};
 pub use opt::{OptEvent, OptTrace, OptimizeOutcome, OptimizerOptions, RuleDecision};
 pub use plan::{builder::build_plan, display::render, OpId, Operator, ParallelChoice, QueryPlan};
 pub use shared::{QueryProfile, SharedEngine};
-pub use views::{contains, pattern_for, plan_view, Pattern, ViewCache, ViewStatsSnapshot};
+pub use views::{ViewCache, ViewStatsSnapshot};
 
 // Re-export the storage entry points so `vamana_core` is usable alone.
 pub use vamana_mass::{DocId, MassStore, NodeEntry};

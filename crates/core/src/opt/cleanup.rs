@@ -150,7 +150,7 @@ pub(crate) fn replace_edges(plan: &mut QueryPlan, old: OpId, new: OpId) {
                     }
                 }
             }
-            Operator::Literal { .. } | Operator::Number { .. } | Operator::ViewScan { .. } => {}
+            Operator::Literal { .. } | Operator::Number { .. } => {}
         }
     }
     if plan.root() == old {

@@ -58,23 +58,6 @@ pub enum OptEvent {
     },
     /// A rewrite rule produced a candidate and the acceptance test ran.
     Rule(RuleDecision),
-    /// The view-rewrite pass considered answering the query from a
-    /// materialized view (see [`crate::views`]). Recorded for accepted
-    /// *and* rejected candidates, and once per query when the query
-    /// itself falls outside the containment fragment.
-    ViewRewrite {
-        /// The candidate view's XPath (`-` when no candidate applies).
-        view: String,
-        /// Plan-wide tuple volume of the rule-optimized base plan.
-        total_before: u64,
-        /// Tuple volume of the view-rewritten candidate (`None` when no
-        /// candidate plan was built).
-        total_after: Option<u64>,
-        /// Whether the candidate was kept.
-        applied: bool,
-        /// Why the candidate was kept or rejected.
-        reason: &'static str,
-    },
     /// The parallel gate looked at the output step at plan time (see
     /// [`parallel::decide`]): eligible with the index estimate, or
     /// rejected with the reason it can never fan out.
@@ -139,27 +122,6 @@ impl OptTrace {
                         d.total_before,
                         d.total_after,
                         if d.applied {
-                            "✓ applied"
-                        } else {
-                            "✗ rejected"
-                        }
-                    );
-                }
-                OptEvent::ViewRewrite {
-                    view,
-                    total_before,
-                    total_after,
-                    applied,
-                    reason,
-                } => {
-                    let after = match total_after {
-                        Some(a) => format!("total {total_before}→{a}"),
-                        None => format!("total {total_before}"),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "view {view}: {after} {} ({reason})",
-                        if *applied {
                             "✓ applied"
                         } else {
                             "✗ rejected"

@@ -50,9 +50,6 @@ pub(crate) fn op_symbol(plan: &QueryPlan, id: OpId) -> String {
             }
         }
         Operator::Join { op, .. } => format!("J{} {}", id.0, op.label()),
-        Operator::ViewScan { view, entries, .. } => {
-            format!("ViewScan{}(view={view} rows={})", id.0, entries.len())
-        }
     }
 }
 

@@ -305,22 +305,6 @@ pub enum Operator {
         /// Right context child.
         right: OpId,
     },
-    /// Scan of a materialized view: streams the cached (sorted,
-    /// deduplicated) result set of a previously-answered query straight
-    /// from memory. Created only by the view-rewrite pass in
-    /// [`crate::views`] — the XPath compiler never emits it. The entries
-    /// are shared with the [`crate::views::ViewCache`] entry, so a plan
-    /// holding a `ViewScan` pins the snapshot it was planned against:
-    /// the engine refuses to run it once the document has moved past
-    /// `generation` ([`crate::EngineError::StalePlan`]).
-    ViewScan {
-        /// The source view's XPath text (for EXPLAIN / tracing).
-        view: Box<str>,
-        /// The document generation the view was materialized at.
-        generation: u64,
-        /// The materialized result set, in document order.
-        entries: std::sync::Arc<Vec<vamana_mass::NodeEntry>>,
-    },
 }
 
 /// Plan-time eligibility for a morsel-parallel scan, carried by the plan
@@ -342,10 +326,9 @@ pub struct QueryPlan {
     ops: Vec<Operator>,
     root: OpId,
     parallel: Option<ParallelChoice>,
-    /// The query's identity in the view cache, stamped by the optimizer
-    /// when the query lies in the containment fragment — what
-    /// [`crate::Engine::observe_result`] counts and admits a result under.
-    view_key: Option<std::sync::Arc<crate::views::ViewKey>>,
+    /// Stamped by the optimizer when the query lies in the fragment whose
+    /// answers the result memo keeps ([`crate::views::in_fragment`]).
+    memoizable: bool,
     /// Per-operator [`EstimateCard`]s stamped at optimization time,
     /// indexed by arena position. Empty until
     /// [`QueryPlan::set_estimates`] runs (e.g. on plans that never went
@@ -360,7 +343,7 @@ impl QueryPlan {
             ops,
             root,
             parallel: None,
-            view_key: None,
+            memoizable: false,
             estimates: Vec::new(),
         }
     }
@@ -391,15 +374,15 @@ impl QueryPlan {
         self.parallel = choice;
     }
 
-    /// The query's view-cache identity; `None` for a query outside the
-    /// containment fragment (or a plan that was never optimized).
-    pub fn view_key(&self) -> Option<&crate::views::ViewKey> {
-        self.view_key.as_deref()
+    /// Whether the result memo may keep this query's answers: `false` for
+    /// a query outside its fragment or a plan that was never optimized.
+    pub(crate) fn memoizable(&self) -> bool {
+        self.memoizable
     }
 
-    /// Records the view-cache identity.
-    pub fn set_view_key(&mut self, key: Option<std::sync::Arc<crate::views::ViewKey>>) {
-        self.view_key = key;
+    /// Records whether the result memo may keep this query's answers.
+    pub(crate) fn set_memoizable(&mut self, memoizable: bool) {
+        self.memoizable = memoizable;
     }
 
     /// The root operator id.
@@ -473,9 +456,7 @@ impl QueryPlan {
             Operator::ValueStep { context, .. } | Operator::RangeStep { context, .. } => {
                 context.iter().copied().collect()
             }
-            Operator::Literal { .. } | Operator::Number { .. } | Operator::ViewScan { .. } => {
-                Vec::new()
-            }
+            Operator::Literal { .. } | Operator::Number { .. } => Vec::new(),
             Operator::Exists { path } => vec![*path],
             Operator::Binary { left, right, .. }
             | Operator::Arith { left, right, .. }
@@ -512,8 +493,8 @@ impl QueryPlan {
     ///   about whatever produced the contexts, so the step witnesses it
     ///   as it runs ([`crate::exec::OpIter::order_broken`]), and a plan
     ///   whose witness trips is sorted after all;
-    /// * a view scan reads a set kept sorted, a value or range step at
-    ///   the leaf reads one run of the value index;
+    /// * a value or range step at the leaf reads one run of the value
+    ///   index;
     /// * anything else — a reverse or sideways axis, a union, a join, a
     ///   filter — promises nothing.
     pub fn emits_in_order(&self) -> bool {
@@ -522,7 +503,6 @@ impl QueryPlan {
         };
         match self.op(top) {
             Operator::Step { axis, .. } => axis.is_downward(),
-            Operator::ViewScan { .. } => true,
             Operator::ValueStep { context, .. } | Operator::RangeStep { context, .. } => {
                 context.is_none()
             }

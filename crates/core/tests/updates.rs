@@ -218,25 +218,23 @@ fn concurrent_parallel_readers_see_consistent_results_across_update() {
     assert_eq!(shared.read().query("//item").unwrap().len(), before + 1);
 }
 
-/// A plan prepared while a view was valid holds that view's rows. Run
-/// after a write it must say so — never hand back the pre-write node set —
-/// and a fresh optimize answers from the document again.
+/// A query the result memo keeps is answered from it until a write to
+/// its document; the next run returns the post-write set, and a plan
+/// prepared before the write runs against the document as it is now.
 #[test]
-fn a_prepared_view_plan_is_refused_after_a_write() {
+fn a_repeated_query_after_a_write_returns_the_post_write_set() {
     let mut engine = seeded_engine();
     engine.options_mut().view_admit_after = 1;
     let doc = DocId(0);
     let q = "//person/name";
-    assert_eq!(engine.query_doc(doc, q).unwrap().len(), 2); // admits the view
-    let prepare = |engine: &Engine| {
-        engine
-            .optimize_plan(engine.compile(q).unwrap(), doc)
-            .unwrap()
-            .plan
-    };
-    let prepared = prepare(&engine);
-    assert_eq!(vamana_core::plan_view(&prepared), Some(q));
-    assert_eq!(engine.execute_plan(&prepared, doc).unwrap().len(), 2);
+    let before = engine.query_doc(doc, q).unwrap();
+    assert_eq!(before.len(), 2);
+    assert_eq!(engine.query_doc(doc, q).unwrap(), before);
+    assert_eq!(engine.views().stats().hits, 1);
+    let prepared = engine
+        .optimize_plan(engine.compile(q).unwrap(), doc)
+        .unwrap()
+        .plan;
 
     engine
         .apply_update(
@@ -247,17 +245,12 @@ fn a_prepared_view_plan_is_refused_after_a_write() {
             },
         )
         .unwrap();
-    assert!(matches!(
-        engine.execute_plan(&prepared, doc),
-        Err(EngineError::StalePlan)
-    ));
-    assert!(matches!(
-        engine.stream_plan(prepared, doc).err(),
-        Some(EngineError::StalePlan)
-    ));
-    let fresh = prepare(&engine);
-    assert_eq!(vamana_core::plan_view(&fresh), None);
-    assert_eq!(engine.execute_plan(&fresh, doc).unwrap().len(), 3);
+    let after = engine.query_doc(doc, q).unwrap();
+    assert_eq!(after.len(), 3);
+    assert_eq!(engine.string_values(&after).unwrap()[2], "Zed");
+    assert_eq!(engine.query_doc(doc, q).unwrap(), after);
+    assert_eq!(engine.views().stats().hits, 2);
+    assert_eq!(engine.execute_plan(&prepared, doc).unwrap(), after);
 }
 
 #[test]

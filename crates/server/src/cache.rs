@@ -116,16 +116,6 @@ impl PlanCache {
         }
     }
 
-    /// Drops the entry for `(xpath, doc)` regardless of generation — the
-    /// write path for externally invalidated plans (e.g. a newly
-    /// materialized view supersedes the plan optimized before it
-    /// existed).
-    pub fn remove(&self, xpath: &str, doc: DocId) {
-        if let Some(plans) = self.lock().docs.get_mut(&doc.0) {
-            plans.remove(xpath);
-        }
-    }
-
     /// Drops every entry for `doc` not compiled at `generation`. The
     /// generation check on `get` already refuses stale hits, but only
     /// for the key being probed — without this sweep a write-heavy
@@ -227,16 +217,6 @@ mod tests {
             "stale generations piled up: {} entries",
             cache.len()
         );
-    }
-
-    #[test]
-    fn remove_drops_entry_regardless_of_generation() {
-        let e = engine();
-        let cache = PlanCache::new(8);
-        let doc = DocId(0);
-        cache.insert("//a", doc, 1, plan_for(&e, "//a"));
-        cache.remove("//a", doc);
-        assert!(cache.get("//a", doc, 1).is_none());
     }
 
     #[test]

@@ -130,7 +130,7 @@ const MAX_DOCUMENT_LINE: usize = 256 << 20;
 
 /// Hard cap on every other request line: an XPath expression, a path, a
 /// few operands.
-const MAX_LINE: usize = 64 << 10;
+pub(crate) const MAX_LINE: usize = 64 << 10;
 
 /// The verbs whose line carries a document inline, on the server and on
 /// the router that forwards them.

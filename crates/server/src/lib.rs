@@ -25,7 +25,7 @@
 //! LIMIT <n>                   per-connection row cap (0 = unlimited)
 //! STATS                       metrics snapshot
 //! DOCS                        loaded documents, in load order
-//! CACHE [LIST] | CACHE CLEAR  materialized views
+//! CACHE [LIST] | CACHE CLEAR  answers kept by the result memo
 //! LAG                         replication gauges
 //! REPLICATE <from_lsn>        become a WAL frame feed
 //! PING / QUIT
@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use vamana_core::{exec::BATCH_SIZE, DocId, Engine, SharedEngine, UpdateOp, Value};
+use vamana_core::{exec::BATCH_SIZE, DocId, Engine, NodeEntry, SharedEngine, UpdateOp, Value};
 
 pub mod cache;
 pub mod event;
@@ -510,9 +510,15 @@ fn run_query(
     };
     let start = Instant::now();
     let before = engine.store().buffer_pool().stats();
-    let mut all = Vec::new();
+    let mut parts: Vec<Arc<Vec<NodeEntry>>> = Vec::with_capacity(docs.len());
     let mut all_cached = true;
     for doc in docs {
+        // An answer the result memo kept is the reply: nothing to plan
+        // or run, reported as `plan=cached`.
+        if let Some(kept) = engine.recall(doc, xpath) {
+            parts.push(kept);
+            continue;
+        }
         // Plans validate against the *per-document* generation: an
         // update to one document invalidates exactly that document's
         // cached plans, and loads/updates elsewhere leave them warm.
@@ -559,21 +565,19 @@ fn run_query(
         // order are the global order, the one a front tier reproduces by
         // concatenating per-document results.
         stream.finish(&mut rows);
-        // Feed this document's result to the view cache. A fresh
-        // admission supersedes the compiled plan cached above — drop it
-        // so the next compilation goes through the view-rewrite pass.
-        if engine.observe_result(doc, xpath, &plan, &rows) {
-            shared.cache.remove(xpath, doc);
-        }
-        if all.is_empty() {
-            all = rows;
-        } else {
-            all.append(&mut rows);
-        }
+        engine.observe_result(doc, xpath, &plan, &rows);
+        parts.push(Arc::new(rows));
     }
+    // One document's answer is rendered where it lies, a kept one
+    // included; several are concatenated.
+    let all: Vec<NodeEntry> = match parts.len() {
+        1 => Vec::new(),
+        _ => parts.drain(..).flat_map(Arc::unwrap_or_clone).collect(),
+    };
+    let all = parts.first().map_or(&all[..], |one| &one[..]);
     let rendered = render_rows(
         &engine,
-        &all,
+        all,
         &RenderOptions {
             limit,
             value_width: shared.config.value_width,
@@ -1072,8 +1076,8 @@ fn parse_line(config: &ServerConfig, request: &str) -> Parsed {
         },
         "STATS" => Parsed::Control(Request::Stats),
         "DOCS" => Parsed::Control(Request::Docs),
-        // Materialized-view inspection. Allowed on replicas: the
-        // view cache is node-local derived state, not document data.
+        // Result-memo inspection. Allowed on replicas: the memo is
+        // node-local derived state, not document data.
         "CACHE" => match rest {
             "" | "LIST" => Parsed::Control(Request::CacheList),
             "CLEAR" => Parsed::Control(Request::CacheClear),
@@ -1507,6 +1511,98 @@ fn render_lag(shared: &Shared) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Random UTF-8 up to `MAX_LINE` bytes: one, two, three and four byte
+    /// characters in equal shares, so verbs, spaces and `<` show up too.
+    fn utf8_line() -> impl Strategy<Value = String> {
+        proptest::collection::vec(any::<u32>(), 0..event::MAX_LINE / 4).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|d| {
+                    let c = match d % 4 {
+                        0 => (d >> 2) % 0x80,
+                        1 => 0x80 + (d >> 2) % 0x780,
+                        2 => 0x800 + (d >> 2) % 0xF800,
+                        _ => 0x10000 + (d >> 2) % 0x100000,
+                    };
+                    char::from_u32(c).unwrap_or('\u{FFFD}')
+                })
+                .collect()
+        })
+    }
+
+    const VERBS: [&str; 9] = [
+        "QUERY", "EVAL", "EXPLAIN", "ANALYZE", "INSERT", "DELETE", "CACHE", "LIMIT", "DOC",
+    ];
+
+    /// A verb, then a tail of protocol fragments and random text.
+    fn verb_soup() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            Just(" ".to_string()),
+            Just("JSON ".to_string()),
+            Just("DOC ".to_string()),
+            Just(" <".to_string()),
+            Just("LIST".to_string()),
+            Just("CLEAR".to_string()),
+            Just("-1".to_string()),
+            Just("18446744073709551616".to_string()),
+            "[ a-z0-9/<>@=\\[\\]'\"*().:|-]{0,24}",
+            "[\u{e9}\u{4e2d}\u{1f600}\t\r ]{0,4}",
+        ];
+        (0usize..VERBS.len(), proptest::collection::vec(piece, 0..12)).prop_map(|(verb, pieces)| {
+            let mut line = VERBS[verb].to_string();
+            for piece in pieces {
+                line.push_str(&piece);
+            }
+            line
+        })
+    }
+
+    /// Whatever a line parses to, an inline reply is a protocol line.
+    fn check_line(config: &ServerConfig, line: &str) -> Result<(), String> {
+        if let Parsed::Inline(reply) = parse_line(config, line) {
+            prop_assert!(
+                reply.starts_with("OK ") || reply.starts_with("ERR "),
+                "{}",
+                reply
+            );
+        }
+        let (_, rest) = line.split_once(' ').unwrap_or((line, ""));
+        for verb in ["INSERT", "DELETE", "CHECKPOINT"] {
+            let _ = parse_update(verb, rest);
+        }
+        Ok(())
+    }
+
+    fn replica_config() -> ServerConfig {
+        ServerConfig {
+            replica: Some(ReplicaRole {
+                primary: "1.2.3.4:5".into(),
+                status: Arc::new(ReplicaStatus::default()),
+            }),
+            ..ServerConfig::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// `parse_line` and `parse_update` return on any line a client
+        /// can send, and never panic.
+        #[test]
+        fn the_line_parsers_return_on_random_utf8(line in utf8_line()) {
+            prop_assert!(line.len() <= event::MAX_LINE);
+            check_line(&ServerConfig::default(), &line)?;
+            check_line(&replica_config(), &line)?;
+        }
+
+        #[test]
+        fn the_line_parsers_return_on_verb_soup(line in verb_soup()) {
+            check_line(&ServerConfig::default(), &line)?;
+            check_line(&replica_config(), &line)?;
+        }
+    }
 
     #[test]
     fn escape_round_trips_framing_characters() {

@@ -1,8 +1,8 @@
-//! End-to-end semantic-cache tests: a real TCP server as it comes —
+//! End-to-end result-memo tests: a real TCP server as it comes —
 //! `Engine::new`, `ServerConfig::default()` — with repeated queries
-//! admitted into the view cache, responses byte-equal before and after
-//! admission and equal to the DOM oracle, `STATS` view counters, the
-//! `CACHE` verb, and invalidation through the write path.
+//! kept by the memo, responses byte-equal before and after admission and
+//! equal to the DOM oracle, `STATS` view counters, the `CACHE` verb, and
+//! invalidation through the write path.
 
 use vamana_baseline::dom::DomEngine;
 use vamana_baseline::XPathEngine;
@@ -30,7 +30,7 @@ fn rows(response: &[String]) -> Vec<&String> {
 }
 
 #[test]
-fn repeated_queries_are_answered_from_a_view() {
+fn repeated_queries_are_answered_from_the_memo() {
     let handle = spawn_views_server();
     let mut client = Client::connect(&handle);
     client.round_trip("LIMIT 0");
@@ -42,11 +42,12 @@ fn repeated_queries_are_answered_from_a_view() {
     assert!(stat_value(&stats, "view_bytes") > 0, "{stats:?}");
 
     let hot = client.round_trip("QUERY //person/name");
+    assert!(hot.last().unwrap().contains(" plan=cached "), "{hot:?}");
     let stats = client.round_trip("STATS");
     assert!(stat_value(&stats, "view_hits") >= 1, "{stats:?}");
 
-    // Answers from the view must be byte-identical to the ones computed
-    // before anything was admitted, and those to the DOM oracle's.
+    // Answers from the memo must be byte-identical to the ones computed
+    // before anything was kept, and those to the DOM oracle's.
     assert_eq!(rows(&cold), rows(&warm));
     assert_eq!(rows(&cold), rows(&hot));
     let oracle: Vec<String> = DomEngine::from_xml(&xmark())
@@ -58,7 +59,7 @@ fn repeated_queries_are_answered_from_a_view() {
         .collect();
     assert_eq!(rows(&hot), oracle.iter().collect::<Vec<_>>());
 
-    // The CACHE verb lists the materialized view.
+    // The CACHE verb lists the kept answer.
     let listing = client.round_trip("CACHE");
     assert!(view_count(&listing) >= 1, "{listing:?}");
     assert!(
@@ -119,28 +120,30 @@ fn cache_clear_drops_views() {
     handle.stop();
 }
 
+/// EXPLAIN and ANALYZE describe and run the plan that computes the
+/// answer, whether or not the memo holds it.
 #[test]
-fn analyze_marks_view_answered_queries() {
+fn analyze_runs_the_plan_after_admission() {
     let handle = spawn_views_server();
     let mut client = Client::connect(&handle);
+    let plan_lines = |reply: Vec<String>| -> Vec<String> {
+        reply
+            .into_iter()
+            .filter(|l| l.starts_with("PLAN "))
+            .collect()
+    };
+    let cold = plan_lines(client.round_trip("EXPLAIN //person/name"));
     client.round_trip("QUERY //person/name");
     client.round_trip("QUERY //person/name");
+    let stats = client.round_trip("STATS");
+    assert!(stat_value(&stats, "view_views") >= 1, "{stats:?}");
+    assert_eq!(plan_lines(client.round_trip("EXPLAIN //person/name")), cold);
 
     let report = client.round_trip("ANALYZE //person/name");
-    assert!(
-        report
-            .iter()
-            .any(|l| l.contains("answered from view: //person/name")),
-        "{report:?}"
-    );
-    assert!(report.iter().any(|l| l.contains("ViewScan")), "{report:?}");
-
+    assert!(report.iter().any(|l| l.contains("act=")), "{report:?}");
+    assert!(!report.iter().any(|l| l.contains("view")), "{report:?}");
     let json = client.round_trip("ANALYZE JSON //person/name");
-    assert!(
-        json[0].contains("\"view\":\"//person/name\""),
-        "{:?}",
-        &json[0][..json[0].len().min(300)]
-    );
+    assert!(!json[0].contains("\"view\""), "{}", &json[0]);
 
     handle.stop();
 }
