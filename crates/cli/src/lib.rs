@@ -419,14 +419,19 @@ impl Session {
         match arg {
             "clear" => {
                 self.engine.read().views().clear();
-                Ok("view cache cleared".to_string())
+                Ok("query cache cleared".to_string())
             }
             "" => {
                 let engine = self.engine.read();
                 let stats = engine.views().stats();
                 let mut out = format!(
-                    "views — {} materialized, {} bytes, hits {}, misses {}, evictions {}",
-                    stats.views, stats.bytes, stats.hits, stats.misses, stats.evictions
+                    "views — {} kept of {} plans, {} bytes, hits {}, misses {}, evictions {}",
+                    stats.views,
+                    engine.views().len(),
+                    stats.bytes,
+                    stats.hits,
+                    stats.misses,
+                    stats.evictions
                 );
                 for v in engine.views().list() {
                     out.push_str(&format!(
@@ -705,7 +710,7 @@ commands:
   .serve <port|stop>  share this session's store over TCP
   .xquery <flwor>     run an XQuery-lite FLWOR expression
   .optimizer [on|off] toggle the cost-driven optimizer
-  .views [clear]      the result memo: answers kept for repeated queries
+  .views [clear]      the query cache: plans, and answers kept for repeated queries
   .stats              storage and buffer-pool statistics
   .docs               list loaded documents
   .insert <doc> <xpath> <fragment>
@@ -896,15 +901,17 @@ mod tests {
     #[test]
     fn views_materialize_list_and_clear() {
         let mut s = loaded();
-        assert!(s.execute(".views").unwrap().contains("0 materialized"));
+        assert!(s.execute(".views").unwrap().contains("0 kept of 0 plans"));
         // Second sighting crosses the default admission threshold.
         s.execute("//name").unwrap();
         s.execute("//name").unwrap();
+        s.execute("//name[. != '']").unwrap();
         let out = s.execute(".views").unwrap();
-        assert!(out.contains("1 materialized"), "{out}");
+        assert!(out.contains("1 kept of 2 plans"), "{out}");
         assert!(out.contains("//name"), "{out}");
-        assert!(s.execute(".views clear").unwrap().contains("cleared"));
-        assert!(s.execute(".views").unwrap().contains("0 materialized"));
+        let cleared = s.execute(".views clear").unwrap();
+        assert!(cleared.contains("query cache cleared"), "{cleared}");
+        assert!(s.execute(".views").unwrap().contains("0 kept of 0 plans"));
         assert!(s.execute(".views frob").unwrap().contains("error"));
         assert!(s.execute(".views on").unwrap().contains("error"));
     }

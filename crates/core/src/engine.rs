@@ -33,8 +33,8 @@ const WRITER_DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Run the cost-driven optimizer (`false` = execute default plans,
-    /// the paper's "VQP" configuration; `true` = "VQP-OPT"). The result
-    /// memo keeps only answers of optimized plans.
+    /// the paper's "VQP" configuration; `true` = "VQP-OPT"). The query
+    /// cache keeps only answers of optimized plans.
     pub optimize: bool,
     /// Threads one scan may use, the calling thread included (the pool
     /// runs one fewer). `0` means one per available core; `1` keeps every
@@ -49,7 +49,7 @@ pub struct EngineOptions {
     /// and for measuring the parallel path itself.
     pub parallel_force: bool,
     /// How many times a fragment query's answer must be computed before
-    /// the result memo keeps it ([`crate::views`]); `u32::MAX` keeps
+    /// the query cache keeps it ([`crate::views`]); `u32::MAX` keeps
     /// none. Any write to the document drops what was kept.
     pub view_admit_after: u32,
 }
@@ -98,8 +98,8 @@ pub struct UpdateOutcome {
     /// WAL commit LSN of the last logged operation (0 for volatile
     /// stores).
     pub lsn: u64,
-    /// The document's generation *after* the update — plan caches keyed
-    /// on `(doc, doc_generation)` use this to invalidate.
+    /// The document's generation *after* the update, the stamp the query
+    /// cache's entries for it now need.
     pub doc_generation: u64,
     /// Execution profile: target resolution + apply, including the time
     /// spent waiting at the writer epoch gate.
@@ -128,9 +128,19 @@ pub struct Explain {
     pub opt_trace: crate::opt::OptTrace,
 }
 
-/// A streaming query cursor: holds its plan (shared with whoever cached
-/// it) and pulls tuples through the pipelined executor on demand (see
-/// [`Engine::stream`]).
+/// What [`Engine::lookup`] found for a query text on a document.
+pub struct Lookup {
+    /// The plan to run: cached, or compiled for this lookup.
+    pub plan: Arc<QueryPlan>,
+    /// The answer the query cache kept: the reply, nothing to run.
+    pub answer: Option<Arc<Vec<NodeEntry>>>,
+    /// Whether the entry was found in the cache.
+    pub cached: bool,
+}
+
+/// A streaming query cursor: holds its plan (shared with the query
+/// cache) and pulls tuples through the pipelined executor on demand, or
+/// hands out the answer the cache kept (see [`Engine::stream`]).
 ///
 /// Tuples arrive in pipeline order. For most plans that *is* document
 /// order with no duplicates — ask [`QueryStream::in_document_order`] —
@@ -176,6 +186,26 @@ impl<'s> QueryStream<'s> {
             iter,
             done: false,
             pending: Vec::new(),
+        })
+    }
+
+    /// A stream over an answer the query cache kept: already a node-set,
+    /// handed out as if the last pull had produced it.
+    fn kept(
+        engine: &'s Engine,
+        plan: Arc<QueryPlan>,
+        doc: DocId,
+        answer: &[NodeEntry],
+    ) -> Result<Self> {
+        let mut pending = answer.to_vec();
+        pending.reverse();
+        Ok(QueryStream {
+            store: engine.store(),
+            plan,
+            root_ctx: engine.doc_entry(doc)?,
+            iter: exec::OpIter::Anchor(None),
+            done: true,
+            pending,
         })
     }
 
@@ -260,8 +290,8 @@ pub struct Engine {
     /// Cumulative microseconds writers spent at the epoch gate waiting
     /// for reader-held store clones to drain.
     writer_wait_us: AtomicU64,
-    /// The result memo.
-    views: views::ViewCache,
+    /// The query cache, shared by `Arc` so a server can hand it out.
+    views: Arc<views::QueryCache>,
 }
 
 impl Engine {
@@ -277,12 +307,12 @@ impl Engine {
             options,
             scan_pool: PoolCell::default(),
             writer_wait_us: AtomicU64::new(0),
-            views: views::ViewCache::new(),
+            views: Arc::default(),
         }
     }
 
-    /// The result memo (counters, listing, manual clears).
-    pub fn views(&self) -> &views::ViewCache {
+    /// The query cache (counters, listing, manual clears).
+    pub fn views(&self) -> &Arc<views::QueryCache> {
         &self.views
     }
 
@@ -333,13 +363,11 @@ impl Engine {
     /// Swaps the underlying store wholesale — a replica installing a
     /// snapshot shipped from its primary. Waits at the same epoch gate as
     /// [`Engine::store_mut`] so no in-flight scan still holds the old
-    /// store. Callers owning plan caches must clear them: the new store's
-    /// document generations restart at zero.
+    /// store, and clears the query cache: the new store's document
+    /// generations restart at zero.
     pub fn replace_store(&mut self, store: MassStore) -> Result<()> {
         self.store_mut()?;
         self.store = Arc::new(store);
-        // The new store's generations restart at zero; no kept answer
-        // can be trusted.
         self.views.clear();
         Ok(())
     }
@@ -383,8 +411,10 @@ impl Engine {
         &self.options
     }
 
-    /// Mutable options (toggle the optimizer between runs).
+    /// Mutable options (toggle the optimizer between runs). Clears the
+    /// query cache: a plan depends on `optimize` and `parallel_force`.
     pub fn options_mut(&mut self) -> &mut EngineOptions {
+        self.views.clear();
         &mut self.options
     }
 
@@ -405,8 +435,8 @@ impl Engine {
         let target = match op {
             UpdateOp::Insert { target, .. } | UpdateOp::Delete { target } => target,
         };
-        // Not `query_doc`: the write below drops the document's memo, so
-        // its own target is not worth counting toward it.
+        // Not `query_doc`: the write below drops the document's cache
+        // entries, so its own target is not worth caching.
         let matched = self.execute_plan(&self.prepare(doc, target)?, doc)?;
         if let UpdateOp::Insert { .. } = op {
             if let Some(first) = matched.first() {
@@ -441,7 +471,7 @@ impl Engine {
         let doc_generation = store.doc_generation(doc);
         // Eager invalidation on the primary's write path; replica replay
         // bumps generations without coming through here and is covered by
-        // the memo's generation check.
+        // the cache's generation check.
         self.views.invalidate_doc(doc.0);
         let buffer_after = self.store().buffer_pool().stats();
         let profile = QueryProfile {
@@ -494,12 +524,12 @@ impl Engine {
 
     /// Optimizes a plan for `doc` and reports the outcome: the rule
     /// library, each rewrite kept only when re-estimation says it pays.
-    /// Parallel eligibility and whether the result memo may keep the
+    /// Parallel eligibility and whether the query cache may keep the
     /// query's answers are recorded on the resulting plan so
     /// precompiled/cached plans carry them.
     pub fn optimize_plan(&self, mut plan: QueryPlan, doc: DocId) -> Result<OptimizeOutcome> {
         let scope = self.doc_scope(doc)?;
-        // The memo's fragment test reads the *cleaned compiled* plan:
+        // The cache's fragment test reads the *cleaned compiled* plan:
         // optimizer rules (child push-down, parent inversion) introduce
         // reverse-axis predicates that fall outside it.
         opt::cleanup::cleanup(&mut plan);
@@ -529,15 +559,28 @@ impl Engine {
         (0, 0)
     }
 
-    /// The answer the result memo kept for `xpath` on `doc` at the
-    /// document's current generation, if any — what [`Engine::query_doc`]
-    /// returns before compiling anything. Counted as a memo hit or miss.
-    pub fn recall(&self, doc: DocId, xpath: &str) -> Option<Arc<Vec<NodeEntry>>> {
+    /// What the query cache holds for `xpath` on `doc` at the document's
+    /// current generation — its plan and any kept answer — or, on a miss,
+    /// the plan just compiled (and, with `options.optimize`, optimized)
+    /// and inserted. One lookup, counted as a hit or a miss; compiling
+    /// runs outside the cache's lock.
+    pub fn lookup(&self, doc: DocId, xpath: &str) -> Result<Lookup> {
+        self.store.document(doc).ok_or(EngineError::NoDocuments)?;
+        let generation = self.store.doc_generation(doc);
+        if let Some(found) = self.views.lookup(doc.0, xpath, generation) {
+            return Ok(found);
+        }
+        let plan = Arc::new(self.prepare(doc, xpath)?);
         self.views
-            .lookup(doc.0, xpath, self.store.doc_generation(doc))
+            .insert(doc.0, xpath, generation, Arc::clone(&plan));
+        Ok(Lookup {
+            plan,
+            answer: None,
+            cached: false,
+        })
     }
 
-    /// Records a computed answer with the result memo, which keeps it
+    /// Records a computed answer with the query cache, which keeps it
     /// once a query in its fragment has been answered
     /// [`EngineOptions::view_admit_after`] times. `plan` is the optimized
     /// plan that produced `entries`, which records whether the query lies
@@ -586,15 +629,16 @@ impl Engine {
         }
     }
 
-    /// Compiles, (optionally) optimizes, and executes `xpath` on `doc` —
-    /// or returns the answer the result memo kept for it.
+    /// Executes `xpath` on `doc` through the query cache ([`Engine::lookup`]):
+    /// the kept answer if there is one, else the cached or just compiled
+    /// plan, whose result is then offered to the cache.
     pub fn query_doc(&self, doc: DocId, xpath: &str) -> Result<Vec<NodeEntry>> {
-        if let Some(kept) = self.recall(doc, xpath) {
+        let found = self.lookup(doc, xpath)?;
+        if let Some(kept) = found.answer {
             return Ok(kept.to_vec());
         }
-        let plan = self.prepare(doc, xpath)?;
-        let out = self.execute_plan(&plan, doc)?;
-        self.observe_result(doc, xpath, &plan, &out);
+        let out = self.execute_plan(&found.plan, doc)?;
+        self.observe_result(doc, xpath, &found.plan, &out);
         Ok(out)
     }
 
@@ -642,16 +686,21 @@ impl Engine {
     /// without materializing the result set (the paper's §VII execution
     /// model as a public API). Tuples arrive in pipeline order, which the
     /// stream can tell from document order
-    /// ([`QueryStream::in_document_order`], [`QueryStream::finish`]).
+    /// ([`QueryStream::in_document_order`], [`QueryStream::finish`]). The
+    /// plan comes through the query cache ([`Engine::lookup`]); an answer
+    /// the cache kept is streamed as it is.
     pub fn stream<'a>(&'a self, doc: DocId, xpath: &str) -> Result<QueryStream<'a>> {
-        QueryStream::new(self, Arc::new(self.prepare(doc, xpath)?), doc)
+        let found = self.lookup(doc, xpath)?;
+        match found.answer {
+            Some(kept) => QueryStream::kept(self, found.plan, doc, &kept),
+            None => QueryStream::new(self, found.plan, doc),
+        }
     }
 
-    /// Opens a streaming cursor over an already-compiled (and possibly
-    /// cached) `plan` on `doc`. The serving layer executes plan-cache
-    /// hits through this, pulling tuples so it can enforce per-query
-    /// deadlines between pulls — a cached `Arc<QueryPlan>` is shared, not
-    /// copied.
+    /// Opens a streaming cursor over an already-compiled `plan` on `doc`.
+    /// The serving layer executes [`Engine::lookup`]'s plans through this,
+    /// pulling tuples so it can enforce per-query deadlines between pulls
+    /// — a cached `Arc<QueryPlan>` is shared, not copied.
     pub fn stream_plan(
         &self,
         plan: impl Into<Arc<QueryPlan>>,
@@ -1035,14 +1084,44 @@ mod tests {
         let e = engine();
         let doc = DocId(0);
         let cold = e.query_doc(doc, "//name").unwrap();
-        assert!(e.recall(doc, "//name").is_none());
         let warm = e.query_doc(doc, "//name").unwrap(); // second answer is kept
         assert_eq!(e.views().stats().views, 1);
         let hot = e.query_doc(doc, "//name").unwrap();
         assert_eq!(cold, warm);
         assert_eq!(cold, hot);
         let stats = e.views().stats();
-        assert_eq!((stats.hits, stats.misses), (1, 3), "{stats:?}");
+        assert_eq!((stats.hits, stats.misses), (1, 2), "{stats:?}");
+        assert_eq!(e.views().counters(), (2, 1));
+    }
+
+    #[test]
+    fn plans_are_reused_until_a_write_or_an_option_change() {
+        let mut e = engine();
+        let doc = DocId(0);
+        let q = "//person[name != 'Bob']/name";
+        let first = e.lookup(doc, q).unwrap();
+        assert!(!first.cached);
+        let again = e.lookup(doc, q).unwrap();
+        assert!(again.cached && again.answer.is_none());
+        assert!(Arc::ptr_eq(&first.plan, &again.plan));
+        assert_eq!(e.query_doc(doc, q).unwrap().len(), 2);
+        assert_eq!(e.views().len(), 1);
+
+        e.apply_update(
+            doc,
+            &UpdateOp::Insert {
+                target: "//people".into(),
+                fragment: "<person id='p3'><name>Dee</name></person>".into(),
+            },
+        )
+        .unwrap();
+        assert!(e.views().is_empty(), "a write drops the document's plans");
+        assert!(!e.lookup(doc, q).unwrap().cached);
+        assert_eq!(e.query_doc(doc, q).unwrap().len(), 3);
+
+        e.options_mut().optimize = false;
+        assert!(e.views().is_empty(), "an option change drops every plan");
+        assert_eq!(e.query_doc(doc, q).unwrap().len(), 3);
     }
 
     #[test]

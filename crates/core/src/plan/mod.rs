@@ -327,7 +327,7 @@ pub struct QueryPlan {
     root: OpId,
     parallel: Option<ParallelChoice>,
     /// Stamped by the optimizer when the query lies in the fragment whose
-    /// answers the result memo keeps ([`crate::views::in_fragment`]).
+    /// answers the query cache keeps ([`crate::views::in_fragment`]).
     memoizable: bool,
     /// Per-operator [`EstimateCard`]s stamped at optimization time,
     /// indexed by arena position. Empty until
@@ -374,13 +374,13 @@ impl QueryPlan {
         self.parallel = choice;
     }
 
-    /// Whether the result memo may keep this query's answers: `false` for
+    /// Whether the query cache may keep this query's answers: `false` for
     /// a query outside its fragment or a plan that was never optimized.
     pub(crate) fn memoizable(&self) -> bool {
         self.memoizable
     }
 
-    /// Records whether the result memo may keep this query's answers.
+    /// Records whether the query cache may keep this query's answers.
     pub(crate) fn set_memoizable(&mut self, memoizable: bool) {
         self.memoizable = memoizable;
     }

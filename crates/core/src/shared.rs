@@ -3,10 +3,10 @@
 //! [`Engine`]'s API already splits naturally — every query path takes
 //! `&self`, only document loads and option changes take `&mut self` — so
 //! a plain [`RwLock`] turns one engine into a concurrent query service:
-//! queries run in parallel under read locks while loads take the write
-//! lock and (by bumping the store generation) invalidate any plans cached
-//! against the old contents. `vamana-server` builds its worker pool on
-//! this type.
+//! queries run in parallel under read locks while loads and updates take
+//! the write lock, and a write to a document (by bumping its generation)
+//! invalidates what the query cache holds for it. `vamana-server` builds
+//! its worker pool on this type.
 
 use crate::engine::Engine;
 use crate::error::Result;

@@ -1,41 +1,51 @@
-//! The result memo: answers kept for queries that repeat exactly.
+//! The query cache: one table of `(document, XPath text)` entries, each
+//! holding the optimized plan and, once admitted, the query's answer.
 //!
-//! A [`ViewCache`] keeps the finished node-set of a hot query, keyed by
-//! `(document, XPath text)`. [`crate::Engine::query_doc`] consults it
-//! before parsing, the server before its plan cache; a hit returns the
-//! stored set and nothing is compiled or run. EXPLAIN and ANALYZE never
-//! read it: they describe and run the plan that computes the answer.
+//! [`crate::Engine::lookup`] — behind [`crate::Engine::query_doc`],
+//! [`crate::Engine::stream`] and the server's `QUERY` — probes it before
+//! parsing: a kept answer is the reply and nothing is compiled or run; a
+//! cached plan skips parse and optimize; a miss compiles, optimizes and
+//! inserts the plan. EXPLAIN, ANALYZE, `query_from`, `evaluate` and an
+//! update's target resolution never read it.
+//!
+//! # Validity
+//!
+//! Every document's entries carry the document generation they were made
+//! at. Statistics come straight from the index, so that generation is the
+//! only stamp a plan needs, as it is for an answer. A primary write drops
+//! the document's entries eagerly ([`crate::Engine::apply_update`]);
+//! replica replay bumps the generation store-side, and the next access at
+//! the new generation drops them. Snapshot installs
+//! ([`crate::Engine::replace_store`]), option changes
+//! ([`crate::Engine::options_mut`]) and `CACHE CLEAR` clear the table.
+//!
+//! # Bounds
+//!
+//! At most [`CAPACITY`] entries and [`KEY_BYTES`] of query text; past
+//! either the least-recently-used entry goes, and a text longer than the
+//! whole cap is not cached. Kept answers share [`VIEW_BUDGET_BYTES`]; past
+//! it the least-recently-used answer is dropped and its plan kept.
 //!
 //! # Admission
 //!
-//! Only queries in a small fragment are kept (`in_fragment`, run by the
-//! optimizer on the cleaned compiled plan): `child`/`descendant` steps,
-//! name, `*`, `text()` and `node()` tests, and predicates that are
+//! Only queries in a small fragment keep answers (`in_fragment`, run by
+//! the optimizer on the cleaned compiled plan): `child`/`descendant`
+//! steps, name, `*`, `text()` and `node()` tests, and predicates that are
 //! conjunctions of such relative paths. Value comparisons, positions,
 //! functions, other axes and unions stay out — so the point lookups of a
-//! serving workload, each asked once per value, never fill the memo. A
-//! query is kept the [`crate::EngineOptions::view_admit_after`]-th time
-//! its answer is computed, unless the answer alone exceeds the byte
-//! budget; then the query is marked oversize and not counted again.
-//! Queries seen but not kept are bounded twice, at 4 096 of them and at
-//! 1 MB of their text, past either of which the table is emptied.
-//!
-//! # Invalidation
-//!
-//! Every document's entries carry the document generation they were
-//! computed at. A primary write drops them eagerly
-//! ([`crate::Engine::apply_update`]); replica replay bumps the generation
-//! store-side, and the next access at the new generation drops them.
-//! Snapshot installs ([`crate::Engine::replace_store`]) and `CACHE CLEAR`
-//! clear everything.
+//! serving workload, each asked once per value, never fill the budget. An
+//! answer is kept the [`crate::EngineOptions::view_admit_after`]-th time
+//! it is computed, unless it alone exceeds the budget; then the entry is
+//! marked oversize and not counted again.
 
+use crate::engine::Lookup;
 use crate::plan::{BinOp, ContextSource, OpId, Operator, QueryPlan, TestSpec};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use vamana_flex::Axis;
 use vamana_mass::NodeEntry;
 
-/// Whether the result memo may keep the answers of a *cleaned* compiled
+/// Whether the query cache may keep the answers of a *cleaned* compiled
 /// plan: a walk of its spine and predicates that accepts exactly the
 /// fragment in the module docs. Must run before optimizer rules, whose
 /// push-downs introduce reverse-axis predicates.
@@ -86,25 +96,27 @@ fn predicate_in_fragment(plan: &QueryPlan, p: OpId) -> bool {
     }
 }
 
-/// Point-in-time memo counters (served through `STATS`).
+/// Point-in-time answer counters (served through `STATS` as `view_*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ViewStatsSnapshot {
-    /// Lookups answered from a kept result.
+    /// Lookups answered from a kept answer.
     pub hits: u64,
     /// Lookups that found none.
     pub misses: u64,
-    /// Kept results dropped: stale generations, budget evictions, clears.
+    /// Kept answers dropped: stale generations, budget and LRU evictions,
+    /// clears.
     pub evictions: u64,
     /// Approximate bytes currently kept.
     pub bytes: u64,
-    /// Results currently kept.
+    /// Answers currently kept.
     pub views: u64,
 }
 
-/// One row of [`ViewCache::list`] (the `CACHE` verb / `.views` output).
+/// One kept answer, as [`QueryCache::list`] shows it (the `CACHE` verb /
+/// `.views` output).
 #[derive(Debug, Clone)]
 pub struct ViewInfo {
-    /// Document the result belongs to.
+    /// Document the answer belongs to.
     pub doc: u32,
     /// The query it answers.
     pub xpath: String,
@@ -112,155 +124,150 @@ pub struct ViewInfo {
     pub rows: u64,
     /// Approximate bytes held.
     pub bytes: u64,
-    /// Document generation the result is valid for.
+    /// Document generation the answer is valid for.
     pub generation: u64,
     /// Lookups it answered.
     pub hits: u64,
 }
 
-/// What the memo knows of one query text on one document.
-enum Slot {
-    /// Computed this many times, not kept yet.
-    Pending(u32),
-    /// Its answer alone exceeds the budget: not counted again.
+/// What an entry knows of its query's answer.
+enum Answer {
+    /// Not kept (yet).
+    None,
+    /// Larger than the whole budget: not counted again.
     Oversize,
-    /// The kept answer.
-    Kept(Answer),
+    /// The kept node-set.
+    Kept {
+        entries: Arc<Vec<NodeEntry>>,
+        bytes: u64,
+        hits: u64,
+    },
 }
 
-struct Answer {
-    entries: Arc<Vec<NodeEntry>>,
-    bytes: u64,
+/// One query text on one document.
+struct Entry {
+    plan: Arc<QueryPlan>,
+    /// Last-used clock stamp, for both LRU orders.
     stamp: u64,
-    hits: u64,
+    /// Times its answer has been computed since it was last dropped.
+    computed: u32,
+    answer: Answer,
 }
 
-/// One document's slots, all valid at `generation`.
-struct DocSlots {
+/// One document's entries, all valid at `generation`.
+struct DocEntries {
     generation: u64,
-    slots: HashMap<Box<str>, Slot>,
+    entries: HashMap<Box<str>, Entry>,
 }
 
 #[derive(Default)]
-struct ViewInner {
-    /// Document id → query text → slot: both levels are probed with
+struct Inner {
+    /// Document id → query text → entry: both levels are probed with
     /// borrowed keys, so a lookup allocates nothing.
-    docs: HashMap<u32, DocSlots>,
+    docs: HashMap<u32, DocEntries>,
     clock: u64,
-    /// Kept results and their bytes.
+    /// Entries and the bytes of their keys.
+    len: usize,
+    key_bytes: usize,
+    /// Kept answers and their bytes.
     kept: u64,
     bytes: u64,
-    /// Slots not holding a result, and the bytes of their keys.
-    tracked: usize,
-    tracked_bytes: usize,
+    /// Lookups that found an entry, found none, and found a kept answer.
     hits: u64,
     misses: u64,
+    answered: u64,
     evictions: u64,
 }
 
-impl ViewInner {
-    /// Drops `doc`'s slots when they were made at another generation.
+impl Inner {
+    /// Drops `doc`'s entries when they were made at another generation.
     fn expire(&mut self, doc: u32, generation: u64) {
         if let Some(d) = self.docs.get_mut(&doc) {
             if d.generation != generation {
                 d.generation = generation;
-                let slots = std::mem::take(&mut d.slots);
-                self.forget(slots);
+                let entries = std::mem::take(&mut d.entries);
+                self.forget(entries);
             }
         }
     }
 
-    /// Accounts for slots removed from the table.
-    fn forget(&mut self, slots: impl IntoIterator<Item = (Box<str>, Slot)>) {
-        for (key, slot) in slots {
-            self.forget_slot(key.len(), slot);
+    /// Accounts for entries removed from the table.
+    fn forget(&mut self, entries: impl IntoIterator<Item = (Box<str>, Entry)>) {
+        for (key, entry) in entries {
+            self.len -= 1;
+            self.key_bytes -= key.len();
+            self.dropped(entry.answer);
         }
     }
 
-    fn forget_slot(&mut self, key_len: usize, slot: Slot) {
-        match slot {
-            Slot::Kept(answer) => {
-                self.kept -= 1;
-                self.bytes -= answer.bytes;
-                self.evictions += 1;
-            }
-            Slot::Pending(_) | Slot::Oversize => {
-                self.tracked -= 1;
-                self.tracked_bytes -= key_len;
-            }
+    /// Accounts for an answer taken off its entry.
+    fn dropped(&mut self, answer: Answer) {
+        if let Answer::Kept { bytes, .. } = answer {
+            self.kept -= 1;
+            self.bytes -= bytes;
+            self.evictions += 1;
         }
     }
 
-    /// Empties the admission table: every slot not holding a result.
-    fn forget_tracked(&mut self) {
-        for d in self.docs.values_mut() {
-            d.slots.retain(|_, slot| matches!(slot, Slot::Kept(_)));
-        }
-        self.tracked = 0;
-        self.tracked_bytes = 0;
+    fn entry(&mut self, doc: u32, xpath: &str) -> Option<&mut Entry> {
+        self.docs.get_mut(&doc)?.entries.get_mut(xpath)
     }
 
-    fn slots(&mut self, doc: u32, generation: u64) -> &mut HashMap<Box<str>, Slot> {
-        self.expire(doc, generation);
-        &mut self
-            .docs
-            .entry(doc)
-            .or_insert_with(|| DocSlots {
-                generation,
-                slots: HashMap::new(),
-            })
-            .slots
+    /// The least-recently-used entry passing `pick`.
+    fn lru(&self, pick: impl Fn(u32, &str, &Entry) -> bool) -> Option<(u32, Box<str>)> {
+        self.docs
+            .iter()
+            .flat_map(|(&doc, d)| d.entries.iter().map(move |(key, e)| (doc, key, e)))
+            .filter(|&(doc, key, e)| pick(doc, key, e))
+            .min_by_key(|(.., e)| e.stamp)
+            .map(|(doc, key, _)| (doc, key.clone()))
     }
 
-    /// Starts tracking `xpath`, emptying the table first if it is full.
-    fn track(&mut self, doc: u32, generation: u64, xpath: &str, slot: Slot) {
-        if xpath.len() > PENDING_BYTES {
-            return;
+    /// Evicts least-recently-used entries until one more of `key_len`
+    /// bytes fits both bounds.
+    fn make_room(&mut self, key_len: usize) {
+        while self.len >= CAPACITY || self.key_bytes + key_len > KEY_BYTES {
+            let Some((doc, key)) = self.lru(|_, _, _| true) else {
+                break;
+            };
+            let removed = self
+                .docs
+                .get_mut(&doc)
+                .and_then(|d| d.entries.remove_entry(&key));
+            self.forget(removed);
         }
-        if self.tracked >= PENDING_LIMIT || self.tracked_bytes + xpath.len() > PENDING_BYTES {
-            self.forget_tracked();
-        }
-        self.tracked += 1;
-        self.tracked_bytes += xpath.len();
-        self.slots(doc, generation).insert(xpath.into(), slot);
     }
 
-    /// Evicts least-recently-used results other than `keep` until the
-    /// kept bytes fit `budget`.
-    fn evict_to(&mut self, budget: u64, keep: (u32, &str)) {
+    /// Drops least-recently-used answers other than `keep`'s until the
+    /// kept bytes fit `budget`. Their plans stay, and admission counts
+    /// afresh.
+    fn evict_answers_to(&mut self, budget: u64, keep: (u32, &str)) {
         while self.bytes > budget {
             let victim = self
-                .docs
-                .iter()
-                .flat_map(|(&doc, d)| {
-                    d.slots.iter().filter_map(move |(key, slot)| match slot {
-                        Slot::Kept(answer) if (doc, &**key) != keep => {
-                            Some((answer.stamp, doc, key))
-                        }
-                        _ => None,
-                    })
-                })
-                .min_by_key(|(stamp, ..)| *stamp)
-                .map(|(_, doc, key)| (doc, key.clone()));
+                .lru(|doc, key, e| matches!(e.answer, Answer::Kept { .. }) && (doc, key) != keep);
             let Some((doc, key)) = victim else { break };
-            if let Some(slot) = self.docs.get_mut(&doc).and_then(|d| d.slots.remove(&key)) {
-                self.forget_slot(key.len(), slot);
+            let answer = self.entry(doc, &key).map(|e| {
+                e.computed = 0;
+                std::mem::replace(&mut e.answer, Answer::None)
+            });
+            if let Some(answer) = answer {
+                self.dropped(answer);
             }
         }
     }
 }
 
-/// Byte budget for kept results; least-recently-used results are evicted
+/// Entries the table holds at most. The serving benchmark's sizing guard
+/// is cut for this figure, so it is a constant, not an option.
+pub const CAPACITY: usize = 256;
+
+/// Bytes of query text the table holds at most: a request line may be
+/// 64 KB, and [`CAPACITY`] of those would be 16 MB.
+pub const KEY_BYTES: usize = 1 << 20;
+
+/// Byte budget for kept answers; least-recently-used answers are dropped
 /// past it.
 pub const VIEW_BUDGET_BYTES: u64 = 64 << 20;
-
-/// Cap on queries tracked for admission before the table is emptied —
-/// bounds memory under a flood of distinct queries.
-const PENDING_LIMIT: usize = 4096;
-
-/// Cap on the bytes of query text tracked for admission, for the same
-/// reason: a request line may be 64 KB, and 4 096 of those are 256 MB.
-const PENDING_BYTES: usize = 1 << 20;
 
 /// Approximate bytes one kept entry holds. `NodeEntry` carries its FLEX
 /// key inline up to 23 bytes; 16 bytes is a deliberate round figure for
@@ -271,74 +278,110 @@ fn footprint(rows: usize, xpath: &str) -> u64 {
     rows as u64 * ENTRY_OVERHEAD + xpath.len() as u64 + 64
 }
 
-/// The result memo: admission by observed frequency, eviction by
-/// byte-budgeted LRU, invalidation by document generation. Interior-mutable
-/// so the engine can consult it under shared access on the query path.
-pub struct ViewCache {
-    inner: Mutex<ViewInner>,
+/// The query cache: plans for every query text looked up, answers for
+/// the repeated ones, one lock. Interior-mutable so the engine consults it
+/// under shared access on the query path.
+pub struct QueryCache {
+    inner: Mutex<Inner>,
     budget: u64,
 }
 
-impl Default for ViewCache {
+impl Default for QueryCache {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl ViewCache {
-    /// An empty memo with the [`VIEW_BUDGET_BYTES`] budget.
+impl QueryCache {
+    /// An empty table with the [`VIEW_BUDGET_BYTES`] answer budget.
     pub fn new() -> Self {
         Self::with_budget(VIEW_BUDGET_BYTES)
     }
 
     fn with_budget(budget: u64) -> Self {
-        ViewCache {
-            inner: Mutex::new(ViewInner::default()),
+        QueryCache {
+            inner: Mutex::new(Inner::default()),
             budget,
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ViewInner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The kept answer of `xpath` on `doc` at `generation`, counted as a
-    /// hit or a miss. Entries of an older generation of `doc` are dropped
-    /// on the way — the lazy invalidation replica replay relies on.
-    pub(crate) fn lookup(
-        &self,
-        doc: u32,
-        xpath: &str,
-        generation: u64,
-    ) -> Option<Arc<Vec<NodeEntry>>> {
+    /// The entry for `xpath` on `doc` at `generation`: its plan and kept
+    /// answer, counted as a hit or a miss. Entries of an older generation
+    /// of `doc` are dropped on the way — the lazy invalidation replica
+    /// replay relies on.
+    pub(crate) fn lookup(&self, doc: u32, xpath: &str, generation: u64) -> Option<Lookup> {
         let mut inner = self.lock();
         inner.expire(doc, generation);
         inner.clock += 1;
         let clock = inner.clock;
-        let hit = match inner
-            .docs
-            .get_mut(&doc)
-            .and_then(|d| d.slots.get_mut(xpath))
-        {
-            Some(Slot::Kept(answer)) => {
-                answer.stamp = clock;
-                answer.hits += 1;
-                Some(Arc::clone(&answer.entries))
+        let found = inner.entry(doc, xpath).map(|e| {
+            e.stamp = clock;
+            let answer = match &mut e.answer {
+                Answer::Kept { entries, hits, .. } => {
+                    *hits += 1;
+                    Some(Arc::clone(entries))
+                }
+                _ => None,
+            };
+            Lookup {
+                plan: Arc::clone(&e.plan),
+                answer,
+                cached: true,
             }
-            _ => None,
-        };
-        match hit {
-            Some(_) => inner.hits += 1,
+        });
+        match &found {
+            Some(found) => {
+                inner.hits += 1;
+                inner.answered += u64::from(found.answer.is_some());
+            }
             None => inner.misses += 1,
         }
-        hit
+        found
+    }
+
+    /// Keeps `plan` for `xpath` on `doc` at `generation`, evicting
+    /// least-recently-used entries to fit. An entry another thread made
+    /// meanwhile is kept as it is.
+    pub(crate) fn insert(&self, doc: u32, xpath: &str, generation: u64, plan: Arc<QueryPlan>) {
+        if xpath.len() > KEY_BYTES {
+            return;
+        }
+        let mut inner = self.lock();
+        inner.expire(doc, generation);
+        if inner.entry(doc, xpath).is_some() {
+            return;
+        }
+        inner.make_room(xpath.len());
+        inner.clock += 1;
+        let entry = Entry {
+            plan,
+            stamp: inner.clock,
+            computed: 0,
+            answer: Answer::None,
+        };
+        inner
+            .docs
+            .entry(doc)
+            .or_insert_with(|| DocEntries {
+                generation,
+                entries: HashMap::new(),
+            })
+            .entries
+            .insert(xpath.into(), entry);
+        inner.len += 1;
+        inner.key_bytes += xpath.len();
     }
 
     /// Records one computed answer of `xpath` on `doc` at `generation` —
-    /// `entries`, the finished node-set — and keeps a copy once the query
-    /// has been computed `admit_after` times. An answer larger than the
-    /// whole budget is neither copied nor counted again. Returns whether
-    /// this call kept it.
+    /// `entries`, the finished node-set — and keeps a copy on its entry
+    /// once the query has been computed `admit_after` times. An answer
+    /// larger than the whole budget is neither copied nor counted again;
+    /// a query with no entry is not counted. Returns whether this call
+    /// kept it.
     pub(crate) fn observe(
         &self,
         doc: u32,
@@ -350,102 +393,119 @@ impl ViewCache {
         let bytes = footprint(entries.len(), xpath);
         {
             let mut inner = self.lock();
-            let slots = inner.slots(doc, generation);
-            let count = match slots.get(xpath) {
-                Some(Slot::Pending(n)) => n.saturating_add(1),
-                Some(Slot::Oversize | Slot::Kept(_)) => return false,
-                None => 1,
+            inner.expire(doc, generation);
+            let Some(entry) = inner.entry(doc, xpath) else {
+                return false;
             };
-            let due = count >= admit_after.max(1);
-            let next = if due && bytes > self.budget {
-                Slot::Oversize
-            } else {
-                Slot::Pending(count)
-            };
-            match slots.get_mut(xpath) {
-                Some(slot) => *slot = next,
-                None => inner.track(doc, generation, xpath, next),
+            if !matches!(entry.answer, Answer::None) {
+                return false;
             }
-            if !due || bytes > self.budget {
+            entry.computed = entry.computed.saturating_add(1);
+            if entry.computed < admit_after.max(1) {
+                return false;
+            }
+            if bytes > self.budget {
+                entry.answer = Answer::Oversize;
                 return false;
             }
         }
         // Copied outside the lock: lookups do not wait on it.
         let entries = Arc::new(entries.to_vec());
         let mut inner = self.lock();
+        inner.expire(doc, generation);
         inner.clock += 1;
-        let kept = Slot::Kept(Answer {
+        let clock = inner.clock;
+        let Some(entry) = inner.entry(doc, xpath) else {
+            return false;
+        };
+        if !matches!(entry.answer, Answer::None) {
+            return false;
+        }
+        entry.stamp = clock;
+        entry.answer = Answer::Kept {
             entries,
             bytes,
-            stamp: inner.clock,
             hits: 0,
-        });
-        let slots = inner.slots(doc, generation);
-        match slots.get_mut(xpath) {
-            Some(slot) => {
-                let old = std::mem::replace(slot, kept);
-                inner.forget_slot(xpath.len(), old);
-            }
-            None => {
-                slots.insert(xpath.into(), kept);
-            }
-        }
+        };
         inner.kept += 1;
         inner.bytes += bytes;
-        inner.evict_to(self.budget, (doc, xpath));
+        inner.evict_answers_to(self.budget, (doc, xpath));
         true
     }
 
-    /// Drops everything kept or tracked for `doc` (the eager write path).
+    /// Drops every entry of `doc` (the eager write path).
     pub fn invalidate_doc(&self, doc: u32) {
         let mut inner = self.lock();
         if let Some(d) = inner.docs.remove(&doc) {
-            inner.forget(d.slots);
+            inner.forget(d.entries);
         }
     }
 
-    /// Drops everything (snapshot installs, `CACHE CLEAR`).
+    /// Drops every entry (snapshot installs, option changes, `CACHE
+    /// CLEAR`).
     pub fn clear(&self) {
         let mut inner = self.lock();
         let docs = std::mem::take(&mut inner.docs);
         for d in docs.into_values() {
-            inner.forget(d.slots);
+            inner.forget(d.entries);
         }
     }
 
-    /// Current counters.
+    /// Answer counters.
     pub fn stats(&self) -> ViewStatsSnapshot {
         let inner = self.lock();
         ViewStatsSnapshot {
-            hits: inner.hits,
-            misses: inner.misses,
+            hits: inner.answered,
+            misses: inner.hits + inner.misses - inner.answered,
             evictions: inner.evictions,
             bytes: inner.bytes,
             views: inner.kept,
         }
     }
 
-    /// Kept results, most-recently-used first.
+    /// `(hits, misses)` of lookups: one per query text and document asked.
+    pub fn counters(&self) -> (u64, u64) {
+        let inner = self.lock();
+        (inner.hits, inner.misses)
+    }
+
+    /// Entries held (plans, whether or not an answer is kept).
+    pub fn len(&self) -> usize {
+        self.lock().len
+    }
+
+    /// Whether the table holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Kept answers, most-recently-used first.
     pub fn list(&self) -> Vec<ViewInfo> {
         let inner = self.lock();
         let mut out: Vec<(u64, ViewInfo)> = inner
             .docs
             .iter()
             .flat_map(|(&doc, d)| {
-                d.slots.iter().filter_map(move |(xpath, slot)| match slot {
-                    Slot::Kept(answer) => Some((
-                        answer.stamp,
-                        ViewInfo {
-                            doc,
-                            xpath: xpath.to_string(),
-                            rows: answer.entries.len() as u64,
-                            bytes: answer.bytes,
-                            generation: d.generation,
-                            hits: answer.hits,
-                        },
-                    )),
-                    _ => None,
-                })
+                d.entries
+                    .iter()
+                    .filter_map(move |(xpath, e)| match &e.answer {
+                        Answer::Kept {
+                            entries,
+                            bytes,
+                            hits,
+                        } => Some((
+                            e.stamp,
+                            ViewInfo {
+                                doc,
+                                xpath: xpath.to_string(),
+                                rows: entries.len() as u64,
+                                bytes: *bytes,
+                                generation: d.generation,
+                                hits: *hits,
+                            },
+                        )),
+                        _ => None,
+                    })
             })
             .collect();
         out.sort_by_key(|v| std::cmp::Reverse(v.0));
@@ -457,11 +517,19 @@ impl ViewCache {
 mod tests {
     use super::*;
 
-    fn fragment(xpath: &str) -> bool {
+    fn cleaned(xpath: &str) -> QueryPlan {
         let expr = vamana_xpath::parse(xpath).unwrap();
         let mut plan = crate::plan::builder::build_plan(&expr).unwrap();
         crate::opt::cleanup::cleanup(&mut plan);
-        in_fragment(&plan)
+        plan
+    }
+
+    fn fragment(xpath: &str) -> bool {
+        in_fragment(&cleaned(xpath))
+    }
+
+    fn plan() -> Arc<QueryPlan> {
+        Arc::new(cleaned("//a"))
     }
 
     #[test]
@@ -507,99 +575,164 @@ mod tests {
         }
     }
 
+    /// A cache holding a plan for each of `keys` on document 0, generation 1.
+    fn cache_with(budget: u64, keys: &[&str]) -> QueryCache {
+        let cache = QueryCache::with_budget(budget);
+        for key in keys {
+            cache.insert(0, key, 1, plan());
+        }
+        cache
+    }
+
     #[test]
     fn admission_waits_for_frequency_then_answers() {
-        let cache = ViewCache::new();
+        let cache = QueryCache::new();
         let rows = [entry(1)];
         assert!(cache.lookup(0, "//a", 1).is_none());
+        // Nothing is counted for a query with no entry.
+        assert!(!cache.observe(0, "//a", 1, 1, &rows));
+        cache.insert(0, "//a", 1, plan());
+        assert!(cache.lookup(0, "//a", 1).unwrap().answer.is_none());
         assert!(!cache.observe(0, "//a", 1, 2, &rows));
         assert!(cache.observe(0, "//a", 1, 2, &rows));
-        assert_eq!(cache.lookup(0, "//a", 1).as_deref(), Some(&rows.to_vec()));
-        // Kept results stop being counted.
+        let answer = cache.lookup(0, "//a", 1).unwrap().answer;
+        assert_eq!(answer.as_deref(), Some(&rows.to_vec()));
+        // Kept answers stop being counted.
         assert!(!cache.observe(0, "//a", 1, 2, &rows));
         let s = cache.stats();
-        assert_eq!((s.views, s.hits, s.misses), (1, 1, 1));
+        assert_eq!((s.views, s.hits, s.misses), (1, 1, 2));
+        assert_eq!(cache.counters(), (2, 1));
         // Another document or another generation is not answered; the
-        // newer generation drops the stale result.
+        // newer generation drops the stale entry, plan and answer.
         assert!(cache.lookup(1, "//a", 1).is_none());
         assert!(cache.lookup(0, "//a", 2).is_none());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().views, 0);
+        assert!(cache.is_empty(), "stale entry must be dropped");
+        assert_eq!(cache.counters(), (2, 3));
     }
 
     #[test]
-    fn byte_budget_evicts_least_recently_used() {
+    fn byte_budget_drops_least_recently_used_answers_but_keeps_plans() {
         let one = footprint(1, "//a");
-        let cache = ViewCache::with_budget(one * 2);
+        let cache = cache_with(one * 2, &["//a", "//b", "//c"]);
         assert!(cache.observe(0, "//a", 1, 1, &[entry(1)]));
         assert!(cache.observe(0, "//b", 1, 1, &[entry(1)]));
         cache.lookup(0, "//a", 1); // `//b` is now the least recently used
         assert!(cache.observe(0, "//c", 1, 1, &[entry(1)]));
         let s = cache.stats();
-        assert_eq!(s.views, 2, "the third result must evict one");
+        assert_eq!(s.views, 2, "the third answer must evict one");
         assert_eq!(s.evictions, 1);
         assert!(s.bytes <= one * 2);
         let listed: Vec<String> = cache.list().into_iter().map(|v| v.xpath).collect();
         assert_eq!(listed, vec!["//c".to_string(), "//a".to_string()]);
+        // `//b` keeps its plan and counts toward admission afresh.
+        assert!(cache.lookup(0, "//b", 1).unwrap().answer.is_none());
+        assert_eq!(cache.len(), 3);
+        assert!(!cache.observe(0, "//b", 1, 2, &[entry(1)]));
     }
 
     #[test]
-    fn oversize_results_are_neither_kept_nor_counted_again() {
+    fn lru_bounds_the_entries() {
+        let cache = QueryCache::new();
+        for i in 0..CAPACITY {
+            cache.insert(0, &format!("//q{i}"), 1, plan());
+        }
+        assert!(cache.lookup(0, "//q0", 1).is_some()); // refresh the oldest
+        cache.insert(1, "//r", 1, plan());
+        assert_eq!(cache.len(), CAPACITY);
+        assert!(
+            cache.lookup(0, "//q0", 1).is_some(),
+            "recently used survives"
+        );
+        assert!(cache.lookup(0, "//q1", 1).is_none(), "LRU entry evicted");
+        assert!(cache.lookup(1, "//r", 1).is_some());
+    }
+
+    #[test]
+    fn oversize_answers_are_neither_kept_nor_counted_again() {
         let rows = vec![entry(1); 100];
-        let cache = ViewCache::with_budget(footprint(10, "//big"));
+        let cache = cache_with(footprint(10, "//big"), &["//big"]);
         assert!(!cache.observe(0, "//big", 1, 2, &rows));
         assert!(!cache.observe(0, "//big", 1, 2, &rows));
-        let inner = cache.lock();
-        assert!(matches!(inner.docs[&0].slots["//big"], Slot::Oversize));
-        drop(inner);
+        let oversize = |cache: &QueryCache| {
+            let mut inner = cache.lock();
+            matches!(inner.entry(0, "//big").unwrap().answer, Answer::Oversize)
+        };
+        assert!(oversize(&cache));
         for _ in 0..3 {
             assert!(!cache.observe(0, "//big", 1, 2, &rows));
         }
-        let inner = cache.lock();
-        assert!(matches!(inner.docs[&0].slots["//big"], Slot::Oversize));
-        assert_eq!((inner.kept, inner.tracked), (0, 1));
-        drop(inner);
+        assert!(oversize(&cache));
+        assert_eq!(cache.stats().views, 0);
         // A write may shrink the answer: a new generation counts afresh.
+        cache.insert(0, "//big", 2, plan());
         assert!(!cache.observe(0, "//big", 2, 2, &rows[..1]));
         assert!(cache.observe(0, "//big", 2, 2, &rows[..1]));
     }
 
     #[test]
-    fn admission_table_stays_under_its_byte_cap() {
-        let cache = ViewCache::new();
+    fn every_key_stays_under_the_byte_cap() {
+        let cache = QueryCache::new();
         let tail = "/a".repeat(30 << 10);
         for i in 0..10_000 {
             let xpath = format!("//q{i}{tail}");
+            cache.insert(0, &xpath, 1, plan());
             cache.observe(0, &xpath, 1, 2, &[]);
             let inner = cache.lock();
             let held: usize = inner
                 .docs
                 .values()
-                .flat_map(|d| d.slots.keys())
+                .flat_map(|d| d.entries.keys())
                 .map(|k| k.len())
                 .sum();
-            assert_eq!(held, inner.tracked_bytes);
-            assert!(
-                held <= PENDING_BYTES,
-                "{held} bytes tracked after {i} queries"
-            );
+            assert_eq!(held, inner.key_bytes);
+            assert!(held <= KEY_BYTES, "{held} key bytes after {i} queries");
         }
+        assert!(cache.len() > 1, "the cap must still hold several keys");
+        // A key longer than the whole cap is not cached at all.
+        cache.insert(0, &"/a".repeat(KEY_BYTES), 1, plan());
+        assert!(cache.lock().key_bytes <= KEY_BYTES);
+    }
+
+    #[test]
+    fn a_write_heavy_loop_cannot_grow_the_map() {
+        let cache = QueryCache::new();
+        // Each generation re-plans two texts, then a write lands.
+        for generation in 1..=100u64 {
+            for xpath in ["//a", "//b"] {
+                if cache.lookup(0, xpath, generation).is_none() {
+                    cache.insert(0, xpath, generation, plan());
+                }
+            }
+            cache.invalidate_doc(0);
+        }
+        assert!(cache.is_empty());
+        // Replica replay: no eager drop, the next generation's access does it.
+        for generation in 1..=100u64 {
+            cache.lookup(0, "//a", generation);
+            cache.insert(0, "//a", generation, plan());
+        }
+        assert_eq!(cache.len(), 1, "stale generations piled up");
     }
 
     #[test]
     fn invalidate_and_clear_account_evictions() {
-        let cache = ViewCache::new();
+        let cache = QueryCache::new();
         for (doc, key) in [(0, "//a"), (0, "//b"), (1, "//a")] {
+            cache.insert(doc, key, 1, plan());
             cache.observe(doc, key, 1, 1, &[entry(1)]);
         }
-        cache.observe(0, "//pending", 1, 2, &[]);
+        cache.insert(0, "//pending", 1, plan());
         cache.invalidate_doc(0);
         assert_eq!(cache.stats().views, 1);
         assert_eq!(cache.stats().evictions, 2);
-        assert_eq!(cache.lock().tracked, 0);
+        assert_eq!(cache.len(), 1);
         cache.clear();
+        assert!(cache.is_empty());
         assert_eq!(cache.stats().views, 0);
         assert_eq!(cache.stats().bytes, 0);
         assert_eq!(cache.stats().evictions, 3);
+        assert_eq!(cache.lock().key_bytes, 0);
     }
 }

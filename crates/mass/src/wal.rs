@@ -200,20 +200,20 @@ impl WalRecord {
         let (&tag, mut rest) = payload.split_first()?;
         let rec = match tag {
             1 => WalRecord::InsertElement {
-                key: FlexKey::from_flat(take_bytes(&mut rest)?),
+                key: take_key(&mut rest)?,
                 name: take_string(&mut rest)?,
             },
             2 => WalRecord::InsertText {
-                key: FlexKey::from_flat(take_bytes(&mut rest)?),
+                key: take_key(&mut rest)?,
                 value: take_string(&mut rest)?,
             },
             3 => WalRecord::InsertAttribute {
-                key: FlexKey::from_flat(take_bytes(&mut rest)?),
+                key: take_key(&mut rest)?,
                 name: take_string(&mut rest)?,
                 value: take_string(&mut rest)?,
             },
             4 => WalRecord::DeleteSubtree {
-                key: FlexKey::from_flat(take_bytes(&mut rest)?),
+                key: take_key(&mut rest)?,
             },
             5 => WalRecord::Commit,
             6 => WalRecord::LoadDocument {
@@ -246,6 +246,13 @@ fn take_bytes(rest: &mut &[u8]) -> Option<Vec<u8>> {
     let out = rest[4..4 + len].to_vec();
     *rest = &rest[4 + len..];
     Some(out)
+}
+
+/// A FLEX key, refused unless well-formed: the replication feed hands
+/// this decoder frames from a primary the follower does not control.
+fn take_key(rest: &mut &[u8]) -> Option<FlexKey> {
+    let flat = take_bytes(rest)?;
+    FlexKey::is_valid_flat(&flat).then(|| FlexKey::from_flat(flat))
 }
 
 fn take_string(rest: &mut &[u8]) -> Option<String> {
@@ -733,6 +740,44 @@ mod tests {
         }
         assert_eq!(WalRecord::decode(&[9, 0]), None);
         assert_eq!(WalRecord::decode(&[]), None);
+    }
+
+    #[test]
+    fn a_key_without_its_terminator_is_refused() {
+        // InsertElement, key `[5]`, name "a".
+        let payload = [1, 1, 0, 0, 0, 5, 1, 0, 0, 0, b'a'];
+        assert_eq!(WalRecord::decode(&payload), None);
+        // An empty label (a bare terminator) is malformed too.
+        assert_eq!(WalRecord::decode(&[4, 1, 0, 0, 0, 0]), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// `decode` returns on any bytes, and whatever it accepts encodes
+        /// back to exactly those bytes. Payloads are a tag, length-prefixed
+        /// fields over a small alphabet (so keys and strings are often
+        /// well-formed) and a few bytes of noise.
+        #[test]
+        fn decode_is_total_and_round_trips(
+            tag in 0u8..8,
+            fields in proptest::collection::vec(proptest::collection::vec(0u8..3, 0..6), 0..4),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3),
+        ) {
+            let mut payload = vec![tag];
+            for field in &fields {
+                put_bytes(&mut payload, field);
+            }
+            payload.extend_from_slice(&noise);
+            for bytes in [&payload[..], &noise[..]] {
+                if let Some(rec) = WalRecord::decode(bytes) {
+                    proptest::prop_assert_eq!(rec.encode(), bytes);
+                }
+            }
+        }
     }
 
     #[test]

@@ -134,9 +134,6 @@ impl Drop for ReplicaHandle {
 struct SyncCtx {
     config: ReplicaConfig,
     engine: Arc<SharedEngine>,
-    /// The server's shared state — the sync loop clears its plan cache
-    /// after snapshot installs.
-    server_shared: Arc<vamana_server::Shared>,
     status: Arc<ReplicaStatus>,
     stop: Arc<AtomicBool>,
     conn: Arc<Mutex<Option<TcpStream>>>,
@@ -176,7 +173,6 @@ impl Replica {
             status: Arc::clone(&status),
         });
         let server = Server::bind_shared(&config.listen, Arc::clone(&engine), server_config)?;
-        let server_shared = Arc::clone(server.shared());
         let handle = server.spawn()?;
         let addr = handle.addr();
 
@@ -185,7 +181,6 @@ impl Replica {
         let ctx = SyncCtx {
             config,
             engine,
-            server_shared,
             status: Arc::clone(&status),
             stop: Arc::clone(&stop),
             conn: Arc::clone(&conn),
@@ -326,8 +321,8 @@ fn apply_batch(ctx: &SyncCtx, batch: &[(u64, WalRecord)]) -> std::io::Result<()>
 /// scratch: fresh durable store, documents loaded in the primary's load
 /// order (reproducing its key space), log re-based to the snapshot LSN.
 /// Runs entirely under the engine write lock so no query observes the
-/// swap, then clears the plan cache (new stores restart document
-/// generations at zero).
+/// swap; [`Engine::replace_store`] clears the query cache there (new
+/// stores restart document generations at zero).
 fn install_snapshot(ctx: &SyncCtx, reader: &mut impl BufRead) -> std::io::Result<()> {
     let mut docs: Vec<(String, String)> = Vec::new();
     let snap_lsn;
@@ -375,7 +370,6 @@ fn install_snapshot(ctx: &SyncCtx, reader: &mut impl BufRead) -> std::io::Result
         .replace_store(fresh)
         .map_err(|e| proto_err(format!("install snapshot: {e}")))?;
     drop(engine);
-    ctx.server_shared.cache().clear();
     ctx.status.snapshots.fetch_add(1, Ordering::Relaxed);
     ctx.status.applied_lsn.store(snap_lsn, Ordering::Relaxed);
     ctx.status.received_lsn.store(snap_lsn, Ordering::Relaxed);

@@ -2,8 +2,9 @@
 //!
 //! A concurrent query service over one shared VAMANA engine: a TCP
 //! line protocol multiplexed by a nonblocking event core, executed by a
-//! worker thread pool, with a compiled-plan cache, bounded-queue
-//! admission control, per-query deadlines, and a metrics registry.
+//! worker thread pool, with bounded-queue admission control, per-query
+//! deadlines, and a metrics registry. Plans and repeated answers come from
+//! the engine's query cache.
 //!
 //! ## Protocol
 //!
@@ -25,7 +26,7 @@
 //! LIMIT <n>                   per-connection row cap (0 = unlimited)
 //! STATS                       metrics snapshot
 //! DOCS                        loaded documents, in load order
-//! CACHE [LIST] | CACHE CLEAR  answers kept by the result memo
+//! CACHE [LIST] | CACHE CLEAR  answers kept by the query cache
 //! LAG                         replication gauges
 //! REPLICATE <from_lsn>        become a WAL frame feed
 //! PING / QUIT
@@ -60,9 +61,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use vamana_core::{exec::BATCH_SIZE, DocId, Engine, NodeEntry, SharedEngine, UpdateOp, Value};
+use vamana_core::{
+    exec::BATCH_SIZE, DocId, Engine, NodeEntry, QueryCache, SharedEngine, UpdateOp, Value,
+};
 
-pub mod cache;
 pub mod event;
 mod feed;
 pub mod metrics;
@@ -71,7 +73,6 @@ pub mod pool;
 pub mod render;
 pub mod testkit;
 
-pub use cache::PlanCache;
 pub use metrics::Metrics;
 pub use render::{render_rows, RenderOptions, Rendered};
 
@@ -88,8 +89,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Per-query deadline, from admission to last tuple.
     pub query_timeout: Duration,
-    /// Compiled plans cached across queries.
-    pub plan_cache_size: usize,
     /// Default per-connection row cap (`LIMIT` overrides; 0 = unlimited).
     pub default_limit: usize,
     /// Characters of string-value shown per row.
@@ -119,7 +118,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_depth: 64,
             query_timeout: Duration::from_secs(10),
-            plan_cache_size: 256,
             default_limit: 20,
             value_width: 200,
             scan_workers: 0,
@@ -186,7 +184,6 @@ impl std::error::Error for ServerError {}
 /// State shared by the event loop and the workers.
 pub struct Shared {
     engine: Arc<SharedEngine>,
-    cache: PlanCache,
     metrics: Metrics,
     config: ServerConfig,
     stopping: AtomicBool,
@@ -210,9 +207,9 @@ impl Shared {
         &self.metrics
     }
 
-    /// The plan cache.
-    pub fn cache(&self) -> &PlanCache {
-        &self.cache
+    /// The engine's query cache: plans, kept answers and their counters.
+    pub fn cache(&self) -> Arc<QueryCache> {
+        Arc::clone(self.engine.read().views())
     }
 
     /// Read access to the engine for a request, the wait for it added to
@@ -413,7 +410,6 @@ pub(crate) fn execute_job(shared: &Shared, job: Job) {
         }
         Request::CacheClear => {
             shared.engine.read().views().clear();
-            shared.cache.clear();
             Ok(Outcome::Lines {
                 lines: Vec::new(),
                 ok: "OK cache cleared".into(),
@@ -485,9 +481,9 @@ pub(crate) fn execute_job(shared: &Shared, job: Job) {
     job.reply.deliver(result);
 }
 
-/// Executes `xpath` over every document (or just `doc`) via the plan
-/// cache, enforcing `deadline` between result batches, and renders up
-/// to `limit` rows.
+/// Executes `xpath` over every document (or just `doc`) through the
+/// engine's query cache, enforcing `deadline` between result batches, and
+/// renders up to `limit` rows.
 fn run_query(
     shared: &Shared,
     xpath: &str,
@@ -513,35 +509,16 @@ fn run_query(
     let mut parts: Vec<Arc<Vec<NodeEntry>>> = Vec::with_capacity(docs.len());
     let mut all_cached = true;
     for doc in docs {
-        // An answer the result memo kept is the reply: nothing to plan
-        // or run, reported as `plan=cached`.
-        if let Some(kept) = engine.recall(doc, xpath) {
+        // One lookup per document: a kept answer is the reply, nothing to
+        // plan or run; either way a found entry reports `plan=cached`.
+        let found = engine.lookup(doc, xpath).map_err(query_err)?;
+        all_cached &= found.cached;
+        if let Some(kept) = found.answer {
             parts.push(kept);
             continue;
         }
-        // Plans validate against the *per-document* generation: an
-        // update to one document invalidates exactly that document's
-        // cached plans, and loads/updates elsewhere leave them warm.
-        let generation = engine.store().doc_generation(doc);
-        let plan = match shared.cache.get(xpath, doc, generation) {
-            Some(plan) => plan,
-            None => {
-                all_cached = false;
-                let compiled = engine.compile(xpath).map_err(query_err)?;
-                let optimized = if engine.options().optimize {
-                    engine.optimize_plan(compiled, doc).map_err(query_err)?.plan
-                } else {
-                    compiled
-                };
-                let plan = Arc::new(optimized);
-                shared
-                    .cache
-                    .insert(xpath, doc, generation, Arc::clone(&plan));
-                plan
-            }
-        };
         let mut stream = engine
-            .stream_plan(Arc::clone(&plan), doc)
+            .stream_plan(Arc::clone(&found.plan), doc)
             .map_err(query_err)?;
         // Batches land straight in the result buffer — no per-tuple
         // dispatch between the executor and the render path. The
@@ -565,7 +542,7 @@ fn run_query(
         // order are the global order, the one a front tier reproduces by
         // concatenating per-document results.
         stream.finish(&mut rows);
-        engine.observe_result(doc, xpath, &plan, &rows);
+        engine.observe_result(doc, xpath, &found.plan, &rows);
         parts.push(Arc::new(rows));
     }
     // One document's answer is rendered where it lies, a kept one
@@ -751,10 +728,6 @@ fn run_update(
     };
     let start = Instant::now();
     let outcome = engine.apply_update(doc, op).map_err(query_err)?;
-    // Sweep the written document's superseded plans out of the cache;
-    // without this every (xpath, old-generation) pair would linger until
-    // individually probed or LRU-evicted.
-    shared.cache.purge_doc(doc, outcome.doc_generation);
     shared.metrics.updates.fetch_add(1, Ordering::Relaxed);
     shared.metrics.writer_wait_us.fetch_add(
         outcome.profile.writer_wait.as_micros() as u64,
@@ -794,9 +767,8 @@ fn run_load(shared: &Shared, name: &str, source: &LoadSource) -> Result<Outcome,
         LoadSource::File(path) => std::fs::read_to_string(path)
             .map_err(|e| ServerError::Query(format!("cannot read {path}: {e}")))?,
     };
-    // No cache clear: plans validate per document, and a load never
-    // changes an existing document's generation — other documents'
-    // cached plans stay warm.
+    // No cache clear: entries validate per document, and a load never
+    // changes an existing document's generation.
     let id = shared.engine.load_xml(name, &xml).map_err(query_err)?;
     Ok(Outcome::Loaded {
         id: id.0,
@@ -924,7 +896,6 @@ impl Server {
         }
         let shared = Arc::new(Shared {
             engine,
-            cache: PlanCache::new(config.plan_cache_size),
             metrics: Metrics::default(),
             config: config.clone(),
             stopping: AtomicBool::new(false),
@@ -1076,7 +1047,7 @@ fn parse_line(config: &ServerConfig, request: &str) -> Parsed {
         },
         "STATS" => Parsed::Control(Request::Stats),
         "DOCS" => Parsed::Control(Request::Docs),
-        // Result-memo inspection. Allowed on replicas: the memo is
+        // Query-cache inspection. Allowed on replicas: the cache is
         // node-local derived state, not document data.
         "CACHE" => match rest {
             "" | "LIST" => Parsed::Control(Request::CacheList),
@@ -1354,13 +1325,13 @@ fn parse_update(verb: &str, rest: &str) -> Result<Request, String> {
 fn render_stats(shared: &Shared) -> Vec<String> {
     let mut out = Vec::new();
     shared.metrics.render(&mut out);
-    let (hits, misses) = shared.cache.counters();
+    let engine = shared.engine.read();
+    let (hits, misses) = engine.views().counters();
     out.push(format!("STAT plan_cache_hits {hits}"));
     out.push(format!("STAT plan_cache_misses {misses}"));
-    out.push(format!("STAT plan_cache_size {}", shared.cache.len()));
+    out.push(format!("STAT plan_cache_size {}", engine.views().len()));
     out.push(format!("STAT workers {}", shared.config.workers));
     out.push(format!("STAT queue_depth {}", shared.config.queue_depth));
-    let engine = shared.engine.read();
     let stats = engine.store().stats();
     out.push(format!("STAT documents {}", stats.documents));
     out.push(format!("STAT store_tuples {}", stats.tuples));

@@ -2,11 +2,14 @@
 //! pool synchronizes internally, so many threads can query the same
 //! store simultaneously. These tests pin that property down (including
 //! the `Send + Sync` bounds) and check results stay correct under
-//! parallel load.
+//! parallel load, and through the query cache beside a writer.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Barrier};
+use vamana::baseline::{dom::DomEngine, NodeIdentity, XPathEngine};
+use vamana::core::UpdateOp;
 use vamana::xmark::{generate_string, XmarkConfig};
-use vamana::{Engine, MassStore, SharedEngine};
+use vamana::{DocId, Engine, MassStore, SharedEngine};
 
 fn assert_send_sync<T: Send + Sync>() {}
 
@@ -87,34 +90,136 @@ fn eight_threads_mixed_queries_match_single_threaded_results() {
     });
 }
 
-/// A cached plan must stop validating once `load_xml` mutates the store:
-/// the generation bump turns the next lookup into a miss.
+/// A load adds a document and changes none: the store generation moves,
+/// but the cached plans of the documents already loaded stay valid (their
+/// generations do not) and the new document gets entries of its own. A
+/// write to a document is what drops its entries.
 #[test]
 fn plan_cache_entries_are_invalidated_by_load_xml() {
-    use vamana::server::PlanCache;
-
     let mut store = MassStore::open_memory();
     store.load_xml("first", "<r><a>1</a></r>").unwrap();
     let shared = SharedEngine::new(Engine::new(store));
-    let cache = PlanCache::new(16);
-    let doc = vamana::DocId(0);
+    // A value comparison: outside the answer fragment, so only plans are
+    // cached.
+    let q = "//a[. != '']";
+    assert_eq!(shared.read().query(q).unwrap().len(), 1);
+    let cache = Arc::clone(shared.read().views());
+    assert_eq!(cache.counters(), (0, 1));
 
     let generation = shared.generation();
-    let plan = Arc::new(shared.read().compile("//a").unwrap());
-    cache.insert("//a", doc, generation, plan);
-    assert!(cache.get("//a", doc, generation).is_some());
-
     shared.load_xml("second", "<r><a>2</a></r>").unwrap();
-    let after = shared.generation();
     assert!(
-        after > generation,
+        shared.generation() > generation,
         "load_xml must bump the store generation"
     );
-    assert!(
-        cache.get("//a", doc, after).is_none(),
-        "stale plan served after load_xml"
+    assert_eq!(shared.read().query(q).unwrap().len(), 2);
+    assert_eq!(
+        cache.counters(),
+        (1, 2),
+        "the first document's plan is reused, the second's compiled"
     );
-    assert!(cache.is_empty(), "stale entry must be evicted on lookup");
+    assert_eq!(cache.len(), 2);
+
+    let delete = UpdateOp::Delete {
+        target: "//a".into(),
+    };
+    shared.write().apply_update(DocId(0), &delete).unwrap();
+    assert_eq!(cache.len(), 1, "the write drops the first document's entry");
+    assert_eq!(shared.read().query(q).unwrap().len(), 1);
+    assert_eq!(cache.counters(), (2, 3));
+}
+
+/// Readers query through the engine's cache between the inserts of one
+/// writer: a barrier makes every generation one phase in which three
+/// readers, concurrently, ask every query twice (so the second finds the
+/// entry the first made). Each read takes the document's generation under
+/// the same guard as its query and must see exactly the DOM answer of the
+/// document at that generation: no plan or kept answer outlives the write
+/// that made it stale.
+#[test]
+fn cached_reads_beside_a_writer_match_the_dom_at_their_generation() {
+    const WRITES: usize = 24;
+    const QUERIES: [&str; 3] = [
+        "//person/name",               // answers kept
+        "//person[name != 'p0']/name", // value comparison: plans only
+        "//name/parent::person",       // reverse step: plans only
+    ];
+    let xml = |persons: usize| {
+        let people: String = (0..persons)
+            .map(|i| format!("<person><name>p{i}</name></person>"))
+            .collect();
+        format!("<site><people>{people}</people></site>")
+    };
+    let insert = |i: usize| UpdateOp::Insert {
+        target: "/site/people".into(),
+        fragment: format!("<person><name>p{i}</name></person>"),
+    };
+    let engine_of = |xml: &str| {
+        let mut store = MassStore::open_memory();
+        store.load_xml("d", xml).unwrap();
+        Engine::new(store)
+    };
+    let doc = DocId(0);
+
+    // The DOM answer of every query at every generation the writer passes
+    // through, the generations read off a second engine given the same
+    // writes.
+    let mut reference = engine_of(&xml(1));
+    let mut expected: HashMap<u64, Vec<Vec<NodeIdentity>>> = HashMap::new();
+    for persons in 1..=WRITES + 1 {
+        if persons > 1 {
+            reference.apply_update(doc, &insert(persons - 1)).unwrap();
+        }
+        let dom = DomEngine::from_xml(&xml(persons)).unwrap();
+        let answers = QUERIES.iter().map(|q| dom.identities(q).unwrap()).collect();
+        expected.insert(reference.store().doc_generation(doc), answers);
+    }
+    assert_eq!(
+        expected.len(),
+        WRITES + 1,
+        "every write moves the generation"
+    );
+
+    let shared = SharedEngine::new(engine_of(&xml(1)));
+    let barrier = Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..3 {
+            let (shared, barrier, expected) = (&shared, &barrier, &expected);
+            scope.spawn(move || {
+                for _ in 0..=WRITES {
+                    for round in 0..2 * QUERIES.len() {
+                        let q = (t + round) % QUERIES.len();
+                        let engine = shared.read();
+                        let generation = engine.store().doc_generation(doc);
+                        let got = engine.query_doc(doc, QUERIES[q]).unwrap();
+                        let got: Vec<NodeIdentity> = engine
+                            .names_of(&got)
+                            .unwrap()
+                            .into_iter()
+                            .zip(engine.string_values(&got).unwrap())
+                            .map(|(name, value)| NodeIdentity { name, value })
+                            .collect();
+                        assert_eq!(
+                            got, expected[&generation][q],
+                            "{} at generation {generation}",
+                            QUERIES[q]
+                        );
+                    }
+                    barrier.wait(); // this generation's reads are done
+                    barrier.wait(); // the next write has landed
+                }
+            });
+        }
+        for i in 1..=WRITES + 1 {
+            barrier.wait();
+            if i <= WRITES {
+                shared.write().apply_update(doc, &insert(i)).unwrap();
+            }
+            barrier.wait();
+        }
+    });
+    let (hits, _) = shared.read().views().counters();
+    assert!(hits >= (9 * (WRITES + 1)) as u64, "{hits} lookups hit");
 }
 
 #[test]
@@ -128,10 +233,7 @@ fn parallel_mixed_queries_and_scalar_evaluation() {
     std::thread::scope(|scope| {
         let count_thread = scope.spawn(|| {
             for _ in 0..20 {
-                match engine
-                    .evaluate(vamana::DocId(0), "count(//person)")
-                    .unwrap()
-                {
+                match engine.evaluate(DocId(0), "count(//person)").unwrap() {
                     vamana::Value::Num(n) => assert_eq!(n, persons),
                     other => panic!("{other:?}"),
                 }
