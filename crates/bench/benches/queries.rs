@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vamana_bench::{document, Lineup, QUERIES};
+use vamana_core::{DocId, Engine};
 use vamana_flex::{Axis, FlexKey, KeyRange};
 use vamana_mass::axes::{AxisStream, NodeFilter};
 use vamana_mass::{MassStore, RecordKind};
@@ -28,12 +29,13 @@ fn bench_queries(c: &mut Criterion) {
     group.finish();
 }
 
-/// What a step pays per context tuple to open its clustered scan — the
-/// kernel under `//item/*`, `//person//*` and `/site/*/*` — reported as
-/// ns/context (the group's per-element time): one [`AxisStream`] re-opened
-/// on each context in document order, as a step cursor does it, pulled
-/// for its first row only (`open`: re-bound, position, one record) and
-/// pulled dry (`drain`; minus `open`, over the rows, is the per-row cost).
+/// What a step pays per context tuple to open its axis stream — the
+/// kernel under `//item/*`, `//person//*`, `/site/*/*` and Q2–Q4 —
+/// reported as ns/context (the group's per-element time): one
+/// [`AxisStream`] re-opened on each context in document order, as a step
+/// cursor does it, pulled for its first row only (`open`: re-bound,
+/// position, one record) and pulled dry (`drain`; minus `open`, over the
+/// rows, is the per-row cost).
 ///
 /// * `child_wildcard`: `child::*` from every `item` (a sibling-jump scan,
 ///   jumps in-page);
@@ -47,11 +49,25 @@ fn bench_queries(c: &mut Criterion) {
 ///   person's range, behind the cursor; the next person lies past where
 ///   the child's range ended. No context's record is where the last range
 ///   ended, so every open falls back to the re-seek: this pins what the
-///   sweep's entry check costs that path.
+///   sweep's entry check costs that path;
+/// * `parent_wildcard`: `parent::*` from every `price` (a point seek of
+///   the stream's cursor: `*` has no posting list);
+/// * `ancestor_named`: `ancestor::person` from every `watches` (finger
+///   probes of the `person` list);
+/// * `following_sibling_named`: `following-sibling::price` from every
+///   `itemref` (a sibling range of the `price` list).
+///
+/// Last, what a step pays per tuple to test an exist-predicate the index
+/// answers: `exists_parent`, Q1's optimized plan `//address[parent::person]`
+/// (`filter`) against `//address` alone (`input`), per `address`; the
+/// difference is the probe.
 fn bench_step_open(c: &mut Criterion) {
     let xml = document(1.0);
     let mut store = MassStore::open_memory();
     store.load_xml("auction.xml", &xml).expect("load");
+    let engine = Engine::new(store);
+    let store = engine.store();
+    let name = |name: &str| store.name_id(name).expect(name);
     let elements = |name: &str| -> Vec<FlexKey> {
         let id = store.name_id(name).expect(name);
         let keys = store.name_index().elements(id).iter();
@@ -79,22 +95,41 @@ fn bench_step_open(c: &mut Criterion) {
             [person.clone(), FlexKey::from_flat_slice(child)]
         })
         .collect();
+    let any = NodeFilter::any_element();
     let cases = [
-        ("child_wildcard", Axis::Child, elements("item")),
-        ("descendant_wildcard", Axis::Descendant, elements("person")),
-        ("child_jump_offpage", Axis::Child, crossing),
-        ("descendant_nested", Axis::Descendant, nested),
+        ("child_wildcard", Axis::Child, any, elements("item")),
+        (
+            "descendant_wildcard",
+            Axis::Descendant,
+            any,
+            elements("person"),
+        ),
+        ("child_jump_offpage", Axis::Child, any, crossing),
+        ("descendant_nested", Axis::Descendant, any, nested),
+        ("parent_wildcard", Axis::Parent, any, elements("price")),
+        (
+            "ancestor_named",
+            Axis::Ancestor,
+            NodeFilter::element(name("person")),
+            elements("watches"),
+        ),
+        (
+            "following_sibling_named",
+            Axis::FollowingSibling,
+            NodeFilter::element(name("price")),
+            elements("itemref"),
+        ),
     ];
     let mut group = c.benchmark_group("step_open");
     group.sample_size(30);
-    for (label, axis, contexts) in cases {
+    for (label, axis, filter, contexts) in cases {
         assert!(
             contexts.len() >= 100,
             "{label}: {} contexts",
             contexts.len()
         );
         let walk = |max: usize| {
-            let mut stream = AxisStream::new(&store, axis, NodeFilter::any_element());
+            let mut stream = AxisStream::new(store, axis, filter);
             let mut out = Vec::new();
             let mut rows = 0;
             for ctx in &contexts {
@@ -110,6 +145,18 @@ fn bench_step_open(c: &mut Criterion) {
         group.bench_function(format!("{label}/open"), |b| b.iter(|| walk(1)));
         group.bench_function(format!("{label}/drain ({rows:.1} rows a context)"), |b| {
             b.iter(|| walk(usize::MAX))
+        });
+    }
+    let prepared = |xpath: &str| {
+        let plan = engine.compile(xpath).expect(xpath);
+        engine.optimize_plan(plan, DocId(0)).expect(xpath).plan
+    };
+    let (input, filter) = (prepared("//address"), prepared("//address[parent::person]"));
+    let addresses = engine.execute_plan(&input, DocId(0)).expect("input").len();
+    group.throughput(Throughput::Elements(addresses as u64));
+    for (label, plan) in [("input", &input), ("filter", &filter)] {
+        group.bench_function(format!("exists_parent/{label}"), |b| {
+            b.iter(|| engine.execute_plan(plan, DocId(0)).expect("run").len())
         });
     }
     group.finish();

@@ -31,7 +31,7 @@ fn document(groups: usize, recursive: bool) -> String {
         } else {
             xml.push_str(&format!("<c><b>deep {i}</b></c><d y='in'>{i}</d>"));
         }
-        xml.push_str(&format!("<b>last {i}</b><d/></a>"));
+        xml.push_str(&format!("<b x='{i}'>last {i}</b><d/></a>"));
         if i % 5 == 0 {
             xml.push_str(&format!("<c><b>lone {i}</b></c>"));
         }
@@ -87,8 +87,11 @@ fn identities(engine: &Engine, rows: &[NodeEntry]) -> Vec<vamana_baseline::NodeI
 
 /// Downward chains whose contexts nest on the recursive document,
 /// positional predicates, unions, reverse and sideways axes below and at
-/// the output step, and wildcard steps the parallel gate can take.
-const QUERIES_ON_A: [&str; 24] = [
+/// the output step, and wildcard steps the parallel gate can take; then
+/// reverse and sideways steps under predicates, position-free ones (their
+/// rows are filtered as they stream) beside positional ones (their group
+/// is materialized).
+const QUERIES_ON_A: [&str; 31] = [
     "//a//b",
     "//a/b",
     "//a/@x",
@@ -113,6 +116,13 @@ const QUERIES_ON_A: [&str; 24] = [
     "//a/*",
     "//a//*",
     "/r/*/*",
+    "//b/ancestor::a[b][1]",
+    "//b/ancestor::a[last()]",
+    "//b/parent::*[c]",
+    "//a/b[1+1]",
+    "//b[not(c)]",
+    "//b[parent::a and @x]",
+    "//a/b/preceding-sibling::*[1]",
 ];
 
 #[test]

@@ -20,10 +20,11 @@ pub mod stats;
 pub mod value;
 
 use crate::error::{EngineError, Result};
+use crate::opt::cleanup::all_position_free;
 use crate::plan::{ArithOp, BinOp, ContextSource, OpId, Operator, QueryPlan, TestSpec};
 use stats::{ExecStats, OrderVerdict};
 use value::Value;
-use vamana_flex::{Axis, FlexKey, KeyRange};
+use vamana_flex::{flat_parent, Axis, FlexKey, KeyRange};
 use vamana_mass::axes::{AxisStream, KindFilter, NodeFilter};
 use vamana_mass::name_index::NO_FINGER;
 use vamana_mass::{MassStore, NameId, NodeEntry, RecordKind};
@@ -218,7 +219,7 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
                 None => OpIter::Anchor(Some(anchor_for(env, *source, outer))),
             };
             Ok(OpIter::Step(Box::new(StepIter::new(
-                env.store,
+                env,
                 id,
                 *axis,
                 // Resolve the node test once — an unknown name means the
@@ -408,6 +409,11 @@ pub struct StepIter<'s> {
     op: OpId,
     axis: Axis,
     predicates: Vec<OpId>,
+    /// Some predicate reads `position()`/`last()` or may be a number
+    /// (`opt::cleanup::position_free`): each context's group is
+    /// materialized before it is filtered. Otherwise rows are filtered as
+    /// they come off the stream.
+    positional: bool,
     context: OpIter<'s>,
     /// Paper state machine.
     state: OpState,
@@ -420,10 +426,10 @@ pub struct StepIter<'s> {
     /// into the clustered index, and the witness of its contexts' order
     /// ([`AxisStream`]). `None` when the node test names nothing.
     stream: Option<AxisStream<'s>>,
-    /// Rows of the current context come straight from `stream` (no
-    /// predicates), and it may have more.
+    /// Rows of the current context come straight from `stream` (through
+    /// the predicates, if any), and it may have more.
     streaming: bool,
-    /// Filtered group of the current context (predicate path).
+    /// Filtered group of the current context (positional predicates).
     buffer: Vec<NodeEntry>,
     buffer_pos: usize,
     /// Probe state of this step's exist-predicates.
@@ -433,7 +439,7 @@ pub struct StepIter<'s> {
 impl<'s> StepIter<'s> {
     /// A step cursor in its initial state over the `context` cursor.
     fn new(
-        store: &'s MassStore,
+        env: Env<'_, 's>,
         op: OpId,
         axis: Axis,
         filter: Option<NodeFilter>,
@@ -443,12 +449,13 @@ impl<'s> StepIter<'s> {
         StepIter {
             op,
             axis,
+            positional: !all_position_free(env.plan, &predicates),
             predicates,
             context,
             state: OpState::Initial,
             contexts: Vec::new(),
             ctx_pos: 0,
-            stream: filter.map(|filter| AxisStream::new(store, axis, filter)),
+            stream: filter.map(|filter| AxisStream::new(env.store, axis, filter)),
             streaming: false,
             buffer: Vec::new(),
             buffer_pos: 0,
@@ -486,7 +493,7 @@ impl<'s> StepIter<'s> {
             return Ok(true);
         };
         stream.open(&ctx.key, ctx.kind)?;
-        if self.predicates.is_empty() {
+        if !self.positional {
             self.streaming = true;
         } else {
             // Materialize the group so position()/last() are available,
@@ -503,10 +510,11 @@ impl<'s> StepIter<'s> {
     }
 
     /// The paper's INITIAL/FETCHING/OUT_OF_TUPLES machine advanced under
-    /// a row budget. Without predicates the rows come straight from the
-    /// axis stream, so page pinning and record decoding are amortized in
-    /// `vamana-mass`; with predicates the group is materialized per
-    /// context (position()/last() need the whole group) and copied out in
+    /// a row budget. Rows come straight from the axis stream, so page
+    /// pinning and record decoding are amortized in `vamana-mass`, and
+    /// position-free predicates drop rows where they land in `out`; a
+    /// positional predicate needs the whole group (position()/last()), so
+    /// then the group is materialized per context and copied out in
     /// chunks. One pull may span several contexts.
     fn next_batch(
         &mut self,
@@ -546,7 +554,12 @@ impl<'s> StepIter<'s> {
                 // A full count may leave more behind; a short one cannot
                 // (the `next_batch` contract), so the context is
                 // exhausted without another probe.
-                if stream.next_batch(out, want)? >= want {
+                let at = out.len();
+                let pulled = stream.next_batch(out, want)?;
+                for pred in &self.predicates {
+                    filter_rows(env, *pred, out, at, &mut self.probes)?;
+                }
+                if pulled >= want {
                     continue;
                 }
             } else if self.buffer_pos < self.buffer.len() {
@@ -786,6 +799,30 @@ pub fn apply_predicate(
     Ok(out)
 }
 
+/// Applies position-free predicate `pred` to the rows of `out` from `from`
+/// on, in place: the ones it rejects are dropped, the rest keep their
+/// order. Neither position nor group size is known — or observed.
+fn filter_rows(
+    env: Env<'_, '_>,
+    pred: OpId,
+    out: &mut Vec<NodeEntry>,
+    from: usize,
+    probes: &mut Probes,
+) -> Result<()> {
+    let mut kept = from;
+    for at in from..out.len() {
+        if keeps(env, pred, &out[at], 0, 0, probes)? {
+            out.swap(kept, at);
+            kept += 1;
+        }
+    }
+    if let Some(stats) = env.stats {
+        stats.add_predicate(pred, (out.len() - from) as u64, (kept - from) as u64);
+    }
+    out.truncate(kept);
+    Ok(())
+}
+
 /// Index-only evaluation of the exist-predicates the optimizer generates
 /// (`[parent::S]`, `[child::S]`, `[attribute::S]` with a name test): the
 /// answer comes from FLEX key arithmetic plus a finger probe of the name
@@ -818,16 +855,17 @@ fn exists_fast_path(
     };
     let index = env.store.name_index();
     if *axis == Axis::Parent {
-        // The document node has no parent; its own (empty) key is in no list.
-        let parent = ctx.key.parent().unwrap_or_default();
+        // The parent's key is a prefix of the context's. The document node
+        // has no parent; its own (empty) key is in no list.
+        let parent = flat_parent(ctx.key.as_flat()).unwrap_or_default();
         let list = index.elements(name);
-        probe.finger = list.lower_bound_from(probe.finger, parent.as_flat());
-        let mut found = probe.finger < list.len() && list.get(probe.finger) == parent.as_flat();
-        if predicates.is_empty() {
+        probe.finger = list.lower_bound_from(probe.finger, parent);
+        let mut found = probe.finger < list.len() && list.get(probe.finger) == parent;
+        if predicates.is_empty() || !found {
             return Ok(Some(found));
         }
         let node = NodeEntry {
-            key: parent,
+            key: FlexKey::from_flat_slice(parent),
             kind: RecordKind::Element,
             name: Some(name),
         };

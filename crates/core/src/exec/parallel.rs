@@ -888,7 +888,7 @@ pub(crate) fn build_parallel<'s>(
         // Stays on one thread: the ordinary step, over the context list
         // already in hand.
         return Ok(Some(OpIter::Step(Box::new(StepIter::new(
-            env.store,
+            env,
             top,
             *axis,
             Some(filter),

@@ -25,16 +25,32 @@ pub fn cleanup(plan: &mut QueryPlan) -> usize {
 }
 
 /// True when the predicate tree at `id` cannot observe the dynamic
-/// context position: no bare numbers, no `position()`/`last()` calls.
-/// Transformations that change an operator's candidate *group* (merging,
-/// axis collapse, push-down) are only sound for position-free predicates.
+/// context position: its value cannot be a number, and it calls no
+/// `position()`/`last()`. Transformations that change an operator's
+/// candidate *group* (merging, axis collapse, push-down) are only sound
+/// for position-free predicates, and the executor filters only those as
+/// rows stream (the others see their whole group).
 pub(crate) fn position_free(plan: &QueryPlan, id: OpId) -> bool {
-    // A *bare* number predicate is positional (`[2]` ⇔ `[position()=2]`);
-    // numbers nested inside comparisons are just numbers.
-    if matches!(plan.op(id), Operator::Number { .. }) {
-        return false;
-    }
-    position_free_inner(plan, id)
+    // A predicate whose value is a number selects by position
+    // (`[1+1]` ⇔ `[position()=2]`); numbers inside a comparison or a
+    // function argument are just numbers.
+    let numeric = match plan.op(id) {
+        Operator::Number { .. } | Operator::Arith { .. } | Operator::Neg { .. } => true,
+        Operator::Function { name, .. } => matches!(
+            &**name,
+            "count"
+                | "sum"
+                | "number"
+                | "string-length"
+                | "floor"
+                | "ceiling"
+                | "round"
+                | "position"
+                | "last"
+        ),
+        _ => false,
+    };
+    !numeric && position_free_inner(plan, id)
 }
 
 fn position_free_inner(plan: &QueryPlan, id: OpId) -> bool {

@@ -3,9 +3,11 @@
 //! kinds, and the programmatic Join operator that the XPath compiler
 //! never emits.
 
+use vamana_baseline::dom::DomEngine;
+use vamana_baseline::{NodeIdentity, XPathEngine};
 use vamana_core::exec::{self, Env};
 use vamana_core::plan::{BinOp, ContextSource, OpId, Operator, QueryPlan, TestSpec};
-use vamana_core::{DocId, Engine, MassStore};
+use vamana_core::{DocId, Engine, EngineOptions, MassStore};
 use vamana_flex::Axis;
 use vamana_mass::{NodeEntry, RecordKind};
 
@@ -80,6 +82,47 @@ fn exists_fast_path_agrees_with_general_path() {
     let fast = e.query("//name[parent::person]").unwrap();
     let slow = e.query("//name[parent::person or parent::person]").unwrap();
     assert_eq!(fast, slow);
+}
+
+#[test]
+fn numeric_predicates_select_by_position_under_every_plan() {
+    // A predicate whose value is a number — however it is computed — is
+    // `[position() = n]`, so no rewrite may change its step's group: the
+    // `//` collapse would make `//a[1+1]` the second `a` of the document,
+    // not of each parent. Boolean ones built from numbers stream.
+    let xml = "<r><a><b/><b/><c/></a><a><b/></a><a><b/><b/></a><x><a><b/><b/></a><a/></x></r>";
+    let dom = DomEngine::from_xml(xml).unwrap();
+    for optimize in [true, false] {
+        let mut store = MassStore::open_memory();
+        store.load_xml("doc", xml).unwrap();
+        let options = EngineOptions {
+            optimize,
+            ..Default::default()
+        };
+        let e = Engine::with_options(store, options);
+        for q in [
+            "//a[1+1]",
+            "//a[number('2')]",
+            "//a[-(-2)]",
+            "//a[string-length('ab')]",
+            "//a[count(b)]",
+            "//a[count(b) = 2]",
+        ] {
+            let rows = e.query_doc(DocId(0), q).unwrap();
+            let names = e.names_of(&rows).unwrap();
+            let values = e.string_values(&rows).unwrap();
+            let got: Vec<NodeIdentity> = names
+                .into_iter()
+                .zip(values)
+                .map(|(name, value)| NodeIdentity { name, value })
+                .collect();
+            assert_eq!(
+                got,
+                dom.identities(q).unwrap(),
+                "{q} (optimize: {optimize})"
+            );
+        }
+    }
 }
 
 #[test]

@@ -193,31 +193,14 @@ impl FlexKey {
 
     /// Parent key, or `None` for the document node.
     pub fn parent(&self) -> Option<FlexKey> {
-        let flat = self.as_flat();
-        if flat.is_empty() {
-            return None;
-        }
-        // Drop the final label: find the terminator before it.
-        let cut = flat[..flat.len() - 1]
-            .iter()
-            .rposition(|&b| b == 0)
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        Some(Self::from_flat_slice(&flat[..cut]))
+        flat_parent(self.as_flat()).map(Self::from_flat_slice)
     }
 
     /// The last label of the key (its position among siblings), or `None`
     /// for the document node.
     pub fn last_label(&self) -> Option<&[u8]> {
         let flat = self.as_flat();
-        if flat.is_empty() {
-            return None;
-        }
-        let cut = flat[..flat.len() - 1]
-            .iter()
-            .rposition(|&b| b == 0)
-            .map(|p| p + 1)
-            .unwrap_or(0);
+        let cut = flat_parent(flat)?.len();
         Some(&flat[cut..flat.len() - 1])
     }
 
@@ -294,6 +277,15 @@ impl FlexKey {
 #[inline]
 pub fn flat_is_ancestor(ancestor: &[u8], descendant: &[u8]) -> bool {
     descendant.len() > ancestor.len() && descendant.starts_with(ancestor)
+}
+
+/// [`FlexKey::parent`] on a flat encoding, borrowed: the key with its final
+/// label dropped — a prefix of it — or `None` for the document node.
+#[inline]
+pub fn flat_parent(flat: &[u8]) -> Option<&[u8]> {
+    let (_, head) = flat.split_last()?;
+    let cut = head.iter().rposition(|&b| b == 0).map_or(0, |p| p + 1);
+    Some(&flat[..cut])
 }
 
 /// [`FlexKey::level`] on a flat encoding: every label ends in one zero

@@ -6,7 +6,7 @@
 //! tightest interval that *contains* the axis result; kind/level filtering
 //! (e.g. excluding attribute nodes from `child`) happens in the cursor.
 
-use crate::key::FlexKey;
+use crate::key::{flat_parent, FlexKey};
 
 /// A half-open interval `[lo, hi)` over flat key encodings.
 /// `hi == None` means unbounded above (to the end of the document index).
@@ -77,8 +77,14 @@ impl KeyRange {
         let flat = ctx.as_flat();
         self.lo.clear();
         self.lo.extend_from_slice(flat);
+        self.end_after(flat);
+    }
+
+    /// Makes the upper bound the end of the subtree of the key `flat`
+    /// ([`FlexKey::subtree_upper`]) in place: none for the document node,
+    /// every key being a descendant.
+    fn end_after(&mut self, flat: &[u8]) {
         match flat.split_last() {
-            // The document node: every key is a descendant.
             None => self.hi = None,
             Some((_, stem)) => {
                 let hi = self.hi.get_or_insert_with(Vec::new);
@@ -87,6 +93,15 @@ impl KeyRange {
                 hi.push(1);
             }
         }
+    }
+
+    /// Makes `self` [`KeyRange::empty`] in place.
+    fn set_empty(&mut self) {
+        self.lo.clear();
+        self.lo.push(0);
+        let hi = self.hi.get_or_insert_with(Vec::new);
+        hi.clear();
+        hi.push(0);
     }
 
     /// Makes `self` [`KeyRange::descendants`] of `ctx` in place (see
@@ -123,34 +138,45 @@ impl KeyRange {
     /// end of the parent's subtree. Deeper nodes (nephews) fall inside and
     /// are skipped by the cursor's sibling-jump.
     pub fn following_siblings(ctx: &FlexKey) -> Self {
-        let Some(parent) = ctx.parent() else {
-            return KeyRange::empty();
-        };
-        match ctx.subtree_upper() {
-            Some(upper) => KeyRange {
-                lo: upper,
-                hi: if parent.is_root() {
-                    None
-                } else {
-                    parent.subtree_upper()
-                },
-            },
-            None => KeyRange::empty(),
-        }
+        let mut range = KeyRange::all();
+        range.set_following_siblings(ctx);
+        range
     }
 
     /// Preceding siblings of `ctx` (over-approximate: contains their
     /// subtrees; the cursor jumps sibling-to-sibling).
     pub fn preceding_siblings(ctx: &FlexKey) -> Self {
-        let Some(parent) = ctx.parent() else {
-            return KeyRange::empty();
+        let mut range = KeyRange::all();
+        range.set_preceding_siblings(ctx);
+        range
+    }
+
+    /// Makes `self` [`KeyRange::following_siblings`] of `ctx` in place
+    /// (see [`KeyRange::set_subtree`]).
+    pub fn set_following_siblings(&mut self, ctx: &FlexKey) {
+        let flat = ctx.as_flat();
+        let Some(parent) = flat_parent(flat) else {
+            return self.set_empty();
         };
-        let mut lo = parent.as_flat().to_vec();
-        lo.push(1);
-        KeyRange {
-            lo,
-            hi: Some(ctx.as_flat().to_vec()),
-        }
+        self.lo.clear();
+        self.lo.extend_from_slice(flat);
+        *self.lo.last_mut().expect("not the document node") = 1;
+        self.end_after(parent);
+    }
+
+    /// Makes `self` [`KeyRange::preceding_siblings`] of `ctx` in place
+    /// (see [`KeyRange::set_subtree`]).
+    pub fn set_preceding_siblings(&mut self, ctx: &FlexKey) {
+        let flat = ctx.as_flat();
+        let Some(parent) = flat_parent(flat) else {
+            return self.set_empty();
+        };
+        self.lo.clear();
+        self.lo.extend_from_slice(parent);
+        self.lo.push(1);
+        let hi = self.hi.get_or_insert_with(Vec::new);
+        hi.clear();
+        hi.extend_from_slice(flat);
     }
 
     /// Splits the range into up to `n` contiguous, disjoint sub-ranges
@@ -339,6 +365,13 @@ mod tests {
             assert_eq!(r, KeyRange::subtree(&ctx), "{path:?}");
             r.set_descendants(&ctx);
             assert_eq!(r, KeyRange::descendants(&ctx), "{path:?}");
+            // The sibling setters leave nothing of the range before them.
+            r.set_following_siblings(&ctx);
+            assert_eq!(r, KeyRange::following_siblings(&ctx), "{path:?}");
+            r.set_preceding_siblings(&ctx);
+            assert_eq!(r, KeyRange::preceding_siblings(&ctx), "{path:?}");
+            r.set_following_siblings(&ctx);
+            assert_eq!(r, KeyRange::following_siblings(&ctx), "{path:?}");
         }
     }
 

@@ -11,6 +11,16 @@
 //! * **Clustered scan** (wildcard/kind tests): scan the clustered index
 //!   inside the axis range, using sibling jumps for `child` and the
 //!   sibling axes so whole subtrees are skipped.
+//!
+//! The upward axes (`self`, `parent`, `ancestor`, `ancestor-or-self`)
+//! have no range to scan: a FLEX key derives its ancestors' keys — its
+//! own prefixes — so their candidates are known before anything is read,
+//! and each is settled by the same two means, a probe of the name index
+//! or, for `*` and `node()`, a point seek of the clustered cursor.
+//!
+//! A step re-opens one [`AxisStream`] on context after context; the
+//! stream keeps its place in list and index in between, so that opening
+//! the next context in document order costs a short move, not a search.
 
 use crate::cursor::MassCursor;
 use crate::error::Result;
@@ -18,7 +28,7 @@ use crate::name_index::{KeyIter, SortedKeys, NO_FINGER};
 use crate::names::NameId;
 use crate::record::{NodeRecord, RecordKind};
 use crate::store::MassStore;
-use vamana_flex::{Axis, FlexKey, KeyRange};
+use vamana_flex::{flat_parent, Axis, FlexKey, KeyRange};
 
 /// A kind filter derived from an XPath node test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,8 +163,9 @@ impl StructVerify {
 /// What the stream is reading for the context it is open on.
 enum Inner<'a> {
     Empty,
-    /// Pre-computed keys resolved by point lookups (self/parent/ancestor).
-    Keys(std::vec::IntoIter<FlexKey>),
+    /// The stream's buffer, settled when the context was opened: the
+    /// self, parent and ancestor axes, and the namespace axis.
+    Buffered,
     /// Name-index iteration with structural verification (index-only).
     /// Borrows the index's key run directly — no copies.
     NameList {
@@ -170,10 +181,6 @@ enum Inner<'a> {
     /// Attribute scan: attributes cluster immediately after their element,
     /// so the scan stops at the first non-attribute record.
     AttrScan,
-    /// Fully materialized: the namespace axis, and the reverse axes under
-    /// a name test, whose few candidates are settled against the name
-    /// index when the stream is opened.
-    Materialized(std::vec::IntoIter<NodeEntry>),
 }
 
 /// Lazy stream of the nodes on one axis, under one node test, from a
@@ -183,15 +190,22 @@ enum Inner<'a> {
 /// The stream is the *finger* of a step that opens one context after
 /// another: it keeps its position in the posting list of its node test,
 /// its clustered cursor (sparse-index position, pinned page, record slot
-/// — see [`MassCursor::rebound`]) and the two range buffers from context
-/// to context. Contexts that arrive in document order therefore walk
-/// list and pages like a merge join instead of searching both from the
-/// top once per context. A clustered `child`, `descendant` or
-/// `descendant-or-self` scan goes further: a context whose record is the
-/// one its last context's subtree ended on — a next sibling — is not
-/// re-bound at all, so a run of siblings is one forward sweep over their
-/// subtrees. Any position is correct — an opened stream yields what
-/// [`axis_stream`] yields for that context — and a near one is fast.
+/// — see [`MassCursor::rebound`]), the two range buffers — rewritten in
+/// place for every axis with a range, siblings included — and the buffer
+/// of upward candidates from context to context. Contexts that arrive in
+/// document order therefore walk list and pages like a merge join instead
+/// of searching both from the top once per context, and an open allocates
+/// nothing. A clustered `child`, `descendant` or `descendant-or-self` scan
+/// goes further: a context whose record is the one its last context's
+/// subtree ended on — a next sibling — is not re-bound at all, so a run of
+/// siblings is one forward sweep over their subtrees. The upward axes
+/// (`self`, `parent`, `ancestor`, `ancestor-or-self`) settle their few
+/// candidates, prefixes of the context's key, when the context is opened:
+/// against the posting list from its finger, or — for `*` and `node()`,
+/// which have none — by point seeks of the cursor from its pinned page
+/// ([`MassCursor`]), which a parent usually shares with its child. Any
+/// position is correct — an opened stream yields what [`axis_stream`]
+/// yields for that context — and a near one is fast.
 pub struct AxisStream<'a> {
     store: &'a MassStore,
     axis: Axis,
@@ -210,8 +224,10 @@ pub struct AxisStream<'a> {
     /// ([`AxisStream::nested`]).
     nested: bool,
     /// The clustered scans' cursor, re-bound to `range` context after
-    /// context.
+    /// context; the upward axes' point seeks.
     cursor: MassCursor<'a>,
+    /// What [`Inner::Buffered`] yields, front first.
+    buffer: Vec<NodeEntry>,
     inner: Inner<'a>,
 }
 
@@ -240,6 +256,7 @@ impl<'a> AxisStream<'a> {
             },
             nested: false,
             cursor: MassCursor::unbound(store),
+            buffer: Vec::new(),
             inner: Inner::Empty,
         }
     }
@@ -298,10 +315,13 @@ impl<'a> AxisStream<'a> {
         }
         self.inner = match self.axis {
             Axis::SelfAxis | Axis::Parent | Axis::Ancestor | Axis::AncestorOrSelf => {
-                self.upward(ctx, self.axis)
+                self.upward(ctx, self.axis)?
             }
-            Axis::DescendantOrSelf if attr_ctx => self.upward(ctx, Axis::SelfAxis),
-            Axis::Namespace => Inner::Materialized(self.namespaces(ctx)?.into_iter()),
+            Axis::DescendantOrSelf if attr_ctx => self.upward(ctx, Axis::SelfAxis)?,
+            Axis::Namespace => {
+                self.buffer = self.namespaces(ctx)?;
+                Inner::Buffered
+            }
             // An attribute has no children, siblings or attributes.
             Axis::Child
             | Axis::Descendant
@@ -324,11 +344,11 @@ impl<'a> AxisStream<'a> {
                 self.ranged(None, Some(ctx.clone()), false)
             }
             Axis::FollowingSibling => {
-                self.range = KeyRange::following_siblings(ctx);
+                self.range.set_following_siblings(ctx);
                 self.ranged(Some(ctx.level()), None, true)
             }
             Axis::PrecedingSibling => {
-                self.range = KeyRange::preceding_siblings(ctx);
+                self.range.set_preceding_siblings(ctx);
                 self.ranged(Some(ctx.level()), None, true)
             }
             Axis::Attribute => {
@@ -368,8 +388,8 @@ impl<'a> AxisStream<'a> {
     /// ([`MassCursor::next_batch`]); sibling-jump scans read in-page
     /// jumps off the pinned records' shared-prefix lengths
     /// (`MassCursor::next_batch_jump`); name-index iteration fills the
-    /// batch in a tight loop over the borrowed key run; the
-    /// pre-computed-key mode resolves one key per iteration.
+    /// batch in a tight loop over the borrowed key run; the buffered modes
+    /// move what the open settled.
     pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
         let start = out.len();
         let filter = &self.filter;
@@ -378,15 +398,9 @@ impl<'a> AxisStream<'a> {
         let skip_attrs = filter.kind != KindFilter::Attribute;
         match &mut self.inner {
             Inner::Empty => {}
-            Inner::Keys(keys) => {
-                while out.len() - start < max {
-                    let Some(key) = keys.next() else { break };
-                    if let Some(entry) = self.store.get_entry(&key)? {
-                        if filter.matches_entry(&entry) {
-                            out.push(entry);
-                        }
-                    }
-                }
+            Inner::Buffered => {
+                let take = self.buffer.len().min(max);
+                out.extend(self.buffer.drain(..take));
             }
             Inner::NameList { keys, verify } => {
                 let kind = self.list.expect("a name list has a list").1;
@@ -432,9 +446,6 @@ impl<'a> AxisStream<'a> {
                     }
                 }
             }
-            Inner::Materialized(items) => {
-                out.extend(items.by_ref().take(max));
-            }
         }
         Ok(out.len() - start)
     }
@@ -449,45 +460,59 @@ impl<'a> AxisStream<'a> {
     }
 
     /// The self, parent and ancestor axes: the candidates are prefixes of
-    /// the context's own key.
+    /// the context's own key, settled here into the stream's buffer.
     ///
-    /// When a posting list answers the node test they are settled against
-    /// it here — key arithmetic plus one finger probe each, no page
-    /// access. The candidates ascend, and the next context's chain parts
-    /// from this one near its inner end, so the probes move a local
-    /// finger forward and the stream's is left where the innermost
-    /// candidate landed; the outer ones, usually above every posting,
-    /// cost one comparison each.
-    fn upward(&mut self, ctx: &FlexKey, axis: Axis) -> Inner<'a> {
-        let level = ctx.level();
-        let up = |n: usize| level.saturating_sub(n);
-        let wanted = match axis {
-            Axis::SelfAxis => up(1)..level,
-            Axis::Parent => up(2)..up(1),
-            Axis::Ancestor => 0..up(1),
-            _ => 0..level,
+    /// The candidates are taken innermost first. When a posting list
+    /// answers the node test, each is key arithmetic plus one finger
+    /// probe, no page access: the innermost from the stream's finger —
+    /// the next context's chain parts from this one near its inner end —
+    /// which is left where it landed, the outer ones back from there. The
+    /// first candidate every posting sorts after ends the walk: the outer
+    /// ones sort before it. Otherwise each is a point seek of the stream's
+    /// cursor, whose pinned page usually holds the inner ones; kind and
+    /// name come from the record.
+    fn upward(&mut self, ctx: &FlexKey, axis: Axis) -> Result<Inner<'a>> {
+        let (skip, take) = match axis {
+            Axis::SelfAxis => (0, 1),
+            Axis::Parent => (1, 1),
+            Axis::Ancestor => (1, usize::MAX),
+            _ => (0, usize::MAX),
         };
-        let candidates = ancestors_or_self(ctx.as_flat())
-            .take(wanted.end)
-            .skip(wanted.start);
-        let Some((list, kind)) = self.list else {
-            let keys: Vec<_> = candidates.map(FlexKey::from_flat_slice).collect();
-            return Inner::Keys(keys.into_iter());
-        };
-        let mut items = Vec::new();
-        let mut from = self.finger;
-        for flat in candidates {
-            self.finger = list.lower_bound_from(from, flat);
-            from = from.max(self.finger);
-            if self.finger < list.len() && list.get(self.finger) == flat {
-                items.push(NodeEntry {
-                    key: FlexKey::from_flat_slice(flat),
-                    kind,
-                    name: self.filter.name,
-                });
-            }
+        // The document node's empty key is no candidate.
+        let candidates = std::iter::successors(Some(ctx.as_flat()), |flat| flat_parent(flat))
+            .take_while(|flat| !flat.is_empty())
+            .skip(skip)
+            .take(take);
+        self.buffer.clear();
+        let mut at = self.finger;
+        for (n, flat) in candidates.enumerate() {
+            let (kind, name) = match self.list {
+                Some((list, kind)) => {
+                    at = list.lower_bound_from(at, flat);
+                    if n == 0 {
+                        self.finger = at;
+                    }
+                    if at == list.len() || list.get(at) != flat {
+                        if at == 0 {
+                            break;
+                        }
+                        continue;
+                    }
+                    (kind, self.filter.name)
+                }
+                None => match self.cursor.lookup(flat)? {
+                    Some((kind, name)) if self.filter.matches_parts(kind, name) => (kind, name),
+                    _ => continue,
+                },
+            };
+            self.buffer.push(NodeEntry {
+                key: FlexKey::from_flat_slice(flat),
+                kind,
+                name,
+            });
         }
-        Inner::Materialized(items.into_iter())
+        self.buffer.reverse();
+        Ok(Inner::Buffered)
     }
 
     /// Chooses name-driven or clustered-scan evaluation of `self.range`.
@@ -625,13 +650,4 @@ fn posting_list(store: &MassStore, filter: NodeFilter) -> Option<(&SortedKeys, R
         (KindFilter::Comment, None) => Some((index.comments(), RecordKind::Comment)),
         _ => None,
     }
-}
-
-/// The flat keys of `flat`'s ancestors-or-self below the document node,
-/// outermost first: its prefixes that end on a label terminator.
-fn ancestors_or_self(flat: &[u8]) -> impl Iterator<Item = &[u8]> {
-    flat.iter()
-        .enumerate()
-        .filter(|(_, &b)| b == 0)
-        .map(move |(at, _)| &flat[..=at])
 }

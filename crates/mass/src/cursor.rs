@@ -24,6 +24,7 @@
 
 use crate::axes::NodeEntry;
 use crate::error::Result;
+use crate::names::NameId;
 use crate::page::{Page, RecordView};
 use crate::record::{NodeRecord, RecordKind};
 use crate::store::MassStore;
@@ -150,6 +151,24 @@ impl<'a> MassCursor<'a> {
         self.target.clear();
         self.target.extend_from_slice(flat);
         self.reseek();
+    }
+
+    /// The kind and name of the record keyed `flat`, if one is stored: a
+    /// point seek ([`MassCursor::seek`]) from where the cursor stands, so a
+    /// key on the pinned page costs a gallop over its slots and no page
+    /// request. The cursor is left on the record (or where it would be).
+    pub(crate) fn lookup(&mut self, flat: &[u8]) -> Result<Option<(RecordKind, Option<NameId>)>> {
+        self.seek(flat);
+        if !self.load()? {
+            return Ok(None);
+        }
+        let page = self.page.as_ref().expect("loaded");
+        let at = self.rec_pos;
+        if page.key(at) != flat {
+            return Ok(None);
+        }
+        self.scanned += 1;
+        Ok(Some((page.kind(at), page.name(at))))
     }
 
     /// [`MassCursor::seek`] to the key already in `self.target`: on the

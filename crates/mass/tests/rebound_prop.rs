@@ -1,8 +1,9 @@
 //! A cursor that keeps its place is a cursor that starts over: for
 //! random context sequences — ascending, shuffled, nested, repeated, and
 //! the runs a stream sweeps through (siblings, empty subtrees, a step up
-//! a level, a context left part-way) — a stream re-opened on each context
-//! ([`AxisStream::open`]) and a cursor re-bound to each range
+//! a level, a context left part-way), and keys no record has — a stream
+//! re-opened on each context ([`AxisStream::open`]), on any axis but
+//! `namespace`, and a cursor re-bound to each range
 //! ([`MassCursor::rebound`]) yield exactly what a new stream and a new
 //! cursor yield, and never ask the buffer pool for more pages. On both
 //! page formats, under a pool of eight pages over a document of dozens
@@ -10,7 +11,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use vamana_flex::{Axis, FlexKey, KeyRange};
+use vamana_flex::{seq_label, Axis, FlexKey, KeyRange};
 use vamana_mass::axes::{axis_stream, AxisStream, NodeFilter};
 use vamana_mass::{KindFilter, MassCursor, MassStore, NodeEntry, RecordKind, StoreFormat};
 
@@ -145,6 +146,15 @@ fn contexts(f: &Fixture, picks: &[usize], shape: u8) -> Vec<FlexKey> {
                 .map_or(0, |i| i + 1);
             at = siblings_from(f, first);
         }
+        // Stale contexts: each pick, then a key no record has — a child
+        // after its last — whose upward candidates start with a miss.
+        8 => {
+            at.sort_unstable();
+            at.dedup();
+            let stale = |key: &FlexKey| key.child(&seq_label(1 << 20));
+            let keys = at.into_iter().map(|i| &f.elements[i]);
+            return keys.flat_map(|key| [key.clone(), stale(key)]).collect();
+        }
         // A step up a level: each pick, then the first element after its
         // parent's subtree — the parent's next sibling, or an ancestor's.
         _ => {
@@ -178,7 +188,9 @@ fn filter_for(store: &MassStore, axis: Axis, test: u8) -> NodeFilter {
         1 => NodeFilter::any_element(),
         2 => NodeFilter::text(),
         _ if attribute => NodeFilter::attribute(store.name_id("x").unwrap()),
-        _ => NodeFilter::element(store.name_id("b").unwrap()),
+        // `b` holds no element; `a` holds `a` — an ancestor's name.
+        3 => NodeFilter::element(store.name_id("b").unwrap()),
+        _ => NodeFilter::element(store.name_id("a").unwrap()),
     }
 }
 
@@ -196,6 +208,33 @@ fn probes(store: &MassStore) -> u64 {
     s.hits + s.misses
 }
 
+/// What an upward axis yields from `ctx`, each candidate looked up on its
+/// own ([`MassStore::get_entry`]): the reference the stream's point seeks
+/// are held to. `None` for the other axes.
+fn upward_reference(
+    store: &MassStore,
+    ctx: &FlexKey,
+    axis: Axis,
+    filter: NodeFilter,
+) -> Option<Vec<NodeEntry>> {
+    let chain = std::iter::successors(Some(ctx.clone()), FlexKey::parent);
+    let candidates: Vec<FlexKey> = match axis {
+        Axis::SelfAxis => chain.take(1).collect(),
+        Axis::Parent => chain.skip(1).take(1).collect(),
+        Axis::Ancestor => chain.skip(1).collect(),
+        Axis::AncestorOrSelf => chain.collect(),
+        _ => return None,
+    };
+    let mut found: Vec<NodeEntry> = candidates
+        .iter()
+        .filter(|key| !key.is_root())
+        .filter_map(|key| store.get_entry(key).unwrap())
+        .filter(|entry| filter.matches_entry(entry))
+        .collect();
+    found.reverse();
+    Some(found)
+}
+
 /// Pulls `stream` dry, `max` entries at a time.
 fn drain(stream: &mut AxisStream<'_>, max: usize) -> Vec<NodeEntry> {
     let mut out = Vec::new();
@@ -203,7 +242,10 @@ fn drain(stream: &mut AxisStream<'_>, max: usize) -> Vec<NodeEntry> {
     out
 }
 
-const FORWARD: [Axis; 7] = [
+/// Every axis but `namespace`: the forward ones, the upward ones (whose
+/// `*` and `node()` candidates are point seeks of the stream's cursor) and
+/// the backward ones.
+const AXES: [Axis; 12] = [
     Axis::SelfAxis,
     Axis::Child,
     Axis::Attribute,
@@ -211,32 +253,38 @@ const FORWARD: [Axis; 7] = [
     Axis::DescendantOrSelf,
     Axis::FollowingSibling,
     Axis::Following,
+    Axis::Parent,
+    Axis::Ancestor,
+    Axis::AncestorOrSelf,
+    Axis::PrecedingSibling,
+    Axis::Preceding,
 ];
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 768, ..ProptestConfig::default() })]
 
-    /// Every forward axis, every stream shape: the re-opened stream is
-    /// the new stream, context by context, for no more page requests —
-    /// and its witness says whether the contexts came one whole subtree
-    /// after another.
+    /// Every axis but `namespace`, every stream shape: the re-opened
+    /// stream is the new stream, context by context, for no more page
+    /// requests — and its witness says whether the contexts came one
+    /// whole subtree after another. An upward stream also yields what its
+    /// candidates' own lookups find.
     #[test]
     fn a_reopened_stream_is_a_new_stream(
         picks in proptest::collection::vec(0usize..1_000_000, 1..24),
-        shape in 0u8..8,
-        axis in 0usize..FORWARD.len(),
-        test in 0u8..4,
+        shape in 0u8..9,
+        axis in 0usize..AXES.len(),
+        test in 0u8..5,
         max in prop_oneof![Just(1usize), Just(3), Just(64), Just(usize::MAX)],
         abandon in 0usize..5,
     ) {
-        let axis = FORWARD[axis];
+        let axis = AXES[axis];
         let _serial = serial();
         for format in [StoreFormat::V1, StoreFormat::V2] {
             let f = fixture(format);
             let store = &f.store;
             let mut contexts = contexts(f, &picks, shape);
-            if axis == Axis::Following {
-                // A whole-document tail per context: a few will do.
+            if matches!(axis, Axis::Following | Axis::Preceding) {
+                // A whole-document tail or head per context: a few will do.
                 contexts.truncate(3);
             }
             let filter = filter_for(store, axis, test);
@@ -250,6 +298,11 @@ proptest! {
                 })
                 .collect();
             let fresh_probes = probes(store) - before;
+            for (ctx, got) in contexts.iter().zip(&fresh) {
+                if let Some(want) = upward_reference(store, ctx, axis, filter) {
+                    prop_assert_eq!(got, &want, "{:?} {} from {:?}", format, axis, ctx);
+                }
+            }
             let before = probes(store);
             let mut stream = AxisStream::new(store, axis, filter);
             for (turn, (ctx, want)) in contexts.iter().zip(&fresh).enumerate() {
