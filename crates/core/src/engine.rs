@@ -33,8 +33,7 @@ const WRITER_DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Run the cost-driven optimizer (`false` = execute default plans,
-    /// the paper's "VQP" configuration; `true` = "VQP-OPT"). The query
-    /// cache keeps only answers of optimized plans.
+    /// the paper's "VQP" configuration; `true` = "VQP-OPT").
     pub optimize: bool,
     /// Threads one scan may use, the calling thread included (the pool
     /// runs one fewer). `0` means one per available core; `1` keeps every
@@ -48,9 +47,9 @@ pub struct EngineOptions {
     /// regardless of its size or the document's — for differential testing
     /// and for measuring the parallel path itself.
     pub parallel_force: bool,
-    /// How many times a fragment query's answer must be computed before
-    /// the query cache keeps it ([`crate::views`]); `u32::MAX` keeps
-    /// none. Any write to the document drops what was kept.
+    /// How many times a query's answer must be computed before the query
+    /// cache keeps it ([`crate::views`]); `u32::MAX` keeps none. Any write
+    /// to the document drops what was kept.
     pub view_admit_after: u32,
 }
 
@@ -524,16 +523,10 @@ impl Engine {
 
     /// Optimizes a plan for `doc` and reports the outcome: the rule
     /// library, each rewrite kept only when re-estimation says it pays.
-    /// Parallel eligibility and whether the query cache may keep the
-    /// query's answers are recorded on the resulting plan so
-    /// precompiled/cached plans carry them.
-    pub fn optimize_plan(&self, mut plan: QueryPlan, doc: DocId) -> Result<OptimizeOutcome> {
+    /// Parallel eligibility is recorded on the resulting plan so
+    /// precompiled/cached plans carry it.
+    pub fn optimize_plan(&self, plan: QueryPlan, doc: DocId) -> Result<OptimizeOutcome> {
         let scope = self.doc_scope(doc)?;
-        // The cache's fragment test reads the *cleaned compiled* plan:
-        // optimizer rules (child push-down, parent inversion) introduce
-        // reverse-axis predicates that fall outside it.
-        opt::cleanup::cleanup(&mut plan);
-        let memoizable = views::in_fragment(&plan);
         let mut outcome = opt::optimize(plan, self.store(), &scope, &OptimizerOptions::default())?;
         let choice = opt::parallel::decide(
             &outcome.plan,
@@ -546,7 +539,6 @@ impl Engine {
             reason: choice.err().unwrap_or("priced when the plan runs"),
         });
         outcome.plan.set_parallel(choice.ok());
-        outcome.plan.set_memoizable(memoizable);
         Ok(outcome)
     }
 
@@ -580,29 +572,20 @@ impl Engine {
         })
     }
 
-    /// Records a computed answer with the query cache, which keeps it
-    /// once a query in its fragment has been answered
-    /// [`EngineOptions::view_admit_after`] times. `plan` is the optimized
-    /// plan that produced `entries`, which records whether the query lies
-    /// in that fragment (one flag check here when not); `entries` is the
-    /// finished result, a node-set, as [`Engine::execute_plan`] returns
-    /// and [`QueryStream::finish`] leaves it. Returns `true` when this
-    /// call kept it.
-    pub fn observe_result(
-        &self,
-        doc: DocId,
-        xpath: &str,
-        plan: &QueryPlan,
-        entries: &[NodeEntry],
-    ) -> bool {
-        plan.memoizable()
-            && self.views.observe(
-                doc.0,
-                xpath,
-                self.store.doc_generation(doc),
-                self.options.view_admit_after,
-                entries,
-            )
+    /// Records a computed answer with the query cache, which keeps it once
+    /// the query has been answered [`EngineOptions::view_admit_after`]
+    /// times at the document's generation. `entries` is the finished
+    /// result, a node-set, as [`Engine::execute_plan`] returns and
+    /// [`QueryStream::finish`] leaves it. Returns `true` when this call
+    /// kept it.
+    pub fn observe_result(&self, doc: DocId, xpath: &str, entries: &[NodeEntry]) -> bool {
+        self.views.observe(
+            doc.0,
+            xpath,
+            self.store.doc_generation(doc),
+            self.options.view_admit_after,
+            entries,
+        )
     }
 
     /// Executes a plan against `doc`.
@@ -638,7 +621,7 @@ impl Engine {
             return Ok(kept.to_vec());
         }
         let out = self.execute_plan(&found.plan, doc)?;
-        self.observe_result(doc, xpath, &found.plan, &out);
+        self.observe_result(doc, xpath, &out);
         Ok(out)
     }
 
@@ -1125,19 +1108,30 @@ mod tests {
     }
 
     #[test]
-    fn only_fragment_queries_are_kept() {
+    fn any_query_is_kept_on_its_second_computation() {
         let e = engine();
         let doc = DocId(0);
-        for q in ["//person[@id='p1']/name", "//name/parent::person"] {
+        for (i, q) in [
+            "//person[@id='p1']/name",            // value comparison
+            "//name/parent::person",              // reverse axis
+            "//watch[1]",                         // position
+            "//watch[last()]",                    // positional function
+            "//name | //province",                // union
+            "//person[count(watches/watch) = 2]", // function
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let plan = e.optimize_plan(e.compile(q).unwrap(), doc).unwrap().plan;
-            assert!(!plan.memoizable(), "{q}");
-            for _ in 0..3 {
-                e.query_doc(doc, q).unwrap();
+            let fresh = e.execute_plan(&plan, doc).unwrap();
+            assert!(!fresh.is_empty(), "{q}");
+            for run in 0..2 {
+                assert_eq!(e.query_doc(doc, q).unwrap(), fresh, "{q} run {run}");
+                assert_eq!(e.views().stats().views, (i + run) as u64, "{q} run {run}");
             }
+            let third = e.lookup(doc, q).unwrap().answer;
+            assert_eq!(third.as_deref(), Some(&fresh), "{q}: not answered");
         }
-        assert_eq!(e.views().stats().views, 0);
-        let plan = e.optimize_plan(e.compile("//person/address").unwrap(), doc);
-        assert!(plan.unwrap().plan.memoizable());
     }
 
     #[test]
@@ -1173,6 +1167,37 @@ mod tests {
         let top = a.plan.top().unwrap();
         assert_eq!(a.actuals.op(top).map(|act| act.rows), Some(3));
         assert_eq!(e.views().stats().hits, 0);
+    }
+
+    #[test]
+    fn node_tests_select_the_document_node() {
+        // XPath 1.0: `node()` matches any node, the document node included;
+        // the default plan of `//site` (`descendant-or-self::node()/
+        // child::site`) reaches the root element through it. The document
+        // node has no siblings, though other documents follow its key.
+        let mut store = MassStore::open_memory();
+        store.load_xml("doc", DOC).unwrap();
+        store.load_xml("next", "<r/>").unwrap();
+        let mut e = Engine::new(store);
+        for optimize in [true, false] {
+            e.options_mut().optimize = optimize;
+            for (q, rows) in [
+                ("/self::node()", [1, 1]),
+                ("//site", [1, 0]),
+                ("//r", [0, 1]),
+                ("//descendant::site", [1, 0]),
+                ("/site/parent::node()", [1, 0]),
+                ("//province/ancestor::node()", [5, 0]),
+                ("/following-sibling::node()", [0, 0]),
+                ("/preceding-sibling::node()", [0, 0]),
+            ] {
+                for (doc, want) in [DocId(0), DocId(1)].into_iter().zip(rows) {
+                    assert_eq!(e.query_doc(doc, q).unwrap().len(), want, "{q} on {doc:?}");
+                }
+            }
+            let top = e.query_doc(DocId(0), "/self::node()").unwrap();
+            assert_eq!(top[0].kind, RecordKind::Document);
+        }
     }
 
     #[test]

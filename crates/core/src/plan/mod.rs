@@ -326,9 +326,6 @@ pub struct QueryPlan {
     ops: Vec<Operator>,
     root: OpId,
     parallel: Option<ParallelChoice>,
-    /// Stamped by the optimizer when the query lies in the fragment whose
-    /// answers the query cache keeps ([`crate::views::in_fragment`]).
-    memoizable: bool,
     /// Per-operator [`EstimateCard`]s stamped at optimization time,
     /// indexed by arena position. Empty until
     /// [`QueryPlan::set_estimates`] runs (e.g. on plans that never went
@@ -343,7 +340,6 @@ impl QueryPlan {
             ops,
             root,
             parallel: None,
-            memoizable: false,
             estimates: Vec::new(),
         }
     }
@@ -372,17 +368,6 @@ impl QueryPlan {
     /// Records (or clears) the parallel-scan eligibility.
     pub fn set_parallel(&mut self, choice: Option<ParallelChoice>) {
         self.parallel = choice;
-    }
-
-    /// Whether the query cache may keep this query's answers: `false` for
-    /// a query outside its fragment or a plan that was never optimized.
-    pub(crate) fn memoizable(&self) -> bool {
-        self.memoizable
-    }
-
-    /// Records whether the query cache may keep this query's answers.
-    pub(crate) fn set_memoizable(&mut self, memoizable: bool) {
-        self.memoizable = memoizable;
     }
 
     /// The root operator id.

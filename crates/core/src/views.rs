@@ -28,73 +28,18 @@
 //!
 //! # Admission
 //!
-//! Only queries in a small fragment keep answers (`in_fragment`, run by
-//! the optimizer on the cleaned compiled plan): `child`/`descendant`
-//! steps, name, `*`, `text()` and `node()` tests, and predicates that are
-//! conjunctions of such relative paths. Value comparisons, positions,
-//! functions, other axes and unions stay out — so the point lookups of a
-//! serving workload, each asked once per value, never fill the budget. An
-//! answer is kept the [`crate::EngineOptions::view_admit_after`]-th time
-//! it is computed, unless it alone exceeds the budget; then the entry is
-//! marked oversize and not counted again.
+//! Any query's answer may be kept: XPath 1.0 has nothing non-deterministic,
+//! so an answer stamped with its generation is exact. It is kept the
+//! [`crate::EngineOptions::view_admit_after`]-th time it is computed at one
+//! generation — a point lookup asked once never is — unless it alone
+//! exceeds the budget; then the entry is marked oversize and not counted
+//! again.
 
 use crate::engine::Lookup;
-use crate::plan::{BinOp, ContextSource, OpId, Operator, QueryPlan, TestSpec};
+use crate::plan::QueryPlan;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use vamana_flex::Axis;
 use vamana_mass::NodeEntry;
-
-/// Whether the query cache may keep the answers of a *cleaned* compiled
-/// plan: a walk of its spine and predicates that accepts exactly the
-/// fragment in the module docs. Must run before optimizer rules, whose
-/// push-downs introduce reverse-axis predicates.
-pub(crate) fn in_fragment(plan: &QueryPlan) -> bool {
-    match plan.op(plan.root()) {
-        Operator::Root { child: Some(top) } => {
-            path_in_fragment(plan, *top, ContextSource::QueryRoot)
-        }
-        _ => false,
-    }
-}
-
-/// A chain of steps from `head` down its context edges, the leaf step
-/// anchored at `anchor`.
-fn path_in_fragment(plan: &QueryPlan, head: OpId, anchor: ContextSource) -> bool {
-    let mut cur = Some(head);
-    while let Some(id) = cur {
-        let Operator::Step {
-            axis: Axis::Child | Axis::Descendant,
-            test: TestSpec::Named(_) | TestSpec::Wildcard | TestSpec::Text | TestSpec::AnyNode,
-            context,
-            source,
-            predicates,
-        } = plan.op(id)
-        else {
-            return false;
-        };
-        if (context.is_none() && *source != anchor)
-            || !predicates.iter().all(|&p| predicate_in_fragment(plan, p))
-        {
-            return false;
-        }
-        cur = *context;
-    }
-    true
-}
-
-fn predicate_in_fragment(plan: &QueryPlan, p: OpId) -> bool {
-    match plan.op(p) {
-        Operator::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } => predicate_in_fragment(plan, *left) && predicate_in_fragment(plan, *right),
-        Operator::Exists { path } => path_in_fragment(plan, *path, ContextSource::OuterTuple),
-        Operator::Step { .. } => path_in_fragment(plan, p, ContextSource::OuterTuple),
-        _ => false,
-    }
-}
 
 /// Point-in-time answer counters (served through `STATS` as `view_*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -517,54 +462,9 @@ impl QueryCache {
 mod tests {
     use super::*;
 
-    fn cleaned(xpath: &str) -> QueryPlan {
-        let expr = vamana_xpath::parse(xpath).unwrap();
-        let mut plan = crate::plan::builder::build_plan(&expr).unwrap();
-        crate::opt::cleanup::cleanup(&mut plan);
-        plan
-    }
-
-    fn fragment(xpath: &str) -> bool {
-        in_fragment(&cleaned(xpath))
-    }
-
     fn plan() -> Arc<QueryPlan> {
-        Arc::new(cleaned("//a"))
-    }
-
-    #[test]
-    fn fragment_accepts_tree_patterns() {
-        for q in [
-            "//person",
-            "/site/people/person",
-            "//person/address",
-            "//person[address]/name",
-            "//person[watches/watch][address]",
-            "//a//b/c[d//e]",
-            "//person/text()",
-            "//person/node()",
-            "//*",
-        ] {
-            assert!(fragment(q), "{q} should be accepted");
-        }
-    }
-
-    #[test]
-    fn fragment_rejects_everything_else() {
-        for q in [
-            "//a[1]",                   // positional
-            "//a[last()]",              // positional function
-            "//a[b='x']",               // value comparison
-            "//a[b or c]",              // disjunction
-            "//a/parent::b",            // reverse spine axis
-            "//a[parent::b]",           // reverse predicate axis
-            "//a/following-sibling::b", // sideways axis
-            "//a | //b",                // union
-            "//a[@id]",                 // attribute axis
-            "//a[count(b)]",            // function
-        ] {
-            assert!(!fragment(q), "{q} should be rejected");
-        }
+        let expr = vamana_xpath::parse("//a").unwrap();
+        Arc::new(crate::plan::builder::build_plan(&expr).unwrap())
     }
 
     fn entry(n: u8) -> NodeEntry {

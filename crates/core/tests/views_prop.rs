@@ -1,93 +1,108 @@
 //! Property test for the query cache (see `vamana_core::views`).
 //!
-//! Random fragment queries, and queries outside the fragment built from
-//! them (a value comparison, a `parent::` step), asked again and again
-//! over a random document with inserts and deletes through `apply_update`
-//! in between, must always answer what a fresh compile → optimize →
-//! execute answers and what the DOM oracle answers on the document as it
-//! stands — from `query_doc`, whether a kept answer or a cached plan
-//! served it, and as a stream at every pull size.
+//! Random queries — every axis, name and kind tests, positional, value,
+//! function and path predicates, unions — asked again and again over a
+//! random document with attributes and text, with inserts and deletes
+//! through `apply_update` in between, must always answer what a fresh
+//! compile → optimize → execute answers and what the DOM oracle answers on
+//! the document as it stands — from `query_doc`, whether a kept answer or
+//! a cached plan served it, and as a stream at every pull size.
 
 use proptest::prelude::*;
 use vamana_baseline::{dom::DomEngine, NodeIdentity, XPathEngine};
 use vamana_core::{DocId, Engine, EngineOptions, MassStore, NodeEntry, UpdateOp};
+use vamana_flex::Axis;
 
 const NAMES: [&str; 4] = ["a", "b", "c", "d"];
 
+const VALUES: [&str; 2] = ["x", "7"];
+
+const TESTS: [&str; 7] = ["a", "b", "c", "*", "k", "node()", "text()"];
+
+const PREDICATES: [&str; 15] = [
+    "[1]",
+    "[last()]",
+    "[position() <= 2]",
+    "[@k = 'x']",
+    "[. = '7']",
+    "[text() > 5]",
+    "[count(a) > 1]",
+    "[not(b)]",
+    "[contains(., 'x')]",
+    "[string-length(@k) = 1]",
+    "[b]",
+    "[b/c]",
+    "[@k]",
+    "[.//a]",
+    "[a[2]]",
+];
+
 const PULL_SIZES: [usize; 6] = [1, 2, 3, 7, 256, usize::MAX];
 
-/// One spine step: descendant edge?, node test, optional predicate path.
-type StepSpec = (bool, String, Option<String>);
+/// One step: `//` rather than `/` before it?, axis, node test, predicate.
+type StepSpec = (bool, usize, usize, Option<usize>);
 
-fn test_strategy() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just("a".to_string()),
-        Just("b".to_string()),
-        Just("c".to_string()),
-        Just("*".to_string()),
-    ]
+fn path_strategy() -> impl Strategy<Value = String> {
+    let step = (
+        any::<bool>(),
+        0..Axis::ALL.len(),
+        0..TESTS.len(),
+        proptest::option::of(0..PREDICATES.len()),
+    );
+    proptest::collection::vec(step, 1..4).prop_map(|steps| render(&steps))
 }
 
-fn pred_strategy() -> impl Strategy<Value = Option<String>> {
-    proptest::option::of(prop_oneof![
-        Just("a".to_string()),
-        Just("b".to_string()),
-        Just("c".to_string()),
-        Just("b/c".to_string()),
-        Just("c[a]".to_string()),
-    ])
-}
-
-fn steps_strategy() -> impl Strategy<Value = Vec<StepSpec>> {
-    proptest::collection::vec((any::<bool>(), test_strategy(), pred_strategy()), 1..4)
+/// A path, or the union of two.
+fn query_strategy() -> impl Strategy<Value = String> {
+    (path_strategy(), proptest::option::of(path_strategy())).prop_map(|(left, right)| match right {
+        Some(right) => format!("{left} | {right}"),
+        None => left,
+    })
 }
 
 fn render(steps: &[StepSpec]) -> String {
     let mut s = String::new();
-    for (descendant, test, pred) in steps {
-        s.push_str(if *descendant { "//" } else { "/" });
-        s.push_str(test);
+    for &(descendant, axis, test, pred) in steps {
+        s.push_str(if descendant { "//" } else { "/" });
+        s.push_str(Axis::ALL[axis].as_str());
+        s.push_str("::");
+        s.push_str(TESTS[test]);
         if let Some(p) = pred {
-            s.push('[');
-            s.push_str(p);
-            s.push(']');
+            s.push_str(PREDICATES[p]);
         }
     }
     s
 }
 
-/// Builds a small XML document from a stack-machine tape: open a child,
-/// close the current element, or emit a leaf — names drawn from the
-/// same alphabet the queries use so matches are likely.
+/// Builds a small XML document from a stack-machine tape: open a child
+/// (with a `k` attribute for some), close the current element, or emit an
+/// empty or a text leaf — names and values drawn from the alphabets the
+/// queries use so matches are likely.
 fn build_doc(ops: &[(u8, u8)]) -> String {
     let mut xml = String::from("<a>");
     let mut stack = vec!["a"];
     for &(n, action) in ops {
         let name = NAMES[(n % 4) as usize];
-        match action % 3 {
+        let value = VALUES[(n / 8 % 2) as usize];
+        match action % 4 {
             0 if stack.len() < 5 => {
-                xml.push('<');
-                xml.push_str(name);
-                xml.push('>');
+                if n / 4 % 2 == 1 {
+                    xml.push_str(&format!("<{name} k='{value}'>"));
+                } else {
+                    xml.push_str(&format!("<{name}>"));
+                }
                 stack.push(name);
             }
             1 if stack.len() > 1 => {
                 let t = stack.pop().unwrap();
-                xml.push_str("</");
-                xml.push_str(t);
-                xml.push('>');
+                xml.push_str(&format!("</{t}>"));
             }
-            _ => {
-                xml.push('<');
-                xml.push_str(name);
-                xml.push_str("/>");
-            }
+            3 => xml.push_str(&format!("<{name}>{value}</{name}>")),
+            _ => xml.push_str(&format!("<{name}/>")),
         }
     }
     while let Some(t) = stack.pop() {
-        xml.push_str("</");
-        xml.push_str(t);
-        xml.push('>');
+        xml.push_str(&format!("</{t}>"));
     }
     xml
 }
@@ -98,7 +113,7 @@ fn update(action: u8, parent: &str, name: &str) -> Option<UpdateOp> {
     match action % 3 {
         0 => Some(UpdateOp::Insert {
             target: format!("//{parent}"),
-            fragment: format!("<{name}><{parent}/></{name}>"),
+            fragment: format!("<{name} k='x'><{parent}>7</{parent}></{name}>"),
         }),
         1 => Some(UpdateOp::Delete {
             target: format!("//{parent}/{name}"),
@@ -107,13 +122,14 @@ fn update(action: u8, parent: &str, name: &str) -> Option<UpdateOp> {
     }
 }
 
-fn engine_for(xml: &str, view_admit_after: u32) -> Engine {
+/// An engine that keeps every answer the first time it computes it.
+fn engine_for(xml: &str) -> Engine {
     let mut store = MassStore::open_memory();
     store.load_xml("d", xml).expect("load generated doc");
     Engine::with_options(
         store,
         EngineOptions {
-            view_admit_after,
+            view_admit_after: 1,
             ..EngineOptions::default()
         },
     )
@@ -147,20 +163,12 @@ proptest! {
 
     #[test]
     fn memo_answers_equal_direct_evaluation_across_writes(
-        queries in proptest::collection::vec(steps_strategy(), 1..4),
+        xpaths in proptest::collection::vec(query_strategy(), 1..4),
         script in proptest::collection::vec((any::<u8>(), 0usize..4, 0usize..4), 1..8),
         ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..40),
     ) {
         let xml = build_doc(&ops);
-        // Keeps every fragment answer the first time it computes it.
-        let mut subject = engine_for(&xml, 1);
-        let fragment: Vec<String> = queries.iter().map(|q| render(q)).collect();
-        // Plans only: kept answers never serve these.
-        let outside = [
-            format!("{}[b = '']", fragment[0]),
-            format!("{}/parent::*", fragment[0]),
-        ];
-        let xpaths: Vec<&String> = fragment.iter().chain(&outside).collect();
+        let mut subject = engine_for(&xml);
         let doc = DocId(0);
         for (step, &(action, parent, name)) in script.iter().enumerate() {
             if let Some(op) = update(action, NAMES[parent], NAMES[name]) {
@@ -176,7 +184,7 @@ proptest! {
                     xpath,
                     step
                 );
-                // Twice: the second is answered from the cache.
+                // Twice: the first keeps the answer, the second is it.
                 for run in 0..2 {
                     let got = subject.query_doc(doc, xpath).unwrap();
                     prop_assert_eq!(&got, &want, "{} at step {}, run {}", xpath, step, run);
@@ -197,12 +205,14 @@ proptest! {
                 }
             }
         }
+        // Every query is kept at every generation, so every run but the
+        // first after a write is answered from the cache.
         let answered = subject.views().stats().hits;
-        let kept = (fragment.len() * script.len()) as u64;
-        prop_assert!(answered >= kept, "{} answers served", answered);
-        // Every run but the first after a write found its entry.
-        let (hits, _) = subject.views().counters();
         let runs = (xpaths.len() * script.len()) as u64;
-        prop_assert!(hits >= runs * (1 + PULL_SIZES.len() as u64), "{} lookups hit", hits);
+        prop_assert!(
+            answered >= runs * (1 + PULL_SIZES.len() as u64),
+            "{} answers served",
+            answered
+        );
     }
 }

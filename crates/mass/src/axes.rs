@@ -51,7 +51,7 @@ impl KindFilter {
     /// Whether a record of `kind` passes the filter.
     pub fn matches(self, kind: RecordKind) -> bool {
         match self {
-            KindFilter::Any => kind != RecordKind::Document,
+            KindFilter::Any => true,
             KindFilter::Element => kind == RecordKind::Element,
             KindFilter::Text => kind == RecordKind::Text,
             KindFilter::Comment => kind == RecordKind::Comment,
@@ -330,6 +330,10 @@ impl<'a> AxisStream<'a> {
             | Axis::Attribute
                 if attr_ctx =>
             {
+                Inner::Empty
+            }
+            // A document node has no siblings: the other documents are not.
+            Axis::FollowingSibling | Axis::PrecedingSibling if ctx_kind == RecordKind::Document => {
                 Inner::Empty
             }
             Axis::Child => self.ranged(Some(ctx.level() + 1), None, true),

@@ -575,9 +575,9 @@ impl Model {
     }
 
     /// XPath node-test semantics: `*` and name tests select the axis's
-    /// principal node kind; no test selects the document node.
+    /// principal node kind; `node()` selects any node, the document node
+    /// included.
     fn passes(&self, id: vamana_xml::NodeId, axis: Axis, test: Test) -> bool {
-        use vamana_xml::NodeKind;
         let kind = self.doc.kind(id);
         // Namespace nodes are modelled as the declaring attributes.
         let principal = if matches!(axis, Axis::Attribute | Axis::Namespace) {
@@ -586,7 +586,7 @@ impl Model {
             kind.is_element()
         };
         match test {
-            Test::Node => !matches!(kind, NodeKind::Document),
+            Test::Node => true,
             Test::Star => principal,
             Test::Text => kind.is_text(),
             Test::Named(name) => principal && self.doc.name(id) == Some(name),

@@ -517,9 +517,7 @@ fn run_query(
             parts.push(kept);
             continue;
         }
-        let mut stream = engine
-            .stream_plan(Arc::clone(&found.plan), doc)
-            .map_err(query_err)?;
+        let mut stream = engine.stream_plan(found.plan, doc).map_err(query_err)?;
         // Batches land straight in the result buffer — no per-tuple
         // dispatch between the executor and the render path. The
         // deadline is checked once per batch (≤ BATCH_SIZE tuples).
@@ -542,7 +540,7 @@ fn run_query(
         // order are the global order, the one a front tier reproduces by
         // concatenating per-document results.
         stream.finish(&mut rows);
-        engine.observe_result(doc, xpath, &found.plan, &rows);
+        engine.observe_result(doc, xpath, &rows);
         parts.push(Arc::new(rows));
     }
     // One document's answer is rendered where it lies, a kept one

@@ -160,12 +160,11 @@ fn load_invalidates_plan_cache_and_new_document_is_queryable() {
     let handle = spawn_server(ServerConfig::default());
     let mut client = Client::connect(&handle);
 
-    // First run compiles, second hits the cache. The comparison keeps the
-    // query out of the view fragment: the plan cache is the only cache in
-    // play (a view admitted on the repeat would supersede the plan).
-    let first = client.round_trip("QUERY //province[. != '']");
+    // First run compiles, second hits the cache: `plan=cached` reports an
+    // entry found, whether it then serves a kept answer or only its plan.
+    let first = client.round_trip("QUERY //province");
     assert!(first.last().unwrap().contains("plan=compiled"), "{first:?}");
-    let second = client.round_trip("QUERY //province[. != '']");
+    let second = client.round_trip("QUERY //province");
     assert!(second.last().unwrap().contains("plan=cached"), "{second:?}");
 
     let stats = client.round_trip("STATS");
@@ -186,7 +185,7 @@ fn load_invalidates_plan_cache_and_new_document_is_queryable() {
 
     // The next query compiles a plan only for the new document and sees
     // its rows (any per-document miss reports `plan=compiled`).
-    let third = client.round_trip("QUERY //province[. != '']");
+    let third = client.round_trip("QUERY //province");
     assert!(third.last().unwrap().contains("plan=compiled"), "{third:?}");
     assert!(
         third.iter().any(|l| l.contains("Eden")),

@@ -68,11 +68,11 @@ fn update_invalidates_only_the_target_documents_cached_plans() {
     let mut client = Client::connect(&handle);
     client.round_trip("LOADXML second <r><person><name>Lin</name></person></r>");
 
-    // Warm the cache (one plan per document), then verify a repeat hits.
-    // The comparison keeps the query out of the view fragment, so no view
-    // admitted on the repeat supersedes the plans this test counts.
-    client.round_trip("QUERY //person[name != '']");
-    let reply = client.round_trip("QUERY //person[name != '']");
+    // Warm the cache (one entry per document), then verify a repeat hits.
+    // The counters count lookups: an entry found is a hit whether it
+    // serves the answer kept on the repeat or only its plan.
+    client.round_trip("QUERY //person");
+    let reply = client.round_trip("QUERY //person");
     assert!(reply.last().unwrap().contains("plan=cached"), "{reply:?}");
     let stats = client.round_trip("STATS");
     let hits_before = stat_value(&stats, "plan_cache_hits");
@@ -81,7 +81,7 @@ fn update_invalidates_only_the_target_documents_cached_plans() {
     // Update document 1: its plan is stale, document 0's stays warm.
     let reply = client.round_trip("INSERT second /r <person><name>May</name></person>");
     assert!(reply[0].starts_with("OK update"), "{reply:?}");
-    let reply = client.round_trip("QUERY //person[name != '']");
+    let reply = client.round_trip("QUERY //person");
     assert!(
         reply.last().unwrap().contains("plan=compiled"),
         "stale plan for the updated document must recompile: {reply:?}"

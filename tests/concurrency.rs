@@ -99,9 +99,9 @@ fn plan_cache_entries_are_invalidated_by_load_xml() {
     let mut store = MassStore::open_memory();
     store.load_xml("first", "<r><a>1</a></r>").unwrap();
     let shared = SharedEngine::new(Engine::new(store));
-    // A value comparison: outside the answer fragment, so only plans are
-    // cached.
-    let q = "//a[. != '']";
+    // The counters count lookups: an entry found is a hit whether it holds
+    // a kept answer or only a plan.
+    let q = "//a";
     assert_eq!(shared.read().query(q).unwrap().len(), 1);
     let cache = Arc::clone(shared.read().views());
     assert_eq!(cache.counters(), (0, 1));
@@ -140,9 +140,9 @@ fn plan_cache_entries_are_invalidated_by_load_xml() {
 fn cached_reads_beside_a_writer_match_the_dom_at_their_generation() {
     const WRITES: usize = 24;
     const QUERIES: [&str; 3] = [
-        "//person/name",               // answers kept
-        "//person[name != 'p0']/name", // value comparison: plans only
-        "//name/parent::person",       // reverse step: plans only
+        "//person/name",
+        "//person[name != 'p0']/name", // value comparison
+        "//name/parent::person",       // reverse step
     ];
     let xml = |persons: usize| {
         let people: String = (0..persons)
