@@ -162,5 +162,39 @@ fn bench_step_open(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_step_open, bench_queries);
+/// What handing out a kept answer costs, on an 8 MB store (the size of
+/// `embed_point`'s): `clone_q1` copies the query cache's answer to Q1, in
+/// ns per row; `query_doc_kept/{q1,lookup}` is a whole
+/// [`Engine::query_doc`] the cache answers — Q1, and a one-row id lookup —
+/// per call.
+fn bench_kept_answer(c: &mut Criterion) {
+    let mut store = MassStore::open_memory();
+    store.load_xml("auction.xml", &document(8.0)).expect("load");
+    let engine = Engine::new(store);
+    let (q1, lookup) = (QUERIES[0].1, "//item[@id='item700']/location");
+    for xpath in [q1, lookup] {
+        // The second run of a text keeps its answer.
+        for _ in 0..2 {
+            engine.query_doc(DocId(0), xpath).expect(xpath);
+        }
+        let found = engine.lookup(DocId(0), xpath).expect(xpath);
+        assert!(found.answer.is_some(), "{xpath}: answer not kept");
+    }
+    let kept = engine.lookup(DocId(0), q1).expect("q1").answer;
+    let kept = kept.expect("kept");
+    let mut group = c.benchmark_group("kept_answer");
+    group.sample_size(200);
+    for (label, xpath) in [("q1", q1), ("lookup", lookup)] {
+        group.bench_function(format!("query_doc_kept/{label}"), |b| {
+            b.iter(|| engine.query_doc(DocId(0), xpath).expect(xpath))
+        });
+    }
+    group.throughput(Throughput::Elements(kept.len() as u64));
+    group.bench_function(format!("clone_q1 ({} rows)", kept.len()), |b| {
+        b.iter(|| kept.to_vec())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_step_open, bench_kept_answer, bench_queries);
 criterion_main!(benches);

@@ -3,15 +3,49 @@
 use crate::component::{label_between, LabelError};
 use std::fmt;
 
+/// The longest flat key kept inline.
+const INLINE_MAX: usize = 23;
+
+/// Keys up to [`INLINE_MAX`] bytes live inline — XMark-depth keys never
+/// touch the heap on the execution hot path.
+///
+/// The inline form is its own `Copy` struct aligned to 8, so cloning a key
+/// is three word moves. Do not fold it back into a bare `{ len: u8, buf:
+/// [u8; 23] }` variant: that layout sits at byte offset 1, its clone is an
+/// unaligned byte-array move, and copying a kept Q1 answer measured
+/// 17.5–19.9 ns a row that way against 2.6–3.1 ns aligned
+/// (`kept_answer/clone_q1` in the `queries` bench; EXPERIMENTS.md, "Where
+/// `embed_point`'s time goes"). Every batch, operator hand-off and kept
+/// answer copies keys.
 #[derive(Clone)]
 enum Repr {
-    /// Keys up to 23 bytes live inline — XMark-depth keys never touch
-    /// the heap on the execution hot path.
-    Inline {
-        len: u8,
-        buf: [u8; 23],
-    },
+    Inline(Inline),
     Heap(Vec<u8>),
+}
+
+#[derive(Clone, Copy)]
+#[repr(C, align(8))]
+struct Inline {
+    len: u8,
+    buf: [u8; INLINE_MAX],
+}
+
+impl Inline {
+    /// `flat` copied in; the caller checks that it fits.
+    #[inline]
+    fn new(flat: &[u8]) -> Inline {
+        let mut inline = Inline {
+            len: flat.len() as u8,
+            buf: [0; INLINE_MAX],
+        };
+        inline.buf[..flat.len()].copy_from_slice(flat);
+        inline
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[u8] {
+        &self.buf[..self.len as usize]
+    }
 }
 
 /// A FLEX key identifying one node of one document.
@@ -68,29 +102,18 @@ impl FlexKey {
             flat.is_empty() || flat.last() == Some(&0),
             "flat key must end in terminator"
         );
-        if flat.len() <= 23 {
-            let mut buf = [0u8; 23];
-            buf[..flat.len()].copy_from_slice(flat);
-            FlexKey {
-                repr: Repr::Inline {
-                    len: flat.len() as u8,
-                    buf,
-                },
-            }
+        let repr = if flat.len() <= INLINE_MAX {
+            Repr::Inline(Inline::new(flat))
         } else {
-            FlexKey {
-                repr: Repr::Heap(flat.to_vec()),
-            }
-        }
+            Repr::Heap(flat.to_vec())
+        };
+        FlexKey { repr }
     }
 
     /// The key of the document node: the empty key, ancestor of everything.
     pub fn root() -> Self {
         FlexKey {
-            repr: Repr::Inline {
-                len: 0,
-                buf: [0u8; 23],
-            },
+            repr: Repr::Inline(Inline::new(&[])),
         }
     }
 
@@ -103,7 +126,7 @@ impl FlexKey {
             flat.is_empty() || flat.last() == Some(&0),
             "flat key must end in terminator"
         );
-        if flat.len() <= 23 {
+        if flat.len() <= INLINE_MAX {
             Self::from_flat_slice(&flat)
         } else {
             FlexKey {
@@ -140,7 +163,7 @@ impl FlexKey {
     #[inline]
     pub fn as_flat(&self) -> &[u8] {
         match &self.repr {
-            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Inline(inline) => inline.as_slice(),
             Repr::Heap(v) => v,
         }
     }
@@ -148,7 +171,7 @@ impl FlexKey {
     /// Consumes the key, returning the flat encoding.
     pub fn into_flat(self) -> Vec<u8> {
         match self.repr {
-            Repr::Inline { len, buf } => buf[..len as usize].to_vec(),
+            Repr::Inline(inline) => inline.as_slice().to_vec(),
             Repr::Heap(v) => v,
         }
     }
@@ -170,16 +193,13 @@ impl FlexKey {
         debug_assert!(!label.is_empty() && !label.contains(&0));
         let me = self.as_flat();
         let total = me.len() + label.len() + 1;
-        if total <= 23 {
-            let mut buf = [0u8; 23];
-            buf[..me.len()].copy_from_slice(me);
-            buf[me.len()..me.len() + label.len()].copy_from_slice(label);
+        if total <= INLINE_MAX {
+            let mut inline = Inline::new(me);
+            inline.buf[me.len()..total - 1].copy_from_slice(label);
             // terminator byte is already 0
+            inline.len = total as u8;
             return FlexKey {
-                repr: Repr::Inline {
-                    len: total as u8,
-                    buf,
-                },
+                repr: Repr::Inline(inline),
             };
         }
         let mut flat = Vec::with_capacity(total);
@@ -501,6 +521,65 @@ mod tests {
         let k = key(&[7, 9]);
         assert_eq!(k.last_label().unwrap(), seq_label(9).as_slice());
         assert_eq!(FlexKey::root().last_label(), None);
+    }
+
+    #[test]
+    fn key_is_four_aligned_words() {
+        assert_eq!(std::mem::size_of::<FlexKey>(), 32);
+        assert_eq!(std::mem::align_of::<FlexKey>(), 8);
+    }
+
+    fn hash_of<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        BuildHasherDefault::<DefaultHasher>::default().hash_one(value)
+    }
+
+    /// Labels of 1–3 bytes from few ordinals, so keys share prefixes.
+    fn label_strategy() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![0u64..4, 63u64..67, 16_065u64..16_069].prop_map(seq_label)
+    }
+
+    proptest! {
+        /// Keys built level by level up to 14 labels deep (flat lengths 0
+        /// to 56, across the 23-byte inline limit) agree with their flat
+        /// bytes as a plain `Vec<u8>` at every level.
+        #[test]
+        fn prop_key_agrees_with_flat_model_across_inline_limit(
+            a in proptest::collection::vec(label_strategy(), 0..15),
+            shared in 0usize..15,
+            tail in proptest::collection::vec(label_strategy(), 0..15),
+        ) {
+            let b: Vec<Vec<u8>> = a[..shared.min(a.len())].iter().chain(&tail).cloned().collect();
+            let mut models: [Vec<Vec<u8>>; 2] = Default::default();
+            for (path, out) in [&a, &b].into_iter().zip(&mut models) {
+                let (mut key, mut model) = (FlexKey::root(), Vec::new());
+                for label in path {
+                    // `key` matched the model one level up.
+                    let child = key.child(label);
+                    model.extend_from_slice(label);
+                    model.push(0);
+                    prop_assert_eq!(child.as_flat(), model.as_slice());
+                    prop_assert_eq!(child.parent(), Some(key.clone()));
+                    key = child;
+                    let copy = key.clone();
+                    prop_assert_eq!(copy.as_flat(), model.as_slice());
+                    prop_assert!(copy == key);
+                    prop_assert_eq!(hash_of(&key), hash_of(&model));
+                    prop_assert_eq!(FlexKey::from_flat(model.clone()), key.clone());
+                    prop_assert_eq!(FlexKey::from_flat_slice(&model), key.clone());
+                    prop_assert_eq!(copy.into_flat(), model.clone());
+                    out.push(model.clone());
+                }
+            }
+            let flats: Vec<&Vec<u8>> = models.iter().flatten().collect();
+            for x in &flats {
+                for y in &flats {
+                    let (kx, ky) = (FlexKey::from_flat_slice(x), FlexKey::from_flat_slice(y));
+                    prop_assert_eq!(kx.cmp(&ky), x.cmp(y));
+                    prop_assert_eq!(kx == ky, x == y);
+                }
+            }
+        }
     }
 
     proptest! {

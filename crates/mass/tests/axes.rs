@@ -3,7 +3,7 @@
 //! against the axis computed on the parsed `vamana-xml` document.
 
 use vamana_flex::{Axis, FlexKey, KeyRange};
-use vamana_mass::axes::{axis_stream, AxisStream, NodeFilter};
+use vamana_mass::axes::{axis_stream, AxisStream, NodeEntry, NodeFilter};
 use vamana_mass::{MassStore, RecordKind};
 
 const DOC: &str = r#"<site xmlns:x="urn:x">
@@ -80,6 +80,13 @@ impl Fixture {
         .unwrap();
         stream.collect().unwrap().len()
     }
+}
+
+/// Every batch and kept answer is a `Vec<NodeEntry>`: a 32-byte key plus
+/// kind and name, six words a row.
+#[test]
+fn node_entry_is_six_words() {
+    assert_eq!(std::mem::size_of::<NodeEntry>(), 48);
 }
 
 #[test]
