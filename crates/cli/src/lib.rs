@@ -425,9 +425,10 @@ impl Session {
                 let engine = self.engine.read();
                 let stats = engine.views().stats();
                 let mut out = format!(
-                    "views — {} kept of {} plans, {} bytes, hits {}, misses {}, evictions {}",
+                    "views — {} kept of {} plans, {} shapes, {} bytes, hits {}, misses {}, evictions {}",
                     stats.views,
                     engine.views().len(),
+                    engine.views().shapes(),
                     stats.bytes,
                     stats.hits,
                     stats.misses,

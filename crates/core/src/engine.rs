@@ -5,7 +5,7 @@
 //! builder, runs the cost-driven optimizer, and executes plans with the
 //! pipelined engine.
 
-use crate::cost::estimate;
+use crate::cost::{estimate, Probe};
 use crate::error::{EngineError, Result};
 use crate::exec::parallel::{host_cpus, ParallelHooks, ParallelScanStats, PoolCell};
 use crate::exec::{self, value::Value, Env};
@@ -13,7 +13,7 @@ use crate::explain::Analysis;
 use crate::opt::{self, OptEvent, OptimizeOutcome, OptimizerOptions};
 use crate::plan::{builder::build_plan, display, Operator, QueryPlan};
 use crate::shared::QueryProfile;
-use crate::views;
+use crate::views::{self, Bind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -135,6 +135,9 @@ pub struct Lookup {
     pub answer: Option<Arc<Vec<NodeEntry>>>,
     /// Whether the entry was found in the cache.
     pub cached: bool,
+    /// Whether the plan is its shape's, with this text's literals bound
+    /// in: nothing was parsed or optimized for it ([`crate::views`]).
+    pub bound: bool,
 }
 
 /// A streaming query cursor: holds its plan (shared with the query
@@ -436,7 +439,7 @@ impl Engine {
         };
         // Not `query_doc`: the write below drops the document's cache
         // entries, so its own target is not worth caching.
-        let matched = self.execute_plan(&self.prepare(doc, target)?, doc)?;
+        let matched = self.execute_plan(&self.prepare(doc, target)?.0, doc)?;
         if let UpdateOp::Insert { .. } = op {
             if let Some(first) = matched.first() {
                 if !matches!(first.kind, RecordKind::Element | RecordKind::Document) {
@@ -553,22 +556,48 @@ impl Engine {
 
     /// What the query cache holds for `xpath` on `doc` at the document's
     /// current generation — its plan and any kept answer — or, on a miss,
-    /// the plan just compiled (and, with `options.optimize`, optimized)
-    /// and inserted. One lookup, counted as a hit or a miss; compiling
-    /// runs outside the cache's lock.
+    /// the plan of `xpath`'s shape with its literals bound in, or else the
+    /// plan just compiled (and, with `options.optimize`, optimized); the
+    /// plan is inserted either way. One lookup, counted as a hit or a
+    /// miss; binding and compiling run outside the cache's lock (see
+    /// [`crate::views`]).
     pub fn lookup(&self, doc: DocId, xpath: &str) -> Result<Lookup> {
         self.store.document(doc).ok_or(EngineError::NoDocuments)?;
         let generation = self.store.doc_generation(doc);
         if let Some(found) = self.views.lookup(doc.0, xpath, generation) {
             return Ok(found);
         }
-        let plan = Arc::new(self.prepare(doc, xpath)?);
+        // Only a text with a quote has string literals to lift; one that
+        // does not lex has no shape, and `prepare` says why.
+        let shape = xpath
+            .contains(['\'', '"'])
+            .then(|| vamana_xpath::lexer::shape(xpath).ok())
+            .flatten();
+        let bind = match &shape {
+            Some(shape) => self
+                .views
+                .bind(doc.0, shape, self.store(), &self.doc_scope(doc)?),
+            None => Bind::Own,
+        };
+        let (plan, bound) = match bind {
+            Bind::Plan(plan) => (Arc::new(plan), true),
+            refused => {
+                let (plan, probes) = self.prepare(doc, xpath)?;
+                let plan = Arc::new(plan);
+                if let (Bind::Renew, Some(shape)) = (refused, &shape) {
+                    self.views
+                        .offer_template(doc.0, shape, Arc::clone(&plan), probes);
+                }
+                (plan, false)
+            }
+        };
         self.views
             .insert(doc.0, xpath, generation, Arc::clone(&plan));
         Ok(Lookup {
             plan,
             answer: None,
             cached: false,
+            bound,
         })
     }
 
@@ -602,14 +631,14 @@ impl Engine {
     }
 
     /// Compiles `xpath` and, with `options.optimize`, optimizes it for
-    /// `doc`.
-    fn prepare(&self, doc: DocId, xpath: &str) -> Result<QueryPlan> {
+    /// `doc`; with the index counts optimizing it read.
+    fn prepare(&self, doc: DocId, xpath: &str) -> Result<(QueryPlan, Vec<(Probe, u64)>)> {
         let plan = self.compile(xpath)?;
-        if self.options.optimize {
-            Ok(self.optimize_plan(plan, doc)?.plan)
-        } else {
-            Ok(plan)
+        if !self.options.optimize {
+            return Ok((plan, Vec::new()));
         }
+        let outcome = self.optimize_plan(plan, doc)?;
+        Ok((outcome.plan, outcome.probes))
     }
 
     /// Executes `xpath` on `doc` through the query cache ([`Engine::lookup`]):
@@ -1105,6 +1134,79 @@ mod tests {
         e.options_mut().optimize = false;
         assert!(e.views().is_empty(), "an option change drops every plan");
         assert_eq!(e.query_doc(doc, q).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn a_new_literal_is_bound_into_its_shapes_plan() {
+        let e = engine();
+        let doc = DocId(0);
+        let first = e.lookup(doc, "//person[@id='p1']/name").unwrap();
+        assert!(!first.cached && !first.bound);
+        // One shape: other literals, other quotes and spacing. Each text is
+        // bound, equals what optimizing it gives, and is kept under itself.
+        for q in ["//person[ @id = \"p2\" ]/name", "//person[@id='p0']/name"] {
+            let found = e.lookup(doc, q).unwrap();
+            assert!(found.bound && !found.cached, "{q}");
+            let fresh = e.optimize_plan(e.compile(q).unwrap(), doc).unwrap().plan;
+            assert_eq!(*found.plan, fresh, "{q}");
+            assert!(e.lookup(doc, q).unwrap().cached, "{q}");
+        }
+        assert_eq!(e.views().shape_counters(), (2, 0));
+        assert_eq!(e.views().shapes(), 1);
+        // An absent literal is bound too, and answers nothing.
+        assert!(e.lookup(doc, "//person[@id='p9']/name").unwrap().bound);
+        assert!(e
+            .query_doc(doc, "//person[@id='p9']/name")
+            .unwrap()
+            .is_empty());
+        // Numbers are part of the shape.
+        assert!(!e.lookup(doc, "//watches/watch[1]").unwrap().bound);
+        assert!(!e.lookup(doc, "//watches/watch[2]").unwrap().bound);
+    }
+
+    #[test]
+    fn a_drifted_count_refuses_the_bind() {
+        // `x` is the value of 2 000 text nodes and of one `k`; `u0`…`u3` of
+        // one `k` each. Items are few, so `[@k='x']` is best filtered in
+        // place and `[@k='u0']` read from the value index.
+        let mut xml = String::from("<r>");
+        for i in 0..4 {
+            xml.push_str(&format!("<item k='u{i}'/>"));
+        }
+        xml.push_str(&format!("<item k='x'/>{}</r>", "<t>x</t>".repeat(2000)));
+        let mut store = MassStore::open_memory();
+        store.load_xml("d", &xml).unwrap();
+        let mut e = Engine::new(store);
+        let doc = DocId(0);
+        let indexed = |plan: &QueryPlan| {
+            plan.live_ops()
+                .iter()
+                .any(|&id| matches!(plan.op(id), Operator::ValueStep { .. }))
+        };
+        assert!(indexed(&e.lookup(doc, "//item[@k='u0']").unwrap().plan));
+        // A count of the new literal drifted: it is optimized for itself,
+        // and the template stays for the next rare literal.
+        let common = e.lookup(doc, "//item[@k='x']").unwrap();
+        assert!(!common.bound && !indexed(&common.plan));
+        assert_eq!(e.query_doc(doc, "//item[@k='x']").unwrap().len(), 1);
+        assert!(e.lookup(doc, "//item[@k='u1']").unwrap().bound);
+        assert_eq!(e.views().shape_counters(), (1, 1));
+        // A write that moves a literal-free count past the band renews the
+        // template: the next text is optimized, the one after bound to it.
+        e.apply_update(
+            doc,
+            &UpdateOp::Insert {
+                target: "/r".into(),
+                fragment: format!("<more>{}</more>", "<item/>".repeat(3000)),
+            },
+        )
+        .unwrap();
+        assert!(!e.lookup(doc, "//item[@k='u2']").unwrap().bound);
+        assert!(e.lookup(doc, "//item[@k='u3']").unwrap().bound);
+        assert_eq!(e.views().shape_counters(), (2, 2));
+        assert_eq!(e.query_doc(doc, "//item[@k='u3']").unwrap().len(), 1);
+        e.options_mut().optimize = false;
+        assert_eq!(e.views().shapes(), 0, "an option change drops templates");
     }
 
     #[test]

@@ -1,12 +1,36 @@
 //! The query cache: one table of `(document, XPath text)` entries, each
-//! holding the optimized plan and, once admitted, the query's answer.
+//! holding the optimized plan and, once admitted, the query's answer; and
+//! beside it one table of `(document, shape)` templates, each the plan
+//! optimized for one text of that shape.
 //!
 //! [`crate::Engine::lookup`] — behind [`crate::Engine::query_doc`],
 //! [`crate::Engine::stream`] and the server's `QUERY` — probes it before
 //! parsing: a kept answer is the reply and nothing is compiled or run; a
-//! cached plan skips parse and optimize; a miss compiles, optimizes and
-//! inserts the plan. EXPLAIN, ANALYZE, `query_from`, `evaluate` and an
-//! update's target resolution never read it.
+//! cached plan skips parse and optimize. A text not found is lexed into its
+//! shape ([`vamana_xpath::lexer::shape`]: its tokens with every string
+//! literal lifted into a slot); when the shape has a template, the text's
+//! literals are bound into a copy of it and nothing is parsed or optimized,
+//! unless a count the template was chosen on has drifted (below). Otherwise
+//! the text is compiled and optimized. Either way the text gets an entry.
+//! EXPLAIN, ANALYZE, `query_from`, `evaluate` and an update's target
+//! resolution never read the cache.
+//!
+//! # Shapes and drift
+//!
+//! `//person[@id='person17']/name` and `//person[@id='person18']/name`
+//! share a shape. The optimizer chose the shape's plan on index counts —
+//! `COUNT` of each node test, `TC` of each literal, numeric range counts —
+//! and the template keeps each with the value it read
+//! ([`crate::cost::Probe`]), for rejected rewrites as for accepted ones. A
+//! bind reads them again in the document, the `TC`s with the new literals
+//! (a handful of binary searches), and binds only when every one is within
+//! [`DRIFT`]× of its value, the band widened by one page of tuples: counts
+//! that close price the same page reads. When a count of the new literals
+//! moved, the text is optimized for itself and the template stays, so a
+//! literal with many occurrences gets its own plan, kept under its text.
+//! When a count without a literal moved, the document changed under the
+//! template, and the text's fresh plan replaces it. A template carries no
+//! generation: every bind validates it.
 //!
 //! # Validity
 //!
@@ -17,14 +41,16 @@
 //! replica replay bumps the generation store-side, and the next access at
 //! the new generation drops them. Snapshot installs
 //! ([`crate::Engine::replace_store`]), option changes
-//! ([`crate::Engine::options_mut`]) and `CACHE CLEAR` clear the table.
+//! ([`crate::Engine::options_mut`]) and `CACHE CLEAR` clear both tables.
 //!
 //! # Bounds
 //!
 //! At most [`CAPACITY`] entries and [`KEY_BYTES`] of query text; past
 //! either the least-recently-used entry goes, and a text longer than the
-//! whole cap is not cached. Kept answers share [`VIEW_BUDGET_BYTES`]; past
-//! it the least-recently-used answer is dropped and its plan kept.
+//! whole cap is not cached. At most [`SHAPES`] templates, the
+//! least-recently-used going first, and none for a shape longer than
+//! `KEY_BYTES / SHAPES`. Kept answers share [`VIEW_BUDGET_BYTES`]; past it
+//! the least-recently-used answer is dropped and its plan kept.
 //!
 //! # Admission
 //!
@@ -35,11 +61,15 @@
 //! exceeds the budget; then the entry is marked oversize and not counted
 //! again.
 
+use crate::cost::Probe;
 use crate::engine::Lookup;
-use crate::plan::QueryPlan;
+use crate::plan::{OpId, Operator, QueryPlan};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use vamana_mass::NodeEntry;
+use vamana_flex::KeyRange;
+use vamana_mass::{MassStore, NodeEntry};
+use vamana_xpath::lexer::Shape;
 
 /// Point-in-time answer counters (served through `STATS` as `view_*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,15 +135,126 @@ struct DocEntries {
     entries: HashMap<Box<str>, Entry>,
 }
 
+/// A plan optimized for one text of a shape, ready to take another text's
+/// literals.
+struct Template {
+    plan: Arc<QueryPlan>,
+    /// Every operator holding a literal, with the slot it holds.
+    slots: Vec<(OpId, usize)>,
+    /// The index counts optimizing it read, each with the slot whose
+    /// literal it counted, if any, and the value read.
+    probes: Vec<(Probe, Option<usize>, u64)>,
+}
+
+impl Template {
+    /// `plan`, optimized for `literals` on the counts `probes`, as its
+    /// shape's template — or `None` when a slot cannot be told from the
+    /// plan: two literals of one value, or one the plan holds in no literal
+    /// operator (a `processing-instruction('t')` target).
+    fn new(
+        plan: Arc<QueryPlan>,
+        literals: &[Box<str>],
+        probes: Vec<(Probe, u64)>,
+    ) -> Option<Template> {
+        let slot = |value: &str| literals.iter().position(|l| &**l == value);
+        if literals.iter().enumerate().any(|(i, l)| slot(l) != Some(i)) {
+            return None;
+        }
+        let mut slots = Vec::new();
+        for id in (0..plan.len() as u32).map(OpId) {
+            if let Operator::Literal { value } | Operator::ValueStep { value, .. } = plan.op(id) {
+                slots.push((id, slot(value)?));
+            }
+        }
+        if (0..literals.len()).any(|i| slots.iter().all(|&(_, s)| s != i)) {
+            return None;
+        }
+        let probes = probes
+            .into_iter()
+            .map(|(probe, was)| {
+                let at = match &probe {
+                    Probe::Text(value) => slot(value),
+                    _ => None,
+                };
+                (probe, at, was)
+            })
+            .collect();
+        Some(Template {
+            plan,
+            slots,
+            probes,
+        })
+    }
+
+    /// Why the counts this template rests on refuse `literals` on `store`
+    /// within `scope`, or `None` when each is within [`DRIFT`] of its
+    /// value. Literal-free counts are read first: when one moved, the
+    /// template itself is stale.
+    fn drift(&self, literals: &[Box<str>], store: &MassStore, scope: &KeyRange) -> Option<Bind> {
+        // Counts less than a page of tuples apart price the same page
+        // reads.
+        let slack = store.tuples_per_page() as u64;
+        let moved = |(probe, at, was): &(Probe, Option<usize>, u64)| {
+            let now = match at {
+                Some(i) => store.text_count_in(&literals[*i], scope),
+                None => probe.read(store, scope),
+            };
+            now.max(*was) + slack > DRIFT.saturating_mul(now.min(*was) + slack)
+        };
+        if self.probes.iter().filter(|p| p.1.is_none()).any(moved) {
+            return Some(Bind::Renew);
+        }
+        if self.probes.iter().filter(|p| p.1.is_some()).any(moved) {
+            return Some(Bind::Own);
+        }
+        None
+    }
+
+    /// A copy of the plan holding `literals`.
+    fn bind(&self, literals: &[Box<str>]) -> QueryPlan {
+        let mut plan = QueryPlan::clone(&self.plan);
+        for &(id, slot) in &self.slots {
+            if let Operator::Literal { value } | Operator::ValueStep { value, .. } = plan.op_mut(id)
+            {
+                value.clone_from(&literals[slot]);
+            }
+        }
+        plan
+    }
+}
+
+/// What a shape's template made of a text ([`QueryCache::bind`]).
+pub(crate) enum Bind {
+    /// The template's plan with the text's literals.
+    Plan(QueryPlan),
+    /// No template, or one whose literal-free counts moved: optimize the
+    /// text and offer its plan as the shape's template.
+    Renew,
+    /// A count of the text's literals is far from the template's: optimize
+    /// the text for itself and keep the template.
+    Own,
+}
+
+/// One shape's template on one document.
+struct Shaped {
+    template: Arc<Template>,
+    /// Last-used clock stamp.
+    stamp: u64,
+}
+
 #[derive(Default)]
 struct Inner {
     /// Document id → query text → entry: both levels are probed with
     /// borrowed keys, so a lookup allocates nothing.
     docs: HashMap<u32, DocEntries>,
+    /// Document id → shape key → template.
+    shapes: HashMap<u32, HashMap<Box<str>, Shaped>>,
     clock: u64,
     /// Entries and the bytes of their keys.
     len: usize,
     key_bytes: usize,
+    /// Templates held.
+    shape_len: usize,
     /// Kept answers and their bytes.
     kept: u64,
     bytes: u64,
@@ -200,6 +341,22 @@ impl Inner {
             }
         }
     }
+
+    /// Drops the least-recently-used template.
+    fn evict_shape(&mut self) {
+        let oldest = self
+            .shapes
+            .iter()
+            .flat_map(|(&doc, d)| d.iter().map(move |(key, s)| (s.stamp, doc, key)))
+            .min_by_key(|&(stamp, ..)| stamp)
+            .map(|(_, doc, key)| (doc, key.clone()));
+        if let Some((doc, key)) = oldest {
+            if let Some(d) = self.shapes.get_mut(&doc) {
+                d.remove(&key);
+            }
+            self.shape_len -= 1;
+        }
+    }
 }
 
 /// Entries the table holds at most. The serving benchmark's sizing guard
@@ -209,6 +366,15 @@ pub const CAPACITY: usize = 256;
 /// Bytes of query text the table holds at most: a request line may be
 /// 64 KB, and [`CAPACITY`] of those would be 16 MB.
 pub const KEY_BYTES: usize = 1 << 20;
+
+/// Templates the table holds at most: one per shape a workload repeats,
+/// and a workload's request shapes are few (the embedded benchmark has
+/// four lookup shapes).
+pub const SHAPES: usize = 64;
+
+/// The factor a count may move by, from the value a template was
+/// optimized on, before a bind is refused.
+pub const DRIFT: u64 = 2;
 
 /// Byte budget for kept answers; least-recently-used answers are dropped
 /// past it.
@@ -224,11 +390,16 @@ fn footprint(rows: usize, xpath: &str) -> u64 {
 }
 
 /// The query cache: plans for every query text looked up, answers for
-/// the repeated ones, one lock. Interior-mutable so the engine consults it
-/// under shared access on the query path.
+/// the repeated ones, templates for their shapes, one lock.
+/// Interior-mutable so the engine consults it under shared access on the
+/// query path.
 pub struct QueryCache {
     inner: Mutex<Inner>,
     budget: u64,
+    /// Texts bound into their shape's template, and binds refused
+    /// because a count had drifted.
+    bound: AtomicU64,
+    drifted: AtomicU64,
 }
 
 impl Default for QueryCache {
@@ -247,6 +418,8 @@ impl QueryCache {
         QueryCache {
             inner: Mutex::new(Inner::default()),
             budget,
+            bound: AtomicU64::new(0),
+            drifted: AtomicU64::new(0),
         }
     }
 
@@ -276,6 +449,7 @@ impl QueryCache {
                 plan: Arc::clone(&e.plan),
                 answer,
                 cached: true,
+                bound: false,
             }
         });
         match &found {
@@ -319,6 +493,83 @@ impl QueryCache {
             .insert(xpath.into(), entry);
         inner.len += 1;
         inner.key_bytes += xpath.len();
+    }
+
+    /// `shape`'s template on `doc` with `shape`'s literals bound in, when
+    /// the counts it was optimized on hold for them on `store` within
+    /// `scope` (the document). The counts are read outside the lock.
+    pub(crate) fn bind(
+        &self,
+        doc: u32,
+        shape: &Shape,
+        store: &MassStore,
+        scope: &KeyRange,
+    ) -> Bind {
+        let template = {
+            let mut inner = self.lock();
+            inner.clock += 1;
+            let clock = inner.clock;
+            let found = inner
+                .shapes
+                .get_mut(&doc)
+                .and_then(|d| d.get_mut(shape.key.as_str()));
+            let Some(found) = found else {
+                return Bind::Renew;
+            };
+            found.stamp = clock;
+            Arc::clone(&found.template)
+        };
+        match template.drift(&shape.literals, store, scope) {
+            None => {
+                self.bound.fetch_add(1, Ordering::Relaxed);
+                Bind::Plan(template.bind(&shape.literals))
+            }
+            Some(refused) => {
+                self.drifted.fetch_add(1, Ordering::Relaxed);
+                refused
+            }
+        }
+    }
+
+    /// Makes `plan` — optimized for `shape`'s text on the counts `probes`
+    /// — the template of `shape` on `doc`, in place of any, unless its
+    /// slots cannot be told apart (two literals of one value, one held
+    /// outside a literal operator) or the key is longer than
+    /// `KEY_BYTES / SHAPES`.
+    pub(crate) fn offer_template(
+        &self,
+        doc: u32,
+        shape: &Shape,
+        plan: Arc<QueryPlan>,
+        probes: Vec<(Probe, u64)>,
+    ) {
+        if shape.key.len() > KEY_BYTES / SHAPES {
+            return;
+        }
+        let Some(template) = Template::new(plan, &shape.literals, probes) else {
+            return;
+        };
+        let mut inner = self.lock();
+        let held = inner
+            .shapes
+            .get(&doc)
+            .is_some_and(|d| d.contains_key(shape.key.as_str()));
+        if !held {
+            if inner.shape_len >= SHAPES {
+                inner.evict_shape();
+            }
+            inner.shape_len += 1;
+        }
+        inner.clock += 1;
+        let shaped = Shaped {
+            template: Arc::new(template),
+            stamp: inner.clock,
+        };
+        inner
+            .shapes
+            .entry(doc)
+            .or_default()
+            .insert(shape.key.as_str().into(), shaped);
     }
 
     /// Records one computed answer of `xpath` on `doc` at `generation` —
@@ -378,7 +629,8 @@ impl QueryCache {
         true
     }
 
-    /// Drops every entry of `doc` (the eager write path).
+    /// Drops every entry of `doc` (the eager write path). Its templates
+    /// stay: each bind reads their counts again.
     pub fn invalidate_doc(&self, doc: u32) {
         let mut inner = self.lock();
         if let Some(d) = inner.docs.remove(&doc) {
@@ -386,14 +638,16 @@ impl QueryCache {
         }
     }
 
-    /// Drops every entry (snapshot installs, option changes, `CACHE
-    /// CLEAR`).
+    /// Drops every entry and template (snapshot installs, option changes,
+    /// `CACHE CLEAR`).
     pub fn clear(&self) {
         let mut inner = self.lock();
         let docs = std::mem::take(&mut inner.docs);
         for d in docs.into_values() {
             inner.forget(d.entries);
         }
+        inner.shapes.clear();
+        inner.shape_len = 0;
     }
 
     /// Answer counters.
@@ -409,9 +663,19 @@ impl QueryCache {
     }
 
     /// `(hits, misses)` of lookups: one per query text and document asked.
+    /// A text bound into its shape's template counts as a miss.
     pub fn counters(&self) -> (u64, u64) {
         let inner = self.lock();
         (inner.hits, inner.misses)
+    }
+
+    /// `(bound, drifted)`: texts bound into their shape's template, and
+    /// binds refused because a count had drifted.
+    pub fn shape_counters(&self) -> (u64, u64) {
+        (
+            self.bound.load(Ordering::Relaxed),
+            self.drifted.load(Ordering::Relaxed),
+        )
     }
 
     /// Entries held (plans, whether or not an answer is kept).
@@ -422,6 +686,11 @@ impl QueryCache {
     /// Whether the table holds no entry.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Templates held.
+    pub fn shapes(&self) -> usize {
+        self.lock().shape_len
     }
 
     /// Kept answers, most-recently-used first.
@@ -461,10 +730,15 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::builder::build_plan;
+    use vamana_xpath::lexer::shape;
+
+    fn compiled(xpath: &str) -> QueryPlan {
+        build_plan(&vamana_xpath::parse(xpath).unwrap()).unwrap()
+    }
 
     fn plan() -> Arc<QueryPlan> {
-        let expr = vamana_xpath::parse("//a").unwrap();
-        Arc::new(crate::plan::builder::build_plan(&expr).unwrap())
+        Arc::new(compiled("//a"))
     }
 
     fn entry(n: u8) -> NodeEntry {
@@ -634,5 +908,49 @@ mod tests {
         assert_eq!(cache.stats().bytes, 0);
         assert_eq!(cache.stats().evictions, 3);
         assert_eq!(cache.lock().key_bytes, 0);
+    }
+
+    #[test]
+    fn a_template_binds_each_literal_into_the_operators_of_its_slot() {
+        let template = |xpath: &str| {
+            let literals = shape(xpath).unwrap().literals;
+            Template::new(Arc::new(compiled(xpath)), &literals, Vec::new())
+        };
+        let bound = template("//a[@k = 'x' or . = 'y']/b[c = 'z']")
+            .expect("three distinct literals")
+            .bind(&[Box::from("u"), Box::from("v"), Box::from("w")]);
+        assert_eq!(bound, compiled("//a[@k = 'u' or . = 'v']/b[c = 'w']"));
+        assert!(
+            template("//a[@k = 'x' or . = 'x']").is_none(),
+            "one value in two slots"
+        );
+        assert!(
+            template("//processing-instruction('x')[. = 'y']").is_none(),
+            "a literal outside a literal operator"
+        );
+    }
+
+    #[test]
+    fn templates_are_bounded_and_cleared_with_the_entries() {
+        let cache = QueryCache::new();
+        let offer = |xpath: &str| {
+            let shape = shape(xpath).unwrap();
+            cache.offer_template(0, &shape, Arc::new(compiled(xpath)), Vec::new());
+        };
+        for i in 0..SHAPES + 10 {
+            offer(&format!("//q{i}[@k = 'v']"));
+        }
+        assert_eq!(cache.shapes(), SHAPES);
+        assert_eq!(cache.lock().shapes[&0].len(), SHAPES);
+        // The oldest went first; offering a held shape again replaces it.
+        let oldest = shape("//q0[@k = 'v']").unwrap();
+        assert!(!cache.lock().shapes[&0].contains_key(oldest.key.as_str()));
+        offer("//q73[@k = 'w']");
+        assert_eq!(cache.shapes(), SHAPES);
+        // A write to the document leaves them; a clear does not.
+        cache.invalidate_doc(0);
+        assert_eq!(cache.shapes(), SHAPES);
+        cache.clear();
+        assert_eq!(cache.shapes(), 0);
     }
 }

@@ -5,8 +5,12 @@
 //! random document with attributes and text, with inserts and deletes
 //! through `apply_update` in between, must always answer what a fresh
 //! compile → optimize → execute answers and what the DOM oracle answers on
-//! the document as it stands — from `query_doc`, whether a kept answer or
-//! a cached plan served it, and as a stream at every pull size.
+//! the document as it stands — from `query_doc`, whether a kept answer, a
+//! cached plan or its shape's plan with other literals bound in served it,
+//! and as a stream at every pull size. Each query is asked with two sets
+//! of string literals — values common in the document, one that occurs
+//! once, one that never does — so the second text is bound into the plan
+//! optimized for the first, or refused because a count drifted.
 
 use proptest::prelude::*;
 use vamana_baseline::{dom::DomEngine, NodeIdentity, XPathEngine};
@@ -17,18 +21,24 @@ const NAMES: [&str; 4] = ["a", "b", "c", "d"];
 
 const VALUES: [&str; 2] = ["x", "7"];
 
+/// The predicates' string literals: `x` and `7` are common values, `q`
+/// occurs once (the first leaf of every document), `none` never.
+const LITERALS: [&str; 4] = ["x", "7", "q", "none"];
+
 const TESTS: [&str; 7] = ["a", "b", "c", "*", "k", "node()", "text()"];
 
-const PREDICATES: [&str; 15] = [
+/// `{}` is a string literal's slot.
+const PREDICATES: [&str; 16] = [
     "[1]",
     "[last()]",
     "[position() <= 2]",
-    "[@k = 'x']",
-    "[. = '7']",
+    "[@k = '{}']",
+    "[. = '{}']",
+    "[text() = '{}']",
     "[text() > 5]",
     "[count(a) > 1]",
     "[not(b)]",
-    "[contains(., 'x')]",
+    "[contains(., '{}')]",
     "[string-length(@k) = 1]",
     "[b]",
     "[b/c]",
@@ -74,12 +84,24 @@ fn render(steps: &[StepSpec]) -> String {
     s
 }
 
+/// `query` with its literal slots filled from [`LITERALS`], slot `j` taking
+/// the `(first + j)`-th: texts of one shape, no two slots of one value.
+fn with_literals(query: &str, first: usize) -> String {
+    let mut parts = query.split("{}");
+    let mut text = parts.next().unwrap_or_default().to_string();
+    for (j, part) in parts.enumerate() {
+        text.push_str(LITERALS[(first + j) % LITERALS.len()]);
+        text.push_str(part);
+    }
+    text
+}
+
 /// Builds a small XML document from a stack-machine tape: open a child
 /// (with a `k` attribute for some), close the current element, or emit an
 /// empty or a text leaf — names and values drawn from the alphabets the
 /// queries use so matches are likely.
 fn build_doc(ops: &[(u8, u8)]) -> String {
-    let mut xml = String::from("<a>");
+    let mut xml = String::from("<a><b k='q'>q</b>");
     let mut stack = vec!["a"];
     for &(n, action) in ops {
         let name = NAMES[(n % 4) as usize];
@@ -163,7 +185,8 @@ proptest! {
 
     #[test]
     fn memo_answers_equal_direct_evaluation_across_writes(
-        xpaths in proptest::collection::vec(query_strategy(), 1..4),
+        queries in proptest::collection::vec(query_strategy(), 1..4),
+        first in 0..LITERALS.len(),
         script in proptest::collection::vec((any::<u8>(), 0usize..4, 0usize..4), 1..8),
         ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..40),
     ) {
@@ -175,7 +198,13 @@ proptest! {
                 subject.apply_update(doc, &op).unwrap();
             }
             let dom = DomEngine::from_xml(&exported(&subject)).unwrap();
-            for xpath in &xpaths {
+            // Two texts of each query's shape: the second may be bound
+            // into the plan optimized for the first.
+            let texts = queries
+                .iter()
+                .flat_map(|q| [with_literals(q, first), with_literals(q, first + 1)]);
+            for xpath in texts {
+                let xpath = xpath.as_str();
                 let want = fresh(&subject, doc, xpath);
                 prop_assert_eq!(
                     identities(&subject, &want),
@@ -208,11 +237,18 @@ proptest! {
         // Every query is kept at every generation, so every run but the
         // first after a write is answered from the cache.
         let answered = subject.views().stats().hits;
-        let runs = (xpaths.len() * script.len()) as u64;
+        let runs = (2 * queries.len() * script.len()) as u64;
         prop_assert!(
             answered >= runs * (1 + PULL_SIZES.len() as u64),
             "{} answers served",
             answered
         );
+        // A query of one to four literals left a template with its first
+        // text, which its second text met: bound, or refused on a drift.
+        let (bound, drifted) = subject.views().shape_counters();
+        let slots = |q: &String| q.matches("{}").count();
+        if queries.iter().any(|q| (1..=LITERALS.len()).contains(&slots(q))) {
+            prop_assert!(bound + drifted > 0, "no text met its shape's template");
+        }
     }
 }

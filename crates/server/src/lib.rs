@@ -311,7 +311,8 @@ pub struct Job {
 enum Outcome {
     Rows {
         rendered: Rendered,
-        cached: bool,
+        /// Where the plans came from (`plan=` of the `OK` line).
+        plan: &'static str,
         elapsed: Duration,
         buffer_hits: u64,
         buffer_misses: u64,
@@ -507,12 +508,19 @@ fn run_query(
     let start = Instant::now();
     let before = engine.store().buffer_pool().stats();
     let mut parts: Vec<Arc<Vec<NodeEntry>>> = Vec::with_capacity(docs.len());
-    let mut all_cached = true;
+    // The least reused of the documents' plans: every entry found
+    // (`cached`), the rest bound into their shape's plan (`bound`), or
+    // some compiled.
+    let mut source = 0;
     for doc in docs {
         // One lookup per document: a kept answer is the reply, nothing to
-        // plan or run; either way a found entry reports `plan=cached`.
+        // plan or run; either way a found entry counts as `cached`.
         let found = engine.lookup(doc, xpath).map_err(query_err)?;
-        all_cached &= found.cached;
+        source = source.max(match (found.cached, found.bound) {
+            (true, _) => 0,
+            (false, true) => 1,
+            (false, false) => 2,
+        });
         if let Some(kept) = found.answer {
             parts.push(kept);
             continue;
@@ -564,7 +572,7 @@ fn run_query(
     let after = engine.store().buffer_pool().stats();
     Ok(Outcome::Rows {
         rendered,
-        cached: all_cached,
+        plan: ["cached", "bound", "compiled"][source],
         elapsed: start.elapsed(),
         buffer_hits: after.hits.saturating_sub(before.hits),
         buffer_misses: after.misses.saturating_sub(before.misses),
@@ -616,7 +624,7 @@ fn run_eval(
             let after = engine.store().buffer_pool().stats();
             Ok(Outcome::Rows {
                 rendered,
-                cached: false,
+                plan: "compiled",
                 elapsed,
                 buffer_hits: after.hits.saturating_sub(before.hits),
                 buffer_misses: after.misses.saturating_sub(before.misses),
@@ -1207,7 +1215,7 @@ fn reply_bytes(result: &Result<Outcome, ServerError>) -> Vec<u8> {
     match result {
         Ok(Outcome::Rows {
             rendered,
-            cached,
+            plan,
             elapsed,
             buffer_hits,
             buffer_misses,
@@ -1220,7 +1228,7 @@ fn reply_bytes(result: &Result<Outcome, ServerError>) -> Vec<u8> {
                 out,
                 "OK {} row(s) plan={} {}us hits={} misses={}",
                 rendered.total,
-                if *cached { "cached" } else { "compiled" },
+                plan,
                 elapsed.as_micros(),
                 buffer_hits,
                 buffer_misses
@@ -1328,6 +1336,13 @@ fn render_stats(shared: &Shared) -> Vec<String> {
     out.push(format!("STAT plan_cache_hits {hits}"));
     out.push(format!("STAT plan_cache_misses {misses}"));
     out.push(format!("STAT plan_cache_size {}", engine.views().len()));
+    let (binds, drifts) = engine.views().shape_counters();
+    out.push(format!("STAT plan_cache_shape_binds {binds}"));
+    out.push(format!("STAT plan_cache_shape_drifts {drifts}"));
+    out.push(format!(
+        "STAT plan_cache_shapes {}",
+        engine.views().shapes()
+    ));
     out.push(format!("STAT workers {}", shared.config.workers));
     out.push(format!("STAT queue_depth {}", shared.config.queue_depth));
     let stats = engine.store().stats();

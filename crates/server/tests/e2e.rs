@@ -156,6 +156,33 @@ fn eight_concurrent_clients_get_single_threaded_results() {
 }
 
 #[test]
+fn a_new_literal_is_bound_into_its_shapes_plan() {
+    let handle = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(&handle);
+    // A shape's first text compiles; another literal in the same shape is
+    // bound into that plan, and its repeat finds its own entry.
+    let first = client.round_trip("QUERY //person[@id='person0']/name");
+    assert!(first.last().unwrap().contains("plan=compiled"), "{first:?}");
+    let second = client.round_trip("QUERY //person[@id='person1']/name");
+    assert!(second.last().unwrap().contains("plan=bound"), "{second:?}");
+    assert!(
+        second.last().unwrap().starts_with("OK 1 row(s)"),
+        "{second:?}"
+    );
+    let again = client.round_trip("QUERY //person[@id='person1']/name");
+    assert!(again.last().unwrap().contains("plan=cached"), "{again:?}");
+    let stats = client.round_trip("STATS");
+    assert_eq!(stat_value(&stats, "plan_cache_shape_binds"), 1, "{stats:?}");
+    assert_eq!(
+        stat_value(&stats, "plan_cache_shape_drifts"),
+        0,
+        "{stats:?}"
+    );
+    assert_eq!(stat_value(&stats, "plan_cache_shapes"), 1, "{stats:?}");
+    handle.stop();
+}
+
+#[test]
 fn load_invalidates_plan_cache_and_new_document_is_queryable() {
     let handle = spawn_server(ServerConfig::default());
     let mut client = Client::connect(&handle);

@@ -370,6 +370,75 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
     Ok(tokens)
 }
 
+/// An expression's text with its string literals lifted out (see
+/// [`shape`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Shape {
+    /// The tokens, whitespace dropped, one code each; every string literal
+    /// is the same one-character slot. Two texts with equal keys parse to
+    /// the same tree up to the values of those literals.
+    pub key: String,
+    /// The string literals, in text order: slot `i` holds `literals[i]`.
+    pub literals: Vec<Box<str>>,
+}
+
+/// Tokenizes `input` and splits it into its [`Shape`]: `//a[@id='x']` and
+/// `//a[ @id = "y" ]` share a key; `//a[1]` and `//a[2]` do not — numbers
+/// stay in the key, since a plan may depend on one as a position.
+pub fn shape(input: &str) -> Result<Shape, ParseError> {
+    use std::fmt::Write as _;
+    let mut key = String::with_capacity(input.len());
+    let mut literals = Vec::new();
+    for token in tokenize(input)? {
+        // Names and numbers end in a space, numbers start with `#`; every
+        // other token is one character no name starts with, so a key reads
+        // back to exactly one token sequence.
+        let code = match token.kind {
+            TokenKind::Name(name) => {
+                key.push_str(&name);
+                ' '
+            }
+            TokenKind::Number(n) => {
+                let _ = write!(key, "#{n}");
+                ' '
+            }
+            TokenKind::Literal(value) => {
+                literals.push(value.into_boxed_str());
+                '\''
+            }
+            TokenKind::Slash => '/',
+            TokenKind::DoubleSlash => '\\',
+            TokenKind::LBracket => '[',
+            TokenKind::RBracket => ']',
+            TokenKind::LParen => '(',
+            TokenKind::RParen => ')',
+            TokenKind::At => '@',
+            TokenKind::Dot => '.',
+            TokenKind::DotDot => ':',
+            TokenKind::Comma => ',',
+            TokenKind::Pipe => '|',
+            TokenKind::Plus => '+',
+            TokenKind::Minus => '-',
+            TokenKind::Star => '*',
+            TokenKind::Multiply => '%',
+            TokenKind::Eq => '=',
+            TokenKind::Ne => '!',
+            TokenKind::Lt => '<',
+            TokenKind::Le => '{',
+            TokenKind::Gt => '>',
+            TokenKind::Ge => '}',
+            TokenKind::ColonColon => ';',
+            TokenKind::Dollar => '$',
+            TokenKind::And => '&',
+            TokenKind::Or => '^',
+            TokenKind::Div => '~',
+            TokenKind::Mod => '`',
+        };
+        key.push(code);
+    }
+    Ok(Shape { key, literals })
+}
+
 fn lex_number(s: &str, offset: usize) -> Result<(f64, usize), ParseError> {
     let mut len = 0;
     let mut dot = false;
@@ -524,6 +593,26 @@ mod tests {
             kinds("$v"),
             vec![TokenKind::Dollar, TokenKind::Name("v".into())]
         );
+    }
+
+    #[test]
+    fn shape_lifts_string_literals_and_keeps_every_other_token() {
+        let a = shape("//a[@id='x']/b").unwrap();
+        let b = shape("//a[ @id = \"it's\" ] / b").unwrap();
+        assert_eq!(a.key, b.key);
+        assert_eq!(a.literals, vec![Box::from("x")]);
+        assert_eq!(b.literals, vec![Box::from("it's")]);
+        for other in [
+            "//a[@id=x]/b",
+            "//a[@id='x']//b",
+            "//a[@id!='x']/b",
+            "//ab[@id='x']/b",
+            "//a[1]/b",
+        ] {
+            assert_ne!(shape(other).unwrap().key, a.key, "{other}");
+        }
+        assert_ne!(shape("//a[1]").unwrap().key, shape("//a[2]").unwrap().key);
+        assert!(shape("//a['open]").is_err());
     }
 
     #[test]
