@@ -16,7 +16,7 @@
 pub mod table;
 
 use crate::error::Result;
-use crate::plan::{ContextSource, OpId, Operator, QueryPlan, RangeCmp, TestSpec};
+use crate::plan::{ContextSource, OpId, Operator, QueryPlan, TestSpec};
 use std::collections::HashMap;
 use vamana_flex::{Axis, KeyRange};
 use vamana_mass::MassStore;
@@ -150,70 +150,54 @@ impl PlanCosts {
     }
 }
 
-/// One index count the estimator read.
-/// [`crate::opt::OptimizeOutcome::probes`] lists those an optimized
-/// plan's accepted and rejected rewrites rested on; the query cache reads
-/// them again before it binds other literals into the plan
-/// ([`crate::views`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Probe {
-    /// `COUNT` of a node test.
-    Count {
-        /// The axis's principal node kind is the attribute.
-        attribute: bool,
-        /// The node test.
-        test: TestSpec,
-    },
-    /// `TC` of a string value.
-    Text(Box<str>),
-    /// Nodes whose numeric value satisfies `op bound`.
-    Range(RangeCmp, f64),
-}
-
-impl Probe {
-    /// The count now, in `scope`.
-    pub fn read(&self, store: &MassStore, scope: &KeyRange) -> u64 {
-        match self {
-            Probe::Count { attribute, test } => count_test(store, *attribute, test, scope),
-            Probe::Text(value) => store.text_count_in(value, scope),
-            Probe::Range(op, bound) => store.numeric_count_in(op.to_mass(), *bound, scope),
-        }
-    }
-}
-
 /// Estimates the cost of every live operator of `plan` against `store`,
 /// with counting scoped to `scope` (typically the queried document's
 /// subtree — the paper's "entire database / one document / specific
 /// point" knob).
 pub fn estimate(plan: &QueryPlan, store: &MassStore, scope: &KeyRange) -> Result<PlanCosts> {
-    Estimator::new(plan, store, scope, None).run()
-}
-
-/// [`estimate`], noting in `probes` each count it reads that is not there
-/// yet, with the value read.
-pub fn estimate_probed(
-    plan: &QueryPlan,
-    store: &MassStore,
-    scope: &KeyRange,
-    probes: &mut Vec<(Probe, u64)>,
-) -> Result<PlanCosts> {
-    Estimator::new(plan, store, scope, Some(probes)).run()
+    let mut est = Estimator {
+        plan,
+        store,
+        scope,
+        costs: HashMap::new(),
+    };
+    let root = plan.root();
+    let top = match plan.op(root) {
+        Operator::Root { child } => *child,
+        _ => Some(root),
+    };
+    if let Some(top) = top {
+        let out = est.est_nodeset(top, None)?;
+        est.costs.insert(
+            root,
+            OpCost {
+                count: None,
+                tc: None,
+                input: out,
+                output: out,
+            },
+        );
+    }
+    let mut ordered: Vec<(OpId, f64)> = plan
+        .live_ops()
+        .into_iter()
+        .filter_map(|id| est.costs.get(&id).map(|c| (id, c.selectivity())))
+        .collect();
+    ordered.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    Ok(PlanCosts {
+        per_op: est.costs,
+        ordered,
+    })
 }
 
 /// `COUNT(opᵢ)`: nodes in `scope` satisfying a node test on an axis.
 pub fn count_nodetest(store: &MassStore, axis: Axis, test: &TestSpec, scope: &KeyRange) -> u64 {
-    count_test(store, axis.principal_is_attribute(), test, scope)
-}
-
-/// [`count_nodetest`] on an axis whose principal node kind is the
-/// attribute (`attribute`) or the element.
-fn count_test(store: &MassStore, attribute: bool, test: &TestSpec, scope: &KeyRange) -> u64 {
     match test {
         TestSpec::Named(name) => {
             let Some(id) = store.name_id(name) else {
                 return 0;
             };
-            if attribute {
+            if axis.principal_is_attribute() {
                 store.count_attributes_in(id, scope)
             } else {
                 store.count_elements_in(id, scope)
@@ -244,88 +228,9 @@ struct Estimator<'a> {
     store: &'a MassStore,
     scope: &'a KeyRange,
     costs: HashMap<OpId, OpCost>,
-    /// Where [`estimate_probed`] notes the counts read.
-    probes: Option<&'a mut Vec<(Probe, u64)>>,
 }
 
 impl<'a> Estimator<'a> {
-    fn new(
-        plan: &'a QueryPlan,
-        store: &'a MassStore,
-        scope: &'a KeyRange,
-        probes: Option<&'a mut Vec<(Probe, u64)>>,
-    ) -> Self {
-        Estimator {
-            plan,
-            store,
-            scope,
-            costs: HashMap::new(),
-            probes,
-        }
-    }
-
-    fn run(mut self) -> Result<PlanCosts> {
-        let root = self.plan.root();
-        let top = match self.plan.op(root) {
-            Operator::Root { child } => *child,
-            _ => Some(root),
-        };
-        if let Some(top) = top {
-            let out = self.est_nodeset(top, None)?;
-            self.costs.insert(
-                root,
-                OpCost {
-                    count: None,
-                    tc: None,
-                    input: out,
-                    output: out,
-                },
-            );
-        }
-        let mut ordered: Vec<(OpId, f64)> = self
-            .plan
-            .live_ops()
-            .into_iter()
-            .filter_map(|id| self.costs.get(&id).map(|c| (id, c.selectivity())))
-            .collect();
-        ordered.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        Ok(PlanCosts {
-            per_op: self.costs,
-            ordered,
-        })
-    }
-
-    /// `count`, the value of the probe `probe` makes, which is noted first
-    /// when [`estimate_probed`] asked and it is not noted yet.
-    fn noted(&mut self, count: u64, probe: impl FnOnce() -> Probe) -> u64 {
-        if let Some(probes) = self.probes.as_deref_mut() {
-            let probe = probe();
-            if probes.iter().all(|(p, _)| *p != probe) {
-                probes.push((probe, count));
-            }
-        }
-        count
-    }
-
-    fn count(&mut self, axis: Axis, test: &TestSpec) -> u64 {
-        let attribute = axis.principal_is_attribute();
-        let count = count_test(self.store, attribute, test, self.scope);
-        self.noted(count, || Probe::Count {
-            attribute,
-            test: test.clone(),
-        })
-    }
-
-    fn text_count(&mut self, value: &str) -> u64 {
-        let count = self.store.text_count_in(value, self.scope);
-        self.noted(count, || Probe::Text(value.into()))
-    }
-
-    fn range_count(&mut self, op: RangeCmp, bound: f64) -> u64 {
-        let count = self.store.numeric_count_in(op.to_mass(), bound, self.scope);
-        self.noted(count, || Probe::Range(op, bound))
-    }
-
     /// Estimates a node-set-producing operator. `pred_input` is the tuple
     /// count flowing into a predicate tree (case 3 of IN), `None` on the
     /// context path.
@@ -338,7 +243,7 @@ impl<'a> Estimator<'a> {
                 source,
                 predicates,
             } => {
-                let count = self.count(axis, &test);
+                let count = count_nodetest(self.store, axis, &test, self.scope);
                 let input = match context {
                     Some(c) => self.est_nodeset(c, pred_input)?,
                     None => match (source, pred_input) {
@@ -375,7 +280,7 @@ impl<'a> Estimator<'a> {
                 out
             }
             Operator::ValueStep { value, context, .. } => {
-                let tc = self.text_count(&value);
+                let tc = self.store.text_count_in(&value, self.scope);
                 let input = match context {
                     Some(c) => self.est_nodeset(c, pred_input)?,
                     None => pred_input.unwrap_or(1),
@@ -409,7 +314,7 @@ impl<'a> Estimator<'a> {
             Operator::RangeStep {
                 op, bound, context, ..
             } => {
-                let rc = self.range_count(op, bound);
+                let rc = self.store.numeric_count_in(op.to_mass(), bound, self.scope);
                 let input = match context {
                     Some(c) => self.est_nodeset(c, pred_input)?,
                     None => pred_input.unwrap_or(1),
@@ -501,20 +406,11 @@ impl<'a> Estimator<'a> {
                         (l + r).min(input)
                     }
                     BinOp::Eq => {
+                        // Case 5: value-based equivalence — OUT is bounded
+                        // by the literal's text count.
+                        let tc = self.literal_tc(left, right);
                         self.est_operand(left, input)?;
                         self.est_operand(right, input)?;
-                        // Case 5: value-based equivalence — OUT is bounded
-                        // by the literal's text count, which estimating the
-                        // operands just read.
-                        let tc =
-                            [left, right]
-                                .into_iter()
-                                .find_map(|side| match self.plan.op(side) {
-                                    Operator::Literal { .. } => {
-                                        self.costs.get(&side).and_then(|c| c.tc)
-                                    }
-                                    _ => None,
-                                });
                         let out = match tc {
                             Some(tc) => input.min(tc),
                             None => input,
@@ -568,7 +464,7 @@ impl<'a> Estimator<'a> {
             }
             Operator::Literal { value } => {
                 // Case 2: OUT(literal) = TC(value).
-                let tc = self.text_count(&value);
+                let tc = self.store.text_count_in(&value, self.scope);
                 self.costs.insert(
                     id,
                     OpCost {
@@ -604,6 +500,16 @@ impl<'a> Estimator<'a> {
             }
         }
         Ok(())
+    }
+
+    /// If one side is a literal, its in-scope text count.
+    fn literal_tc(&self, left: OpId, right: OpId) -> Option<u64> {
+        for side in [left, right] {
+            if let Operator::Literal { value } = self.plan.op(side) {
+                return Some(self.store.text_count_in(value, self.scope));
+            }
+        }
+        None
     }
 }
 
@@ -758,32 +664,6 @@ mod tests {
             count_nodetest(&s, Axis::Descendant, &TestSpec::Text, &all),
             50
         );
-    }
-
-    #[test]
-    fn probes_note_each_count_once_with_the_value_read() {
-        let s = store();
-        let q = "//person[@id = 'p3' or name = 'N3']/address";
-        let plan = build_plan(&parse(q).unwrap()).unwrap();
-        let scope = KeyRange::subtree(&s.documents()[0].doc_key);
-        let mut probes = Vec::new();
-        let costs = estimate_probed(&plan, &s, &scope, &mut probes).unwrap();
-        assert_eq!(costs.total(), estimate(&plan, &s, &scope).unwrap().total());
-        for (probe, was) in &probes {
-            assert_eq!(probe.read(&s, &scope), *was, "{probe:?}");
-        }
-        let noted = |probe: Probe| probes.iter().filter(|(p, _)| *p == probe).count();
-        assert_eq!(noted(Probe::Text("p3".into())), 1);
-        assert_eq!(noted(Probe::Text("N3".into())), 1);
-        let id = Probe::Count {
-            attribute: true,
-            test: TestSpec::Named("id".into()),
-        };
-        assert_eq!(noted(id), 1);
-        // A second pass over the same plan notes nothing new.
-        let len = probes.len();
-        estimate_probed(&plan, &s, &scope, &mut probes).unwrap();
-        assert_eq!(probes.len(), len);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! builder, runs the cost-driven optimizer, and executes plans with the
 //! pipelined engine.
 
-use crate::cost::{estimate, Probe};
+use crate::cost::estimate;
 use crate::error::{EngineError, Result};
 use crate::exec::parallel::{host_cpus, ParallelHooks, ParallelScanStats, PoolCell};
 use crate::exec::{self, value::Value, Env};
@@ -13,7 +13,7 @@ use crate::explain::Analysis;
 use crate::opt::{self, OptEvent, OptimizeOutcome, OptimizerOptions};
 use crate::plan::{builder::build_plan, display, Operator, QueryPlan};
 use crate::shared::QueryProfile;
-use crate::views::{self, Bind};
+use crate::views::{self, ShapedText};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -439,7 +439,7 @@ impl Engine {
         };
         // Not `query_doc`: the write below drops the document's cache
         // entries, so its own target is not worth caching.
-        let matched = self.execute_plan(&self.prepare(doc, target)?.0, doc)?;
+        let matched = self.execute_plan(&self.prepare(doc, target)?, doc)?;
         if let UpdateOp::Insert { .. } = op {
             if let Some(first) = matched.first() {
                 if !matches!(first.kind, RecordKind::Element | RecordKind::Document) {
@@ -573,20 +573,20 @@ impl Engine {
             .contains(['\'', '"'])
             .then(|| vamana_xpath::lexer::shape(xpath).ok())
             .flatten();
-        let bind = match &shape {
-            Some(shape) => self
-                .views
-                .bind(doc.0, shape, self.store(), &self.doc_scope(doc)?),
-            None => Bind::Own,
+        let text = match shape {
+            Some(shape) => Some(ShapedText::new(shape, self.store(), &self.doc_scope(doc)?)),
+            None => None,
         };
-        let (plan, bound) = match bind {
-            Bind::Plan(plan) => (Arc::new(plan), true),
-            refused => {
-                let (plan, probes) = self.prepare(doc, xpath)?;
-                let plan = Arc::new(plan);
-                if let (Bind::Renew, Some(shape)) = (refused, &shape) {
+        let bound = text
+            .as_ref()
+            .and_then(|text| self.views.bind(doc.0, generation, text));
+        let (plan, bound) = match bound {
+            Some(plan) => (Arc::new(plan), true),
+            None => {
+                let plan = Arc::new(self.prepare(doc, xpath)?);
+                if let Some(text) = text {
                     self.views
-                        .offer_template(doc.0, shape, Arc::clone(&plan), probes);
+                        .offer_template(doc.0, generation, text, Arc::clone(&plan));
                 }
                 (plan, false)
             }
@@ -631,14 +631,14 @@ impl Engine {
     }
 
     /// Compiles `xpath` and, with `options.optimize`, optimizes it for
-    /// `doc`; with the index counts optimizing it read.
-    fn prepare(&self, doc: DocId, xpath: &str) -> Result<(QueryPlan, Vec<(Probe, u64)>)> {
+    /// `doc`.
+    fn prepare(&self, doc: DocId, xpath: &str) -> Result<QueryPlan> {
         let plan = self.compile(xpath)?;
-        if !self.options.optimize {
-            return Ok((plan, Vec::new()));
+        if self.options.optimize {
+            Ok(self.optimize_plan(plan, doc)?.plan)
+        } else {
+            Ok(plan)
         }
-        let outcome = self.optimize_plan(plan, doc)?;
-        Ok((outcome.plan, outcome.probes))
     }
 
     /// Executes `xpath` on `doc` through the query cache ([`Engine::lookup`]):
@@ -1151,7 +1151,7 @@ mod tests {
             assert_eq!(*found.plan, fresh, "{q}");
             assert!(e.lookup(doc, q).unwrap().cached, "{q}");
         }
-        assert_eq!(e.views().shape_counters(), (2, 0));
+        assert_eq!(e.views().binds(), 2);
         assert_eq!(e.views().shapes(), 1);
         // An absent literal is bound too, and answers nothing.
         assert!(e.lookup(doc, "//person[@id='p9']/name").unwrap().bound);
@@ -1165,12 +1165,12 @@ mod tests {
     }
 
     #[test]
-    fn a_drifted_count_refuses_the_bind() {
-        // `x` is the value of 2 000 text nodes and of one `k`; `u0`…`u3` of
+    fn a_literal_of_another_magnitude_gets_its_own_template() {
+        // `x` is the value of 2 000 text nodes and of one `k`; `u0`…`u5` of
         // one `k` each. Items are few, so `[@k='x']` is best filtered in
         // place and `[@k='u0']` read from the value index.
         let mut xml = String::from("<r>");
-        for i in 0..4 {
+        for i in 0..6 {
             xml.push_str(&format!("<item k='u{i}'/>"));
         }
         xml.push_str(&format!("<item k='x'/>{}</r>", "<t>x</t>".repeat(2000)));
@@ -1183,16 +1183,23 @@ mod tests {
                 .iter()
                 .any(|&id| matches!(plan.op(id), Operator::ValueStep { .. }))
         };
-        assert!(indexed(&e.lookup(doc, "//item[@k='u0']").unwrap().plan));
-        // A count of the new literal drifted: it is optimized for itself,
-        // and the template stays for the next rare literal.
+        // The common literal first: its plan is no template for the rare
+        // ones, which get their own.
         let common = e.lookup(doc, "//item[@k='x']").unwrap();
         assert!(!common.bound && !indexed(&common.plan));
         assert_eq!(e.query_doc(doc, "//item[@k='x']").unwrap().len(), 1);
-        assert!(e.lookup(doc, "//item[@k='u1']").unwrap().bound);
-        assert_eq!(e.views().shape_counters(), (1, 1));
-        // A write that moves a literal-free count past the band renews the
-        // template: the next text is optimized, the one after bound to it.
+        let rare = e.lookup(doc, "//item[@k='u0']").unwrap();
+        assert!(!rare.bound && indexed(&rare.plan));
+        for q in ["//item[@k='u1']", "//item[@k='u2']", "//item[@k='u3']"] {
+            let found = e.lookup(doc, q).unwrap();
+            assert!(found.bound && indexed(&found.plan), "{q}");
+            let fresh = e.optimize_plan(e.compile(q).unwrap(), doc).unwrap().plan;
+            assert_eq!(*found.plan, fresh, "{q}");
+        }
+        assert_eq!(e.views().shapes(), 2);
+        assert_eq!(e.views().binds(), 3);
+        // A write drops the document's templates with its entries: the next
+        // text is optimized on the new counts, the one after bound to it.
         e.apply_update(
             doc,
             &UpdateOp::Insert {
@@ -1201,10 +1208,11 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(!e.lookup(doc, "//item[@k='u2']").unwrap().bound);
-        assert!(e.lookup(doc, "//item[@k='u3']").unwrap().bound);
-        assert_eq!(e.views().shape_counters(), (2, 2));
-        assert_eq!(e.query_doc(doc, "//item[@k='u3']").unwrap().len(), 1);
+        assert_eq!(e.views().shapes(), 0);
+        assert!(!e.lookup(doc, "//item[@k='u4']").unwrap().bound);
+        assert!(e.lookup(doc, "//item[@k='u5']").unwrap().bound);
+        assert_eq!(e.views().binds(), 4);
+        assert_eq!(e.query_doc(doc, "//item[@k='u5']").unwrap().len(), 1);
         e.options_mut().optimize = false;
         assert_eq!(e.views().shapes(), 0, "an option change drops templates");
     }

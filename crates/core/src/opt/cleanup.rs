@@ -197,6 +197,13 @@ fn merge_self_steps(plan: &mut QueryPlan) -> usize {
         else {
             continue;
         };
+        // A name or `*` tests for elements on `self` and for attributes on
+        // the attribute axis: `@*/self::k` is empty, not `@k`.
+        if inner_axis.principal_is_attribute()
+            && matches!(test, TestSpec::Named(_) | TestSpec::Wildcard)
+        {
+            continue;
+        }
         let Some(new_test) = merge_tests(&test, &inner_test) else {
             continue;
         };
@@ -350,6 +357,23 @@ mod tests {
         cleanup(&mut plan);
         // name vs person cannot merge.
         assert_eq!(plan.context_path().len(), 2);
+    }
+
+    #[test]
+    fn self_names_no_attribute() {
+        // `self::k` and `self::*` test for elements, so no attribute passes.
+        for q in [
+            "attribute::*/self::k",
+            "attribute::k/self::k",
+            "attribute::node()/self::*",
+        ] {
+            let mut plan = plan_for(q);
+            cleanup(&mut plan);
+            assert_eq!(plan.context_path().len(), 2, "{q}");
+        }
+        let mut plan = plan_for("attribute::k/self::node()");
+        cleanup(&mut plan);
+        assert_eq!(plan.context_path().len(), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub mod cleanup;
 pub mod parallel;
 pub mod rules;
 
-use crate::cost::{estimate_probed, PlanCosts, Probe};
+use crate::cost::{estimate, PlanCosts};
 use crate::error::Result;
 use crate::plan::{OpId, QueryPlan};
 use rules::LIBRARY;
@@ -179,11 +179,6 @@ pub struct OptimizeOutcome {
     pub trace: Vec<(&'static str, QueryPlan)>,
     /// Ordered pass log with every rule decision, applied or rejected.
     pub opt_trace: OptTrace,
-    /// Every index count cost gathering read, with its value: what the
-    /// accepted and the rejected rewrites rested on. The query cache reads
-    /// them again before it binds other literals into the plan
-    /// ([`crate::views`]).
-    pub probes: Vec<(Probe, u64)>,
 }
 
 /// Optimizes `plan` against live statistics from `store`, scoped to
@@ -197,8 +192,7 @@ pub fn optimize(
     let mut opt_trace = OptTrace::default();
     cleanup::cleanup(&mut plan);
     opt_trace.events.push(OptEvent::Cleanup);
-    let mut probes = Vec::new();
-    let mut costs = estimate_probed(&plan, store, scope, &mut probes)?;
+    let mut costs = estimate(&plan, store, scope)?;
     let initial_cost = costs.total();
     opt_trace.events.push(OptEvent::CostGathering {
         total: initial_cost,
@@ -219,7 +213,7 @@ pub fn optimize(
                     continue;
                 };
                 cleanup::cleanup(&mut candidate);
-                let cand_costs = estimate_probed(&candidate, store, scope, &mut probes)?;
+                let cand_costs = estimate(&candidate, store, scope)?;
                 // The paper's acceptance test is local: the transformed
                 // operator (or sub-query) must not handle more tuples
                 // than the operator it replaces. Ties fall back to the
@@ -265,7 +259,6 @@ pub fn optimize(
         iterations,
         trace,
         opt_trace,
-        probes,
     })
 }
 

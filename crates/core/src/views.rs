@@ -1,47 +1,44 @@
 //! The query cache: one table of `(document, XPath text)` entries, each
 //! holding the optimized plan and, once admitted, the query's answer; and
-//! beside it one table of `(document, shape)` templates, each the plan
-//! optimized for one text of that shape.
+//! beside them the document's templates, each the plan optimized for one
+//! text of a shape.
 //!
 //! [`crate::Engine::lookup`] — behind [`crate::Engine::query_doc`],
 //! [`crate::Engine::stream`] and the server's `QUERY` — probes it before
 //! parsing: a kept answer is the reply and nothing is compiled or run; a
 //! cached plan skips parse and optimize. A text not found is lexed into its
 //! shape ([`vamana_xpath::lexer::shape`]: its tokens with every string
-//! literal lifted into a slot); when the shape has a template, the text's
-//! literals are bound into a copy of it and nothing is parsed or optimized,
-//! unless a count the template was chosen on has drifted (below). Otherwise
-//! the text is compiled and optimized. Either way the text gets an entry.
+//! literal lifted into a slot); when the shape has a template for literals
+//! as frequent as the text's (below), the text's literals are bound into a
+//! copy of it and nothing is parsed or optimized. Otherwise the text is
+//! compiled and optimized, and its plan becomes that template. Either way
+//! the text gets an entry.
 //! EXPLAIN, ANALYZE, `query_from`, `evaluate` and an update's target
 //! resolution never read the cache.
 //!
-//! # Shapes and drift
+//! # Shapes
 //!
 //! `//person[@id='person17']/name` and `//person[@id='person18']/name`
-//! share a shape. The optimizer chose the shape's plan on index counts —
-//! `COUNT` of each node test, `TC` of each literal, numeric range counts —
-//! and the template keeps each with the value it read
-//! ([`crate::cost::Probe`]), for rejected rewrites as for accepted ones. A
-//! bind reads them again in the document, the `TC`s with the new literals
-//! (a handful of binary searches), and binds only when every one is within
-//! [`DRIFT`]× of its value, the band widened by one page of tuples: counts
-//! that close price the same page reads. When a count of the new literals
-//! moved, the text is optimized for itself and the template stays, so a
-//! literal with many occurrences gets its own plan, kept under its text.
-//! When a count without a literal moved, the document changed under the
-//! template, and the text's fresh plan replaces it. A template carries no
-//! generation: every bind validates it.
+//! share a shape. The optimizer chose the shape's plan on index counts:
+//! `COUNT` of each node test and numeric range, which no literal changes
+//! while the document stays at one generation, and `TC` of each literal,
+//! which the literal does. So a template is filed under its shape and, per
+//! literal, the order of magnitude of the literal's `TC` in the document,
+//! `⌊log₂(TC + one page of tuples)⌋` (a binary search each). Literals filed
+//! together have counts within 2× of each other, widened by a page of
+//! tuples — counts that close price the same page reads — and a literal
+//! with many occurrences gets its own template beside the rare ones'.
 //!
 //! # Validity
 //!
-//! Every document's entries carry the document generation they were made
-//! at. Statistics come straight from the index, so that generation is the
-//! only stamp a plan needs, as it is for an answer. A primary write drops
-//! the document's entries eagerly ([`crate::Engine::apply_update`]);
-//! replica replay bumps the generation store-side, and the next access at
-//! the new generation drops them. Snapshot installs
-//! ([`crate::Engine::replace_store`]), option changes
-//! ([`crate::Engine::options_mut`]) and `CACHE CLEAR` clear both tables.
+//! Every document's entries and templates carry the document generation
+//! they were made at. Statistics come straight from the index, so that
+//! generation is the only stamp a plan needs, as it is for an answer. A
+//! primary write drops the document's entries and templates eagerly
+//! ([`crate::Engine::apply_update`]); replica replay bumps the generation
+//! store-side, and the next access at the new generation drops them.
+//! Snapshot installs ([`crate::Engine::replace_store`]), option changes
+//! ([`crate::Engine::options_mut`]) and `CACHE CLEAR` clear everything.
 //!
 //! # Bounds
 //!
@@ -61,7 +58,6 @@
 //! exceeds the budget; then the entry is marked oversize and not counted
 //! again.
 
-use crate::cost::Probe;
 use crate::engine::Lookup;
 use crate::plan::{OpId, Operator, QueryPlan};
 use std::collections::HashMap;
@@ -129,10 +125,58 @@ struct Entry {
     answer: Answer,
 }
 
-/// One document's entries, all valid at `generation`.
+/// One document's entries and templates, all valid at `generation`.
 struct DocEntries {
     generation: u64,
     entries: HashMap<Box<str>, Entry>,
+    templates: HashMap<TemplateKey, Shaped>,
+}
+
+impl DocEntries {
+    fn new(generation: u64) -> Self {
+        DocEntries {
+            generation,
+            entries: HashMap::new(),
+            templates: HashMap::new(),
+        }
+    }
+}
+
+/// Where a template is filed: its shape's key and, per string literal, the
+/// order of magnitude of the literal's `TC` in the document.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct TemplateKey {
+    shape: Box<str>,
+    magnitudes: Box<[u8]>,
+}
+
+/// A query text lexed into its shape, with the key its template is filed
+/// under ([`QueryCache::bind`], [`QueryCache::offer_template`]).
+pub(crate) struct ShapedText {
+    key: TemplateKey,
+    literals: Vec<Box<str>>,
+}
+
+impl ShapedText {
+    /// `shape`, a text's, with its literals counted on `store` within
+    /// `scope` (the document).
+    pub(crate) fn new(shape: Shape, store: &MassStore, scope: &KeyRange) -> Self {
+        // Counts less than a page of tuples apart price the same page
+        // reads.
+        let slack = store.tuples_per_page() as u64;
+        let magnitudes = shape
+            .literals
+            .iter()
+            .map(|value| (store.text_count_in(value, scope) + slack).max(1).ilog2() as u8)
+            .collect();
+        ShapedText {
+            key: TemplateKey {
+                shape: shape.key.into(),
+                magnitudes,
+            },
+            literals: shape.literals,
+        }
+    }
 }
 
 /// A plan optimized for one text of a shape, ready to take another text's
@@ -141,21 +185,14 @@ struct Template {
     plan: Arc<QueryPlan>,
     /// Every operator holding a literal, with the slot it holds.
     slots: Vec<(OpId, usize)>,
-    /// The index counts optimizing it read, each with the slot whose
-    /// literal it counted, if any, and the value read.
-    probes: Vec<(Probe, Option<usize>, u64)>,
 }
 
 impl Template {
-    /// `plan`, optimized for `literals` on the counts `probes`, as its
-    /// shape's template — or `None` when a slot cannot be told from the
-    /// plan: two literals of one value, or one the plan holds in no literal
-    /// operator (a `processing-instruction('t')` target).
-    fn new(
-        plan: Arc<QueryPlan>,
-        literals: &[Box<str>],
-        probes: Vec<(Probe, u64)>,
-    ) -> Option<Template> {
+    /// `plan`, optimized for `literals`, as its shape's template — or
+    /// `None` when a slot cannot be told from the plan: two literals of one
+    /// value, or one the plan holds in no literal operator (a
+    /// `processing-instruction('t')` target).
+    fn new(plan: Arc<QueryPlan>, literals: &[Box<str>]) -> Option<Template> {
         let slot = |value: &str| literals.iter().position(|l| &**l == value);
         if literals.iter().enumerate().any(|(i, l)| slot(l) != Some(i)) {
             return None;
@@ -169,45 +206,7 @@ impl Template {
         if (0..literals.len()).any(|i| slots.iter().all(|&(_, s)| s != i)) {
             return None;
         }
-        let probes = probes
-            .into_iter()
-            .map(|(probe, was)| {
-                let at = match &probe {
-                    Probe::Text(value) => slot(value),
-                    _ => None,
-                };
-                (probe, at, was)
-            })
-            .collect();
-        Some(Template {
-            plan,
-            slots,
-            probes,
-        })
-    }
-
-    /// Why the counts this template rests on refuse `literals` on `store`
-    /// within `scope`, or `None` when each is within [`DRIFT`] of its
-    /// value. Literal-free counts are read first: when one moved, the
-    /// template itself is stale.
-    fn drift(&self, literals: &[Box<str>], store: &MassStore, scope: &KeyRange) -> Option<Bind> {
-        // Counts less than a page of tuples apart price the same page
-        // reads.
-        let slack = store.tuples_per_page() as u64;
-        let moved = |(probe, at, was): &(Probe, Option<usize>, u64)| {
-            let now = match at {
-                Some(i) => store.text_count_in(&literals[*i], scope),
-                None => probe.read(store, scope),
-            };
-            now.max(*was) + slack > DRIFT.saturating_mul(now.min(*was) + slack)
-        };
-        if self.probes.iter().filter(|p| p.1.is_none()).any(moved) {
-            return Some(Bind::Renew);
-        }
-        if self.probes.iter().filter(|p| p.1.is_some()).any(moved) {
-            return Some(Bind::Own);
-        }
-        None
+        Some(Template { plan, slots })
     }
 
     /// A copy of the plan holding `literals`.
@@ -223,19 +222,7 @@ impl Template {
     }
 }
 
-/// What a shape's template made of a text ([`QueryCache::bind`]).
-pub(crate) enum Bind {
-    /// The template's plan with the text's literals.
-    Plan(QueryPlan),
-    /// No template, or one whose literal-free counts moved: optimize the
-    /// text and offer its plan as the shape's template.
-    Renew,
-    /// A count of the text's literals is far from the template's: optimize
-    /// the text for itself and keep the template.
-    Own,
-}
-
-/// One shape's template on one document.
+/// One template on one document.
 struct Shaped {
     template: Arc<Template>,
     /// Last-used clock stamp.
@@ -247,8 +234,6 @@ struct Inner {
     /// Document id → query text → entry: both levels are probed with
     /// borrowed keys, so a lookup allocates nothing.
     docs: HashMap<u32, DocEntries>,
-    /// Document id → shape key → template.
-    shapes: HashMap<u32, HashMap<Box<str>, Shaped>>,
     clock: u64,
     /// Entries and the bytes of their keys.
     len: usize,
@@ -266,15 +251,32 @@ struct Inner {
 }
 
 impl Inner {
-    /// Drops `doc`'s entries when they were made at another generation.
+    /// Drops `doc`'s entries and templates when they were made at another
+    /// generation.
     fn expire(&mut self, doc: u32, generation: u64) {
-        if let Some(d) = self.docs.get_mut(&doc) {
-            if d.generation != generation {
-                d.generation = generation;
-                let entries = std::mem::take(&mut d.entries);
-                self.forget(entries);
-            }
+        if self
+            .docs
+            .get(&doc)
+            .is_some_and(|d| d.generation != generation)
+        {
+            let stale = self.docs.insert(doc, DocEntries::new(generation));
+            self.forget_doc(stale);
         }
+    }
+
+    /// Accounts for a document's entries and templates removed.
+    fn forget_doc(&mut self, removed: Option<DocEntries>) {
+        if let Some(d) = removed {
+            self.shape_len -= d.templates.len();
+            self.forget(d.entries);
+        }
+    }
+
+    /// `doc`'s entries and templates, made at `generation` when new.
+    fn doc(&mut self, doc: u32, generation: u64) -> &mut DocEntries {
+        self.docs
+            .entry(doc)
+            .or_insert_with(|| DocEntries::new(generation))
     }
 
     /// Accounts for entries removed from the table.
@@ -345,16 +347,16 @@ impl Inner {
     /// Drops the least-recently-used template.
     fn evict_shape(&mut self) {
         let oldest = self
-            .shapes
+            .docs
             .iter()
-            .flat_map(|(&doc, d)| d.iter().map(move |(key, s)| (s.stamp, doc, key)))
-            .min_by_key(|&(stamp, ..)| stamp)
-            .map(|(_, doc, key)| (doc, key.clone()));
-        if let Some((doc, key)) = oldest {
-            if let Some(d) = self.shapes.get_mut(&doc) {
-                d.remove(&key);
+            .flat_map(|(&doc, d)| d.templates.values().map(move |s| (s.stamp, doc)))
+            .min();
+        if let Some((stamp, doc)) = oldest {
+            if let Some(d) = self.docs.get_mut(&doc) {
+                // Stamps are unique: this drops one template.
+                d.templates.retain(|_, s| s.stamp != stamp);
+                self.shape_len -= 1;
             }
-            self.shape_len -= 1;
         }
     }
 }
@@ -367,14 +369,10 @@ pub const CAPACITY: usize = 256;
 /// 64 KB, and [`CAPACITY`] of those would be 16 MB.
 pub const KEY_BYTES: usize = 1 << 20;
 
-/// Templates the table holds at most: one per shape a workload repeats,
-/// and a workload's request shapes are few (the embedded benchmark has
-/// four lookup shapes).
+/// Templates the table holds at most: a workload's request shapes are few
+/// (the embedded benchmark has four lookup shapes), and so are the orders
+/// of magnitude of their literals' counts.
 pub const SHAPES: usize = 64;
-
-/// The factor a count may move by, from the value a template was
-/// optimized on, before a bind is refused.
-pub const DRIFT: u64 = 2;
 
 /// Byte budget for kept answers; least-recently-used answers are dropped
 /// past it.
@@ -396,10 +394,8 @@ fn footprint(rows: usize, xpath: &str) -> u64 {
 pub struct QueryCache {
     inner: Mutex<Inner>,
     budget: u64,
-    /// Texts bound into their shape's template, and binds refused
-    /// because a count had drifted.
+    /// Texts bound into their shape's template.
     bound: AtomicU64,
-    drifted: AtomicU64,
 }
 
 impl Default for QueryCache {
@@ -419,7 +415,6 @@ impl QueryCache {
             inner: Mutex::new(Inner::default()),
             budget,
             bound: AtomicU64::new(0),
-            drifted: AtomicU64::new(0),
         }
     }
 
@@ -483,77 +478,53 @@ impl QueryCache {
             answer: Answer::None,
         };
         inner
-            .docs
-            .entry(doc)
-            .or_insert_with(|| DocEntries {
-                generation,
-                entries: HashMap::new(),
-            })
+            .doc(doc, generation)
             .entries
             .insert(xpath.into(), entry);
         inner.len += 1;
         inner.key_bytes += xpath.len();
     }
 
-    /// `shape`'s template on `doc` with `shape`'s literals bound in, when
-    /// the counts it was optimized on hold for them on `store` within
-    /// `scope` (the document). The counts are read outside the lock.
-    pub(crate) fn bind(
-        &self,
-        doc: u32,
-        shape: &Shape,
-        store: &MassStore,
-        scope: &KeyRange,
-    ) -> Bind {
+    /// The template `text` is filed under on `doc` at `generation`, with
+    /// `text`'s literals bound in; the plan is copied outside the lock.
+    pub(crate) fn bind(&self, doc: u32, generation: u64, text: &ShapedText) -> Option<QueryPlan> {
         let template = {
             let mut inner = self.lock();
+            inner.expire(doc, generation);
             inner.clock += 1;
             let clock = inner.clock;
-            let found = inner
-                .shapes
-                .get_mut(&doc)
-                .and_then(|d| d.get_mut(shape.key.as_str()));
-            let Some(found) = found else {
-                return Bind::Renew;
-            };
+            let found = inner.docs.get_mut(&doc)?.templates.get_mut(&text.key)?;
             found.stamp = clock;
             Arc::clone(&found.template)
         };
-        match template.drift(&shape.literals, store, scope) {
-            None => {
-                self.bound.fetch_add(1, Ordering::Relaxed);
-                Bind::Plan(template.bind(&shape.literals))
-            }
-            Some(refused) => {
-                self.drifted.fetch_add(1, Ordering::Relaxed);
-                refused
-            }
-        }
+        self.bound.fetch_add(1, Ordering::Relaxed);
+        Some(template.bind(&text.literals))
     }
 
-    /// Makes `plan` — optimized for `shape`'s text on the counts `probes`
-    /// — the template of `shape` on `doc`, in place of any, unless its
+    /// Files `plan` — optimized for `text` on `doc` at `generation` — as
+    /// the template `text` is filed under, in place of any, unless its
     /// slots cannot be told apart (two literals of one value, one held
-    /// outside a literal operator) or the key is longer than
+    /// outside a literal operator) or the shape is longer than
     /// `KEY_BYTES / SHAPES`.
     pub(crate) fn offer_template(
         &self,
         doc: u32,
-        shape: &Shape,
+        generation: u64,
+        text: ShapedText,
         plan: Arc<QueryPlan>,
-        probes: Vec<(Probe, u64)>,
     ) {
-        if shape.key.len() > KEY_BYTES / SHAPES {
+        if text.key.shape.len() > KEY_BYTES / SHAPES {
             return;
         }
-        let Some(template) = Template::new(plan, &shape.literals, probes) else {
+        let Some(template) = Template::new(plan, &text.literals) else {
             return;
         };
         let mut inner = self.lock();
+        inner.expire(doc, generation);
         let held = inner
-            .shapes
+            .docs
             .get(&doc)
-            .is_some_and(|d| d.contains_key(shape.key.as_str()));
+            .is_some_and(|d| d.templates.contains_key(&text.key));
         if !held {
             if inner.shape_len >= SHAPES {
                 inner.evict_shape();
@@ -566,10 +537,9 @@ impl QueryCache {
             stamp: inner.clock,
         };
         inner
-            .shapes
-            .entry(doc)
-            .or_default()
-            .insert(shape.key.as_str().into(), shaped);
+            .doc(doc, generation)
+            .templates
+            .insert(text.key, shaped);
     }
 
     /// Records one computed answer of `xpath` on `doc` at `generation` —
@@ -629,13 +599,11 @@ impl QueryCache {
         true
     }
 
-    /// Drops every entry of `doc` (the eager write path). Its templates
-    /// stay: each bind reads their counts again.
+    /// Drops every entry and template of `doc` (the eager write path).
     pub fn invalidate_doc(&self, doc: u32) {
         let mut inner = self.lock();
-        if let Some(d) = inner.docs.remove(&doc) {
-            inner.forget(d.entries);
-        }
+        let removed = inner.docs.remove(&doc);
+        inner.forget_doc(removed);
     }
 
     /// Drops every entry and template (snapshot installs, option changes,
@@ -644,10 +612,8 @@ impl QueryCache {
         let mut inner = self.lock();
         let docs = std::mem::take(&mut inner.docs);
         for d in docs.into_values() {
-            inner.forget(d.entries);
+            inner.forget_doc(Some(d));
         }
-        inner.shapes.clear();
-        inner.shape_len = 0;
     }
 
     /// Answer counters.
@@ -669,13 +635,9 @@ impl QueryCache {
         (inner.hits, inner.misses)
     }
 
-    /// `(bound, drifted)`: texts bound into their shape's template, and
-    /// binds refused because a count had drifted.
-    pub fn shape_counters(&self) -> (u64, u64) {
-        (
-            self.bound.load(Ordering::Relaxed),
-            self.drifted.load(Ordering::Relaxed),
-        )
+    /// Texts bound into their shape's template.
+    pub fn binds(&self) -> u64 {
+        self.bound.load(Ordering::Relaxed)
     }
 
     /// Entries held (plans, whether or not an answer is kept).
@@ -910,11 +872,23 @@ mod tests {
         assert_eq!(cache.lock().key_bytes, 0);
     }
 
+    /// `xpath` lexed into its shape, each literal filed at `magnitude`.
+    fn shaped(xpath: &str, magnitude: u8) -> ShapedText {
+        let shape = shape(xpath).unwrap();
+        ShapedText {
+            key: TemplateKey {
+                shape: shape.key.into(),
+                magnitudes: vec![magnitude; shape.literals.len()].into(),
+            },
+            literals: shape.literals,
+        }
+    }
+
     #[test]
     fn a_template_binds_each_literal_into_the_operators_of_its_slot() {
         let template = |xpath: &str| {
             let literals = shape(xpath).unwrap().literals;
-            Template::new(Arc::new(compiled(xpath)), &literals, Vec::new())
+            Template::new(Arc::new(compiled(xpath)), &literals)
         };
         let bound = template("//a[@k = 'x' or . = 'y']/b[c = 'z']")
             .expect("three distinct literals")
@@ -931,25 +905,50 @@ mod tests {
     }
 
     #[test]
-    fn templates_are_bounded_and_cleared_with_the_entries() {
+    fn a_template_binds_texts_of_its_shape_and_magnitudes_at_its_generation() {
         let cache = QueryCache::new();
-        let offer = |xpath: &str| {
-            let shape = shape(xpath).unwrap();
-            cache.offer_template(0, &shape, Arc::new(compiled(xpath)), Vec::new());
+        let offer = |xpath: &str, magnitude: u8, generation: u64| {
+            let text = shaped(xpath, magnitude);
+            cache.offer_template(0, generation, text, Arc::new(compiled(xpath)));
+        };
+        let bind = |xpath: &str, magnitude: u8, generation: u64| {
+            cache.bind(0, generation, &shaped(xpath, magnitude))
+        };
+        offer("//a[@k = 'x']", 3, 1);
+        assert_eq!(bind("//a[@k='y']", 3, 1), Some(compiled("//a[@k = 'y']")));
+        assert_eq!(cache.binds(), 1);
+        // Another magnitude, document or shape has no template.
+        assert!(bind("//a[@k = 'y']", 4, 1).is_none());
+        assert!(cache.bind(1, 1, &shaped("//a[@k = 'y']", 3)).is_none());
+        assert!(bind("//b[@k = 'y']", 3, 1).is_none());
+        // Nor has another generation, and asking drops the stale one.
+        assert!(bind("//a[@k = 'y']", 3, 2).is_none());
+        assert_eq!(cache.shapes(), 0);
+        assert_eq!(cache.binds(), 1);
+    }
+
+    #[test]
+    fn templates_are_bounded_and_dropped_with_the_entries() {
+        let cache = QueryCache::new();
+        let offer = |doc: u32, xpath: &str| {
+            let text = shaped(xpath, 0);
+            cache.offer_template(doc, 1, text, Arc::new(compiled(xpath)));
         };
         for i in 0..SHAPES + 10 {
-            offer(&format!("//q{i}[@k = 'v']"));
+            offer(0, &format!("//q{i}[@k = 'v']"));
         }
         assert_eq!(cache.shapes(), SHAPES);
-        assert_eq!(cache.lock().shapes[&0].len(), SHAPES);
+        assert_eq!(cache.lock().docs[&0].templates.len(), SHAPES);
         // The oldest went first; offering a held shape again replaces it.
-        let oldest = shape("//q0[@k = 'v']").unwrap();
-        assert!(!cache.lock().shapes[&0].contains_key(oldest.key.as_str()));
-        offer("//q73[@k = 'w']");
+        assert!(cache.bind(0, 1, &shaped("//q0[@k = 'v']", 0)).is_none());
+        assert!(cache.bind(0, 1, &shaped("//q73[@k = 'v']", 0)).is_some());
+        offer(0, "//q73[@k = 'w']");
         assert_eq!(cache.shapes(), SHAPES);
-        // A write to the document leaves them; a clear does not.
+        // A write to the document drops its templates, not another's.
+        offer(1, "//r[@k = 'v']");
+        assert_eq!(cache.shapes(), SHAPES);
         cache.invalidate_doc(0);
-        assert_eq!(cache.shapes(), SHAPES);
+        assert_eq!(cache.shapes(), 1);
         cache.clear();
         assert_eq!(cache.shapes(), 0);
     }

@@ -10,12 +10,13 @@
 //! and as a stream at every pull size. Each query is asked with two sets
 //! of string literals — values common in the document, one that occurs
 //! once, one that never does — so the second text is bound into the plan
-//! optimized for the first, or refused because a count drifted.
+//! optimized for the first when their literals are about as frequent, and
+//! gets its own plan when they are not.
 
 use proptest::prelude::*;
 use vamana_baseline::{dom::DomEngine, NodeIdentity, XPathEngine};
 use vamana_core::{DocId, Engine, EngineOptions, MassStore, NodeEntry, UpdateOp};
-use vamana_flex::Axis;
+use vamana_flex::{Axis, KeyRange};
 
 const NAMES: [&str; 4] = ["a", "b", "c", "d"];
 
@@ -193,9 +194,29 @@ proptest! {
         let xml = build_doc(&ops);
         let mut subject = engine_for(&xml);
         let doc = DocId(0);
+        let slots = |q: &String| q.matches("{}").count();
+        // Texts that must have been bound into the template their query's
+        // first text left: both new at their generation, and each slot's
+        // two literals of one count.
+        let mut must_bind = 0;
+        let mut generation = None;
         for (step, &(action, parent, name)) in script.iter().enumerate() {
             if let Some(op) = update(action, NAMES[parent], NAMES[name]) {
                 subject.apply_update(doc, &op).unwrap();
+            }
+            let now = subject.store().doc_generation(doc);
+            if generation.replace(now) != Some(now) {
+                let store = subject.store();
+                let scope = KeyRange::subtree(&store.documents()[0].doc_key);
+                let count = |i: usize| store.text_count_in(LITERALS[i % LITERALS.len()], &scope);
+                let mut distinct = queries.clone();
+                distinct.sort();
+                distinct.dedup();
+                must_bind += distinct
+                    .iter()
+                    .filter(|q| (1..=LITERALS.len()).contains(&slots(q)))
+                    .filter(|q| (0..slots(q)).all(|j| count(first + j) == count(first + 1 + j)))
+                    .count();
             }
             let dom = DomEngine::from_xml(&exported(&subject)).unwrap();
             // Two texts of each query's shape: the second may be bound
@@ -243,12 +264,11 @@ proptest! {
             "{} answers served",
             answered
         );
-        // A query of one to four literals left a template with its first
-        // text, which its second text met: bound, or refused on a drift.
-        let (bound, drifted) = subject.views().shape_counters();
-        let slots = |q: &String| q.matches("{}").count();
-        if queries.iter().any(|q| (1..=LITERALS.len()).contains(&slots(q))) {
-            prop_assert!(bound + drifted > 0, "no text met its shape's template");
-        }
+        prop_assert!(
+            subject.views().binds() >= must_bind as u64,
+            "{} binds, {} texts of a template's magnitudes",
+            subject.views().binds(),
+            must_bind
+        );
     }
 }

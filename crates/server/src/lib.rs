@@ -1336,9 +1336,10 @@ fn render_stats(shared: &Shared) -> Vec<String> {
     out.push(format!("STAT plan_cache_hits {hits}"));
     out.push(format!("STAT plan_cache_misses {misses}"));
     out.push(format!("STAT plan_cache_size {}", engine.views().len()));
-    let (binds, drifts) = engine.views().shape_counters();
-    out.push(format!("STAT plan_cache_shape_binds {binds}"));
-    out.push(format!("STAT plan_cache_shape_drifts {drifts}"));
+    out.push(format!(
+        "STAT plan_cache_shape_binds {}",
+        engine.views().binds()
+    ));
     out.push(format!(
         "STAT plan_cache_shapes {}",
         engine.views().shapes()

@@ -173,11 +173,6 @@ fn a_new_literal_is_bound_into_its_shapes_plan() {
     assert!(again.last().unwrap().contains("plan=cached"), "{again:?}");
     let stats = client.round_trip("STATS");
     assert_eq!(stat_value(&stats, "plan_cache_shape_binds"), 1, "{stats:?}");
-    assert_eq!(
-        stat_value(&stats, "plan_cache_shape_drifts"),
-        0,
-        "{stats:?}"
-    );
     assert_eq!(stat_value(&stats, "plan_cache_shapes"), 1, "{stats:?}");
     handle.stop();
 }
