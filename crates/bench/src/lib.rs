@@ -86,11 +86,7 @@ pub fn document(megabytes: f64) -> String {
 
 /// Builds a MASS-backed VAMANA engine over `xml`.
 pub fn vamana_engine(xml: &str, optimize: bool) -> Engine {
-    // `VAMANA_FORMAT=v2` benches the compressed tier.
     let mut store = MassStore::open_memory();
-    store
-        .set_format(vamana_mass::StoreFormat::from_env())
-        .expect("empty store accepts any format");
     store.load_xml("auction.xml", xml).expect("load");
     let mut engine = Engine::new(store);
     let options = engine.options_mut();

@@ -66,7 +66,7 @@ fn streams_are_one_sequence_under_every_pull_size() {
 /// buffer-pool probes, not the scan's page span.
 #[test]
 fn a_one_tuple_pull_touches_a_constant_number_of_pages() {
-    let xml = vamana_bench::document(1.0);
+    let xml = vamana_bench::document(3.0);
     let mut bench = VamanaBench::optimized(&xml);
     let pages = bench.engine().store().stats().pages;
     assert!(pages >= 200, "store has only {pages} pages");

@@ -128,7 +128,7 @@ const QUERIES_ON_A: [&str; 31] = [
 #[test]
 fn recursive_documents_agree_with_the_dom_in_every_configuration() {
     for recursive in [true, false] {
-        let xml = document(220, recursive);
+        let xml = document(480, recursive);
         let dom = DomEngine::from_xml(&xml).unwrap();
         for (label, engine) in configurations(&xml) {
             assert!(engine.store().stats().pages >= 8, "{label}: too few pages");

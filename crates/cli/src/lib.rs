@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 use vamana_core::{DocId, Engine, MassStore, SharedEngine, UpdateOp, Value};
-use vamana_mass::{pager::FilePager, FsyncPolicy, StoreFormat};
+use vamana_mass::{pager::FilePager, FsyncPolicy};
 use vamana_server::{render_rows, RenderOptions, Server, ServerConfig, ServerHandle};
 
 /// Result rows printed per query unless `.limit` changes it.
@@ -52,13 +52,8 @@ impl Default for Session {
 impl Session {
     /// A session over an empty in-memory store.
     pub fn new() -> Self {
-        // `VAMANA_FORMAT=v2` starts the session on the compressed tier.
-        let mut store = MassStore::open_memory();
-        store
-            .set_format(StoreFormat::from_env())
-            .expect("empty store accepts any format");
         Session {
-            engine: Arc::new(SharedEngine::new(Engine::new(store))),
+            engine: Arc::new(SharedEngine::new(Engine::new(MassStore::open_memory()))),
             limit: DEFAULT_MAX_ROWS,
             server: None,
         }
@@ -607,8 +602,6 @@ impl Session {
         // WAL) by re-serializing the documents (the in-memory pager has
         // no file to checkpoint).
         let mut file_store = MassStore::create_durable(path, 1024, FsyncPolicy::Always)?;
-        // Keep the session's page format across the rebuild.
-        file_store.set_format(self.engine.read().store().format())?;
         {
             let engine = self.engine.read();
             for i in 0..engine.store().documents().len() {

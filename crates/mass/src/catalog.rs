@@ -162,7 +162,8 @@ impl MassStore {
         // Compressed-tier trailer: store format + value dictionary. Must
         // be restored *before* the page scan below — rebuilding the
         // secondary indexes resolves [`crate::record::ValueRef::Dict`]
-        // refs through the dictionary.
+        // refs through the dictionary. A catalog without it predates v2.
+        self.format = StoreFormat::V1;
         if r.buf.len() > r.at {
             self.format = match r.take(1)?[0] {
                 1 => StoreFormat::V1,
@@ -394,7 +395,7 @@ mod free_list_tests {
         let mut s = MassStore::open_memory();
         // Two documents; deleting the first frees its pages.
         let mut xml = String::from("<a>");
-        for i in 0..2000 {
+        for i in 0..3000 {
             xml.push_str(&format!("<x>{i}</x>"));
         }
         xml.push_str("</a>");

@@ -28,13 +28,14 @@ use std::collections::HashMap;
 use vamana_flex::FlexKey;
 
 /// On-disk page format of a store. New pages are written in this format;
-/// existing pages keep whatever format their header magic declares.
+/// existing pages keep whatever format their header magic declares. New
+/// stores are v2; v1 is kept for older stores and the overflow fallback.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum StoreFormat {
     /// The original uncompressed page image.
-    #[default]
     V1,
     /// Front-coded keys + dictionary-coded values.
+    #[default]
     V2,
 }
 
@@ -44,15 +45,6 @@ impl StoreFormat {
         match self {
             StoreFormat::V1 => "v1",
             StoreFormat::V2 => "v2",
-        }
-    }
-
-    /// Reads `VAMANA_FORMAT` from the environment: `v2`/`compressed`/`2`
-    /// select [`StoreFormat::V2`]; anything else (or unset) is v1.
-    pub fn from_env() -> Self {
-        match std::env::var("VAMANA_FORMAT").as_deref() {
-            Ok("v2") | Ok("V2") | Ok("compressed") | Ok("2") => StoreFormat::V2,
-            _ => StoreFormat::V1,
         }
     }
 }

@@ -5,10 +5,12 @@
 //! name/value indexes in document order (cheap `push_ordered` instead of
 //! sorted inserts).
 
+use crate::compress::{StoreFormat, DICT_MAX_VALUE_LEN, DICT_MIN_FREQ};
 use crate::error::{MassError, Result};
 use crate::page::PageBuf;
-use crate::record::{NodeRecord, RecordKind};
+use crate::record::{NodeRecord, RecordKind, ValueRef};
 use crate::store::{DocId, DocInfo, MassStore};
+use std::collections::HashMap;
 use vamana_flex::KeyGenerator;
 use vamana_xml::{Document, NodeId, NodeKind};
 
@@ -45,9 +47,7 @@ impl MassStore {
     /// reproduces an identical key space.
     pub(crate) fn load_document_unlogged(&mut self, name: &str, doc: &Document) -> Result<DocId> {
         self.bump_generation();
-        if self.format == crate::compress::StoreFormat::V2 {
-            self.admit_dictionary_values(doc);
-        }
+        let mut values = Candidates::count(doc, self.format);
         let ordinal = self.docs.len() as u64;
         let mut generator = KeyGenerator::new();
         // Skip ordinals already consumed by earlier documents.
@@ -63,98 +63,75 @@ impl MassStore {
                 key: doc_key.clone(),
                 kind: RecordKind::Document,
                 name: None,
-                value: crate::record::ValueRef::None,
+                value: ValueRef::None,
             },
             None,
         )?;
 
-        // Iterative pre-order walk of the XML arena.
+        // Iterative pre-order walk of the XML arena: a node's next sibling
+        // waits on the stack under the node's subtree.
         enum Step {
             Enter(NodeId),
             Leave,
         }
-        let mut stack: Vec<Step> = doc
-            .children(Document::ROOT)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .rev()
-            .map(Step::Enter)
-            .collect();
+        let mut stack = Vec::from_iter(doc.first_child(Document::ROOT).map(Step::Enter));
         while let Some(step) = stack.pop() {
-            match step {
-                Step::Leave => generator.close_element(),
-                Step::Enter(id) => match doc.kind(id) {
-                    NodeKind::Element { name } => {
-                        let name_id = sink.store.intern(name);
-                        let key = generator.open_element();
-                        sink.emit(NodeRecord::element(key, name_id), None)?;
-                        // Attributes cluster directly after the element.
-                        for attr in doc.attributes(id) {
-                            let aname = doc.name(attr).expect("attribute has name");
-                            let avalue = doc.value(attr).expect("attribute has value");
-                            let aid = sink.store.intern(aname);
-                            let akey = generator.attribute();
-                            let vref = sink.store.make_value(avalue)?;
-                            sink.emit(
-                                NodeRecord {
-                                    key: akey,
-                                    kind: RecordKind::Attribute,
-                                    name: Some(aid),
-                                    value: vref,
-                                },
-                                Some(avalue.to_string()),
-                            )?;
-                        }
-                        stack.push(Step::Leave);
-                        let kids: Vec<_> = doc.children(id).collect();
-                        for child in kids.into_iter().rev() {
-                            stack.push(Step::Enter(child));
-                        }
-                    }
-                    NodeKind::Text { value } => {
-                        let key = generator.leaf();
-                        let vref = sink.store.make_value(value)?;
+            let Step::Enter(id) = step else {
+                generator.close_element();
+                continue;
+            };
+            stack.extend(doc.next_sibling(id).map(Step::Enter));
+            let (kind, name, value, indexed) = match doc.kind(id) {
+                NodeKind::Element { name } => {
+                    let name_id = sink.store.intern(name);
+                    let key = generator.open_element();
+                    sink.emit(NodeRecord::element(key, name_id), None)?;
+                    // Attributes cluster directly after the element.
+                    for attr in doc.attributes(id) {
+                        let aname = doc.name(attr).expect("attribute has name");
+                        let avalue = doc.value(attr).expect("attribute has value");
+                        let aid = sink.store.intern(aname);
+                        let akey = generator.attribute();
+                        let vref = sink.store.make_loaded_value(attr, avalue, &mut values)?;
                         sink.emit(
                             NodeRecord {
-                                key,
-                                kind: RecordKind::Text,
-                                name: None,
+                                key: akey,
+                                kind: RecordKind::Attribute,
+                                name: Some(aid),
                                 value: vref,
                             },
-                            Some(value.to_string()),
+                            Some(avalue),
                         )?;
                     }
-                    NodeKind::Comment { value } => {
-                        let key = generator.leaf();
-                        let vref = sink.store.make_value(value)?;
-                        sink.emit(
-                            NodeRecord {
-                                key,
-                                kind: RecordKind::Comment,
-                                name: None,
-                                value: vref,
-                            },
-                            None,
-                        )?;
-                    }
-                    NodeKind::ProcessingInstruction { target, data } => {
-                        let name_id = sink.store.intern(target);
-                        let key = generator.leaf();
-                        let vref = sink.store.make_value(data)?;
-                        sink.emit(
-                            NodeRecord {
-                                key,
-                                kind: RecordKind::Pi,
-                                name: Some(name_id),
-                                value: vref,
-                            },
-                            None,
-                        )?;
-                    }
-                    NodeKind::Attribute { .. } => unreachable!("attributes are not children"),
-                    NodeKind::Document => unreachable!("nested document node"),
+                    stack.push(Step::Leave);
+                    stack.extend(doc.first_child(id).map(Step::Enter));
+                    continue;
+                }
+                NodeKind::Text { value } => {
+                    let vref = sink.store.make_loaded_value(id, value, &mut values)?;
+                    (RecordKind::Text, None, vref, Some(&**value))
+                }
+                NodeKind::Comment { value } => {
+                    let vref = sink.store.make_value(value)?;
+                    (RecordKind::Comment, None, vref, None)
+                }
+                NodeKind::ProcessingInstruction { target, data } => {
+                    let vref = sink.store.make_value(data)?;
+                    (RecordKind::Pi, Some(sink.store.intern(target)), vref, None)
+                }
+                NodeKind::Attribute { .. } => unreachable!("attributes are not children"),
+                NodeKind::Document => unreachable!("nested document node"),
+            };
+            let key = generator.leaf();
+            sink.emit(
+                NodeRecord {
+                    key,
+                    kind,
+                    name,
+                    value,
                 },
-            }
+                indexed,
+            )?;
         }
         sink.flush()?;
         self.docs.push(DocInfo {
@@ -165,26 +142,33 @@ impl MassStore {
         Ok(DocId(ordinal as u32))
     }
 
-    /// Admits `doc`'s hot values into the store dictionary: short
-    /// text/attribute values occurring at least
-    /// [`crate::compress::DICT_MIN_FREQ`] times, admitted in document
-    /// order of first occurrence. Both passes depend only on the document
-    /// and the dictionary's prior state, so WAL replay and replication
-    /// (which re-run the same loads in the same order) reproduce the
-    /// exact id sequence.
-    fn admit_dictionary_values(&mut self, doc: &Document) {
-        use std::collections::HashMap;
-        let mut counts: HashMap<&str, u64> = HashMap::new();
-        for_each_value(doc, &mut |v| {
-            if !v.is_empty() && v.len() <= crate::compress::DICT_MAX_VALUE_LEN {
-                *counts.entry(v).or_insert(0) += 1;
-            }
-        });
-        for_each_value(doc, &mut |v| {
-            if counts.get(v).copied().unwrap_or(0) >= crate::compress::DICT_MIN_FREQ {
-                self.dict.intern(v);
-            }
-        });
+    /// The value a bulk load stores for the text or attribute `node`. A
+    /// candidate's first occurrence settles its slot: a value counted
+    /// [`DICT_MIN_FREQ`] times is interned there, so all its occurrences
+    /// are stored as its dictionary id and ids follow the document order
+    /// of first occurrence; any other value keeps the id an earlier load
+    /// gave it, or stays inline. Ids depend only on the document and the
+    /// dictionary's prior state, so WAL replay and replication (which
+    /// re-run the same loads in the same order) reproduce them exactly.
+    fn make_loaded_value(
+        &mut self,
+        node: NodeId,
+        value: &str,
+        values: &mut Candidates,
+    ) -> Result<ValueRef> {
+        let slot = &mut values.slots[values.of_node.get(node.index()).map_or(0, |&i| i as usize)];
+        if slot.count > 0 {
+            slot.id = if slot.count >= DICT_MIN_FREQ {
+                self.dict.intern(value)
+            } else {
+                self.dict.lookup(value)
+            };
+            slot.count = 0;
+        }
+        match slot.id {
+            Some(id) => Ok(ValueRef::Dict(id)),
+            None => self.inline_value(value),
+        }
     }
 
     /// Parses and loads XML text in one step.
@@ -195,24 +179,53 @@ impl MassStore {
     }
 }
 
-/// Walks every text and attribute value of `doc` in document order.
-fn for_each_value<'d>(doc: &'d Document, f: &mut dyn FnMut(&'d str)) {
-    let mut stack: Vec<NodeId> = doc.children(Document::ROOT).collect();
-    stack.reverse();
-    while let Some(id) = stack.pop() {
-        match doc.kind(id) {
-            NodeKind::Element { .. } => {
-                for attr in doc.attributes(id) {
-                    f(doc.value(attr).expect("attribute has value"));
-                }
-                let kids: Vec<_> = doc.children(id).collect();
-                for child in kids.into_iter().rev() {
-                    stack.push(child);
-                }
-            }
-            NodeKind::Text { value } => f(value),
-            _ => {}
+/// The dictionary candidates of a document a v2 store loads — its
+/// non-empty text and attribute values of at most [`DICT_MAX_VALUE_LEN`]
+/// bytes — each with a slot. Slot 0 stands for every other value (none
+/// can be in the dictionary) and for all values of a v1 load.
+struct Candidates {
+    /// Per node id, its value's slot (0 past the end).
+    of_node: Vec<u32>,
+    slots: Vec<Slot>,
+}
+
+/// A candidate's count in the document until the load walk first meets
+/// it; from then on 0, and the dictionary id it is stored as (`None`:
+/// inline).
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    count: u64,
+    id: Option<u32>,
+}
+
+impl Candidates {
+    /// Counts the candidates of `doc` in one pass in arena order (counts
+    /// need no order), so that the load walk finds each node's slot
+    /// without hashing its value again.
+    fn count(doc: &Document, format: StoreFormat) -> Self {
+        let mut values = Candidates {
+            of_node: Vec::new(),
+            slots: vec![Slot::default()],
+        };
+        if format == StoreFormat::V1 {
+            return values;
         }
+        values.of_node = vec![0; doc.len()];
+        let mut index: HashMap<&str, u32> = HashMap::new();
+        for id in doc.all_ids() {
+            if let NodeKind::Text { value } | NodeKind::Attribute { value, .. } = doc.kind(id) {
+                if value.is_empty() || value.len() > DICT_MAX_VALUE_LEN {
+                    continue;
+                }
+                let at = *index.entry(value).or_insert_with(|| {
+                    values.slots.push(Slot::default());
+                    (values.slots.len() - 1) as u32
+                });
+                values.slots[at as usize].count += 1;
+                values.of_node[id.index()] = at;
+            }
+        }
+        values
     }
 }
 
@@ -229,19 +242,22 @@ impl<'a> PageSink<'a> {
         PageSink { store, page }
     }
 
-    fn emit(&mut self, rec: NodeRecord, value: Option<String>) -> Result<()> {
-        if !self.page.fits_record(&rec) {
+    /// Packs `rec` onto the open page, or onto a fresh one when it is
+    /// full, then indexes it. A record too large for an empty page is an
+    /// error before anything indexes it.
+    fn emit(&mut self, mut rec: NodeRecord, value: Option<&str>) -> Result<()> {
+        while let Err(back) = self.page.append(rec) {
             if self.page.is_empty() {
                 return Err(MassError::InvalidUpdate(format!(
                     "record of {} bytes exceeds page capacity (key too deep?)",
-                    rec.encoded_len()
+                    back.encoded_len()
                 )));
             }
             self.write_page()?;
+            rec = back;
         }
-        self.store.index_record(&rec, value.as_deref(), true)?;
-        self.page.append(rec)?;
-        Ok(())
+        let rec = self.page.records().last().expect("record just appended");
+        self.store.index_record(rec, value, true)
     }
 
     fn write_page(&mut self) -> Result<()> {

@@ -645,15 +645,14 @@ impl PageBuf {
     }
 
     /// Appends a record that must sort after the current last record
-    /// (bulk-load path).
+    /// (bulk-load path), handing it back when it does not fit.
     ///
     /// # Panics
-    /// Panics (debug) if order would be violated; returns an error if the
-    /// record does not fit.
-    pub fn append(&mut self, rec: NodeRecord) -> Result<()> {
+    /// Panics (debug) if order would be violated.
+    pub fn append(&mut self, rec: NodeRecord) -> std::result::Result<(), NodeRecord> {
         let len = self.cost_after(&rec, self.records.len().checked_sub(1));
         if self.encoded + len > PAGE_CAPACITY {
-            return Err(MassError::InvalidUpdate("page full".into()));
+            return Err(rec);
         }
         debug_assert!(
             self.last_key().is_none_or(|k| k < rec.key.as_flat()),
@@ -848,12 +847,7 @@ mod tests {
         let fill = |fmt| {
             let mut p = PageBuf::new(fmt);
             let mut i = 0u64;
-            loop {
-                let r = deep_rec(&[0, 1, 2, 3, i]);
-                if !p.fits_record(&r) {
-                    break;
-                }
-                p.append(r).unwrap();
+            while p.append(deep_rec(&[0, 1, 2, 3, i])).is_ok() {
                 i += 1;
             }
             p.len()

@@ -126,7 +126,7 @@ impl MassStore {
             wal: None,
             checkpoint_lsn_floor: 0,
             repl: None,
-            format: StoreFormat::V1,
+            format: StoreFormat::V2,
             dict: ValueDict::new(),
             page_formats: std::collections::HashMap::new(),
             logical_bytes: 0,
@@ -668,6 +668,11 @@ impl MassStore {
                 return Ok(ValueRef::Dict(id));
             }
         }
+        self.inline_value(value)
+    }
+
+    /// `value` in the record itself, or in the blob heap when long.
+    pub(crate) fn inline_value(&mut self, value: &str) -> Result<ValueRef> {
         if value.len() <= INLINE_VALUE_MAX {
             Ok(ValueRef::Inline(value.into()))
         } else {
@@ -854,7 +859,7 @@ impl MassStore {
         if self.index.is_empty() {
             let id = self.allocate_page()?;
             let mut page = PageBuf::new(self.format);
-            page.append(rec)?;
+            page.insert(rec)?;
             self.put_data_page(id, &page)?;
             self.index.push((flat, id));
             return Ok(());
@@ -1386,7 +1391,7 @@ mod tests {
     /// A store whose clustered index spans many pages.
     fn multi_page_store() -> MassStore {
         let mut xml = String::from("<root>");
-        for i in 0..3000 {
+        for i in 0..8000 {
             xml.push_str(&format!("<e><v>{i}</v></e>"));
         }
         xml.push_str("</root>");

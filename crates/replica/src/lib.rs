@@ -150,12 +150,7 @@ impl Replica {
             // Existing stores keep the format recorded in their catalog.
             MassStore::open_durable(&config.data, config.capacity, config.fsync)
         } else {
-            MassStore::create_durable(&config.data, config.capacity, config.fsync).and_then(
-                |mut s| {
-                    s.set_format(vamana_mass::StoreFormat::from_env())?;
-                    Ok(s)
-                },
-            )
+            MassStore::create_durable(&config.data, config.capacity, config.fsync)
         }
         .map_err(|e| std::io::Error::other(format!("open replica store: {e}")))?;
         let status = Arc::new(ReplicaStatus::default());
@@ -351,9 +346,6 @@ fn install_snapshot(ctx: &SyncCtx, reader: &mut impl BufRead) -> std::io::Result
     let mut fresh =
         MassStore::create_durable(&ctx.config.data, ctx.config.capacity, ctx.config.fsync)
             .map_err(|e| proto_err(format!("recreate replica store: {e}")))?;
-    fresh
-        .set_format(vamana_mass::StoreFormat::from_env())
-        .map_err(|e| proto_err(format!("set replica store format: {e}")))?;
     for (name, xml) in &docs {
         fresh
             .load_xml(name, xml)

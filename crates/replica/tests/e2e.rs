@@ -12,7 +12,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use vamana_core::Engine;
-use vamana_mass::{FsyncPolicy, MassStore};
+use vamana_mass::{FsyncPolicy, MassStore, StoreFormat};
 use vamana_replica::{Replica, ReplicaConfig, ReplicaHandle};
 use vamana_server::testkit::{lag_value, stat_value, Client};
 use vamana_server::{Server, ServerConfig, ServerHandle};
@@ -29,7 +29,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// A primary with one small document loaded before the server binds
 /// (so a fresh follower must take the snapshot path).
 fn spawn_primary(path: &Path, config: ServerConfig) -> ServerHandle {
+    spawn_primary_as(path, config, StoreFormat::default())
+}
+
+/// [`spawn_primary`] with its pages in `format`.
+fn spawn_primary_as(path: &Path, config: ServerConfig, format: StoreFormat) -> ServerHandle {
     let mut store = MassStore::create_durable(path, 512, FsyncPolicy::Never).unwrap();
+    store.set_format(format).unwrap();
     store
         .load_xml(
             "auction",
@@ -188,16 +194,9 @@ struct FollowerProc {
 
 /// Spawns the real `vamana-replica` binary and waits for its port file.
 fn spawn_follower_process(primary: SocketAddr, data: &Path) -> FollowerProc {
-    spawn_follower_with_env(primary, data, &[])
-}
-
-/// Like [`spawn_follower_process`], with extra environment variables for
-/// the child (e.g. `VAMANA_FORMAT=v2` for a compressed replica).
-fn spawn_follower_with_env(primary: SocketAddr, data: &Path, env: &[(&str, &str)]) -> FollowerProc {
     let port_file = data.with_extension("port");
     let _ = std::fs::remove_file(&port_file);
-    let mut command = Command::new(env!("CARGO_BIN_EXE_vamana-replica"));
-    command
+    let child = Command::new(env!("CARGO_BIN_EXE_vamana-replica"))
         .args([
             "--primary",
             &primary.to_string(),
@@ -211,11 +210,9 @@ fn spawn_follower_with_env(primary: SocketAddr, data: &Path, env: &[(&str, &str)
             port_file.to_str().unwrap(),
         ])
         .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    for (key, value) in env {
-        command.env(key, value);
-    }
-    let child = command.spawn().expect("spawn vamana-replica");
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn vamana-replica");
     let until = Instant::now() + DEADLINE;
     let addr = loop {
         if let Ok(text) = std::fs::read_to_string(&port_file) {
@@ -406,14 +403,14 @@ fn replayed_writes_invalidate_follower_views() {
 fn compressed_follower_converges_with_v1_primary() {
     let dir = temp_dir("v2f");
     let primary_path = dir.join("primary.mass");
-    let handle = spawn_primary(&primary_path, ServerConfig::default());
+    let handle = spawn_primary_as(&primary_path, ServerConfig::default(), StoreFormat::V1);
     let mut primary = Client::connect(&handle);
     let data = dir.join("follower.mass");
 
     // A real follower process storing its replica in the compressed
-    // (v2) page format, fed by a v1 primary: replication is logical, so
-    // formats may differ per node.
-    let mut proc1 = spawn_follower_with_env(handle.addr(), &data, &[("VAMANA_FORMAT", "v2")]);
+    // (v2) page format new stores get, fed by a primary pinned to v1:
+    // replication is logical, so formats may differ per node.
+    let mut proc1 = spawn_follower_process(handle.addr(), &data);
     {
         let mut follower = Client::connect_retry(proc1.addr, DEADLINE);
         wait_applied(&mut follower, primary_last_lsn(&mut primary));
@@ -452,13 +449,16 @@ fn compressed_follower_converges_with_v1_primary() {
     let (follower_lsn, follower_docs) = store_fingerprint(&data);
     assert_eq!(primary_lsn, follower_lsn, "stores at different LSNs");
     assert_eq!(primary_docs, follower_docs, "exports diverge at equal LSN");
-    let store = MassStore::open_durable(&data, 512, FsyncPolicy::Never).unwrap();
-    assert_eq!(store.format(), vamana_mass::StoreFormat::V2);
-    let stats = store.stats();
-    assert!(
-        stats.compressed_pages > 0,
-        "follower never wrote v2 pages: {stats:?}"
-    );
+    for (path, format) in [(&primary_path, StoreFormat::V1), (&data, StoreFormat::V2)] {
+        let store = MassStore::open_durable(path, 512, FsyncPolicy::Never).unwrap();
+        assert_eq!(store.format(), format);
+        let stats = store.stats();
+        assert_eq!(
+            stats.compressed_pages > 0,
+            format == StoreFormat::V2,
+            "{path:?} as {format:?}: {stats:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
