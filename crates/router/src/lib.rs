@@ -26,21 +26,19 @@
 //!   and adds the router's own `router_*` counters; `TOPOLOGY` reports
 //!   per-backend health and document placement.
 //!
-//! The router runs on the same nonblocking event core as the server
-//! ([`vamana_server::event`]): one loop thread owns every client
-//! socket, parsing is pipelined, and a worker pool does the backend
-//! fan-out.
+//! The router runs on the same nonblocking connection core as the server
+//! ([`vamana_server::event`]): [`RouterConfig::workers`] threads share
+//! every client socket, parsing is pipelined, and the thread that reads
+//! a request makes its backend round trips and writes its reply.
 
 #![deny(missing_docs)]
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use vamana_server::event::{self, Completions, ConnId, Dispatch, LineService};
-use vamana_server::pool::WorkerPool;
+use vamana_server::event::{self, Dispatch, LineService};
 
 pub mod backend;
 pub mod health;
@@ -64,10 +62,10 @@ pub struct RouterConfig {
     pub health_interval: Duration,
     /// Extra passes over the candidate list before a request gives up.
     pub retries: usize,
-    /// Worker threads doing backend fan-out.
+    /// Connection threads. Each routes the requests of the connections
+    /// it picks up, backend round trips included, so at most this many
+    /// are routed at once.
     pub workers: usize,
-    /// Queued requests beyond which clients get `ERR busy`.
-    pub queue_depth: usize,
     /// Default per-connection row cap (`LIMIT` overrides; 0 = unlimited).
     pub default_limit: usize,
 }
@@ -81,7 +79,6 @@ impl Default for RouterConfig {
             health_interval: Duration::from_millis(250),
             retries: 2,
             workers: 8,
-            queue_depth: 128,
             default_limit: 20,
         }
     }
@@ -110,14 +107,6 @@ struct RouterState {
     metrics: RouterMetrics,
     config: RouterConfig,
     stopping: AtomicBool,
-}
-
-/// One client request being routed on a worker.
-struct RouterJob {
-    line: String,
-    limit: usize,
-    conn: ConnId,
-    seq: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -609,72 +598,47 @@ impl RouterState {
 }
 
 // ---------------------------------------------------------------------
-// The event-core service
+// The connection-core service
 // ---------------------------------------------------------------------
 
+/// The router's [`LineService`]; a connection's session is its row cap
+/// (`LIMIT`).
 struct RouterService {
     state: Arc<RouterState>,
-    pool: Arc<WorkerPool<RouterJob>>,
-    limits: Mutex<HashMap<ConnId, usize>>,
 }
 
 impl LineService for RouterService {
-    fn handle(&self, conn: ConnId, seq: u64, line: &str) -> Dispatch {
+    type Session = usize;
+
+    fn open(&self) -> usize {
+        self.state.config.default_limit
+    }
+
+    fn handle(&self, limit: &mut usize, line: &str, out: &mut Vec<u8>) -> Dispatch {
         let (verb, rest) = match line.split_once(' ') {
             Some((v, r)) => (v, r.trim()),
             None => (line, ""),
         };
-        match verb {
-            "PING" => Dispatch::Reply(b"OK pong\n".to_vec()),
-            "QUIT" => Dispatch::ReplyClose(b"OK bye\n".to_vec()),
+        let reply = match verb {
+            "PING" => vec!["OK pong".to_string()],
+            "QUIT" => {
+                out.extend_from_slice(b"OK bye\n");
+                return Dispatch::Close;
+            }
             "LIMIT" => match rest.parse::<usize>() {
                 Ok(n) => {
-                    self.limits
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .insert(conn, n);
-                    Dispatch::Reply(format!("OK limit {n}\n").into_bytes())
+                    *limit = n;
+                    vec![format!("OK limit {n}")]
                 }
-                Err(_) => {
-                    Dispatch::Reply(b"ERR proto LIMIT needs a non-negative integer\n".to_vec())
-                }
+                Err(_) => vec!["ERR proto LIMIT needs a non-negative integer".to_string()],
             },
-            _ => {
-                let limit = *self
-                    .limits
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .get(&conn)
-                    .unwrap_or(&self.state.config.default_limit);
-                let job = RouterJob {
-                    line: line.to_string(),
-                    limit,
-                    conn,
-                    seq,
-                };
-                // Control verbs (STATS/TOPOLOGY/LAG/DOCS) bypass
-                // admission so monitoring answers under saturation.
-                let control = matches!(verb, "STATS" | "TOPOLOGY" | "LAG" | "DOCS");
-                let submitted = if control {
-                    self.pool.submit(job)
-                } else {
-                    self.pool.try_submit(job)
-                };
-                match submitted {
-                    Ok(()) => Dispatch::Pending,
-                    Err(_) => {
-                        Dispatch::Reply(b"ERR busy router at capacity, retry later\n".to_vec())
-                    }
-                }
-            }
+            _ => self.state.route_request(line, *limit),
+        };
+        for line in reply {
+            out.extend_from_slice(line.as_bytes());
+            out.push(b'\n');
         }
-    }
-
-    fn on_close(&self, conn: ConnId) {
-        self.limits
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&conn);
+        Dispatch::Next
     }
 }
 
@@ -708,30 +672,9 @@ impl Router {
         });
         bootstrap_registry(&state);
 
-        let completions = Completions::new()?;
-        let pool = {
-            let state = Arc::clone(&state);
-            let completions = completions.clone();
-            Arc::new(WorkerPool::new(
-                state.config.workers,
-                state.config.queue_depth,
-                "vamana-route",
-                move |job: RouterJob| {
-                    let reply = state.route_request(&job.line, job.limit);
-                    let mut bytes = Vec::new();
-                    for line in reply {
-                        bytes.extend_from_slice(line.as_bytes());
-                        bytes.push(b'\n');
-                    }
-                    completions.complete(job.conn, job.seq, bytes);
-                },
-            ))
-        };
-        let service = Arc::new(RouterService {
+        let service = RouterService {
             state: Arc::clone(&state),
-            pool,
-            limits: Mutex::new(HashMap::new()),
-        });
+        };
         // Health monitor.
         let monitor = {
             let state = Arc::clone(&state);
@@ -746,22 +689,12 @@ impl Router {
                     health::run_monitor(Arc::clone(&state.topology), interval, stop);
                 })?
         };
-        // Event loop.
-        let loop_thread = {
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("vamana-router".into())
-                .spawn(move || {
-                    event::run_event_loop(listener, service, completions, move || {
-                        state.stopping.load(Ordering::SeqCst)
-                    })
-                })?
-        };
+        let workers = state.config.workers;
         Ok(RouterHandle {
             addr,
             state,
-            threads: vec![monitor],
-            loop_thread: Some(loop_thread),
+            monitor: Some(monitor),
+            core: Some(event::start(listener, service, workers, "vamana-route")?),
         })
     }
 }
@@ -800,8 +733,8 @@ fn bootstrap_registry(state: &RouterState) {
 pub struct RouterHandle {
     addr: SocketAddr,
     state: Arc<RouterState>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    loop_thread: Option<std::thread::JoinHandle<std::io::Result<()>>>,
+    monitor: Option<std::thread::JoinHandle<()>>,
+    core: Option<event::Running<RouterService>>,
 }
 
 impl RouterHandle {
@@ -810,20 +743,20 @@ impl RouterHandle {
         self.addr
     }
 
-    /// Stops the event loop and health monitor and joins them.
+    /// Stops the connection threads and the health monitor and joins
+    /// them. A request in flight is answered first.
     pub fn stop(mut self) {
         self.stop_inner();
     }
 
     fn stop_inner(&mut self) {
-        let Some(loop_thread) = self.loop_thread.take() else {
+        let Some(core) = self.core.take() else {
             return;
         };
         self.state.stopping.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        let _ = loop_thread.join();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        core.stop();
+        if let Some(monitor) = self.monitor.take() {
+            let _ = monitor.join();
         }
     }
 }

@@ -410,23 +410,47 @@ struct FollowerProc {
     addr: SocketAddr,
 }
 
-/// The `vamana-replica` binary: next to this test binary if the
-/// workspace was built, otherwise built on demand (tests of one crate
-/// do not build another crate's binaries by default).
+/// The `vamana-replica` binary, built once per run next to this test
+/// binary and in its profile (tests of one crate do not build another
+/// crate's binaries, and one left by an earlier build may be stale).
 fn replica_bin() -> PathBuf {
-    let mut dir = std::env::current_exe().expect("test binary path");
-    dir.pop(); // deps/
-    dir.pop(); // debug/ or release/
-    let candidate = dir.join("vamana-replica");
-    if !candidate.exists() {
-        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-        let status = Command::new(cargo)
-            .args(["build", "-p", "vamana-replica", "--bin", "vamana-replica"])
-            .status()
-            .expect("run cargo build");
-        assert!(status.success(), "building vamana-replica failed");
-    }
-    candidate
+    static BUILT: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
+    BUILT
+        .get_or_init(|| {
+            // The test binary sits in <target>/<profile dir>/deps/; build
+            // the replica into that same directory, in the same profile.
+            let mut dir = std::env::current_exe().expect("test binary path");
+            dir.pop();
+            dir.pop();
+            let profile_dir = dir
+                .file_name()
+                .and_then(|n| n.to_str())
+                .expect("profile dir");
+            let profile = if profile_dir == "debug" {
+                "dev"
+            } else {
+                profile_dir
+            }
+            .to_string();
+            let target = dir.parent().expect("target dir").to_path_buf();
+            let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+            let status = Command::new(cargo)
+                .args(["build", "--profile", &profile, "--target-dir"])
+                .arg(&target)
+                .args(["-p", "vamana-replica", "--bin", "vamana-replica"])
+                .status()
+                .expect("run cargo build");
+            assert!(status.success(), "building vamana-replica failed");
+            let bin = dir.join("vamana-replica");
+            assert!(
+                bin.exists(),
+                "built vamana-replica in the `{profile}` profile into {}, but {} is missing",
+                target.display(),
+                bin.display()
+            );
+            bin
+        })
+        .clone()
 }
 
 /// Spawns the real `vamana-replica` binary and waits for its port file.
@@ -658,4 +682,61 @@ fn backend_death_mid_scatter_is_a_protocol_error_not_a_hang() {
 
     router.stop();
     shard0.stop();
+}
+
+/// A request held up at its backend occupies one connection thread: the
+/// other answers a `PING` at once, and `stop` waits only for the held
+/// request's reply.
+#[test]
+fn a_request_held_at_its_backend_blocks_neither_a_ping_nor_stop() {
+    let backend = memory_server();
+    let router = start_router(
+        vec![(backend.addr().to_string(), Vec::new())],
+        RouterConfig {
+            workers: 2,
+            ..RouterConfig::default()
+        },
+    );
+    let mut client = Client::connect_addr(router.addr());
+    let loaded = client.round_trip("LOADXML d <r><a/></r>");
+    assert!(loaded[0].starts_with("OK loaded"), "{loaded:?}");
+    let mut other = Client::connect_addr(router.addr());
+    assert_eq!(other.round_trip("PING"), vec!["OK pong"]);
+
+    let shared = Arc::clone(backend.shared());
+    let (held, holding) = std::sync::mpsc::channel();
+    let writer = std::thread::spawn(move || {
+        let _engine = shared.engine().write();
+        held.send(()).expect("the test waits for this");
+        std::thread::sleep(Duration::from_millis(300));
+    });
+    holding.recv().expect("the writer took the engine");
+    let query = std::thread::spawn(move || client.round_trip("QUERY DOC d //a"));
+    let until = Instant::now() + DEADLINE;
+    let active = &backend.shared().metrics().active_workers;
+    while active.load(Ordering::SeqCst) == 0 {
+        assert!(
+            Instant::now() < until,
+            "the query never reached the backend"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+
+    let start = Instant::now();
+    assert_eq!(other.round_trip("PING"), vec!["OK pong"]);
+    let waited = start.elapsed();
+    assert!(waited < Duration::from_millis(50), "PING took {waited:?}");
+
+    let start = Instant::now();
+    router.stop();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "stop took {took:?}");
+    let reply = query.join().unwrap();
+    assert!(
+        reply.last().unwrap().starts_with("OK 1 row(s)"),
+        "{reply:?}"
+    );
+    writer.join().unwrap();
+    backend.stop();
 }

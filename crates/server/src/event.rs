@@ -1,25 +1,28 @@
-//! The nonblocking server core: one event-loop thread multiplexing
-//! every client connection over [`crate::poll::Poller`].
+//! The nonblocking server core: a few connection threads sharing one
+//! [`crate::poll::Poller`] over the listener and every client socket.
 //!
 //! A thread per connection burns one OS thread per socket, busy or
 //! idle — at hundreds of clients the scheduler, stacks, and context
-//! switches become the ceiling, not the engine. This core keeps exactly
-//! one thread for *all* connection I/O:
+//! switches become the ceiling, not the engine. This core keeps a fixed
+//! number of threads for *all* connections:
 //!
 //! - The listener and every connection socket are nonblocking and
-//!   registered with a level-triggered poller; an idle connection costs
-//!   one epoll entry and a few KB of buffers, no thread.
+//!   registered one-shot ([`ONESHOT`]) in one poll set every thread waits
+//!   on; an idle connection costs one epoll entry and a few KB of
+//!   buffers, no thread.
+//! - The thread that receives a connection's readiness owns it until it
+//!   re-arms it: it reads what the socket has, runs each complete line
+//!   through [`LineService::handle`] itself, writes the replies, and
+//!   re-arms. A request is read, executed and answered on one thread,
+//!   with no hand-off and no queue; work in flight is bounded by the
+//!   number of threads.
 //! - Requests are parsed **pipelined**: everything the client has sent
-//!   is read and buffered in one readiness cycle, and responses are
-//!   written back-to-back without waiting for the client to read the
-//!   previous one. Per-connection *execution* order is preserved (the
-//!   next request dispatches when the previous one completes), so the
-//!   protocol reads as one request at a time — like Redis pipelining,
-//!   the win is removing round-trip gaps, not reordering.
-//! - Heavy work never runs on the loop. A [`LineService`] either
-//!   answers a line inline (cheap protocol verbs) or dispatches it to a
-//!   worker pool and later delivers bytes through [`Completions`],
-//!   which wakes the loop via the poller's waker.
+//!   is read in one readiness cycle and its lines run back to back, each
+//!   reply appended in request order — like Redis pipelining, the win is
+//!   removing round-trip gaps, not reordering.
+//! - Unread input is bounded by the line caps, unread output by
+//!   1 MB: a connection whose client does not read its replies is
+//!   not read either until they drain, and TCP holds the client back.
 //! - A connection that switches protocols (the replication feed) is
 //!   **handed off**: deregistered, flipped back to blocking, and given
 //!   its own thread — long-lived streaming feeds are few and poll-shaped
@@ -32,98 +35,42 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
-use crate::poll::{Poller, Waker, READABLE, WAKER_TOKEN, WRITABLE};
+use crate::poll::{Poller, ONESHOT, READABLE, WRITABLE};
 
-/// Identifies one live connection within a core (monotonic, never
-/// reused while the core runs).
-pub type ConnId = u64;
-
-/// What the service wants done with one request line.
+/// What the connection does after one request line.
 pub enum Dispatch {
-    /// Write these bytes (one or more complete protocol lines) now and
-    /// keep parsing.
-    Reply(Vec<u8>),
-    /// The service dispatched the line to a worker which will call
-    /// [`Completions::complete`] with the response; the connection's
-    /// next line waits for that completion.
-    Pending,
-    /// Write these bytes, then close the connection once they flush.
-    ReplyClose(Vec<u8>),
-    /// Detach the socket from the loop and hand it (blocking again) to
+    /// Keep parsing.
+    Next,
+    /// Close the connection once the replies written so far flush.
+    Close,
+    /// Detach the socket from the core and hand it (blocking again) to
     /// this closure on a fresh thread — for verbs that abandon the line
     /// protocol, like `REPLICATE`.
     Handoff(Box<dyn FnOnce(TcpStream) + Send + 'static>),
 }
 
-/// A protocol implementation the event core drives. One instance
-/// serves every connection; per-connection state is keyed by [`ConnId`].
+/// A protocol implementation the core drives. One instance serves every
+/// connection.
 pub trait LineService: Send + Sync + 'static {
+    /// Per-connection state, such as the row cap a client set.
+    type Session: Send + 'static;
+
+    /// A new connection was accepted; its state starts as this.
+    fn open(&self) -> Self::Session;
+
     /// Handles one request line (`\n`-terminated on the wire, trimmed
-    /// here). `seq` is the line's per-connection sequence number, to be
-    /// echoed through [`Completions::complete`] for pending replies.
-    fn handle(&self, conn: ConnId, seq: u64, line: &str) -> Dispatch;
-
-    /// A new connection was accepted.
-    fn on_open(&self, _conn: ConnId) {}
-
-    /// The connection closed (EOF, error, or QUIT); drop any state.
-    fn on_close(&self, _conn: ConnId) {}
+    /// here) on the thread that read it, appending the reply to `out`.
+    fn handle(&self, session: &mut Self::Session, line: &str, out: &mut Vec<u8>) -> Dispatch;
 }
 
-/// One completed pending reply, queued for the loop to deliver.
-struct Completion {
-    conn: ConnId,
-    seq: u64,
-    bytes: Vec<u8>,
-}
-
-struct CompletionInner {
-    queue: Mutex<Vec<Completion>>,
-    waker: Waker,
-}
-
-/// Worker-side handle delivering responses for [`Dispatch::Pending`]
-/// lines back into the event loop. Cheap to clone; wakes the loop.
-#[derive(Clone)]
-pub struct Completions(Arc<CompletionInner>);
-
-impl Completions {
-    /// Builds the queue and its waker.
-    pub fn new() -> io::Result<Completions> {
-        Ok(Completions(Arc::new(CompletionInner {
-            queue: Mutex::new(Vec::new()),
-            waker: Waker::new()?,
-        })))
-    }
-
-    /// Delivers the response bytes for `(conn, seq)` and wakes the loop.
-    /// Safe to call after the connection died — the bytes are dropped.
-    pub fn complete(&self, conn: ConnId, seq: u64, bytes: Vec<u8>) {
-        self.0
-            .queue
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(Completion { conn, seq, bytes });
-        self.0.waker.wake();
-    }
-
-    /// Wakes the loop without delivering anything (used for shutdown).
-    pub fn wake(&self) {
-        self.0.waker.wake();
-    }
-
-    fn drain(&self) -> Vec<Completion> {
-        self.0.waker.drain();
-        std::mem::take(&mut self.0.queue.lock().unwrap_or_else(|p| p.into_inner()))
-    }
-}
-
-/// Soft cap on buffered-but-unparsed request bytes per connection while
-/// a request is in flight; beyond it the loop stops reading from that
-/// socket until the request completes (backpressure, not an error).
-const RBUF_SOFT_CAP: usize = 1 << 20;
+/// Reply bytes a connection may hold unwritten before the core stops
+/// running its lines and reading its socket until the client reads.
+const OUT_CAP: usize = 1 << 20;
 
 /// Hard cap on a request line that carries a document inline.
 const MAX_DOCUMENT_LINE: usize = 256 << 20;
@@ -148,388 +95,375 @@ fn line_cap(head: &[u8]) -> usize {
 }
 
 const LISTENER_TOKEN: u64 = 0;
+const STOP_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-struct Conn {
+struct Conn<T> {
     stream: TcpStream,
+    session: T,
     /// Read buffer; `rpos` marks how far lines have been parsed.
     rbuf: Vec<u8>,
     rpos: usize,
     /// Write buffer; `wpos` marks how much has reached the socket.
     wbuf: Vec<u8>,
     wpos: usize,
-    next_seq: u64,
-    /// Sequence number of the dispatched-but-incomplete request, if any.
-    in_flight: Option<u64>,
-    /// Registered interest bits (to skip redundant `modify` calls).
-    interest: u32,
     close_after_flush: bool,
     handoff: Option<Box<dyn FnOnce(TcpStream) + Send + 'static>>,
 }
 
-impl Conn {
+impl<T> Conn<T> {
+    fn unwritten(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+
+    /// Whether the socket is read: not closing or handing off, and the
+    /// client is reading its replies.
+    fn reading(&self) -> bool {
+        !self.close_after_flush && self.handoff.is_none() && self.unwritten() <= OUT_CAP
+    }
+
+    /// The interest to re-arm with: never empty, since a connection that
+    /// neither reads nor has bytes to write has left the core.
     fn wants(&self) -> u32 {
-        let mut want = 0;
-        let reading_ok = !self.close_after_flush
-            && self.handoff.is_none()
-            && !(self.in_flight.is_some() && self.rbuf.len() - self.rpos > RBUF_SOFT_CAP);
-        if reading_ok {
-            want |= READABLE;
-        }
-        if self.wpos < self.wbuf.len() {
-            want |= WRITABLE;
-        }
-        want
+        let read = if self.reading() { READABLE } else { 0 };
+        let write = if self.unwritten() > 0 { WRITABLE } else { 0 };
+        read | write
     }
-}
 
-/// Runs the event loop over `listener` until `stop()` returns true
-/// (checked on every wakeup; wake it via [`Completions::wake`] or a
-/// throwaway connection). Consumes the thread it is called on.
-pub fn run_event_loop<S: LineService>(
-    listener: TcpListener,
-    service: Arc<S>,
-    completions: Completions,
-    stop: impl Fn() -> bool,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let poller = Poller::new()?;
-    poller.register(listener.as_raw_fd(), READABLE, LISTENER_TOKEN)?;
-    poller.register(completions.0.waker.fd(), READABLE, WAKER_TOKEN)?;
-
-    let mut conns: HashMap<ConnId, Conn> = HashMap::new();
-    let mut next_token = FIRST_CONN_TOKEN;
-    let mut events = Vec::new();
-    loop {
-        poller.wait(&mut events, -1)?;
-        if stop() {
-            return Ok(());
+    /// One readiness cycle: write what is pending, run buffered lines,
+    /// read what the socket has and run those lines. False = drop.
+    fn serve<S: LineService<Session = T>>(&mut self, service: &S) -> bool {
+        if !self.flush() || !self.run_lines(service) {
+            return false;
         }
-        for ev in events.clone() {
-            match ev.token {
-                LISTENER_TOKEN => loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let _ = stream.set_nodelay(true);
-                            let token = next_token;
-                            next_token += 1;
-                            if poller
-                                .register(stream.as_raw_fd(), READABLE, token)
-                                .is_err()
-                            {
-                                continue;
-                            }
-                            conns.insert(
-                                token,
-                                Conn {
-                                    stream,
-                                    rbuf: Vec::new(),
-                                    rpos: 0,
-                                    wbuf: Vec::new(),
-                                    wpos: 0,
-                                    next_seq: 0,
-                                    in_flight: None,
-                                    interest: READABLE,
-                                    close_after_flush: false,
-                                    handoff: None,
-                                },
-                            );
-                            service.on_open(token);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => break,
-                    }
-                },
-                WAKER_TOKEN => {} // completions drained below
-                token => {
-                    let alive = match conns.get_mut(&token) {
-                        Some(conn) => {
-                            let mut ok = true;
-                            if ev.readable() {
-                                ok = read_and_parse(conn, token, &service);
-                            }
-                            if ok && ev.writable() {
-                                ok = flush(conn);
-                            }
-                            ok && !done_flushing(conn)
-                        }
-                        None => continue,
-                    };
-                    finish_conn(&poller, &mut conns, token, alive, &service);
-                }
-            }
-        }
-        // Deliver worker completions (the waker may or may not have been
-        // among this batch's events — drain unconditionally, it's cheap).
-        for c in completions.drain() {
-            let alive = match conns.get_mut(&c.conn) {
-                Some(conn) => {
-                    // Stale completions (a previous connection under a
-                    // reused token is impossible — tokens are never
-                    // reused — but a client may have pipelined a QUIT
-                    // that raced; sequence numbers make it exact).
-                    if conn.in_flight == Some(c.seq) {
-                        conn.in_flight = None;
-                        conn.wbuf.extend_from_slice(&c.bytes);
-                        // The next buffered request can now dispatch.
-                        parse_lines(conn, c.conn, &service) && flush(conn) && !done_flushing(conn)
-                    } else {
-                        true
-                    }
-                }
-                None => continue,
-            };
-            finish_conn(&poller, &mut conns, c.conn, alive, &service);
-        }
-        // Refresh interest sets for surviving connections.
-        let mut dead = Vec::new();
-        for (&token, conn) in conns.iter_mut() {
-            let want = conn.wants();
-            if want != conn.interest {
-                if poller.modify(conn.stream.as_raw_fd(), want, token).is_err() {
-                    dead.push(token);
-                } else {
-                    conn.interest = want;
-                }
-            }
-        }
-        for token in dead {
-            finish_conn(&poller, &mut conns, token, false, &service);
-        }
-    }
-}
-
-/// Closes `token` if `alive` is false, or executes a ready handoff.
-/// Centralizes the "connection leaves the loop" paths.
-fn finish_conn<S: LineService>(
-    poller: &Poller,
-    conns: &mut HashMap<ConnId, Conn>,
-    token: ConnId,
-    alive: bool,
-    service: &Arc<S>,
-) {
-    if !alive {
-        if conns.remove(&token).is_some() {
-            service.on_close(token);
-        }
-        return;
-    }
-    let ready_handoff = conns
-        .get(&token)
-        .is_some_and(|c| c.handoff.is_some() && c.in_flight.is_none() && c.wpos >= c.wbuf.len());
-    if ready_handoff {
-        let mut conn = conns.remove(&token).unwrap();
-        let _ = poller.deregister(conn.stream.as_raw_fd());
-        let handoff = conn.handoff.take().unwrap();
-        if conn.stream.set_nonblocking(false).is_ok() {
-            let stream = conn.stream;
-            let _ = std::thread::Builder::new()
-                .name("vamana-handoff".into())
-                .spawn(move || handoff(stream));
-        }
-        service.on_close(token);
-    }
-}
-
-/// True when the connection asked to close and everything has flushed.
-fn done_flushing(conn: &Conn) -> bool {
-    conn.close_after_flush && conn.in_flight.is_none() && conn.wpos >= conn.wbuf.len()
-}
-
-/// Reads what the socket has, then parses. False = drop connection.
-fn read_and_parse<S: LineService>(conn: &mut Conn, token: ConnId, service: &Arc<S>) -> bool {
-    let mut buf = [0u8; 16384];
-    loop {
-        // Stop pulling bytes once the unparsed backlog passes what the
-        // connection may hold before the parser has looked at it: the
-        // backpressure cap with a request in flight, else the cap of the
-        // line the backlog starts with.
-        let unparsed = &conn.rbuf[conn.rpos..];
-        let budget = match conn.in_flight {
-            Some(_) => RBUF_SOFT_CAP,
-            None => line_cap(unparsed),
-        };
-        if unparsed.len() > budget {
-            break;
-        }
-        match conn.stream.read(&mut buf) {
-            Ok(0) => {
-                // EOF. Anything already dispatched is answered into a
-                // dead socket; just drop the connection.
+        if self.reading() {
+            let open = self.fill();
+            // Lines that arrived just before the client hung up are still
+            // answered, as far as the socket takes the replies.
+            if !self.run_lines(service) || !open {
                 return false;
             }
-            Ok(n) => conn.rbuf.extend_from_slice(&buf[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
         }
+        !(self.close_after_flush && self.unwritten() == 0)
     }
-    parse_lines(conn, token, service) && flush(conn)
-}
 
-/// Dispatches complete lines until one goes pending, the connection
-/// begins closing/handoff, or the buffer runs out. False = drop.
-fn parse_lines<S: LineService>(conn: &mut Conn, token: ConnId, service: &Arc<S>) -> bool {
-    while conn.in_flight.is_none() && conn.handoff.is_none() && !conn.close_after_flush {
-        let unparsed = &conn.rbuf[conn.rpos..];
-        let nl = unparsed.iter().position(|&b| b == b'\n');
-        if nl.unwrap_or(unparsed.len()) > line_cap(unparsed) {
-            conn.wbuf.extend_from_slice(b"ERR line too long\n");
-            conn.close_after_flush = true;
-            conn.rpos = conn.rbuf.len();
-            break;
-        }
-        let Some(nl) = nl else {
-            break;
-        };
-        let end = conn.rpos + nl;
-        let line = &conn.rbuf[conn.rpos..end];
-        let line = std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line));
-        conn.rpos = end + 1;
-        let Ok(line) = line else {
-            conn.wbuf
-                .extend_from_slice(b"ERR proto request is not valid UTF-8\n");
-            conn.close_after_flush = true;
-            break;
-        };
-        if line.is_empty() {
-            continue;
-        }
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        match service.handle(token, seq, line) {
-            Dispatch::Reply(bytes) => conn.wbuf.extend_from_slice(&bytes),
-            Dispatch::Pending => conn.in_flight = Some(seq),
-            Dispatch::ReplyClose(bytes) => {
-                conn.wbuf.extend_from_slice(&bytes);
-                conn.close_after_flush = true;
+    /// Reads until the socket is drained or the unparsed backlog passes
+    /// the cap of the line it starts with. False = EOF or error.
+    fn fill(&mut self) -> bool {
+        let mut buf = [0u8; 16384];
+        loop {
+            let unparsed = &self.rbuf[self.rpos..];
+            if unparsed.len() > line_cap(unparsed) {
+                return true;
             }
-            Dispatch::Handoff(f) => conn.handoff = Some(f),
+            match self.stream.read(&mut buf) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&buf[..n]);
+                    // A short read drained the socket; anything arriving
+                    // later fires the re-armed registration.
+                    if n < buf.len() {
+                        return true;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
         }
     }
-    // Reclaim parsed bytes so long-lived connections don't grow forever.
-    if conn.rpos > 0 {
-        conn.rbuf.drain(..conn.rpos);
-        conn.rpos = 0;
+
+    /// Runs complete lines until the buffer runs out, the connection
+    /// begins closing or handing off, or its replies back up; then
+    /// writes. False = drop.
+    fn run_lines<S: LineService<Session = T>>(&mut self, service: &S) -> bool {
+        while !self.close_after_flush && self.handoff.is_none() {
+            if self.unwritten() > OUT_CAP && (!self.flush() || self.unwritten() > OUT_CAP) {
+                break;
+            }
+            let unparsed = &self.rbuf[self.rpos..];
+            let nl = unparsed.iter().position(|&b| b == b'\n');
+            if nl.unwrap_or(unparsed.len()) > line_cap(unparsed) {
+                self.wbuf.extend_from_slice(b"ERR line too long\n");
+                self.close_after_flush = true;
+                self.rpos = self.rbuf.len();
+                break;
+            }
+            let Some(nl) = nl else {
+                break;
+            };
+            let end = self.rpos + nl;
+            let line = &self.rbuf[self.rpos..end];
+            let line = std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line));
+            self.rpos = end + 1;
+            let Ok(line) = line else {
+                self.wbuf
+                    .extend_from_slice(b"ERR proto request is not valid UTF-8\n");
+                self.close_after_flush = true;
+                break;
+            };
+            if line.is_empty() {
+                continue;
+            }
+            match service.handle(&mut self.session, line, &mut self.wbuf) {
+                Dispatch::Next => {}
+                Dispatch::Close => self.close_after_flush = true,
+                Dispatch::Handoff(f) => self.handoff = Some(f),
+            }
+        }
+        // Reclaim parsed bytes so long-lived connections don't grow forever.
+        if self.rpos > 0 {
+            self.rbuf.drain(..self.rpos);
+            self.rpos = 0;
+        }
+        self.flush()
     }
-    true
+
+    /// Pushes buffered output to the socket. False = drop connection.
+    fn flush(&mut self) -> bool {
+        while self.wpos < self.wbuf.len() {
+            match self.stream.write(&self.wbuf[self.wpos..]) {
+                Ok(0) => return false,
+                Ok(n) => self.wpos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+        if self.wpos >= self.wbuf.len() {
+            self.wbuf.clear();
+            self.wpos = 0;
+        } else if self.wpos > OUT_CAP {
+            self.wbuf.drain(..self.wpos);
+            self.wpos = 0;
+        }
+        true
+    }
 }
 
-/// Pushes buffered output to the socket. False = drop connection.
-fn flush(conn: &mut Conn) -> bool {
-    while conn.wpos < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => return false,
-            Ok(n) => conn.wpos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
+/// What the connection threads share.
+struct Core<S: LineService> {
+    service: S,
+    listener: TcpListener,
+    poller: Poller,
+    /// Connections no thread holds: a thread takes one out when its
+    /// readiness fires and puts it back before re-arming it.
+    idle: Mutex<HashMap<u64, Conn<S::Session>>>,
+    next_token: AtomicU64,
+    /// A connected pair whose first end [`Running::stop`] registers.
+    stop_signal: (UnixStream, UnixStream),
+}
+
+impl<S: LineService> Core<S> {
+    fn idle(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Conn<S::Session>>> {
+        self.idle.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// One connection thread: take a ready token, serve it, repeat.
+    fn run(&self) {
+        loop {
+            match self.poller.wait(-1) {
+                Ok(Some(STOP_TOKEN)) | Err(_) => return,
+                Ok(Some(LISTENER_TOKEN)) => self.accept(),
+                Ok(Some(token)) => self.serve(token),
+                Ok(None) => {}
+            }
         }
     }
-    if conn.wpos >= conn.wbuf.len() {
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    } else if conn.wpos > RBUF_SOFT_CAP {
-        conn.wbuf.drain(..conn.wpos);
-        conn.wpos = 0;
+
+    fn accept(&self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => self.open(stream),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        let _ = self.poller.modify(
+            self.listener.as_raw_fd(),
+            READABLE | ONESHOT,
+            LISTENER_TOKEN,
+        );
     }
-    true
+
+    fn open(&self, stream: TcpStream) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let fd = stream.as_raw_fd();
+        let conn = Conn {
+            stream,
+            session: self.service.open(),
+            rbuf: Vec::new(),
+            rpos: 0,
+            wbuf: Vec::new(),
+            wpos: 0,
+            close_after_flush: false,
+            handoff: None,
+        };
+        // Filed before it is registered: its first event finds it.
+        self.idle().insert(token, conn);
+        if self.poller.register(fd, READABLE | ONESHOT, token).is_err() {
+            self.idle().remove(&token);
+        }
+    }
+
+    /// Serves connection `token` on this thread, then re-arms it, hands
+    /// it off, or drops (closes) it.
+    fn serve(&self, token: u64) {
+        let Some(mut conn) = self.idle().remove(&token) else {
+            return;
+        };
+        if !conn.serve(&self.service) {
+            return;
+        }
+        let fd = conn.stream.as_raw_fd();
+        if conn.handoff.is_some() && conn.unwritten() == 0 {
+            let _ = self.poller.deregister(fd);
+            let handoff = conn.handoff.take().unwrap();
+            if conn.stream.set_nonblocking(false).is_ok() {
+                let stream = conn.stream;
+                let _ = std::thread::Builder::new()
+                    .name("vamana-handoff".into())
+                    .spawn(move || handoff(stream));
+            }
+            return;
+        }
+        let want = conn.wants();
+        // Filed before it is re-armed: the next event may fire at once.
+        self.idle().insert(token, conn);
+        if self.poller.modify(fd, want | ONESHOT, token).is_err() {
+            self.idle().remove(&token);
+        }
+    }
+}
+
+/// A core serving on its threads; [`Running::stop`] ends it.
+pub struct Running<S: LineService> {
+    threads: Vec<JoinHandle<()>>,
+    core: Arc<Core<S>>,
+}
+
+/// Starts `threads` connection threads (named `<name>-N`) serving
+/// `listener` with `service`.
+pub fn start<S: LineService>(
+    listener: TcpListener,
+    service: S,
+    threads: usize,
+    name: &str,
+) -> io::Result<Running<S>> {
+    listener.set_nonblocking(true)?;
+    let core = Arc::new(Core {
+        service,
+        poller: Poller::new()?,
+        idle: Mutex::new(HashMap::new()),
+        next_token: AtomicU64::new(FIRST_CONN_TOKEN),
+        stop_signal: UnixStream::pair()?,
+        listener,
+    });
+    core.poller.register(
+        core.listener.as_raw_fd(),
+        READABLE | ONESHOT,
+        LISTENER_TOKEN,
+    )?;
+    let threads = (0..threads.max(1))
+        .map(|i| {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name(format!("{name}-{i}"))
+                .spawn(move || core.run())
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok(Running { threads, core })
+}
+
+impl<S: LineService> Running<S> {
+    /// Wakes every thread, joins them, and closes the connections they
+    /// left (dropping the core's last reference).
+    pub fn stop(self) {
+        // An idle socket is always writable, and without ONESHOT it stays
+        // ready: each thread waiting on the set wakes on it and exits, one
+        // mid-request after its reply.
+        let signal = self.core.stop_signal.0.as_raw_fd();
+        let _ = self.core.poller.register(signal, WRITABLE, STOP_TOKEN);
+        self.join();
+    }
+
+    /// Blocks until every thread has exited: forever, since only
+    /// [`Running::stop`] ends them.
+    pub fn join(self) {
+        for thread in self.threads {
+            let _ = thread.join();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
-    /// Echo service: `ECHO x` inline, `SLOW x` via a worker thread,
+    /// Echo service: `ECHO x` answers at once, `SLOW x` after 20 ms,
     /// `BYE` closes.
-    struct Echo {
-        completions: Completions,
-        closed: AtomicU64,
-    }
+    struct Echo;
 
     impl LineService for Echo {
-        fn handle(&self, conn: ConnId, seq: u64, line: &str) -> Dispatch {
-            if let Some(rest) = line.strip_prefix("ECHO ") {
-                return Dispatch::Reply(format!("OK {rest}\n").into_bytes());
-            }
-            if let Some(rest) = line.strip_prefix("SLOW ") {
-                let completions = self.completions.clone();
-                let rest = rest.to_string();
-                std::thread::spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    completions.complete(conn, seq, format!("OK slow {rest}\n").into_bytes());
-                });
-                return Dispatch::Pending;
-            }
-            if line == "BYE" {
-                return Dispatch::ReplyClose(b"OK bye\n".to_vec());
-            }
-            Dispatch::Reply(b"ERR proto\n".to_vec())
-        }
+        type Session = ();
 
-        fn on_close(&self, _conn: ConnId) {
-            self.closed.fetch_add(1, Ordering::SeqCst);
+        fn open(&self) {}
+
+        fn handle(&self, _: &mut (), line: &str, out: &mut Vec<u8>) -> Dispatch {
+            if let Some(rest) = line.strip_prefix("ECHO ") {
+                out.extend_from_slice(format!("OK {rest}\n").as_bytes());
+            } else if let Some(rest) = line.strip_prefix("SLOW ") {
+                std::thread::sleep(Duration::from_millis(20));
+                out.extend_from_slice(format!("OK slow {rest}\n").as_bytes());
+            } else if line == "BYE" {
+                out.extend_from_slice(b"OK bye\n");
+                return Dispatch::Close;
+            } else {
+                out.extend_from_slice(b"ERR proto\n");
+            }
+            Dispatch::Next
         }
     }
 
-    fn start_echo() -> (std::net::SocketAddr, Arc<std::sync::atomic::AtomicBool>) {
+    fn start_echo() -> (std::net::SocketAddr, Running<Echo>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let completions = Completions::new().unwrap();
-        let service = Arc::new(Echo {
-            completions: completions.clone(),
-            closed: AtomicU64::new(0),
-        });
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            run_event_loop(listener, service, completions, move || {
-                stop2.load(Ordering::SeqCst)
-            })
-        });
-        (addr, stop)
-    }
-
-    fn stop_loop(addr: std::net::SocketAddr, stop: &std::sync::atomic::AtomicBool) {
-        stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(addr);
+        (addr, start(listener, Echo, 2, "echo").unwrap())
     }
 
     #[test]
-    fn inline_pending_and_close_round_trip_in_order() {
-        let (addr, stop) = start_echo();
+    fn a_pipelined_burst_is_answered_in_order() {
+        let (addr, core) = start_echo();
         let mut s = TcpStream::connect(addr).unwrap();
-        // Pipelined burst: inline, worker, inline, close — replies must
-        // come back in request order.
         s.write_all(b"ECHO a\nSLOW b\nECHO c\nBYE\n").unwrap();
         let mut all = String::new();
         s.read_to_string(&mut all).unwrap();
         assert_eq!(all, "OK a\nOK slow b\nOK c\nOK bye\n");
-        stop_loop(addr, &stop);
+        core.stop();
     }
 
     #[test]
     fn many_idle_connections_and_partial_lines() {
-        let (addr, stop) = start_echo();
-        // A pile of idle connections costs the loop nothing; the active
+        let (addr, core) = start_echo();
+        // A pile of idle connections costs the core nothing; the active
         // one still gets served, even with a request split across
         // writes.
         let idle: Vec<TcpStream> = (0..50).map(|_| TcpStream::connect(addr).unwrap()).collect();
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(b"ECHO he").unwrap();
         s.flush().unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(10));
         s.write_all(b"llo\n").unwrap();
         let mut buf = [0u8; 64];
         let n = s.read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"OK hello\n");
         drop(idle);
-        stop_loop(addr, &stop);
+        core.stop();
     }
 
     /// Writes `line` and returns everything the server said before it
@@ -545,7 +479,7 @@ mod tests {
 
     #[test]
     fn an_over_long_line_is_refused_unless_its_verb_carries_a_document() {
-        let (addr, stop) = start_echo();
+        let (addr, core) = start_echo();
         // Unterminated, and then terminated: neither is buffered past the cap.
         let long = [b"ECHO ".as_slice(), &vec![b'a'; 1 << 20]].concat();
         assert_eq!(send_and_drain(addr, &long), "ERR line too long\n");
@@ -558,6 +492,40 @@ mod tests {
         // ...and a document verb may run far past it.
         let doc = [b"LOADXML d ".as_slice(), &vec![b'a'; 1 << 20], b"\nBYE\n"].concat();
         assert_eq!(send_and_drain(addr, &doc), "ERR proto\nOK bye\n");
-        stop_loop(addr, &stop);
+        core.stop();
+    }
+
+    /// A client that pipelines requests without reading the replies is
+    /// not read either once OUT_CAP of them back up; when it reads, every
+    /// reply arrives, in order.
+    #[test]
+    fn a_client_that_does_not_read_is_not_read() {
+        let (addr, core) = start_echo();
+        let mut s = TcpStream::connect(addr).unwrap();
+        let payload = "x".repeat(60_000);
+        let line = format!("ECHO {payload}\n");
+        let writer = {
+            let mut s = s.try_clone().unwrap();
+            let line = line.clone();
+            std::thread::spawn(move || {
+                for _ in 0..200 {
+                    s.write_all(line.as_bytes()).unwrap();
+                }
+                s.write_all(b"BYE\n").unwrap();
+            })
+        };
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(!writer.is_finished(), "12 MB went in with nobody reading");
+        let mut all = String::new();
+        s.read_to_string(&mut all).unwrap();
+        writer.join().unwrap();
+        let want = format!("OK {payload}\n").repeat(200) + "OK bye\n";
+        assert!(
+            all == want,
+            "{} bytes back, {} expected",
+            all.len(),
+            want.len()
+        );
+        core.stop();
     }
 }

@@ -1,10 +1,10 @@
 //! # vamana-server
 //!
 //! A concurrent query service over one shared VAMANA engine: a TCP
-//! line protocol multiplexed by a nonblocking event core, executed by a
-//! worker thread pool, with bounded-queue admission control, per-query
-//! deadlines, and a metrics registry. Plans and repeated answers come from
-//! the engine's query cache.
+//! line protocol served by a nonblocking core whose connection threads
+//! run each request themselves, with per-query deadlines and a metrics
+//! registry. Plans and repeated answers come from the engine's query
+//! cache.
 //!
 //! ## Protocol
 //!
@@ -42,21 +42,21 @@
 //!
 //! ## Threading model
 //!
-//! One event-loop thread owns every connection socket nonblockingly (see
-//! [`event`]); requests are parsed pipelined and idle connections cost no
-//! threads. A fixed worker pool executes jobs against the shared engine.
-//! The queue between parser and workers is bounded:
-//! a full queue rejects at admission with `ERR busy` rather than
-//! queueing unboundedly, and every job carries a deadline checked when
-//! dequeued and between result batches. Control-plane verbs (`STATS`,
-//! `LAG`, `CACHE`, `DOCS`) bypass the capacity check so monitoring and
-//! router health probes stay answerable under saturation. Updates and
-//! checkpoints additionally serialize on a single-writer lane.
+//! [`ServerConfig::workers`] connection threads share one poll set over
+//! every connection socket (see [`event`]); requests are parsed pipelined
+//! and idle connections cost no threads. The thread that reads a request
+//! runs it against the shared engine and writes its reply: no queue, no
+//! hand-off, and at most `workers` requests in flight. Every request
+//! carries a deadline set when its line is parsed, checked before it runs
+//! and once per result batch; control-plane verbs (`STATS`, `LAG`,
+//! `CACHE`, `DOCS`) have none, so monitoring and router health probes
+//! answer under any timeout policy. Updates and checkpoints additionally
+//! serialize on a single-writer lane.
 
 #![deny(missing_docs)]
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write as _;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLockReadGuard};
 use std::time::{Duration, Instant};
@@ -69,25 +69,22 @@ pub mod event;
 mod feed;
 pub mod metrics;
 pub mod poll;
-pub mod pool;
 pub mod render;
 pub mod testkit;
 
 pub use metrics::Metrics;
 pub use render::{render_rows, RenderOptions, Rendered};
 
-use event::{Completions, ConnId, Dispatch, LineService};
+use event::{Dispatch, LineService};
 use metrics::ActiveGuard;
-use pool::WorkerPool;
 
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing queries.
+    /// Connection threads. Each reads, runs and answers the requests of
+    /// the connections it picks up, so at most this many run at once.
     pub workers: usize,
-    /// Jobs admitted but not yet running; beyond this, `ERR busy`.
-    pub queue_depth: usize,
-    /// Per-query deadline, from admission to last tuple.
+    /// Per-query deadline, from the parse of its line to its last tuple.
     pub query_timeout: Duration,
     /// Default per-connection row cap (`LIMIT` overrides; 0 = unlimited).
     pub default_limit: usize,
@@ -116,7 +113,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 4,
-            queue_depth: 64,
             query_timeout: Duration::from_secs(10),
             default_limit: 20,
             value_width: 200,
@@ -158,12 +154,10 @@ pub struct ReplicaRole {
     pub status: Arc<ReplicaStatus>,
 }
 
-/// Errors a job can produce (I/O errors are handled per connection).
+/// Errors a request can produce (I/O errors are handled per connection).
 #[derive(Debug)]
 pub enum ServerError {
-    /// Rejected at admission: queue full.
-    Busy,
-    /// Deadline exceeded, queued or mid-execution.
+    /// Deadline exceeded, before or during execution.
     Timeout(Duration),
     /// Compile or execution failure.
     Query(String),
@@ -172,7 +166,6 @@ pub enum ServerError {
 impl std::fmt::Display for ServerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServerError::Busy => write!(f, "busy server at capacity, retry later"),
             ServerError::Timeout(t) => write!(f, "timeout query exceeded {}ms", t.as_millis()),
             ServerError::Query(msg) => write!(f, "query {msg}"),
         }
@@ -181,15 +174,15 @@ impl std::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// State shared by the event loop and the workers.
+/// State shared by the connection threads.
 pub struct Shared {
     engine: Arc<SharedEngine>,
     metrics: Metrics,
     config: ServerConfig,
     stopping: AtomicBool,
     /// Single-writer lane: updates and checkpoints serialize here
-    /// *before* taking the engine write lock, so at most one worker
-    /// blocks readers at a time and the rest queue with their deadlines
+    /// *before* taking the engine write lock, so at most one thread
+    /// blocks readers at a time and the rest wait with their deadlines
     /// still ticking.
     writer_lane: Mutex<()>,
     /// Replication feed connections currently streaming.
@@ -233,7 +226,7 @@ enum LoadSource {
     File(String),
 }
 
-/// What one pooled job asks for.
+/// What one request line asks the engine for.
 enum Request {
     Query {
         xpath: String,
@@ -270,8 +263,7 @@ enum Request {
 }
 
 impl Request {
-    /// Control-plane requests skip the query metrics (and are submitted
-    /// on the control lane, bypassing admission capacity).
+    /// Control-plane requests skip the query metrics and the deadline.
     fn is_control(&self) -> bool {
         matches!(
             self,
@@ -284,30 +276,7 @@ impl Request {
     }
 }
 
-/// Where a job's response goes: back into the event loop, as serialized
-/// bytes for line `seq` of connection `conn`.
-pub(crate) struct ReplyTo {
-    completions: Completions,
-    conn: ConnId,
-    seq: u64,
-}
-
-impl ReplyTo {
-    fn deliver(self, result: Result<Outcome, ServerError>) {
-        self.completions
-            .complete(self.conn, self.seq, reply_bytes(&result));
-    }
-}
-
-/// One unit of work handed to the pool.
-pub struct Job {
-    request: Request,
-    limit: usize,
-    deadline: Instant,
-    reply: ReplyTo,
-}
-
-/// A successful job result, ready to serialize.
+/// A successful request's result, ready to serialize.
 enum Outcome {
     Rows {
         rendered: Rendered,
@@ -361,27 +330,28 @@ fn query_err(e: impl std::fmt::Display) -> ServerError {
     ServerError::Query(e.to_string())
 }
 
-/// Runs one job on a worker thread and replies to its connection.
-pub(crate) fn execute_job(shared: &Shared, job: Job) {
+/// Runs one request on the connection's thread, which set `deadline` when
+/// it parsed the line, and counts it in the metrics.
+fn execute(
+    shared: &Shared,
+    request: &Request,
+    limit: usize,
+    deadline: Instant,
+) -> Result<Outcome, ServerError> {
     let _active = ActiveGuard::enter(&shared.metrics);
-    let now = Instant::now();
     // Control verbs are not deadline-bound: STATS/LAG must answer even
     // under an aggressive query-timeout policy.
-    if now >= job.deadline && !job.request.is_control() {
+    if Instant::now() >= deadline && !request.is_control() {
         shared.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
-        job.reply
-            .deliver(Err(ServerError::Timeout(shared.config.query_timeout)));
-        return;
+        return Err(ServerError::Timeout(shared.config.query_timeout));
     }
-    let result = match &job.request {
-        Request::Query { xpath, doc } => {
-            run_query(shared, xpath, doc.as_deref(), job.limit, job.deadline)
-        }
-        Request::Eval { xpath, doc } => run_eval(shared, xpath, doc.as_deref(), job.limit),
+    let result = match request {
+        Request::Query { xpath, doc } => run_query(shared, xpath, doc.as_deref(), limit, deadline),
+        Request::Eval { xpath, doc } => run_eval(shared, xpath, doc.as_deref(), limit),
         Request::Explain { xpath, json, doc } => run_explain(shared, xpath, *json, doc.as_deref()),
         Request::Analyze { xpath, json, doc } => run_analyze(shared, xpath, *json, doc.as_deref()),
-        Request::Update { doc, op } => run_update(shared, doc, op, job.deadline),
-        Request::Checkpoint => run_checkpoint(shared, job.deadline),
+        Request::Update { doc, op } => run_update(shared, doc, op, deadline),
+        Request::Checkpoint => run_checkpoint(shared, deadline),
         Request::Load { name, source } => run_load(shared, name, source),
         Request::Stats => Ok(Outcome::Lines {
             lines: render_stats(shared),
@@ -423,7 +393,7 @@ pub(crate) fn execute_job(shared: &Shared, job: Job) {
     };
     // Control verbs and loads are not queries: keep the latency
     // histogram and error counters meaningful for query traffic.
-    let is_query = !job.request.is_control() && !matches!(job.request, Request::Load { .. });
+    let is_query = !request.is_control() && !matches!(request, Request::Load { .. });
     match &result {
         Ok(outcome) if is_query => {
             shared.metrics.queries.fetch_add(1, Ordering::Relaxed);
@@ -479,7 +449,7 @@ pub(crate) fn execute_job(shared: &Shared, job: Job) {
         }
         Err(_) => {}
     }
-    job.reply.deliver(result);
+    result
 }
 
 /// Executes `xpath` over every document (or just `doc`) through the
@@ -766,7 +736,7 @@ fn run_checkpoint(shared: &Shared, deadline: Instant) -> Result<Outcome, ServerE
     })
 }
 
-/// Handles `LOAD`/`LOADXML` on a worker (engine write lock).
+/// Handles `LOAD`/`LOADXML` (engine write lock).
 fn run_load(shared: &Shared, name: &str, source: &LoadSource) -> Result<Outcome, ServerError> {
     let xml = match source {
         LoadSource::Inline(xml) => xml.clone(),
@@ -855,16 +825,16 @@ fn escape_line(s: &str) -> String {
     out
 }
 
-/// The query service: a TCP listener plus the worker pool behind it.
+/// The query service: a TCP listener and the state its connection
+/// threads share.
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    pool: Arc<WorkerPool<Job>>,
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:4050`, port 0 for ephemeral) and
-    /// spins up the worker pool over `engine`.
+    /// Binds `addr` (e.g. `127.0.0.1:4050`, port 0 for ephemeral) over
+    /// `engine`.
     pub fn bind(
         addr: impl std::net::ToSocketAddrs,
         engine: Engine,
@@ -908,20 +878,7 @@ impl Server {
             writer_lane: Mutex::new(()),
             feeds: AtomicU64::new(0),
         });
-        let pool = {
-            let shared = Arc::clone(&shared);
-            Arc::new(WorkerPool::new(
-                config.workers,
-                config.queue_depth,
-                "vamana-worker",
-                move |job| execute_job(&shared, job),
-            ))
-        };
-        Ok(Server {
-            listener,
-            shared,
-            pool,
-        })
+        Ok(Server { listener, shared })
     }
 
     /// The bound address (resolves port 0).
@@ -934,44 +891,39 @@ impl Server {
         &self.shared
     }
 
-    /// Serves until [`ServerHandle::stop`] flips the stop flag (or
-    /// forever when run directly): one event-loop thread for every
-    /// connection (see [`event`]).
-    pub fn run(self) -> std::io::Result<()> {
-        let completions = Completions::new()?;
-        let service = Arc::new(EventService {
+    fn start(self) -> std::io::Result<event::Running<EventService>> {
+        let workers = self.shared.config.workers;
+        let service = EventService {
             shared: Arc::clone(&self.shared),
-            pool: Arc::clone(&self.pool),
-            completions: completions.clone(),
-            limits: Mutex::new(HashMap::new()),
-        });
-        let shared = Arc::clone(&self.shared);
-        event::run_event_loop(self.listener, service, completions, move || {
-            shared.stopping.load(Ordering::SeqCst)
-        })
+        };
+        event::start(self.listener, service, workers, "vamana-conn")
     }
 
-    /// Runs the connection core on a background thread, returning a
-    /// handle to stop it (used by tests and the REPL's `.serve`).
+    /// Serves forever on [`ServerConfig::workers`] connection threads
+    /// (see [`event`]), blocking the caller.
+    pub fn run(self) -> std::io::Result<()> {
+        self.start()?.join();
+        Ok(())
+    }
+
+    /// Serves on background connection threads, returning a handle to
+    /// stop them (used by tests and the REPL's `.serve`).
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let shared = Arc::clone(&self.shared);
-        let thread = std::thread::Builder::new()
-            .name("vamana-accept".into())
-            .spawn(move || self.run())?;
         Ok(ServerHandle {
             addr,
             shared,
-            thread: Some(thread),
+            core: Some(self.start()?),
         })
     }
 }
 
-/// A running server; dropping it stops the accept loop.
+/// A running server; dropping it stops the service.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    thread: Option<std::thread::JoinHandle<std::io::Result<()>>>,
+    core: Option<event::Running<EventService>>,
 }
 
 impl ServerHandle {
@@ -985,21 +937,19 @@ impl ServerHandle {
         &self.shared
     }
 
-    /// Stops accepting and joins the connection core. Existing
-    /// connections finish their in-flight request and then fail on the
-    /// next read.
+    /// Stops serving and joins every connection thread. A request in
+    /// flight is answered first; then every connection is closed.
     pub fn stop(mut self) {
         self.stop_inner();
     }
 
     fn stop_inner(&mut self) {
-        let Some(thread) = self.thread.take() else {
+        let Some(core) = self.core.take() else {
             return;
         };
+        // Replication feeds run on threads of their own and watch this.
         self.shared.stopping.store(true, Ordering::SeqCst);
-        // Wake the poller with a no-op connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = thread.join();
+        core.stop();
     }
 }
 
@@ -1013,10 +963,8 @@ impl Drop for ServerHandle {
 enum Parsed {
     /// Answer immediately with this one line (no trailing newline).
     Inline(String),
-    /// Submit on the admission-controlled lane.
-    Job(Request),
-    /// Submit on the control lane (no capacity rejection).
-    Control(Request),
+    /// Run against the engine.
+    Run(Request),
     /// Set the per-connection row cap.
     Limit(usize),
     /// `QUIT`.
@@ -1051,16 +999,16 @@ fn parse_line(config: &ServerConfig, request: &str) -> Parsed {
             Ok(n) => Parsed::Limit(n),
             Err(_) => Parsed::Inline("ERR proto LIMIT needs a non-negative integer".into()),
         },
-        "STATS" => Parsed::Control(Request::Stats),
-        "DOCS" => Parsed::Control(Request::Docs),
+        "STATS" => Parsed::Run(Request::Stats),
+        "DOCS" => Parsed::Run(Request::Docs),
         // Query-cache inspection. Allowed on replicas: the cache is
         // node-local derived state, not document data.
         "CACHE" => match rest {
-            "" | "LIST" => Parsed::Control(Request::CacheList),
-            "CLEAR" => Parsed::Control(Request::CacheClear),
+            "" | "LIST" => Parsed::Run(Request::CacheList),
+            "CLEAR" => Parsed::Run(Request::CacheClear),
             _ => Parsed::Inline("ERR proto CACHE takes LIST or CLEAR".into()),
         },
-        "LAG" => Parsed::Control(Request::Lag),
+        "LAG" => Parsed::Run(Request::Lag),
         "REPLICATE" => match rest.parse::<u64>() {
             Ok(from) => Parsed::Feed(from),
             Err(_) => Parsed::Inline("ERR proto REPLICATE needs a starting LSN".into()),
@@ -1074,13 +1022,13 @@ fn parse_line(config: &ServerConfig, request: &str) -> Parsed {
             } else {
                 LoadSource::Inline(payload.to_string())
             };
-            Parsed::Job(Request::Load {
+            Parsed::Run(Request::Load {
                 name: name.to_string(),
                 source,
             })
         }
         "INSERT" | "DELETE" | "CHECKPOINT" => match parse_update(verb, rest) {
-            Ok(request) => Parsed::Job(request),
+            Ok(request) => Parsed::Run(request),
             Err(msg) => Parsed::Inline(format!("ERR proto {msg}")),
         },
         "QUERY" | "EVAL" | "EXPLAIN" | "ANALYZE" => {
@@ -1108,7 +1056,7 @@ fn parse_line(config: &ServerConfig, request: &str) -> Parsed {
                 return Parsed::Inline(format!("ERR proto {verb} needs an XPath expression"));
             }
             let xpath = xpath.to_string();
-            Parsed::Job(match verb {
+            Parsed::Run(match verb {
                 "QUERY" => Request::Query { xpath, doc },
                 "EVAL" => Request::Eval { xpath, doc },
                 "EXPLAIN" => Request::Explain { xpath, json, doc },
@@ -1119,99 +1067,53 @@ fn parse_line(config: &ServerConfig, request: &str) -> Parsed {
     }
 }
 
-/// The [`LineService`] adapter running the VAMANA protocol on the
-/// nonblocking core: cheap verbs answer inline on the loop, everything
-/// touching the engine dispatches to the worker pool and completes
-/// asynchronously.
+/// The [`LineService`] running the VAMANA protocol on the connection
+/// core; a connection's session is its row cap (`LIMIT`).
 struct EventService {
     shared: Arc<Shared>,
-    pool: Arc<WorkerPool<Job>>,
-    completions: Completions,
-    /// Per-connection `LIMIT` overrides.
-    limits: Mutex<HashMap<ConnId, usize>>,
-}
-
-impl EventService {
-    fn limit_for(&self, conn: ConnId) -> usize {
-        *self
-            .limits
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&conn)
-            .unwrap_or(&self.shared.config.default_limit)
-    }
-
-    fn submit(&self, conn: ConnId, seq: u64, request: Request, control: bool) -> Dispatch {
-        let job = Job {
-            limit: self.limit_for(conn),
-            deadline: Instant::now() + self.shared.config.query_timeout,
-            reply: ReplyTo {
-                completions: self.completions.clone(),
-                conn,
-                seq,
-            },
-            request,
-        };
-        let submitted = if control {
-            self.pool.submit(job)
-        } else {
-            self.pool.try_submit(job)
-        };
-        match submitted {
-            Ok(()) => Dispatch::Pending,
-            Err(_) => {
-                self.shared
-                    .metrics
-                    .busy_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                Dispatch::Reply(format!("ERR {}\n", ServerError::Busy).into_bytes())
-            }
-        }
-    }
 }
 
 impl LineService for EventService {
-    fn handle(&self, conn: ConnId, seq: u64, line: &str) -> Dispatch {
-        match parse_line(&self.shared.config, line) {
-            Parsed::Inline(reply) => Dispatch::Reply(format!("{reply}\n").into_bytes()),
-            Parsed::Limit(n) => {
-                self.limits
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(conn, n);
-                Dispatch::Reply(format!("OK limit {n}\n").into_bytes())
-            }
-            Parsed::Quit => Dispatch::ReplyClose(b"OK bye\n".to_vec()),
-            Parsed::Feed(from) => {
-                let shared = Arc::clone(&self.shared);
-                Dispatch::Handoff(Box::new(move |stream| {
-                    let _ = feed::serve_feed(stream, &shared, from);
-                }))
-            }
-            Parsed::Job(request) => self.submit(conn, seq, request, false),
-            Parsed::Control(request) => self.submit(conn, seq, request, true),
-        }
-    }
+    type Session = usize;
 
-    fn on_open(&self, _conn: ConnId) {
+    fn open(&self) -> usize {
         self.shared
             .metrics
             .connections
             .fetch_add(1, Ordering::Relaxed);
+        self.shared.config.default_limit
     }
 
-    fn on_close(&self, conn: ConnId) {
-        self.limits
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&conn);
+    fn handle(&self, limit: &mut usize, line: &str, out: &mut Vec<u8>) -> Dispatch {
+        match parse_line(&self.shared.config, line) {
+            Parsed::Inline(reply) => {
+                let _ = writeln!(out, "{reply}");
+            }
+            Parsed::Limit(n) => {
+                *limit = n;
+                let _ = writeln!(out, "OK limit {n}");
+            }
+            Parsed::Quit => {
+                out.extend_from_slice(b"OK bye\n");
+                return Dispatch::Close;
+            }
+            Parsed::Feed(from) => {
+                let shared = Arc::clone(&self.shared);
+                return Dispatch::Handoff(Box::new(move |stream| {
+                    let _ = feed::serve_feed(stream, &shared, from);
+                }));
+            }
+            Parsed::Run(request) => {
+                let deadline = Instant::now() + self.shared.config.query_timeout;
+                write_reply(&execute(&self.shared, &request, *limit, deadline), out);
+            }
+        }
+        Dispatch::Next
     }
 }
 
-/// Serializes a job result into protocol bytes.
-fn reply_bytes(result: &Result<Outcome, ServerError>) -> Vec<u8> {
-    use std::fmt::Write as _;
-    let mut out = String::new();
+/// Serializes a request's result into protocol lines.
+fn write_reply(result: &Result<Outcome, ServerError>, out: &mut Vec<u8>) {
     match result {
         Ok(Outcome::Rows {
             rendered,
@@ -1285,7 +1187,6 @@ fn reply_bytes(result: &Result<Outcome, ServerError>) -> Vec<u8> {
             let _ = writeln!(out, "ERR {e}");
         }
     }
-    out.into_bytes()
 }
 
 /// Parses `INSERT <doc> <target> <fragment>`, `DELETE <doc> <target>`
@@ -1345,7 +1246,6 @@ fn render_stats(shared: &Shared) -> Vec<String> {
         engine.views().shapes()
     ));
     out.push(format!("STAT workers {}", shared.config.workers));
-    out.push(format!("STAT queue_depth {}", shared.config.queue_depth));
     let stats = engine.store().stats();
     out.push(format!("STAT documents {}", stats.documents));
     out.push(format!("STAT store_tuples {}", stats.tuples));
@@ -1599,7 +1499,6 @@ mod tests {
     fn config_defaults_are_sane() {
         let c = ServerConfig::default();
         assert!(c.workers >= 1);
-        assert!(c.queue_depth >= c.workers);
         assert!(c.query_timeout > Duration::ZERO);
     }
 
@@ -1614,15 +1513,15 @@ mod tests {
         assert!(matches!(parse_line(&config, "LIMIT 5"), Parsed::Limit(5)));
         assert!(matches!(
             parse_line(&config, "QUERY //a"),
-            Parsed::Job(Request::Query { doc: None, .. })
+            Parsed::Run(Request::Query { doc: None, .. })
         ));
         assert!(matches!(
             parse_line(&config, "QUERY DOC auction //a"),
-            Parsed::Job(Request::Query { doc: Some(d), .. }) if d == "auction"
+            Parsed::Run(Request::Query { doc: Some(d), .. }) if d == "auction"
         ));
         assert!(matches!(
             parse_line(&config, "ANALYZE JSON DOC auction //a"),
-            Parsed::Job(Request::Analyze {
+            Parsed::Run(Request::Analyze {
                 doc: Some(_),
                 json: true,
                 ..
@@ -1630,11 +1529,11 @@ mod tests {
         ));
         assert!(matches!(
             parse_line(&config, "STATS"),
-            Parsed::Control(Request::Stats)
+            Parsed::Run(Request::Stats)
         ));
         assert!(matches!(
             parse_line(&config, "DOCS"),
-            Parsed::Control(Request::Docs)
+            Parsed::Run(Request::Docs)
         ));
         assert!(matches!(
             parse_line(&config, "REPLICATE 7"),
@@ -1661,6 +1560,6 @@ mod tests {
                 Parsed::Inline(s) if s.starts_with("ERR readonly")
             ));
         }
-        assert!(matches!(parse_line(&config, "QUERY //a"), Parsed::Job(_)));
+        assert!(matches!(parse_line(&config, "QUERY //a"), Parsed::Run(_)));
     }
 }

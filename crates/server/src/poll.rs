@@ -6,46 +6,23 @@
 //! vendored-deps philosophy as `shims/{rand,proptest,criterion}`: the
 //! smallest API subset the workspace needs, no external crate).
 //!
-//! [`Poller`] is level-triggered: a registered descriptor is reported
-//! on every [`Poller::wait`] while it stays readable/writable, which
-//! lets the event loop do bounded work per wakeup without tracking
-//! edge state. [`Waker`] is a nonblocking socketpair whose read end is
-//! registered like any connection — worker threads wake the loop by
-//! writing one byte, and the loop drains it on service.
+//! One [`Poller`] is waited on by several threads at once, and each
+//! [`Poller::wait`] hands its caller a single ready token. Readiness is
+//! level-triggered. A descriptor registered with [`ONESHOT`] is reported
+//! once and then disarmed until [`Poller::modify`] re-arms it, so exactly
+//! one thread holds it in between; re-armed while still ready, it fires
+//! again at once. A descriptor registered without [`ONESHOT`] is reported
+//! to every waiting thread for as long as it stays ready.
 
 use std::io;
-use std::net::TcpStream;
-use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::fd::RawFd;
 
 /// Interest in readability (`EPOLLIN`).
 pub const READABLE: u32 = 0x001;
 /// Interest in writability (`EPOLLOUT`).
 pub const WRITABLE: u32 = 0x004;
-/// Peer hangup (`EPOLLHUP` | `EPOLLERR` | `EPOLLRDHUP`) — always
-/// reported, never requested.
-pub const HANGUP: u32 = 0x010 | 0x008 | 0x2000;
-
-/// One readiness event: which registered token fired and how.
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    /// The token the descriptor was registered with.
-    pub token: u64,
-    /// Bitmask of [`READABLE`] / [`WRITABLE`] / [`HANGUP`].
-    pub ready: u32,
-}
-
-impl Event {
-    /// The descriptor has bytes to read (or a pending accept).
-    pub fn readable(&self) -> bool {
-        self.ready & (READABLE | HANGUP) != 0
-    }
-
-    /// The descriptor can accept more bytes.
-    pub fn writable(&self) -> bool {
-        self.ready & (WRITABLE | HANGUP) != 0
-    }
-}
+/// Report once, then disarm until re-armed (`EPOLLONESHOT`).
+pub const ONESHOT: u32 = 1 << 30;
 
 /// The kernel's `struct epoll_event`. Packed on x86-64 (the kernel ABI
 /// there has no padding between the 32-bit mask and the 64-bit data).
@@ -102,13 +79,14 @@ impl Poller {
         Ok(())
     }
 
-    /// Registers `fd` under `token` with `interest`
-    /// ([`READABLE`] and/or [`WRITABLE`]).
+    /// Registers `fd` under `token` with `interest` ([`READABLE`] and/or
+    /// [`WRITABLE`], optionally [`ONESHOT`]).
     pub fn register(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, interest, token)
     }
 
-    /// Changes the interest set of an already-registered descriptor.
+    /// Changes the interest set of a registered descriptor; this is also
+    /// how a [`ONESHOT`] descriptor is re-armed.
     pub fn modify(&self, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, interest, token)
     }
@@ -119,30 +97,22 @@ impl Poller {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Blocks up to `timeout_ms` (−1 = forever) for readiness, filling
-    /// `out`. Spurious empty returns (EINTR, timeout) yield `Ok(())`
-    /// with `out` empty.
-    pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-        out.clear();
-        let mut buf = [EpollEvent { events: 0, data: 0 }; 128];
-        // SAFETY: `buf` is a valid writable array of `buf.len()` events.
-        let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms) };
+    /// Blocks up to `timeout_ms` (−1 = forever) for one ready descriptor
+    /// and returns its token; `None` on timeout or EINTR.
+    pub fn wait(&self, timeout_ms: i32) -> io::Result<Option<u64>> {
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: `ev` is one valid writable event.
+        let n = unsafe { epoll_wait(self.epfd, &mut ev, 1, timeout_ms) };
         if n < 0 {
             let err = io::Error::last_os_error();
             if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
+                return Ok(None);
             }
             return Err(err);
         }
-        for ev in &buf[..n as usize] {
-            // A packed struct's fields must be copied out before use.
-            let (events, data) = (ev.events, ev.data);
-            out.push(Event {
-                token: data,
-                ready: events,
-            });
-        }
-        Ok(())
+        // A packed struct's fields must be copied out before use.
+        let token = ev.data;
+        Ok((n == 1).then_some(token))
     }
 }
 
@@ -153,159 +123,54 @@ impl Drop for Poller {
     }
 }
 
-/// Wakes a [`Poller`] from another thread: a nonblocking loopback
-/// socket pair whose read end is registered in the poll set.
-pub struct Waker {
-    /// Read side, registered by the event loop.
-    reader: TcpStream,
-    writer: TcpStream,
-    /// Collapses bursts of wakes into one pending byte.
-    pending: AtomicBool,
-}
-
-/// The reserved token wakers are registered under.
-pub const WAKER_TOKEN: u64 = 1;
-
-impl Waker {
-    /// Builds the pair. Uses a loopback TCP pair rather than a Unix
-    /// socketpair so the code stays within `std::net` (the rest of the
-    /// server is TCP anyway and the pair never leaves the process).
-    pub fn new() -> io::Result<Waker> {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-        let writer = TcpStream::connect(listener.local_addr()?)?;
-        let (reader, _) = listener.accept()?;
-        reader.set_nonblocking(true)?;
-        writer.set_nonblocking(true)?;
-        writer.set_nodelay(true)?;
-        Ok(Waker {
-            reader,
-            writer,
-            pending: AtomicBool::new(false),
-        })
-    }
-
-    /// The descriptor the event loop registers ([`WAKER_TOKEN`]).
-    pub fn fd(&self) -> RawFd {
-        self.reader.as_raw_fd()
-    }
-
-    /// Wakes the poller. Cheap when a wake is already pending.
-    pub fn wake(&self) {
-        if self.pending.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        use std::io::Write;
-        let _ = (&self.writer).write(&[1u8]);
-    }
-
-    /// Drains pending wake bytes; called by the loop before it takes what
-    /// the wakers queued.
-    ///
-    /// The flag is cleared *after* the bytes are read. Cleared first, a
-    /// [`Waker::wake`] landing between the two would set the flag and
-    /// write a byte this very drain then swallows: flag set, nothing to
-    /// read, and every later wake is skipped as "already pending" until
-    /// some other descriptor happens to wake the loop. This way round a
-    /// wake either sees the flag still set (its work was queued before the
-    /// flag clears, so the take that follows finds it) or writes a byte
-    /// that outlives the drain.
-    pub fn drain(&self) {
-        use std::io::Read;
-        let mut buf = [0u8; 64];
-        while matches!((&self.reader).read(&mut buf), Ok(n) if n > 0) {}
-        self.pending.store(false, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::os::fd::AsRawFd;
 
     #[test]
-    fn poller_reports_readability() {
+    fn a_oneshot_descriptor_fires_once_until_rearmed() {
         let poller = Poller::new().unwrap();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let mut a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (b, _) = listener.accept().unwrap();
         b.set_nonblocking(true).unwrap();
-        poller.register(b.as_raw_fd(), READABLE, 7).unwrap();
-
-        let mut events = Vec::new();
-        poller.wait(&mut events, 10).unwrap();
-        assert!(events.is_empty(), "nothing written yet: {events:?}");
+        poller
+            .register(b.as_raw_fd(), READABLE | ONESHOT, 7)
+            .unwrap();
+        assert_eq!(poller.wait(10).unwrap(), None, "nothing written yet");
 
         a.write_all(b"hello").unwrap();
-        a.flush().unwrap();
-        poller.wait(&mut events, 1000).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable());
+        assert_eq!(poller.wait(1000).unwrap(), Some(7));
+        // Still readable, but disarmed until re-armed...
+        assert_eq!(poller.wait(10).unwrap(), None);
+        // ...and re-armed while still readable, it fires at once.
+        poller.modify(b.as_raw_fd(), READABLE | ONESHOT, 7).unwrap();
+        assert_eq!(poller.wait(1000).unwrap(), Some(7));
 
         let mut buf = [0u8; 8];
         let n = (&b).read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"hello");
     }
 
+    /// A descriptor registered without `ONESHOT` that stays ready wakes
+    /// every thread waiting on the set, not just one.
     #[test]
-    fn waker_wakes_and_drains() {
-        let poller = Poller::new().unwrap();
-        let waker = Waker::new().unwrap();
-        poller.register(waker.fd(), READABLE, WAKER_TOKEN).unwrap();
-        waker.wake();
-        waker.wake(); // coalesced
-        let mut events = Vec::new();
-        poller.wait(&mut events, 1000).unwrap();
-        assert!(events.iter().any(|e| e.token == WAKER_TOKEN));
-        waker.drain();
-        poller.wait(&mut events, 10).unwrap();
-        assert!(events.is_empty(), "drained waker still ready");
-    }
-
-    /// Two closed-loop producers (queue one item, wake, wait for it to be
-    /// taken — a connection with one request in flight) against one loop
-    /// doing wait / drain / take. A wake that a concurrent drain swallows
-    /// leaves both producers waiting on a loop that sleeps: the wait times
-    /// out with work still queued.
-    #[test]
-    fn a_wake_racing_a_drain_is_never_lost() {
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Arc;
-        const ROUNDS: u64 = 50_000;
-        let poller = Poller::new().unwrap();
-        let waker = Arc::new(Waker::new().unwrap());
-        poller.register(waker.fd(), READABLE, WAKER_TOKEN).unwrap();
-        let queued: Arc<[AtomicU64; 2]> = Arc::default();
-        let taken: Arc<[AtomicU64; 2]> = Arc::default();
-        let producers: Vec<_> = (0..2)
-            .map(|p| {
-                let (waker, queued, taken) = (waker.clone(), queued.clone(), taken.clone());
-                std::thread::spawn(move || {
-                    for round in 1..=ROUNDS {
-                        queued[p].store(round, Ordering::Release);
-                        waker.wake();
-                        while taken[p].load(Ordering::Acquire) < round {
-                            std::thread::yield_now();
-                        }
-                    }
-                })
+    fn a_shared_ready_descriptor_wakes_every_waiter() {
+        let poller = std::sync::Arc::new(Poller::new().unwrap());
+        let (signal, _peer) = std::os::unix::net::UnixStream::pair().unwrap();
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let poller = std::sync::Arc::clone(&poller);
+                std::thread::spawn(move || poller.wait(5000).unwrap())
             })
             .collect();
-        let mut events = Vec::new();
-        while taken.iter().any(|t| t.load(Ordering::Relaxed) < ROUNDS) {
-            poller.wait(&mut events, 2000).unwrap();
-            let woken = !events.is_empty();
-            waker.drain();
-            for p in 0..2 {
-                taken[p].store(queued[p].load(Ordering::Acquire), Ordering::Release);
-            }
-            assert!(
-                woken || taken.iter().all(|t| t.load(Ordering::Relaxed) == ROUNDS),
-                "the loop slept through a wake"
-            );
-        }
-        for producer in producers {
-            producer.join().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        poller.register(signal.as_raw_fd(), WRITABLE, 1).unwrap();
+        for waiter in waiters {
+            assert_eq!(waiter.join().unwrap(), Some(1));
         }
     }
 }

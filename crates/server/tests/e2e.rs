@@ -4,8 +4,10 @@
 //! execution, a plan cache that hits on repetition and invalidates on
 //! load, and deadline enforcement.
 
+use std::io::{Read, Write};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vamana_core::Engine;
 use vamana_mass::MassStore;
@@ -363,8 +365,8 @@ fn pipelined_requests_answer_in_order_on_one_connection() {
     use std::io::{BufRead, BufReader, Write};
     let handle = spawn_server(ServerConfig::default());
     // Raw socket: write a burst of requests in one syscall, then read
-    // every response. The event core parses them pipelined; replies
-    // must come back complete and in request order.
+    // every response. The core parses them pipelined; replies must come
+    // back complete and in request order.
     let stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
     let mut writer = stream.try_clone().expect("clone");
     writer
@@ -396,7 +398,7 @@ fn many_idle_connections_do_not_occupy_threads() {
         .collect();
     std::thread::sleep(Duration::from_millis(100));
     // ...and the process thread count stays far below one-per-socket
-    // (loop + workers + test harness, not 128 connection threads).
+    // (connection threads + test harness, not 128 connection threads).
     let threads = std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
@@ -528,5 +530,155 @@ fn a_query_behind_a_writer_counts_its_wait() {
         after - before >= 40_000,
         "reader_wait_us {before} -> {after}"
     );
+    handle.stop();
+}
+
+/// Blocks until `n` requests are running on `handle`'s threads.
+fn wait_for_active(handle: &ServerHandle, n: u64) {
+    let until = Instant::now() + Duration::from_secs(5);
+    while handle
+        .shared()
+        .metrics()
+        .active_workers
+        .load(Ordering::SeqCst)
+        < n
+    {
+        assert!(Instant::now() < until, "no request started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Takes the engine's write lock on another thread and returns once it
+/// is held; that thread lets go of it `hold` later.
+fn hold_engine(handle: &ServerHandle, hold: Duration) -> std::thread::JoinHandle<()> {
+    let shared = Arc::clone(handle.shared());
+    let (held, holding) = std::sync::mpsc::channel();
+    let writer = std::thread::spawn(move || {
+        let _engine = shared.engine().write();
+        held.send(()).expect("the test waits for this");
+        std::thread::sleep(hold);
+    });
+    holding.recv().expect("the writer took the engine");
+    writer
+}
+
+#[test]
+fn a_ping_is_answered_while_another_connection_waits_for_the_engine() {
+    let handle = spawn_server(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let mut a = Client::connect(&handle);
+    let mut b = Client::connect(&handle);
+    assert_eq!(b.round_trip("PING"), vec!["OK pong"]);
+    let writer = hold_engine(&handle, Duration::from_millis(300));
+    let query = std::thread::spawn(move || a.round_trip("QUERY //person/name"));
+    // A's thread is inside the request, blocked on the engine.
+    wait_for_active(&handle, 1);
+    let start = Instant::now();
+    assert_eq!(b.round_trip("PING"), vec!["OK pong"]);
+    let waited = start.elapsed();
+    assert!(waited < Duration::from_millis(50), "PING took {waited:?}");
+    let reply = query.join().unwrap();
+    assert!(reply.last().unwrap().starts_with("OK "), "{reply:?}");
+    writer.join().unwrap();
+    handle.stop();
+}
+
+/// Stops `handle`, asserting it returns within a second and that every
+/// thread has exited: the core owns the listener, which is closed only
+/// once the last thread has dropped its hold on the core.
+fn stop_within_a_second(handle: ServerHandle) {
+    let addr = handle.addr();
+    let start = Instant::now();
+    handle.stop();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "stop took {took:?}");
+    assert!(
+        std::net::TcpStream::connect(addr).is_err(),
+        "the listener outlived stop"
+    );
+}
+
+#[test]
+fn stop_returns_promptly_and_joins_every_thread() {
+    // Every thread idle, one connection open: stop closes it.
+    let handle = spawn_server(ServerConfig::default());
+    let mut idle = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    idle.write_all(b"PING\n").expect("send");
+    let mut pong = [0u8; 8];
+    idle.read_exact(&mut pong).expect("pong");
+    stop_within_a_second(handle);
+    assert!(matches!(idle.read(&mut pong), Ok(0) | Err(_)), "still open");
+
+    // One thread mid-request: the request is answered, then the core stops.
+    let handle = spawn_server(ServerConfig::default());
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    let writer = hold_engine(&handle, Duration::from_millis(300));
+    stream.write_all(b"EVAL count(//person)\n").expect("send");
+    let reader = std::thread::spawn(move || {
+        let mut reply = String::new();
+        let _ = stream.read_to_string(&mut reply);
+        reply
+    });
+    wait_for_active(&handle, 1);
+    stop_within_a_second(handle);
+    writer.join().unwrap();
+    let reply = reader.join().unwrap();
+    assert!(
+        reply.starts_with("VAL ") && reply.contains("\nOK scalar"),
+        "{reply:?}"
+    );
+}
+
+#[test]
+fn eight_pipelined_connections_get_single_threaded_replies_in_order() {
+    let handle = spawn_server(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    const BURST: [&str; 9] = [
+        "LIMIT 0",
+        "QUERY //province",
+        "EVAL count(//person)",
+        "PING",
+        "QUERY //person[@id='person3']/name",
+        "LIMIT 2",
+        "QUERY //open_auction",
+        "QUERY //person[",
+        "EVAL DOC auction count(//item)",
+    ];
+    // Timings and plan sources vary from run to run; rows, values,
+    // counts and errors may not.
+    let stable = |line: &str| -> String {
+        match line.strip_prefix("OK scalar") {
+            Some(_) => "OK scalar".into(),
+            None => line.split(" plan=").next().unwrap().to_string(),
+        }
+    };
+    // The reference: one request at a time on one connection.
+    let mut client = Client::connect(&handle);
+    let once: Vec<String> = BURST
+        .iter()
+        .flat_map(|request| client.round_trip(request))
+        .map(|line| stable(&line))
+        .collect();
+    // Each connection sends the burst three times in one write.
+    let mut expected: Vec<String> = (0..3).flat_map(|_| once.iter().cloned()).collect();
+    expected.push("OK bye".into());
+    let burst = (BURST.join("\n") + "\n").repeat(3) + "QUIT\n";
+    std::thread::scope(|s| {
+        for c in 0..8 {
+            let (addr, burst, expected) = (handle.addr(), &burst, &expected);
+            s.spawn(move || {
+                let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+                stream.write_all(burst.as_bytes()).expect("send");
+                let mut replies = String::new();
+                stream.read_to_string(&mut replies).expect("read");
+                let got: Vec<String> = replies.lines().map(stable).collect();
+                assert_eq!(&got, expected, "connection {c}");
+            });
+        }
+    });
     handle.stop();
 }
