@@ -5,41 +5,40 @@
 //! stdin/stdout.
 //!
 //! ```text
-//! vamana> .load auction.xml            -- load an XML file into MASS
 //! vamana> .generate 5                  -- generate ~5 MB of XMark data
-//! vamana> //person[name='Yung Flach']  -- any XPath runs directly
-//! vamana> .explain //person/address    -- default vs optimized plan
-//! vamana> .count //person              -- index-only count
-//! vamana> .limit 50                    -- rows shown per query (0 = all)
+//! vamana> //person[name='Yung Flach']  -- a bare line runs as EVAL
+//! vamana> .load auction auction.xml    -- any wire verb: LOAD <name> <path>
+//! vamana> .explain //person/address    -- EXPLAIN: default vs optimized plan
+//! vamana> .limit 50                    -- LIMIT: rows shown per query (0 = all)
 //! vamana> .serve 4050                  -- share this session over TCP
-//! vamana> .stats                       -- storage statistics
 //! vamana> .save store.mass | .open store.mass
 //! ```
 //!
-//! The session's engine lives behind a [`SharedEngine`] so `.serve` can
-//! hand the *same* store to a background [`vamana_server::Server`]:
-//! documents loaded at the prompt are immediately queryable over the
-//! wire (the server's plan cache self-invalidates via the store
-//! generation), and vice versa.
+//! A session answers a line the way a server does. It holds the
+//! [`Shared`] state of a service over its engine and sends `.<verb> rest`
+//! as the request line `<VERB> rest`, and any other line as `EVAL <line>`,
+//! through that state's own parser, executor and reply writer: what it
+//! prints is the wire reply. `.serve` binds a listener over the same
+//! state, so documents loaded at the prompt are queryable over the wire,
+//! and vice versa. Only what belongs to the session has a command of its
+//! own: generating data, XQuery, the optimizer switch, files, and talking
+//! to another endpoint.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use vamana_core::{DocId, Engine, MassStore, SharedEngine, UpdateOp, Value};
+use std::time::Duration;
+use vamana_core::{DocId, Engine, MassStore, SharedEngine};
 use vamana_mass::{pager::FilePager, FsyncPolicy};
-use vamana_server::{render_rows, RenderOptions, Server, ServerConfig, ServerHandle};
-
-/// Result rows printed per query unless `.limit` changes it.
-const DEFAULT_MAX_ROWS: usize = 20;
-
-/// Characters of string-value shown per row.
-const VALUE_WIDTH: usize = 60;
+use vamana_server::event::{read_line_capped, Dispatch, LineService};
+use vamana_server::{Server, ServerConfig, ServerHandle, Shared};
 
 /// The interactive session state.
 pub struct Session {
-    engine: Arc<SharedEngine>,
-    /// Maximum rows rendered per query (`0` = unlimited).
+    /// The service state the session's lines run through.
+    shared: Arc<Shared>,
+    /// The session's row cap, as `LIMIT` sets it.
     limit: usize,
-    /// A `.serve` instance sharing this session's engine, if running.
+    /// A `.serve` instance over the same state, if running.
     server: Option<ServerHandle>,
 }
 
@@ -50,18 +49,25 @@ impl Default for Session {
 }
 
 impl Session {
-    /// A session over an empty in-memory store.
+    /// A session over an empty in-memory store. Rows show 60 characters
+    /// of string-value, and a query typed at the prompt has no deadline.
     pub fn new() -> Self {
+        let engine = Arc::new(SharedEngine::new(Engine::new(MassStore::open_memory())));
+        let config = ServerConfig {
+            value_width: 60,
+            query_timeout: Duration::from_secs(u32::MAX.into()),
+            ..ServerConfig::default()
+        };
         Session {
-            engine: Arc::new(SharedEngine::new(Engine::new(MassStore::open_memory()))),
-            limit: DEFAULT_MAX_ROWS,
+            limit: config.default_limit,
+            shared: Shared::new(engine, config),
             server: None,
         }
     }
 
     /// The shared engine behind the session (and any `.serve` instance).
     pub fn engine(&self) -> &Arc<SharedEngine> {
-        &self.engine
+        self.shared.engine()
     }
 
     /// The address of the running `.serve` instance, if any.
@@ -81,68 +87,44 @@ impl Session {
         }
         Some(match self.dispatch(line) {
             Ok(out) => out,
-            Err(e) => format!("error: {e}"),
+            Err(e) => format!("ERR shell {e}"),
         })
     }
 
     fn dispatch(&mut self, line: &str) -> Result<String, Box<dyn std::error::Error>> {
-        if let Some(rest) = line.strip_prefix('.') {
-            let (cmd, arg) = match rest.split_once(char::is_whitespace) {
-                Some((c, a)) => (c, a.trim()),
-                None => (rest, ""),
-            };
-            return match cmd {
-                "help" => Ok(HELP.to_string()),
-                "load" => self.cmd_load(arg),
-                "generate" => self.cmd_generate(arg),
-                "explain" => self.cmd_explain(arg),
-                "analyze" => self.cmd_analyze(arg),
-                "count" => self.cmd_count(arg),
-                "limit" => self.cmd_limit(arg),
-                "serve" => self.cmd_serve(arg),
-                "stats" => Ok(self.cmd_stats()),
-                "docs" => Ok(self.cmd_docs()),
-                "optimizer" => self.cmd_optimizer(arg),
-                "views" => self.cmd_views(arg),
-                "xquery" => self.cmd_xquery(arg),
-                "insert" => self.cmd_insert(arg),
-                "delete" => self.cmd_delete(arg),
-                "checkpoint" => self.cmd_checkpoint(),
-                "wal" => Ok(self.cmd_wal()),
-                "replica" => self.cmd_replica(arg),
-                "topology" => self.cmd_topology(arg),
-                "router" => self.cmd_router(arg),
-                "save" => self.cmd_save(arg),
-                "open" => self.cmd_open(arg),
-                other => Err(format!("unknown command .{other}; try .help").into()),
-            };
+        let Some(rest) = line.strip_prefix('.') else {
+            return Ok(self.request(&format!("EVAL {line}")));
+        };
+        let (cmd, arg) = match rest.split_once(char::is_whitespace) {
+            Some((c, a)) => (c, a.trim()),
+            None => (rest, ""),
+        };
+        match cmd {
+            "help" => Ok(HELP.to_string()),
+            "generate" => self.cmd_generate(arg),
+            "serve" => self.cmd_serve(arg),
+            "optimizer" => self.cmd_optimizer(arg),
+            "xquery" => self.cmd_xquery(arg),
+            "router" => self.cmd_router(arg),
+            "save" => self.cmd_save(arg),
+            "open" => self.cmd_open(arg),
+            verb => {
+                let line = format!("{} {arg}", verb.to_ascii_uppercase());
+                Ok(self.request(line.trim_end()))
+            }
         }
-        self.cmd_query(line)
     }
 
-    fn require_docs(&self) -> Result<(), Box<dyn std::error::Error>> {
-        if self.engine.read().store().documents().is_empty() {
-            return Err("no documents loaded — use .load <file> or .generate <mb>".into());
+    /// Answers one request line as a connection of the session's service
+    /// would, and returns the reply without its last newline.
+    fn request(&mut self, line: &str) -> String {
+        let mut out = Vec::new();
+        if let Dispatch::Handoff(_) = self.shared.handle(&mut self.limit, line, &mut out) {
+            return "ERR proto REPLICATE needs a connection of its own (see .serve)".into();
         }
-        Ok(())
-    }
-
-    fn cmd_load(&mut self, path: &str) -> Result<String, Box<dyn std::error::Error>> {
-        if path.is_empty() {
-            return Err(".load needs a file path".into());
-        }
-        let xml = std::fs::read_to_string(path)?;
-        let t = std::time::Instant::now();
-        let id = self.engine.load_xml(path, &xml)?;
-        let engine = self.engine.read();
-        let stats = engine.store().stats();
-        Ok(format!(
-            "loaded {path} as document {} in {:.2?} ({} tuples on {} pages)",
-            id.0,
-            t.elapsed(),
-            stats.tuples,
-            stats.pages
-        ))
+        let mut out = String::from_utf8(out).expect("replies are UTF-8");
+        out.pop();
+        out
     }
 
     fn cmd_generate(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
@@ -167,68 +149,13 @@ impl Session {
         let mut xml = Vec::new();
         vamana_xmark::generate_to(&config, &mut xml)?;
         let xml = String::from_utf8(xml).expect("generator emits UTF-8");
-        let id = self.engine.load_xml("xmark-generated", &xml)?;
+        let id = self.engine().load_xml("xmark-generated", &xml)?;
         Ok(format!(
             "generated {:.1} MB of XMark data as document {} in {:.2?}",
             xml.len() as f64 / 1_048_576.0,
             id.0,
             t.elapsed()
         ))
-    }
-
-    fn cmd_query(&mut self, xpath: &str) -> Result<String, Box<dyn std::error::Error>> {
-        self.require_docs()?;
-        let engine = self.engine.read();
-        let t = std::time::Instant::now();
-        let value = engine.evaluate(DocId(0), xpath)?;
-        let elapsed = t.elapsed();
-        let mut out = String::new();
-        match value {
-            Value::Nodes(nodes) => {
-                let rendered = render_rows(
-                    &engine,
-                    &nodes,
-                    &RenderOptions {
-                        limit: self.limit,
-                        value_width: VALUE_WIDTH,
-                    },
-                )?;
-                for line in &rendered.lines {
-                    let _ = writeln!(out, "  {line}");
-                }
-                if rendered.truncated() > 0 {
-                    let _ = writeln!(out, "  … {} more", rendered.truncated());
-                }
-                let _ = write!(out, "{} node(s) in {elapsed:.2?}", rendered.total);
-            }
-            Value::Num(n) => {
-                let _ = write!(out, "{n} ({elapsed:.2?})");
-            }
-            Value::Str(s) => {
-                let _ = write!(out, "\"{s}\" ({elapsed:.2?})");
-            }
-            Value::Bool(b) => {
-                let _ = write!(out, "{b} ({elapsed:.2?})");
-            }
-        }
-        Ok(out)
-    }
-
-    fn cmd_limit(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
-        if arg.is_empty() {
-            return Ok(match self.limit {
-                0 => "limit is 0 (unlimited)".to_string(),
-                n => format!("limit is {n} row(s)"),
-            });
-        }
-        let n: usize = arg
-            .parse()
-            .map_err(|_| format!(".limit needs a non-negative integer, got `{arg}`"))?;
-        self.limit = n;
-        Ok(match n {
-            0 => "limit set to 0 (unlimited)".to_string(),
-            n => format!("limit set to {n} row(s)"),
-        })
     }
 
     fn cmd_serve(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
@@ -252,11 +179,7 @@ impl Session {
                 let port: u16 = port
                     .parse()
                     .map_err(|_| format!(".serve needs a port number, got `{port}`"))?;
-                let server = Server::bind_shared(
-                    ("127.0.0.1", port),
-                    Arc::clone(&self.engine),
-                    ServerConfig::default(),
-                )?;
+                let server = Server::over(("127.0.0.1", port), Arc::clone(&self.shared))?;
                 let handle = server.spawn()?;
                 let addr = handle.addr();
                 self.server = Some(handle);
@@ -267,140 +190,19 @@ impl Session {
         }
     }
 
-    fn cmd_explain(&mut self, xpath: &str) -> Result<String, Box<dyn std::error::Error>> {
-        self.require_docs()?;
-        if xpath.is_empty() {
-            return Err(".explain needs an XPath expression".into());
-        }
-        let ex = self.engine.read().explain(DocId(0), xpath)?;
-        let mut out = String::new();
-        let _ = writeln!(out, "default plan (Σ tuple volume {}):", ex.default_cost);
-        out.push_str(&ex.default_plan);
-        let _ = writeln!(
-            out,
-            "optimized plan (Σ tuple volume {}; rules {:?}; {} iteration(s)):",
-            ex.optimized_cost, ex.applied, ex.iterations
-        );
-        out.push_str(&ex.optimized_plan);
-        out.push_str("optimizer trace:\n");
-        out.push_str(&ex.opt_trace.render());
-        Ok(out)
-    }
-
-    fn cmd_analyze(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
-        self.require_docs()?;
-        let (json, xpath) = match arg.strip_prefix("json") {
-            Some(rest) if rest.starts_with(char::is_whitespace) => (true, rest.trim()),
-            _ => (false, arg),
-        };
-        if xpath.is_empty() {
-            return Err(".analyze needs an XPath expression".into());
-        }
-        let analysis = self.engine.read().analyze_doc(DocId(0), xpath)?;
-        if json {
-            return Ok(analysis.render_json());
-        }
-        let mut out = analysis.render();
-        out.push_str("optimizer trace:\n");
-        out.push_str(&analysis.opt_trace.render());
-        let p = &analysis.profile;
-        let _ = write!(
-            out,
-            "profile: {:.2?}, {} hit(s) / {} miss(es), {} batch pin(s), {} morsel(s)",
-            p.elapsed, p.buffer_hits, p.buffer_misses, p.batch_pins, p.morsels
-        );
-        Ok(out)
-    }
-
-    fn cmd_count(&mut self, xpath: &str) -> Result<String, Box<dyn std::error::Error>> {
-        self.require_docs()?;
-        if xpath.is_empty() {
-            return Err(".count needs an XPath expression".into());
-        }
-        let t = std::time::Instant::now();
-        let v = self
-            .engine
-            .read()
-            .evaluate(DocId(0), &format!("count({xpath})"))?;
-        match v {
-            Value::Num(n) => Ok(format!("{n} ({:.2?})", t.elapsed())),
-            other => Err(format!("unexpected result {other:?}").into()),
-        }
-    }
-
-    fn cmd_xquery(&mut self, query: &str) -> Result<String, Box<dyn std::error::Error>> {
-        self.require_docs()?;
-        if query.is_empty() {
-            return Err(".xquery needs a FLWOR expression".into());
-        }
-        let t = std::time::Instant::now();
-        let engine = self.engine.read();
-        let xq = vamana_xquery::XQueryEngine::new(&engine);
-        let out = xq.eval_to_xml(query)?;
-        Ok(format!("{out}\n({:.2?})", t.elapsed()))
-    }
-
-    fn cmd_stats(&self) -> String {
-        let engine = self.engine.read();
-        let s = engine.store().stats();
-        let p = engine.parallel_stats();
-        format!(
-            "documents: {}\ntuples:    {}\npages:     {} ({:.1} tuples/page)\nnames:     {}\nvalues:    {}\nstorage:   format {} / {} compressed + {} uncompressed pages / {} dict entries\n           {} bytes on disk ({:.2}x compression, {:.1} bytes/tuple)\ndecodes:   {} v1 / {} v2 / {} format fallbacks\nbuffer:    {} hits / {} misses / {} evictions ({:.1}% hit ratio)\nbatched:   {} batch pins / {} pins saved\nparallel:  {} workers / {} morsels / {} batches / {} merge stalls",
-            s.documents,
-            s.tuples,
-            s.pages,
-            s.tuples_per_page(),
-            s.distinct_names,
-            s.distinct_values,
-            s.format.as_str(),
-            s.compressed_pages,
-            s.uncompressed_pages,
-            s.dict_entries,
-            s.disk_bytes(),
-            s.compression_ratio(),
-            s.bytes_per_tuple(),
-            s.buffer.decodes_v1,
-            s.buffer.decodes_v2,
-            s.buffer.format_fallbacks,
-            s.buffer.hits,
-            s.buffer.misses,
-            s.buffer.evictions,
-            s.buffer.hit_ratio() * 100.0,
-            s.buffer.batch_pins,
-            s.buffer.pins_saved,
-            p.workers,
-            p.morsels,
-            p.worker_batches,
-            p.merge_stalls
-        )
-    }
-
-    fn cmd_docs(&self) -> String {
-        let engine = self.engine.read();
-        if engine.store().documents().is_empty() {
-            return "no documents loaded".to_string();
-        }
-        let mut out = String::new();
-        for (i, d) in engine.store().documents().iter().enumerate() {
-            let _ = writeln!(out, "  [{i}] {} (root key {})", d.name, d.doc_key);
-        }
-        out.pop();
-        out
-    }
-
     fn cmd_optimizer(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
         match arg {
             "on" => {
-                self.engine.write().options_mut().optimize = true;
+                self.engine().write().options_mut().optimize = true;
                 Ok("optimizer on (VQP-OPT)".to_string())
             }
             "off" => {
-                self.engine.write().options_mut().optimize = false;
+                self.engine().write().options_mut().optimize = false;
                 Ok("optimizer off (VQP: default plans)".to_string())
             }
             "" => Ok(format!(
                 "optimizer is {}",
-                if self.engine.read().options().optimize {
+                if self.engine().read().options().optimize {
                     "on"
                 } else {
                     "off"
@@ -410,179 +212,20 @@ impl Session {
         }
     }
 
-    fn cmd_views(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
-        match arg {
-            "clear" => {
-                self.engine.read().views().clear();
-                Ok("query cache cleared".to_string())
-            }
-            "" => {
-                let engine = self.engine.read();
-                let stats = engine.views().stats();
-                let mut out = format!(
-                    "views — {} kept of {} plans, {} shapes, {} bytes, hits {}, misses {}, evictions {}",
-                    stats.views,
-                    engine.views().len(),
-                    engine.views().shapes(),
-                    stats.bytes,
-                    stats.hits,
-                    stats.misses,
-                    stats.evictions
-                );
-                for v in engine.views().list() {
-                    out.push_str(&format!(
-                        "\n  doc {} gen {} rows {} bytes {} hits {}  {}",
-                        v.doc, v.generation, v.rows, v.bytes, v.hits, v.xpath
-                    ));
-                }
-                Ok(out)
-            }
-            other => Err(format!("usage: .views [clear], got `{other}`").into()),
+    fn cmd_xquery(&mut self, query: &str) -> Result<String, Box<dyn std::error::Error>> {
+        if query.is_empty() {
+            return Err(".xquery needs a FLWOR expression".into());
         }
-    }
-
-    /// Resolves a document argument — numeric id or document name.
-    fn resolve_doc(&self, token: &str) -> Result<DocId, Box<dyn std::error::Error>> {
-        let engine = self.engine.read();
-        let docs = engine.store().documents();
-        if let Ok(i) = token.parse::<u32>() {
-            if (i as usize) < docs.len() {
-                return Ok(DocId(i));
-            }
-        }
-        docs.iter()
-            .position(|d| &*d.name == token)
-            .map(|i| DocId(i as u32))
-            .ok_or_else(|| format!("no such document `{token}` (see .docs)").into())
-    }
-
-    fn cmd_insert(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
-        let Some((doc, tail)) = arg
-            .split_once(char::is_whitespace)
-            .map(|(d, t)| (d, t.trim()))
-        else {
-            return Err(".insert needs: <doc> <target-xpath> <fragment>".into());
-        };
-        let Some(at) = tail.find(" <") else {
-            return Err(".insert needs an XML fragment after the target XPath".into());
-        };
-        let (target, fragment) = tail.split_at(at);
-        let doc = self.resolve_doc(doc)?;
-        let op = UpdateOp::Insert {
-            target: target.trim().to_string(),
-            fragment: fragment.trim().to_string(),
-        };
-        let outcome = self.engine.write().apply_update(doc, &op)?;
-        Ok(format!(
-            "inserted {} tuple(s) at the first of {} match(es) (lsn {}, doc generation {}) in {:.2?}",
-            outcome.inserted,
-            outcome.matched,
-            outcome.lsn,
-            outcome.doc_generation,
-            outcome.profile.elapsed
-        ))
-    }
-
-    fn cmd_delete(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
-        let Some((doc, target)) = arg
-            .split_once(char::is_whitespace)
-            .map(|(d, t)| (d, t.trim()))
-        else {
-            return Err(".delete needs: <doc> <target-xpath>".into());
-        };
-        if target.is_empty() {
-            return Err(".delete needs: <doc> <target-xpath>".into());
-        }
-        let doc = self.resolve_doc(doc)?;
-        let op = UpdateOp::Delete {
-            target: target.to_string(),
-        };
-        let outcome = self.engine.write().apply_update(doc, &op)?;
-        Ok(format!(
-            "deleted {} tuple(s) across {} match(es) (lsn {}, doc generation {}) in {:.2?}",
-            outcome.deleted,
-            outcome.matched,
-            outcome.lsn,
-            outcome.doc_generation,
-            outcome.profile.elapsed
-        ))
-    }
-
-    fn cmd_checkpoint(&mut self) -> Result<String, Box<dyn std::error::Error>> {
         let t = std::time::Instant::now();
-        let stats = self.engine.write().checkpoint()?;
-        Ok(format!(
-            "checkpointed in {:.2?}: WAL depth {} record(s), last lsn {}",
-            t.elapsed(),
-            stats.depth,
-            stats.last_lsn
-        ))
+        let engine = self.engine().read();
+        let xq = vamana_xquery::XQueryEngine::new(&engine);
+        let out = xq.eval_to_xml(query)?;
+        Ok(format!("{out}\n({:.2?})", t.elapsed()))
     }
 
-    fn cmd_wal(&self) -> String {
-        let engine = self.engine.read();
-        let store = engine.store();
-        if !store.is_durable() {
-            return "in-memory store: no write-ahead log (use .save <file>)".to_string();
-        }
-        let wal = store.wal_stats();
-        let policy = match store.fsync_policy() {
-            Some(FsyncPolicy::Always) => "always".to_string(),
-            Some(FsyncPolicy::EveryN(n)) => format!("every {n} commit(s)"),
-            Some(FsyncPolicy::Never) => "never".to_string(),
-            None => "unknown".to_string(),
-        };
-        format!(
-            "wal depth:  {} record(s) since the last checkpoint\nstart lsn:  {}\nlast lsn:   {}\ncommits:    {} (this session)\nfsync:      {} ({} issued)\nreplayed:   {} record(s) to lsn {} at open",
-            wal.depth,
-            wal.start_lsn,
-            wal.last_lsn,
-            wal.commits,
-            policy,
-            wal.fsyncs,
-            wal.replayed_records,
-            wal.replayed_lsn
-        )
-    }
-
-    /// Asks a server (primary or replica) for its `LAG` report.
-    fn cmd_replica(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
-        if arg.is_empty() {
-            return Err(".replica needs a <host:port> to ask for LAG".into());
-        }
-        let mut out = String::new();
-        for line in wire_request(arg, "LAG")? {
-            if line.starts_with("OK") {
-                break;
-            }
-            let _ = writeln!(out, "  {}", line.strip_prefix("LAG ").unwrap_or(&line));
-        }
-        out.pop();
-        Ok(out)
-    }
-
-    /// Asks a `vamana-router` for its `TOPOLOGY` report: shard
-    /// primaries, replicas (lag and freshness as the router sees them),
-    /// and the document registry with each document's owning shard.
-    fn cmd_topology(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
-        if arg.is_empty() {
-            return Err(".topology needs a router <host:port>".into());
-        }
-        let mut out = String::new();
-        for line in wire_request(arg, "TOPOLOGY")? {
-            if line.starts_with("OK") {
-                let _ = write!(out, "{line}");
-            } else {
-                let _ = writeln!(out, "  {line}");
-            }
-        }
-        Ok(out)
-    }
-
-    /// Sends one raw protocol line to any wire endpoint (server or
-    /// router) and prints the reply verbatim — the ops escape hatch for
-    /// verbs without a dedicated dot-command (`STATS`, `CHECKPOINT`,
-    /// `CACHE LIST`, …).
+    /// Sends one request line to another wire endpoint (a server or a
+    /// router) and prints the reply verbatim: `.router <addr> TOPOLOGY`,
+    /// `.router <addr> LAG`, or any verb.
     fn cmd_router(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
         let Some((addr, request)) = arg.split_once(char::is_whitespace) else {
             return Err(
@@ -597,13 +240,12 @@ impl Session {
         if path.is_empty() {
             return Err(".save needs a file path".into());
         }
-        self.require_docs()?;
         // Rebuild the store into a durable file-backed pager (pages +
         // WAL) by re-serializing the documents (the in-memory pager has
         // no file to checkpoint).
         let mut file_store = MassStore::create_durable(path, 1024, FsyncPolicy::Always)?;
         {
-            let engine = self.engine.read();
+            let engine = self.engine().read();
             for i in 0..engine.store().documents().len() {
                 let info = &engine.store().documents()[i];
                 let xml = reserialize(&engine, DocId(i as u32))?;
@@ -612,7 +254,7 @@ impl Session {
         }
         file_store.checkpoint()?;
         let tuples = file_store.stats().tuples;
-        *self.engine.write() = Engine::new(file_store);
+        *self.engine().write() = Engine::new(file_store);
         Ok(format!(
             "saved to {path} ({tuples} tuples); session now runs on the durable file-backed store"
         ))
@@ -632,7 +274,7 @@ impl Session {
         };
         let stats = store.stats();
         let wal = store.wal_stats();
-        *self.engine.write() = Engine::new(store);
+        *self.engine().write() = Engine::new(store);
         let mut out = format!(
             "opened {path}: {} documents, {} tuples on {} pages",
             stats.documents, stats.tuples, stats.pages
@@ -649,27 +291,23 @@ impl Session {
 }
 
 /// One request/reply round trip against a VAMANA wire endpoint (server
-/// or router): returns every reply line up to and including the
-/// terminating `OK …`, or `Err` carrying an `ERR …` reply.
+/// or router): every reply line up to and including the terminating
+/// `OK …` or `ERR …`. A reply line is read up to the server's own line
+/// cap.
 fn wire_request(addr: &str, request: &str) -> Result<Vec<String>, Box<dyn std::error::Error>> {
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufReader, Write};
     let stream = std::net::TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
-    let mut writer = stream.try_clone()?;
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    (&stream).write_all(format!("{request}\n").as_bytes())?;
     let mut reader = BufReader::new(stream);
-    writeln!(writer, "{request}")?;
-    writer.flush()?;
     let mut lines = Vec::new();
     loop {
         let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        if read_line_capped(&mut reader, &mut line)? == 0 {
             return Err("server closed the connection mid-response".into());
         }
         let line = line.trim_end().to_string();
-        if line.starts_with("ERR") {
-            return Err(line.into());
-        }
-        let done = line.starts_with("OK");
+        let done = line.starts_with("OK") || line.starts_with("ERR");
         lines.push(line);
         if done {
             return Ok(lines);
@@ -691,36 +329,19 @@ fn reserialize(engine: &Engine, doc: DocId) -> Result<String, Box<dyn std::error
 /// `.help` text.
 pub const HELP: &str = "\
 commands:
-  <xpath>             evaluate an XPath expression on document 0
-  .load <file>        load an XML file into the store
+  <xpath>             evaluate an XPath expression on document 0 (EVAL)
+  .<verb> [operands]  run any wire verb on this session and print its reply,
+                      e.g. .load <name> <file>, .query [DOC <doc>] <xpath>,
+                      .explain|.analyze [JSON] <xpath>, .limit [n], .stats,
+                      .docs, .cache [LIST|CLEAR], .insert <doc> <xpath>
+                      <fragment>, .delete <doc> <xpath>, .checkpoint, .lag
   .generate [mb] [file]  generate ~mb MB of XMark data (stream to file if given)
-  .explain <xpath>    show default vs optimized plan with live costs
-                      and the optimizer's pass-by-pass trace
-  .analyze [json] <xpath>
-                      run the query with per-operator instrumentation:
-                      est vs act rows, q-errors, misestimation summary
-  .count <xpath>      count results (index-only when possible)
-  .limit [n]          rows shown per query (0 = unlimited)
-  .serve <port|stop>  share this session's store over TCP
+  .serve <port|stop>  share this session over TCP
   .xquery <flwor>     run an XQuery-lite FLWOR expression
   .optimizer [on|off] toggle the cost-driven optimizer
-  .views [clear]      the query cache: plans, and answers kept for repeated queries
-  .stats              storage and buffer-pool statistics
-  .docs               list loaded documents
-  .insert <doc> <xpath> <fragment>
-                      append an XML fragment to the first match
-  .delete <doc> <xpath>
-                      delete every match's subtree
-  .checkpoint         fold the WAL into the page store and truncate it
-  .wal                write-ahead log depth, LSN range, and fsync policy
-  .replica <host:port>
-                      ask a server for its replication LAG report
-  .topology <host:port>
-                      ask a vamana-router for its shard/replica/document
-                      topology (health, lag bounds, placement)
   .router <host:port> <request>
-                      send one raw protocol line to a server or router
-                      and print the reply (e.g. .router :4040 STATS)
+                      send one request line to a server or router and print
+                      the reply (e.g. .router :4040 TOPOLOGY, or LAG)
   .save <file>        persist the store to disk with a WAL (switches to it)
   .open <file>        open a persisted store (recovers from its WAL)
   .help               this text
@@ -752,27 +373,56 @@ mod tests {
             "<site><person id='p0'><name>Yung Flach</name></person></site>",
         )
         .unwrap();
-        let out = s.execute(&format!(".load {}", f.display())).unwrap();
+        let out = s.execute(&format!(".load t {}", f.display())).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        assert!(out.contains("loaded"), "{out}");
+        assert_eq!(out, "OK loaded document 0 generation 1");
         s
+    }
+
+    /// One request line and its reply over a socket.
+    fn round_trip(reader: &mut BufReader<TcpStream>, line: &str) -> Vec<String> {
+        reader
+            .get_mut()
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
+        let mut reply = Vec::new();
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let line = line.trim_end().to_string();
+            let done = line.starts_with("OK") || line.starts_with("ERR");
+            reply.push(line);
+            if done {
+                return reply;
+            }
+        }
+    }
+
+    fn stat(out: &str, key: &str) -> u64 {
+        let want = format!("STAT {key} ");
+        out.lines()
+            .find_map(|l| l.strip_prefix(&want))
+            .unwrap_or_else(|| panic!("no {key} in {out}"))
+            .parse()
+            .unwrap()
     }
 
     #[test]
     fn query_returns_rows_and_timing() {
         let mut s = loaded();
         let out = s.execute("//name").unwrap();
-        assert!(out.contains("Yung Flach"), "{out}");
-        assert!(out.contains("1 node(s)"), "{out}");
+        assert!(out.contains("ROW <name> Yung Flach"), "{out}");
+        assert!(out.contains("OK 1 row(s)"), "{out}");
+        assert!(out.contains("us hits="), "{out}");
     }
 
     #[test]
     fn scalar_expressions_print_values() {
         let mut s = loaded();
         let out = s.execute("count(//person)").unwrap();
-        assert!(out.starts_with('1'), "{out}");
+        assert!(out.starts_with("VAL 1\nOK scalar"), "{out}");
         let out = s.execute("concat('a', 'b')").unwrap();
-        assert!(out.contains("\"ab\""), "{out}");
+        assert!(out.starts_with("VAL ab\n"), "{out}");
     }
 
     #[test]
@@ -786,11 +436,11 @@ mod tests {
         ] {
             let out = s.execute(&deep).unwrap();
             assert!(
-                out.starts_with("error:") && out.contains("levels deep"),
+                out.starts_with("ERR ") && out.contains("levels deep"),
                 "{out}"
             );
         }
-        assert!(s.execute("count(//person)").unwrap().starts_with('1'));
+        assert!(s.execute("count(//person)").unwrap().starts_with("VAL 1"));
     }
 
     #[test]
@@ -799,16 +449,16 @@ mod tests {
         s.engine()
             .load_xml("d", "<r><a>1</a><a>2</a><a>3</a></r>")
             .unwrap();
-        assert!(s.execute(".limit").unwrap().contains("20"));
-        assert!(s.execute(".limit 2").unwrap().contains("2 row(s)"));
+        assert_eq!(s.execute(".limit").unwrap(), "OK limit 20");
+        assert_eq!(s.execute(".limit 2").unwrap(), "OK limit 2");
         let out = s.execute("//a").unwrap();
-        assert!(out.contains("… 1 more"), "{out}");
-        assert!(out.contains("3 node(s)"), "{out}");
-        assert!(s.execute(".limit 0").unwrap().contains("unlimited"));
+        assert_eq!(out.matches("ROW ").count(), 2, "{out}");
+        assert!(out.contains("OK 3 row(s)"), "{out}");
+        assert_eq!(s.execute(".limit 0").unwrap(), "OK limit 0");
         let out = s.execute("//a").unwrap();
-        assert!(!out.contains("more"), "{out}");
+        assert_eq!(out.matches("ROW ").count(), 3, "{out}");
         let out = s.execute(".limit nope").unwrap();
-        assert!(out.contains("error"), "{out}");
+        assert!(out.starts_with("ERR proto"), "{out}");
     }
 
     #[test]
@@ -819,21 +469,8 @@ mod tests {
         assert!(out.contains("serving"), "{out}");
         let addr = s.serving_addr().expect("serving");
 
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        writeln!(writer, "QUERY //name").unwrap();
-        let mut rows = Vec::new();
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let line = line.trim_end().to_string();
-            let done = line.starts_with("OK") || line.starts_with("ERR");
-            rows.push(line);
-            if done {
-                break;
-            }
-        }
+        let mut wire = BufReader::new(TcpStream::connect(addr).unwrap());
+        let rows = round_trip(&mut wire, "QUERY //name");
         assert!(rows[0].contains("Yung Flach"), "{rows:?}");
         assert!(rows.last().unwrap().starts_with("OK 1 row(s)"), "{rows:?}");
 
@@ -842,6 +479,61 @@ mod tests {
         assert!(out.contains("already serving"), "{out}");
         assert!(s.execute(".serve stop").unwrap().contains("stopped"));
         assert!(s.execute(".serve").unwrap().contains("not serving"));
+    }
+
+    /// The shell prints what the wire sends: the same lines, run at the
+    /// prompt of one session and on the `.serve` socket of another with
+    /// the same history, give byte-identical rows, values and plans, and
+    /// the same terminators but for their timings.
+    #[test]
+    fn the_shell_prints_the_wire_reply() {
+        let mut shell = loaded();
+        let mut served = loaded();
+        served.execute(".serve 0").unwrap();
+        let mut wire = BufReader::new(TcpStream::connect(served.serving_addr().unwrap()).unwrap());
+        let untimed = |line: &str| -> String {
+            line.split(' ')
+                .map(|field| {
+                    let number = field.rsplit('=').next().unwrap_or(field);
+                    match number.strip_suffix("us") {
+                        Some(n) if n.bytes().all(|b| b.is_ascii_digit()) => "…us",
+                        _ => field,
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        for (at_prompt, on_wire) in [
+            ("count(//person)", "EVAL count(//person)"),
+            ("//person/name", "EVAL //person/name"),
+            (".query DOC t //name", "QUERY DOC t //name"),
+            (".explain //person/name", "EXPLAIN //person/name"),
+            (
+                ".insert t /site <person id='p1'><name>Grace</name></person>",
+                "INSERT t /site <person id='p1'><name>Grace</name></person>",
+            ),
+            (".query //person/name", "QUERY //person/name"),
+        ] {
+            let printed = shell.execute(at_prompt).unwrap();
+            let sent = round_trip(&mut wire, on_wire);
+            let printed: Vec<&str> = printed.lines().collect();
+            assert_eq!(
+                printed.len(),
+                sent.len(),
+                "{on_wire}: {printed:?} / {sent:?}"
+            );
+            for (p, w) in printed.iter().zip(&sent) {
+                if w.starts_with("OK") {
+                    assert_eq!(untimed(p), untimed(w), "{on_wire}");
+                } else {
+                    assert!(
+                        w.starts_with("ROW ") || w.starts_with("VAL ") || w.starts_with("PLAN ")
+                    );
+                    assert_eq!(p, w, "{on_wire}");
+                }
+            }
+        }
+        served.execute(".serve stop").unwrap();
     }
 
     #[test]
@@ -864,24 +556,27 @@ mod tests {
         assert!(out.contains("act="), "{out}");
         assert!(out.contains("misestimations"), "{out}");
         assert!(out.contains("optimizer trace:"), "{out}");
-        assert!(out.contains("profile:"), "{out}");
-        let out = s.execute(".analyze json //person/name").unwrap();
-        assert!(out.starts_with('{'), "{out}");
+        assert!(out.contains("PLAN profile:"), "{out}");
+        let out = s.execute(".analyze JSON //person/name").unwrap();
+        assert!(out.starts_with("PLAN {"), "{out}");
         assert!(out.contains("\"operators\""), "{out}");
         assert!(out.contains("\"trace\""), "{out}");
         let out = s.execute(".analyze").unwrap();
-        assert!(out.contains("error"), "{out}");
+        assert!(out.starts_with("ERR proto"), "{out}");
     }
 
     #[test]
     fn stats_and_docs_render() {
         let mut s = loaded();
         let out = s.execute(".stats").unwrap();
-        assert!(out.contains("tuples"), "{out}");
-        assert!(out.contains("batch pins"), "{out}");
-        assert!(out.contains("merge stalls"), "{out}");
+        assert!(stat(&out, "store_tuples") > 0, "{out}");
+        stat(&out, "pool_batch_pins");
+        stat(&out, "pool_par_merge_stalls");
+        for key in ["store_names", "store_values", "pool_evictions"] {
+            stat(&out, key);
+        }
         let out = s.execute(".docs").unwrap();
-        assert!(out.contains("[0]"), "{out}");
+        assert!(out.starts_with("DOC 0 t generation=0"), "{out}");
     }
 
     #[test]
@@ -895,19 +590,22 @@ mod tests {
     #[test]
     fn views_materialize_list_and_clear() {
         let mut s = loaded();
-        assert!(s.execute(".views").unwrap().contains("0 kept of 0 plans"));
+        let kept = |s: &mut Session| s.execute(".cache").unwrap().matches("VIEW ").count();
+        let plans = |s: &mut Session| stat(&s.execute(".stats").unwrap(), "plan_cache_size");
+        assert_eq!((kept(&mut s), plans(&mut s)), (0, 0));
         // Second sighting crosses the default admission threshold.
         s.execute("//name").unwrap();
         s.execute("//name").unwrap();
         s.execute("//name[. != '']").unwrap();
-        let out = s.execute(".views").unwrap();
-        assert!(out.contains("1 kept of 2 plans"), "{out}");
+        let out = s.execute(".cache").unwrap();
+        assert!(out.ends_with("OK 1 view(s)"), "{out}");
         assert!(out.contains("//name"), "{out}");
-        let cleared = s.execute(".views clear").unwrap();
-        assert!(cleared.contains("query cache cleared"), "{cleared}");
-        assert!(s.execute(".views").unwrap().contains("0 kept of 0 plans"));
-        assert!(s.execute(".views frob").unwrap().contains("error"));
-        assert!(s.execute(".views on").unwrap().contains("error"));
+        assert_eq!(plans(&mut s), 2);
+        let cleared = s.execute(".cache CLEAR").unwrap();
+        assert_eq!(cleared, "OK cache cleared");
+        assert_eq!((kept(&mut s), plans(&mut s)), (0, 0));
+        assert!(s.execute(".cache frob").unwrap().starts_with("ERR proto"));
+        assert!(s.execute(".cache on").unwrap().starts_with("ERR proto"));
     }
 
     #[test]
@@ -916,10 +614,10 @@ mod tests {
         let out = s.execute("//person").unwrap();
         assert!(out.contains("no documents"), "{out}");
         let out = s.execute(".bogus").unwrap();
-        assert!(out.contains("unknown command"), "{out}");
+        assert!(out.starts_with("ERR proto unknown request BOGUS"), "{out}");
         let mut s = loaded();
         let out = s.execute("//person[").unwrap();
-        assert!(out.contains("error"), "{out}");
+        assert!(out.starts_with("ERR query"), "{out}");
     }
 
     #[test]
@@ -951,22 +649,25 @@ mod tests {
         let out = s
             .execute(".insert 0 /site <person id='p1'><name>Grace</name></person>")
             .unwrap();
-        assert!(out.contains("match(es)"), "{out}");
-        assert!(out.contains("doc generation 1"), "{out}");
-        let out = s.execute(".count //person").unwrap();
-        assert!(out.starts_with('2'), "{out}");
+        assert!(out.starts_with("OK update matched=1 inserted="), "{out}");
+        assert!(out.contains("generation=1"), "{out}");
+        let out = s.execute("count(//person)").unwrap();
+        assert!(out.starts_with("VAL 2"), "{out}");
 
         let out = s.execute(".delete 0 //person[name='Grace']").unwrap();
-        assert!(out.contains("deleted"), "{out}");
-        let out = s.execute(".count //person").unwrap();
-        assert!(out.starts_with('1'), "{out}");
+        assert!(
+            out.contains("deleted=") && !out.contains("deleted=0"),
+            "{out}"
+        );
+        let out = s.execute("count(//person)").unwrap();
+        assert!(out.starts_with("VAL 1"), "{out}");
 
         // In-memory stores checkpoint trivially (no WAL).
         let out = s.execute(".checkpoint").unwrap();
-        assert!(out.contains("WAL depth 0"), "{out}");
+        assert!(out.starts_with("OK checkpoint records=0"), "{out}");
 
         let out = s.execute(".insert 0").unwrap();
-        assert!(out.contains("error"), "{out}");
+        assert!(out.starts_with("ERR proto"), "{out}");
         let out = s.execute(".delete nosuchdoc //a").unwrap();
         assert!(out.contains("no such document"), "{out}");
     }
@@ -984,7 +685,7 @@ mod tests {
         let out = s
             .execute(".insert 0 /site <person id='p9'><name>Walled</name></person>")
             .unwrap();
-        assert!(out.contains("lsn"), "{out}");
+        assert!(out.contains("lsn=") && !out.contains("lsn=0 "), "{out}");
         drop(s);
 
         let mut s2 = Session::new();
@@ -992,15 +693,15 @@ mod tests {
         assert!(out.contains("durable"), "{out}");
         assert!(out.contains("replayed"), "{out}");
         let out = s2.execute("//person[name='Walled']").unwrap();
-        assert!(out.contains("1 node(s)"), "{out}");
+        assert!(out.contains("OK 1 row(s)"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn wal_command_reports_depth_and_policy() {
+    fn stats_report_wal_depth_and_policy() {
         let mut s = Session::new();
-        let out = s.execute(".wal").unwrap();
-        assert!(out.contains("in-memory store"), "{out}");
+        let out = s.execute(".stats").unwrap();
+        assert_eq!(stat(&out, "store_durable"), 0, "{out}");
 
         let mut s = loaded();
         let dir = scratch_dir("walcmd");
@@ -1009,29 +710,32 @@ mod tests {
         let out = s
             .execute(".insert 0 /site <person id='p2'><name>Lag</name></person>")
             .unwrap();
-        assert!(out.contains("lsn"), "{out}");
-        let out = s.execute(".wal").unwrap();
-        assert!(out.contains("wal depth"), "{out}");
-        assert!(out.contains("fsync:      always"), "{out}");
-        assert!(!out.contains("wal depth:  0 "), "pending records: {out}");
+        assert!(out.contains("lsn="), "{out}");
+        let out = s.execute(".stats").unwrap();
+        assert!(stat(&out, "wal_depth") > 0, "pending records: {out}");
+        assert_eq!(stat(&out, "wal_fsync_every"), 1, "fsync always: {out}");
+        assert!(stat(&out, "wal_commits") > 0, "{out}");
+        for key in ["wal_start_lsn", "wal_replayed_records"] {
+            stat(&out, key);
+        }
         let out = s.execute(".checkpoint").unwrap();
-        assert!(out.contains("WAL depth 0"), "{out}");
-        let out = s.execute(".wal").unwrap();
-        assert!(out.contains("wal depth:  0 "), "{out}");
+        assert!(out.starts_with("OK checkpoint"), "{out}");
+        let out = s.execute(".stats").unwrap();
+        assert_eq!(stat(&out, "wal_depth"), 0, "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn replica_command_fetches_lag_from_a_server() {
+    fn router_command_fetches_lag_from_a_server() {
         let mut s = loaded();
         s.execute(".serve 0").unwrap();
         let addr = s.serving_addr().expect("serving");
-        let out = s.execute(&format!(".replica {addr}")).unwrap();
-        assert!(out.contains("role primary"), "{out}");
-        assert!(out.contains("feeds"), "{out}");
+        let out = s.execute(&format!(".router {addr} LAG")).unwrap();
+        assert!(out.contains("LAG role primary"), "{out}");
+        assert!(out.contains("LAG feeds"), "{out}");
         s.execute(".serve stop").unwrap();
-        let out = s.execute(".replica").unwrap();
-        assert!(out.contains("error"), "{out}");
+        let out = s.execute(".router").unwrap();
+        assert!(out.starts_with("ERR"), "{out}");
     }
 
     #[test]
@@ -1042,7 +746,7 @@ mod tests {
             .unwrap();
         assert!(out.contains("<r>Yung Flach</r>"), "{out}");
         let out = s.execute(".xquery nonsense $$$").unwrap();
-        assert!(out.contains("error"), "{out}");
+        assert!(out.starts_with("ERR"), "{out}");
     }
 
     #[test]
@@ -1050,13 +754,20 @@ mod tests {
         let mut s = Session::new();
         let out = s.execute(".generate 0.2").unwrap();
         assert!(out.contains("generated"), "{out}");
-        let out = s.execute(".count //person").unwrap();
-        let n: f64 = out.split_whitespace().next().unwrap().parse().unwrap();
+        let out = s.execute("count(//person)").unwrap();
+        let n: f64 = out
+            .strip_prefix("VAL ")
+            .unwrap()
+            .lines()
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap();
         assert!(n > 10.0, "{out}");
     }
 
     #[test]
-    fn router_and_topology_commands_speak_the_wire() {
+    fn router_command_speaks_the_wire() {
         let mut s = loaded();
         s.execute(".serve 0").unwrap();
         let addr = s.serving_addr().expect("serving").to_string();
@@ -1066,16 +777,33 @@ mod tests {
         assert!(out.contains("STAT queries_total"), "{out}");
         assert!(out.lines().last().unwrap().starts_with("OK"), "{out}");
 
-        // .topology needs a router behind the address; a plain server
-        // rejects the verb, and the error reply surfaces as the error.
-        let out = s.execute(&format!(".topology {addr}")).unwrap();
-        assert!(out.starts_with("error: ERR"), "{out}");
+        // TOPOLOGY needs a router behind the address; a plain server
+        // rejects the verb, and its error reply is printed.
+        let out = s.execute(&format!(".router {addr} TOPOLOGY")).unwrap();
+        assert_eq!(out, "ERR proto unknown request TOPOLOGY");
 
         // Argument validation.
         let out = s.execute(".router onlyoneword").unwrap();
-        assert!(out.contains("error"), "{out}");
-        let out = s.execute(".topology").unwrap();
-        assert!(out.contains("error"), "{out}");
+        assert!(out.starts_with("ERR"), "{out}");
         s.execute(".serve stop").unwrap();
+    }
+
+    /// A peer that streams a reply line with no newline is cut off at the
+    /// server's line cap instead of filling the shell's memory.
+    #[test]
+    fn a_reply_line_past_the_cap_is_an_error() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = stream.write_all(&vec![b'a'; 1 << 20]);
+        });
+        let mut s = Session::new();
+        let out = s.execute(&format!(".router {addr} PING")).unwrap();
+        assert!(
+            out.starts_with("ERR") && out.contains("line too long"),
+            "{out}"
+        );
+        peer.join().unwrap();
     }
 }

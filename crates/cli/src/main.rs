@@ -31,7 +31,7 @@ fn main() {
     // `-c` one-shot mode.
     if let Some(pos) = args.iter().position(|a| a == "-c") {
         for file in &args[..pos] {
-            run_line(&mut session, &format!(".load {file}"));
+            run_line(&mut session, &format!(".load {file} {file}"));
         }
         let cmd = args[pos + 1..].join(" ");
         run_line(&mut session, &cmd);
@@ -39,7 +39,7 @@ fn main() {
     }
 
     for file in &args {
-        run_line(&mut session, &format!(".load {file}"));
+        run_line(&mut session, &format!(".load {file} {file}"));
     }
 
     println!("VAMANA — cost-driven XPath engine (type .help for commands)");
@@ -80,10 +80,10 @@ fn serve(args: &[String]) {
             let mb = rest.next().map(String::as_str).unwrap_or("1");
             format!(".generate {mb}")
         } else {
-            format!(".load {arg}")
+            format!(".load {arg} {arg}")
         };
         match session.execute(&command) {
-            Some(out) if out.starts_with("error") => {
+            Some(out) if out.starts_with("ERR") => {
                 eprintln!("{out}");
                 std::process::exit(1);
             }
@@ -92,7 +92,7 @@ fn serve(args: &[String]) {
         }
     }
     match session.execute(&format!(".serve {port}")) {
-        Some(out) if out.starts_with("error") => {
+        Some(out) if out.starts_with("ERR") => {
             eprintln!("{out}");
             std::process::exit(1);
         }

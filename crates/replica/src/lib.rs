@@ -32,7 +32,10 @@ use std::time::Duration;
 
 use vamana_core::{Engine, SharedEngine};
 use vamana_mass::{verify_frame, FsyncPolicy, MassStore, WalRecord, FRAME_HEADER_LEN};
-use vamana_server::{ReplicaRole, ReplicaStatus, Server, ServerConfig, ServerHandle};
+use vamana_server::event::read_line_capped;
+use vamana_server::{
+    unescape_line, ReplicaRole, ReplicaStatus, Server, ServerConfig, ServerHandle, Shared,
+};
 
 /// Everything a replica needs to start.
 #[derive(Debug, Clone)]
@@ -167,7 +170,10 @@ impl Replica {
             primary: config.primary.clone(),
             status: Arc::clone(&status),
         });
-        let server = Server::bind_shared(&config.listen, Arc::clone(&engine), server_config)?;
+        let server = Server::over(
+            &config.listen,
+            Shared::new(Arc::clone(&engine), server_config),
+        )?;
         let handle = server.spawn()?;
         let addr = handle.addr();
 
@@ -231,7 +237,7 @@ fn follow_once(ctx: &SyncCtx) -> std::io::Result<()> {
     writer.flush()?;
 
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_line_capped(&mut reader, &mut line)?;
     let line = line.trim_end();
     let Some(rest) = line.strip_prefix("OK replicate ") else {
         return Err(proto_err(format!("unexpected handshake: {line}")));
@@ -371,39 +377,39 @@ fn install_snapshot(ctx: &SyncCtx, reader: &mut impl BufRead) -> std::io::Result
     Ok(())
 }
 
-/// Inverse of the server's line escaping (`\\`, `\n`, `\r`, `\t`).
-fn unescape_line(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('\\') => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A primary that answers the handshake with a line that never ends
+    /// is dropped at the line cap, not read into memory to the end.
     #[test]
-    fn unescape_inverts_server_escaping() {
-        // Mirrors vamana-server's escape_line.
-        assert_eq!(unescape_line("a\\tb\\nc\\\\d"), "a\tb\nc\\d");
-        assert_eq!(unescape_line("plain"), "plain");
-        assert_eq!(unescape_line("trailing\\"), "trailing\\");
+    fn an_endless_handshake_line_is_an_error() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let primary = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = stream.write_all(&vec![b'a'; 1 << 20]);
+        });
+        let dir = std::env::temp_dir().join(format!("vamana-replica-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = ReplicaConfig {
+            primary,
+            data: dir.join("r.mass"),
+            fsync: FsyncPolicy::Never,
+            ..ReplicaConfig::default()
+        };
+        let store = MassStore::create_durable(&config.data, 64, config.fsync).unwrap();
+        let ctx = SyncCtx {
+            config,
+            engine: Arc::new(SharedEngine::new(Engine::new(store))),
+            status: Arc::new(ReplicaStatus::default()),
+            stop: Arc::new(AtomicBool::new(false)),
+            conn: Arc::new(Mutex::new(None)),
+        };
+        let err = follow_once(&ctx).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        peer.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

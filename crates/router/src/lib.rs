@@ -26,6 +26,10 @@
 //!   and adds the router's own `router_*` counters; `TOPOLOGY` reports
 //!   per-backend health and document placement.
 //!
+//! A request line is read by the server's own [`vamana_server::parse_line`]
+//! and a forwarded request written back by [`Request::to_line`]; only
+//! `TOPOLOGY` is the router's own verb.
+//!
 //! The router runs on the same nonblocking connection core as the server
 //! ([`vamana_server::event`]): [`RouterConfig::workers`] threads share
 //! every client socket, parsing is pipelined, and the thread that reads
@@ -39,6 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use vamana_server::event::{self, Dispatch, LineService};
+use vamana_server::{parse_line, Parsed, ReadVerb, Request, UpdateOp};
 
 pub mod backend;
 pub mod health;
@@ -243,8 +248,13 @@ impl RouterState {
                 let first_error = &first_error;
                 scope.spawn(move || {
                     for (ordinal, name) in group {
-                        let request = format!("QUERY DOC {name} {xpath}");
-                        let outcome = match self.route_read(shard, &request) {
+                        let request = Request::Read {
+                            verb: ReadVerb::Query,
+                            json: false,
+                            doc: Some(name.clone()),
+                            xpath: xpath.to_string(),
+                        };
+                        let outcome = match self.route_read(shard, &request.to_line()) {
                             Ok(reply) => match row_total(&reply) {
                                 Some(total) => {
                                     let rows = reply
@@ -298,39 +308,23 @@ impl RouterState {
         out
     }
 
-    /// `QUERY`/`EVAL`/`EXPLAIN`/`ANALYZE`: parse `[JSON] [DOC <doc>]
-    /// <xpath>`, pick the target document, forward to its owner.
-    fn read_verb(&self, verb: &str, rest: &str, limit: usize) -> Vec<String> {
-        let (json, rest) = match rest.strip_prefix("JSON") {
-            Some(r) if r.starts_with(' ') && matches!(verb, "EXPLAIN" | "ANALYZE") => {
-                (true, r.trim())
-            }
-            _ => (false, rest),
-        };
-        let (doc, xpath) = match rest.strip_prefix("DOC ") {
-            Some(r) => match r.trim_start().split_once(' ') {
-                Some((d, x)) => (Some(d), x.trim()),
-                None => {
-                    return vec![format!(
-                        "ERR proto {verb} DOC needs a document and an XPath expression"
-                    )]
-                }
-            },
-            None => (None, rest),
-        };
-        if xpath.is_empty() {
-            return vec![format!("ERR proto {verb} needs an XPath expression")];
-        }
-        if verb == "QUERY" && doc.is_none() {
-            return self.scatter_query(xpath, limit);
-        }
+    /// A read other than a cross-document `QUERY`: forwarded to the
+    /// owner of its document, re-written with the resolved name.
+    fn read_verb(
+        &self,
+        verb: ReadVerb,
+        json: bool,
+        doc: Option<String>,
+        xpath: String,
+        limit: usize,
+    ) -> Vec<String> {
         // EVAL/EXPLAIN/ANALYZE without DOC mean "document 0": the
         // globally-first document, which is local document 0 on its
         // owning shard (per-shard load order is a subsequence of the
         // global order), so forwarding with an explicit DOC scope
         // preserves single-node semantics.
         let target = match doc {
-            Some(token) => self.owner_of(token),
+            Some(token) => self.owner_of(&token),
             None => match self.registry.snapshot().first() {
                 Some(entry) => Ok((entry.name.clone(), entry.shard)),
                 None => return vec!["ERR query no documents loaded (use LOADXML or LOAD)".into()],
@@ -341,11 +335,13 @@ impl RouterState {
             Err(e) => return vec![e],
         };
         self.metrics.forwards.fetch_add(1, Ordering::Relaxed);
-        let request = format!(
-            "{verb}{} DOC {name} {xpath}",
-            if json { " JSON" } else { "" }
-        );
-        match self.route_read(shard, &request) {
+        let request = Request::Read {
+            verb,
+            json,
+            doc: Some(name),
+            xpath,
+        };
+        match self.route_read(shard, &request.to_line()) {
             Ok(reply) => apply_limit(reply, limit),
             Err(e) => vec![e],
         }
@@ -353,18 +349,14 @@ impl RouterState {
 
     /// `INSERT`/`DELETE`: resolve the document, forward to the owning
     /// shard's primary (never a replica).
-    fn write_verb(&self, verb: &str, rest: &str) -> Vec<String> {
-        let Some((doc, tail)) = rest.split_once(' ').map(|(d, t)| (d, t.trim())) else {
-            return vec![format!(
-                "ERR proto {verb} needs a document and a target XPath"
-            )];
-        };
+    fn write_verb(&self, doc: &str, op: UpdateOp) -> Vec<String> {
         let (name, shard) = match self.owner_of(doc) {
             Ok(t) => t,
             Err(e) => return vec![e],
         };
         self.metrics.forwards.fetch_add(1, Ordering::Relaxed);
-        match self.route_write(shard, &format!("{verb} {name} {tail}")) {
+        let request = Request::Update { doc: name, op };
+        match self.route_write(shard, &request.to_line()) {
             Ok(reply) => reply,
             Err(e) => vec![e],
         }
@@ -372,16 +364,13 @@ impl RouterState {
 
     /// `LOADXML`/`LOAD`: place the (possibly new) document by ring,
     /// forward to the owner's primary, and register it on success.
-    fn load_verb(&self, verb: &str, rest: &str) -> Vec<String> {
-        let Some((name, _)) = rest.split_once(' ') else {
-            return vec![format!("ERR proto {verb} needs a name and a payload")];
-        };
+    fn load_verb(&self, request: &Request, name: &str) -> Vec<String> {
         let shard = match self.registry.resolve(name) {
             Some((_, entry)) => entry.shard,
             None => self.topology.ring.owner(name),
         };
         self.metrics.forwards.fetch_add(1, Ordering::Relaxed);
-        match self.route_write(shard, &format!("{verb} {rest}")) {
+        match self.route_write(shard, &request.to_line()) {
             Ok(reply) => {
                 if reply.last().map(|l| l.starts_with("OK")) == Some(true) {
                     self.registry.register(name, shard);
@@ -415,42 +404,21 @@ impl RouterState {
     /// counters summed across the reachable primaries.
     fn stats_verb(&self) -> Vec<String> {
         let m = &self.metrics;
-        let mut out = vec![
-            format!("STAT router_shards {}", self.topology.shards.len()),
-            format!(
-                "STAT router_replicas {}",
-                self.topology
-                    .shards
-                    .iter()
-                    .map(|s| s.replicas.len())
-                    .sum::<usize>()
-            ),
-            format!("STAT router_docs {}", self.registry.len()),
-            format!(
-                "STAT router_requests {}",
-                m.requests.load(Ordering::Relaxed)
-            ),
-            format!(
-                "STAT router_scatters {}",
-                m.scatters.load(Ordering::Relaxed)
-            ),
-            format!(
-                "STAT router_forwards {}",
-                m.forwards.load(Ordering::Relaxed)
-            ),
-            format!(
-                "STAT router_backend_errors {}",
-                m.backend_errors.load(Ordering::Relaxed)
-            ),
-            format!(
-                "STAT router_failovers {}",
-                m.failovers.load(Ordering::Relaxed)
-            ),
-            format!(
-                "STAT router_lag_rejections {}",
-                m.lag_rejections.load(Ordering::Relaxed)
-            ),
-        ];
+        let replicas: usize = self.topology.shards.iter().map(|s| s.replicas.len()).sum();
+        let mut out: Vec<String> = [
+            ("shards", self.topology.shards.len() as u64),
+            ("replicas", replicas as u64),
+            ("docs", self.registry.len() as u64),
+            ("requests", m.requests.load(Ordering::Relaxed)),
+            ("scatters", m.scatters.load(Ordering::Relaxed)),
+            ("forwards", m.forwards.load(Ordering::Relaxed)),
+            ("backend_errors", m.backend_errors.load(Ordering::Relaxed)),
+            ("failovers", m.failovers.load(Ordering::Relaxed)),
+            ("lag_rejections", m.lag_rejections.load(Ordering::Relaxed)),
+        ]
+        .iter()
+        .map(|(key, value)| format!("STAT router_{key} {value}"))
+        .collect();
         // Aggregate primary counters: same STAT keys, values summed.
         let mut sums: Vec<(String, u64)> = Vec::new();
         let mut reporting = 0;
@@ -547,52 +515,51 @@ impl RouterState {
         out
     }
 
-    /// `CACHE LIST` aggregates `VIEW` rows from every backend;
-    /// `CACHE CLEAR` broadcasts.
-    fn cache_verb(&self, rest: &str) -> Vec<String> {
-        match rest {
-            "" | "LIST" => {
-                let mut out = Vec::new();
-                for backend in self.topology.all_backends() {
-                    if let Ok(reply) = backend.request("CACHE LIST") {
-                        out.extend(reply.into_iter().filter(|l| l.starts_with("VIEW ")));
-                    }
-                }
-                out.push(format!("OK {} view(s)", out.len()));
-                out
+    /// `CACHE LIST`: the `VIEW` rows of every backend.
+    fn cache_list(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for backend in self.topology.all_backends() {
+            if let Ok(reply) = backend.request("CACHE LIST") {
+                out.extend(reply.into_iter().filter(|l| l.starts_with("VIEW ")));
             }
-            "CLEAR" => {
-                for backend in self.topology.all_backends() {
-                    let _ = backend.request("CACHE CLEAR");
-                }
-                vec!["OK cache cleared".into()]
-            }
-            _ => vec!["ERR proto CACHE takes LIST or CLEAR".into()],
         }
+        out.push(format!("OK {} view(s)", out.len()));
+        out
     }
 
-    /// Routes one full request line (already known not to be an
-    /// inline-answered verb) and returns the response lines.
-    fn route_request(&self, line: &str, limit: usize) -> Vec<String> {
+    /// `CACHE CLEAR`: broadcast to every backend.
+    fn cache_clear(&self) -> Vec<String> {
+        for backend in self.topology.all_backends() {
+            let _ = backend.request("CACHE CLEAR");
+        }
+        vec!["OK cache cleared".into()]
+    }
+
+    /// Routes one parsed request by its variant and returns the
+    /// response lines.
+    fn route_request(&self, request: Request, limit: usize) -> Vec<String> {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let (verb, rest) = match line.split_once(' ') {
-            Some((v, r)) => (v, r.trim()),
-            None => (line, ""),
-        };
-        match verb {
-            "QUERY" | "EVAL" | "EXPLAIN" | "ANALYZE" => self.read_verb(verb, rest, limit),
-            "INSERT" | "DELETE" => self.write_verb(verb, rest),
-            "LOADXML" | "LOAD" => self.load_verb(verb, rest),
-            "CHECKPOINT" => self.checkpoint_verb(),
-            "STATS" => self.stats_verb(),
-            "TOPOLOGY" => self.topology_verb(),
-            "DOCS" => self.docs_verb(),
-            "LAG" => self.lag_verb(),
-            "CACHE" => self.cache_verb(rest),
-            "REPLICATE" => {
-                vec!["ERR proto REPLICATE is not routable; connect to a shard primary".into()]
-            }
-            _ => vec![format!("ERR proto unknown request {verb}")],
+        match request {
+            Request::Read {
+                verb: ReadVerb::Query,
+                doc: None,
+                xpath,
+                ..
+            } => self.scatter_query(&xpath, limit),
+            Request::Read {
+                verb,
+                json,
+                doc,
+                xpath,
+            } => self.read_verb(verb, json, doc, xpath, limit),
+            Request::Update { doc, op } => self.write_verb(&doc, op),
+            Request::Load { ref name, .. } => self.load_verb(&request, name),
+            Request::Checkpoint => self.checkpoint_verb(),
+            Request::Stats => self.stats_verb(),
+            Request::Docs => self.docs_verb(),
+            Request::Lag => self.lag_verb(),
+            Request::CacheList => self.cache_list(),
+            Request::CacheClear => self.cache_clear(),
         }
     }
 }
@@ -615,24 +582,27 @@ impl LineService for RouterService {
     }
 
     fn handle(&self, limit: &mut usize, line: &str, out: &mut Vec<u8>) -> Dispatch {
-        let (verb, rest) = match line.split_once(' ') {
-            Some((v, r)) => (v, r.trim()),
-            None => (line, ""),
-        };
-        let reply = match verb {
-            "PING" => vec!["OK pong".to_string()],
-            "QUIT" => {
-                out.extend_from_slice(b"OK bye\n");
-                return Dispatch::Close;
-            }
-            "LIMIT" => match rest.parse::<usize>() {
-                Ok(n) => {
-                    *limit = n;
-                    vec![format!("OK limit {n}")]
+        // The one verb the grammar does not know is the router's own.
+        let reply = if line == "TOPOLOGY" {
+            self.state.metrics.requests.fetch_add(1, Ordering::Relaxed);
+            self.state.topology_verb()
+        } else {
+            match parse_line(line) {
+                Ok(Parsed::Ping) => vec!["OK pong".to_string()],
+                Ok(Parsed::Quit) => {
+                    out.extend_from_slice(b"OK bye\n");
+                    return Dispatch::Close;
                 }
-                Err(_) => vec!["ERR proto LIMIT needs a non-negative integer".to_string()],
-            },
-            _ => self.state.route_request(line, *limit),
+                Ok(Parsed::Limit(n)) => {
+                    *limit = n.unwrap_or(*limit);
+                    vec![format!("OK limit {limit}")]
+                }
+                Ok(Parsed::Replicate(_)) => {
+                    vec!["ERR proto REPLICATE is not routable; connect to a shard primary".into()]
+                }
+                Ok(Parsed::Run(request)) => self.state.route_request(request, *limit),
+                Err(msg) => vec![format!("ERR proto {msg}")],
+            }
         };
         for line in reply {
             out.extend_from_slice(line.as_bytes());

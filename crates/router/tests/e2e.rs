@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use vamana_core::Engine;
 use vamana_mass::{FsyncPolicy, MassStore};
 use vamana_router::{Router, RouterConfig, RouterHandle};
-use vamana_server::testkit::{lag_value, stat_value, Client};
+use vamana_server::testkit::{lag_value, stat_value, verb_soup, Client};
 use vamana_server::{ReplicaRole, ReplicaStatus, Server, ServerConfig, ServerHandle};
 
 const DEADLINE: Duration = Duration::from_secs(20);
@@ -61,6 +61,32 @@ fn stable_rows(mut reply: Vec<String>) -> Vec<String> {
     };
     reply.push(stable);
     reply
+}
+
+/// The router parses with the server's grammar: every line of the
+/// parser's fuzz input that a server refuses as `ERR proto …`, the router
+/// refuses with the same line.
+#[test]
+fn protocol_errors_match_the_server_on_verb_soup() {
+    let server = memory_server();
+    let router = start_router(
+        vec![(server.addr().to_string(), Vec::new())],
+        RouterConfig::default(),
+    );
+    let mut direct = Client::connect(&server);
+    let mut routed = Client::connect_addr(router.addr());
+    let mut refused = 0;
+    for seed in 0..2000 {
+        let line = verb_soup(seed);
+        let reply = direct.round_trip(&line);
+        if reply[0].starts_with("ERR proto") {
+            assert_eq!(routed.round_trip(&line), reply, "{line:?}");
+            refused += 1;
+        }
+    }
+    assert!(refused > 200, "only {refused} of 2000 lines refused");
+    router.stop();
+    server.stop();
 }
 
 const DOCS: [(&str, &str); 4] = [

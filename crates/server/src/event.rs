@@ -76,8 +76,19 @@ const OUT_CAP: usize = 1 << 20;
 const MAX_DOCUMENT_LINE: usize = 256 << 20;
 
 /// Hard cap on every other request line: an XPath expression, a path, a
-/// few operands.
-pub(crate) const MAX_LINE: usize = 64 << 10;
+/// few operands; and on a line a client of this protocol reads back.
+pub const MAX_LINE: usize = 64 << 10;
+
+/// Reads one line from a peer into `line` as a client of this protocol
+/// does: a peer that sends [`MAX_LINE`] bytes without a newline gets
+/// `Err`, and `line` grows by no more than that.
+pub fn read_line_capped(reader: &mut impl io::BufRead, line: &mut String) -> io::Result<usize> {
+    let n = io::BufRead::read_line(&mut reader.take(MAX_LINE as u64), line)?;
+    if n == MAX_LINE && !line.ends_with('\n') {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "line too long"));
+    }
+    Ok(n)
+}
 
 /// The verbs whose line carries a document inline, on the server and on
 /// the router that forwards them.
@@ -493,6 +504,30 @@ mod tests {
         let doc = [b"LOADXML d ".as_slice(), &vec![b'a'; 1 << 20], b"\nBYE\n"].concat();
         assert_eq!(send_and_drain(addr, &doc), "ERR proto\nOK bye\n");
         core.stop();
+    }
+
+    /// A peer that streams without a newline is cut off at the cap, with
+    /// no more than the cap read into the line.
+    #[test]
+    fn a_reply_line_is_read_up_to_the_cap() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let _ = s.write_all(&vec![b'a'; 1 << 20]);
+        });
+        let mut reader = io::BufReader::new(TcpStream::connect(addr).unwrap());
+        let mut line = String::new();
+        let err = read_line_capped(&mut reader, &mut line).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(line.len(), MAX_LINE);
+        drop(reader);
+        peer.join().unwrap();
+
+        let mut short = io::BufReader::new(&b"OK pong\nOK bye\n"[..]);
+        let mut line = String::new();
+        assert_eq!(read_line_capped(&mut short, &mut line).unwrap(), 8);
+        assert_eq!(line, "OK pong\n");
     }
 
     /// A client that pipelines requests without reading the replies is

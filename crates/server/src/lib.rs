@@ -23,7 +23,7 @@
 //! INSERT <doc> <target-xpath> <fragment>
 //! DELETE <doc> <target-xpath>
 //! CHECKPOINT                  fold WAL into pages, truncate
-//! LIMIT <n>                   per-connection row cap (0 = unlimited)
+//! LIMIT [<n>]                 per-connection row cap (0 = unlimited)
 //! STATS                       metrics snapshot
 //! DOCS                        loaded documents, in load order
 //! CACHE [LIST] | CACHE CLEAR  answers kept by the query cache
@@ -32,13 +32,15 @@
 //! PING / QUIT
 //! ```
 //!
-//! On a server configured as a replica ([`ServerConfig::replica`]),
-//! every mutating verb answers `ERR readonly` naming the primary. The
-//! `DOC`-scoped read forms exist for front tiers: `vamana-router`
-//! scatters a cross-document `QUERY` as per-document `QUERY DOC` calls
-//! to the shards that own each document and concatenates the results in
-//! global load order (which is exactly single-store document order,
-//! because FLEX keys order by load ordinal).
+//! [`parse_line`] is the one reader of this grammar — the router and the
+//! shell parse with it too — and [`Request::to_line`] its one writer. On
+//! a server configured as a replica ([`ServerConfig::replica`]), every
+//! mutating verb ([`Request::is_write`]) answers `ERR readonly` naming
+//! the primary. The `DOC`-scoped read forms exist for front tiers:
+//! `vamana-router` scatters a cross-document `QUERY` as per-document
+//! `QUERY DOC` calls to the shards that own each document and
+//! concatenates the results in global load order (which is exactly
+//! single-store document order, because FLEX keys order by load ordinal).
 //!
 //! ## Threading model
 //!
@@ -61,19 +63,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use vamana_core::{
-    exec::BATCH_SIZE, DocId, Engine, NodeEntry, QueryCache, SharedEngine, UpdateOp, Value,
-};
+use vamana_core::{exec::BATCH_SIZE, DocId, Engine, NodeEntry, QueryCache, SharedEngine, Value};
+use vamana_mass::FsyncPolicy;
 
 pub mod event;
 mod feed;
 pub mod metrics;
 pub mod poll;
 pub mod render;
+mod request;
 pub mod testkit;
 
 pub use metrics::Metrics;
-pub use render::{render_rows, RenderOptions, Rendered};
+pub use render::{escape_line, render_rows, unescape_line, RenderOptions, Rendered};
+pub use request::{parse_line, LoadSource, Parsed, ReadVerb, Request};
+pub use vamana_core::UpdateOp;
 
 use event::{Dispatch, LineService};
 use metrics::ActiveGuard;
@@ -190,6 +194,20 @@ pub struct Shared {
 }
 
 impl Shared {
+    /// The state of a service over `engine`, before any listener: the
+    /// shell answers its own lines through it, and [`Server::over`]
+    /// serves it on a socket.
+    pub fn new(engine: Arc<SharedEngine>, config: ServerConfig) -> Arc<Shared> {
+        Arc::new(Shared {
+            engine,
+            metrics: Metrics::default(),
+            config,
+            stopping: AtomicBool::new(false),
+            writer_lane: Mutex::new(()),
+            feeds: AtomicU64::new(0),
+        })
+    }
+
     /// The engine behind the service.
     pub fn engine(&self) -> &Arc<SharedEngine> {
         &self.engine
@@ -215,64 +233,6 @@ impl Shared {
             .reader_wait_us
             .fetch_add(waited, Ordering::Relaxed);
         engine
-    }
-}
-
-/// Where a `LOAD`/`LOADXML` payload comes from.
-enum LoadSource {
-    /// Inline XML on the request line.
-    Inline(String),
-    /// A path readable by the server process.
-    File(String),
-}
-
-/// What one request line asks the engine for.
-enum Request {
-    Query {
-        xpath: String,
-        doc: Option<String>,
-    },
-    Eval {
-        xpath: String,
-        doc: Option<String>,
-    },
-    Explain {
-        xpath: String,
-        json: bool,
-        doc: Option<String>,
-    },
-    Analyze {
-        xpath: String,
-        json: bool,
-        doc: Option<String>,
-    },
-    Update {
-        doc: String,
-        op: UpdateOp,
-    },
-    Checkpoint,
-    Load {
-        name: String,
-        source: LoadSource,
-    },
-    Stats,
-    Docs,
-    CacheList,
-    CacheClear,
-    Lag,
-}
-
-impl Request {
-    /// Control-plane requests skip the query metrics and the deadline.
-    fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Request::Stats
-                | Request::Docs
-                | Request::CacheList
-                | Request::CacheClear
-                | Request::Lag
-        )
     }
 }
 
@@ -346,10 +306,20 @@ fn execute(
         return Err(ServerError::Timeout(shared.config.query_timeout));
     }
     let result = match request {
-        Request::Query { xpath, doc } => run_query(shared, xpath, doc.as_deref(), limit, deadline),
-        Request::Eval { xpath, doc } => run_eval(shared, xpath, doc.as_deref(), limit),
-        Request::Explain { xpath, json, doc } => run_explain(shared, xpath, *json, doc.as_deref()),
-        Request::Analyze { xpath, json, doc } => run_analyze(shared, xpath, *json, doc.as_deref()),
+        Request::Read {
+            verb,
+            json,
+            doc,
+            xpath,
+        } => {
+            let doc = doc.as_deref();
+            match verb {
+                ReadVerb::Query => run_query(shared, xpath, doc, limit, deadline),
+                ReadVerb::Eval => run_eval(shared, xpath, doc, limit),
+                ReadVerb::Explain => run_explain(shared, xpath, *json, doc),
+                ReadVerb::Analyze => run_analyze(shared, xpath, *json, doc),
+            }
+        }
         Request::Update { doc, op } => run_update(shared, doc, op, deadline),
         Request::Checkpoint => run_checkpoint(shared, deadline),
         Request::Load { name, source } => run_load(shared, name, source),
@@ -420,24 +390,13 @@ fn execute(
                 | Outcome::Checkpointed { elapsed, .. } => (*elapsed, 0, 0, 0, 0, 0),
                 Outcome::Loaded { .. } | Outcome::Lines { .. } => (Duration::ZERO, 0, 0, 0, 0, 0),
             };
-            shared.metrics.latency.record(elapsed);
-            shared
-                .metrics
-                .rows_returned
-                .fetch_add(rows, Ordering::Relaxed);
-            shared
-                .metrics
-                .buffer_hits
-                .fetch_add(hits, Ordering::Relaxed);
-            shared
-                .metrics
-                .buffer_misses
-                .fetch_add(misses, Ordering::Relaxed);
-            shared.metrics.batch_pins.fetch_add(pins, Ordering::Relaxed);
-            shared
-                .metrics
-                .pins_saved
-                .fetch_add(saved, Ordering::Relaxed);
+            let m = &shared.metrics;
+            m.latency.record(elapsed);
+            m.rows_returned.fetch_add(rows, Ordering::Relaxed);
+            m.buffer_hits.fetch_add(hits, Ordering::Relaxed);
+            m.buffer_misses.fetch_add(misses, Ordering::Relaxed);
+            m.batch_pins.fetch_add(pins, Ordering::Relaxed);
+            m.pins_saved.fetch_add(saved, Ordering::Relaxed);
         }
         Ok(_) => {}
         Err(ServerError::Timeout(_)) => {
@@ -463,14 +422,9 @@ fn run_query(
     deadline: Instant,
 ) -> Result<Outcome, ServerError> {
     let engine = shared.read_engine();
-    if engine.store().documents().is_empty() {
-        return Err(ServerError::Query(
-            "no documents loaded (use LOADXML or LOAD)".into(),
-        ));
-    }
+    let first = resolve_read_doc(&engine, doc)?;
     let docs: Vec<DocId> = match doc {
-        Some(token) => vec![resolve_doc(&engine, token)
-            .ok_or_else(|| ServerError::Query(format!("no such document {token}")))?],
+        Some(_) => vec![first],
         None => (0..engine.store().documents().len() as u32)
             .map(DocId)
             .collect(),
@@ -528,21 +482,29 @@ fn run_query(
         _ => parts.drain(..).flat_map(Arc::unwrap_or_clone).collect(),
     };
     let all = parts.first().map_or(&all[..], |one| &one[..]);
-    let rendered = render_rows(
-        &engine,
-        all,
-        &RenderOptions {
-            limit,
-            value_width: shared.config.value_width,
-        },
-    )
-    .map_err(query_err)?;
-    // Snapshot after rendering: index-answerable queries do their page
-    // reads in string-value extraction, not plan execution.
+    let plan = ["cached", "bound", "compiled"][source];
+    rows_outcome(shared, &engine, all, limit, plan, start, before)
+}
+
+/// Renders up to `limit` of `nodes` as a rows reply, timed from `start`,
+/// with the buffer-pool traffic since `before`. The pool is read after
+/// rendering: index-answerable queries do their page reads in
+/// string-value extraction, not plan execution.
+fn rows_outcome(
+    shared: &Shared,
+    engine: &Engine,
+    nodes: &[NodeEntry],
+    limit: usize,
+    plan: &'static str,
+    start: Instant,
+    before: vamana_mass::BufferStats,
+) -> Result<Outcome, ServerError> {
+    let value_width = shared.config.value_width;
+    let rendered = render_rows(engine, nodes, &RenderOptions { limit, value_width });
     let after = engine.store().buffer_pool().stats();
     Ok(Outcome::Rows {
-        rendered,
-        plan: ["cached", "bound", "compiled"][source],
+        rendered: rendered.map_err(query_err)?,
+        plan,
         elapsed: start.elapsed(),
         buffer_hits: after.hits.saturating_sub(before.hits),
         buffer_misses: after.misses.saturating_sub(before.misses),
@@ -582,25 +544,7 @@ fn run_eval(
     let elapsed = start.elapsed();
     match value {
         Value::Nodes(nodes) => {
-            let rendered = render_rows(
-                &engine,
-                &nodes,
-                &RenderOptions {
-                    limit,
-                    value_width: shared.config.value_width,
-                },
-            )
-            .map_err(query_err)?;
-            let after = engine.store().buffer_pool().stats();
-            Ok(Outcome::Rows {
-                rendered,
-                plan: "compiled",
-                elapsed,
-                buffer_hits: after.hits.saturating_sub(before.hits),
-                buffer_misses: after.misses.saturating_sub(before.misses),
-                batch_pins: after.batch_pins.saturating_sub(before.batch_pins),
-                pins_saved: after.pins_saved.saturating_sub(before.pins_saved),
-            })
+            rows_outcome(shared, &engine, &nodes, limit, "compiled", start, before)
         }
         Value::Num(n) => Ok(Outcome::Scalar {
             text: n.to_string(),
@@ -662,9 +606,16 @@ fn run_analyze(
     let lines = if json {
         vec![analysis.render_json()]
     } else {
+        use std::fmt::Write as _;
         let mut text = analysis.render();
         text.push_str("optimizer trace:\n");
         text.push_str(&analysis.opt_trace.render());
+        let p = &analysis.profile;
+        let _ = write!(
+            text,
+            "profile: {:.2?}, {} hit(s) / {} miss(es), {} batch pin(s), {} morsel(s)",
+            p.elapsed, p.buffer_hits, p.buffer_misses, p.batch_pins, p.morsels
+        );
         text.lines().map(str::to_string).collect()
     };
     Ok(Outcome::Report { lines, elapsed })
@@ -809,22 +760,6 @@ fn explain_json(xpath: &str, ex: &vamana_core::Explain) -> String {
     s
 }
 
-/// Protocol values are single-line: escape the characters that would
-/// break framing.
-fn escape_line(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The query service: a TCP listener and the state its connection
 /// threads share.
 pub struct Server {
@@ -840,20 +775,23 @@ impl Server {
         engine: Engine,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        Server::bind_shared(addr, Arc::new(SharedEngine::new(engine)), config)
+        Server::over(
+            addr,
+            Shared::new(Arc::new(SharedEngine::new(engine)), config),
+        )
     }
 
-    /// Like [`Server::bind`], but over an engine the caller keeps a
-    /// handle to — the REPL's `.serve` shares its session engine with
-    /// the service this way.
-    pub fn bind_shared(
+    /// Binds `addr` over state the caller keeps a handle to: the shell's
+    /// `.serve` serves the session it answers its own lines with, and a
+    /// replica the engine its sync loop writes.
+    pub fn over(
         addr: impl std::net::ToSocketAddrs,
-        engine: Arc<SharedEngine>,
-        config: ServerConfig,
+        shared: Arc<Shared>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         {
-            let mut guard = engine.write();
+            let config = &shared.config;
+            let mut guard = shared.engine.write();
             if config.scan_workers > 0 {
                 guard.options_mut().parallel_workers = config.scan_workers;
             }
@@ -870,14 +808,8 @@ impl Server {
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
             }
         }
-        let shared = Arc::new(Shared {
-            engine,
-            metrics: Metrics::default(),
-            config: config.clone(),
-            stopping: AtomicBool::new(false),
-            writer_lane: Mutex::new(()),
-            feeds: AtomicU64::new(0),
-        });
+        // The same state may be served again after a stop.
+        shared.stopping.store(false, Ordering::SeqCst);
         Ok(Server { listener, shared })
     }
 
@@ -891,12 +823,9 @@ impl Server {
         &self.shared
     }
 
-    fn start(self) -> std::io::Result<event::Running<EventService>> {
+    fn start(self) -> std::io::Result<event::Running<Arc<Shared>>> {
         let workers = self.shared.config.workers;
-        let service = EventService {
-            shared: Arc::clone(&self.shared),
-        };
-        event::start(self.listener, service, workers, "vamana-conn")
+        event::start(self.listener, self.shared, workers, "vamana-conn")
     }
 
     /// Serves forever on [`ServerConfig::workers`] connection threads
@@ -923,7 +852,7 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    core: Option<event::Running<EventService>>,
+    core: Option<event::Running<Arc<Shared>>>,
 }
 
 impl ServerHandle {
@@ -959,153 +888,57 @@ impl Drop for ServerHandle {
     }
 }
 
-/// What the shared request parser decided about one line.
-enum Parsed {
-    /// Answer immediately with this one line (no trailing newline).
-    Inline(String),
-    /// Run against the engine.
-    Run(Request),
-    /// Set the per-connection row cap.
-    Limit(usize),
-    /// `QUIT`.
-    Quit,
-    /// `REPLICATE <from>`: the connection becomes a WAL frame feed.
-    Feed(u64),
-}
-
-/// Parses one request line into a [`Parsed`] action.
-fn parse_line(config: &ServerConfig, request: &str) -> Parsed {
-    let (verb, rest) = match request.split_once(' ') {
-        Some((v, r)) => (v, r.trim()),
-        None => (request, ""),
-    };
-    // A replica is read-only: every mutating verb is redirected to
-    // the primary (queries, stats and lag checks proceed normally).
-    if let Some(role) = &config.replica {
-        if matches!(
-            verb,
-            "LOADXML" | "LOAD" | "INSERT" | "DELETE" | "CHECKPOINT"
-        ) {
-            return Parsed::Inline(format!(
-                "ERR readonly replica; send writes to the primary at {}",
-                role.primary
-            ));
-        }
-    }
-    match verb {
-        "PING" => Parsed::Inline("OK pong".into()),
-        "QUIT" => Parsed::Quit,
-        "LIMIT" => match rest.parse::<usize>() {
-            Ok(n) => Parsed::Limit(n),
-            Err(_) => Parsed::Inline("ERR proto LIMIT needs a non-negative integer".into()),
-        },
-        "STATS" => Parsed::Run(Request::Stats),
-        "DOCS" => Parsed::Run(Request::Docs),
-        // Query-cache inspection. Allowed on replicas: the cache is
-        // node-local derived state, not document data.
-        "CACHE" => match rest {
-            "" | "LIST" => Parsed::Run(Request::CacheList),
-            "CLEAR" => Parsed::Run(Request::CacheClear),
-            _ => Parsed::Inline("ERR proto CACHE takes LIST or CLEAR".into()),
-        },
-        "LAG" => Parsed::Run(Request::Lag),
-        "REPLICATE" => match rest.parse::<u64>() {
-            Ok(from) => Parsed::Feed(from),
-            Err(_) => Parsed::Inline("ERR proto REPLICATE needs a starting LSN".into()),
-        },
-        "LOADXML" | "LOAD" => {
-            let Some((name, payload)) = rest.split_once(' ').map(|(n, p)| (n, p.trim())) else {
-                return Parsed::Inline(format!("ERR proto {verb} needs a name and a payload"));
-            };
-            let source = if verb == "LOAD" {
-                LoadSource::File(payload.to_string())
-            } else {
-                LoadSource::Inline(payload.to_string())
-            };
-            Parsed::Run(Request::Load {
-                name: name.to_string(),
-                source,
-            })
-        }
-        "INSERT" | "DELETE" | "CHECKPOINT" => match parse_update(verb, rest) {
-            Ok(request) => Parsed::Run(request),
-            Err(msg) => Parsed::Inline(format!("ERR proto {msg}")),
-        },
-        "QUERY" | "EVAL" | "EXPLAIN" | "ANALYZE" => {
-            // EXPLAIN/ANALYZE take an optional JSON modifier, and every
-            // read verb an optional DOC scope, before the expression:
-            // `EXPLAIN JSON DOC auction //a/b`.
-            let (json, rest) = match rest.strip_prefix("JSON") {
-                Some(r) if r.starts_with(' ') && matches!(verb, "EXPLAIN" | "ANALYZE") => {
-                    (true, r.trim())
-                }
-                _ => (false, rest),
-            };
-            let (doc, xpath) = match rest.strip_prefix("DOC ") {
-                Some(r) => match r.trim_start().split_once(' ') {
-                    Some((d, x)) => (Some(d.to_string()), x.trim()),
-                    None => {
-                        return Parsed::Inline(format!(
-                            "ERR proto {verb} DOC needs a document and an XPath expression"
-                        ))
-                    }
-                },
-                None => (None, rest),
-            };
-            if xpath.is_empty() {
-                return Parsed::Inline(format!("ERR proto {verb} needs an XPath expression"));
-            }
-            let xpath = xpath.to_string();
-            Parsed::Run(match verb {
-                "QUERY" => Request::Query { xpath, doc },
-                "EVAL" => Request::Eval { xpath, doc },
-                "EXPLAIN" => Request::Explain { xpath, json, doc },
-                _ => Request::Analyze { xpath, json, doc },
-            })
-        }
-        _ => Parsed::Inline(format!("ERR proto unknown request {verb}")),
-    }
-}
-
-/// The [`LineService`] running the VAMANA protocol on the connection
-/// core; a connection's session is its row cap (`LIMIT`).
-struct EventService {
-    shared: Arc<Shared>,
-}
-
-impl LineService for EventService {
+/// The VAMANA protocol on the connection core, and in the shell, which
+/// sends its own lines through [`LineService::handle`]; a connection's
+/// session is its row cap (`LIMIT`).
+impl LineService for Arc<Shared> {
     type Session = usize;
 
     fn open(&self) -> usize {
-        self.shared
-            .metrics
-            .connections
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.config.default_limit
+        self.metrics.connections.fetch_add(1, Ordering::Relaxed);
+        self.config.default_limit
     }
 
     fn handle(&self, limit: &mut usize, line: &str, out: &mut Vec<u8>) -> Dispatch {
-        match parse_line(&self.shared.config, line) {
-            Parsed::Inline(reply) => {
-                let _ = writeln!(out, "{reply}");
+        let request = match parse_line(line) {
+            Ok(Parsed::Run(request)) => request,
+            Ok(Parsed::Ping) => {
+                out.extend_from_slice(b"OK pong\n");
+                return Dispatch::Next;
             }
-            Parsed::Limit(n) => {
-                *limit = n;
-                let _ = writeln!(out, "OK limit {n}");
+            Ok(Parsed::Limit(n)) => {
+                *limit = n.unwrap_or(*limit);
+                let _ = writeln!(out, "OK limit {limit}");
+                return Dispatch::Next;
             }
-            Parsed::Quit => {
+            Ok(Parsed::Quit) => {
                 out.extend_from_slice(b"OK bye\n");
                 return Dispatch::Close;
             }
-            Parsed::Feed(from) => {
-                let shared = Arc::clone(&self.shared);
+            Ok(Parsed::Replicate(from)) => {
+                let shared = Arc::clone(self);
                 return Dispatch::Handoff(Box::new(move |stream| {
                     let _ = feed::serve_feed(stream, &shared, from);
                 }));
             }
-            Parsed::Run(request) => {
-                let deadline = Instant::now() + self.shared.config.query_timeout;
-                write_reply(&execute(&self.shared, &request, *limit, deadline), out);
+            Err(msg) => {
+                let _ = writeln!(out, "ERR proto {msg}");
+                return Dispatch::Next;
+            }
+        };
+        // A replica is read-only: every mutating verb is redirected to
+        // the primary (queries, stats and lag checks proceed normally).
+        match &self.config.replica {
+            Some(role) if request.is_write() => {
+                let _ = writeln!(
+                    out,
+                    "ERR readonly replica; send writes to the primary at {}",
+                    role.primary
+                );
+            }
+            _ => {
+                let deadline = Instant::now() + self.config.query_timeout;
+                write_reply(&execute(self, &request, *limit, deadline), out);
             }
         }
         Dispatch::Next
@@ -1189,159 +1022,102 @@ fn write_reply(result: &Result<Outcome, ServerError>, out: &mut Vec<u8>) {
     }
 }
 
-/// Parses `INSERT <doc> <target> <fragment>`, `DELETE <doc> <target>`
-/// and `CHECKPOINT`. The insert fragment is split from the target XPath
-/// at the first ` <` (a fragment is always markup; a target never
-/// contains ` <` because comparisons bind tighter than spaces in our
-/// grammar's practical use — and `<` in predicates is written without a
-/// leading space or the update is rejected as missing its fragment).
-fn parse_update(verb: &str, rest: &str) -> Result<Request, String> {
-    if verb == "CHECKPOINT" {
-        return Ok(Request::Checkpoint);
-    }
-    let Some((doc, tail)) = rest.split_once(' ').map(|(d, t)| (d, t.trim())) else {
-        return Err(format!("{verb} needs a document and a target XPath"));
-    };
-    if doc.is_empty() || tail.is_empty() {
-        return Err(format!("{verb} needs a document and a target XPath"));
-    }
-    match verb {
-        "INSERT" => {
-            let Some(at) = tail.find(" <") else {
-                return Err("INSERT needs an XML fragment after the target XPath".into());
-            };
-            let (target, fragment) = tail.split_at(at);
-            Ok(Request::Update {
-                doc: doc.to_string(),
-                op: UpdateOp::Insert {
-                    target: target.trim().to_string(),
-                    fragment: fragment.trim().to_string(),
-                },
-            })
-        }
-        _ => Ok(Request::Update {
-            doc: doc.to_string(),
-            op: UpdateOp::Delete {
-                target: tail.to_string(),
-            },
-        }),
-    }
-}
-
 /// One `STAT key value` line per metric, cache and store counter.
 fn render_stats(shared: &Shared) -> Vec<String> {
     let mut out = Vec::new();
     shared.metrics.render(&mut out);
+    let mut stat =
+        |key: &str, value: &dyn std::fmt::Display| out.push(format!("STAT {key} {value}"));
     let engine = shared.engine.read();
-    let (hits, misses) = engine.views().counters();
-    out.push(format!("STAT plan_cache_hits {hits}"));
-    out.push(format!("STAT plan_cache_misses {misses}"));
-    out.push(format!("STAT plan_cache_size {}", engine.views().len()));
-    out.push(format!(
-        "STAT plan_cache_shape_binds {}",
-        engine.views().binds()
-    ));
-    out.push(format!(
-        "STAT plan_cache_shapes {}",
-        engine.views().shapes()
-    ));
-    out.push(format!("STAT workers {}", shared.config.workers));
-    let stats = engine.store().stats();
-    out.push(format!("STAT documents {}", stats.documents));
-    out.push(format!("STAT store_tuples {}", stats.tuples));
-    out.push(format!("STAT store_pages {}", stats.pages));
-    out.push(format!(
-        "STAT store_generation {}",
-        engine.store().generation()
-    ));
-    out.push(format!("STAT store_format {}", stats.format.as_str()));
-    out.push(format!(
-        "STAT store_compressed_pages {}",
-        stats.compressed_pages
-    ));
-    out.push(format!(
-        "STAT store_uncompressed_pages {}",
-        stats.uncompressed_pages
-    ));
-    out.push(format!("STAT store_dict_entries {}", stats.dict_entries));
-    out.push(format!("STAT store_disk_bytes {}", stats.disk_bytes()));
-    out.push(format!(
-        "STAT store_compression_ratio {:.4}",
-        stats.compression_ratio()
-    ));
-    out.push(format!("STAT pool_buffer_hits {}", stats.buffer.hits));
-    out.push(format!("STAT pool_buffer_misses {}", stats.buffer.misses));
-    out.push(format!("STAT pool_decodes_v1 {}", stats.buffer.decodes_v1));
-    out.push(format!("STAT pool_decodes_v2 {}", stats.buffer.decodes_v2));
-    out.push(format!(
-        "STAT pool_format_fallbacks {}",
-        stats.buffer.format_fallbacks
-    ));
-    out.push(format!("STAT pool_batch_pins {}", stats.buffer.batch_pins));
-    out.push(format!("STAT pool_pins_saved {}", stats.buffer.pins_saved));
-    let views = engine.views().stats();
-    out.push(format!("STAT view_hits {}", views.hits));
-    out.push(format!("STAT view_misses {}", views.misses));
-    out.push(format!("STAT view_evictions {}", views.evictions));
-    out.push(format!("STAT view_bytes {}", views.bytes));
-    out.push(format!("STAT view_views {}", views.views));
+    let views = engine.views();
+    let (hits, misses) = views.counters();
+    stat("plan_cache_hits", &hits);
+    stat("plan_cache_misses", &misses);
+    stat("plan_cache_size", &views.len());
+    stat("plan_cache_shape_binds", &views.binds());
+    stat("plan_cache_shapes", &views.shapes());
+    stat("workers", &shared.config.workers);
+    let store = engine.store();
+    let stats = store.stats();
+    stat("documents", &stats.documents);
+    stat("store_tuples", &stats.tuples);
+    stat("store_names", &stats.distinct_names);
+    stat("store_values", &stats.distinct_values);
+    stat("store_pages", &stats.pages);
+    stat("store_generation", &store.generation());
+    stat("store_format", &stats.format.as_str());
+    stat("store_compressed_pages", &stats.compressed_pages);
+    stat("store_uncompressed_pages", &stats.uncompressed_pages);
+    stat("store_dict_entries", &stats.dict_entries);
+    stat("store_disk_bytes", &stats.disk_bytes());
+    stat(
+        "store_compression_ratio",
+        &format!("{:.4}", stats.compression_ratio()),
+    );
+    let pool = &stats.buffer;
+    stat("pool_buffer_hits", &pool.hits);
+    stat("pool_buffer_misses", &pool.misses);
+    stat("pool_evictions", &pool.evictions);
+    stat("pool_decodes_v1", &pool.decodes_v1);
+    stat("pool_decodes_v2", &pool.decodes_v2);
+    stat("pool_format_fallbacks", &pool.format_fallbacks);
+    stat("pool_batch_pins", &pool.batch_pins);
+    stat("pool_pins_saved", &pool.pins_saved);
+    let kept = views.stats();
+    stat("view_hits", &kept.hits);
+    stat("view_misses", &kept.misses);
+    stat("view_evictions", &kept.evictions);
+    stat("view_bytes", &kept.bytes);
+    stat("view_views", &kept.views);
     let par = engine.parallel_stats();
-    out.push(format!("STAT scan_workers {}", engine.effective_workers()));
-    out.push(format!("STAT pool_par_morsels {}", par.morsels));
-    out.push(format!("STAT pool_par_batches {}", par.worker_batches));
-    out.push(format!("STAT pool_par_merge_stalls {}", par.merge_stalls));
-    let wal = engine.store().wal_stats();
-    out.push(format!(
-        "STAT store_durable {}",
-        engine.store().is_durable() as u32
-    ));
-    out.push(format!("STAT wal_records {}", wal.records));
-    out.push(format!("STAT wal_depth {}", wal.depth));
-    out.push(format!("STAT wal_fsyncs {}", wal.fsyncs));
-    out.push(format!("STAT wal_last_lsn {}", wal.last_lsn));
-    out.push(format!("STAT wal_replayed_lsn {}", wal.replayed_lsn));
-    out.push(format!(
-        "STAT engine_writer_wait_us {}",
-        engine.writer_wait_total().as_micros()
-    ));
+    stat("scan_workers", &engine.effective_workers());
+    stat("pool_par_morsels", &par.morsels);
+    stat("pool_par_batches", &par.worker_batches);
+    stat("pool_par_merge_stalls", &par.merge_stalls);
+    let wal = store.wal_stats();
+    stat("store_durable", &(store.is_durable() as u32));
+    stat("wal_records", &wal.records);
+    stat("wal_depth", &wal.depth);
+    stat("wal_fsyncs", &wal.fsyncs);
+    stat("wal_last_lsn", &wal.last_lsn);
+    stat("wal_replayed_lsn", &wal.replayed_lsn);
+    stat("wal_replayed_records", &wal.replayed_records);
+    stat("wal_start_lsn", &wal.start_lsn);
+    stat("wal_commits", &wal.commits);
+    // Commits per fsync: 1 is every commit, 0 never (or no log at all).
+    let fsync_every = match store.fsync_policy() {
+        Some(FsyncPolicy::Always) => 1,
+        Some(FsyncPolicy::EveryN(n)) => n,
+        Some(FsyncPolicy::Never) | None => 0,
+    };
+    stat("wal_fsync_every", &fsync_every);
+    stat(
+        "engine_writer_wait_us",
+        &engine.writer_wait_total().as_micros(),
+    );
     match &shared.config.replica {
         Some(role) => {
             let s = &role.status;
             let applied = s.applied_lsn.load(Ordering::Relaxed);
             let primary_last = s.primary_last_lsn.load(Ordering::Relaxed);
-            out.push(format!(
-                "STAT repl_received_lsn {}",
-                s.received_lsn.load(Ordering::Relaxed)
-            ));
-            out.push(format!("STAT repl_applied_lsn {applied}"));
-            out.push(format!("STAT repl_primary_last_lsn {primary_last}"));
-            out.push(format!(
-                "STAT repl_behind {}",
-                primary_last.saturating_sub(applied)
-            ));
-            out.push(format!(
-                "STAT repl_connected {}",
-                s.connected.load(Ordering::Relaxed) as u32
-            ));
-            out.push(format!(
-                "STAT repl_reconnects {}",
-                s.reconnects.load(Ordering::Relaxed)
-            ));
-            out.push(format!(
-                "STAT repl_snapshots {}",
-                s.snapshots.load(Ordering::Relaxed)
-            ));
+            stat("repl_received_lsn", &s.received_lsn.load(Ordering::Relaxed));
+            stat("repl_applied_lsn", &applied);
+            stat("repl_primary_last_lsn", &primary_last);
+            stat("repl_behind", &primary_last.saturating_sub(applied));
+            stat(
+                "repl_connected",
+                &(s.connected.load(Ordering::Relaxed) as u32),
+            );
+            stat("repl_reconnects", &s.reconnects.load(Ordering::Relaxed));
+            stat("repl_snapshots", &s.snapshots.load(Ordering::Relaxed));
         }
         None => {
-            if let Some(log) = engine.store().replication_log() {
+            if let Some(log) = store.replication_log() {
                 let st = log.stats();
-                out.push(format!("STAT repl_last_lsn {}", st.last_lsn));
-                out.push(format!("STAT repl_floor_lsn {}", st.floor_lsn));
-                out.push(format!("STAT repl_retained {}", st.retained));
-                out.push(format!(
-                    "STAT repl_feeds {}",
-                    shared.feeds.load(Ordering::Relaxed)
-                ));
+                stat("repl_last_lsn", &st.last_lsn);
+                stat("repl_floor_lsn", &st.floor_lsn);
+                stat("repl_retained", &st.retained);
+                stat("repl_feeds", &shared.feeds.load(Ordering::Relaxed));
             }
         }
     }
@@ -1353,41 +1129,30 @@ fn render_stats(shared: &Shared) -> Vec<String> {
 /// snapshot).
 fn render_lag(shared: &Shared) -> Vec<String> {
     let mut out = Vec::new();
+    let mut lag = |key: &str, value: &dyn std::fmt::Display| out.push(format!("LAG {key} {value}"));
     match &shared.config.replica {
         Some(role) => {
             let s = &role.status;
             let applied = s.applied_lsn.load(Ordering::Relaxed);
             let primary_last = s.primary_last_lsn.load(Ordering::Relaxed);
-            out.push("LAG role replica".to_string());
-            out.push(format!("LAG primary {}", role.primary));
-            out.push(format!(
-                "LAG received_lsn {}",
-                s.received_lsn.load(Ordering::Relaxed)
-            ));
-            out.push(format!("LAG applied_lsn {applied}"));
-            out.push(format!("LAG primary_last_lsn {primary_last}"));
-            out.push(format!(
-                "LAG behind {}",
-                primary_last.saturating_sub(applied)
-            ));
-            out.push(format!(
-                "LAG connected {}",
-                s.connected.load(Ordering::Relaxed) as u32
-            ));
+            lag("role", &"replica");
+            lag("primary", &role.primary);
+            lag("received_lsn", &s.received_lsn.load(Ordering::Relaxed));
+            lag("applied_lsn", &applied);
+            lag("primary_last_lsn", &primary_last);
+            lag("behind", &primary_last.saturating_sub(applied));
+            lag("connected", &(s.connected.load(Ordering::Relaxed) as u32));
         }
         None => {
             let engine = shared.engine.read();
-            out.push("LAG role primary".to_string());
-            out.push(format!("LAG last_lsn {}", engine.store().replicated_lsn()));
+            lag("role", &"primary");
+            lag("last_lsn", &engine.store().replicated_lsn());
             if let Some(log) = engine.store().replication_log() {
                 let st = log.stats();
-                out.push(format!("LAG floor_lsn {}", st.floor_lsn));
-                out.push(format!("LAG retained {}", st.retained));
+                lag("floor_lsn", &st.floor_lsn);
+                lag("retained", &st.retained);
             }
-            out.push(format!(
-                "LAG feeds {}",
-                shared.feeds.load(Ordering::Relaxed)
-            ));
+            lag("feeds", &shared.feeds.load(Ordering::Relaxed));
         }
     }
     out
@@ -1396,104 +1161,7 @@ fn render_lag(shared: &Shared) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// Random UTF-8 up to `MAX_LINE` bytes: one, two, three and four byte
-    /// characters in equal shares, so verbs, spaces and `<` show up too.
-    fn utf8_line() -> impl Strategy<Value = String> {
-        proptest::collection::vec(any::<u32>(), 0..event::MAX_LINE / 4).prop_map(|draws| {
-            draws
-                .into_iter()
-                .map(|d| {
-                    let c = match d % 4 {
-                        0 => (d >> 2) % 0x80,
-                        1 => 0x80 + (d >> 2) % 0x780,
-                        2 => 0x800 + (d >> 2) % 0xF800,
-                        _ => 0x10000 + (d >> 2) % 0x100000,
-                    };
-                    char::from_u32(c).unwrap_or('\u{FFFD}')
-                })
-                .collect()
-        })
-    }
-
-    const VERBS: [&str; 9] = [
-        "QUERY", "EVAL", "EXPLAIN", "ANALYZE", "INSERT", "DELETE", "CACHE", "LIMIT", "DOC",
-    ];
-
-    /// A verb, then a tail of protocol fragments and random text.
-    fn verb_soup() -> impl Strategy<Value = String> {
-        let piece = prop_oneof![
-            Just(" ".to_string()),
-            Just("JSON ".to_string()),
-            Just("DOC ".to_string()),
-            Just(" <".to_string()),
-            Just("LIST".to_string()),
-            Just("CLEAR".to_string()),
-            Just("-1".to_string()),
-            Just("18446744073709551616".to_string()),
-            "[ a-z0-9/<>@=\\[\\]'\"*().:|-]{0,24}",
-            "[\u{e9}\u{4e2d}\u{1f600}\t\r ]{0,4}",
-        ];
-        (0usize..VERBS.len(), proptest::collection::vec(piece, 0..12)).prop_map(|(verb, pieces)| {
-            let mut line = VERBS[verb].to_string();
-            for piece in pieces {
-                line.push_str(&piece);
-            }
-            line
-        })
-    }
-
-    /// Whatever a line parses to, an inline reply is a protocol line.
-    fn check_line(config: &ServerConfig, line: &str) -> Result<(), String> {
-        if let Parsed::Inline(reply) = parse_line(config, line) {
-            prop_assert!(
-                reply.starts_with("OK ") || reply.starts_with("ERR "),
-                "{}",
-                reply
-            );
-        }
-        let (_, rest) = line.split_once(' ').unwrap_or((line, ""));
-        for verb in ["INSERT", "DELETE", "CHECKPOINT"] {
-            let _ = parse_update(verb, rest);
-        }
-        Ok(())
-    }
-
-    fn replica_config() -> ServerConfig {
-        ServerConfig {
-            replica: Some(ReplicaRole {
-                primary: "1.2.3.4:5".into(),
-                status: Arc::new(ReplicaStatus::default()),
-            }),
-            ..ServerConfig::default()
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-        /// `parse_line` and `parse_update` return on any line a client
-        /// can send, and never panic.
-        #[test]
-        fn the_line_parsers_return_on_random_utf8(line in utf8_line()) {
-            prop_assert!(line.len() <= event::MAX_LINE);
-            check_line(&ServerConfig::default(), &line)?;
-            check_line(&replica_config(), &line)?;
-        }
-
-        #[test]
-        fn the_line_parsers_return_on_verb_soup(line in verb_soup()) {
-            check_line(&ServerConfig::default(), &line)?;
-            check_line(&replica_config(), &line)?;
-        }
-    }
-
-    #[test]
-    fn escape_round_trips_framing_characters() {
-        assert_eq!(escape_line("a\tb\nc\\d"), "a\\tb\\nc\\\\d");
-        assert_eq!(escape_line("plain"), "plain");
-    }
+    use vamana_core::MassStore;
 
     #[test]
     fn config_defaults_are_sane() {
@@ -1502,64 +1170,34 @@ mod tests {
         assert!(c.query_timeout > Duration::ZERO);
     }
 
-    #[test]
-    fn parse_line_covers_the_grammar() {
-        let config = ServerConfig::default();
-        assert!(matches!(
-            parse_line(&config, "PING"),
-            Parsed::Inline(s) if s == "OK pong"
-        ));
-        assert!(matches!(parse_line(&config, "QUIT"), Parsed::Quit));
-        assert!(matches!(parse_line(&config, "LIMIT 5"), Parsed::Limit(5)));
-        assert!(matches!(
-            parse_line(&config, "QUERY //a"),
-            Parsed::Run(Request::Query { doc: None, .. })
-        ));
-        assert!(matches!(
-            parse_line(&config, "QUERY DOC auction //a"),
-            Parsed::Run(Request::Query { doc: Some(d), .. }) if d == "auction"
-        ));
-        assert!(matches!(
-            parse_line(&config, "ANALYZE JSON DOC auction //a"),
-            Parsed::Run(Request::Analyze {
-                doc: Some(_),
-                json: true,
-                ..
-            })
-        ));
-        assert!(matches!(
-            parse_line(&config, "STATS"),
-            Parsed::Run(Request::Stats)
-        ));
-        assert!(matches!(
-            parse_line(&config, "DOCS"),
-            Parsed::Run(Request::Docs)
-        ));
-        assert!(matches!(
-            parse_line(&config, "REPLICATE 7"),
-            Parsed::Feed(7)
-        ));
-        assert!(matches!(
-            parse_line(&config, "NONSENSE"),
-            Parsed::Inline(s) if s.starts_with("ERR proto unknown")
-        ));
+    fn answer(shared: &Arc<Shared>, line: &str) -> String {
+        let mut out = Vec::new();
+        shared.handle(&mut 20, line, &mut out);
+        String::from_utf8(out).unwrap()
     }
 
     #[test]
-    fn replica_config_rejects_writes_at_parse() {
-        let config = ServerConfig {
-            replica: Some(ReplicaRole {
-                primary: "1.2.3.4:5".into(),
-                status: Arc::new(ReplicaStatus::default()),
-            }),
-            ..ServerConfig::default()
-        };
-        for verb in ["LOADXML d <a/>", "INSERT d //a <b/>", "CHECKPOINT"] {
-            assert!(matches!(
-                parse_line(&config, verb),
-                Parsed::Inline(s) if s.starts_with("ERR readonly")
-            ));
+    fn a_replica_refuses_writes_after_parsing_them() {
+        let engine = Arc::new(SharedEngine::new(Engine::new(MassStore::open_memory())));
+        let shared = Shared::new(
+            engine,
+            ServerConfig {
+                replica: Some(ReplicaRole {
+                    primary: "1.2.3.4:5".into(),
+                    status: Arc::new(ReplicaStatus::default()),
+                }),
+                ..ServerConfig::default()
+            },
+        );
+        for line in ["LOADXML d <a/>", "INSERT d //a <b/>", "CHECKPOINT"] {
+            let reply = answer(&shared, line);
+            assert!(reply.starts_with("ERR readonly"), "{line}: {reply}");
+            assert!(reply.contains("1.2.3.4:5"), "{reply}");
         }
-        assert!(matches!(parse_line(&config, "QUERY //a"), Parsed::Run(_)));
+        // A line outside the grammar is a protocol error first.
+        assert!(answer(&shared, "INSERT d //a").starts_with("ERR proto"));
+        // Reads run.
+        assert!(answer(&shared, "QUERY //a").starts_with("ERR query no documents"));
+        assert_eq!(answer(&shared, "LIMIT"), "OK limit 20\n");
     }
 }

@@ -1,9 +1,9 @@
-//! Result-row rendering shared by the REPL and the server.
+//! Result-row rendering and the escaping that keeps a value on one line.
 //!
-//! Both front ends show the same thing for a node-set: one line per node,
-//! `<name> string-value`, truncated to a configurable width, capped at a
-//! configurable row limit. Keeping this in one place means `.limit` in
-//! the shell and `LIMIT` in the wire protocol go through identical code.
+//! A node-set renders as one line per node, `<name> string-value`,
+//! truncated to a configurable width, capped at a configurable row limit.
+//! A reply value travels through [`escape_line`], and a reader that needs
+//! the text back (a replica reading a snapshot) uses [`unescape_line`].
 
 use vamana_core::{Engine, NodeEntry, Result};
 
@@ -67,9 +67,51 @@ pub fn render_rows(engine: &Engine, nodes: &[NodeEntry], opts: &RenderOptions) -
     })
 }
 
+/// Protocol values are single-line: escapes the characters that would
+/// break framing (`\\`, `\n`, `\r`, `\t`).
+pub fn escape_line(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// The inverse of [`escape_line`]. A backslash before any other
+/// character, or at the end, is kept as it is.
+pub fn unescape_line(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some('t') => out.push('\t'),
+            Some('\\') => out.push('\\'),
+            Some(other) => {
+                out.push('\\');
+                out.push(other);
+            }
+            None => out.push('\\'),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vamana_core::{Engine, MassStore};
 
     fn engine() -> Engine {
@@ -117,5 +159,28 @@ mod tests {
         assert_eq!(r.lines.len(), 3);
         assert_eq!(r.lines[0], "<n> An…");
         assert_eq!(r.truncated(), 0);
+    }
+
+    #[test]
+    fn escape_round_trips_framing_characters() {
+        assert_eq!(escape_line("a\tb\nc\\d"), "a\\tb\\nc\\\\d");
+        assert_eq!(escape_line("plain"), "plain");
+        assert_eq!(unescape_line("a\\tb\\nc\\\\d"), "a\tb\nc\\d");
+        assert_eq!(unescape_line("plain"), "plain");
+        assert_eq!(unescape_line("trailing\\"), "trailing\\");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Any string survives the wire: the escaped form is one line and
+        /// reads back as the string, framing characters and backslash
+        /// runs included.
+        #[test]
+        fn unescape_inverts_escape(s in "[a-z\\\\\n\r\t\u{e9}\u{1f600} n]{0,40}") {
+            let escaped = escape_line(&s);
+            prop_assert!(!escaped.contains(['\n', '\r']), "{escaped:?}");
+            prop_assert_eq!(unescape_line(&escaped), s);
+        }
     }
 }

@@ -103,3 +103,52 @@ pub fn lag_value(lines: &[String], key: &str) -> u64 {
 pub fn view_count(lines: &[String]) -> usize {
     lines.iter().filter(|l| l.starts_with("VIEW ")).count()
 }
+
+/// A request line drawn from `seed`: one of the verbs whose operands the
+/// grammar splits (or `DOC`, which is none), then up to eleven pieces of
+/// protocol fragments (`JSON `, `DOC `, ` <`, `LIST`, out-of-range
+/// numbers) and random text. The request parser's fuzz input, shared by
+/// its own property test and the router's.
+pub fn verb_soup(seed: u64) -> String {
+    const VERBS: [&str; 9] = [
+        "QUERY", "EVAL", "EXPLAIN", "ANALYZE", "INSERT", "DELETE", "CACHE", "LIMIT", "DOC",
+    ];
+    const PIECES: [&str; 8] = [
+        " ",
+        "JSON ",
+        "DOC ",
+        " <",
+        "LIST",
+        "CLEAR",
+        "-1",
+        "18446744073709551616",
+    ];
+    const ASCII: &[u8] = b" abcdefghijklmnopqrstuvwxyz0123456789/<>@=[]'\"*().:|-";
+    const WIDE: [char; 6] = ['\u{e9}', '\u{4e2d}', '\u{1f600}', '\t', '\r', ' '];
+    // splitmix64: every seed its own stream.
+    let mut state = seed;
+    let mut below = |n: usize| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    };
+    let mut line = VERBS[below(VERBS.len())].to_string();
+    for _ in 0..below(12) {
+        match below(PIECES.len() + 2) {
+            p if p < PIECES.len() => line.push_str(PIECES[p]),
+            p if p == PIECES.len() => {
+                for _ in 0..below(25) {
+                    line.push(ASCII[below(ASCII.len())] as char);
+                }
+            }
+            _ => {
+                for _ in 0..below(5) {
+                    line.push(WIDE[below(WIDE.len())]);
+                }
+            }
+        }
+    }
+    line
+}
