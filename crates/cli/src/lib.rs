@@ -19,10 +19,10 @@
 //! as the request line `<VERB> rest`, and any other line as `EVAL <line>`,
 //! through that state's own parser, executor and reply writer: what it
 //! prints is the wire reply. `.serve` binds a listener over the same
-//! state, so documents loaded at the prompt are queryable over the wire,
-//! and vice versa. Only what belongs to the session has a command of its
-//! own: generating data, XQuery, the optimizer switch, files, and talking
-//! to another endpoint.
+//! engine with the service's default settings, so documents loaded at the
+//! prompt are queryable over the wire, and vice versa. Only what belongs
+//! to the session has a command of its own: generating data, XQuery, the
+//! optimizer switch, files, and talking to another endpoint.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ pub struct Session {
     shared: Arc<Shared>,
     /// The session's row cap, as `LIMIT` sets it.
     limit: usize,
-    /// A `.serve` instance over the same state, if running.
+    /// A `.serve` instance over the same engine, if running.
     server: Option<ServerHandle>,
 }
 
@@ -68,6 +68,15 @@ impl Session {
     /// The shared engine behind the session (and any `.serve` instance).
     pub fn engine(&self) -> &Arc<SharedEngine> {
         self.shared.engine()
+    }
+
+    /// Loads the XML file at `path` as a document named by that path,
+    /// the way files given on the command line are loaded: the whole
+    /// argument is the path, spaces included.
+    pub fn load_file(&self, path: &str) -> Result<String, Box<dyn std::error::Error>> {
+        let xml = std::fs::read_to_string(path)?;
+        let id = self.engine().load_xml(path, &xml)?;
+        Ok(format!("loaded {path} as document {}", id.0))
     }
 
     /// The address of the running `.serve` instance, if any.
@@ -179,15 +188,27 @@ impl Session {
                 let port: u16 = port
                     .parse()
                     .map_err(|_| format!(".serve needs a port number, got `{port}`"))?;
-                let server = Server::over(("127.0.0.1", port), Arc::clone(&self.shared))?;
-                let handle = server.spawn()?;
-                let addr = handle.addr();
-                self.server = Some(handle);
-                Ok(format!(
-                    "serving this session's store on {addr} (stop with .serve stop)"
-                ))
+                self.serve(port, ServerConfig::default())
             }
         }
+    }
+
+    /// Serves the session's engine on `port` under `config`. The socket
+    /// keeps the service's own settings (its query deadline and value
+    /// width), not the prompt's: a runaway query over the wire must not
+    /// hold a connection thread for good.
+    fn serve(
+        &mut self,
+        port: u16,
+        config: ServerConfig,
+    ) -> Result<String, Box<dyn std::error::Error>> {
+        let server = Server::bind_shared(("127.0.0.1", port), Arc::clone(self.engine()), config)?;
+        let handle = server.spawn()?;
+        let addr = handle.addr();
+        self.server = Some(handle);
+        Ok(format!(
+            "serving this session's store on {addr} (stop with .serve stop)"
+        ))
     }
 
     fn cmd_optimizer(&mut self, arg: &str) -> Result<String, Box<dyn std::error::Error>> {
@@ -481,10 +502,68 @@ mod tests {
         assert!(s.execute(".serve").unwrap().contains("not serving"));
     }
 
+    /// `.serve` keeps the service's settings on the socket: a value is
+    /// cut at the service's width there and at 60 characters at the
+    /// prompt.
+    #[test]
+    fn the_socket_keeps_the_service_value_width() {
+        let mut s = Session::new();
+        let long = "x".repeat(100);
+        s.engine()
+            .load_xml("d", &format!("<r><a>{long}</a></r>"))
+            .unwrap();
+        let at_prompt = s.execute("//a").unwrap();
+        assert!(!at_prompt.contains(&long), "{at_prompt}");
+        assert!(at_prompt.contains(&long[..60]), "{at_prompt}");
+        s.execute(".serve 0").unwrap();
+        let mut wire = BufReader::new(TcpStream::connect(s.serving_addr().unwrap()).unwrap());
+        let on_wire = round_trip(&mut wire, "EVAL //a");
+        assert!(on_wire[0].contains(&long), "{on_wire:?}");
+        s.execute(".serve stop").unwrap();
+    }
+
+    /// A request over a served socket has the service's deadline, though
+    /// the prompt has none.
+    #[test]
+    fn a_served_request_past_its_deadline_times_out() {
+        let mut s = loaded();
+        let config = ServerConfig {
+            query_timeout: Duration::ZERO,
+            ..ServerConfig::default()
+        };
+        s.serve(0, config).unwrap();
+        let mut wire = BufReader::new(TcpStream::connect(s.serving_addr().unwrap()).unwrap());
+        let reply = round_trip(&mut wire, "QUERY //name");
+        assert!(reply[0].starts_with("ERR timeout"), "{reply:?}");
+        let out = s.execute(".query //name").unwrap();
+        assert!(out.contains("OK 1 row(s)"), "{out}");
+        s.execute(".serve stop").unwrap();
+    }
+
+    /// A file given on the command line loads under its whole path,
+    /// spaces included.
+    #[test]
+    fn a_file_path_with_spaces_loads_whole() {
+        let mut s = Session::new();
+        let dir = scratch_dir("spaced");
+        let f = dir.join("my docs.xml");
+        std::fs::write(&f, "<r><a>1</a></r>").unwrap();
+        let path = f.display().to_string();
+        assert_eq!(
+            s.load_file(&path).unwrap(),
+            format!("loaded {path} as document 0")
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(s.execute("count(//a)").unwrap().starts_with("VAL 1\n"));
+        assert!(s.load_file(&path).is_err());
+    }
+
     /// The shell prints what the wire sends: the same lines, run at the
     /// prompt of one session and on the `.serve` socket of another with
     /// the same history, give byte-identical rows, values and plans, and
-    /// the same terminators but for their timings.
+    /// the same terminators but for their timings. (The socket cuts
+    /// values at the service's width, the prompt at 60 characters; every
+    /// value here is shorter than both.)
     #[test]
     fn the_shell_prints_the_wire_reply() {
         let mut shell = loaded();

@@ -31,7 +31,7 @@ fn main() {
     // `-c` one-shot mode.
     if let Some(pos) = args.iter().position(|a| a == "-c") {
         for file in &args[..pos] {
-            run_line(&mut session, &format!(".load {file} {file}"));
+            load(&session, file);
         }
         let cmd = args[pos + 1..].join(" ");
         run_line(&mut session, &cmd);
@@ -39,7 +39,7 @@ fn main() {
     }
 
     for file in &args {
-        run_line(&mut session, &format!(".load {file} {file}"));
+        load(&session, file);
     }
 
     println!("VAMANA — cost-driven XPath engine (type .help for commands)");
@@ -76,20 +76,21 @@ fn serve(args: &[String]) {
     let mut session = Session::new();
     let mut rest = args[1..].iter();
     while let Some(arg) = rest.next() {
-        let command = if arg == "--generate" {
+        let out = if arg == "--generate" {
             let mb = rest.next().map(String::as_str).unwrap_or("1");
-            format!(".generate {mb}")
+            session
+                .execute(&format!(".generate {mb}"))
+                .unwrap_or_default()
         } else {
-            format!(".load {arg} {arg}")
+            session
+                .load_file(arg)
+                .unwrap_or_else(|e| format!("ERR shell {e}"))
         };
-        match session.execute(&command) {
-            Some(out) if out.starts_with("ERR") => {
-                eprintln!("{out}");
-                std::process::exit(1);
-            }
-            Some(out) => println!("{out}"),
-            None => return,
+        if out.starts_with("ERR") {
+            eprintln!("{out}");
+            std::process::exit(1);
         }
+        println!("{out}");
     }
     match session.execute(&format!(".serve {port}")) {
         Some(out) if out.starts_with("ERR") => {
@@ -103,6 +104,14 @@ fn serve(args: &[String]) {
     // process alive until killed.
     loop {
         std::thread::park();
+    }
+}
+
+/// Loads a file named on the command line and prints the outcome.
+fn load(session: &Session, file: &str) {
+    match session.load_file(file) {
+        Ok(out) => println!("{out}"),
+        Err(e) => println!("ERR shell {e}"),
     }
 }
 

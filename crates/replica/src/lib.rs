@@ -34,7 +34,7 @@ use vamana_core::{Engine, SharedEngine};
 use vamana_mass::{verify_frame, FsyncPolicy, MassStore, WalRecord, FRAME_HEADER_LEN};
 use vamana_server::event::read_line_capped;
 use vamana_server::{
-    unescape_line, ReplicaRole, ReplicaStatus, Server, ServerConfig, ServerHandle, Shared,
+    unescape_line, ReplicaRole, ReplicaStatus, Server, ServerConfig, ServerHandle,
 };
 
 /// Everything a replica needs to start.
@@ -170,10 +170,7 @@ impl Replica {
             primary: config.primary.clone(),
             status: Arc::clone(&status),
         });
-        let server = Server::over(
-            &config.listen,
-            Shared::new(Arc::clone(&engine), server_config),
-        )?;
+        let server = Server::bind_shared(&config.listen, Arc::clone(&engine), server_config)?;
         let handle = server.spawn()?;
         let addr = handle.addr();
 

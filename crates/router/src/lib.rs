@@ -92,7 +92,8 @@ impl Default for RouterConfig {
 /// Router-side counters, reported under `STAT router_*`.
 #[derive(Debug, Default)]
 pub struct RouterMetrics {
-    /// Requests routed (everything except PING/QUIT/LIMIT).
+    /// Request lines read: every line except PING, QUIT and a
+    /// well-formed LIMIT, malformed ones included.
     pub requests: AtomicU64,
     /// Cross-document scatter-gather queries.
     pub scatters: AtomicU64,
@@ -404,21 +405,42 @@ impl RouterState {
     /// counters summed across the reachable primaries.
     fn stats_verb(&self) -> Vec<String> {
         let m = &self.metrics;
-        let replicas: usize = self.topology.shards.iter().map(|s| s.replicas.len()).sum();
-        let mut out: Vec<String> = [
-            ("shards", self.topology.shards.len() as u64),
-            ("replicas", replicas as u64),
-            ("docs", self.registry.len() as u64),
-            ("requests", m.requests.load(Ordering::Relaxed)),
-            ("scatters", m.scatters.load(Ordering::Relaxed)),
-            ("forwards", m.forwards.load(Ordering::Relaxed)),
-            ("backend_errors", m.backend_errors.load(Ordering::Relaxed)),
-            ("failovers", m.failovers.load(Ordering::Relaxed)),
-            ("lag_rejections", m.lag_rejections.load(Ordering::Relaxed)),
-        ]
-        .iter()
-        .map(|(key, value)| format!("STAT router_{key} {value}"))
-        .collect();
+        let mut out = vec![
+            format!("STAT router_shards {}", self.topology.shards.len()),
+            format!(
+                "STAT router_replicas {}",
+                self.topology
+                    .shards
+                    .iter()
+                    .map(|s| s.replicas.len())
+                    .sum::<usize>()
+            ),
+            format!("STAT router_docs {}", self.registry.len()),
+            format!(
+                "STAT router_requests {}",
+                m.requests.load(Ordering::Relaxed)
+            ),
+            format!(
+                "STAT router_scatters {}",
+                m.scatters.load(Ordering::Relaxed)
+            ),
+            format!(
+                "STAT router_forwards {}",
+                m.forwards.load(Ordering::Relaxed)
+            ),
+            format!(
+                "STAT router_backend_errors {}",
+                m.backend_errors.load(Ordering::Relaxed)
+            ),
+            format!(
+                "STAT router_failovers {}",
+                m.failovers.load(Ordering::Relaxed)
+            ),
+            format!(
+                "STAT router_lag_rejections {}",
+                m.lag_rejections.load(Ordering::Relaxed)
+            ),
+        ];
         // Aggregate primary counters: same STAT keys, values summed.
         let mut sums: Vec<(String, u64)> = Vec::new();
         let mut reporting = 0;
@@ -538,7 +560,6 @@ impl RouterState {
     /// Routes one parsed request by its variant and returns the
     /// response lines.
     fn route_request(&self, request: Request, limit: usize) -> Vec<String> {
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         match request {
             Request::Read {
                 verb: ReadVerb::Query,
@@ -583,26 +604,31 @@ impl LineService for RouterService {
 
     fn handle(&self, limit: &mut usize, line: &str, out: &mut Vec<u8>) -> Dispatch {
         // The one verb the grammar does not know is the router's own.
-        let reply = if line == "TOPOLOGY" {
+        let parsed = (line != "TOPOLOGY").then(|| parse_line(line));
+        // Every line but the connection verbs counts as a request, a
+        // malformed one too.
+        if !matches!(
+            parsed,
+            Some(Ok(Parsed::Ping | Parsed::Quit | Parsed::Limit(_)))
+        ) {
             self.state.metrics.requests.fetch_add(1, Ordering::Relaxed);
-            self.state.topology_verb()
-        } else {
-            match parse_line(line) {
-                Ok(Parsed::Ping) => vec!["OK pong".to_string()],
-                Ok(Parsed::Quit) => {
-                    out.extend_from_slice(b"OK bye\n");
-                    return Dispatch::Close;
-                }
-                Ok(Parsed::Limit(n)) => {
-                    *limit = n.unwrap_or(*limit);
-                    vec![format!("OK limit {limit}")]
-                }
-                Ok(Parsed::Replicate(_)) => {
-                    vec!["ERR proto REPLICATE is not routable; connect to a shard primary".into()]
-                }
-                Ok(Parsed::Run(request)) => self.state.route_request(request, *limit),
-                Err(msg) => vec![format!("ERR proto {msg}")],
+        }
+        let reply = match parsed {
+            None => self.state.topology_verb(),
+            Some(Ok(Parsed::Ping)) => vec!["OK pong".to_string()],
+            Some(Ok(Parsed::Quit)) => {
+                out.extend_from_slice(b"OK bye\n");
+                return Dispatch::Close;
             }
+            Some(Ok(Parsed::Limit(n))) => {
+                *limit = n.unwrap_or(*limit);
+                vec![format!("OK limit {limit}")]
+            }
+            Some(Ok(Parsed::Replicate(_))) => {
+                vec!["ERR proto REPLICATE is not routable; connect to a shard primary".into()]
+            }
+            Some(Ok(Parsed::Run(request))) => self.state.route_request(request, *limit),
+            Some(Err(msg)) => vec![format!("ERR proto {msg}")],
         };
         for line in reply {
             out.extend_from_slice(line.as_bytes());

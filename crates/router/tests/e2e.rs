@@ -85,6 +85,10 @@ fn protocol_errors_match_the_server_on_verb_soup() {
         }
     }
     assert!(refused > 200, "only {refused} of 2000 lines refused");
+    // A refused line is still a request the router read; so is STATS.
+    let stats = routed.round_trip("STATS");
+    let requests = format!("STAT router_requests {}", refused + 1);
+    assert!(stats.contains(&requests), "{requests}: {stats:?}");
     router.stop();
     server.stop();
 }

@@ -195,8 +195,8 @@ pub struct Shared {
 
 impl Shared {
     /// The state of a service over `engine`, before any listener: the
-    /// shell answers its own lines through it, and [`Server::over`]
-    /// serves it on a socket.
+    /// shell answers its own lines through it, and [`Server::bind_shared`]
+    /// builds one for each listener.
     pub fn new(engine: Arc<SharedEngine>, config: ServerConfig) -> Arc<Shared> {
         Arc::new(Shared {
             engine,
@@ -390,13 +390,24 @@ fn execute(
                 | Outcome::Checkpointed { elapsed, .. } => (*elapsed, 0, 0, 0, 0, 0),
                 Outcome::Loaded { .. } | Outcome::Lines { .. } => (Duration::ZERO, 0, 0, 0, 0, 0),
             };
-            let m = &shared.metrics;
-            m.latency.record(elapsed);
-            m.rows_returned.fetch_add(rows, Ordering::Relaxed);
-            m.buffer_hits.fetch_add(hits, Ordering::Relaxed);
-            m.buffer_misses.fetch_add(misses, Ordering::Relaxed);
-            m.batch_pins.fetch_add(pins, Ordering::Relaxed);
-            m.pins_saved.fetch_add(saved, Ordering::Relaxed);
+            shared.metrics.latency.record(elapsed);
+            shared
+                .metrics
+                .rows_returned
+                .fetch_add(rows, Ordering::Relaxed);
+            shared
+                .metrics
+                .buffer_hits
+                .fetch_add(hits, Ordering::Relaxed);
+            shared
+                .metrics
+                .buffer_misses
+                .fetch_add(misses, Ordering::Relaxed);
+            shared.metrics.batch_pins.fetch_add(pins, Ordering::Relaxed);
+            shared
+                .metrics
+                .pins_saved
+                .fetch_add(saved, Ordering::Relaxed);
         }
         Ok(_) => {}
         Err(ServerError::Timeout(_)) => {
@@ -775,23 +786,20 @@ impl Server {
         engine: Engine,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        Server::over(
-            addr,
-            Shared::new(Arc::new(SharedEngine::new(engine)), config),
-        )
+        Server::bind_shared(addr, Arc::new(SharedEngine::new(engine)), config)
     }
 
-    /// Binds `addr` over state the caller keeps a handle to: the shell's
-    /// `.serve` serves the session it answers its own lines with, and a
-    /// replica the engine its sync loop writes.
-    pub fn over(
+    /// Like [`Server::bind`], but over an engine the caller keeps a
+    /// handle to — the REPL's `.serve` shares its session engine with
+    /// the service this way.
+    pub fn bind_shared(
         addr: impl std::net::ToSocketAddrs,
-        shared: Arc<Shared>,
+        engine: Arc<SharedEngine>,
+        config: ServerConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         {
-            let config = &shared.config;
-            let mut guard = shared.engine.write();
+            let mut guard = engine.write();
             if config.scan_workers > 0 {
                 guard.options_mut().parallel_workers = config.scan_workers;
             }
@@ -808,8 +816,7 @@ impl Server {
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
             }
         }
-        // The same state may be served again after a stop.
-        shared.stopping.store(false, Ordering::SeqCst);
+        let shared = Shared::new(engine, config);
         Ok(Server { listener, shared })
     }
 
@@ -1026,98 +1033,132 @@ fn write_reply(result: &Result<Outcome, ServerError>, out: &mut Vec<u8>) {
 fn render_stats(shared: &Shared) -> Vec<String> {
     let mut out = Vec::new();
     shared.metrics.render(&mut out);
-    let mut stat =
-        |key: &str, value: &dyn std::fmt::Display| out.push(format!("STAT {key} {value}"));
     let engine = shared.engine.read();
-    let views = engine.views();
-    let (hits, misses) = views.counters();
-    stat("plan_cache_hits", &hits);
-    stat("plan_cache_misses", &misses);
-    stat("plan_cache_size", &views.len());
-    stat("plan_cache_shape_binds", &views.binds());
-    stat("plan_cache_shapes", &views.shapes());
-    stat("workers", &shared.config.workers);
-    let store = engine.store();
-    let stats = store.stats();
-    stat("documents", &stats.documents);
-    stat("store_tuples", &stats.tuples);
-    stat("store_names", &stats.distinct_names);
-    stat("store_values", &stats.distinct_values);
-    stat("store_pages", &stats.pages);
-    stat("store_generation", &store.generation());
-    stat("store_format", &stats.format.as_str());
-    stat("store_compressed_pages", &stats.compressed_pages);
-    stat("store_uncompressed_pages", &stats.uncompressed_pages);
-    stat("store_dict_entries", &stats.dict_entries);
-    stat("store_disk_bytes", &stats.disk_bytes());
-    stat(
-        "store_compression_ratio",
-        &format!("{:.4}", stats.compression_ratio()),
-    );
-    let pool = &stats.buffer;
-    stat("pool_buffer_hits", &pool.hits);
-    stat("pool_buffer_misses", &pool.misses);
-    stat("pool_evictions", &pool.evictions);
-    stat("pool_decodes_v1", &pool.decodes_v1);
-    stat("pool_decodes_v2", &pool.decodes_v2);
-    stat("pool_format_fallbacks", &pool.format_fallbacks);
-    stat("pool_batch_pins", &pool.batch_pins);
-    stat("pool_pins_saved", &pool.pins_saved);
-    let kept = views.stats();
-    stat("view_hits", &kept.hits);
-    stat("view_misses", &kept.misses);
-    stat("view_evictions", &kept.evictions);
-    stat("view_bytes", &kept.bytes);
-    stat("view_views", &kept.views);
+    let (hits, misses) = engine.views().counters();
+    out.push(format!("STAT plan_cache_hits {hits}"));
+    out.push(format!("STAT plan_cache_misses {misses}"));
+    out.push(format!("STAT plan_cache_size {}", engine.views().len()));
+    out.push(format!(
+        "STAT plan_cache_shape_binds {}",
+        engine.views().binds()
+    ));
+    out.push(format!(
+        "STAT plan_cache_shapes {}",
+        engine.views().shapes()
+    ));
+    out.push(format!("STAT workers {}", shared.config.workers));
+    let stats = engine.store().stats();
+    out.push(format!("STAT documents {}", stats.documents));
+    out.push(format!("STAT store_tuples {}", stats.tuples));
+    out.push(format!("STAT store_names {}", stats.distinct_names));
+    out.push(format!("STAT store_values {}", stats.distinct_values));
+    out.push(format!("STAT store_pages {}", stats.pages));
+    out.push(format!(
+        "STAT store_generation {}",
+        engine.store().generation()
+    ));
+    out.push(format!("STAT store_format {}", stats.format.as_str()));
+    out.push(format!(
+        "STAT store_compressed_pages {}",
+        stats.compressed_pages
+    ));
+    out.push(format!(
+        "STAT store_uncompressed_pages {}",
+        stats.uncompressed_pages
+    ));
+    out.push(format!("STAT store_dict_entries {}", stats.dict_entries));
+    out.push(format!("STAT store_disk_bytes {}", stats.disk_bytes()));
+    out.push(format!(
+        "STAT store_compression_ratio {:.4}",
+        stats.compression_ratio()
+    ));
+    out.push(format!("STAT pool_buffer_hits {}", stats.buffer.hits));
+    out.push(format!("STAT pool_buffer_misses {}", stats.buffer.misses));
+    out.push(format!("STAT pool_evictions {}", stats.buffer.evictions));
+    out.push(format!("STAT pool_decodes_v1 {}", stats.buffer.decodes_v1));
+    out.push(format!("STAT pool_decodes_v2 {}", stats.buffer.decodes_v2));
+    out.push(format!(
+        "STAT pool_format_fallbacks {}",
+        stats.buffer.format_fallbacks
+    ));
+    out.push(format!("STAT pool_batch_pins {}", stats.buffer.batch_pins));
+    out.push(format!("STAT pool_pins_saved {}", stats.buffer.pins_saved));
+    let views = engine.views().stats();
+    out.push(format!("STAT view_hits {}", views.hits));
+    out.push(format!("STAT view_misses {}", views.misses));
+    out.push(format!("STAT view_evictions {}", views.evictions));
+    out.push(format!("STAT view_bytes {}", views.bytes));
+    out.push(format!("STAT view_views {}", views.views));
     let par = engine.parallel_stats();
-    stat("scan_workers", &engine.effective_workers());
-    stat("pool_par_morsels", &par.morsels);
-    stat("pool_par_batches", &par.worker_batches);
-    stat("pool_par_merge_stalls", &par.merge_stalls);
-    let wal = store.wal_stats();
-    stat("store_durable", &(store.is_durable() as u32));
-    stat("wal_records", &wal.records);
-    stat("wal_depth", &wal.depth);
-    stat("wal_fsyncs", &wal.fsyncs);
-    stat("wal_last_lsn", &wal.last_lsn);
-    stat("wal_replayed_lsn", &wal.replayed_lsn);
-    stat("wal_replayed_records", &wal.replayed_records);
-    stat("wal_start_lsn", &wal.start_lsn);
-    stat("wal_commits", &wal.commits);
+    out.push(format!("STAT scan_workers {}", engine.effective_workers()));
+    out.push(format!("STAT pool_par_morsels {}", par.morsels));
+    out.push(format!("STAT pool_par_batches {}", par.worker_batches));
+    out.push(format!("STAT pool_par_merge_stalls {}", par.merge_stalls));
+    let wal = engine.store().wal_stats();
+    out.push(format!(
+        "STAT store_durable {}",
+        engine.store().is_durable() as u32
+    ));
+    out.push(format!("STAT wal_records {}", wal.records));
+    out.push(format!("STAT wal_depth {}", wal.depth));
+    out.push(format!("STAT wal_fsyncs {}", wal.fsyncs));
+    out.push(format!("STAT wal_last_lsn {}", wal.last_lsn));
+    out.push(format!("STAT wal_replayed_lsn {}", wal.replayed_lsn));
+    out.push(format!(
+        "STAT wal_replayed_records {}",
+        wal.replayed_records
+    ));
+    out.push(format!("STAT wal_start_lsn {}", wal.start_lsn));
+    out.push(format!("STAT wal_commits {}", wal.commits));
     // Commits per fsync: 1 is every commit, 0 never (or no log at all).
-    let fsync_every = match store.fsync_policy() {
+    let fsync_every = match engine.store().fsync_policy() {
         Some(FsyncPolicy::Always) => 1,
         Some(FsyncPolicy::EveryN(n)) => n,
         Some(FsyncPolicy::Never) | None => 0,
     };
-    stat("wal_fsync_every", &fsync_every);
-    stat(
-        "engine_writer_wait_us",
-        &engine.writer_wait_total().as_micros(),
-    );
+    out.push(format!("STAT wal_fsync_every {fsync_every}"));
+    out.push(format!(
+        "STAT engine_writer_wait_us {}",
+        engine.writer_wait_total().as_micros()
+    ));
     match &shared.config.replica {
         Some(role) => {
             let s = &role.status;
             let applied = s.applied_lsn.load(Ordering::Relaxed);
             let primary_last = s.primary_last_lsn.load(Ordering::Relaxed);
-            stat("repl_received_lsn", &s.received_lsn.load(Ordering::Relaxed));
-            stat("repl_applied_lsn", &applied);
-            stat("repl_primary_last_lsn", &primary_last);
-            stat("repl_behind", &primary_last.saturating_sub(applied));
-            stat(
-                "repl_connected",
-                &(s.connected.load(Ordering::Relaxed) as u32),
-            );
-            stat("repl_reconnects", &s.reconnects.load(Ordering::Relaxed));
-            stat("repl_snapshots", &s.snapshots.load(Ordering::Relaxed));
+            out.push(format!(
+                "STAT repl_received_lsn {}",
+                s.received_lsn.load(Ordering::Relaxed)
+            ));
+            out.push(format!("STAT repl_applied_lsn {applied}"));
+            out.push(format!("STAT repl_primary_last_lsn {primary_last}"));
+            out.push(format!(
+                "STAT repl_behind {}",
+                primary_last.saturating_sub(applied)
+            ));
+            out.push(format!(
+                "STAT repl_connected {}",
+                s.connected.load(Ordering::Relaxed) as u32
+            ));
+            out.push(format!(
+                "STAT repl_reconnects {}",
+                s.reconnects.load(Ordering::Relaxed)
+            ));
+            out.push(format!(
+                "STAT repl_snapshots {}",
+                s.snapshots.load(Ordering::Relaxed)
+            ));
         }
         None => {
-            if let Some(log) = store.replication_log() {
+            if let Some(log) = engine.store().replication_log() {
                 let st = log.stats();
-                stat("repl_last_lsn", &st.last_lsn);
-                stat("repl_floor_lsn", &st.floor_lsn);
-                stat("repl_retained", &st.retained);
-                stat("repl_feeds", &shared.feeds.load(Ordering::Relaxed));
+                out.push(format!("STAT repl_last_lsn {}", st.last_lsn));
+                out.push(format!("STAT repl_floor_lsn {}", st.floor_lsn));
+                out.push(format!("STAT repl_retained {}", st.retained));
+                out.push(format!(
+                    "STAT repl_feeds {}",
+                    shared.feeds.load(Ordering::Relaxed)
+                ));
             }
         }
     }
@@ -1129,30 +1170,41 @@ fn render_stats(shared: &Shared) -> Vec<String> {
 /// snapshot).
 fn render_lag(shared: &Shared) -> Vec<String> {
     let mut out = Vec::new();
-    let mut lag = |key: &str, value: &dyn std::fmt::Display| out.push(format!("LAG {key} {value}"));
     match &shared.config.replica {
         Some(role) => {
             let s = &role.status;
             let applied = s.applied_lsn.load(Ordering::Relaxed);
             let primary_last = s.primary_last_lsn.load(Ordering::Relaxed);
-            lag("role", &"replica");
-            lag("primary", &role.primary);
-            lag("received_lsn", &s.received_lsn.load(Ordering::Relaxed));
-            lag("applied_lsn", &applied);
-            lag("primary_last_lsn", &primary_last);
-            lag("behind", &primary_last.saturating_sub(applied));
-            lag("connected", &(s.connected.load(Ordering::Relaxed) as u32));
+            out.push("LAG role replica".to_string());
+            out.push(format!("LAG primary {}", role.primary));
+            out.push(format!(
+                "LAG received_lsn {}",
+                s.received_lsn.load(Ordering::Relaxed)
+            ));
+            out.push(format!("LAG applied_lsn {applied}"));
+            out.push(format!("LAG primary_last_lsn {primary_last}"));
+            out.push(format!(
+                "LAG behind {}",
+                primary_last.saturating_sub(applied)
+            ));
+            out.push(format!(
+                "LAG connected {}",
+                s.connected.load(Ordering::Relaxed) as u32
+            ));
         }
         None => {
             let engine = shared.engine.read();
-            lag("role", &"primary");
-            lag("last_lsn", &engine.store().replicated_lsn());
+            out.push("LAG role primary".to_string());
+            out.push(format!("LAG last_lsn {}", engine.store().replicated_lsn()));
             if let Some(log) = engine.store().replication_log() {
                 let st = log.stats();
-                lag("floor_lsn", &st.floor_lsn);
-                lag("retained", &st.retained);
+                out.push(format!("LAG floor_lsn {}", st.floor_lsn));
+                out.push(format!("LAG retained {}", st.retained));
             }
-            lag("feeds", &shared.feeds.load(Ordering::Relaxed));
+            out.push(format!(
+                "LAG feeds {}",
+                shared.feeds.load(Ordering::Relaxed)
+            ));
         }
     }
     out
