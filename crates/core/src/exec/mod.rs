@@ -859,8 +859,8 @@ fn exists_fast_path(
         // has no parent; its own (empty) key is in no list.
         let parent = flat_parent(ctx.key.as_flat()).unwrap_or_default();
         let list = index.elements(name);
-        probe.finger = list.lower_bound_from(probe.finger, parent);
-        let mut found = probe.finger < list.len() && list.get(probe.finger) == parent;
+        let mut found;
+        (probe.finger, found) = list.find_from(probe.finger, parent);
         if predicates.is_empty() || !found {
             return Ok(Some(found));
         }

@@ -492,11 +492,12 @@ impl<'a> AxisStream<'a> {
         for (n, flat) in candidates.enumerate() {
             let (kind, name) = match self.list {
                 Some((list, kind)) => {
-                    at = list.lower_bound_from(at, flat);
+                    let found;
+                    (at, found) = list.find_from(at, flat);
                     if n == 0 {
                         self.finger = at;
                     }
-                    if at == list.len() || list.get(at) != flat {
+                    if !found {
                         if at == 0 {
                             break;
                         }

@@ -268,7 +268,7 @@ impl MassStore {
             let records = self.pool.get(self.index[pos].1)?.to_records()?;
             for rec in &records {
                 let value = self.resolve_value(rec)?;
-                self.index_record(rec, value.as_deref(), true)?;
+                self.index_record(rec, value.as_deref(), true);
             }
         }
         Ok(())

@@ -257,7 +257,8 @@ impl<'a> PageSink<'a> {
             rec = back;
         }
         let rec = self.page.records().last().expect("record just appended");
-        self.store.index_record(rec, value, true)
+        self.store.index_record(rec, value, true);
+        Ok(())
     }
 
     fn write_page(&mut self) -> Result<()> {

@@ -8,7 +8,7 @@
 use crate::error::Result;
 use crate::page::PAGE_SIZE;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// Abstract page + blob storage.
@@ -198,16 +198,14 @@ impl PageStore for FilePager {
     fn read_page(&mut self, id: u32) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; PAGE_SIZE];
         self.pages
-            .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        self.pages.read_exact(&mut buf)?;
+            .read_exact_at(&mut buf, id as u64 * PAGE_SIZE as u64)?;
         Ok(buf)
     }
 
     fn write_page(&mut self, id: u32, image: &[u8]) -> Result<()> {
         debug_assert_eq!(image.len(), PAGE_SIZE);
         self.pages
-            .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        self.pages.write_all(image)?;
+            .write_all_at(image, id as u64 * PAGE_SIZE as u64)?;
         Ok(())
     }
 
@@ -216,8 +214,7 @@ impl PageStore for FilePager {
         self.page_count += 1;
         // Extend the file eagerly so reads of fresh pages succeed.
         self.pages
-            .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        self.pages.write_all(&[0u8; PAGE_SIZE])?;
+            .write_all_at(&[0u8; PAGE_SIZE], id as u64 * PAGE_SIZE as u64)?;
         Ok(id)
     }
 
@@ -227,16 +224,14 @@ impl PageStore for FilePager {
 
     fn append_blob(&mut self, bytes: &[u8]) -> Result<u64> {
         let offset = self.blob_len;
-        self.blobs.seek(SeekFrom::Start(offset))?;
-        self.blobs.write_all(bytes)?;
+        self.blobs.write_all_at(bytes, offset)?;
         self.blob_len += bytes.len() as u64;
         Ok(offset)
     }
 
     fn read_blob(&mut self, offset: u64, len: u32) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; len as usize];
-        self.blobs.seek(SeekFrom::Start(offset))?;
-        self.blobs.read_exact(&mut buf)?;
+        self.blobs.read_exact_at(&mut buf, offset)?;
         Ok(buf)
     }
 

@@ -697,14 +697,8 @@ impl MassStore {
         len as u64
     }
 
-    /// Registers a freshly created record in the secondary indexes. An
-    /// error means a posting list is full (4 GiB of key bytes).
-    pub(crate) fn index_record(
-        &mut self,
-        rec: &NodeRecord,
-        value: Option<&str>,
-        ordered: bool,
-    ) -> Result<()> {
+    /// Registers a freshly created record in the secondary indexes.
+    pub(crate) fn index_record(&mut self, rec: &NodeRecord, value: Option<&str>, ordered: bool) {
         let flat = rec.key.as_flat();
         let add = |list: &mut SortedKeys| {
             if ordered {
@@ -715,33 +709,30 @@ impl MassStore {
         };
         match rec.kind {
             RecordKind::Element => {
-                // The all-elements list is a superset of every name's: if
-                // it has room, so has the name's.
-                add(self.name_index.all_elements_mut())?;
+                add(self.name_index.all_elements_mut());
                 add(self
                     .name_index
-                    .elements_mut(rec.name.expect("element has a name")))?;
+                    .elements_mut(rec.name.expect("element has a name")));
             }
             RecordKind::Attribute => {
                 add(self
                     .name_index
-                    .attributes_mut(rec.name.expect("attribute has a name")))?;
+                    .attributes_mut(rec.name.expect("attribute has a name")));
             }
-            RecordKind::Text => add(self.name_index.text_mut())?,
-            RecordKind::Comment => add(self.name_index.comments_mut())?,
-            RecordKind::Pi => add(self.name_index.pis_mut())?,
+            RecordKind::Text => add(self.name_index.text_mut()),
+            RecordKind::Comment => add(self.name_index.comments_mut()),
+            RecordKind::Pi => add(self.name_index.pis_mut()),
             RecordKind::Document => {}
         }
         if let (RecordKind::Attribute | RecordKind::Text, Some(v)) = (rec.kind, value) {
             if ordered {
-                self.value_index.insert_ordered(v, flat)?;
+                self.value_index.insert_ordered(v, flat);
             } else {
-                self.value_index.insert(v, flat)?;
+                self.value_index.insert(v, flat);
             }
         }
         self.logical_bytes += self.v1_logical_len(rec);
         self.tuples += 1;
-        Ok(())
     }
 
     /// Removes a record from the secondary indexes.
@@ -993,7 +984,7 @@ impl MassStore {
                 }
                 let rec = NodeRecord::element(key.clone(), name_id);
                 self.insert_record(rec.clone())?;
-                self.index_record(&rec, None, false)?;
+                self.index_record(&rec, None, false);
             }
             WalRecord::InsertText { key, value } => {
                 if replay && self.contains(key)? {
@@ -1007,7 +998,7 @@ impl MassStore {
                     value: vref,
                 };
                 self.insert_record(rec.clone())?;
-                self.index_record(&rec, Some(value), false)?;
+                self.index_record(&rec, Some(value), false);
             }
             WalRecord::InsertAttribute { key, name, value } => {
                 let name_id = self.intern(name);
@@ -1022,7 +1013,7 @@ impl MassStore {
                     value: vref,
                 };
                 self.insert_record(rec.clone())?;
-                self.index_record(&rec, Some(value), false)?;
+                self.index_record(&rec, Some(value), false);
             }
             WalRecord::DeleteSubtree { key } => {
                 self.delete_subtree_unlogged(key)?;

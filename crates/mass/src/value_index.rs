@@ -10,7 +10,6 @@
 //!   keys of matching text/attribute nodes directly, without touching the
 //!   clustered data pages.
 
-use crate::error::Result;
 use crate::name_index::SortedKeys;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -50,8 +49,16 @@ pub enum RangeOp {
 /// Exact-value and numeric indexes over text/attribute values.
 #[derive(Debug, Default, Clone)]
 pub struct ValueIndex {
-    exact: BTreeMap<Box<str>, SortedKeys>,
+    exact: BTreeMap<Box<str>, Postings>,
     numeric: BTreeMap<OrdF64, SortedKeys>,
+}
+
+/// The occurrences of one distinct value, with its numeric projection,
+/// parsed when the value was first indexed.
+#[derive(Debug, Clone)]
+struct Postings {
+    keys: SortedKeys,
+    number: Option<OrdF64>,
 }
 
 impl ValueIndex {
@@ -62,42 +69,51 @@ impl ValueIndex {
 
     /// Indexes `value` at `flat` (bulk load: keys arrive in document
     /// order per distinct value).
-    pub fn insert_ordered(&mut self, value: &str, flat: &[u8]) -> Result<()> {
-        self.exact
-            .entry(value.into())
-            .or_default()
-            .push_ordered(flat)?;
-        if let Ok(n) = value.trim().parse::<f64>() {
-            self.numeric
-                .entry(OrdF64(n))
-                .or_default()
-                .push_ordered(flat)?;
-        }
-        Ok(())
+    pub fn insert_ordered(&mut self, value: &str, flat: &[u8]) {
+        self.add(value, |keys| keys.push_ordered(flat));
     }
 
     /// Indexes `value` at `flat` at an arbitrary position (update path).
-    pub fn insert(&mut self, value: &str, flat: &[u8]) -> Result<()> {
-        self.exact.entry(value.into()).or_default().insert(flat)?;
-        if let Ok(n) = value.trim().parse::<f64>() {
-            self.numeric.entry(OrdF64(n)).or_default().insert(flat)?;
+    pub fn insert(&mut self, value: &str, flat: &[u8]) {
+        self.add(value, |keys| keys.insert(flat));
+    }
+
+    /// Adds an occurrence of `value` to its lists with `add`. Only a value
+    /// not indexed yet is copied and parsed.
+    fn add(&mut self, value: &str, add: impl Fn(&mut SortedKeys)) {
+        let number = match self.exact.get_mut(value) {
+            Some(postings) => {
+                add(&mut postings.keys);
+                postings.number
+            }
+            None => {
+                let mut keys = SortedKeys::default();
+                add(&mut keys);
+                let number = value.trim().parse::<f64>().ok().map(OrdF64);
+                self.exact.insert(value.into(), Postings { keys, number });
+                number
+            }
+        };
+        if let Some(n) = number {
+            add(self.numeric.entry(n).or_default());
         }
-        Ok(())
     }
 
     /// Removes the entry for `value` at `flat`.
     pub fn remove(&mut self, value: &str, flat: &[u8]) {
-        if let Some(list) = self.exact.get_mut(value) {
-            list.remove(flat);
-            if list.is_empty() {
-                self.exact.remove(value);
-            }
+        let Some(postings) = self.exact.get_mut(value) else {
+            return;
+        };
+        postings.keys.remove(flat);
+        let number = postings.number;
+        if postings.keys.is_empty() {
+            self.exact.remove(value);
         }
-        if let Ok(n) = value.trim().parse::<f64>() {
-            if let Some(list) = self.numeric.get_mut(&OrdF64(n)) {
+        if let Some(n) = number {
+            if let Some(list) = self.numeric.get_mut(&n) {
                 list.remove(flat);
                 if list.is_empty() {
-                    self.numeric.remove(&OrdF64(n));
+                    self.numeric.remove(&n);
                 }
             }
         }
@@ -105,15 +121,12 @@ impl ValueIndex {
 
     /// `TC(value)`: exact occurrence count of a literal, database-wide.
     pub fn text_count(&self, value: &str) -> u64 {
-        self.exact.get(value).map(|l| l.len() as u64).unwrap_or(0)
+        self.exact.get(value).map_or(0, |p| p.keys.len() as u64)
     }
 
     /// `TC(value)` within a structural range.
     pub fn text_count_in(&self, value: &str, range: &KeyRange) -> u64 {
-        self.exact
-            .get(value)
-            .map(|l| l.count_in(range))
-            .unwrap_or(0)
+        self.exact.get(value).map_or(0, |p| p.keys.count_in(range))
     }
 
     /// Keys of nodes whose value equals `value`, within `range`, in
@@ -121,7 +134,7 @@ impl ValueIndex {
     pub fn keys_eq<'a>(&'a self, value: &str, range: &KeyRange) -> Vec<&'a [u8]> {
         self.exact
             .get(value)
-            .map(|l| l.iter_in(range).collect())
+            .map(|p| p.keys.iter_in(range).collect())
             .unwrap_or_default()
     }
 
@@ -175,11 +188,11 @@ mod tests {
 
     fn sample() -> ValueIndex {
         let mut v = ValueIndex::new();
-        v.insert_ordered("Vermont", &flat(&[0, 1])).unwrap();
-        v.insert_ordered("12", &flat(&[0, 2])).unwrap();
-        v.insert_ordered("Vermont", &flat(&[0, 3])).unwrap();
-        v.insert_ordered("42.5", &flat(&[0, 4])).unwrap();
-        v.insert_ordered("7", &flat(&[1, 0])).unwrap();
+        v.insert_ordered("Vermont", &flat(&[0, 1]));
+        v.insert_ordered("12", &flat(&[0, 2]));
+        v.insert_ordered("Vermont", &flat(&[0, 3]));
+        v.insert_ordered("42.5", &flat(&[0, 4]));
+        v.insert_ordered("7", &flat(&[1, 0]));
         v
     }
 
@@ -241,9 +254,9 @@ mod tests {
     #[test]
     fn insert_unordered_then_query() {
         let mut v = ValueIndex::new();
-        v.insert("x", &flat(&[5])).unwrap();
-        v.insert("x", &flat(&[1])).unwrap();
-        v.insert("x", &flat(&[3])).unwrap();
+        v.insert("x", &flat(&[5]));
+        v.insert("x", &flat(&[1]));
+        v.insert("x", &flat(&[3]));
         let keys = v.keys_eq("x", &KeyRange::all());
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
     }
@@ -256,7 +269,7 @@ mod tests {
     #[test]
     fn whitespace_tolerant_numeric_parse() {
         let mut v = ValueIndex::new();
-        v.insert_ordered(" 19 ", &flat(&[0])).unwrap();
+        v.insert_ordered(" 19 ", &flat(&[0]));
         assert_eq!(v.numeric_count_in(RangeOp::Ge, 19.0, &KeyRange::all()), 1);
     }
 }

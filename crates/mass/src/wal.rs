@@ -33,7 +33,8 @@
 //! durability).
 
 use crate::error::Result;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use vamana_flex::FlexKey;
@@ -326,8 +327,7 @@ impl WalBackend for FileWalBackend {
     }
 
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.file.seek(SeekFrom::Start(self.len))?;
-        self.file.write_all(bytes)?;
+        self.file.write_all_at(bytes, self.len)?;
         self.len += bytes.len() as u64;
         Ok(())
     }

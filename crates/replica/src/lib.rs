@@ -386,6 +386,12 @@ mod tests {
         let primary = listener.local_addr().unwrap().to_string();
         let peer = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
+            // Take the handshake first: a socket closed with unread bytes
+            // resets the connection, and the reset may reach the replica
+            // before it has read up to the cap.
+            BufReader::new(&stream)
+                .read_line(&mut String::new())
+                .unwrap();
             let _ = stream.write_all(&vec![b'a'; 1 << 20]);
         });
         let dir = std::env::temp_dir().join(format!("vamana-replica-cap-{}", std::process::id()));
