@@ -12,10 +12,13 @@
 //! seq="n"/>` under a person and, 64 inserts later, the delete of that
 //! note, interleaved as the benchmark's writer sends them, and prints the
 //! p50/p95 of each in µs. Under `Never` a write is CPU only; `Always` adds
-//! the log's fsync. The last columns time posting upkeep alone: a
-//! person's key removed from and put back into a copy of the
-//! all-elements list — the longest list an insert or a delete changes —
-//! and that insert's p50 as a share of the CPU-only insert's.
+//! the log's fsync. "resolve" is the p50 of the target's resolution
+//! across both runs' writes (`UpdateOutcome::resolve`: finding or making
+//! its plan and running it), the writer's planning cost. The last columns
+//! time posting upkeep alone: a person's key removed from and put back
+//! into a copy of the all-elements list — the longest list an insert or a
+//! delete changes — and that insert's p50 as a share of the CPU-only
+//! insert's.
 
 use std::collections::VecDeque;
 use std::path::Path;
@@ -55,11 +58,18 @@ fn engine(path: &Path, xml: &str, policy: FsyncPolicy) -> Engine {
     Engine::new(store)
 }
 
-/// Insert and delete latencies (µs) of `pairs` interleaved writes.
-fn writes(engine: &mut Engine, persons: usize, pairs: usize) -> (Vec<f64>, Vec<f64>) {
+/// Latencies (µs) of `pairs` interleaved writes: the inserts, the
+/// deletes, and every write's target resolution.
+struct Writes {
+    inserts: Vec<f64>,
+    deletes: Vec<f64>,
+    resolves: Vec<f64>,
+}
+
+fn writes(engine: &mut Engine, persons: usize, pairs: usize) -> Writes {
     let mut draw = Draw(0x5EED);
     let mut pending = VecDeque::new();
-    let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+    let (mut inserts, mut deletes, mut resolves) = (Vec::new(), Vec::new(), Vec::new());
     for seq in 0..pairs + DELETE_LAG {
         let person = draw.below(persons);
         let insert = UpdateOp::Insert {
@@ -67,11 +77,10 @@ fn writes(engine: &mut Engine, persons: usize, pairs: usize) -> (Vec<f64>, Vec<f
             fragment: format!("<trajnote seq=\"{seq}\"/>"),
         };
         let t = Instant::now();
-        assert_eq!(
-            engine.apply_update(DOC, &insert).expect("insert").matched,
-            1
-        );
+        let outcome = engine.apply_update(DOC, &insert).expect("insert");
         inserts.push(t.elapsed().as_secs_f64() * 1e6);
+        assert_eq!(outcome.matched, 1);
+        resolves.push(outcome.resolve.as_secs_f64() * 1e6);
         pending.push_back((person, seq));
         if pending.len() > DELETE_LAG {
             let (person, seq) = pending.pop_front().expect("pending");
@@ -79,15 +88,18 @@ fn writes(engine: &mut Engine, persons: usize, pairs: usize) -> (Vec<f64>, Vec<f
                 target: format!("//person[@id='person{person}']/trajnote[@seq='{seq}']"),
             };
             let t = Instant::now();
-            assert_eq!(
-                engine.apply_update(DOC, &delete).expect("delete").matched,
-                1
-            );
+            let outcome = engine.apply_update(DOC, &delete).expect("delete");
             deletes.push(t.elapsed().as_secs_f64() * 1e6);
+            assert_eq!(outcome.matched, 1);
+            resolves.push(outcome.resolve.as_secs_f64() * 1e6);
         }
     }
     // The first inserts have no delete beside them yet.
-    (inserts.split_off(DELETE_LAG), deletes)
+    Writes {
+        inserts: inserts.split_off(DELETE_LAG),
+        deletes,
+        resolves: resolves.split_off(DELETE_LAG),
+    }
 }
 
 /// Insert and remove times (µs) of persons' keys in a copy of the
@@ -123,7 +135,7 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("temporary directory");
     println!("{pairs} insert/delete pairs per run; latencies in µs, p50/p95");
     println!(
-        "{:>5} {:>5} {:>8} | {:>15} {:>15} | {:>15} {:>15} | {:>15} {:>6}",
+        "{:>5} {:>5} {:>8} | {:>15} {:>15} | {:>15} {:>15} | {:>7} | {:>15} {:>6}",
         "scale",
         "MB",
         "elements",
@@ -131,6 +143,7 @@ fn main() {
         "never delete",
         "always insert",
         "always delete",
+        "resolve",
         "posting ins/rm",
         "share"
     );
@@ -147,13 +160,15 @@ fn main() {
         let xml = String::from_utf8(xml).expect("UTF-8");
         let path = dir.join("store.mass");
         let mut runs = Vec::new();
+        let mut resolves = Vec::new();
         let mut upkeep = None;
         for policy in [FsyncPolicy::Never, FsyncPolicy::Always] {
             let mut engine = engine(&path, &xml, policy);
             let person = engine.store().name_id("person").expect("persons");
             let persons = engine.store().count_elements(person) as usize;
-            let (inserts, deletes) = writes(&mut engine, persons, pairs);
-            runs.push((p50_p95(inserts), p50_p95(deletes)));
+            let run = writes(&mut engine, persons, pairs);
+            runs.push((p50_p95(run.inserts), p50_p95(run.deletes)));
+            resolves.extend(run.resolves);
             upkeep.get_or_insert_with(|| {
                 let store = engine.store();
                 let (ins, rm) = posting_upkeep(store, pairs);
@@ -167,12 +182,13 @@ fn main() {
         let (ins, rm, elements) = upkeep.expect("measured");
         let cell = |(p50, p95): (f64, f64)| format!("{p50:.0}/{p95:.0}");
         println!(
-            "{scale:>5} {:>5.1} {elements:>8} | {:>15} {:>15} | {:>15} {:>15} | {:>15} {:>5.0}%",
+            "{scale:>5} {:>5.1} {elements:>8} | {:>15} {:>15} | {:>15} {:>15} | {:>7.0} | {:>15} {:>5.0}%",
             xml.len() as f64 / 1e6,
             cell(runs[0].0),
             cell(runs[0].1),
             cell(runs[1].0),
             cell(runs[1].1),
+            p50_p95(resolves).0,
             format!("{ins:.1}/{rm:.1}"),
             100.0 * ins / runs[0].0 .0,
         );

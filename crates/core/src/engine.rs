@@ -13,7 +13,7 @@ use crate::explain::Analysis;
 use crate::opt::{self, OptEvent, OptimizeOutcome, OptimizerOptions};
 use crate::plan::{builder::build_plan, display, Operator, QueryPlan};
 use crate::shared::QueryProfile;
-use crate::views::{self, ShapedText};
+use crate::views::{self, Priced, ShapedText};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,7 +49,7 @@ pub struct EngineOptions {
     pub parallel_force: bool,
     /// How many times a query's answer must be computed before the query
     /// cache keeps it ([`crate::views`]); `u32::MAX` keeps none. Any write
-    /// to the document drops what was kept.
+    /// to the document drops what was kept, not its plans.
     pub view_admit_after: u32,
 }
 
@@ -98,8 +98,11 @@ pub struct UpdateOutcome {
     /// stores).
     pub lsn: u64,
     /// The document's generation *after* the update, the stamp the query
-    /// cache's entries for it now need.
+    /// cache's answers for it now need.
     pub doc_generation: u64,
+    /// Time spent resolving the target: finding or making its plan and
+    /// running it.
+    pub resolve: Duration,
     /// Execution profile: target resolution + apply, including the time
     /// spent waiting at the writer epoch gate.
     pub profile: QueryProfile,
@@ -425,10 +428,13 @@ impl Engine {
         Ok(self.store_mut()?.load_xml(name, xml)?)
     }
 
-    /// Applies a logical update to `doc`: resolves the target XPath under
-    /// shared access, then routes the mutation through the store's
-    /// WAL-logged update path behind the epoch gate. Inserts append the
-    /// fragment to the *first* match; deletes remove the subtrees of
+    /// Applies a logical update to `doc`: resolves the target XPath
+    /// through the query cache without adding an entry to it (an entry's
+    /// plan or kept answer, else its shape's template, else a compile
+    /// offered as the template; see [`crate::views`]), then routes the
+    /// mutation through the store's WAL-logged update path behind the
+    /// epoch gate, and drops the document's kept answers. Inserts append
+    /// the fragment to the *first* match; deletes remove the subtrees of
     /// *every* match (skipping nodes already removed as part of an
     /// earlier match's subtree).
     pub fn apply_update(&mut self, doc: DocId, op: &UpdateOp) -> Result<UpdateOutcome> {
@@ -437,9 +443,14 @@ impl Engine {
         let target = match op {
             UpdateOp::Insert { target, .. } | UpdateOp::Delete { target } => target,
         };
-        // Not `query_doc`: the write below drops the document's cache
-        // entries, so its own target is not worth caching.
-        let matched = self.execute_plan(&self.prepare(doc, target)?, doc)?;
+        // A `DELETE` target is asked once: an entry for it would only push
+        // readers' entries out.
+        let found = self.find(doc, target, false)?;
+        let matched = match found.answer {
+            Some(kept) => kept.to_vec(),
+            None => self.execute_plan(&found.plan, doc)?,
+        };
+        let resolve = start.elapsed();
         if let UpdateOp::Insert { .. } = op {
             if let Some(first) = matched.first() {
                 if !matches!(first.kind, RecordKind::Element | RecordKind::Document) {
@@ -471,10 +482,10 @@ impl Engine {
         let inserted = store.stats().tuples.saturating_sub(tuples_before);
         let lsn = store.wal_stats().last_lsn;
         let doc_generation = store.doc_generation(doc);
-        // Eager invalidation on the primary's write path; replica replay
-        // bumps generations without coming through here and is covered by
-        // the cache's generation check.
-        self.views.invalidate_doc(doc.0);
+        // Eager on the primary's write path; replica replay bumps
+        // generations without coming through here, and the cache drops the
+        // answers at the next access.
+        self.views.drop_answers(doc.0, doc_generation);
         let buffer_after = self.store().buffer_pool().stats();
         let profile = QueryProfile {
             elapsed: start.elapsed(),
@@ -491,6 +502,7 @@ impl Engine {
             deleted,
             lsn,
             doc_generation,
+            resolve,
             profile,
         })
     }
@@ -558,41 +570,53 @@ impl Engine {
     /// current generation — its plan and any kept answer — or, on a miss,
     /// the plan of `xpath`'s shape with its literals bound in, or else the
     /// plan just compiled (and, with `options.optimize`, optimized); the
-    /// plan is inserted either way. One lookup, counted as a hit or a
-    /// miss; binding and compiling run outside the cache's lock (see
-    /// [`crate::views`]).
+    /// plan is inserted either way. A plan made at an older generation is
+    /// used once the counts it was priced on are found of the same
+    /// magnitudes, and optimized afresh otherwise. One lookup, counted as
+    /// a hit or a miss; checking, binding and compiling run outside the
+    /// cache's lock (see [`crate::views`]).
     pub fn lookup(&self, doc: DocId, xpath: &str) -> Result<Lookup> {
-        self.store.document(doc).ok_or(EngineError::NoDocuments)?;
+        self.find(doc, xpath, true)
+    }
+
+    /// [`Engine::lookup`]; only a `read` is counted and inserted.
+    fn find(&self, doc: DocId, xpath: &str, read: bool) -> Result<Lookup> {
+        let info = self.store.document(doc).ok_or(EngineError::NoDocuments)?;
         let generation = self.store.doc_generation(doc);
-        if let Some(found) = self.views.lookup(doc.0, xpath, generation) {
+        let holds = |priced: &Priced| priced.holds(self.store(), &KeyRange::subtree(&info.doc_key));
+        if let Some(found) = self.views.lookup(doc.0, xpath, generation, read, holds) {
             return Ok(found);
         }
+        let scope = self.doc_scope(doc)?;
         // Only a text with a quote has string literals to lift; one that
         // does not lex has no shape, and `prepare` says why.
         let shape = xpath
             .contains(['\'', '"'])
             .then(|| vamana_xpath::lexer::shape(xpath).ok())
             .flatten();
-        let text = match shape {
-            Some(shape) => Some(ShapedText::new(shape, self.store(), &self.doc_scope(doc)?)),
-            None => None,
-        };
-        let bound = text
-            .as_ref()
-            .and_then(|text| self.views.bind(doc.0, generation, text));
-        let (plan, bound) = match bound {
-            Some(plan) => (Arc::new(plan), true),
-            None => {
+        let text = shape.map(|shape| ShapedText::new(shape, self.store(), &scope));
+        let holds = |priced: &Priced| priced.holds(self.store(), &scope);
+        let bound = text.map(|text| self.views.bind(doc.0, generation, text, holds));
+        let (plan, priced, bound) = match bound {
+            Some(Ok((plan, priced))) => (Arc::new(plan), priced, true),
+            unbound => {
                 let plan = Arc::new(self.prepare(doc, xpath)?);
-                if let Some(text) = text {
+                // A default plan is not priced: no count changes it.
+                let priced = match self.options.optimize {
+                    true => Priced::of(&plan, self.store(), &scope),
+                    false => Priced::default(),
+                };
+                if let Some(Err(text)) = unbound {
                     self.views
-                        .offer_template(doc.0, generation, text, Arc::clone(&plan));
+                        .offer_template(doc.0, generation, text, Arc::clone(&plan), &priced);
                 }
-                (plan, false)
+                (plan, priced, false)
             }
         };
-        self.views
-            .insert(doc.0, xpath, generation, Arc::clone(&plan));
+        if read {
+            self.views
+                .insert(doc.0, xpath, generation, Arc::clone(&plan), priced);
+        }
         Ok(Lookup {
             plan,
             answer: None,
@@ -1106,34 +1130,105 @@ mod tests {
         assert_eq!(e.views().counters(), (2, 1));
     }
 
+    /// `n` persons, each with an id, a name and a city. At 3 000 a page
+    /// holds ≈ 800 tuples, the slack of a count's magnitude, over enough
+    /// pages that a split barely moves it.
+    fn people(n: usize) -> Engine {
+        let mut xml = String::from("<site><people>");
+        for i in 0..n {
+            xml.push_str(&format!(
+                "<person id='p{i}'><name>Person number {i}</name><city>C{}</city></person>",
+                i % 7
+            ));
+        }
+        xml.push_str("</people></site>");
+        let mut store = MassStore::open_memory();
+        store.load_xml("people", &xml).unwrap();
+        Engine::new(store)
+    }
+
+    fn insert(target: &str, fragment: &str) -> UpdateOp {
+        UpdateOp::Insert {
+            target: target.into(),
+            fragment: fragment.into(),
+        }
+    }
+
     #[test]
-    fn plans_are_reused_until_a_write_or_an_option_change() {
-        let mut e = engine();
+    fn plans_survive_writes_until_an_option_change() {
+        let mut e = people(3000);
         let doc = DocId(0);
-        let q = "//person[name != 'Bob']/name";
+        let q = "//person[city != 'C3']/name";
         let first = e.lookup(doc, q).unwrap();
         assert!(!first.cached);
         let again = e.lookup(doc, q).unwrap();
         assert!(again.cached && again.answer.is_none());
         assert!(Arc::ptr_eq(&first.plan, &again.plan));
-        assert_eq!(e.query_doc(doc, q).unwrap().len(), 2);
+        assert_eq!(e.query_doc(doc, q).unwrap().len(), 2571);
         assert_eq!(e.views().len(), 1);
 
-        e.apply_update(
-            doc,
-            &UpdateOp::Insert {
-                target: "//people".into(),
-                fragment: "<person id='p3'><name>Dee</name></person>".into(),
-            },
-        )
-        .unwrap();
-        assert!(e.views().is_empty(), "a write drops the document's plans");
-        assert!(!e.lookup(doc, q).unwrap().cached);
-        assert_eq!(e.query_doc(doc, q).unwrap().len(), 3);
+        let fragment = "<person id='p3000'><name>Dee</name><city>C0</city></person>";
+        e.apply_update(doc, &insert("//people", fragment)).unwrap();
+        assert_eq!(e.views().len(), 1, "a write keeps the document's plans");
+        let after = e.lookup(doc, q).unwrap();
+        assert!(after.cached && after.answer.is_none());
+        assert!(Arc::ptr_eq(&first.plan, &after.plan));
+        assert_eq!(e.query_doc(doc, q).unwrap().len(), 2572);
+        assert_eq!(e.views().replans(), 0);
 
         e.options_mut().optimize = false;
         assert!(e.views().is_empty(), "an option change drops every plan");
-        assert_eq!(e.query_doc(doc, q).unwrap().len(), 3);
+        assert_eq!(e.query_doc(doc, q).unwrap().len(), 2572);
+    }
+
+    #[test]
+    fn a_count_that_changes_magnitude_replans() {
+        let mut e = people(3000);
+        let doc = DocId(0);
+        let q = "//person[notes/note]/name";
+        assert!(e.query_doc(doc, q).unwrap().is_empty());
+        // One note is not a new magnitude; two thousand are.
+        e.apply_update(doc, &insert("//person[@id='p7']", "<notes><note/></notes>"))
+            .unwrap();
+        assert!(e.lookup(doc, q).unwrap().cached);
+        let notes = format!("<notes>{}</notes>", "<note/>".repeat(2000));
+        e.apply_update(doc, &insert("//person[@id='p8']", &notes))
+            .unwrap();
+        let found = e.lookup(doc, q).unwrap();
+        assert!(!found.cached && !found.bound);
+        assert_eq!(e.views().replans(), 1);
+        assert_eq!(e.views().len(), 1);
+        let fresh = e.optimize_plan(e.compile(q).unwrap(), doc).unwrap().plan;
+        assert_eq!(*found.plan, fresh);
+        assert_eq!(e.query_doc(doc, q).unwrap().len(), 2);
+        assert!(e.lookup(doc, q).unwrap().cached);
+    }
+
+    #[test]
+    fn update_targets_bind_into_their_shapes_template_and_add_no_entry() {
+        let mut e = people(3000);
+        e.options_mut().view_admit_after = 1;
+        let doc = DocId(0);
+        let read = "//person/name";
+        assert_eq!(e.query_doc(doc, read).unwrap().len(), 3000);
+        let entries = e.views().len();
+        const N: u64 = 6;
+        for i in 0..N {
+            // Targets of one shape: the first compiles, the rest bind.
+            let target = format!("//person[@id='p{}']", i % 4);
+            let outcome = e.apply_update(doc, &insert(&target, "<note/>")).unwrap();
+            assert_eq!(outcome.matched, 1);
+            assert_eq!(e.views().len(), entries, "write {i} added an entry");
+            // The first read after the write finds the plan, not an answer.
+            let found = e.lookup(doc, read).unwrap();
+            assert!(found.cached && found.answer.is_none(), "write {i}");
+            e.query_doc(doc, read).unwrap();
+            assert!(e.lookup(doc, read).unwrap().answer.is_some());
+        }
+        assert_eq!(e.views().binds(), N - 1);
+        assert_eq!(e.views().shapes(), 1);
+        assert_eq!(e.views().replans(), 0);
+        assert_eq!(e.query_doc(doc, "//person/note").unwrap().len(), N as usize);
     }
 
     #[test]
@@ -1198,19 +1293,16 @@ mod tests {
         }
         assert_eq!(e.views().shapes(), 2);
         assert_eq!(e.views().binds(), 3);
-        // A write drops the document's templates with its entries: the next
-        // text is optimized on the new counts, the one after bound to it.
-        e.apply_update(
-            doc,
-            &UpdateOp::Insert {
-                target: "/r".into(),
-                fragment: format!("<more>{}</more>", "<item/>".repeat(3000)),
-            },
-        )
-        .unwrap();
-        assert_eq!(e.views().shapes(), 0);
+        // A write that multiplies the items moves a count the templates
+        // were priced on: the next text is optimized on the new counts, the
+        // one after bound to it.
+        let items = format!("<more>{}</more>", "<item/>".repeat(3000));
+        e.apply_update(doc, &insert("/r", &items)).unwrap();
         assert!(!e.lookup(doc, "//item[@k='u4']").unwrap().bound);
-        assert!(e.lookup(doc, "//item[@k='u5']").unwrap().bound);
+        let found = e.lookup(doc, "//item[@k='u5']").unwrap();
+        assert!(found.bound);
+        let fresh = e.optimize_plan(e.compile("//item[@k='u5']").unwrap(), doc);
+        assert_eq!(*found.plan, fresh.unwrap().plan);
         assert_eq!(e.views().binds(), 4);
         assert_eq!(e.query_doc(doc, "//item[@k='u5']").unwrap().len(), 1);
         e.options_mut().optimize = false;

@@ -5,7 +5,8 @@
 //! a plain [`RwLock`] turns one engine into a concurrent query service:
 //! queries run in parallel under read locks while loads and updates take
 //! the write lock, and a write to a document (by bumping its generation)
-//! invalidates what the query cache holds for it. `vamana-server` builds
+//! drops the answers the query cache kept for it and has its plans
+//! checked ([`crate::views`]). `vamana-server` builds
 //! its worker pool on this type.
 
 use crate::engine::Engine;

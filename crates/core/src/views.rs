@@ -12,33 +12,46 @@
 //! as frequent as the text's (below), the text's literals are bound into a
 //! copy of it and nothing is parsed or optimized. Otherwise the text is
 //! compiled and optimized, and its plan becomes that template. Either way
-//! the text gets an entry.
-//! EXPLAIN, ANALYZE, `query_from`, `evaluate` and an update's target
-//! resolution never read the cache.
+//! the text gets an entry. An update's target
+//! ([`crate::Engine::apply_update`]) is resolved the same way — an entry's
+//! plan or answer, else its shape's template, else a compile offered as
+//! the template — but gets no entry: a `DELETE` target is asked once.
+//! EXPLAIN, ANALYZE, `query_from` and `evaluate`'s scalar path never read
+//! the cache.
 //!
 //! # Shapes
 //!
 //! `//person[@id='person17']/name` and `//person[@id='person18']/name`
 //! share a shape. The optimizer chose the shape's plan on index counts:
-//! `COUNT` of each node test and numeric range, which no literal changes
-//! while the document stays at one generation, and `TC` of each literal,
-//! which the literal does. So a template is filed under its shape and, per
-//! literal, the order of magnitude of the literal's `TC` in the document,
-//! `⌊log₂(TC + one page of tuples)⌋` (a binary search each). Literals filed
-//! together have counts within 2× of each other, widened by a page of
-//! tuples — counts that close price the same page reads — and a literal
-//! with many occurrences gets its own template beside the rare ones'.
+//! `COUNT` of each node test and numeric range, which no literal changes,
+//! and `TC` of each literal, which the literal does. So a template is filed
+//! under its shape and, per literal, the order of magnitude of the
+//! literal's `TC` in the document, `⌊log₂(TC + one page of tuples)⌋` (a
+//! binary search each). Literals filed together have counts within 2× of
+//! each other, widened by a page of tuples — counts that close price the
+//! same page reads — and a literal with many occurrences gets its own
+//! template beside the rare ones'.
 //!
 //! # Validity
 //!
-//! Every document's entries and templates carry the document generation
-//! they were made at. Statistics come straight from the index, so that
-//! generation is the only stamp a plan needs, as it is for an answer. A
-//! primary write drops the document's entries and templates eagerly
-//! ([`crate::Engine::apply_update`]); replica replay bumps the generation
-//! store-side, and the next access at the new generation drops them.
-//! Snapshot installs ([`crate::Engine::replace_store`]), option changes
-//! ([`crate::Engine::options_mut`]) and `CACHE CLEAR` clear everything.
+//! The optimizer applies only rewrites that keep a query's meaning, so a
+//! plan answers correctly at every generation of its document; the counts
+//! decide only whether it is still a good plan. An answer is valid for the
+//! one generation it was computed at.
+//!
+//! So a write drops the document's kept answers and nothing else: eagerly
+//! on the primary ([`crate::Engine::apply_update`]), and on a replica,
+//! whose replay bumps the generation store-side, at the next access at the
+//! new generation. Each plan and template records, when it is made, the
+//! magnitude (as above) of every count it was priced on: `COUNT` of each
+//! node test and numeric range in its operators and `TC` of each literal.
+//! The first lookup or bind after the document's generation changes reads
+//! those counts again: if every magnitude holds, the plan is restamped
+//! with the new generation; if one moved, the plan is optimized afresh
+//! ([`QueryCache::replans`]). While the generation holds a lookup reads no
+//! count. Snapshot installs ([`crate::Engine::replace_store`]), option
+//! changes ([`crate::Engine::options_mut`]) and `CACHE CLEAR` clear
+//! everything.
 //!
 //! # Bounds
 //!
@@ -56,14 +69,15 @@
 //! [`crate::EngineOptions::view_admit_after`]-th time it is computed at one
 //! generation — a point lookup asked once never is — unless it alone
 //! exceeds the budget; then the entry is marked oversize and not counted
-//! again.
+//! again at that generation.
 
+use crate::cost::count_nodetest;
 use crate::engine::Lookup;
-use crate::plan::{OpId, Operator, QueryPlan};
+use crate::plan::{OpId, Operator, QueryPlan, RangeCmp, TestSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use vamana_flex::KeyRange;
+use vamana_flex::{Axis, KeyRange};
 use vamana_mass::{MassStore, NodeEntry};
 use vamana_xpath::lexer::Shape;
 
@@ -101,6 +115,103 @@ pub struct ViewInfo {
     pub hits: u64,
 }
 
+/// `⌊log₂(count + one page of tuples)⌋`: counts less than a page of tuples
+/// apart price the same page reads.
+fn magnitude(count: u64, store: &MassStore) -> u8 {
+    (count + store.tuples_per_page() as u64).max(1).ilog2() as u8
+}
+
+/// One index count the cost model reads for an operator.
+#[derive(Debug, Clone, PartialEq)]
+enum Count {
+    /// `COUNT` of a node test on an axis of the attribute principal node
+    /// kind (`Axis::Attribute`) or the element one (`Axis::Child`): the
+    /// only thing about the axis the count depends on.
+    Nodes(Axis, TestSpec),
+    /// `TC` of a literal.
+    Text(Box<str>),
+    /// `COUNT` of a numeric range.
+    Range(RangeCmp, f64),
+}
+
+impl Count {
+    fn read(&self, store: &MassStore, scope: &KeyRange) -> u64 {
+        match self {
+            Count::Nodes(axis, test) => count_nodetest(store, *axis, test, scope),
+            Count::Text(value) => store.text_count_in(value, scope),
+            Count::Range(op, bound) => store.numeric_count_in(op.to_mass(), *bound, scope),
+        }
+    }
+}
+
+/// The counts a plan or template was priced on, each with its magnitude
+/// when it was made ([`crate::views`], "Validity").
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Priced {
+    /// `COUNT`s of node tests and numeric ranges: a template shares them
+    /// with every plan bound from it.
+    counts: Arc<[(Count, u8)]>,
+    /// `TC`s of literals.
+    literals: Vec<(Count, u8)>,
+}
+
+impl Priced {
+    /// Every count `plan`'s operators are priced on: as the optimizer
+    /// stamped them on the plan, else read on `store` within `scope` (the
+    /// document).
+    pub(crate) fn of(plan: &QueryPlan, store: &MassStore, scope: &KeyRange) -> Priced {
+        let (mut counts, mut literals) = (Vec::new(), Vec::new());
+        for id in plan.live_ops() {
+            let (count, list) = match plan.op(id) {
+                Operator::Step { axis, test, .. } => {
+                    let principal = match axis.principal_is_attribute() {
+                        true => Axis::Attribute,
+                        false => Axis::Child,
+                    };
+                    (Count::Nodes(principal, test.clone()), &mut counts)
+                }
+                Operator::RangeStep { op, bound, .. } => (Count::Range(*op, *bound), &mut counts),
+                Operator::Literal { value } | Operator::ValueStep { value, .. } => {
+                    (Count::Text(value.clone()), &mut literals)
+                }
+                _ => continue,
+            };
+            if list.iter().any(|(c, _)| *c == count) {
+                continue;
+            }
+            let stamped = plan.estimate(id).and_then(|card| card.count.or(card.tc));
+            debug_assert!(stamped.is_none_or(|n| n == count.read(store, scope)));
+            let n = stamped.unwrap_or_else(|| count.read(store, scope));
+            list.push((count, magnitude(n, store)));
+        }
+        Priced {
+            counts: counts.into(),
+            literals,
+        }
+    }
+
+    /// Whether every count is still of the magnitude it was priced at.
+    pub(crate) fn holds(&self, store: &MassStore, scope: &KeyRange) -> bool {
+        self.counts
+            .iter()
+            .chain(&self.literals)
+            .all(|(c, m)| magnitude(c.read(store, scope), store) == *m)
+    }
+
+    /// A template's counts with `literals` at `magnitudes`, their key's:
+    /// the counts of the plan they are bound into.
+    fn with_literals(&self, literals: Vec<Box<str>>, magnitudes: &[u8]) -> Priced {
+        let literals = literals
+            .into_iter()
+            .map(Count::Text)
+            .zip(magnitudes.iter().copied());
+        Priced {
+            counts: Arc::clone(&self.counts),
+            literals: literals.collect(),
+        }
+    }
+}
+
 /// What an entry knows of its query's answer.
 enum Answer {
     /// Not kept (yet).
@@ -118,6 +229,9 @@ enum Answer {
 /// One query text on one document.
 struct Entry {
     plan: Arc<QueryPlan>,
+    priced: Arc<Priced>,
+    /// Document generation the plan was last priced or checked at.
+    checked: u64,
     /// Last-used clock stamp, for both LRU orders.
     stamp: u64,
     /// Times its answer has been computed since it was last dropped.
@@ -125,7 +239,8 @@ struct Entry {
     answer: Answer,
 }
 
-/// One document's entries and templates, all valid at `generation`.
+/// One document's entries and templates; its kept answers are valid at
+/// `generation`.
 struct DocEntries {
     generation: u64,
     entries: HashMap<Box<str>, Entry>,
@@ -161,13 +276,10 @@ impl ShapedText {
     /// `shape`, a text's, with its literals counted on `store` within
     /// `scope` (the document).
     pub(crate) fn new(shape: Shape, store: &MassStore, scope: &KeyRange) -> Self {
-        // Counts less than a page of tuples apart price the same page
-        // reads.
-        let slack = store.tuples_per_page() as u64;
         let magnitudes = shape
             .literals
             .iter()
-            .map(|value| (store.text_count_in(value, scope) + slack).max(1).ilog2() as u8)
+            .map(|value| magnitude(store.text_count_in(value, scope), store))
             .collect();
         ShapedText {
             key: TemplateKey {
@@ -185,14 +297,16 @@ struct Template {
     plan: Arc<QueryPlan>,
     /// Every operator holding a literal, with the slot it holds.
     slots: Vec<(OpId, usize)>,
+    /// The counts it was priced on but its literals'.
+    priced: Priced,
 }
 
 impl Template {
-    /// `plan`, optimized for `literals`, as its shape's template — or
-    /// `None` when a slot cannot be told from the plan: two literals of one
-    /// value, or one the plan holds in no literal operator (a
-    /// `processing-instruction('t')` target).
-    fn new(plan: Arc<QueryPlan>, literals: &[Box<str>]) -> Option<Template> {
+    /// `plan`, optimized for `literals` and priced on `priced`, as its
+    /// shape's template — or `None` when a slot cannot be told from the
+    /// plan: two literals of one value, or one the plan holds in no literal
+    /// operator (a `processing-instruction('t')` target).
+    fn new(plan: Arc<QueryPlan>, literals: &[Box<str>], priced: &Priced) -> Option<Template> {
         let slot = |value: &str| literals.iter().position(|l| &**l == value);
         if literals.iter().enumerate().any(|(i, l)| slot(l) != Some(i)) {
             return None;
@@ -206,7 +320,16 @@ impl Template {
         if (0..literals.len()).any(|i| slots.iter().all(|&(_, s)| s != i)) {
             return None;
         }
-        Some(Template { plan, slots })
+        // A text's literals are counted for its key instead.
+        let priced = Priced {
+            counts: Arc::clone(&priced.counts),
+            literals: Vec::new(),
+        };
+        Some(Template {
+            plan,
+            slots,
+            priced,
+        })
     }
 
     /// A copy of the plan holding `literals`.
@@ -225,8 +348,19 @@ impl Template {
 /// One template on one document.
 struct Shaped {
     template: Arc<Template>,
+    /// Document generation the template was last priced or checked at.
+    checked: u64,
     /// Last-used clock stamp.
     stamp: u64,
+}
+
+/// What [`Inner::probe`] found for a text.
+enum Probe {
+    /// An entry checked at the generation asked.
+    Found(Lookup),
+    /// An entry of an older generation, to be checked.
+    Stale(Arc<QueryPlan>, Arc<Priced>),
+    Missing,
 }
 
 #[derive(Default)]
@@ -248,35 +382,53 @@ struct Inner {
     misses: u64,
     answered: u64,
     evictions: u64,
+    /// Plans and templates found priced on a count that changed
+    /// magnitude.
+    replans: u64,
 }
 
 impl Inner {
-    /// Drops `doc`'s entries and templates when they were made at another
-    /// generation.
-    fn expire(&mut self, doc: u32, generation: u64) {
-        if self
-            .docs
-            .get(&doc)
-            .is_some_and(|d| d.generation != generation)
-        {
-            let stale = self.docs.insert(doc, DocEntries::new(generation));
-            self.forget_doc(stale);
-        }
-    }
-
-    /// Accounts for a document's entries and templates removed.
-    fn forget_doc(&mut self, removed: Option<DocEntries>) {
-        if let Some(d) = removed {
-            self.shape_len -= d.templates.len();
-            self.forget(d.entries);
-        }
-    }
-
-    /// `doc`'s entries and templates, made at `generation` when new.
+    /// `doc`'s entries and templates, made at `generation` when new. A
+    /// `generation` newer than the one its answers are valid at drops
+    /// them; plans and templates stay.
     fn doc(&mut self, doc: u32, generation: u64) -> &mut DocEntries {
+        self.drop_answers(doc, generation);
         self.docs
             .entry(doc)
             .or_insert_with(|| DocEntries::new(generation))
+    }
+
+    /// Drops `doc`'s kept answers when `generation` is newer than the one
+    /// they are valid at, and restarts their admission counts.
+    fn drop_answers(&mut self, doc: u32, generation: u64) {
+        let Some(d) = self
+            .docs
+            .get_mut(&doc)
+            .filter(|d| d.generation < generation)
+        else {
+            return;
+        };
+        d.generation = generation;
+        let (mut kept, mut bytes) = (0, 0);
+        for e in d.entries.values_mut() {
+            e.computed = 0;
+            if let Answer::Kept { bytes: b, .. } = std::mem::replace(&mut e.answer, Answer::None) {
+                kept += 1;
+                bytes += b;
+            }
+        }
+        self.kept -= kept;
+        self.bytes -= bytes;
+        self.evictions += kept;
+    }
+
+    /// `xpath`'s entry on `doc` when the document's answers are valid at
+    /// `generation` and the entry was checked at it.
+    fn current(&mut self, doc: u32, xpath: &str, generation: u64) -> Option<&mut Entry> {
+        self.drop_answers(doc, generation);
+        let d = self.docs.get_mut(&doc)?;
+        let e = d.entries.get_mut(xpath)?;
+        (d.generation == generation && e.checked == generation).then_some(e)
     }
 
     /// Accounts for entries removed from the table.
@@ -299,6 +451,37 @@ impl Inner {
 
     fn entry(&mut self, doc: u32, xpath: &str) -> Option<&mut Entry> {
         self.docs.get_mut(&doc)?.entries.get_mut(xpath)
+    }
+
+    /// The entry for `xpath` on `doc` at `generation`, stamped used.
+    fn probe(&mut self, doc: u32, xpath: &str, generation: u64) -> Probe {
+        self.drop_answers(doc, generation);
+        self.clock += 1;
+        let clock = self.clock;
+        let Some(d) = self.docs.get_mut(&doc) else {
+            return Probe::Missing;
+        };
+        let current = d.generation == generation;
+        let Some(e) = d.entries.get_mut(xpath) else {
+            return Probe::Missing;
+        };
+        e.stamp = clock;
+        if e.checked != generation {
+            return Probe::Stale(Arc::clone(&e.plan), Arc::clone(&e.priced));
+        }
+        let answer = match &mut e.answer {
+            Answer::Kept { entries, hits, .. } if current => {
+                *hits += 1;
+                Some(Arc::clone(entries))
+            }
+            _ => None,
+        };
+        Probe::Found(Lookup {
+            plan: Arc::clone(&e.plan),
+            answer,
+            cached: true,
+            bound: false,
+        })
     }
 
     /// The least-recently-used entry passing `pick`.
@@ -422,57 +605,100 @@ impl QueryCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The entry for `xpath` on `doc` at `generation`: its plan and kept
-    /// answer, counted as a hit or a miss. Entries of an older generation
-    /// of `doc` are dropped on the way — the lazy invalidation replica
-    /// replay relies on.
-    pub(crate) fn lookup(&self, doc: u32, xpath: &str, generation: u64) -> Option<Lookup> {
-        let mut inner = self.lock();
-        inner.expire(doc, generation);
-        inner.clock += 1;
-        let clock = inner.clock;
-        let found = inner.entry(doc, xpath).map(|e| {
-            e.stamp = clock;
-            let answer = match &mut e.answer {
-                Answer::Kept { entries, hits, .. } => {
-                    *hits += 1;
-                    Some(Arc::clone(entries))
+    /// The entry for `xpath` on `doc` at `generation`: its plan and any
+    /// kept answer, or `None`. An entry made at an older generation is
+    /// checked first — `holds` answers whether its counts kept their
+    /// magnitudes, outside the lock — and restamped, or `None` (a replan).
+    /// A `read` is counted as a hit or a miss; an update's target is not.
+    pub(crate) fn lookup(
+        &self,
+        doc: u32,
+        xpath: &str,
+        generation: u64,
+        read: bool,
+        holds: impl FnOnce(&Priced) -> bool,
+    ) -> Option<Lookup> {
+        let (plan, priced) = {
+            let mut inner = self.lock();
+            match inner.probe(doc, xpath, generation) {
+                Probe::Found(found) => {
+                    if read {
+                        inner.hits += 1;
+                        inner.answered += u64::from(found.answer.is_some());
+                    }
+                    return Some(found);
                 }
-                _ => None,
-            };
-            Lookup {
-                plan: Arc::clone(&e.plan),
-                answer,
-                cached: true,
-                bound: false,
+                Probe::Missing => {
+                    inner.misses += u64::from(read);
+                    return None;
+                }
+                Probe::Stale(plan, priced) => (plan, priced),
             }
-        });
-        match &found {
-            Some(found) => {
-                inner.hits += 1;
-                inner.answered += u64::from(found.answer.is_some());
-            }
-            None => inner.misses += 1,
-        }
-        found
+        };
+        let held = holds(&priced);
+        self.restamp(doc, xpath, generation, read, plan, held)
     }
 
-    /// Keeps `plan` for `xpath` on `doc` at `generation`, evicting
-    /// least-recently-used entries to fit. An entry another thread made
-    /// meanwhile is kept as it is.
-    pub(crate) fn insert(&self, doc: u32, xpath: &str, generation: u64, plan: Arc<QueryPlan>) {
+    /// Counts a stale entry's check, and restamps the entry with
+    /// `generation` when `plan`, its plan, `held` its counts.
+    fn restamp(
+        &self,
+        doc: u32,
+        xpath: &str,
+        generation: u64,
+        read: bool,
+        plan: Arc<QueryPlan>,
+        held: bool,
+    ) -> Option<Lookup> {
+        let mut inner = self.lock();
+        if !held {
+            inner.replans += 1;
+            inner.misses += u64::from(read);
+            return None;
+        }
+        inner.hits += u64::from(read);
+        if let Some(e) = inner.entry(doc, xpath) {
+            if Arc::ptr_eq(&e.plan, &plan) {
+                e.checked = e.checked.max(generation);
+            }
+        }
+        Some(Lookup {
+            plan,
+            answer: None,
+            cached: true,
+            bound: false,
+        })
+    }
+
+    /// Keeps `plan`, priced on `priced`, for `xpath` on `doc` at
+    /// `generation`, in place of an entry of an older generation and
+    /// evicting least-recently-used entries to fit. An entry another thread
+    /// made meanwhile is kept as it is.
+    pub(crate) fn insert(
+        &self,
+        doc: u32,
+        xpath: &str,
+        generation: u64,
+        plan: Arc<QueryPlan>,
+        priced: Priced,
+    ) {
         if xpath.len() > KEY_BYTES {
             return;
         }
         let mut inner = self.lock();
-        inner.expire(doc, generation);
-        if inner.entry(doc, xpath).is_some() {
+        let priced = Arc::new(priced);
+        if let Some(e) = inner.doc(doc, generation).entries.get_mut(xpath) {
+            if e.checked < generation {
+                (e.plan, e.priced, e.checked) = (plan, priced, generation);
+            }
             return;
         }
         inner.make_room(xpath.len());
         inner.clock += 1;
         let entry = Entry {
             plan,
+            priced,
+            checked: generation,
             stamp: inner.clock,
             computed: 0,
             answer: Answer::None,
@@ -486,46 +712,76 @@ impl QueryCache {
     }
 
     /// The template `text` is filed under on `doc` at `generation`, with
-    /// `text`'s literals bound in; the plan is copied outside the lock.
-    pub(crate) fn bind(&self, doc: u32, generation: u64, text: &ShapedText) -> Option<QueryPlan> {
-        let template = {
+    /// `text`'s literals bound in, and the counts the bound plan is priced
+    /// on; `text` back when there is none. A template made at an older
+    /// generation is checked first, as [`QueryCache::lookup`] checks an
+    /// entry. The plan is copied outside the lock.
+    pub(crate) fn bind(
+        &self,
+        doc: u32,
+        generation: u64,
+        text: ShapedText,
+        holds: impl FnOnce(&Priced) -> bool,
+    ) -> Result<(QueryPlan, Priced), ShapedText> {
+        let found = {
             let mut inner = self.lock();
-            inner.expire(doc, generation);
             inner.clock += 1;
             let clock = inner.clock;
-            let found = inner.docs.get_mut(&doc)?.templates.get_mut(&text.key)?;
-            found.stamp = clock;
-            Arc::clone(&found.template)
+            let found = inner.doc(doc, generation).templates.get_mut(&text.key);
+            found.map(|found| {
+                found.stamp = clock;
+                (Arc::clone(&found.template), found.checked == generation)
+            })
         };
+        let Some((template, checked)) = found else {
+            return Err(text);
+        };
+        if !checked {
+            let held = holds(&template.priced);
+            let mut inner = self.lock();
+            if !held {
+                inner.replans += 1;
+                return Err(text);
+            }
+            let found = inner
+                .docs
+                .get_mut(&doc)
+                .and_then(|d| d.templates.get_mut(&text.key));
+            if let Some(found) = found {
+                if Arc::ptr_eq(&found.template, &template) {
+                    found.checked = found.checked.max(generation);
+                }
+            }
+        }
         self.bound.fetch_add(1, Ordering::Relaxed);
-        Some(template.bind(&text.literals))
+        let plan = template.bind(&text.literals);
+        let priced = template
+            .priced
+            .with_literals(text.literals, &text.key.magnitudes);
+        Ok((plan, priced))
     }
 
-    /// Files `plan` — optimized for `text` on `doc` at `generation` — as
-    /// the template `text` is filed under, in place of any, unless its
-    /// slots cannot be told apart (two literals of one value, one held
-    /// outside a literal operator) or the shape is longer than
-    /// `KEY_BYTES / SHAPES`.
+    /// Files `plan` — optimized for `text` on `doc` at `generation` and
+    /// priced on `priced` — as the template `text` is filed under, in
+    /// place of any, unless its slots cannot be told apart (two literals of
+    /// one value, one held outside a literal operator) or the shape is
+    /// longer than `KEY_BYTES / SHAPES`.
     pub(crate) fn offer_template(
         &self,
         doc: u32,
         generation: u64,
         text: ShapedText,
         plan: Arc<QueryPlan>,
+        priced: &Priced,
     ) {
         if text.key.shape.len() > KEY_BYTES / SHAPES {
             return;
         }
-        let Some(template) = Template::new(plan, &text.literals) else {
+        let Some(template) = Template::new(plan, &text.literals, priced) else {
             return;
         };
         let mut inner = self.lock();
-        inner.expire(doc, generation);
-        let held = inner
-            .docs
-            .get(&doc)
-            .is_some_and(|d| d.templates.contains_key(&text.key));
-        if !held {
+        if !inner.doc(doc, generation).templates.contains_key(&text.key) {
             if inner.shape_len >= SHAPES {
                 inner.evict_shape();
             }
@@ -534,6 +790,7 @@ impl QueryCache {
         inner.clock += 1;
         let shaped = Shaped {
             template: Arc::new(template),
+            checked: generation,
             stamp: inner.clock,
         };
         inner
@@ -546,8 +803,8 @@ impl QueryCache {
     /// `entries`, the finished node-set — and keeps a copy on its entry
     /// once the query has been computed `admit_after` times. An answer
     /// larger than the whole budget is neither copied nor counted again;
-    /// a query with no entry is not counted. Returns whether this call
-    /// kept it.
+    /// a query with no entry checked at `generation` is not counted.
+    /// Returns whether this call kept it.
     pub(crate) fn observe(
         &self,
         doc: u32,
@@ -559,8 +816,7 @@ impl QueryCache {
         let bytes = footprint(entries.len(), xpath);
         {
             let mut inner = self.lock();
-            inner.expire(doc, generation);
-            let Some(entry) = inner.entry(doc, xpath) else {
+            let Some(entry) = inner.current(doc, xpath, generation) else {
                 return false;
             };
             if !matches!(entry.answer, Answer::None) {
@@ -578,10 +834,9 @@ impl QueryCache {
         // Copied outside the lock: lookups do not wait on it.
         let entries = Arc::new(entries.to_vec());
         let mut inner = self.lock();
-        inner.expire(doc, generation);
         inner.clock += 1;
         let clock = inner.clock;
-        let Some(entry) = inner.entry(doc, xpath) else {
+        let Some(entry) = inner.current(doc, xpath, generation) else {
             return false;
         };
         if !matches!(entry.answer, Answer::None) {
@@ -599,11 +854,11 @@ impl QueryCache {
         true
     }
 
-    /// Drops every entry and template of `doc` (the eager write path).
-    pub fn invalidate_doc(&self, doc: u32) {
-        let mut inner = self.lock();
-        let removed = inner.docs.remove(&doc);
-        inner.forget_doc(removed);
+    /// Drops `doc`'s kept answers when `generation` is newer than the one
+    /// they are valid at (the eager write path). Its plans and templates
+    /// stay, to be checked at their next use.
+    pub fn drop_answers(&self, doc: u32, generation: u64) {
+        self.lock().drop_answers(doc, generation);
     }
 
     /// Drops every entry and template (snapshot installs, option changes,
@@ -612,7 +867,8 @@ impl QueryCache {
         let mut inner = self.lock();
         let docs = std::mem::take(&mut inner.docs);
         for d in docs.into_values() {
-            inner.forget_doc(Some(d));
+            inner.shape_len -= d.templates.len();
+            inner.forget(d.entries);
         }
     }
 
@@ -629,7 +885,8 @@ impl QueryCache {
     }
 
     /// `(hits, misses)` of lookups: one per query text and document asked.
-    /// A text bound into its shape's template counts as a miss.
+    /// A text bound into its shape's template, or whose plan is optimized
+    /// afresh, counts as a miss; an update's target counts as neither.
     pub fn counters(&self) -> (u64, u64) {
         let inner = self.lock();
         (inner.hits, inner.misses)
@@ -638,6 +895,12 @@ impl QueryCache {
     /// Texts bound into their shape's template.
     pub fn binds(&self) -> u64 {
         self.bound.load(Ordering::Relaxed)
+    }
+
+    /// Plans and templates optimized afresh because a count they were
+    /// priced on changed magnitude.
+    pub fn replans(&self) -> u64 {
+        self.lock().replans
     }
 
     /// Entries held (plans, whether or not an answer is kept).
@@ -711,11 +974,22 @@ mod tests {
         }
     }
 
+    impl QueryCache {
+        /// A read lookup whose plans always hold their counts.
+        fn get(&self, doc: u32, xpath: &str, generation: u64) -> Option<Lookup> {
+            self.lookup(doc, xpath, generation, true, |_| true)
+        }
+
+        fn put(&self, doc: u32, xpath: &str, generation: u64) {
+            self.insert(doc, xpath, generation, plan(), Priced::default());
+        }
+    }
+
     /// A cache holding a plan for each of `keys` on document 0, generation 1.
     fn cache_with(budget: u64, keys: &[&str]) -> QueryCache {
         let cache = QueryCache::with_budget(budget);
         for key in keys {
-            cache.insert(0, key, 1, plan());
+            cache.put(0, key, 1);
         }
         cache
     }
@@ -724,28 +998,65 @@ mod tests {
     fn admission_waits_for_frequency_then_answers() {
         let cache = QueryCache::new();
         let rows = [entry(1)];
-        assert!(cache.lookup(0, "//a", 1).is_none());
+        assert!(cache.get(0, "//a", 1).is_none());
         // Nothing is counted for a query with no entry.
         assert!(!cache.observe(0, "//a", 1, 1, &rows));
-        cache.insert(0, "//a", 1, plan());
-        assert!(cache.lookup(0, "//a", 1).unwrap().answer.is_none());
+        cache.put(0, "//a", 1);
+        assert!(cache.get(0, "//a", 1).unwrap().answer.is_none());
         assert!(!cache.observe(0, "//a", 1, 2, &rows));
         assert!(cache.observe(0, "//a", 1, 2, &rows));
-        let answer = cache.lookup(0, "//a", 1).unwrap().answer;
+        let answer = cache.get(0, "//a", 1).unwrap().answer;
         assert_eq!(answer.as_deref(), Some(&rows.to_vec()));
         // Kept answers stop being counted.
         assert!(!cache.observe(0, "//a", 1, 2, &rows));
         let s = cache.stats();
         assert_eq!((s.views, s.hits, s.misses), (1, 1, 2));
         assert_eq!(cache.counters(), (2, 1));
-        // Another document or another generation is not answered; the
-        // newer generation drops the stale entry, plan and answer.
-        assert!(cache.lookup(1, "//a", 1).is_none());
-        assert!(cache.lookup(0, "//a", 2).is_none());
+        // Another document has no entry. Another generation has the plan,
+        // not the answer, which it drops.
+        assert!(cache.get(1, "//a", 1).is_none());
+        let found = cache.get(0, "//a", 2).unwrap();
+        assert!(found.cached && found.answer.is_none());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().views, 0);
-        assert!(cache.is_empty(), "stale entry must be dropped");
-        assert_eq!(cache.counters(), (2, 3));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.counters(), (3, 2));
+        // Admission counts afresh at the new generation.
+        assert!(!cache.observe(0, "//a", 2, 2, &rows));
+        assert!(cache.observe(0, "//a", 2, 2, &rows));
+    }
+
+    #[test]
+    fn a_stale_plan_is_checked_once_then_restamped_or_replanned() {
+        let cache = cache_with(VIEW_BUDGET_BYTES, &["//a"]);
+        let checks = std::cell::Cell::new(0);
+        let check = |held: bool| {
+            let checks = &checks;
+            move |_: &Priced| {
+                checks.set(checks.get() + 1);
+                held
+            }
+        };
+        // While the generation holds, no count is read.
+        assert!(cache.lookup(0, "//a", 1, true, check(false)).is_some());
+        assert_eq!(checks.get(), 0);
+        // The first lookup at a newer one reads them; the plan held, so it
+        // is restamped and the next lookup reads nothing.
+        assert!(cache.lookup(0, "//a", 2, true, check(true)).is_some());
+        assert!(cache.lookup(0, "//a", 2, true, check(false)).is_some());
+        assert_eq!(checks.get(), 1);
+        assert_eq!((cache.counters(), cache.replans()), ((3, 0), 0));
+        // A count that moved is a miss and a replan; the entry waits for
+        // its new plan, and an update's target is not counted.
+        assert!(cache.lookup(0, "//a", 3, true, check(false)).is_none());
+        assert!(cache.lookup(0, "//a", 3, false, check(false)).is_none());
+        assert_eq!((cache.counters(), cache.replans()), ((3, 1), 2));
+        let fresh = Arc::new(compiled("//a"));
+        cache.insert(0, "//a", 3, Arc::clone(&fresh), Priced::default());
+        let found = cache.lookup(0, "//a", 3, false, check(false)).unwrap();
+        assert!(Arc::ptr_eq(&found.plan, &fresh));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(checks.get(), 3);
     }
 
     #[test]
@@ -754,7 +1065,7 @@ mod tests {
         let cache = cache_with(one * 2, &["//a", "//b", "//c"]);
         assert!(cache.observe(0, "//a", 1, 1, &[entry(1)]));
         assert!(cache.observe(0, "//b", 1, 1, &[entry(1)]));
-        cache.lookup(0, "//a", 1); // `//b` is now the least recently used
+        cache.get(0, "//a", 1); // `//b` is now the least recently used
         assert!(cache.observe(0, "//c", 1, 1, &[entry(1)]));
         let s = cache.stats();
         assert_eq!(s.views, 2, "the third answer must evict one");
@@ -763,7 +1074,7 @@ mod tests {
         let listed: Vec<String> = cache.list().into_iter().map(|v| v.xpath).collect();
         assert_eq!(listed, vec!["//c".to_string(), "//a".to_string()]);
         // `//b` keeps its plan and counts toward admission afresh.
-        assert!(cache.lookup(0, "//b", 1).unwrap().answer.is_none());
+        assert!(cache.get(0, "//b", 1).unwrap().answer.is_none());
         assert_eq!(cache.len(), 3);
         assert!(!cache.observe(0, "//b", 1, 2, &[entry(1)]));
     }
@@ -772,17 +1083,14 @@ mod tests {
     fn lru_bounds_the_entries() {
         let cache = QueryCache::new();
         for i in 0..CAPACITY {
-            cache.insert(0, &format!("//q{i}"), 1, plan());
+            cache.put(0, &format!("//q{i}"), 1);
         }
-        assert!(cache.lookup(0, "//q0", 1).is_some()); // refresh the oldest
-        cache.insert(1, "//r", 1, plan());
+        assert!(cache.get(0, "//q0", 1).is_some()); // refresh the oldest
+        cache.put(1, "//r", 1);
         assert_eq!(cache.len(), CAPACITY);
-        assert!(
-            cache.lookup(0, "//q0", 1).is_some(),
-            "recently used survives"
-        );
-        assert!(cache.lookup(0, "//q1", 1).is_none(), "LRU entry evicted");
-        assert!(cache.lookup(1, "//r", 1).is_some());
+        assert!(cache.get(0, "//q0", 1).is_some(), "recently used survives");
+        assert!(cache.get(0, "//q1", 1).is_none(), "LRU entry evicted");
+        assert!(cache.get(1, "//r", 1).is_some());
     }
 
     #[test]
@@ -802,7 +1110,9 @@ mod tests {
         assert!(oversize(&cache));
         assert_eq!(cache.stats().views, 0);
         // A write may shrink the answer: a new generation counts afresh.
-        cache.insert(0, "//big", 2, plan());
+        cache.drop_answers(0, 2);
+        assert!(!oversize(&cache));
+        cache.get(0, "//big", 2);
         assert!(!cache.observe(0, "//big", 2, 2, &rows[..1]));
         assert!(cache.observe(0, "//big", 2, 2, &rows[..1]));
     }
@@ -813,7 +1123,7 @@ mod tests {
         let tail = "/a".repeat(30 << 10);
         for i in 0..10_000 {
             let xpath = format!("//q{i}{tail}");
-            cache.insert(0, &xpath, 1, plan());
+            cache.put(0, &xpath, 1);
             cache.observe(0, &xpath, 1, 2, &[]);
             let inner = cache.lock();
             let held: usize = inner
@@ -827,43 +1137,51 @@ mod tests {
         }
         assert!(cache.len() > 1, "the cap must still hold several keys");
         // A key longer than the whole cap is not cached at all.
-        cache.insert(0, &"/a".repeat(KEY_BYTES), 1, plan());
+        cache.put(0, &"/a".repeat(KEY_BYTES), 1);
         assert!(cache.lock().key_bytes <= KEY_BYTES);
     }
 
     #[test]
     fn a_write_heavy_loop_cannot_grow_the_map() {
         let cache = QueryCache::new();
-        // Each generation re-plans two texts, then a write lands.
+        // Each generation asks two texts, keeps their answers, then a
+        // write lands.
         for generation in 1..=100u64 {
             for xpath in ["//a", "//b"] {
-                if cache.lookup(0, xpath, generation).is_none() {
-                    cache.insert(0, xpath, generation, plan());
+                if cache.get(0, xpath, generation).is_none() {
+                    cache.put(0, xpath, generation);
                 }
+                cache.observe(0, xpath, generation, 1, &[entry(1)]);
             }
-            cache.invalidate_doc(0);
+            cache.drop_answers(0, generation + 1);
         }
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().views, 0);
+        assert_eq!(cache.counters(), (198, 2), "plans survive the writes");
         // Replica replay: no eager drop, the next generation's access does it.
-        for generation in 1..=100u64 {
-            cache.lookup(0, "//a", generation);
-            cache.insert(0, "//a", generation, plan());
+        for generation in 200..=300u64 {
+            cache.get(0, "//a", generation);
+            cache.observe(0, "//a", generation, 1, &[entry(1)]);
         }
-        assert_eq!(cache.len(), 1, "stale generations piled up");
+        assert_eq!(cache.len(), 2, "stale generations piled up");
+        assert_eq!(cache.stats().views, 1);
     }
 
     #[test]
-    fn invalidate_and_clear_account_evictions() {
+    fn dropping_answers_and_clearing_account_evictions() {
         let cache = QueryCache::new();
         for (doc, key) in [(0, "//a"), (0, "//b"), (1, "//a")] {
-            cache.insert(doc, key, 1, plan());
+            cache.put(doc, key, 1);
             cache.observe(doc, key, 1, 1, &[entry(1)]);
         }
-        cache.insert(0, "//pending", 1, plan());
-        cache.invalidate_doc(0);
+        cache.put(0, "//pending", 1);
+        cache.drop_answers(0, 2);
         assert_eq!(cache.stats().views, 1);
         assert_eq!(cache.stats().evictions, 2);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.len(), 4, "plans stay");
+        // An older generation drops nothing.
+        cache.drop_answers(1, 1);
+        assert_eq!(cache.stats().views, 1);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().views, 0);
@@ -888,7 +1206,7 @@ mod tests {
     fn a_template_binds_each_literal_into_the_operators_of_its_slot() {
         let template = |xpath: &str| {
             let literals = shape(xpath).unwrap().literals;
-            Template::new(Arc::new(compiled(xpath)), &literals)
+            Template::new(Arc::new(compiled(xpath)), &literals, &Priced::default())
         };
         let bound = template("//a[@k = 'x' or . = 'y']/b[c = 'z']")
             .expect("three distinct literals")
@@ -905,50 +1223,89 @@ mod tests {
     }
 
     #[test]
-    fn a_template_binds_texts_of_its_shape_and_magnitudes_at_its_generation() {
+    fn a_template_binds_texts_of_its_shape_and_magnitudes() {
         let cache = QueryCache::new();
         let offer = |xpath: &str, magnitude: u8, generation: u64| {
             let text = shaped(xpath, magnitude);
-            cache.offer_template(0, generation, text, Arc::new(compiled(xpath)));
+            let plan = Arc::new(compiled(xpath));
+            cache.offer_template(0, generation, text, plan, &Priced::default());
         };
-        let bind = |xpath: &str, magnitude: u8, generation: u64| {
-            cache.bind(0, generation, &shaped(xpath, magnitude))
+        let bind = |xpath: &str, magnitude: u8, generation: u64, held: bool| {
+            let text = shaped(xpath, magnitude);
+            cache
+                .bind(0, generation, text, |_| held)
+                .ok()
+                .map(|(plan, _)| plan)
         };
         offer("//a[@k = 'x']", 3, 1);
-        assert_eq!(bind("//a[@k='y']", 3, 1), Some(compiled("//a[@k = 'y']")));
+        let bound = bind("//a[@k='y']", 3, 1, false);
+        assert_eq!(bound, Some(compiled("//a[@k = 'y']")));
         assert_eq!(cache.binds(), 1);
         // Another magnitude, document or shape has no template.
-        assert!(bind("//a[@k = 'y']", 4, 1).is_none());
-        assert!(cache.bind(1, 1, &shaped("//a[@k = 'y']", 3)).is_none());
-        assert!(bind("//b[@k = 'y']", 3, 1).is_none());
-        // Nor has another generation, and asking drops the stale one.
-        assert!(bind("//a[@k = 'y']", 3, 2).is_none());
-        assert_eq!(cache.shapes(), 0);
-        assert_eq!(cache.binds(), 1);
+        assert!(bind("//a[@k = 'y']", 4, 1, true).is_none());
+        assert!(cache
+            .bind(1, 1, shaped("//a[@k = 'y']", 3), |_| true)
+            .is_err());
+        assert!(bind("//b[@k = 'y']", 3, 1, true).is_none());
+        // Another generation checks the template's counts: held, it binds;
+        // moved, it is a replan, and the template waits for a new plan.
+        assert!(bind("//a[@k = 'z']", 3, 2, true).is_some());
+        assert!(bind("//a[@k = 'z']", 3, 3, false).is_none());
+        assert_eq!((cache.binds(), cache.replans(), cache.shapes()), (2, 1, 1));
+        offer("//a[@k = 'z']", 3, 3);
+        assert!(bind("//a[@k = 'w']", 3, 3, false).is_some());
+        assert_eq!(cache.shapes(), 1);
     }
 
     #[test]
-    fn templates_are_bounded_and_dropped_with_the_entries() {
+    fn a_template_is_priced_without_its_literals() {
+        let mut store = MassStore::open_memory();
+        store.load_xml("d", "<r><a k='x'/><a k='y'/></r>").unwrap();
+        let scope = KeyRange::all();
+        let xpath = "//a[@k = 'x']";
+        // Unoptimized, so nothing is stamped: every count is read.
+        let plan = Arc::new(compiled(xpath));
+        let priced = Priced::of(&plan, &store, &scope);
+        let text = ShapedText::new(shape(xpath).unwrap(), &store, &scope);
+        let x = (Count::Text("x".into()), text.key.magnitudes[0]);
+        assert_eq!(priced.literals, vec![x]);
+        assert!(priced.holds(&store, &scope));
+        let template = Template::new(plan, &text.literals, &priced).unwrap();
+        assert!(template.priced.literals.is_empty());
+        assert!(Arc::ptr_eq(&template.priced.counts, &priced.counts));
+        let other = ShapedText::new(shape("//a[@k = 'y']").unwrap(), &store, &scope);
+        let y = (Count::Text("y".into()), other.key.magnitudes[0]);
+        let bound = template
+            .priced
+            .with_literals(other.literals, &other.key.magnitudes);
+        assert_eq!(bound.literals, vec![y]);
+        assert_eq!(bound.counts, priced.counts);
+    }
+
+    #[test]
+    fn templates_are_bounded_and_cleared() {
         let cache = QueryCache::new();
         let offer = |doc: u32, xpath: &str| {
             let text = shaped(xpath, 0);
-            cache.offer_template(doc, 1, text, Arc::new(compiled(xpath)));
+            let plan = Arc::new(compiled(xpath));
+            cache.offer_template(doc, 1, text, plan, &Priced::default());
         };
+        let bind = |doc: u32, xpath: &str| cache.bind(doc, 1, shaped(xpath, 0), |_| true).ok();
         for i in 0..SHAPES + 10 {
             offer(0, &format!("//q{i}[@k = 'v']"));
         }
         assert_eq!(cache.shapes(), SHAPES);
         assert_eq!(cache.lock().docs[&0].templates.len(), SHAPES);
         // The oldest went first; offering a held shape again replaces it.
-        assert!(cache.bind(0, 1, &shaped("//q0[@k = 'v']", 0)).is_none());
-        assert!(cache.bind(0, 1, &shaped("//q73[@k = 'v']", 0)).is_some());
+        assert!(bind(0, "//q0[@k = 'v']").is_none());
+        assert!(bind(0, "//q73[@k = 'v']").is_some());
         offer(0, "//q73[@k = 'w']");
         assert_eq!(cache.shapes(), SHAPES);
-        // A write to the document drops its templates, not another's.
+        // A write keeps the document's templates.
         offer(1, "//r[@k = 'v']");
         assert_eq!(cache.shapes(), SHAPES);
-        cache.invalidate_doc(0);
-        assert_eq!(cache.shapes(), 1);
+        cache.drop_answers(0, 2);
+        assert_eq!(cache.shapes(), SHAPES);
         cache.clear();
         assert_eq!(cache.shapes(), 0);
     }

@@ -11,7 +11,9 @@
 //! of string literals — values common in the document, one that occurs
 //! once, one that never does — so the second text is bound into the plan
 //! optimized for the first when their literals are about as frequent, and
-//! gets its own plan when they are not.
+//! gets its own plan when they are not. A write keeps the plans; one bulk
+//! insert of a new name moves that name's count past a magnitude, and the
+//! plan of a probe query priced on it must be optimized afresh.
 
 use proptest::prelude::*;
 use vamana_baseline::{dom::DomEngine, NodeIdentity, XPathEngine};
@@ -49,6 +51,10 @@ const PREDICATES: [&str; 16] = [
 ];
 
 const PULL_SIZES: [usize; 6] = [1, 2, 3, 7, 256, usize::MAX];
+
+/// Asked at every step beside the generated queries: priced on the count
+/// of `e`, a name only the bulk insert writes.
+const PROBE: &str = "//a[e]";
 
 /// One step: `//` rather than `/` before it?, axis, node test, predicate.
 type StepSpec = (bool, usize, usize, Option<usize>);
@@ -145,6 +151,17 @@ fn update(action: u8, parent: &str, name: &str) -> Option<UpdateOp> {
     }
 }
 
+/// Enough `e` elements under the root to move their count, none before,
+/// past a magnitude, `⌊log₂(count + one page of tuples)⌋`: more than twice
+/// the page of tuples.
+fn bulk(engine: &Engine) -> UpdateOp {
+    let slack = engine.store().tuples_per_page().ceil() as usize;
+    UpdateOp::Insert {
+        target: "/a".into(),
+        fragment: format!("<e>{}</e>", "<e/>".repeat(2 * slack)),
+    }
+}
+
 /// An engine that keeps every answer the first time it computes it.
 fn engine_for(xml: &str) -> Engine {
     let mut store = MassStore::open_memory();
@@ -189,6 +206,7 @@ proptest! {
         queries in proptest::collection::vec(query_strategy(), 1..4),
         first in 0..LITERALS.len(),
         script in proptest::collection::vec((any::<u8>(), 0usize..4, 0usize..4), 1..8),
+        bulk_at in 1usize..8,
         ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..40),
     ) {
         let xml = build_doc(&ops);
@@ -196,16 +214,23 @@ proptest! {
         let doc = DocId(0);
         let slots = |q: &String| q.matches("{}").count();
         // Texts that must have been bound into the template their query's
-        // first text left: both new at their generation, and each slot's
-        // two literals of one count.
+        // first text left: at the first step, where both texts are new,
+        // each slot's two literals of one count. A write keeps both texts'
+        // entries, so later a text binds only when its plan is made afresh.
         let mut must_bind = 0;
-        let mut generation = None;
         for (step, &(action, parent, name)) in script.iter().enumerate() {
-            if let Some(op) = update(action, NAMES[parent], NAMES[name]) {
+            if step == bulk_at {
+                // The probe's plan was checked at the step before, on the
+                // counts this insert starts from.
+                subject.apply_update(doc, &bulk(&subject)).unwrap();
+                let replans = subject.views().replans();
+                let found = subject.lookup(doc, PROBE).unwrap();
+                prop_assert!(!found.cached, "{} kept its plan past the bulk insert", PROBE);
+                prop_assert!(subject.views().replans() > replans);
+            } else if let Some(op) = update(action, NAMES[parent], NAMES[name]) {
                 subject.apply_update(doc, &op).unwrap();
             }
-            let now = subject.store().doc_generation(doc);
-            if generation.replace(now) != Some(now) {
+            if step == 0 {
                 let store = subject.store();
                 let scope = KeyRange::subtree(&store.documents()[0].doc_key);
                 let count = |i: usize| store.text_count_in(LITERALS[i % LITERALS.len()], &scope);
@@ -223,7 +248,8 @@ proptest! {
             // into the plan optimized for the first.
             let texts = queries
                 .iter()
-                .flat_map(|q| [with_literals(q, first), with_literals(q, first + 1)]);
+                .flat_map(|q| [with_literals(q, first), with_literals(q, first + 1)])
+                .chain([PROBE.to_string()]);
             for xpath in texts {
                 let xpath = xpath.as_str();
                 let want = fresh(&subject, doc, xpath);

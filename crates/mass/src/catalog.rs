@@ -147,7 +147,13 @@ impl MassStore {
         let doc_count = r.u32()?;
         for _ in 0..doc_count {
             let name = r.string()?;
-            let key = FlexKey::from_flat_slice(r.bytes()?);
+            let flat = r.bytes()?;
+            if !FlexKey::is_valid_flat(flat) {
+                return Err(MassError::CorruptRecord(
+                    "malformed document key in catalog".into(),
+                ));
+            }
+            let key = FlexKey::from_flat_slice(flat);
             self.docs.push(DocInfo {
                 name: name.into(),
                 doc_key: key,

@@ -223,8 +223,9 @@ impl MassStore {
     /// (contiguity enforced — a gap aborts with the log rolled back),
     /// sealed by the batch's commit marker, and only then replayed into
     /// the pages through the idempotent recovery path. Touched documents
-    /// get their generations bumped so cached plans invalidate exactly
-    /// like local writes. Returns the commit marker's LSN.
+    /// get their generations bumped, so a query cache drops their kept
+    /// answers exactly as after local writes. Returns the commit marker's
+    /// LSN.
     pub fn apply_replicated(&mut self, frames: &[(u64, WalRecord)]) -> Result<u64> {
         let Some((last, rest)) = frames.split_last() else {
             return Ok(self.replicated_lsn());

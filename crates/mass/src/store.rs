@@ -263,9 +263,9 @@ impl MassStore {
         self.generation += 1;
     }
 
-    /// Mutation counter for one document. Cached plans key on
-    /// `(doc, doc_generation)` so updates to one document invalidate only
-    /// that document's plans.
+    /// Mutation counter for one document. Kept answers and the checks of
+    /// cached plans key on `(doc, doc_generation)`, so an update to one
+    /// document touches only that document's.
     pub fn doc_generation(&self, doc: DocId) -> u64 {
         self.doc_gens.get(doc.0 as usize).copied().unwrap_or(0)
     }

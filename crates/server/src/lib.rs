@@ -1046,6 +1046,10 @@ fn render_stats(shared: &Shared) -> Vec<String> {
         "STAT plan_cache_shapes {}",
         engine.views().shapes()
     ));
+    out.push(format!(
+        "STAT plan_cache_replans {}",
+        engine.views().replans()
+    ));
     out.push(format!("STAT workers {}", shared.config.workers));
     let stats = engine.store().stats();
     out.push(format!("STAT documents {}", stats.documents));

@@ -63,28 +63,36 @@ fn insert_and_delete_round_trip_with_counters() {
 }
 
 #[test]
-fn update_invalidates_only_the_target_documents_cached_plans() {
+fn update_drops_only_the_target_documents_answers() {
     let handle = spawn_memory_server();
     let mut client = Client::connect(&handle);
     client.round_trip("LOADXML second <r><person><name>Lin</name></person></r>");
 
-    // Warm the cache (one entry per document), then verify a repeat hits.
-    // The counters count lookups: an entry found is a hit whether it
-    // serves the answer kept on the repeat or only its plan.
+    // Warm the cache (one entry per document, each answer kept on the
+    // repeat). The counters count lookups: an entry found is a hit whether
+    // it serves the answer kept or only its plan.
     client.round_trip("QUERY //person");
     let reply = client.round_trip("QUERY //person");
     assert!(reply.last().unwrap().contains("plan=cached"), "{reply:?}");
     let stats = client.round_trip("STATS");
+    assert_eq!(stat_value(&stats, "view_views"), 2, "{stats:?}");
     let hits_before = stat_value(&stats, "plan_cache_hits");
     let misses_before = stat_value(&stats, "plan_cache_misses");
 
-    // Update document 1: its plan is stale, document 0's stays warm.
+    // Update document 1: its answer goes, document 0's stays, and both
+    // plans stay.
     let reply = client.round_trip("INSERT second /r <person><name>May</name></person>");
     assert!(reply[0].starts_with("OK update"), "{reply:?}");
+    let stats = client.round_trip("STATS");
+    assert_eq!(stat_value(&stats, "view_views"), 1, "{stats:?}");
+    assert_eq!(stat_value(&stats, "plan_cache_size"), 2, "{stats:?}");
+
+    // A page of tuples is the whole store here, so the insert moved the
+    // counts document 1's plan was priced on: it is made afresh.
     let reply = client.round_trip("QUERY //person");
     assert!(
         reply.last().unwrap().contains("plan=compiled"),
-        "stale plan for the updated document must recompile: {reply:?}"
+        "a plan priced on counts that moved must be made afresh: {reply:?}"
     );
     assert!(
         reply.last().unwrap().starts_with("OK 3 row(s)"),
@@ -92,10 +100,11 @@ fn update_invalidates_only_the_target_documents_cached_plans() {
     );
 
     let stats = client.round_trip("STATS");
+    assert_eq!(stat_value(&stats, "plan_cache_replans"), 1, "{stats:?}");
     assert_eq!(
         stat_value(&stats, "plan_cache_hits"),
         hits_before + 1,
-        "document 0's plan must still validate: {stats:?}"
+        "document 0's entry must still be found: {stats:?}"
     );
     assert_eq!(
         stat_value(&stats, "plan_cache_misses"),
