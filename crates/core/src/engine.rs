@@ -9,10 +9,9 @@ use crate::cost::estimate;
 use crate::error::{EngineError, Result};
 use crate::exec::parallel::{host_cpus, ParallelHooks, ParallelScanStats, PoolCell};
 use crate::exec::{self, value::Value, Env};
-use crate::explain::Analysis;
+use crate::explain::{Analysis, QueryProfile};
 use crate::opt::{self, OptEvent, OptimizeOutcome, OptimizerOptions};
 use crate::plan::{builder::build_plan, display, Operator, QueryPlan};
-use crate::shared::QueryProfile;
 use crate::views::{self, Priced, ShapedText};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,11 +19,6 @@ use std::time::{Duration, Instant};
 use vamana_flex::KeyRange;
 use vamana_mass::{DocId, MassError, MassStore, NodeEntry, RecordKind, WalStats};
 use vamana_xpath::{parse, Expr};
-
-/// How long a writer waits at the epoch gate for in-flight readers
-/// (parallel morsel workers, open streams) to drop their store handles
-/// before giving up with [`MassError::WriterConflict`].
-const WRITER_DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Engine configuration. Every read-path feature engages through its cost
 /// gate; what is configurable is the paper's optimizer switch, two
@@ -103,9 +97,6 @@ pub struct UpdateOutcome {
     /// Time spent resolving the target: finding or making its plan and
     /// running it.
     pub resolve: Duration,
-    /// Execution profile: target resolution + apply, including the time
-    /// spent waiting at the writer epoch gate.
-    pub profile: QueryProfile,
 }
 
 /// A compiled-and-explained query (used by examples and the figures
@@ -157,9 +148,8 @@ pub struct QueryStream<'s> {
     root_ctx: NodeEntry,
     iter: exec::OpIter<'s>,
     done: bool,
-    /// `next` pops from `pending`, which holds the remainder of its last
-    /// pull *in reverse* so each pop is O(1) without cloning.
-    pending: Vec<NodeEntry>,
+    /// An answer the query cache kept, and how much of it was handed out.
+    kept: Option<(Arc<Vec<NodeEntry>>, usize)>,
 }
 
 impl<'s> QueryStream<'s> {
@@ -190,59 +180,43 @@ impl<'s> QueryStream<'s> {
             root_ctx,
             iter,
             done: false,
-            pending: Vec::new(),
+            kept: None,
         })
     }
 
     /// A stream over an answer the query cache kept: already a node-set,
-    /// handed out as if the last pull had produced it.
+    /// handed out from the cache's copy.
     fn kept(
         engine: &'s Engine,
         plan: Arc<QueryPlan>,
         doc: DocId,
-        answer: &[NodeEntry],
+        answer: Arc<Vec<NodeEntry>>,
     ) -> Result<Self> {
-        let mut pending = answer.to_vec();
-        pending.reverse();
         Ok(QueryStream {
             store: engine.store(),
             plan,
             root_ctx: engine.doc_entry(doc)?,
             iter: exec::OpIter::Anchor(None),
             done: true,
-            pending,
+            kept: Some((answer, 0)),
         })
     }
 
-    /// Pulls the next tuple in pipeline order, or `None` when exhausted:
-    /// a pop over an internal [`exec::BATCH_SIZE`]-tuple pull (use
-    /// `next_batch(out, 1)` to make the pipeline produce one tuple only).
-    #[allow(clippy::should_implement_trait)] // fallible
-    pub fn next(&mut self) -> Result<Option<NodeEntry>> {
-        if self.pending.is_empty() {
-            let mut batch = std::mem::take(&mut self.pending);
-            self.next_batch(&mut batch, exec::BATCH_SIZE)?;
-            batch.reverse();
-            self.pending = batch;
-        }
-        Ok(self.pending.pop())
-    }
-
     /// Pulls up to `max` tuples into `out`, returning how many were
-    /// appended. Zero means the stream is exhausted. This is the
-    /// materialization-free consumption path: the serving layer drains
-    /// whole batches into its result buffer without per-tuple dispatch.
+    /// appended; fewer than `max` means the stream is exhausted, and stays
+    /// so. The one pull: `max = 1` makes the pipeline produce one tuple,
+    /// and the serving layer drains whole batches into its result buffer
+    /// without per-tuple dispatch.
     pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
-        let start = out.len();
-        // Leftovers of a `next` pull come first (reversed).
-        while out.len() - start < max {
-            match self.pending.pop() {
-                Some(t) => out.push(t),
-                None => break,
-            }
+        if let Some((answer, at)) = &mut self.kept {
+            let rest = &answer[*at..];
+            let n = rest.len().min(max);
+            out.extend_from_slice(&rest[..n]);
+            *at += n;
+            return Ok(n);
         }
-        if self.done || out.len() - start >= max {
-            return Ok(out.len() - start);
+        if self.done {
+            return Ok(0);
         }
         let env = Env {
             plan: &self.plan,
@@ -250,11 +224,11 @@ impl<'s> QueryStream<'s> {
             root_ctx: &self.root_ctx,
             stats: None,
         };
-        let budget = max - (out.len() - start);
-        if self.iter.next_batch(env, out, budget)? < budget {
+        let n = self.iter.next_batch(env, out, max)?;
+        if n < max {
             self.done = true;
         }
-        Ok(out.len() - start)
+        Ok(n)
     }
 
     /// Whether everything pulled so far came in document order, each node
@@ -284,17 +258,17 @@ impl<'s> QueryStream<'s> {
 /// The VAMANA XPath engine.
 pub struct Engine {
     /// Shared so parallel scan workers can hold the store across their
-    /// morsel; all clones are transient (reaped before a query returns),
-    /// which keeps [`Engine::store_mut`] available between queries.
-    store: Arc<MassStore>,
+    /// morsel; a scan's clones are gone once its stream is dropped, which
+    /// keeps [`Engine::store_mut`] available between queries.
+    pub(crate) store: Arc<MassStore>,
     options: EngineOptions,
     /// Engine-level worker pool, created when a scan first fans out,
     /// reused across queries and rebuilt only when the configured width
     /// changes.
     scan_pool: PoolCell,
-    /// Cumulative microseconds writers spent at the epoch gate waiting
-    /// for reader-held store clones to drain.
-    writer_wait_us: AtomicU64,
+    /// Cumulative microseconds writers waited for the engine's write lock
+    /// ([`crate::SharedEngine::write`]).
+    pub(crate) writer_wait_us: AtomicU64,
     /// The query cache, shared by `Arc` so a server can hand it out.
     views: Arc<views::QueryCache>,
 }
@@ -326,49 +300,25 @@ impl Engine {
         &self.store
     }
 
-    /// A shared handle on the store, as held by parallel scan workers
-    /// for the duration of a morsel. While any such handle is alive,
-    /// [`Engine::store_mut`] waits at the epoch gate.
-    pub fn store_handle(&self) -> Arc<MassStore> {
-        Arc::clone(&self.store)
-    }
-
-    /// Mutable store access (loading documents, updates), behind the
-    /// *epoch gate*: store clones held by in-flight parallel scans or
-    /// open streams are normally reaped before their query returns, but
-    /// a writer arriving while one is still alive waits (two seconds at
-    /// most) for the readers to drain instead of panicking. On timeout
-    /// the caller gets
+    /// Mutable store access (loading documents, updates). `&mut self`
+    /// already excludes every open stream, and a fanned-out scan's workers
+    /// let go of the store before its stream's drop returns, so the store
+    /// is the engine's alone — unless a stream was leaked
+    /// (`mem::forget`) mid-scan, when the caller gets
     /// [`MassError::WriterConflict`] and the store is untouched.
     pub fn store_mut(&mut self) -> Result<&mut MassStore> {
-        let start = Instant::now();
-        let deadline = start + WRITER_DRAIN_TIMEOUT;
-        loop {
-            if Arc::get_mut(&mut self.store).is_some() {
-                break;
-            }
-            if Instant::now() >= deadline {
-                return Err(EngineError::Storage(MassError::WriterConflict));
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let waited = start.elapsed();
-        if !waited.is_zero() {
-            self.writer_wait_us
-                .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
-        }
-        Ok(Arc::get_mut(&mut self.store).expect("gate drained"))
+        Arc::get_mut(&mut self.store).ok_or(EngineError::Storage(MassError::WriterConflict))
     }
 
-    /// Total time writers have spent waiting at the epoch gate.
+    /// Total time writers have waited for this engine's write lock
+    /// ([`crate::SharedEngine::write`]).
     pub fn writer_wait_total(&self) -> Duration {
         Duration::from_micros(self.writer_wait_us.load(Ordering::Relaxed))
     }
 
     /// Swaps the underlying store wholesale — a replica installing a
-    /// snapshot shipped from its primary. Waits at the same epoch gate as
-    /// [`Engine::store_mut`] so no in-flight scan still holds the old
-    /// store, and clears the query cache: the new store's document
+    /// snapshot shipped from its primary. Fails as [`Engine::store_mut`]
+    /// does, and clears the query cache: the new store's document
     /// generations restart at zero.
     pub fn replace_store(&mut self, store: MassStore) -> Result<()> {
         self.store_mut()?;
@@ -432,14 +382,13 @@ impl Engine {
     /// through the query cache without adding an entry to it (an entry's
     /// plan or kept answer, else its shape's template, else a compile
     /// offered as the template; see [`crate::views`]), then routes the
-    /// mutation through the store's WAL-logged update path behind the
-    /// epoch gate, and drops the document's kept answers. Inserts append
-    /// the fragment to the *first* match; deletes remove the subtrees of
-    /// *every* match (skipping nodes already removed as part of an
-    /// earlier match's subtree).
+    /// mutation through the store's WAL-logged update path
+    /// ([`Engine::store_mut`]), and drops the document's kept answers.
+    /// Inserts append the fragment to the *first* match; deletes remove
+    /// the subtrees of *every* match (skipping nodes already removed as
+    /// part of an earlier match's subtree).
     pub fn apply_update(&mut self, doc: DocId, op: &UpdateOp) -> Result<UpdateOutcome> {
         let start = Instant::now();
-        let buffer_before = self.store().buffer_pool().stats();
         let target = match op {
             UpdateOp::Insert { target, .. } | UpdateOp::Delete { target } => target,
         };
@@ -460,9 +409,7 @@ impl Engine {
                 }
             }
         }
-        let wait_start = Instant::now();
         let store = self.store_mut()?;
-        let writer_wait = wait_start.elapsed();
         let tuples_before = store.stats().tuples;
         let mut deleted = 0u64;
         match op {
@@ -486,15 +433,6 @@ impl Engine {
         // generations without coming through here, and the cache drops the
         // answers at the next access.
         self.views.drop_answers(doc.0, doc_generation);
-        let buffer_after = self.store().buffer_pool().stats();
-        let profile = QueryProfile {
-            elapsed: start.elapsed(),
-            buffer_hits: buffer_after.hits.saturating_sub(buffer_before.hits),
-            buffer_misses: buffer_after.misses.saturating_sub(buffer_before.misses),
-            rows: matched.len() as u64,
-            writer_wait,
-            ..QueryProfile::default()
-        };
         Ok(UpdateOutcome {
             doc,
             matched: matched.len() as u64,
@@ -503,13 +441,12 @@ impl Engine {
             lsn,
             doc_generation,
             resolve,
-            profile,
         })
     }
 
     /// Folds the WAL into the page store and truncates it (see
-    /// [`MassStore::checkpoint`]), behind the epoch gate. Returns the
-    /// post-checkpoint WAL counters.
+    /// [`MassStore::checkpoint`]). Returns the post-checkpoint WAL
+    /// counters.
     pub fn checkpoint(&mut self) -> Result<WalStats> {
         let store = self.store_mut()?;
         store.checkpoint()?;
@@ -718,7 +655,7 @@ impl Engine {
     }
 
     /// Opens a *streaming* cursor over `xpath` on `doc`: tuples are
-    /// produced one `next()` at a time through the pipelined executor,
+    /// produced a `next_batch` at a time through the pipelined executor,
     /// without materializing the result set (the paper's §VII execution
     /// model as a public API). Tuples arrive in pipeline order, which the
     /// stream can tell from document order
@@ -728,7 +665,7 @@ impl Engine {
     pub fn stream<'a>(&'a self, doc: DocId, xpath: &str) -> Result<QueryStream<'a>> {
         let found = self.lookup(doc, xpath)?;
         match found.answer {
-            Some(kept) => QueryStream::kept(self, found.plan, doc, &kept),
+            Some(kept) => QueryStream::kept(self, found.plan, doc, kept),
             None => QueryStream::new(self, found.plan, doc),
         }
     }
@@ -873,9 +810,6 @@ impl Engine {
             decodes_v2: buffer_after
                 .decodes_v2
                 .saturating_sub(buffer_before.decodes_v2),
-            rows: out.len() as u64,
-            writer_wait: Duration::ZERO,
-            operators: Some(actuals.clone()),
         };
         Ok(Analysis {
             xpath: xpath.to_string(),
@@ -1049,14 +983,12 @@ mod tests {
         let e = engine();
         let mut stream = e.stream(DocId(0), "//person/name").unwrap();
         let mut streamed = Vec::new();
-        while let Some(t) = stream.next().unwrap() {
-            streamed.push(t);
-        }
+        while stream.next_batch(&mut streamed, 1).unwrap() == 1 {}
         assert!(stream.in_document_order());
         stream.finish(&mut streamed);
         assert_eq!(streamed, e.query("//person/name").unwrap());
         // Exhausted streams stay exhausted.
-        assert!(stream.next().unwrap().is_none());
+        assert_eq!(stream.next_batch(&mut streamed, 1).unwrap(), 0);
         // The stream's plan is the optimized one.
         assert!(!stream.plan().is_empty());
     }
@@ -1075,7 +1007,7 @@ mod tests {
         let e = Engine::new(store);
         e.store().buffer_pool().reset_stats();
         let mut stream = e.stream(DocId(0), "//e").unwrap();
-        assert!(stream.next().unwrap().is_some());
+        assert_eq!(stream.next_batch(&mut Vec::new(), 1).unwrap(), 1);
         let b = e.store().stats().buffer;
         let total = e.store().stats().pages as u64;
         assert!(

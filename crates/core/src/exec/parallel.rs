@@ -750,7 +750,8 @@ impl<'s> ParallelIter<'s> {
 /// The caller's handle on its scan. Dropping it cancels the scan and
 /// waits for the workers inside a morsel to leave it (each looks at the
 /// flag between chunks, between contexts and when parked); after that no
-/// thread holds a store clone, so the engine's `store_mut` has exclusive access again.
+/// thread holds a store clone, so the engine's `store_mut` has exclusive
+/// access again: the only thing that lets a writer through.
 /// A type of its own, without the store lifetime: with the `Drop` on
 /// [`ParallelIter`] itself every stream would keep its engine borrowed
 /// until it goes out of scope.
@@ -948,8 +949,7 @@ mod tests {
     /// picked up, and `set.work` on the test thread stands in for it.
     fn start(engine: &Engine, job: Job) -> ParallelIter<'_> {
         let pool = Arc::new(ScanPool::new(1));
-        let shared = engine.store_handle();
-        ParallelIter::start(OpId(0), engine.store(), &shared, pool, job, 2)
+        ParallelIter::start(OpId(0), engine.store(), &engine.store, pool, job, 2)
     }
 
     #[test]
@@ -1014,7 +1014,7 @@ mod tests {
         }
         let set = Arc::clone(&iter.set);
         let pool = Arc::clone(&iter.pool);
-        let store = engine.store_handle();
+        let store = Arc::clone(&engine.store);
         let mut out = Vec::new();
         let seen = std::thread::scope(|s| {
             let worker = s.spawn(move || {
@@ -1101,9 +1101,14 @@ mod tests {
         let serial = engine.query_doc(DocId(0), "/r/s/*").unwrap();
         // A real pool thread this time; the caller pulls nothing.
         let pool = Arc::new(ScanPool::new(2));
-        let shared = engine.store_handle();
-        let mut iter =
-            ParallelIter::start(OpId(0), engine.store(), &shared, pool, fat_job(&engine), 2);
+        let mut iter = ParallelIter::start(
+            OpId(0),
+            engine.store(),
+            &engine.store,
+            pool,
+            fat_job(&engine),
+            2,
+        );
         let cap = iter.set.cap();
         assert_eq!(cap, 64);
         // The window lets the worker claim morsels 1..=3, 66 chunks; it
@@ -1124,11 +1129,17 @@ mod tests {
     fn a_parked_worker_leaves_when_the_scan_is_dropped() {
         let engine = fat_engine();
         let pool = Arc::new(ScanPool::new(2));
-        let shared = engine.store_handle();
-        let iter = ParallelIter::start(OpId(0), engine.store(), &shared, pool, fat_job(&engine), 2);
+        let iter = ParallelIter::start(
+            OpId(0),
+            engine.store(),
+            &engine.store,
+            pool,
+            fat_job(&engine),
+            2,
+        );
         when(&iter.set, |st| (st.parked == 1).then_some(()));
         drop(iter);
-        assert_eq!(Arc::strong_count(&shared), 2, "engine + this handle");
+        assert_eq!(Arc::strong_count(&engine.store), 1, "the engine's own");
     }
 
     #[test]
@@ -1144,7 +1155,7 @@ mod tests {
         }
         let set = Arc::clone(&iter.set);
         let pool = Arc::clone(&iter.pool);
-        let store = engine.store_handle();
+        let store = Arc::clone(&engine.store);
         let mut out = Vec::new();
         let seen = std::thread::scope(|s| {
             let worker = s.spawn(move || {

@@ -20,14 +20,14 @@
 //! and a fanned-out scan (estimates, actual rows, q-errors) — never pull
 //! counts or timings. The golden-file tests pin this down. Timings and
 //! buffer traffic appear in
-//! [`Analysis::render_json`] and the [`crate::QueryProfile`].
+//! [`Analysis::render_json`] and the [`QueryProfile`].
 
 use crate::cost::EstimateCard;
 use crate::exec::stats::ExecStatsSnapshot;
 use crate::opt::{OptEvent, OptTrace};
 use crate::plan::{display, OpId, Operator, QueryPlan};
-use crate::shared::QueryProfile;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// The symmetric cardinality-estimation error `max/min`, with the usual
 /// conventions: both zero → `1.0`, exactly one zero → `∞`.
@@ -55,6 +55,41 @@ fn fmt_err(q: f64) -> String {
     } else {
         format!("err ×{q:.1}")
     }
+}
+
+/// What an `EXPLAIN ANALYZE` run cost as a whole: wall-clock time plus
+/// the buffer-pool and scan-pool traffic observed while it ran.
+///
+/// The counters are *deltas of pool-wide totals* taken before and after
+/// the run. Alone on the engine they are exact; beside other queries they
+/// include those queries' overlapping traffic, so read them as "pool
+/// activity during this run", not a precise per-query charge.
+#[derive(Debug, Clone, Default)]
+pub struct QueryProfile {
+    /// Wall-clock time: compile, optimize and execute.
+    pub elapsed: Duration,
+    /// Buffer-pool page hits.
+    pub buffer_hits: u64,
+    /// Buffer-pool page misses (store reads).
+    pub buffer_misses: u64,
+    /// Pages pinned once by batched scans.
+    pub batch_pins: u64,
+    /// Per-record pool entries batched scans avoided.
+    pub pins_saved: u64,
+    /// Morsels dispatched to the scan pool (zero when the run was
+    /// serial).
+    pub morsels: u64,
+    /// Batches produced by scan-pool workers.
+    pub worker_batches: u64,
+    /// Times the ordered-merge consumer had to wait for the in-order
+    /// morsel to produce a batch.
+    pub merge_stalls: u64,
+    /// Uncompressed (v1) page decodes — data-page reads that missed the
+    /// buffer pool.
+    pub decodes_v1: u64,
+    /// Front-coded (v2) page decodes. Together with `decodes_v1` this is
+    /// the storage tier's share of the misses.
+    pub decodes_v2: u64,
 }
 
 /// One row of the misestimation summary.
@@ -94,8 +129,7 @@ pub struct Analysis {
     pub actuals: ExecStatsSnapshot,
     /// Result cardinality (after set-semantics dedup).
     pub rows: u64,
-    /// Wall-time/buffer profile of the run, with
-    /// [`QueryProfile::operators`] set to the same actuals tree.
+    /// Wall-time, buffer and scan-pool profile of the run.
     pub profile: QueryProfile,
 }
 

@@ -52,10 +52,10 @@ pub use exec::finish_node_set;
 pub use exec::parallel::ParallelScanStats;
 pub use exec::stats::{ExecStats, ExecStatsSnapshot, OpActualsSnapshot, OrderVerdict};
 pub use exec::value::Value;
-pub use explain::{qerror, Analysis, Misestimate};
+pub use explain::{qerror, Analysis, Misestimate, QueryProfile};
 pub use opt::{OptEvent, OptTrace, OptimizeOutcome, OptimizerOptions, RuleDecision};
 pub use plan::{builder::build_plan, display::render, OpId, Operator, ParallelChoice, QueryPlan};
-pub use shared::{QueryProfile, SharedEngine};
+pub use shared::SharedEngine;
 pub use views::{QueryCache, ViewStatsSnapshot};
 
 // Re-export the storage entry points so `vamana_core` is usable alone.

@@ -6,115 +6,16 @@
 //! queries run in parallel under read locks while loads and updates take
 //! the write lock, and a write to a document (by bumping its generation)
 //! drops the answers the query cache kept for it and has its plans
-//! checked ([`crate::views`]). `vamana-server` builds
-//! its worker pool on this type.
+//! checked ([`crate::views`]). `vamana-server`'s connection threads,
+//! the replica's apply loop and the shell all share an engine this way,
+//! and the write lock is the only thing that keeps a writer from readers.
 
 use crate::engine::Engine;
 use crate::error::Result;
+use std::sync::atomic::Ordering;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
-use vamana_mass::{BufferStats, DocId, NodeEntry};
-
-/// Per-query execution counters: wall-clock time plus the buffer-pool
-/// traffic observed while the query ran.
-///
-/// Buffer counters are *deltas of pool-wide totals* taken before and
-/// after execution. Single-threaded they are exact; under concurrency
-/// they attribute other queries' overlapping page traffic to this query,
-/// so treat them as "pool activity during this query", not a precise
-/// per-query charge (exact attribution would need per-thread counters
-/// threaded through every operator).
-#[derive(Debug, Clone, Default)]
-pub struct QueryProfile {
-    /// Wall-clock execution time (compile + optimize + execute).
-    pub elapsed: Duration,
-    /// Buffer-pool page hits observed during the query.
-    pub buffer_hits: u64,
-    /// Buffer-pool page misses (store reads) observed during the query.
-    pub buffer_misses: u64,
-    /// Pages pinned once by batched scans during the query.
-    pub batch_pins: u64,
-    /// Per-record pool entries batched scans avoided during the query.
-    pub pins_saved: u64,
-    /// Morsels dispatched to the scan pool during the query (zero when
-    /// the query ran serially).
-    pub morsels: u64,
-    /// Batches produced by scan-pool workers during the query.
-    pub worker_batches: u64,
-    /// Times the ordered-merge consumer had to wait for the in-order
-    /// morsel to produce a batch.
-    pub merge_stalls: u64,
-    /// Uncompressed (v1) page decodes during the query — data-page
-    /// reads that missed the buffer pool.
-    pub decodes_v1: u64,
-    /// Front-coded (v2) page decodes during the query. Together with
-    /// `decodes_v1` this is the storage tier's share of the misses.
-    pub decodes_v2: u64,
-    /// Result cardinality.
-    pub rows: u64,
-    /// Time a writer spent parked at the epoch gate waiting for pinned
-    /// readers to drain ([`Engine::store_mut`]); always zero on the
-    /// read-only profiled paths.
-    pub writer_wait: Duration,
-    /// Per-operator actuals of the run — populated only by
-    /// `EXPLAIN ANALYZE` ([`crate::engine::Engine::analyze_doc`]);
-    /// `None` on the plain profiled query paths, which record no
-    /// per-operator counters at all.
-    pub operators: Option<crate::exec::stats::ExecStatsSnapshot>,
-}
-
-struct BufferDelta {
-    hits: u64,
-    misses: u64,
-    batch_pins: u64,
-    pins_saved: u64,
-    decodes_v1: u64,
-    decodes_v2: u64,
-}
-
-fn delta(before: BufferStats, after: BufferStats) -> BufferDelta {
-    BufferDelta {
-        hits: after.hits.saturating_sub(before.hits),
-        misses: after.misses.saturating_sub(before.misses),
-        batch_pins: after.batch_pins.saturating_sub(before.batch_pins),
-        pins_saved: after.pins_saved.saturating_sub(before.pins_saved),
-        decodes_v1: after.decodes_v1.saturating_sub(before.decodes_v1),
-        decodes_v2: after.decodes_v2.saturating_sub(before.decodes_v2),
-    }
-}
-
-impl Engine {
-    /// [`Engine::query_doc`] plus a [`QueryProfile`] of the run.
-    pub fn query_doc_profiled(
-        &self,
-        doc: DocId,
-        xpath: &str,
-    ) -> Result<(Vec<NodeEntry>, QueryProfile)> {
-        let before = self.store().buffer_pool().stats();
-        let par_before = self.parallel_stats();
-        let start = Instant::now();
-        let rows = self.query_doc(doc, xpath)?;
-        let elapsed = start.elapsed();
-        let d = delta(before, self.store().buffer_pool().stats());
-        let par = self.parallel_stats();
-        let profile = QueryProfile {
-            elapsed,
-            buffer_hits: d.hits,
-            buffer_misses: d.misses,
-            batch_pins: d.batch_pins,
-            pins_saved: d.pins_saved,
-            morsels: par.morsels.saturating_sub(par_before.morsels),
-            worker_batches: par.worker_batches.saturating_sub(par_before.worker_batches),
-            merge_stalls: par.merge_stalls.saturating_sub(par_before.merge_stalls),
-            decodes_v1: d.decodes_v1,
-            decodes_v2: d.decodes_v2,
-            rows: rows.len() as u64,
-            writer_wait: Duration::ZERO,
-            operators: None,
-        };
-        Ok((rows, profile))
-    }
-}
+use vamana_mass::DocId;
 
 /// An [`Engine`] behind a [`RwLock`]: clone the surrounding `Arc`, hand
 /// it to any number of threads, and call [`read`](SharedEngine::read) on
@@ -140,9 +41,23 @@ impl SharedEngine {
         self.inner.read().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Write access for the load/update path: exclusive.
+    /// Write access for the load/update path: exclusive. The wait for
+    /// readers to leave is added to [`Engine::writer_wait_total`].
     pub fn write(&self) -> RwLockWriteGuard<'_, Engine> {
-        self.inner.write().unwrap_or_else(|p| p.into_inner())
+        self.write_waited().0
+    }
+
+    /// [`SharedEngine::write`], and how long it waited: the one
+    /// measurement of a writer's wait, behind the update reply's
+    /// `writer_wait=` as well as the total.
+    pub fn write_waited(&self) -> (RwLockWriteGuard<'_, Engine>, Duration) {
+        let asked = Instant::now();
+        let engine = self.inner.write().unwrap_or_else(|p| p.into_inner());
+        let waited = asked.elapsed();
+        engine
+            .writer_wait_us
+            .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
+        (engine, waited)
     }
 
     /// Convenience: load a document under the write lock.
@@ -210,14 +125,20 @@ mod tests {
     }
 
     #[test]
-    fn profiled_query_counts_time_rows_and_pages() {
+    fn every_write_adds_its_wait_to_the_total() {
         let shared = shared();
-        let engine = shared.read();
-        // `//a` alone is answered from the name index without touching
-        // pages; the `.='1'` predicate forces string-value page reads.
-        let (rows, profile) = engine.query_doc_profiled(DocId(0), "//a[.='1']").unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(profile.rows, 1);
-        assert!(profile.buffer_hits + profile.buffer_misses > 0);
+        let reader = shared.read();
+        let waited = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| shared.write_waited().1);
+            std::thread::sleep(Duration::from_millis(5));
+            drop(reader);
+            writer.join().unwrap()
+        });
+        let (engine, again) = shared.write_waited();
+        let us = |d: Duration| d.as_micros() as u64;
+        assert_eq!(
+            engine.writer_wait_total().as_micros() as u64,
+            us(waited) + us(again)
+        );
     }
 }

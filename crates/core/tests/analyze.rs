@@ -168,17 +168,32 @@ fn repeated_analyze_has_no_counter_drift() {
     assert_eq!(first.render(), second.render());
 }
 
+/// The profile counts the run's pages: `//name` alone is answered from
+/// the name index, and the `.='Yung Flach'` predicate reads string values
+/// from pages.
+#[test]
+fn profile_counts_the_runs_pages() {
+    let engine = small_engine();
+    let analysis = engine
+        .analyze_doc(DocId(0), "//name[.='Yung Flach']")
+        .unwrap();
+    assert_eq!(analysis.rows, 1);
+    let profile = analysis.profile;
+    assert!(profile.buffer_hits + profile.buffer_misses > 0);
+}
+
 /// Profile counters are per-query deltas: a big parallel query followed
 /// by a tiny serial one on the same engine must not leak morsel or
 /// batch-pin counts into the second profile.
 #[test]
 fn profile_counters_reset_between_queries() {
     let e = engine(4);
-    let (_, big) = e.query_doc_profiled(DocId(0), "/site//*").unwrap();
+    let big = e.analyze_doc(DocId(0), "/site//*").unwrap().profile;
     assert!(big.morsels > 0, "big scan should fan out");
     // `//section` is a name test: answered from the index, never split.
-    let (rows, small) = e.query_doc_profiled(DocId(0), "//section").unwrap();
-    assert_eq!(rows.len(), 12);
+    let small = e.analyze_doc(DocId(0), "//section").unwrap();
+    assert_eq!(small.rows, 12);
+    let small = small.profile;
     assert_eq!(small.morsels, 0, "morsels leaked into the serial query");
     assert_eq!(small.worker_batches, 0, "batches leaked");
     assert_eq!(small.merge_stalls, 0, "stalls leaked");

@@ -65,9 +65,9 @@ fn short_batch_then_exhausted() {
     assert_eq!(stream.next_batch(&mut out, BATCH_SIZE).unwrap(), 3);
     assert_eq!(e.string_values(&out).unwrap(), numbers(0..3));
     assert_eq!(stream.next_batch(&mut out, BATCH_SIZE).unwrap(), 0);
-    assert_eq!(stream.next_batch(&mut out, BATCH_SIZE).unwrap(), 0);
-    assert!(
-        stream.next().unwrap().is_none(),
+    assert_eq!(
+        stream.next_batch(&mut out, 1).unwrap(),
+        0,
         "exhausted stays exhausted"
     );
 }
@@ -115,9 +115,14 @@ fn limit_cuts_a_batch_midway() {
             "limit {limit}"
         );
         // The stream is still usable past the cut.
-        let after = stream.next().unwrap().expect("more behind the cut");
+        let mut after = Vec::new();
         assert_eq!(
-            e.string_values(&[after]).unwrap(),
+            stream.next_batch(&mut after, 1).unwrap(),
+            1,
+            "more behind the cut"
+        );
+        assert_eq!(
+            e.string_values(&after).unwrap(),
             numbers(limit..limit + 1),
             "tuple after the cut at {limit}"
         );
@@ -177,8 +182,8 @@ fn contexts_pulled_by_the_batch_keep_the_sequence() {
 
 #[test]
 fn interleaved_single_and_batch_pulls_preserve_order() {
-    // Mixing next() and next_batch() on one stream must not reorder,
-    // duplicate, or drop tuples (next() buffers a batch internally).
+    // Mixing one-tuple and batch pulls on one stream must not reorder,
+    // duplicate, or drop tuples.
     let mut xml = String::from("<r>");
     for i in 0..700 {
         xml.push_str(&format!("<e>{i}</e>"));
@@ -189,10 +194,10 @@ fn interleaved_single_and_batch_pulls_preserve_order() {
     let mut out = Vec::new();
     // 3 single pulls, then a batch, then single again, then drain.
     for _ in 0..3 {
-        out.push(stream.next().unwrap().unwrap());
+        assert_eq!(stream.next_batch(&mut out, 1).unwrap(), 1);
     }
     stream.next_batch(&mut out, 10).unwrap();
-    out.push(stream.next().unwrap().unwrap());
+    assert_eq!(stream.next_batch(&mut out, 1).unwrap(), 1);
     while stream.next_batch(&mut out, BATCH_SIZE).unwrap() > 0 {}
     assert_eq!(e.string_values(&out).unwrap(), numbers(0..700));
 }

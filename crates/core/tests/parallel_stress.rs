@@ -55,9 +55,7 @@ fn eight_threads_of_parallel_queries_with_interleaved_loads() {
                     let parallel = engine.query_doc(DocId(0), xpath).unwrap();
                     let mut serial = Vec::new();
                     let mut stream = engine.stream(DocId(0), xpath).unwrap();
-                    while let Some(e) = stream.next().unwrap() {
-                        serial.push(e);
-                    }
+                    while stream.next_batch(&mut serial, 1).unwrap() == 1 {}
                     serial.sort_by(|a, b| a.key.cmp(&b.key));
                     serial.dedup();
                     assert_eq!(parallel, serial, "thread {t}, round {round}: {xpath}");

@@ -1,6 +1,6 @@
 //! The engine's durable-update path: `apply_update` routing mutations
-//! through the WAL-logged store, the epoch gate draining in-flight
-//! readers instead of panicking, and per-document generation bumps.
+//! through the WAL-logged store, a leaked stream refusing a write instead
+//! of racing it, and per-document generation bumps.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -107,63 +107,42 @@ fn insert_into_text_node_is_rejected_before_logging() {
     assert_eq!(engine.query("//x").unwrap().len(), 0);
 }
 
+/// The engine's write lock keeps writers from readers, and a stream's
+/// drop returns the store clones its scan's workers held. A stream that
+/// is never dropped keeps them: the next write is refused, not run.
 #[test]
-fn writer_waits_for_pinned_reader_then_succeeds() {
-    let mut engine = seeded_engine();
-    let handle = engine.store_handle();
-    let pin = std::thread::spawn(move || {
-        // Simulate an in-flight parallel reader holding the store.
-        std::thread::sleep(Duration::from_millis(60));
-        drop(handle);
-    });
-    let outcome = engine
-        .apply_update(
-            DocId(0),
-            &UpdateOp::Insert {
-                target: "//people".into(),
-                fragment: "<person><name>Late</name></person>".into(),
-            },
-        )
-        .unwrap();
-    pin.join().unwrap();
-    assert!(
-        outcome.profile.writer_wait >= Duration::from_millis(20),
-        "writer should have parked at the epoch gate: {:?}",
-        outcome.profile.writer_wait
-    );
-    assert!(engine.writer_wait_total() >= Duration::from_millis(20));
-    assert_eq!(engine.query("//person").unwrap().len(), 3);
-}
-
-#[test]
-fn held_reader_past_deadline_degrades_to_writer_conflict() {
+fn a_leaked_parallel_stream_refuses_the_next_write() {
+    let mut xml = String::from("<r>");
+    for i in 0..2000 {
+        xml.push_str(&format!("<a>{i}</a>"));
+    }
+    xml.push_str("</r>");
     let mut store = MassStore::open_memory();
-    store.load_xml("d", "<r><a/></r>").unwrap();
-    let mut engine = Engine::new(store);
-    let _pin = engine.store_handle();
-    let err = engine
-        .apply_update(
-            DocId(0),
-            &UpdateOp::Delete {
-                target: "//a".into(),
-            },
-        )
-        .unwrap_err();
+    store.load_xml("d", &xml).unwrap();
+    let options = EngineOptions {
+        parallel_workers: 2,
+        parallel_force: true,
+        ..EngineOptions::default()
+    };
+    let mut engine = Engine::with_options(store, options);
+    let delete = UpdateOp::Delete {
+        target: "//a[1]".into(),
+    };
+    {
+        let mut stream = engine.stream(DocId(0), "//*").unwrap();
+        assert_eq!(stream.next_batch(&mut Vec::new(), 1).unwrap(), 1);
+        assert!(
+            engine.parallel_stats().morsels > 0,
+            "the scan did not fan out"
+        );
+        std::mem::forget(stream);
+    }
+    let err = engine.apply_update(DocId(0), &delete).unwrap_err();
     assert!(
         matches!(err, EngineError::Storage(MassError::WriterConflict)),
         "{err:?}"
     );
-    drop(_pin);
-    // Once the reader drains, the same update goes through.
-    engine
-        .apply_update(
-            DocId(0),
-            &UpdateOp::Delete {
-                target: "//a".into(),
-            },
-        )
-        .unwrap();
-    assert_eq!(engine.query("//a").unwrap().len(), 0);
+    assert_eq!(engine.query("//a").unwrap().len(), 2000, "nothing applied");
 }
 
 #[test]

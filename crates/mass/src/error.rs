@@ -23,8 +23,8 @@ pub enum MassError {
     InvalidUpdate(String),
     /// Sibling label space was exhausted during an insert.
     Label(vamana_flex::LabelError),
-    /// A writer needed exclusive store access while readers still pinned
-    /// it (the epoch gate timed out draining them).
+    /// A writer needed exclusive store access while a reader still held
+    /// it: a scan whose stream was leaked instead of dropped.
     WriterConflict,
 }
 

@@ -243,10 +243,9 @@ enum Outcome {
         /// Where the plans came from (`plan=` of the `OK` line).
         plan: &'static str,
         elapsed: Duration,
+        /// Buffer-pool hits and misses while it ran (`hits=`/`misses=`).
         buffer_hits: u64,
         buffer_misses: u64,
-        batch_pins: u64,
-        pins_saved: u64,
     },
     Scalar {
         text: String,
@@ -367,47 +366,21 @@ fn execute(
     match &result {
         Ok(outcome) if is_query => {
             shared.metrics.queries.fetch_add(1, Ordering::Relaxed);
-            let (elapsed, rows, hits, misses, pins, saved) = match outcome {
+            let (elapsed, rows) = match outcome {
                 Outcome::Rows {
-                    rendered,
-                    elapsed,
-                    buffer_hits,
-                    buffer_misses,
-                    batch_pins,
-                    pins_saved,
-                    ..
-                } => (
-                    *elapsed,
-                    rendered.total as u64,
-                    *buffer_hits,
-                    *buffer_misses,
-                    *batch_pins,
-                    *pins_saved,
-                ),
+                    rendered, elapsed, ..
+                } => (*elapsed, rendered.total as u64),
                 Outcome::Scalar { elapsed, .. }
                 | Outcome::Report { elapsed, .. }
                 | Outcome::Updated { elapsed, .. }
-                | Outcome::Checkpointed { elapsed, .. } => (*elapsed, 0, 0, 0, 0, 0),
-                Outcome::Loaded { .. } | Outcome::Lines { .. } => (Duration::ZERO, 0, 0, 0, 0, 0),
+                | Outcome::Checkpointed { elapsed, .. } => (*elapsed, 0),
+                Outcome::Loaded { .. } | Outcome::Lines { .. } => (Duration::ZERO, 0),
             };
             shared.metrics.latency.record(elapsed);
             shared
                 .metrics
                 .rows_returned
                 .fetch_add(rows, Ordering::Relaxed);
-            shared
-                .metrics
-                .buffer_hits
-                .fetch_add(hits, Ordering::Relaxed);
-            shared
-                .metrics
-                .buffer_misses
-                .fetch_add(misses, Ordering::Relaxed);
-            shared.metrics.batch_pins.fetch_add(pins, Ordering::Relaxed);
-            shared
-                .metrics
-                .pins_saved
-                .fetch_add(saved, Ordering::Relaxed);
         }
         Ok(_) => {}
         Err(ServerError::Timeout(_)) => {
@@ -519,8 +492,6 @@ fn rows_outcome(
         elapsed: start.elapsed(),
         buffer_hits: after.hits.saturating_sub(before.hits),
         buffer_misses: after.misses.saturating_sub(before.misses),
-        batch_pins: after.batch_pins.saturating_sub(before.batch_pins),
-        pins_saved: after.pins_saved.saturating_sub(before.pins_saved),
     })
 }
 
@@ -648,8 +619,9 @@ fn resolve_doc(engine: &Engine, token: &str) -> Option<DocId> {
 
 /// Applies an `INSERT`/`DELETE` on the single-writer lane: serialize
 /// against other writers first (deadline still enforced), then take the
-/// engine write lock and route the mutation through
-/// [`Engine::apply_update`] — and through the WAL on durable stores.
+/// engine write lock — the wait for readers to leave it is the reply's
+/// `writer_wait=` — and route the mutation through
+/// [`Engine::apply_update`], and through the WAL on durable stores.
 fn run_update(
     shared: &Shared,
     doc: &str,
@@ -660,24 +632,20 @@ fn run_update(
     if Instant::now() >= deadline {
         return Err(ServerError::Timeout(shared.config.query_timeout));
     }
-    let mut engine = shared.engine.write();
+    let (mut engine, writer_wait) = shared.engine.write_waited();
     let Some(doc) = resolve_doc(&engine, doc) else {
         return Err(ServerError::Query(format!("no such document {doc}")));
     };
     let start = Instant::now();
     let outcome = engine.apply_update(doc, op).map_err(query_err)?;
     shared.metrics.updates.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.writer_wait_us.fetch_add(
-        outcome.profile.writer_wait.as_micros() as u64,
-        Ordering::Relaxed,
-    );
     Ok(Outcome::Updated {
         matched: outcome.matched,
         inserted: outcome.inserted,
         deleted: outcome.deleted,
         lsn: outcome.lsn,
         generation: outcome.doc_generation,
-        writer_wait: outcome.profile.writer_wait,
+        writer_wait,
         elapsed: start.elapsed(),
     })
 }
@@ -1034,6 +1002,10 @@ fn render_stats(shared: &Shared) -> Vec<String> {
     let mut out = Vec::new();
     shared.metrics.render(&mut out);
     let engine = shared.engine.read();
+    out.push(format!(
+        "STAT writer_wait_us {}",
+        engine.writer_wait_total().as_micros()
+    ));
     let (hits, misses) = engine.views().counters();
     out.push(format!("STAT plan_cache_hits {hits}"));
     out.push(format!("STAT plan_cache_misses {misses}"));
@@ -1121,10 +1093,6 @@ fn render_stats(shared: &Shared) -> Vec<String> {
         Some(FsyncPolicy::Never) | None => 0,
     };
     out.push(format!("STAT wal_fsync_every {fsync_every}"));
-    out.push(format!(
-        "STAT engine_writer_wait_us {}",
-        engine.writer_wait_total().as_micros()
-    ));
     match &shared.config.replica {
         Some(role) => {
             let s = &role.status;

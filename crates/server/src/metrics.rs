@@ -65,24 +65,10 @@ pub struct Metrics {
     pub timeouts: AtomicU64,
     /// Total result rows produced (before per-connection limits).
     pub rows_returned: AtomicU64,
-    /// Buffer-pool hits observed during queries (see
-    /// [`vamana_core::QueryProfile`] for the attribution caveat).
-    pub buffer_hits: AtomicU64,
-    /// Buffer-pool misses observed during queries.
-    pub buffer_misses: AtomicU64,
-    /// Pages pinned once by batched scans during queries (see
-    /// `BufferStats::batch_pins`).
-    pub batch_pins: AtomicU64,
-    /// Per-record pool entries batched scans avoided during queries —
-    /// `pins_saved / batch_pins` is the observed amortization factor.
-    pub pins_saved: AtomicU64,
     /// Applied `INSERT`/`DELETE` updates.
     pub updates: AtomicU64,
     /// Completed `CHECKPOINT`s.
     pub checkpoints: AtomicU64,
-    /// Cumulative microseconds update workers spent parked at the
-    /// engine's epoch gate waiting for in-flight readers to drain.
-    pub writer_wait_us: AtomicU64,
     /// Cumulative microseconds read requests (`QUERY`, `EVAL`, `EXPLAIN`,
     /// `ANALYZE`) waited for the engine's read lock — behind a writer.
     pub reader_wait_us: AtomicU64,
@@ -104,13 +90,8 @@ impl Metrics {
         out.push(format!("STAT busy_rejections {}", c(&self.busy_rejections)));
         out.push(format!("STAT timeouts {}", c(&self.timeouts)));
         out.push(format!("STAT rows_returned {}", c(&self.rows_returned)));
-        out.push(format!("STAT buffer_hits {}", c(&self.buffer_hits)));
-        out.push(format!("STAT buffer_misses {}", c(&self.buffer_misses)));
-        out.push(format!("STAT batch_pins {}", c(&self.batch_pins)));
-        out.push(format!("STAT pins_saved {}", c(&self.pins_saved)));
         out.push(format!("STAT updates_total {}", c(&self.updates)));
         out.push(format!("STAT checkpoints_total {}", c(&self.checkpoints)));
-        out.push(format!("STAT writer_wait_us {}", c(&self.writer_wait_us)));
         out.push(format!("STAT reader_wait_us {}", c(&self.reader_wait_us)));
         out.push(format!("STAT active_workers {}", c(&self.active_workers)));
         out.push(format!("STAT connections_total {}", c(&self.connections)));

@@ -3,7 +3,8 @@
 //! invalidation, WAL counters in `STATS`, and the durable round trip —
 //! update, kill the server, reopen the file-backed store, query again.
 
-use std::time::Duration;
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 use vamana_core::Engine;
 use vamana_mass::{FsyncPolicy, MassStore};
@@ -237,5 +238,39 @@ fn queries_run_while_a_writer_holds_the_lane() {
     let stats = seed.round_trip("STATS");
     assert_eq!(stat_value(&stats, "updates_total"), 12);
     assert_eq!(stat_value(&stats, "errors_total"), 0);
+    handle.stop();
+}
+
+/// An update waits for the engine's readers to leave, and says so: the
+/// reply's `writer_wait=` and `STAT writer_wait_us` are that wait.
+#[test]
+fn an_update_behind_a_reader_reports_its_wait() {
+    let handle = spawn_memory_server();
+    let shared = handle.shared();
+    let reply = std::thread::scope(|scope| {
+        let reader = shared.engine().read();
+        let insert = scope.spawn(|| {
+            let mut client = Client::connect(&handle);
+            client.round_trip("INSERT auction //people <person><name>Late</name></person>")
+        });
+        // Hold the engine 30 ms from the moment the update is running.
+        let until = Instant::now() + Duration::from_secs(5);
+        while shared.metrics().active_workers.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < until, "the update never started");
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(30));
+        drop(reader);
+        insert.join().unwrap()
+    });
+    let waited: u64 = reply[0]
+        .split_once("writer_wait=")
+        .and_then(|(_, rest)| rest.split_once("us "))
+        .and_then(|(us, _)| us.parse().ok())
+        .unwrap_or_else(|| panic!("no writer_wait in {reply:?}"));
+    assert!(waited >= 1000, "{reply:?}");
+    let mut client = Client::connect(&handle);
+    let stats = client.round_trip("STATS");
+    assert!(stat_value(&stats, "writer_wait_us") >= waited, "{stats:?}");
     handle.stop();
 }
