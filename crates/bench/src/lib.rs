@@ -51,7 +51,7 @@ pub const PULL_SIZES: [usize; 6] = [1, 2, 3, 7, 256, usize::MAX];
 /// time, and the stream it came from, exhausted (checked to stay so).
 fn drained<'e>(
     engine: &'e Engine,
-    xpath: &str,
+    xpath: &'e str,
     max: usize,
 ) -> (Vec<vamana_core::NodeEntry>, vamana_core::QueryStream<'e>) {
     let mut stream = engine.stream(vamana_core::DocId(0), xpath).expect(xpath);
@@ -71,9 +71,8 @@ pub fn drain_stream(engine: &Engine, xpath: &str, max: usize) -> Vec<vamana_core
 /// finished by the stream itself, which sorts only a sequence it does not
 /// know to be one already ([`vamana_core::QueryStream::finish`]).
 pub fn drain_stream_set(engine: &Engine, xpath: &str, max: usize) -> Vec<vamana_core::NodeEntry> {
-    let (mut out, stream) = drained(engine, xpath, max);
-    stream.finish(&mut out);
-    out
+    let (out, stream) = drained(engine, xpath, max);
+    std::sync::Arc::unwrap_or_clone(stream.finish(out).expect(xpath))
 }
 
 /// Generates an XMark document of roughly `megabytes` MB (streamed —

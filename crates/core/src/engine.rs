@@ -5,14 +5,16 @@
 //! builder, runs the cost-driven optimizer, and executes plans with the
 //! pipelined engine.
 
-use crate::cost::estimate;
+use crate::cost::{estimate, PlanCosts};
 use crate::error::{EngineError, Result};
 use crate::exec::parallel::{host_cpus, ParallelHooks, ParallelScanStats, PoolCell};
-use crate::exec::{self, value::Value, Env};
+use crate::exec::stats::{ExecStats, OrderVerdict};
+use crate::exec::{self, value::Value, Env, BATCH_SIZE};
 use crate::explain::{Analysis, QueryProfile};
 use crate::opt::{self, OptEvent, OptimizeOutcome, OptimizerOptions};
 use crate::plan::{builder::build_plan, display, Operator, QueryPlan};
 use crate::views::{self, Priced, ShapedText};
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -134,124 +136,215 @@ pub struct Lookup {
     pub bound: bool,
 }
 
-/// A streaming query cursor: holds its plan (shared with the query
-/// cache) and pulls tuples through the pipelined executor on demand, or
-/// hands out the answer the cache kept (see [`Engine::stream`]).
-///
-/// Tuples arrive in pipeline order. For most plans that *is* document
-/// order with no duplicates — ask [`QueryStream::in_document_order`] —
-/// and [`QueryStream::finish`] makes what was pulled a node-set either
-/// way, sorting only when it has to.
+/// Where a [`QueryStream`]'s plan came from, most reused first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum PlanSource {
+    /// The query cache's entry for the text: its plan, or its kept answer.
+    Cached,
+    /// The text's shape's plan with the text's literals bound in.
+    Bound,
+    /// Compiled for this run, or the caller's.
+    Compiled,
+}
+
+impl PlanSource {
+    /// `cached`, `bound` or `compiled`, as the server's `plan=` says it.
+    pub fn as_str(self) -> &'static str {
+        ["cached", "bound", "compiled"][self as usize]
+    }
+}
+
+/// One run of a query, the only kind: opened on a text through the query
+/// cache by [`Engine::stream`] (behind [`Engine::query_doc`], the server's
+/// `QUERY` and an update's target), or on a plan of the caller's. It pulls
+/// tuples through the pipelined executor on demand, in pipeline order —
+/// for most plans document order ([`QueryStream::in_document_order`]) — or
+/// hands out the answer the cache kept. [`QueryStream::finish`] makes the
+/// whole a node-set and offers what it computed for a text to the cache; a
+/// stream dropped unfinished or cut off by its deadline offers nothing.
 pub struct QueryStream<'s> {
-    store: &'s MassStore,
-    plan: Arc<QueryPlan>,
-    root_ctx: NodeEntry,
-    iter: exec::OpIter<'s>,
-    done: bool,
+    engine: &'s Engine,
+    doc: DocId,
+    plan: Held<'s>,
+    source: PlanSource,
+    /// The text a finished run's answer is offered under: a read's, not an
+    /// update target's.
+    offer: Option<&'s str>,
+    pull: Pull<'s>,
+}
+
+/// A stream's plan: the query cache's, or the caller's.
+enum Held<'s> {
+    Shared(Arc<QueryPlan>),
+    Borrowed(&'s QueryPlan),
+}
+
+impl Held<'_> {
+    fn get(&self) -> &QueryPlan {
+        match self {
+            Held::Shared(plan) => plan,
+            Held::Borrowed(plan) => plan,
+        }
+    }
+}
+
+enum Pull<'s> {
+    /// The plan, running; `stats` is `EXPLAIN ANALYZE`'s collector and
+    /// when the run began.
+    Run {
+        root_ctx: NodeEntry,
+        iter: exec::OpIter<'s>,
+        done: bool,
+        stats: Option<(&'s ExecStats, Instant)>,
+    },
     /// An answer the query cache kept, and how much of it was handed out.
-    kept: Option<(Arc<Vec<NodeEntry>>, usize)>,
+    Kept(Arc<Vec<NodeEntry>>, usize),
 }
 
 impl<'s> QueryStream<'s> {
-    fn new(engine: &'s Engine, plan: Arc<QueryPlan>, doc: DocId) -> Result<Self> {
-        let root_ctx = engine.doc_entry(doc)?;
-        let iter = match plan.top() {
-            Some(top) => {
-                let env = Env {
-                    plan: &plan,
-                    store: engine.store(),
-                    root_ctx: &root_ctx,
-                    stats: None,
-                };
-                let parallel = match engine.parallel_hooks(&plan) {
-                    Some(hooks) => exec::parallel::build_parallel(env, top, &hooks)?,
-                    None => None,
-                };
-                match parallel {
-                    Some(it) => it,
-                    None => exec::build_iter(env, top, None)?,
-                }
-            }
-            None => exec::OpIter::Anchor(None),
-        };
-        Ok(QueryStream {
-            store: engine.store(),
+    /// A stream offering nothing, its plan taken as compiled.
+    fn new(engine: &'s Engine, doc: DocId, plan: Held<'s>, pull: Pull<'s>) -> Self {
+        QueryStream {
+            engine,
+            doc,
             plan,
-            root_ctx,
-            iter,
-            done: false,
-            kept: None,
-        })
-    }
-
-    /// A stream over an answer the query cache kept: already a node-set,
-    /// handed out from the cache's copy.
-    fn kept(
-        engine: &'s Engine,
-        plan: Arc<QueryPlan>,
-        doc: DocId,
-        answer: Arc<Vec<NodeEntry>>,
-    ) -> Result<Self> {
-        Ok(QueryStream {
-            store: engine.store(),
-            plan,
-            root_ctx: engine.doc_entry(doc)?,
-            iter: exec::OpIter::Anchor(None),
-            done: true,
-            kept: Some((answer, 0)),
-        })
+            source: PlanSource::Compiled,
+            offer: None,
+            pull,
+        }
     }
 
     /// Pulls up to `max` tuples into `out`, returning how many were
     /// appended; fewer than `max` means the stream is exhausted, and stays
     /// so. The one pull: `max = 1` makes the pipeline produce one tuple,
-    /// and the serving layer drains whole batches into its result buffer
-    /// without per-tuple dispatch.
+    /// and a caller draining the stream takes whole batches without
+    /// per-tuple dispatch.
     pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
-        if let Some((answer, at)) = &mut self.kept {
-            let rest = &answer[*at..];
-            let n = rest.len().min(max);
-            out.extend_from_slice(&rest[..n]);
-            *at += n;
-            return Ok(n);
+        match &mut self.pull {
+            Pull::Kept(answer, at) => {
+                let rest = &answer[*at..];
+                let n = rest.len().min(max);
+                out.extend_from_slice(&rest[..n]);
+                *at += n;
+                Ok(n)
+            }
+            Pull::Run { done: true, .. } => Ok(0),
+            Pull::Run {
+                root_ctx,
+                iter,
+                done,
+                stats,
+            } => {
+                let env = self
+                    .engine
+                    .env(self.plan.get(), root_ctx, stats.map(|s| s.0));
+                let n = iter.next_batch(env, out, max)?;
+                *done = n < max;
+                Ok(n)
+            }
         }
-        if self.done {
-            return Ok(0);
-        }
-        let env = Env {
-            plan: &self.plan,
-            store: self.store,
-            root_ctx: &self.root_ctx,
-            stats: None,
-        };
-        let n = self.iter.next_batch(env, out, max)?;
-        if n < max {
-            self.done = true;
-        }
-        Ok(n)
     }
 
     /// Whether everything pulled so far came in document order, each node
-    /// once: the plan emits that way ([`QueryPlan::emits_in_order`]) and
-    /// its output step has met no context that nests in the one before
-    /// ([`exec::OpIter::order_broken`]). It can turn `false` as the
-    /// stream is pulled and never turns back; what it says of an
-    /// exhausted stream is final.
+    /// once: a kept answer, or the plan emits that way
+    /// ([`QueryPlan::emits_in_order`]) and its output step has met no
+    /// context that nests in the one before ([`exec::OpIter::order_broken`]).
+    /// It can turn `false` as the stream is pulled and never turns back;
+    /// what it says of an exhausted stream is final.
     pub fn in_document_order(&self) -> bool {
-        self.plan.emits_in_order() && !self.iter.order_broken()
+        match &self.pull {
+            Pull::Kept(..) => true,
+            Pull::Run { iter, .. } => self.plan.get().emits_in_order() && !iter.order_broken(),
+        }
     }
 
-    /// Makes `out` — what the caller pulled from this stream — a
-    /// node-set: document order, duplicates removed
-    /// ([`exec::finish_node_set`]). A no-op when
-    /// [`QueryStream::in_document_order`].
-    pub fn finish(&self, out: &mut Vec<NodeEntry>) {
-        exec::finish_node_set(out, self.in_document_order());
+    /// Pulls what is left after `pulled` — what the caller pulled from this
+    /// stream — and returns the whole as a node-set ([`exec::finish_node_set`],
+    /// a no-op when [`QueryStream::in_document_order`]). What a stream of a
+    /// text computed is offered to the query cache, which shares it once
+    /// the text has been answered [`EngineOptions::view_admit_after`] times
+    /// at the document's generation; a kept answer comes back as it is.
+    pub fn finish(self, pulled: Vec<NodeEntry>) -> Result<Arc<Vec<NodeEntry>>> {
+        Ok(self
+            .finish_by(pulled, None)?
+            .expect("only a deadline cuts a run off"))
+    }
+
+    /// [`QueryStream::finish`], cut off once `deadline` (if any) has passed
+    /// — asked after every batch — when it returns `None` and offers
+    /// nothing.
+    pub fn finish_by(
+        mut self,
+        mut out: Vec<NodeEntry>,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Arc<Vec<NodeEntry>>>> {
+        let stats = match self.pull {
+            Pull::Kept(answer, 0) if out.is_empty() => return Ok(Some(answer)),
+            Pull::Kept(answer, at) => {
+                out.extend_from_slice(&answer[at..]);
+                return Ok(Some(Arc::new(out)));
+            }
+            Pull::Run { stats, .. } => stats,
+        };
+        let passed = || deadline.is_some_and(|at| Instant::now() >= at);
+        while self.next_batch(&mut out, BATCH_SIZE)? > 0 {
+            if passed() {
+                return Ok(None);
+            }
+        }
+        if passed() {
+            return Ok(None);
+        }
+        let ordered = self.in_document_order();
+        let pulled = out.len() as u64;
+        let sort_started = stats.map(|_| Instant::now());
+        exec::finish_node_set(&mut out, ordered);
+        if let (Some((stats, started)), Some(sorted)) = (stats, sort_started) {
+            let plan = self.plan.get();
+            let by_construction = plan.emits_in_order();
+            stats.set_order(OrderVerdict {
+                by_construction,
+                witness_tripped: by_construction && !ordered,
+                sorted_rows: if ordered { 0 } else { pulled },
+                duplicates: pulled - out.len() as u64,
+                sort_nanos: sorted.elapsed().as_nanos() as u64,
+            });
+            // The root operator's actuals are the run's: post-dedup output
+            // cardinality and the whole run's wall time. Guarded so a plan
+            // whose root *is* the top step does not double-count.
+            let root = plan.root();
+            if matches!(plan.op(root), Operator::Root { .. }) {
+                stats.add_invocation(root);
+                stats.add_rows(root, out.len() as u64);
+                stats.add_nanos(root, started.elapsed().as_nanos() as u64);
+            }
+        }
+        let answer = Arc::new(out);
+        if let Some(xpath) = self.offer {
+            let (engine, doc) = (self.engine, self.doc);
+            let generation = engine.store.doc_generation(doc);
+            let admit_after = engine.options.view_admit_after;
+            engine
+                .views
+                .observe(doc.0, xpath, generation, admit_after, &answer);
+        }
+        Ok(Some(answer))
+    }
+
+    /// [`QueryStream::finish`] as a vector of the caller's own: copied only
+    /// when the query cache holds it.
+    fn into_vec(self) -> Result<Vec<NodeEntry>> {
+        self.finish(Vec::new()).map(Arc::unwrap_or_clone)
     }
 
     /// The (possibly optimized) plan this stream executes.
     pub fn plan(&self) -> &QueryPlan {
-        &self.plan
+        self.plan.get()
+    }
+
+    /// Where the plan came from.
+    pub fn source(&self) -> PlanSource {
+        self.source
     }
 }
 
@@ -344,23 +437,6 @@ impl Engine {
         self.scan_pool.stats()
     }
 
-    /// What the executor needs to price and run a parallel scan: only
-    /// for plans the optimizer found eligible, with a second thread to
-    /// give.
-    pub(crate) fn parallel_hooks(&self, plan: &QueryPlan) -> Option<ParallelHooks<'_>> {
-        let width = self.effective_workers();
-        if width < 2 {
-            return None;
-        }
-        plan.parallel()?;
-        Some(ParallelHooks {
-            store: &self.store,
-            pool: &self.scan_pool,
-            width,
-            force: self.options.parallel_force,
-        })
-    }
-
     /// Current options.
     pub fn options(&self) -> &EngineOptions {
         &self.options
@@ -394,11 +470,7 @@ impl Engine {
         };
         // A `DELETE` target is asked once: an entry for it would only push
         // readers' entries out.
-        let found = self.find(doc, target, false)?;
-        let matched = match found.answer {
-            Some(kept) => kept.to_vec(),
-            None => self.execute_plan(&found.plan, doc)?,
-        };
+        let matched = self.open_text(doc, target, false)?.finish(Vec::new())?;
         let resolve = start.elapsed();
         if let UpdateOp::Insert { .. } = op {
             if let Some(first) = matched.first() {
@@ -419,7 +491,7 @@ impl Engine {
                 }
             }
             UpdateOp::Delete { .. } => {
-                for entry in &matched {
+                for entry in matched.iter() {
                     if store.contains(&entry.key)? {
                         deleted += store.delete_subtree(&entry.key)?;
                     }
@@ -478,12 +550,16 @@ impl Engine {
     /// Parallel eligibility is recorded on the resulting plan so
     /// precompiled/cached plans carry it.
     pub fn optimize_plan(&self, plan: QueryPlan, doc: DocId) -> Result<OptimizeOutcome> {
-        let scope = self.doc_scope(doc)?;
-        let mut outcome = opt::optimize(plan, self.store(), &scope, &OptimizerOptions::default())?;
+        self.optimize_in(plan, &self.doc_scope(doc)?)
+    }
+
+    /// [`Engine::optimize_plan`] within `scope`, the document.
+    fn optimize_in(&self, plan: QueryPlan, scope: &KeyRange) -> Result<OptimizeOutcome> {
+        let mut outcome = opt::optimize(plan, self.store(), scope, &OptimizerOptions::default())?;
         let choice = opt::parallel::decide(
             &outcome.plan,
             self.store(),
-            &scope,
+            scope,
             self.options.parallel_force,
         );
         outcome.opt_trace.events.push(OptEvent::Parallel {
@@ -520,27 +596,30 @@ impl Engine {
     fn find(&self, doc: DocId, xpath: &str, read: bool) -> Result<Lookup> {
         let info = self.store.document(doc).ok_or(EngineError::NoDocuments)?;
         let generation = self.store.doc_generation(doc);
-        let holds = |priced: &Priced| priced.holds(self.store(), &KeyRange::subtree(&info.doc_key));
+        // Made once, and only when a count is read or a plan made.
+        let cell = OnceCell::new();
+        let scope = || cell.get_or_init(|| KeyRange::subtree(&info.doc_key));
+        let holds = |priced: &Priced| priced.holds(self.store(), scope());
         if let Some(found) = self.views.lookup(doc.0, xpath, generation, read, holds) {
             return Ok(found);
         }
-        let scope = self.doc_scope(doc)?;
+        let scope = scope();
         // Only a text with a quote has string literals to lift; one that
-        // does not lex has no shape, and `prepare` says why.
+        // does not lex has no shape, and its compile says why.
         let shape = xpath
             .contains(['\'', '"'])
             .then(|| vamana_xpath::lexer::shape(xpath).ok())
             .flatten();
-        let text = shape.map(|shape| ShapedText::new(shape, self.store(), &scope));
-        let holds = |priced: &Priced| priced.holds(self.store(), &scope);
+        let text = shape.map(|shape| ShapedText::new(shape, self.store(), scope));
+        let holds = |priced: &Priced| priced.holds(self.store(), scope);
         let bound = text.map(|text| self.views.bind(doc.0, generation, text, holds));
         let (plan, priced, bound) = match bound {
             Some(Ok((plan, priced))) => (Arc::new(plan), priced, true),
             unbound => {
-                let plan = Arc::new(self.prepare(doc, xpath)?);
+                let plan = Arc::new(self.prepare(self.compile(xpath)?, scope)?);
                 // A default plan is not priced: no count changes it.
                 let priced = match self.options.optimize {
-                    true => Priced::of(&plan, self.store(), &scope),
+                    true => Priced::of(&plan, self.store(), scope),
                     false => Priced::default(),
                 };
                 if let Some(Err(text)) = unbound {
@@ -562,57 +641,23 @@ impl Engine {
         })
     }
 
-    /// Records a computed answer with the query cache, which keeps it once
-    /// the query has been answered [`EngineOptions::view_admit_after`]
-    /// times at the document's generation. `entries` is the finished
-    /// result, a node-set, as [`Engine::execute_plan`] returns and
-    /// [`QueryStream::finish`] leaves it. Returns `true` when this call
-    /// kept it.
-    pub fn observe_result(&self, doc: DocId, xpath: &str, entries: &[NodeEntry]) -> bool {
-        self.views.observe(
-            doc.0,
-            xpath,
-            self.store.doc_generation(doc),
-            self.options.view_admit_after,
-            entries,
-        )
-    }
-
     /// Executes a plan against `doc`.
     pub fn execute_plan(&self, plan: &QueryPlan, doc: DocId) -> Result<Vec<NodeEntry>> {
-        let root_ctx = self.doc_entry(doc)?;
-        let env = Env {
-            plan,
-            store: self.store(),
-            root_ctx: &root_ctx,
-            stats: None,
-        };
-        let hooks = self.parallel_hooks(plan);
-        exec::run_plan(env, None, hooks.as_ref())
+        self.open(doc, Held::Borrowed(plan), None, None)?.into_vec()
     }
 
-    /// Compiles `xpath` and, with `options.optimize`, optimizes it for
-    /// `doc`.
-    fn prepare(&self, doc: DocId, xpath: &str) -> Result<QueryPlan> {
-        let plan = self.compile(xpath)?;
-        if self.options.optimize {
-            Ok(self.optimize_plan(plan, doc)?.plan)
-        } else {
-            Ok(plan)
+    /// With `options.optimize`, optimizes `plan` within `scope`, its
+    /// document.
+    fn prepare(&self, plan: QueryPlan, scope: &KeyRange) -> Result<QueryPlan> {
+        match self.options.optimize {
+            true => Ok(self.optimize_in(plan, scope)?.plan),
+            false => Ok(plan),
         }
     }
 
-    /// Executes `xpath` on `doc` through the query cache ([`Engine::lookup`]):
-    /// the kept answer if there is one, else the cached or just compiled
-    /// plan, whose result is then offered to the cache.
+    /// Executes `xpath` on `doc`: its [`Engine::stream`], finished.
     pub fn query_doc(&self, doc: DocId, xpath: &str) -> Result<Vec<NodeEntry>> {
-        let found = self.lookup(doc, xpath)?;
-        if let Some(kept) = found.answer {
-            return Ok(kept.to_vec());
-        }
-        let out = self.execute_plan(&found.plan, doc)?;
-        self.observe_result(doc, xpath, &out);
-        Ok(out)
+        self.stream(doc, xpath)?.into_vec()
     }
 
     /// Evaluates `xpath` with the context node set to `ctx` (relative
@@ -620,25 +665,14 @@ impl Engine {
     /// document's root). This is the §VII XQuery hook: "the context node
     /// could be provided from another XPath expression".
     pub fn query_from(&self, ctx: &NodeEntry, xpath: &str) -> Result<Vec<NodeEntry>> {
-        let expr = parse(xpath)?;
-        let plan = crate::plan::builder::build_relative_plan(&expr)?;
+        let plan = crate::plan::builder::build_relative_plan(&parse(xpath)?)?;
         let doc = self
             .store
             .document_of(&ctx.key)
             .ok_or_else(|| EngineError::Unsupported("context node is not stored".into()))?;
-        let plan = if self.options.optimize {
-            self.optimize_plan(plan, doc)?.plan
-        } else {
-            plan
-        };
-        let root_ctx = self.doc_entry(doc)?;
-        let env = Env {
-            plan: &plan,
-            store: self.store(),
-            root_ctx: &root_ctx,
-            stats: None,
-        };
-        exec::run_plan(env, Some(ctx), None)
+        let plan = self.prepare(plan, &self.doc_scope(doc)?)?;
+        self.open(doc, Held::Borrowed(&plan), Some(ctx), None)?
+            .into_vec()
     }
 
     /// Runs `xpath` against every loaded document, concatenating results
@@ -654,32 +688,79 @@ impl Engine {
         Ok(out)
     }
 
-    /// Opens a *streaming* cursor over `xpath` on `doc`: tuples are
-    /// produced a `next_batch` at a time through the pipelined executor,
-    /// without materializing the result set (the paper's §VII execution
-    /// model as a public API). Tuples arrive in pipeline order, which the
-    /// stream can tell from document order
-    /// ([`QueryStream::in_document_order`], [`QueryStream::finish`]). The
-    /// plan comes through the query cache ([`Engine::lookup`]); an answer
-    /// the cache kept is streamed as it is.
-    pub fn stream<'a>(&'a self, doc: DocId, xpath: &str) -> Result<QueryStream<'a>> {
-        let found = self.lookup(doc, xpath)?;
-        match found.answer {
-            Some(kept) => QueryStream::kept(self, found.plan, doc, kept),
-            None => QueryStream::new(self, found.plan, doc),
-        }
+    /// Opens a *streaming* cursor over `xpath` on `doc`, the one way a query
+    /// text is run: tuples are produced a `next_batch` at a time, without
+    /// materializing the result set (the paper's §VII execution model as a
+    /// public API). The plan comes through the query cache
+    /// ([`Engine::lookup`]), and an answer the cache kept is streamed as it
+    /// is.
+    pub fn stream<'a>(&'a self, doc: DocId, xpath: &'a str) -> Result<QueryStream<'a>> {
+        self.open_text(doc, xpath, true)
     }
 
-    /// Opens a streaming cursor over an already-compiled `plan` on `doc`.
-    /// The serving layer executes [`Engine::lookup`]'s plans through this,
-    /// pulling tuples so it can enforce per-query deadlines between pulls
-    /// — a cached `Arc<QueryPlan>` is shared, not copied.
-    pub fn stream_plan(
-        &self,
-        plan: impl Into<Arc<QueryPlan>>,
+    /// [`Engine::stream`]; only a `read` is counted, inserted and offered
+    /// ([`Engine::find`]).
+    fn open_text<'a>(&'a self, doc: DocId, xpath: &'a str, read: bool) -> Result<QueryStream<'a>> {
+        let found = self.find(doc, xpath, read)?;
+        let source = match (found.cached, found.bound) {
+            (true, _) => PlanSource::Cached,
+            (false, true) => PlanSource::Bound,
+            (false, false) => PlanSource::Compiled,
+        };
+        let plan = Held::Shared(found.plan);
+        let mut stream = match found.answer {
+            Some(kept) => QueryStream::new(self, doc, plan, Pull::Kept(kept, 0)),
+            None => self.open(doc, plan, None, None)?,
+        };
+        stream.source = source;
+        stream.offer = read.then_some(xpath);
+        Ok(stream)
+    }
+
+    /// Opens `plan` on `doc`, relative paths anchored at `outer` and
+    /// actuals recorded into `stats` ([`exec::open`]).
+    fn open<'a>(
+        &'a self,
         doc: DocId,
-    ) -> Result<QueryStream<'_>> {
-        QueryStream::new(self, plan.into(), doc)
+        plan: Held<'a>,
+        outer: Option<&NodeEntry>,
+        stats: Option<&'a ExecStats>,
+    ) -> Result<QueryStream<'a>> {
+        let stats = stats.map(|stats| (stats, Instant::now()));
+        let root_ctx = self.doc_entry(doc)?;
+        let env = self.env(plan.get(), &root_ctx, stats.map(|s| s.0));
+        // What a parallel scan needs: a plan the optimizer found eligible,
+        // and a second thread to give.
+        let width = self.effective_workers();
+        let hooks = (width > 1 && plan.get().parallel().is_some()).then_some(ParallelHooks {
+            store: &self.store,
+            pool: &self.scan_pool,
+            width,
+            force: self.options.parallel_force,
+        });
+        let iter = exec::open(env, outer, hooks.as_ref())?;
+        let run = Pull::Run {
+            root_ctx,
+            iter,
+            done: false,
+            stats,
+        };
+        Ok(QueryStream::new(self, doc, plan, run))
+    }
+
+    /// What the executor runs `plan` with from `root_ctx`.
+    fn env<'p>(
+        &self,
+        plan: &'p QueryPlan,
+        root_ctx: &'p NodeEntry,
+        stats: Option<&'p ExecStats>,
+    ) -> Env<'p, '_> {
+        Env {
+            plan,
+            store: self.store(),
+            root_ctx,
+            stats,
+        }
     }
 
     /// Resolves the string values of a result set (element string-value,
@@ -714,11 +795,7 @@ impl Engine {
     /// Shows default vs optimized plan, annotated with live costs
     /// (the paper's Figs 6–9 as text).
     pub fn explain(&self, doc: DocId, xpath: &str) -> Result<Explain> {
-        let scope = self.doc_scope(doc)?;
-        let mut default_plan = self.compile(xpath)?;
-        // Clean-up is part of the default pipeline in the paper's figures.
-        opt::cleanup::cleanup(&mut default_plan);
-        let default_costs = estimate(&default_plan, self.store(), &scope)?;
+        let (default_plan, default_costs) = self.default_plan(doc, xpath)?;
         let outcome = self.optimize_plan(default_plan.clone(), doc)?;
         Ok(Explain {
             default_plan: display::render(&default_plan, Some(&default_costs)),
@@ -731,6 +808,17 @@ impl Engine {
         })
     }
 
+    /// `xpath`'s default plan on `doc`, cleaned up — clean-up is part of
+    /// the default pipeline in the paper's figures — and its estimated
+    /// costs: where [`Engine::explain`] and [`Engine::analyze_doc`] start.
+    fn default_plan(&self, doc: DocId, xpath: &str) -> Result<(QueryPlan, PlanCosts)> {
+        let scope = self.doc_scope(doc)?;
+        let mut plan = self.compile(xpath)?;
+        opt::cleanup::cleanup(&mut plan);
+        let costs = estimate(&plan, self.store(), &scope)?;
+        Ok((plan, costs))
+    }
+
     /// `EXPLAIN ANALYZE`: compiles, (optionally) optimizes, and executes
     /// `xpath` on `doc` with per-operator instrumentation enabled,
     /// returning an [`Analysis`] holding the estimate-stamped plan, the
@@ -740,76 +828,47 @@ impl Engine {
     /// parallel fan-out included — the actual row counts are the same
     /// either way; only pull counts and timings differ.
     pub fn analyze_doc(&self, doc: DocId, xpath: &str) -> Result<Analysis> {
-        let buffer_before = self.store().buffer_pool().stats();
+        let before = self.store().buffer_pool().stats();
         let par_before = self.parallel_stats();
-        let start = std::time::Instant::now();
-        let scope = self.doc_scope(doc)?;
-        let mut plan = self.compile(xpath)?;
-        opt::cleanup::cleanup(&mut plan);
-        let default_costs = estimate(&plan, self.store(), &scope)?;
+        let start = Instant::now();
+        let (mut plan, default_costs) = self.default_plan(doc, xpath)?;
         let default_cost = default_costs.total();
-        let (plan, final_cost, applied, opt_trace) = if self.options.optimize {
-            let outcome = self.optimize_plan(plan, doc)?;
-            (
-                outcome.plan,
-                outcome.final_cost,
-                outcome.applied,
-                outcome.opt_trace,
-            )
+        let (plan, final_cost, applied, mut opt_trace) = if self.options.optimize {
+            let o = self.optimize_plan(plan, doc)?;
+            (o.plan, o.final_cost, o.applied, o.opt_trace)
         } else {
             // Default-plan analysis: stamp the default estimates and log
             // the two passes that did run (no rewriting).
             plan.set_estimates(default_costs.cards(plan.len(), self.store.tuples_per_page()));
-            let opt_trace = crate::opt::OptTrace {
-                events: vec![
-                    crate::opt::OptEvent::Cleanup,
-                    crate::opt::OptEvent::CostGathering {
-                        total: default_cost,
-                    },
-                ],
-            };
-            (plan, default_cost, Vec::new(), opt_trace)
+            let total = default_cost;
+            let events = vec![OptEvent::Cleanup, OptEvent::CostGathering { total }];
+            (plan, default_cost, Vec::new(), opt::OptTrace { events })
         };
-        let stats = exec::stats::ExecStats::new(plan.len());
-        let root_ctx = self.doc_entry(doc)?;
-        let env = Env {
-            plan: &plan,
-            store: self.store(),
-            root_ctx: &root_ctx,
-            stats: Some(&stats),
-        };
-        let hooks = self.parallel_hooks(&plan);
-        let out = exec::run_plan(env, None, hooks.as_ref())?;
+        let stats = ExecStats::new(plan.len());
+        let out = self
+            .open(doc, Held::Borrowed(&plan), None, Some(&stats))?
+            .finish(Vec::new())?;
         let elapsed = start.elapsed();
         let actuals = stats.snapshot();
-        let mut opt_trace = opt_trace;
         if let Some(verdict) = stats.parallel() {
             opt_trace.events.push(OptEvent::ParallelRun(verdict));
         }
         if let Some(verdict) = stats.order() {
             opt_trace.events.push(OptEvent::OrderRun(verdict));
         }
-        let buffer_after = self.store().buffer_pool().stats();
+        let after = self.store().buffer_pool().stats();
         let par = self.parallel_stats();
         let profile = QueryProfile {
             elapsed,
-            buffer_hits: buffer_after.hits.saturating_sub(buffer_before.hits),
-            buffer_misses: buffer_after.misses.saturating_sub(buffer_before.misses),
-            batch_pins: buffer_after
-                .batch_pins
-                .saturating_sub(buffer_before.batch_pins),
-            pins_saved: buffer_after
-                .pins_saved
-                .saturating_sub(buffer_before.pins_saved),
+            buffer_hits: after.hits.saturating_sub(before.hits),
+            buffer_misses: after.misses.saturating_sub(before.misses),
+            batch_pins: after.batch_pins.saturating_sub(before.batch_pins),
+            pins_saved: after.pins_saved.saturating_sub(before.pins_saved),
             morsels: par.morsels.saturating_sub(par_before.morsels),
             worker_batches: par.worker_batches.saturating_sub(par_before.worker_batches),
             merge_stalls: par.merge_stalls.saturating_sub(par_before.merge_stalls),
-            decodes_v1: buffer_after
-                .decodes_v1
-                .saturating_sub(buffer_before.decodes_v1),
-            decodes_v2: buffer_after
-                .decodes_v2
-                .saturating_sub(buffer_before.decodes_v2),
+            decodes_v1: after.decodes_v1.saturating_sub(before.decodes_v1),
+            decodes_v2: after.decodes_v2.saturating_sub(before.decodes_v2),
         };
         Ok(Analysis {
             xpath: xpath.to_string(),
@@ -885,12 +944,7 @@ impl Engine {
                 plan.set_root(root);
                 let expr_id = crate::plan::builder::build_scalar(&mut plan, &expr)?;
                 let root_ctx = self.doc_entry(doc)?;
-                let env = Env {
-                    plan: &plan,
-                    store: self.store(),
-                    root_ctx: &root_ctx,
-                    stats: None,
-                };
+                let env = self.env(&plan, &root_ctx, None);
                 exec::eval_expr(env, expr_id, &root_ctx, 1, 1, &mut exec::Probes::default())
             }
         }
@@ -985,12 +1039,12 @@ mod tests {
         let mut streamed = Vec::new();
         while stream.next_batch(&mut streamed, 1).unwrap() == 1 {}
         assert!(stream.in_document_order());
-        stream.finish(&mut streamed);
-        assert_eq!(streamed, e.query("//person/name").unwrap());
         // Exhausted streams stay exhausted.
         assert_eq!(stream.next_batch(&mut streamed, 1).unwrap(), 0);
         // The stream's plan is the optimized one.
         assert!(!stream.plan().is_empty());
+        let streamed = stream.finish(streamed).unwrap();
+        assert_eq!(*streamed, e.query("//person/name").unwrap());
     }
 
     #[test]

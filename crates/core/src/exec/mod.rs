@@ -22,7 +22,7 @@ pub mod value;
 use crate::error::{EngineError, Result};
 use crate::opt::cleanup::all_position_free;
 use crate::plan::{ArithOp, BinOp, ContextSource, OpId, Operator, QueryPlan, TestSpec};
-use stats::{ExecStats, OrderVerdict};
+use stats::ExecStats;
 use value::Value;
 use vamana_flex::{flat_parent, Axis, FlexKey, KeyRange};
 use vamana_mass::axes::{AxisStream, KindFilter, NodeFilter};
@@ -121,66 +121,28 @@ pub fn finish_node_set(out: &mut Vec<NodeEntry>, ordered: bool) {
     }
 }
 
-/// Runs `plan` to completion, returning the result node-set: document
-/// order, duplicates removed (XPath node-set semantics). A plan that
-/// emits in that order ([`QueryPlan::emits_in_order`]) is sorted only if
-/// its output step met contexts that nest ([`OpIter::order_broken`]).
-///
-/// Leaf operators with [`ContextSource::OuterTuple`] anchor at `outer` —
-/// the paper's §VII hook for XQuery: "the context node could be provided
-/// from another XPath expression".
-///
-/// When `par` is provided (engine gating: a second thread to give, a
-/// plan the optimizer found eligible, top-level run), the plan's output
-/// step is sized at this point and fans out over the engine's scan pool
-/// if it is above the break-even; otherwise it runs serially. Output is
-/// identical in all cases — parallelism only reorders *work*, never
-/// tuples.
-pub fn run_plan(
-    env: Env<'_, '_>,
+/// Opens the cursor of `plan`'s output — the one place that chooses
+/// between the serial pipeline and a parallel scan — for the engine's
+/// [`crate::QueryStream`] to pull. Leaf operators with
+/// [`ContextSource::OuterTuple`] anchor at `outer` (the paper's §VII hook
+/// for XQuery). With `par` (engine gating: a plan the optimizer found
+/// eligible, a second thread to give) and no `outer`, the output step is
+/// sized here and fans out over the engine's scan pool from the
+/// break-even up; the tuples are the serial ones either way.
+pub fn open<'s>(
+    env: Env<'_, 's>,
     outer: Option<&NodeEntry>,
     par: Option<&parallel::ParallelHooks>,
-) -> Result<Vec<NodeEntry>> {
+) -> Result<OpIter<'s>> {
     let Some(top) = env.plan.top() else {
-        return Ok(Vec::new());
+        return Ok(OpIter::Anchor(None));
     };
-    let started = env.stats.map(|_| std::time::Instant::now());
-    let mut iter = match par {
-        Some(hooks) if outer.is_none() => match parallel::build_parallel(env, top, hooks)? {
-            Some(it) => it,
-            None => build_iter(env, top, outer)?,
-        },
-        _ => build_iter(env, top, outer)?,
-    };
-    let mut out = Vec::new();
-    while iter.next_batch(env, &mut out, BATCH_SIZE)? == BATCH_SIZE {}
-    let by_construction = env.plan.emits_in_order();
-    let witness_tripped = by_construction && iter.order_broken();
-    let ordered = by_construction && !witness_tripped;
-    let pulled = out.len() as u64;
-    let sort_started = env.stats.map(|_| std::time::Instant::now());
-    finish_node_set(&mut out, ordered);
-    if let Some(stats) = env.stats {
-        stats.set_order(OrderVerdict {
-            by_construction,
-            witness_tripped,
-            sorted_rows: if ordered { 0 } else { pulled },
-            duplicates: pulled - out.len() as u64,
-            sort_nanos: sort_started.map_or(0, |t| t.elapsed().as_nanos() as u64),
-        });
-        // The root operator's actuals are the run's: post-dedup output
-        // cardinality and the whole run's wall time. Guarded so a plan
-        // whose root *is* the top step does not double-count.
-        let root = env.plan.root();
-        if matches!(env.plan.op(root), Operator::Root { .. }) {
-            stats.add_invocation(root);
-            stats.add_rows(root, out.len() as u64);
-            if let Some(t0) = started {
-                stats.add_nanos(root, t0.elapsed().as_nanos() as u64);
-            }
+    if let (Some(hooks), None) = (par, outer) {
+        if let Some(iter) = parallel::build_parallel(env, top, hooks)? {
+            return Ok(iter);
         }
     }
-    Ok(out)
+    build_iter(env, top, outer)
 }
 
 /// One operator cursor.

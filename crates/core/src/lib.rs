@@ -46,7 +46,9 @@ pub mod shared;
 pub mod views;
 
 pub use cost::EstimateCard;
-pub use engine::{Engine, EngineOptions, Explain, Lookup, QueryStream, UpdateOp, UpdateOutcome};
+pub use engine::{
+    Engine, EngineOptions, Explain, Lookup, PlanSource, QueryStream, UpdateOp, UpdateOutcome,
+};
 pub use error::{EngineError, Result};
 pub use exec::finish_node_set;
 pub use exec::parallel::ParallelScanStats;

@@ -19,7 +19,7 @@ pub fn build_plan(expr: &Expr) -> Result<QueryPlan> {
 }
 
 /// Like [`build_plan`], but relative paths anchor at an *outer* context
-/// tuple supplied at execution time ([`crate::exec::run_plan`]) instead
+/// tuple supplied at execution time ([`crate::Engine::query_from`]) instead
 /// of the query root — the entry point XQuery-style callers use to
 /// evaluate `$x/rel/ative` paths against bound nodes. Absolute paths
 /// still anchor at the document root.

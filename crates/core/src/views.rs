@@ -3,19 +3,23 @@
 //! beside them the document's templates, each the plan optimized for one
 //! text of a shape.
 //!
-//! [`crate::Engine::lookup`] — behind [`crate::Engine::query_doc`],
-//! [`crate::Engine::stream`] and the server's `QUERY` — probes it before
-//! parsing: a kept answer is the reply and nothing is compiled or run; a
-//! cached plan skips parse and optimize. A text not found is lexed into its
-//! shape ([`vamana_xpath::lexer::shape`]: its tokens with every string
-//! literal lifted into a slot); when the shape has a template for literals
-//! as frequent as the text's (below), the text's literals are bound into a
-//! copy of it and nothing is parsed or optimized. Otherwise the text is
-//! compiled and optimized, and its plan becomes that template. Either way
-//! the text gets an entry. An update's target
-//! ([`crate::Engine::apply_update`]) is resolved the same way — an entry's
-//! plan or answer, else its shape's template, else a compile offered as
-//! the template — but gets no entry: a `DELETE` target is asked once.
+//! Every query text is run through one [`crate::QueryStream`]: the
+//! [`crate::Engine::stream`] that [`crate::Engine::query_doc`] and the
+//! server's `QUERY` open too. Opening it probes the cache
+//! ([`crate::Engine::lookup`]) before parsing: a kept answer is the reply
+//! and nothing is compiled or run; a cached plan skips parse and optimize.
+//! A text not found is lexed into its shape ([`vamana_xpath::lexer::shape`]:
+//! its tokens with every string literal lifted into a slot); when the shape
+//! has a template for literals as frequent as the text's (below), the
+//! text's literals are bound into a copy of it and nothing is parsed or
+//! optimized. Otherwise the text is compiled and optimized, and its plan
+//! becomes that template. Either way the text gets an entry. Finishing the
+//! stream ([`crate::QueryStream::finish`]) offers the answer it computed
+//! ("Admission"); a stream dropped unfinished or cut off by its deadline
+//! offers nothing. An update's target ([`crate::Engine::apply_update`]) is
+//! run through a stream resolved the same way — an entry's plan or answer,
+//! else its shape's template, else a compile offered as the template — but
+//! gets no entry and offers nothing: a `DELETE` target is asked once.
 //! EXPLAIN, ANALYZE, `query_from` and `evaluate`'s scalar path never read
 //! the cache.
 //!
@@ -800,54 +804,44 @@ impl QueryCache {
     }
 
     /// Records one computed answer of `xpath` on `doc` at `generation` —
-    /// `entries`, the finished node-set — and keeps a copy on its entry
-    /// once the query has been computed `admit_after` times. An answer
-    /// larger than the whole budget is neither copied nor counted again;
-    /// a query with no entry checked at `generation` is not counted.
-    /// Returns whether this call kept it.
+    /// `entries`, the finished node-set — and keeps it, shared, on its
+    /// entry once the query has been computed `admit_after` times. Nothing
+    /// is copied: a caller that wants its own vector copies outside the
+    /// lock. An answer larger than the whole budget is neither kept nor
+    /// counted again; a query with no entry checked at `generation` is not
+    /// counted. Returns whether this call kept it.
     pub(crate) fn observe(
         &self,
         doc: u32,
         xpath: &str,
         generation: u64,
         admit_after: u32,
-        entries: &[NodeEntry],
+        entries: &Arc<Vec<NodeEntry>>,
     ) -> bool {
         let bytes = footprint(entries.len(), xpath);
-        {
-            let mut inner = self.lock();
-            let Some(entry) = inner.current(doc, xpath, generation) else {
-                return false;
-            };
-            if !matches!(entry.answer, Answer::None) {
-                return false;
-            }
-            entry.computed = entry.computed.saturating_add(1);
-            if entry.computed < admit_after.max(1) {
-                return false;
-            }
-            if bytes > self.budget {
-                entry.answer = Answer::Oversize;
-                return false;
-            }
-        }
-        // Copied outside the lock: lookups do not wait on it.
-        let entries = Arc::new(entries.to_vec());
         let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
+        let clock = inner.clock + 1;
         let Some(entry) = inner.current(doc, xpath, generation) else {
             return false;
         };
         if !matches!(entry.answer, Answer::None) {
             return false;
         }
+        entry.computed = entry.computed.saturating_add(1);
+        if entry.computed < admit_after.max(1) {
+            return false;
+        }
+        if bytes > self.budget {
+            entry.answer = Answer::Oversize;
+            return false;
+        }
         entry.stamp = clock;
         entry.answer = Answer::Kept {
-            entries,
+            entries: Arc::clone(entries),
             bytes,
             hits: 0,
         };
+        inner.clock = clock;
         inner.kept += 1;
         inner.bytes += bytes;
         inner.evict_answers_to(self.budget, (doc, xpath));
@@ -966,6 +960,11 @@ mod tests {
         Arc::new(compiled("//a"))
     }
 
+    /// An answer as the engine's streams hand it over.
+    fn kept(rows: &[NodeEntry]) -> Arc<Vec<NodeEntry>> {
+        Arc::new(rows.to_vec())
+    }
+
     fn entry(n: u8) -> NodeEntry {
         NodeEntry {
             key: vamana_flex::FlexKey::from_flat(vec![n, 0]),
@@ -1000,15 +999,15 @@ mod tests {
         let rows = [entry(1)];
         assert!(cache.get(0, "//a", 1).is_none());
         // Nothing is counted for a query with no entry.
-        assert!(!cache.observe(0, "//a", 1, 1, &rows));
+        assert!(!cache.observe(0, "//a", 1, 1, &kept(&rows)));
         cache.put(0, "//a", 1);
         assert!(cache.get(0, "//a", 1).unwrap().answer.is_none());
-        assert!(!cache.observe(0, "//a", 1, 2, &rows));
-        assert!(cache.observe(0, "//a", 1, 2, &rows));
+        assert!(!cache.observe(0, "//a", 1, 2, &kept(&rows)));
+        assert!(cache.observe(0, "//a", 1, 2, &kept(&rows)));
         let answer = cache.get(0, "//a", 1).unwrap().answer;
         assert_eq!(answer.as_deref(), Some(&rows.to_vec()));
         // Kept answers stop being counted.
-        assert!(!cache.observe(0, "//a", 1, 2, &rows));
+        assert!(!cache.observe(0, "//a", 1, 2, &kept(&rows)));
         let s = cache.stats();
         assert_eq!((s.views, s.hits, s.misses), (1, 1, 2));
         assert_eq!(cache.counters(), (2, 1));
@@ -1022,8 +1021,8 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.counters(), (3, 2));
         // Admission counts afresh at the new generation.
-        assert!(!cache.observe(0, "//a", 2, 2, &rows));
-        assert!(cache.observe(0, "//a", 2, 2, &rows));
+        assert!(!cache.observe(0, "//a", 2, 2, &kept(&rows)));
+        assert!(cache.observe(0, "//a", 2, 2, &kept(&rows)));
     }
 
     #[test]
@@ -1063,10 +1062,10 @@ mod tests {
     fn byte_budget_drops_least_recently_used_answers_but_keeps_plans() {
         let one = footprint(1, "//a");
         let cache = cache_with(one * 2, &["//a", "//b", "//c"]);
-        assert!(cache.observe(0, "//a", 1, 1, &[entry(1)]));
-        assert!(cache.observe(0, "//b", 1, 1, &[entry(1)]));
+        assert!(cache.observe(0, "//a", 1, 1, &kept(&[entry(1)])));
+        assert!(cache.observe(0, "//b", 1, 1, &kept(&[entry(1)])));
         cache.get(0, "//a", 1); // `//b` is now the least recently used
-        assert!(cache.observe(0, "//c", 1, 1, &[entry(1)]));
+        assert!(cache.observe(0, "//c", 1, 1, &kept(&[entry(1)])));
         let s = cache.stats();
         assert_eq!(s.views, 2, "the third answer must evict one");
         assert_eq!(s.evictions, 1);
@@ -1076,7 +1075,7 @@ mod tests {
         // `//b` keeps its plan and counts toward admission afresh.
         assert!(cache.get(0, "//b", 1).unwrap().answer.is_none());
         assert_eq!(cache.len(), 3);
-        assert!(!cache.observe(0, "//b", 1, 2, &[entry(1)]));
+        assert!(!cache.observe(0, "//b", 1, 2, &kept(&[entry(1)])));
     }
 
     #[test]
@@ -1097,15 +1096,15 @@ mod tests {
     fn oversize_answers_are_neither_kept_nor_counted_again() {
         let rows = vec![entry(1); 100];
         let cache = cache_with(footprint(10, "//big"), &["//big"]);
-        assert!(!cache.observe(0, "//big", 1, 2, &rows));
-        assert!(!cache.observe(0, "//big", 1, 2, &rows));
+        assert!(!cache.observe(0, "//big", 1, 2, &kept(&rows)));
+        assert!(!cache.observe(0, "//big", 1, 2, &kept(&rows)));
         let oversize = |cache: &QueryCache| {
             let mut inner = cache.lock();
             matches!(inner.entry(0, "//big").unwrap().answer, Answer::Oversize)
         };
         assert!(oversize(&cache));
         for _ in 0..3 {
-            assert!(!cache.observe(0, "//big", 1, 2, &rows));
+            assert!(!cache.observe(0, "//big", 1, 2, &kept(&rows)));
         }
         assert!(oversize(&cache));
         assert_eq!(cache.stats().views, 0);
@@ -1113,8 +1112,8 @@ mod tests {
         cache.drop_answers(0, 2);
         assert!(!oversize(&cache));
         cache.get(0, "//big", 2);
-        assert!(!cache.observe(0, "//big", 2, 2, &rows[..1]));
-        assert!(cache.observe(0, "//big", 2, 2, &rows[..1]));
+        assert!(!cache.observe(0, "//big", 2, 2, &kept(&rows[..1])));
+        assert!(cache.observe(0, "//big", 2, 2, &kept(&rows[..1])));
     }
 
     #[test]
@@ -1124,7 +1123,7 @@ mod tests {
         for i in 0..10_000 {
             let xpath = format!("//q{i}{tail}");
             cache.put(0, &xpath, 1);
-            cache.observe(0, &xpath, 1, 2, &[]);
+            cache.observe(0, &xpath, 1, 2, &kept(&[]));
             let inner = cache.lock();
             let held: usize = inner
                 .docs
@@ -1151,7 +1150,7 @@ mod tests {
                 if cache.get(0, xpath, generation).is_none() {
                     cache.put(0, xpath, generation);
                 }
-                cache.observe(0, xpath, generation, 1, &[entry(1)]);
+                cache.observe(0, xpath, generation, 1, &kept(&[entry(1)]));
             }
             cache.drop_answers(0, generation + 1);
         }
@@ -1161,7 +1160,7 @@ mod tests {
         // Replica replay: no eager drop, the next generation's access does it.
         for generation in 200..=300u64 {
             cache.get(0, "//a", generation);
-            cache.observe(0, "//a", generation, 1, &[entry(1)]);
+            cache.observe(0, "//a", generation, 1, &kept(&[entry(1)]));
         }
         assert_eq!(cache.len(), 2, "stale generations piled up");
         assert_eq!(cache.stats().views, 1);
@@ -1172,7 +1171,7 @@ mod tests {
         let cache = QueryCache::new();
         for (doc, key) in [(0, "//a"), (0, "//b"), (1, "//a")] {
             cache.put(doc, key, 1);
-            cache.observe(doc, key, 1, 1, &[entry(1)]);
+            cache.observe(doc, key, 1, 1, &kept(&[entry(1)]));
         }
         cache.put(0, "//pending", 1);
         cache.drop_answers(0, 2);

@@ -164,7 +164,7 @@ proptest! {
                 let mut stream = engine.stream(doc, &xpath).unwrap();
                 let mut out = Vec::new();
                 while stream.next_batch(&mut out, max).unwrap() == max {}
-                stream.finish(&mut out);
+                let out = stream.finish(out).unwrap().to_vec();
                 prop_assert_eq!(
                     &out,
                     &expected,

@@ -64,7 +64,7 @@ const QUERIES: &[(&str, usize)] = &[
 /// Opens a stream and returns once a pool worker has pushed a chunk of
 /// it (the caller has claimed only morsel 0 and pulls nothing, so the
 /// workers run ahead to the claim window).
-fn stream_after_worker_output<'e>(e: &'e Engine, xpath: &str) -> QueryStream<'e> {
+fn stream_after_worker_output<'e>(e: &'e Engine, xpath: &'e str) -> QueryStream<'e> {
     let before = e.parallel_stats();
     let stream = e.stream(DocId(0), xpath).unwrap();
     assert!(

@@ -269,7 +269,7 @@ proptest! {
                     let mut stream = subject.stream(doc, xpath).unwrap();
                     let mut streamed = Vec::new();
                     while stream.next_batch(&mut streamed, max).unwrap() == max {}
-                    stream.finish(&mut streamed);
+                    let streamed = stream.finish(streamed).unwrap().to_vec();
                     prop_assert_eq!(
                         &streamed,
                         &want,

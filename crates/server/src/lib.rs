@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use vamana_core::{exec::BATCH_SIZE, DocId, Engine, NodeEntry, QueryCache, SharedEngine, Value};
+use vamana_core::{DocId, Engine, NodeEntry, PlanSource, QueryCache, SharedEngine, Value};
 use vamana_mass::FsyncPolicy;
 
 pub mod event;
@@ -395,8 +395,8 @@ fn execute(
     result
 }
 
-/// Executes `xpath` over every document (or just `doc`) through the
-/// engine's query cache, enforcing `deadline` between result batches, and
+/// Executes `xpath` over every document (or just `doc`), each through its
+/// [`Engine::stream`], enforcing `deadline` between result batches, and
 /// renders up to `limit` rows.
 fn run_query(
     shared: &Shared,
@@ -407,57 +407,28 @@ fn run_query(
 ) -> Result<Outcome, ServerError> {
     let engine = shared.read_engine();
     let first = resolve_read_doc(&engine, doc)?;
-    let docs: Vec<DocId> = match doc {
-        Some(_) => vec![first],
-        None => (0..engine.store().documents().len() as u32)
-            .map(DocId)
-            .collect(),
+    let docs = match doc {
+        Some(_) => first.0..first.0 + 1,
+        None => 0..engine.store().documents().len() as u32,
     };
     let start = Instant::now();
     let before = engine.store().buffer_pool().stats();
     let mut parts: Vec<Arc<Vec<NodeEntry>>> = Vec::with_capacity(docs.len());
-    // The least reused of the documents' plans: every entry found
-    // (`cached`), the rest bound into their shape's plan (`bound`), or
-    // some compiled.
-    let mut source = 0;
-    for doc in docs {
-        // One lookup per document: a kept answer is the reply, nothing to
-        // plan or run; either way a found entry counts as `cached`.
-        let found = engine.lookup(doc, xpath).map_err(query_err)?;
-        source = source.max(match (found.cached, found.bound) {
-            (true, _) => 0,
-            (false, true) => 1,
-            (false, false) => 2,
-        });
-        if let Some(kept) = found.answer {
-            parts.push(kept);
-            continue;
-        }
-        let mut stream = engine.stream_plan(found.plan, doc).map_err(query_err)?;
-        // Batches land straight in the result buffer — no per-tuple
-        // dispatch between the executor and the render path. The
-        // deadline is checked once per batch (≤ BATCH_SIZE tuples).
-        let mut rows = Vec::new();
-        while stream
-            .next_batch(&mut rows, BATCH_SIZE)
-            .map_err(query_err)?
-            > 0
-        {
-            if Instant::now() >= deadline {
-                return Err(ServerError::Timeout(shared.config.query_timeout));
-            }
-        }
-        if Instant::now() >= deadline {
-            return Err(ServerError::Timeout(shared.config.query_timeout));
-        }
+    // The least reused of the documents' plans (`plan=`).
+    let mut source = PlanSource::Cached;
+    for doc in docs.map(DocId) {
+        let stream = engine.stream(doc, xpath).map_err(query_err)?;
+        source = source.max(stream.source());
         // XPath node-set semantics: document order, no duplicates — which
         // the stream knows whether it delivered. Keys order by load
         // ordinal across documents, so the per-document sets in load
         // order are the global order, the one a front tier reproduces by
-        // concatenating per-document results.
-        stream.finish(&mut rows);
-        engine.observe_result(doc, xpath, &rows);
-        parts.push(Arc::new(rows));
+        // concatenating per-document results. A stream its deadline cuts
+        // off offers nothing to the cache.
+        let answer = stream
+            .finish_by(Vec::new(), Some(deadline))
+            .map_err(query_err)?;
+        parts.push(answer.ok_or(ServerError::Timeout(shared.config.query_timeout))?);
     }
     // One document's answer is rendered where it lies, a kept one
     // included; several are concatenated.
@@ -466,8 +437,7 @@ fn run_query(
         _ => parts.drain(..).flat_map(Arc::unwrap_or_clone).collect(),
     };
     let all = parts.first().map_or(&all[..], |one| &one[..]);
-    let plan = ["cached", "bound", "compiled"][source];
-    rows_outcome(shared, &engine, all, limit, plan, start, before)
+    rows_outcome(shared, &engine, all, limit, source.as_str(), start, before)
 }
 
 /// Renders up to `limit` of `nodes` as a rows reply, timed from `start`,

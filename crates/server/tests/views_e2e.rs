@@ -4,6 +4,7 @@
 //! equal to the DOM oracle, `STATS` view counters, the `CACHE` verb, and
 //! invalidation through the write path.
 
+use std::time::Duration;
 use vamana_baseline::dom::DomEngine;
 use vamana_baseline::XPathEngine;
 use vamana_core::Engine;
@@ -145,5 +146,33 @@ fn analyze_runs_the_plan_after_admission() {
     let json = client.round_trip("ANALYZE JSON //person/name");
     assert!(!json[0].contains("\"view\""), "{}", &json[0]);
 
+    handle.stop();
+}
+
+/// A query its deadline cuts off offers nothing to the cache: asked more
+/// often than an answer needs to be computed to be kept, it keeps none.
+#[test]
+fn timed_out_queries_admit_nothing() {
+    let mut store = MassStore::open_memory();
+    store.load_xml("auction", &xmark()).expect("load xmark");
+    let engine = Engine::new(store);
+    let admit_after = engine.options().view_admit_after;
+    let config = ServerConfig {
+        query_timeout: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", engine, config)
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut client = Client::connect(&handle);
+    for _ in 0..=admit_after {
+        let reply = client.round_trip("QUERY //person/name");
+        assert!(
+            reply.len() == 1 && reply[0].starts_with("ERR timeout"),
+            "{reply:?}"
+        );
+    }
+    assert_eq!(client.round_trip("CACHE"), vec!["OK 0 view(s)"]);
     handle.stop();
 }
