@@ -11,6 +11,7 @@
 use std::time::Instant;
 use vamana_bench::{document, run_best, Lineup, Outcome, QUERIES};
 use vamana_core::cost::table::table_out;
+use vamana_core::opt::replay;
 use vamana_core::{DocId, Engine, MassStore};
 use vamana_flex::Axis;
 
@@ -136,16 +137,7 @@ fn explain_figure(fig: &str, query: &str, megabytes: f64) {
     store.load_xml("auction.xml", &xml).expect("load");
     let engine = Engine::new(store);
     let explain = engine.explain(DocId(0), query).expect("explain");
-    println!(
-        "-- default plan (Σ tuple volume = {}):",
-        explain.default_cost
-    );
-    print!("{}", explain.default_plan);
-    println!(
-        "-- optimized plan (Σ tuple volume = {}; rules: {:?}; {} iteration(s)):",
-        explain.optimized_cost, explain.applied, explain.iterations
-    );
-    print!("{}", explain.optimized_plan);
+    print!("{}", explain.render());
     let n = engine.query_doc(DocId(0), query).expect("run").len();
     println!("-- result size: {n}\n");
 }
@@ -159,8 +151,10 @@ fn trace_figure(fig: &str, query: &str, megabytes: f64) {
     store.load_xml("auction.xml", &xml).expect("load");
     let engine = Engine::new(store);
     let plan = engine.compile(query).expect("compile");
-    let outcome = engine.optimize_plan(plan, DocId(0)).expect("optimize");
-    for (i, (rule, snapshot)) in outcome.trace.iter().enumerate() {
+    let outcome = engine
+        .optimize_plan(plan.clone(), DocId(0))
+        .expect("optimize");
+    for (i, (rule, snapshot)) in replay(plan, &outcome.opt_trace).iter().enumerate() {
         println!("-- after transformation {} ({rule}):", i + 1);
         print!("{}", vamana_core::render(snapshot, None));
     }

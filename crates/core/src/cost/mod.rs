@@ -3,7 +3,8 @@
 //! Statistics are read *live* from the MASS indexes at estimation time —
 //! `COUNT(opᵢ)` is a node-test count inside the query scope, `TC(opᵢ)` a
 //! value-index count — so estimates remain exact under updates, with no
-//! histograms to maintain. The per-operator quantities are:
+//! histograms to maintain. [`estimate`] draws one [`EstimateCard`] per
+//! operator, holding:
 //!
 //! * `COUNT(opᵢ)`: nodes satisfying the step's node test (case analysis
 //!   below),
@@ -12,12 +13,14 @@
 //! * `OUT(opᵢ)`: maximum tuples it emits (cases 1–6, Table I),
 //! * selectivity `δ = OUT/IN`, scaled into `[0, 1]`; operators are ranked
 //!   most-selective-first for the optimizer.
+//!
+//! The cards the optimizer settles on are stamped on the plan, and they are
+//! what EXPLAIN and ANALYZE print ([`crate::plan::display`]).
 
 pub mod table;
 
 use crate::error::Result;
 use crate::plan::{ContextSource, OpId, Operator, QueryPlan, TestSpec};
-use std::collections::HashMap;
 use vamana_flex::{Axis, KeyRange};
 use vamana_mass::MassStore;
 
@@ -29,40 +32,11 @@ use vamana_mass::MassStore;
 /// EXPERIMENTS.md, "Hand-off calibration".
 pub const PARALLEL_BREAK_EVEN: u64 = 10_000;
 
-/// Per-operator cost figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpCost {
-    /// `COUNT(opᵢ)` for step operators.
-    pub count: Option<u64>,
-    /// `TC(opᵢ)` for literal operators.
-    pub tc: Option<u64>,
-    /// `IN(opᵢ)`.
-    pub input: u64,
-    /// `OUT(opᵢ)`.
-    pub output: u64,
-}
-
-impl OpCost {
-    /// Selectivity ratio `δ = OUT/IN`, clamped to `[0, 1]`.
-    /// Smaller is *more* selective (filters more tuples away).
-    pub fn selectivity(&self) -> f64 {
-        if self.input == 0 {
-            1.0
-        } else {
-            (self.output as f64 / self.input as f64).clamp(0.0, 1.0)
-        }
-    }
-}
-
-/// The estimate snapshot one operator carries on an optimized plan —
-/// the paper's Table I quantities frozen at optimization time so that
-/// EXPLAIN ANALYZE can put `est=…` next to `act=…` even for plans that
-/// were cached long before execution.
-///
-/// Unlike [`OpCost`] (the optimizer's working figures, owned by a
-/// [`PlanCosts`] side table), an `EstimateCard` is stamped *onto* the
-/// [`crate::plan::QueryPlan`] by [`crate::engine::Engine::optimize_plan`]
-/// and travels with it through plan caches and streams.
+/// The paper's Table I quantities for one operator. [`estimate`] draws
+/// one per operator it reaches; the optimizer keeps the final plan's
+/// stamped on it ([`crate::plan::QueryPlan::set_estimates`]), where they
+/// travel through plan caches and streams, so that EXPLAIN ANALYZE can put
+/// `est=…` next to `act=…` even for plans cached long before they ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimateCard {
     /// `COUNT(opᵢ)` — index nodes satisfying the node test (steps only).
@@ -73,11 +47,6 @@ pub struct EstimateCard {
     pub input: u64,
     /// `OUT(opᵢ)` — maximum tuples it emits.
     pub output: u64,
-    /// Selectivity ratio `δ = OUT/IN`, clamped to `[0, 1]`.
-    pub selectivity: f64,
-    /// Estimated cost charged by the optimizer: `IN + OUT` (every tuple
-    /// received or emitted is an index operation).
-    pub cost: u64,
     /// Estimated clustered-index pages touched if this operator's
     /// output were fetched from data pages: `OUT / tuples-per-page`,
     /// where the blocking factor reflects the store's measured
@@ -86,40 +55,39 @@ pub struct EstimateCard {
     pub pages: f64,
 }
 
-impl OpCost {
-    /// Freezes this cost into a stampable card, pricing page I/O with
-    /// the store's current blocking factor.
-    fn card(&self, tuples_per_page: f64) -> EstimateCard {
-        let pages = if tuples_per_page > 0.0 {
-            (self.output as f64 / tuples_per_page).ceil()
+impl EstimateCard {
+    /// Selectivity ratio `δ = OUT/IN`, clamped to `[0, 1]`.
+    /// Smaller is *more* selective (filters more tuples away).
+    pub fn selectivity(&self) -> f64 {
+        if self.input == 0 {
+            1.0
         } else {
-            0.0
-        };
-        EstimateCard {
-            count: self.count,
-            tc: self.tc,
-            input: self.input,
-            output: self.output,
-            selectivity: self.selectivity(),
-            cost: self.input + self.output,
-            pages,
+            (self.output as f64 / self.input as f64).clamp(0.0, 1.0)
         }
+    }
+
+    /// Estimated cost charged by the optimizer: `IN + OUT` (every tuple
+    /// received or emitted is an index operation).
+    pub fn cost(&self) -> u64 {
+        self.input + self.output
     }
 }
 
-/// Cost annotations for a whole plan.
+/// The estimate of a whole plan.
 #[derive(Debug, Clone)]
 pub struct PlanCosts {
-    per_op: HashMap<OpId, OpCost>,
+    /// One card per arena slot; `None` for operators the estimator never
+    /// reached (detached slots left behind by rewrites).
+    pub(crate) cards: Vec<Option<EstimateCard>>,
     /// Live operators ordered most-selective-first (the optimizer's
     /// ordered list `L(P)`).
     pub ordered: Vec<(OpId, f64)>,
 }
 
 impl PlanCosts {
-    /// Cost of one operator, if it was estimated.
-    pub fn get(&self, id: OpId) -> Option<&OpCost> {
-        self.per_op.get(&id)
+    /// Estimate of one operator, if it was reached.
+    pub fn get(&self, id: OpId) -> Option<&EstimateCard> {
+        self.cards.get(id.index())?.as_ref()
     }
 
     /// Total intermediate-tuple volume: Σ (IN + OUT) over live operators
@@ -130,23 +98,7 @@ impl PlanCosts {
     /// person]` feeds 1256 tuples into a parent check instead of feeding
     /// 2550 persons into a child scan.
     pub fn total(&self) -> u64 {
-        self.per_op.values().map(|c| c.input + c.output).sum()
-    }
-
-    /// The estimate table as stampable cards, indexed by arena position
-    /// (`None` for operators the estimator never reached — detached
-    /// arena slots left behind by rewrites). `len` is the plan's arena
-    /// length; see [`crate::plan::QueryPlan::set_estimates`].
-    /// `tuples_per_page` is the store's current blocking factor
-    /// ([`MassStore::tuples_per_page`]), used to price page I/O.
-    pub fn cards(&self, len: usize, tuples_per_page: f64) -> Vec<Option<EstimateCard>> {
-        let mut cards = vec![None; len];
-        for (id, cost) in &self.per_op {
-            if let Some(slot) = cards.get_mut(id.index()) {
-                *slot = Some(cost.card(tuples_per_page));
-            }
-        }
-        cards
+        self.cards.iter().flatten().map(EstimateCard::cost).sum()
     }
 }
 
@@ -159,7 +111,8 @@ pub fn estimate(plan: &QueryPlan, store: &MassStore, scope: &KeyRange) -> Result
         plan,
         store,
         scope,
-        costs: HashMap::new(),
+        tuples_per_page: store.tuples_per_page(),
+        cards: vec![None; plan.len()],
     };
     let root = plan.root();
     let top = match plan.op(root) {
@@ -168,24 +121,16 @@ pub fn estimate(plan: &QueryPlan, store: &MassStore, scope: &KeyRange) -> Result
     };
     if let Some(top) = top {
         let out = est.est_nodeset(top, None)?;
-        est.costs.insert(
-            root,
-            OpCost {
-                count: None,
-                tc: None,
-                input: out,
-                output: out,
-            },
-        );
+        est.set(root, None, None, out, out);
     }
     let mut ordered: Vec<(OpId, f64)> = plan
         .live_ops()
         .into_iter()
-        .filter_map(|id| est.costs.get(&id).map(|c| (id, c.selectivity())))
+        .filter_map(|id| Some((id, est.cards[id.index()]?.selectivity())))
         .collect();
     ordered.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     Ok(PlanCosts {
-        per_op: est.costs,
+        cards: est.cards,
         ordered,
     })
 }
@@ -227,23 +172,50 @@ struct Estimator<'a> {
     plan: &'a QueryPlan,
     store: &'a MassStore,
     scope: &'a KeyRange,
-    costs: HashMap<OpId, OpCost>,
+    /// The store's blocking factor ([`MassStore::tuples_per_page`]),
+    /// which prices a card's page I/O.
+    tuples_per_page: f64,
+    cards: Vec<Option<EstimateCard>>,
 }
 
 impl<'a> Estimator<'a> {
+    /// Draws `id`'s card.
+    fn set(&mut self, id: OpId, count: Option<u64>, tc: Option<u64>, input: u64, output: u64) {
+        let pages = if self.tuples_per_page > 0.0 {
+            (output as f64 / self.tuples_per_page).ceil()
+        } else {
+            0.0
+        };
+        self.cards[id.index()] = Some(EstimateCard {
+            count,
+            tc,
+            input,
+            output,
+            pages,
+        });
+    }
+
+    /// Draws `id`'s card unless it has one.
+    fn set_once(&mut self, id: OpId, input: u64, output: u64) {
+        if self.cards[id.index()].is_none() {
+            self.set(id, None, None, input, output);
+        }
+    }
+
     /// Estimates a node-set-producing operator. `pred_input` is the tuple
     /// count flowing into a predicate tree (case 3 of IN), `None` on the
     /// context path.
     fn est_nodeset(&mut self, id: OpId, pred_input: Option<u64>) -> Result<u64> {
-        let out = match self.plan.op(id).clone() {
+        let plan = self.plan;
+        let out = match *plan.op(id) {
             Operator::Step {
                 axis,
-                test,
+                ref test,
                 context,
                 source,
-                predicates,
+                ref predicates,
             } => {
-                let count = count_nodetest(self.store, axis, &test, self.scope);
+                let count = count_nodetest(self.store, axis, test, self.scope);
                 let input = match context {
                     Some(c) => self.est_nodeset(c, pred_input)?,
                     None => match (source, pred_input) {
@@ -265,50 +237,28 @@ impl<'a> Estimator<'a> {
                     table::table_out(axis, count, input, kind_test) // Cases 3/4
                 };
                 // Predicates tighten the bound (cases 5/6).
-                for pred in &predicates {
+                for pred in predicates {
                     out = self.est_predicate(*pred, out)?;
                 }
-                self.costs.insert(
-                    id,
-                    OpCost {
-                        count: Some(count),
-                        tc: None,
-                        input,
-                        output: out,
-                    },
-                );
+                self.set(id, Some(count), None, input, out);
                 out
             }
-            Operator::ValueStep { value, context, .. } => {
-                let tc = self.store.text_count_in(&value, self.scope);
+            Operator::ValueStep {
+                ref value, context, ..
+            } => {
+                let tc = self.store.text_count_in(value, self.scope);
                 let input = match context {
                     Some(c) => self.est_nodeset(c, pred_input)?,
                     None => pred_input.unwrap_or(1),
                 };
-                self.costs.insert(
-                    id,
-                    OpCost {
-                        count: Some(tc),
-                        tc: Some(tc),
-                        input,
-                        output: tc,
-                    },
-                );
+                self.set(id, Some(tc), Some(tc), input, tc);
                 tc
             }
             Operator::Union { left, right } => {
                 let l = self.est_nodeset(left, pred_input)?;
                 let r = self.est_nodeset(right, pred_input)?;
                 let out = l + r;
-                self.costs.insert(
-                    id,
-                    OpCost {
-                        count: None,
-                        tc: None,
-                        input: l + r,
-                        output: out,
-                    },
-                );
+                self.set(id, None, None, l + r, out);
                 out
             }
             Operator::RangeStep {
@@ -319,63 +269,33 @@ impl<'a> Estimator<'a> {
                     Some(c) => self.est_nodeset(c, pred_input)?,
                     None => pred_input.unwrap_or(1),
                 };
-                self.costs.insert(
-                    id,
-                    OpCost {
-                        count: Some(rc),
-                        tc: Some(rc),
-                        input,
-                        output: rc,
-                    },
-                );
+                self.set(id, Some(rc), Some(rc), input, rc);
                 rc
             }
-            Operator::Filter { input, predicates } => {
+            Operator::Filter {
+                input,
+                ref predicates,
+            } => {
                 let mut out = self.est_nodeset(input, pred_input)?;
                 let input_n = out;
-                for pred in &predicates {
+                for pred in predicates {
                     out = self.est_predicate(*pred, out)?;
                 }
-                self.costs.insert(
-                    id,
-                    OpCost {
-                        count: None,
-                        tc: None,
-                        input: input_n,
-                        output: out,
-                    },
-                );
+                self.set(id, None, None, input_n, out);
                 out
             }
             Operator::Join { left, right, .. } => {
                 let l = self.est_nodeset(left, pred_input)?;
                 let r = self.est_nodeset(right, pred_input)?;
                 let out = l.saturating_mul(r);
-                self.costs.insert(
-                    id,
-                    OpCost {
-                        count: None,
-                        tc: None,
-                        input: l + r,
-                        output: out,
-                    },
-                );
+                self.set(id, None, None, l + r, out);
                 out
             }
-            other => {
+            _ => {
                 // Expression operators used as node-set producers
                 // (shouldn't happen from the builder); treat opaque.
-                let _ = other;
                 let out = pred_input.unwrap_or(1);
-                self.costs.insert(
-                    id,
-                    OpCost {
-                        count: None,
-                        tc: None,
-                        input: out,
-                        output: out,
-                    },
-                );
+                self.set(id, None, None, out, out);
                 out
             }
         };
@@ -385,7 +305,8 @@ impl<'a> Estimator<'a> {
     /// Estimates how many of `input` tuples survive predicate `id`,
     /// annotating the predicate tree along the way.
     fn est_predicate(&mut self, id: OpId, input: u64) -> Result<u64> {
-        let out = match self.plan.op(id).clone() {
+        let plan = self.plan;
+        let out = match *plan.op(id) {
             Operator::Exists { path } => {
                 self.est_nodeset(path, Some(input))?;
                 // Case 6: no value information — bound stays at IN.
@@ -415,15 +336,7 @@ impl<'a> Estimator<'a> {
                             Some(tc) => input.min(tc),
                             None => input,
                         };
-                        self.costs.insert(
-                            id,
-                            OpCost {
-                                count: None,
-                                tc,
-                                input,
-                                output: out,
-                            },
-                        );
+                        self.set(id, None, tc, input, out);
                         return Ok(out);
                     }
                     _ => {
@@ -447,56 +360,29 @@ impl<'a> Estimator<'a> {
                 input
             }
         };
-        self.costs.entry(id).or_insert(OpCost {
-            count: None,
-            tc: None,
-            input,
-            output: out,
-        });
+        self.set_once(id, input, out);
         Ok(out)
     }
 
     /// Estimates an operand of a comparison/function (value expression).
     fn est_operand(&mut self, id: OpId, input: u64) -> Result<()> {
-        match self.plan.op(id).clone() {
+        match *self.plan.op(id) {
             Operator::Step { .. } | Operator::ValueStep { .. } | Operator::Union { .. } => {
                 self.est_nodeset(id, Some(input))?;
             }
-            Operator::Literal { value } => {
+            Operator::Literal { ref value } => {
                 // Case 2: OUT(literal) = TC(value).
-                let tc = self.store.text_count_in(&value, self.scope);
-                self.costs.insert(
-                    id,
-                    OpCost {
-                        count: None,
-                        tc: Some(tc),
-                        input,
-                        output: tc,
-                    },
-                );
+                let tc = self.store.text_count_in(value, self.scope);
+                self.set(id, None, Some(tc), input, tc);
             }
             Operator::Number { value: _ } => {
-                self.costs.insert(
-                    id,
-                    OpCost {
-                        count: None,
-                        tc: None,
-                        input,
-                        output: input,
-                    },
-                );
+                self.set(id, None, None, input, input);
             }
-            other => {
-                let _ = other;
+            _ => {
                 for c in self.plan.children_of(id) {
                     self.est_operand(c, input)?;
                 }
-                self.costs.entry(id).or_insert(OpCost {
-                    count: None,
-                    tc: None,
-                    input,
-                    output: input,
-                });
+                self.set_once(id, input, input);
             }
         }
         Ok(())

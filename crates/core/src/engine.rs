@@ -5,12 +5,12 @@
 //! builder, runs the cost-driven optimizer, and executes plans with the
 //! pipelined engine.
 
-use crate::cost::{estimate, PlanCosts};
+use crate::cost::estimate;
 use crate::error::{EngineError, Result};
 use crate::exec::parallel::{host_cpus, ParallelHooks, ParallelScanStats, PoolCell};
 use crate::exec::stats::{ExecStats, OrderVerdict};
 use crate::exec::{self, value::Value, Env, BATCH_SIZE};
-use crate::explain::{Analysis, QueryProfile};
+use crate::explain::{Analysis, Explain, QueryProfile};
 use crate::opt::{self, OptEvent, OptimizeOutcome, OptimizerOptions};
 use crate::plan::{builder::build_plan, display, Operator, QueryPlan};
 use crate::views::{self, Priced, ShapedText};
@@ -99,28 +99,6 @@ pub struct UpdateOutcome {
     /// Time spent resolving the target: finding or making its plan and
     /// running it.
     pub resolve: Duration,
-}
-
-/// A compiled-and-explained query (used by examples and the figures
-/// harness to show before/after plans).
-#[derive(Debug, Clone)]
-pub struct Explain {
-    /// Rendered default plan with cost annotations.
-    pub default_plan: String,
-    /// Rendered optimized plan with cost annotations.
-    pub optimized_plan: String,
-    /// Σ OUT of the default plan.
-    pub default_cost: u64,
-    /// Σ OUT of the optimized plan.
-    pub optimized_cost: u64,
-    /// Applied rule names, in order.
-    pub applied: Vec<&'static str>,
-    /// Optimizer iterations.
-    pub iterations: usize,
-    /// The optimizer's ordered pass log: clean-up / cost-gathering /
-    /// every rule decision with before/after costs (render with
-    /// [`crate::opt::OptTrace::render`]).
-    pub opt_trace: crate::opt::OptTrace,
 }
 
 /// What [`Engine::lookup`] found for a query text on a document.
@@ -792,15 +770,15 @@ impl Engine {
             .collect()
     }
 
-    /// Shows default vs optimized plan, annotated with live costs
-    /// (the paper's Figs 6–9 as text).
+    /// `EXPLAIN`: `xpath`'s default and optimized plans on `doc`, drawn
+    /// with their estimate cards (the paper's Figs 6–9 as text).
     pub fn explain(&self, doc: DocId, xpath: &str) -> Result<Explain> {
-        let (default_plan, default_costs) = self.default_plan(doc, xpath)?;
-        let outcome = self.optimize_plan(default_plan.clone(), doc)?;
+        let (default, default_cost, outcome) = self.report_plans(doc, xpath, true)?;
         Ok(Explain {
-            default_plan: display::render(&default_plan, Some(&default_costs)),
-            optimized_plan: display::render(&outcome.plan, Some(&outcome.costs)),
-            default_cost: default_costs.total(),
+            xpath: xpath.to_string(),
+            default_plan: display::render(&default, None),
+            optimized_plan: display::render(&outcome.plan, None),
+            default_cost,
             optimized_cost: outcome.final_cost,
             applied: outcome.applied,
             iterations: outcome.iterations,
@@ -808,15 +786,38 @@ impl Engine {
         })
     }
 
-    /// `xpath`'s default plan on `doc`, cleaned up — clean-up is part of
-    /// the default pipeline in the paper's figures — and its estimated
-    /// costs: where [`Engine::explain`] and [`Engine::analyze_doc`] start.
-    fn default_plan(&self, doc: DocId, xpath: &str) -> Result<(QueryPlan, PlanCosts)> {
+    /// Where [`Engine::explain`] and [`Engine::analyze_doc`] start:
+    /// `xpath`'s default plan on `doc`, cleaned up (clean-up is part of the
+    /// default pipeline in the paper's figures) and stamped with its
+    /// estimates, and its Σ tuple volume; then, with `optimize`, what the
+    /// optimizer makes of it, and otherwise the default plan again, with
+    /// the two passes that ran.
+    fn report_plans(
+        &self,
+        doc: DocId,
+        xpath: &str,
+        optimize: bool,
+    ) -> Result<(QueryPlan, u64, OptimizeOutcome)> {
         let scope = self.doc_scope(doc)?;
         let mut plan = self.compile(xpath)?;
         opt::cleanup::cleanup(&mut plan);
         let costs = estimate(&plan, self.store(), &scope)?;
-        Ok((plan, costs))
+        let total = costs.total();
+        plan.set_estimates(costs.cards);
+        let outcome = match optimize {
+            true => self.optimize_in(plan.clone(), &scope)?,
+            false => OptimizeOutcome {
+                plan: plan.clone(),
+                initial_cost: total,
+                final_cost: total,
+                applied: Vec::new(),
+                iterations: 0,
+                opt_trace: opt::OptTrace {
+                    events: vec![OptEvent::Cleanup, OptEvent::CostGathering { total }],
+                },
+            },
+        };
+        Ok((plan, total, outcome))
     }
 
     /// `EXPLAIN ANALYZE`: compiles, (optionally) optimizes, and executes
@@ -828,26 +829,38 @@ impl Engine {
     /// parallel fan-out included — the actual row counts are the same
     /// either way; only pull counts and timings differ.
     pub fn analyze_doc(&self, doc: DocId, xpath: &str) -> Result<Analysis> {
+        Ok(self
+            .analyze_by(doc, xpath, None)?
+            .expect("only a deadline cuts a run off"))
+    }
+
+    /// [`Engine::analyze_doc`], its run cut off once `deadline` (if any)
+    /// has passed — asked after every batch, as a `QUERY`'s is — when it
+    /// returns `None`.
+    pub fn analyze_by(
+        &self,
+        doc: DocId,
+        xpath: &str,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Analysis>> {
         let before = self.store().buffer_pool().stats();
         let par_before = self.parallel_stats();
         let start = Instant::now();
-        let (mut plan, default_costs) = self.default_plan(doc, xpath)?;
-        let default_cost = default_costs.total();
-        let (plan, final_cost, applied, mut opt_trace) = if self.options.optimize {
-            let o = self.optimize_plan(plan, doc)?;
-            (o.plan, o.final_cost, o.applied, o.opt_trace)
-        } else {
-            // Default-plan analysis: stamp the default estimates and log
-            // the two passes that did run (no rewriting).
-            plan.set_estimates(default_costs.cards(plan.len(), self.store.tuples_per_page()));
-            let total = default_cost;
-            let events = vec![OptEvent::Cleanup, OptEvent::CostGathering { total }];
-            (plan, default_cost, Vec::new(), opt::OptTrace { events })
-        };
+        let (_, default_cost, outcome) = self.report_plans(doc, xpath, self.options.optimize)?;
+        let OptimizeOutcome {
+            plan,
+            final_cost,
+            applied,
+            mut opt_trace,
+            ..
+        } = outcome;
         let stats = ExecStats::new(plan.len());
-        let out = self
+        let Some(out) = self
             .open(doc, Held::Borrowed(&plan), None, Some(&stats))?
-            .finish(Vec::new())?;
+            .finish_by(Vec::new(), deadline)?
+        else {
+            return Ok(None);
+        };
         let elapsed = start.elapsed();
         let actuals = stats.snapshot();
         if let Some(verdict) = stats.parallel() {
@@ -856,21 +869,21 @@ impl Engine {
         if let Some(verdict) = stats.order() {
             opt_trace.events.push(OptEvent::OrderRun(verdict));
         }
-        let after = self.store().buffer_pool().stats();
-        let par = self.parallel_stats();
+        let pool = self.store().buffer_pool().stats().since(&before);
+        let par = self.parallel_stats().since(&par_before);
         let profile = QueryProfile {
             elapsed,
-            buffer_hits: after.hits.saturating_sub(before.hits),
-            buffer_misses: after.misses.saturating_sub(before.misses),
-            batch_pins: after.batch_pins.saturating_sub(before.batch_pins),
-            pins_saved: after.pins_saved.saturating_sub(before.pins_saved),
-            morsels: par.morsels.saturating_sub(par_before.morsels),
-            worker_batches: par.worker_batches.saturating_sub(par_before.worker_batches),
-            merge_stalls: par.merge_stalls.saturating_sub(par_before.merge_stalls),
-            decodes_v1: after.decodes_v1.saturating_sub(before.decodes_v1),
-            decodes_v2: after.decodes_v2.saturating_sub(before.decodes_v2),
+            buffer_hits: pool.hits,
+            buffer_misses: pool.misses,
+            batch_pins: pool.batch_pins,
+            pins_saved: pool.pins_saved,
+            morsels: par.morsels,
+            worker_batches: par.worker_batches,
+            merge_stalls: par.merge_stalls,
+            decodes_v1: pool.decodes_v1,
+            decodes_v2: pool.decodes_v2,
         };
-        Ok(Analysis {
+        Ok(Some(Analysis {
             xpath: xpath.to_string(),
             plan,
             optimized: self.options.optimize,
@@ -881,7 +894,7 @@ impl Engine {
             actuals,
             rows: out.len() as u64,
             profile,
-        })
+        }))
     }
 
     /// Answers `count(simple-path)` straight from the name index when the

@@ -97,6 +97,19 @@ pub struct ParallelScanStats {
     pub merge_stalls: u64,
 }
 
+impl ParallelScanStats {
+    /// The scans between `earlier`, a snapshot of the same pool, and these
+    /// counters; `workers`, a gauge, is these counters'.
+    pub fn since(&self, earlier: &ParallelScanStats) -> ParallelScanStats {
+        ParallelScanStats {
+            workers: self.workers,
+            morsels: self.morsels.saturating_sub(earlier.morsels),
+            worker_batches: self.worker_batches.saturating_sub(earlier.worker_batches),
+            merge_stalls: self.merge_stalls.saturating_sub(earlier.merge_stalls),
+        }
+    }
+}
+
 struct PoolQueue {
     tickets: VecDeque<Arc<MorselSet>>,
     shutdown: bool,

@@ -1,6 +1,10 @@
-//! `EXPLAIN` / `EXPLAIN ANALYZE` rendering: estimated-vs-actual
-//! per-operator cardinalities, the optimizer pass log, and a
-//! misestimation summary.
+//! The plan reports, rendered here once for every surface (the server's
+//! `EXPLAIN` and `ANALYZE` and their `JSON` forms, the shell, the
+//! figures): [`Explain`], a query's default and optimized plans with their
+//! estimate cards and the optimizer's pass log, and [`Analysis`], one
+//! instrumented run with estimated-vs-actual cardinalities and a
+//! misestimation summary. Both draw their trees with
+//! [`crate::plan::display::render`].
 //!
 //! The central figure of merit is the **q-error** of an operator:
 //!
@@ -19,13 +23,12 @@
 //! quantities that are identical from run to run and between a serial
 //! and a fanned-out scan (estimates, actual rows, q-errors) — never pull
 //! counts or timings. The golden-file tests pin this down. Timings and
-//! buffer traffic appear in
+//! buffer traffic appear in [`Analysis::render_report`],
 //! [`Analysis::render_json`] and the [`QueryProfile`].
 
-use crate::cost::EstimateCard;
 use crate::exec::stats::ExecStatsSnapshot;
 use crate::opt::{OptEvent, OptTrace};
-use crate::plan::{display, OpId, Operator, QueryPlan};
+use crate::plan::{display, OpId, QueryPlan};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -49,11 +52,74 @@ pub fn qerror(est: u64, act: u64) -> f64 {
     }
 }
 
-fn fmt_err(q: f64) -> String {
+pub(crate) fn fmt_err(q: f64) -> String {
     if q.is_infinite() {
         "err ×∞".to_string()
     } else {
         format!("err ×{q:.1}")
+    }
+}
+
+/// `EXPLAIN`: a query's default plan (cleaned up) and its optimized plan,
+/// each drawn with its estimate cards, and the optimizer's pass log — the
+/// paper's Figs 6–9 as text.
+#[derive(Debug, Clone)]
+pub struct Explain {
+    /// The query text.
+    pub xpath: String,
+    /// The default plan, drawn with its estimate cards.
+    pub default_plan: String,
+    /// The optimized plan, drawn with its estimate cards.
+    pub optimized_plan: String,
+    /// Σ tuple volume of the default plan.
+    pub default_cost: u64,
+    /// Σ tuple volume of the optimized plan.
+    pub optimized_cost: u64,
+    /// Applied rule names, in order.
+    pub applied: Vec<&'static str>,
+    /// Optimizer iterations.
+    pub iterations: usize,
+    /// The optimizer's ordered pass log: clean-up / cost-gathering /
+    /// every rule decision with before/after costs.
+    pub opt_trace: OptTrace,
+}
+
+impl Explain {
+    /// The `EXPLAIN` report: both plans under their headers, then the pass
+    /// log.
+    pub fn render(&self) -> String {
+        format!(
+            "default plan (Σ tuple volume {}):\n{}\
+             optimized plan (Σ tuple volume {}; rules {:?}; {} iteration(s)):\n{}\
+             optimizer trace:\n{}",
+            self.default_cost,
+            self.default_plan,
+            self.optimized_cost,
+            self.applied,
+            self.iterations,
+            self.optimized_plan,
+            self.opt_trace.render()
+        )
+    }
+
+    /// The `EXPLAIN JSON` report: one object holding the plans as
+    /// [`Explain::render`] draws them and the pass log, a string per line.
+    pub fn render_json(&self) -> String {
+        let mut s = String::from("{");
+        let _ = write!(s, "\"xpath\":\"{}\",", escape_json(&self.xpath));
+        let _ = write!(s, "\"default_cost\":{},", self.default_cost);
+        let _ = write!(s, "\"optimized_cost\":{},", self.optimized_cost);
+        let _ = write!(s, "\"iterations\":{},\"applied\":", self.iterations);
+        json_strings(&mut s, self.applied.iter().copied());
+        let _ = write!(
+            s,
+            ",\"default_plan\":\"{}\",\"optimized_plan\":\"{}\",\"trace\":",
+            escape_json(&self.default_plan),
+            escape_json(&self.optimized_plan)
+        );
+        json_strings(&mut s, self.opt_trace.render().lines());
+        s.push('}');
+        s
     }
 }
 
@@ -113,7 +179,7 @@ pub struct Analysis {
     /// The query text.
     pub xpath: String,
     /// The plan that was executed (optimized when the engine's optimizer
-    /// is on), carrying its [`EstimateCard`]s.
+    /// is on), carrying its [`crate::cost::EstimateCard`]s.
     pub plan: QueryPlan,
     /// Whether the optimizer produced this plan.
     pub optimized: bool,
@@ -182,7 +248,7 @@ impl Analysis {
             self.rows,
             if self.rows == 1 { "" } else { "s" },
         );
-        out.push_str(&render_tree(&self.plan, Some(&self.actuals)));
+        out.push_str(&display::render(&self.plan, Some(&self.actuals)));
         let worst = self.misestimates(1.05);
         if worst.is_empty() {
             out.push_str("misestimations: none above ×1.05\n");
@@ -202,10 +268,26 @@ impl Analysis {
         out
     }
 
-    /// Renders the full analysis as a single JSON object — the `--json`
-    /// rendering shared by the CLI and the server's `ANALYZE` verb. This
-    /// form *does* include the run-dependent counters (pulls, timings,
-    /// probes/pins) alongside the stable ones.
+    /// The `ANALYZE` report: [`Analysis::render`], the optimizer's pass log
+    /// (the run's parallel and order lines included) and the run's profile.
+    pub fn render_report(&self) -> String {
+        let p = &self.profile;
+        format!(
+            "{}optimizer trace:\n{}\
+             profile: {:.2?}, {} hit(s) / {} miss(es), {} batch pin(s), {} morsel(s)",
+            self.render(),
+            self.opt_trace.render(),
+            p.elapsed,
+            p.buffer_hits,
+            p.buffer_misses,
+            p.batch_pins,
+            p.morsels
+        )
+    }
+
+    /// The `ANALYZE JSON` report: the full analysis as a single JSON
+    /// object. This form *does* include the run-dependent counters (pulls,
+    /// timings, probes/pins) alongside the stable ones.
     pub fn render_json(&self) -> String {
         let mut s = String::from("{");
         let _ = write!(s, "\"xpath\":\"{}\",", escape_json(&self.xpath));
@@ -214,14 +296,9 @@ impl Analysis {
         let _ = write!(s, "\"default_cost\":{},", self.default_cost);
         let _ = write!(s, "\"final_cost\":{},", self.final_cost);
         let _ = write!(s, "\"elapsed_us\":{},", self.profile.elapsed.as_micros());
-        s.push_str("\"applied\":[");
-        for (i, rule) in self.applied.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\"", escape_json(rule));
-        }
-        s.push_str("],\"operators\":[");
+        s.push_str("\"applied\":");
+        json_strings(&mut s, self.applied.iter().copied());
+        s.push_str(",\"operators\":[");
         for (i, op) in self.plan.live_ops().into_iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -237,7 +314,11 @@ impl Analysis {
                     s,
                     ",\"est\":{{\"in\":{},\"out\":{},\"selectivity\":{:.6},\"cost\":{},\
                      \"pages\":{}",
-                    card.input, card.output, card.selectivity, card.cost, card.pages as u64
+                    card.input,
+                    card.output,
+                    card.selectivity(),
+                    card.cost(),
+                    card.pages as u64
                 );
                 if let Some(count) = card.count {
                     let _ = write!(s, ",\"count\":{count}");
@@ -278,27 +359,17 @@ impl Analysis {
                 OptEvent::Rule(d) => {
                     let _ = write!(
                         s,
-                        "{{\"event\":\"rule\",\"rule\":\"{}\",\"iteration\":{},\"target\":{},",
+                        "{{\"event\":\"rule\",\"rule\":\"{}\",\"iteration\":{},\"target\":{},\
+                         \"local_before\":{},\"local_after\":{},\"total_before\":{},\
+                         \"total_after\":{},\"applied\":{}}}",
                         escape_json(d.rule),
                         d.iteration,
-                        d.target.0
-                    );
-                    match d.local_before {
-                        Some(v) => {
-                            let _ = write!(s, "\"local_before\":{v},");
-                        }
-                        None => s.push_str("\"local_before\":null,"),
-                    }
-                    match d.local_after {
-                        Some(v) => {
-                            let _ = write!(s, "\"local_after\":{v},");
-                        }
-                        None => s.push_str("\"local_after\":null,"),
-                    }
-                    let _ = write!(
-                        s,
-                        "\"total_before\":{},\"total_after\":{},\"applied\":{}}}",
-                        d.total_before, d.total_after, d.applied
+                        d.target.0,
+                        json_number(d.local_before),
+                        json_number(d.local_after),
+                        d.total_before,
+                        d.total_after,
+                        d.applied
                     );
                 }
                 OptEvent::Parallel { estimated, reason } => {
@@ -306,7 +377,7 @@ impl Analysis {
                         s,
                         "{{\"event\":\"parallel\",\"estimated\":{},\"eligible\":{},\
                          \"reason\":\"{}\"}}",
-                        estimated.map_or("null".to_string(), |v| v.to_string()),
+                        json_number(*estimated),
                         estimated.is_some(),
                         escape_json(reason)
                     );
@@ -348,88 +419,21 @@ impl Analysis {
     }
 }
 
-/// Renders `plan` as an indented tree with `est=… act=… (err ×N.N)`
-/// annotations. `actuals = None` gives the estimate-only `EXPLAIN` form.
-pub fn render_tree(plan: &QueryPlan, actuals: Option<&ExecStatsSnapshot>) -> String {
-    let mut out = String::new();
-    render_node(plan, plan.root(), actuals, 0, "", &mut out);
-    out
+/// `v` as a JSON number, `null` when there is none.
+fn json_number(v: Option<u64>) -> String {
+    v.map_or("null".to_string(), |v| v.to_string())
 }
 
-fn annotate(card: Option<EstimateCard>, act: Option<u64>, out: &mut String) {
-    if let Some(c) = card {
-        out.push_str("  [");
-        if let Some(count) = c.count {
-            let _ = write!(out, "COUNT={count} ");
+/// Writes `items` to `s` as a JSON array of strings.
+fn json_strings<'a>(s: &mut String, items: impl Iterator<Item = &'a str>) {
+    s.push('[');
+    for (i, item) in items.enumerate() {
+        if i > 0 {
+            s.push(',');
         }
-        if let Some(tc) = c.tc {
-            let _ = write!(out, "TC={tc} ");
-        }
-        let _ = write!(
-            out,
-            "IN={} OUT={} δ={:.3}]",
-            c.input, c.output, c.selectivity
-        );
-        let _ = write!(out, " est={}", c.output);
+        let _ = write!(s, "\"{}\"", escape_json(item));
     }
-    if let Some(act) = act {
-        if card.is_some() {
-            let _ = write!(
-                out,
-                " act={} ({})",
-                act,
-                fmt_err(qerror(card.map(|c| c.output).unwrap_or(0), act))
-            );
-        } else {
-            let _ = write!(out, " act={act}");
-        }
-    }
-}
-
-fn render_node(
-    plan: &QueryPlan,
-    id: OpId,
-    actuals: Option<&ExecStatsSnapshot>,
-    depth: usize,
-    edge: &str,
-    out: &mut String,
-) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    if !edge.is_empty() {
-        out.push_str(edge);
-        out.push(' ');
-    }
-    out.push_str(&display::op_symbol(plan, id));
-    annotate(
-        plan.estimate(id),
-        actuals.and_then(|a| a.op(id)).map(|a| a.rows),
-        out,
-    );
-    if id == plan.root() {
-        out.push_str(display::order_note(plan));
-    }
-    out.push('\n');
-    match plan.op(id) {
-        Operator::Step {
-            context,
-            predicates,
-            ..
-        } => {
-            for p in predicates {
-                render_node(plan, *p, actuals, depth + 1, "⟨pred⟩", out);
-            }
-            if let Some(c) = context {
-                render_node(plan, *c, actuals, depth + 1, "└─", out);
-            }
-        }
-        _ => {
-            for c in plan.children_of(id) {
-                render_node(plan, c, actuals, depth + 1, "└─", out);
-            }
-        }
-    }
+    s.push(']');
 }
 
 /// Escapes a string for inclusion in a JSON string literal.

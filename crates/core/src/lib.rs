@@ -46,15 +46,13 @@ pub mod shared;
 pub mod views;
 
 pub use cost::EstimateCard;
-pub use engine::{
-    Engine, EngineOptions, Explain, Lookup, PlanSource, QueryStream, UpdateOp, UpdateOutcome,
-};
+pub use engine::{Engine, EngineOptions, Lookup, PlanSource, QueryStream, UpdateOp, UpdateOutcome};
 pub use error::{EngineError, Result};
 pub use exec::finish_node_set;
 pub use exec::parallel::ParallelScanStats;
 pub use exec::stats::{ExecStats, ExecStatsSnapshot, OpActualsSnapshot, OrderVerdict};
 pub use exec::value::Value;
-pub use explain::{qerror, Analysis, Misestimate, QueryProfile};
+pub use explain::{qerror, Analysis, Explain, Misestimate, QueryProfile};
 pub use opt::{OptEvent, OptTrace, OptimizeOutcome, OptimizerOptions, RuleDecision};
 pub use plan::{builder::build_plan, display::render, OpId, Operator, ParallelChoice, QueryPlan};
 pub use shared::SharedEngine;

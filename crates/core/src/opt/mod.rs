@@ -12,7 +12,7 @@ pub mod cleanup;
 pub mod parallel;
 pub mod rules;
 
-use crate::cost::{estimate, PlanCosts};
+use crate::cost::{estimate, EstimateCard};
 use crate::error::Result;
 use crate::plan::{OpId, QueryPlan};
 use rules::LIBRARY;
@@ -162,10 +162,8 @@ pub struct OptimizerOptions {
 /// What the optimizer did to a plan.
 #[derive(Debug, Clone)]
 pub struct OptimizeOutcome {
-    /// The final plan.
+    /// The final plan, its estimates stamped on it.
     pub plan: QueryPlan,
-    /// Cost annotations of the final plan.
-    pub costs: PlanCosts,
     /// Σ OUT of the default plan (after clean-up).
     pub initial_cost: u64,
     /// Σ OUT of the final plan.
@@ -174,9 +172,6 @@ pub struct OptimizeOutcome {
     pub applied: Vec<&'static str>,
     /// Iterations executed.
     pub iterations: usize,
-    /// Intermediate plans: one snapshot per applied rule, paired with the
-    /// rule name (drives the Fig 8-style transformation traces).
-    pub trace: Vec<(&'static str, QueryPlan)>,
     /// Ordered pass log with every rule decision, applied or rejected.
     pub opt_trace: OptTrace,
 }
@@ -198,7 +193,6 @@ pub fn optimize(
         total: initial_cost,
     });
     let mut applied = Vec::new();
-    let mut trace: Vec<(&'static str, QueryPlan)> = Vec::new();
     let mut iterations = 0;
 
     'outer: while iterations < MAX_ITERATIONS {
@@ -218,8 +212,8 @@ pub fn optimize(
                 // operator (or sub-query) must not handle more tuples
                 // than the operator it replaces. Ties fall back to the
                 // plan-wide tuple volume so a rewrite can never regress.
-                let old_local = costs.get(op).map(|c| c.input + c.output);
-                let new_local = cand_costs.get(replacement).map(|c| c.input + c.output);
+                let old_local = costs.get(op).map(EstimateCard::cost);
+                let new_local = cand_costs.get(replacement).map(EstimateCard::cost);
                 let accept = match (old_local, new_local) {
                     (Some(o), Some(n)) if n < o => true,
                     (Some(o), Some(n)) if n == o => cand_costs.total() <= costs.total(),
@@ -240,7 +234,6 @@ pub fn optimize(
                     plan = candidate;
                     costs = cand_costs;
                     applied.push(rule.name);
-                    trace.push((rule.name, plan.clone()));
                     continue 'outer; // re-cost and restart the ordered walk
                 }
             }
@@ -249,17 +242,34 @@ pub fn optimize(
     }
 
     let final_cost = costs.total();
-    plan.set_estimates(costs.cards(plan.len(), store.tuples_per_page()));
+    plan.set_estimates(costs.cards);
     Ok(OptimizeOutcome {
         plan,
-        costs,
         initial_cost,
         final_cost,
         applied,
         iterations,
-        trace,
         opt_trace,
     })
+}
+
+/// The plans the rewrites `trace` applied produced, each after its rule's
+/// name — the paper's Fig 8 transformation sequence — replayed from `plan`,
+/// the plan the optimizer was given: clean-up first, as [`optimize`] does,
+/// then each applied [`RuleDecision`] through [`LIBRARY`] and clean-up.
+pub fn replay(mut plan: QueryPlan, trace: &OptTrace) -> Vec<(&'static str, QueryPlan)> {
+    cleanup::cleanup(&mut plan);
+    let mut steps = Vec::new();
+    for decision in trace.decisions().filter(|d| d.applied) {
+        let rule = LIBRARY.iter().find(|r| r.name == decision.rule);
+        let Some((mut next, _)) = rule.and_then(|rule| (rule.apply)(&plan, decision.target)) else {
+            break;
+        };
+        cleanup::cleanup(&mut next);
+        steps.push((decision.rule, next.clone()));
+        plan = next;
+    }
+    steps
 }
 
 #[cfg(test)]

@@ -1,15 +1,20 @@
-//! Pretty-printing of query plans in the paper's notation, optionally
-//! annotated with cost figures (Figs 4, 6, 7).
+//! The one drawing of a query plan: an indented tree in the paper's
+//! notation (Figs 4, 6, 7), each operator with the estimate card stamped
+//! on it (`COUNT/TC/IN/OUT/δ`, Table I) and, for EXPLAIN ANALYZE, beside
+//! what the run produced. Every EXPLAIN and ANALYZE tree is drawn here.
 
-use crate::cost::PlanCosts;
+use crate::exec::stats::ExecStatsSnapshot;
+use crate::explain::{fmt_err, qerror};
 use crate::plan::{OpId, Operator, QueryPlan};
 use std::fmt::Write as _;
 
-/// Renders `plan` as an indented tree. Pass `costs` to annotate each
-/// operator with `COUNT/TC/IN/OUT` as in Fig 6.
-pub fn render(plan: &QueryPlan, costs: Option<&PlanCosts>) -> String {
+/// Renders `plan` as an indented tree, each operator annotated with its
+/// stamped [`crate::cost::EstimateCard`] (an unstamped plan has none).
+/// Given a run's `actuals`, each card is followed by `est=… act=… (err
+/// ×N.N)`.
+pub fn render(plan: &QueryPlan, actuals: Option<&ExecStatsSnapshot>) -> String {
     let mut out = String::new();
-    render_node(plan, plan.root(), costs, 0, "", &mut out);
+    render_node(plan, plan.root(), actuals, 0, "", &mut out);
     out
 }
 
@@ -55,7 +60,7 @@ pub(crate) fn op_symbol(plan: &QueryPlan, id: OpId) -> String {
 
 /// What the root line says of the plan's output order
 /// ([`QueryPlan::emits_in_order`]).
-pub(crate) fn order_note(plan: &QueryPlan) -> &'static str {
+fn order_note(plan: &QueryPlan) -> &'static str {
     if plan.emits_in_order() {
         "  order: by construction"
     } else {
@@ -63,34 +68,39 @@ pub(crate) fn order_note(plan: &QueryPlan) -> &'static str {
     }
 }
 
-fn annotate(costs: Option<&PlanCosts>, id: OpId) -> String {
-    let Some(costs) = costs else {
-        return String::new();
-    };
-    let Some(c) = costs.get(id) else {
-        return String::new();
-    };
-    let mut s = String::from("  [");
-    if let Some(count) = c.count {
-        let _ = write!(s, "COUNT={count} ");
+fn annotate(plan: &QueryPlan, id: OpId, actuals: Option<&ExecStatsSnapshot>, out: &mut String) {
+    let card = plan.estimate(id);
+    if let Some(c) = card {
+        out.push_str("  [");
+        if let Some(count) = c.count {
+            let _ = write!(out, "COUNT={count} ");
+        }
+        if let Some(tc) = c.tc {
+            let _ = write!(out, "TC={tc} ");
+        }
+        let _ = write!(
+            out,
+            "IN={} OUT={} δ={:.3}]",
+            c.input,
+            c.output,
+            c.selectivity()
+        );
+        if actuals.is_some() {
+            let _ = write!(out, " est={}", c.output);
+        }
     }
-    if let Some(tc) = c.tc {
-        let _ = write!(s, "TC={tc} ");
+    if let Some(act) = actuals.and_then(|a| a.op(id)).map(|a| a.rows) {
+        let _ = write!(out, " act={act}");
+        if let Some(c) = card {
+            let _ = write!(out, " ({})", fmt_err(qerror(c.output, act)));
+        }
     }
-    let _ = write!(
-        s,
-        "IN={} OUT={} δ={:.3}]",
-        c.input,
-        c.output,
-        c.selectivity()
-    );
-    s
 }
 
 fn render_node(
     plan: &QueryPlan,
     id: OpId,
-    costs: Option<&PlanCosts>,
+    actuals: Option<&ExecStatsSnapshot>,
     depth: usize,
     edge: &str,
     out: &mut String,
@@ -103,7 +113,7 @@ fn render_node(
         out.push(' ');
     }
     out.push_str(&op_symbol(plan, id));
-    out.push_str(&annotate(costs, id));
+    annotate(plan, id, actuals, out);
     if id == plan.root() {
         out.push_str(order_note(plan));
     }
@@ -115,15 +125,15 @@ fn render_node(
             ..
         } => {
             for p in predicates {
-                render_node(plan, *p, costs, depth + 1, "⟨pred⟩", out);
+                render_node(plan, *p, actuals, depth + 1, "⟨pred⟩", out);
             }
             if let Some(c) = context {
-                render_node(plan, *c, costs, depth + 1, "└─", out);
+                render_node(plan, *c, actuals, depth + 1, "└─", out);
             }
         }
         _ => {
             for c in plan.children_of(id) {
-                render_node(plan, c, costs, depth + 1, "└─", out);
+                render_node(plan, c, actuals, depth + 1, "└─", out);
             }
         }
     }

@@ -326,7 +326,8 @@ pub struct QueryPlan {
     ops: Vec<Operator>,
     root: OpId,
     parallel: Option<ParallelChoice>,
-    /// Per-operator [`EstimateCard`]s stamped at optimization time,
+    /// Per-operator [`EstimateCard`]s stamped at optimization time (or by
+    /// EXPLAIN and ANALYZE on a default plan),
     /// indexed by arena position. Empty until
     /// [`QueryPlan::set_estimates`] runs (e.g. on plans that never went
     /// through the optimizer).
@@ -351,8 +352,8 @@ impl QueryPlan {
         self.estimates.get(id.index()).copied().flatten()
     }
 
-    /// Stamps the per-operator estimates (see
-    /// [`crate::cost::PlanCosts::cards`]). The optimizer calls this once
+    /// Stamps the cards [`crate::cost::estimate`] drew, one per arena
+    /// slot. The optimizer calls this once
     /// the plan has reached its final shape; rewrites that clone and
     /// mutate the arena afterwards should re-stamp.
     pub fn set_estimates(&mut self, estimates: Vec<Option<crate::cost::EstimateCard>>) {

@@ -60,6 +60,26 @@ pub struct BufferStats {
 }
 
 impl BufferStats {
+    /// The traffic between `earlier`, a snapshot of the same pool, and
+    /// these counters.
+    pub fn since(&self, earlier: &BufferStats) -> BufferStats {
+        BufferStats {
+            hits: self.hits.saturating_sub(earlier.hits),
+            misses: self.misses.saturating_sub(earlier.misses),
+            writes: self.writes.saturating_sub(earlier.writes),
+            evictions: self.evictions.saturating_sub(earlier.evictions),
+            batch_pins: self.batch_pins.saturating_sub(earlier.batch_pins),
+            pins_saved: self.pins_saved.saturating_sub(earlier.pins_saved),
+            decodes_v1: self.decodes_v1.saturating_sub(earlier.decodes_v1),
+            decodes_v2: self.decodes_v2.saturating_sub(earlier.decodes_v2),
+            writes_v1: self.writes_v1.saturating_sub(earlier.writes_v1),
+            writes_v2: self.writes_v2.saturating_sub(earlier.writes_v2),
+            format_fallbacks: self
+                .format_fallbacks
+                .saturating_sub(earlier.format_fallbacks),
+        }
+    }
+
     /// Hit ratio in `[0, 1]`; 0 when nothing was requested.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;

@@ -49,11 +49,13 @@
 //! and idle connections cost no threads. The thread that reads a request
 //! runs it against the shared engine and writes its reply: no queue, no
 //! hand-off, and at most `workers` requests in flight. Every request
-//! carries a deadline set when its line is parsed, checked before it runs
-//! and once per result batch; control-plane verbs (`STATS`, `LAG`,
-//! `CACHE`, `DOCS`) have none, so monitoring and router health probes
-//! answer under any timeout policy. Updates and checkpoints additionally
-//! serialize on a single-writer lane.
+//! carries a deadline set when its line is parsed and checked before it
+//! runs; `QUERY` and `ANALYZE` check it again after every result batch,
+//! and updates and checkpoints once more after the single-writer lane they
+//! serialize on. `EVAL` is checked only before it runs, and `EXPLAIN` runs
+//! nothing. Control-plane verbs (`STATS`, `LAG`, `CACHE`, `DOCS`) have no
+//! deadline, so monitoring and router health probes answer under any
+//! timeout policy.
 
 #![deny(missing_docs)]
 
@@ -315,8 +317,9 @@ fn execute(
             match verb {
                 ReadVerb::Query => run_query(shared, xpath, doc, limit, deadline),
                 ReadVerb::Eval => run_eval(shared, xpath, doc, limit),
-                ReadVerb::Explain => run_explain(shared, xpath, *json, doc),
-                ReadVerb::Analyze => run_analyze(shared, xpath, *json, doc),
+                ReadVerb::Explain | ReadVerb::Analyze => {
+                    run_report(shared, *verb, xpath, *json, doc, deadline)
+                }
             }
         }
         Request::Update { doc, op } => run_update(shared, doc, op, deadline),
@@ -455,13 +458,13 @@ fn rows_outcome(
 ) -> Result<Outcome, ServerError> {
     let value_width = shared.config.value_width;
     let rendered = render_rows(engine, nodes, &RenderOptions { limit, value_width });
-    let after = engine.store().buffer_pool().stats();
+    let pool = engine.store().buffer_pool().stats().since(&before);
     Ok(Outcome::Rows {
         rendered: rendered.map_err(query_err)?,
         plan,
         elapsed: start.elapsed(),
-        buffer_hits: after.hits.saturating_sub(before.hits),
-        buffer_misses: after.misses.saturating_sub(before.misses),
+        buffer_hits: pool.hits,
+        buffer_misses: pool.misses,
     })
 }
 
@@ -510,67 +513,41 @@ fn run_eval(
     }
 }
 
-/// Produces the `EXPLAIN` report for `xpath`: both plans with estimate
-/// cards plus the optimizer's pass log.
-fn run_explain(
+/// Produces the `EXPLAIN` report for `xpath` (both plans with estimate
+/// cards plus the optimizer's pass log; nothing runs) or, for `ANALYZE`,
+/// runs it with per-operator instrumentation, enforcing `deadline` between
+/// result batches, and reports estimated-vs-actual cardinalities.
+fn run_report(
     shared: &Shared,
+    verb: ReadVerb,
     xpath: &str,
     json: bool,
     doc: Option<&str>,
+    deadline: Instant,
 ) -> Result<Outcome, ServerError> {
     let engine = shared.read_engine();
     let doc = resolve_read_doc(&engine, doc)?;
     let start = Instant::now();
-    let ex = engine.explain(doc, xpath).map_err(query_err)?;
-    let elapsed = start.elapsed();
-    let lines = if json {
-        vec![explain_json(xpath, &ex)]
+    let report = if verb == ReadVerb::Analyze {
+        let analysis = engine
+            .analyze_by(doc, xpath, Some(deadline))
+            .map_err(query_err)?
+            .ok_or(ServerError::Timeout(shared.config.query_timeout))?;
+        match json {
+            true => analysis.render_json(),
+            false => analysis.render_report(),
+        }
     } else {
-        let mut text = String::new();
-        use std::fmt::Write as _;
-        let _ = writeln!(text, "default plan (Σ tuple volume {}):", ex.default_cost);
-        text.push_str(&ex.default_plan);
-        let _ = writeln!(
-            text,
-            "optimized plan (Σ tuple volume {}; rules {:?}; {} iteration(s)):",
-            ex.optimized_cost, ex.applied, ex.iterations
-        );
-        text.push_str(&ex.optimized_plan);
-        text.push_str("optimizer trace:\n");
-        text.push_str(&ex.opt_trace.render());
-        text.lines().map(str::to_string).collect()
+        let ex = engine.explain(doc, xpath).map_err(query_err)?;
+        match json {
+            true => ex.render_json(),
+            false => ex.render(),
+        }
     };
-    Ok(Outcome::Report { lines, elapsed })
-}
-
-/// Runs `xpath` with per-operator instrumentation and reports
-/// estimated-vs-actual cardinalities (`EXPLAIN ANALYZE`).
-fn run_analyze(
-    shared: &Shared,
-    xpath: &str,
-    json: bool,
-    doc: Option<&str>,
-) -> Result<Outcome, ServerError> {
-    let engine = shared.read_engine();
-    let doc = resolve_read_doc(&engine, doc)?;
-    let analysis = engine.analyze_doc(doc, xpath).map_err(query_err)?;
-    let elapsed = analysis.profile.elapsed;
-    let lines = if json {
-        vec![analysis.render_json()]
-    } else {
-        use std::fmt::Write as _;
-        let mut text = analysis.render();
-        text.push_str("optimizer trace:\n");
-        text.push_str(&analysis.opt_trace.render());
-        let p = &analysis.profile;
-        let _ = write!(
-            text,
-            "profile: {:.2?}, {} hit(s) / {} miss(es), {} batch pin(s), {} morsel(s)",
-            p.elapsed, p.buffer_hits, p.buffer_misses, p.batch_pins, p.morsels
-        );
-        text.lines().map(str::to_string).collect()
-    };
-    Ok(Outcome::Report { lines, elapsed })
+    Ok(Outcome::Report {
+        lines: report.lines().map(str::to_string).collect(),
+        elapsed: start.elapsed(),
+    })
 }
 
 /// Resolves a protocol document token — a numeric id or a document
@@ -674,39 +651,6 @@ fn run_docs(shared: &Shared) -> Result<Outcome, ServerError> {
         ok: format!("OK {} document(s)", lines.len()),
         lines,
     })
-}
-
-/// Hand-rolled JSON for `EXPLAIN JSON` (ANALYZE reuses
-/// [`vamana_core::Analysis::render_json`]).
-fn explain_json(xpath: &str, ex: &vamana_core::Explain) -> String {
-    use std::fmt::Write as _;
-    use vamana_core::explain::escape_json;
-    let mut s = String::from("{");
-    let _ = write!(s, "\"xpath\":\"{}\",", escape_json(xpath));
-    let _ = write!(s, "\"default_cost\":{},", ex.default_cost);
-    let _ = write!(s, "\"optimized_cost\":{},", ex.optimized_cost);
-    let _ = write!(s, "\"iterations\":{},", ex.iterations);
-    s.push_str("\"applied\":[");
-    for (i, rule) in ex.applied.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\"", escape_json(rule));
-    }
-    let _ = write!(
-        s,
-        "],\"default_plan\":\"{}\",\"optimized_plan\":\"{}\",\"trace\":[",
-        escape_json(&ex.default_plan),
-        escape_json(&ex.optimized_plan)
-    );
-    for (i, line) in ex.opt_trace.render().lines().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\"", escape_json(line));
-    }
-    s.push_str("]}");
-    s
 }
 
 /// The query service: a TCP listener and the state its connection

@@ -218,6 +218,34 @@ fn load_invalidates_plan_cache_and_new_document_is_queryable() {
     handle.stop();
 }
 
+/// An `ANALYZE` is held to its deadline while it runs, as a `QUERY` is:
+/// one whose deadline passes while it waits behind a writer is cut off at
+/// its first result batch instead of running to the end under the read
+/// lock.
+#[test]
+fn analyze_past_its_deadline_while_running_times_out() {
+    let handle = spawn_server(ServerConfig {
+        query_timeout: Duration::from_millis(50),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&handle);
+    let writer = handle.shared().engine().write();
+    let request = std::thread::spawn(move || {
+        let response = client.round_trip("ANALYZE //person");
+        (client, response)
+    });
+    // The line's deadline is set when it is parsed, after the writer took
+    // the engine: it passes while the request waits for the read lock.
+    std::thread::sleep(Duration::from_millis(200));
+    drop(writer);
+    let (mut client, response) = request.join().unwrap();
+    assert_eq!(response.len(), 1, "{response:?}");
+    assert!(response[0].starts_with("ERR timeout"), "{response:?}");
+    let stats = client.round_trip("STATS");
+    assert_eq!(stat_value(&stats, "timeouts"), 1);
+    handle.stop();
+}
+
 #[test]
 fn zero_timeout_reports_deadline_exceeded() {
     let handle = spawn_server(ServerConfig {

@@ -33,13 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let explain = engine.explain(DocId(0), query)?;
         println!("==== {label}");
         println!("query: {query}\n");
-        println!("default plan (Σ tuple volume = {}):", explain.default_cost);
-        println!("{}", explain.default_plan);
-        println!(
-            "optimized plan (Σ tuple volume = {}, rules applied: {:?}, {} iteration(s)):",
-            explain.optimized_cost, explain.applied, explain.iterations
-        );
-        println!("{}", explain.optimized_plan);
+        println!("{}", explain.render());
         let n = engine.query_doc(DocId(0), query)?.len();
         println!("result size: {n}\n");
     }

@@ -17,6 +17,7 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
+use vamana::core::opt::replay;
 use vamana::server::event::LineService;
 use vamana::server::{ServerConfig, Shared};
 use vamana::xmark::{generate_string, scale::config_for_megabytes};
@@ -125,8 +126,8 @@ fn render_all() -> String {
     let _ = writeln!(out, "==== Fig 8: {FIG8}");
     let engine = shared.engine().read();
     let plan = engine.compile(FIG8).unwrap();
-    let outcome = engine.optimize_plan(plan, DocId(0)).unwrap();
-    for (i, (rule, snapshot)) in outcome.trace.iter().enumerate() {
+    let outcome = engine.optimize_plan(plan.clone(), DocId(0)).unwrap();
+    for (i, (rule, snapshot)) in replay(plan, &outcome.opt_trace).iter().enumerate() {
         let _ = writeln!(out, "-- after transformation {} ({rule}):", i + 1);
         out.push_str(&vamana::core::render(snapshot, None));
     }
