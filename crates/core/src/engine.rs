@@ -13,7 +13,7 @@ use crate::exec::{self, value::Value, Env, BATCH_SIZE};
 use crate::explain::{Analysis, Explain, QueryProfile};
 use crate::opt::{self, OptEvent, OptimizeOutcome, OptimizerOptions};
 use crate::plan::{builder::build_plan, display, Operator, QueryPlan};
-use crate::views::{self, Priced, ShapedText};
+use crate::views::{self, Priced, ShapedText, Shown};
 use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -107,11 +107,22 @@ pub struct Lookup {
     pub plan: Arc<QueryPlan>,
     /// The answer the query cache kept: the reply, nothing to run.
     pub answer: Option<Arc<Vec<NodeEntry>>>,
+    /// What the last reply showed of the kept answer, kept with it
+    /// ([`crate::views`], "Kept replies").
+    pub shown: Option<Arc<Shown>>,
     /// Whether the entry was found in the cache.
     pub cached: bool,
     /// Whether the plan is its shape's, with this text's literals bound
     /// in: nothing was parsed or optimized for it ([`crate::views`]).
     pub bound: bool,
+}
+
+/// What [`Engine::evaluation`] makes of an expression.
+pub enum Evaluation<'s> {
+    /// A node-set expression, opened as its [`Engine::stream`].
+    Nodes(QueryStream<'s>),
+    /// A scalar expression, evaluated.
+    Scalar(Value),
 }
 
 /// Where a [`QueryStream`]'s plan came from, most reused first.
@@ -175,8 +186,9 @@ enum Pull<'s> {
         done: bool,
         stats: Option<(&'s ExecStats, Instant)>,
     },
-    /// An answer the query cache kept, and how much of it was handed out.
-    Kept(Arc<Vec<NodeEntry>>, usize),
+    /// An answer the query cache kept, how much of it was handed out,
+    /// and what the last reply showed of it.
+    Kept(Arc<Vec<NodeEntry>>, usize, Option<Arc<Shown>>),
 }
 
 impl<'s> QueryStream<'s> {
@@ -199,7 +211,7 @@ impl<'s> QueryStream<'s> {
     /// per-tuple dispatch.
     pub fn next_batch(&mut self, out: &mut Vec<NodeEntry>, max: usize) -> Result<usize> {
         match &mut self.pull {
-            Pull::Kept(answer, at) => {
+            Pull::Kept(answer, at, _) => {
                 let rest = &answer[*at..];
                 let n = rest.len().min(max);
                 out.extend_from_slice(&rest[..n]);
@@ -257,8 +269,8 @@ impl<'s> QueryStream<'s> {
         deadline: Option<Instant>,
     ) -> Result<Option<Arc<Vec<NodeEntry>>>> {
         let stats = match self.pull {
-            Pull::Kept(answer, 0) if out.is_empty() => return Ok(Some(answer)),
-            Pull::Kept(answer, at) => {
+            Pull::Kept(answer, 0, _) if out.is_empty() => return Ok(Some(answer)),
+            Pull::Kept(answer, at, _) => {
                 out.extend_from_slice(&answer[at..]);
                 return Ok(Some(Arc::new(out)));
             }
@@ -313,6 +325,15 @@ impl<'s> QueryStream<'s> {
     /// when the query cache holds it.
     fn into_vec(self) -> Result<Vec<NodeEntry>> {
         self.finish(Vec::new()).map(Arc::unwrap_or_clone)
+    }
+
+    /// What the last reply showed of the kept answer this stream hands
+    /// out, if the query cache kept any with it.
+    pub fn kept_shown(&self) -> Option<&Arc<Shown>> {
+        match &self.pull {
+            Pull::Kept(_, _, shown) => shown.as_ref(),
+            Pull::Run { .. } => None,
+        }
     }
 
     /// The (possibly optimized) plan this stream executes.
@@ -614,6 +635,7 @@ impl Engine {
         Ok(Lookup {
             plan,
             answer: None,
+            shown: None,
             cached: false,
             bound,
         })
@@ -687,7 +709,7 @@ impl Engine {
         };
         let plan = Held::Shared(found.plan);
         let mut stream = match found.answer {
-            Some(kept) => QueryStream::new(self, doc, plan, Pull::Kept(kept, 0)),
+            Some(kept) => QueryStream::new(self, doc, plan, Pull::Kept(kept, 0, found.shown)),
             None => self.open(doc, plan, None, None)?,
         };
         stream.source = source;
@@ -738,6 +760,25 @@ impl Engine {
             store: self.store(),
             root_ctx,
             stats,
+        }
+    }
+
+    /// Keeps `shown`, what a reply showed of `answer` — the answer a
+    /// stream of `xpath` on `doc` finished with — with that answer while
+    /// the query cache keeps it ([`crate::views`], "Kept replies"); a
+    /// computed answer the cache did not keep is not asked after.
+    pub fn keep_shown(
+        &self,
+        doc: DocId,
+        xpath: &str,
+        answer: &Arc<Vec<NodeEntry>>,
+        shown: Arc<Shown>,
+    ) {
+        // The cache holds a clone of every answer it keeps.
+        if Arc::strong_count(answer) > 1 {
+            let generation = self.store.doc_generation(doc);
+            self.views
+                .keep_shown(doc.0, xpath, generation, answer, shown);
         }
     }
 
@@ -936,18 +977,27 @@ impl Engine {
     }
 
     /// Evaluates an arbitrary XPath expression on `doc`, returning an
-    /// XPath [`Value`] — supports scalar results like `count(//person)`.
-    /// Simple `count(//name)` calls are answered index-only, without
-    /// executing the path.
+    /// XPath [`Value`] — supports scalar results like `count(//person)`:
+    /// [`Engine::evaluation`], a node-set's stream finished.
     pub fn evaluate(&self, doc: DocId, xpath: &str) -> Result<Value> {
+        match self.evaluation(doc, xpath)? {
+            Evaluation::Nodes(stream) => Ok(Value::Nodes(stream.into_vec()?)),
+            Evaluation::Scalar(value) => Ok(value),
+        }
+    }
+
+    /// An arbitrary XPath expression on `doc`: a node-set expression opened
+    /// as its [`Engine::stream`], for the caller to finish, or a scalar
+    /// one evaluated. Simple `count(//name)` calls are answered index-only,
+    /// without executing the path.
+    pub fn evaluation<'a>(&'a self, doc: DocId, xpath: &'a str) -> Result<Evaluation<'a>> {
         let expr = parse(xpath)?;
         if let Some(n) = self.try_count_fast(doc, &expr)? {
-            return Ok(Value::Num(n));
+            return Ok(Evaluation::Scalar(Value::Num(n)));
         }
         match &expr {
             Expr::Path(_) | Expr::Union(..) | Expr::Filter { .. } => {
-                let nodes = self.query_doc(doc, xpath)?;
-                Ok(Value::Nodes(nodes))
+                Ok(Evaluation::Nodes(self.stream(doc, xpath)?))
             }
             _ => {
                 // Scalar expression: build it as a predicate-style tree and
@@ -958,7 +1008,9 @@ impl Engine {
                 let expr_id = crate::plan::builder::build_scalar(&mut plan, &expr)?;
                 let root_ctx = self.doc_entry(doc)?;
                 let env = self.env(&plan, &root_ctx, None);
-                exec::eval_expr(env, expr_id, &root_ctx, 1, 1, &mut exec::Probes::default())
+                let mut probes = exec::Probes::default();
+                let value = exec::eval_expr(env, expr_id, &root_ctx, 1, 1, &mut probes)?;
+                Ok(Evaluation::Scalar(value))
             }
         }
     }

@@ -46,7 +46,9 @@ pub mod shared;
 pub mod views;
 
 pub use cost::EstimateCard;
-pub use engine::{Engine, EngineOptions, Lookup, PlanSource, QueryStream, UpdateOp, UpdateOutcome};
+pub use engine::{
+    Engine, EngineOptions, Evaluation, Lookup, PlanSource, QueryStream, UpdateOp, UpdateOutcome,
+};
 pub use error::{EngineError, Result};
 pub use exec::finish_node_set;
 pub use exec::parallel::ParallelScanStats;
@@ -56,7 +58,7 @@ pub use explain::{qerror, Analysis, Explain, Misestimate, QueryProfile};
 pub use opt::{OptEvent, OptTrace, OptimizeOutcome, OptimizerOptions, RuleDecision};
 pub use plan::{builder::build_plan, display::render, OpId, Operator, ParallelChoice, QueryPlan};
 pub use shared::SharedEngine;
-pub use views::{QueryCache, ViewStatsSnapshot};
+pub use views::{QueryCache, Shown, ViewStatsSnapshot};
 
 // Re-export the storage entry points so `vamana_core` is usable alone.
 pub use vamana_mass::{DocId, MassStore, NodeEntry};

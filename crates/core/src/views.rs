@@ -74,6 +74,19 @@
 //! generation — a point lookup asked once never is — unless it alone
 //! exceeds the budget; then the entry is marked oversize and not counted
 //! again at that generation.
+//!
+//! # Kept replies
+//!
+//! A kept answer also keeps what the last reply showed of it
+//! ([`Shown`]: its first rows with their values cut to a width, as the
+//! server wrote them). The server hands it to [`crate::Engine::keep_shown`]
+//! with the answer it rendered, which keeps it only while that very
+//! answer is kept, and reads it back with the lookup that finds the answer
+//! ([`crate::Lookup::shown`]), so a repeated request renders nothing and
+//! reading the reply counts no extra lookup. There is one slot per answer:
+//! a reply at another row count or width takes its place. It lives and
+//! dies with its answer — a write, an eviction or a clear drops both —
+//! and its bytes count with the answer's in [`VIEW_BUDGET_BYTES`].
 
 use crate::cost::count_nodetest;
 use crate::engine::Lookup;
@@ -216,15 +229,37 @@ impl Priced {
     }
 }
 
+/// What a reply showed of a kept answer: its first `rows` rows, each
+/// value cut at `width` characters, as the reply wrote them
+/// ([`crate::Engine::keep_shown`], "Kept replies" in the module docs).
+#[derive(Debug)]
+pub struct Shown {
+    /// Rows shown.
+    pub rows: usize,
+    /// Characters of each row's value shown.
+    pub width: usize,
+    /// The rows, as written.
+    pub text: Box<str>,
+}
+
+impl Shown {
+    /// Approximate bytes held, a round 64 for the rest as for an answer.
+    fn footprint(&self) -> u64 {
+        self.text.len() as u64 + 64
+    }
+}
+
 /// What an entry knows of its query's answer.
 enum Answer {
     /// Not kept (yet).
     None,
     /// Larger than the whole budget: not counted again.
     Oversize,
-    /// The kept node-set.
+    /// The kept node-set and what the last reply showed of it; `bytes`
+    /// counts both.
     Kept {
         entries: Arc<Vec<NodeEntry>>,
+        shown: Option<Arc<Shown>>,
         bytes: u64,
         hits: u64,
     },
@@ -473,16 +508,22 @@ impl Inner {
         if e.checked != generation {
             return Probe::Stale(Arc::clone(&e.plan), Arc::clone(&e.priced));
         }
-        let answer = match &mut e.answer {
-            Answer::Kept { entries, hits, .. } if current => {
+        let (answer, shown) = match &mut e.answer {
+            Answer::Kept {
+                entries,
+                shown,
+                hits,
+                ..
+            } if current => {
                 *hits += 1;
-                Some(Arc::clone(entries))
+                (Some(Arc::clone(entries)), shown.clone())
             }
-            _ => None,
+            _ => (None, None),
         };
         Probe::Found(Lookup {
             plan: Arc::clone(&e.plan),
             answer,
+            shown,
             cached: true,
             bound: false,
         })
@@ -669,6 +710,7 @@ impl QueryCache {
         Some(Lookup {
             plan,
             answer: None,
+            shown: None,
             cached: true,
             bound: false,
         })
@@ -838,6 +880,7 @@ impl QueryCache {
         entry.stamp = clock;
         entry.answer = Answer::Kept {
             entries: Arc::clone(entries),
+            shown: None,
             bytes,
             hits: 0,
         };
@@ -846,6 +889,44 @@ impl QueryCache {
         inner.bytes += bytes;
         inner.evict_answers_to(self.budget, (doc, xpath));
         true
+    }
+
+    /// Keeps `shown` with `xpath`'s kept answer on `doc` at `generation`,
+    /// in place of what was kept with it, when `answer` is that answer
+    /// (the same allocation); otherwise does nothing. Its bytes count with
+    /// the answer's: least-recently-used answers are dropped to make room,
+    /// and a reply that would take its answer past the whole budget is not
+    /// kept. Counts no lookup and stamps nothing.
+    pub(crate) fn keep_shown(
+        &self,
+        doc: u32,
+        xpath: &str,
+        generation: u64,
+        answer: &Arc<Vec<NodeEntry>>,
+        shown: Arc<Shown>,
+    ) {
+        let mut inner = self.lock();
+        let Some(entry) = inner.current(doc, xpath, generation) else {
+            return;
+        };
+        let Answer::Kept {
+            entries,
+            shown: slot,
+            bytes,
+            ..
+        } = &mut entry.answer
+        else {
+            return;
+        };
+        let old = slot.as_ref().map_or(0, |s| s.footprint());
+        let new = shown.footprint();
+        if !Arc::ptr_eq(entries, answer) || *bytes - old + new > self.budget {
+            return;
+        }
+        *slot = Some(shown);
+        *bytes = *bytes - old + new;
+        inner.bytes = inner.bytes - old + new;
+        inner.evict_answers_to(self.budget, (doc, xpath));
     }
 
     /// Drops `doc`'s kept answers when `generation` is newer than the one
@@ -926,6 +1007,7 @@ impl QueryCache {
                             entries,
                             bytes,
                             hits,
+                            ..
                         } => Some((
                             e.stamp,
                             ViewInfo {
@@ -1187,6 +1269,60 @@ mod tests {
         assert_eq!(cache.stats().bytes, 0);
         assert_eq!(cache.stats().evictions, 3);
         assert_eq!(cache.lock().key_bytes, 0);
+    }
+
+    fn shown(rows: usize, text: &str) -> Arc<Shown> {
+        Arc::new(Shown {
+            rows,
+            width: 60,
+            text: text.into(),
+        })
+    }
+
+    #[test]
+    fn a_kept_reply_lives_and_dies_with_its_answer() {
+        let answer = kept(&[entry(1), entry(2)]);
+        let bytes = footprint(2, "//a");
+        let cache = cache_with(bytes + 200, &["//a", "//b"]);
+        // Nothing is kept with an answer that is not kept, or not this one.
+        cache.keep_shown(0, "//a", 1, &answer, shown(2, "ROW <a>\n"));
+        assert!(cache.observe(0, "//a", 1, 1, &answer));
+        cache.keep_shown(0, "//a", 1, &kept(&[entry(1), entry(2)]), shown(2, "x"));
+        cache.keep_shown(1, "//a", 1, &answer, shown(2, "x"));
+        assert!(cache.get(0, "//a", 1).unwrap().shown.is_none());
+        assert_eq!(cache.stats().bytes, bytes);
+        // Kept: found with the answer, counted with its bytes, replaced by
+        // the next reply; one that would outgrow the budget is not kept.
+        let (counters, views) = (cache.counters(), cache.stats());
+        cache.keep_shown(0, "//a", 1, &answer, shown(1, "ROW <a>\n"));
+        assert_eq!(
+            (cache.counters(), cache.stats().hits),
+            (counters, views.hits)
+        );
+        let found = cache.get(0, "//a", 1).unwrap();
+        assert_eq!(
+            found.shown.as_ref().map(|s| (s.rows, &*s.text)),
+            Some((1, "ROW <a>\n"))
+        );
+        assert_eq!(cache.stats().bytes, bytes + 8 + 64);
+        cache.keep_shown(0, "//a", 1, &answer, shown(2, "ROW <a>\nROW <b>\n"));
+        assert_eq!(cache.stats().bytes, bytes + 16 + 64);
+        assert_eq!(cache.list()[0].bytes, bytes + 16 + 64);
+        cache.keep_shown(0, "//a", 1, &answer, shown(2, &"x".repeat(200)));
+        assert_eq!(cache.get(0, "//a", 1).unwrap().shown.unwrap().rows, 2);
+        assert_eq!(cache.stats().bytes, bytes + 16 + 64);
+        // Making room for a reply drops the least recently used answer.
+        assert!(cache.observe(0, "//b", 1, 1, &kept(&[entry(3)])));
+        assert_eq!(cache.stats().views, 1, "{:?}", cache.stats());
+        assert!(cache.get(0, "//a", 1).unwrap().answer.is_none());
+        let b = cache.get(0, "//b", 1).unwrap().answer.unwrap();
+        cache.keep_shown(0, "//b", 1, &b, shown(1, "ROW <c>\n"));
+        assert!(cache.get(0, "//b", 1).unwrap().shown.is_some());
+        // A write drops both.
+        cache.drop_answers(0, 2);
+        let found = cache.get(0, "//b", 2).unwrap();
+        assert!(found.answer.is_none() && found.shown.is_none());
+        assert_eq!(cache.stats().bytes, 0);
     }
 
     /// `xpath` lexed into its shape, each literal filed at `magnitude`.

@@ -13,6 +13,7 @@
 
 use crate::buffer::BufferPool;
 use crate::compress::{StoreFormat, ValueDict};
+use crate::cursor::MassCursor;
 use crate::error::{MassError, Result};
 use crate::name_index::{NameIndex, SortedKeys};
 use crate::names::{NameId, NameTable};
@@ -414,32 +415,90 @@ impl MassStore {
     }
 
     /// XPath string-value of the node at `key`: direct value for leaves,
-    /// concatenated descendant text for elements/documents. Values are
-    /// appended from the pages they lie on; no record is materialized.
+    /// concatenated descendant text for elements/documents; empty when no
+    /// record has the key. Values are appended from the pages they lie on;
+    /// no record is materialized.
     pub fn string_value(&self, key: &FlexKey) -> Result<String> {
         let mut out = String::new();
-        let flat = key.as_flat();
-        let Some(pos) = self.page_pos_for(flat) else {
-            return Ok(out);
+        let mut cur = MassCursor::unbound(self);
+        self.walk_value(&mut cur, &mut KeyRange::all(), key, usize::MAX, &mut out)?;
+        Ok(out)
+    }
+
+    /// The name of each of `keys`' records (`None` for an unnamed node or
+    /// a key no record has) and the first `max_chars + 1` characters of
+    /// its [string-value](MassStore::string_value): enough to tell whether
+    /// a cut at `max_chars` leaves anything out, however long the value.
+    /// One cursor is re-bound to each key's subtree in turn — a finger, so
+    /// keys in document order cost a gallop on the page at hand — and an
+    /// element's walk over its descendants stops once it holds the
+    /// characters asked for.
+    pub fn value_prefixes<'k>(
+        &self,
+        keys: impl IntoIterator<Item = &'k FlexKey>,
+        max_chars: usize,
+    ) -> Result<Vec<(Option<NameId>, String)>> {
+        let mut cur = MassCursor::unbound(self);
+        let mut range = KeyRange::all();
+        let cap = max_chars.saturating_add(1);
+        let prefixes = keys
+            .into_iter()
+            .map(|key| {
+                let mut value = String::new();
+                let name = self.walk_value(&mut cur, &mut range, key, cap, &mut value)?;
+                Ok((name, value))
+            })
+            .collect();
+        cur.release();
+        prefixes
+    }
+
+    /// The one string-value walk: appends the string-value of the node
+    /// keyed `key` to `out` (which it expects empty), cut after `cap`
+    /// characters, and returns the node's name. `cur` is re-bound to the
+    /// node's subtree (`range` is the bound buffer it reuses), whose first
+    /// record is the node's own, so kind and name come from the same pull
+    /// as the values after it.
+    fn walk_value(
+        &self,
+        cur: &mut MassCursor<'_>,
+        range: &mut KeyRange,
+        key: &FlexKey,
+        cap: usize,
+        out: &mut String,
+    ) -> Result<Option<NameId>> {
+        range.set_subtree(key);
+        cur.rebound(range);
+        let Some((page, i)) = cur.next_in_place()? else {
+            return Ok(None);
         };
-        let page = self.pool.get(self.index[pos].1)?;
-        let Ok(i) = page.find(flat) else {
-            return Ok(out);
-        };
-        match page.kind(i) {
-            RecordKind::Element | RecordKind::Document => {
-                let mut cur = crate::cursor::MassCursor::new(self, KeyRange::descendants(key));
-                while let Some((page, i)) = cur.next_in_place()? {
-                    if page.kind(i) == RecordKind::Text {
-                        self.append_value(page.value(i)?, &mut out)?;
+        if page.key(i) != key.as_flat() {
+            return Ok(None);
+        }
+        let name = page.name(i);
+        if !matches!(page.kind(i), RecordKind::Element | RecordKind::Document) {
+            self.append_value(page.value(i)?, out)?;
+        } else {
+            let mut chars = 0;
+            while chars < cap {
+                let Some((page, i)) = cur.next_in_place()? else {
+                    break;
+                };
+                if page.kind(i) == RecordKind::Text {
+                    let from = out.len();
+                    self.append_value(page.value(i)?, out)?;
+                    if cap < usize::MAX {
+                        chars += out[from..].chars().count();
                     }
                 }
             }
-            _ => {
-                self.append_value(page.value(i)?, &mut out)?;
+        }
+        if cap < usize::MAX {
+            if let Some((at, _)) = out.char_indices().nth(cap) {
+                out.truncate(at);
             }
         }
-        Ok(out)
+        Ok(name)
     }
 
     // ---- counting (the cost-model API) -----------------------------------

@@ -3,10 +3,12 @@
 //!
 //! Router workers check a connection out, run one request, and check it
 //! back in; connections are created on demand and discarded on any I/O
-//! error (the next checkout dials fresh). Every pooled connection sends
-//! `LIMIT 0` once at dial time: backends stream *all* rows and the
-//! router applies the client's own limit after merging — a per-shard
-//! limit would under-fill cross-shard results.
+//! error (the next checkout dials fresh). A request whose reply carries
+//! `ROW` lines goes with the client's row cap: a connection remembers the
+//! `LIMIT` it last sent and sends `LIMIT n` first when the cap differs, so
+//! a shard renders and ships no more rows than the client can be shown.
+//! Each document's first `n` rows hold the merged first `n`, and the
+//! `OK n` totals are the shards' own.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -37,6 +39,9 @@ pub struct Health {
 /// A checked-out protocol connection to one backend.
 pub struct Conn {
     reader: BufReader<TcpStream>,
+    /// The row cap this connection last sent; `None` before the first
+    /// (the backend's default).
+    limit: Option<usize>,
 }
 
 impl Conn {
@@ -48,18 +53,25 @@ impl Conn {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(IO_TIMEOUT))?;
         stream.set_write_timeout(Some(IO_TIMEOUT))?;
-        let mut conn = Conn {
+        Ok(Conn {
             reader: BufReader::new(stream),
-        };
-        // Uncap the backend's row limit for the lifetime of this
-        // connection; the router enforces the client's limit itself.
-        let reply = conn.round_trip("LIMIT 0")?;
+            limit: None,
+        })
+    }
+
+    /// Sends `LIMIT limit` unless it is the cap last sent.
+    fn set_limit(&mut self, limit: usize) -> std::io::Result<()> {
+        if self.limit == Some(limit) {
+            return Ok(());
+        }
+        let reply = self.round_trip(&format!("LIMIT {limit}"))?;
         if reply.last().map(|l| l.starts_with("OK")) != Some(true) {
             return Err(std::io::Error::other(format!(
-                "backend {addr} rejected LIMIT 0: {reply:?}"
+                "backend rejected LIMIT {limit}: {reply:?}"
             )));
         }
-        Ok(conn)
+        self.limit = Some(limit);
+        Ok(())
     }
 
     /// Sends one request line and reads response lines through the
@@ -136,9 +148,18 @@ impl Backend {
     /// backend down (the health monitor brings it back) and discards
     /// the connection.
     pub fn request(&self, line: &str) -> std::io::Result<Vec<String>> {
-        let attempt = self
-            .checkout()
-            .and_then(|mut conn| conn.round_trip(line).map(|reply| (conn, reply)));
+        self.request_rows(line, None)
+    }
+
+    /// [`Backend::request`] for a request whose reply carries `ROW` lines,
+    /// under the row cap `limit` (`0` = unlimited) when one is given.
+    pub fn request_rows(&self, line: &str, limit: Option<usize>) -> std::io::Result<Vec<String>> {
+        let attempt = self.checkout().and_then(|mut conn| {
+            if let Some(limit) = limit {
+                conn.set_limit(limit)?;
+            }
+            conn.round_trip(line).map(|reply| (conn, reply))
+        });
         match attempt {
             Ok((conn, reply)) => {
                 self.checkin(conn);

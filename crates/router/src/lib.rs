@@ -121,12 +121,14 @@ struct RouterState {
 
 impl RouterState {
     /// Runs `line` against the candidate backends in order, with
-    /// `retries` extra passes and small backoff between passes. `Err`
-    /// is a ready-to-send `ERR …` message.
+    /// `retries` extra passes and small backoff between passes; a reply
+    /// with `ROW` lines is asked for under the client's row cap `limit`.
+    /// `Err` is a ready-to-send `ERR …` message.
     fn route_to(
         &self,
         candidates: &[&backend::Backend],
         line: &str,
+        limit: Option<usize>,
     ) -> Result<Vec<String>, String> {
         let mut last_err = String::from("no candidate backends");
         let mut failed_attempts = 0u64;
@@ -135,7 +137,7 @@ impl RouterState {
                 std::thread::sleep(Duration::from_millis(10 << pass.min(4)));
             }
             for backend in candidates {
-                match backend.request(line) {
+                match backend.request_rows(line, limit) {
                     Ok(reply) => {
                         if failed_attempts > 0 {
                             self.metrics.failovers.fetch_add(1, Ordering::Relaxed);
@@ -154,21 +156,26 @@ impl RouterState {
     }
 
     /// Routes a read to `shard`: fresh replicas, then primary, then
-    /// stale replicas as a last resort.
-    fn route_read(&self, shard: usize, line: &str) -> Result<Vec<String>, String> {
+    /// stale replicas as a last resort; one with `ROW` lines under `limit`.
+    fn route_read(
+        &self,
+        shard: usize,
+        line: &str,
+        limit: Option<usize>,
+    ) -> Result<Vec<String>, String> {
         let shard = &self.topology.shards[shard];
         let (plan, stale) = shard.read_plan(self.config.max_lag);
         self.metrics
             .lag_rejections
             .fetch_add(stale, Ordering::Relaxed);
-        self.route_to(&plan, line)
+        self.route_to(&plan, line, limit)
     }
 
     /// Routes a write to `shard`'s primary (writes never fail over to
     /// replicas — they are read-only by construction).
     fn route_write(&self, shard: usize, line: &str) -> Result<Vec<String>, String> {
         let shard = &self.topology.shards[shard];
-        self.route_to(&[&shard.primary], line)
+        self.route_to(&[&shard.primary], line, None)
     }
 
     /// The owning shard for a document token: registry first, then the
@@ -190,8 +197,8 @@ impl RouterState {
 // ---------------------------------------------------------------------
 
 /// Truncates `ROW` lines to `limit` (0 = unlimited), passing all other
-/// lines through — the backend streams uncapped (`LIMIT 0` at dial
-/// time) and the router enforces the client's limit itself.
+/// lines through: the merge's cut. Backends are asked under the same cap,
+/// so a reply from one already fits it.
 fn apply_limit(reply: Vec<String>, limit: usize) -> Vec<String> {
     if limit == 0 {
         return reply;
@@ -255,7 +262,8 @@ impl RouterState {
                             doc: Some(name.clone()),
                             xpath: xpath.to_string(),
                         };
-                        let outcome = match self.route_read(shard, &request.to_line()) {
+                        let line = request.to_line();
+                        let outcome = match self.route_read(shard, &line, Some(limit)) {
                             Ok(reply) => match row_total(&reply) {
                                 Some(total) => {
                                     let rows = reply
@@ -342,7 +350,9 @@ impl RouterState {
             doc: Some(name),
             xpath,
         };
-        match self.route_read(shard, &request.to_line()) {
+        // Only QUERY and EVAL replies carry rows.
+        let rows = matches!(verb, ReadVerb::Query | ReadVerb::Eval).then_some(limit);
+        match self.route_read(shard, &request.to_line(), rows) {
             Ok(reply) => apply_limit(reply, limit),
             Err(e) => vec![e],
         }
@@ -386,7 +396,7 @@ impl RouterState {
     fn checkpoint_verb(&self) -> Vec<String> {
         let mut out = Vec::new();
         for (i, shard) in self.topology.shards.iter().enumerate() {
-            match self.route_to(&[&shard.primary], "CHECKPOINT") {
+            match self.route_to(&[&shard.primary], "CHECKPOINT", None) {
                 Ok(reply) => out.push(format!(
                     "SHARD {i} {}",
                     reply.last().cloned().unwrap_or_default()

@@ -50,12 +50,12 @@
 //! runs it against the shared engine and writes its reply: no queue, no
 //! hand-off, and at most `workers` requests in flight. Every request
 //! carries a deadline set when its line is parsed and checked before it
-//! runs; `QUERY` and `ANALYZE` check it again after every result batch,
-//! and updates and checkpoints once more after the single-writer lane they
-//! serialize on. `EVAL` is checked only before it runs, and `EXPLAIN` runs
-//! nothing. Control-plane verbs (`STATS`, `LAG`, `CACHE`, `DOCS`) have no
-//! deadline, so monitoring and router health probes answer under any
-//! timeout policy.
+//! runs; `QUERY`, a node-set `EVAL` and `ANALYZE` check it again after
+//! every result batch, and updates and checkpoints once more after the
+//! single-writer lane they serialize on. A scalar `EVAL` is checked only
+//! before it runs, and `EXPLAIN` runs nothing. Control-plane verbs
+//! (`STATS`, `LAG`, `CACHE`, `DOCS`) have no deadline, so monitoring and
+//! router health probes answer under any timeout policy.
 
 #![deny(missing_docs)]
 
@@ -65,8 +65,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use vamana_core::{DocId, Engine, NodeEntry, PlanSource, QueryCache, SharedEngine, Value};
-use vamana_mass::FsyncPolicy;
+use vamana_core::{
+    DocId, Engine, Evaluation, NodeEntry, PlanSource, QueryCache, QueryStream, SharedEngine, Shown,
+    Value,
+};
+use vamana_mass::{BufferStats, FsyncPolicy};
 
 pub mod event;
 mod feed;
@@ -77,6 +80,7 @@ mod request;
 pub mod testkit;
 
 pub use metrics::Metrics;
+use render::shown_rows;
 pub use render::{escape_line, render_rows, unescape_line, RenderOptions, Rendered};
 pub use request::{parse_line, LoadSource, Parsed, ReadVerb, Request};
 pub use vamana_core::UpdateOp;
@@ -241,7 +245,10 @@ impl Shared {
 /// A successful request's result, ready to serialize.
 enum Outcome {
     Rows {
-        rendered: Rendered,
+        /// The `ROW` lines, as written.
+        shown: Arc<Shown>,
+        /// Rows in the answer (`OK n row(s)`).
+        total: usize,
         /// Where the plans came from (`plan=` of the `OK` line).
         plan: &'static str,
         elapsed: Duration,
@@ -316,7 +323,7 @@ fn execute(
             let doc = doc.as_deref();
             match verb {
                 ReadVerb::Query => run_query(shared, xpath, doc, limit, deadline),
-                ReadVerb::Eval => run_eval(shared, xpath, doc, limit),
+                ReadVerb::Eval => run_eval(shared, xpath, doc, limit, deadline),
                 ReadVerb::Explain | ReadVerb::Analyze => {
                     run_report(shared, *verb, xpath, *json, doc, deadline)
                 }
@@ -370,9 +377,7 @@ fn execute(
         Ok(outcome) if is_query => {
             shared.metrics.queries.fetch_add(1, Ordering::Relaxed);
             let (elapsed, rows) = match outcome {
-                Outcome::Rows {
-                    rendered, elapsed, ..
-                } => (*elapsed, rendered.total as u64),
+                Outcome::Rows { total, elapsed, .. } => (*elapsed, *total as u64),
                 Outcome::Scalar { elapsed, .. }
                 | Outcome::Report { elapsed, .. }
                 | Outcome::Updated { elapsed, .. }
@@ -414,9 +419,20 @@ fn run_query(
         Some(_) => first.0..first.0 + 1,
         None => 0..engine.store().documents().len() as u32,
     };
-    let start = Instant::now();
-    let before = engine.store().buffer_pool().stats();
-    let mut parts: Vec<Arc<Vec<NodeEntry>>> = Vec::with_capacity(docs.len());
+    let began = Began::now(&engine);
+    if docs.len() == 1 {
+        let stream = engine.stream(first, xpath).map_err(query_err)?;
+        return stream_rows(
+            shared,
+            &engine,
+            (first, xpath),
+            stream,
+            limit,
+            deadline,
+            began,
+        );
+    }
+    let mut all: Vec<NodeEntry> = Vec::new();
     // The least reused of the documents' plans (`plan=`).
     let mut source = PlanSource::Cached;
     for doc in docs.map(DocId) {
@@ -430,42 +446,106 @@ fn run_query(
         // off offers nothing to the cache.
         let answer = stream
             .finish_by(Vec::new(), Some(deadline))
-            .map_err(query_err)?;
-        parts.push(answer.ok_or(ServerError::Timeout(shared.config.query_timeout))?);
+            .map_err(query_err)?
+            .ok_or(ServerError::Timeout(shared.config.query_timeout))?;
+        all.extend(Arc::unwrap_or_clone(answer));
     }
-    // One document's answer is rendered where it lies, a kept one
-    // included; several are concatenated.
-    let all: Vec<NodeEntry> = match parts.len() {
-        1 => Vec::new(),
-        _ => parts.drain(..).flat_map(Arc::unwrap_or_clone).collect(),
-    };
-    let all = parts.first().map_or(&all[..], |one| &one[..]);
-    rows_outcome(shared, &engine, all, limit, source.as_str(), start, before)
+    let shown = render_shown(shared, &engine, &all, limit)?;
+    Ok(began.rows(&engine, shown, all.len(), source, true))
 }
 
-/// Renders up to `limit` of `nodes` as a rows reply, timed from `start`,
-/// with the buffer-pool traffic since `before`. The pool is read after
-/// rendering: index-answerable queries do their page reads in
-/// string-value extraction, not plan execution.
-fn rows_outcome(
+/// Finishes `stream`, the stream of `xpath` on `doc`, by `deadline` and
+/// renders up to `limit` of its rows. When the query cache handed out a
+/// kept answer with a reply that showed as many of its rows at the
+/// configured width, that reply's rows are the rows, and no page is read;
+/// a reply rendered for a kept answer is kept with it.
+fn stream_rows(
+    shared: &Shared,
+    engine: &Engine,
+    (doc, xpath): (DocId, &str),
+    stream: QueryStream<'_>,
+    limit: usize,
+    deadline: Instant,
+    began: Began,
+) -> Result<Outcome, ServerError> {
+    let source = stream.source();
+    let kept = stream.kept_shown().cloned();
+    let answer = stream
+        .finish_by(Vec::new(), Some(deadline))
+        .map_err(query_err)?
+        .ok_or(ServerError::Timeout(shared.config.query_timeout))?;
+    let (rows, width) = (shown_rows(limit, answer.len()), shared.config.value_width);
+    if let Some(shown) = kept.filter(|s| (s.rows, s.width) == (rows, width)) {
+        return Ok(began.rows(engine, shown, answer.len(), source, false));
+    }
+    let shown = render_shown(shared, engine, &answer, limit)?;
+    engine.keep_shown(doc, xpath, &answer, Arc::clone(&shown));
+    Ok(began.rows(engine, shown, answer.len(), source, true))
+}
+
+/// Up to `limit` of `nodes`, rendered at the configured width as a reply
+/// writes them: `ROW <row>` lines.
+fn render_shown(
     shared: &Shared,
     engine: &Engine,
     nodes: &[NodeEntry],
     limit: usize,
-    plan: &'static str,
-    start: Instant,
-    before: vamana_mass::BufferStats,
-) -> Result<Outcome, ServerError> {
+) -> Result<Arc<Shown>, ServerError> {
     let value_width = shared.config.value_width;
-    let rendered = render_rows(engine, nodes, &RenderOptions { limit, value_width });
-    let pool = engine.store().buffer_pool().stats().since(&before);
-    Ok(Outcome::Rows {
-        rendered: rendered.map_err(query_err)?,
-        plan,
-        elapsed: start.elapsed(),
-        buffer_hits: pool.hits,
-        buffer_misses: pool.misses,
-    })
+    let opts = RenderOptions { limit, value_width };
+    let rendered = render_rows(engine, nodes, &opts).map_err(query_err)?;
+    let mut text = String::new();
+    for row in &rendered.lines {
+        text.push_str("ROW ");
+        render::push_escaped(&mut text, row);
+        text.push('\n');
+    }
+    Ok(Arc::new(Shown {
+        rows: rendered.lines.len(),
+        width: value_width,
+        text: text.into(),
+    }))
+}
+
+/// When a read began, and the buffer pool's counters then.
+struct Began {
+    start: Instant,
+    pool: BufferStats,
+}
+
+impl Began {
+    fn now(engine: &Engine) -> Began {
+        Began {
+            start: Instant::now(),
+            pool: engine.store().buffer_pool().stats(),
+        }
+    }
+
+    /// A rows reply showing `shown` of `total` rows, timed from the start,
+    /// with the buffer-pool traffic since — none unless it `read` pages.
+    /// The pool is read after rendering: index-answerable queries do their
+    /// page reads in string-value extraction, not plan execution.
+    fn rows(
+        &self,
+        engine: &Engine,
+        shown: Arc<Shown>,
+        total: usize,
+        source: PlanSource,
+        read: bool,
+    ) -> Outcome {
+        let pool = match read {
+            true => engine.store().buffer_pool().stats().since(&self.pool),
+            false => BufferStats::default(),
+        };
+        Outcome::Rows {
+            shown,
+            total,
+            plan: source.as_str(),
+            elapsed: self.start.elapsed(),
+            buffer_hits: pool.hits,
+            buffer_misses: pool.misses,
+        }
+    }
 }
 
 /// Resolves the target document of an `EVAL`/`EXPLAIN`/`ANALYZE`:
@@ -484,22 +564,39 @@ fn resolve_read_doc(engine: &Engine, doc: Option<&str>) -> Result<DocId, ServerE
 }
 
 /// Evaluates `xpath` as a full XPath expression — scalars come back as
-/// `VAL`, node-sets as rows.
+/// `VAL`, node-sets as rows. A node-set expression's stream is finished
+/// and rendered as `QUERY`'s is, held to `deadline` between result
+/// batches; a scalar one is checked only before it runs.
 fn run_eval(
     shared: &Shared,
     xpath: &str,
     doc: Option<&str>,
     limit: usize,
+    deadline: Instant,
 ) -> Result<Outcome, ServerError> {
     let engine = shared.read_engine();
     let doc = resolve_read_doc(&engine, doc)?;
-    let start = Instant::now();
-    let before = engine.store().buffer_pool().stats();
-    let value = engine.evaluate(doc, xpath).map_err(query_err)?;
-    let elapsed = start.elapsed();
+    let began = Began::now(&engine);
+    let value = match engine.evaluation(doc, xpath).map_err(query_err)? {
+        Evaluation::Nodes(stream) => {
+            return stream_rows(
+                shared,
+                &engine,
+                (doc, xpath),
+                stream,
+                limit,
+                deadline,
+                began,
+            );
+        }
+        Evaluation::Scalar(value) => value,
+    };
+    let elapsed = began.start.elapsed();
     match value {
         Value::Nodes(nodes) => {
-            rows_outcome(shared, &engine, &nodes, limit, "compiled", start, before)
+            let shown = render_shown(shared, &engine, &nodes, limit)?;
+            let source = PlanSource::Compiled;
+            Ok(began.rows(&engine, shown, nodes.len(), source, true))
         }
         Value::Num(n) => Ok(Outcome::Scalar {
             text: n.to_string(),
@@ -838,20 +935,18 @@ impl LineService for Arc<Shared> {
 fn write_reply(result: &Result<Outcome, ServerError>, out: &mut Vec<u8>) {
     match result {
         Ok(Outcome::Rows {
-            rendered,
+            shown,
+            total,
             plan,
             elapsed,
             buffer_hits,
             buffer_misses,
-            ..
         }) => {
-            for row in &rendered.lines {
-                let _ = writeln!(out, "ROW {}", escape_line(row));
-            }
+            out.extend_from_slice(shown.text.as_bytes());
             let _ = writeln!(
                 out,
                 "OK {} row(s) plan={} {}us hits={} misses={}",
-                rendered.total,
+                total,
                 plan,
                 elapsed.as_micros(),
                 buffer_hits,

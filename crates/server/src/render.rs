@@ -2,8 +2,11 @@
 //!
 //! A node-set renders as one line per node, `<name> string-value`,
 //! truncated to a configurable width, capped at a configurable row limit.
-//! A reply value travels through [`escape_line`], and a reader that needs
-//! the text back (a replica reading a snapshot) uses [`unescape_line`].
+//! Only what is shown is read: one cursor sweeps the shown rows
+//! ([`vamana_mass::MassStore::value_prefixes`]) and stops each value's walk
+//! one character past the width. A reply value travels through
+//! [`escape_line`], and a reader that needs the text back (a replica
+//! reading a snapshot) uses [`unescape_line`].
 
 use vamana_core::{Engine, NodeEntry, Result};
 
@@ -42,25 +45,41 @@ impl Rendered {
     }
 }
 
+/// Rows a reply shows of `total` under a row cap of `limit` (`0` =
+/// unlimited).
+pub(crate) fn shown_rows(limit: usize, total: usize) -> usize {
+    match limit {
+        0 => total,
+        _ => total.min(limit),
+    }
+}
+
 /// Renders `nodes` (name + truncated string-value per row) under `opts`.
 pub fn render_rows(engine: &Engine, nodes: &[NodeEntry], opts: &RenderOptions) -> Result<Rendered> {
-    let shown = if opts.limit == 0 {
-        nodes.len()
-    } else {
-        nodes.len().min(opts.limit)
-    };
-    let names = engine.names_of(&nodes[..shown])?;
-    let values = engine.string_values(&nodes[..shown])?;
-    let mut lines = Vec::with_capacity(shown);
-    for (name, value) in names.iter().zip(values.iter()) {
-        let truncated: String = value.chars().take(opts.value_width).collect();
-        let ellipsis = if value.chars().count() > opts.value_width {
-            "…"
-        } else {
-            ""
-        };
-        lines.push(format!("<{name}> {truncated}{ellipsis}"));
-    }
+    let shown = &nodes[..shown_rows(opts.limit, nodes.len())];
+    let store = engine.store();
+    let width = opts.value_width;
+    let prefixes = store.value_prefixes(shown.iter().map(|node| &node.key), width)?;
+    let lines = shown
+        .iter()
+        .zip(prefixes)
+        .map(|(node, (name, value))| {
+            // A value-index tuple carries no name: its record has it.
+            let name = node.name.or(name).map_or("", |n| store.names().resolve(n));
+            let mut line = String::with_capacity(name.len() + value.len() + 6);
+            line.push('<');
+            line.push_str(name);
+            line.push_str("> ");
+            match value.char_indices().nth(width) {
+                Some((cut, _)) => {
+                    line.push_str(&value[..cut]);
+                    line.push('…');
+                }
+                None => line.push_str(&value),
+            }
+            line
+        })
+        .collect();
     Ok(Rendered {
         lines,
         total: nodes.len(),
@@ -71,6 +90,12 @@ pub fn render_rows(engine: &Engine, nodes: &[NodeEntry], opts: &RenderOptions) -
 /// break framing (`\\`, `\n`, `\r`, `\t`).
 pub fn escape_line(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as [`escape_line`] escapes it.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -80,7 +105,6 @@ pub fn escape_line(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// The inverse of [`escape_line`]. A backslash before any other

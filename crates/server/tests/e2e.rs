@@ -246,6 +246,34 @@ fn analyze_past_its_deadline_while_running_times_out() {
     handle.stop();
 }
 
+/// A node-set `EVAL` is held to its deadline while it runs, as `QUERY`
+/// and `ANALYZE` are: one whose deadline passes while it waits behind a
+/// writer is cut off at its first result batch.
+#[test]
+fn eval_past_its_deadline_while_running_times_out() {
+    let handle = spawn_server(ServerConfig {
+        query_timeout: Duration::from_millis(50),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&handle);
+    let writer = handle.shared().engine().write();
+    let request = std::thread::spawn(move || {
+        let response = client.round_trip("EVAL //person");
+        (client, response)
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    drop(writer);
+    let (mut client, response) = request.join().unwrap();
+    assert_eq!(response.len(), 1, "{response:?}");
+    assert!(response[0].starts_with("ERR timeout"), "{response:?}");
+    let stats = client.round_trip("STATS");
+    assert_eq!(stat_value(&stats, "timeouts"), 1);
+    // In time, the same request answers its rows.
+    let response = client.round_trip("EVAL //person");
+    assert!(response.last().unwrap().starts_with("OK "), "{response:?}");
+    handle.stop();
+}
+
 #[test]
 fn zero_timeout_reports_deadline_exceeded() {
     let handle = spawn_server(ServerConfig {

@@ -176,3 +176,97 @@ fn timed_out_queries_admit_nothing() {
     assert_eq!(client.round_trip("CACHE"), vec!["OK 0 view(s)"]);
     handle.stop();
 }
+
+/// `bytes=` of the `CACHE` line of the kept answer to `xpath`.
+fn kept_bytes(listing: &[String], xpath: &str) -> u64 {
+    let line = listing
+        .iter()
+        .find(|l| l.starts_with("VIEW ") && l.ends_with(&format!(" {xpath}")))
+        .unwrap_or_else(|| panic!("{xpath} not kept: {listing:?}"));
+    let bytes = line.split(" bytes=").nth(1).unwrap().split(' ').next();
+    bytes.unwrap().parse().unwrap()
+}
+
+/// Bytes of a reply's `ROW` lines as written.
+fn row_bytes(response: &[String]) -> u64 {
+    rows(response).iter().map(|l| l.len() as u64 + 1).sum()
+}
+
+/// A kept answer keeps the reply it was last shown with. Asked again, the
+/// reply's rows are written as they were, with no page read (`hits=0
+/// misses=0`) and no lookup counted beyond the one that found the answer.
+/// Another connection under another `LIMIT` gets its own rows; `CACHE`
+/// counts the reply's bytes with the answer's. A write that changes a
+/// shown value drops both, and the next reply shows the new value,
+/// byte-equal to a fresh server's.
+#[test]
+fn a_kept_answer_keeps_its_reply_until_a_write() {
+    const XPATH: &str = "//person/name";
+    let query = format!("QUERY {XPATH}");
+    let handle = spawn_views_server();
+    let cache = handle.shared().cache();
+    let mut client = Client::connect(&handle);
+    let computed = client.round_trip(&query);
+    let admitted = client.round_trip(&query);
+    assert_eq!(rows(&computed), rows(&admitted));
+    assert!(rows(&computed).len() == 20, "{computed:?}");
+
+    let (counters, views) = (cache.counters(), cache.stats());
+    let kept = client.round_trip(&query);
+    assert_eq!(rows(&kept), rows(&computed));
+    let ok = kept.last().unwrap();
+    assert!(
+        ok.contains(" plan=cached ") && ok.ends_with(" hits=0 misses=0"),
+        "{ok}"
+    );
+    let (after, after_views) = (cache.counters(), cache.stats());
+    assert_eq!((after.0 - counters.0, after.1 - counters.1), (1, 0));
+    assert_eq!(
+        (
+            after_views.hits - views.hits,
+            after_views.misses - views.misses
+        ),
+        (1, 0)
+    );
+    let bytes_20 = kept_bytes(&client.round_trip("CACHE"), XPATH);
+
+    // Another row cap is another reply, in the one slot.
+    let mut other = Client::connect(&handle);
+    other.round_trip("LIMIT 3");
+    let three = other.round_trip(&query);
+    assert_eq!(rows(&three), rows(&kept)[..3]);
+    let total = |reply: &[String]| {
+        reply
+            .last()
+            .unwrap()
+            .split(" plan=")
+            .next()
+            .unwrap()
+            .to_string()
+    };
+    assert_eq!(total(&three), total(&kept));
+    let bytes_3 = kept_bytes(&client.round_trip("CACHE"), XPATH);
+    assert_eq!(bytes_20 - bytes_3, row_bytes(&kept) - row_bytes(&three));
+    assert_eq!(rows(&client.round_trip(&query)), rows(&kept));
+
+    // A write that changes the first shown value; then one that restores it.
+    let target = "/site/people/person[1]/name";
+    let insert = format!("INSERT auction {target} <i>Zed</i>");
+    assert!(client.round_trip(&insert)[0].starts_with("OK update"));
+    let written = client.round_trip(&query);
+    assert_ne!(rows(&written)[0], rows(&kept)[0]);
+    assert!(rows(&written)[0].ends_with("Zed"), "{written:?}");
+    assert_eq!(rows(&written)[1..], rows(&kept)[1..]);
+    let fresh = spawn_views_server();
+    let mut fresh_client = Client::connect(&fresh);
+    assert!(fresh_client.round_trip(&insert)[0].starts_with("OK update"));
+    assert_eq!(rows(&fresh_client.round_trip(&query)), rows(&written));
+
+    let delete = format!("DELETE auction {target}/i");
+    assert!(client.round_trip(&delete)[0].starts_with("OK update"));
+    for _ in 0..3 {
+        assert_eq!(rows(&client.round_trip(&query)), rows(&kept));
+    }
+    fresh.stop();
+    handle.stop();
+}
