@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vamana_flex::KeyRange;
-use vamana_mass::{DocId, MassError, MassStore, NodeEntry, RecordKind, WalStats};
+use vamana_mass::{DocId, Footprint, MassError, MassStore, NodeEntry, RecordKind, WalStats};
 use vamana_xpath::{parse, Expr};
 
 /// Engine configuration. Every read-path feature engages through its cost
@@ -44,8 +44,9 @@ pub struct EngineOptions {
     /// and for measuring the parallel path itself.
     pub parallel_force: bool,
     /// How many times a query's answer must be computed before the query
-    /// cache keeps it ([`crate::views`]); `u32::MAX` keeps none. Any write
-    /// to the document drops what was kept, not its plans.
+    /// cache keeps it ([`crate::views`]); `u32::MAX` keeps none. A write to
+    /// the document drops what it can change of what was kept, not the
+    /// plans.
     pub view_admit_after: u32,
 }
 
@@ -458,7 +459,9 @@ impl Engine {
     /// plan or kept answer, else its shape's template, else a compile
     /// offered as the template; see [`crate::views`]), then routes the
     /// mutation through the store's WAL-logged update path
-    /// ([`Engine::store_mut`]), and drops the document's kept answers.
+    /// ([`Engine::store_mut`]), and drops the document's kept answers the
+    /// nodes it inserted or deleted can change ([`crate::views`],
+    /// "Validity").
     /// Inserts append the fragment to the *first* match; deletes remove
     /// the subtrees of *every* match (skipping nodes already removed as
     /// part of an earlier match's subtree).
@@ -480,19 +483,21 @@ impl Engine {
                 }
             }
         }
+        let generation = self.store.doc_generation(doc);
         let store = self.store_mut()?;
         let tuples_before = store.stats().tuples;
         let mut deleted = 0u64;
+        let mut written = Footprint::default();
         match op {
             UpdateOp::Insert { fragment, .. } => {
                 if let Some(first) = matched.first() {
-                    store.append_fragment(&first.key, fragment)?;
+                    store.append_fragment_noting(&first.key, fragment, &mut written)?;
                 }
             }
             UpdateOp::Delete { .. } => {
                 for entry in matched.iter() {
                     if store.contains(&entry.key)? {
-                        deleted += store.delete_subtree(&entry.key)?;
+                        deleted += store.delete_subtree_noting(&entry.key, &mut written)?;
                     }
                 }
             }
@@ -503,7 +508,8 @@ impl Engine {
         // Eager on the primary's write path; replica replay bumps
         // generations without coming through here, and the cache drops the
         // answers at the next access.
-        self.views.drop_answers(doc.0, doc_generation);
+        self.views
+            .advance(doc.0, generation, doc_generation, &written);
         Ok(UpdateOutcome {
             doc,
             matched: matched.len() as u64,
@@ -612,25 +618,27 @@ impl Engine {
         let text = shape.map(|shape| ShapedText::new(shape, self.store(), scope));
         let holds = |priced: &Priced| priced.holds(self.store(), scope);
         let bound = text.map(|text| self.views.bind(doc.0, generation, text, holds));
-        let (plan, priced, bound) = match bound {
-            Some(Ok((plan, priced))) => (Arc::new(plan), priced, true),
+        let (plan, priced, expr, bound) = match bound {
+            Some(Ok((plan, priced, expr))) => (Arc::new(plan), priced, expr, true),
             unbound => {
-                let plan = Arc::new(self.prepare(self.compile(xpath)?, scope)?);
+                let expr = Arc::new(parse(xpath)?);
+                let plan = Arc::new(self.prepare(build_plan(&expr)?, scope)?);
                 // A default plan is not priced: no count changes it.
                 let priced = match self.options.optimize {
                     true => Priced::of(&plan, self.store(), scope),
                     false => Priced::default(),
                 };
                 if let Some(Err(text)) = unbound {
+                    let (plan, expr) = (Arc::clone(&plan), Arc::clone(&expr));
                     self.views
-                        .offer_template(doc.0, generation, text, Arc::clone(&plan), &priced);
+                        .offer_template(doc.0, generation, text, plan, expr, &priced);
                 }
-                (plan, priced, false)
+                (plan, priced, expr, false)
             }
         };
         if read {
             self.views
-                .insert(doc.0, xpath, generation, Arc::clone(&plan), priced);
+                .insert(doc.0, xpath, generation, Arc::clone(&plan), priced, expr);
         }
         Ok(Lookup {
             plan,
@@ -1260,8 +1268,11 @@ mod tests {
         let mut e = people(3000);
         e.options_mut().view_admit_after = 1;
         let doc = DocId(0);
-        let read = "//person/name";
-        assert_eq!(e.query_doc(doc, read).unwrap().len(), 3000);
+        // `<note/>` is a child of a person, so the first read sees it; the
+        // second selects no note, so its answer is carried across it.
+        let (read, carried) = ("//person/*", "//person/name");
+        assert_eq!(e.query_doc(doc, read).unwrap().len(), 6000);
+        let names = e.query_doc(doc, carried).unwrap();
         let entries = e.views().len();
         const N: u64 = 6;
         for i in 0..N {
@@ -1275,7 +1286,11 @@ mod tests {
             assert!(found.cached && found.answer.is_none(), "write {i}");
             e.query_doc(doc, read).unwrap();
             assert!(e.lookup(doc, read).unwrap().answer.is_some());
+            // The other finds the answer it kept before the write.
+            let found = e.lookup(doc, carried).unwrap();
+            assert_eq!(found.answer.as_deref(), Some(&names), "write {i}");
         }
+        assert_eq!(e.views().stats().carried, N);
         assert_eq!(e.views().binds(), N - 1);
         assert_eq!(e.views().shapes(), 1);
         assert_eq!(e.views().replans(), 0);

@@ -42,6 +42,7 @@ pub mod exec;
 pub mod explain;
 pub mod opt;
 pub mod plan;
+mod reach;
 pub mod shared;
 pub mod views;
 

@@ -5,8 +5,8 @@
 //! a plain [`RwLock`] turns one engine into a concurrent query service:
 //! queries run in parallel under read locks while loads and updates take
 //! the write lock, and a write to a document (by bumping its generation)
-//! drops the answers the query cache kept for it and has its plans
-//! checked ([`crate::views`]). `vamana-server`'s connection threads,
+//! drops the answers the query cache kept for it that the write can
+//! change, and has its plans checked ([`crate::views`]). `vamana-server`'s connection threads,
 //! the replica's apply loop and the shell all share an engine this way,
 //! and the write lock is the only thing that keeps a writer from readers.
 

@@ -40,22 +40,28 @@
 //!
 //! The optimizer applies only rewrites that keep a query's meaning, so a
 //! plan answers correctly at every generation of its document; the counts
-//! decide only whether it is still a good plan. An answer is valid for the
-//! one generation it was computed at.
+//! decide only whether it is still a good plan. An answer is valid until a
+//! write it can see: a write inserts or deletes whole subtrees, and the
+//! FLEX keys of every other node stay, so an answer, a list of keys, stays
+//! exact across a write whose nodes its query cannot reach.
 //!
-//! So a write drops the document's kept answers and nothing else: eagerly
-//! on the primary ([`crate::Engine::apply_update`]), and on a replica,
-//! whose replay bumps the generation store-side, at the next access at the
-//! new generation. Each plan and template records, when it is made, the
+//! So a write drops only answers. On the primary
+//! [`crate::Engine::apply_update`] checks each query against what the
+//! write inserted or deleted ([`vamana_mass::Footprint`]; the check is the
+//! `reach` module's, once per parsed query — a template's texts share
+//! theirs) and carries the answers it cannot see to the new generation;
+//! the rest are dropped. A replica's replay bumps the generation
+//! store-side with no footprint, so there every answer goes at the next
+//! access. Each plan and template records, when it is made, the
 //! magnitude (as above) of every count it was priced on: `COUNT` of each
 //! node test and numeric range in its operators and `TC` of each literal.
 //! The first lookup or bind after the document's generation changes reads
 //! those counts again: if every magnitude holds, the plan is restamped
-//! with the new generation; if one moved, the plan is optimized afresh
-//! ([`QueryCache::replans`]). While the generation holds a lookup reads no
-//! count. Snapshot installs ([`crate::Engine::replace_store`]), option
-//! changes ([`crate::Engine::options_mut`]) and `CACHE CLEAR` clear
-//! everything.
+//! with the new generation, and an answer carried to it is handed back;
+//! if one moved, the plan is optimized afresh ([`QueryCache::replans`]).
+//! While the generation holds a lookup reads no count. Snapshot installs
+//! ([`crate::Engine::replace_store`]), option changes
+//! ([`crate::Engine::options_mut`]) and `CACHE CLEAR` clear everything.
 //!
 //! # Bounds
 //!
@@ -70,10 +76,10 @@
 //!
 //! Any query's answer may be kept: XPath 1.0 has nothing non-deterministic,
 //! so an answer stamped with its generation is exact. It is kept the
-//! [`crate::EngineOptions::view_admit_after`]-th time it is computed at one
-//! generation — a point lookup asked once never is — unless it alone
-//! exceeds the budget; then the entry is marked oversize and not counted
-//! again at that generation.
+//! [`crate::EngineOptions::view_admit_after`]-th time it is computed since
+//! a write it could see — a point lookup asked once never is — unless it
+//! alone exceeds the budget; then the entry is marked oversize and not
+//! counted again until such a write.
 //!
 //! # Kept replies
 //!
@@ -85,18 +91,22 @@
 //! ([`crate::Lookup::shown`]), so a repeated request renders nothing and
 //! reading the reply counts no extra lookup. There is one slot per answer:
 //! a reply at another row count or width takes its place. It lives and
-//! dies with its answer — a write, an eviction or a clear drops both —
-//! and its bytes count with the answer's in [`VIEW_BUDGET_BYTES`].
+//! dies with its answer — a write the answer can see, an eviction or a
+//! clear drops both — save that a write of text drops it alone (text
+//! below a shown row changes its value), and its bytes count with the
+//! answer's in [`VIEW_BUDGET_BYTES`].
 
 use crate::cost::count_nodetest;
 use crate::engine::Lookup;
 use crate::plan::{OpId, Operator, QueryPlan, RangeCmp, TestSpec};
+use crate::reach;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use vamana_flex::{Axis, KeyRange};
-use vamana_mass::{MassStore, NodeEntry};
+use vamana_mass::{Footprint, MassStore, NodeEntry};
 use vamana_xpath::lexer::Shape;
+use vamana_xpath::Expr;
 
 /// Point-in-time answer counters (served through `STATS` as `view_*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,9 +115,11 @@ pub struct ViewStatsSnapshot {
     pub hits: u64,
     /// Lookups that found none.
     pub misses: u64,
-    /// Kept answers dropped: stale generations, budget and LRU evictions,
-    /// clears.
+    /// Kept answers dropped: writes they could see, stale generations,
+    /// budget and LRU evictions, clears.
     pub evictions: u64,
+    /// Kept answers carried across a write they could not see.
+    pub carried: u64,
     /// Approximate bytes currently kept.
     pub bytes: u64,
     /// Answers currently kept.
@@ -269,13 +281,36 @@ enum Answer {
 struct Entry {
     plan: Arc<QueryPlan>,
     priced: Arc<Priced>,
+    /// The parsed query a write is checked against: the text's own, or
+    /// shared with the template the plan was bound from.
+    expr: Arc<Expr>,
     /// Document generation the plan was last priced or checked at.
     checked: u64,
     /// Last-used clock stamp, for both LRU orders.
     stamp: u64,
-    /// Times its answer has been computed since it was last dropped.
+    /// Times its answer has been computed since a write it could see, or
+    /// an eviction, last dropped what was known of it.
     computed: u32,
     answer: Answer,
+}
+
+impl Entry {
+    /// The kept answer and the reply kept with it, counted as one more
+    /// hit on it.
+    fn answer(&mut self) -> (Option<Arc<Vec<NodeEntry>>>, Option<Arc<Shown>>) {
+        match &mut self.answer {
+            Answer::Kept {
+                entries,
+                shown,
+                hits,
+                ..
+            } => {
+                *hits += 1;
+                (Some(Arc::clone(entries)), shown.clone())
+            }
+            _ => (None, None),
+        }
+    }
 }
 
 /// One document's entries and templates; its kept answers are valid at
@@ -334,6 +369,9 @@ impl ShapedText {
 /// literals.
 struct Template {
     plan: Arc<QueryPlan>,
+    /// The text it was made for, parsed: a write is checked the same way
+    /// against every text of its shape.
+    expr: Arc<Expr>,
     /// Every operator holding a literal, with the slot it holds.
     slots: Vec<(OpId, usize)>,
     /// The counts it was priced on but its literals'.
@@ -345,7 +383,12 @@ impl Template {
     /// shape's template — or `None` when a slot cannot be told from the
     /// plan: two literals of one value, or one the plan holds in no literal
     /// operator (a `processing-instruction('t')` target).
-    fn new(plan: Arc<QueryPlan>, literals: &[Box<str>], priced: &Priced) -> Option<Template> {
+    fn new(
+        plan: Arc<QueryPlan>,
+        expr: Arc<Expr>,
+        literals: &[Box<str>],
+        priced: &Priced,
+    ) -> Option<Template> {
         let slot = |value: &str| literals.iter().position(|l| &**l == value);
         if literals.iter().enumerate().any(|(i, l)| slot(l) != Some(i)) {
             return None;
@@ -366,6 +409,7 @@ impl Template {
         };
         Some(Template {
             plan,
+            expr,
             slots,
             priced,
         })
@@ -421,6 +465,7 @@ struct Inner {
     misses: u64,
     answered: u64,
     evictions: u64,
+    carried: u64,
     /// Plans and templates found priced on a count that changed
     /// magnitude.
     replans: u64,
@@ -459,6 +504,54 @@ impl Inner {
         self.kept -= kept;
         self.bytes -= bytes;
         self.evictions += kept;
+    }
+
+    /// Moves `doc`'s kept answers from `from`, the generation before a
+    /// write of `footprint`, to `to`, the one after it: an entry whose
+    /// query cannot see the write ([`reach::sees`]) keeps its answer, its
+    /// oversize mark and its admission count, and its kept reply unless
+    /// the write held text; every other answer is dropped and its count
+    /// restarted. Each distinct expression is checked once. Answers not
+    /// valid at `from` are all dropped.
+    fn advance(&mut self, doc: u32, from: u64, to: u64, footprint: &Footprint) {
+        let Some(d) = self
+            .docs
+            .get_mut(&doc)
+            .filter(|d| d.generation == from && from < to)
+        else {
+            return self.drop_answers(doc, to);
+        };
+        d.generation = to;
+        let mut verdicts: HashMap<*const Expr, bool> = HashMap::new();
+        let (mut dropped, mut bytes, mut carried) = (0, 0, 0);
+        for e in d.entries.values_mut() {
+            let sees = *verdicts
+                .entry(Arc::as_ptr(&e.expr))
+                .or_insert_with(|| reach::sees(&e.expr, footprint));
+            if sees {
+                e.computed = 0;
+                if let Answer::Kept { bytes: b, .. } =
+                    std::mem::replace(&mut e.answer, Answer::None)
+                {
+                    dropped += 1;
+                    bytes += b;
+                }
+            } else if let Answer::Kept {
+                shown, bytes: b, ..
+            } = &mut e.answer
+            {
+                carried += 1;
+                // Text written below a shown row changes its value.
+                if let Some(freed) = shown.take_if(|_| footprint.text).map(|s| s.footprint()) {
+                    *b -= freed;
+                    bytes += freed;
+                }
+            }
+        }
+        self.kept -= dropped;
+        self.bytes -= bytes;
+        self.evictions += dropped;
+        self.carried += carried;
     }
 
     /// `xpath`'s entry on `doc` when the document's answers are valid at
@@ -508,17 +601,9 @@ impl Inner {
         if e.checked != generation {
             return Probe::Stale(Arc::clone(&e.plan), Arc::clone(&e.priced));
         }
-        let (answer, shown) = match &mut e.answer {
-            Answer::Kept {
-                entries,
-                shown,
-                hits,
-                ..
-            } if current => {
-                *hits += 1;
-                (Some(Arc::clone(entries)), shown.clone())
-            }
-            _ => (None, None),
+        let (answer, shown) = match current {
+            true => e.answer(),
+            false => (None, None),
         };
         Probe::Found(Lookup {
             plan: Arc::clone(&e.plan),
@@ -685,7 +770,9 @@ impl QueryCache {
     }
 
     /// Counts a stale entry's check, and restamps the entry with
-    /// `generation` when `plan`, its plan, `held` its counts.
+    /// `generation` when `plan`, its plan, `held` its counts; hands back
+    /// the answer it keeps at `generation`, one carried across writes it
+    /// could not see.
     fn restamp(
         &self,
         doc: u32,
@@ -702,15 +789,27 @@ impl QueryCache {
             return None;
         }
         inner.hits += u64::from(read);
+        let current = inner
+            .docs
+            .get(&doc)
+            .is_some_and(|d| d.generation == generation);
+        let (mut answer, mut shown) = (None, None);
         if let Some(e) = inner.entry(doc, xpath) {
             if Arc::ptr_eq(&e.plan, &plan) {
                 e.checked = e.checked.max(generation);
+                // An answer carried across the writes since it was checked.
+                if current && e.checked == generation {
+                    (answer, shown) = e.answer();
+                }
             }
+        }
+        if read {
+            inner.answered += u64::from(answer.is_some());
         }
         Some(Lookup {
             plan,
-            answer: None,
-            shown: None,
+            answer,
+            shown,
             cached: true,
             bound: false,
         })
@@ -727,6 +826,7 @@ impl QueryCache {
         generation: u64,
         plan: Arc<QueryPlan>,
         priced: Priced,
+        expr: Arc<Expr>,
     ) {
         if xpath.len() > KEY_BYTES {
             return;
@@ -735,7 +835,7 @@ impl QueryCache {
         let priced = Arc::new(priced);
         if let Some(e) = inner.doc(doc, generation).entries.get_mut(xpath) {
             if e.checked < generation {
-                (e.plan, e.priced, e.checked) = (plan, priced, generation);
+                (e.plan, e.priced, e.expr, e.checked) = (plan, priced, expr, generation);
             }
             return;
         }
@@ -744,6 +844,7 @@ impl QueryCache {
         let entry = Entry {
             plan,
             priced,
+            expr,
             checked: generation,
             stamp: inner.clock,
             computed: 0,
@@ -758,17 +859,18 @@ impl QueryCache {
     }
 
     /// The template `text` is filed under on `doc` at `generation`, with
-    /// `text`'s literals bound in, and the counts the bound plan is priced
-    /// on; `text` back when there is none. A template made at an older
-    /// generation is checked first, as [`QueryCache::lookup`] checks an
-    /// entry. The plan is copied outside the lock.
+    /// `text`'s literals bound in, the counts the bound plan is priced on
+    /// and the template's parsed text; `text` back when there is none. A
+    /// template made at an older generation is checked first, as
+    /// [`QueryCache::lookup`] checks an entry. The plan is copied outside
+    /// the lock.
     pub(crate) fn bind(
         &self,
         doc: u32,
         generation: u64,
         text: ShapedText,
         holds: impl FnOnce(&Priced) -> bool,
-    ) -> Result<(QueryPlan, Priced), ShapedText> {
+    ) -> Result<(QueryPlan, Priced, Arc<Expr>), ShapedText> {
         let found = {
             let mut inner = self.lock();
             inner.clock += 1;
@@ -804,26 +906,27 @@ impl QueryCache {
         let priced = template
             .priced
             .with_literals(text.literals, &text.key.magnitudes);
-        Ok((plan, priced))
+        Ok((plan, priced, Arc::clone(&template.expr)))
     }
 
-    /// Files `plan` — optimized for `text` on `doc` at `generation` and
-    /// priced on `priced` — as the template `text` is filed under, in
-    /// place of any, unless its slots cannot be told apart (two literals of
-    /// one value, one held outside a literal operator) or the shape is
-    /// longer than `KEY_BYTES / SHAPES`.
+    /// Files `plan` — optimized for `text`, parsed as `expr`, on `doc` at
+    /// `generation` and priced on `priced` — as the template `text` is
+    /// filed under, in place of any, unless its slots cannot be told apart
+    /// (two literals of one value, one held outside a literal operator) or
+    /// the shape is longer than `KEY_BYTES / SHAPES`.
     pub(crate) fn offer_template(
         &self,
         doc: u32,
         generation: u64,
         text: ShapedText,
         plan: Arc<QueryPlan>,
+        expr: Arc<Expr>,
         priced: &Priced,
     ) {
         if text.key.shape.len() > KEY_BYTES / SHAPES {
             return;
         }
-        let Some(template) = Template::new(plan, &text.literals, priced) else {
+        let Some(template) = Template::new(plan, expr, &text.literals, priced) else {
             return;
         };
         let mut inner = self.lock();
@@ -929,11 +1032,13 @@ impl QueryCache {
         inner.evict_answers_to(self.budget, (doc, xpath));
     }
 
-    /// Drops `doc`'s kept answers when `generation` is newer than the one
-    /// they are valid at (the eager write path). Its plans and templates
-    /// stay, to be checked at their next use.
-    pub fn drop_answers(&self, doc: u32, generation: u64) {
-        self.lock().drop_answers(doc, generation);
+    /// Moves `doc`'s kept answers from generation `from` to `to` across
+    /// the write between them, which inserted or deleted `footprint`
+    /// (the primary's write path): each answer its query cannot see is
+    /// carried, the rest are dropped. Plans and templates stay, to be
+    /// checked at their next use.
+    pub(crate) fn advance(&self, doc: u32, from: u64, to: u64, footprint: &Footprint) {
+        self.lock().advance(doc, from, to, footprint);
     }
 
     /// Drops every entry and template (snapshot installs, option changes,
@@ -954,6 +1059,7 @@ impl QueryCache {
             hits: inner.answered,
             misses: inner.hits + inner.misses - inner.answered,
             evictions: inner.evictions,
+            carried: inner.carried,
             bytes: inner.bytes,
             views: inner.kept,
         }
@@ -1042,6 +1148,10 @@ mod tests {
         Arc::new(compiled("//a"))
     }
 
+    fn parsed(xpath: &str) -> Arc<Expr> {
+        Arc::new(vamana_xpath::parse(xpath).unwrap())
+    }
+
     /// An answer as the engine's streams hand it over.
     fn kept(rows: &[NodeEntry]) -> Arc<Vec<NodeEntry>> {
         Arc::new(rows.to_vec())
@@ -1061,8 +1171,22 @@ mod tests {
             self.lookup(doc, xpath, generation, true, |_| true)
         }
 
+        /// An entry for `xpath` whose plan and parsed query are `//a`'s.
         fn put(&self, doc: u32, xpath: &str, generation: u64) {
-            self.insert(doc, xpath, generation, plan(), Priced::default());
+            self.insert(
+                doc,
+                xpath,
+                generation,
+                plan(),
+                Priced::default(),
+                parsed("//a"),
+            );
+        }
+
+        /// What a write no query can reason about does: every answer of
+        /// `doc` older than `generation` goes.
+        fn drop_answers(&self, doc: u32, generation: u64) {
+            self.lock().drop_answers(doc, generation);
         }
     }
 
@@ -1133,7 +1257,14 @@ mod tests {
         assert!(cache.lookup(0, "//a", 3, false, check(false)).is_none());
         assert_eq!((cache.counters(), cache.replans()), ((3, 1), 2));
         let fresh = Arc::new(compiled("//a"));
-        cache.insert(0, "//a", 3, Arc::clone(&fresh), Priced::default());
+        cache.insert(
+            0,
+            "//a",
+            3,
+            Arc::clone(&fresh),
+            Priced::default(),
+            parsed("//a"),
+        );
         let found = cache.lookup(0, "//a", 3, false, check(false)).unwrap();
         assert!(Arc::ptr_eq(&found.plan, &fresh));
         assert_eq!(cache.len(), 1);
@@ -1325,6 +1456,81 @@ mod tests {
         assert_eq!(cache.stats().bytes, 0);
     }
 
+    /// A write of elements named `names`, with text when `text`.
+    fn written(names: &[&str], text: bool) -> Footprint {
+        Footprint {
+            elements: names.iter().map(|&n| n.into()).collect(),
+            text,
+            ..Footprint::default()
+        }
+    }
+
+    #[test]
+    fn a_write_carries_the_answers_it_cannot_see() {
+        let small = footprint(1, "//big") + 72;
+        let cache = QueryCache::with_budget(small);
+        for xpath in ["//a", "//b", "//c", "//big"] {
+            cache.insert(0, xpath, 1, plan(), Priced::default(), parsed(xpath));
+        }
+        let a = kept(&[entry(1)]);
+        assert!(cache.observe(0, "//a", 1, 1, &a));
+        cache.keep_shown(0, "//a", 1, &a, shown(1, "ROW <a>\n"));
+        assert!(cache.observe(0, "//b", 1, 1, &kept(&[entry(2)])));
+        assert_eq!(cache.stats().views, 1, "`//b` pushed `//a` out");
+        assert!(cache.observe(0, "//a", 1, 1, &a));
+        cache.keep_shown(0, "//a", 1, &a, shown(1, "ROW <a>\n"));
+        assert!(!cache.observe(0, "//c", 1, 2, &kept(&[])));
+        assert!(!cache.observe(0, "//big", 1, 1, &kept(&vec![entry(3); 3])));
+        let oversize = |cache: &QueryCache| {
+            let mut inner = cache.lock();
+            matches!(inner.entry(0, "//big").unwrap().answer, Answer::Oversize)
+        };
+        assert!(oversize(&cache));
+        let before = cache.stats();
+
+        // `<c/>` under some `b`: `//c` sees it, the rest do not.
+        cache.advance(0, 1, 2, &written(&["c"], false));
+        let after = cache.stats();
+        assert_eq!((after.views, after.carried), (1, 1));
+        assert_eq!(
+            (after.bytes, after.evictions),
+            (before.bytes, before.evictions)
+        );
+        assert!(oversize(&cache));
+        // The carried answer and its reply come back once its plan is
+        // checked at the new generation; `//c` counts afresh.
+        let (counters, hits) = (cache.counters(), after.hits);
+        let found = cache.get(0, "//a", 2).unwrap();
+        assert!(Arc::ptr_eq(&found.answer.unwrap(), &a));
+        assert_eq!(found.shown.unwrap().rows, 1);
+        assert_eq!(cache.counters(), (counters.0 + 1, counters.1));
+        assert_eq!(cache.stats().hits, hits + 1);
+        cache.get(0, "//c", 2);
+        assert!(!cache.observe(0, "//c", 2, 2, &kept(&[])));
+
+        // Text below a shown row changes its value: the reply goes, the
+        // answer stays.
+        cache.advance(0, 2, 3, &written(&["i"], true));
+        let found = cache.get(0, "//a", 3).unwrap();
+        assert!(found.answer.is_some() && found.shown.is_none());
+        assert_eq!(cache.stats().bytes, footprint(1, "//a"));
+        assert_eq!(cache.stats().carried, 2);
+
+        // A write the document's answers did not see land first, or one
+        // that deletes a document node, drops them all.
+        cache.advance(0, 4, 5, &written(&["z"], false));
+        assert_eq!(cache.stats().views, 0);
+        cache.get(0, "//a", 5);
+        assert!(cache.observe(0, "//a", 5, 1, &a));
+        let document = Footprint {
+            document: true,
+            ..Footprint::default()
+        };
+        cache.advance(0, 5, 6, &document);
+        assert_eq!(cache.stats().views, 0);
+        assert!(!oversize(&cache));
+    }
+
     /// `xpath` lexed into its shape, each literal filed at `magnitude`.
     fn shaped(xpath: &str, magnitude: u8) -> ShapedText {
         let shape = shape(xpath).unwrap();
@@ -1341,7 +1547,8 @@ mod tests {
     fn a_template_binds_each_literal_into_the_operators_of_its_slot() {
         let template = |xpath: &str| {
             let literals = shape(xpath).unwrap().literals;
-            Template::new(Arc::new(compiled(xpath)), &literals, &Priced::default())
+            let (plan, expr) = (Arc::new(compiled(xpath)), parsed(xpath));
+            Template::new(plan, expr, &literals, &Priced::default())
         };
         let bound = template("//a[@k = 'x' or . = 'y']/b[c = 'z']")
             .expect("three distinct literals")
@@ -1363,14 +1570,14 @@ mod tests {
         let offer = |xpath: &str, magnitude: u8, generation: u64| {
             let text = shaped(xpath, magnitude);
             let plan = Arc::new(compiled(xpath));
-            cache.offer_template(0, generation, text, plan, &Priced::default());
+            cache.offer_template(0, generation, text, plan, parsed(xpath), &Priced::default());
         };
         let bind = |xpath: &str, magnitude: u8, generation: u64, held: bool| {
             let text = shaped(xpath, magnitude);
             cache
                 .bind(0, generation, text, |_| held)
                 .ok()
-                .map(|(plan, _)| plan)
+                .map(|(plan, ..)| plan)
         };
         offer("//a[@k = 'x']", 3, 1);
         let bound = bind("//a[@k='y']", 3, 1, false);
@@ -1405,7 +1612,7 @@ mod tests {
         let x = (Count::Text("x".into()), text.key.magnitudes[0]);
         assert_eq!(priced.literals, vec![x]);
         assert!(priced.holds(&store, &scope));
-        let template = Template::new(plan, &text.literals, &priced).unwrap();
+        let template = Template::new(plan, parsed(xpath), &text.literals, &priced).unwrap();
         assert!(template.priced.literals.is_empty());
         assert!(Arc::ptr_eq(&template.priced.counts, &priced.counts));
         let other = ShapedText::new(shape("//a[@k = 'y']").unwrap(), &store, &scope);
@@ -1423,7 +1630,7 @@ mod tests {
         let offer = |doc: u32, xpath: &str| {
             let text = shaped(xpath, 0);
             let plan = Arc::new(compiled(xpath));
-            cache.offer_template(doc, 1, text, plan, &Priced::default());
+            cache.offer_template(doc, 1, text, plan, parsed(xpath), &Priced::default());
         };
         let bind = |doc: u32, xpath: &str| cache.bind(doc, 1, shaped(xpath, 0), |_| true).ok();
         for i in 0..SHAPES + 10 {

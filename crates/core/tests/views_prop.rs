@@ -13,7 +13,11 @@
 //! optimized for the first when their literals are about as frequent, and
 //! gets its own plan when they are not. A write keeps the plans; one bulk
 //! insert of a new name moves that name's count past a magnitude, and the
-//! plan of a probe query priced on it must be optimized afresh.
+//! plan of a probe query priced on it must be optimized afresh. Writes of
+//! names no query asks for — elements with text and without, an element
+//! with only an attribute — and deletes of those and of comments keep
+//! the answers that cannot see them; a last such write after every script
+//! keeps the probe's, so every case carries an answer across a write.
 
 use proptest::prelude::*;
 use vamana_baseline::{dom::DomEngine, NodeIdentity, XPathEngine};
@@ -55,6 +59,12 @@ const PULL_SIZES: [usize; 6] = [1, 2, 3, 7, 256, usize::MAX];
 /// Asked at every step beside the generated queries: priced on the count
 /// of `e`, a name only the bulk insert writes.
 const PROBE: &str = "//a[e]";
+
+/// Asked at every step too, each changed by writes of names it does not
+/// ask for: the root's string value by an `<f>z</f>` anywhere, and its
+/// last child, a `b` unless something was appended after it, by any
+/// insert under the root.
+const WATCHES: [&str; 2] = ["/a[contains(., 'z')]", "/a/node()[last()]/self::b"];
 
 /// One step: `//` rather than `/` before it?, axis, node test, predicate.
 type StepSpec = (bool, usize, usize, Option<usize>);
@@ -127,27 +137,54 @@ fn build_doc(ops: &[(u8, u8)]) -> String {
                 xml.push_str(&format!("</{t}>"));
             }
             3 => xml.push_str(&format!("<{name}>{value}</{name}>")),
+            2 if n % 4 == 3 => xml.push_str("<!--n-->"),
             _ => xml.push_str(&format!("<{name}/>")),
         }
     }
-    while let Some(t) = stack.pop() {
+    while stack.len() > 1 {
+        let t = stack.pop().unwrap();
         xml.push_str(&format!("</{t}>"));
     }
+    xml.push_str("<b/></a>");
     xml
 }
 
 /// The write of one script step: an insert under the first `parent`, a
-/// delete of every `name` child of a `parent` (never the root), or none.
+/// delete of children of a `parent` (never the root), or none. Most write
+/// names the queries never ask for (`f`, `g`, `h`, `@m`): an element with
+/// text, one without, one with only an attribute; and delete those, that
+/// attribute alone, or comments.
 fn update(action: u8, parent: &str, name: &str) -> Option<UpdateOp> {
-    match action % 3 {
-        0 => Some(UpdateOp::Insert {
+    let insert = |fragment: String| {
+        Some(UpdateOp::Insert {
             target: format!("//{parent}"),
-            fragment: format!("<{name} k='x'><{parent}>7</{parent}></{name}>"),
-        }),
-        1 => Some(UpdateOp::Delete {
-            target: format!("//{parent}/{name}"),
-        }),
+            fragment,
+        })
+    };
+    let delete = |children: &str| {
+        Some(UpdateOp::Delete {
+            target: format!("//{parent}/{children}"),
+        })
+    };
+    match action % 10 {
+        0 => insert(format!("<{name} k='x'><{parent}>7</{parent}></{name}>")),
+        1 => delete(name),
+        3 => insert("<f>z</f>".into()),
+        4 => insert("<g/>".into()),
+        5 => insert("<h m='7'/>".into()),
+        6 => delete("f"),
+        7 => delete(&format!("g | //{parent}/h")),
+        8 => delete("h/@m"),
+        9 => delete("comment()"),
         _ => None,
+    }
+}
+
+/// The write after every script: a name the probe does not ask for.
+fn unseen() -> UpdateOp {
+    UpdateOp::Insert {
+        target: "/a".into(),
+        fragment: "<g/>".into(),
     }
 }
 
@@ -218,17 +255,27 @@ proptest! {
         // each slot's two literals of one count. A write keeps both texts'
         // entries, so later a text binds only when its plan is made afresh.
         let mut must_bind = 0;
-        for (step, &(action, parent, name)) in script.iter().enumerate() {
-            if step == bulk_at {
-                // The probe's plan was checked at the step before, on the
-                // counts this insert starts from.
-                subject.apply_update(doc, &bulk(&subject)).unwrap();
-                let replans = subject.views().replans();
-                let found = subject.lookup(doc, PROBE).unwrap();
-                prop_assert!(!found.cached, "{} kept its plan past the bulk insert", PROBE);
-                prop_assert!(subject.views().replans() > replans);
-            } else if let Some(op) = update(action, NAMES[parent], NAMES[name]) {
-                subject.apply_update(doc, &op).unwrap();
+        // Each script step, then one more: a write the probe cannot see.
+        for (step, spec) in script.iter().map(Some).chain([None]).enumerate() {
+            match spec {
+                // The probe's answer was kept at the step before.
+                None => {
+                    subject.apply_update(doc, &unseen()).unwrap();
+                }
+                Some(_) if step == bulk_at => {
+                    // The probe's plan was checked at the step before, on
+                    // the counts this insert starts from.
+                    subject.apply_update(doc, &bulk(&subject)).unwrap();
+                    let replans = subject.views().replans();
+                    let found = subject.lookup(doc, PROBE).unwrap();
+                    prop_assert!(!found.cached, "{} kept its plan past the bulk insert", PROBE);
+                    prop_assert!(subject.views().replans() > replans);
+                }
+                Some(&(action, parent, name)) => {
+                    if let Some(op) = update(action, NAMES[parent], NAMES[name]) {
+                        subject.apply_update(doc, &op).unwrap();
+                    }
+                }
             }
             if step == 0 {
                 let store = subject.store();
@@ -249,7 +296,7 @@ proptest! {
             let texts = queries
                 .iter()
                 .flat_map(|q| [with_literals(q, first), with_literals(q, first + 1)])
-                .chain([PROBE.to_string()]);
+                .chain([PROBE].into_iter().chain(WATCHES).map(String::from));
             for xpath in texts {
                 let xpath = xpath.as_str();
                 let want = fresh(&subject, doc, xpath);
@@ -289,6 +336,10 @@ proptest! {
             answered >= runs * (1 + PULL_SIZES.len() as u64),
             "{} answers served",
             answered
+        );
+        prop_assert!(
+            subject.views().stats().carried > 0,
+            "no answer was carried across a write"
         );
         prop_assert!(
             subject.views().binds() >= must_bind as u64,

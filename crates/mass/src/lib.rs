@@ -51,6 +51,7 @@ pub mod cursor;
 pub mod error;
 pub mod export;
 pub mod fault;
+pub mod footprint;
 pub mod loader;
 pub mod name_index;
 pub mod names;
@@ -69,6 +70,7 @@ pub use compress::{StoreFormat, ValueDict};
 pub use cursor::MassCursor;
 pub use error::{MassError, Result};
 pub use fault::{FaultClock, FaultPager, FaultWalBackend, SharedPager};
+pub use footprint::Footprint;
 pub use names::{NameId, NameTable};
 pub use record::{NodeRecord, RecordKind, ValueRef, ValueView};
 pub use repl::{ReplLogStats, ReplicationLog, DEFAULT_RETAIN_FRAMES};

@@ -15,6 +15,7 @@ use crate::buffer::BufferPool;
 use crate::compress::{StoreFormat, ValueDict};
 use crate::cursor::MassCursor;
 use crate::error::{MassError, Result};
+use crate::footprint::Footprint;
 use crate::name_index::{NameIndex, SortedKeys};
 use crate::names::{NameId, NameTable};
 use crate::page::PageBuf;
@@ -1075,7 +1076,7 @@ impl MassStore {
                 self.index_record(&rec, Some(value), false);
             }
             WalRecord::DeleteSubtree { key } => {
-                self.delete_subtree_unlogged(key)?;
+                self.delete_subtree_unlogged(key, &mut Footprint::default())?;
             }
             WalRecord::LoadDocument { name, xml } => {
                 // A bulk load that entered the log (for replication) but
@@ -1211,6 +1212,17 @@ impl MassStore {
     /// operation, then applied — so a crash mid-fragment recovers to
     /// either none or all of it.
     pub fn append_fragment(&mut self, parent: &FlexKey, xml: &str) -> Result<FlexKey> {
+        self.append_fragment_noting(parent, xml, &mut Footprint::default())
+    }
+
+    /// [`MassStore::append_fragment`], noting each node it inserts in
+    /// `footprint`, from the records it plans.
+    pub fn append_fragment_noting(
+        &mut self,
+        parent: &FlexKey,
+        xml: &str,
+        footprint: &mut Footprint,
+    ) -> Result<FlexKey> {
         let doc = vamana_xml::parse(xml)
             .map_err(|e| MassError::InvalidUpdate(format!("fragment parse failed: {e}")))?;
         let root = doc
@@ -1225,6 +1237,7 @@ impl MassStore {
         self.log_records(&recs)?;
         for rec in &recs {
             self.apply_wal_record(rec, false)?;
+            footprint.note_insert(rec);
         }
         self.bump_doc(&root_key);
         Ok(root_key)
@@ -1329,18 +1342,28 @@ impl MassStore {
     /// Deletes the node at `key` and its whole subtree. Returns the number
     /// of records removed.
     pub fn delete_subtree(&mut self, key: &FlexKey) -> Result<u64> {
+        self.delete_subtree_noting(key, &mut Footprint::default())
+    }
+
+    /// [`MassStore::delete_subtree`], noting each node it removes in
+    /// `footprint`, from the records it removes.
+    pub fn delete_subtree_noting(
+        &mut self,
+        key: &FlexKey,
+        footprint: &mut Footprint,
+    ) -> Result<u64> {
         let rec = WalRecord::DeleteSubtree { key: key.clone() };
         self.log_records(std::slice::from_ref(&rec))?;
-        let removed = self.delete_subtree_unlogged(key)?;
+        let removed = self.delete_subtree_unlogged(key, footprint)?;
         if removed > 0 {
             self.bump_doc(key);
         }
         Ok(removed)
     }
 
-    /// [`MassStore::delete_subtree`] without WAL logging — the apply/replay
-    /// half of the operation.
-    fn delete_subtree_unlogged(&mut self, key: &FlexKey) -> Result<u64> {
+    /// [`MassStore::delete_subtree_noting`] without WAL logging — the
+    /// apply/replay half of the operation.
+    fn delete_subtree_unlogged(&mut self, key: &FlexKey, footprint: &mut Footprint) -> Result<u64> {
         self.bump_generation();
         let range = KeyRange::subtree(key);
         if self.index.is_empty() {
@@ -1348,6 +1371,8 @@ impl MassStore {
         }
         let start = self.page_pos_for(&range.lo).unwrap_or(0);
         let mut removed = 0u64;
+        // A subtree repeats a few names: each is resolved and noted once.
+        let mut noted: Vec<(RecordKind, NameId)> = Vec::new();
         let mut pos = start;
         let mut dead_pages = Vec::new();
         while pos < self.index.len() {
@@ -1364,6 +1389,14 @@ impl MassStore {
                 let in_range = range.contains(page.records()[i].key.as_flat());
                 if in_range {
                     let rec = page.remove(i);
+                    match rec.name {
+                        Some(id) if noted.contains(&(rec.kind, id)) => {}
+                        Some(id) => {
+                            noted.push((rec.kind, id));
+                            footprint.note(rec.kind, Some(self.names.resolve(id)));
+                        }
+                        None => footprint.note(rec.kind, None),
+                    }
                     self.unindex_record(&rec)?;
                     removed += 1;
                     touched = true;

@@ -1072,6 +1072,7 @@ fn render_stats(shared: &Shared) -> Vec<String> {
     out.push(format!("STAT view_hits {}", views.hits));
     out.push(format!("STAT view_misses {}", views.misses));
     out.push(format!("STAT view_evictions {}", views.evictions));
+    out.push(format!("STAT view_carried {}", views.carried));
     out.push(format!("STAT view_bytes {}", views.bytes));
     out.push(format!("STAT view_views {}", views.views));
     let par = engine.parallel_stats();

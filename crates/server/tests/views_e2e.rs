@@ -2,7 +2,8 @@
 //! `Engine::new`, `ServerConfig::default()` — with repeated queries
 //! kept by the memo, responses byte-equal before and after admission and
 //! equal to the DOM oracle, `STATS` view counters, the `CACHE` verb, and
-//! invalidation through the write path.
+//! the write path, which drops the answers it can change and carries the
+//! rest.
 
 use std::time::Duration;
 use vamana_baseline::dom::DomEngine;
@@ -196,8 +197,8 @@ fn row_bytes(response: &[String]) -> u64 {
 /// reply's rows are written as they were, with no page read (`hits=0
 /// misses=0`) and no lookup counted beyond the one that found the answer.
 /// Another connection under another `LIMIT` gets its own rows; `CACHE`
-/// counts the reply's bytes with the answer's. A write that changes a
-/// shown value drops both, and the next reply shows the new value,
+/// counts the reply's bytes with the answer's. A write of text below a
+/// shown row drops the reply, and the next reply shows the new value,
 /// byte-equal to a fresh server's.
 #[test]
 fn a_kept_answer_keeps_its_reply_until_a_write() {
@@ -235,15 +236,6 @@ fn a_kept_answer_keeps_its_reply_until_a_write() {
     other.round_trip("LIMIT 3");
     let three = other.round_trip(&query);
     assert_eq!(rows(&three), rows(&kept)[..3]);
-    let total = |reply: &[String]| {
-        reply
-            .last()
-            .unwrap()
-            .split(" plan=")
-            .next()
-            .unwrap()
-            .to_string()
-    };
     assert_eq!(total(&three), total(&kept));
     let bytes_3 = kept_bytes(&client.round_trip("CACHE"), XPATH);
     assert_eq!(bytes_20 - bytes_3, row_bytes(&kept) - row_bytes(&three));
@@ -254,6 +246,8 @@ fn a_kept_answer_keeps_its_reply_until_a_write() {
     let insert = format!("INSERT auction {target} <i>Zed</i>");
     assert!(client.round_trip(&insert)[0].starts_with("OK update"));
     let written = client.round_trip(&query);
+    // The answer holds no `i`, so it is carried; its reply is re-rendered.
+    assert_eq!(cache.stats().carried, 1);
     assert_ne!(rows(&written)[0], rows(&kept)[0]);
     assert!(rows(&written)[0].ends_with("Zed"), "{written:?}");
     assert_eq!(rows(&written)[1..], rows(&kept)[1..]);
@@ -267,6 +261,63 @@ fn a_kept_answer_keeps_its_reply_until_a_write() {
     for _ in 0..3 {
         assert_eq!(rows(&client.round_trip(&query)), rows(&kept));
     }
+    fresh.stop();
+    handle.stop();
+}
+
+/// The `OK` line of a reply up to its plan source: the row total, which
+/// does not vary with timing.
+fn total(reply: &[String]) -> &str {
+    reply.last().unwrap().split(" plan=").next().unwrap()
+}
+
+/// A write a kept answer cannot see carries it, and its reply: after a
+/// text-free `INSERT` under a person, `QUERY //person/name` is written
+/// from the stored reply (`hits=0 misses=0`), and `STATS` counts the
+/// answer in `view_carried`. A `DELETE` of a person drops it, and the
+/// next reply is byte-equal to a fresh server's after the same writes.
+#[test]
+fn a_write_an_answer_cannot_see_keeps_its_reply() {
+    const QUERY: &str = "QUERY //person/name";
+    const INSERT: &str = "INSERT auction /site/people/person[1] <note seq='1'/>";
+    const DELETE: &str = "DELETE auction /site/people/person[2]";
+    let handle = spawn_views_server();
+    let mut client = Client::connect(&handle);
+    client.round_trip(QUERY);
+    client.round_trip(QUERY);
+    let kept = client.round_trip(QUERY);
+    assert!(
+        kept.last().unwrap().ends_with(" hits=0 misses=0"),
+        "{kept:?}"
+    );
+
+    assert!(client.round_trip(INSERT)[0].starts_with("OK update"));
+    let carried = client.round_trip(QUERY);
+    assert_eq!(rows(&carried), rows(&kept));
+    assert_eq!(total(&carried), total(&kept));
+    let ok = carried.last().unwrap();
+    assert!(
+        ok.contains(" plan=cached ") && ok.ends_with(" hits=0 misses=0"),
+        "{ok}"
+    );
+    let stats = client.round_trip("STATS");
+    assert_eq!(stat_value(&stats, "view_carried"), 1, "{stats:?}");
+    assert_eq!(stat_value(&stats, "view_views"), 1, "{stats:?}");
+
+    assert!(client.round_trip(DELETE)[0].starts_with("OK update"));
+    let stats = client.round_trip("STATS");
+    assert_eq!(stat_value(&stats, "view_views"), 0, "{stats:?}");
+    assert_eq!(stat_value(&stats, "view_carried"), 1, "{stats:?}");
+    let after = client.round_trip(QUERY);
+    assert_ne!(rows(&after), rows(&kept));
+    let fresh = spawn_views_server();
+    let mut fresh_client = Client::connect(&fresh);
+    for write in [INSERT, DELETE] {
+        assert!(fresh_client.round_trip(write)[0].starts_with("OK update"));
+    }
+    let want = fresh_client.round_trip(QUERY);
+    assert_eq!(rows(&after), rows(&want));
+    assert_eq!(total(&after), total(&want));
     fresh.stop();
     handle.stop();
 }
