@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use vamana_core::{DocId, Engine, MassStore, SharedEngine};
 use vamana_mass::{pager::FilePager, FsyncPolicy};
-use vamana_server::event::{read_line_capped, Dispatch, LineService};
+use vamana_server::event::{round_trip, Dispatch, LineService};
 use vamana_server::{Server, ServerConfig, ServerHandle, Shared};
 
 /// The interactive session state.
@@ -313,27 +313,11 @@ impl Session {
 
 /// One request/reply round trip against a VAMANA wire endpoint (server
 /// or router): every reply line up to and including the terminating
-/// `OK …` or `ERR …`. A reply line is read up to the server's own line
-/// cap.
+/// `OK …` or `ERR …`.
 fn wire_request(addr: &str, request: &str) -> Result<Vec<String>, Box<dyn std::error::Error>> {
-    use std::io::{BufReader, Write};
     let stream = std::net::TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    (&stream).write_all(format!("{request}\n").as_bytes())?;
-    let mut reader = BufReader::new(stream);
-    let mut lines = Vec::new();
-    loop {
-        let mut line = String::new();
-        if read_line_capped(&mut reader, &mut line)? == 0 {
-            return Err("server closed the connection mid-response".into());
-        }
-        let line = line.trim_end().to_string();
-        let done = line.starts_with("OK") || line.starts_with("ERR");
-        lines.push(line);
-        if done {
-            return Ok(lines);
-        }
-    }
+    Ok(round_trip(&mut std::io::BufReader::new(stream), request)?)
 }
 
 /// Round-trips a stored document back to XML text, used by `.save` to
@@ -373,6 +357,7 @@ mod tests {
     use super::*;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+    use vamana_server::event::MAX_REPLY_LINE;
 
     /// A fresh directory per call: tests run on parallel threads of one
     /// process, and one shared `t.xml` was rewritten under a sibling's
@@ -398,25 +383,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(out, "OK loaded document 0 generation 1");
         s
-    }
-
-    /// One request line and its reply over a socket.
-    fn round_trip(reader: &mut BufReader<TcpStream>, line: &str) -> Vec<String> {
-        reader
-            .get_mut()
-            .write_all(format!("{line}\n").as_bytes())
-            .unwrap();
-        let mut reply = Vec::new();
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let line = line.trim_end().to_string();
-            let done = line.starts_with("OK") || line.starts_with("ERR");
-            reply.push(line);
-            if done {
-                return reply;
-            }
-        }
     }
 
     fn stat(out: &str, key: &str) -> u64 {
@@ -491,7 +457,7 @@ mod tests {
         let addr = s.serving_addr().expect("serving");
 
         let mut wire = BufReader::new(TcpStream::connect(addr).unwrap());
-        let rows = round_trip(&mut wire, "QUERY //name");
+        let rows = round_trip(&mut wire, "QUERY //name").unwrap();
         assert!(rows[0].contains("Yung Flach"), "{rows:?}");
         assert!(rows.last().unwrap().starts_with("OK 1 row(s)"), "{rows:?}");
 
@@ -517,7 +483,7 @@ mod tests {
         assert!(at_prompt.contains(&long[..60]), "{at_prompt}");
         s.execute(".serve 0").unwrap();
         let mut wire = BufReader::new(TcpStream::connect(s.serving_addr().unwrap()).unwrap());
-        let on_wire = round_trip(&mut wire, "EVAL //a");
+        let on_wire = round_trip(&mut wire, "EVAL //a").unwrap();
         assert!(on_wire[0].contains(&long), "{on_wire:?}");
         s.execute(".serve stop").unwrap();
     }
@@ -533,7 +499,7 @@ mod tests {
         };
         s.serve(0, config).unwrap();
         let mut wire = BufReader::new(TcpStream::connect(s.serving_addr().unwrap()).unwrap());
-        let reply = round_trip(&mut wire, "QUERY //name");
+        let reply = round_trip(&mut wire, "QUERY //name").unwrap();
         assert!(reply[0].starts_with("ERR timeout"), "{reply:?}");
         let out = s.execute(".query //name").unwrap();
         assert!(out.contains("OK 1 row(s)"), "{out}");
@@ -594,7 +560,7 @@ mod tests {
             (".query //person/name", "QUERY //person/name"),
         ] {
             let printed = shell.execute(at_prompt).unwrap();
-            let sent = round_trip(&mut wire, on_wire);
+            let sent = round_trip(&mut wire, on_wire).unwrap();
             let printed: Vec<&str> = printed.lines().collect();
             assert_eq!(
                 printed.len(),
@@ -868,14 +834,21 @@ mod tests {
     }
 
     /// A peer that streams a reply line with no newline is cut off at the
-    /// server's line cap instead of filling the shell's memory.
+    /// reply line cap instead of filling the shell's memory.
     #[test]
     fn a_reply_line_past_the_cap_is_an_error() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let peer = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let _ = stream.write_all(&vec![b'a'; 1 << 20]);
+            let (stream, _) = listener.accept().unwrap();
+            // The peer reads the request, so that closing does not reset
+            // the connection under the reply, and holds the connection
+            // until the shell closes it.
+            let mut reader = BufReader::new(stream);
+            let mut request = String::new();
+            reader.read_line(&mut request).unwrap();
+            let _ = reader.get_mut().write_all(&vec![b'a'; MAX_REPLY_LINE + 1]);
+            let _ = std::io::copy(&mut reader, &mut std::io::sink());
         });
         let mut s = Session::new();
         let out = s.execute(&format!(".router {addr} PING")).unwrap();

@@ -18,8 +18,8 @@ use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vamana_flex::KeyRange;
-use vamana_mass::{DocId, Footprint, MassError, MassStore, NodeEntry, RecordKind, WalStats};
+use vamana_flex::{FlexKey, KeyRange};
+use vamana_mass::{DocId, MassError, MassStore, NodeEntry, RecordKind, WalRecord, WalStats};
 use vamana_xpath::{parse, Expr};
 
 /// Engine configuration. Every read-path feature engages through its cost
@@ -457,14 +457,13 @@ impl Engine {
     /// Applies a logical update to `doc`: resolves the target XPath
     /// through the query cache without adding an entry to it (an entry's
     /// plan or kept answer, else its shape's template, else a compile
-    /// offered as the template; see [`crate::views`]), then routes the
-    /// mutation through the store's WAL-logged update path
-    /// ([`Engine::store_mut`]), and drops the document's kept answers the
-    /// nodes it inserted or deleted can change ([`crate::views`],
-    /// "Validity").
+    /// offered as the template; see [`crate::views`]), plans the write's
+    /// WAL records, commits them as one operation
+    /// ([`MassStore::commit`]) and moves the document's kept answers past
+    /// what they inserted or deleted ([`crate::views`], "Validity").
     /// Inserts append the fragment to the *first* match; deletes remove
-    /// the subtrees of *every* match (skipping nodes already removed as
-    /// part of an earlier match's subtree).
+    /// the subtrees of *every* match in one commit, a match inside an
+    /// earlier one going with it.
     pub fn apply_update(&mut self, doc: DocId, op: &UpdateOp) -> Result<UpdateOutcome> {
         let start = Instant::now();
         let target = match op {
@@ -474,38 +473,44 @@ impl Engine {
         // readers' entries out.
         let matched = self.open_text(doc, target, false)?.finish(Vec::new())?;
         let resolve = start.elapsed();
-        if let UpdateOp::Insert { .. } = op {
-            if let Some(first) = matched.first() {
-                if !matches!(first.kind, RecordKind::Element | RecordKind::Document) {
+        let records = match op {
+            UpdateOp::Insert { fragment, .. } => match matched.first() {
+                Some(first)
+                    if !matches!(first.kind, RecordKind::Element | RecordKind::Document) =>
+                {
                     return Err(EngineError::Unsupported(
                         "insert target must be an element or document node".into(),
                     ));
                 }
+                Some(first) => self.store.plan_fragment(&first.key, fragment)?,
+                None => Vec::new(),
+            },
+            // Matches come in document order: one inside an earlier match
+            // comes before any match outside it, so the last match kept
+            // is the only one to test.
+            UpdateOp::Delete { .. } => {
+                let mut records = Vec::new();
+                let mut outer: Option<&FlexKey> = None;
+                for entry in matched.iter() {
+                    if outer.is_some_and(|o| o.is_ancestor_or_self_of(&entry.key)) {
+                        continue;
+                    }
+                    outer = Some(&entry.key);
+                    records.push(WalRecord::DeleteSubtree {
+                        key: entry.key.clone(),
+                    });
+                }
+                records
             }
-        }
+        };
         let generation = self.store.doc_generation(doc);
         let store = self.store_mut()?;
-        let tuples_before = store.stats().tuples;
-        let mut deleted = 0u64;
-        let mut written = Footprint::default();
-        match op {
-            UpdateOp::Insert { fragment, .. } => {
-                if let Some(first) = matched.first() {
-                    store.append_fragment_noting(&first.key, fragment, &mut written)?;
-                }
-            }
-            UpdateOp::Delete { .. } => {
-                for entry in matched.iter() {
-                    if store.contains(&entry.key)? {
-                        deleted += store.delete_subtree_noting(&entry.key, &mut written)?;
-                    }
-                }
-            }
-        }
-        let inserted = store.stats().tuples.saturating_sub(tuples_before);
+        let before = store.stats().tuples;
+        let written = store.commit(&records)?;
+        let after = store.stats().tuples;
         let lsn = store.wal_stats().last_lsn;
         let doc_generation = store.doc_generation(doc);
-        // Eager on the primary's write path; replica replay bumps
+        // Eager on the primary's write path; replica replay moves
         // generations without coming through here, and the cache drops the
         // answers at the next access.
         self.views
@@ -513,8 +518,8 @@ impl Engine {
         Ok(UpdateOutcome {
             doc,
             matched: matched.len() as u64,
-            inserted,
-            deleted,
+            inserted: after.saturating_sub(before),
+            deleted: before.saturating_sub(after),
             lsn,
             doc_generation,
             resolve,

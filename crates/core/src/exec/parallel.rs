@@ -6,10 +6,10 @@
 //! materialises the context list, holds the page span it now knows
 //! against the break-even ([`crate::opt::parallel::price`]) and either
 //! hands the contexts to an ordinary serial step or cuts the scan into
-//! *morsels*: disjoint page runs of one descendant range
-//! (`MassStore::partition_range`), or contiguous slices of the context
-//! list. Concatenating morsel outputs in morsel order is the serial tuple
-//! sequence.
+//! *morsels*: equi-depth runs of the pages one descendant range spans,
+//! cut at page-first keys (`MassStore::partition_range`), or contiguous
+//! slices of the context list. Concatenating morsel outputs in morsel
+//! order is the serial tuple sequence.
 //!
 //! Morsels are claimed in order, one at a time, by whichever thread is
 //! free — the calling thread included, which is one of the scan's

@@ -50,9 +50,9 @@
 //! write inserted or deleted ([`vamana_mass::Footprint`]; the check is the
 //! `reach` module's, once per parsed query — a template's texts share
 //! theirs) and carries the answers it cannot see to the new generation;
-//! the rest are dropped. A replica's replay bumps the generation
-//! store-side with no footprint, so there every answer goes at the next
-//! access. Each plan and template records, when it is made, the
+//! the rest are dropped. A replica's replay moves the generation
+//! store-side and hands the cache no footprint, so there every answer
+//! goes at the next access. Each plan and template records, when it is made, the
 //! magnitude (as above) of every count it was priced on: `COUNT` of each
 //! node test and numeric range in its operators and `TC` of each literal.
 //! The first lookup or bind after the document's generation changes reads

@@ -273,3 +273,45 @@ fn update_is_wal_logged_on_durable_stores() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `DELETE` whose target matches nested and sibling nodes removes each
+/// subtree once, as one logged operation, and the store reopens to it.
+#[test]
+fn a_multi_match_delete_is_one_logged_operation() {
+    let dir = std::env::temp_dir().join(format!("vamana-multi-del-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("del.mass");
+    let _ = std::fs::remove_file(&path);
+    let doc;
+    {
+        let store = MassStore::create_durable(&path, 512, FsyncPolicy::Never).unwrap();
+        let mut engine = Engine::new(store);
+        doc = engine
+            .load_xml("d", "<r><s><t><s/></t></s><s/><k/></r>")
+            .unwrap();
+        let (wal, tuples) = (engine.store().wal_stats(), engine.store().stats().tuples);
+        let generation = engine.store().doc_generation(doc);
+        let outcome = engine
+            .apply_update(
+                doc,
+                &UpdateOp::Delete {
+                    target: "//s".into(),
+                },
+            )
+            .unwrap();
+        assert_eq!(outcome.matched, 3);
+        // The outer `s` with its `t` and inner `s`, and the sibling `s`.
+        assert_eq!(outcome.deleted, 4);
+        assert_eq!(tuples - engine.store().stats().tuples, 4);
+        let after = engine.store().wal_stats();
+        assert_eq!(after.commits - wal.commits, 1, "one commit");
+        assert_eq!(after.records - wal.records, 2, "one record per subtree");
+        assert_eq!(outcome.doc_generation, generation + 1);
+        assert!(engine.query_doc(doc, "//s | //t").unwrap().is_empty());
+    }
+    let engine = Engine::new(MassStore::open_durable(&path, 512, FsyncPolicy::Never).unwrap());
+    assert!(engine.query_doc(doc, "//s | //t").unwrap().is_empty());
+    assert_eq!(engine.query_doc(doc, "//k").unwrap().len(), 1);
+    assert_eq!(engine.store().stats().tuples, 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -621,8 +621,8 @@ pub fn axis_stream<'a>(
 /// for those axes (name-driven index slice when the filter allows,
 /// clustered batched scan otherwise), restricted to `range`.
 ///
-/// Splitting the axis range with [`MassStore::partition_range`] and
-/// concatenating the streams of the parts in order yields exactly the
+/// Splitting the axis range into page runs with
+/// [`MassStore::partition_range`] and concatenating the streams of the parts in order yields exactly the
 /// sequence `axis_stream` produces over the whole range — the contract
 /// the ordered merge in `vamana-core` relies on.
 pub fn range_scan_stream(store: &MassStore, range: KeyRange, filter: NodeFilter) -> AxisStream<'_> {

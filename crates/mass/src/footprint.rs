@@ -6,10 +6,10 @@ use crate::wal::WalRecord;
 /// The nodes one write inserted or deleted, as far as a node test can tell
 /// them apart: the distinct names of the elements and attributes in the
 /// written subtrees, and whether those held text, comment,
-/// processing-instruction or document nodes. A write notes it from the
-/// records it plans or removes anyway
-/// ([`crate::MassStore::append_fragment_noting`],
-/// [`crate::MassStore::delete_subtree_noting`]); nothing is read twice.
+/// processing-instruction or document nodes. [`crate::MassStore::commit`]
+/// returns it, and a follower's [`crate::MassStore::apply_replicated`]:
+/// the one apply path notes it from the records it inserts and the ones
+/// it removes anyway, so nothing is read twice.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Footprint {
     /// Names of the elements written.
@@ -86,25 +86,20 @@ mod tests {
             .unwrap();
         let doc = store.documents()[0].doc_key.clone();
         let r = store.last_child_key(&doc).unwrap().unwrap();
-        let mut inserted = Footprint::default();
-        store
-            .append_fragment_noting(&r, "<n k='v'><n/><m k='w'/></n>", &mut inserted)
-            .unwrap();
+        let fragment = store.plan_fragment(&r, "<n k='v'><n/><m k='w'/></n>");
+        let inserted = store.commit(&fragment.unwrap()).unwrap();
         assert_eq!(inserted.elements, vec!["n".into(), "m".into()]);
         assert_eq!(inserted.attributes, vec!["k".into()]);
         assert!(!inserted.text && !inserted.comment && !inserted.is_empty());
+        let delete = |key| [WalRecord::DeleteSubtree { key }];
         let p = store.last_child_key(&r).unwrap().unwrap();
-        let mut deleted = Footprint::default();
-        assert_eq!(store.delete_subtree_noting(&p, &mut deleted).unwrap(), 5);
+        let deleted = store.commit(&delete(p)).unwrap();
         assert_eq!(deleted.elements, vec!["n".into(), "m".into()]);
-        let mut deleted = Footprint::default();
         let p = store.last_child_key(&r).unwrap().unwrap();
-        assert_eq!(store.delete_subtree_noting(&p, &mut deleted).unwrap(), 5);
+        let deleted = store.commit(&delete(p)).unwrap();
         assert_eq!(deleted.elements, vec!["p".into(), "q".into()]);
         assert_eq!(deleted.attributes, vec!["id".into()]);
         assert!(deleted.text && deleted.comment && !deleted.pi && !deleted.document);
-        let mut whole = Footprint::default();
-        store.delete_subtree_noting(&doc, &mut whole).unwrap();
-        assert!(whole.document);
+        assert!(store.commit(&delete(doc)).unwrap().document);
     }
 }

@@ -24,7 +24,9 @@ impl MassStore {
     /// streams to followers — and then checkpointed, so the local log
     /// stays shallow (the page file + catalog are the durable image,
     /// exactly as before; the replication ring retains the frame
-    /// independently of the checkpoint's truncation).
+    /// independently of the checkpoint's truncation). It is the one write
+    /// that bypasses [`MassStore::commit`]: the bulk loader packs pages
+    /// straight from the parsed document.
     pub fn load_document(&mut self, name: &str, doc: &Document) -> Result<DocId> {
         if self.is_durable() {
             let xml = vamana_xml::write_document(doc, &vamana_xml::WriteOptions::default());
@@ -34,6 +36,7 @@ impl MassStore {
             }])?;
         }
         let id = self.load_document_unlogged(name, doc)?;
+        self.generation += 1;
         if self.is_durable() {
             self.checkpoint()?;
         }
@@ -46,7 +49,6 @@ impl MassStore {
     /// documents in the same order (WAL recovery, replication snapshots)
     /// reproduces an identical key space.
     pub(crate) fn load_document_unlogged(&mut self, name: &str, doc: &Document) -> Result<DocId> {
-        self.bump_generation();
         let mut values = Candidates::count(doc, self.format);
         let ordinal = self.docs.len() as u64;
         let mut generator = KeyGenerator::new();

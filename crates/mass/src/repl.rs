@@ -20,6 +20,7 @@
 //! serialized XML in load order reproduces the primary's exact key space.
 
 use crate::error::{MassError, Result};
+use crate::footprint::Footprint;
 use crate::store::MassStore;
 use crate::wal::WalRecord;
 use std::collections::VecDeque;
@@ -221,46 +222,33 @@ impl MassStore {
     /// Applies one committed batch received from a primary: the frames
     /// are appended to this store's own WAL under the *primary's* LSNs
     /// (contiguity enforced — a gap aborts with the log rolled back),
-    /// sealed by the batch's commit marker, and only then replayed into
-    /// the pages through the idempotent recovery path. Touched documents
-    /// get their generations bumped, so a query cache drops their kept
-    /// answers exactly as after local writes. Returns the commit marker's
-    /// LSN.
-    pub fn apply_replicated(&mut self, frames: &[(u64, WalRecord)]) -> Result<u64> {
-        let Some((last, rest)) = frames.split_last() else {
-            return Ok(self.replicated_lsn());
+    /// sealed by the batch's commit marker, and only then applied in
+    /// replay mode by the apply path of [`MassStore::commit`], which moves
+    /// the touched documents' generations as a local write does. Returns
+    /// the nodes the batch inserted or removed.
+    pub fn apply_replicated(&mut self, frames: &[(u64, WalRecord)]) -> Result<Footprint> {
+        let Some((last, _)) = frames.split_last() else {
+            return Ok(Footprint::default());
         };
         if !matches!(last.1, WalRecord::Commit) {
             return Err(MassError::InvalidUpdate(
                 "replicated batch must end with a commit marker".into(),
             ));
         }
-        if self.wal.is_none() {
+        let Some(wal) = self.wal.as_mut() else {
             return Err(MassError::InvalidUpdate(
                 "replica store must be durable".into(),
             ));
-        }
-        {
-            let wal = self.wal.as_mut().expect("checked durable");
-            for (lsn, rec) in frames {
-                if let Err(e) = wal.append_external(*lsn, rec) {
-                    wal.rollback().ok();
-                    return Err(e);
-                }
+        };
+        for (lsn, rec) in frames {
+            if let Err(e) = wal.append_external(*lsn, rec) {
+                wal.rollback().ok();
+                return Err(e);
             }
         }
         // Log is durable; now redo into the pages. Replay-mode apply is
         // idempotent, so an overlap after reconnect is harmless.
-        for (_, rec) in rest {
-            self.apply_wal_record(rec, true)?;
-            match rec {
-                WalRecord::InsertElement { key, .. }
-                | WalRecord::InsertText { key, .. }
-                | WalRecord::InsertAttribute { key, .. }
-                | WalRecord::DeleteSubtree { key } => self.bump_doc(key),
-                WalRecord::LoadDocument { .. } | WalRecord::Commit => {}
-            }
-        }
+        let footprint = self.apply(frames.iter().map(|(_, rec)| rec), true)?;
         // Cascade: a follower with its own ring can feed further
         // followers.
         if let Some(log) = &self.repl {
@@ -270,7 +258,7 @@ impl MassStore {
                 .collect();
             log.publish(&encoded);
         }
-        Ok(last.0)
+        Ok(footprint)
     }
 }
 
@@ -385,6 +373,45 @@ mod tests {
         assert_eq!(follower.replicated_lsn(), primary.replicated_lsn());
     }
 
+    /// A follower's apply of a primary's batch notes what the primary's
+    /// commit noted, and moves the document's generation once per batch.
+    #[test]
+    fn a_replicated_batch_notes_the_primarys_footprint() {
+        let mut primary = durable_store();
+        let log = primary.attach_replication(1024).unwrap();
+        primary.load_xml("d", "<r><a k='1'>x</a><b/></r>").unwrap();
+        let doc = primary.documents()[0].doc_key.clone();
+        let root = primary.last_child_key(&doc).unwrap().unwrap();
+        let fragment = primary.plan_fragment(&root, "<n m='2'>y<o/></n>").unwrap();
+        let deletes = [0, 1].map(|i| WalRecord::DeleteSubtree {
+            key: root.child(&vamana_flex::seq_label(i)),
+        });
+        let writes = [
+            primary.commit(&fragment).unwrap(),
+            primary.commit(&deletes).unwrap(),
+        ];
+
+        let mut follower = durable_store();
+        let mut batch: Vec<(u64, WalRecord)> = Vec::new();
+        let mut noted = Vec::new();
+        let mut generations = Vec::new();
+        for (lsn, payload) in log.frames_after(0, usize::MAX).unwrap() {
+            let rec = WalRecord::decode(&payload).unwrap();
+            let is_commit = matches!(rec, WalRecord::Commit);
+            batch.push((lsn, rec));
+            if is_commit {
+                noted.push(follower.apply_replicated(&batch).unwrap());
+                generations.push(follower.doc_generation(crate::store::DocId(0)));
+                batch.clear();
+            }
+        }
+        // The load, then the two writes.
+        assert_eq!(noted.len(), 3);
+        assert_eq!(noted[1..], writes[..]);
+        assert!(writes.iter().all(|w| !w.is_empty()));
+        assert_eq!(generations, [0, 1, 2]);
+    }
+
     #[test]
     fn rebase_replica_accepts_primary_numbering() {
         let mut follower = durable_store();
@@ -401,7 +428,8 @@ mod tests {
             ),
             (102, WalRecord::Commit),
         ];
-        assert_eq!(follower.apply_replicated(&batch).unwrap(), 102);
+        follower.apply_replicated(&batch).unwrap();
+        assert_eq!(follower.replicated_lsn(), 102);
         assert!(follower.document_by_name("x").is_some());
     }
 }

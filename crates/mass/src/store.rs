@@ -226,21 +226,13 @@ impl MassStore {
         Ok(store)
     }
 
-    /// Applies the committed records handed back by [`Wal::open`]. Replay
-    /// is idempotent: names are re-interned in LSN order (reproducing the
-    /// exact id sequence on top of the catalog), inserts whose key
-    /// already survived in the page file are skipped, deletes of absent
-    /// subtrees are no-ops.
+    /// Applies the committed records handed back by [`Wal::open`] on top
+    /// of the catalog, in replay mode ([`MassStore::apply`]).
     fn replay_wal(&mut self, records: Vec<(u64, WalRecord)>) -> Result<()> {
-        let mut last = 0u64;
-        let mut n = 0u64;
-        for (lsn, rec) in &records {
-            self.apply_wal_record(rec, true)?;
-            last = *lsn;
-            n += 1;
-        }
+        self.apply(records.iter().map(|(_, rec)| rec), true)?;
         if let Some(w) = self.wal.as_mut() {
-            w.note_replayed(last, n);
+            let last = records.last().map_or(0, |(lsn, _)| *lsn);
+            w.note_replayed(last, records.len() as u64);
         }
         Ok(())
     }
@@ -261,24 +253,11 @@ impl MassStore {
         self.generation
     }
 
-    pub(crate) fn bump_generation(&mut self) {
-        self.generation += 1;
-    }
-
     /// Mutation counter for one document. Kept answers and the checks of
     /// cached plans key on `(doc, doc_generation)`, so an update to one
     /// document touches only that document's.
     pub fn doc_generation(&self, doc: DocId) -> u64 {
         self.doc_gens.get(doc.0 as usize).copied().unwrap_or(0)
-    }
-
-    /// Bumps the generation of the document containing `key`.
-    pub(crate) fn bump_doc(&mut self, key: &FlexKey) {
-        if let Some(doc) = self.document_of(key) {
-            if let Some(g) = self.doc_gens.get_mut(doc.0 as usize) {
-                *g += 1;
-            }
-        }
     }
 
     // ---- names ---------------------------------------------------------
@@ -582,22 +561,12 @@ impl MassStore {
     }
 
     /// Splits `range` into at most `n` disjoint sub-ranges whose
-    /// concatenation covers it exactly, with every interior boundary on
-    /// a *page* boundary (the first key of some page in the sparse
-    /// index). A cursor over one sub-range therefore never pins a page
-    /// that a sibling sub-range's cursor reads past its first record —
-    /// each morsel is a disjoint page run, so parallel workers don't
-    /// fight over pins and the per-page batch amortization of
-    /// [`crate::cursor::MassCursor::next_batch`] is preserved.
-    ///
-    /// The split starts from [`KeyRange::split_even`]'s key-space
-    /// proposal with each cut snapped up to the next page-first key, but
-    /// key-space interpolation is oblivious to the data distribution
-    /// (flat keys cluster at the low end of the byte space), so when the
-    /// snapped cuts leave any morsel with more than ~2x its fair share
-    /// of pages — or the range is unbounded above — the proposal is
-    /// replaced by equi-depth page runs taken directly from the sparse
-    /// index, which *is* the distribution.
+    /// concatenation covers it exactly: equi-depth runs of the pages it
+    /// spans, each interior boundary the first key of a page in the sparse
+    /// index. A cursor over one sub-range therefore never pins a page that
+    /// a sibling sub-range's cursor reads past its first record — parallel
+    /// workers don't fight over pins, and the per-page batch amortization
+    /// of [`crate::cursor::MassCursor::next_batch`] is preserved.
     ///
     /// Returns `vec![range]` when there is nothing to split (`n <= 1`,
     /// empty range/store, or the range spans a single page). Boundaries
@@ -611,49 +580,15 @@ impl MassStore {
         }
         let pages = end - start;
         let m = n.min(pages);
-        // Key-space proposal, each cut snapped up to the first key of
-        // the nearest following page.
-        let mut cut_pages: Vec<usize> = range
-            .split_even(m)
-            .iter()
-            .skip(1)
-            .map(|r| {
-                self.index
-                    .partition_point(|(first, _)| first.as_slice() < r.lo.as_slice())
-            })
-            .filter(|&p| p > start && p < end)
-            .collect();
-        cut_pages.dedup();
-        let fair = pages.div_ceil(m);
-        let balanced = cut_pages.len() + 1 == m && {
-            let mut prev = start;
-            let mut max_run = 0;
-            for &p in cut_pages.iter().chain(std::iter::once(&end)) {
-                max_run = max_run.max(p - prev);
-                prev = p;
-            }
-            max_run <= fair * 2
-        };
-        if !balanced {
-            // Equi-depth page runs: boundaries straight off the index.
-            cut_pages = (1..m).map(|k| start + k * pages / m).collect();
-            cut_pages.dedup();
-        }
+        // Every cut is the first key of a page after the run's first and
+        // before its end, so it lies strictly inside `range`.
         let mut parts = Vec::with_capacity(m);
         let mut lo = range.lo.clone();
-        for p in cut_pages {
-            let cut = &self.index[p].0;
-            if cut.as_slice() <= lo.as_slice() {
-                continue;
-            }
-            if let Some(hi) = &range.hi {
-                if cut.as_slice() >= hi.as_slice() {
-                    continue;
-                }
-            }
+        for k in 1..m {
+            let cut = self.index[start + k * pages / m].0.clone();
             parts.push(KeyRange {
                 lo: std::mem::replace(&mut lo, cut.clone()),
-                hi: Some(cut.clone()),
+                hi: Some(cut),
             });
         }
         parts.push(KeyRange {
@@ -905,7 +840,6 @@ impl MassStore {
     /// Inserts a record into the clustered index at its key position,
     /// splitting the target page if needed.
     pub(crate) fn insert_record(&mut self, rec: NodeRecord) -> Result<()> {
-        self.bump_generation();
         let flat = rec.key.as_flat().to_vec();
         if self.index.is_empty() {
             let id = self.allocate_page()?;
@@ -1029,72 +963,183 @@ impl MassStore {
             .map(|(page, i)| FlexKey::from_flat_slice(page.key(i))))
     }
 
-    /// Applies one logical WAL record to the store. On the live path
-    /// (`replay == false`) the caller has already logged and committed the
-    /// record; on recovery (`replay == true`) the record may be partially
-    /// applied already, so inserts skip keys that survived in the page
-    /// file. Names are interned *before* the existence check so the
-    /// interned-id sequence is identical on both paths.
-    pub(crate) fn apply_wal_record(&mut self, rec: &WalRecord, replay: bool) -> Result<()> {
-        match rec {
-            WalRecord::InsertElement { key, name } => {
-                let name_id = self.intern(name);
-                if replay && self.contains(key)? {
-                    return Ok(());
+    /// Logs `recs` as one atomic operation and applies them: the one way
+    /// a write reaches a loaded store, and the one apply path (`apply`)
+    /// that recovery and replication also run. A list that could not
+    /// apply in order is refused before anything is logged: a record
+    /// other than a node insert or a subtree delete, an insert onto a
+    /// stored key, or one under a missing parent. An empty list logs and
+    /// changes nothing. Returns the nodes the records inserted and
+    /// removed.
+    pub fn commit(&mut self, recs: &[WalRecord]) -> Result<Footprint> {
+        if recs.is_empty() {
+            return Ok(Footprint::default());
+        }
+        self.check_commit(recs)?;
+        self.log_records(recs)?;
+        self.apply(recs, false)
+    }
+
+    /// Rejects a list of records that would not apply cleanly, in order,
+    /// to this store: a record other than an insert or a subtree delete
+    /// (a document is loaded by `load_document`), an insert onto a key
+    /// that is stored or inserted earlier in the list, and an insert
+    /// under a parent that is neither. A key inside a subtree the list
+    /// deleted earlier counts as absent.
+    fn check_commit(&self, recs: &[WalRecord]) -> Result<()> {
+        let reject = |why: &str| Err(MassError::InvalidUpdate(why.into()));
+        let mut inserted: std::collections::HashSet<&FlexKey> = Default::default();
+        let mut deleted: Vec<&FlexKey> = Vec::new();
+        for rec in recs {
+            let key = match rec {
+                WalRecord::DeleteSubtree { key } => {
+                    inserted.retain(|k| !key.is_ancestor_or_self_of(k));
+                    deleted.push(key);
+                    continue;
                 }
-                let rec = NodeRecord::element(key.clone(), name_id);
-                self.insert_record(rec.clone())?;
-                self.index_record(&rec, None, false);
+                WalRecord::LoadDocument { .. } | WalRecord::Commit => {
+                    return reject("a commit holds inserts and subtree deletes only");
+                }
+                _ => rec.key().expect("an insert has a key"),
+            };
+            let Some(parent) = key.parent() else {
+                return reject("cannot insert the root");
+            };
+            // A stored key under a parent fresh in this list would be an
+            // orphan, which the store never holds: only an insert under a
+            // stored parent probes the pages for its own key.
+            if !inserted.contains(&parent) {
+                let gone = |k: &FlexKey| deleted.iter().any(|d| d.is_ancestor_or_self_of(k));
+                if gone(&parent) || !self.contains(&parent)? {
+                    return reject("parent does not exist");
+                }
+                if !gone(key) && self.contains(key)? {
+                    return reject("key exists");
+                }
+            }
+            if !inserted.insert(key) {
+                return reject("key exists");
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies logged records to the store — the only code that does,
+    /// run by [`MassStore::commit`], by recovery and by a follower
+    /// ([`MassStore::apply_replicated`]). There (`replay == true`) a
+    /// record may be applied already: an insert whose key survived in the
+    /// page file and a load of a document that exists are skipped, and a
+    /// delete of an absent subtree removes nothing. Names are interned
+    /// before the existence check, so the interned-id sequence is the same
+    /// on every path. Returns the nodes the records inserted or removed,
+    /// and moves the store's generation and that of each document they
+    /// changed, once per call, also when a record fails partway.
+    pub(crate) fn apply<'r>(
+        &mut self,
+        recs: impl IntoIterator<Item = &'r WalRecord>,
+        replay: bool,
+    ) -> Result<Footprint> {
+        let mut footprint = Footprint::default();
+        let mut changed = false;
+        let mut docs: Vec<DocId> = Vec::new();
+        let mut outcome = Ok(());
+        for rec in recs {
+            let written = match self.apply_record(rec, replay, &mut footprint) {
+                Ok(written) => written,
+                // The record may have changed pages before it failed, and
+                // the records before it have: the generations below still
+                // move, so no kept answer outlives what was applied.
+                Err(e) => {
+                    outcome = Err(e);
+                    true
+                }
+            };
+            if written {
+                changed = true;
+                footprint.note_insert(rec);
+                let doc = rec.key().and_then(|key| self.document_of(key));
+                if let Some(doc) = doc.filter(|d| !docs.contains(d)) {
+                    docs.push(doc);
+                }
+            }
+            if outcome.is_err() {
+                break;
+            }
+        }
+        if changed {
+            self.generation += 1;
+            for doc in docs {
+                self.doc_gens[doc.0 as usize] += 1;
+            }
+        }
+        outcome.map(|()| footprint)
+    }
+
+    /// Applies one record for [`MassStore::apply`], noting a removed node
+    /// in `footprint`. Returns whether it changed the store.
+    fn apply_record(
+        &mut self,
+        rec: &WalRecord,
+        replay: bool,
+        footprint: &mut Footprint,
+    ) -> Result<bool> {
+        Ok(match rec {
+            WalRecord::InsertElement { key, name } => {
+                self.insert_node(key, RecordKind::Element, Some(name), None, replay)?
             }
             WalRecord::InsertText { key, value } => {
-                if replay && self.contains(key)? {
-                    return Ok(());
-                }
-                let vref = self.make_value(value)?;
-                let rec = NodeRecord {
-                    key: key.clone(),
-                    kind: RecordKind::Text,
-                    name: None,
-                    value: vref,
-                };
-                self.insert_record(rec.clone())?;
-                self.index_record(&rec, Some(value), false);
+                self.insert_node(key, RecordKind::Text, None, Some(value), replay)?
             }
             WalRecord::InsertAttribute { key, name, value } => {
-                let name_id = self.intern(name);
-                if replay && self.contains(key)? {
-                    return Ok(());
-                }
-                let vref = self.make_value(value)?;
-                let rec = NodeRecord {
-                    key: key.clone(),
-                    kind: RecordKind::Attribute,
-                    name: Some(name_id),
-                    value: vref,
-                };
-                self.insert_record(rec.clone())?;
-                self.index_record(&rec, Some(value), false);
+                let kind = RecordKind::Attribute;
+                self.insert_node(key, kind, Some(name), Some(value), replay)?
             }
-            WalRecord::DeleteSubtree { key } => {
-                self.delete_subtree_unlogged(key, &mut Footprint::default())?;
-            }
-            WalRecord::LoadDocument { name, xml } => {
-                // A bulk load that entered the log (for replication) but
-                // also checkpointed right after it — replay skips it when
-                // the document already survived in the page file. The
-                // unlogged loader assigns keys deterministically from the
-                // document structure and load ordinal, so replaying on a
-                // follower reproduces the primary's exact key space.
-                if replay && self.document_by_name(name).is_some() {
-                    return Ok(());
-                }
+            WalRecord::DeleteSubtree { key } => self.remove_subtree(key, footprint)? > 0,
+            // A live load is logged (for replication) and checkpointed
+            // right after, so replay finds it in the page file. The
+            // loader assigns keys from the document's structure and
+            // load ordinal, so a follower reproduces the primary's key
+            // space. A new document's generation is 0.
+            WalRecord::LoadDocument { name, xml }
+                if !(replay && self.document_by_name(name).is_some()) =>
+            {
                 let doc = vamana_xml::parse(xml)
                     .map_err(|e| MassError::InvalidUpdate(format!("load replay parse: {e}")))?;
                 self.load_document_unlogged(name, &doc)?;
+                true
             }
-            WalRecord::Commit => {}
+            WalRecord::LoadDocument { .. } | WalRecord::Commit => false,
+        })
+    }
+
+    /// Inserts the node at `key` into the pages and the secondary indexes
+    /// — unless `replay` finds it stored already. Returns whether it
+    /// inserted.
+    fn insert_node(
+        &mut self,
+        key: &FlexKey,
+        kind: RecordKind,
+        name: Option<&str>,
+        value: Option<&str>,
+        replay: bool,
+    ) -> Result<bool> {
+        let name = name.map(|name| self.intern(name));
+        if replay && self.contains(key)? {
+            return Ok(false);
         }
-        Ok(())
+        let value_ref = match value {
+            Some(value) => self.make_value(value)?,
+            None => ValueRef::None,
+        };
+        let node = NodeRecord {
+            key: key.clone(),
+            kind,
+            name,
+            value: value_ref,
+        };
+        self.insert_record(node.clone())?;
+        self.index_record(&node, value, false);
+        Ok(true)
     }
 
     /// Logs `recs` plus a commit marker to the WAL, returning the commit
@@ -1138,33 +1183,21 @@ impl MassStore {
     /// Inserts a new element under `parent` after all existing children,
     /// returning its key.
     pub fn append_element(&mut self, parent: &FlexKey, name: &str) -> Result<FlexKey> {
-        if self.get(parent)?.is_none() {
-            return Err(MassError::InvalidUpdate("parent does not exist".into()));
-        }
-        let key = self.next_child_key(parent)?;
-        let rec = WalRecord::InsertElement {
+        let key = self.append_key(parent)?;
+        self.commit(&[WalRecord::InsertElement {
             key: key.clone(),
             name: name.to_string(),
-        };
-        self.log_records(std::slice::from_ref(&rec))?;
-        self.apply_wal_record(&rec, false)?;
-        self.bump_doc(&key);
+        }])?;
         Ok(key)
     }
 
     /// Inserts a new text node under `parent` after all existing children.
     pub fn append_text(&mut self, parent: &FlexKey, value: &str) -> Result<FlexKey> {
-        if self.get(parent)?.is_none() {
-            return Err(MassError::InvalidUpdate("parent does not exist".into()));
-        }
-        let key = self.next_child_key(parent)?;
-        let rec = WalRecord::InsertText {
+        let key = self.append_key(parent)?;
+        self.commit(&[WalRecord::InsertText {
             key: key.clone(),
             value: value.to_string(),
-        };
-        self.log_records(std::slice::from_ref(&rec))?;
-        self.apply_wal_record(&rec, false)?;
-        self.bump_doc(&key);
+        }])?;
         Ok(key)
     }
 
@@ -1183,14 +1216,20 @@ impl MassStore {
             }
             None => self.next_child_key(&parent)?,
         };
-        let rec = WalRecord::InsertElement {
+        self.commit(&[WalRecord::InsertElement {
             key: key.clone(),
             name: name.to_string(),
-        };
-        self.log_records(std::slice::from_ref(&rec))?;
-        self.apply_wal_record(&rec, false)?;
-        self.bump_doc(&key);
+        }])?;
         Ok(key)
+    }
+
+    /// The key a new last child of `parent` gets; an error when `parent`
+    /// does not exist.
+    fn append_key(&self, parent: &FlexKey) -> Result<FlexKey> {
+        if self.get(parent)?.is_none() {
+            return Err(MassError::InvalidUpdate("parent does not exist".into()));
+        }
+        self.next_child_key(parent)
     }
 
     fn next_child_key(&self, parent: &FlexKey) -> Result<FlexKey> {
@@ -1204,43 +1243,31 @@ impl MassStore {
     }
 
     /// Inserts a parsed XML fragment as the last child of `parent`,
-    /// returning the key of the fragment's root element. The fragment
-    /// must have a single root element.
-    ///
-    /// The whole fragment is planned into WAL records first (assigning
-    /// every key without touching the store), logged as one atomic
-    /// operation, then applied — so a crash mid-fragment recovers to
-    /// either none or all of it.
+    /// returning the key of the fragment's root element: the records of
+    /// [`MassStore::plan_fragment`], committed as one atomic operation, so
+    /// a crash mid-fragment recovers to either none or all of it.
     pub fn append_fragment(&mut self, parent: &FlexKey, xml: &str) -> Result<FlexKey> {
-        self.append_fragment_noting(parent, xml, &mut Footprint::default())
+        let recs = self.plan_fragment(parent, xml)?;
+        self.commit(&recs)?;
+        Ok(recs[0].key().expect("a fragment's root record").clone())
     }
 
-    /// [`MassStore::append_fragment`], noting each node it inserts in
-    /// `footprint`, from the records it plans.
-    pub fn append_fragment_noting(
-        &mut self,
-        parent: &FlexKey,
-        xml: &str,
-        footprint: &mut Footprint,
-    ) -> Result<FlexKey> {
+    /// The records that insert the XML fragment `xml`, which must have a
+    /// single root element, as the last child of `parent`, the root's
+    /// first: every key assigned, the store untouched. A fragment that
+    /// does not parse, has no root element or holds a node other than an
+    /// element, attribute or text is rejected, and so is a `parent` that
+    /// does not exist.
+    pub fn plan_fragment(&self, parent: &FlexKey, xml: &str) -> Result<Vec<WalRecord>> {
         let doc = vamana_xml::parse(xml)
             .map_err(|e| MassError::InvalidUpdate(format!("fragment parse failed: {e}")))?;
         let root = doc
             .root_element()
             .ok_or_else(|| MassError::InvalidUpdate("fragment has no root element".into()))?;
-        if self.get(parent)?.is_none() {
-            return Err(MassError::InvalidUpdate("parent does not exist".into()));
-        }
-        let root_key = self.next_child_key(parent)?;
+        let root_key = self.append_key(parent)?;
         let mut recs = Vec::new();
         Self::plan_node(&doc, root, &root_key, &mut recs)?;
-        self.log_records(&recs)?;
-        for rec in &recs {
-            self.apply_wal_record(rec, false)?;
-            footprint.note_insert(rec);
-        }
-        self.bump_doc(&root_key);
-        Ok(root_key)
+        Ok(recs)
     }
 
     /// Plans the WAL records for inserting `node` (and its subtree) at
@@ -1328,43 +1355,26 @@ impl MassStore {
             }
         }
         let key = element.child(&attr_label(ordinal));
-        let rec = WalRecord::InsertAttribute {
+        self.commit(&[WalRecord::InsertAttribute {
             key: key.clone(),
             name: name.to_string(),
             value: value.to_string(),
-        };
-        self.log_records(std::slice::from_ref(&rec))?;
-        self.apply_wal_record(&rec, false)?;
-        self.bump_doc(&key);
+        }])?;
         Ok(key)
     }
 
     /// Deletes the node at `key` and its whole subtree. Returns the number
     /// of records removed.
     pub fn delete_subtree(&mut self, key: &FlexKey) -> Result<u64> {
-        self.delete_subtree_noting(key, &mut Footprint::default())
+        let before = self.tuples;
+        self.commit(&[WalRecord::DeleteSubtree { key: key.clone() }])?;
+        Ok(before - self.tuples)
     }
 
-    /// [`MassStore::delete_subtree`], noting each node it removes in
-    /// `footprint`, from the records it removes.
-    pub fn delete_subtree_noting(
-        &mut self,
-        key: &FlexKey,
-        footprint: &mut Footprint,
-    ) -> Result<u64> {
-        let rec = WalRecord::DeleteSubtree { key: key.clone() };
-        self.log_records(std::slice::from_ref(&rec))?;
-        let removed = self.delete_subtree_unlogged(key, footprint)?;
-        if removed > 0 {
-            self.bump_doc(key);
-        }
-        Ok(removed)
-    }
-
-    /// [`MassStore::delete_subtree_noting`] without WAL logging — the
-    /// apply/replay half of the operation.
-    fn delete_subtree_unlogged(&mut self, key: &FlexKey, footprint: &mut Footprint) -> Result<u64> {
-        self.bump_generation();
+    /// Removes the node at `key` and its subtree from the pages and the
+    /// indexes, noting each node in `footprint` — the delete arm of
+    /// [`MassStore::apply`]. Returns the number of records removed.
+    fn remove_subtree(&mut self, key: &FlexKey, footprint: &mut Footprint) -> Result<u64> {
         let range = KeyRange::subtree(key);
         if self.index.is_empty() {
             return Ok(0);

@@ -161,6 +161,17 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// The key of the node an insert or delete record writes.
+    pub(crate) fn key(&self) -> Option<&FlexKey> {
+        match self {
+            WalRecord::InsertElement { key, .. }
+            | WalRecord::InsertText { key, .. }
+            | WalRecord::InsertAttribute { key, .. }
+            | WalRecord::DeleteSubtree { key } => Some(key),
+            WalRecord::LoadDocument { .. } | WalRecord::Commit => None,
+        }
+    }
+
     /// Serializes the record to its log payload (also the wire payload
     /// of the replication feed).
     pub fn encode(&self) -> Vec<u8> {

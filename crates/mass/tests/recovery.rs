@@ -15,7 +15,7 @@ use vamana_flex::{FlexKey, KeyRange};
 use vamana_mass::record::RecordKind;
 use vamana_mass::{
     FaultClock, FaultPager, FaultWalBackend, FsyncPolicy, MassCursor, MassStore, MemWalBackend,
-    Result, SharedPager,
+    Result, SharedPager, WalRecord,
 };
 
 const CAP: usize = 64;
@@ -31,6 +31,8 @@ enum Op {
     InsertAfter(&'static str, usize, &'static str),
     AppendFragment(&'static str, usize, &'static str),
     DeleteElement(&'static str, usize),
+    /// One commit deleting several elements, each named as above.
+    DeleteAll(&'static [(&'static str, usize)]),
     Checkpoint,
 }
 
@@ -73,6 +75,15 @@ fn apply(s: &mut MassStore, op: &Op) -> Result<()> {
             let k = nth_element(s, p, i);
             s.delete_subtree(&k).map(|_| ())
         }
+        Op::DeleteAll(targets) => {
+            let recs: Vec<WalRecord> = targets
+                .iter()
+                .map(|&(name, i)| WalRecord::DeleteSubtree {
+                    key: nth_element(s, name, i),
+                })
+                .collect();
+            s.commit(&recs).map(|_| ())
+        }
         Op::Checkpoint => s.checkpoint(),
     }
 }
@@ -108,6 +119,8 @@ fn script() -> Vec<Op> {
             0,
             "<person id='p3'><watches><watch/></watches></person>",
         ),
+        // Both documents, and a key inside another's subtree.
+        Op::DeleteAll(&[("entry", 1), ("name", 0), ("watches", 0), ("watch", 0)]),
     ]
 }
 
@@ -424,4 +437,90 @@ fn wal_file_truncated_at_every_byte_recovers_a_prefix() {
         assert!(e <= 6);
     }
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+/// A commit whose second record fails to apply (a page write fault)
+/// still moves the generations: the first record's subtree is gone from
+/// the pages, so an answer kept at the old generation must not be served.
+#[test]
+fn a_commit_that_fails_partway_still_moves_the_generations() {
+    let xml = "<r><a><x/></a><b><y/></b></r>";
+    let store = |clock: &std::sync::Arc<FaultClock>| {
+        let pager = Box::new(FaultPager::new(Box::new(SharedPager::new()), clock.clone()));
+        let wal = Box::new(MemWalBackend::new());
+        let mut s = MassStore::create_with_wal(pager, CAP, wal, FsyncPolicy::Always).unwrap();
+        let doc = s.load_xml("d", xml).unwrap();
+        (s, doc)
+    };
+    let delete = |s: &MassStore, name| WalRecord::DeleteSubtree {
+        key: nth_element(s, name, 0),
+    };
+    // The page writes of deleting `a` alone size the budget.
+    let clock = FaultClock::new();
+    let (mut s, _) = store(&clock);
+    let before = clock.writes();
+    s.commit(&[delete(&s, "a")]).unwrap();
+    let first = clock.writes() - before;
+    assert!(first > 0, "a delete writes pages");
+
+    let clock = FaultClock::new();
+    let (mut s, doc) = store(&clock);
+    let (a, recs) = (nth_element(&s, "a", 0), [delete(&s, "a"), delete(&s, "b")]);
+    let (generation, doc_generation) = (s.generation(), s.doc_generation(doc));
+    clock.arm(first);
+    assert!(s.commit(&recs).is_err(), "the second delete's write fails");
+    clock.disarm();
+    assert!(!s.contains(&a).unwrap(), "the first delete applied");
+    assert_eq!(s.generation(), generation + 1);
+    assert_eq!(s.doc_generation(doc), doc_generation + 1);
+}
+
+/// `commit` refuses a list that could not apply before logging it: an
+/// insert onto a stored key, one under a missing parent (or one the list
+/// deleted earlier), a key twice, and a record that is not a node insert
+/// or a subtree delete. A list that inserts a fresh subtree parent first
+/// passes.
+#[test]
+fn commit_rejects_records_that_cannot_apply_before_logging_them() {
+    let mut s = MassStore::create_with_wal(
+        Box::new(SharedPager::new()),
+        CAP,
+        Box::new(MemWalBackend::new()),
+        FsyncPolicy::Always,
+    )
+    .unwrap();
+    s.load_xml("d", "<r><a/></r>").unwrap();
+    let a = nth_element(&s, "a", 0);
+    let fresh = s.plan_fragment(&a, "<n><m/></n>").unwrap();
+    let key_of = |rec: &WalRecord| match rec {
+        WalRecord::InsertElement { key, .. } => key.clone(),
+        other => panic!("{other:?} is not an element insert"),
+    };
+    let key = key_of(&fresh[0]);
+    let element = |key: &FlexKey| WalRecord::InsertElement {
+        key: key.clone(),
+        name: "e".into(),
+    };
+    let orphan = key.child(&vamana_flex::seq_label(7));
+    let refused: [Vec<WalRecord>; 6] = [
+        vec![element(&a)],
+        vec![element(&orphan)],
+        vec![element(&key), element(&key)],
+        vec![WalRecord::DeleteSubtree { key: a.clone() }, element(&key)],
+        vec![element(&key), WalRecord::Commit],
+        vec![WalRecord::LoadDocument {
+            name: "e".into(),
+            xml: "<e/>".into(),
+        }],
+    ];
+    let logged = s.wal_stats().last_lsn;
+    for recs in &refused {
+        assert!(s.commit(recs).is_err(), "{recs:?} passed");
+        assert_eq!(s.wal_stats().last_lsn, logged, "{recs:?} was logged");
+    }
+    s.commit(&fresh).unwrap();
+    let deleted_and_back = [WalRecord::DeleteSubtree { key: key.clone() }, element(&key)];
+    s.commit(&deleted_and_back).unwrap();
+    assert!(s.contains(&key).unwrap());
+    assert!(!s.contains(&key_of(&fresh[1])).unwrap());
 }

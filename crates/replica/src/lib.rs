@@ -392,7 +392,7 @@ mod tests {
             BufReader::new(&stream)
                 .read_line(&mut String::new())
                 .unwrap();
-            let _ = stream.write_all(&vec![b'a'; 1 << 20]);
+            let _ = stream.write_all(&vec![b'a'; vamana_server::event::MAX_REPLY_LINE + 1]);
         });
         let dir = std::env::temp_dir().join(format!("vamana-replica-cap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

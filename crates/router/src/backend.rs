@@ -10,11 +10,12 @@
 //! Each document's first `n` rows hold the merged first `n`, and the
 //! `OK n` totals are the shards' own.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
+use vamana_server::event::round_trip;
 
 /// How long a backend dial may take before the attempt counts as a
 /// failure (keeps a dead backend from stalling a scatter).
@@ -64,7 +65,7 @@ impl Conn {
         if self.limit == Some(limit) {
             return Ok(());
         }
-        let reply = self.round_trip(&format!("LIMIT {limit}"))?;
+        let reply = round_trip(&mut self.reader, &format!("LIMIT {limit}"))?;
         if reply.last().map(|l| l.starts_with("OK")) != Some(true) {
             return Err(std::io::Error::other(format!(
                 "backend rejected LIMIT {limit}: {reply:?}"
@@ -72,32 +73,6 @@ impl Conn {
         }
         self.limit = Some(limit);
         Ok(())
-    }
-
-    /// Sends one request line and reads response lines through the
-    /// `OK`/`ERR` terminator.
-    pub fn round_trip(&mut self, request: &str) -> std::io::Result<Vec<String>> {
-        let stream = self.reader.get_ref();
-        let mut writer = stream.try_clone()?;
-        writer.write_all(request.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut lines = Vec::new();
-        loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!("backend closed mid-response to {request:?}"),
-                ));
-            }
-            let line = line.trim_end_matches(['\n', '\r']).to_string();
-            let done = line.starts_with("OK") || line.starts_with("ERR");
-            lines.push(line);
-            if done {
-                return Ok(lines);
-            }
-        }
     }
 }
 
@@ -158,7 +133,7 @@ impl Backend {
             if let Some(limit) = limit {
                 conn.set_limit(limit)?;
             }
-            conn.round_trip(line).map(|reply| (conn, reply))
+            round_trip(&mut conn.reader, line).map(|reply| (conn, reply))
         });
         match attempt {
             Ok((conn, reply)) => {

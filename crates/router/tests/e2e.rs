@@ -7,18 +7,22 @@
 //! follower process), and clean degradation when a primary dies
 //! mid-stream.
 
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vamana_core::Engine;
 use vamana_mass::{FsyncPolicy, MassStore};
 use vamana_router::{Router, RouterConfig, RouterHandle};
+use vamana_server::event::{MAX_LINE, MAX_REPLY_LINE};
 use vamana_server::testkit::{lag_value, stat_value, verb_soup, Client};
-use vamana_server::{ReplicaRole, ReplicaStatus, Server, ServerConfig, ServerHandle};
+use vamana_server::{
+    unescape_line, ReplicaRole, ReplicaStatus, Server, ServerConfig, ServerHandle,
+};
 
 const DEADLINE: Duration = Duration::from_secs(20);
 
@@ -768,5 +772,136 @@ fn a_request_held_at_its_backend_blocks_neither_a_ping_nor_stop() {
         "{reply:?}"
     );
     writer.join().unwrap();
+    backend.stop();
+}
+
+/// Answers `DOCS` with the one document `d`, a `QUERY` that names `//long`
+/// with a row longer than any line a server writes, any other `QUERY`
+/// with one short row, and every other line with `OK`, until the peer
+/// closes or is idle for [`DEADLINE`].
+fn over_long_backend(stream: TcpStream) {
+    stream.set_read_timeout(Some(DEADLINE)).expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut line = String::new();
+    while reader.read_line(&mut line).unwrap_or(0) > 0 {
+        let reply = if line.starts_with("DOCS") {
+            "DOC 0 d\nOK 1 document(s)\n".to_string()
+        } else if line.contains("//long") {
+            format!("ROW {}\nOK 1 row(s)\n", "a".repeat(MAX_REPLY_LINE))
+        } else if line.starts_with("QUERY") {
+            "ROW <a> short\nOK 1 row(s)\n".to_string()
+        } else {
+            "OK\n".to_string()
+        };
+        if writer.write_all(reply.as_bytes()).is_err() {
+            return;
+        }
+        line.clear();
+    }
+}
+
+/// A backend line past the longest a server writes is a backend error,
+/// not a buffer that grows with it; the router keeps serving, the same
+/// backend included.
+#[test]
+fn an_over_long_backend_line_is_a_backend_error() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let accepting = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut connections = Vec::new();
+            for stream in listener.incoming().flatten() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                connections.push(std::thread::spawn(move || over_long_backend(stream)));
+            }
+            for connection in connections {
+                connection.join().expect("backend connection");
+            }
+        })
+    };
+    let router = start_router(
+        vec![(addr.to_string(), Vec::new())],
+        RouterConfig {
+            retries: 0,
+            ..RouterConfig::default()
+        },
+    );
+    let mut client = Client::connect_addr(router.addr());
+    let err = client.round_trip("QUERY DOC d //long");
+    assert!(err[0].starts_with("ERR backend"), "{err:?}");
+    assert_eq!(err.len(), 1, "one clean error line: {err:?}");
+    assert_eq!(client.round_trip("PING"), vec!["OK pong"]);
+    let ok = client.round_trip("QUERY DOC d //short");
+    assert_eq!(ok[0], "ROW <a> short", "{ok:?}");
+    assert!(ok[1].starts_with("OK 1 row(s)"), "{ok:?}");
+    router.stop();
+    stop.store(true, Ordering::SeqCst);
+    // Wakes the accept loop to see the flag.
+    drop(TcpStream::connect(addr));
+    accepting.join().expect("fake backend");
+}
+
+/// A string value longer than any request line comes back through the
+/// router whole: the reply line cap is sized for the `VAL` line a server
+/// writes, not for a request text.
+#[test]
+fn a_long_string_value_comes_through_the_router_whole() {
+    let backend = memory_server();
+    let router = start_router(
+        vec![(backend.addr().to_string(), Vec::new())],
+        RouterConfig::default(),
+    );
+    let mut client = Client::connect_addr(router.addr());
+    let text = "x".repeat(3 * MAX_LINE);
+    let loaded = client.round_trip(&format!("LOADXML d <r><a>{text}</a></r>"));
+    assert!(loaded[0].starts_with("OK loaded"), "{loaded:?}");
+    let reply = client.round_trip("EVAL DOC d string(//a)");
+    assert_eq!(reply.len(), 2, "one value line and OK");
+    assert!(reply[0] == format!("VAL {text}"), "the value is whole");
+    assert!(reply[1].starts_with("OK scalar"), "{}", reply[1]);
+    router.stop();
+    backend.stop();
+}
+
+/// A kept answer's text may run to the request cap, and escaping doubles
+/// a backslash: its `VIEW` row still comes through the router whole.
+#[test]
+fn cache_list_through_the_router_carries_a_view_of_backslashes() {
+    let backend = memory_server();
+    let router = start_router(
+        vec![(backend.addr().to_string(), Vec::new())],
+        RouterConfig::default(),
+    );
+    let mut client = Client::connect_addr(router.addr());
+    let loaded = client.round_trip("LOADXML d <r><a/></r>");
+    assert!(loaded[0].starts_with("OK loaded"), "{loaded:?}");
+    let request = "QUERY DOC d ";
+    let shell = "//a[. != '']";
+    let xpath = format!(
+        "//a[. != '{}']",
+        "\\".repeat(MAX_LINE - 64 - request.len() - shell.len())
+    );
+    for _ in 0..2 {
+        let reply = client.round_trip(&format!("{request}{xpath}"));
+        assert!(
+            reply.last().unwrap().starts_with("OK 1 row(s)"),
+            "{reply:?}"
+        );
+    }
+    let listing = client.round_trip("CACHE LIST");
+    let view = listing
+        .iter()
+        .find(|l| l.starts_with("VIEW "))
+        .unwrap_or_else(|| panic!("no VIEW row: {:?}", listing.last()));
+    assert!(view.len() > 2 * MAX_LINE - 256, "{}", view.len());
+    let text = view.splitn(7, ' ').nth(6).expect("the view's text");
+    assert_eq!(unescape_line(text), xpath);
+    assert_eq!(listing.last().unwrap(), "OK 1 view(s)");
+    router.stop();
     backend.stop();
 }

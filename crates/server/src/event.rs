@@ -76,18 +76,54 @@ const OUT_CAP: usize = 1 << 20;
 const MAX_DOCUMENT_LINE: usize = 256 << 20;
 
 /// Hard cap on every other request line: an XPath expression, a path, a
-/// few operands; and on a line a client of this protocol reads back.
+/// few operands.
 pub const MAX_LINE: usize = 64 << 10;
 
+/// Cap on a line a server writes and a client of this protocol reads
+/// back. A `VAL` line carries a whole string value, so the server refuses
+/// a value whose escaped line would pass the cap; a `ROW` shows a value
+/// cut at the configured width; every other line carries at most a
+/// request text (up to [`MAX_LINE`], doubled by escaping) behind a few
+/// counters.
+pub const MAX_REPLY_LINE: usize = 16 << 20;
+
 /// Reads one line from a peer into `line` as a client of this protocol
-/// does: a peer that sends [`MAX_LINE`] bytes without a newline gets
-/// `Err`, and `line` grows by no more than that.
+/// does: a peer that sends [`MAX_REPLY_LINE`] bytes without a newline
+/// gets `Err`, and `line` grows by no more than that.
 pub fn read_line_capped(reader: &mut impl io::BufRead, line: &mut String) -> io::Result<usize> {
-    let n = io::BufRead::read_line(&mut reader.take(MAX_LINE as u64), line)?;
-    if n == MAX_LINE && !line.ends_with('\n') {
+    let n = io::BufRead::read_line(&mut reader.take(MAX_REPLY_LINE as u64), line)?;
+    if n == MAX_REPLY_LINE && !line.ends_with('\n') {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "line too long"));
     }
     Ok(n)
+}
+
+/// Sends `request` as one line to the peer `reader` reads from and
+/// returns its reply: every line through the `OK …` or `ERR …` that ends
+/// it, each read with [`read_line_capped`] and stripped of its line end.
+/// A peer that closes mid-reply is an [`io::ErrorKind::UnexpectedEof`].
+pub fn round_trip(reader: &mut io::BufReader<TcpStream>, request: &str) -> io::Result<Vec<String>> {
+    // One write: the request and its newline as two segments would hold
+    // the newline back until the peer's delayed ACK (Nagle).
+    reader
+        .get_mut()
+        .write_all(format!("{request}\n").as_bytes())?;
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        if read_line_capped(reader, &mut line)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("peer closed mid-reply to {request:?}"),
+            ));
+        }
+        line.truncate(line.trim_end_matches(['\n', '\r']).len());
+        let done = line.starts_with("OK") || line.starts_with("ERR");
+        lines.push(line);
+        if done {
+            return Ok(lines);
+        }
+    }
 }
 
 /// The verbs whose line carries a document inline, on the server and on
@@ -514,13 +550,13 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let peer = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            let _ = s.write_all(&vec![b'a'; 1 << 20]);
+            let _ = s.write_all(&vec![b'a'; MAX_REPLY_LINE + 1]);
         });
         let mut reader = io::BufReader::new(TcpStream::connect(addr).unwrap());
         let mut line = String::new();
         let err = read_line_capped(&mut reader, &mut line).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(line.len(), MAX_LINE);
+        assert_eq!(line.len(), MAX_REPLY_LINE);
         drop(reader);
         peer.join().unwrap();
 

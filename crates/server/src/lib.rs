@@ -602,7 +602,18 @@ fn run_eval(
             text: n.to_string(),
             elapsed,
         }),
-        Value::Str(s) => Ok(Outcome::Scalar { text: s, elapsed }),
+        Value::Str(s) => {
+            // Escaped, and with its prefix and newline, as `write_reply`
+            // puts it on the wire.
+            let line = render::escaped_len(&s) + "VAL \n".len();
+            if line > event::MAX_REPLY_LINE {
+                return Err(ServerError::Query(format!(
+                    "value line of {line} bytes passes the reply line cap of {} bytes",
+                    event::MAX_REPLY_LINE
+                )));
+            }
+            Ok(Outcome::Scalar { text: s, elapsed })
+        }
         Value::Bool(b) => Ok(Outcome::Scalar {
             text: b.to_string(),
             elapsed,

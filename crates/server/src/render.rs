@@ -94,6 +94,14 @@ pub fn escape_line(s: &str) -> String {
     out
 }
 
+/// The length of `escape_line(s)`, without building it.
+pub(crate) fn escaped_len(s: &str) -> usize {
+    s.len()
+        + s.bytes()
+            .filter(|b| matches!(b, b'\\' | b'\n' | b'\r' | b'\t'))
+            .count()
+}
+
 /// Appends `s` to `out` as [`escape_line`] escapes it.
 pub(crate) fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
@@ -197,13 +205,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// Any string survives the wire: the escaped form is one line and
-        /// reads back as the string, framing characters and backslash
-        /// runs included.
+        /// Any string survives the wire: the escaped form is one line,
+        /// [`escaped_len`] long, and reads back as the string, framing
+        /// characters and backslash runs included.
         #[test]
         fn unescape_inverts_escape(s in "[a-z\\\\\n\r\t\u{e9}\u{1f600} n]{0,40}") {
             let escaped = escape_line(&s);
             prop_assert!(!escaped.contains(['\n', '\r']), "{escaped:?}");
+            prop_assert_eq!(escaped.len(), escaped_len(&s));
             prop_assert_eq!(unescape_line(&escaped), s);
         }
     }

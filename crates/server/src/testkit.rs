@@ -6,17 +6,17 @@
 //! `tests/` helper) so downstream crates — `vamana-replica`,
 //! `vamana-bench` — reuse it instead of keeping copies.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
+use crate::event::round_trip;
 use crate::ServerHandle;
 
 /// A minimal protocol client: send one request line, read lines until
 /// the `OK`/`ERR` terminator.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
 }
 
 impl Client {
@@ -29,8 +29,7 @@ impl Client {
     pub fn connect_addr(addr: impl ToSocketAddrs) -> Client {
         let stream = TcpStream::connect(addr).expect("connect");
         Client {
-            reader: BufReader::new(stream.try_clone().expect("clone")),
-            writer: stream,
+            reader: BufReader::new(stream),
         }
     }
 
@@ -42,8 +41,7 @@ impl Client {
             match TcpStream::connect(addr) {
                 Ok(stream) => {
                     return Client {
-                        reader: BufReader::new(stream.try_clone().expect("clone")),
-                        writer: stream,
+                        reader: BufReader::new(stream),
                     }
                 }
                 Err(e) if Instant::now() < until => {
@@ -55,24 +53,10 @@ impl Client {
         }
     }
 
-    /// Sends `request` and returns every response line, terminator last.
+    /// Sends `request` and returns every response line, terminator last
+    /// ([`round_trip`]).
     pub fn round_trip(&mut self, request: &str) -> Vec<String> {
-        // One write: the request and its newline as two segments would
-        // hold the newline back until the server's delayed ACK (Nagle).
-        let line = format!("{request}\n");
-        self.writer.write_all(line.as_bytes()).expect("send");
-        let mut lines = Vec::new();
-        loop {
-            let mut line = String::new();
-            let n = self.reader.read_line(&mut line).expect("recv");
-            assert!(n > 0, "server closed mid-response to {request:?}");
-            let line = line.trim_end().to_string();
-            let done = line.starts_with("OK") || line.starts_with("ERR");
-            lines.push(line);
-            if done {
-                return lines;
-            }
-        }
+        round_trip(&mut self.reader, request).expect("round trip")
     }
 }
 

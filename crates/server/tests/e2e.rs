@@ -11,8 +11,9 @@ use std::time::{Duration, Instant};
 
 use vamana_core::Engine;
 use vamana_mass::MassStore;
+use vamana_server::event::MAX_REPLY_LINE;
 use vamana_server::testkit::{stat_value, Client};
-use vamana_server::{Server, ServerConfig, ServerHandle};
+use vamana_server::{unescape_line, Server, ServerConfig, ServerHandle};
 use vamana_xmark::{generate_string, XmarkConfig};
 
 fn xmark_engine() -> Engine {
@@ -93,6 +94,39 @@ fn eval_returns_scalars() {
     let response = client.round_trip("EVAL count(//person)");
     assert_eq!(response[0], format!("VAL {people}"));
     assert!(response[1].starts_with("OK scalar"), "{response:?}");
+    handle.stop();
+}
+
+/// A string value whose `VAL` line would pass the reply line cap is an
+/// error the client reads as one line, and the connection keeps serving;
+/// a shorter one, escaped, comes back whole.
+#[test]
+fn a_string_value_past_the_reply_line_cap_is_an_error() {
+    // A megabyte of backslashes escapes to two.
+    let text = "\\".repeat(1 << 20);
+    let mut store = MassStore::open_memory();
+    store
+        .load_xml("d", &format!("<r><a>{text}</a></r>"))
+        .expect("load");
+    let handle = Server::bind("127.0.0.1:0", Engine::new(store), ServerConfig::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut client = Client::connect(&handle);
+    let copies = ["string(//a)"; MAX_REPLY_LINE / (2 << 20) + 1];
+    let err = client.round_trip(&format!("EVAL concat({})", copies.join(", ")));
+    assert_eq!(err.len(), 1, "one error line");
+    assert!(
+        err[0].starts_with("ERR query value line of"),
+        "{}",
+        &err[0][..80.min(err[0].len())]
+    );
+    let whole = client.round_trip("EVAL string(//a)");
+    assert_eq!(whole.len(), 2, "one value line and OK");
+    assert!(
+        unescape_line(&whole[0]["VAL ".len()..]) == text,
+        "the value is whole"
+    );
     handle.stop();
 }
 
