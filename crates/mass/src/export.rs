@@ -1,96 +1,120 @@
 //! Exporting stored subtrees back to XML.
 //!
-//! Reconstructs a [`vamana_xml::Document`] from the clustered index by
-//! scanning a subtree range — used by `.save` in the CLI, by XQuery
-//! element constructors (which copy nodes into their output), and by
-//! tests that verify load → export round trips.
+//! Writes a subtree's XML text in one cursor sweep over its key range,
+//! with an explicit stack of open elements and no DOM — used by `.save`
+//! in the CLI, by replication snapshots, and by tests that verify load →
+//! export round trips.
 
 use crate::cursor::MassCursor;
 use crate::error::{MassError, Result};
+use crate::names::NameId;
 use crate::record::RecordKind;
 use crate::store::MassStore;
+use std::fmt::Write as _;
 use vamana_flex::{flat_is_ancestor, FlexKey, KeyRange};
-use vamana_xml::{Document, NodeId};
+use vamana_xml::escape::{escape_attr, escape_text};
 
-/// Rebuilds the subtree rooted at `key` as a fresh XML document.
+/// Exports the subtree at `key` as compact XML text: the text
+/// `vamana_xml::write_document` writes for the same tree.
 ///
 /// `key` may be a document record (exports the whole document) or any
 /// element (exports that element as the new root).
-pub fn export_subtree(store: &MassStore, key: &FlexKey) -> Result<Document> {
-    let mut doc = Document::new();
-    let root_rec = store.get(key)?.ok_or(MassError::KeyNotFound)?;
-    let mut stack: Vec<(FlexKey, NodeId)> = Vec::new();
-    match root_rec.kind {
-        RecordKind::Document => {
-            stack.push((key.clone(), Document::ROOT));
+pub fn export_subtree_xml(store: &MassStore, key: &FlexKey) -> Result<String> {
+    /// An element whose end tag is not written yet (the document record
+    /// has no name): its key, and whether its start tag is still open for
+    /// attributes.
+    struct Open {
+        key: FlexKey,
+        name: Option<NameId>,
+        in_tag: bool,
+    }
+    let corrupt = |why: &str| MassError::CorruptRecord(why.into());
+    let close = |out: &mut String, open: Open| match (open.name, open.in_tag) {
+        (None, _) => {}
+        (Some(_), true) => out.push_str("/>"),
+        (Some(name), false) => {
+            let _ = write!(out, "</{}>", store.names().resolve(name));
         }
+    };
+    let mut out = String::new();
+    let root = store.get(key)?.ok_or(MassError::KeyNotFound)?;
+    let mut open = match root.kind {
+        RecordKind::Document => vec![Open {
+            key: key.clone(),
+            name: None,
+            in_tag: false,
+        }],
         RecordKind::Element => {
-            let name = store.names().resolve(
-                root_rec
-                    .name
-                    .ok_or_else(|| MassError::CorruptRecord("element without name".into()))?,
-            );
-            let id = doc.push_element(Document::ROOT, name);
-            stack.push((key.clone(), id));
+            let name = root.name.ok_or_else(|| corrupt("element without name"))?;
+            out.push('<');
+            out.push_str(store.names().resolve(name));
+            vec![Open {
+                key: key.clone(),
+                name: Some(name),
+                in_tag: true,
+            }]
         }
         other => {
             return Err(MassError::InvalidUpdate(format!(
                 "can only export documents or elements, got {other:?}"
             )))
         }
-    }
+    };
 
     let mut cursor = MassCursor::new(store, KeyRange::descendants(key));
+    let mut value = String::new();
     while let Some((page, i)) = cursor.next_in_place()? {
         let rec = page.view(i);
-        while let Some((top_key, _)) = stack.last() {
-            if flat_is_ancestor(top_key.as_flat(), rec.key) {
-                break;
-            }
-            stack.pop();
+        while let Some(top) = open.pop_if(|top| !flat_is_ancestor(top.key.as_flat(), rec.key)) {
+            close(&mut out, top);
         }
-        let (_, parent) = *stack
-            .last()
-            .ok_or_else(|| MassError::CorruptRecord("record outside exported subtree".into()))?;
+        let top = open
+            .last_mut()
+            .ok_or_else(|| corrupt("record outside exported subtree"))?;
         let name = |what: &str| {
             rec.name
                 .map(|id| store.names().resolve(id))
-                .ok_or_else(|| MassError::CorruptRecord(format!("{what} without name")))
+                .ok_or_else(|| corrupt(&format!("{what} without name")))
         };
-        let mut value = String::new();
+        value.clear();
         store.append_value(page.value(i)?, &mut value)?;
+        if rec.kind == RecordKind::Attribute {
+            if !top.in_tag {
+                return Err(corrupt("attribute outside a start tag"));
+            }
+            let _ = write!(out, " {}=\"{}\"", name("attribute")?, escape_attr(&value));
+            continue;
+        }
+        if std::mem::take(&mut top.in_tag) {
+            out.push('>');
+        }
         match rec.kind {
             RecordKind::Element => {
-                let id = doc.push_element(parent, name("element")?);
-                stack.push((FlexKey::from_flat_slice(rec.key), id));
+                let _ = write!(out, "<{}", name("element")?);
+                open.push(Open {
+                    key: FlexKey::from_flat_slice(rec.key),
+                    name: rec.name,
+                    in_tag: true,
+                });
             }
-            RecordKind::Attribute => {
-                doc.push_attribute(parent, name("attribute")?, &value);
-            }
-            RecordKind::Text => {
-                doc.push_text(parent, &value);
-            }
+            RecordKind::Text => out.push_str(&escape_text(&value)),
             RecordKind::Comment => {
-                doc.push_comment(parent, &value);
+                let _ = write!(out, "<!--{value}-->");
+            }
+            RecordKind::Pi if value.is_empty() => {
+                let _ = write!(out, "<?{}?>", name("PI")?);
             }
             RecordKind::Pi => {
-                doc.push_pi(parent, name("PI")?, &value);
+                let _ = write!(out, "<?{} {value}?>", name("PI")?);
             }
-            RecordKind::Document => {
-                return Err(MassError::CorruptRecord("nested document record".into()))
-            }
+            RecordKind::Attribute => unreachable!("attributes are written above"),
+            RecordKind::Document => return Err(corrupt("nested document record")),
         }
     }
-    Ok(doc)
-}
-
-/// Exports the subtree at `key` as XML text (compact).
-pub fn export_subtree_xml(store: &MassStore, key: &FlexKey) -> Result<String> {
-    let doc = export_subtree(store, key)?;
-    Ok(vamana_xml::write_document(
-        &doc,
-        &vamana_xml::WriteOptions::default(),
-    ))
+    while let Some(top) = open.pop() {
+        close(&mut out, top);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -137,7 +161,7 @@ mod tests {
     fn exporting_missing_key_errors() {
         let s = store();
         let bogus = FlexKey::root().child(&vamana_flex::seq_label(999));
-        assert!(export_subtree(&s, &bogus).is_err());
+        assert!(export_subtree_xml(&s, &bogus).is_err());
     }
 
     #[test]
@@ -150,5 +174,27 @@ mod tests {
         s.append_text(&e, "555").unwrap();
         let xml = export_subtree_xml(&s, &first).unwrap();
         assert!(xml.contains("<phone>555</phone>"), "{xml}");
+    }
+
+    #[test]
+    fn prolog_comments_pis_and_escapes_round_trip() {
+        let src = r#"<!--head--><?style a b?><r k="&lt;&amp;&quot;">x &amp; y<?p?><e/><![CDATA[<z>]]></r><!--tail-->"#;
+        let mut s = MassStore::open_memory();
+        s.load_xml("d", src).unwrap();
+        let doc = vamana_xml::parse(src).unwrap();
+        let want = vamana_xml::write_document(&doc, &vamana_xml::WriteOptions::default());
+        let key = s.documents()[0].doc_key.clone();
+        assert_eq!(export_subtree_xml(&s, &key).unwrap(), want);
+    }
+
+    #[test]
+    fn deep_documents_export_without_recursion() {
+        let depth = 3000;
+        let src = "<d>".repeat(depth) + &"</d>".repeat(depth);
+        let mut s = MassStore::open_memory();
+        s.load_xml("deep", &src).unwrap();
+        let key = s.documents()[0].doc_key.clone();
+        let want = "<d>".repeat(depth - 1) + "<d/>" + &"</d>".repeat(depth - 1);
+        assert_eq!(export_subtree_xml(&s, &key).unwrap(), want);
     }
 }

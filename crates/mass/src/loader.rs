@@ -1,41 +1,53 @@
-//! Bulk loading of parsed XML documents into a [`MassStore`].
+//! Bulk loading of XML text into a [`MassStore`], straight from the
+//! tokenizer's events: no DOM stands between the text and the pages.
 //!
-//! The loader walks the document in pre-order, assigns FLEX keys with a
-//! [`KeyGenerator`], packs records into pages append-only, and feeds the
-//! name/value indexes in document order (cheap `push_ordered` instead of
-//! sorted inserts).
+//! The load walk assigns FLEX keys with a [`KeyGenerator`] (its frame
+//! stack is the walk's only stack) and yields every record in key order.
+//! A load runs it twice:
+//!
+//! 1. a dry run validates the text, checks that every record fits a page
+//!    and counts the v2 dictionary candidates — it writes nothing, so a
+//!    document it rejects leaves no trace, in the pages, the indexes or
+//!    the log;
+//! 2. the load proper packs records into pages append-only and feeds the
+//!    name/value indexes in document order (cheap `push_ordered` instead
+//!    of sorted inserts).
 
 use crate::compress::{StoreFormat, DICT_MAX_VALUE_LEN, DICT_MIN_FREQ};
 use crate::error::{MassError, Result};
-use crate::page::PageBuf;
+use crate::page::{PageBuf, PAGE_CAPACITY};
 use crate::record::{NodeRecord, RecordKind, ValueRef};
-use crate::store::{DocId, DocInfo, MassStore};
+use crate::store::{DocId, DocInfo, MassStore, INLINE_VALUE_MAX};
+use crate::wal::WalRecord;
+use std::borrow::Cow;
 use std::collections::HashMap;
-use vamana_flex::KeyGenerator;
-use vamana_xml::{Document, NodeId, NodeKind};
+use vamana_flex::{FlexKey, KeyGenerator};
+use vamana_xml::{Event, Tokenizer};
 
 impl MassStore {
-    /// Loads `doc` under `name`, returning its id. Documents load after
-    /// all previously loaded ones; their records never interleave.
+    /// Loads the XML text `xml` under `name`, returning its id. Documents
+    /// load after all previously loaded ones; their records never
+    /// interleave. A load is all or nothing: text that does not parse,
+    /// or holds a record no page can take (a key nested too deep), is
+    /// rejected before anything is written.
     ///
-    /// On durable stores the load is first logged as one
-    /// [`crate::wal::WalRecord::LoadDocument`] record carrying the
-    /// document's compact serialization — that is what replication
-    /// streams to followers — and then checkpointed, so the local log
-    /// stays shallow (the page file + catalog are the durable image,
-    /// exactly as before; the replication ring retains the frame
-    /// independently of the checkpoint's truncation). It is the one write
-    /// that bypasses [`MassStore::commit`]: the bulk loader packs pages
-    /// straight from the parsed document.
-    pub fn load_document(&mut self, name: &str, doc: &Document) -> Result<DocId> {
+    /// On durable stores the load is then logged as one
+    /// [`WalRecord::LoadDocument`] record carrying `xml` itself — that is
+    /// what replication streams to followers — and checkpointed, so the
+    /// local log stays shallow (the page file + catalog are the durable
+    /// image; the replication ring retains the frame independently of
+    /// the checkpoint's truncation). It is the one write that bypasses
+    /// [`MassStore::commit`]: the loader packs pages straight from the
+    /// text.
+    pub fn load_xml(&mut self, name: &str, xml: &str) -> Result<DocId> {
+        let values = self.dry_load(xml)?;
         if self.is_durable() {
-            let xml = vamana_xml::write_document(doc, &vamana_xml::WriteOptions::default());
-            self.log_records(&[crate::wal::WalRecord::LoadDocument {
+            self.log_records(&[WalRecord::LoadDocument {
                 name: name.to_string(),
-                xml,
+                xml: xml.to_string(),
             }])?;
         }
-        let id = self.load_document_unlogged(name, doc)?;
+        let id = self.pack_load(name, xml, values)?;
         self.generation += 1;
         if self.is_durable() {
             self.checkpoint()?;
@@ -43,98 +55,58 @@ impl MassStore {
         Ok(id)
     }
 
-    /// The unlogged bulk load: key assignment, page packing, index
-    /// feeding — no WAL traffic, no checkpoint. Keys depend only on the
-    /// document structure and the load ordinal, so replaying the same
-    /// documents in the same order (WAL recovery, replication snapshots)
-    /// reproduces an identical key space.
-    pub(crate) fn load_document_unlogged(&mut self, name: &str, doc: &Document) -> Result<DocId> {
-        let mut values = Candidates::count(doc, self.format);
-        let ordinal = self.docs.len() as u64;
-        let mut generator = KeyGenerator::new();
-        // Skip ordinals already consumed by earlier documents.
-        for _ in 0..ordinal {
-            let k = generator.open_element();
-            generator.close_element();
-            debug_assert!(!k.is_root());
-        }
-        let doc_key = generator.open_element();
-        let mut sink = PageSink::new(self);
-        sink.emit(
-            NodeRecord {
-                key: doc_key.clone(),
-                kind: RecordKind::Document,
-                name: None,
-                value: ValueRef::None,
-            },
-            None,
-        )?;
+    /// The unlogged bulk load — both passes, no WAL traffic, no
+    /// checkpoint. Keys depend only on the document structure and the
+    /// load ordinal, so replaying the same texts in the same order (WAL
+    /// recovery, replication) reproduces an identical key space.
+    pub(crate) fn load_xml_unlogged(&mut self, name: &str, xml: &str) -> Result<DocId> {
+        let values = self.dry_load(xml)?;
+        self.pack_load(name, xml, values)
+    }
 
-        // Iterative pre-order walk of the XML arena: a node's next sibling
-        // waits on the stack under the node's subtree.
-        enum Step {
-            Enter(NodeId),
-            Leave,
-        }
-        let mut stack = Vec::from_iter(doc.first_child(Document::ROOT).map(Step::Enter));
-        while let Some(step) = stack.pop() {
-            let Step::Enter(id) = step else {
-                generator.close_element();
-                continue;
+    /// The first pass: walks `xml` as the load would, writing nothing.
+    /// Rejects text that does not parse and a record that might not fit
+    /// an empty page, and counts the dictionary candidates.
+    fn dry_load(&self, xml: &str) -> Result<Candidates> {
+        let mut values = Counting::new(self.format);
+        load_walk(xml, self.docs.len() as u64, |node| {
+            let len = max_record_len(node.key.as_flat().len(), node.value.as_deref());
+            if len > PAGE_CAPACITY {
+                return Err(MassError::InvalidUpdate(format!(
+                    "record of up to {len} bytes exceeds page capacity (key too deep?)"
+                )));
+            }
+            if let (RecordKind::Text | RecordKind::Attribute, Some(value)) = (node.kind, node.value)
+            {
+                values.count(value);
+            }
+            Ok(())
+        })?;
+        Ok(values.done())
+    }
+
+    /// The second pass: packs the records of `xml`, which the first pass
+    /// accepted, into pages and feeds the indexes.
+    fn pack_load(&mut self, name: &str, xml: &str, mut values: Candidates) -> Result<DocId> {
+        let ordinal = self.docs.len() as u64;
+        let mut sink = PageSink::new(self);
+        let doc_key = load_walk(xml, ordinal, |node| {
+            let store = &mut *sink.store;
+            let name = node.name.map(|name| store.intern(name));
+            let indexed = matches!(node.kind, RecordKind::Text | RecordKind::Attribute);
+            let value = match &node.value {
+                Some(value) if indexed => store.make_loaded_value(value, &mut values)?,
+                Some(value) => store.make_value(value)?,
+                None => ValueRef::None,
             };
-            stack.extend(doc.next_sibling(id).map(Step::Enter));
-            let (kind, name, value, indexed) = match doc.kind(id) {
-                NodeKind::Element { name } => {
-                    let name_id = sink.store.intern(name);
-                    let key = generator.open_element();
-                    sink.emit(NodeRecord::element(key, name_id), None)?;
-                    // Attributes cluster directly after the element.
-                    for attr in doc.attributes(id) {
-                        let aname = doc.name(attr).expect("attribute has name");
-                        let avalue = doc.value(attr).expect("attribute has value");
-                        let aid = sink.store.intern(aname);
-                        let akey = generator.attribute();
-                        let vref = sink.store.make_loaded_value(attr, avalue, &mut values)?;
-                        sink.emit(
-                            NodeRecord {
-                                key: akey,
-                                kind: RecordKind::Attribute,
-                                name: Some(aid),
-                                value: vref,
-                            },
-                            Some(avalue),
-                        )?;
-                    }
-                    stack.push(Step::Leave);
-                    stack.extend(doc.first_child(id).map(Step::Enter));
-                    continue;
-                }
-                NodeKind::Text { value } => {
-                    let vref = sink.store.make_loaded_value(id, value, &mut values)?;
-                    (RecordKind::Text, None, vref, Some(&**value))
-                }
-                NodeKind::Comment { value } => {
-                    let vref = sink.store.make_value(value)?;
-                    (RecordKind::Comment, None, vref, None)
-                }
-                NodeKind::ProcessingInstruction { target, data } => {
-                    let vref = sink.store.make_value(data)?;
-                    (RecordKind::Pi, Some(sink.store.intern(target)), vref, None)
-                }
-                NodeKind::Attribute { .. } => unreachable!("attributes are not children"),
-                NodeKind::Document => unreachable!("nested document node"),
+            let rec = NodeRecord {
+                key: node.key,
+                kind: node.kind,
+                name,
+                value,
             };
-            let key = generator.leaf();
-            sink.emit(
-                NodeRecord {
-                    key,
-                    kind,
-                    name,
-                    value,
-                },
-                indexed,
-            )?;
-        }
+            sink.emit(rec, node.value.as_deref().filter(|_| indexed))
+        })?;
         sink.flush()?;
         self.docs.push(DocInfo {
             name: name.into(),
@@ -144,7 +116,7 @@ impl MassStore {
         Ok(DocId(ordinal as u32))
     }
 
-    /// The value a bulk load stores for the text or attribute `node`. A
+    /// The value a bulk load stores for a text or attribute `value`. A
     /// candidate's first occurrence settles its slot: a value counted
     /// [`DICT_MIN_FREQ`] times is interned there, so all its occurrences
     /// are stored as its dictionary id and ids follow the document order
@@ -152,13 +124,10 @@ impl MassStore {
     /// gave it, or stays inline. Ids depend only on the document and the
     /// dictionary's prior state, so WAL replay and replication (which
     /// re-run the same loads in the same order) reproduce them exactly.
-    fn make_loaded_value(
-        &mut self,
-        node: NodeId,
-        value: &str,
-        values: &mut Candidates,
-    ) -> Result<ValueRef> {
-        let slot = &mut values.slots[values.of_node.get(node.index()).map_or(0, |&i| i as usize)];
+    fn make_loaded_value(&mut self, value: &str, values: &mut Candidates) -> Result<ValueRef> {
+        let Some(slot) = values.next_slot() else {
+            return self.inline_value(value);
+        };
         if slot.count > 0 {
             slot.id = if slot.count >= DICT_MIN_FREQ {
                 self.dict.intern(value)
@@ -172,63 +141,160 @@ impl MassStore {
             None => self.inline_value(value),
         }
     }
+}
 
-    /// Parses and loads XML text in one step.
-    pub fn load_xml(&mut self, name: &str, xml: &str) -> Result<DocId> {
-        let doc = vamana_xml::parse(xml)
-            .map_err(|e| MassError::InvalidUpdate(format!("XML parse failed: {e}")))?;
-        self.load_document(name, &doc)
+/// One record of the load walk, before the store gives it a name id and
+/// a value form.
+struct LoadNode<'x> {
+    key: FlexKey,
+    kind: RecordKind,
+    /// Element or attribute name, or PI target.
+    name: Option<&'x str>,
+    /// Text, attribute value, comment, or PI data.
+    value: Option<Cow<'x, str>>,
+}
+
+/// At least the bytes a record with a key of `key_len` bytes and `value`
+/// takes alone on a page, in either format and whatever name id and value
+/// form (inline, blob heap or dictionary) the load gives it — a size the
+/// first pass cannot know without writing, and which this exceeds by less
+/// than 80 bytes (a dictionary id in place of a 64-byte value). v1 puts 12 header bytes around the key and stores a value
+/// inline or as a 12-byte blob reference; v2's header is at most 9 bytes
+/// (varints for the key's length and the name id) and its value at most
+/// 2 bytes more than inline, 3 as a dictionary id, 15 as a blob
+/// reference.
+fn max_record_len(key_len: usize, value: Option<&str>) -> usize {
+    key_len
+        + 12
+        + match value {
+            None => 0,
+            Some(v) if v.len() <= INLINE_VALUE_MAX => v.len() + 2,
+            Some(_) => 12,
+        }
+}
+
+/// The load walk: hands `visit` every record of `xml` as the document
+/// `ordinal` of a store — the document record first, then the tokenizer's
+/// events in key order (an element's attributes right after it) — and
+/// returns the document record's key.
+fn load_walk<'x>(
+    xml: &'x str,
+    ordinal: u64,
+    mut visit: impl FnMut(LoadNode<'x>) -> Result<()>,
+) -> Result<FlexKey> {
+    let mut keys = KeyGenerator::new();
+    // Skip ordinals already consumed by earlier documents.
+    for _ in 0..ordinal {
+        keys.open_element();
+        keys.close_element();
+    }
+    let doc_key = keys.open_element();
+    let node = |key, kind, name, value| LoadNode {
+        key,
+        kind,
+        name,
+        value,
+    };
+    visit(node(doc_key.clone(), RecordKind::Document, None, None))?;
+    for event in Tokenizer::new(xml) {
+        let event =
+            event.map_err(|e| MassError::InvalidUpdate(format!("XML parse failed: {e}")))?;
+        visit(match event {
+            Event::Start(name) => node(keys.open_element(), RecordKind::Element, Some(name), None),
+            Event::Attribute(name, value) => node(
+                keys.attribute(),
+                RecordKind::Attribute,
+                Some(name),
+                Some(value),
+            ),
+            Event::End(_) => {
+                keys.close_element();
+                continue;
+            }
+            Event::Text(value) => node(keys.leaf(), RecordKind::Text, None, Some(value)),
+            Event::Comment(value) => {
+                node(keys.leaf(), RecordKind::Comment, None, Some(value.into()))
+            }
+            Event::Pi(target, data) => {
+                node(keys.leaf(), RecordKind::Pi, Some(target), Some(data.into()))
+            }
+        })?;
+    }
+    Ok(doc_key)
+}
+
+/// The first pass's count of the dictionary candidates of a document a
+/// v2 store loads — its non-empty text and attribute values of at most
+/// [`DICT_MAX_VALUE_LEN`] bytes. A v1 load has none.
+struct Counting<'x> {
+    v2: bool,
+    index: HashMap<Cow<'x, str>, u32>,
+    values: Candidates,
+}
+
+impl<'x> Counting<'x> {
+    fn new(format: StoreFormat) -> Self {
+        Counting {
+            v2: format == StoreFormat::V2,
+            index: HashMap::new(),
+            values: Candidates {
+                slots: vec![Slot::default()],
+                order: Vec::new(),
+                next: 0,
+            },
+        }
+    }
+
+    /// Counts the next text or attribute value of the walk.
+    fn count(&mut self, value: Cow<'x, str>) {
+        if !self.v2 {
+            return;
+        }
+        let at = if value.is_empty() || value.len() > DICT_MAX_VALUE_LEN {
+            0
+        } else if let Some(&at) = self.index.get(&*value) {
+            at
+        } else {
+            let at = self.values.slots.len() as u32;
+            self.values.slots.push(Slot::default());
+            self.index.insert(value, at);
+            at
+        };
+        self.values.slots[at as usize].count += 1;
+        self.values.order.push(at);
+    }
+
+    fn done(self) -> Candidates {
+        self.values
     }
 }
 
-/// The dictionary candidates of a document a v2 store loads — its
-/// non-empty text and attribute values of at most [`DICT_MAX_VALUE_LEN`]
-/// bytes — each with a slot. Slot 0 stands for every other value (none
-/// can be in the dictionary) and for all values of a v1 load.
+/// The candidates the second pass meets: per text or attribute value of
+/// the walk, in walk order, its slot (0: no candidate, and every value of
+/// a v1 load), so the second pass hashes no value again.
 struct Candidates {
-    /// Per node id, its value's slot (0 past the end).
-    of_node: Vec<u32>,
     slots: Vec<Slot>,
+    order: Vec<u32>,
+    next: usize,
 }
 
-/// A candidate's count in the document until the load walk first meets
+impl Candidates {
+    /// The slot of the next text or attribute value of the walk, `None`
+    /// when it is no candidate.
+    fn next_slot(&mut self) -> Option<&mut Slot> {
+        let at = self.order.get(self.next).copied().unwrap_or(0);
+        self.next += 1;
+        (at != 0).then(|| &mut self.slots[at as usize])
+    }
+}
+
+/// A candidate's count in the document until the second pass first meets
 /// it; from then on 0, and the dictionary id it is stored as (`None`:
 /// inline).
 #[derive(Clone, Copy, Default)]
 struct Slot {
     count: u64,
     id: Option<u32>,
-}
-
-impl Candidates {
-    /// Counts the candidates of `doc` in one pass in arena order (counts
-    /// need no order), so that the load walk finds each node's slot
-    /// without hashing its value again.
-    fn count(doc: &Document, format: StoreFormat) -> Self {
-        let mut values = Candidates {
-            of_node: Vec::new(),
-            slots: vec![Slot::default()],
-        };
-        if format == StoreFormat::V1 {
-            return values;
-        }
-        values.of_node = vec![0; doc.len()];
-        let mut index: HashMap<&str, u32> = HashMap::new();
-        for id in doc.all_ids() {
-            if let NodeKind::Text { value } | NodeKind::Attribute { value, .. } = doc.kind(id) {
-                if value.is_empty() || value.len() > DICT_MAX_VALUE_LEN {
-                    continue;
-                }
-                let at = *index.entry(value).or_insert_with(|| {
-                    values.slots.push(Slot::default());
-                    (values.slots.len() - 1) as u32
-                });
-                values.slots[at as usize].count += 1;
-                values.of_node[id.index()] = at;
-            }
-        }
-        values
-    }
 }
 
 /// Append-only page packer used during bulk load. Pages are created in
@@ -245,8 +311,8 @@ impl<'a> PageSink<'a> {
     }
 
     /// Packs `rec` onto the open page, or onto a fresh one when it is
-    /// full, then indexes it. A record too large for an empty page is an
-    /// error before anything indexes it.
+    /// full, then indexes it. The first pass has checked that `rec` fits
+    /// an empty page.
     fn emit(&mut self, mut rec: NodeRecord, value: Option<&str>) -> Result<()> {
         while let Err(back) = self.page.append(rec) {
             if self.page.is_empty() {

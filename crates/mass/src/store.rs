@@ -26,6 +26,7 @@ use crate::value_index::{RangeOp, ValueIndex};
 use crate::wal::{FileWalBackend, FsyncPolicy, Wal, WalBackend, WalRecord, WalStats};
 use std::path::Path;
 use vamana_flex::{attr_label, label_between, seq_label, FlexKey, KeyRange};
+use vamana_xml::{Event, Tokenizer};
 
 /// Values longer than this go to the overflow blob heap.
 pub const INLINE_VALUE_MAX: usize = 1024;
@@ -982,7 +983,7 @@ impl MassStore {
 
     /// Rejects a list of records that would not apply cleanly, in order,
     /// to this store: a record other than an insert or a subtree delete
-    /// (a document is loaded by `load_document`), an insert onto a key
+    /// (a document is loaded by `load_xml`), an insert onto a key
     /// that is stored or inserted earlier in the list, and an insert
     /// under a parent that is neither. A key inside a subtree the list
     /// deleted earlier counts as absent.
@@ -1103,9 +1104,7 @@ impl MassStore {
             WalRecord::LoadDocument { name, xml }
                 if !(replay && self.document_by_name(name).is_some()) =>
             {
-                let doc = vamana_xml::parse(xml)
-                    .map_err(|e| MassError::InvalidUpdate(format!("load replay parse: {e}")))?;
-                self.load_document_unlogged(name, &doc)?;
+                self.load_xml_unlogged(name, xml)?;
                 true
             }
             WalRecord::LoadDocument { .. } | WalRecord::Commit => false,
@@ -1254,78 +1253,82 @@ impl MassStore {
 
     /// The records that insert the XML fragment `xml`, which must have a
     /// single root element, as the last child of `parent`, the root's
-    /// first: every key assigned, the store untouched. A fragment that
-    /// does not parse, has no root element or holds a node other than an
-    /// element, attribute or text is rejected, and so is a `parent` that
-    /// does not exist.
+    /// first: every key assigned, the store untouched. Fresh elements get
+    /// attribute ordinals `0..n` and child labels chained with
+    /// `label_after` from the last attribute label — exactly the keys
+    /// the sequential append path would assign. A fragment that does not
+    /// parse or holds a comment or PI inside its root is rejected, and so
+    /// is a `parent` that does not exist; comments and PIs around the
+    /// root are ignored.
     pub fn plan_fragment(&self, parent: &FlexKey, xml: &str) -> Result<Vec<WalRecord>> {
-        let doc = vamana_xml::parse(xml)
-            .map_err(|e| MassError::InvalidUpdate(format!("fragment parse failed: {e}")))?;
-        let root = doc
-            .root_element()
-            .ok_or_else(|| MassError::InvalidUpdate("fragment has no root element".into()))?;
-        let root_key = self.append_key(parent)?;
-        let mut recs = Vec::new();
-        Self::plan_node(&doc, root, &root_key, &mut recs)?;
-        Ok(recs)
-    }
-
-    /// Plans the WAL records for inserting `node` (and its subtree) at
-    /// `key`, without touching the store. Fresh elements get attribute
-    /// ordinals `0..n` and child labels chained with [`label_after`] from
-    /// the last attribute label — exactly the keys the sequential
-    /// append path would assign. Unsupported node kinds are rejected here,
-    /// before anything is logged.
-    fn plan_node(
-        doc: &vamana_xml::Document,
-        node: vamana_xml::NodeId,
-        key: &FlexKey,
-        out: &mut Vec<WalRecord>,
-    ) -> Result<()> {
-        use vamana_xml::NodeKind;
-        match doc.kind(node) {
-            NodeKind::Element { name } => {
-                out.push(WalRecord::InsertElement {
-                    key: key.clone(),
-                    name: name.to_string(),
-                });
-                let mut n_attrs = 0u64;
-                for attr in doc.attributes(node) {
-                    let aname = doc.name(attr).expect("attribute name").to_string();
-                    let avalue = doc.value(attr).expect("attribute value").to_string();
-                    out.push(WalRecord::InsertAttribute {
-                        key: key.child(&attr_label(n_attrs)),
-                        name: aname,
-                        value: avalue,
-                    });
-                    n_attrs += 1;
-                }
-                let mut last_label = if n_attrs > 0 {
-                    Some(attr_label(n_attrs - 1))
-                } else {
-                    None
-                };
-                for child in doc.children(node) {
-                    let label = match &last_label {
-                        Some(prev) => label_after(prev),
-                        None => seq_label(0),
-                    };
-                    Self::plan_node(doc, child, &key.child(&label), out)?;
-                    last_label = Some(label);
-                }
-                Ok(())
-            }
-            NodeKind::Text { value } => {
-                out.push(WalRecord::InsertText {
-                    key: key.clone(),
-                    value: value.to_string(),
-                });
-                Ok(())
-            }
-            other => Err(MassError::InvalidUpdate(format!(
-                "unsupported fragment node kind {other:?}"
-            ))),
+        /// An open element: its key, its attribute count and the label of
+        /// its last child.
+        struct Open {
+            key: FlexKey,
+            attrs: u64,
+            last: Option<Vec<u8>>,
         }
+        impl Open {
+            fn child_key(&mut self) -> FlexKey {
+                let label = match (&self.last, self.attrs) {
+                    (Some(prev), _) => label_after(prev),
+                    (None, 0) => seq_label(0),
+                    (None, n) => label_after(&attr_label(n - 1)),
+                };
+                let key = self.key.child(&label);
+                self.last = Some(label);
+                key
+            }
+        }
+        let mut recs = Vec::new();
+        let mut open: Vec<Open> = Vec::new();
+        for event in Tokenizer::new(xml) {
+            let event = event
+                .map_err(|e| MassError::InvalidUpdate(format!("fragment parse failed: {e}")))?;
+            let top = open.last_mut();
+            match (event, top) {
+                (Event::Start(name), top) => {
+                    let key = match top {
+                        Some(top) => top.child_key(),
+                        None => self.append_key(parent)?,
+                    };
+                    recs.push(WalRecord::InsertElement {
+                        key: key.clone(),
+                        name: name.to_string(),
+                    });
+                    open.push(Open {
+                        key,
+                        attrs: 0,
+                        last: None,
+                    });
+                }
+                (Event::Attribute(name, value), Some(top)) => {
+                    recs.push(WalRecord::InsertAttribute {
+                        key: top.key.child(&attr_label(top.attrs)),
+                        name: name.to_string(),
+                        value: value.into_owned(),
+                    });
+                    top.attrs += 1;
+                }
+                (Event::End(_), _) => {
+                    open.pop();
+                }
+                (Event::Text(value), Some(top)) => {
+                    recs.push(WalRecord::InsertText {
+                        key: top.child_key(),
+                        value: value.into_owned(),
+                    });
+                }
+                (Event::Comment(_) | Event::Pi(..), Some(_)) => {
+                    return Err(MassError::InvalidUpdate(
+                        "a fragment holds elements, attributes and text only".into(),
+                    ));
+                }
+                // Outside the root element.
+                _ => {}
+            }
+        }
+        Ok(recs)
     }
 
     /// Attaches an attribute to an existing element.

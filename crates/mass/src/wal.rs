@@ -145,17 +145,19 @@ pub enum WalRecord {
     /// Commit marker: all frames since the previous marker form one
     /// atomic operation.
     Commit,
-    /// A whole-document bulk load, carried as serialized XML. The loader
-    /// assigns FLEX keys deterministically from document structure and
-    /// ordinal, so replaying the text reproduces the exact key sequence;
-    /// replay skips the record when a document of this name already
-    /// exists. Durable stores log this *before* the bulk page writes so
-    /// loads enter the replication stream (live loads still checkpoint
-    /// immediately afterwards, truncating the record from the local log).
+    /// A whole-document bulk load, carried as the XML text the caller
+    /// loaded. The loader assigns FLEX keys deterministically from
+    /// document structure and ordinal, so replaying the text reproduces
+    /// the exact key sequence; replay skips the record when a document of
+    /// this name already exists. Durable stores log this once the text
+    /// has passed the load's dry run and *before* the bulk page writes,
+    /// so loads enter the replication stream and a logged load always
+    /// replays (live loads still checkpoint immediately afterwards,
+    /// truncating the record from the local log).
     LoadDocument {
         /// Registry name of the document.
         name: String,
-        /// Compact-serialized XML text of the document.
+        /// The XML text of the document, as loaded.
         xml: String,
     },
 }

@@ -318,7 +318,7 @@ proptest! {
             for (i, xml) in docs.iter().enumerate() {
                 let doc = vamana_xml::parse(xml).unwrap();
                 model_admit(&mut model, &doc);
-                s.load_document(&format!("d{i}"), &doc).unwrap();
+                s.load_xml(&format!("d{i}"), xml).unwrap();
             }
             prop_assert_eq!(s.dict().iter().map(String::from).collect::<Vec<_>>(), model.clone());
         }

@@ -6,16 +6,18 @@
 //!
 //! * an arena-based [`Document`] model ([`model`]) with cheap node ids and
 //!   sibling/child/parent navigation,
-//! * a non-validating pull [`parser`] sufficient for XMark-style documents
-//!   (elements, attributes, character data, CDATA, comments, processing
-//!   instructions, the five predefined entities and numeric character
-//!   references — no DTD processing),
+//! * a non-validating pull [`tokenizer`] sufficient for XMark-style
+//!   documents (elements, attributes, character data, CDATA, comments,
+//!   processing instructions, the five predefined entities and numeric
+//!   character references — no DTD processing), whose events a consumer
+//!   that needs no tree reads directly,
+//! * a DOM builder over it ([`parser`]),
 //! * entity [`escape`] helpers, and
 //! * a [`writer`] that serializes a document back to text.
 //!
-//! The parser intentionally favors predictable, linear-time behavior over
-//! full XML 1.0 conformance: VAMANA loads documents once into the MASS
-//! storage structure and never re-parses, so the parser is a loading tool,
+//! The tokenizer intentionally favors predictable, linear-time behavior
+//! over full XML 1.0 conformance: VAMANA loads documents once into the
+//! MASS storage structure and never re-parses, so it is a loading tool,
 //! not a query-time component.
 //!
 //! ```
@@ -30,9 +32,11 @@ pub mod error;
 pub mod escape;
 pub mod model;
 pub mod parser;
+pub mod tokenizer;
 pub mod writer;
 
 pub use error::{XmlError, XmlErrorKind};
 pub use model::{Document, NodeId, NodeKind};
-pub use parser::{parse, Parser};
+pub use parser::{parse, parse_tokens};
+pub use tokenizer::{Event, Tokenizer};
 pub use writer::{write_document, WriteOptions};

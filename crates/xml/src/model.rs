@@ -336,14 +336,6 @@ impl Document {
         }
         id
     }
-
-    /// Iterator over every node id in arena (construction) order. For a
-    /// document built by the parser this is *not* document order because
-    /// attributes are interleaved; use [`Document::descendants`] from
-    /// [`Document::ROOT`] for document order.
-    pub fn all_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
-    }
 }
 
 /// Iterator over the children of a node. See [`Document::children`].

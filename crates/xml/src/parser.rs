@@ -1,15 +1,11 @@
-//! A non-validating XML parser producing a [`Document`] arena.
+//! The DOM builder: a [`Document`] arena from the [`Tokenizer`]'s events.
 //!
-//! Supported: elements, attributes (single or double quoted), character
-//! data, CDATA sections, comments, processing instructions, the XML
-//! declaration, predefined entities and numeric character references.
-//! Not supported (rejected or skipped): DTDs beyond skipping a `<!DOCTYPE
-//! ...>` without an internal subset, parameter entities, namespaces-aware
-//! processing (prefixes are kept as part of the name).
+//! What the document may hold, and the text and whitespace rules, are the
+//! tokenizer's; this module only links its events into a tree.
 
-use crate::error::{XmlError, XmlErrorKind};
-use crate::escape::unescape_into;
+use crate::error::XmlError;
 use crate::model::{Document, NodeId};
+use crate::tokenizer::{Event, Tokenizer};
 
 /// Parses `input` into a [`Document`].
 ///
@@ -20,324 +16,52 @@ use crate::model::{Document, NodeId};
 /// assert_eq!(doc.name(doc.root_element().unwrap()), Some("a"));
 /// ```
 pub fn parse(input: &str) -> Result<Document, XmlError> {
-    Parser::new(input).parse()
+    parse_tokens(Tokenizer::new(input))
 }
 
-/// Streaming state for a single parse. Use [`parse`] unless you need
-/// configuration.
-pub struct Parser<'a> {
-    input: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    /// When true (default), whitespace-only text between elements is
-    /// dropped. XMark documents put no significant whitespace-only text
-    /// nodes, and dropping them keeps node counts meaningful.
-    keep_whitespace: bool,
-}
-
-impl<'a> Parser<'a> {
-    /// Creates a parser over `input` with default options.
-    pub fn new(input: &'a str) -> Self {
-        Parser {
-            input,
-            bytes: input.as_bytes(),
-            pos: 0,
-            keep_whitespace: false,
-        }
-    }
-
-    /// Keep whitespace-only text nodes instead of dropping them.
-    pub fn preserve_whitespace(mut self) -> Self {
-        self.keep_whitespace = true;
-        self
-    }
-
-    fn err(&self, kind: XmlErrorKind) -> XmlError {
-        XmlError::new(kind, self.input, self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, s: &str) -> Result<(), XmlError> {
-        if self.starts_with(s) {
-            self.pos += s.len();
-            Ok(())
-        } else if self.pos >= self.bytes.len() {
-            Err(self.err(XmlErrorKind::UnexpectedEof))
-        } else {
-            Err(self.err(XmlErrorKind::Malformed(format!("expected `{s}`"))))
-        }
-    }
-
-    fn read_until(&mut self, delim: &str, what: &str) -> Result<&'a str, XmlError> {
-        match self.input[self.pos..].find(delim) {
-            Some(rel) => {
-                let s = &self.input[self.pos..self.pos + rel];
-                self.pos += rel + delim.len();
-                Ok(s)
+/// Builds a [`Document`] from the events of `tokens` — [`parse`] under
+/// the tokenizer's options:
+///
+/// ```
+/// use vamana_xml::{parse_tokens, Tokenizer};
+///
+/// let doc = parse_tokens(Tokenizer::new("<a> <b/> </a>").preserve_whitespace()).unwrap();
+/// assert_eq!(doc.children(doc.root_element().unwrap()).count(), 3);
+/// ```
+///
+/// The open elements form an explicit stack, so arbitrarily deep
+/// documents cannot overflow the call stack.
+pub fn parse_tokens(tokens: Tokenizer<'_>) -> Result<Document, XmlError> {
+    let mut doc = Document::new();
+    let mut open: Vec<NodeId> = vec![Document::ROOT];
+    for event in tokens {
+        let parent = *open.last().expect("the document node stays open");
+        match event? {
+            Event::Start(name) => open.push(doc.push_element(parent, name)),
+            Event::Attribute(name, value) => {
+                doc.push_attribute(parent, name, &value);
             }
-            None => {
-                self.pos = self.bytes.len();
-                Err(self.err(XmlErrorKind::Malformed(format!("unterminated {what}"))))
+            Event::End(_) => {
+                open.pop();
+            }
+            Event::Text(value) => {
+                doc.push_text(parent, &value);
+            }
+            Event::Comment(value) => {
+                doc.push_comment(parent, value);
+            }
+            Event::Pi(target, data) => {
+                doc.push_pi(parent, target, data);
             }
         }
     }
-
-    fn is_name_start(b: u8) -> bool {
-        b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
-    }
-
-    fn is_name_char(b: u8) -> bool {
-        Self::is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
-    }
-
-    fn read_name(&mut self) -> Result<&'a str, XmlError> {
-        let start = self.pos;
-        match self.peek() {
-            Some(b) if Self::is_name_start(b) => self.pos += 1,
-            Some(_) => return Err(self.err(XmlErrorKind::Malformed("name".into()))),
-            None => return Err(self.err(XmlErrorKind::UnexpectedEof)),
-        }
-        while matches!(self.peek(), Some(b) if Self::is_name_char(b)) {
-            self.pos += 1;
-        }
-        Ok(&self.input[start..self.pos])
-    }
-
-    /// Runs the parse to completion.
-    pub fn parse(mut self) -> Result<Document, XmlError> {
-        let mut doc = Document::new();
-        // Prolog: XML declaration, comments, PIs, optional DOCTYPE.
-        self.skip_ws();
-        if self.starts_with("<?xml") {
-            self.pos += 5;
-            self.read_until("?>", "XML declaration")?;
-        }
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                self.pos += 4;
-                let text = self.read_until("-->", "comment")?;
-                doc.push_comment(Document::ROOT, text);
-            } else if self.starts_with("<!DOCTYPE") {
-                self.skip_doctype()?;
-            } else if self.starts_with("<?") {
-                self.parse_pi(&mut doc, Document::ROOT)?;
-            } else {
-                break;
-            }
-        }
-        if self.peek() != Some(b'<') {
-            return Err(self.err(XmlErrorKind::NoRootElement));
-        }
-        self.parse_element(&mut doc, Document::ROOT)?;
-        // Epilog: only whitespace, comments and PIs may follow.
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                None => break,
-                Some(b'<') if self.starts_with("<!--") => {
-                    self.pos += 4;
-                    let text = self.read_until("-->", "comment")?;
-                    doc.push_comment(Document::ROOT, text);
-                }
-                Some(b'<') if self.starts_with("<?") => {
-                    self.parse_pi(&mut doc, Document::ROOT)?;
-                }
-                Some(b'<') => return Err(self.err(XmlErrorKind::MultipleRoots)),
-                Some(_) => return Err(self.err(XmlErrorKind::TrailingContent)),
-            }
-        }
-        Ok(doc)
-    }
-
-    fn skip_doctype(&mut self) -> Result<(), XmlError> {
-        // Skip to the matching '>' allowing one level of [...] internal
-        // subset (entities inside it are not processed).
-        self.pos += "<!DOCTYPE".len();
-        let mut depth = 0i32;
-        loop {
-            match self.peek() {
-                None => return Err(self.err(XmlErrorKind::UnexpectedEof)),
-                Some(b'[') => {
-                    depth += 1;
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    depth -= 1;
-                    self.pos += 1;
-                }
-                Some(b'>') if depth <= 0 => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    fn parse_pi(&mut self, doc: &mut Document, parent: NodeId) -> Result<(), XmlError> {
-        self.expect("<?")?;
-        let target = self.read_name()?.to_string();
-        self.skip_ws();
-        let data = self.read_until("?>", "processing instruction")?;
-        doc.push_pi(parent, &target, data.trim_end());
-        Ok(())
-    }
-
-    /// Parses one element (the cursor sits on `<`). Iterative, with an
-    /// explicit open-element stack, so arbitrarily deep documents cannot
-    /// overflow the call stack.
-    fn parse_element(&mut self, doc: &mut Document, parent: NodeId) -> Result<(), XmlError> {
-        let mut stack: Vec<(NodeId, String)> = Vec::new();
-        let mut current = parent;
-        let mut text = String::new();
-
-        macro_rules! flush_text {
-            () => {
-                if !text.is_empty() {
-                    if self.keep_whitespace || !text.chars().all(char::is_whitespace) {
-                        doc.push_text(current, &text);
-                    }
-                    text.clear();
-                }
-            };
-        }
-
-        loop {
-            match self.peek() {
-                None => {
-                    return if stack.is_empty() {
-                        Err(self.err(XmlErrorKind::NoRootElement))
-                    } else {
-                        Err(self.err(XmlErrorKind::UnexpectedEof))
-                    }
-                }
-                Some(b'<') if self.starts_with("<!--") => {
-                    flush_text!();
-                    self.pos += 4;
-                    let c = self.read_until("-->", "comment")?;
-                    doc.push_comment(current, c);
-                }
-                Some(b'<') if self.starts_with("<![CDATA[") => {
-                    self.pos += 9;
-                    let c = self.read_until("]]>", "CDATA section")?;
-                    text.push_str(c);
-                }
-                Some(b'<') if self.starts_with("<?") => {
-                    flush_text!();
-                    self.parse_pi(doc, current)?;
-                }
-                Some(b'<') if self.starts_with("</") => {
-                    flush_text!();
-                    self.pos += 2;
-                    let name = self.read_name()?;
-                    self.skip_ws();
-                    self.expect(">")?;
-                    let (_, open_name) = stack.pop().ok_or_else(|| {
-                        self.err(XmlErrorKind::Malformed("close tag without open tag".into()))
-                    })?;
-                    if open_name != name {
-                        return Err(self.err(XmlErrorKind::MismatchedTag {
-                            expected: open_name,
-                            found: name.to_string(),
-                        }));
-                    }
-                    current = match stack.last() {
-                        Some((id, _)) => *id,
-                        None => return Ok(()),
-                    };
-                }
-                Some(b'<') => {
-                    flush_text!();
-                    self.pos += 1;
-                    let name = self.read_name()?.to_string();
-                    let elem = doc.push_element(current, &name);
-                    // Attributes.
-                    loop {
-                        self.skip_ws();
-                        match self.peek() {
-                            Some(b'>') => {
-                                self.pos += 1;
-                                stack.push((elem, name));
-                                current = elem;
-                                break;
-                            }
-                            Some(b'/') => {
-                                self.pos += 1;
-                                self.expect(">")?;
-                                if stack.is_empty() {
-                                    return Ok(());
-                                }
-                                break;
-                            }
-                            Some(b) if Self::is_name_start(b) => {
-                                let aname = self.read_name()?.to_string();
-                                self.skip_ws();
-                                self.expect("=")?;
-                                self.skip_ws();
-                                let quote = match self.peek() {
-                                    Some(q @ (b'"' | b'\'')) => q,
-                                    _ => {
-                                        return Err(self.err(XmlErrorKind::Malformed(
-                                            "attribute value".into(),
-                                        )))
-                                    }
-                                };
-                                self.pos += 1;
-                                let raw_start = self.pos;
-                                let raw = self.read_until(
-                                    if quote == b'"' { "\"" } else { "'" },
-                                    "attribute value",
-                                )?;
-                                let mut val = String::with_capacity(raw.len());
-                                unescape_into(raw, &mut val, self.input, raw_start)?;
-                                doc.push_attribute(elem, &aname, &val);
-                            }
-                            Some(_) => {
-                                return Err(self.err(XmlErrorKind::Malformed("start tag".into())))
-                            }
-                            None => return Err(self.err(XmlErrorKind::UnexpectedEof)),
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Character data up to the next '<'.
-                    let start = self.pos;
-                    while !matches!(self.peek(), None | Some(b'<')) {
-                        self.pos += 1;
-                    }
-                    if stack.is_empty() {
-                        // Text before the root element.
-                        let chunk = &self.input[start..self.pos];
-                        if chunk.chars().all(char::is_whitespace) {
-                            continue;
-                        }
-                        self.pos = start;
-                        return Err(self.err(XmlErrorKind::Malformed("text outside root".into())));
-                    }
-                    unescape_into(&self.input[start..self.pos], &mut text, self.input, start)?;
-                }
-            }
-        }
-    }
+    Ok(doc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::XmlErrorKind;
     use crate::model::NodeKind;
 
     #[test]
@@ -410,10 +134,7 @@ mod tests {
 
     #[test]
     fn whitespace_preserved_when_asked() {
-        let doc = Parser::new("<a>\n  <b/>\n</a>")
-            .preserve_whitespace()
-            .parse()
-            .unwrap();
+        let doc = parse_tokens(Tokenizer::new("<a>\n  <b/>\n</a>").preserve_whitespace()).unwrap();
         let a = doc.root_element().unwrap();
         assert_eq!(doc.children(a).count(), 3);
     }

@@ -7,7 +7,7 @@
 //! cargo run --release --example auction_analytics
 //! ```
 
-use vamana::xmark::{generate, XmarkConfig};
+use vamana::xmark::{generate_string, XmarkConfig};
 use vamana::{DocId, Engine, MassStore, Value};
 
 fn num(v: Value) -> f64 {
@@ -19,9 +19,9 @@ fn num(v: Value) -> f64 {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = XmarkConfig::with_scale(0.02);
-    let doc = generate(&config);
+    let xml = generate_string(&config);
     let mut store = MassStore::open_memory();
-    store.load_document("auction.xml", &doc)?;
+    store.load_xml("auction.xml", &xml)?;
     let mut engine = Engine::new(store);
     let d = DocId(0);
 

@@ -6,13 +6,13 @@
 //! cargo run --release --example cost_explain
 //! ```
 
-use vamana::xmark::{generate, XmarkConfig};
+use vamana::xmark::{generate_string, XmarkConfig};
 use vamana::{DocId, Engine, MassStore};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let doc = generate(&XmarkConfig::with_scale(0.02));
+    let xml = generate_string(&XmarkConfig::with_scale(0.02));
     let mut store = MassStore::open_memory();
-    store.load_document("auction.xml", &doc)?;
+    store.load_xml("auction.xml", &xml)?;
     let engine = Engine::new(store);
 
     for (label, query) in [

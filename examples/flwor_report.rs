@@ -7,14 +7,14 @@
 //! cargo run --release --example flwor_report
 //! ```
 
-use vamana::xmark::{generate, XmarkConfig};
+use vamana::xmark::{generate_string, XmarkConfig};
 use vamana::xquery::XQueryEngine;
 use vamana::{Engine, MassStore};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let doc = generate(&XmarkConfig::with_scale(0.01));
+    let xml = generate_string(&XmarkConfig::with_scale(0.01));
     let mut store = MassStore::open_memory();
-    store.load_document("auction.xml", &doc)?;
+    store.load_xml("auction.xml", &xml)?;
     let engine = Engine::new(store);
     let xq = XQueryEngine::new(&engine);
 

@@ -186,7 +186,7 @@ proptest! {
         tree.render(&mut xml);
         let doc = vamana::xml::parse(&xml).expect("parse");
         let mut store = MassStore::open_memory();
-        store.load_document("doc", &doc).expect("load");
+        store.load_xml("doc", &xml).expect("load");
 
         // Every element/attribute/text node of the DOM is findable in
         // MASS, with the same counts per name.
