@@ -120,7 +120,11 @@ pub fn estimate(plan: &QueryPlan, store: &MassStore, scope: &KeyRange) -> Result
         _ => Some(root),
     };
     if let Some(top) = top {
-        let out = est.est_nodeset(top, None)?;
+        // A value is computed once, at one context: the document node.
+        let out = match plan.op(top).yields_nodes() {
+            true => est.est_nodeset(top, None)?,
+            false => est.est_operand(top, 1).map(|()| 1)?,
+        };
         est.set(root, None, None, out, out);
     }
     let mut ordered: Vec<(OpId, f64)> = plan
@@ -367,7 +371,7 @@ impl<'a> Estimator<'a> {
     /// Estimates an operand of a comparison/function (value expression).
     fn est_operand(&mut self, id: OpId, input: u64) -> Result<()> {
         match *self.plan.op(id) {
-            Operator::Step { .. } | Operator::ValueStep { .. } | Operator::Union { .. } => {
+            ref op if op.yields_nodes() => {
                 self.est_nodeset(id, Some(input))?;
             }
             Operator::Literal { ref value } => {

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vamana_flex::{FlexKey, KeyRange};
 use vamana_mass::{DocId, MassError, MassStore, NodeEntry, RecordKind, WalRecord, WalStats};
-use vamana_xpath::{parse, Expr};
+use vamana_xpath::parse;
 
 /// Engine configuration. Every read-path feature engages through its cost
 /// gate; what is configurable is the paper's optimizer switch, two
@@ -245,8 +245,15 @@ impl<'s> QueryStream<'s> {
     pub fn in_document_order(&self) -> bool {
         match &self.pull {
             Pull::Kept(..) => true,
-            Pull::Run { iter, .. } => self.plan.get().emits_in_order() && !iter.order_broken(),
+            Pull::Run { iter, .. } => self.by_construction() && !iter.order_broken(),
         }
+    }
+
+    /// Whether the plan's output emits a node-set as it runs
+    /// ([`QueryPlan::emits_in_order`]).
+    fn by_construction(&self) -> bool {
+        let plan = self.plan.get();
+        plan.top().is_none_or(|top| plan.emits_in_order(top))
     }
 
     /// Pulls what is left after `pulled` — what the caller pulled from this
@@ -292,7 +299,7 @@ impl<'s> QueryStream<'s> {
         exec::finish_node_set(&mut out, ordered);
         if let (Some((stats, started)), Some(sorted)) = (stats, sort_started) {
             let plan = self.plan.get();
-            let by_construction = plan.emits_in_order();
+            let by_construction = self.by_construction();
             stats.set_order(OrderVerdict {
                 by_construction,
                 witness_tripped: by_construction && !ordered,
@@ -471,7 +478,10 @@ impl Engine {
         };
         // A `DELETE` target is asked once: an entry for it would only push
         // readers' entries out.
-        let matched = self.open_text(doc, target, false)?.finish(Vec::new())?;
+        let found = self.find(doc, target, false)?;
+        let matched = self
+            .open_text(doc, target, found, false)?
+            .finish(Vec::new())?;
         let resolve = start.elapsed();
         let records = match op {
             UpdateOp::Insert { fragment, .. } => match matched.first() {
@@ -708,13 +718,18 @@ impl Engine {
     /// ([`Engine::lookup`]), and an answer the cache kept is streamed as it
     /// is.
     pub fn stream<'a>(&'a self, doc: DocId, xpath: &'a str) -> Result<QueryStream<'a>> {
-        self.open_text(doc, xpath, true)
+        self.open_text(doc, xpath, self.find(doc, xpath, true)?, true)
     }
 
-    /// [`Engine::stream`]; only a `read` is counted, inserted and offered
-    /// ([`Engine::find`]).
-    fn open_text<'a>(&'a self, doc: DocId, xpath: &'a str, read: bool) -> Result<QueryStream<'a>> {
-        let found = self.find(doc, xpath, read)?;
+    /// [`Engine::stream`] of `found`, what [`Engine::find`] found for
+    /// `xpath`; only a `read` is offered.
+    fn open_text<'a>(
+        &'a self,
+        doc: DocId,
+        xpath: &'a str,
+        found: Lookup,
+        read: bool,
+    ) -> Result<QueryStream<'a>> {
         let source = match (found.cached, found.bound) {
             (true, _) => PlanSource::Cached,
             (false, true) => PlanSource::Bound,
@@ -773,6 +788,7 @@ impl Engine {
             store: self.store(),
             root_ctx,
             stats,
+            deadline: None,
         }
     }
 
@@ -951,81 +967,45 @@ impl Engine {
         }))
     }
 
-    /// Answers `count(simple-path)` straight from the name index when the
-    /// path is a bare descendant step — the paper's "count on the index
-    /// level without going to data". Returns `None` for anything more
-    /// complex.
-    fn try_count_fast(&self, doc: DocId, expr: &Expr) -> Result<Option<f64>> {
-        let Expr::FunctionCall(name, args) = expr else {
-            return Ok(None);
-        };
-        if &**name != "count" || args.len() != 1 {
-            return Ok(None);
-        }
-        let Ok(mut plan) = build_plan(&args[0]) else {
-            return Ok(None);
-        };
-        opt::cleanup::cleanup(&mut plan);
-        let path = plan.context_path();
-        if path.len() != 1 {
-            return Ok(None);
-        }
-        let Operator::Step {
-            axis: axis @ (vamana_flex::Axis::Descendant | vamana_flex::Axis::DescendantOrSelf),
-            test,
-            context: None,
-            predicates,
-            ..
-        } = plan.op(path[0])
-        else {
-            return Ok(None);
-        };
-        if !predicates.is_empty() || matches!(test, crate::plan::TestSpec::AnyNode) {
-            return Ok(None);
-        }
-        let scope = self.doc_scope(doc)?;
-        Ok(Some(
-            crate::cost::count_nodetest(self.store(), *axis, test, &scope) as f64,
-        ))
-    }
-
     /// Evaluates an arbitrary XPath expression on `doc`, returning an
-    /// XPath [`Value`] — supports scalar results like `count(//person)`:
+    /// XPath [`Value`] — scalar results like `count(//person)` included:
     /// [`Engine::evaluation`], a node-set's stream finished.
     pub fn evaluate(&self, doc: DocId, xpath: &str) -> Result<Value> {
-        match self.evaluation(doc, xpath)? {
+        let evaluation = self.evaluation(doc, xpath, None)?;
+        match evaluation.expect("only a deadline cuts a run off") {
             Evaluation::Nodes(stream) => Ok(Value::Nodes(stream.into_vec()?)),
             Evaluation::Scalar(value) => Ok(value),
         }
     }
 
-    /// An arbitrary XPath expression on `doc`: a node-set expression opened
-    /// as its [`Engine::stream`], for the caller to finish, or a scalar
-    /// one evaluated. Simple `count(//name)` calls are answered index-only,
-    /// without executing the path.
-    pub fn evaluation<'a>(&'a self, doc: DocId, xpath: &'a str) -> Result<Evaluation<'a>> {
-        let expr = parse(xpath)?;
-        if let Some(n) = self.try_count_fast(doc, &expr)? {
-            return Ok(Evaluation::Scalar(Value::Num(n)));
-        }
-        match &expr {
-            Expr::Path(_) | Expr::Union(..) | Expr::Filter { .. } => {
-                Ok(Evaluation::Nodes(self.stream(doc, xpath)?))
-            }
-            _ => {
-                // Scalar expression: build it as a predicate-style tree and
-                // evaluate once against the document node.
-                let mut plan = QueryPlan::new(Vec::new(), crate::plan::OpId(0));
-                let root = plan.push(Operator::Root { child: None });
-                plan.set_root(root);
-                let expr_id = crate::plan::builder::build_scalar(&mut plan, &expr)?;
-                let root_ctx = self.doc_entry(doc)?;
-                let env = self.env(&plan, &root_ctx, None);
-                let mut probes = exec::Probes::default();
-                let value = exec::eval_expr(env, expr_id, &root_ctx, 1, 1, &mut probes)?;
-                Ok(Evaluation::Scalar(value))
-            }
-        }
+    /// An arbitrary XPath expression on `doc`, its plan found as any text's
+    /// is ([`Engine::lookup`]): a node-set expression opened as its
+    /// [`Engine::stream`], for the caller to finish (by `deadline`:
+    /// [`QueryStream::finish_by`]), or any other evaluated at the document
+    /// node, each path pulled only as far as its function needs
+    /// (`count(//name)` is read off the name index) and cut off once
+    /// `deadline` (if any) has passed — asked after every batch — when it
+    /// returns `None`.
+    pub fn evaluation<'a>(
+        &'a self,
+        doc: DocId,
+        xpath: &'a str,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Evaluation<'a>>> {
+        let found = self.find(doc, xpath, true)?;
+        let plan = Arc::clone(&found.plan);
+        let Some(top) = plan.top().filter(|&top| !plan.op(top).yields_nodes()) else {
+            return Ok(Some(Evaluation::Nodes(
+                self.open_text(doc, xpath, found, true)?,
+            )));
+        };
+        let root_ctx = self.doc_entry(doc)?;
+        let env = Env {
+            deadline,
+            ..self.env(&plan, &root_ctx, None)
+        };
+        let value = exec::eval_expr(env, top, &root_ctx, 1, 1, &mut exec::Probes::default())?;
+        Ok((!env.passed()).then_some(Evaluation::Scalar(value)))
     }
 }
 
@@ -1148,28 +1128,66 @@ mod tests {
             b.hits + b.misses,
             total
         );
+        // Nor may a value that one row decides.
+        let q = "boolean(//e[. != 'x'])";
+        e.store().buffer_pool().reset_stats();
+        assert!(e.evaluation(DocId(0), q, None).unwrap().is_some());
+        let b = e.store().stats().buffer;
+        assert!(b.hits + b.misses < total / 2, "{q} touched {b:?}");
+        // A value past its deadline stops its path at the first batch.
+        let touched = |deadline: Option<Instant>| {
+            e.store().buffer_pool().reset_stats();
+            let evaluated = e.evaluation(DocId(0), "sum(//e)", deadline).unwrap();
+            assert_eq!(evaluated.is_some(), deadline.is_none());
+            let b = e.store().stats().buffer;
+            b.hits + b.misses
+        };
+        let (all, cut) = (touched(None), touched(Some(Instant::now())));
+        assert!(cut * 10 < all, "{cut} of {all} pages");
     }
 
     #[test]
     fn count_fast_path_matches_execution() {
         let e = engine();
         let doc = DocId(0);
-        // Fast path fires for these...
+        let num = |q: &str| match e.evaluate(doc, q).unwrap() {
+            Value::Num(n) => n,
+            other => panic!("{q}: {other:?}"),
+        };
+        // A bare descendant step is counted in the name index: no page read.
+        e.store().buffer_pool().reset_stats();
+        assert_eq!(num("count(//person)"), 3.0);
+        let pool = e.store().buffer_pool().stats();
+        assert_eq!((pool.hits, pool.misses), (0, 0), "{pool:?}");
+        // Other paths are pulled and counted, with the same answers as
+        // their node-sets.
         for (q, expect) in [
-            ("count(//person)", 3.0),
             ("count(//watch)", 2.0),
             ("count(//@id)", 3.0),
+            ("count(//person[address])", 1.0),
+            ("count(//watch/ancestor::*)", 4.0),
+            ("count(/site//person/descendant-or-self::person)", 3.0),
         ] {
-            match e.evaluate(doc, q).unwrap() {
-                Value::Num(n) => assert_eq!(n, expect, "{q}"),
-                other => panic!("{q}: {other:?}"),
-            }
+            assert_eq!(num(q), expect, "{q}");
+            let path = &q["count(".len()..q.len() - 1];
+            assert_eq!(e.query_doc(doc, path).unwrap().len() as f64, expect, "{q}");
         }
-        // ...and complex arguments fall back to execution with the same
-        // answers.
-        match e.evaluate(doc, "count(//person[address])").unwrap() {
-            Value::Num(n) => assert_eq!(n, 1.0),
-            other => panic!("{other:?}"),
+        // Per outer tuple the index counts from the tuple: the counted step
+        // is never pulled.
+        let q = "//person[count(.//watch) = 2]";
+        let a = e.analyze_doc(doc, q).unwrap();
+        assert_eq!(a.rows, 1);
+        let counted = a.plan.live_ops().into_iter().find(|&id| {
+            matches!(a.plan.op(id), Operator::Step { test: crate::plan::TestSpec::Named(n), .. } if &**n == "watch")
+        });
+        let pulls = a.actuals.op(counted.unwrap()).unwrap().invocations;
+        assert_eq!(pulls, 0, "{}", a.render_report());
+        // A descendant count leaves its anchor out; `-or-self` counts it.
+        for q in [
+            "//watch[count(.//watch) = 0]",
+            "//watch[count(descendant-or-self::watch) = 1]",
+        ] {
+            assert_eq!(e.query_doc(doc, q).unwrap().len(), 2, "{q}");
         }
     }
 

@@ -19,10 +19,12 @@ pub mod parallel;
 pub mod stats;
 pub mod value;
 
+use crate::cost::count_nodetest;
 use crate::error::{EngineError, Result};
 use crate::opt::cleanup::all_position_free;
 use crate::plan::{ArithOp, BinOp, ContextSource, OpId, Operator, QueryPlan, TestSpec};
 use stats::ExecStats;
+use std::time::Instant;
 use value::Value;
 use vamana_flex::{flat_parent, Axis, FlexKey, KeyRange};
 use vamana_mass::axes::{AxisStream, KindFilter, NodeFilter};
@@ -63,9 +65,18 @@ pub struct Env<'p, 's> {
     /// Per-operator actuals collector for `EXPLAIN ANALYZE`. `None` on
     /// the normal query path — cursors then touch no counters at all.
     pub stats: Option<&'p ExecStats>,
+    /// When a value's run is cut off: once it has passed, a path an
+    /// expression pulls stops at its next batch, and the caller, asking
+    /// [`Env::passed`] at the end, discards the value ([`eval_expr`]).
+    pub deadline: Option<Instant>,
 }
 
 impl<'p, 's> Env<'p, 's> {
+    /// Whether the run's deadline, if any, has passed.
+    pub fn passed(&self) -> bool {
+        self.deadline.is_some_and(|at| Instant::now() >= at)
+    }
+
     fn node_filter(&self, axis: Axis, test: &TestSpec) -> Option<NodeFilter> {
         // `None` means "provably empty" (unknown name).
         Some(match test {
@@ -230,9 +241,9 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
             Ok(OpIter::Join(group.into_iter()))
         }
         Operator::Join { op, left, right } => {
-            let lefts = drain(env, build_iter(env, *left, outer)?)?;
+            let lefts = drain_set(env, build_iter(env, *left, outer)?)?;
             let mut rights = Vec::new();
-            for t in drain(env, build_iter(env, *right, outer)?)? {
+            for t in drain_set(env, build_iter(env, *right, outer)?)? {
                 rights.push(value::node_string_value(env.store, &t)?);
             }
             let mut out = Vec::new();
@@ -259,16 +270,32 @@ pub fn build_iter<'s>(env: Env<'_, 's>, id: OpId, outer: Option<&NodeEntry>) -> 
     }
 }
 
-/// Everything `iter` has left, in pipeline order.
-fn drain<'s>(env: Env<'_, 's>, mut iter: OpIter<'s>) -> Result<Vec<NodeEntry>> {
-    let mut nodes = Vec::new();
-    iter.next_batch(env, &mut nodes, usize::MAX)?;
-    Ok(nodes)
+/// Pulls `iter` a batch at a time until it is exhausted or the run's
+/// deadline has passed, returning how many rows it gave; they are
+/// appended to `out` when `keep`, and otherwise only counted.
+fn pull<'s>(
+    env: Env<'_, 's>,
+    iter: &mut OpIter<'s>,
+    out: &mut Vec<NodeEntry>,
+    keep: bool,
+) -> Result<u64> {
+    let mut rows = 0;
+    loop {
+        if !keep {
+            out.clear();
+        }
+        let n = iter.next_batch(env, out, BATCH_SIZE)?;
+        rows += n as u64;
+        if n < BATCH_SIZE || env.passed() {
+            return Ok(rows);
+        }
+    }
 }
 
 /// Drains `iter` into a node-set: document order, duplicates removed.
-fn drain_set<'s>(env: Env<'_, 's>, iter: OpIter<'s>) -> Result<Vec<NodeEntry>> {
-    let mut nodes = drain(env, iter)?;
+fn drain_set<'s>(env: Env<'_, 's>, mut iter: OpIter<'s>) -> Result<Vec<NodeEntry>> {
+    let mut nodes = Vec::new();
+    pull(env, &mut iter, &mut nodes, true)?;
     finish_node_set(&mut nodes, false);
     Ok(nodes)
 }
@@ -323,8 +350,8 @@ impl<'s> OpIter<'s> {
                 }
                 Ok(0)
             }
-            OpIter::Step(s) => s.next_batch(env, out, max),
-            OpIter::ValueStep(s) => s.next_batch(env, out, max),
+            OpIter::Step(s) => attributed(env, s.op, || s.next_batch(env, out, max)),
+            OpIter::ValueStep(s) => attributed(env, s.op, || s.next_batch(env, out, max)),
             OpIter::Union(id, l, r) => {
                 // Left stream first; a short left batch means the left
                 // side is exhausted, so top up from the right.
@@ -343,26 +370,31 @@ impl<'s> OpIter<'s> {
                 out.extend(items.by_ref().take(max));
                 Ok(out.len() - start)
             }
-            OpIter::Parallel(p) => match env.stats {
-                None => p.next_batch(out, max),
-                Some(stats) => {
-                    // The merge point sees every tuple regardless of
-                    // which worker produced it, so attributing rows here
-                    // matches the serial pipeline's totals exactly; the
-                    // pool delta credits worker page traffic to the scan.
-                    let (p0, pin0) = env.store.buffer_pool().probe_pin_counts();
-                    let t0 = std::time::Instant::now();
-                    let n = p.next_batch(out, max)?;
-                    let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
-                    stats.add_invocation(p.op);
-                    stats.add_rows(p.op, n as u64);
-                    stats.add_nanos(p.op, t0.elapsed().as_nanos() as u64);
-                    stats.add_probe_pins(p.op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
-                    Ok(n)
-                }
-            },
+            // The merge point sees every tuple regardless of which worker
+            // produced it, so its rows match the serial pipeline's totals
+            // exactly, and the pool delta credits worker traffic to the scan.
+            OpIter::Parallel(p) => attributed(env, p.op, || p.next_batch(out, max)),
         }
     }
+}
+
+/// `next`, one pull of operator `op`'s cursor, with its rows, time and
+/// buffer-pool probes credited to `op` when the run collects actuals —
+/// inclusively: the pool delta and the clock cover the context pulls made
+/// during it.
+fn attributed(env: Env<'_, '_>, op: OpId, next: impl FnOnce() -> Result<usize>) -> Result<usize> {
+    let Some(stats) = env.stats else {
+        return next();
+    };
+    let (p0, pin0) = env.store.buffer_pool().probe_pin_counts();
+    let t0 = Instant::now();
+    let got = next()?;
+    let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
+    stats.add_invocation(op);
+    stats.add_rows(op, got as u64);
+    stats.add_nanos(op, t0.elapsed().as_nanos() as u64);
+    stats.add_probe_pins(op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
+    Ok(got)
 }
 
 /// Cursor for a step operator — Algorithm 1 of the paper.
@@ -484,28 +516,6 @@ impl<'s> StepIter<'s> {
         out: &mut Vec<NodeEntry>,
         max: usize,
     ) -> Result<usize> {
-        let Some(stats) = env.stats else {
-            return self.next_batch_inner(env, out, max);
-        };
-        // Inclusive attribution per pull: the pool delta and the clock
-        // cover the context pulls made during it.
-        let (p0, pin0) = env.store.buffer_pool().probe_pin_counts();
-        let t0 = std::time::Instant::now();
-        let got = self.next_batch_inner(env, out, max)?;
-        let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
-        stats.add_invocation(self.op);
-        stats.add_rows(self.op, got as u64);
-        stats.add_nanos(self.op, t0.elapsed().as_nanos() as u64);
-        stats.add_probe_pins(self.op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
-        Ok(got)
-    }
-
-    fn next_batch_inner(
-        &mut self,
-        env: Env<'_, 's>,
-        out: &mut Vec<NodeEntry>,
-        max: usize,
-    ) -> Result<usize> {
         let start = out.len();
         loop {
             let want = max - (out.len() - start);
@@ -552,26 +562,6 @@ impl<'s> ValueStepIter<'s> {
     /// Drains the current context's value-index hits in chunks and
     /// refills from the next context when they run dry.
     fn next_batch(
-        &mut self,
-        env: Env<'_, 's>,
-        out: &mut Vec<NodeEntry>,
-        max: usize,
-    ) -> Result<usize> {
-        let Some(stats) = env.stats else {
-            return self.next_batch_inner(env, out, max);
-        };
-        let (p0, pin0) = env.store.buffer_pool().probe_pin_counts();
-        let t0 = std::time::Instant::now();
-        let got = self.next_batch_inner(env, out, max)?;
-        let (p1, pin1) = env.store.buffer_pool().probe_pin_counts();
-        stats.add_invocation(self.op);
-        stats.add_rows(self.op, got as u64);
-        stats.add_nanos(self.op, t0.elapsed().as_nanos() as u64);
-        stats.add_probe_pins(self.op, p1.saturating_sub(p0), pin1.saturating_sub(pin0));
-        Ok(got)
-    }
-
-    fn next_batch_inner(
         &mut self,
         env: Env<'_, 's>,
         out: &mut Vec<NodeEntry>,
@@ -924,25 +914,58 @@ pub fn eval_expr(
             Ok(Value::Num(-v))
         }
         Operator::Function { name, args } => {
+            if let ("count", &[path]) = (&**name, &args[..]) {
+                if env.plan.op(path).yields_nodes() {
+                    return Ok(Value::Num(count(env, path, ctx)? as f64));
+                }
+            }
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
                 vals.push(eval_expr(env, *a, ctx, position, size, probes)?);
             }
             value::call_function(env.store, name, &vals, ctx, position, size)
         }
-        Operator::Step { .. }
-        | Operator::ValueStep { .. }
-        | Operator::RangeStep { .. }
-        | Operator::Union { .. }
-        | Operator::Filter { .. }
-        | Operator::Join { .. } => {
-            // A path in expression position: collect its node-set,
-            // deduplicated in document order.
-            let iter = build_iter(env, id, Some(ctx))?;
-            Ok(Value::Nodes(drain_set(env, iter)?))
-        }
-        Operator::Root { .. } => Err(EngineError::Unsupported(
-            "nested root operator in expression".into(),
-        )),
+        // A path in expression position: collect its node-set,
+        // deduplicated in document order.
+        _ => Ok(Value::Nodes(drain_set(
+            env,
+            build_iter(env, id, Some(ctx))?,
+        )?)),
     }
+}
+
+/// `count(P)` of path `path` at `ctx`, keeping none of P's rows: from the
+/// name index when P is one predicate-free `descendant(-or-self)` step off
+/// its anchor — the paper's count "on the index level without going to
+/// data" — else by pulling P, whose rows are kept to be sorted and
+/// deduplicated only when it does not emit them as a node-set
+/// ([`QueryPlan::emits_in_order`], [`OpIter::order_broken`]).
+fn count(env: Env<'_, '_>, path: OpId, ctx: &NodeEntry) -> Result<u64> {
+    if let Operator::Step {
+        axis: axis @ (Axis::Descendant | Axis::DescendantOrSelf),
+        test,
+        context: None,
+        source,
+        predicates,
+    } = env.plan.op(path)
+    {
+        // No index lists the document node, which `node()` matches, or a
+        // processing instruction's target.
+        if predicates.is_empty() && !matches!(test, TestSpec::AnyNode | TestSpec::Pi(Some(_))) {
+            let anchor = anchor_for(env, *source, Some(ctx)).key;
+            let scope = match axis {
+                Axis::Descendant => KeyRange::descendants(&anchor),
+                _ => KeyRange::subtree(&anchor),
+            };
+            return Ok(count_nodetest(env.store, *axis, test, &scope));
+        }
+    }
+    if env.plan.emits_in_order(path) {
+        let mut iter = build_iter(env, path, Some(ctx))?;
+        let counted = pull(env, &mut iter, &mut Vec::new(), false)?;
+        if !iter.order_broken() {
+            return Ok(counted);
+        }
+    }
+    Ok(drain_set(env, build_iter(env, path, Some(ctx))?)?.len() as u64)
 }

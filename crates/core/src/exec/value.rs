@@ -4,7 +4,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::plan::BinOp;
-use vamana_mass::{MassStore, NodeEntry, RecordKind};
+use vamana_mass::{MassStore, NodeEntry};
 
 /// A computed XPath value.
 #[derive(Debug, Clone)]
@@ -387,14 +387,10 @@ fn strip_prefix_if(strip: bool, name: String) -> String {
     }
 }
 
-/// True if `node` is a text node (used by value-step kind filters).
-pub fn is_text(node: &NodeEntry) -> bool {
-    node.kind == RecordKind::Text
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vamana_mass::RecordKind;
 
     fn store() -> MassStore {
         let mut s = MassStore::open_memory();

@@ -3,17 +3,20 @@
 //!
 //! Each location step becomes one [`Operator::Step`]; predicates become
 //! predicate trees of `ξ`/`β`/`L` operators; the parse tree is built
-//! bottom-up and every node maps to exactly one algebra operator.
+//! bottom-up and every node maps to exactly one algebra operator. Any
+//! expression compiles: a node-set expression is the root's context path,
+//! and any other is the root's value expression, evaluated once at the
+//! query root (`count(//person)`, `1 + 2`).
 
 use crate::error::{EngineError, Result};
 use crate::plan::{ArithOp, BinOp, ContextSource, OpId, Operator, QueryPlan, TestSpec};
-use vamana_xpath::{ast, Expr, LocationPath, NodeTest};
+use vamana_flex::Axis;
+use vamana_xpath::{ast, Expr, LocationPath, NodeTest, Step};
 
-/// Compiles a parsed XPath expression into its default query plan.
-///
-/// The expression must be a node-set expression (a path, filter, or
-/// union); scalar top-level expressions like `1 + 1` are rejected here
-/// and handled by the engine's `evaluate` entry point instead.
+/// Compiles a parsed XPath expression into its default query plan:
+/// `Root { child }`, the child being the top of the context path of a
+/// node-set expression, or the value expression of any other, whose path
+/// leaves anchor at the query root as a node-set's do.
 pub fn build_plan(expr: &Expr) -> Result<QueryPlan> {
     build_plan_with_source(expr, ContextSource::QueryRoot)
 }
@@ -30,17 +33,10 @@ pub fn build_relative_plan(expr: &Expr) -> Result<QueryPlan> {
 fn build_plan_with_source(expr: &Expr, leaf_source: ContextSource) -> Result<QueryPlan> {
     let mut plan = QueryPlan::new(Vec::new(), OpId(0));
     let root = plan.push(Operator::Root { child: None });
-    let top = build_nodeset(&mut plan, expr, leaf_source)?;
+    let top = build_value_expr(&mut plan, expr, leaf_source)?;
     *plan.op_mut(root) = Operator::Root { child: Some(top) };
     plan.set_root(root);
     Ok(plan)
-}
-
-/// Builds a *scalar* expression (e.g. `count(//person)`, `1 + 2`) into an
-/// existing plan arena, returning the expression root for evaluation with
-/// [`crate::exec::eval_expr`]. Used by the engine's `evaluate` entry point.
-pub fn build_scalar(plan: &mut QueryPlan, expr: &Expr) -> Result<OpId> {
-    build_value_expr(plan, expr)
 }
 
 /// Builds a node-set-producing subplan, returning the id of its top
@@ -65,7 +61,7 @@ fn build_nodeset(plan: &mut QueryPlan, expr: &Expr, leaf_source: ContextSource) 
                 // Positional semantics over the whole primary node-set.
                 let preds = predicates
                     .iter()
-                    .map(|p| build_predicate(plan, p))
+                    .map(|p| build_predicate(plan, p, ContextSource::OuterTuple))
                     .collect::<Result<Vec<_>>>()?;
                 top = plan.push(Operator::Filter {
                     input: top,
@@ -90,63 +86,61 @@ fn build_path(
     path: &LocationPath,
     leaf_source: ContextSource,
 ) -> Result<OpId> {
-    let source = if path.absolute {
-        ContextSource::QueryRoot
-    } else {
-        leaf_source
-    };
-    let mut context: Option<OpId> = None;
     if path.steps.is_empty() {
         // Bare `/`: the document node itself.
         return Ok(plan.push(Operator::Step {
-            axis: vamana_flex::Axis::SelfAxis,
+            axis: Axis::SelfAxis,
             test: TestSpec::AnyNode,
             context: None,
             source: ContextSource::QueryRoot,
             predicates: Vec::new(),
         }));
     }
-    for (i, step) in path.steps.iter().enumerate() {
-        let preds = step
-            .predicates
-            .iter()
-            .map(|p| build_predicate(plan, p))
-            .collect::<Result<Vec<_>>>()?;
-        let id = plan.push(Operator::Step {
-            axis: step.axis,
-            test: lower_test(&step.test),
-            context,
-            source: if i == 0 {
-                source
-            } else {
-                ContextSource::QueryRoot
-            },
-            predicates: preds,
-        });
-        context = Some(id);
-    }
-    Ok(context.expect("at least one step"))
+    let source = match path.absolute {
+        true => ContextSource::QueryRoot,
+        false => leaf_source,
+    };
+    // A `.` before more steps is their context itself: `.//x` starts at
+    // the tuple as `//x` starts at the root.
+    let dot = &path.steps[0];
+    let skip = path.steps.len() > 1
+        && (dot.axis, &dot.test) == (Axis::SelfAxis, &NodeTest::Node)
+        && dot.predicates.is_empty();
+    push_steps(plan, &path.steps[usize::from(skip)..], None, source)
 }
 
 /// Appends a relative path on top of an existing node-set operator.
 fn append_path(plan: &mut QueryPlan, base: OpId, path: &LocationPath) -> Result<OpId> {
-    let mut context = Some(base);
-    for step in &path.steps {
-        let preds = step
+    push_steps(plan, &path.steps, Some(base), ContextSource::QueryRoot)
+}
+
+/// Pushes `steps` as a chain of step operators on `context` — or, for
+/// none, on a leaf taking its context from `source` — and returns the top.
+fn push_steps(
+    plan: &mut QueryPlan,
+    steps: &[Step],
+    mut context: Option<OpId>,
+    source: ContextSource,
+) -> Result<OpId> {
+    for step in steps {
+        let predicates = step
             .predicates
             .iter()
-            .map(|p| build_predicate(plan, p))
+            .map(|p| build_predicate(plan, p, ContextSource::OuterTuple))
             .collect::<Result<Vec<_>>>()?;
         let id = plan.push(Operator::Step {
             axis: step.axis,
             test: lower_test(&step.test),
+            source: match context {
+                None => source,
+                Some(_) => ContextSource::QueryRoot,
+            },
             context,
-            source: ContextSource::QueryRoot,
-            predicates: preds,
+            predicates,
         });
         context = Some(id);
     }
-    Ok(context.expect("base provided"))
+    Ok(context.expect("at least one step"))
 }
 
 fn lower_test(test: &NodeTest) -> TestSpec {
@@ -165,99 +159,85 @@ fn lower_test(test: &NodeTest) -> TestSpec {
 
 /// Builds a predicate tree. A bare path becomes an exist predicate `ξ`;
 /// comparisons become `β`; everything else becomes expression operators
-/// evaluated per tuple.
-fn build_predicate(plan: &mut QueryPlan, expr: &Expr) -> Result<OpId> {
+/// evaluated per tuple. `leaf_source` says where its paths' leaf steps
+/// take their context from.
+fn build_predicate(plan: &mut QueryPlan, expr: &Expr, leaf_source: ContextSource) -> Result<OpId> {
     match expr {
         Expr::Path(_) | Expr::Union(..) | Expr::Filter { .. } => {
-            let path = build_nodeset(plan, expr, ContextSource::OuterTuple)?;
+            let path = build_nodeset(plan, expr, leaf_source)?;
             Ok(plan.push(Operator::Exists { path }))
         }
-        _ => build_value_expr(plan, expr),
+        _ => build_value_expr(plan, expr, leaf_source),
     }
 }
 
 /// Builds a value expression (operand of comparisons, function args, ...).
-fn build_value_expr(plan: &mut QueryPlan, expr: &Expr) -> Result<OpId> {
-    match expr {
+fn build_value_expr(plan: &mut QueryPlan, expr: &Expr, leaf_source: ContextSource) -> Result<OpId> {
+    let op = match expr {
         Expr::Path(_) | Expr::Union(..) | Expr::Filter { .. } => {
-            build_nodeset(plan, expr, ContextSource::OuterTuple)
+            return build_nodeset(plan, expr, leaf_source)
         }
-        Expr::Literal(s) => Ok(plan.push(Operator::Literal { value: s.clone() })),
-        Expr::Number(n) => Ok(plan.push(Operator::Number { value: *n })),
-        Expr::Or(l, r) => {
-            let left = build_predicate(plan, l)?;
-            let right = build_predicate(plan, r)?;
-            Ok(plan.push(Operator::Binary {
-                op: BinOp::Or,
-                left,
-                right,
-            }))
-        }
-        Expr::And(l, r) => {
-            let left = build_predicate(plan, l)?;
-            let right = build_predicate(plan, r)?;
-            Ok(plan.push(Operator::Binary {
-                op: BinOp::And,
-                left,
-                right,
-            }))
-        }
-        Expr::Equality(op, l, r) => {
-            let bin = match op {
+        Expr::Literal(s) => Operator::Literal { value: s.clone() },
+        Expr::Number(n) => Operator::Number { value: *n },
+        Expr::Or(l, r) | Expr::And(l, r) => Operator::Binary {
+            op: match expr {
+                Expr::Or(..) => BinOp::Or,
+                _ => BinOp::And,
+            },
+            left: build_predicate(plan, l, leaf_source)?,
+            right: build_predicate(plan, r, leaf_source)?,
+        },
+        Expr::Equality(op, l, r) => Operator::Binary {
+            op: match op {
                 ast::EqOp::Eq => BinOp::Eq,
                 ast::EqOp::Ne => BinOp::Ne,
-            };
-            let left = build_value_expr(plan, l)?;
-            let right = build_value_expr(plan, r)?;
-            Ok(plan.push(Operator::Binary {
-                op: bin,
-                left,
-                right,
-            }))
-        }
-        Expr::Relational(op, l, r) => {
-            let bin = match op {
+            },
+            left: build_value_expr(plan, l, leaf_source)?,
+            right: build_value_expr(plan, r, leaf_source)?,
+        },
+        Expr::Relational(op, l, r) => Operator::Binary {
+            op: match op {
                 ast::RelOp::Lt => BinOp::Lt,
                 ast::RelOp::Le => BinOp::Le,
                 ast::RelOp::Gt => BinOp::Gt,
                 ast::RelOp::Ge => BinOp::Ge,
-            };
-            let left = build_value_expr(plan, l)?;
-            let right = build_value_expr(plan, r)?;
-            Ok(plan.push(Operator::Binary {
-                op: bin,
-                left,
-                right,
-            }))
-        }
-        Expr::Arithmetic(op, l, r) => {
-            let a = match op {
+            },
+            left: build_value_expr(plan, l, leaf_source)?,
+            right: build_value_expr(plan, r, leaf_source)?,
+        },
+        Expr::Arithmetic(op, l, r) => Operator::Arith {
+            op: match op {
                 ast::ArithOp::Add => ArithOp::Add,
                 ast::ArithOp::Sub => ArithOp::Sub,
                 ast::ArithOp::Mul => ArithOp::Mul,
                 ast::ArithOp::Div => ArithOp::Div,
                 ast::ArithOp::Mod => ArithOp::Mod,
-            };
-            let left = build_value_expr(plan, l)?;
-            let right = build_value_expr(plan, r)?;
-            Ok(plan.push(Operator::Arith { op: a, left, right }))
-        }
-        Expr::Neg(inner) => {
-            let child = build_value_expr(plan, inner)?;
-            Ok(plan.push(Operator::Neg { child }))
-        }
+            },
+            left: build_value_expr(plan, l, leaf_source)?,
+            right: build_value_expr(plan, r, leaf_source)?,
+        },
+        Expr::Neg(inner) => Operator::Neg {
+            child: build_value_expr(plan, inner, leaf_source)?,
+        },
         Expr::FunctionCall(name, args) => {
-            let arg_ids = args
+            // `boolean(P)` and `not(P)` ask only whether P has a node: their
+            // argument is an exist predicate, pulled no further than a row.
+            let exists = matches!(&**name, "boolean" | "not");
+            let args = args
                 .iter()
-                .map(|a| build_value_expr(plan, a))
+                .map(|a| match exists {
+                    true => build_predicate(plan, a, leaf_source),
+                    false => build_value_expr(plan, a, leaf_source),
+                })
                 .collect::<Result<Vec<_>>>()?;
-            Ok(plan.push(Operator::Function {
+            Operator::Function {
                 name: name.clone(),
-                args: arg_ids,
-            }))
+                args,
+            }
         }
-        Expr::Var(v) => Err(EngineError::Unsupported(format!("unbound variable ${v}"))),
-    }
+        Expr::Var(v) => return Err(EngineError::Unsupported(format!("unbound variable ${v}"))),
+    };
+    Ok(plan.push(op))
 }
 
 #[cfg(test)]

@@ -58,13 +58,13 @@ pub(crate) fn op_symbol(plan: &QueryPlan, id: OpId) -> String {
     }
 }
 
-/// What the root line says of the plan's output order
-/// ([`QueryPlan::emits_in_order`]).
+/// What the root line says of the order of the plan's node-set output
+/// ([`QueryPlan::emits_in_order`]); nothing for a value.
 fn order_note(plan: &QueryPlan) -> &'static str {
-    if plan.emits_in_order() {
-        "  order: by construction"
-    } else {
-        "  order: sorted at root"
+    match plan.top() {
+        Some(top) if !plan.op(top).yields_nodes() => "",
+        Some(top) if !plan.emits_in_order(top) => "  order: sorted at root",
+        _ => "  order: by construction",
     }
 }
 

@@ -307,6 +307,22 @@ pub enum Operator {
     },
 }
 
+impl Operator {
+    /// Whether the operator yields a node-set — a path, a union, a filter
+    /// or a join — rather than a value.
+    pub fn yields_nodes(&self) -> bool {
+        matches!(
+            self,
+            Operator::Step { .. }
+                | Operator::ValueStep { .. }
+                | Operator::RangeStep { .. }
+                | Operator::Union { .. }
+                | Operator::Filter { .. }
+                | Operator::Join { .. }
+        )
+    }
+}
+
 /// Plan-time eligibility for a morsel-parallel scan, carried by the plan
 /// so cached (pre-compiled) plans keep it: the output step is a shape
 /// the executor can split, and the index put this `COUNT` on it. Whether
@@ -466,9 +482,10 @@ impl QueryPlan {
         }
     }
 
-    /// Whether the plan emits a node-set as it runs — document order,
+    /// Whether operator `id` emits a node-set as it runs — document order,
     /// each node once — so that nothing need sort its output: the static
-    /// half of the order rule. It is a property of the output operator
+    /// half of the order rule, asked of the plan's output ([`QueryPlan::top`])
+    /// or of a path a function counts. It is a property of that operator
     /// alone:
     ///
     /// * a step on a *downward* axis (`self`, `child`, `attribute`,
@@ -477,17 +494,14 @@ impl QueryPlan {
     ///   runs follow each other in order whenever the contexts arrive one
     ///   whole subtree after another. That is a fact about the data and
     ///   about whatever produced the contexts, so the step witnesses it
-    ///   as it runs ([`crate::exec::OpIter::order_broken`]), and a plan
+    ///   as it runs ([`crate::exec::OpIter::order_broken`]), and a run
     ///   whose witness trips is sorted after all;
     /// * a value or range step at the leaf reads one run of the value
     ///   index;
     /// * anything else — a reverse or sideways axis, a union, a join, a
     ///   filter — promises nothing.
-    pub fn emits_in_order(&self) -> bool {
-        let Some(top) = self.top() else {
-            return true;
-        };
-        match self.op(top) {
+    pub fn emits_in_order(&self, id: OpId) -> bool {
+        match self.op(id) {
             Operator::Step { axis, .. } => axis.is_downward(),
             Operator::ValueStep { context, .. } | Operator::RangeStep { context, .. } => {
                 context.is_none()

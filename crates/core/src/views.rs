@@ -20,8 +20,8 @@
 //! run through a stream resolved the same way — an entry's plan or answer,
 //! else its shape's template, else a compile offered as the template — but
 //! gets no entry and offers nothing: a `DELETE` target is asked once.
-//! EXPLAIN, ANALYZE, `query_from` and `evaluate`'s scalar path never read
-//! the cache.
+//! A scalar text's plan is found the same way; it keeps no answer. EXPLAIN,
+//! ANALYZE and `query_from` never read the cache.
 //!
 //! # Shapes
 //!

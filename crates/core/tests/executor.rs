@@ -206,6 +206,7 @@ fn operator_states_drive_a_manual_pull() {
         store: e.store(),
         root_ctx: &root_ctx,
         stats: None,
+        deadline: None,
     };
     let top = match plan.op(plan.root()) {
         Operator::Root { child } => child.unwrap(),

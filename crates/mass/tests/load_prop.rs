@@ -280,10 +280,14 @@ fn a_load_too_deep_for_a_page_is_never_logged() {
 
 #[test]
 fn malformed_text_is_rejected_before_anything_is_written() {
-    let mut s = MassStore::open_memory();
-    assert!(s.load_xml("bad", "<a><b>text</b><c></a>").is_err());
-    assert_eq!(s.stats().tuples, 0);
-    assert!(s.documents().is_empty());
+    // A mismatched tag, and character data outside the root element —
+    // in a CDATA section too, which is no document-level text record.
+    for bad in ["<a><b>text</b><c></a>", "<![CDATA[x]]><a/>"] {
+        let mut s = MassStore::open_memory();
+        assert!(s.load_xml("bad", bad).is_err(), "{bad}");
+        assert_eq!(s.stats().tuples, 0, "{bad}");
+        assert!(s.documents().is_empty(), "{bad}");
+    }
 }
 
 // ---- XMark goldens ----------------------------------------------------------

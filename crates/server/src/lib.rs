@@ -51,9 +51,9 @@
 //! hand-off, and at most `workers` requests in flight. Every request
 //! carries a deadline set when its line is parsed and checked before it
 //! runs; `QUERY`, a node-set `EVAL` and `ANALYZE` check it again after
-//! every result batch, and updates and checkpoints once more after the
-//! single-writer lane they serialize on. A scalar `EVAL` is checked only
-//! before it runs, and `EXPLAIN` runs nothing. Control-plane verbs
+//! every result batch (a scalar `EVAL` after every batch of its paths),
+//! and updates and checkpoints once more after the single-writer lane
+//! they serialize on; `EXPLAIN` runs nothing. Control-plane verbs
 //! (`STATS`, `LAG`, `CACHE`, `DOCS`) have no deadline, so monitoring and
 //! router health probes answer under any timeout policy.
 
@@ -564,9 +564,9 @@ fn resolve_read_doc(engine: &Engine, doc: Option<&str>) -> Result<DocId, ServerE
 }
 
 /// Evaluates `xpath` as a full XPath expression — scalars come back as
-/// `VAL`, node-sets as rows. A node-set expression's stream is finished
-/// and rendered as `QUERY`'s is, held to `deadline` between result
-/// batches; a scalar one is checked only before it runs.
+/// `VAL`, node-sets as rows — held to `deadline` between batches: a
+/// node-set expression's stream is finished and rendered as `QUERY`'s is,
+/// and a scalar one's path pulls are cut off as that stream's are.
 fn run_eval(
     shared: &Shared,
     xpath: &str,
@@ -577,7 +577,11 @@ fn run_eval(
     let engine = shared.read_engine();
     let doc = resolve_read_doc(&engine, doc)?;
     let began = Began::now(&engine);
-    let value = match engine.evaluation(doc, xpath).map_err(query_err)? {
+    let evaluation = engine
+        .evaluation(doc, xpath, Some(deadline))
+        .map_err(query_err)?
+        .ok_or(ServerError::Timeout(shared.config.query_timeout))?;
+    let text = match evaluation {
         Evaluation::Nodes(stream) => {
             return stream_rows(
                 shared,
@@ -589,20 +593,7 @@ fn run_eval(
                 began,
             );
         }
-        Evaluation::Scalar(value) => value,
-    };
-    let elapsed = began.start.elapsed();
-    match value {
-        Value::Nodes(nodes) => {
-            let shown = render_shown(shared, &engine, &nodes, limit)?;
-            let source = PlanSource::Compiled;
-            Ok(began.rows(&engine, shown, nodes.len(), source, true))
-        }
-        Value::Num(n) => Ok(Outcome::Scalar {
-            text: n.to_string(),
-            elapsed,
-        }),
-        Value::Str(s) => {
+        Evaluation::Scalar(Value::Str(s)) => {
             // Escaped, and with its prefix and newline, as `write_reply`
             // puts it on the wire.
             let line = render::escaped_len(&s) + "VAL \n".len();
@@ -612,13 +603,14 @@ fn run_eval(
                     event::MAX_REPLY_LINE
                 )));
             }
-            Ok(Outcome::Scalar { text: s, elapsed })
+            s
         }
-        Value::Bool(b) => Ok(Outcome::Scalar {
-            text: b.to_string(),
-            elapsed,
-        }),
-    }
+        Evaluation::Scalar(Value::Num(n)) => n.to_string(),
+        Evaluation::Scalar(Value::Bool(b)) => b.to_string(),
+        Evaluation::Scalar(Value::Nodes(_)) => unreachable!("no function returns a node-set"),
+    };
+    let elapsed = began.start.elapsed();
+    Ok(Outcome::Scalar { text, elapsed })
 }
 
 /// Produces the `EXPLAIN` report for `xpath` (both plans with estimate

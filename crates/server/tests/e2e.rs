@@ -280,32 +280,44 @@ fn analyze_past_its_deadline_while_running_times_out() {
     handle.stop();
 }
 
-/// A node-set `EVAL` is held to its deadline while it runs, as `QUERY`
-/// and `ANALYZE` are: one whose deadline passes while it waits behind a
-/// writer is cut off at its first result batch.
+/// An `EVAL` is held to its deadline while it runs, as `QUERY` and
+/// `ANALYZE` are: one whose deadline passes while it waits behind a writer
+/// is cut off at its first result batch — a node-set's rows, a scalar's
+/// path pulls — or, read off the index, when it is done.
 #[test]
 fn eval_past_its_deadline_while_running_times_out() {
-    let handle = spawn_server(ServerConfig {
-        query_timeout: Duration::from_millis(50),
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(&handle);
-    let writer = handle.shared().engine().write();
-    let request = std::thread::spawn(move || {
-        let response = client.round_trip("EVAL //person");
-        (client, response)
-    });
-    std::thread::sleep(Duration::from_millis(200));
-    drop(writer);
-    let (mut client, response) = request.join().unwrap();
-    assert_eq!(response.len(), 1, "{response:?}");
-    assert!(response[0].starts_with("ERR timeout"), "{response:?}");
-    let stats = client.round_trip("STATS");
-    assert_eq!(stat_value(&stats, "timeouts"), 1);
-    // In time, the same request answers its rows.
-    let response = client.round_trip("EVAL //person");
-    assert!(response.last().unwrap().starts_with("OK "), "{response:?}");
-    handle.stop();
+    let persons = xmark_engine().query("//person").unwrap().len();
+    let count = format!("VAL {persons}");
+    for (xpath, value) in [("//person", None), ("count(//person)", Some(&count))] {
+        let handle = spawn_server(ServerConfig {
+            query_timeout: Duration::from_millis(50),
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(&handle);
+        let writer = handle.shared().engine().write();
+        let line = format!("EVAL {xpath}");
+        let request = std::thread::spawn(move || {
+            let response = client.round_trip(&line);
+            (client, response)
+        });
+        std::thread::sleep(Duration::from_millis(200));
+        drop(writer);
+        let (mut client, response) = request.join().unwrap();
+        assert_eq!(response.len(), 1, "{xpath}: {response:?}");
+        assert!(
+            response[0].starts_with("ERR timeout"),
+            "{xpath}: {response:?}"
+        );
+        let stats = client.round_trip("STATS");
+        assert_eq!(stat_value(&stats, "timeouts"), 1, "{xpath}");
+        // In time, the same request answers.
+        let response = client.round_trip(&format!("EVAL {xpath}"));
+        assert!(response.last().unwrap().starts_with("OK "), "{response:?}");
+        if let Some(value) = value {
+            assert_eq!(&response[0], value, "{xpath}");
+        }
+        handle.stop();
+    }
 }
 
 #[test]
@@ -384,6 +396,21 @@ fn explain_and_analyze_report_plans_over_the_wire() {
     let response = client.round_trip("EXPLAIN JSON //person/name");
     assert!(response[0].starts_with("PLAN {"), "{response:?}");
     assert!(response[0].contains("\"optimized_plan\""), "{response:?}");
+
+    // A scalar text is planned like a node-set one; it has no rows to
+    // analyze.
+    let response = client.round_trip("EXPLAIN count(//person/name)");
+    let text = response.join("\n");
+    assert!(text.contains("count()"), "{text}");
+    assert!(text.contains("optimized plan"), "{text}");
+    assert!(response.last().unwrap().starts_with("OK"), "{text}");
+    let err = client.round_trip("ANALYZE count(//person/name)");
+    assert_eq!(err.len(), 1, "{err:?}");
+    assert!(err[0].starts_with("ERR query"), "{err:?}");
+    assert!(
+        err[0].contains("cannot produce a node-set stream"),
+        "{err:?}"
+    );
 
     // Errors mirror QUERY's behavior and keep the connection alive.
     let err = client.round_trip("EXPLAIN");

@@ -356,6 +356,12 @@ impl<'a> Tokenizer<'a> {
                         Some(b'<') if self.starts_with("<!--") => {
                             return self.comment().map(Some);
                         }
+                        Some(b'<') if self.starts_with("<![CDATA[") && self.open.is_empty() => {
+                            // Character data before the root element.
+                            return Err(
+                                self.err(XmlErrorKind::Malformed("text outside root".into()))
+                            );
+                        }
                         Some(b'<') if self.starts_with("<![CDATA[") => {
                             self.pos += 9;
                             let c = self.read_until("]]>", "CDATA section")?;
@@ -510,6 +516,19 @@ mod tests {
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(empty.len(), 2);
+    }
+
+    #[test]
+    fn character_data_before_the_root_is_refused_in_cdata_too() {
+        assert!(crate::parse("x<a/>").is_err());
+        for xml in ["<![CDATA[x]]><a/>", " <!-- c --><![CDATA[ ]]><a/>"] {
+            let err = Tokenizer::new(xml).find_map(Result::err).expect(xml);
+            let outside = XmlErrorKind::Malformed("text outside root".into());
+            assert_eq!(err.kind, outside, "{xml}");
+            assert!(crate::parse(xml).is_err(), "{xml}");
+        }
+        // Inside the root a CDATA section is text.
+        assert_eq!(events("<a><![CDATA[x]]></a>")[1], Event::Text("x".into()));
     }
 
     #[test]

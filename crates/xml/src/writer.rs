@@ -24,7 +24,7 @@ pub fn write_document(doc: &Document, opts: &WriteOptions) -> String {
         }
     }
     for child in doc.children(Document::ROOT) {
-        write_node(doc, child, opts, 0, &mut out);
+        write_node(doc, child, opts, &mut out);
         if opts.indent.is_some() {
             out.push('\n');
         }
@@ -41,54 +41,73 @@ fn write_indent(out: &mut String, opts: &WriteOptions, level: usize) {
     }
 }
 
-fn write_node(doc: &Document, id: NodeId, opts: &WriteOptions, level: usize, out: &mut String) {
-    match doc.kind(id) {
-        NodeKind::Document => {}
-        NodeKind::Element { name } => {
-            out.push('<');
-            out.push_str(name);
-            for attr in doc.attributes(id) {
-                let _ = write!(
-                    out,
-                    " {}=\"{}\"",
-                    doc.name(attr).unwrap_or(""),
-                    escape_attr(doc.value(attr).unwrap_or(""))
-                );
-            }
-            let mut children = doc.children(id).peekable();
-            if children.peek().is_none() {
-                out.push_str("/>");
-                return;
-            }
-            out.push('>');
-            // Mixed content (any text child) suppresses indentation so that
-            // significant text is not polluted with whitespace.
-            let mixed = doc.children(id).any(|c| doc.kind(c).is_text());
-            for child in children {
+/// Writes `top` and its subtree in one walk with an explicit stack of the
+/// open elements: no recursion, however deep the document.
+fn write_node(doc: &Document, top: NodeId, opts: &WriteOptions, out: &mut String) {
+    // Each open element with whether its content is mixed (any text
+    // child), which suppresses indentation so that significant text is not
+    // polluted with whitespace.
+    let mut open: Vec<(NodeId, bool)> = Vec::new();
+    let mut next = Some(top);
+    loop {
+        let id = match next {
+            Some(id) => id,
+            // The innermost open element has no more children: close it.
+            None => {
+                let (id, mixed) = open.pop().expect("a written node closes its element");
                 if !mixed {
-                    write_indent(out, opts, level + 1);
+                    write_indent(out, opts, open.len());
                 }
-                write_node(doc, child, opts, level + 1, out);
+                let _ = write!(out, "</{}>", doc.name(id).unwrap_or(""));
+                if open.is_empty() {
+                    return;
+                }
+                next = doc.next_sibling(id);
+                continue;
             }
-            if !mixed {
-                write_indent(out, opts, level);
+        };
+        if open.last().is_some_and(|&(_, mixed)| !mixed) {
+            write_indent(out, opts, open.len());
+        }
+        match doc.kind(id) {
+            NodeKind::Document => {}
+            NodeKind::Element { name } => {
+                out.push('<');
+                out.push_str(name);
+                for attr in doc.attributes(id) {
+                    let _ = write!(
+                        out,
+                        " {}=\"{}\"",
+                        doc.name(attr).unwrap_or(""),
+                        escape_attr(doc.value(attr).unwrap_or(""))
+                    );
+                }
+                if let Some(first) = doc.first_child(id) {
+                    out.push('>');
+                    let mixed = doc.children(id).any(|c| doc.kind(c).is_text());
+                    open.push((id, mixed));
+                    next = Some(first);
+                    continue;
+                }
+                out.push_str("/>");
             }
-            out.push_str("</");
-            out.push_str(name);
-            out.push('>');
-        }
-        NodeKind::Text { value } => out.push_str(&escape_text(value)),
-        NodeKind::Comment { value } => {
-            let _ = write!(out, "<!--{value}-->");
-        }
-        NodeKind::ProcessingInstruction { target, data } => {
-            if data.is_empty() {
-                let _ = write!(out, "<?{target}?>");
-            } else {
-                let _ = write!(out, "<?{target} {data}?>");
+            NodeKind::Text { value } => out.push_str(&escape_text(value)),
+            NodeKind::Comment { value } => {
+                let _ = write!(out, "<!--{value}-->");
             }
+            NodeKind::ProcessingInstruction { target, data } => {
+                if data.is_empty() {
+                    let _ = write!(out, "<?{target}?>");
+                } else {
+                    let _ = write!(out, "<?{target} {data}?>");
+                }
+            }
+            NodeKind::Attribute { .. } => unreachable!("attributes are written with their element"),
         }
-        NodeKind::Attribute { .. } => unreachable!("attributes are written with their element"),
+        if open.is_empty() {
+            return;
+        }
+        next = doc.next_sibling(id);
     }
 }
 
@@ -155,6 +174,42 @@ mod tests {
             },
         );
         assert!(out.starts_with("<?xml"));
+    }
+
+    #[test]
+    fn nested_indentation_and_mixed_content() {
+        let src = "<a x=\"1\"><b><c/><d>t<e/></d></b><!--n--></a>";
+        let doc = parse(src).unwrap();
+        assert_eq!(write_document(&doc, &WriteOptions::default()), src);
+        let opts = WriteOptions {
+            declaration: false,
+            indent: Some(1),
+        };
+        let want = "<a x=\"1\">\n <b>\n  <c/>\n  <d>t<e/></d>\n </b>\n <!--n-->\n</a>\n";
+        assert_eq!(write_document(&doc, &opts), want);
+    }
+
+    #[test]
+    fn a_document_deeper_than_the_stack_would_allow_is_written() {
+        // 6 000 levels, written on a thread with a 2 MB stack, which a frame
+        // per level would overflow.
+        const DEPTH: usize = 6_000;
+        let mut doc = Document::new();
+        let mut parent = Document::ROOT;
+        for _ in 0..DEPTH {
+            parent = doc.push_element(parent, "d");
+        }
+        doc.push_text(parent, "x");
+        let out = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || write_document(&doc, &WriteOptions::default()))
+            .unwrap()
+            .join()
+            .expect("the writer overflowed its stack");
+        assert_eq!(
+            out,
+            format!("{}x{}", "<d>".repeat(DEPTH), "</d>".repeat(DEPTH))
+        );
     }
 
     #[test]

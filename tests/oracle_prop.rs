@@ -1,12 +1,13 @@
 //! Property-based oracle testing: for random documents and random XPath
 //! expressions, the VAMANA engine (default *and* optimized plans, so the
 //! whole transformation library is exercised) must agree with the
-//! independent DOM evaluator node for node.
+//! independent DOM evaluator node for node — and, for random scalar
+//! expressions over those paths, value for value.
 
 use proptest::prelude::*;
 use vamana::baseline::dom::DomEngine;
 use vamana::baseline::XPathEngine;
-use vamana::{Engine, MassStore, VamanaAdapter};
+use vamana::{DocId, Engine, MassStore, VamanaAdapter};
 
 const NAMES: &[&str] = &["a", "b", "c", "person", "name"];
 const VALUES: &[&str] = &["x", "yy", "Vermont", "7", "12.5"];
@@ -121,14 +122,16 @@ impl RandStep {
             11 => out.push_str(&format!("[not({})]", NAMES[2])),
             12 => out.push_str("[text() > 5]"),
             13 => out.push_str(&format!("[@{} <= 10]", NAMES[0])),
-            _ => out.push_str(&format!("[{}[2]]", NAMES[0])),
+            14 => out.push_str(&format!("[{}[2]]", NAMES[0])),
+            15 => out.push_str(&format!("[count(.//{}) = 0]", NAMES[0])),
+            _ => out.push_str(&format!("[count(descendant-or-self::{}) > 1]", NAMES[0])),
         }
     }
 }
 
 fn query_strategy() -> impl Strategy<Value = String> {
     proptest::collection::vec(
-        (0..AXES.len(), 0..NAMES.len() + 3, 0usize..15).prop_map(|(axis, test, pred)| RandStep {
+        (0..AXES.len(), 0..NAMES.len() + 3, 0usize..17).prop_map(|(axis, test, pred)| RandStep {
             axis,
             test,
             pred,
@@ -142,6 +145,50 @@ fn query_strategy() -> impl Strategy<Value = String> {
             if i > 0 {
                 q.push('/');
             }
+            s.render(&mut q);
+        }
+        q
+    })
+}
+
+/// Scalar expressions over a random path `{}`: counts (of the path, and
+/// per node of it), sums, booleans, strings, comparisons against a literal
+/// and arithmetic. Each is read as a number, a coercion both engines make
+/// alike.
+const SCALARS: &[&str] = &[
+    "count({})",
+    "sum({})",
+    "boolean({})",
+    "not({})",
+    "string-length(string({}))",
+    "number(string({}))",
+    "{} = 'yy'",
+    "{} != 'x'",
+    "{} > 5",
+    "12.5 >= {}",
+    "count({}) * 2 + 1",
+    "count({}) mod 3 - sum({})",
+    "-count({}) div 2",
+    "count({}[count(.//a) = 0])",
+    "count({}[count(descendant-or-self::a) = 1])",
+];
+
+/// A random path for a scalar to wrap: one to three random steps taken
+/// from every node (`//`), half of them without a predicate, so that its
+/// node-set is seldom empty and reverse axes repeat nodes.
+fn scalar_path_strategy() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        (0..AXES.len(), 0..NAMES.len() + 3, 0usize..34).prop_map(|(axis, test, pred)| RandStep {
+            axis,
+            test,
+            pred: pred.saturating_sub(17),
+        }),
+        1..4,
+    )
+    .prop_map(|steps| {
+        let mut q = String::from("/");
+        for s in &steps {
+            q.push('/');
             s.render(&mut q);
         }
         q
@@ -214,5 +261,37 @@ proptest! {
         let site = store.documents()[0].doc_key.clone();
         let mass_value = store.string_value(&site).expect("string value");
         prop_assert_eq!(dom_value, mass_value);
+    }
+}
+
+proptest! {
+    // Five times the node-set cases: a scalar reads one number off its
+    // path, so a wrong count shows on fewer inputs.
+    #![proptest_config(ProptestConfig { cases: 5 * cases(), ..ProptestConfig::default() })]
+
+    #[test]
+    fn vamana_agrees_with_dom_on_random_scalars(
+        tree in tree_strategy(),
+        query in scalar_path_strategy(),
+        scalar in 0..SCALARS.len(),
+    ) {
+        let mut xml = String::new();
+        tree.render(&mut xml);
+        let expr = SCALARS[scalar].replace("{}", &query);
+
+        let oracle = DomEngine::from_xml(&xml).expect("oracle parse");
+        let expected = oracle.eval_number(&expr).expect("oracle eval");
+        for optimize in [true, false] {
+            let mut store = MassStore::open_memory();
+            store.load_xml("doc", &xml).expect("load");
+            let mut engine = Engine::new(store);
+            engine.options_mut().optimize = optimize;
+            let value = engine.evaluate(DocId(0), &expr).expect("vamana eval");
+            let got = value.number(engine.store()).expect("number");
+            prop_assert!(
+                got == expected || (got.is_nan() && expected.is_nan()),
+                "optimize={} gives {} for `{}`, the DOM {} over {}", optimize, got, expr, expected, xml
+            );
+        }
     }
 }
