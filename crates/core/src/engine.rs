@@ -19,7 +19,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vamana_flex::{FlexKey, KeyRange};
-use vamana_mass::{DocId, MassError, MassStore, NodeEntry, RecordKind, WalRecord, WalStats};
+use vamana_mass::{
+    DocId, Footprint, MassError, MassStore, NodeEntry, RecordKind, ReplicationLog, WalRecord,
+    WalStats,
+};
 use vamana_xpath::parse;
 
 /// Engine configuration. Every read-path feature engages through its cost
@@ -359,7 +362,7 @@ impl<'s> QueryStream<'s> {
 pub struct Engine {
     /// Shared so parallel scan workers can hold the store across their
     /// morsel; a scan's clones are gone once its stream is dropped, which
-    /// keeps [`Engine::store_mut`] available between queries.
+    /// keeps the store writable between queries.
     pub(crate) store: Arc<MassStore>,
     options: EngineOptions,
     /// Engine-level worker pool, created when a scan first fans out,
@@ -400,14 +403,36 @@ impl Engine {
         &self.store
     }
 
-    /// Mutable store access (loading documents, updates). `&mut self`
-    /// already excludes every open stream, and a fanned-out scan's workers
-    /// let go of the store before its stream's drop returns, so the store
-    /// is the engine's alone — unless a stream was leaked
+    /// The store, to write: the engine is its only writer ([`Engine::write`]).
+    /// `&mut self` already excludes every open stream, and a fanned-out
+    /// scan's workers let go of the store before its stream's drop returns,
+    /// so the store is the engine's alone — unless a stream was leaked
     /// (`mem::forget`) mid-scan, when the caller gets
     /// [`MassError::WriterConflict`] and the store is untouched.
-    pub fn store_mut(&mut self) -> Result<&mut MassStore> {
+    fn store_mut(&mut self) -> Result<&mut MassStore> {
         Arc::get_mut(&mut self.store).ok_or(EngineError::Storage(MassError::WriterConflict))
+    }
+
+    /// The one step every update and replayed batch takes: runs `apply` and
+    /// moves each document whose generation it moved through the query
+    /// cache, carrying the answers that cannot see what it inserted or
+    /// deleted ([`crate::views`], "Validity") — none when it failed, as a
+    /// commit can after its apply began.
+    fn write(
+        &mut self,
+        apply: impl FnOnce(&mut MassStore) -> vamana_mass::Result<Footprint>,
+    ) -> Result<()> {
+        let before: Vec<u64> = (0..self.store.documents().len() as u32)
+            .map(|doc| self.store.doc_generation(DocId(doc)))
+            .collect();
+        let written = apply(self.store_mut()?);
+        for (doc, from) in (0..).zip(before) {
+            let to = self.store.doc_generation(DocId(doc));
+            if to != from {
+                self.views.advance(doc, from, to, written.as_ref().ok());
+            }
+        }
+        Ok(written.map(drop)?)
     }
 
     /// Total time writers have waited for this engine's write lock
@@ -417,9 +442,10 @@ impl Engine {
     }
 
     /// Swaps the underlying store wholesale — a replica installing a
-    /// snapshot shipped from its primary. Fails as [`Engine::store_mut`]
-    /// does, and clears the query cache: the new store's document
-    /// generations restart at zero.
+    /// snapshot shipped from its primary. Fails with
+    /// [`MassError::WriterConflict`] while a leaked stream holds the store,
+    /// and clears the query cache: the new store's document generations
+    /// restart at zero.
     pub fn replace_store(&mut self, store: MassStore) -> Result<()> {
         self.store_mut()?;
         self.store = Arc::new(store);
@@ -513,27 +539,32 @@ impl Engine {
                 records
             }
         };
-        let generation = self.store.doc_generation(doc);
-        let store = self.store_mut()?;
-        let before = store.stats().tuples;
-        let written = store.commit(&records)?;
-        let after = store.stats().tuples;
-        let lsn = store.wal_stats().last_lsn;
-        let doc_generation = store.doc_generation(doc);
-        // Eager on the primary's write path; replica replay moves
-        // generations without coming through here, and the cache drops the
-        // answers at the next access.
-        self.views
-            .advance(doc.0, generation, doc_generation, &written);
+        let before = self.store.stats().tuples;
+        self.write(|store| store.commit(&records))?;
+        let after = self.store.stats().tuples;
         Ok(UpdateOutcome {
             doc,
             matched: matched.len() as u64,
             inserted: after.saturating_sub(before),
             deleted: before.saturating_sub(after),
-            lsn,
-            doc_generation,
+            lsn: self.store.wal_stats().last_lsn,
+            doc_generation: self.store.doc_generation(doc),
             resolve,
         })
+    }
+
+    /// Applies one committed batch shipped from a primary
+    /// ([`MassStore::apply_replicated`]) and moves the query cache past it
+    /// as [`Engine::apply_update`] does, so a follower keeps the answers a
+    /// replayed write cannot see.
+    pub fn apply_replicated(&mut self, batch: &[(u64, WalRecord)]) -> Result<()> {
+        self.write(|store| store.apply_replicated(batch))
+    }
+
+    /// Attaches a replication ring retaining `retain` committed frames to
+    /// the (durable) store ([`MassStore::attach_replication`]).
+    pub fn attach_replication(&mut self, retain: usize) -> Result<ReplicationLog> {
+        Ok(self.store_mut()?.attach_replication(retain)?)
     }
 
     /// Folds the WAL into the page store and truncates it (see
@@ -746,7 +777,8 @@ impl Engine {
     }
 
     /// Opens `plan` on `doc`, relative paths anchored at `outer` and
-    /// actuals recorded into `stats` ([`exec::open`]).
+    /// actuals recorded into `stats` ([`exec::open`]); a plan whose top
+    /// yields a value, not nodes, is refused.
     fn open<'a>(
         &'a self,
         doc: DocId,
@@ -754,6 +786,14 @@ impl Engine {
         outer: Option<&NodeEntry>,
         stats: Option<&'a ExecStats>,
     ) -> Result<QueryStream<'a>> {
+        let top = plan.get().top();
+        if top.is_some_and(|top| !plan.get().op(top).yields_nodes()) {
+            return Err(EngineError::Unsupported(
+                "the expression yields a value, which cannot produce a node-set stream; \
+                 EVAL evaluates it"
+                    .into(),
+            ));
+        }
         let stats = stats.map(|stats| (stats, Instant::now()));
         let root_ctx = self.doc_entry(doc)?;
         let env = self.env(plan.get(), &root_ctx, stats.map(|s| s.0));

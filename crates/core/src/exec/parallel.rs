@@ -763,7 +763,7 @@ impl<'s> ParallelIter<'s> {
 /// The caller's handle on its scan. Dropping it cancels the scan and
 /// waits for the workers inside a morsel to leave it (each looks at the
 /// flag between chunks, between contexts and when parked); after that no
-/// thread holds a store clone, so the engine's `store_mut` has exclusive
+/// thread holds a store clone, so the engine's writes have exclusive
 /// access again: the only thing that lets a writer through.
 /// A type of its own, without the store lifetime: with the `Drop` on
 /// [`ParallelIter`] itself every stream would keep its engine borrowed

@@ -45,16 +45,16 @@
 //! FLEX keys of every other node stay, so an answer, a list of keys, stays
 //! exact across a write whose nodes its query cannot reach.
 //!
-//! So a write drops only answers. On the primary
-//! [`crate::Engine::apply_update`] checks each query against what the
-//! write inserted or deleted ([`vamana_mass::Footprint`]; the check is the
-//! `reach` module's, once per parsed query — a template's texts share
-//! theirs) and carries the answers it cannot see to the new generation;
-//! the rest are dropped. A replica's replay moves the generation
-//! store-side and hands the cache no footprint, so there every answer
-//! goes at the next access. Each plan and template records, when it is made, the
-//! magnitude (as above) of every count it was priced on: `COUNT` of each
-//! node test and numeric range in its operators and `TC` of each literal.
+//! So a write drops only answers. An update or a follower's replayed batch
+//! ([`crate::Engine::apply_update`], [`crate::Engine::apply_replicated`])
+//! checks each query against what it inserted or deleted
+//! ([`vamana_mass::Footprint`]; the check is the `reach` module's, once
+//! per parsed query — a template's texts share theirs) and carries the
+//! answers it cannot see to the new generation; the rest are dropped, all
+//! of them when the write failed after its apply began. Each plan and
+//! template records, when it is made, the magnitude (as above) of every
+//! count it was priced on: `COUNT` of each node test and numeric range in
+//! its operators and `TC` of each literal.
 //! The first lookup or bind after the document's generation changes reads
 //! those counts again: if every magnitude holds, the plan is restamped
 //! with the new generation, and an answer carried to it is handed back;
@@ -472,38 +472,11 @@ struct Inner {
 }
 
 impl Inner {
-    /// `doc`'s entries and templates, made at `generation` when new. A
-    /// `generation` newer than the one its answers are valid at drops
-    /// them; plans and templates stay.
+    /// `doc`'s entries and templates, made at `generation` when new.
     fn doc(&mut self, doc: u32, generation: u64) -> &mut DocEntries {
-        self.drop_answers(doc, generation);
         self.docs
             .entry(doc)
             .or_insert_with(|| DocEntries::new(generation))
-    }
-
-    /// Drops `doc`'s kept answers when `generation` is newer than the one
-    /// they are valid at, and restarts their admission counts.
-    fn drop_answers(&mut self, doc: u32, generation: u64) {
-        let Some(d) = self
-            .docs
-            .get_mut(&doc)
-            .filter(|d| d.generation < generation)
-        else {
-            return;
-        };
-        d.generation = generation;
-        let (mut kept, mut bytes) = (0, 0);
-        for e in d.entries.values_mut() {
-            e.computed = 0;
-            if let Answer::Kept { bytes: b, .. } = std::mem::replace(&mut e.answer, Answer::None) {
-                kept += 1;
-                bytes += b;
-            }
-        }
-        self.kept -= kept;
-        self.bytes -= bytes;
-        self.evictions += kept;
     }
 
     /// Moves `doc`'s kept answers from `from`, the generation before a
@@ -512,22 +485,23 @@ impl Inner {
     /// oversize mark and its admission count, and its kept reply unless
     /// the write held text; every other answer is dropped and its count
     /// restarted. Each distinct expression is checked once. Answers not
-    /// valid at `from` are all dropped.
-    fn advance(&mut self, doc: u32, from: u64, to: u64, footprint: &Footprint) {
-        let Some(d) = self
-            .docs
-            .get_mut(&doc)
-            .filter(|d| d.generation == from && from < to)
-        else {
-            return self.drop_answers(doc, to);
+    /// valid at `from`, or moved by a write that failed (no `footprint`),
+    /// are all dropped; answers already at `to` or past it stay.
+    fn advance(&mut self, doc: u32, from: u64, to: u64, footprint: Option<&Footprint>) {
+        let Some(d) = self.docs.get_mut(&doc).filter(|d| d.generation < to) else {
+            return;
         };
+        let footprint = footprint.filter(|_| d.generation == from);
+        let text = footprint.is_some_and(|footprint| footprint.text);
         d.generation = to;
         let mut verdicts: HashMap<*const Expr, bool> = HashMap::new();
         let (mut dropped, mut bytes, mut carried) = (0, 0, 0);
         for e in d.entries.values_mut() {
-            let sees = *verdicts
-                .entry(Arc::as_ptr(&e.expr))
-                .or_insert_with(|| reach::sees(&e.expr, footprint));
+            let sees = footprint.is_none_or(|footprint| {
+                *verdicts
+                    .entry(Arc::as_ptr(&e.expr))
+                    .or_insert_with(|| reach::sees(&e.expr, footprint))
+            });
             if sees {
                 e.computed = 0;
                 if let Answer::Kept { bytes: b, .. } =
@@ -542,7 +516,7 @@ impl Inner {
             {
                 carried += 1;
                 // Text written below a shown row changes its value.
-                if let Some(freed) = shown.take_if(|_| footprint.text).map(|s| s.footprint()) {
+                if let Some(freed) = shown.take_if(|_| text).map(|s| s.footprint()) {
                     *b -= freed;
                     bytes += freed;
                 }
@@ -557,7 +531,6 @@ impl Inner {
     /// `xpath`'s entry on `doc` when the document's answers are valid at
     /// `generation` and the entry was checked at it.
     fn current(&mut self, doc: u32, xpath: &str, generation: u64) -> Option<&mut Entry> {
-        self.drop_answers(doc, generation);
         let d = self.docs.get_mut(&doc)?;
         let e = d.entries.get_mut(xpath)?;
         (d.generation == generation && e.checked == generation).then_some(e)
@@ -587,7 +560,6 @@ impl Inner {
 
     /// The entry for `xpath` on `doc` at `generation`, stamped used.
     fn probe(&mut self, doc: u32, xpath: &str, generation: u64) -> Probe {
-        self.drop_answers(doc, generation);
         self.clock += 1;
         let clock = self.clock;
         let Some(d) = self.docs.get_mut(&doc) else {
@@ -1033,11 +1005,11 @@ impl QueryCache {
     }
 
     /// Moves `doc`'s kept answers from generation `from` to `to` across
-    /// the write between them, which inserted or deleted `footprint`
-    /// (the primary's write path): each answer its query cannot see is
-    /// carried, the rest are dropped. Plans and templates stay, to be
-    /// checked at their next use.
-    pub(crate) fn advance(&self, doc: u32, from: u64, to: u64, footprint: &Footprint) {
+    /// the write between them, which inserted or deleted `footprint`, or
+    /// failed (`None`): each answer its query cannot see is carried, the
+    /// rest are dropped. Plans and templates stay, to be checked at their
+    /// next use.
+    pub(crate) fn advance(&self, doc: u32, from: u64, to: u64, footprint: Option<&Footprint>) {
         self.lock().advance(doc, from, to, footprint);
     }
 
@@ -1182,12 +1154,6 @@ mod tests {
                 parsed("//a"),
             );
         }
-
-        /// What a write no query can reason about does: every answer of
-        /// `doc` older than `generation` goes.
-        fn drop_answers(&self, doc: u32, generation: u64) {
-            self.lock().drop_answers(doc, generation);
-        }
     }
 
     /// A cache holding a plan for each of `keys` on document 0, generation 1.
@@ -1218,10 +1184,12 @@ mod tests {
         assert_eq!((s.views, s.hits, s.misses), (1, 1, 2));
         assert_eq!(cache.counters(), (2, 1));
         // Another document has no entry. Another generation has the plan,
-        // not the answer, which it drops.
+        // not the answer; a write it can see drops that.
         assert!(cache.get(1, "//a", 1).is_none());
         let found = cache.get(0, "//a", 2).unwrap();
         assert!(found.cached && found.answer.is_none());
+        assert_eq!(cache.stats().views, 1);
+        cache.advance(0, 1, 2, Some(&written(&["a"], false)));
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().views, 0);
         assert_eq!(cache.len(), 1);
@@ -1322,7 +1290,7 @@ mod tests {
         assert!(oversize(&cache));
         assert_eq!(cache.stats().views, 0);
         // A write may shrink the answer: a new generation counts afresh.
-        cache.drop_answers(0, 2);
+        cache.advance(0, 1, 2, None);
         assert!(!oversize(&cache));
         cache.get(0, "//big", 2);
         assert!(!cache.observe(0, "//big", 2, 2, &kept(&rows[..1])));
@@ -1365,18 +1333,31 @@ mod tests {
                 }
                 cache.observe(0, xpath, generation, 1, &kept(&[entry(1)]));
             }
-            cache.drop_answers(0, generation + 1);
+            let seen = written(&["a"], false);
+            cache.advance(0, generation, generation + 1, Some(&seen));
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().views, 0);
         assert_eq!(cache.counters(), (198, 2), "plans survive the writes");
-        // Replica replay: no eager drop, the next generation's access does it.
-        for generation in 200..=300u64 {
-            cache.get(0, "//a", generation);
-            cache.observe(0, "//a", generation, 1, &kept(&[entry(1)]));
+        // Writes they cannot see carry both answers; a generation no write
+        // announced hands out neither and keeps none.
+        for xpath in ["//a", "//b"] {
+            cache.get(0, xpath, 101);
+            cache.observe(0, xpath, 101, 1, &kept(&[entry(1)]));
         }
-        assert_eq!(cache.len(), 2, "stale generations piled up");
-        assert_eq!(cache.stats().views, 1);
+        for generation in 101..=200u64 {
+            let unseen = written(&["z"], false);
+            cache.advance(0, generation, generation + 1, Some(&unseen));
+            assert!(cache
+                .get(0, "//a", generation + 1)
+                .unwrap()
+                .answer
+                .is_some());
+        }
+        assert!(cache.get(0, "//b", 300).unwrap().answer.is_none());
+        assert!(!cache.observe(0, "//b", 300, 1, &kept(&[entry(2)])));
+        assert_eq!((cache.len(), cache.stats().views), (2, 2));
+        assert_eq!(cache.stats().carried, 200);
     }
 
     #[test]
@@ -1387,12 +1368,12 @@ mod tests {
             cache.observe(doc, key, 1, 1, &kept(&[entry(1)]));
         }
         cache.put(0, "//pending", 1);
-        cache.drop_answers(0, 2);
+        cache.advance(0, 1, 2, None);
         assert_eq!(cache.stats().views, 1);
         assert_eq!(cache.stats().evictions, 2);
         assert_eq!(cache.len(), 4, "plans stay");
-        // An older generation drops nothing.
-        cache.drop_answers(1, 1);
+        // A write the answers are already past drops nothing.
+        cache.advance(1, 0, 1, None);
         assert_eq!(cache.stats().views, 1);
         cache.clear();
         assert!(cache.is_empty());
@@ -1450,7 +1431,7 @@ mod tests {
         cache.keep_shown(0, "//b", 1, &b, shown(1, "ROW <c>\n"));
         assert!(cache.get(0, "//b", 1).unwrap().shown.is_some());
         // A write drops both.
-        cache.drop_answers(0, 2);
+        cache.advance(0, 1, 2, None);
         let found = cache.get(0, "//b", 2).unwrap();
         assert!(found.answer.is_none() && found.shown.is_none());
         assert_eq!(cache.stats().bytes, 0);
@@ -1489,7 +1470,7 @@ mod tests {
         let before = cache.stats();
 
         // `<c/>` under some `b`: `//c` sees it, the rest do not.
-        cache.advance(0, 1, 2, &written(&["c"], false));
+        cache.advance(0, 1, 2, Some(&written(&["c"], false)));
         let after = cache.stats();
         assert_eq!((after.views, after.carried), (1, 1));
         assert_eq!(
@@ -1510,7 +1491,7 @@ mod tests {
 
         // Text below a shown row changes its value: the reply goes, the
         // answer stays.
-        cache.advance(0, 2, 3, &written(&["i"], true));
+        cache.advance(0, 2, 3, Some(&written(&["i"], true)));
         let found = cache.get(0, "//a", 3).unwrap();
         assert!(found.answer.is_some() && found.shown.is_none());
         assert_eq!(cache.stats().bytes, footprint(1, "//a"));
@@ -1518,7 +1499,7 @@ mod tests {
 
         // A write the document's answers did not see land first, or one
         // that deletes a document node, drops them all.
-        cache.advance(0, 4, 5, &written(&["z"], false));
+        cache.advance(0, 4, 5, Some(&written(&["z"], false)));
         assert_eq!(cache.stats().views, 0);
         cache.get(0, "//a", 5);
         assert!(cache.observe(0, "//a", 5, 1, &a));
@@ -1526,7 +1507,7 @@ mod tests {
             document: true,
             ..Footprint::default()
         };
-        cache.advance(0, 5, 6, &document);
+        cache.advance(0, 5, 6, Some(&document));
         assert_eq!(cache.stats().views, 0);
         assert!(!oversize(&cache));
     }
@@ -1646,7 +1627,7 @@ mod tests {
         // A write keeps the document's templates.
         offer(1, "//r[@k = 'v']");
         assert_eq!(cache.shapes(), SHAPES);
-        cache.drop_answers(0, 2);
+        cache.advance(0, 1, 2, None);
         assert_eq!(cache.shapes(), SHAPES);
         cache.clear();
         assert_eq!(cache.shapes(), 0);

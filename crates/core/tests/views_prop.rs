@@ -18,11 +18,16 @@
 //! with only an attribute — and deletes of those and of comments keep
 //! the answers that cannot see them; a last such write after every script
 //! keeps the probe's, so every case carries an answer across a write.
+//!
+//! A follower takes the same rule from the batches a primary's ring ships
+//! it: every answer it hands out after each batch equals a fresh one. A
+//! write that fails after its apply began drops the answers it moved.
 
 use proptest::prelude::*;
 use vamana_baseline::{dom::DomEngine, NodeIdentity, XPathEngine};
 use vamana_core::{DocId, Engine, EngineOptions, MassStore, NodeEntry, UpdateOp};
 use vamana_flex::{Axis, KeyRange};
+use vamana_mass::{FaultClock, FaultPager, FsyncPolicy, MemWalBackend, SharedPager, WalRecord};
 
 const NAMES: [&str; 4] = ["a", "b", "c", "d"];
 
@@ -203,6 +208,10 @@ fn bulk(engine: &Engine) -> UpdateOp {
 fn engine_for(xml: &str) -> Engine {
     let mut store = MassStore::open_memory();
     store.load_xml("d", xml).expect("load generated doc");
+    keeping(store)
+}
+
+fn keeping(store: MassStore) -> Engine {
     Engine::with_options(
         store,
         EngineOptions {
@@ -210,6 +219,14 @@ fn engine_for(xml: &str) -> Engine {
             ..EngineOptions::default()
         },
     )
+}
+
+/// An empty durable store whose pages and log live in memory, its page
+/// writes charged to `clock`.
+fn durable(clock: &std::sync::Arc<FaultClock>) -> MassStore {
+    let pager = Box::new(FaultPager::new(Box::new(SharedPager::new()), clock.clone()));
+    let wal = Box::new(MemWalBackend::new());
+    MassStore::create_with_wal(pager, 64, wal, FsyncPolicy::Never).unwrap()
 }
 
 fn identities(engine: &Engine, result: &[NodeEntry]) -> Vec<NodeIdentity> {
@@ -348,4 +365,98 @@ proptest! {
             must_bind
         );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn follower_answers_equal_direct_evaluation_across_the_feed(
+        queries in proptest::collection::vec(query_strategy(), 1..4),
+        first in 0..LITERALS.len(),
+        script in proptest::collection::vec((any::<u8>(), 0usize..4, 0usize..4), 1..8),
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..40),
+    ) {
+        let mut primary = Engine::new(durable(&FaultClock::new()));
+        let ring = primary.attach_replication(1024).unwrap();
+        primary.load_xml("d", &build_doc(&ops)).unwrap();
+        let mut follower = keeping(durable(&FaultClock::new()));
+        let doc = DocId(0);
+        let texts: Vec<String> = queries
+            .iter()
+            .flat_map(|q| [with_literals(q, first), with_literals(q, first + 1)])
+            .chain([PROBE].into_iter().chain(WATCHES).map(String::from))
+            .collect();
+        let (mut shipped, mut batch, mut batches) = (0, Vec::new(), 0);
+        // Each script step, then a write the probe cannot see.
+        for spec in script.iter().map(Some).chain([None]) {
+            let op = match spec {
+                Some(&(action, parent, name)) => update(action, NAMES[parent], NAMES[name]),
+                None => Some(unseen()),
+            };
+            if let Some(op) = op {
+                primary.apply_update(doc, &op).unwrap();
+            }
+            // The ring's frames, split at each commit, as a follower's
+            // feed delivers them.
+            for (lsn, payload) in ring.frames_after(shipped, usize::MAX).unwrap() {
+                shipped = lsn;
+                let rec = WalRecord::decode(&payload).unwrap();
+                let commit = matches!(rec, WalRecord::Commit);
+                batch.push((lsn, rec));
+                if !commit {
+                    continue;
+                }
+                follower.apply_replicated(&batch).unwrap();
+                batch.clear();
+                batches += 1;
+                for xpath in &texts {
+                    let want = fresh(&follower, doc, xpath);
+                    // Twice: the first keeps the answer, the second is it.
+                    for run in 0..2 {
+                        let got = follower.query_doc(doc, xpath).unwrap();
+                        prop_assert_eq!(&got, &want, "{} after batch {}, run {}", xpath, batches, run);
+                    }
+                }
+            }
+        }
+        let views = follower.views().stats();
+        prop_assert!(views.hits >= batches * texts.len() as u64, "{} answers served", views.hits);
+        prop_assert!(views.carried > 0, "no answer was carried across a replayed write");
+    }
+}
+
+/// A commit that fails after its apply began has moved the document's
+/// generation: the answer kept before it is not handed out, and the
+/// document keeps answers again at the new generation.
+#[test]
+fn a_write_that_fails_partway_drops_the_answers_it_moved() {
+    let xml = "<r><a><x/></a><b><y/></b></r>";
+    let doc = DocId(0);
+    let delete = |target: &str| UpdateOp::Delete {
+        target: target.into(),
+    };
+    // The page writes of deleting `a` alone size the budget.
+    let clock = FaultClock::new();
+    let mut engine = keeping(durable(&clock));
+    engine.load_xml("d", xml).unwrap();
+    let before = clock.writes();
+    engine.apply_update(doc, &delete("/r/a")).unwrap();
+    let budget = clock.writes() - before;
+
+    let clock = FaultClock::new();
+    let mut engine = keeping(durable(&clock));
+    engine.load_xml("d", xml).unwrap();
+    assert_eq!(engine.query_doc(doc, "//x").unwrap().len(), 1);
+    assert!(engine.lookup(doc, "//x").unwrap().answer.is_some());
+    clock.arm(budget);
+    let failed = engine.apply_update(doc, &delete("/r/a | /r/b"));
+    clock.disarm();
+    assert!(failed.is_err(), "the second delete's write fails");
+    assert_eq!(engine.query_doc(doc, "//x").unwrap(), []);
+    assert_eq!(
+        engine.query_doc(doc, "//x").unwrap(),
+        fresh(&engine, doc, "//x")
+    );
+    assert!(engine.lookup(doc, "//x").unwrap().answer.is_some());
 }

@@ -299,14 +299,11 @@ fn follow_once(ctx: &SyncCtx) -> std::io::Result<()> {
 fn apply_batch(ctx: &SyncCtx, batch: &[(u64, WalRecord)]) -> std::io::Result<()> {
     let commit_lsn = batch.last().map(|(l, _)| *l).unwrap_or(0);
     let mut engine = ctx.engine.write();
-    let store = engine
-        .store_mut()
-        .map_err(|e| proto_err(format!("writer gate: {e}")))?;
-    store
+    engine
         .apply_replicated(batch)
         .map_err(|e| proto_err(format!("apply batch at {commit_lsn}: {e}")))?;
-    if store.wal_stats().depth >= ctx.config.checkpoint_depth {
-        store
+    if engine.store().wal_stats().depth >= ctx.config.checkpoint_depth {
+        engine
             .checkpoint()
             .map_err(|e| proto_err(format!("replica checkpoint: {e}")))?;
     }

@@ -399,6 +399,57 @@ fn replayed_writes_invalidate_follower_views() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A replayed write its query cannot see leaves the follower's kept
+/// answer, and the reply kept with it, in place: the follower answers
+/// from it, byte-equal to the primary.
+#[test]
+fn replayed_writes_a_query_cannot_see_keep_follower_views() {
+    let dir = temp_dir("carry");
+    let handle = spawn_primary(&dir.join("primary.mass"), ServerConfig::default());
+    let mut primary = Client::connect(&handle);
+    let replica = start_replica(handle.addr(), &dir.join("replica.mass"));
+    let mut follower = Client::connect_addr(replica.addr());
+    // Large enough that one more node moves no count the plan was priced
+    // on past a magnitude: the plan stays, and with it the lookup.
+    let people = "<person><name>p</name></person>".repeat(100);
+    let reply = primary.round_trip(&format!(
+        "LOADXML big <site><people>{people}</people></site>"
+    ));
+    assert!(reply[0].starts_with("OK loaded"), "{reply:?}");
+    wait_applied(&mut follower, primary_last_lsn(&mut primary));
+
+    let query = "QUERY DOC big //person/name";
+    follower.round_trip(query);
+    follower.round_trip(query);
+    let before = follower.round_trip("STATS");
+    assert_eq!(stat_value(&before, "view_views"), 1, "{before:?}");
+
+    let reply = primary.round_trip("INSERT big //people <note/>");
+    assert!(reply[0].starts_with("OK update"), "{reply:?}");
+    wait_applied(&mut follower, primary_last_lsn(&mut primary));
+
+    let mut on_follower = follower.round_trip(query);
+    let mut on_primary = primary.round_trip(query);
+    let stats = follower.round_trip("STATS");
+    assert!(stat_value(&stats, "view_carried") >= 1, "{stats:?}");
+    for key in ["view_evictions", "view_views"] {
+        assert_eq!(stat_value(&stats, key), stat_value(&before, key), "{key}");
+    }
+    assert_eq!(
+        stat_value(&stats, "view_hits"),
+        stat_value(&before, "view_hits") + 1
+    );
+    // Rows byte for byte; the OK lines differ only past the row count.
+    let (ok_f, ok_p) = (on_follower.pop().unwrap(), on_primary.pop().unwrap());
+    assert_eq!(on_follower, on_primary);
+    assert!(ok_f.starts_with("OK 100 row(s)"), "{ok_f}");
+    assert!(ok_p.starts_with("OK 100 row(s)"), "{ok_p}");
+
+    replica.stop();
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn compressed_follower_converges_with_v1_primary() {
     let dir = temp_dir("v2f");

@@ -790,11 +790,7 @@ impl Server {
             // truncate only the file log, never this ring.
             if guard.store().is_durable() && guard.store().replication_log().is_none() {
                 guard
-                    .store_mut()
-                    .and_then(|s| {
-                        s.attach_replication(config.repl_retain)
-                            .map_err(vamana_core::EngineError::Storage)
-                    })
+                    .attach_replication(config.repl_retain)
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
             }
         }

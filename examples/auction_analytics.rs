@@ -7,6 +7,7 @@
 //! cargo run --release --example auction_analytics
 //! ```
 
+use vamana::core::UpdateOp;
 use vamana::xmark::{generate_string, XmarkConfig};
 use vamana::{DocId, Engine, MassStore, Value};
 
@@ -73,25 +74,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the paper's no-histogram freshness property.
     let person_name = engine.store().name_id("person").expect("persons exist");
     let before = engine.store().count_elements(person_name);
-    let people_key = {
-        let people = engine.store().name_id("people").expect("people element");
-        let flat = engine
-            .store()
-            .name_index()
-            .elements(people)
-            .iter()
-            .next()
-            .expect("one people element")
-            .to_vec();
-        vamana::flex::FlexKey::from_flat(flat)
+    let insert = UpdateOp::Insert {
+        target: "//people".into(),
+        fragment: "<person><name>Freshly Inserted</name></person>".into(),
     };
-    let store = engine.store_mut()?;
-    let new_person = store.append_element(&people_key, "person")?;
-    let name_el = store.append_element(&new_person, "name")?;
-    store.append_text(&name_el, "Freshly Inserted")?;
+    engine.apply_update(d, &insert)?;
     let after = engine.store().count_elements(person_name);
     println!("\nCOUNT(person): {before} -> {after} (no ANALYZE required)");
     let found = engine.query_doc(d, "//person[name='Freshly Inserted']")?;
-    println!("query finds the new person: {}", found.len() == 1);
+    assert_eq!((after, found.len()), (before + 1, 1), "the insert is seen");
+    println!("query finds the new person");
     Ok(())
 }

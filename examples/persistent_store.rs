@@ -5,8 +5,9 @@
 //! cargo run --release --example persistent_store
 //! ```
 
+use vamana::core::UpdateOp;
 use vamana::xmark::{generate_string, XmarkConfig};
-use vamana::{Engine, MassStore};
+use vamana::{DocId, Engine, MassStore};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("vamana-persistent-example");
@@ -39,21 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("Vermont residents found after reopen: {}", vermonters.len());
 
         // Update, checkpoint again.
-        let people_key = {
-            let id = engine.store().name_id("people").expect("people");
-            let flat = engine
-                .store()
-                .name_index()
-                .elements(id)
-                .iter()
-                .next()
-                .expect("one")
-                .to_vec();
-            vamana::flex::FlexKey::from_flat(flat)
+        let insert = UpdateOp::Insert {
+            target: "//people".into(),
+            fragment: "<person><name>Persisted Person</name></person>".into(),
         };
-        let p = engine.store_mut()?.append_element(&people_key, "person")?;
-        let n = engine.store_mut()?.append_element(&p, "name")?;
-        engine.store_mut()?.append_text(&n, "Persisted Person")?;
+        engine.apply_update(DocId(0), &insert)?;
         engine.checkpoint()?;
         println!("session 2: inserted one person and checkpointed");
     }
@@ -63,10 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let store = MassStore::open_file(&path, 512)?;
         let engine = Engine::new(store);
         let found = engine.query("//person[name='Persisted Person']")?;
-        println!(
-            "session 3: update visible after reopen: {}",
-            found.len() == 1
-        );
+        assert_eq!(found.len(), 1, "the update survives the reopen");
+        println!("session 3: update visible after reopen");
         let stats = engine.store().stats();
         println!(
             "session 3: buffer pool read {} pages to answer (of {} total)",

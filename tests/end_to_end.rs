@@ -4,6 +4,7 @@
 
 use vamana::baseline::dom::DomEngine;
 use vamana::baseline::XPathEngine;
+use vamana::core::UpdateOp;
 use vamana::xmark::{generate_string, XmarkConfig};
 use vamana::{DocId, Engine, MassStore, VamanaAdapter};
 
@@ -149,25 +150,11 @@ fn scalar_evaluation_matches_oracle() {
 fn updates_are_visible_to_queries_and_statistics() {
     let mut e = engine();
     let before = e.query("//person").unwrap().len();
-    let people_key = {
-        let id = e.store().name_id("people").unwrap();
-        let flat = e
-            .store()
-            .name_index()
-            .elements(id)
-            .iter()
-            .next()
-            .unwrap()
-            .to_vec();
-        vamana::flex::FlexKey::from_flat(flat)
+    let insert = UpdateOp::Insert {
+        target: "//people".into(),
+        fragment: "<person><name>Edge Case</name></person>".into(),
     };
-    let p = e
-        .store_mut()
-        .unwrap()
-        .append_element(&people_key, "person")
-        .unwrap();
-    let n = e.store_mut().unwrap().append_element(&p, "name").unwrap();
-    e.store_mut().unwrap().append_text(&n, "Edge Case").unwrap();
+    e.apply_update(DocId(0), &insert).unwrap();
 
     assert_eq!(e.query("//person").unwrap().len(), before + 1);
     assert_eq!(e.query("//person[name='Edge Case']").unwrap().len(), 1);
@@ -180,7 +167,9 @@ fn updates_are_visible_to_queries_and_statistics() {
         explain.applied
     );
 
-    e.store_mut().unwrap().delete_subtree(&p).unwrap();
+    let target = "//person[name='Edge Case']".into();
+    e.apply_update(DocId(0), &UpdateOp::Delete { target })
+        .unwrap();
     assert_eq!(e.query("//person").unwrap().len(), before);
     assert_eq!(e.query("//person[name='Edge Case']").unwrap().len(), 0);
 }
