@@ -264,6 +264,17 @@ impl BufferPool {
         lock(&self.store).read_blob(offset, len)
     }
 
+    /// Length of the blob heap in bytes.
+    pub fn blob_len(&self) -> u64 {
+        lock(&self.store).blob_len()
+    }
+
+    /// The stored image of page `id`, read past the cache (pages are
+    /// written through, so the store holds every write).
+    pub fn page_image(&self, id: u32) -> Result<Vec<u8>> {
+        lock(&self.store).read_page(id)
+    }
+
     /// Persists the catalog image.
     pub fn write_catalog(&self, bytes: &[u8]) -> Result<()> {
         lock(&self.store).write_catalog(bytes)

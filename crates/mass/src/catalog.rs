@@ -54,7 +54,7 @@ impl<'a> Reader<'a> {
 impl MassStore {
     /// Serializes the catalog (name table + document registry + the WAL
     /// LSN as of this checkpoint).
-    fn encode_catalog(&self, checkpoint_lsn: u64) -> Vec<u8> {
+    pub(crate) fn encode_catalog(&self, checkpoint_lsn: u64) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(self.names.len() as u32).to_le_bytes());

@@ -2,8 +2,8 @@
 //!
 //! Writes a subtree's XML text in one cursor sweep over its key range,
 //! with an explicit stack of open elements and no DOM — used by `.save`
-//! in the CLI, by replication snapshots, and by tests that verify load →
-//! export round trips.
+//! in the CLI, by XQuery result serialization, and by tests that verify
+//! load → export round trips.
 
 use crate::cursor::MassCursor;
 use crate::error::{MassError, Result};

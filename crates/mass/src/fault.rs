@@ -112,6 +112,9 @@ impl PageStore for SharedPager {
     fn read_blob(&mut self, offset: u64, len: u32) -> Result<Vec<u8>> {
         self.lock().read_blob(offset, len)
     }
+    fn blob_len(&self) -> u64 {
+        self.lock().blob_len()
+    }
     fn write_catalog(&mut self, bytes: &[u8]) -> Result<()> {
         self.lock().write_catalog(bytes)
     }
@@ -167,6 +170,10 @@ impl PageStore for FaultPager {
 
     fn read_blob(&mut self, offset: u64, len: u32) -> Result<Vec<u8>> {
         self.inner.read_blob(offset, len)
+    }
+
+    fn blob_len(&self) -> u64 {
+        self.inner.blob_len()
     }
 
     fn write_catalog(&mut self, bytes: &[u8]) -> Result<()> {

@@ -52,6 +52,7 @@ pub mod error;
 pub mod export;
 pub mod fault;
 pub mod footprint;
+pub mod image;
 pub mod loader;
 pub mod name_index;
 pub mod names;

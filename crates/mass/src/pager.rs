@@ -25,6 +25,8 @@ pub trait PageStore: Send {
     fn append_blob(&mut self, bytes: &[u8]) -> Result<u64>;
     /// Reads `len` blob bytes at `offset`.
     fn read_blob(&mut self, offset: u64, len: u32) -> Result<Vec<u8>>;
+    /// Length of the blob heap in bytes.
+    fn blob_len(&self) -> u64;
     /// Replaces the durable catalog image (name table, document registry).
     fn write_catalog(&mut self, bytes: &[u8]) -> Result<()>;
     /// Reads the catalog image, empty if never written.
@@ -101,6 +103,10 @@ impl PageStore for MemoryPager {
             ));
         }
         Ok(self.blobs[start..end].to_vec())
+    }
+
+    fn blob_len(&self) -> u64 {
+        self.blobs.len() as u64
     }
 
     fn write_catalog(&mut self, bytes: &[u8]) -> Result<()> {
@@ -235,6 +241,10 @@ impl PageStore for FilePager {
         Ok(buf)
     }
 
+    fn blob_len(&self) -> u64 {
+        self.blob_len
+    }
+
     fn write_catalog(&mut self, bytes: &[u8]) -> Result<()> {
         // Atomic-enough for a single writer: write a temp file and rename.
         let tmp = self.catalog_path.with_extension("cat.tmp");
@@ -279,6 +289,7 @@ mod tests {
         let off2 = store.append_blob(b"world!").unwrap();
         assert_eq!(store.read_blob(off1, 5).unwrap(), b"hello");
         assert_eq!(store.read_blob(off2, 6).unwrap(), b"world!");
+        assert_eq!(store.blob_len(), 11);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! [`MassStore::checkpoint`] truncates the *file* log but leaves the
 //! replication ring untouched: retention is governed only by the ring's
 //! frame budget. A follower whose resume LSN has aged out of the ring
-//! (`from < floor`) is told to take a snapshot instead — the deterministic
-//! FLEX key assignment of the bulk loader means shipping each document's
-//! serialized XML in load order reproduces the primary's exact key space.
+//! (`from < floor`) is sent the store's image instead ([`crate::image`]):
+//! its pages, blob heap and catalog, which the follower opens as a
+//! restart opens a store, keys and all. A written document's keys record
+//! its history, so a re-load of its text would not reproduce them.
 
 use crate::error::{MassError, Result};
 use crate::footprint::Footprint;
@@ -202,21 +203,6 @@ impl MassStore {
     /// Fsync policy of the WAL (`None` for volatile stores).
     pub fn fsync_policy(&self) -> Option<crate::wal::FsyncPolicy> {
         self.wal.as_ref().map(|w| w.policy())
-    }
-
-    /// Re-bases an empty WAL so the next external frame must carry
-    /// `snapshot_lsn + 1` — the follower-side epilogue of a snapshot
-    /// install. The store checkpoints first (folding any local state into
-    /// the pages and emptying the log) and again after, so the catalog's
-    /// LSN floor agrees with the new numbering across restarts.
-    pub fn rebase_replica(&mut self, snapshot_lsn: u64) -> Result<()> {
-        self.checkpoint()?;
-        self.wal
-            .as_mut()
-            .ok_or_else(|| MassError::InvalidUpdate("replica store must be durable".into()))?
-            .set_next_lsn(snapshot_lsn + 1)?;
-        self.checkpoint()?;
-        Ok(())
     }
 
     /// Applies one committed batch received from a primary: the frames
@@ -412,24 +398,32 @@ mod tests {
         assert_eq!(generations, [0, 1, 2]);
     }
 
+    /// A follower that installed a primary's image takes the primary's
+    /// next frame: the image's catalog starts its log after the snapshot.
     #[test]
-    fn rebase_replica_accepts_primary_numbering() {
-        let mut follower = durable_store();
-        follower.load_xml("d", "<r/>").unwrap();
-        follower.rebase_replica(100).unwrap();
-        assert_eq!(follower.replicated_lsn(), 100);
-        let batch = vec![
-            (
-                101,
-                WalRecord::LoadDocument {
-                    name: "x".into(),
-                    xml: "<x/>".into(),
-                },
-            ),
-            (102, WalRecord::Commit),
-        ];
+    fn an_installed_image_takes_the_primarys_next_frame() {
+        let mut primary = durable_store();
+        let log = primary.attach_replication(1024).unwrap();
+        primary.load_xml("d", "<r/>").unwrap();
+        let snap = primary.replicated_lsn();
+        let mut follower = MassStore::install_image(
+            Box::new(MemoryPager::new()),
+            64,
+            Box::new(MemWalBackend::new()),
+            FsyncPolicy::Never,
+            &primary.image().unwrap(),
+        )
+        .unwrap();
+        assert_eq!(follower.replicated_lsn(), snap);
+        primary.load_xml("x", "<x/>").unwrap();
+        let batch: Vec<(u64, WalRecord)> = log
+            .frames_after(snap, usize::MAX)
+            .unwrap()
+            .into_iter()
+            .map(|(lsn, payload)| (lsn, WalRecord::decode(&payload).unwrap()))
+            .collect();
         follower.apply_replicated(&batch).unwrap();
-        assert_eq!(follower.replicated_lsn(), 102);
+        assert_eq!(follower.replicated_lsn(), primary.replicated_lsn());
         assert!(follower.document_by_name("x").is_some());
     }
 }

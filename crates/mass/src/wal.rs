@@ -631,25 +631,6 @@ impl Wal {
         Ok(got)
     }
 
-    /// Re-bases an *empty* log to start at `lsn` — a follower installing
-    /// a snapshot taken at `lsn - 1` points its log here so subsequent
-    /// [`Wal::append_external`] calls accept the primary's numbering.
-    pub fn set_next_lsn(&mut self, lsn: u64) -> Result<()> {
-        if self.len != HEADER_LEN as u64 {
-            return Err(crate::error::MassError::InvalidUpdate(
-                "set_next_lsn requires an empty log (checkpoint first)".into(),
-            ));
-        }
-        self.backend.truncate(0)?;
-        self.backend.append(&header_bytes(lsn))?;
-        self.backend.sync()?;
-        self.next_lsn = lsn;
-        self.committed_next_lsn = lsn;
-        self.stats.start_lsn = lsn;
-        self.stats.last_lsn = 0;
-        Ok(())
-    }
-
     /// Discards uncommitted frames after a failed append/commit, so a
     /// later commit marker cannot accidentally seal them.
     pub fn rollback(&mut self) -> Result<()> {
@@ -931,16 +912,15 @@ mod tests {
     fn external_appends_mirror_primary_lsns() {
         let (shared, handle) = mem_pair();
         {
-            let mut wal = Wal::create(handle, FsyncPolicy::Never).unwrap();
-            wal.set_next_lsn(41).unwrap();
+            // An empty log opened with a floor starts there, as a store
+            // installed from an image taken at LSN 40 does.
+            let (mut wal, _) = Wal::open(handle, FsyncPolicy::Never, 41).unwrap();
             wal.append_external(41, &rec(0)).unwrap();
             wal.append_external(42, &WalRecord::Commit).unwrap();
             // A gap is rejected without touching the log.
             assert!(wal.append_external(50, &rec(1)).is_err());
             assert_eq!(wal.next_lsn(), 43);
             assert_eq!(wal.last_committed_lsn(), 42);
-            // Re-basing a non-empty log is rejected.
-            assert!(wal.set_next_lsn(99).is_err());
         }
         let (reopened, records) = Wal::open(Box::new(shared), FsyncPolicy::Never, 0).unwrap();
         assert_eq!(records, vec![(41, rec(0))]);

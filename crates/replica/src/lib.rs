@@ -12,18 +12,18 @@
 //! touch pages, a `kill -9` mid-stream loses nothing committed — on
 //! restart the store recovers to its last applied LSN and the sync loop
 //! resumes the feed from exactly there. When the resume LSN has aged out
-//! of the primary's retention ring, the primary ships a snapshot
-//! (compact per-document XML in load order); the deterministic FLEX key
-//! assignment of the bulk loader makes the rebuilt store key-identical
-//! to the primary's, after which the log is re-based to the snapshot LSN
-//! and streaming continues.
+//! of the primary's retention ring, the primary ships its store's image
+//! (pages, blob heap and catalog, [`vamana_mass::image`]); the replica
+//! writes it into fresh files and opens it as a restart opens a store, so
+//! its keys are the primary's and its log continues from the snapshot
+//! LSN, and streaming continues.
 //!
 //! Reconnects use exponential backoff between [`ReplicaConfig::backoff_base`]
 //! and [`ReplicaConfig::backoff_max`]; liveness comes from the primary's
 //! heartbeat frames (empty payload, carrying its last committed LSN)
 //! against [`ReplicaConfig::read_timeout`].
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,11 +31,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use vamana_core::{Engine, SharedEngine};
+use vamana_mass::image::{is_end, IMAGE_PART_MAX};
 use vamana_mass::{verify_frame, FsyncPolicy, MassStore, WalRecord, FRAME_HEADER_LEN};
 use vamana_server::event::read_line_capped;
-use vamana_server::{
-    unescape_line, ReplicaRole, ReplicaStatus, Server, ServerConfig, ServerHandle,
-};
+use vamana_server::{ReplicaRole, ReplicaStatus, Server, ServerConfig, ServerHandle};
 
 /// Everything a replica needs to start.
 #[derive(Debug, Clone)]
@@ -240,38 +239,31 @@ fn follow_once(ctx: &SyncCtx) -> std::io::Result<()> {
         return Err(proto_err(format!("unexpected handshake: {line}")));
     };
     let mut snapshot = false;
+    let mut lsn = None;
     for token in rest.split(' ') {
         if let Some(v) = token.strip_prefix("snapshot=") {
             snapshot = v == "1";
+        } else if let Some(v) = token.strip_prefix("lsn=") {
+            lsn = v.parse::<u64>().ok();
         }
     }
 
     if snapshot {
-        install_snapshot(ctx, &mut reader)?;
+        let snap = lsn.ok_or_else(|| proto_err(format!("no snapshot LSN in: {line}")))?;
+        install_snapshot(ctx, &mut reader, snap)?;
     }
     ctx.status.connected.store(true, Ordering::Relaxed);
 
     // Frame loop: buffer data records, apply at commit granularity.
-    let mut header = [0u8; FRAME_HEADER_LEN];
     let mut batch: Vec<(u64, WalRecord)> = Vec::new();
     loop {
         if ctx.stop.load(Ordering::SeqCst) {
             return Ok(());
         }
-        if let Err(e) = reader.read_exact(&mut header) {
-            if ctx.stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            return Err(e);
-        }
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let lsn = u64::from_le_bytes(header[4..12].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[12..16].try_into().unwrap());
-        let mut payload = vec![0u8; len];
-        reader.read_exact(&mut payload)?;
-        if !verify_frame(lsn, &payload, crc) {
-            return Err(proto_err(format!("frame {lsn} failed CRC, resyncing")));
-        }
+        let (lsn, payload) = match read_frame(&mut reader, usize::MAX) {
+            Err(_) if ctx.stop.load(Ordering::SeqCst) => return Ok(()),
+            frame => frame?,
+        };
         ctx.status.frames.fetch_add(1, Ordering::Relaxed);
         if payload.is_empty() {
             // Heartbeat: the primary's last committed LSN, never
@@ -294,6 +286,25 @@ fn follow_once(ctx: &SyncCtx) -> std::io::Result<()> {
     }
 }
 
+/// Reads one frame whose payload is at most `max` bytes and checks its
+/// CRC.
+fn read_frame(reader: &mut impl Read, max: usize) -> std::io::Result<(u64, Vec<u8>)> {
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    reader.read_exact(&mut header)?;
+    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
+    let lsn = u64::from_le_bytes(header[4..12].try_into().unwrap());
+    let crc = u32::from_le_bytes(header[12..16].try_into().unwrap());
+    if len > max {
+        return Err(proto_err(format!("frame {lsn} of {len} bytes, over {max}")));
+    }
+    let mut payload = vec![0u8; len];
+    reader.read_exact(&mut payload)?;
+    if !verify_frame(lsn, &payload, crc) {
+        return Err(proto_err(format!("frame {lsn} failed CRC, resyncing")));
+    }
+    Ok((lsn, payload))
+}
+
 /// Applies one committed batch under the engine write lock and
 /// checkpoints when the local log grows past the configured depth.
 fn apply_batch(ctx: &SyncCtx, batch: &[(u64, WalRecord)]) -> std::io::Result<()> {
@@ -312,48 +323,37 @@ fn apply_batch(ctx: &SyncCtx, batch: &[(u64, WalRecord)]) -> std::io::Result<()>
     Ok(())
 }
 
-/// Reads `SNAPDOC`/`SNAPEND` lines and rebuilds the local store from
-/// scratch: fresh durable store, documents loaded in the primary's load
-/// order (reproducing its key space), log re-based to the snapshot LSN.
-/// Runs entirely under the engine write lock so no query observes the
-/// swap; [`Engine::replace_store`] clears the query cache there (new
-/// stores restart document generations at zero).
-fn install_snapshot(ctx: &SyncCtx, reader: &mut impl BufRead) -> std::io::Result<()> {
-    let mut docs: Vec<(String, String)> = Vec::new();
-    let snap_lsn;
+/// Reads the primary's store image (frames at the snapshot LSN, up to
+/// its end part) and installs it in place of the local store: written
+/// into fresh files and opened as a restart opens a store, its log
+/// starting after the snapshot LSN (the image's catalog records it). The
+/// swap runs under the engine write lock so no query observes it;
+/// [`Engine::replace_store`] clears the query cache there (an opened
+/// store restarts document generations at zero).
+fn install_snapshot(ctx: &SyncCtx, reader: &mut impl Read, snap_lsn: u64) -> std::io::Result<()> {
+    let mut parts = Vec::new();
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(proto_err("feed closed mid-snapshot"));
+        let (lsn, part) = read_frame(reader, IMAGE_PART_MAX)?;
+        if lsn != snap_lsn {
+            return Err(proto_err(format!(
+                "image frame at {lsn}, snapshot at {snap_lsn}"
+            )));
         }
-        let line = line.trim_end();
-        if let Some(rest) = line.strip_prefix("SNAPDOC ") {
-            let Some((name, xml)) = rest.split_once(' ') else {
-                return Err(proto_err(format!("bad SNAPDOC line: {line}")));
-            };
-            docs.push((name.to_string(), unescape_line(xml)));
-        } else if let Some(rest) = line.strip_prefix("SNAPEND ") {
-            snap_lsn = rest
-                .parse::<u64>()
-                .map_err(|_| proto_err(format!("bad SNAPEND line: {line}")))?;
+        let end = is_end(&part);
+        parts.push(part);
+        if end {
             break;
-        } else {
-            return Err(proto_err(format!("unexpected snapshot line: {line}")));
         }
     }
 
     let mut engine = ctx.engine.write();
-    let mut fresh =
-        MassStore::create_durable(&ctx.config.data, ctx.config.capacity, ctx.config.fsync)
-            .map_err(|e| proto_err(format!("recreate replica store: {e}")))?;
-    for (name, xml) in &docs {
-        fresh
-            .load_xml(name, xml)
-            .map_err(|e| proto_err(format!("snapshot load {name}: {e}")))?;
-    }
-    fresh
-        .rebase_replica(snap_lsn)
-        .map_err(|e| proto_err(format!("rebase to {snap_lsn}: {e}")))?;
+    let mut fresh = MassStore::install_durable(
+        &ctx.config.data,
+        ctx.config.capacity,
+        ctx.config.fsync,
+        &parts,
+    )
+    .map_err(|e| proto_err(format!("install snapshot at {snap_lsn}: {e}")))?;
     // Re-attach a ring so this replica can cascade to its own followers.
     fresh
         .attach_replication(ctx.config.server.repl_retain)
@@ -386,9 +386,7 @@ mod tests {
             // Take the handshake first: a socket closed with unread bytes
             // resets the connection, and the reset may reach the replica
             // before it has read up to the cap.
-            BufReader::new(&stream)
-                .read_line(&mut String::new())
-                .unwrap();
+            read_line_capped(&mut BufReader::new(&stream), &mut String::new()).unwrap();
             let _ = stream.write_all(&vec![b'a'; vamana_server::event::MAX_REPLY_LINE + 1]);
         });
         let dir = std::env::temp_dir().join(format!("vamana-replica-cap-{}", std::process::id()));

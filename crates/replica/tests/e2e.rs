@@ -6,14 +6,17 @@
 //! checkpoint while a follower is disconnected must not strand it; and
 //! multiple followers converge after a write burst.
 
-use std::net::SocketAddr;
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use vamana_core::Engine;
-use vamana_mass::{FsyncPolicy, MassStore, StoreFormat};
+use vamana_flex::KeyRange;
+use vamana_mass::{FsyncPolicy, MassCursor, MassStore, RecordKind, StoreFormat};
 use vamana_replica::{Replica, ReplicaConfig, ReplicaHandle};
+use vamana_server::event::{read_line_capped, round_trip};
 use vamana_server::testkit::{lag_value, stat_value, Client};
 use vamana_server::{Server, ServerConfig, ServerHandle};
 
@@ -105,20 +108,23 @@ fn wire_fingerprint(client: &mut Client) -> Vec<String> {
     out
 }
 
-/// Store-level fingerprint: every document exported back to XML, in
-/// catalog order, plus the replicated LSN. Byte-identical exports at
-/// equal LSN are the strongest convergence check we have.
-fn store_fingerprint(path: &Path) -> (u64, Vec<(String, String)>) {
+/// One record as a store holds it: flat key, kind, name and value.
+type KeyedRecord = (Vec<u8>, RecordKind, Option<String>, Option<String>);
+
+/// Store-level fingerprint: every record in key order (flat key, kind,
+/// name, value) plus the replicated LSN. Equal fingerprints at equal LSN
+/// mean the follower holds the primary's keys, not only its text: every
+/// later frame names a node by its key.
+fn store_fingerprint(path: &Path) -> (u64, Vec<KeyedRecord>) {
     let store = MassStore::open_durable(path, 512, FsyncPolicy::Never).unwrap();
-    let docs = store
-        .documents()
-        .iter()
-        .map(|d| {
-            let xml = vamana_mass::export::export_subtree_xml(&store, &d.doc_key).unwrap();
-            (d.name.to_string(), xml)
-        })
-        .collect();
-    (store.replicated_lsn(), docs)
+    let mut cursor = MassCursor::new(&store, KeyRange::all());
+    let mut records = Vec::new();
+    while let Some(rec) = cursor.next().unwrap() {
+        let name = rec.name.map(|n| store.names().resolve(n).to_string());
+        let value = store.resolve_value(&rec).unwrap();
+        records.push((rec.key.as_flat().to_vec(), rec.kind, name, value));
+    }
+    (store.replicated_lsn(), records)
 }
 
 #[test]
@@ -279,14 +285,14 @@ fn kill_nine_mid_stream_then_restart_resumes_from_applied_lsn() {
     assert_eq!(total[0], "VAL 71", "{total:?}"); // 1 seed + 30 + 20 + 20
 
     // Store-level fingerprint at equal LSN: kill both processes and
-    // compare the exported XML of every document byte for byte.
+    // compare every record, key included.
     proc2.child.kill().expect("kill");
     proc2.child.wait().expect("reap");
     handle.stop();
     let (primary_lsn, primary_docs) = store_fingerprint(&primary_path);
     let (follower_lsn, follower_docs) = store_fingerprint(&data);
     assert_eq!(primary_lsn, follower_lsn, "stores at different LSNs");
-    assert_eq!(primary_docs, follower_docs, "exports diverge at equal LSN");
+    assert_eq!(primary_docs, follower_docs, "records diverge at equal LSN");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -450,26 +456,10 @@ fn replayed_writes_a_query_cannot_see_keep_follower_views() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn compressed_follower_converges_with_v1_primary() {
-    let dir = temp_dir("v2f");
-    let primary_path = dir.join("primary.mass");
-    let handle = spawn_primary_as(&primary_path, ServerConfig::default(), StoreFormat::V1);
-    let mut primary = Client::connect(&handle);
-    let data = dir.join("follower.mass");
-
-    // A real follower process storing its replica in the compressed
-    // (v2) page format new stores get, fed by a primary pinned to v1:
-    // replication is logical, so formats may differ per node.
-    let mut proc1 = spawn_follower_process(handle.addr(), &data);
-    {
-        let mut follower = Client::connect_retry(proc1.addr, DEADLINE);
-        wait_applied(&mut follower, primary_last_lsn(&mut primary));
-    }
-
-    // A write burst with repetitive values (dictionary-friendly on a
-    // bulk load, plain inline values through the WAL replay path) plus
-    // a mid-stream document load.
+/// A write burst with repetitive values (dictionary-friendly on a bulk
+/// load, plain inline values through the WAL replay path) plus a
+/// mid-stream document load.
+fn v1_write_burst(primary: &mut Client) {
     for i in 0..40 {
         primary.round_trip(&format!(
             "INSERT auction //people <person><name>v{i}</name><city>Duluth</city></person>"
@@ -478,6 +468,33 @@ fn compressed_follower_converges_with_v1_primary() {
     let reply = primary.round_trip("LOADXML extra <r><name>late</name></r>");
     assert!(reply[0].starts_with("OK loaded"), "{reply:?}");
     primary.round_trip("DELETE auction //person[name='v7']");
+}
+
+#[test]
+fn compressed_follower_converges_with_v1_primary() {
+    let dir = temp_dir("v2f");
+    let primary_path = dir.join("primary.mass");
+    // A primary pinned to v1 with nothing written before it binds: its
+    // ring floor is LSN 0, so a fresh follower streams every write from
+    // the first instead of taking a snapshot.
+    let mut store = MassStore::create_durable(&primary_path, 512, FsyncPolicy::Never).unwrap();
+    store.set_format(StoreFormat::V1).unwrap();
+    let handle = Server::bind("127.0.0.1:0", Engine::new(store), ServerConfig::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut primary = Client::connect(&handle);
+    let data = dir.join("follower.mass");
+
+    // A real follower process storing its replica in the compressed
+    // (v2) page format new stores get: replayed writes are logical, so
+    // formats may differ per node.
+    let mut proc1 = spawn_follower_process(handle.addr(), &data);
+    let reply = primary.round_trip(
+        "LOADXML auction <site><people><person><name>Ada</name></person></people></site>",
+    );
+    assert!(reply[0].starts_with("OK loaded"), "{reply:?}");
+    v1_write_burst(&mut primary);
 
     let target = primary_last_lsn(&mut primary);
     let reference = wire_fingerprint(&mut primary);
@@ -489,17 +506,19 @@ fn compressed_follower_converges_with_v1_primary() {
             reference,
             "compressed follower must serve the primary's rows"
         );
+        let stats = follower.round_trip("STATS");
+        assert_eq!(stat_value(&stats, "repl_snapshots"), 0, "{stats:?}");
     }
 
-    // Store-level: byte-identical exports at equal LSN, and the
-    // follower really holds compressed pages.
+    // Store-level: the same records, keys included, at equal LSN, and
+    // the follower really holds compressed pages.
     proc1.child.kill().expect("kill");
     proc1.child.wait().expect("reap");
     handle.stop();
     let (primary_lsn, primary_docs) = store_fingerprint(&primary_path);
     let (follower_lsn, follower_docs) = store_fingerprint(&data);
     assert_eq!(primary_lsn, follower_lsn, "stores at different LSNs");
-    assert_eq!(primary_docs, follower_docs, "exports diverge at equal LSN");
+    assert_eq!(primary_docs, follower_docs, "records diverge at equal LSN");
     for (path, format) in [(&primary_path, StoreFormat::V1), (&data, StoreFormat::V2)] {
         let store = MassStore::open_durable(path, 512, FsyncPolicy::Never).unwrap();
         assert_eq!(store.format(), format);
@@ -510,6 +529,163 @@ fn compressed_follower_converges_with_v1_primary() {
             "{path:?} as {format:?}: {stats:?}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshotted_follower_keeps_a_v1_primarys_format() {
+    let dir = temp_dir("v1f");
+    let primary_path = dir.join("primary.mass");
+    let handle = spawn_primary_as(&primary_path, ServerConfig::default(), StoreFormat::V1);
+    let mut primary = Client::connect(&handle);
+    let data = dir.join("follower.mass");
+
+    // A real follower process, created as every new store is, in the
+    // compressed (v2) format: the snapshot installs the primary's pages
+    // and catalog, so it holds the primary's uncompressed (v1) pages and
+    // writes its later pages in v1 too.
+    let mut proc1 = spawn_follower_process(handle.addr(), &data);
+    {
+        let mut follower = Client::connect_retry(proc1.addr, DEADLINE);
+        wait_applied(&mut follower, primary_last_lsn(&mut primary));
+    }
+
+    v1_write_burst(&mut primary);
+    let target = primary_last_lsn(&mut primary);
+    let reference = wire_fingerprint(&mut primary);
+    {
+        let mut follower = Client::connect_retry(proc1.addr, DEADLINE);
+        wait_applied(&mut follower, target);
+        assert_eq!(
+            wire_fingerprint(&mut follower),
+            reference,
+            "the follower must serve the primary's rows"
+        );
+    }
+
+    // Store-level: the same records at equal LSN, and both stores hold
+    // uncompressed pages only.
+    proc1.child.kill().expect("kill");
+    proc1.child.wait().expect("reap");
+    handle.stop();
+    let (primary_lsn, primary_docs) = store_fingerprint(&primary_path);
+    let (follower_lsn, follower_docs) = store_fingerprint(&data);
+    assert_eq!(primary_lsn, follower_lsn, "stores at different LSNs");
+    assert_eq!(primary_docs, follower_docs, "records diverge at equal LSN");
+    for path in [&primary_path, &data] {
+        let store = MassStore::open_durable(path, 512, FsyncPolicy::Never).unwrap();
+        assert_eq!(store.format(), StoreFormat::V1, "{path:?}");
+        let stats = store.stats();
+        assert_eq!(stats.compressed_pages, 0, "{path:?}: {stats:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A follower bootstrapped after writes holds the primary's keys, not
+/// the keys a re-load of its text would assign, so later frames that
+/// name those keys land on the same nodes on both sides.
+#[test]
+fn a_snapshot_after_writes_keeps_the_primarys_keys() {
+    let dir = temp_dir("keys");
+    let primary_path = dir.join("primary.mass");
+    let mut store = MassStore::create_durable(&primary_path, 512, FsyncPolicy::Never).unwrap();
+    store
+        .load_xml(
+            "auction",
+            "<site><people><person><name>A</name></person><person><name>M</name></person>\
+             <person><name>Z</name></person></people><p>x<b/>y</p></site>",
+        )
+        .unwrap();
+    let handle = Server::bind("127.0.0.1:0", Engine::new(store), ServerConfig::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut primary = Client::connect(&handle);
+
+    // Before the follower exists: a middle delete (the later persons keep
+    // their labels, with a gap), an attributed insert, one more person
+    // after it, and a delete that leaves two texts side by side.
+    for write in [
+        "DELETE auction //person[name='M']",
+        "INSERT auction //people <person id='x'><name>B</name></person>",
+        "INSERT auction //people <person><name>Y</name></person>",
+        "DELETE auction //b",
+    ] {
+        let reply = primary.round_trip(write);
+        assert!(reply[0].starts_with("OK update"), "{write}: {reply:?}");
+    }
+
+    let data = dir.join("replica.mass");
+    let replica = start_replica(handle.addr(), &data);
+    let mut follower = Client::connect_addr(replica.addr());
+    wait_applied(&mut follower, primary_last_lsn(&mut primary));
+    let stats = follower.round_trip("STATS");
+    assert_eq!(stat_value(&stats, "repl_snapshots"), 1, "{stats:?}");
+
+    // Writes to keys a re-load would have shifted.
+    for write in [
+        "DELETE auction //person[last()]",
+        "INSERT auction //person[@id='x'] <email>b@x</email>",
+    ] {
+        let reply = primary.round_trip(write);
+        assert!(reply[0].starts_with("OK update"), "{write}: {reply:?}");
+    }
+    wait_applied(&mut follower, primary_last_lsn(&mut primary));
+    assert_eq!(
+        wire_fingerprint(&mut follower),
+        wire_fingerprint(&mut primary)
+    );
+
+    replica.stop();
+    handle.stop();
+    let (primary_lsn, primary_records) = store_fingerprint(&primary_path);
+    let (follower_lsn, follower_records) = store_fingerprint(&data);
+    assert_eq!(primary_lsn, follower_lsn, "stores at different LSNs");
+    assert_eq!(
+        primary_records, follower_records,
+        "records diverge at equal LSN"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A follower that asks for a snapshot and then stops reading holds off
+/// no writer on the primary: the feed reads the image under the engine
+/// lock and sends it after releasing the lock.
+#[test]
+fn a_stalled_snapshot_reader_holds_off_no_writer() {
+    let dir = temp_dir("stall");
+    let mut store =
+        MassStore::create_durable(dir.join("primary.mass"), 512, FsyncPolicy::Never).unwrap();
+    // 16 MB of values in the blob heap: more than the loopback socket
+    // buffers hold, so the feed blocks on the stalled reader.
+    let element = format!("<e>{}</e>", "v".repeat(1 << 16));
+    store
+        .load_xml("big", &format!("<r>{}</r>", element.repeat(256)))
+        .unwrap();
+    let handle = Server::bind("127.0.0.1:0", Engine::new(store), ServerConfig::default())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+
+    let stalled = TcpStream::connect(handle.addr()).unwrap();
+    (&stalled).write_all(b"REPLICATE 0\n").unwrap();
+    let mut handshake = String::new();
+    read_line_capped(&mut BufReader::new(&stalled), &mut handshake).unwrap();
+    assert!(
+        handshake.starts_with("OK replicate snapshot=1"),
+        "{handshake}"
+    );
+
+    let writer = TcpStream::connect(handle.addr()).unwrap();
+    writer
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let reply = round_trip(&mut BufReader::new(writer), "INSERT big /r <late/>")
+        .expect("the INSERT waits behind the stalled feed");
+    assert!(reply[0].starts_with("OK update"), "{reply:?}");
+
+    drop(stalled);
+    handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,9 +8,9 @@
 //!
 //! ```text
 //! OK replicate snapshot=0 lsn=<primary_last>     → frames follow
-//! OK replicate snapshot=1 lsn=<snap>             → snapshot first:
-//!   SNAPDOC <name> <escaped-compact-xml>           one per document,
-//!   SNAPEND <snap>                                 load order, then frames
+//! OK replicate snapshot=1 lsn=<snap>             → the store's image first,
+//!                                                  as frames at <snap>, then
+//!                                                  frames after <snap>
 //! ```
 //!
 //! Frames are byte-identical to the on-disk WAL framing
@@ -21,10 +21,13 @@
 //! has been idle for [`crate::ServerConfig::feed_heartbeat`].
 //!
 //! The snapshot path triggers when `from_lsn` has aged out of the
-//! retention ring. Documents are serialized compactly under the engine
-//! read lock (one consistent cut at `snap`), and the deterministic
-//! FLEX key assignment of the bulk loader guarantees the follower
-//! reproduces the primary's exact key space by loading them in order.
+//! retention ring. The image ([`vamana_mass::MassStore::image`]: every
+//! page, the blob heap and the catalog, one page or chunk per frame) is
+//! read under the engine read lock, one consistent cut at `snap`, and
+//! sent after the lock is released, so a follower that stops reading
+//! holds off no writer. The follower installs it and opens it as a
+//! restart opens a store: its keys are the primary's, whatever writes
+//! made them.
 
 use std::io::{BufWriter, Write};
 use std::net::TcpStream;
@@ -33,7 +36,7 @@ use std::sync::Arc;
 
 use vamana_mass::{encode_frame, ReplicationLog};
 
-use crate::{escape_line, Shared};
+use crate::Shared;
 
 /// Frames shipped per batch before flushing.
 const FEED_BATCH: usize = 512;
@@ -66,17 +69,17 @@ fn feed_loop(
 ) -> std::io::Result<()> {
     let mut writer = BufWriter::new(stream);
     if log.frames_after(from, 1).is_none() {
-        // `from` predates retention: ship a consistent snapshot, then
-        // stream from the snapshot LSN.
-        let engine = shared.engine.read();
-        let snap = engine.store().replicated_lsn();
+        // `from` predates retention: ship the store's image, then stream
+        // from the snapshot LSN.
+        let (snap, image) = {
+            let engine = shared.engine.read();
+            (engine.store().replicated_lsn(), engine.store().image())
+        };
+        let image = image.map_err(|e| std::io::Error::other(e.to_string()))?;
         writeln!(writer, "OK replicate snapshot=1 lsn={snap}")?;
-        for doc in engine.store().documents() {
-            let xml = vamana_mass::export::export_subtree_xml(engine.store(), &doc.doc_key)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            writeln!(writer, "SNAPDOC {} {}", doc.name, escape_line(&xml))?;
+        for part in &image {
+            writer.write_all(&encode_frame(snap, part))?;
         }
-        writeln!(writer, "SNAPEND {snap}")?;
         from = snap;
     } else {
         writeln!(

@@ -5,8 +5,8 @@
 //! Only what is shown is read: one cursor sweeps the shown rows
 //! ([`vamana_mass::MassStore::value_prefixes`]) and stops each value's walk
 //! one character past the width. A reply value travels through
-//! [`escape_line`], and a reader that needs the text back (a replica
-//! reading a snapshot) uses [`unescape_line`].
+//! [`escape_line`], and a client that needs the text back uses
+//! [`unescape_line`].
 
 use vamana_core::{Engine, NodeEntry, Result};
 

@@ -58,8 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("session 3: update visible after reopen");
         let stats = engine.store().stats();
         println!(
-            "session 3: buffer pool read {} pages to answer (of {} total)",
+            "session 3: {} page pins to answer, {} of them misses read from disk (of {} pages)",
             stats.buffer.hits + stats.buffer.misses,
+            stats.buffer.misses,
             stats.pages
         );
     }
